@@ -70,13 +70,17 @@ pub(crate) enum FlatInstr {
 }
 
 /// A compiled program's instruction buffer: the windowed stream the
-/// dense branching executor dispatches on, plus the flat per-op overlay
-/// the shot-batched trajectory engine walks. Compiled lazily by
-/// [`CompiledProgram::bytecode`] and cached on the plan.
+/// dense branching executor and the sampled paths' one-time prefix
+/// dispatch on, plus the flat per-op overlay the shot-batched trajectory
+/// engine walks. Compiled lazily by [`CompiledProgram::bytecode`] and
+/// cached on the plan; the overlay is lowered on its own first use
+/// ([`flat`](Bytecode::flat)), so a run that only streams — every cold
+/// one-off through the alias path — prepares each gate once, as the
+/// interpreter would.
 pub struct Bytecode {
     n: usize,
     pub(crate) stream: Vec<Instr>,
-    pub(crate) flat: Vec<FlatInstr>,
+    flat: std::sync::OnceLock<Vec<FlatInstr>>,
 }
 
 impl std::fmt::Debug for Bytecode {
@@ -84,7 +88,7 @@ impl std::fmt::Debug for Bytecode {
         f.debug_struct("Bytecode")
             .field("n", &self.n)
             .field("stream_len", &self.stream.len())
-            .field("flat_len", &self.flat.len())
+            .field("flat_len", &self.flat.get().map(Vec::len))
             .finish()
     }
 }
@@ -100,18 +104,6 @@ impl Bytecode {
         let n = program.nb_qubits();
         let ops = program.ops();
         let mut stream = Vec::with_capacity(ops.len());
-        let mut flat = Vec::with_capacity(ops.len());
-
-        // flat overlay: one entry per op, in lockstep
-        for op in ops {
-            flat.push(match op {
-                ProgramOp::Gate(g) => FlatInstr::Gate {
-                    pre: kernel::prepare_gate(g, n, true, true),
-                    touched: g.qubits(),
-                },
-                _ => FlatInstr::Other,
-            });
-        }
 
         // windowed stream: replicate the interpreter's grouping rule —
         // maximal runs of >= 2 consecutive sweepable gates become one
@@ -162,7 +154,30 @@ impl Bytecode {
                 }
             }
         }
-        Bytecode { n, stream, flat }
+        Bytecode {
+            n,
+            stream,
+            flat: std::sync::OnceLock::new(),
+        }
+    }
+
+    /// The per-op overlay of `program` — the plan this bytecode was
+    /// compiled from — one entry per op, in lockstep with `ops()`.
+    pub(crate) fn flat(&self, program: &CompiledProgram) -> &[FlatInstr] {
+        debug_assert_eq!(program.nb_qubits(), self.n);
+        self.flat.get_or_init(|| {
+            program
+                .ops()
+                .iter()
+                .map(|op| match op {
+                    ProgramOp::Gate(g) => FlatInstr::Gate {
+                        pre: kernel::prepare_gate(g, self.n, true, true),
+                        touched: g.qubits(),
+                    },
+                    _ => FlatInstr::Other,
+                })
+                .collect()
+        })
     }
 
     /// Register size the bytecode was compiled for.

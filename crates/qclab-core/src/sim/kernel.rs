@@ -8,6 +8,15 @@
 //! controlled / SWAP / general k-qubit), and Rayon data-parallelism
 //! standing in for the GPU (see DESIGN.md, substitutions).
 //!
+//! Every kernel has one form — the serial kernel over a `Part` of the
+//! register — and one way of going parallel: above
+//! [`PARALLEL_THRESHOLD_QUBITS`], `split` cuts the register into
+//! disjoint parts and each thread runs that same kernel (vectorized
+//! where the gate is eligible, see `sim::simd`) on its share. What is
+//! computed for an amplitude group therefore never depends on the thread
+//! count: **the dense state is bit-identical at any number of threads**
+//! (`tests/thread_invariance.rs`).
+//!
 //! All kernels follow the register convention of [`qclab_math::bits`]:
 //! qubit 0 is the most significant index bit.
 
@@ -220,7 +229,7 @@ pub(crate) fn apply_prepared(pre: &PreparedOp, state: &mut [C64], n: usize, cfg:
             apply_diagonal(state, n, targets, diag, pre.cm, parallel)
         }
         PreparedKind::OneQ { q, m } => apply_1q(state, n, *q, m, pre.cm, parallel, cfg.allow_simd),
-        PreparedKind::Kq(kq) => apply_kq(state, n, kq, pre.cm, parallel, cfg.allow_simd),
+        PreparedKind::Kq(kq) => apply_kq(state, kq, pre.cm, parallel, cfg.allow_simd),
     }
 }
 
@@ -433,8 +442,8 @@ pub(crate) fn apply_window(state: &mut CVec, n: usize, gates: &[&Gate], cfg: &Ke
 pub(crate) fn apply_window_pre(state: &mut CVec, n: usize, tgs: &[TilePre], cfg: &KernelConfig) {
     let b = SWEEP_TILE_QUBITS;
     let tile_len = 1usize << b;
-    // inside a tile the work is single-threaded; SIMD takes over where
-    // the full-vector walk would have used it (see `use_simd`)
+    // the tiles are the parts here: inside one the kernels run serially,
+    // vectorized wherever the full-vector walk would be (see `use_simd`)
     let cfg_tile = KernelConfig {
         allow_parallel: false,
         ..*cfg
@@ -475,31 +484,150 @@ pub(crate) fn apply_window_pre(state: &mut CVec, n: usize, tgs: &[TilePre], cfg:
     }
 }
 
-/// Raw state pointer handed to parallel kernel iterations that touch
-/// provably disjoint amplitude indices (the iteration spaces below
-/// partition the register), making the shared mutable access sound.
+/// One thread's share of a gate application: the aligned index range
+/// `[r0, r0 + rlen)`, of which the kernel processes every group whose
+/// *base index* (all target bits zero) lies inside. A target whose
+/// stride is below `rlen` is enumerated inside the range, so when all of
+/// them are the range is a self-contained sub-register. A target whose
+/// stride is `rlen` or more is zero across the whole range and its
+/// partner amplitudes sit at `base + stride`, outside it — which is why
+/// a part carries a pointer to the whole register instead of a
+/// sub-slice. The serial path is the single part `r0 = 0, rlen = len`.
 #[derive(Clone, Copy)]
-struct SendPtr(*mut C64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+pub(crate) struct Part<'a> {
+    ptr: *mut C64,
+    len: usize,
+    pub(crate) r0: usize,
+    pub(crate) rlen: usize,
+    /// Holds the register's exclusive borrow for as long as any part of
+    /// it is around.
+    register: std::marker::PhantomData<&'a mut [C64]>,
+}
 
-impl SendPtr {
-    /// Accessor instead of field access so closures capture the whole
-    /// `Send` wrapper rather than the raw pointer field (2021 edition
-    /// closures capture disjoint fields).
+// SAFETY: `ptr`/`len` describe a register that is exclusively borrowed
+// for `'a`; several parts of it exist at once only inside `split`, which
+// hands the parts that run concurrently pairwise disjoint index sets
+// (asserted there), and `at` obliges its caller to stay inside the
+// part's set. `C64` is plain data; the other fields are integers.
+unsafe impl Send for Part<'_> {}
+unsafe impl Sync for Part<'_> {}
+
+impl<'a> Part<'a> {
+    /// The serial part: the whole register as one range.
+    pub(crate) fn whole(state: &'a mut [C64]) -> Part<'a> {
+        Part {
+            ptr: state.as_mut_ptr(),
+            len: state.len(),
+            r0: 0,
+            rlen: state.len(),
+            register: std::marker::PhantomData,
+        }
+    }
+
+    /// Length of the register (not of the range).
+    pub(crate) fn len(self) -> usize {
+        self.len
+    }
+
+    /// Same register, another range. A method rather than struct-update
+    /// syntax so closures capture the whole `Sync` wrapper, not its raw
+    /// pointer field (2021-edition closures capture disjoint fields).
+    fn with_range(self, r0: usize, rlen: usize) -> Part<'a> {
+        Part { r0, rlen, ..self }
+    }
+
+    /// Number of groups based in this part, for a gate with target bits
+    /// `tmask`: one per setting of the range's non-target index bits.
+    #[inline]
+    pub(crate) fn groups(self, tmask: usize) -> usize {
+        self.rlen >> (tmask & (self.rlen - 1)).count_ones()
+    }
+
+    /// Pointer to amplitude `i` of the register.
+    ///
+    /// # Safety
+    /// `i` must be in bounds (checked under `debug_assertions`) and belong
+    /// to a group based in this part: `i` with the gate's target bits
+    /// cleared lies in `[r0, r0 + rlen)`. Parts of one [`split`] share no
+    /// group, so accesses through them never alias.
     #[inline(always)]
-    fn get(self) -> *mut C64 {
-        self.0
+    pub(crate) unsafe fn at(self, i: usize) -> *mut C64 {
+        debug_assert!(i < self.len, "amplitude {i} outside {}", self.len);
+        unsafe { self.ptr.add(i) }
     }
 }
 
-/// Whether the vectorized dense kernels should take over: they are
-/// single-threaded, so they win whenever threads would not (no parallel
-/// dispatch, or only one worker available anyway).
+/// log2 of the number of parts a parallel sweep is cut into: four per
+/// thread rounded up to a power of two, so the static one-piece-per-thread
+/// partition stays balanced at thread counts that are not powers of two.
+fn part_bits() -> usize {
+    (4 * rayon::current_num_threads())
+        .next_power_of_two()
+        .trailing_zeros() as usize
+}
+
+/// The one parallel form of every pairing kernel: runs `kernel` — the
+/// serial kernel — on disjoint [`Part`]s of the register. The cut is made
+/// on the highest index bits that are not targets of the gate (`tmask`
+/// has a bit set per target), so a gate on low qubits sees contiguous
+/// aligned sub-registers and a gate on the top qubit(s) sees its group
+/// range divided instead. Which groups land in which part changes with
+/// the thread count; what is computed for a group does not.
+fn split(state: &mut [C64], tmask: usize, parallel: bool, kernel: impl Fn(Part<'_>) + Send + Sync) {
+    let whole = Part::whole(state);
+    if !parallel {
+        return kernel(whole);
+    }
+    let (mut p, mut cut, want) = (whole.len().trailing_zeros() as usize, 0, part_bits());
+    while cut < want && p > 1 {
+        p -= 1;
+        cut += usize::from(tmask >> p & 1 == 0);
+    }
+    // part `v` starts where the bits of `v` sit on the cut positions:
+    // shifted past the range, then spread around the targets above it
+    let high = tmask >> p << p;
+    let start = |v: usize| {
+        let (mut r0, mut h) = (v << p, high);
+        while h != 0 {
+            r0 = bits::insert_bit(r0, h.trailing_zeros() as usize);
+            h &= h - 1;
+        }
+        r0
+    };
+    // disjoint and covering: starts ascend on the cut bits alone, and
+    // each part owns its range times every setting of the high targets
+    debug_assert_eq!(((1usize << cut) << p) << high.count_ones(), whole.len());
+    debug_assert!((0..1usize << cut).all(|v| {
+        start(v) & (high | ((1 << p) - 1)) == 0 && (v == 0 || start(v - 1) < start(v))
+    }));
+    (0..1usize << cut)
+        .into_par_iter()
+        .for_each(|v| kernel(whole.with_range(start(v), 1 << p)));
+}
+
+/// [`split`] for the diagonal kernels, which scale every amplitude on its
+/// own: `kernel(base, chunk)` over aligned contiguous chunks, `base` the
+/// register index of `chunk[0]`. No amplitude has a partner, so plain
+/// disjoint `&mut` chunks do.
+fn split_flat(state: &mut [C64], parallel: bool, kernel: impl Fn(usize, &mut [C64]) + Send + Sync) {
+    if !parallel {
+        return kernel(0, state);
+    }
+    let chunk = (state.len() >> part_bits()).max(1);
+    state
+        .par_chunks_mut(chunk)
+        .enumerate()
+        .for_each(|(ci, part)| kernel(ci * chunk, part));
+}
+
+/// Whether the vectorized dense kernels take over. Nothing about the
+/// thread count enters: every part of a [`split`] gate runs the same
+/// kernel the serial path would, which is what makes the state
+/// bit-identical at any number of threads.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn use_simd(parallel: bool, allow: bool) -> bool {
-    allow && super::simd::available() && (!parallel || rayon::current_num_threads() == 1)
+fn use_simd(allow: bool) -> bool {
+    allow && super::simd::available()
 }
 
 /// Single-qubit kernel: walks the register in `(i, i + 2^s)` pairs and
@@ -514,71 +642,41 @@ fn apply_1q(
     simd: bool,
 ) {
     let s = bits::qubit_shift(q, n);
+    let half = 1usize << s;
+    let m = [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]];
+    #[cfg(target_arch = "x86_64")]
+    let simd = cm.0 == 0 && use_simd(simd);
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
-    #[cfg(target_arch = "x86_64")]
-    if cm.0 == 0 && use_simd(parallel, simd) {
-        let m = [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]];
-        unsafe {
-            if s >= 1 {
-                super::simd::apply_1q_dense(state, s, m);
-            } else {
-                super::simd::apply_1q_dense_lsb(state, m);
-            }
-        }
-        return;
-    }
-    let half = 1usize << s;
-    let block = half << 1;
-    let (m00, m01, m10, m11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
-
-    let pair = move |a: &mut C64, b: &mut C64| {
-        let (x, y) = (*a, *b);
-        *a = m00 * x + m01 * y;
-        *b = m10 * x + m11 * y;
-    };
-
-    let many_chunks = (state.len() / block) >= 8;
-
-    if parallel && many_chunks {
-        // outer parallelism over independent blocks
-        state
-            .par_chunks_mut(block)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let base = ci * block;
-                let (lo, hi) = chunk.split_at_mut(half);
-                for j in 0..half {
-                    if ctrl_ok(base + j, cm) {
-                        pair(&mut lo[j], &mut hi[j]);
-                    }
+    split(state, half, parallel, |p| {
+        #[cfg(target_arch = "x86_64")]
+        if simd {
+            // SAFETY: AVX2+FMA checked by `use_simd`; `p` is a part of a
+            // gate with target bit `s`
+            unsafe {
+                if s >= 1 {
+                    super::simd::apply_1q_dense(p, s, m);
+                } else {
+                    super::simd::apply_1q_dense_lsb(p, m);
                 }
-            });
-    } else if parallel {
-        // few, large blocks: parallelize inside each block instead
-        for (ci, chunk) in state.chunks_mut(block).enumerate() {
-            let base = ci * block;
-            let (lo, hi) = chunk.split_at_mut(half);
-            lo.par_iter_mut()
-                .zip(hi.par_iter_mut())
-                .enumerate()
-                .for_each(|(j, (a, b))| {
-                    if ctrl_ok(base + j, cm) {
-                        pair(a, b);
-                    }
-                });
+            }
+            return;
         }
-    } else {
-        for (ci, chunk) in state.chunks_mut(block).enumerate() {
-            let base = ci * block;
-            let (lo, hi) = chunk.split_at_mut(half);
-            for j in 0..half {
-                if ctrl_ok(base + j, cm) {
-                    pair(&mut lo[j], &mut hi[j]);
+        let run = half.min(p.rlen);
+        for a in (p.r0..p.r0 + p.rlen).step_by((half << 1).min(p.rlen)) {
+            for i in a..a + run {
+                if ctrl_ok(i, cm) {
+                    // SAFETY: `i` has bit `s` clear and lies in the part
+                    unsafe {
+                        let (lo, hi) = (p.at(i), p.at(i + half));
+                        let (x, y) = (*lo, *hi);
+                        *lo = m[0] * x + m[1] * y;
+                        *hi = m[2] * x + m[3] * y;
+                    }
                 }
             }
         }
-    }
+    });
 }
 
 /// Diagonal kernel: every amplitude is scaled by the diagonal entry
@@ -592,42 +690,24 @@ fn apply_diagonal(
     cm: CtrlMasks,
     parallel: bool,
 ) {
-    // uncontrolled single-target gates stream over contiguous halves of
-    // each block with no per-amplitude index arithmetic at all, and skip
-    // unit diagonal entries entirely (P/T/S touch only half the state)
-    if targets.len() == 1 && cm.0 == 0 {
-        apply_diag_1q(state, n, targets[0], diag[0], diag[1], parallel);
-        return;
-    }
-    if targets.len() == 1 {
-        apply_diag_1q_ctrl(state, n, targets[0], diag[0], diag[1], cm, parallel);
-        return;
+    if let [q] = targets {
+        let s = bits::qubit_shift(*q, n);
+        return apply_diag_1q(state, s, diag[0], diag[1], cm, parallel);
     }
     if cm.0 == 0 {
-        apply_diag_kq(state, n, targets, diag, parallel);
-        return;
+        return apply_diag_kq(state, n, targets, diag, parallel);
     }
     let one = C64::new(1.0, 0.0);
-    let targets = targets.to_vec();
-    let apply = move |i: usize, z: &mut C64| {
-        if ctrl_ok(i, cm) {
-            let sub = bits::gather_bits(i, &targets, n);
-            let d = diag[sub];
-            if d != one {
-                *z *= d;
+    split_flat(state, parallel, |base, part| {
+        for (i, z) in (base..).zip(part) {
+            if ctrl_ok(i, cm) {
+                let d = diag[bits::gather_bits(i, targets, n)];
+                if d != one {
+                    *z *= d;
+                }
             }
         }
-    };
-    if parallel {
-        state
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, z)| apply(i, z));
-    } else {
-        for (i, z) in state.iter_mut().enumerate() {
-            apply(i, z);
-        }
-    }
+    });
 }
 
 /// Uncontrolled multi-target diagonal kernel. Every target bit is fixed
@@ -639,101 +719,49 @@ fn apply_diag_kq(state: &mut [C64], n: usize, targets: &[usize], diag: &[C64], p
     let Some(s_min) = targets.iter().map(|&q| bits::qubit_shift(q, n)).min() else {
         return; // zero-target diagonal "gate": identity
     };
-    let d_lo = 1usize << s_min;
     let one = C64::new(1.0, 0.0);
-    let scale = |ci: usize, chunk: &mut [C64]| {
-        let d = diag[bits::gather_bits(ci * d_lo, targets, n)];
-        if d != one {
-            for z in chunk {
-                *z *= d;
+    split_flat(state, parallel, |base, part| {
+        let run = (1usize << s_min).min(part.len());
+        for (ci, chunk) in part.chunks_mut(run).enumerate() {
+            let d = diag[bits::gather_bits(base + ci * run, targets, n)];
+            if d != one {
+                for z in chunk {
+                    *z *= d;
+                }
             }
         }
-    };
-    if parallel {
-        state
-            .par_chunks_mut(d_lo)
-            .enumerate()
-            .for_each(|(ci, chunk)| scale(ci, chunk));
-    } else {
-        for (ci, chunk) in state.chunks_mut(d_lo).enumerate() {
-            scale(ci, chunk);
-        }
-    }
+    });
 }
 
-/// Streaming kernel for an uncontrolled single-qubit diagonal gate.
-fn apply_diag_1q(state: &mut [C64], n: usize, q: usize, d0: C64, d1: C64, parallel: bool) {
-    let s = bits::qubit_shift(q, n);
+/// Single-qubit diagonal kernel, target on index bit `s`: streams over
+/// the contiguous runs that share one diagonal entry with no
+/// per-amplitude index arithmetic, and skips unit entries entirely, so
+/// P/T/S and CZ touch only the amplitudes they change. Controls cost one
+/// mask test per amplitude of the runs that are scaled.
+fn apply_diag_1q(state: &mut [C64], s: usize, d0: C64, d1: C64, cm: CtrlMasks, parallel: bool) {
+    let one = C64::new(1.0, 0.0);
     let half = 1usize << s;
-    let block = half << 1;
-    let one = C64::new(1.0, 0.0);
-    let scale_block = move |chunk: &mut [C64]| {
-        let (lo, hi) = chunk.split_at_mut(half);
-        if d0 != one {
-            for z in lo {
-                *z *= d0;
+    split_flat(state, parallel, |base, part| {
+        let run = half.min(part.len());
+        for (ci, chunk) in part.chunks_mut(run).enumerate() {
+            let i0 = base + ci * run;
+            let d = if i0 & half == 0 { d0 } else { d1 };
+            if d == one {
+                continue;
             }
-        }
-        if d1 != one {
-            for z in hi {
-                *z *= d1;
-            }
-        }
-    };
-    if parallel && (state.len() / block) >= 8 {
-        state.par_chunks_mut(block).for_each(scale_block);
-    } else {
-        for chunk in state.chunks_mut(block) {
-            scale_block(chunk);
-        }
-    }
-}
-
-/// Controlled single-qubit diagonal kernel: enumerates `(i0, i1)` pairs
-/// like the dense 1q kernel (half the index space) and skips unit
-/// diagonal entries, so a CZ touches only the amplitudes it changes.
-fn apply_diag_1q_ctrl(
-    state: &mut [C64],
-    n: usize,
-    q: usize,
-    d0: C64,
-    d1: C64,
-    cm: CtrlMasks,
-    parallel: bool,
-) {
-    let s = bits::qubit_shift(q, n);
-    let one = C64::new(1.0, 0.0);
-    let half = state.len() >> 1;
-    let (scale0, scale1) = (d0 != one, d1 != one);
-    if parallel {
-        // each k owns the disjoint pair (i0, i0 | 2^s)
-        let ptr = SendPtr(state.as_mut_ptr());
-        (0..half).into_par_iter().for_each(move |k| {
-            let i0 = bits::insert_bit(k, s);
-            if ctrl_ok(i0, cm) {
-                unsafe {
-                    if scale0 {
-                        *ptr.get().add(i0) *= d0;
-                    }
-                    if scale1 {
-                        *ptr.get().add(i0 | (1 << s)) *= d1;
+            if cm.0 == 0 {
+                for z in chunk {
+                    *z *= d;
+                }
+            } else {
+                for (i, z) in (i0..).zip(chunk) {
+                    if ctrl_ok(i, cm) {
+                        *z *= d;
                     }
                 }
             }
-        });
-        return;
-    }
-    for k in 0..half {
-        let i0 = bits::insert_bit(k, s);
-        if ctrl_ok(i0, cm) {
-            if scale0 {
-                state[i0] *= d0;
-            }
-            if scale1 {
-                state[i0 | (1 << s)] *= d1;
-            }
         }
-    }
+    });
 }
 
 /// Uncontrolled SWAP kernel: exchanges amplitudes whose `a`/`b` bits
@@ -742,28 +770,16 @@ fn apply_swap(state: &mut [C64], n: usize, a: usize, b: usize, parallel: bool) {
     let sa = bits::qubit_shift(a, n);
     let sb = bits::qubit_shift(b, n);
     let (hi, lo) = (sa.max(sb), sa.min(sb));
+    let tmask = (1usize << hi) | (1 << lo);
     // enumerate indices with bit hi = 1 and bit lo = 0; partner has them
     // exchanged. Two inserts build the index from a (n-2)-bit counter.
-    let count = state.len() >> 2;
-    if parallel {
-        // each k owns the disjoint index pair it exchanges
-        let ptr = SendPtr(state.as_mut_ptr());
-        (0..count).into_par_iter().for_each(move |k| {
-            let base = bits::insert_bit(bits::insert_bit(k, lo), hi);
-            let i = base | (1 << hi);
-            let j = base | (1 << lo);
-            unsafe {
-                std::ptr::swap(ptr.get().add(i), ptr.get().add(j));
-            }
-        });
-        return;
-    }
-    for k in 0..count {
-        let base = bits::insert_bit(bits::insert_bit(k, lo), hi);
-        let i = base | (1 << hi);
-        let j = base | (1 << lo);
-        state.swap(i, j);
-    }
+    split(state, tmask, parallel, |p| {
+        for k in 0..p.groups(tmask) {
+            let base = p.r0 | bits::insert_bit(bits::insert_bit(k, lo), hi);
+            // SAFETY: both indices belong to the group based at `base`
+            unsafe { std::ptr::swap(p.at(base | (1 << hi)), p.at(base | (1 << lo))) };
+        }
+    });
 }
 
 /// One gather–multiply–scatter group of the k-qubit kernel. `base` has
@@ -772,11 +788,10 @@ fn apply_swap(state: &mut [C64], n: usize, a: usize, b: usize, parallel: bool) {
 /// precomputed scatter-index table `scatter_bits(0, sub, targets, n)`).
 ///
 /// # Safety
-/// The caller must guarantee `base | offsets[sub]` is in bounds for the
-/// state and that no other thread touches this group's indices.
+/// `base` must be the base index of a group of part `p`.
 #[inline]
 unsafe fn kq_group(
-    state: *mut C64,
+    p: Part<'_>,
     base: usize,
     offsets: &[usize],
     m: &CMat,
@@ -784,7 +799,7 @@ unsafe fn kq_group(
     out: &mut [C64],
 ) {
     for (g, &off) in gathered.iter_mut().zip(offsets) {
-        *g = unsafe { *state.add(base | off) };
+        *g = unsafe { *p.at(base | off) };
     }
     for (r, o) in out.iter_mut().enumerate() {
         let mut acc = C64::new(0.0, 0.0);
@@ -796,7 +811,7 @@ unsafe fn kq_group(
     }
     for (&o, &off) in out.iter().zip(offsets) {
         unsafe {
-            *state.add(base | off) = o;
+            *p.at(base | off) = o;
         }
     }
 }
@@ -807,92 +822,57 @@ unsafe fn kq_group(
 /// (once per gate in the interpreter, once per *plan* in the bytecode);
 /// each group only pays one base-index construction plus an OR per
 /// amplitude.
-fn apply_kq(state: &mut [C64], n: usize, kq: &KqPre, cm: CtrlMasks, parallel: bool, simd: bool) {
+fn apply_kq(state: &mut [C64], kq: &KqPre, cm: CtrlMasks, parallel: bool, simd: bool) {
     let k = kq.targets.len();
     let dim = 1usize << k;
     let m = &kq.m;
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (simd, n);
-    #[cfg(target_arch = "x86_64")]
-    let _ = n;
+    let tmask = kq.shifts.iter().fold(0usize, |t, &s| t | (1 << s));
 
     // uncontrolled two-qubit gates — in particular the dense blocks the
-    // fusion pass emits — take the vectorized path when the innermost
-    // stride admits it (neither target on the least significant qubit)
+    // fusion pass emits — always vectorize; larger fused blocks (up to
+    // the fusion cap) use the generic vectorized gather/matvec/scatter
+    // when no target sits on the least significant qubit
     #[cfg(target_arch = "x86_64")]
-    if cm.0 == 0 && use_simd(parallel, simd) {
-        if k == 2 {
-            let (s0, s1) = (kq.shifts[0], kq.shifts[1]);
+    let simd = cm.0 == 0
+        && use_simd(simd)
+        && (k == 2
+            || ((3..=4).contains(&k)
+                && state.len() >> k >= 2
+                && kq.shifts.iter().all(|&s| s >= 1)));
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
+
+    split(state, tmask, parallel, |p| {
+        #[cfg(target_arch = "x86_64")]
+        if simd {
+            // SAFETY: AVX2+FMA checked by `use_simd`; `p` is a part of a
+            // gate with target bits `kq.shifts`, and the shift conditions
+            // of each kernel were checked above
             unsafe {
-                if s0.min(s1) >= 1 {
-                    super::simd::apply_2q_dense(state, s0, s1, m.as_slice());
+                if k > 2 {
+                    super::simd::apply_kq_dense(p, &kq.shifts, m.as_slice());
+                } else if kq.shifts[0].min(kq.shifts[1]) >= 1 {
+                    super::simd::apply_2q_dense(p, kq.shifts[0], kq.shifts[1], m.as_slice());
                 } else {
-                    super::simd::apply_2q_dense_lsb(state, s0, s1, m.as_slice());
+                    super::simd::apply_2q_dense_lsb(p, kq.shifts[0], kq.shifts[1], m.as_slice());
                 }
             }
             return;
         }
-        // larger fused blocks (up to the fusion cap) use the generic
-        // vectorized gather/matvec/scatter when no target sits on the
-        // least significant qubit
-        if (3..=4).contains(&k) && state.len() >> k >= 2 && kq.shifts.iter().all(|&s| s >= 1) {
-            unsafe { super::simd::apply_kq_dense(state, &kq.shifts, m.as_slice()) };
-            return;
-        }
-    }
-
-    let shifts = &kq.shifts_sorted;
-    let offsets = &kq.offsets;
-
-    let groups = state.len() >> k;
-    let base_of = |mcount: usize| {
-        let mut base = mcount;
-        for &s in shifts {
-            base = bits::insert_bit(base, s);
-        }
-        base
-    };
-
-    if parallel && groups > 1 {
-        // contiguous chunks of groups per task: groups touch pairwise
-        // disjoint index sets, and chunking amortizes the scratch buffers
-        let chunks = (rayon::current_num_threads() * 4).clamp(1, groups);
-        let per_chunk = groups.div_ceil(chunks);
-        let ptr = SendPtr(state.as_mut_ptr());
-        (0..chunks).into_par_iter().for_each(|ci| {
-            let mut gathered = vec![C64::new(0.0, 0.0); dim];
-            let mut out = vec![C64::new(0.0, 0.0); dim];
-            let lo = ci * per_chunk;
-            let hi = (lo + per_chunk).min(groups);
-            for mcount in lo..hi {
-                let base = base_of(mcount);
-                if ctrl_ok(base, cm) {
-                    unsafe {
-                        kq_group(ptr.get(), base, offsets, m, &mut gathered, &mut out);
-                    }
-                }
+        let mut gathered = vec![C64::new(0.0, 0.0); dim];
+        let mut out = vec![C64::new(0.0, 0.0); dim];
+        for mcount in 0..p.groups(tmask) {
+            let mut base = mcount;
+            for &s in &kq.shifts_sorted {
+                base = bits::insert_bit(base, s);
             }
-        });
-        return;
-    }
-
-    let mut gathered = vec![C64::new(0.0, 0.0); dim];
-    let mut out = vec![C64::new(0.0, 0.0); dim];
-    for mcount in 0..groups {
-        let base = base_of(mcount);
-        if ctrl_ok(base, cm) {
-            unsafe {
-                kq_group(
-                    state.as_mut_ptr(),
-                    base,
-                    offsets,
-                    m,
-                    &mut gathered,
-                    &mut out,
-                );
+            let base = p.r0 | base;
+            if ctrl_ok(base, cm) {
+                // SAFETY: `base` has every target bit clear and lies in `p`
+                unsafe { kq_group(p, base, &kq.offsets, m, &mut gathered, &mut out) };
             }
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -1049,6 +1029,17 @@ mod tests {
         assert!((s[0].re - INV_SQRT2).abs() < 1e-12);
         assert!((s[dim - 1].re - INV_SQRT2).abs() < 1e-12);
         assert!((s.norm() - 1.0).abs() < 1e-12);
+        // and the split must not show in the bits: exactly the state one
+        // thread computes, at a width that divides the parts unevenly
+        let pool = |t| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(t)
+                .build()
+                .unwrap()
+        };
+        let one = pool(1).install(|| apply_to_zero(&gates, n));
+        assert!(pool(3).install(|| apply_to_zero(&gates, n)) == one);
+        assert!(s == one);
     }
 
     #[test]

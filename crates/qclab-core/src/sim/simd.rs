@@ -18,9 +18,14 @@
 //! Only used when the gate has no controls (fused blocks fold controls
 //! into the matrix) and the innermost stride admits two consecutive
 //! groups. Everything here is gated on runtime CPU detection with the
-//! scalar kernels as the universal fallback.
+//! scalar kernels as the universal fallback — and on nothing else: each
+//! kernel works on a [`Part`] of the register, the whole of it on the
+//! serial path and one thread's share of it above the parallel
+//! threshold, so a gate takes the same vector kernel, and every
+//! amplitude group the same instruction sequence, at any thread count.
 #![cfg(target_arch = "x86_64")]
 
+use super::kernel::Part;
 use qclab_math::scalar::C64;
 use std::arch::x86_64::*;
 
@@ -42,22 +47,24 @@ unsafe fn swap_reim(v: __m256d) -> __m256d {
 /// Uncontrolled dense single-qubit gate on the qubit with bit shift `s`.
 ///
 /// # Safety
-/// Caller must ensure AVX2+FMA are available, `s >= 1`, and
-/// `state.len()` is a power of two `>= 2^(s+1)`.
+/// Caller must ensure AVX2+FMA are available, `s >= 1`, and `part` is a
+/// [`Part`] of a gate whose only target bit is `s`, on a register of
+/// power-of-two length `>= 2^(s+1)`.
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn apply_1q_dense(state: &mut [C64], s: usize, m: [C64; 4]) {
+pub(crate) unsafe fn apply_1q_dense(part: Part<'_>, s: usize, m: [C64; 4]) {
     let half = 1usize << s;
-    let block = half << 1;
-    debug_assert!(s >= 1 && state.len().is_multiple_of(block));
+    let (r0, rlen) = (part.r0, part.rlen);
+    debug_assert!(s >= 1 && rlen >= 2 && r0 & (half | (rlen - 1)) == 0);
     let mre: [__m256d; 4] = std::array::from_fn(|i| _mm256_set1_pd(m[i].re));
     let mim: [__m256d; 4] = std::array::from_fn(|i| _mm256_set1_pd(m[i].im));
+    let run = half.min(rlen);
 
-    for chunk in state.chunks_exact_mut(block) {
-        let (lo, hi) = chunk.split_at_mut(half);
-        let lp = lo.as_mut_ptr() as *mut f64;
-        let hp = hi.as_mut_ptr() as *mut f64;
+    for a in (r0..r0 + rlen).step_by((half << 1).min(rlen)) {
+        debug_assert!(a + half + run <= part.len());
+        let lp = part.at(a) as *mut f64;
+        let hp = part.at(a + half) as *mut f64;
         let mut j = 0usize;
-        while j < half {
+        while j < run {
             let x = _mm256_loadu_pd(lp.add(2 * j));
             let y = _mm256_loadu_pd(hp.add(2 * j));
             let xs = swap_reim(x);
@@ -79,17 +86,18 @@ pub(crate) unsafe fn apply_1q_dense(state: &mut [C64], s: usize, m: [C64; 4]) {
 /// pair, and lane broadcasts replace the cross-pair vectorization.
 ///
 /// # Safety
-/// Caller must ensure AVX2+FMA are available and `state.len()` is an
-/// even power of two `>= 2`.
+/// Caller must ensure AVX2+FMA are available and `part` is a [`Part`]
+/// of a gate whose only target bit is 0.
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn apply_1q_dense_lsb(state: &mut [C64], m: [C64; 4]) {
+pub(crate) unsafe fn apply_1q_dense_lsb(part: Part<'_>, m: [C64; 4]) {
     // constant slots: [row0, row0, row1, row1] per matrix column
     let cre0 = _mm256_setr_pd(m[0].re, m[0].re, m[2].re, m[2].re);
     let cim0 = _mm256_setr_pd(m[0].im, m[0].im, m[2].im, m[2].im);
     let cre1 = _mm256_setr_pd(m[1].re, m[1].re, m[3].re, m[3].re);
     let cim1 = _mm256_setr_pd(m[1].im, m[1].im, m[3].im, m[3].im);
-    let p = state.as_mut_ptr() as *mut f64;
-    for i in (0..state.len()).step_by(2) {
+    debug_assert!(part.rlen >= 2 && part.r0 + part.rlen <= part.len());
+    let p = part.at(part.r0) as *mut f64;
+    for i in (0..part.rlen).step_by(2) {
         let v = _mm256_loadu_pd(p.add(2 * i)); // [x, y]
         let bx = _mm256_permute2f128_pd(v, v, 0x00); // [x, x]
         let by = _mm256_permute2f128_pd(v, v, 0x11); // [y, y]
@@ -106,28 +114,32 @@ pub(crate) unsafe fn apply_1q_dense_lsb(state: &mut [C64], m: [C64; 4]) {
 ///
 /// # Safety
 /// Caller must ensure AVX2+FMA are available, `s0 != s1`,
-/// `min(s0, s1) >= 1`, and `state.len()` is a power of two
+/// `min(s0, s1) >= 1`, and `part` is a [`Part`] of a gate with target
+/// bits `s0`/`s1` on a register of power-of-two length
 /// `>= 2^(max(s0, s1) + 1)`.
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn apply_2q_dense(state: &mut [C64], s0: usize, s1: usize, m: &[C64]) {
+pub(crate) unsafe fn apply_2q_dense(part: Part<'_>, s0: usize, s1: usize, m: &[C64]) {
     debug_assert_eq!(m.len(), 16);
     let (d0, d1) = (1usize << s0, 1usize << s1);
     let (d_lo, d_hi) = (d0.min(d1), d0.max(d1));
-    debug_assert!(d_lo >= 2 && state.len().is_multiple_of(d_hi << 1));
+    let (r0, rlen) = (part.r0, part.rlen);
+    debug_assert!(d_lo >= 2 && rlen >= 2 && r0 & (d0 | d1 | (rlen - 1)) == 0);
     let mre: [__m256d; 16] = std::array::from_fn(|i| _mm256_set1_pd(m[i].re));
     let mim: [__m256d; 16] = std::array::from_fn(|i| _mm256_set1_pd(m[i].im));
-    let p = state.as_mut_ptr() as *mut f64;
 
-    for a in (0..state.len()).step_by(d_hi << 1) {
-        for b in (a..a + d_hi).step_by(d_lo << 1) {
+    // a stride at or above the part's range has its bit clear across the
+    // whole range: its loop runs once, over the range
+    let run = d_lo.min(rlen);
+    for a in (r0..r0 + rlen).step_by((d_hi << 1).min(rlen)) {
+        for b in (a..a + d_hi.min(rlen)).step_by((d_lo << 1).min(rlen)) {
             let mut i = b;
-            while i < b + d_lo {
+            while i < b + run {
                 // two consecutive groups; sub-state index is
                 // (bit at s0) << 1 | (bit at s1)
-                let p00 = p.add(2 * i);
-                let p01 = p.add(2 * (i + d1));
-                let p10 = p.add(2 * (i + d0));
-                let p11 = p.add(2 * (i + d0 + d1));
+                let p00 = part.at(i) as *mut f64;
+                let p01 = part.at(i + d1) as *mut f64;
+                let p10 = part.at(i + d0) as *mut f64;
+                let p11 = part.at(i + d0 + d1) as *mut f64;
                 let v00 = _mm256_loadu_pd(p00);
                 let v01 = _mm256_loadu_pd(p01);
                 let v10 = _mm256_loadu_pd(p10);
@@ -166,11 +178,14 @@ pub(crate) unsafe fn apply_2q_dense(state: &mut [C64], s0: usize, s1: usize, m: 
 ///
 /// # Safety
 /// Caller must ensure AVX2+FMA are available, exactly one of `s0`/`s1`
-/// is zero, and `state.len()` is a power of two `>= 2^(max(s0, s1) + 1)`.
+/// is zero, and `part` is a [`Part`] of a gate with target bits
+/// `s0`/`s1` on a register of power-of-two length
+/// `>= 2^(max(s0, s1) + 1)`.
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn apply_2q_dense_lsb(state: &mut [C64], s0: usize, s1: usize, m: &[C64]) {
+pub(crate) unsafe fn apply_2q_dense_lsb(part: Part<'_>, s0: usize, s1: usize, m: &[C64]) {
     debug_assert_eq!(m.len(), 16);
     debug_assert!(s0.min(s1) == 0 && s0 != s1);
+    let (r0, rlen) = (part.r0, part.rlen);
     // The LSB target makes consecutive sub-states memory-adjacent. When
     // the LSB is the *low* sub-index bit (s1 == 0) the low/high memory
     // pairs hold sub-states (0,1)/(2,3); when it is the high bit
@@ -206,11 +221,12 @@ pub(crate) unsafe fn apply_2q_dense_lsb(state: &mut [C64], s0: usize, s1: usize,
             m[4 * rows[1] + c].im,
         )
     });
-    let p = state.as_mut_ptr() as *mut f64;
-    for a in (0..state.len()).step_by(d_hi << 1) {
-        for base in (a..a + d_hi).step_by(2) {
-            let lo = _mm256_loadu_pd(p.add(2 * base));
-            let hi = _mm256_loadu_pd(p.add(2 * (base + d_hi)));
+    debug_assert!(rlen >= 2 && r0 & (d_hi | (rlen - 1)) == 0);
+    for a in (r0..r0 + rlen).step_by((d_hi << 1).min(rlen)) {
+        for base in (a..a + d_hi.min(rlen)).step_by(2) {
+            let (plo, phi) = (part.at(base) as *mut f64, part.at(base + d_hi) as *mut f64);
+            let lo = _mm256_loadu_pd(plo);
+            let hi = _mm256_loadu_pd(phi);
             let l0 = _mm256_permute2f128_pd(lo, lo, 0x00);
             let l1 = _mm256_permute2f128_pd(lo, lo, 0x11);
             let h0 = _mm256_permute2f128_pd(hi, hi, 0x00);
@@ -234,14 +250,14 @@ pub(crate) unsafe fn apply_2q_dense_lsb(state: &mut [C64], s0: usize, s1: usize,
                 acc_a = _mm256_fmadd_pd(z[c], cre[c], acc_a);
                 acc_b = _mm256_fmadd_pd(zs[c], cim[c], acc_b);
             }
-            _mm256_storeu_pd(p.add(2 * base), _mm256_addsub_pd(acc_a, acc_b));
+            _mm256_storeu_pd(plo, _mm256_addsub_pd(acc_a, acc_b));
             let mut acc_a = _mm256_mul_pd(z[0], cre[4]);
             let mut acc_b = _mm256_mul_pd(zs[0], cim[4]);
             for c in 1..4 {
                 acc_a = _mm256_fmadd_pd(z[c], cre[4 + c], acc_a);
                 acc_b = _mm256_fmadd_pd(zs[c], cim[4 + c], acc_b);
             }
-            _mm256_storeu_pd(p.add(2 * (base + d_hi)), _mm256_addsub_pd(acc_a, acc_b));
+            _mm256_storeu_pd(phi, _mm256_addsub_pd(acc_a, acc_b));
         }
     }
 }
@@ -255,10 +271,11 @@ pub(crate) unsafe fn apply_2q_dense_lsb(state: &mut [C64], s0: usize, s1: usize,
 ///
 /// # Safety
 /// Caller must ensure AVX2+FMA are available, all shifts are distinct
-/// and `>= 1`, and `state.len()` is a power of two with at least two
-/// groups (`state.len() >> k >= 2`).
+/// and `>= 1`, and `part` is a [`Part`] of a gate with target bits
+/// `shifts` on a register of power-of-two length with at least two
+/// groups (`len >> k >= 2`).
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn apply_kq_dense(state: &mut [C64], shifts: &[usize], m: &[C64]) {
+pub(crate) unsafe fn apply_kq_dense(part: Part<'_>, shifts: &[usize], m: &[C64]) {
     let k = shifts.len();
     let dim = 1usize << k;
     debug_assert_eq!(m.len(), dim * dim);
@@ -287,9 +304,9 @@ pub(crate) unsafe fn apply_kq_dense(state: &mut [C64], shifts: &[usize], m: &[C6
         base
     };
 
-    let p = state.as_mut_ptr() as *mut f64;
-    let groups = state.len() >> k;
-    debug_assert!(groups >= 2 && groups.is_multiple_of(2));
+    let tmask = shifts.iter().fold(0usize, |t, &s| t | (1 << s));
+    let groups = part.groups(tmask);
+    debug_assert!(groups >= 2 && groups.is_multiple_of(2) && part.r0 & tmask == 0);
     let mut v = vec![_mm256_setzero_pd(); dim];
     let mut w = vec![_mm256_setzero_pd(); dim];
     let mut out = vec![_mm256_setzero_pd(); dim];
@@ -297,9 +314,9 @@ pub(crate) unsafe fn apply_kq_dense(state: &mut [C64], shifts: &[usize], m: &[C6
     while mcount < groups {
         // every shift is >= 1, so bit 0 of the counter maps to bit 0 of
         // the base index: groups (mcount, mcount + 1) are adjacent
-        let base = base_of(mcount);
+        let base = part.r0 | base_of(mcount);
         for sub in 0..dim {
-            v[sub] = _mm256_loadu_pd(p.add(2 * (base + offsets[sub])));
+            v[sub] = _mm256_loadu_pd(part.at(base + offsets[sub]) as *const f64);
             w[sub] = swap_reim(v[sub]);
         }
         for (r, o) in out.iter_mut().enumerate() {
@@ -313,7 +330,7 @@ pub(crate) unsafe fn apply_kq_dense(state: &mut [C64], shifts: &[usize], m: &[C6
             *o = _mm256_addsub_pd(acc_a, acc_b);
         }
         for sub in 0..dim {
-            _mm256_storeu_pd(p.add(2 * (base + offsets[sub])), out[sub]);
+            _mm256_storeu_pd(part.at(base + offsets[sub]) as *mut f64, out[sub]);
         }
         mcount += 2;
     }
@@ -359,9 +376,9 @@ mod tests {
             }
             unsafe {
                 if s >= 1 {
-                    apply_1q_dense(&mut state, s, m);
+                    apply_1q_dense(Part::whole(&mut state), s, m);
                 } else {
-                    apply_1q_dense_lsb(&mut state, m);
+                    apply_1q_dense_lsb(Part::whole(&mut state), m);
                 }
             }
             let a = CVec(state);
@@ -406,7 +423,7 @@ mod tests {
                     reference[base + o] = (0..dim).map(|cc| m[dim * r + cc] * v[cc]).sum();
                 }
             }
-            unsafe { apply_kq_dense(&mut state, &shifts, &m) };
+            unsafe { apply_kq_dense(Part::whole(&mut state), &shifts, &m) };
             let a = CVec(state);
             let b = CVec(reference);
             assert!(a.approx_eq(&b, 1e-12), "k={k} diverged");
@@ -439,8 +456,8 @@ mod tests {
         let mut rb = b.clone();
         unsafe {
             // first target on bit 3 in `a` ↔ on bit 0 in `b`
-            apply_2q_dense(&mut ra, 3, 2, &m);
-            apply_2q_dense_lsb(&mut rb, 0, 2, &m);
+            apply_2q_dense(Part::whole(&mut ra), 3, 2, &m);
+            apply_2q_dense_lsb(Part::whole(&mut rb), 0, 2, &m);
         }
         for (i, &z) in ra.iter().enumerate() {
             let w = rb[swap_bits(i)];
@@ -480,9 +497,9 @@ mod tests {
                 }
                 unsafe {
                     if s0.min(s1) >= 1 {
-                        apply_2q_dense(&mut state, s0, s1, &m);
+                        apply_2q_dense(Part::whole(&mut state), s0, s1, &m);
                     } else {
-                        apply_2q_dense_lsb(&mut state, s0, s1, &m);
+                        apply_2q_dense_lsb(Part::whole(&mut state), s0, s1, &m);
                     }
                 }
                 let a = CVec(state);

@@ -612,7 +612,7 @@ struct ShotState<'a> {
 impl ShotState<'_> {
     fn apply(&mut self, gate: &Gate) {
         kernel::apply_gate_with(gate, &mut self.state, self.n, &self.kernel);
-        self.bump_watchdog();
+        self.bump_watchdog(1);
     }
 
     /// [`apply`](Self::apply) for a pre-lowered bytecode gate: same
@@ -620,12 +620,28 @@ impl ShotState<'_> {
     /// already paid at plan-compile time.
     fn apply_pre(&mut self, pre: &kernel::PreparedOp) {
         kernel::apply_prepared(pre, &mut self.state, self.n, &self.kernel);
-        self.bump_watchdog();
+        self.bump_watchdog(1);
     }
 
-    fn bump_watchdog(&mut self) {
+    /// A bytecode sweep window, cut where a watchdog check falls due so
+    /// every check sees the state the per-gate walk would have shown it.
+    fn apply_window(&mut self, tiles: &[kernel::TilePre]) {
+        let mut rest = tiles;
+        while !rest.is_empty() {
+            let due = match self.watchdog.check_every {
+                0 => rest.len(),
+                every => (every - self.gates_since_check).min(rest.len()),
+            };
+            let (now, later) = rest.split_at(due);
+            kernel::apply_window_pre(&mut self.state, self.n, now, &self.kernel);
+            self.bump_watchdog(due);
+            rest = later;
+        }
+    }
+
+    fn bump_watchdog(&mut self, gates: usize) {
         if self.watchdog.check_every > 0 {
-            self.gates_since_check += 1;
+            self.gates_since_check += gates;
             if self.gates_since_check >= self.watchdog.check_every {
                 self.check_norm();
             }
@@ -1169,15 +1185,21 @@ fn shot_kernel_config(config: &TrajectoryConfig) -> KernelConfig {
     }
 }
 
-/// Evolves the deterministic prefix (`ops[..prefix]` — gates and fences
-/// only, by construction of [`crate::program::ShotPlan`]) once from
-/// `initial`, with full watchdog bookkeeping. Returns the evolved state
-/// plus the watchdog carry `(stats, gates_since_check)` that forked
-/// shots must resume from so their statistics match the unforked engine
-/// exactly. `final_check` additionally performs the end-of-shot norm
-/// check (used by the alias path, where no per-shot epilogue runs).
+/// Evolves the deterministic prefix (`ops[..prefix]` — gates, fences and
+/// layout permutations only, by construction of
+/// [`crate::program::ShotPlan`]) once from `initial`, with full watchdog
+/// bookkeeping. Dispatches the plan's cached bytecode stream — prepared
+/// operands, cache-blocked windows — whenever the kernel configuration
+/// is [`bytecode::eligible`], and walks the op schedule through the
+/// per-gate interpreter otherwise; both run the same kernels on the same
+/// operands in the same order, so the state and the watchdog statistics
+/// are `==`. Returns the evolved state plus the watchdog carry
+/// `(stats, gates_since_check)` that forked shots must resume from so
+/// their statistics match the unforked engine exactly. `final_check`
+/// additionally performs the end-of-shot norm check (used by the alias
+/// path, where no per-shot epilogue runs).
 fn evolve_prefix(
-    ops: &[ProgramOp],
+    program: &CompiledProgram,
     prefix: usize,
     initial: &CVec,
     n: usize,
@@ -1199,20 +1221,57 @@ fn evolve_prefix(
         map: None,
     };
     let mut ticker = config.control.ticker();
-    for op in &ops[..prefix] {
-        match op {
-            ProgramOp::Gate(g) => s.apply(g),
-            ProgramOp::Fence(_) => {}
-            ProgramOp::Permute { perm, .. } => {
-                // the layout the prefix ends in is published as
-                // `CompiledProgram::prefix_map`; forked shots resume
-                // their tracking from there
-                kernel::permute_state(&mut s.state, s.n, perm, false);
+    let ops = program.ops();
+    // the layout the prefix ends in is published as
+    // `CompiledProgram::prefix_map`; forked shots resume their tracking
+    // from there
+    let parallel = kernel.allow_parallel && n >= kernel::PARALLEL_THRESHOLD_QUBITS;
+    if bytecode::eligible(&kernel) {
+        let bc = program.bytecode();
+        let mut done = 0;
+        // a window never straddles the end of the prefix: it holds gates
+        // only, and the prefix ends at the first Measure/Reset or at the
+        // end of the schedule
+        for instr in &bc.stream {
+            if done == prefix {
+                break;
             }
-            // the classifier ends the prefix at the first Measure/Reset
-            ProgramOp::Measure(_) | ProgramOp::Reset(_) => unreachable!(),
+            let ops_in = match instr {
+                bytecode::Instr::Gate(pre) => {
+                    s.apply_pre(pre);
+                    1
+                }
+                bytecode::Instr::Window { tiles, count } => {
+                    s.apply_window(tiles);
+                    *count
+                }
+                bytecode::Instr::Fence => 1,
+                bytecode::Instr::Permute { op } => {
+                    let ProgramOp::Permute { perm, .. } = &ops[*op] else {
+                        unreachable!()
+                    };
+                    kernel::permute_state(&mut s.state, n, perm, parallel);
+                    1
+                }
+                // the classifier ends the prefix at the first Measure/Reset
+                bytecode::Instr::Measure { .. } | bytecode::Instr::Reset { .. } => unreachable!(),
+            };
+            ticker.tick_n(ops_in)?;
+            done += ops_in;
         }
-        ticker.tick()?;
+        debug_assert_eq!(done, prefix);
+    } else {
+        for op in &ops[..prefix] {
+            match op {
+                ProgramOp::Gate(g) => s.apply(g),
+                ProgramOp::Fence(_) => {}
+                ProgramOp::Permute { perm, .. } => {
+                    kernel::permute_state(&mut s.state, n, perm, parallel)
+                }
+                ProgramOp::Measure(_) | ProgramOp::Reset(_) => unreachable!(),
+            }
+            ticker.tick()?;
+        }
     }
     if final_check && s.watchdog.check_every > 0 && s.gates_since_check > 0 {
         s.check_norm();
@@ -1269,6 +1328,28 @@ struct SampledPrep {
     path: ShotPath,
 }
 
+/// Joint Z-basis marginal of `state` over the `measured` qubits (first
+/// listed qubit = most significant outcome bit). `gather_bits`
+/// distributes over disjoint bit sets, so the outcome of index
+/// `base | j` is `gather(base) | gather(j)`: one table over the low tile
+/// bits replaces the per-amplitude bit loop (the same split
+/// [`kernel::permute_state`] uses). Amplitudes are accumulated in index
+/// order, so the sums are bit-identical to the plain loop.
+fn marginal(state: &[C64], measured: &[usize], n: usize) -> Vec<f64> {
+    let tile = 1usize << kernel::SWEEP_TILE_QUBITS.min(n);
+    let lut: Vec<usize> = (0..tile)
+        .map(|j| bits::gather_bits(j, measured, n))
+        .collect();
+    let mut probs = vec![0.0f64; 1usize << measured.len()];
+    for (ti, chunk) in state.chunks(tile).enumerate() {
+        let hi = bits::gather_bits(ti * tile, measured, n);
+        for (amp, &lo) in chunk.iter().zip(&lut) {
+            probs[hi | lo] += amp.norm_sqr();
+        }
+    }
+    probs
+}
+
 /// Builds the terminal-measurement fast-path preparation: the program
 /// is a unitary prefix followed only by measurements of
 /// pairwise-distinct qubits (plus fences), and the run is noiseless
@@ -1287,7 +1368,7 @@ fn alias_prep(
     // one-time evolution: no per-shot RNG stream to stay compatible
     // with, so the parallel kernels are allowed here
     let (mut state, norm, _) = match evolve_prefix(
-        ops,
+        program,
         plan.prefix_ops,
         initial,
         n,
@@ -1317,10 +1398,7 @@ fn alias_prep(
     }
     let measured = &plan.measured_qubits;
     let m = measured.len();
-    let mut probs = vec![0.0f64; 1usize << m];
-    for (i, amp) in state.iter().enumerate() {
-        probs[bits::gather_bits(i, measured, n)] += amp.norm_sqr();
-    }
+    let probs = marginal(&state, measured, n);
     let sampler = DiscreteSampler::new(&probs)
         .expect("marginal of a normalized state is a valid distribution");
     Ok(Ok(SampledPrep {
@@ -1653,7 +1731,7 @@ pub fn run_trajectories_from(
         // same kernel config as the shots themselves, so the snapshot is
         // bit-identical to what each unforked shot would have computed
         let (state, stats, gates) =
-            match evolve_prefix(program.ops(), prefix_ops, initial, n, config, kernel, false) {
+            match evolve_prefix(&program, prefix_ops, initial, n, config, kernel, false) {
                 Ok(v) => v,
                 // stopped during the one-time prefix: no shot completed
                 Err(e) => return Ok(partial_empty(n, config, stop_or_err(e)?, path)),
@@ -1756,6 +1834,7 @@ fn run_ensemble(
     slots.resize_with(shots as usize, || None);
     if batch > 1 {
         let bc = program.bytecode();
+        let flat = bc.flat(program);
         let run_batch = |first: usize, chunk: &mut [Option<ShotSummary>]| {
             if latch.is_tripped() {
                 return;
@@ -1764,7 +1843,7 @@ fn run_ensemble(
                 latch.trip(cause.into_error(crate::error::ExecProgress::default()));
                 return;
             }
-            match run_shot_batch(prog, &bc.flat, first as u64, chunk.len()) {
+            match run_shot_batch(prog, flat, first as u64, chunk.len()) {
                 Ok(lanes) => {
                     for (slot, lane) in chunk.iter_mut().zip(lanes) {
                         *slot = Some(ShotSummary {
@@ -2005,7 +2084,7 @@ pub fn run_trajectories_grouped(
     let snapshot;
     let (start_state, init_norm, init_gates) = if prefix_ops > 0 {
         let (state, stats, gates) =
-            match evolve_prefix(program.ops(), prefix_ops, &initial, n, base, kernel, false) {
+            match evolve_prefix(&program, prefix_ops, &initial, n, base, kernel, false) {
                 Ok(v) => v,
                 // stopped during the shared prefix: nobody's shots ran
                 Err(e) => {
@@ -2433,6 +2512,33 @@ mod tests {
         let r = run_trajectories(&c, &none).unwrap();
         assert_eq!(r.total_counts(), 0);
         assert!(r.counts().is_empty());
+    }
+
+    #[test]
+    fn marginal_equals_the_per_amplitude_gather_loop() {
+        // random states, measured subsets in random order, registers on
+        // both sides of the lookup tile — sums must match bit for bit
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in [1usize, 3, 7, 12, 13, 15] {
+            let state: Vec<C64> = (0..1usize << n)
+                .map(|_| C64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+                .collect();
+            for _ in 0..8 {
+                let mut measured: Vec<usize> = (0..n).filter(|_| rng.gen::<bool>()).collect();
+                for i in (1..measured.len()).rev() {
+                    measured.swap(i, (rng.gen::<f64>() * (i + 1) as f64) as usize);
+                }
+                let mut reference = vec![0.0f64; 1 << measured.len()];
+                for (i, amp) in state.iter().enumerate() {
+                    reference[bits::gather_bits(i, &measured, n)] += amp.norm_sqr();
+                }
+                assert_eq!(
+                    marginal(&state, &measured, n),
+                    reference,
+                    "n={n} {measured:?}"
+                );
+            }
+        }
     }
 
     /// Grouped execution shares the seed-independent preparation, so

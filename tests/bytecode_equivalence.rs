@@ -13,6 +13,12 @@
 //! batch lane owns the per-(seed, shot) RNG stream the serial engine
 //! would use, so counts, injected-error totals, norm-watchdog stats and
 //! observable expectations must be `==` across any batch width.
+//!
+//! And so does the one-time prefix of the sampled shot paths (alias and
+//! fork), which dispatches the windowed bytecode stream: counts,
+//! injected-error totals and norm-watchdog stats must be `==` to the
+//! per-gate interpreter prefix at any watchdog cadence — a window is cut
+//! where a check falls due, so every check sees the same state.
 
 mod common;
 
@@ -21,7 +27,7 @@ use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
-    run_trajectories, NoiseSpec, PauliChannel, ShotPath, TrajectoryConfig,
+    run_trajectories, NoiseSpec, PauliChannel, ShotPath, TrajectoryConfig, WatchdogConfig,
 };
 use qclab_core::CircuitItem;
 use qclab_math::CVec;
@@ -132,8 +138,66 @@ fn shot_config(seed: u64, shots: u64, batch: usize) -> TrajectoryConfig {
     }
 }
 
+/// A noiseless run (so the alias and fork paths engage) with the
+/// prefix on the bytecode stream or on the interpreter. The zero
+/// tolerance makes every check with any drift renormalize, so the
+/// watchdog statistics are sensitive to the last bit of the state.
+fn prefix_config(seed: u64, bytecode: bool, remap: bool, check_every: usize) -> TrajectoryConfig {
+    TrajectoryConfig {
+        seed,
+        shots: 24,
+        kernel: KernelConfig {
+            bytecode,
+            remap,
+            ..KernelConfig::default()
+        },
+        watchdog: WatchdogConfig {
+            check_every,
+            tol: 0.0,
+        },
+        ..TrajectoryConfig::default()
+    }
+}
+
+/// Bytecode prefix vs interpreter prefix at every watchdog cadence, with
+/// the locality pass on and off; returns the path taken.
+fn assert_prefix_bit_identical(c: &QCircuit, seed: u64) -> ShotPath {
+    let mut path = ShotPath::PerShot;
+    for remap in [true, false] {
+        for check_every in [1usize, 8, 64] {
+            let byte = run_trajectories(c, &prefix_config(seed, true, remap, check_every)).unwrap();
+            let interp =
+                run_trajectories(c, &prefix_config(seed, false, remap, check_every)).unwrap();
+            let what = format!("remap {remap}, check_every {check_every}");
+            assert_eq!(byte.path(), interp.path(), "path @ {what}");
+            assert_eq!(byte.counts(), interp.counts(), "counts @ {what}");
+            assert_eq!(
+                byte.injected_errors(),
+                interp.injected_errors(),
+                "injected errors @ {what}"
+            );
+            assert_eq!(
+                byte.norm_stats(),
+                interp.norm_stats(),
+                "norm stats @ {what}"
+            );
+            path = byte.path();
+        }
+    }
+    path
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+
+    /// Noiseless random circuits route to the alias, fork or per-shot
+    /// path by their shape; whichever it is, the prefix on the bytecode
+    /// stream leaves the same counts and watchdog statistics as the
+    /// interpreter prefix.
+    #[test]
+    fn sampled_prefix_is_bit_identical(c in measured_circuit(N, 16), seed in 0u64..1000) {
+        assert_prefix_bit_identical(&c, seed);
+    }
 
     /// Default engine configuration: bytecode dispatch is bit-identical
     /// on circuits with mid-circuit measurements, resets and fences.
@@ -223,6 +287,50 @@ fn windows_form_and_stay_bit_identical() {
         let interp = c.simulate_with(&init, &opts(false, remap)).unwrap();
         assert_bit_identical(&byte, &interp, "deep sweepable chain");
     }
+}
+
+/// The prefix leg on a register wide enough for windows to form: runs
+/// of tile-resident gates of assorted lengths (so watchdog checks fall
+/// due inside windows, at their ends and between them) broken up by
+/// gates on the two qubits outside the tile, then a terminal
+/// measurement shape (alias path) and a mid-circuit one (fork path).
+#[test]
+fn windowed_prefix_is_bit_identical_on_alias_and_fork_paths() {
+    let n = 14;
+    let mut prefix = QCircuit::new(n);
+    for rep in 0..6 {
+        for q in 2..(2 + 2 * (rep + 1)).min(n - 1) {
+            prefix.push_back(Hadamard::new(q));
+            prefix.push_back(RotationZ::new(q, 0.1 * (rep * n + q) as f64));
+            prefix.push_back(CNOT::new(q, q + 1));
+        }
+        prefix.push_back(RotationX::new(rep % 2, 0.3 + rep as f64));
+        prefix.push_back(CNOT::new(rep % 2, 5 + rep));
+    }
+    let plan = prefix.compile_with(&qclab_core::program::PlanOptions::default());
+    assert!(
+        plan.bytecode().stream_len() < plan.ops().len(),
+        "the prefix must contain windows"
+    );
+
+    let mut alias = prefix.clone();
+    alias.push_back(Measurement::z(0));
+    alias.push_back(Measurement::x(7));
+    alias.push_back(Measurement::y(13));
+    assert!(matches!(
+        assert_prefix_bit_identical(&alias, 3),
+        ShotPath::AliasSampled { .. }
+    ));
+
+    let mut fork = prefix;
+    fork.push_back(Measurement::z(4));
+    fork.push_back(Hadamard::new(4));
+    fork.push_back(CNOT::new(4, 0));
+    fork.push_back(Measurement::x(0));
+    assert!(matches!(
+        assert_prefix_bit_identical(&fork, 4),
+        ShotPath::Forked { .. }
+    ));
 }
 
 /// Mid-circuit measurements and resets interleaved with gates: the
