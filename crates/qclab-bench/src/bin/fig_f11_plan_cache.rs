@@ -1,19 +1,15 @@
 //! Figure F11 — compile/execute split ablation.
 //!
-//! Two questions, one per section of the table:
+//! **Plan cache** — what does the lowering pipeline (flatten + fusion
+//! \+ scheduling) cost per execution, and how much of it does the
+//! fingerprint-keyed cache recover? Compares relowering on every call
+//! (`program::lower`) with cached compilation (`program::compile`, hit
+//! after the first call) — exactly the difference between
+//! relower-every-shot and lower-once-execute-many for
+//! `counts`/tomography/QEC-style repeated execution.
 //!
-//! 1. **Plan cache** — what does the lowering pipeline (flatten + fusion
-//!    \+ scheduling) cost per execution, and how much of it does the
-//!    fingerprint-keyed cache recover? Compares relowering on every call
-//!    (`program::lower`) with cached compilation (`program::compile`,
-//!    hit after the first call) — exactly the difference between
-//!    relower-every-shot and lower-once-execute-many for
-//!    `counts`/tomography/QEC-style repeated execution.
-//! 2. **Scratch arena** — what do the per-shot `2^n` allocations cost in
-//!    the trajectory engine? Runs the same noisy ensemble with
-//!    `reuse_buffers` off (fresh state + per-measurement collapse
-//!    allocation) and on (per-thread buffer pair, zero steady-state
-//!    allocation).
+//! (The scratch-arena section this figure used to carry measured a knob
+//! that was retired as neutral; its table is kept in EXPERIMENTS.md.)
 //!
 //! `--smoke` shrinks sizes for CI: the point there is that the bin runs
 //! and the JSON exists, not the absolute numbers.
@@ -21,21 +17,7 @@
 use qclab_bench::{fmt_seconds, median_time, random_circuit, Table};
 use qclab_core::prelude::*;
 use qclab_core::program::{self, PlanOptions};
-use qclab_core::sim::trajectory::{run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig};
 use std::hint::black_box;
-
-fn trajectory_config(shots: u64, reuse_buffers: bool) -> TrajectoryConfig {
-    TrajectoryConfig {
-        shots,
-        seed: 11,
-        noise: NoiseSpec {
-            after_gate: Some(PauliChannel::Depolarizing(0.002)),
-            ..NoiseSpec::default()
-        },
-        reuse_buffers,
-        ..TrajectoryConfig::default()
-    }
-}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -43,14 +25,12 @@ fn main() {
     let layers = if smoke { 4 } else { 12 };
     let reps = if smoke { 20 } else { 200 };
     let runs = if smoke { 3 } else { 9 };
-    let shots = if smoke { 16 } else { 64 };
 
     let mut t = Table::new(
-        "F11: plan cache + trajectory arena ablation",
+        "F11: plan cache ablation",
         &["section", "qubits", "config", "time", "speedup"],
     );
     let mut plan_ratios: Vec<f64> = Vec::new();
-    let mut arena_ratios: Vec<f64> = Vec::new();
 
     for &n in sizes {
         let circuit = {
@@ -62,7 +42,7 @@ fn main() {
         };
         let popts = PlanOptions::default();
 
-        // -- section 1: plan acquisition, relower vs cached ------------
+        // plan acquisition, relower vs cached
         let t_lower = median_time(runs, || {
             for _ in 0..reps {
                 black_box(program::lower(&circuit, &popts));
@@ -91,42 +71,6 @@ fn main() {
             fmt_seconds(t_cached),
             format!("{plan_ratio:.1}x"),
         ]);
-
-        // -- section 2: trajectory ensemble, per-shot alloc vs arena ---
-        // interleave the two configs so machine drift hits both alike
-        let traj_runs = if smoke { 1 } else { 5 };
-        let mut alloc_samples = Vec::with_capacity(traj_runs);
-        let mut arena_samples = Vec::with_capacity(traj_runs);
-        for _ in 0..traj_runs {
-            for (samples, reuse) in [(&mut alloc_samples, false), (&mut arena_samples, true)] {
-                let config = trajectory_config(shots, reuse);
-                let start = std::time::Instant::now();
-                black_box(run_trajectories(&circuit, &config).unwrap());
-                samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let median = |mut s: Vec<f64>| -> f64 {
-            s.sort_by(f64::total_cmp);
-            s[s.len() / 2]
-        };
-        let t_alloc = median(alloc_samples);
-        let t_arena = median(arena_samples);
-        let arena_ratio = t_alloc / t_arena;
-        arena_ratios.push(arena_ratio);
-        t.row(&[
-            "arena".into(),
-            n.to_string(),
-            format!("per-shot alloc ({shots} shots)"),
-            fmt_seconds(t_alloc),
-            "1.0x".into(),
-        ]);
-        t.row(&[
-            "arena".into(),
-            n.to_string(),
-            format!("reused buffers ({shots} shots)"),
-            fmt_seconds(t_arena),
-            format!("{arena_ratio:.2}x"),
-        ]);
     }
 
     t.emit("BENCH_f11_plan_cache");
@@ -136,8 +80,7 @@ fn main() {
         stats.hits, stats.misses, stats.entries
     );
     println!(
-        "cached plans are {:.0}-{:.0}x cheaper to acquire than relowering;\n\
-         the arena matters most when 2^n allocations rival the gate work",
+        "cached plans are {:.0}-{:.0}x cheaper to acquire than relowering",
         plan_ratios.iter().cloned().fold(f64::INFINITY, f64::min),
         plan_ratios.iter().cloned().fold(0.0f64, f64::max),
     );

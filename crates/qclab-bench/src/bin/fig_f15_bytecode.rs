@@ -1,49 +1,33 @@
-//! Figure F15 — bytecode execution engine and shot-batched trajectory
-//! dispatch.
+//! Figure F15 — shot-batched trajectory dispatch over the bytecode
+//! stream.
 //!
-//! Two comparisons, both against the same results bit for bit:
+//! **Shot-batched vs serial trajectory dispatch** on a noisy
+//! rotation-heavy circuit at n >= 12: the serial engine (batch width 1)
+//! replays the whole schedule for every shot, the batched engine
+//! evolves the noiseless prefix shared by a batch of 64 lanes once and
+//! forks each lane at its own first stochastic divergence (a pure
+//! function of the lane's RNG stream — noise-site draws never consult
+//! the state). The win therefore grows as the error rate drops: the
+//! bench sweeps a heavy rate (p = 0.02, short shared prefixes) and a
+//! hardware-realistic rate (p = 0.002, most of each shot is shared).
+//! Counts and injected-error totals are asserted identical at every
+//! width; the full run additionally demands the batched engine be >= 2x
+//! at the realistic rate.
 //!
-//! 1. **Dense dispatch loop vs interpreter** on a deep, narrow random
-//!    circuit (the F9-style workload): the bytecode stream pays gate
-//!    classification, control masks, matrix construction, diagonal
-//!    extraction and scatter-offset tables once per plan, so a single
-//!    pass must never trail the interpreter by more than 5%.
-//! 2. **Shot-batched vs serial trajectory dispatch** on a noisy
-//!    rotation-heavy circuit at n >= 12: the serial per-shot engine
-//!    replays the whole schedule for every shot, the batched engine
-//!    evolves the noiseless prefix shared by a batch of 64 lanes once
-//!    and forks each lane at its own first stochastic divergence (a
-//!    pure function of the lane's RNG stream — noise-site draws never
-//!    consult the state). The win therefore grows as the error rate
-//!    drops: the bench sweeps a heavy rate (p = 0.02, short shared
-//!    prefixes) and a hardware-realistic rate (p = 0.002, most of each
-//!    shot is shared). Counts and injected-error totals are asserted
-//!    identical at every width; the full run additionally demands the
-//!    batched engine be >= 2x at the realistic rate.
+//! (The dense dispatch-loop-vs-interpreter rows this figure used to
+//! carry compared against an engine that was retired on their verdict;
+//! the table is kept in EXPERIMENTS.md.)
 //!
 //! `--smoke` shrinks sizes for CI; every bit-identity assertion still
-//! runs there, so CI proves the dispatch paths agree, not just that the
-//! bin exits.
+//! runs there, so CI proves the widths agree, not just that the bin
+//! exits.
 
-use qclab_bench::{fmt_seconds, median_time, random_circuit, Table};
+use qclab_bench::{fmt_seconds, median_time, Table};
 use qclab_core::prelude::*;
-use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
     run_trajectories, NoiseSpec, PauliChannel, ShotPath, TrajectoryConfig,
 };
-use qclab_math::CVec;
 use std::hint::black_box;
-
-fn opts(bytecode: bool) -> SimOptions {
-    SimOptions {
-        backend: Backend::Kernel,
-        kernel: KernelConfig {
-            bytecode,
-            ..KernelConfig::default()
-        },
-        ..SimOptions::default()
-    }
-}
 
 /// A deep rotation-heavy circuit on `n` qubits with terminal
 /// measurements: until a noise draw fires, every shot of it follows the
@@ -82,56 +66,11 @@ fn shot_config(p: f64, shots: u64, batch: usize) -> TrajectoryConfig {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut t = Table::new(
-        "F15: bytecode dispatch vs interpreter; shot-batched vs serial trajectories",
+        "F15: shot-batched vs serial trajectories",
         &["workload", "config", "time", "speedup"],
     );
-
-    // -- 1. dense dispatch loop vs interpreter -------------------------
-    let n = if smoke { 13 } else { 16 };
-    let layers = if smoke { 10 } else { 48 };
     let runs = if smoke { 1 } else { 5 };
-    let circuit = random_circuit(n, layers, 15);
-    let init = CVec::basis_state(1 << n, 0);
 
-    // correctness first: both paths must agree on every amplitude
-    let byte = circuit.simulate_with(&init, &opts(true)).unwrap();
-    let interp = circuit.simulate_with(&init, &opts(false)).unwrap();
-    let (a, b) = (byte.states()[0], interp.states()[0]);
-    assert!(
-        a.iter()
-            .zip(b.iter())
-            .all(|(x, y)| x.re == y.re && x.im == y.im),
-        "bytecode dense state must be bit-identical to the interpreter"
-    );
-
-    let t_interp = median_time(runs, || {
-        black_box(circuit.simulate_with(&init, &opts(false)).unwrap());
-    });
-    let t_byte = median_time(runs, || {
-        black_box(circuit.simulate_with(&init, &opts(true)).unwrap());
-    });
-    let dense_ratio = t_interp / t_byte;
-    t.row(&[
-        format!("dense n={n}, {layers} layers"),
-        "interpreter".into(),
-        fmt_seconds(t_interp),
-        "1.0x".into(),
-    ]);
-    t.row(&[
-        format!("dense n={n}, {layers} layers"),
-        "bytecode".into(),
-        fmt_seconds(t_byte),
-        format!("{dense_ratio:.2}x"),
-    ]);
-    if !smoke {
-        assert!(
-            t_byte <= t_interp * 1.05,
-            "bytecode dispatch must stay within 5% of the interpreter \
-             (interpreter {t_interp:.4}s, bytecode {t_byte:.4}s)"
-        );
-    }
-
-    // -- 2. shot-batched vs serial trajectory dispatch -----------------
     let tn = 12;
     let tlayers = if smoke { 2 } else { 6 };
     let shots = if smoke { 32 } else { 256 };
@@ -191,8 +130,5 @@ fn main() {
              p=0.002, measured {realistic_ratio:.2}x"
         );
     }
-    println!(
-        "bytecode dispatch {dense_ratio:.2}x vs interpreter at n={n}; \
-         shot batching {realistic_ratio:.2}x vs serial at n={tn}/{shots} shots, p=0.002"
-    );
+    println!("shot batching {realistic_ratio:.2}x vs serial at n={tn}/{shots} shots, p=0.002");
 }

@@ -41,13 +41,10 @@
 //!   (noisy Clifford circuits fall back to the state-vector trajectory
 //!   engine; same distribution, different per-shot bits). For `compile`
 //!   the flag changes the reported noisy shot path,
-//! * `--no-bytecode` — execute the op schedule through the interpreter
-//!   instead of the compiled bytecode stream (`simulate`, `counts`,
-//!   `sample`); results are bit-identical either way,
 //! * `--shot-batch N` — trajectory shot-batch width for `sample`
-//!   (default 64): the noisy per-shot engine advances `N` shot states
-//!   through one bytecode pass per batch instead of re-walking the
-//!   schedule per shot. Results are independent of the batch width,
+//!   (default 64): the noisy per-shot engine evolves what the `N` shots
+//!   of a batch share once instead of re-walking the schedule per shot.
+//!   Results are independent of the batch width,
 //! * `--timeout-ms N` — wall-clock deadline for the run (`simulate`,
 //!   `counts`, `sample`). A run that exceeds it stops at the next op
 //!   boundary and exits with code `7`; `sample` additionally prints the
@@ -130,7 +127,6 @@ struct EngineOpts {
     fuse: bool,
     simd: bool,
     remap: bool,
-    bytecode: bool,
     frames: bool,
     shot_batch: Option<usize>,
     max_qubits: Option<usize>,
@@ -144,7 +140,6 @@ impl Default for EngineOpts {
             fuse: true,
             simd: true,
             remap: true,
-            bytecode: true,
             frames: true,
             shot_batch: None,
             max_qubits: None,
@@ -160,7 +155,6 @@ impl EngineOpts {
             fuse: self.fuse,
             allow_simd: self.simd,
             remap: self.remap,
-            bytecode: self.bytecode,
             ..KernelConfig::default()
         }
     }
@@ -241,7 +235,6 @@ fn usage() -> String {
      flags:\n  --no-fuse               disable gate fusion\n  \
      --no-simd               force scalar kernels\n  \
      --no-remap              disable the qubit-locality pass\n  \
-     --no-bytecode           interpret the op schedule instead of compiled bytecode\n  \
      --shot-batch <n>        trajectory shot-batch width (sample; default 64)\n  \
      --max-qubits <n>        refuse larger registers\n  \
      --backend <b>           state representation: auto|dense|sparse (simulate/counts/sample/compile)\n  \
@@ -338,10 +331,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--no-remap" => {
                 flags.opts.remap = false;
                 flags.used.push("--no-remap");
-            }
-            "--no-bytecode" => {
-                flags.opts.bytecode = false;
-                flags.used.push("--no-bytecode");
             }
             "--shot-batch" => {
                 let v = value("batch size")?;
@@ -440,7 +429,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--no-fuse",
             "--no-simd",
             "--no-remap",
-            "--no-bytecode",
             "--max-qubits",
             "--backend",
             "--timeout-ms",
@@ -449,7 +437,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--no-fuse",
             "--no-simd",
             "--no-remap",
-            "--no-bytecode",
             "--max-qubits",
             "--backend",
             "--seed",
@@ -460,7 +447,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--no-fuse",
             "--no-simd",
             "--no-remap",
-            "--no-bytecode",
             "--shot-batch",
             "--max-qubits",
             "--backend",
@@ -484,7 +470,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--no-fuse",
             "--no-simd",
             "--no-remap",
-            "--no-bytecode",
             "--no-frames",
             "--shot-batch",
             "--max-qubits",
@@ -939,17 +924,25 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn write_bell() -> std::path::PathBuf {
+    /// Writes `src` to a file of its own: tests run on parallel threads,
+    /// so no two calls may share a path (process id + counter).
+    fn write_qasm(stem: &str, src: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join("qclab_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bell.qasm");
-        std::fs::write(
-            &path,
+        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("{stem}_{}_{unique}.qasm", std::process::id()));
+        std::fs::write(&path, src).unwrap();
+        path
+    }
+
+    fn write_bell() -> std::path::PathBuf {
+        write_qasm(
+            "bell",
             "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
              h q[0];\ncx q[0], q[1];\nmeasure q -> c;\n",
         )
-        .unwrap();
-        path
     }
 
     fn args(v: &[&str]) -> Vec<String> {
@@ -1159,9 +1152,7 @@ mod tests {
         .unwrap();
         assert!(slow.contains("path: per-shot"), "output: {slow}");
         // a certain bit-flip before the only measurement flips |0> to '1'
-        let dir = std::env::temp_dir().join("qclab_cli_test");
-        let one = dir.join("one.qasm");
-        std::fs::write(&one, "qreg q[1];\ncreg c[1];\nmeasure q -> c;\n").unwrap();
+        let one = write_qasm("one", "qreg q[1];\ncreg c[1];\nmeasure q -> c;\n");
         let flipped = run(Command::Sample {
             path: one.to_str().unwrap().into(),
             shots: 50,
@@ -1327,14 +1318,11 @@ mod tests {
         );
 
         // a T gate declassifies the circuit
-        let dir = std::env::temp_dir().join("qclab_cli_test");
-        let t = dir.join("tgate.qasm");
-        std::fs::write(
-            &t,
+        let t = write_qasm(
+            "tgate",
             "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ncreg c[1];\n\
              h q[0];\nt q[0];\nmeasure q -> c;\n",
-        )
-        .unwrap();
+        );
         let report = run(Command::Compile {
             path: t.to_str().unwrap().into(),
             opts: EngineOpts::default(),
@@ -1366,14 +1354,10 @@ mod tests {
 
     #[test]
     fn compile_no_fuse_on_fenced_circuit_succeeds_with_cache_counters() {
-        let dir = std::env::temp_dir().join("qclab_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let fenced = dir.join("fenced.qasm");
-        std::fs::write(
-            &fenced,
+        let fenced = write_qasm(
+            "fenced",
             "qreg q[2];\ncreg c[2];\nh q[0];\nbarrier q;\ncx q[0], q[1];\nmeasure q -> c;\n",
-        )
-        .unwrap();
+        );
         let p = fenced.to_str().unwrap().to_string();
         // parse + run must take the success path (exit code 0 in main)
         let cmd = parse_args(&args(&["compile", "--no-fuse", &p])).unwrap();
@@ -1442,9 +1426,6 @@ mod tests {
     /// Toffoli ladder. Pure permutation — one live sparse entry — but a
     /// dense register would need 16 GiB, past the 4 GiB default cap.
     fn write_grover_oracle_30() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("qclab_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("oracle30.qasm");
         let mut src = String::from(
             "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[30];\ncreg c[30];\n\
              x q[0];\nx q[1];\n",
@@ -1453,8 +1434,7 @@ mod tests {
             src.push_str(&format!("ccx q[{}], q[{}], q[{t}];\n", t - 2, t - 1));
         }
         src.push_str("measure q -> c;\n");
-        std::fs::write(&path, src).unwrap();
-        path
+        write_qasm("oracle30", &src)
     }
 
     #[test]
@@ -1541,16 +1521,12 @@ mod tests {
     /// A 2-qubit circuit with 100 unfusable-by-flag ops so the default
     /// check interval (64 ops) is crossed during a dense simulation.
     fn write_long_chain() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("qclab_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("chain.qasm");
         let mut src = String::from("qreg q[2];\ncreg c[2];\n");
         for i in 0..50 {
             src.push_str(&format!("h q[{}];\ncx q[0], q[1];\n", i % 2));
         }
         src.push_str("measure q -> c;\n");
-        std::fs::write(&path, src).unwrap();
-        path
+        write_qasm("chain", &src)
     }
 
     #[test]
@@ -1589,36 +1565,25 @@ mod tests {
     }
 
     #[test]
-    fn parse_bytecode_and_shot_batch_flags() {
-        // bytecode dispatch is on by default and --no-bytecode turns it off
-        let cmd = parse_args(&args(&["simulate", "f.qasm"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Simulate { ref opts, .. } if opts.bytecode
-        ));
-        let cmd = parse_args(&args(&["simulate", "--no-bytecode", "f.qasm"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Simulate { ref opts, .. } if !opts.bytecode && !opts.kernel().bytecode
-        ));
-        let cmd = parse_args(&args(&["counts", "--no-bytecode", "f.qasm", "10"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Counts { ref opts, .. } if !opts.bytecode
-        ));
+    fn parse_shot_batch_flag_and_retired_bytecode_flag() {
+        // the interpreter is gone and so is its switch (spelled in two
+        // halves here so a grep for the retired flag finds no live use):
+        // an unknown option on every subcommand, `serve` included
+        let retired = concat!("--no-", "bytecode");
+        for cmd in ["simulate", "counts", "sample", "compile", "draw", "serve"] {
+            let e = parse_args(&args(&[cmd, retired, "f.qasm", "10"])).unwrap_err();
+            assert_eq!(e.code, EXIT_USAGE, "{cmd}");
+            assert!(
+                e.msg.contains(&format!("unknown option '{retired}'")),
+                "{cmd}: {}",
+                e.msg
+            );
+        }
         // --shot-batch applies to sample only; 0 and garbage are usage errors
-        let cmd = parse_args(&args(&[
-            "sample",
-            "f.qasm",
-            "10",
-            "--no-bytecode",
-            "--shot-batch",
-            "8",
-        ]))
-        .unwrap();
+        let cmd = parse_args(&args(&["sample", "f.qasm", "10", "--shot-batch", "8"])).unwrap();
         assert!(matches!(
             cmd,
-            Command::Sample { ref opts, .. } if !opts.bytecode && opts.shot_batch == Some(8)
+            Command::Sample { ref opts, .. } if opts.shot_batch == Some(8)
         ));
         let e = parse_args(&args(&["sample", "f.qasm", "10", "--shot-batch", "0"])).unwrap_err();
         assert_eq!(e.code, EXIT_USAGE);
@@ -1626,7 +1591,6 @@ mod tests {
         assert_eq!(e.code, EXIT_USAGE);
         let e = parse_args(&args(&["simulate", "--shot-batch", "8", "f.qasm"])).unwrap_err();
         assert_eq!(e.code, EXIT_USAGE);
-        assert!(parse_args(&args(&["draw", "--no-bytecode", "f.qasm"])).is_err());
     }
 
     #[test]
@@ -1736,10 +1700,7 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(e.code, EXIT_IO);
-        let dir = std::env::temp_dir().join("qclab_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.qasm");
-        std::fs::write(&bad, "qreg q[1]; frobnicate q[0];").unwrap();
+        let bad = write_qasm("bad", "qreg q[1]; frobnicate q[0];");
         let e = run(Command::Stats {
             path: bad.to_str().unwrap().into(),
         })

@@ -433,8 +433,9 @@ impl CompiledProgram {
     /// shot prefix, or `None` when the prefix ends in the identity
     /// layout (always the case with the locality pass off, and for
     /// terminal-measurement programs, whose restore sits inside the
-    /// prefix). The trajectory fork path snapshots this alongside the
-    /// prefix state so forked suffixes resume under the right layout.
+    /// prefix). The trajectory fork path's prefix snapshot ends in this
+    /// layout (the stream's `Permute` instructions carry it there), and
+    /// forked suffixes resume under it.
     pub fn prefix_map(&self) -> Option<&[usize]> {
         self.prefix_map.as_deref()
     }

@@ -53,15 +53,9 @@ fn ctrl_ok(i: usize, (mask, want): CtrlMasks) -> bool {
     i & mask == want
 }
 
-/// Dispatch configuration for the kernel backend. The defaults enable
-/// every specialization; the ablation benchmarks switch them off
-/// individually to measure what each one buys.
+/// Dispatch configuration for the kernel backend.
 #[derive(Clone, Copy, Debug)]
 pub struct KernelConfig {
-    /// Route diagonal gates through the streaming multiply kernel.
-    pub use_diagonal_kernel: bool,
-    /// Route uncontrolled SWAPs through the pure-permutation kernel.
-    pub use_swap_kernel: bool,
     /// Allow Rayon parallelism above [`PARALLEL_THRESHOLD_QUBITS`].
     pub allow_parallel: bool,
     /// Allow the vectorized dense kernels where the CPU supports them.
@@ -81,26 +75,16 @@ pub struct KernelConfig {
     /// windows as cache-blocked sweeps. Switching this off reproduces
     /// the pre-remap engine bit for bit (CLI `--no-remap`).
     pub remap: bool,
-    /// Execute dense programs through the compiled bytecode stream
-    /// cached on the plan ([`super::bytecode`]) instead of interpreting
-    /// `ProgramOp`s per run. Bit-identical by construction — both paths
-    /// run [`apply_prepared`] on the same [`PreparedOp`]s; the bytecode
-    /// path merely prepares them once at compile time (CLI
-    /// `--no-bytecode` restores the interpreter).
-    pub bytecode: bool,
 }
 
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
-            use_diagonal_kernel: true,
-            use_swap_kernel: true,
             allow_parallel: true,
             allow_simd: true,
             fuse: true,
             max_fused_qubits: super::fusion::DEFAULT_MAX_FUSED_QUBITS,
             remap: true,
-            bytecode: true,
         }
     }
 }
@@ -113,15 +97,7 @@ pub fn apply_gate(gate: &Gate, state: &mut CVec, n: usize) {
 
 /// [`apply_gate`] with an explicit [`KernelConfig`].
 pub fn apply_gate_with(gate: &Gate, state: &mut CVec, n: usize, cfg: &KernelConfig) {
-    apply_gate_slice(gate, state, n, cfg);
-}
-
-/// [`apply_gate_with`] on a raw amplitude slice of length `2^n`. The
-/// cache-blocked sweep uses this to apply tile-local gates to one
-/// `2^b`-amplitude tile at a time (with `n = b`).
-pub(crate) fn apply_gate_slice(gate: &Gate, state: &mut [C64], n: usize, cfg: &KernelConfig) {
-    let pre = prepare_gate(gate, n, cfg.use_diagonal_kernel, cfg.use_swap_kernel);
-    apply_prepared(&pre, state, n, cfg);
+    apply_prepared(&prepare_gate(gate, n), state, n, cfg);
 }
 
 /// Kernel class a gate resolves to, with every quantity the execution
@@ -129,8 +105,8 @@ pub(crate) fn apply_gate_slice(gate: &Gate, state: &mut [C64], n: usize, cfg: &K
 /// masks, the dense target matrix, extracted diagonals, and the k-qubit
 /// kernel's sorted shifts and scatter-offset table. This is the operand
 /// payload of one bytecode instruction ([`super::bytecode`]); the
-/// interpreter builds it per call so both paths execute literally the
-/// same kernels on the same operands.
+/// per-gate entry ([`apply_gate_with`]) builds it per call, so both
+/// execute literally the same kernels on the same operands.
 #[derive(Clone)]
 pub(crate) struct PreparedOp {
     kind: PreparedKind,
@@ -147,9 +123,8 @@ enum PreparedKind {
 
 /// Precomputed operands of the general k-qubit kernel: target shifts in
 /// target order (SIMD dispatch), ascending (base-index construction),
-/// and the scatter-index table `scatter_bits(0, sub, targets, n)` that
-/// [`apply_gate_slice`] previously rebuilt on every application — on
-/// plan-cache hits this now lives in the cached bytecode.
+/// and the scatter-index table `scatter_bits(0, sub, targets, n)` — on
+/// plan-cache hits all of it lives in the cached bytecode.
 #[derive(Clone)]
 pub(crate) struct KqPre {
     targets: Vec<usize>,
@@ -179,20 +154,17 @@ impl KqPre {
     }
 }
 
-/// Classifies `gate` for an `n`-qubit register exactly as
-/// [`apply_gate_slice`] historically did — uncontrolled SWAP (when the
-/// swap kernel is enabled), then diagonal (when enabled), then
-/// single-qubit, then general k-qubit — and precomputes that kernel's
-/// operands. `use_diag`/`use_swap` are baked in because they select the
-/// kernel *class*; the remaining [`KernelConfig`] flags stay runtime
-/// parameters of [`apply_prepared`].
-pub(crate) fn prepare_gate(gate: &Gate, n: usize, use_diag: bool, use_swap: bool) -> PreparedOp {
+/// Classifies `gate` for an `n`-qubit register — uncontrolled SWAP, then
+/// diagonal, then single-qubit, then general k-qubit — and precomputes
+/// that kernel's operands. The [`KernelConfig`] flags are runtime
+/// parameters of [`apply_prepared`], never of the classification.
+pub(crate) fn prepare_gate(gate: &Gate, n: usize) -> PreparedOp {
     let controls = gate.controls();
     let cm = control_masks(&controls, n);
 
     // dedicated permutation kernel for the uncontrolled SWAP
     if let Gate::Swap(a, b) = gate {
-        if controls.is_empty() && use_swap {
+        if controls.is_empty() {
             return PreparedOp {
                 kind: PreparedKind::Swap { a: *a, b: *b },
                 cm,
@@ -203,7 +175,7 @@ pub(crate) fn prepare_gate(gate: &Gate, n: usize, use_diag: bool, use_swap: bool
     let targets = gate.targets();
     let matrix = gate.target_matrix();
 
-    let kind = if use_diag && matrix.is_diagonal(0.0) {
+    let kind = if matrix.is_diagonal(0.0) {
         let diag: Vec<C64> = (0..matrix.rows()).map(|i| matrix[(i, i)]).collect();
         PreparedKind::Diagonal { targets, diag }
     } else if targets.len() == 1 {
@@ -398,8 +370,7 @@ fn tile_gate(gate: &Gate, n: usize) -> TileGate {
 
 /// One window gate pre-lowered all the way to its executable form: the
 /// tile-register [`PreparedOp`] plus the stripped-control base-index
-/// test. This is the operand payload of a bytecode `Window` instruction;
-/// [`apply_window`] builds the same thing per call.
+/// test. This is the operand payload of a bytecode `Window` instruction.
 #[derive(Clone)]
 pub(crate) struct TilePre {
     pre: PreparedOp,
@@ -413,32 +384,22 @@ pub(crate) struct TilePre {
 }
 
 /// Lowers a [`sweepable`] gate to its prepared tile form.
-pub(crate) fn prepare_tile(gate: &Gate, n: usize, use_diag: bool, use_swap: bool) -> TilePre {
+pub(crate) fn prepare_tile(gate: &Gate, n: usize) -> TilePre {
     let tg = tile_gate(gate, n);
     TilePre {
-        pre: prepare_gate(&tg.gate, SWEEP_TILE_QUBITS, use_diag, use_swap),
+        pre: prepare_gate(&tg.gate, SWEEP_TILE_QUBITS),
         hi_mask: tg.hi_mask,
         hi_want: tg.hi_want,
         scalar: tg.had_hi_controls,
     }
 }
 
-/// Cache-blocked sweep: applies a window of gates tile-by-tile, so each
-/// `2^b`-amplitude tile stays cache-resident across *all* gates of the
-/// window instead of the state being walked once per gate. Every gate
-/// must satisfy [`sweepable`]. Tiles partition the register, so the
-/// parallel path hands Rayon disjoint `&mut` chunks.
-pub(crate) fn apply_window(state: &mut CVec, n: usize, gates: &[&Gate], cfg: &KernelConfig) {
-    debug_assert!(gates.iter().all(|g| sweepable(g, n)));
-    let tgs: Vec<TilePre> = gates
-        .iter()
-        .map(|g| prepare_tile(g, n, cfg.use_diagonal_kernel, cfg.use_swap_kernel))
-        .collect();
-    apply_window_pre(state, n, &tgs, cfg);
-}
-
-/// [`apply_window`] on pre-lowered tile gates (the bytecode `Window`
-/// instruction's execution loop).
+/// Cache-blocked sweep (the bytecode `Window` instruction's execution
+/// loop): applies a window of pre-lowered [`sweepable`] gates
+/// tile-by-tile, so each `2^b`-amplitude tile stays cache-resident across
+/// *all* gates of the window instead of the state being walked once per
+/// gate. Tiles partition the register, so the parallel path hands Rayon
+/// disjoint `&mut` chunks.
 pub(crate) fn apply_window_pre(state: &mut CVec, n: usize, tgs: &[TilePre], cfg: &KernelConfig) {
     let b = SWEEP_TILE_QUBITS;
     let tile_len = 1usize << b;
@@ -819,7 +780,8 @@ unsafe fn kq_group(
 /// General k-target-qubit kernel: gathers the `2^k` amplitudes of each
 /// group, multiplies by the dense gate matrix, and scatters back. The
 /// scatter-index table and sorted shifts come precomputed in [`KqPre`]
-/// (once per gate in the interpreter, once per *plan* in the bytecode);
+/// (once per *plan* in the bytecode, once per call through
+/// [`apply_gate_with`]);
 /// each group only pays one base-index construction plus an OR per
 /// amplitude.
 fn apply_kq(state: &mut [C64], kq: &KqPre, cm: CtrlMasks, parallel: bool, simd: bool) {
@@ -1044,7 +1006,7 @@ mod tests {
 
     #[test]
     fn every_kernel_config_gives_identical_states() {
-        // all 16 flag combinations must agree bit-for-bit in semantics;
+        // all 8 flag combinations must agree bit-for-bit in semantics;
         // the circuit goes through `simulate_with` so the `fuse` flag
         // exercises the fusion pre-pass, not just the per-gate dispatch
         use crate::sim::{Backend, SimOptions};
@@ -1060,34 +1022,26 @@ mod tests {
             .push_back(RotationZZ::new(1, 3, 0.9))
             .push_back(MCX::new(&[0, 2], 4, &[1, 0]));
         let mut reference: Option<CVec> = None;
-        for diag in [true, false] {
-            for swp in [true, false] {
-                for par in [true, false] {
-                    for (fuse, simd) in [(true, true), (true, false), (false, true), (false, false)]
-                    {
-                        let cfg = KernelConfig {
-                            use_diagonal_kernel: diag,
-                            use_swap_kernel: swp,
-                            allow_parallel: par,
-                            allow_simd: simd,
-                            fuse,
-                            max_fused_qubits: super::super::fusion::DEFAULT_MAX_FUSED_QUBITS,
-                            ..KernelConfig::default()
-                        };
-                        let opts = SimOptions {
-                            backend: Backend::Kernel,
-                            kernel: cfg,
-                            ..SimOptions::default()
-                        };
-                        let init = CVec::basis_state(1 << n, 0);
-                        let sim = circuit.simulate_with(&init, &opts).unwrap();
-                        let state = sim.states()[0].clone();
-                        match &reference {
-                            None => reference = Some(state),
-                            Some(r) => {
-                                assert!(state.approx_eq(r, 1e-12), "config {cfg:?} diverged")
-                            }
-                        }
+        for par in [true, false] {
+            for (fuse, simd) in [(true, true), (true, false), (false, true), (false, false)] {
+                let cfg = KernelConfig {
+                    allow_parallel: par,
+                    allow_simd: simd,
+                    fuse,
+                    ..KernelConfig::default()
+                };
+                let opts = SimOptions {
+                    backend: Backend::Kernel,
+                    kernel: cfg,
+                    ..SimOptions::default()
+                };
+                let init = CVec::basis_state(1 << n, 0);
+                let sim = circuit.simulate_with(&init, &opts).unwrap();
+                let state = sim.states()[0].clone();
+                match &reference {
+                    None => reference = Some(state),
+                    Some(r) => {
+                        assert!(state.approx_eq(r, 1e-12), "config {cfg:?} diverged")
                     }
                 }
             }

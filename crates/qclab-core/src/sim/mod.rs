@@ -59,10 +59,10 @@ pub struct SimOptions {
     /// Measurement outcomes with probability below this threshold are
     /// pruned instead of spawning a branch.
     pub branch_tol: f64,
-    /// Kernel dispatch configuration, including the gate-fusion pre-pass
+    /// Kernel dispatch configuration: the gate-fusion pre-pass
     /// (`kernel.fuse` / `kernel.max_fused_qubits`, honoured by both
-    /// backends) and the per-gate specialization switches (kernel
-    /// backend only).
+    /// backends) and the locality pass and parallel/SIMD switches
+    /// (kernel backend only).
     pub kernel: kernel::KernelConfig,
     /// Resource limits checked before the state allocation; oversized
     /// registers come back as [`QclabError::ResourceExhausted`] instead
@@ -301,92 +301,37 @@ impl QCircuit {
         // cache makes repeated simulation of one circuit lower once
         let n = self.nb_qubits();
         let mut plan_opts = crate::program::PlanOptions::from(&opts.kernel);
-        if opts.backend == Backend::Kron {
-            // the Kron backend multiplies register-wide sparse unitaries;
-            // index-bit locality buys it nothing
-            plan_opts.remap = false;
-        }
-        let program = self.compile_with(&plan_opts);
         // op-boundary deadline/cancel checks; a no-op for the default
         // (disabled) control, so results are unaffected by its presence
         let mut ticker = opts.control.ticker();
-        // dispatch-loop path: execute the bytecode cached on the plan
-        // instead of interpreting the op schedule (bit-identical — both
-        // run the same prepared kernels; see `sim::bytecode`)
-        if opts.backend == Backend::Kernel && bytecode::eligible(&opts.kernel) {
-            let bc = program.bytecode();
-            bytecode::execute_dense(&program, &bc, &mut branches, opts, &mut ticker)?;
-            return Ok(Simulation {
-                nb_qubits: n,
-                branches,
-            });
-        }
-        let ops = program.ops();
-        // logical→physical layout of the amplitudes; `None` = identity
-        let mut map: Option<Vec<usize>> = None;
-        let mut i = 0;
-        while i < ops.len() {
-            match &ops[i] {
-                ProgramOp::Gate(g) => {
-                    if opts.backend == Backend::Kernel {
-                        // cache-blocked sweep: a run of tile-local gates
-                        // applies per tile, keeping each 2^b-amplitude
-                        // block cache-resident across the whole run
-                        let mut j = i;
-                        while j < ops.len()
-                            && matches!(&ops[j], ProgramOp::Gate(g) if kernel::sweepable(g, n))
-                        {
-                            j += 1;
-                        }
-                        if j - i >= 2 {
-                            let gates: Vec<&Gate> = ops[i..j]
-                                .iter()
-                                .map(|op| match op {
-                                    ProgramOp::Gate(g) => g,
-                                    _ => unreachable!(),
-                                })
-                                .collect();
+        match opts.backend {
+            Backend::Kernel => {
+                let bc = self.compile_with(&plan_opts).bytecode();
+                bytecode::execute_dense(&bc, &mut branches, opts, &mut ticker)?;
+            }
+            // the test oracle: register-wide sparse unitaries, one op at
+            // a time; index-bit locality buys it nothing
+            Backend::Kron => {
+                plan_opts.remap = false;
+                for op in self.compile_with(&plan_opts).ops() {
+                    match op {
+                        ProgramOp::Gate(g) => {
                             for b in branches.iter_mut() {
-                                kernel::apply_window(&mut b.state, n, &gates, &opts.kernel);
+                                apply_backend(g, &mut b.state, n, opts);
                             }
-                            ticker.tick_n(j - i)?;
-                            i = j;
-                            continue;
                         }
+                        ProgramOp::Fence(_) => {}
+                        ProgramOp::Measure(m) => {
+                            branches = measure_branches(&branches, m, opts, n, None)
+                        }
+                        ProgramOp::Reset(q) => {
+                            branches = reset_branches(&branches, *q, opts, n, None)
+                        }
+                        // invariant: only the locality pass emits
+                        // permutes, and this plan was lowered with it off
+                        ProgramOp::Permute { .. } => unreachable!("remap is off for kron plans"),
                     }
-                    for b in branches.iter_mut() {
-                        apply_backend(g, &mut b.state, n, opts);
-                    }
                     ticker.tick()?;
-                    i += 1;
-                }
-                ProgramOp::Fence(_) => {
-                    ticker.tick()?;
-                    i += 1;
-                }
-                ProgramOp::Permute { perm, map: new_map } => {
-                    let parallel =
-                        opts.kernel.allow_parallel && n >= kernel::PARALLEL_THRESHOLD_QUBITS;
-                    for b in branches.iter_mut() {
-                        kernel::permute_state(&mut b.state, n, perm, parallel);
-                    }
-                    map = if new_map.iter().enumerate().all(|(q, &p)| q == p) {
-                        None
-                    } else {
-                        Some(new_map.clone())
-                    };
-                    ticker.tick()?;
-                    i += 1;
-                }
-                ProgramOp::Measure(m) => {
-                    branches = measure_branches(&branches, m, opts, n, map.as_deref());
-                    ticker.tick()?;
-                    i += 1;
-                }
-                ProgramOp::Reset(q) => {
-                    branches = reset_branches(&branches, *q, opts, n, map.as_deref());
-                    ticker.tick()?;
-                    i += 1;
                 }
             }
         }

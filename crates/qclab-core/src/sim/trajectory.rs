@@ -11,6 +11,14 @@
 //! shots converges to the density-matrix result at `O(1/√shots)` —
 //! the standard Monte-Carlo unraveling of a Pauli channel.
 //!
+//! Structure: `prepare` routes a run once (sparse → Pauli frames →
+//! alias → fork/per-shot) and pays its seed-independent preparation; a
+//! standalone run is a [`run_trajectories_grouped`] group of one. Every
+//! state-vector shot — one-time prefix, batch reference pass, lane
+//! suffix, [`run_single_trajectory`] — dispatches the plan's bytecode
+//! stream ([`super::bytecode`]) through one per-instruction body,
+//! `ShotState::step`; serial execution is the batch of one.
+//!
 //! Guarantees this module is tested for:
 //!
 //! - **Determinism** — every shot derives its RNG from
@@ -59,7 +67,7 @@ use crate::observable::{Observable, Pauli};
 use crate::program::{
     self, BackendChoice, BackendRequest, CompiledProgram, PlanOptions, ProgramOp,
 };
-use crate::sim::bytecode;
+use crate::sim::bytecode::{Bytecode, Instr};
 use crate::sim::control::{ControlTicker, ExecutionControl, StopCause, StopLatch};
 use crate::sim::frame;
 use crate::sim::guard::ResourceLimits;
@@ -72,9 +80,10 @@ use qclab_math::{bits, CVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use std::cell::RefCell;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single-qubit Pauli error channel, sampled per noise location.
 ///
@@ -170,6 +179,12 @@ impl NoiseSpec {
         self.after_gate.is_none() && self.idle.is_none() && self.before_measure.is_none()
     }
 
+    /// True when every gate is a noise site (an `after_gate` or `idle`
+    /// channel is configured): no stretch of gates is deterministic.
+    fn strikes_gates(&self) -> bool {
+        self.after_gate.is_some() || self.idle.is_some()
+    }
+
     /// Validates every configured channel.
     pub fn validate(&self) -> Result<(), QclabError> {
         for ch in [self.after_gate, self.idle, self.before_measure]
@@ -248,13 +263,6 @@ pub struct TrajectoryConfig {
     /// per-shot kernels then run single-threaded to avoid nested
     /// parallelism.
     pub parallel: bool,
-    /// Reuse per-thread state/scratch buffers across shots instead of
-    /// allocating two `2^n` vectors per shot. Numerically transparent —
-    /// buffers are refilled from the initial state, and the collapse
-    /// arithmetic is identical — so zero-noise runs stay bit-identical
-    /// to the baseline simulator. Disable only to measure the allocation
-    /// cost itself (the F11 ablation).
-    pub reuse_buffers: bool,
     /// Observables whose expectations are averaged over the final states
     /// of all shots (must match the circuit's register size).
     pub observables: Vec<Observable>,
@@ -291,16 +299,14 @@ pub struct TrajectoryConfig {
     /// shots draw far fewer RNG values than state-vector shots. Disable
     /// (`--no-frames`) to force the state-vector trajectory engine.
     pub frames: bool,
-    /// Number of shot states driven through the bytecode per batch on
-    /// the per-shot/forked paths: each instruction is applied across
-    /// all lanes of a batch before advancing, amortizing dispatch and
-    /// operand fetch over the whole batch. Per-shot `(seed, shot)` RNG
-    /// streams make every shot independent of the batch grouping, so
-    /// results are bit-identical to the serial engine at any batch
-    /// size. `<= 1` — or a kernel config the bytecode can't serve
-    /// ([`KernelConfig::bytecode`] off, or a diagonal/swap ablation) —
-    /// runs the serial per-shot engine. The effective size is capped so
-    /// one batch's lane states stay within a fixed memory budget.
+    /// Number of shots per batch on the per-shot/forked paths: a batch
+    /// evolves the noiseless stretch its shots share once and forks each
+    /// shot off at its own first stochastic divergence. Per-shot
+    /// `(seed, shot)` RNG streams make every shot independent of the
+    /// batch grouping, so results are bit-identical at any batch size;
+    /// `<= 1` is the serial engine (the batch of one). The effective
+    /// size is capped so one batch's lane states stay within a fixed
+    /// memory budget.
     pub shot_batch: usize,
 }
 
@@ -314,7 +320,6 @@ impl Default for TrajectoryConfig {
             limits: ResourceLimits::default(),
             watchdog: WatchdogConfig::default(),
             parallel: true,
-            reuse_buffers: true,
             observables: Vec::new(),
             fast_path: true,
             backend: BackendRequest::Dense,
@@ -588,11 +593,31 @@ fn validate(
     Ok(dim)
 }
 
-/// State of one in-flight shot: the vector plus watchdog bookkeeping.
-/// The buffers are owned (moved in from the per-thread arena and moved
-/// back out on completion) so a [`ShotBatch`] lane can hold a whole
-/// `ShotState` by value.
-struct ShotState<'a> {
+/// The noise sites of one gate location in draw order: `after_gate` on
+/// the touched qubits, then `idle` on every other qubit in qubit order.
+/// The executor ([`ShotState::gate_noise`]) and the RNG replay
+/// ([`scan_fork`]) both draw through this, so they cannot drift apart.
+fn noise_sites<'a>(
+    noise: &'a NoiseSpec,
+    touched: &'a [usize],
+    n: usize,
+) -> impl Iterator<Item = (PauliChannel, usize)> + 'a {
+    let after = noise
+        .after_gate
+        .into_iter()
+        .flat_map(move |ch| touched.iter().map(move |&q| (ch, q)));
+    let idle = noise.idle.into_iter().flat_map(move |ch| {
+        (0..n)
+            .filter(move |q| !touched.contains(q))
+            .map(move |q| (ch, q))
+    });
+    after.chain(idle)
+}
+
+/// State of one in-flight shot: the vector, its position in the
+/// instruction stream, and the watchdog bookkeeping.
+#[derive(Clone)]
+struct ShotState {
     state: CVec,
     scratch: CVec,
     n: usize,
@@ -601,41 +626,37 @@ struct ShotState<'a> {
     stats: NormStats,
     gates_since_check: usize,
     injected: Vec<InjectedPauli>,
-    noise: &'a NoiseSpec,
+    noise: NoiseSpec,
     /// Active logical→physical layout from the locality pass (`None` =
     /// identity). Only ever non-`None` on noiseless runs — the pass is
     /// disabled with noise (see [`plan_options`]), so noise injection
     /// below never has to translate its qubits.
     map: Option<Vec<usize>>,
+    /// Cursor: index of the next instruction in the stream …
+    pc: usize,
+    /// … and schedule index of the next op. Inside a window the two
+    /// differ in pace: `op − first` of its gates are already applied.
+    op: usize,
 }
 
-impl ShotState<'_> {
-    fn apply(&mut self, gate: &Gate) {
-        kernel::apply_gate_with(gate, &mut self.state, self.n, &self.kernel);
-        self.bump_watchdog(1);
-    }
-
-    /// [`apply`](Self::apply) for a pre-lowered bytecode gate: same
-    /// kernels, same watchdog bookkeeping, the classification work
-    /// already paid at plan-compile time.
-    fn apply_pre(&mut self, pre: &kernel::PreparedOp) {
-        kernel::apply_prepared(pre, &mut self.state, self.n, &self.kernel);
-        self.bump_watchdog(1);
-    }
-
-    /// A bytecode sweep window, cut where a watchdog check falls due so
-    /// every check sees the state the per-gate walk would have shown it.
-    fn apply_window(&mut self, tiles: &[kernel::TilePre]) {
-        let mut rest = tiles;
-        while !rest.is_empty() {
-            let due = match self.watchdog.check_every {
-                0 => rest.len(),
-                every => (every - self.gates_since_check).min(rest.len()),
-            };
-            let (now, later) = rest.split_at(due);
-            kernel::apply_window_pre(&mut self.state, self.n, now, &self.kernel);
-            self.bump_watchdog(due);
-            rest = later;
+impl ShotState {
+    /// A shot standing at op 0 of `initial`. Noiseless until a lane
+    /// adopts it: the stretches evolved once for many shots (prefix,
+    /// batch reference) are exactly the ones no noise site fires in.
+    fn new(initial: CVec, n: usize, kernel: KernelConfig, watchdog: WatchdogConfig) -> Self {
+        ShotState {
+            state: initial,
+            scratch: CVec(Vec::new()),
+            n,
+            kernel,
+            watchdog,
+            stats: NormStats::default(),
+            gates_since_check: 0,
+            injected: Vec::new(),
+            noise: NoiseSpec::default(),
+            map: None,
+            pc: 0,
+            op: 0,
         }
     }
 
@@ -665,6 +686,13 @@ impl ShotState<'_> {
         }
     }
 
+    /// The end-of-shot norm check over the gates since the last one.
+    fn final_check(&mut self) {
+        if self.watchdog.check_every > 0 && self.gates_since_check > 0 {
+            self.check_norm();
+        }
+    }
+
     /// Samples `channel` on `qubit` and injects the drawn Pauli (if any).
     fn inject(&mut self, channel: &PauliChannel, qubit: usize, op_index: usize, rng: &mut StdRng) {
         if let Some(p) = channel.sample(rng) {
@@ -679,20 +707,11 @@ impl ShotState<'_> {
         }
     }
 
-    /// Applies the configured noise for a gate location: `after_gate` on
-    /// the touched qubits, `idle` on everything else.
+    /// Applies the configured noise for a gate location.
     fn gate_noise(&mut self, touched: &[usize], op_index: usize, rng: &mut StdRng) {
-        if let Some(ch) = self.noise.after_gate {
-            for &q in touched {
-                self.inject(&ch, q, op_index, rng);
-            }
-        }
-        if let Some(ch) = self.noise.idle {
-            for q in 0..self.n {
-                if !touched.contains(&q) {
-                    self.inject(&ch, q, op_index, rng);
-                }
-            }
+        let noise = self.noise;
+        for (ch, q) in noise_sites(&noise, touched, self.n) {
+            self.inject(&ch, q, op_index, rng);
         }
     }
 
@@ -724,7 +743,7 @@ impl ShotState<'_> {
         };
         let p = if bit == 0 { p0 } else { p1 };
         // collapse into the scratch buffer and swap: same arithmetic as
-        // `collapse::collapse`, zero allocation after the first shot
+        // `collapse::collapse`, one allocation per shot at most
         match &self.map {
             None => collapse::collapse_into(&self.state, self.n, q, bit, p, &mut self.scratch),
             Some(m) => {
@@ -763,126 +782,140 @@ impl ShotState<'_> {
             self.sample_z(q, rng)
         }
     }
-}
 
-/// Everything shots of one ensemble share: the lowered op schedule,
-/// the initial state and the run configuration. Borrowed by every
-/// [`run_shot_in`] call so per-shot arguments stay down to the shot
-/// index and the buffers.
-struct ShotProgram<'a> {
-    ops: &'a [ProgramOp],
-    /// State every shot starts from. On the fork path this is the
-    /// snapshot after the deterministic prefix, not `|initial⟩`.
-    initial: &'a CVec,
-    n: usize,
-    config: &'a TrajectoryConfig,
-    kernel: KernelConfig,
-    /// First op each shot executes (`> 0` on the fork path; the skipped
-    /// prefix is baked into `initial`). Absolute op indices are kept so
-    /// [`InjectedPauli::op_index`] still refers to the full schedule.
-    start: usize,
-    /// Watchdog statistics carried over from the one-time prefix
-    /// evolution, so per-shot stats match the unforked engine exactly.
-    init_norm: NormStats,
-    /// Gate count since the last watchdog check at the end of the prefix.
-    init_gates: usize,
-    /// Logical→physical layout the snapshot (`initial`) is stored in —
-    /// [`CompiledProgram::prefix_map`] on the fork path, `None` when
-    /// shots start from op 0 (the schedule itself then establishes any
-    /// layout). Each shot resumes its map tracking from this.
-    start_map: Option<&'a [usize]>,
-}
-
-/// Runs one trajectory over the lowered op schedule, using the
-/// caller-provided `state`/`scratch` buffers (refilled from the initial
-/// state; the final state is left in `state`). Returns the measurement
-/// record, injected errors and watchdog statistics. Polls
-/// `config.control` at op boundaries — the checks never touch `rng`, so
-/// a shot that completes under an enabled control is bit-identical to
-/// the same shot without one; a stopped shot surfaces
-/// [`QclabError::Cancelled`] / [`QclabError::DeadlineExceeded`].
-#[allow(clippy::type_complexity)]
-fn run_shot_in(
-    prog: &ShotProgram<'_>,
-    shot: u64,
-    state: &mut CVec,
-    scratch: &mut CVec,
-) -> Result<(String, Vec<InjectedPauli>, NormStats), QclabError> {
-    let (ops, config) = (prog.ops, prog.config);
-    state.0.clear();
-    state.0.extend_from_slice(&prog.initial.0);
-    let mut rng = shot_rng(config.seed, shot);
-    let mut ticker = config.control.ticker();
-    // move the arena buffers into the shot state; they are moved back
-    // out on completion (an error abandons them — the arena simply
-    // reallocates on the next shot, and errors end the run anyway)
-    let mut s = ShotState {
-        state: std::mem::replace(state, CVec(Vec::new())),
-        scratch: std::mem::replace(scratch, CVec(Vec::new())),
-        n: prog.n,
-        kernel: prog.kernel,
-        watchdog: config.watchdog,
-        stats: prog.init_norm,
-        gates_since_check: prog.init_gates,
-        injected: Vec::new(),
-        noise: &config.noise,
-        map: prog.start_map.map(|m| m.to_vec()),
-    };
-    let mut record = String::new();
-    for (idx, op) in ops.iter().enumerate().skip(prog.start) {
-        match op {
-            ProgramOp::Gate(g) => {
-                s.apply(g);
-                if !s.noise.is_noiseless() {
-                    s.gate_noise(&g.qubits(), idx, &mut rng);
+    /// The one per-instruction body of the shot engine: executes `instr`
+    /// — the instruction at the cursor — against the state, draws its
+    /// noise sites from `rng`, appends measured bits to `record`, moves
+    /// the cursor, and returns the number of schedule ops covered.
+    ///
+    /// Everything but a window is one op. A window is *cut*: it stops at
+    /// `until`, where a watchdog check falls due, and after every gate
+    /// when gate/idle noise makes each one a noise site. A cut is itself
+    /// a sweep over a sub-range of the tiles, bit-identical to the same
+    /// gates applied one by one, so every check, noise draw and fork
+    /// sees the state a per-gate walk would have shown it.
+    fn step(
+        &mut self,
+        instr: &Instr,
+        until: usize,
+        rng: &mut StdRng,
+        record: &mut String,
+    ) -> usize {
+        let gate_noise = self.noise.strikes_gates();
+        match instr {
+            Instr::Gate { pre, touched } => {
+                kernel::apply_prepared(pre, &mut self.state, self.n, &self.kernel);
+                self.bump_watchdog(1);
+                if gate_noise {
+                    self.gate_noise(touched, self.op, rng);
                 }
             }
-            ProgramOp::Fence(_) => {}
-            ProgramOp::Permute { perm, map } => {
+            Instr::Window {
+                tiles,
+                first,
+                touched,
+            } => {
+                let from = self.op - first;
+                let mut cut = (tiles.len() - from).min(until - self.op);
+                if gate_noise {
+                    cut = 1;
+                } else if self.watchdog.check_every > 0 {
+                    cut = cut.min(self.watchdog.check_every - self.gates_since_check);
+                }
+                let now = &tiles[from..from + cut];
+                kernel::apply_window_pre(&mut self.state, self.n, now, &self.kernel);
+                self.bump_watchdog(cut);
+                if gate_noise {
+                    self.gate_noise(&touched[from], self.op, rng);
+                }
+                self.op += cut;
+                self.pc += usize::from(from + cut == tiles.len());
+                return cut;
+            }
+            Instr::Fence => {}
+            Instr::Permute { perm, map } => {
                 // pure data movement: never perturbs amplitude bits,
                 // never consumes RNG draws
-                kernel::permute_state(&mut s.state, s.n, perm, false);
-                s.map = if map.iter().enumerate().all(|(q, &p)| q == p) {
-                    None
-                } else {
-                    Some(map.clone())
-                };
+                let parallel =
+                    self.kernel.allow_parallel && self.n >= kernel::PARALLEL_THRESHOLD_QUBITS;
+                kernel::permute_state(&mut self.state, self.n, perm, parallel);
+                self.map.clone_from(map);
             }
-            ProgramOp::Measure(m) => {
-                if let Some(ch) = s.noise.before_measure {
-                    s.inject(&ch, m.qubit(), idx, &mut rng);
+            Instr::Measure(m) => {
+                if let Some(ch) = self.noise.before_measure {
+                    self.inject(&ch, m.qubit(), self.op, rng);
                 }
-                let bit = s.sample_measurement(m, &mut rng);
+                let bit = self.sample_measurement(m, rng);
                 record.push(if bit == 0 { '0' } else { '1' });
             }
-            ProgramOp::Reset(q) => {
-                if let Some(ch) = s.noise.before_measure {
-                    s.inject(&ch, *q, idx, &mut rng);
+            Instr::Reset(q) => {
+                if let Some(ch) = self.noise.before_measure {
+                    self.inject(&ch, *q, self.op, rng);
                 }
-                let bit = s.sample_z(*q, &mut rng);
-                if bit == 1 {
-                    let pq = s.physical(*q);
-                    s.apply(&Gate::PauliX(pq));
+                if self.sample_z(*q, rng) == 1 {
+                    let flip = Gate::PauliX(self.physical(*q));
+                    kernel::apply_gate_with(&flip, &mut self.state, self.n, &self.kernel);
+                    self.bump_watchdog(1);
                 }
             }
         }
-        ticker.tick()?;
+        self.op += 1;
+        self.pc += 1;
+        1
     }
-    if s.watchdog.check_every > 0 && s.gates_since_check > 0 {
-        s.check_norm();
+
+    /// Steps the shot through `stream` until its cursor stands at op
+    /// `until`. Polls the control through `ticker` at every step — the
+    /// checks never touch `rng`, so a shot that completes under an
+    /// enabled control is bit-identical to the same shot without one; a
+    /// stopped shot surfaces [`QclabError::Cancelled`] /
+    /// [`QclabError::DeadlineExceeded`].
+    fn advance(
+        &mut self,
+        stream: &[Instr],
+        until: usize,
+        rng: &mut StdRng,
+        record: &mut String,
+        ticker: &mut ControlTicker<'_>,
+    ) -> Result<(), QclabError> {
+        while self.op < until {
+            let ops = self.step(&stream[self.pc], until, rng, record);
+            ticker.tick_n(ops)?;
+        }
+        Ok(())
     }
-    *state = s.state;
-    *scratch = s.scratch;
-    Ok((record, s.injected, s.stats))
+
+    /// [`advance`](Self::advance) over a stretch evolved once for many
+    /// shots — the deterministic prefix, a batch's reference pass. Such
+    /// a stretch ends at the first measurement or reset at the latest
+    /// and the state is noiseless there, so the RNG stream is never
+    /// drawn from and the record stays empty.
+    fn advance_shared(
+        &mut self,
+        stream: &[Instr],
+        until: usize,
+        ticker: &mut ControlTicker<'_>,
+    ) -> Result<(), QclabError> {
+        debug_assert!(self.noise.is_noiseless());
+        self.advance(
+            stream,
+            until,
+            &mut shot_rng(0, 0),
+            &mut String::new(),
+            ticker,
+        )
+    }
 }
 
-/// One lane of a [`run_shot_batch`] call: a full in-flight shot (state,
-/// RNG stream, control ticker, record).
-struct BatchLane<'a> {
-    s: ShotState<'a>,
-    rng: StdRng,
-    ticker: ControlTicker<'a>,
-    record: String,
+/// Everything the shots of one prepared run share.
+struct ShotProgram {
+    bc: Arc<Bytecode>,
+    /// The state every shot starts from: `|initial⟩` at op 0, or — on
+    /// the fork path — the snapshot after the deterministic prefix,
+    /// carrying its cursor, watchdog counters and layout so per-shot
+    /// statistics match the unforked engine exactly.
+    start: ShotState,
+    path: ShotPath,
 }
 
 /// Where one lane's trajectory first leaves the batch's shared
@@ -890,288 +923,112 @@ struct BatchLane<'a> {
 /// without touching any state: every noise-site draw is a plain
 /// `rng.gen::<f64>()` whose *count and order* depend only on the op
 /// schedule, never on amplitudes, so the first op at which a shot can
-/// diverge — the first fired injection, measurement or reset — is a
-/// pure function of `(seed, shot)`.
+/// diverge — the first gate with a fired injection, the first
+/// measurement or reset — is a pure function of `(seed, shot)`.
 struct LaneFork {
-    /// Number of leading schedule ops whose unitary action the lane
-    /// shares with the reference evolution (absolute index into `ops`).
+    /// Schedule index of the first op the lane executes itself.
     shared: usize,
-    /// `Some(idx)` when the fork was triggered by a fired gate-noise
-    /// draw at op `idx`: the reference covers the gate itself
-    /// (`shared == idx + 1`) and the lane replays that op's noise draws
-    /// from `rng` — parked just before them — before resuming.
-    noise_at: Option<usize>,
     /// The lane's RNG stream, positioned exactly where the serial
-    /// engine's would be at the fork.
+    /// engine's would be on reaching op `shared`.
     rng: StdRng,
 }
 
-/// Replays the noise draws of `(seed, shot)` over the schedule (no
-/// state, no kernels) and returns the lane's fork point. Draw order
-/// mirrors [`ShotState::gate_noise`] exactly: `after_gate` over the
-/// touched qubits in order, then `idle` over the rest in qubit order.
-/// A measurement or reset forks unconditionally — its draws consult the
-/// state. Forking *early* is always safe (the lane just replays more
-/// ops itself), so a fired draw forks even if the sampled Pauli turns
-/// out to act trivially.
-fn scan_fork(
-    ops: &[ProgramOp],
-    flat: &[bytecode::FlatInstr],
-    start: usize,
-    noise: &NoiseSpec,
-    n: usize,
-    mut rng: StdRng,
-) -> LaneFork {
-    let gate_draws = noise.after_gate.is_some() || noise.idle.is_some();
-    for idx in start..ops.len() {
-        match &ops[idx] {
-            ProgramOp::Gate(_) => {
-                if !gate_draws {
-                    continue;
-                }
-                let bytecode::FlatInstr::Gate { touched, .. } = &flat[idx] else {
-                    unreachable!("flat bytecode out of lockstep with the op schedule")
-                };
-                let before = rng.clone();
-                let mut fired = false;
-                if let Some(ch) = noise.after_gate {
-                    for _ in touched.iter() {
-                        fired |= ch.sample(&mut rng).is_some();
-                    }
-                }
-                if let Some(ch) = noise.idle {
-                    for q in 0..n {
-                        if !touched.contains(&q) {
-                            fired |= ch.sample(&mut rng).is_some();
-                        }
-                    }
-                }
-                if fired {
-                    return LaneFork {
-                        shared: idx + 1,
-                        noise_at: Some(idx),
-                        rng: before,
-                    };
-                }
+/// Replays the noise draws of one `(seed, shot)` stream over the
+/// instructions from `start`'s cursor on (no state, no kernels) and
+/// returns the lane's fork point. A measurement or reset forks
+/// unconditionally — its draws consult the state. A gate forks when any
+/// of its noise draws fires, even if the sampled Pauli turns out to act
+/// trivially: forking early is always safe, the lane just replays more
+/// ops itself.
+fn scan_fork(stream: &[Instr], start: &ShotState, noise: &NoiseSpec, mut rng: StdRng) -> LaneFork {
+    let gate_draws = noise.strikes_gates();
+    let mut op = start.op;
+    for instr in &stream[start.pc..] {
+        let gates: &[Vec<usize>] = match instr {
+            Instr::Gate { touched, .. } => std::slice::from_ref(touched),
+            Instr::Window { touched, .. } => touched,
+            Instr::Measure(_) | Instr::Reset(_) => break,
+            Instr::Fence | Instr::Permute { .. } => &[],
+        };
+        if gates.is_empty() || !gate_draws {
+            op += gates.len().max(1);
+            continue;
+        }
+        for touched in gates {
+            let before = rng.clone();
+            let mut fired = false;
+            for (ch, _) in noise_sites(noise, touched, start.n) {
+                fired |= ch.sample(&mut rng).is_some();
             }
-            ProgramOp::Measure(_) | ProgramOp::Reset(_) => {
+            if fired {
                 return LaneFork {
-                    shared: idx,
-                    noise_at: None,
-                    rng,
+                    shared: op,
+                    rng: before,
                 };
             }
-            ProgramOp::Fence(_) | ProgramOp::Permute { .. } => {}
+            op += 1;
         }
     }
-    LaneFork {
-        shared: ops.len(),
-        noise_at: None,
-        rng,
-    }
+    LaneFork { shared: op, rng }
 }
 
-/// Hands every lane whose fork point is `at` its own copy of the
-/// reference trajectory: state, watchdog counters and layout as of
-/// `at` ops applied, plus the RNG stream the scan parked at the fork.
-fn fork_lanes<'a>(
-    lanes: &mut [Option<BatchLane<'a>>],
-    forks: &[LaneFork],
-    at: usize,
-    reference: &ShotState<'a>,
-    config: &'a TrajectoryConfig,
-) {
-    for (lane, f) in lanes.iter_mut().zip(forks) {
-        if f.shared == at && lane.is_none() {
-            *lane = Some(BatchLane {
-                s: ShotState {
-                    state: reference.state.clone(),
-                    scratch: CVec(Vec::new()),
-                    n: reference.n,
-                    kernel: reference.kernel,
-                    watchdog: reference.watchdog,
-                    stats: reference.stats,
-                    gates_since_check: reference.gates_since_check,
-                    injected: Vec::new(),
-                    noise: reference.noise,
-                    map: reference.map.clone(),
-                },
-                rng: f.rng.clone(),
-                ticker: config.control.ticker(),
-                record: String::new(),
-            });
-        }
-    }
-}
-
-/// Batched counterpart of [`run_shot_in`]: drives `count` shots
-/// (`first..first + count`) through the plan's flat bytecode by
+/// Drives `count` shots (`first..first + count`) through the bytecode by
 /// amortizing the evolution the shots *share*. Up to its first
-/// stochastic divergence — the first fired noise injection, or the
-/// first measurement/reset — every shot follows the same noiseless
+/// stochastic divergence every shot follows the same noiseless
 /// trajectory through the same kernels, and because noise-site RNG
 /// draws never consult the state, each lane's divergence point can be
 /// computed up front by replaying its `(seed, shot)` stream
 /// ([`scan_fork`]). The batch therefore evolves one reference state
-/// through the shared prefix *once*, forks each lane off it at that
-/// lane's own divergence point (state + watchdog counters + RNG
-/// position), and then finishes each lane serially — one lane at a
-/// time, so the suffix state stays cache-resident. Every per-lane op
-/// executes the exact per-op body of the serial engine in the same
-/// order with the same RNG stream, so every shot is bit-identical to
-/// the same shot of a serial run regardless of batch grouping. A
-/// control stop (reference pass or any lane's ticker) abandons the
-/// whole in-flight batch — completed batches are unaffected.
-fn run_shot_batch<'a>(
-    prog: &ShotProgram<'a>,
-    flat: &[bytecode::FlatInstr],
+/// through the shared ops *once*, forks each lane off it at that lane's
+/// own divergence point (state + cursor + watchdog counters, with the
+/// RNG where the scan parked it), and finishes the lane before moving
+/// on, so the suffix state stays cache-resident; the last lane takes the
+/// reference itself, so a batch of one copies nothing. `reference` is
+/// the state the shots start from. Every lane runs
+/// the per-instruction body ([`ShotState::step`]) over the same ops in
+/// the same order with the same RNG stream whatever the grouping, so
+/// every shot is bit-identical at any batch width. Finished lanes are
+/// handed to `finish` with their lane index and record; a control stop
+/// (reference pass or any lane) returns the error, and the caller drops
+/// the whole in-flight batch.
+fn run_shot_batch(
+    bc: &Bytecode,
+    mut reference: ShotState,
+    config: &TrajectoryConfig,
     first: u64,
     count: usize,
-) -> Result<Vec<BatchLane<'a>>, QclabError> {
-    let (ops, config) = (prog.ops, prog.config);
-    debug_assert_eq!(flat.len(), ops.len());
-
-    // 1. Pure-RNG pre-scan: where does each lane leave the shared
-    //    trajectory? (A few ns per noise site — no state, no kernels.)
+    mut finish: impl FnMut(usize, ShotState, String),
+) -> Result<(), QclabError> {
+    let stream = &bc.stream;
+    // pure-RNG pre-scan: where does each lane leave the shared
+    // trajectory? (a few ns per noise site — no state, no kernels)
     let forks: Vec<LaneFork> = (0..count)
         .map(|j| {
-            scan_fork(
-                ops,
-                flat,
-                prog.start,
-                &config.noise,
-                prog.n,
-                shot_rng(config.seed, first + j as u64),
-            )
+            let rng = shot_rng(config.seed, first + j as u64);
+            scan_fork(stream, &reference, &config.noise, rng)
         })
         .collect();
-    // every fork sits at or before the first measurement/reset, so the
-    // reference pass below never has to cross one
-    let max_shared = forks.iter().map(|f| f.shared).max().unwrap_or(prog.start);
-
-    // 2. Reference pass: evolve the shared noiseless prefix once,
-    //    snapshotting lanes off at their fork points as it goes.
-    let mut reference = ShotState {
-        state: prog.initial.clone(),
-        scratch: CVec(Vec::new()),
-        n: prog.n,
-        kernel: prog.kernel,
-        watchdog: config.watchdog,
-        stats: prog.init_norm,
-        gates_since_check: prog.init_gates,
-        injected: Vec::new(),
-        noise: &config.noise,
-        map: prog.start_map.map(|m| m.to_vec()),
+    let mut order: Vec<usize> = (0..count).collect();
+    order.sort_by_key(|&j| forks[j].shared);
+    let Some((&last, rest)) = order.split_last() else {
+        return Ok(());
+    };
+    let mut run_lane = |mut lane: ShotState, j: usize| -> Result<(), QclabError> {
+        lane.noise = config.noise;
+        let (mut rng, mut record) = (forks[j].rng.clone(), String::new());
+        let mut ticker = config.control.ticker();
+        lane.advance(stream, bc.ops, &mut rng, &mut record, &mut ticker)?;
+        lane.final_check();
+        finish(j, lane, record);
+        Ok(())
     };
     let mut ticker = config.control.ticker();
-    let mut lanes: Vec<Option<BatchLane<'a>>> = (0..count).map(|_| None).collect();
-    fork_lanes(&mut lanes, &forks, prog.start, &reference, config);
-    for idx in prog.start..max_shared {
-        match (&ops[idx], &flat[idx]) {
-            (ProgramOp::Gate(_), bytecode::FlatInstr::Gate { pre, .. }) => {
-                reference.apply_pre(pre);
-            }
-            (ProgramOp::Fence(_), _) => {}
-            (ProgramOp::Permute { perm, map }, _) => {
-                kernel::permute_state(&mut reference.state, reference.n, perm, false);
-                reference.map = if map.iter().enumerate().all(|(q, &p)| q == p) {
-                    None
-                } else {
-                    Some(map.clone())
-                };
-            }
-            (ProgramOp::Measure(_) | ProgramOp::Reset(_), _) => {
-                unreachable!("reference pass crossed a measurement/reset")
-            }
-            (ProgramOp::Gate(_), bytecode::FlatInstr::Other) => {
-                unreachable!("flat bytecode out of lockstep with the op schedule")
-            }
-        }
-        ticker.tick()?;
-        fork_lanes(&mut lanes, &forks, idx + 1, &reference, config);
+    for &j in rest {
+        reference.advance_shared(stream, forks[j].shared, &mut ticker)?;
+        run_lane(reference.clone(), j)?;
     }
-
-    // 3. Per-lane suffix: finish each shot serially from its fork.
-    let mut out = Vec::with_capacity(count);
-    for (lane, f) in lanes.into_iter().zip(&forks) {
-        let mut l = lane.expect("every lane forks at or before the schedule end");
-        if let Some(idx) = f.noise_at {
-            // the reference applied the gate at `idx`; the lane owes
-            // that op's noise draws (its RNG is parked right before
-            // them, so it redraws exactly what the scan saw)
-            let bytecode::FlatInstr::Gate { touched, .. } = &flat[idx] else {
-                unreachable!("flat bytecode out of lockstep with the op schedule")
-            };
-            l.s.gate_noise(touched, idx, &mut l.rng);
-            l.ticker.tick()?;
-        }
-        for idx in f.shared..ops.len() {
-            match (&ops[idx], &flat[idx]) {
-                (ProgramOp::Gate(_), bytecode::FlatInstr::Gate { pre, touched }) => {
-                    l.s.apply_pre(pre);
-                    if !l.s.noise.is_noiseless() {
-                        l.s.gate_noise(touched, idx, &mut l.rng);
-                    }
-                }
-                (ProgramOp::Fence(_), _) => {}
-                (ProgramOp::Permute { perm, map }, _) => {
-                    kernel::permute_state(&mut l.s.state, l.s.n, perm, false);
-                    l.s.map = if map.iter().enumerate().all(|(q, &p)| q == p) {
-                        None
-                    } else {
-                        Some(map.clone())
-                    };
-                }
-                (ProgramOp::Measure(m), _) => {
-                    if let Some(ch) = l.s.noise.before_measure {
-                        l.s.inject(&ch, m.qubit(), idx, &mut l.rng);
-                    }
-                    let bit = l.s.sample_measurement(m, &mut l.rng);
-                    l.record.push(if bit == 0 { '0' } else { '1' });
-                }
-                (ProgramOp::Reset(q), _) => {
-                    if let Some(ch) = l.s.noise.before_measure {
-                        l.s.inject(&ch, *q, idx, &mut l.rng);
-                    }
-                    let bit = l.s.sample_z(*q, &mut l.rng);
-                    if bit == 1 {
-                        let pq = l.s.physical(*q);
-                        l.s.apply(&Gate::PauliX(pq));
-                    }
-                }
-                (ProgramOp::Gate(_), bytecode::FlatInstr::Other) => {
-                    unreachable!("flat bytecode out of lockstep with the op schedule")
-                }
-            }
-            l.ticker.tick()?;
-        }
-        if l.s.watchdog.check_every > 0 && l.s.gates_since_check > 0 {
-            l.s.check_norm();
-        }
-        out.push(l);
-    }
-    Ok(out)
-}
-
-/// Hands the closure a per-thread `(state, scratch)` buffer pair when
-/// `reuse` is set (the arena: allocated once per thread, reused by every
-/// subsequent shot on that thread), or fresh empty buffers otherwise.
-fn with_shot_buffers<R>(reuse: bool, f: impl FnOnce(&mut CVec, &mut CVec) -> R) -> R {
-    thread_local! {
-        static BUFFERS: RefCell<(CVec, CVec)> =
-            const { RefCell::new((CVec(Vec::new()), CVec(Vec::new()))) };
-    }
-    if reuse {
-        BUFFERS.with(|b| {
-            let mut b = b.borrow_mut();
-            let (state, scratch) = &mut *b;
-            f(state, scratch)
-        })
-    } else {
-        let mut state = CVec(Vec::new());
-        let mut scratch = CVec(Vec::new());
-        f(&mut state, &mut scratch)
-    }
+    reference.advance_shared(stream, forks[last].shared, &mut ticker)?;
+    run_lane(reference, last)
 }
 
 /// The kernel configuration a shot actually runs with: when shots are
@@ -1185,99 +1042,22 @@ fn shot_kernel_config(config: &TrajectoryConfig) -> KernelConfig {
     }
 }
 
-/// Evolves the deterministic prefix (`ops[..prefix]` — gates, fences and
-/// layout permutations only, by construction of
-/// [`crate::program::ShotPlan`]) once from `initial`, with full watchdog
-/// bookkeeping. Dispatches the plan's cached bytecode stream — prepared
-/// operands, cache-blocked windows — whenever the kernel configuration
-/// is [`bytecode::eligible`], and walks the op schedule through the
-/// per-gate interpreter otherwise; both run the same kernels on the same
-/// operands in the same order, so the state and the watchdog statistics
-/// are `==`. Returns the evolved state plus the watchdog carry
-/// `(stats, gates_since_check)` that forked shots must resume from so
-/// their statistics match the unforked engine exactly. `final_check`
-/// additionally performs the end-of-shot norm check (used by the alias
-/// path, where no per-shot epilogue runs).
+/// Evolves the deterministic prefix (the first `prefix` ops — gates,
+/// fences and layout permutations only, by construction of
+/// [`crate::program::ShotPlan`]) once from `initial`, on the plan's
+/// cached stream with full watchdog bookkeeping. The returned state
+/// carries the cursor, watchdog counters and layout forked shots resume
+/// from.
 fn evolve_prefix(
-    program: &CompiledProgram,
+    bc: &Bytecode,
     prefix: usize,
-    initial: &CVec,
-    n: usize,
+    initial: CVec,
     config: &TrajectoryConfig,
     kernel: KernelConfig,
-    final_check: bool,
-) -> Result<(CVec, NormStats, usize), QclabError> {
-    let noise = NoiseSpec::default();
-    let mut s = ShotState {
-        state: initial.clone(),
-        scratch: CVec(Vec::new()),
-        n,
-        kernel,
-        watchdog: config.watchdog,
-        stats: NormStats::default(),
-        gates_since_check: 0,
-        injected: Vec::new(),
-        noise: &noise,
-        map: None,
-    };
-    let mut ticker = config.control.ticker();
-    let ops = program.ops();
-    // the layout the prefix ends in is published as
-    // `CompiledProgram::prefix_map`; forked shots resume their tracking
-    // from there
-    let parallel = kernel.allow_parallel && n >= kernel::PARALLEL_THRESHOLD_QUBITS;
-    if bytecode::eligible(&kernel) {
-        let bc = program.bytecode();
-        let mut done = 0;
-        // a window never straddles the end of the prefix: it holds gates
-        // only, and the prefix ends at the first Measure/Reset or at the
-        // end of the schedule
-        for instr in &bc.stream {
-            if done == prefix {
-                break;
-            }
-            let ops_in = match instr {
-                bytecode::Instr::Gate(pre) => {
-                    s.apply_pre(pre);
-                    1
-                }
-                bytecode::Instr::Window { tiles, count } => {
-                    s.apply_window(tiles);
-                    *count
-                }
-                bytecode::Instr::Fence => 1,
-                bytecode::Instr::Permute { op } => {
-                    let ProgramOp::Permute { perm, .. } = &ops[*op] else {
-                        unreachable!()
-                    };
-                    kernel::permute_state(&mut s.state, n, perm, parallel);
-                    1
-                }
-                // the classifier ends the prefix at the first Measure/Reset
-                bytecode::Instr::Measure { .. } | bytecode::Instr::Reset { .. } => unreachable!(),
-            };
-            ticker.tick_n(ops_in)?;
-            done += ops_in;
-        }
-        debug_assert_eq!(done, prefix);
-    } else {
-        for op in &ops[..prefix] {
-            match op {
-                ProgramOp::Gate(g) => s.apply(g),
-                ProgramOp::Fence(_) => {}
-                ProgramOp::Permute { perm, .. } => {
-                    kernel::permute_state(&mut s.state, n, perm, parallel)
-                }
-                ProgramOp::Measure(_) | ProgramOp::Reset(_) => unreachable!(),
-            }
-            ticker.tick()?;
-        }
-    }
-    if final_check && s.watchdog.check_every > 0 && s.gates_since_check > 0 {
-        s.check_norm();
-    }
-    let (stats, gates) = (s.stats, s.gates_since_check);
-    Ok((s.state, stats, gates))
+) -> Result<ShotState, QclabError> {
+    let mut s = ShotState::new(initial, bc.n(), kernel, config.watchdog);
+    s.advance_shared(&bc.stream, prefix, &mut config.control.ticker())?;
+    Ok(s)
 }
 
 /// A partial [`TrajectoryResult`] for a run stopped before any shot
@@ -1350,65 +1130,60 @@ fn marginal(state: &[C64], measured: &[usize], n: usize) -> Vec<f64> {
     probs
 }
 
+/// The `V†` rotations that bring each non-Z terminal measurement of
+/// `program` into the computational basis. The measured qubits are
+/// pairwise distinct, so the rotations commute and the Z-basis joint
+/// marginal of the rotated state is exactly the joint outcome
+/// distribution of the sequential per-shot measurements.
+fn basis_rotations(program: &CompiledProgram) -> impl Iterator<Item = Gate> + '_ {
+    program.ops()[program.shot_plan().prefix_ops..]
+        .iter()
+        .filter_map(|op| match op {
+            ProgramOp::Measure(m) if !matches!(m.basis(), Basis::Z) => Some(Gate::Custom {
+                name: "V†".into(),
+                qubits: vec![m.qubit()],
+                matrix: m.basis().change_matrix().dagger(),
+            }),
+            _ => None,
+        })
+}
+
 /// Builds the terminal-measurement fast-path preparation: the program
 /// is a unitary prefix followed only by measurements of
 /// pairwise-distinct qubits (plus fences), and the run is noiseless
 /// with no observables. Evolves the state once, rotates each measured
 /// qubit into its measurement basis and builds the exact joint marginal
-/// over the measured qubits. `Ok(Err(cause))` means the one-time
-/// evolution was stopped before any shot existed.
+/// over the measured qubits.
 fn alias_prep(
     program: &CompiledProgram,
-    initial: &CVec,
-    n: usize,
+    initial: CVec,
     config: &TrajectoryConfig,
-) -> Result<Result<SampledPrep, StopCause>, QclabError> {
+) -> Result<Prepared, QclabError> {
     let plan = program.shot_plan();
-    let ops = program.ops();
+    let n = program.nb_qubits();
+    let path = ShotPath::AliasSampled {
+        prefix_ops: plan.prefix_ops,
+    };
     // one-time evolution: no per-shot RNG stream to stay compatible
     // with, so the parallel kernels are allowed here
-    let (mut state, norm, _) = match evolve_prefix(
-        program,
-        plan.prefix_ops,
-        initial,
-        n,
-        config,
-        config.kernel,
-        true,
-    ) {
-        Ok(v) => v,
-        Err(e) => return Ok(Err(stop_or_err(e)?)),
+    let bc = program.bytecode();
+    let mut s = match evolve_prefix(&bc, plan.prefix_ops, initial, config, config.kernel) {
+        Ok(s) => s,
+        Err(e) => return Ok(Prepared::Stopped(stop_or_err(e)?, path)),
     };
-    // rotate every non-Z measured qubit into its basis; the suffix
-    // qubits are pairwise distinct, so the rotations commute and the
-    // Z-basis joint marginal below is exactly the joint outcome
-    // distribution of the sequential per-shot measurements
-    for op in &ops[plan.prefix_ops..] {
-        if let ProgramOp::Measure(m) = op {
-            if !matches!(m.basis(), Basis::Z) {
-                let v = m.basis().change_matrix();
-                let vdg = Gate::Custom {
-                    name: "V†".into(),
-                    qubits: vec![m.qubit()],
-                    matrix: v.dagger(),
-                };
-                kernel::apply_gate_with(&vdg, &mut state, n, &config.kernel);
-            }
-        }
+    // no per-shot epilogue runs on this path: the end-of-shot check
+    // happens here, once
+    s.final_check();
+    for vdg in basis_rotations(program) {
+        kernel::apply_gate_with(&vdg, &mut s.state, n, &config.kernel);
     }
     let measured = &plan.measured_qubits;
-    let m = measured.len();
-    let probs = marginal(&state, measured, n);
-    let sampler = DiscreteSampler::new(&probs)
-        .expect("marginal of a normalized state is a valid distribution");
-    Ok(Ok(SampledPrep {
+    Ok(Prepared::Sampled(SampledPrep {
         outcomes: None,
-        sampler,
-        m,
-        norm,
-        path: ShotPath::AliasSampled {
-            prefix_ops: plan.prefix_ops,
-        },
+        sampler: DiscreteSampler::new(&marginal(&s.state, measured, n))?,
+        m: measured.len(),
+        norm: s.stats,
+        path,
     }))
 }
 
@@ -1419,20 +1194,22 @@ fn alias_prep(
 /// 30+ qubit low-entanglement programs sample in support-sized memory.
 fn sparse_prep(
     program: &CompiledProgram,
-    n: usize,
     config: &TrajectoryConfig,
-) -> Result<Result<SampledPrep, StopCause>, QclabError> {
+) -> Result<Prepared, QclabError> {
+    let n = program.nb_qubits();
     config.noise.validate()?;
     config.limits.check_sparse_register(n)?;
     let plan = program.shot_plan();
-    let ops = program.ops();
+    let path = ShotPath::SparseSampled {
+        prefix_ops: plan.prefix_ops,
+    };
     let sopts = sparse::SparseOptions {
         limits: config.limits,
         ..sparse::SparseOptions::default()
     };
     let mut state = sparse::SparseState::basis_state(n, 0);
     let mut ticker = config.control.ticker();
-    for op in &ops[..plan.prefix_ops] {
+    for op in &program.ops()[..plan.prefix_ops] {
         match op {
             ProgramOp::Gate(g) => {
                 state.apply_gate(g, sopts.prune_eps);
@@ -1442,31 +1219,21 @@ fn sparse_prep(
             // sparse-tagged plans never emit layout permutes, but a
             // caller handing in a dense plan still gets correct results
             ProgramOp::Permute { perm, .. } => state.permute(perm),
+            // invariant: `ShotPlan::classify` ends the prefix at the
+            // first measurement or reset
             ProgramOp::Measure(_) | ProgramOp::Reset(_) => {
                 unreachable!("measurement inside a shot-plan prefix")
             }
         }
         if let Err(e) = ticker.tick() {
             // stopped before any shot existed
-            return Ok(Err(stop_or_err(e)?));
+            return Ok(Prepared::Stopped(stop_or_err(e)?, path));
         }
     }
-    // rotate non-Z measured qubits into their bases, as in the dense path
-    for op in &ops[plan.prefix_ops..] {
-        if let ProgramOp::Measure(m) = op {
-            if !matches!(m.basis(), Basis::Z) {
-                let v = m.basis().change_matrix();
-                let vdg = Gate::Custom {
-                    name: "V†".into(),
-                    qubits: vec![m.qubit()],
-                    matrix: v.dagger(),
-                };
-                state.apply_gate(&vdg, sopts.prune_eps);
-            }
-        }
+    for vdg in basis_rotations(program) {
+        state.apply_gate(&vdg, sopts.prune_eps);
     }
     let measured = &plan.measured_qubits;
-    let m = measured.len();
     // joint marginal over the live support; BTreeMap gives the sampler a
     // deterministic outcome order independent of hashmap iteration
     let mut marginal: BTreeMap<usize, f64> = BTreeMap::new();
@@ -1475,18 +1242,13 @@ fn sparse_prep(
             .entry(bits::gather_bits(i, measured, n))
             .or_insert(0.0) += amp.norm_sqr();
     }
-    let outcomes: Vec<usize> = marginal.keys().copied().collect();
     let weights: Vec<f64> = marginal.values().copied().collect();
-    let sampler = DiscreteSampler::new(&weights)
-        .expect("marginal of a normalized state is a valid distribution");
-    Ok(Ok(SampledPrep {
-        outcomes: Some(outcomes),
-        sampler,
-        m,
+    Ok(Prepared::Sampled(SampledPrep {
+        outcomes: Some(marginal.into_keys().collect()),
+        sampler: DiscreteSampler::new(&weights)?,
+        m: measured.len(),
         norm: NormStats::default(),
-        path: ShotPath::SparseSampled {
-            prefix_ops: plan.prefix_ops,
-        },
+        path,
     }))
 }
 
@@ -1546,108 +1308,47 @@ fn draw_sampled(
     })
 }
 
-/// Terminal-measurement fast path: prep once, draw `config.shots` shots
-/// — `O(2^n · gates + shots)` total instead of `O(shots · 2^n · gates)`.
-fn run_alias_sampled(
-    program: &CompiledProgram,
-    initial: &CVec,
-    n: usize,
-    config: &TrajectoryConfig,
-) -> Result<TrajectoryResult, QclabError> {
-    match alias_prep(program, initial, n, config)? {
-        Ok(prep) => draw_sampled(&prep, n, config),
-        // stopped before any shot existed: empty partial result
-        Err(cause) => Ok(partial_empty(
-            n,
-            config,
-            cause,
-            ShotPath::AliasSampled {
-                prefix_ops: program.shot_plan().prefix_ops,
-            },
-        )),
-    }
+/// The seed-independent half of a run — everything [`prepare`] decides
+/// and pays once, whether one request or a coalesced group then draws
+/// shots from it.
+enum Prepared {
+    /// Sparse- or alias-sampled: shots are draws from a marginal.
+    Sampled(SampledPrep),
+    /// Pauli-frame engine over the plan's cached frame stream.
+    Frames(Arc<CompiledProgram>, Arc<frame::FrameProgram>),
+    /// Forked or per-shot state-vector ensemble.
+    Shots(ShotProgram),
+    /// The one-time preparation was stopped before any shot existed.
+    Stopped(StopCause, ShotPath),
 }
 
-/// Sparse variant of the terminal-measurement fast path (see
-/// [`sparse_prep`]); the shots draw from the same per-shot
-/// `(seed, shot)` RNG streams as [`run_alias_sampled`].
-fn run_sparse_sampled(
-    program: &CompiledProgram,
-    n: usize,
-    config: &TrajectoryConfig,
-) -> Result<TrajectoryResult, QclabError> {
-    match sparse_prep(program, n, config)? {
-        Ok(prep) => draw_sampled(&prep, n, config),
-        // stopped before any shot existed: empty partial result
-        Err(cause) => Ok(partial_empty(
-            n,
-            config,
-            cause,
-            ShotPath::SparseSampled {
-                prefix_ops: program.shot_plan().prefix_ops,
-            },
-        )),
-    }
-}
-
-/// Runs a single trajectory (shot index `shot`) and returns its final
-/// state, measurement record and injected errors. Deterministic in
-/// `(config.seed, shot)`.
-pub fn run_single_trajectory(
+/// Routes a run — sparse → frames → alias → fork/per-shot — and performs
+/// its one-time preparation under `base` (whose seed and shot count are
+/// never consulted). `initial: None` starts from `|0…0⟩` and considers
+/// every engine; an explicit initial state pins the dense ones.
+fn prepare(
     circuit: &QCircuit,
-    initial: &CVec,
-    config: &TrajectoryConfig,
-    shot: u64,
-) -> Result<Trajectory, QclabError> {
+    initial: Option<&CVec>,
+    base: &TrajectoryConfig,
+) -> Result<Prepared, QclabError> {
     let n = circuit.nb_qubits();
-    validate(circuit, initial, config)?;
-    let program = circuit.compile_with(&plan_options(config));
-    // local buffers: the final state is moved into the returned
-    // `Trajectory`, so the arena would gain nothing here
-    let mut state = CVec(Vec::new());
-    let mut scratch = CVec(Vec::new());
-    let prog = ShotProgram {
-        ops: program.ops(),
-        initial,
-        n,
-        config,
-        kernel: config.kernel,
-        start: 0,
-        init_norm: NormStats::default(),
-        init_gates: 0,
-        start_map: None,
+    let sampleable = |program: &CompiledProgram| {
+        base.fast_path
+            && base.noise.is_noiseless()
+            && program.shot_plan().terminal_measurements
+            && base.observables.is_empty()
     };
-    let (record, injected, norm) = run_shot_in(&prog, shot, &mut state, &mut scratch)?;
-    Ok(Trajectory {
-        state,
-        record,
-        injected,
-        norm,
-    })
-}
-
-/// Samples `config.shots` trajectories of `circuit` from `|0…0⟩` and
-/// aggregates counts, expectations and watchdog statistics.
-pub fn run_trajectories(
-    circuit: &QCircuit,
-    config: &TrajectoryConfig,
-) -> Result<TrajectoryResult, QclabError> {
-    let n = circuit.nb_qubits();
     // Backend routing happens before the dense `|0…0⟩` guard/allocation,
     // so sparse-eligible wide registers are not refused on the dense
     // byte estimate.
-    if config.backend != BackendRequest::Dense {
+    if initial.is_none() && base.backend != BackendRequest::Dense {
         let program = circuit.compile_with(&PlanOptions::sparse());
-        let choice = program::resolve_backend(config.backend, program.stats(), n, &config.limits)?;
+        let choice = program::resolve_backend(base.backend, program.stats(), n, &base.limits)?;
         if let BackendChoice::Sparse { .. } = choice {
-            let prefix_sampleable = config.fast_path
-                && config.noise.is_noiseless()
-                && program.shot_plan().terminal_measurements
-                && config.observables.is_empty();
-            if prefix_sampleable {
-                return run_sparse_sampled(&program, n, config);
+            if sampleable(&program) {
+                return sparse_prep(&program, base);
             }
-            if config.backend == BackendRequest::Sparse {
+            if base.backend == BackendRequest::Sparse {
                 return Err(QclabError::Unavailable(
                     "sparse trajectory execution covers noiseless terminal-measurement \
                      programs (prefix sampling) only — run with the dense or auto backend"
@@ -1659,119 +1360,100 @@ pub fn run_trajectories(
             // whose own guard decides admission.
         }
     }
+    // lowers once (plan-cached); every shot executes the same program
+    let compile = || circuit.compile_with(&plan_options(base));
     // Pauli-frame routing: a noisy Clifford+Pauli sampling run (no
     // observables) propagates only per-shot error frames over one
     // reference tableau run — O(poly n) per shot, admitted by the
     // frame guard instead of the dense 2^n estimate, so 100+ qubit
     // Clifford workloads run where every state-vector backend refuses.
-    // Noiseless runs keep the exact alias/fork/sparse paths above.
-    if config.frames && !config.noise.is_noiseless() && config.observables.is_empty() {
-        let program = circuit.compile_with(&plan_options(config));
-        if let Some(fp) = program.frame_program() {
-            let run = frame::run_frames(&program, &fp, config)?;
-            return Ok(TrajectoryResult {
-                nb_qubits: n,
-                shots: run.shots,
-                requested_shots: config.shots,
-                counts: run.counts,
-                injected_errors: run.injected,
-                expectations: Vec::new(),
-                norm: NormStats::default(),
-                path: ShotPath::PauliFrame,
-                stopped: run.stopped,
-                batch: run.batch,
-            });
+    // Noiseless runs keep the exact alias/fork/sparse paths.
+    if initial.is_none() && base.frames && !base.noise.is_noiseless() && base.observables.is_empty()
+    {
+        let program = compile();
+        if let Some(frames) = program.frame_program() {
+            return Ok(Prepared::Frames(program, frames));
         }
     }
-    let dim = config.limits.check_register(n)?;
-    run_trajectories_from(circuit, &CVec::basis_state(dim, 0), config)
-}
-
-/// [`run_trajectories`] from an explicit initial state.
-pub fn run_trajectories_from(
-    circuit: &QCircuit,
-    initial: &CVec,
-    config: &TrajectoryConfig,
-) -> Result<TrajectoryResult, QclabError> {
-    let n = circuit.nb_qubits();
-    validate(circuit, initial, config)?;
-    // lower once (plan-cached); every shot executes the same program
-    let program = circuit.compile_with(&plan_options(config));
-    let plan = program.shot_plan();
+    let initial = match initial {
+        Some(v) => Cow::Borrowed(v),
+        None => Cow::Owned(CVec::basis_state(base.limits.check_register(n)?, 0)),
+    };
+    validate(circuit, &initial, base)?;
+    let initial = initial.into_owned();
+    let program = compile();
 
     // Terminal-measurement fast path: pure unitary + terminal
     // measurements, noiseless, no observables — evolve once, sample the
     // exact marginal.
-    if config.fast_path
-        && config.noise.is_noiseless()
-        && plan.terminal_measurements
-        && config.observables.is_empty()
-    {
-        return run_alias_sampled(&program, initial, n, config);
+    if sampleable(&program) {
+        return alias_prep(&program, initial, base);
     }
 
     // Deterministic-prefix forking: without gate/idle noise the prefix
     // consumes no RNG draws and injects no errors, so evolving it once
     // and forking each shot from the snapshot preserves the per-shot
     // (seed, shot) streams — and therefore the results — bit for bit.
-    let gate_noise = config.noise.after_gate.is_some() || config.noise.idle.is_some();
-    let prefix_ops = if config.fast_path && !gate_noise {
-        plan.prefix_ops
+    let prefix_ops = if base.fast_path && !base.noise.strikes_gates() {
+        program.shot_plan().prefix_ops
     } else {
         0
     };
-    let kernel = shot_kernel_config(config);
     let path = if prefix_ops > 0 {
         ShotPath::Forked { prefix_ops }
     } else {
         ShotPath::PerShot
     };
-    let snapshot;
-    let (start_state, init_norm, init_gates) = if prefix_ops > 0 {
-        // same kernel config as the shots themselves, so the snapshot is
-        // bit-identical to what each unforked shot would have computed
-        let (state, stats, gates) =
-            match evolve_prefix(&program, prefix_ops, initial, n, config, kernel, false) {
-                Ok(v) => v,
-                // stopped during the one-time prefix: no shot completed
-                Err(e) => return Ok(partial_empty(n, config, stop_or_err(e)?, path)),
-            };
-        snapshot = state;
-        (&snapshot, stats, gates)
-    } else {
-        (initial, NormStats::default(), 0)
+    // the prefix runs under the kernel config of the shots themselves,
+    // so the snapshot is bit-identical to what each unforked shot would
+    // have computed
+    let bc = program.bytecode();
+    let start = match evolve_prefix(&bc, prefix_ops, initial, base, shot_kernel_config(base)) {
+        Ok(s) => s,
+        // stopped during the one-time prefix: no shot completed
+        Err(e) => return Ok(Prepared::Stopped(stop_or_err(e)?, path)),
     };
-    let prog = ShotProgram {
-        ops: program.ops(),
-        initial: start_state,
-        n,
-        config,
-        kernel,
-        start: prefix_ops,
-        init_norm,
-        init_gates,
-        // the snapshot is stored in the prefix-end layout; each forked
-        // shot resumes the permutation tracking from it
-        start_map: if prefix_ops > 0 {
-            program.prefix_map()
-        } else {
-            None
-        },
-    };
-    run_ensemble(&program, &prog, path)
+    // the layout the stream left the snapshot in is the one lowering
+    // published for the end of the prefix
+    debug_assert!(prefix_ops == 0 || start.map.as_deref() == program.prefix_map());
+    Ok(Prepared::Shots(ShotProgram { bc, start, path }))
+}
+
+impl Prepared {
+    /// Samples one request — `config` is the base configuration with
+    /// that request's seed, shot count and control — from the shared
+    /// preparation.
+    fn run(&self, n: usize, config: &TrajectoryConfig) -> Result<TrajectoryResult, QclabError> {
+        match self {
+            Prepared::Sampled(prep) => draw_sampled(prep, n, config),
+            Prepared::Frames(program, frames) => {
+                let run = frame::run_frames(program, frames, config)?;
+                Ok(TrajectoryResult {
+                    nb_qubits: n,
+                    shots: run.shots,
+                    requested_shots: config.shots,
+                    counts: run.counts,
+                    injected_errors: run.injected,
+                    expectations: Vec::new(),
+                    norm: NormStats::default(),
+                    path: ShotPath::PauliFrame,
+                    stopped: run.stopped,
+                    batch: run.batch,
+                })
+            }
+            Prepared::Shots(prog) => run_ensemble(prog, config),
+            Prepared::Stopped(cause, path) => Ok(partial_empty(n, config, *cause, *path)),
+        }
+    }
 }
 
 /// Executes one shot ensemble over a prepared [`ShotProgram`]: the
-/// parallel/batched fan-out, stop-latch bookkeeping and result
-/// aggregation shared by [`run_trajectories_from`] and the coalesced
-/// [`run_trajectories_grouped`] fork path. The run configuration
-/// (shots, seed, control, …) is `prog.config`'s.
+/// batched fan-out, stop-latch bookkeeping and result aggregation.
 fn run_ensemble(
-    program: &CompiledProgram,
-    prog: &ShotProgram<'_>,
-    path: ShotPath,
+    prog: &ShotProgram,
+    config: &TrajectoryConfig,
 ) -> Result<TrajectoryResult, QclabError> {
-    let (n, config, kernel) = (prog.n, prog.config, prog.kernel);
+    let n = prog.start.n;
     /// Per-shot summary kept after the state is dropped.
     struct ShotSummary {
         record: String,
@@ -1780,107 +1462,74 @@ fn run_ensemble(
         norm: NormStats,
     }
 
-    // Shared stop latch: the first shot to observe a cancel/deadline
-    // (or hit an injected fault) trips it; every shot's prologue checks
-    // the latch — and probes the control directly, so short shots that
-    // never reach a ticker check still stop between shots — and returns
-    // `None`, leaving its slot empty. Completed slots are unaffected:
-    // each shot's RNG stream depends only on (seed, shot index).
-    let latch = StopLatch::new();
-    let control = &config.control;
-    let summarize = |shot: u64| -> Option<ShotSummary> {
-        if latch.is_tripped() {
-            return None;
-        }
-        if let Some(cause) = control.probe() {
-            latch.trip(cause.into_error(crate::error::ExecProgress::default()));
-            return None;
-        }
-        with_shot_buffers(config.reuse_buffers, |state, scratch| {
-            match run_shot_in(prog, shot, state, scratch) {
-                Ok((record, injected, norm)) => Some(ShotSummary {
-                    // expectations read the final state straight out of
-                    // the arena — no per-shot copy
-                    expectations: config
-                        .observables
-                        .iter()
-                        .map(|o| o.expectation(state))
-                        .collect(),
-                    record,
-                    injected: injected.len() as u64,
-                    norm,
-                }),
-                Err(e) => {
-                    latch.trip(e);
-                    None
-                }
-            }
-        })
-    };
-
     let shots = config.shots;
-    // Shot-batched bytecode dispatch: when the plan's bytecode can serve
-    // this kernel config, push batches of lane states through one
-    // instruction stream (a batch is also the parallel work unit).
-    // Per-shot RNG streams make results independent of the grouping, so
-    // any batch width — including the serial fallback — is
+    // A batch is the unit of shared evolution and of the parallel
+    // fan-out; serial execution is the batch of one. Per-shot RNG
+    // streams make results independent of the grouping, so any width is
     // bit-identical.
-    let batch = if config.shot_batch > 1 && shots > 1 && bytecode::eligible(&kernel) {
+    let batch = if config.shot_batch > 1 && shots > 1 {
         effective_batch(config.shot_batch, n)
     } else {
         1
     };
+    // Shared stop latch: the first batch to observe a cancel/deadline
+    // (or hit an injected fault) trips it; every batch's prologue checks
+    // the latch — and probes the control directly, so short shots that
+    // never reach a ticker check still stop between batches — and
+    // returns, leaving its slots empty. Completed slots are unaffected:
+    // each shot's RNG stream depends only on (seed, shot index).
+    let latch = StopLatch::new();
+    let run_batch = |first: usize, chunk: &mut [Option<ShotSummary>]| {
+        if latch.is_tripped() {
+            return;
+        }
+        if let Some(cause) = config.control.probe() {
+            latch.trip(cause.into_error(crate::error::ExecProgress::default()));
+            return;
+        }
+        let mut done = Vec::with_capacity(chunk.len());
+        let summarize = |lane: usize, s: ShotState, record: String| {
+            let summary = ShotSummary {
+                expectations: config
+                    .observables
+                    .iter()
+                    .map(|o| o.expectation(&s.state))
+                    .collect(),
+                record,
+                injected: s.injected.len() as u64,
+                norm: s.stats,
+            };
+            done.push((lane, summary));
+        };
+        let start = prog.start.clone();
+        match run_shot_batch(
+            &prog.bc,
+            start,
+            config,
+            first as u64,
+            chunk.len(),
+            summarize,
+        ) {
+            Ok(()) => {
+                for (lane, summary) in done {
+                    chunk[lane] = Some(summary);
+                }
+            }
+            // the in-flight batch is dropped whole; batches that
+            // already completed keep their slots
+            Err(e) => latch.trip(e),
+        }
+    };
     let mut slots: Vec<Option<ShotSummary>> = Vec::new();
     slots.resize_with(shots as usize, || None);
-    if batch > 1 {
-        let bc = program.bytecode();
-        let flat = bc.flat(program);
-        let run_batch = |first: usize, chunk: &mut [Option<ShotSummary>]| {
-            if latch.is_tripped() {
-                return;
-            }
-            if let Some(cause) = control.probe() {
-                latch.trip(cause.into_error(crate::error::ExecProgress::default()));
-                return;
-            }
-            match run_shot_batch(prog, flat, first as u64, chunk.len()) {
-                Ok(lanes) => {
-                    for (slot, lane) in chunk.iter_mut().zip(lanes) {
-                        *slot = Some(ShotSummary {
-                            expectations: config
-                                .observables
-                                .iter()
-                                .map(|o| o.expectation(&lane.s.state))
-                                .collect(),
-                            record: lane.record,
-                            injected: lane.s.injected.len() as u64,
-                            norm: lane.s.stats,
-                        });
-                    }
-                }
-                // the in-flight batch is dropped whole; batches that
-                // already completed keep their slots
-                Err(e) => latch.trip(e),
-            }
-        };
-        if config.parallel && shots > 1 {
-            slots
-                .par_chunks_mut(batch)
-                .enumerate()
-                .for_each(|(bi, chunk)| run_batch(bi * batch, chunk));
-        } else {
-            for (bi, chunk) in slots.chunks_mut(batch).enumerate() {
-                run_batch(bi * batch, chunk);
-            }
-        }
-    } else if config.parallel && shots > 1 {
+    if config.parallel && shots > 1 {
         slots
-            .par_iter_mut()
+            .par_chunks_mut(batch)
             .enumerate()
-            .for_each(|(i, slot)| *slot = summarize(i as u64));
+            .for_each(|(bi, chunk)| run_batch(bi * batch, chunk));
     } else {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = summarize(i as u64);
+        for (bi, chunk) in slots.chunks_mut(batch).enumerate() {
+            run_batch(bi * batch, chunk);
         }
     }
 
@@ -1916,7 +1565,7 @@ fn run_ensemble(
         injected_errors,
         expectations,
         norm,
-        path,
+        path: prog.path,
         requested_shots: shots,
         stopped,
         batch: batch as u64,
@@ -1951,177 +1600,115 @@ impl ShotRequest {
     }
 }
 
-/// Runs several same-circuit shot requests as **one coalesced
-/// ensemble**: the deterministic, seed-independent preparation (plan
-/// lookup, prefix evolution, marginal + alias-table build, fork
-/// snapshot) is paid once for the whole group, and each request's shots
-/// are then drawn from that request's own `(seed, shot)` RNG streams.
-/// Every returned result is **bit-identical** to [`run_trajectories`]
-/// with the same `(seed, shots)` alone, because a standalone run
-/// derives all of its randomness from `(seed, shot)` pairs and the
-/// shared preparation never touches those streams.
-///
-/// `base` supplies everything but seed/shots/control (noise, kernels,
-/// limits, backend, …); results come back in request order. Paths whose
-/// preparation is not shareable (per-shot gate noise, the Pauli-frame
-/// engine) fall back to one standalone run per request — still sharing
-/// the cached plan (and, for frames, the cached frame stream) through
-/// the plan cache, which is the dedup half of the win.
-pub fn run_trajectories_grouped(
+/// Prepares once under `base`, then samples each request with its own
+/// seed, shot count and control.
+fn run_group(
     circuit: &QCircuit,
+    initial: Option<&CVec>,
     base: &TrajectoryConfig,
     requests: &[ShotRequest],
 ) -> Result<Vec<TrajectoryResult>, QclabError> {
     if requests.is_empty() {
         return Ok(Vec::new());
     }
-    let per_request = |r: &ShotRequest| TrajectoryConfig {
-        seed: r.seed,
-        shots: r.shots,
-        control: r.control.clone(),
-        ..base.clone()
-    };
-    // a singleton group is exactly a standalone run
-    if requests.len() == 1 {
-        return Ok(vec![run_trajectories(circuit, &per_request(&requests[0]))?]);
-    }
-    let n = circuit.nb_qubits();
-
-    // backend routing mirrors run_trajectories op for op, so the grouped
-    // path picks the same engine a standalone run would
-    if base.backend != BackendRequest::Dense {
-        let program = circuit.compile_with(&PlanOptions::sparse());
-        let choice = program::resolve_backend(base.backend, program.stats(), n, &base.limits)?;
-        if let BackendChoice::Sparse { .. } = choice {
-            let prefix_sampleable = base.fast_path
-                && base.noise.is_noiseless()
-                && program.shot_plan().terminal_measurements
-                && base.observables.is_empty();
-            if prefix_sampleable {
-                return match sparse_prep(&program, n, base)? {
-                    Ok(prep) => requests
-                        .iter()
-                        .map(|r| draw_sampled(&prep, n, &per_request(r)))
-                        .collect(),
-                    Err(cause) => {
-                        let path = ShotPath::SparseSampled {
-                            prefix_ops: program.shot_plan().prefix_ops,
-                        };
-                        Ok(requests
-                            .iter()
-                            .map(|r| partial_empty(n, &per_request(r), cause, path))
-                            .collect())
-                    }
-                };
-            }
-            if base.backend == BackendRequest::Sparse {
-                return Err(QclabError::Unavailable(
-                    "sparse trajectory execution covers noiseless terminal-measurement \
-                     programs (prefix sampling) only — run with the dense or auto backend"
-                        .into(),
-                ));
-            }
-            // Auto preferred sparse but the shape is not
-            // prefix-sampleable: fall through to the dense engine
-        }
-    }
-    // frame path: the frame stream is cached on the plan (shared), but
-    // the per-request reference pass is O(poly n) — no shared prep to
-    // amortize, so run each request standalone
-    if base.frames && !base.noise.is_noiseless() && base.observables.is_empty() {
-        let program = circuit.compile_with(&plan_options(base));
-        if program.frame_program().is_some() {
-            return requests
-                .iter()
-                .map(|r| run_trajectories(circuit, &per_request(r)))
-                .collect();
-        }
-    }
-    let dim = base.limits.check_register(n)?;
-    let initial = CVec::basis_state(dim, 0);
-    validate(circuit, &initial, base)?;
-    let program = circuit.compile_with(&plan_options(base));
-    let plan = program.shot_plan();
-
-    // terminal-measurement fast path: one prep, per-request draws
-    if base.fast_path
-        && base.noise.is_noiseless()
-        && plan.terminal_measurements
-        && base.observables.is_empty()
-    {
-        return match alias_prep(&program, &initial, n, base)? {
-            Ok(prep) => requests
-                .iter()
-                .map(|r| draw_sampled(&prep, n, &per_request(r)))
-                .collect(),
-            Err(cause) => {
-                let path = ShotPath::AliasSampled {
-                    prefix_ops: plan.prefix_ops,
-                };
-                Ok(requests
-                    .iter()
-                    .map(|r| partial_empty(n, &per_request(r), cause, path))
-                    .collect())
-            }
-        };
-    }
-
-    // fork path: one shared prefix snapshot, one ensemble per request —
-    // the snapshot is seed-independent, so every request's shots match
-    // the standalone fork path bit for bit
-    let gate_noise = base.noise.after_gate.is_some() || base.noise.idle.is_some();
-    let prefix_ops = if base.fast_path && !gate_noise {
-        plan.prefix_ops
-    } else {
-        0
-    };
-    let kernel = shot_kernel_config(base);
-    let path = if prefix_ops > 0 {
-        ShotPath::Forked { prefix_ops }
-    } else {
-        ShotPath::PerShot
-    };
-    let snapshot;
-    let (start_state, init_norm, init_gates) = if prefix_ops > 0 {
-        let (state, stats, gates) =
-            match evolve_prefix(&program, prefix_ops, &initial, n, base, kernel, false) {
-                Ok(v) => v,
-                // stopped during the shared prefix: nobody's shots ran
-                Err(e) => {
-                    let cause = stop_or_err(e)?;
-                    return Ok(requests
-                        .iter()
-                        .map(|r| partial_empty(n, &per_request(r), cause, path))
-                        .collect());
-                }
-            };
-        snapshot = state;
-        (&snapshot, stats, gates)
-    } else {
-        (&initial, NormStats::default(), 0)
-    };
+    let prepared = prepare(circuit, initial, base)?;
     requests
         .iter()
         .map(|r| {
-            let config = per_request(r);
-            let prog = ShotProgram {
-                ops: program.ops(),
-                initial: start_state,
-                n,
-                config: &config,
-                kernel,
-                start: prefix_ops,
-                init_norm,
-                init_gates,
-                start_map: if prefix_ops > 0 {
-                    program.prefix_map()
-                } else {
-                    None
-                },
+            let config = TrajectoryConfig {
+                seed: r.seed,
+                shots: r.shots,
+                control: r.control.clone(),
+                ..base.clone()
             };
-            run_ensemble(&program, &prog, path)
+            prepared.run(circuit.nb_qubits(), &config)
         })
         .collect()
+}
+
+/// A standalone run: the group of one whose request is `config`'s own
+/// seed, shot count and control.
+fn run_alone(
+    circuit: &QCircuit,
+    initial: Option<&CVec>,
+    config: &TrajectoryConfig,
+) -> Result<TrajectoryResult, QclabError> {
+    let request = ShotRequest {
+        seed: config.seed,
+        shots: config.shots,
+        control: config.control.clone(),
+    };
+    let mut results = run_group(circuit, initial, config, &[request])?;
+    // invariant: `run_group` returns one result per request
+    Ok(results.pop().expect("one request, one result"))
+}
+
+/// Runs several same-circuit shot requests as **one coalesced
+/// ensemble**: the deterministic, seed-independent preparation (plan
+/// lookup, routing, prefix evolution, marginal + alias-table build, fork
+/// snapshot) is paid once for the whole group, and each request's shots
+/// are then drawn from that request's own `(seed, shot)` RNG streams.
+/// Every returned result is **bit-identical** to [`run_trajectories`]
+/// with the same `(seed, shots)` alone — a standalone run *is* the group
+/// of one — because all randomness derives from `(seed, shot)` pairs and
+/// the shared preparation never touches those streams.
+///
+/// `base` supplies everything but seed/shots/control (noise, kernels,
+/// limits, backend, …); results come back in request order. Where the
+/// engine has no seed-independent state to share beyond the cached plan
+/// (per-shot gate noise, the Pauli-frame reference run), each request
+/// still runs on its own over that one plan.
+pub fn run_trajectories_grouped(
+    circuit: &QCircuit,
+    base: &TrajectoryConfig,
+    requests: &[ShotRequest],
+) -> Result<Vec<TrajectoryResult>, QclabError> {
+    run_group(circuit, None, base, requests)
+}
+
+/// Samples `config.shots` trajectories of `circuit` from `|0…0⟩` and
+/// aggregates counts, expectations and watchdog statistics.
+pub fn run_trajectories(
+    circuit: &QCircuit,
+    config: &TrajectoryConfig,
+) -> Result<TrajectoryResult, QclabError> {
+    run_alone(circuit, None, config)
+}
+
+/// [`run_trajectories`] from an explicit initial state (dense engines
+/// only).
+pub fn run_trajectories_from(
+    circuit: &QCircuit,
+    initial: &CVec,
+    config: &TrajectoryConfig,
+) -> Result<TrajectoryResult, QclabError> {
+    run_alone(circuit, Some(initial), config)
+}
+
+/// Runs a single trajectory (shot index `shot`) over the full schedule
+/// and returns its final state, measurement record and injected errors.
+/// Deterministic in `(config.seed, shot)`.
+pub fn run_single_trajectory(
+    circuit: &QCircuit,
+    initial: &CVec,
+    config: &TrajectoryConfig,
+    shot: u64,
+) -> Result<Trajectory, QclabError> {
+    validate(circuit, initial, config)?;
+    let bc = circuit.compile_with(&plan_options(config)).bytecode();
+    let start = ShotState::new(initial.clone(), bc.n(), config.kernel, config.watchdog);
+    let mut out = None;
+    run_shot_batch(&bc, start, config, shot, 1, |_, s, record| {
+        out = Some((s, record))
+    })?;
+    // invariant: a batch that returns `Ok` has finished every lane
+    let (s, record) = out.expect("a batch of one finishes one lane");
+    Ok(Trajectory {
+        state: s.state,
+        record,
+        injected: s.injected,
+        norm: s.stats,
+    })
 }
 
 #[cfg(test)]

@@ -1,33 +1,38 @@
-//! Property tests: the bytecode execution engine must be
-//! **bit-identical** to the op-schedule interpreter — not approximately
-//! equal. Both paths run [`kernel::apply_prepared`] on operands produced
-//! by the same `prepare_gate` classification, in the same op order, with
-//! the same runtime flags; the bytecode path merely moves preparation
-//! out of the hot loop. So `bytecode: true` and `bytecode: false` must
-//! agree with exact `==` on branch records, probabilities and every
-//! amplitude — over random circuits mixing mid-circuit measurements
-//! (all three bases), resets, fences and nested sub-circuits, with the
-//! locality pass on and off.
+//! Property tests: the bytecode stream — the one executable form of the
+//! dense engine — must be **bit-identical** to a per-op walk over the
+//! schedule, not approximately equal. The oracle is
+//! [`common::reference_state`]: `program.ops()` applied one gate at a
+//! time through the public per-gate kernel entry, which prepares each
+//! operand on the spot — no stream, no windows, nothing cached. Both
+//! run the same kernels on the same operands in the same order, so
+//! every amplitude must agree with exact `==`, through both consumers
+//! of the stream: the branching `simulate` and the per-shot
+//! `ShotState::step` (reached through `run_single_trajectory`), with
+//! the locality pass on and off and at any watchdog cadence — a window
+//! is cut where a check falls due, so every check sees the state the
+//! per-gate walk would have shown it.
 //!
-//! The shot-batched trajectory dispatcher gets the same treatment: each
-//! batch lane owns the per-(seed, shot) RNG stream the serial engine
-//! would use, so counts, injected-error totals, norm-watchdog stats and
-//! observable expectations must be `==` across any batch width.
+//! The oracle walks unitary programs. Random circuits keep their
+//! barriers but have measurements and resets turned into barriers for
+//! these legs; the collapse arithmetic under a permuted layout is
+//! pinned by `remap_equivalence.rs` (remap on `==` remap off) and
+//! against the Kron oracle below and in `backend_equivalence.rs`.
 //!
-//! And so does the one-time prefix of the sampled shot paths (alias and
-//! fork), which dispatches the windowed bytecode stream: counts,
-//! injected-error totals and norm-watchdog stats must be `==` to the
-//! per-gate interpreter prefix at any watchdog cadence — a window is cut
-//! where a check falls due, so every check sees the same state.
+//! The shot-batched trajectory dispatcher: each batch lane owns the
+//! per-(seed, shot) RNG stream the serial engine would use, so counts,
+//! injected-error totals, norm-watchdog stats and observable
+//! expectations must be `==` across any batch width.
 
 mod common;
 
-use common::{gate, measured_circuit};
+use common::{gate, measured_circuit, nested_circuit, reference_state};
 use proptest::prelude::*;
 use qclab::prelude::*;
+use qclab_core::program::{PlanOptions, ProgramOp};
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
-    run_trajectories, NoiseSpec, PauliChannel, ShotPath, TrajectoryConfig, WatchdogConfig,
+    run_single_trajectory, run_trajectories, NoiseSpec, PauliChannel, ShotPath, TrajectoryConfig,
+    WatchdogConfig,
 };
 use qclab_core::CircuitItem;
 use qclab_math::CVec;
@@ -46,74 +51,83 @@ fn fuzz_cases() -> u32 {
         .unwrap_or(64)
 }
 
-/// A circuit with a nested sub-circuit (random offset) spliced into the
-/// middle: the flattener relabels through the offset before lowering,
-/// and the bytecode stream must reflect the flattened schedule.
-fn nested_circuit() -> impl Strategy<Value = QCircuit> {
-    (
-        prop::collection::vec(gate(N), 0..6),
-        prop::collection::vec(gate(3), 1..6),
-        0..N - 2,
-        prop::collection::vec(gate(N), 0..6),
-    )
-        .prop_map(|(before, inner_gates, offset, after)| {
-            let mut inner = QCircuit::new(3);
-            for g in inner_gates {
-                inner.push_back(g);
-            }
-            let mut c = QCircuit::new(N);
-            for g in before {
-                c.push_back(g);
-            }
-            c.push_back(CircuitItem::SubCircuit {
-                offset,
-                circuit: inner,
-            });
-            for g in after {
-                c.push_back(g);
-            }
-            c
-        })
+fn kernel(remap: bool) -> KernelConfig {
+    KernelConfig {
+        remap,
+        ..KernelConfig::default()
+    }
 }
 
-fn opts(bytecode: bool, remap: bool) -> SimOptions {
+fn opts(remap: bool) -> SimOptions {
     SimOptions {
         backend: Backend::Kernel,
-        kernel: KernelConfig {
-            bytecode,
-            remap,
-            ..KernelConfig::default()
-        },
+        kernel: kernel(remap),
         ..SimOptions::default()
     }
 }
 
-/// Exact equality of two simulations: identical branch records,
-/// bit-identical probabilities, and `==` on every amplitude.
-fn assert_bit_identical(a: &Simulation, b: &Simulation, what: &str) {
-    assert_eq!(a.results(), b.results(), "{what}: branch records diverged");
-    assert_eq!(
-        a.probabilities(),
-        b.probabilities(),
-        "{what}: branch probabilities are not bit-identical"
-    );
-    let (sa, sb) = (a.states(), b.states());
-    assert_eq!(sa.len(), sb.len(), "{what}: branch count diverged");
-    for (bi, (x, y)) in sa.iter().zip(&sb).enumerate() {
-        for (i, (za, zb)) in x.iter().zip(y.iter()).enumerate() {
-            assert!(
-                za.re == zb.re && za.im == zb.im,
-                "{what}: branch {bi} amplitude {i} diverged: {za:?} vs {zb:?}"
-            );
-        }
+/// `c` with every measurement and reset turned into a barrier on its
+/// qubit: the unitary program the oracle can walk, fences in place.
+fn unitary_skeleton(c: &QCircuit) -> QCircuit {
+    let mut u = QCircuit::new(c.nb_qubits());
+    for item in c.items() {
+        u.push_back(match item {
+            CircuitItem::Measurement(m) => CircuitItem::Barrier(vec![m.qubit()]),
+            CircuitItem::Reset(q) => CircuitItem::Barrier(vec![*q]),
+            other => other.clone(),
+        });
+    }
+    u
+}
+
+/// `==` on every amplitude.
+fn assert_state_identical(got: &CVec, want: &CVec, what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: dimension diverged");
+    for (i, (a, b)) in got.iter().zip(want.iter()).enumerate() {
+        assert!(
+            a.re == b.re && a.im == b.im,
+            "{what}: amplitude {i} diverged: {a:?} vs {b:?}"
+        );
     }
 }
 
+/// The absolute watchdog cadence over one walk of `plan`: one check per
+/// `check_every` gates plus the end-of-shot check over a remainder.
+/// Fewer means a window swallowed a check that fell due inside it.
+fn due_checks(plan: &qclab_core::program::CompiledProgram, check_every: usize) -> u64 {
+    let gates = plan
+        .ops()
+        .iter()
+        .filter(|op| matches!(op, ProgramOp::Gate(_)))
+        .count();
+    (gates / check_every + usize::from(gates % check_every > 0)) as u64
+}
+
+/// Both consumers of the stream against the per-op oracle on the
+/// unitary skeleton of `c`: the branching executor, and the shot
+/// executor at every watchdog cadence (default tolerance, so no check
+/// ever renormalizes and the final state is comparable).
 fn run_both(c: &QCircuit, remap: bool, what: &str) {
-    let init = CVec::basis_state(1 << N, 0);
-    let byte = c.simulate_with(&init, &opts(true, remap)).unwrap();
-    let interp = c.simulate_with(&init, &opts(false, remap)).unwrap();
-    assert_bit_identical(&byte, &interp, what);
+    let u = unitary_skeleton(c);
+    let init = CVec::basis_state(1 << u.nb_qubits(), 0);
+    let plan = u.compile_with(&PlanOptions::from(&kernel(remap)));
+    let want = reference_state(&plan, &init);
+    let sim = u.simulate_with(&init, &opts(remap)).unwrap();
+    assert_state_identical(sim.states()[0], &want, &format!("{what}: simulate"));
+    for check_every in [1usize, 8, 64] {
+        let config = TrajectoryConfig {
+            kernel: kernel(remap),
+            watchdog: WatchdogConfig {
+                check_every,
+                ..WatchdogConfig::default()
+            },
+            ..TrajectoryConfig::default()
+        };
+        let shot = run_single_trajectory(&u, &init, &config, 0).unwrap();
+        let leg = format!("{what}: shot, check_every {check_every}");
+        assert_state_identical(&shot.state, &want, &leg);
+        assert_eq!(shot.norm.checks, due_checks(&plan, check_every), "{leg}");
+    }
 }
 
 /// A noisy trajectory configuration forced onto the per-shot engine
@@ -138,19 +152,14 @@ fn shot_config(seed: u64, shots: u64, batch: usize) -> TrajectoryConfig {
     }
 }
 
-/// A noiseless run (so the alias and fork paths engage) with the
-/// prefix on the bytecode stream or on the interpreter. The zero
-/// tolerance makes every check with any drift renormalize, so the
-/// watchdog statistics are sensitive to the last bit of the state.
-fn prefix_config(seed: u64, bytecode: bool, remap: bool, check_every: usize) -> TrajectoryConfig {
+/// A noiseless run (so the alias and fork paths engage). The zero
+/// tolerance makes every check with any drift renormalize, so counts
+/// and watchdog statistics are sensitive to where the checks fall.
+fn prefix_config(seed: u64, remap: bool, check_every: usize) -> TrajectoryConfig {
     TrajectoryConfig {
         seed,
         shots: 24,
-        kernel: KernelConfig {
-            bytecode,
-            remap,
-            ..KernelConfig::default()
-        },
+        kernel: kernel(remap),
         watchdog: WatchdogConfig {
             check_every,
             tol: 0.0,
@@ -159,29 +168,42 @@ fn prefix_config(seed: u64, bytecode: bool, remap: bool, check_every: usize) -> 
     }
 }
 
-/// Bytecode prefix vs interpreter prefix at every watchdog cadence, with
-/// the locality pass on and off; returns the path taken.
+/// The one-time prefix of the sampled paths at every watchdog cadence,
+/// locality pass on and off. The fork path must reproduce the plain
+/// per-shot engine (`fast_path` off: every shot walks the whole
+/// schedule itself) exactly — counts, injected errors, watchdog
+/// statistics. The alias path's draws differ from it by design; its one
+/// walk of the prefix must perform exactly the checks that fall due.
+/// Returns the path taken.
 fn assert_prefix_bit_identical(c: &QCircuit, seed: u64) -> ShotPath {
     let mut path = ShotPath::PerShot;
     for remap in [true, false] {
         for check_every in [1usize, 8, 64] {
-            let byte = run_trajectories(c, &prefix_config(seed, true, remap, check_every)).unwrap();
-            let interp =
-                run_trajectories(c, &prefix_config(seed, false, remap, check_every)).unwrap();
+            let config = prefix_config(seed, remap, check_every);
+            let fast = run_trajectories(c, &config).unwrap();
             let what = format!("remap {remap}, check_every {check_every}");
-            assert_eq!(byte.path(), interp.path(), "path @ {what}");
-            assert_eq!(byte.counts(), interp.counts(), "counts @ {what}");
-            assert_eq!(
-                byte.injected_errors(),
-                interp.injected_errors(),
-                "injected errors @ {what}"
-            );
-            assert_eq!(
-                byte.norm_stats(),
-                interp.norm_stats(),
-                "norm stats @ {what}"
-            );
-            path = byte.path();
+            path = fast.path();
+            match path {
+                ShotPath::AliasSampled { .. } => {
+                    let plan = c.compile_with(&PlanOptions::from(&config.kernel));
+                    let due = due_checks(&plan, check_every);
+                    assert_eq!(fast.norm_stats().checks, due, "checks @ {what}");
+                }
+                _ => {
+                    let per_shot = TrajectoryConfig {
+                        fast_path: false,
+                        ..config.clone()
+                    };
+                    let slow = run_trajectories(c, &per_shot).unwrap();
+                    assert_eq!(fast.counts(), slow.counts(), "counts @ {what}");
+                    assert_eq!(
+                        fast.injected_errors(),
+                        slow.injected_errors(),
+                        "injected errors @ {what}"
+                    );
+                    assert_eq!(fast.norm_stats(), slow.norm_stats(), "norm stats @ {what}");
+                }
+            }
         }
     }
     path
@@ -191,16 +213,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
     /// Noiseless random circuits route to the alias, fork or per-shot
-    /// path by their shape; whichever it is, the prefix on the bytecode
-    /// stream leaves the same counts and watchdog statistics as the
-    /// interpreter prefix.
+    /// path by their shape; whichever it is, the one-time prefix leaves
+    /// what the per-shot engine's own walk leaves.
     #[test]
     fn sampled_prefix_is_bit_identical(c in measured_circuit(N, 16), seed in 0u64..1000) {
         assert_prefix_bit_identical(&c, seed);
     }
 
-    /// Default engine configuration: bytecode dispatch is bit-identical
-    /// on circuits with mid-circuit measurements, resets and fences.
+    /// Default engine configuration: the stream is bit-identical to the
+    /// per-op walk on circuits with fences.
     #[test]
     fn bytecode_is_bit_identical_default_config(c in measured_circuit(N, 16)) {
         run_both(&c, true, "default config");
@@ -214,10 +235,11 @@ proptest! {
     }
 
     /// Nested sub-circuits flatten through their offset before lowering;
-    /// the compiled stream must match the interpreter across that
-    /// relabeling.
+    /// the compiled stream must match the walk across that relabeling.
     #[test]
-    fn bytecode_is_bit_identical_with_subcircuits(c in nested_circuit()) {
+    fn bytecode_is_bit_identical_with_subcircuits(
+        c in nested_circuit(N, || gate(N).prop_map(CircuitItem::Gate)),
+    ) {
         run_both(&c, true, "nested sub-circuits");
         run_both(&c, false, "nested sub-circuits, remap off");
     }
@@ -255,7 +277,9 @@ proptest! {
 /// cache-blocked sweep needs `n` above the 12-qubit tile): the lowered
 /// stream must actually collapse runs into Window instructions (guards
 /// against the grouping rule silently never firing) and still execute
-/// bit-identically.
+/// bit-identically — including the shot executor's window cuts, whose
+/// check count is pinned absolutely (12 · 35 gates at cadences 1, 8
+/// and 64).
 #[test]
 fn windows_form_and_stay_bit_identical() {
     let n = 14;
@@ -272,7 +296,7 @@ fn windows_form_and_stay_bit_identical() {
     }
     c.push_back(Measurement::z(2));
 
-    let plan = c.compile_with(&qclab_core::program::PlanOptions::default());
+    let plan = c.compile_with(&PlanOptions::default());
     let bc = plan.bytecode();
     assert!(
         bc.stream_len() < plan.ops().len(),
@@ -280,12 +304,8 @@ fn windows_form_and_stay_bit_identical() {
         bc.stream_len(),
         plan.ops().len()
     );
-
-    let init = CVec::basis_state(1 << n, 0);
     for remap in [true, false] {
-        let byte = c.simulate_with(&init, &opts(true, remap)).unwrap();
-        let interp = c.simulate_with(&init, &opts(false, remap)).unwrap();
-        assert_bit_identical(&byte, &interp, "deep sweepable chain");
+        run_both(&c, remap, "deep sweepable chain");
     }
 }
 
@@ -307,11 +327,14 @@ fn windowed_prefix_is_bit_identical_on_alias_and_fork_paths() {
         prefix.push_back(RotationX::new(rep % 2, 0.3 + rep as f64));
         prefix.push_back(CNOT::new(rep % 2, 5 + rep));
     }
-    let plan = prefix.compile_with(&qclab_core::program::PlanOptions::default());
+    let plan = prefix.compile_with(&PlanOptions::default());
     assert!(
         plan.bytecode().stream_len() < plan.ops().len(),
         "the prefix must contain windows"
     );
+    for remap in [true, false] {
+        run_both(&prefix, remap, "windowed prefix");
+    }
 
     let mut alias = prefix.clone();
     alias.push_back(Measurement::z(0));
@@ -334,8 +357,9 @@ fn windowed_prefix_is_bit_identical_on_alias_and_fork_paths() {
 }
 
 /// Mid-circuit measurements and resets interleaved with gates: the
-/// executor must branch/collapse at exactly the same points as the
-/// interpreter, including under a permuted layout.
+/// executor must branch/collapse at exactly the same points as the Kron
+/// oracle (same records, probabilities to rounding), and identically —
+/// `==` — whether or not the layout is permuted when it does.
 #[test]
 fn measure_reset_heavy_circuit_is_bit_identical() {
     let mut c = QCircuit::new(N);
@@ -348,6 +372,23 @@ fn measure_reset_heavy_circuit_is_bit_identical() {
         c.push_back(CircuitItem::Reset(N - 1));
         c.push_back(Measurement::y(1));
         c.push_back(CNOT::new(1, 2));
+    }
+    let init = CVec::basis_state(1 << N, 0);
+    let on = c.simulate_with(&init, &opts(true)).unwrap();
+    let off = c.simulate_with(&init, &opts(false)).unwrap();
+    assert_eq!(on.results(), off.results());
+    assert_eq!(on.probabilities(), off.probabilities());
+    for (a, b) in on.states().iter().zip(off.states()) {
+        assert_state_identical(a, b, "remap on vs off");
+    }
+    let oracle = SimOptions {
+        backend: Backend::Kron,
+        ..SimOptions::default()
+    };
+    let kron = c.simulate_with(&init, &oracle).unwrap();
+    assert_eq!(on.results(), kron.results());
+    for (p, q) in on.probabilities().iter().zip(kron.probabilities()) {
+        assert!((p - q).abs() < 1e-12, "branch probability {p} vs {q}");
     }
     run_both(&c, true, "measure/reset heavy");
     run_both(&c, false, "measure/reset heavy, remap off");
@@ -393,41 +434,5 @@ fn batch_width_never_leaks_into_results() {
                 "seed {seed} batch {batch}"
             );
         }
-    }
-}
-
-/// Disabling a kernel specialization the bytecode operands were
-/// classified under must route execution back to the interpreter (and
-/// therefore still produce identical results), not execute mismatched
-/// operands.
-#[test]
-fn specialization_ablations_fall_back_to_the_interpreter() {
-    let mut c = QCircuit::new(N);
-    for q in 0..N - 1 {
-        c.push_back(Hadamard::new(q));
-        c.push_back(SwapGate::new(q, q + 1));
-        c.push_back(RotationZ::new(q, 0.3 * q as f64));
-    }
-    c.push_back(Measurement::z(0));
-    let init = CVec::basis_state(1 << N, 0);
-    let reference = c.simulate_with(&init, &opts(false, true)).unwrap();
-    for (diag, swap) in [(false, true), (true, false), (false, false)] {
-        let ablated = SimOptions {
-            backend: Backend::Kernel,
-            kernel: KernelConfig {
-                bytecode: true,
-                use_diagonal_kernel: diag,
-                use_swap_kernel: swap,
-                ..KernelConfig::default()
-            },
-            ..SimOptions::default()
-        };
-        let sim = c.simulate_with(&init, &ablated).unwrap();
-        assert_eq!(
-            sim.results(),
-            reference.results(),
-            "ablation (diag={diag}, swap={swap}) diverged"
-        );
-        assert_eq!(sim.probabilities(), reference.probabilities());
     }
 }

@@ -108,6 +108,61 @@ pub fn measured_circuit(n: usize, max_items: usize) -> impl Strategy<Value = QCi
     })
 }
 
+/// Strategy over an `n`-qubit circuit with a nested 3-qubit sub-circuit
+/// (random offset) spliced into the middle of two runs of `item`s: the
+/// flattener must relabel through the offset before any lowering pass
+/// sees the gates.
+pub fn nested_circuit<S: Strategy<Value = CircuitItem>>(
+    n: usize,
+    item: impl Fn() -> S,
+) -> impl Strategy<Value = QCircuit> {
+    (
+        prop::collection::vec(item(), 0..6),
+        prop::collection::vec(gate(3), 1..6),
+        0..n - 2,
+        prop::collection::vec(item(), 0..6),
+    )
+        .prop_map(move |(before, inner_gates, offset, after)| {
+            let mut inner = QCircuit::new(3);
+            for g in inner_gates {
+                inner.push_back(g);
+            }
+            let mut c = QCircuit::new(n);
+            for it in before {
+                c.push_back(it);
+            }
+            c.push_back(CircuitItem::SubCircuit {
+                offset,
+                circuit: inner,
+            });
+            for it in after {
+                c.push_back(it);
+            }
+            c
+        })
+}
+
+/// The oracle for the dense engine on unitary programs: walks
+/// `program.ops()` one op at a time through the public per-gate kernel
+/// entry — no bytecode, no windows, no prepared operands.
+pub fn reference_state(program: &qclab_core::program::CompiledProgram, initial: &CVec) -> CVec {
+    use qclab_core::program::ProgramOp;
+    use qclab_core::sim::kernel::{apply_gate_with, permute_state, KernelConfig};
+    let n = program.nb_qubits();
+    let mut state = initial.clone();
+    for op in program.ops() {
+        match op {
+            ProgramOp::Gate(g) => apply_gate_with(g, &mut state, n, &KernelConfig::default()),
+            ProgramOp::Permute { perm, .. } => permute_state(&mut state, n, perm, false),
+            ProgramOp::Fence(_) => {}
+            ProgramOp::Measure(_) | ProgramOp::Reset(_) => {
+                panic!("reference_state walks unitary programs only")
+            }
+        }
+    }
+    state
+}
+
 /// Strategy over a random Clifford gate on a register of `n` qubits
 /// (n >= 2): the exact family the stabilizer tableau — and the
 /// Pauli-frame sampler built on it — executes.

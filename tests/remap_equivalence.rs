@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::gate;
+use common::{gate, nested_circuit};
 use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::program::PlanOptions;
@@ -75,36 +75,6 @@ fn hot_circuit(max_items: usize) -> impl Strategy<Value = QCircuit> {
         }
         c
     })
-}
-
-/// A hot-qubit circuit with a nested sub-circuit (random offset) spliced
-/// into the middle — the flattener must relabel through the offset
-/// before the locality pass sees the gates.
-fn nested_circuit() -> impl Strategy<Value = QCircuit> {
-    (
-        prop::collection::vec(hot_item(), 0..6),
-        prop::collection::vec(gate(3), 1..6),
-        0..N - 2,
-        prop::collection::vec(hot_item(), 0..6),
-    )
-        .prop_map(|(before, inner_gates, offset, after)| {
-            let mut inner = QCircuit::new(3);
-            for g in inner_gates {
-                inner.push_back(g);
-            }
-            let mut c = QCircuit::new(N);
-            for it in before {
-                c.push_back(it);
-            }
-            c.push_back(CircuitItem::SubCircuit {
-                offset,
-                circuit: inner,
-            });
-            for it in after {
-                c.push_back(it);
-            }
-            c
-        })
 }
 
 fn opts(remap: bool, max_fused: usize, simd: bool) -> SimOptions {
@@ -178,7 +148,7 @@ proptest! {
     /// Nested sub-circuits flatten through their offset before the pass
     /// runs; remap must stay bit-identical across that relabeling too.
     #[test]
-    fn remap_is_bit_identical_with_subcircuits(c in nested_circuit()) {
+    fn remap_is_bit_identical_with_subcircuits(c in nested_circuit(N, hot_item)) {
         run_both(&c, 2, true, "nested sub-circuits");
     }
 }

@@ -1,0 +1,370 @@
+//! Seed goldens: checked-in `(circuit, seed, shots) → counts` records,
+//! one per shot path, so a change to any sampled stream — RNG
+//! derivation, draw order, window cuts, sampler layout — fails a test
+//! instead of hiding in a changelog note. Each golden also pins the
+//! injected-error total, the watchdog check count and the reported
+//! [`ShotPath`](qclab_core::sim::trajectory::ShotPath), and must
+//! reproduce at every batch width with the fan-out on and off (results
+//! depend only on `(seed, shot)`).
+//!
+//! The goldens were generated at `f23ad2b` (PR 13). A deliberate seed
+//! compatibility break replaces the affected line with the `actual`
+//! value the failing assertion prints — and says so in CHANGES.md.
+//!
+//! Registers are small and every branch/marginal probability sits far
+//! from a uniform draw, so AVX2 and scalar hosts agree; the SIMD-off leg
+//! below checks that on whichever host runs the suite.
+
+use qclab::algorithms::ghz::ghz_circuit;
+use qclab::algorithms::qec::{repetition_code_circuit, InjectedError};
+use qclab::algorithms::qft::qft;
+use qclab::prelude::*;
+use qclab_core::program::BackendRequest;
+use qclab_core::sim::kernel::KernelConfig;
+use qclab_core::sim::trajectory::{
+    run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig, TrajectoryResult, WatchdogConfig,
+};
+use qclab_core::CircuitItem;
+
+/// `path | injected | checks | record:count …` of one run.
+fn describe(r: &TrajectoryResult) -> String {
+    let counts: Vec<String> = r.counts().iter().map(|(k, v)| format!("{k}:{v}")).collect();
+    format!(
+        "{} | injected {} | checks {} | {}",
+        r.path(),
+        r.injected_errors(),
+        r.norm_stats().checks,
+        counts.join(" ")
+    )
+}
+
+fn all_noise(gate: f64, idle: f64, readout: f64) -> NoiseSpec {
+    NoiseSpec {
+        after_gate: Some(PauliChannel::Depolarizing(gate)),
+        idle: Some(PauliChannel::PhaseFlip(idle)),
+        before_measure: Some(PauliChannel::BitFlip(readout)),
+    }
+}
+
+/// Per-shot path, n = 5: non-Clifford gates (so the frame sampler stays
+/// out) under gate + idle + readout noise, with a mid-circuit
+/// measurement and a reset.
+fn per_shot_n5() -> (QCircuit, TrajectoryConfig) {
+    let mut c = QCircuit::new(5);
+    for q in 0..5 {
+        c.push_back(Hadamard::new(q));
+        c.push_back(RotationY::new(q, 0.3 + 0.2 * q as f64));
+    }
+    for q in 0..4 {
+        c.push_back(CNOT::new(q, q + 1));
+    }
+    c.push_back(TGate::new(2));
+    c.push_back(Measurement::z(2));
+    c.push_back(CRY::new(0, 3, 1.1));
+    c.push_back(CircuitItem::Reset(1));
+    c.push_back(RotationX::new(1, 0.7));
+    c.push_back(Measurement::x(0));
+    c.push_back(Measurement::z(1));
+    c.push_back(Measurement::y(4));
+    let config = TrajectoryConfig {
+        seed: 7,
+        shots: 300,
+        noise: all_noise(0.03, 0.01, 0.02),
+        ..TrajectoryConfig::default()
+    };
+    (c, config)
+}
+
+/// Per-shot path, n = 13 — one qubit above the 12-qubit sweep tile, so
+/// the bytecode stream holds windows: runs of tile-resident gates
+/// (qubits 1..13) broken up by gates on qubit 0. Every gate is a noise
+/// site, which pins the executor's treatment of windows under noise
+/// against the per-gate bits; the short watchdog cadence makes checks
+/// fall due inside the runs.
+fn per_shot_n13() -> (QCircuit, TrajectoryConfig) {
+    let n = 13;
+    let mut c = QCircuit::new(n);
+    for rep in 0..3 {
+        for q in 1..n {
+            c.push_back(RotationY::new(q, 0.2 + 0.1 * (rep * n + q) as f64));
+        }
+        for q in 1..n - 1 {
+            c.push_back(CNOT::new(q, q + 1));
+        }
+        c.push_back(RotationX::new(0, 0.5 + rep as f64));
+        c.push_back(CNOT::new(0, 4 + rep));
+    }
+    for q in [0, 3, 7, 12] {
+        c.push_back(Measurement::z(q));
+    }
+    let config = TrajectoryConfig {
+        seed: 11,
+        shots: 40,
+        noise: all_noise(0.01, 0.002, 0.02),
+        watchdog: WatchdogConfig {
+            check_every: 8,
+            ..WatchdogConfig::default()
+        },
+        ..TrajectoryConfig::default()
+    };
+    (c, config)
+}
+
+/// Fork path: a deterministic prefix, then a mid-circuit measurement, a
+/// reset and X/Y-basis measurements under readout noise.
+fn forked() -> (QCircuit, TrajectoryConfig) {
+    let mut c = QCircuit::new(4);
+    c.push_back(Hadamard::new(0));
+    c.push_back(RotationY::new(1, 0.9));
+    c.push_back(CNOT::new(0, 2));
+    c.push_back(CNOT::new(1, 3));
+    c.push_back(Measurement::z(0));
+    c.push_back(RotationX::new(2, 0.4));
+    c.push_back(CircuitItem::Reset(1));
+    c.push_back(Hadamard::new(1));
+    c.push_back(Measurement::x(2));
+    c.push_back(Measurement::y(3));
+    c.push_back(Measurement::z(1));
+    let config = TrajectoryConfig {
+        seed: 3,
+        shots: 400,
+        noise: NoiseSpec {
+            before_measure: Some(PauliChannel::BitFlip(0.05)),
+            ..NoiseSpec::default()
+        },
+        ..TrajectoryConfig::default()
+    };
+    (c, config)
+}
+
+/// Alias path: a product state through the 8-qubit QFT, half the
+/// register measured.
+fn alias_qft8() -> (QCircuit, TrajectoryConfig) {
+    let n = 8;
+    let mut c = QCircuit::new(n);
+    for q in 0..n {
+        c.push_back(RotationY::new(q, 0.4 + 0.3 * q as f64));
+    }
+    c.push_back(CircuitItem::SubCircuit {
+        offset: 0,
+        circuit: qft(n),
+    });
+    for q in [0, 2, 5, 7] {
+        c.push_back(Measurement::z(q));
+    }
+    let config = TrajectoryConfig {
+        seed: 5,
+        shots: 1000,
+        ..TrajectoryConfig::default()
+    };
+    (c, config)
+}
+
+/// Sparse-sampled path: GHZ on 30 qubits under the `auto` backend (the
+/// dense guard refuses the register).
+fn sparse_ghz30() -> (QCircuit, TrajectoryConfig) {
+    let n = 30;
+    let mut c = ghz_circuit(n);
+    for q in 0..n {
+        c.push_back(Measurement::z(q));
+    }
+    let config = TrajectoryConfig {
+        seed: 9,
+        shots: 500,
+        backend: BackendRequest::Auto,
+        ..TrajectoryConfig::default()
+    };
+    (c, config)
+}
+
+/// Pauli-frame path: the distance-5 repetition code under bit-flip gate
+/// noise and readout noise.
+fn frame_rep5() -> (QCircuit, TrajectoryConfig) {
+    let c = repetition_code_circuit(5, InjectedError::None);
+    let config = TrajectoryConfig {
+        seed: 13,
+        shots: 2000,
+        noise: NoiseSpec {
+            after_gate: Some(PauliChannel::BitFlip(0.05)),
+            before_measure: Some(PauliChannel::BitFlip(0.01)),
+            ..NoiseSpec::default()
+        },
+        ..TrajectoryConfig::default()
+    };
+    (c, config)
+}
+
+type Case = (
+    &'static str,
+    fn() -> (QCircuit, TrajectoryConfig),
+    &'static str,
+);
+
+const SHOT_GOLDENS: [Case; 6] = [
+    (
+        "per_shot_n5",
+        per_shot_n5,
+        "per-shot | injected 431 | checks 300 | 0000:39 0001:46 0010:9 0011:5 0100:21 0101:16 0110:5 0111:5 1000:50 1001:35 1010:5 1011:13 1100:21 1101:22 1110:4 1111:4",
+    ),
+    (
+        "per_shot_n13",
+        per_shot_n13,
+        "per-shot | injected 108 | checks 400 | 0000:2 0001:3 0010:3 0011:1 0100:4 0101:7 0110:1 0111:1 1000:3 1001:4 1010:5 1011:1 1100:2 1101:2 1110:1",
+    ),
+    (
+        "forked",
+        forked,
+        "forked (prefix 4 ops) | injected 112 | checks 400 | 0000:36 0001:18 0010:26 0011:29 0100:25 0101:22 0110:25 0111:23 1000:28 1001:21 1010:29 1011:27 1100:16 1101:21 1110:30 1111:24",
+    ),
+    (
+        "alias_qft8",
+        alias_qft8,
+        "alias-sampled (prefix 33 ops) | injected 0 | checks 1 | 0000:402 0001:96 0010:29 0011:15 0100:15 0101:6 0110:25 0111:33 1000:120 1001:35 1010:14 1011:3 1100:19 1101:17 1110:57 1111:114",
+    ),
+    (
+        "sparse_ghz30",
+        sparse_ghz30,
+        "sparse-sampled (prefix 30 ops) | injected 0 | checks 0 | 000000000000000000000000000000:251 111111111111111111111111111111:249",
+    ),
+    (
+        "frame_rep5",
+        frame_rep5,
+        "pauli-frame | injected 898 | checks 0 | 00000:1269 00001:87 00010:82 00011:7 00100:100 00101:3 00110:9 00111:6 01000:78 01001:2 01010:7 01011:1 01100:7 10000:71 10001:82 10010:4 10011:72 10100:4 10101:9 10110:4 10111:62 11000:7 11001:8 11010:2 11011:9 11100:1 11111:7",
+    ),
+];
+
+#[test]
+fn shot_paths_reproduce_their_seed_goldens() {
+    let mut failures = Vec::new();
+    for (name, build, golden) in SHOT_GOLDENS {
+        let (circuit, base) = build();
+        let mut legs = Vec::new();
+        for shot_batch in [1usize, 3, 64] {
+            for parallel in [true, false] {
+                let config = TrajectoryConfig {
+                    shot_batch,
+                    parallel,
+                    ..base.clone()
+                };
+                legs.push((format!("batch {shot_batch}, parallel {parallel}"), config));
+            }
+        }
+        let scalar = TrajectoryConfig {
+            kernel: KernelConfig {
+                allow_simd: false,
+                ..base.kernel
+            },
+            ..base.clone()
+        };
+        legs.push(("simd off".into(), scalar));
+        for (leg, config) in legs {
+            let actual = describe(&run_trajectories(&circuit, &config).unwrap());
+            if actual != golden {
+                failures.push(format!(
+                    "{name} @ {leg}\n  golden: {golden}\n  actual: {actual}"
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "seed goldens diverged:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// `record=probability bits` of every branch, in branch order.
+fn describe_branches(sim: &Simulation) -> String {
+    sim.results()
+        .iter()
+        .zip(sim.probabilities())
+        .map(|(r, p)| format!("{r}={:016x}", p.to_bits()))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Teleportation-shaped: entangle, Bell-measure, classically-controlled
+/// corrections replaced by their coherent versions.
+fn branching_teleport() -> QCircuit {
+    let mut c = QCircuit::new(3);
+    c.push_back(RotationY::new(0, 0.8));
+    c.push_back(Hadamard::new(1));
+    c.push_back(CNOT::new(1, 2));
+    c.push_back(CNOT::new(0, 1));
+    c.push_back(Hadamard::new(0));
+    c.push_back(Measurement::z(0));
+    c.push_back(Measurement::z(1));
+    c.push_back(CNOT::new(1, 2));
+    c.push_back(CZ::new(0, 2));
+    c.push_back(Measurement::z(2));
+    c
+}
+
+/// Mid-circuit X/Y-basis measurements and a reset between gates.
+fn branching_mixed_bases() -> QCircuit {
+    let mut c = QCircuit::new(4);
+    for q in 0..4 {
+        c.push_back(RotationY::new(q, 0.5 + 0.4 * q as f64));
+    }
+    c.push_back(CNOT::new(0, 1));
+    c.push_back(CNOT::new(2, 3));
+    c.push_back(Measurement::x(1));
+    c.push_back(CRY::new(0, 2, 0.6));
+    c.push_back(CircuitItem::Reset(3));
+    c.push_back(Hadamard::new(3));
+    c.push_back(Measurement::y(2));
+    c.push_back(Measurement::z(3));
+    c
+}
+
+/// `(name, circuit, golden, AVX2 golden)`: the scalar kernels round the
+/// same way on every host and are pinned outright; the vectorized kernels
+/// fuse a multiply-add, so where they run the last bit of a probability
+/// may differ — the default configuration must land on one of the two.
+type BranchCase = (&'static str, fn() -> QCircuit, &'static str, &'static str);
+
+const TELEPORT_GOLDEN: &str = "000=3fcb25b5ef38cc33 001=3fa36928431ccf35 010=3fcb25b5ef38cc33 011=3fa36928431ccf35 100=3fcb25b5ef38cc33 101=3fa36928431ccf35 110=3fcb25b5ef38cc33 111=3fa36928431ccf35";
+
+const BRANCH_GOLDENS: [BranchCase; 2] = [
+    (
+        "teleport",
+        branching_teleport,
+        TELEPORT_GOLDEN,
+        TELEPORT_GOLDEN,
+    ),
+    (
+        "mixed_bases",
+        branching_mixed_bases,
+        "000=3fbb8cc06f6032bf 001=3fbb8cc06f6032bf 010=3fbb8cc06f6032bf 011=3fbb8cc06f6032bf 000=3fbd844328fd758b 001=3fbd844328fd758d 010=3fbd844328fd758b 011=3fbd844328fd758d 100=3f8ac73d2a555ecd 101=3f8ac73d2a555ecd 110=3f8ac73d2a555ecd 111=3f8ac73d2a555ecd 100=3f8cb0a612bd5f2b 101=3f8cb0a612bd5f2d 110=3f8cb0a612bd5f2b 111=3f8cb0a612bd5f2d",
+        "000=3fbb8cc06f6032bd 001=3fbb8cc06f6032bd 010=3fbb8cc06f6032bd 011=3fbb8cc06f6032bd 000=3fbd844328fd758a 001=3fbd844328fd758a 010=3fbd844328fd758c 011=3fbd844328fd758c 100=3f8ac73d2a555ecd 101=3f8ac73d2a555ecd 110=3f8ac73d2a555ecd 111=3f8ac73d2a555ecd 100=3f8cb0a612bd5f2b 101=3f8cb0a612bd5f2d 110=3f8cb0a612bd5f2b 111=3f8cb0a612bd5f2d",
+    ),
+];
+
+#[test]
+fn branch_probabilities_reproduce_their_goldens() {
+    let mut failures = Vec::new();
+    for (name, build, golden, golden_avx2) in BRANCH_GOLDENS {
+        let c = build();
+        let init = CVec::basis_state(1 << c.nb_qubits(), 0);
+        for simd in [true, false] {
+            let opts = SimOptions {
+                kernel: KernelConfig {
+                    allow_simd: simd,
+                    ..KernelConfig::default()
+                },
+                ..SimOptions::default()
+            };
+            let actual = describe_branches(&c.simulate_with(&init, &opts).unwrap());
+            if actual != golden && !(simd && actual == golden_avx2) {
+                failures.push(format!(
+                    "{name} @ simd {simd}\n  golden: {golden}\n  actual: {actual}"
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "branch-probability goldens diverged:\n{}",
+        failures.join("\n")
+    );
+}

@@ -180,7 +180,7 @@ fn permutations_are_bit_identical_at_any_thread_count() {
 
 /// A whole compiled program — fusion, the locality pass's permutations,
 /// cache-blocked windows on the low qubits, full-register gates on the
-/// high ones — through the bytecode executor and the interpreter.
+/// high ones — through the bytecode executor.
 #[test]
 fn compiled_programs_with_windows_are_bit_identical_at_any_thread_count() {
     let n = PARALLEL_THRESHOLD_QUBITS;
@@ -200,11 +200,10 @@ fn compiled_programs_with_windows_are_bit_identical_at_any_thread_count() {
         }
     }
     let initial = CVec::basis_state(1 << n, 0);
-    for (bytecode, simd) in [(true, true), (true, false), (false, true)] {
+    for simd in [true, false] {
         let opts = SimOptions {
             backend: Backend::Kernel,
             kernel: KernelConfig {
-                bytecode,
                 allow_simd: simd,
                 ..KernelConfig::default()
             },
@@ -218,7 +217,7 @@ fn compiled_programs_with_windows_are_bit_identical_at_any_thread_count() {
         };
         let one = run(1);
         for threads in 2..=4 {
-            let what = format!("bytecode = {bytecode}, simd = {simd}, {threads} threads");
+            let what = format!("simd = {simd}, {threads} threads");
             assert_same_bits(&run(threads), &one, &what);
         }
     }
