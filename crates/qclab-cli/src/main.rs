@@ -844,6 +844,10 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Result<String, CliEr
         cache.entries,
         if cache.entries == 1 { "y" } else { "ies" }
     ));
+    out.push_str(&format!(
+        "  retained preparation: {} hit(s), {} miss(es), {} byte(s) held\n",
+        cache.prep_hits, cache.prep_misses, cache.prep_bytes
+    ));
     out.push_str("schedule:\n");
     for (i, op) in program.ops().iter().enumerate() {
         out.push_str(&format!("  {i:>4}  {op}\n"));

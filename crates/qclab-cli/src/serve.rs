@@ -26,7 +26,7 @@
 //!  "path":"alias-sampled (prefix 3 ops)","injected_errors":0,
 //!  "counts":{"00":493,"11":507},
 //!  "telemetry":{"queue_ms":0.4,"run_ms":2.1,"wall_ms":2.5,
-//!               "dedup_hit":true,"coalesced":3}}
+//!               "dedup_hit":true,"coalesced":3,"prep_hit":true}}
 //! {"id":"j2","ok":false,
 //!  "error":{"kind":"timeout","code":7,"message":"stopped after 210 of 500 shots"},
 //!  "partial":{ ...same shape as a success result... }}
@@ -38,14 +38,16 @@
 //! kills the server or any other tenant's job.
 
 use crate::{json_escape, CliError, EngineOpts, EXIT_IO, EXIT_USAGE};
+use qclab_core::program::{plan_cache_capacity, plan_cache_stats, RETAINED_BYTES_CAP};
 use qclab_core::service::{
     ErrorKind, JobHandle, JobOutput, JobResult, JobSpec, Scheduler, ServiceConfig,
 };
 use qclab_core::sim::trajectory::TrajectoryConfig;
+use qclab_core::{QCircuit, QclabError};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Parsed `serve` flags.
@@ -150,6 +152,7 @@ impl Json {
 /// Parses one JSON document (the whole input must be consumed).
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let mut p = JsonParser {
+        src,
         b: src.as_bytes(),
         i: 0,
     };
@@ -163,6 +166,8 @@ pub fn parse_json(src: &str) -> Result<Json, String> {
 }
 
 struct JsonParser<'a> {
+    src: &'a str,
+    /// `src` as bytes; `i` indexes both.
     b: &'a [u8],
     i: usize,
 }
@@ -269,53 +274,52 @@ impl JsonParser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.i += 4;
-                            // surrogate pairs are out of scope for the
-                            // job schema; reject rather than mis-decode
-                            let c = char::from_u32(code)
-                                .ok_or(format!("\\u{code:04x} is not a scalar value"))?;
-                            out.push(c);
-                        }
-                        c => return Err(format!("bad escape '\\{}'", c as char)),
-                    }
-                }
-                Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().unwrap();
+            // everything up to the next delimiter is copied in one step:
+            // `"` and `\` are ASCII, so the run ends on a char boundary
+            // of `src`, and it starts on one (after an ASCII delimiter
+            // or a complete escape) — decoding is linear in the line
+            let run = self.b[self.i..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .ok_or("unterminated string")?;
+            let text = self
+                .src
+                .get(self.i..self.i + run)
+                .ok_or("invalid UTF-8 in string")?;
+            out.push_str(text);
+            self.i += run + 1;
+            if self.b[self.i - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.i += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .b
+                        .get(self.i..self.i + 4)
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                        16,
+                    )
+                    .map_err(|_| "bad \\u escape")?;
+                    self.i += 4;
+                    // surrogate pairs are out of scope for the
+                    // job schema; reject rather than mis-decode
+                    let c = char::from_u32(code)
+                        .ok_or(format!("\\u{code:04x} is not a scalar value"))?;
                     out.push(c);
-                    self.i += c.len_utf8();
                 }
+                c => return Err(format!("bad escape '\\{}'", c as char)),
             }
         }
     }
@@ -357,7 +361,7 @@ fn output_json(o: &JobOutput) -> String {
         "{{\"id\":\"{}\",\"ok\":true,\"shots\":{},\"requested_shots\":{},\
          \"path\":\"{}\",\"injected_errors\":{},\"counts\":{{{counts}}},\
          \"telemetry\":{{\"queue_ms\":{:.3},\"run_ms\":{:.3},\"wall_ms\":{:.3},\
-         \"dedup_hit\":{},\"coalesced\":{}}}}}",
+         \"dedup_hit\":{},\"coalesced\":{},\"prep_hit\":{}}}}}",
         json_escape(&o.id),
         o.shots,
         o.requested_shots,
@@ -368,6 +372,7 @@ fn output_json(o: &JobOutput) -> String {
         t.wall_ms,
         t.dedup_hit,
         t.coalesced,
+        t.prep_hit,
     )
 }
 
@@ -400,6 +405,59 @@ fn error_line(id: &str, kind: ErrorKind, message: &str, partial: Option<&JobOutp
 // the serve loop
 // ---------------------------------------------------------------------
 
+/// The circuits of the source texts most recently submitted, least
+/// recently used first: a resubmitted text — byte for byte the same —
+/// is not lexed, parsed and imported again. Bounded in entries (the plan
+/// cache's capacity: a circuit whose plan is gone has little use for its
+/// parse) and in text bytes ([`RETAINED_BYTES_CAP`]), so it does not
+/// grow with the traffic. Keyed by the full text, never by a hash of it.
+struct SourceMemo {
+    entries: Vec<(String, QCircuit)>,
+    text_bytes: usize,
+    hits: u64,
+    misses: u64,
+}
+
+static SOURCE_MEMO: Mutex<SourceMemo> = Mutex::new(SourceMemo {
+    entries: Vec::new(),
+    text_bytes: 0,
+    hits: 0,
+    misses: 0,
+});
+
+fn lock_source_memo() -> MutexGuard<'static, SourceMemo> {
+    // only `Vec` bookkeeping runs under the lock (parsing does not), so
+    // a poisoned guard still holds a consistent memo
+    SOURCE_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`qclab_qasm::from_qasm`] through the [`SourceMemo`].
+fn parse_source(qasm: &str) -> Result<QCircuit, QclabError> {
+    {
+        let mut memo = lock_source_memo();
+        if let Some(pos) = memo.entries.iter().position(|(text, _)| text == qasm) {
+            memo.hits += 1;
+            let entry = memo.entries.remove(pos);
+            let circuit = entry.1.clone();
+            memo.entries.push(entry);
+            return Ok(circuit);
+        }
+        memo.misses += 1;
+    }
+    let circuit = qclab_qasm::from_qasm(qasm)?;
+    // hashed here, once: every clone handed out carries the fingerprint
+    circuit.fingerprint();
+    if qasm.len() <= RETAINED_BYTES_CAP {
+        let mut memo = lock_source_memo();
+        memo.text_bytes += qasm.len();
+        memo.entries.push((qasm.to_string(), circuit.clone()));
+        while memo.entries.len() > plan_cache_capacity() || memo.text_bytes > RETAINED_BYTES_CAP {
+            memo.text_bytes -= memo.entries.remove(0).0.len();
+        }
+    }
+    Ok(circuit)
+}
+
 /// Decoded request line.
 #[derive(Debug)]
 enum Request {
@@ -429,13 +487,17 @@ fn decode_request(line: &str) -> Result<Request, (String, ErrorKind, String)> {
             )
         }
     };
+    let file_text;
     let qasm = match (
         doc.get("qasm").and_then(Json::as_str),
         doc.get("file").and_then(Json::as_str),
     ) {
-        (Some(src), None) => src.to_string(),
+        (Some(src), None) => src,
         (None, Some(path)) => match std::fs::read_to_string(path) {
-            Ok(src) => src,
+            Ok(src) => {
+                file_text = src;
+                &file_text
+            }
             Err(e) => return fail(&id, ErrorKind::Io, format!("cannot read {path}: {e}")),
         },
         (Some(_), Some(_)) => {
@@ -453,7 +515,7 @@ fn decode_request(line: &str) -> Result<Request, (String, ErrorKind, String)> {
             )
         }
     };
-    let circuit = match qclab_qasm::from_qasm(&qasm) {
+    let circuit = match parse_source(qasm) {
         Ok(c) => c,
         Err(e) => return fail(&id, ErrorKind::classify(&e), e.to_string()),
     };
@@ -629,14 +691,23 @@ pub fn run_serve(opts: &ServeOpts) -> Result<String, CliError> {
                 handle_stream(&sched, stdin.lock(), Box::new(std::io::stdout()));
             let stats = sched.stats();
             sched.shutdown();
+            let plans = plan_cache_stats();
+            let memo = lock_source_memo();
             Ok(format!(
                 "serve: {accepted} job(s) accepted, {failed} refused; {} completed, {} cancelled, \
-                 {} dedup hit(s), {} coalesced into {} group(s)\n",
+                 {} dedup hit(s), {} coalesced into {} group(s)\n\
+                 serve: retained preparation {} hit(s), {} miss(es), {} byte(s) held; \
+                 source memo {} hit(s), {} miss(es)\n",
                 stats.completed,
                 stats.cancelled,
                 stats.dedup_hits,
                 stats.coalesce_hits,
-                stats.groups
+                stats.groups,
+                plans.prep_hits,
+                plans.prep_misses,
+                plans.prep_bytes,
+                memo.hits,
+                memo.misses
             ))
         }
         Some(path) => {
@@ -765,6 +836,176 @@ mod tests {
         assert_eq!(doc.get("c"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("d"), Some(&Json::Num(-2.5)));
         assert_eq!(doc.get("d").unwrap().as_u64(), None);
+    }
+
+    /// The decoder this file shipped before `string()` copied whole
+    /// runs, one scalar at a time (minus its re-validation of the rest
+    /// of the line per scalar, which made it quadratic and could never
+    /// fail on a `&str`). Kept as the behavioural reference — same
+    /// values, same errors, same stopping point.
+    fn string_reference(src: &str) -> Result<(String, usize), String> {
+        let b = src.as_bytes();
+        if b.first() != Some(&b'"') {
+            return Err("expected '\"' at byte 0".into());
+        }
+        let mut i = 1;
+        let mut out = String::new();
+        loop {
+            match b.get(i).copied() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => return Ok((out, i + 1)),
+                Some(b'\\') => {
+                    i += 1;
+                    let esc = b.get(i).copied().ok_or("unterminated escape")?;
+                    i += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = b.get(i..i + 4).ok_or("truncated \\u escape")?;
+                            let code = u32::from_str_radix(
+                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                                16,
+                            )
+                            .map_err(|_| "bad \\u escape")?;
+                            i += 4;
+                            let c = char::from_u32(code)
+                                .ok_or(format!("\\u{code:04x} is not a scalar value"))?;
+                            out.push(c);
+                        }
+                        c => return Err(format!("bad escape '\\{}'", c as char)),
+                    }
+                }
+                Some(_) => {
+                    let c = src
+                        .get(i..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("invalid UTF-8 in string")?;
+                    out.push(c);
+                    i += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn string_decoding_matches_the_scalar_at_a_time_reference() {
+        let cases = [
+            // plain text, empty, text after the closing quote
+            r#""""#,
+            r#""plain ascii""#,
+            r#""stops here" and not here"#,
+            // every escape, alone and packed together
+            r#""\"""#,
+            r#""\\""#,
+            r#""\/""#,
+            r#""\b\f\n\r\t""#,
+            r#""a\"b\\c\/d\be\ff\ng\rh\ti""#,
+            // \u: BMP scalars, case, a leading sign `from_str_radix` lets
+            // through, and the rejected lone surrogates
+            r#""\u0041\u00e9\u20AC\uffff""#,
+            r#""\u+041""#,
+            r#""\ud800""#,
+            r#""\uDFFF tail""#,
+            r#""\u12""#,
+            r#""\u12"#,
+            r#""\uzzzz""#,
+            r#""\u00é0""#,
+            r#""\u000é""#,
+            // 2-, 3- and 4-byte scalars next to escapes and delimiters
+            "\"é\"",
+            "\"\\né\\n€\\t𝄞\\\\\"",
+            "\"𝄞\\u0041€\\\"é\"",
+            "\"é€𝄞",
+            // raw control characters pass through, as they always did
+            "\"line\nbreak\ttab\"",
+            // unterminated string / escape, bad escapes
+            r#""no end"#,
+            r#""ends in a backslash\"#,
+            r#""\x41""#,
+            r#""\ ""#,
+            "\"\\é\"",
+            "\"\\𝄞\"",
+            // not a string at all
+            "nope",
+            "",
+        ];
+        for src in cases {
+            let mut p = JsonParser {
+                src,
+                b: src.as_bytes(),
+                i: 0,
+            };
+            let got = p.string().map(|s| (s, p.i));
+            assert_eq!(got, string_reference(src), "input {src:?}");
+        }
+    }
+
+    #[test]
+    fn a_two_mebibyte_string_decodes_in_linear_time() {
+        // a circuit-shaped payload: short lines, an escape at the end of
+        // each, a few non-ASCII scalars. The scalar-at-a-time decoder
+        // re-validated the remaining line per character — ~2·10^12 byte
+        // visits here, minutes of work.
+        let mut text = String::from("{\"id\":\"big\",\"qasm\":\"");
+        let mut expected = String::new();
+        while expected.len() < 2 << 20 {
+            text.push_str("rz(0.123456) q[3]; // θ\\n");
+            expected.push_str("rz(0.123456) q[3]; // θ\n");
+        }
+        text.push_str("\"}");
+        let t = std::time::Instant::now();
+        let doc = parse_json(&text).unwrap();
+        let elapsed = t.elapsed();
+        assert_eq!(doc.get("qasm").unwrap().as_str(), Some(expected.as_str()));
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "decoding 2 MiB took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn source_memo_returns_the_parsed_circuit_and_stays_bounded() {
+        let text = |tag: usize| {
+            format!(
+                "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
+                 rz(0.{tag:05}) q[0];\ncx q[0], q[1];\nmeasure q -> c;\n// memo test\n"
+            )
+        };
+        let first = parse_source(&text(0)).unwrap();
+        let hits = lock_source_memo().hits;
+        let again = parse_source(&text(0)).unwrap();
+        assert!(
+            lock_source_memo().hits > hits,
+            "a resubmitted text must hit"
+        );
+        assert_eq!(first, again);
+        assert_eq!(first, qclab_qasm::from_qasm(&text(0)).unwrap());
+        // far more distinct texts than the memo may hold
+        for tag in 1..=3 * plan_cache_capacity() {
+            parse_source(&text(tag)).unwrap();
+            let memo = lock_source_memo();
+            assert!(memo.entries.len() <= plan_cache_capacity());
+            assert!(memo.text_bytes <= RETAINED_BYTES_CAP);
+            let held: usize = memo.entries.iter().map(|(t, _)| t.len()).sum();
+            assert_eq!(held, memo.text_bytes);
+        }
+        // a text over the byte cap is parsed, never held
+        let mut huge = text(0);
+        while huge.len() <= RETAINED_BYTES_CAP {
+            huge.push_str("// padding padding padding padding padding padding padding\n");
+        }
+        assert_eq!(parse_source(&huge).unwrap(), first);
+        assert!(lock_source_memo().entries.iter().all(|(t, _)| *t != huge));
+        // failures are reported as before and not remembered
+        assert!(parse_source("this is not qasm").is_err());
+        assert!(parse_source("this is not qasm").is_err());
     }
 
     #[test]

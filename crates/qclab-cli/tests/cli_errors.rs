@@ -464,3 +464,95 @@ fn sample_is_deterministic_in_the_seed() {
     assert_eq!(stdout(&a), stdout(&b));
     assert_ne!(stdout(&a), stdout(&c));
 }
+
+/// The `counts` object `qclab sample` prints, in the wire's spelling
+/// (`"000":72,"010":15`).
+fn sample_counts_as_wire(file: &str, shots: &str, seed: &str) -> String {
+    let out = qclab(&["sample", file, shots, "--seed", seed]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let counts: Vec<String> = stdout(&out)
+        .lines()
+        .filter_map(|line| {
+            let (record, rest) = line.trim_start().strip_prefix('\'')?.split_once("': ")?;
+            Some(format!("\"{record}\":{}", rest.split_whitespace().next()?))
+        })
+        .collect();
+    assert!(!counts.is_empty(), "no counts in: {}", stdout(&out));
+    counts.join(",")
+}
+
+#[test]
+fn serve_resubmits_draw_the_same_bits_as_standalone_samples() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+    let src = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\n\
+               h q[0];\nry(0.7) q[1];\ncx q[0], q[2];\nmeasure q -> c;\n";
+    // structurally the same circuit, textually another
+    let spaced = src.replace("h q[0];", "h  q[0];");
+    let file = write_qasm("resubmit.qasm", src);
+    let wire_text = |text: &str| text.replace('\n', "\\n").replace('"', "\\\"");
+    let jobs = [
+        ("j0", src, "41"),
+        ("j1", src, "41"),
+        ("j2", src, "42"),
+        ("j3", spaced.as_str(), "41"),
+    ];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qclab"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("binary must spawn");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut replies = BufReader::new(child.stdout.take().unwrap());
+    let mut lines = Vec::new();
+    // one job at a time: each runs after the one before has resolved,
+    // so none is coalesced and `prep_hit` says what the plan supplied
+    for (id, text, seed) in jobs {
+        writeln!(
+            stdin,
+            "{{\"id\":\"{id}\",\"qasm\":\"{}\",\"shots\":300,\"seed\":{seed}}}",
+            wire_text(text)
+        )
+        .unwrap();
+        stdin.flush().unwrap();
+        let mut line = String::new();
+        replies.read_line(&mut line).unwrap();
+        assert!(
+            line.contains(&format!("\"id\":\"{id}\",\"ok\":true")),
+            "{line}"
+        );
+        lines.push(line);
+    }
+    // end of input: the summary follows the last reply
+    drop(stdin);
+    let mut summary = String::new();
+    std::io::Read::read_to_string(&mut replies, &mut summary).unwrap();
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+
+    let counts_of = |line: &str| {
+        let from = line.find("\"counts\":{").expect("counts object") + "\"counts\":{".len();
+        line[from..from + line[from..].find('}').unwrap()].to_string()
+    };
+    let counts: Vec<String> = lines.iter().map(|l| counts_of(l)).collect();
+    assert_eq!(counts[0], counts[1], "same seed, same bits");
+    assert_ne!(counts[0], counts[2], "another seed, other bits");
+    assert_eq!(counts[3], counts[0], "the text is not part of the seed");
+    assert_eq!(counts[0], sample_counts_as_wire(&file, "300", "41"));
+    assert_eq!(counts[2], sample_counts_as_wire(&file, "300", "42"));
+    // the first job prepares; every later one — the respelled text
+    // included: its parse is new, its plan is not — finds that on the plan
+    let prep_hits: Vec<bool> = lines
+        .iter()
+        .map(|l| l.contains("\"prep_hit\":true"))
+        .collect();
+    assert_eq!(prep_hits, [false, true, true, true]);
+    assert!(
+        summary.contains("retained preparation 3 hit(s), 1 miss(es)"),
+        "{summary}"
+    );
+    assert!(
+        summary.contains("source memo 2 hit(s), 2 miss(es)"),
+        "{summary}"
+    );
+}

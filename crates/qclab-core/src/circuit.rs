@@ -11,6 +11,7 @@ use crate::error::QclabError;
 use crate::gates::Gate;
 use crate::measurement::Measurement;
 use qclab_math::CMat;
+use std::sync::OnceLock;
 
 /// One entry of a quantum circuit.
 #[derive(Clone, Debug, PartialEq)]
@@ -103,6 +104,18 @@ impl CircuitItem {
     }
 }
 
+/// The memoised [`QCircuit::fingerprint`]: derived from the fields
+/// beside it, so it compares equal to anything and a clone carries it.
+/// Every `&mut self` mutator of the circuit empties it.
+#[derive(Clone, Debug, Default)]
+struct FingerprintMemo(OnceLock<u64>);
+
+impl PartialEq for FingerprintMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// A quantum circuit on a fixed-size qubit register.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QCircuit {
@@ -110,6 +123,7 @@ pub struct QCircuit {
     items: Vec<CircuitItem>,
     name: Option<String>,
     draw_as_block: bool,
+    fingerprint: FingerprintMemo,
 }
 
 impl QCircuit {
@@ -122,6 +136,7 @@ impl QCircuit {
             items: Vec::new(),
             name: None,
             draw_as_block: false,
+            fingerprint: FingerprintMemo::default(),
         }
     }
 
@@ -156,6 +171,7 @@ impl QCircuit {
     pub fn try_push_back(&mut self, item: impl Into<CircuitItem>) -> Result<&mut Self, QclabError> {
         let item = item.into();
         item.validate(self.nb_qubits)?;
+        self.fingerprint = FingerprintMemo::default();
         self.items.push(item);
         Ok(self)
     }
@@ -174,17 +190,20 @@ impl QCircuit {
         let item = item.into();
         item.validate(self.nb_qubits)?;
         assert!(index <= self.items.len(), "insert index out of range");
+        self.fingerprint = FingerprintMemo::default();
         self.items.insert(index, item);
         Ok(())
     }
 
     /// Removes and returns the item at `index`.
     pub fn erase(&mut self, index: usize) -> CircuitItem {
+        self.fingerprint = FingerprintMemo::default();
         self.items.remove(index)
     }
 
     /// Clears all items.
     pub fn clear(&mut self) {
+        self.fingerprint = FingerprintMemo::default();
         self.items.clear();
     }
 
@@ -202,6 +221,7 @@ impl QCircuit {
     /// Marks the circuit to be drawn as an opaque named box
     /// (`circuit.asBlock` in QCLAB). Consumes nothing; toggles a flag.
     pub fn as_block(&mut self, name: &str) -> &mut Self {
+        self.fingerprint = FingerprintMemo::default();
         self.draw_as_block = true;
         self.name = Some(name.to_string());
         self
@@ -209,6 +229,7 @@ impl QCircuit {
 
     /// Reverts [`as_block`](Self::as_block) (`circuit.unBlock`).
     pub fn un_block(&mut self) -> &mut Self {
+        self.fingerprint = FingerprintMemo::default();
         self.draw_as_block = false;
         self
     }
@@ -325,9 +346,14 @@ impl QCircuit {
     /// flattened item stream (gate targets/controls/parameter bits,
     /// measurement bases, resets, barriers). Equal circuits hash equal;
     /// a nested sub-circuit hashes like its manual inlining. This is the
-    /// plan-cache key — see [`crate::program`].
+    /// plan-cache key — see [`crate::program`]. Hashed on first use and
+    /// remembered until the circuit is next mutated, so a job that is
+    /// admitted, keyed and looked up pays for one hash.
     pub fn fingerprint(&self) -> u64 {
-        crate::program::fingerprint(self)
+        *self
+            .fingerprint
+            .0
+            .get_or_init(|| crate::program::fingerprint(self))
     }
 
     /// Lowers the circuit to a [`CompiledProgram`](crate::program::CompiledProgram)
@@ -434,6 +460,83 @@ mod tests {
         assert!(!c.is_unitary_circuit());
         assert!(c.adjoint().is_err());
         assert!(c.to_matrix().is_err());
+    }
+
+    /// One `&mut self` mutator call (indices are reduced modulo the
+    /// current length).
+    #[derive(Clone, Debug)]
+    enum Mutation {
+        Push(CircuitItem),
+        Insert(usize, CircuitItem),
+        Erase(usize),
+        Clear,
+        AsBlock,
+        UnBlock,
+    }
+
+    fn mutation() -> impl proptest::strategy::Strategy<Value = Mutation> {
+        use proptest::prelude::*;
+        let item = || {
+            prop_oneof![
+                (0..3usize).prop_map(|q| Hadamard::new(q).into()),
+                (0..3usize, -3.0..3.0f64).prop_map(|(q, t)| RotationZ::new(q, t).into()),
+                (0..2usize).prop_map(|q| CNOT::new(q, q + 1).into()),
+                (0..3usize).prop_map(|q| Measurement::z(q).into()),
+                (0..3usize).prop_map(CircuitItem::Reset),
+                (0..2usize).prop_map(|q| CircuitItem::SubCircuit {
+                    offset: q,
+                    circuit: bell_circuit(),
+                }),
+            ]
+        };
+        prop_oneof![
+            item().prop_map(Mutation::Push),
+            item().prop_map(Mutation::Push),
+            (0..64usize, item()).prop_map(|(i, it)| Mutation::Insert(i, it)),
+            (0..64usize).prop_map(Mutation::Erase),
+            Just(Mutation::Clear),
+            Just(Mutation::AsBlock),
+            Just(Mutation::UnBlock),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The remembered fingerprint never outlives the items it was
+        /// hashed from: after every mutator — with the memo filled in
+        /// between — it equals the hash of a circuit rebuilt from
+        /// scratch, and a clone carries it.
+        #[test]
+        fn fingerprint_memo_tracks_every_mutator(
+            mutations in proptest::collection::vec(mutation(), 1..24),
+        ) {
+            let mut c = QCircuit::new(3);
+            for m in mutations {
+                match m {
+                    Mutation::Push(item) => {
+                        c.push_back(item);
+                    }
+                    Mutation::Insert(i, item) => c.insert(i % (c.len() + 1), item).unwrap(),
+                    Mutation::Erase(i) if !c.is_empty() => {
+                        c.erase(i % c.len());
+                    }
+                    Mutation::Erase(_) => {}
+                    Mutation::Clear => c.clear(),
+                    Mutation::AsBlock => {
+                        c.as_block("block");
+                    }
+                    Mutation::UnBlock => {
+                        c.un_block();
+                    }
+                }
+                let mut rebuilt = QCircuit::new(3);
+                for item in c.items() {
+                    rebuilt.push_back(item.clone());
+                }
+                proptest::prop_assert_eq!(c.fingerprint(), crate::program::fingerprint(&rebuilt));
+                proptest::prop_assert_eq!(c.clone().fingerprint(), c.fingerprint());
+                proptest::prop_assert_eq!(&c.clone(), &c);
+            }
+        }
     }
 
     #[test]

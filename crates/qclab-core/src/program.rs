@@ -393,6 +393,13 @@ pub struct CompiledProgram {
     /// per plan (`None` when the stream is not Clifford). Rides the
     /// same fingerprint-keyed cache as the bytecode.
     frame: std::sync::OnceLock<Option<std::sync::Arc<crate::sim::frame::FrameProgram>>>,
+    /// Retained seed-independent preparation of a sampled trajectory
+    /// run over this plan (evolved prefix → marginal + sampler), filled
+    /// by the first such run at most [`RETAINED_BYTES_CAP`] bytes large — see
+    /// [`crate::sim::trajectory`]. Rides the same cache, so a circuit
+    /// the process has solved once is resampled at the cost of its
+    /// shots.
+    prep: crate::sim::trajectory::PrepSlot,
 }
 
 impl CompiledProgram {
@@ -460,6 +467,11 @@ impl CompiledProgram {
         self.frame
             .get_or_init(|| crate::sim::frame::FrameProgram::compile(self).map(std::sync::Arc::new))
             .clone()
+    }
+
+    /// The plan's retained trajectory preparation.
+    pub(crate) fn prep(&self) -> &crate::sim::trajectory::PrepSlot {
+        &self.prep
     }
 
     /// `true` when the program contains no measurements or resets, i.e.
@@ -1021,7 +1033,7 @@ pub fn resolve_backend(
 pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
     let options = options.normalized();
     let nb_qubits = circuit.nb_qubits();
-    let fingerprint = fingerprint(circuit);
+    let fingerprint = circuit.fingerprint();
 
     let mut flat = Vec::new();
     flatten_items(circuit, 0, &mut flat);
@@ -1112,6 +1124,7 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
         prefix_map,
         bytecode: std::sync::OnceLock::new(),
         frame: std::sync::OnceLock::new(),
+        prep: Default::default(),
     }
 }
 
@@ -1125,6 +1138,19 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
 /// loops, sweeps) revisit a handful of circuits. Multi-tenant servers
 /// raise it to match their working set.
 pub const PLAN_CACHE_CAPACITY: usize = 32;
+
+/// Most bytes a cached plan may retain of a trajectory run's one-time
+/// preparation (sampler tables and outcome list), and most source text
+/// `qclab serve` remembers parsed circuits for — not a tuning knob, the
+/// one bound that keeps "remember what was already solved" from growing
+/// with the traffic: the plan cache holds at most
+/// [`plan_cache_capacity`]` × RETAINED_BYTES_CAP` bytes of
+/// preparations (32 MiB at the defaults). 1 MiB keeps a `2^16`-outcome
+/// alias table and nothing larger: a
+/// `2^20`-outcome table (16 MiB) is rebuilt by every run, and whether
+/// holding one would be worth its bytes is for the cost model to weigh
+/// per plan, not for a second constant.
+pub const RETAINED_BYTES_CAP: usize = 1 << 20;
 
 type CacheKey = (u64, usize, PlanOptions);
 
@@ -1143,6 +1169,14 @@ static CACHE_CAPACITY: AtomicUsize = AtomicUsize::new(PLAN_CACHE_CAPACITY);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
+static PREP_HITS: AtomicU64 = AtomicU64::new(0);
+static PREP_MISSES: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one look into a plan's retained-preparation slot.
+pub(crate) fn count_prep(hit: bool) {
+    let counter = if hit { &PREP_HITS } else { &PREP_MISSES };
+    counter.fetch_add(1, Ordering::Relaxed);
+}
 
 /// Locks the plan cache, recovering from poisoning. A thread that
 /// panicked while holding the lock (an executor panic can propagate
@@ -1200,18 +1234,34 @@ pub struct PlanCacheStats {
     pub evictions: u64,
     /// Plans currently cached.
     pub entries: usize,
+    /// Sampled trajectory runs whose one-time preparation came from
+    /// their plan.
+    pub prep_hits: u64,
+    /// Such runs that had to prepare (an empty slot, or one kept under
+    /// another configuration).
+    pub prep_misses: u64,
+    /// Bytes of preparations the cached plans currently retain — at
+    /// most [`plan_cache_capacity`]` × `[`RETAINED_BYTES_CAP`].
+    pub prep_bytes: usize,
 }
 
 /// Snapshot of the plan-cache counters.
 pub fn plan_cache_stats() -> PlanCacheStats {
+    let (mut entries, mut prep_bytes) = (0, 0);
+    for (_, slot) in lock_plan_cache().iter() {
+        if let Slot::Ready(plan) = slot {
+            entries += 1;
+            prep_bytes += plan.prep.bytes();
+        }
+    }
     PlanCacheStats {
         hits: CACHE_HITS.load(Ordering::Relaxed),
         misses: CACHE_MISSES.load(Ordering::Relaxed),
         evictions: CACHE_EVICTIONS.load(Ordering::Relaxed),
-        entries: lock_plan_cache()
-            .iter()
-            .filter(|(_, s)| matches!(s, Slot::Ready(_)))
-            .count(),
+        entries,
+        prep_hits: PREP_HITS.load(Ordering::Relaxed),
+        prep_misses: PREP_MISSES.load(Ordering::Relaxed),
+        prep_bytes,
     }
 }
 
@@ -1262,8 +1312,9 @@ impl Drop for FlightGuard {
     }
 }
 
-/// Lowers `circuit` through the global plan cache: the fingerprint is
-/// always recomputed (it is what detects circuit mutation), but
+/// Lowers `circuit` through the global plan cache: the key is the
+/// circuit's fingerprint (remembered by the circuit until its next
+/// mutation, which is what detects a changed circuit), and
 /// flattening, fusion and scheduling run only on a cache miss. Returns a
 /// shared handle; executions on the same circuit across backends and
 /// shots all reuse one plan.
@@ -1276,7 +1327,7 @@ impl Drop for FlightGuard {
 /// tenant.
 pub fn compile(circuit: &QCircuit, options: &PlanOptions) -> Arc<CompiledProgram> {
     let options = options.normalized();
-    let key: CacheKey = (fingerprint(circuit), circuit.nb_qubits(), options);
+    let key: CacheKey = (circuit.fingerprint(), circuit.nb_qubits(), options);
 
     {
         let mut cache = lock_plan_cache();

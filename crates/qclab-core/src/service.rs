@@ -18,6 +18,11 @@
 //!   is paid once, and each job's shots are drawn from its own
 //!   `(seed, shot)` RNG streams — per-job results stay **bit-identical**
 //!   to running the job alone.
+//! * **Retained preparation** — a sampled path's preparation stays on
+//!   the cached plan (under a byte cap), so a circuit resubmitted
+//!   *after* its group has run costs its shots only
+//!   ([`JobTelemetry::prep_hit`]); coalescing is what shares the work
+//!   of a cold burst.
 //! * **Admission control** — per-job memory estimates from
 //!   [`sim::guard`](crate::sim::guard), a global in-flight byte budget,
 //!   and a queue-depth cap. Scheduling is fair-share: a large job the
@@ -173,6 +178,11 @@ pub struct JobTelemetry {
     /// Number of jobs in the coalesced ensemble this job executed in
     /// (1 = ran alone).
     pub coalesced: usize,
+    /// `true` when the job's seed-independent preparation (evolved
+    /// prefix, marginal, sampler) was already on its cached plan:
+    /// the job paid for its shots only
+    /// ([`TrajectoryResult::prep_hit`]).
+    pub prep_hit: bool,
 }
 
 /// A completed job's payload.
@@ -778,6 +788,7 @@ fn run_group(inner: &Inner, group: Vec<QueuedJob>) {
             wall_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
             dedup_hit: job.dedup_hit,
             coalesced,
+            prep_hit: r.prep_hit(),
         },
     };
     match outcome {

@@ -54,7 +54,7 @@ fn ctrl_ok(i: usize, (mask, want): CtrlMasks) -> bool {
 }
 
 /// Dispatch configuration for the kernel backend.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Allow Rayon parallelism above [`PARALLEL_THRESHOLD_QUBITS`].
     pub allow_parallel: bool,

@@ -205,6 +205,15 @@ impl DiscreteSampler {
         self.len() == 0
     }
 
+    /// Heap bytes the sampler's tables occupy.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        match self {
+            DiscreteSampler::Alias(t) => t.len() * (size_of::<f64>() + size_of::<usize>()),
+            DiscreteSampler::Cdf(t) => t.len() * size_of::<f64>(),
+        }
+    }
+
     /// Draws one outcome index.
     #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {

@@ -80,10 +80,9 @@ use qclab_math::{bits, CVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A single-qubit Pauli error channel, sampled per noise location.
 ///
@@ -443,6 +442,8 @@ pub struct TrajectoryResult {
     stopped: Option<StopCause>,
     /// Effective shot-batch width the run executed with (1 = serial).
     batch: u64,
+    /// The one-time preparation came from the plan, not from this run.
+    prep_hit: bool,
 }
 
 impl TrajectoryResult {
@@ -526,6 +527,15 @@ impl TrajectoryResult {
     pub fn shot_batch(&self) -> u64 {
         self.batch
     }
+
+    /// `true` when the run's seed-independent preparation (evolved
+    /// prefix, marginal and sampler of a sampled path) was taken from
+    /// the cached plan instead of being computed by this run. Never
+    /// affects results: draws depend only on `(seed, shot)` and on the
+    /// table, not on which run built it.
+    pub fn prep_hit(&self) -> bool {
+        self.prep_hit
+    }
 }
 
 /// The plan options of a trajectory run: fusion and the locality pass
@@ -562,24 +572,27 @@ fn pauli_gate(p: Pauli, q: usize) -> Option<Gate> {
     }
 }
 
-/// Validates the register, initial state, noise spec and observables of a
-/// run; returns the state dimension.
+/// Validates the register, initial state (`None` = `|0…0⟩`, valid by
+/// construction), noise spec and observables of a run; returns the
+/// state dimension. Allocates nothing.
 fn validate(
     circuit: &QCircuit,
-    initial: &CVec,
+    initial: Option<&CVec>,
     config: &TrajectoryConfig,
 ) -> Result<usize, QclabError> {
     let n = circuit.nb_qubits();
     let dim = config.limits.check_register(n)?;
-    if initial.len() != dim {
-        return Err(QclabError::DimensionMismatch {
-            expected: dim,
-            actual: initial.len(),
-        });
-    }
-    let norm = initial.norm();
-    if (norm - 1.0).abs() > 1e-6 {
-        return Err(QclabError::NotNormalized { norm });
+    if let Some(initial) = initial {
+        if initial.len() != dim {
+            return Err(QclabError::DimensionMismatch {
+                expected: dim,
+                actual: initial.len(),
+            });
+        }
+        let norm = initial.norm();
+        if (norm - 1.0).abs() > 1e-6 {
+            return Err(QclabError::NotNormalized { norm });
+        }
     }
     config.noise.validate()?;
     for obs in &config.observables {
@@ -1079,6 +1092,7 @@ fn partial_empty(
         path,
         stopped: Some(cause),
         batch: 1,
+        prep_hit: false,
     }
 }
 
@@ -1093,8 +1107,10 @@ pub(crate) fn stop_or_err(err: QclabError) -> Result<StopCause, QclabError> {
 /// measured-qubit marginal. Building it is the `O(2^n · gates)` (dense)
 /// or support-sized (sparse) part of the run; drawing shots from it is
 /// `O(1)` per shot and keyed only by `(seed, shot)` — so one prep can
-/// serve many same-fingerprint requests ([`run_trajectories_grouped`])
-/// with every request's draws bit-identical to a standalone run.
+/// serve many same-fingerprint requests, within a group
+/// ([`run_trajectories_grouped`]) and, retained on the plan
+/// ([`PrepSlot`]), across runs, with every request's draws bit-identical
+/// to a standalone run.
 struct SampledPrep {
     /// Outcome index for each sampler slot; `None` means the identity
     /// (the dense path's sampler covers the full `2^m` marginal).
@@ -1106,6 +1122,10 @@ struct SampledPrep {
     /// path; the sparse executor has no norm watchdog).
     norm: NormStats,
     path: ShotPath,
+    /// Most live entries the sparse prefix evolution held (0 on the
+    /// dense path): a run served from a retained prep still answers to
+    /// its own [`ResourceLimits::check_sparse_entries`].
+    peak_entries: u128,
 }
 
 /// Joint Z-basis marginal of `state` over the `measured` qubits (first
@@ -1156,14 +1176,12 @@ fn basis_rotations(program: &CompiledProgram) -> impl Iterator<Item = Gate> + '_
 /// over the measured qubits.
 fn alias_prep(
     program: &CompiledProgram,
+    path: ShotPath,
     initial: CVec,
     config: &TrajectoryConfig,
 ) -> Result<Prepared, QclabError> {
     let plan = program.shot_plan();
     let n = program.nb_qubits();
-    let path = ShotPath::AliasSampled {
-        prefix_ops: plan.prefix_ops,
-    };
     // one-time evolution: no per-shot RNG stream to stay compatible
     // with, so the parallel kernels are allowed here
     let bc = program.bytecode();
@@ -1178,13 +1196,14 @@ fn alias_prep(
         kernel::apply_gate_with(&vdg, &mut s.state, n, &config.kernel);
     }
     let measured = &plan.measured_qubits;
-    Ok(Prepared::Sampled(SampledPrep {
+    Ok(Prepared::Sampled(Arc::new(SampledPrep {
         outcomes: None,
         sampler: DiscreteSampler::new(&marginal(&s.state, measured, n))?,
         m: measured.len(),
         norm: s.stats,
         path,
-    }))
+        peak_entries: 0,
+    })))
 }
 
 /// Sparse variant of [`alias_prep`]: the prefix is evolved on the
@@ -1192,28 +1211,27 @@ fn alias_prep(
 /// the *live entries only* (keyed and sorted, so the sampler's outcome
 /// order is deterministic). A dense `2^n` buffer never exists, so
 /// 30+ qubit low-entanglement programs sample in support-sized memory.
+/// The caller has validated the noise spec and the sparse register.
 fn sparse_prep(
     program: &CompiledProgram,
+    path: ShotPath,
     config: &TrajectoryConfig,
 ) -> Result<Prepared, QclabError> {
     let n = program.nb_qubits();
-    config.noise.validate()?;
-    config.limits.check_sparse_register(n)?;
     let plan = program.shot_plan();
-    let path = ShotPath::SparseSampled {
-        prefix_ops: plan.prefix_ops,
-    };
     let sopts = sparse::SparseOptions {
         limits: config.limits,
         ..sparse::SparseOptions::default()
     };
     let mut state = sparse::SparseState::basis_state(n, 0);
+    let mut peak_entries = state.nnz() as u128;
     let mut ticker = config.control.ticker();
     for op in &program.ops()[..plan.prefix_ops] {
         match op {
             ProgramOp::Gate(g) => {
                 state.apply_gate(g, sopts.prune_eps);
                 config.limits.check_sparse_entries(n, state.nnz() as u128)?;
+                peak_entries = peak_entries.max(state.nnz() as u128);
             }
             ProgramOp::Fence(_) => {}
             // sparse-tagged plans never emit layout permutes, but a
@@ -1243,13 +1261,14 @@ fn sparse_prep(
             .or_insert(0.0) += amp.norm_sqr();
     }
     let weights: Vec<f64> = marginal.values().copied().collect();
-    Ok(Prepared::Sampled(SampledPrep {
+    Ok(Prepared::Sampled(Arc::new(SampledPrep {
         outcomes: Some(marginal.into_keys().collect()),
         sampler: DiscreteSampler::new(&weights)?,
         m: measured.len(),
         norm: NormStats::default(),
         path,
-    }))
+        peak_entries,
+    })))
 }
 
 /// Draws `config.shots` shots from a prepared sampler, each from the
@@ -1305,6 +1324,7 @@ fn draw_sampled(
         path: prep.path,
         stopped,
         batch: 1,
+        prep_hit: false,
     })
 }
 
@@ -1312,25 +1332,119 @@ fn draw_sampled(
 /// and pays once, whether one request or a coalesced group then draws
 /// shots from it.
 enum Prepared {
-    /// Sparse- or alias-sampled: shots are draws from a marginal.
-    Sampled(SampledPrep),
+    /// Sparse- or alias-sampled: shots are draws from a marginal. Shared,
+    /// never copied: the same value serves the run that built it and,
+    /// when the plan retains it ([`PrepSlot`]), every later run.
+    Sampled(Arc<SampledPrep>),
     /// Pauli-frame engine over the plan's cached frame stream.
     Frames(Arc<CompiledProgram>, Arc<frame::FrameProgram>),
     /// Forked or per-shot state-vector ensemble.
-    Shots(ShotProgram),
+    Shots(Box<ShotProgram>),
     /// The one-time preparation was stopped before any shot existed.
     Stopped(StopCause, ShotPath),
 }
 
+impl SampledPrep {
+    /// Bytes a plan holds on to by retaining this preparation: the
+    /// sampler and its outcome list.
+    fn bytes(&self) -> usize {
+        let outcomes = self.outcomes.as_ref().map_or(0, Vec::len);
+        self.sampler.bytes() + outcomes * std::mem::size_of::<usize>()
+    }
+}
+
+/// What a retained preparation was built under: the route taken and
+/// everything else its builder reads from the base configuration that
+/// the plan's own options do not already fix — other than seed, shots
+/// and control (a preparation is independent of them) and limits
+/// (checked on every run, hit or miss).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct PrepKey {
+    path: ShotPath,
+    /// The kernel and watchdog configuration a dense prefix was evolved
+    /// under; `None` on the sparse route, which reads neither.
+    dense: Option<(KernelConfig, WatchdogConfig)>,
+}
+
+/// The slot of a [`CompiledProgram`] that retains the seed-independent
+/// preparation of sampled runs from `|0…0⟩`, so a circuit the process
+/// has already solved costs its shots only. Only [`Prepared::Sampled`]
+/// is ever kept: `Frames` is cached by
+/// [`CompiledProgram::frame_program`] already (and its plan handle would
+/// make the plan own itself), a fork snapshot saved nothing measurable
+/// (EXPERIMENTS F12), a per-shot start is the initial state itself and
+/// `Stopped` is not a preparation. First come, first kept: a run under
+/// another [`PrepKey`] computes its own preparation and leaves the slot
+/// alone, and one over [`program::RETAINED_BYTES_CAP`] is never kept.
+/// The slot dies with its plan (LRU eviction,
+/// [`program::clear_plan_cache`]).
+#[derive(Clone, Default)]
+pub(crate) struct PrepSlot(OnceLock<(PrepKey, Arc<SampledPrep>)>);
+
+impl PrepSlot {
+    fn get(&self, key: &PrepKey) -> Option<Arc<SampledPrep>> {
+        let kept = self.0.get().filter(|(k, _)| k == key);
+        program::count_prep(kept.is_some());
+        kept.map(|(_, prep)| Arc::clone(prep))
+    }
+
+    /// Keeps `prep` if it is small enough and the slot is still empty.
+    /// Racing cold runs each compute; one is kept.
+    fn offer(&self, key: PrepKey, prep: &Arc<SampledPrep>) {
+        if prep.bytes() <= program::RETAINED_BYTES_CAP {
+            let _ = self.0.set((key, Arc::clone(prep)));
+        }
+    }
+
+    /// Bytes the slot retains (0 when empty).
+    pub(crate) fn bytes(&self) -> usize {
+        self.0.get().map_or(0, |(_, prep)| prep.bytes())
+    }
+}
+
+impl fmt::Debug for PrepSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PrepSlot")
+            .field("key", &self.0.get().map(|(k, _)| k))
+            .field("bytes", &self.bytes())
+            .finish()
+    }
+}
+
+/// The plan's retained sampled preparation for `key`, or — on a miss, or
+/// with no key (an explicit initial state) — the one `build` computes,
+/// offered to the plan. The flag says which.
+fn retained_or(
+    program: &CompiledProgram,
+    key: Option<PrepKey>,
+    build: impl FnOnce() -> Result<Prepared, QclabError>,
+) -> Result<(Prepared, bool), QclabError> {
+    let Some(key) = key else {
+        return Ok((build()?, false));
+    };
+    if let Some(prep) = program.prep().get(&key) {
+        return Ok((Prepared::Sampled(prep), true));
+    }
+    let prep = build()?;
+    if let Prepared::Sampled(p) = &prep {
+        program.prep().offer(key, p);
+    }
+    Ok((prep, false))
+}
+
 /// Routes a run — sparse → frames → alias → fork/per-shot — and performs
 /// its one-time preparation under `base` (whose seed and shot count are
-/// never consulted). `initial: None` starts from `|0…0⟩` and considers
-/// every engine; an explicit initial state pins the dense ones.
+/// never consulted), or — on the sampled routes — takes it from the plan
+/// ([`PrepSlot`]): every guard and validation below runs either way,
+/// only the `O(2^n)` allocation and evolution are skipped. The flag is
+/// `true` when the plan supplied it. `initial: None` starts from `|0…0⟩`
+/// and considers every engine; an explicit initial state pins the dense
+/// ones.
 fn prepare(
     circuit: &QCircuit,
     initial: Option<&CVec>,
     base: &TrajectoryConfig,
-) -> Result<Prepared, QclabError> {
+) -> Result<(Prepared, bool), QclabError> {
     let n = circuit.nb_qubits();
     let sampleable = |program: &CompiledProgram| {
         base.fast_path
@@ -1338,15 +1452,29 @@ fn prepare(
             && program.shot_plan().terminal_measurements
             && base.observables.is_empty()
     };
-    // Backend routing happens before the dense `|0…0⟩` guard/allocation,
-    // so sparse-eligible wide registers are not refused on the dense
-    // byte estimate.
+    // what a plan can key on: a run from `|0…0⟩`, not an explicit
+    // initial state
+    let key = |path, dense| initial.is_none().then_some(PrepKey { path, dense });
+    // Backend routing happens before the dense `|0…0⟩` guard, so
+    // sparse-eligible wide registers are not refused on the dense byte
+    // estimate.
     if initial.is_none() && base.backend != BackendRequest::Dense {
         let program = circuit.compile_with(&PlanOptions::sparse());
         let choice = program::resolve_backend(base.backend, program.stats(), n, &base.limits)?;
         if let BackendChoice::Sparse { .. } = choice {
             if sampleable(&program) {
-                return sparse_prep(&program, base);
+                base.noise.validate()?;
+                base.limits.check_sparse_register(n)?;
+                let path = ShotPath::SparseSampled {
+                    prefix_ops: program.shot_plan().prefix_ops,
+                };
+                let (prep, hit) = retained_or(&program, key(path, None), || {
+                    sparse_prep(&program, path, base)
+                })?;
+                if let Prepared::Sampled(p) = &prep {
+                    base.limits.check_sparse_entries(n, p.peak_entries)?;
+                }
+                return Ok((prep, hit));
             }
             if base.backend == BackendRequest::Sparse {
                 return Err(QclabError::Unavailable(
@@ -1372,22 +1500,25 @@ fn prepare(
     {
         let program = compile();
         if let Some(frames) = program.frame_program() {
-            return Ok(Prepared::Frames(program, frames));
+            return Ok((Prepared::Frames(program, frames), false));
         }
     }
-    let initial = match initial {
-        Some(v) => Cow::Borrowed(v),
-        None => Cow::Owned(CVec::basis_state(base.limits.check_register(n)?, 0)),
-    };
-    validate(circuit, &initial, base)?;
-    let initial = initial.into_owned();
+    let dim = validate(circuit, initial, base)?;
+    // only a preparation that is actually computed allocates its state
+    let initial_state = || initial.map_or_else(|| CVec::basis_state(dim, 0), CVec::clone);
     let program = compile();
 
     // Terminal-measurement fast path: pure unitary + terminal
     // measurements, noiseless, no observables — evolve once, sample the
     // exact marginal.
     if sampleable(&program) {
-        return alias_prep(&program, initial, base);
+        let path = ShotPath::AliasSampled {
+            prefix_ops: program.shot_plan().prefix_ops,
+        };
+        let dense = Some((base.kernel, base.watchdog));
+        return retained_or(&program, key(path, dense), || {
+            alias_prep(&program, path, initial_state(), base)
+        });
     }
 
     // Deterministic-prefix forking: without gate/idle noise the prefix
@@ -1408,15 +1539,19 @@ fn prepare(
     // so the snapshot is bit-identical to what each unforked shot would
     // have computed
     let bc = program.bytecode();
-    let start = match evolve_prefix(&bc, prefix_ops, initial, base, shot_kernel_config(base)) {
+    let kernel = shot_kernel_config(base);
+    let start = match evolve_prefix(&bc, prefix_ops, initial_state(), base, kernel) {
         Ok(s) => s,
         // stopped during the one-time prefix: no shot completed
-        Err(e) => return Ok(Prepared::Stopped(stop_or_err(e)?, path)),
+        Err(e) => return Ok((Prepared::Stopped(stop_or_err(e)?, path), false)),
     };
     // the layout the stream left the snapshot in is the one lowering
     // published for the end of the prefix
     debug_assert!(prefix_ops == 0 || start.map.as_deref() == program.prefix_map());
-    Ok(Prepared::Shots(ShotProgram { bc, start, path }))
+    Ok((
+        Prepared::Shots(Box::new(ShotProgram { bc, start, path })),
+        false,
+    ))
 }
 
 impl Prepared {
@@ -1439,6 +1574,7 @@ impl Prepared {
                     path: ShotPath::PauliFrame,
                     stopped: run.stopped,
                     batch: run.batch,
+                    prep_hit: false,
                 })
             }
             Prepared::Shots(prog) => run_ensemble(prog, config),
@@ -1569,6 +1705,7 @@ fn run_ensemble(
         requested_shots: shots,
         stopped,
         batch: batch as u64,
+        prep_hit: false,
     })
 }
 
@@ -1611,7 +1748,7 @@ fn run_group(
     if requests.is_empty() {
         return Ok(Vec::new());
     }
-    let prepared = prepare(circuit, initial, base)?;
+    let (prepared, prep_hit) = prepare(circuit, initial, base)?;
     requests
         .iter()
         .map(|r| {
@@ -1621,7 +1758,9 @@ fn run_group(
                 control: r.control.clone(),
                 ..base.clone()
             };
-            prepared.run(circuit.nb_qubits(), &config)
+            let mut result = prepared.run(circuit.nb_qubits(), &config)?;
+            result.prep_hit = prep_hit;
+            Ok(result)
         })
         .collect()
 }
@@ -1694,7 +1833,7 @@ pub fn run_single_trajectory(
     config: &TrajectoryConfig,
     shot: u64,
 ) -> Result<Trajectory, QclabError> {
-    validate(circuit, initial, config)?;
+    validate(circuit, Some(initial), config)?;
     let bc = circuit.compile_with(&plan_options(config)).bytecode();
     let start = ShotState::new(initial.clone(), bc.n(), config.kernel, config.watchdog);
     let mut out = None;
