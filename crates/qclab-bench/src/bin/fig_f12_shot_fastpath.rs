@@ -2,19 +2,21 @@
 //!
 //! Two questions, one per section of the table:
 //!
-//! 1. **Alias sampling** — for the dominant workload shape (unitary
-//!    circuit + terminal measurements, no noise), what does drawing all
-//!    shots from the one-time measured-qubit marginal save over evolving
-//!    the state per shot? The fast path is `O(2^n·gates + shots)`
-//!    against the per-shot engine's `O(shots·2^n·gates)`, so the gap
-//!    widens with both `n` and the shot count.
+//! 1. **One table, many draws** — for the dominant workload shape
+//!    (unitary circuit + terminal measurements, no noise), what does
+//!    drawing all shots from the one-time table of the measured-qubit
+//!    marginal save over evolving the state per shot? Sharing costs
+//!    `O(2^n·gates + shots·n)` against `O(shots·2^n·gates)` without, so
+//!    the gap widens with both `n` and the shot count. Both legs draw
+//!    the same records (`fast_path` never changes a count), which this
+//!    bin asserts.
 //! 2. **Prefix forking** — with readout noise only, the deterministic
 //!    gate prefix is evolved once and every shot forks from the
 //!    snapshot. The fork is exact: the per-shot `(seed, shot)` RNG
 //!    streams are untouched, so counts are bit-identical to the plain
 //!    engine — which this bin asserts, not just benchmarks.
 //!
-//! The alias row is timed twice. **Cold**: the plan cache is cleared
+//! The table row is timed twice. **Cold**: the plan cache is cleared
 //! before every repetition, so the run lowers, evolves the prefix and
 //! builds its table — what a one-shot process pays, and what the row
 //! meant before plans retained sampled preparations. **Warm**: repeated
@@ -36,7 +38,7 @@ use qclab_core::sim::trajectory::{
 use std::hint::black_box;
 
 /// Unitary random circuit with every qubit measured at the end — the
-/// `counts`-style sampling workload the alias path targets.
+/// `counts`-style sampling workload the shared table targets.
 fn sample_only_circuit(n: usize, layers: usize) -> QCircuit {
     let mut c = random_circuit(n, layers, 7);
     for q in 0..n {
@@ -63,59 +65,66 @@ fn main() {
     let runs = if smoke { 1 } else { 3 };
 
     let mut t = Table::new(
-        "F12: shot-execution fast paths (alias sampling + prefix forking)",
+        "F12: shot-execution fast paths (shared terminal table + prefix forking)",
         &["section", "qubits", "config", "time", "speedup"],
     );
 
-    // -- section 1: terminal-measurement alias sampling ----------------
+    // -- section 1: terminal measurements drawn from one table --------
     let circuit = sample_only_circuit(n, layers);
     let fast = run_trajectories(&circuit, &config(shots, NoiseSpec::default(), true)).unwrap();
     assert!(
         matches!(fast.path(), ShotPath::AliasSampled { .. }),
-        "sample-only circuit must take the alias path, got {}",
+        "sample-only circuit must draw from the shared table, got {}",
         fast.path()
+    );
+    // exactness: sharing the evolution must not change a single count
+    let slow = run_trajectories(&circuit, &config(shots, NoiseSpec::default(), false)).unwrap();
+    assert_eq!(
+        fast.counts(),
+        slow.counts(),
+        "table-drawn counts diverged from the per-shot engine"
     );
     let t_per_shot = median_time(runs, || {
         black_box(run_trajectories(&circuit, &config(shots, NoiseSpec::default(), false)).unwrap());
     });
-    let t_alias = median_time(runs, || {
+    let t_table = median_time(runs, || {
         clear_plan_cache();
         black_box(run_trajectories(&circuit, &config(shots, NoiseSpec::default(), true)).unwrap());
     });
-    // reported, not asserted: at n = 16 the table sits exactly on the
-    // retention cap
+    // reported, not asserted (at n = 16 the table is half the
+    // retention cap)
     let mut warm_hit = true;
-    let t_alias_warm = median_time(runs, || {
+    let t_table_warm = median_time(runs, || {
         let r = run_trajectories(&circuit, &config(shots, NoiseSpec::default(), true)).unwrap();
         warm_hit &= r.prep_hit();
         black_box(r);
     });
-    let alias_ratio = t_per_shot / t_alias;
+    let table_ratio = t_per_shot / t_table;
     t.row(&[
-        "alias".into(),
+        "table".into(),
         n.to_string(),
         format!("per-shot ({shots} shots)"),
         fmt_seconds(t_per_shot),
         "1.0x".into(),
     ]);
     t.row(&[
-        "alias".into(),
+        "table".into(),
         n.to_string(),
-        format!("alias-sampled, cold ({shots} shots)"),
-        fmt_seconds(t_alias),
-        format!("{alias_ratio:.1}x"),
+        format!("shared table, cold ({shots} shots)"),
+        fmt_seconds(t_table),
+        format!("{table_ratio:.1}x"),
     ]);
     t.row(&[
-        "alias".into(),
+        "table".into(),
         n.to_string(),
-        format!("alias-sampled, warm plan ({shots} shots, prep_hit={warm_hit})"),
-        fmt_seconds(t_alias_warm),
-        format!("{:.1}x", t_per_shot / t_alias_warm),
+        format!("shared table, warm plan ({shots} shots, prep_hit={warm_hit})"),
+        fmt_seconds(t_table_warm),
+        format!("{:.1}x", t_per_shot / t_table_warm),
     ]);
     if !smoke {
         assert!(
-            alias_ratio >= 10.0,
-            "alias path must be >= 10x over per-shot at n={n}, measured {alias_ratio:.1}x"
+            table_ratio >= 10.0,
+            "the shared table must be >= 10x over per-shot at n={n}, measured {table_ratio:.1}x"
         );
     }
 
@@ -162,9 +171,9 @@ fn main() {
 
     t.emit("BENCH_f12_shot_fastpath");
     println!(
-        "alias sampling is {alias_ratio:.1}x over per-shot evolution at n={n}/{shots} shots \
+        "drawing from one table is {table_ratio:.1}x over per-shot evolution at n={n}/{shots} shots \
          (cold; {:.1}x on a warm plan);\n\
          prefix forking is {fork_ratio:.1}x with readout noise, with bit-identical counts",
-        t_per_shot / t_alias_warm
+        t_per_shot / t_table_warm
     );
 }

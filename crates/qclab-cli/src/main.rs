@@ -33,10 +33,10 @@
 //! * `--noise CH:P` / `--idle-noise CH:P` / `--measure-noise CH:P` —
 //!   Pauli noise for `sample`, where `CH` is `bitflip`, `phaseflip` or
 //!   `depolarizing` and `P` the error probability per location,
-//! * `--no-fast-path` — force the plain per-shot trajectory engine for
-//!   `sample` (disables deterministic-prefix forking and
-//!   terminal-measurement alias sampling; results are drawn from the
-//!   same distribution either way),
+//! * `--no-fast-path` — make every `sample` shot evolve its own state
+//!   from the first gate (no deterministic-prefix forking, no shared
+//!   terminal-measurement table); the counts are the same either way,
+//!   record for record,
 //! * `--no-frames` — disable the Pauli-frame sampler for `sample`
 //!   (noisy Clifford circuits fall back to the state-vector trajectory
 //!   engine; same distribution, different per-shot bits). For `compile`
@@ -243,7 +243,7 @@ fn usage() -> String {
      --noise <ch:p>          after-gate noise (sample); ch = bitflip|phaseflip|depolarizing\n  \
      --idle-noise <ch:p>     idle-qubit noise (sample)\n  \
      --measure-noise <ch:p>  pre-measurement noise (sample)\n  \
-     --no-fast-path          force the per-shot engine (sample)\n  \
+     --no-fast-path          share no evolution between shots; same counts (sample)\n  \
      --no-frames             disable the Pauli-frame sampler (sample/compile)\n  \
      --timeout-ms <n>        wall-clock deadline; exit 7 with partial results (simulate/counts/sample)\n\
      serve flags (jobs are newline-delimited JSON on stdin or the socket):\n  \
@@ -1142,8 +1142,9 @@ mod tests {
         assert!(clean.contains("sampled 200 trajectories"));
         assert!(clean.contains("'00'") && clean.contains("'11'"));
         assert!(!clean.contains("'01'") && !clean.contains("'10'"));
-        // a noiseless terminal-measurement circuit takes the alias path;
-        // the opt-out reports the per-shot engine instead
+        // a noiseless terminal-measurement circuit draws every shot from
+        // the shared table; the opt-out reports the per-shot engine
+        // instead — and the same records
         assert!(clean.contains("path: alias-sampled"), "output: {clean}");
         let slow = run(Command::Sample {
             path: p.clone(),
@@ -1155,6 +1156,8 @@ mod tests {
         })
         .unwrap();
         assert!(slow.contains("path: per-shot"), "output: {slow}");
+        let records = |out: &str| out.lines().skip(1).map(str::to_string).collect::<Vec<_>>();
+        assert_eq!(records(&slow), records(&clean));
         // a certain bit-flip before the only measurement flips |0> to '1'
         let one = write_qasm("one", "qreg q[1];\ncreg c[1];\nmeasure q -> c;\n");
         let flipped = run(Command::Sample {

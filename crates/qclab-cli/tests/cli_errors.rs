@@ -304,6 +304,37 @@ fn timed_out_sample_reports_partial_results_on_stdout() {
 }
 
 #[test]
+fn a_noisy_shot_count_no_machine_can_hold_times_out_instead_of_aborting() {
+    // 10^11 noisy shots: a slot per shot would be terabytes (this died
+    // with `memory allocation of … bytes failed`, exit 134). Batches are
+    // tallied as they finish, so memory does not grow with the shot
+    // count and the deadline decides — on the frame engine, on the
+    // state-vector engine, and at an absurd batch width
+    let bell = bell();
+    let shots = "100000000000";
+    for extra in [
+        &[][..],
+        &["--no-frames"],
+        &["--no-frames", "--shot-batch", shots],
+    ] {
+        let mut args = vec!["sample", bell.as_str(), shots];
+        args.extend_from_slice(&["--noise", "bitflip:0.01", "--timeout-ms", "200"]);
+        args.extend_from_slice(extra);
+        let out = qclab(&args);
+        assert_eq!(out.status.code(), Some(EXIT_TIMEOUT), "{}", stderr(&out));
+        let json = stdout(&out);
+        assert!(json.contains("\"partial\":true"), "stdout: {json}");
+        assert!(
+            json.contains(&format!("\"shots_requested\":{shots}")),
+            "stdout: {json}"
+        );
+        // partial counts: some shots were tallied, far from all
+        assert!(!json.contains("\"shots_completed\":0,"), "stdout: {json}");
+        assert!(json.contains("\"counts\":{\"00\":"), "stdout: {json}");
+    }
+}
+
+#[test]
 fn timeout_flag_is_rejected_where_meaningless() {
     assert_fails(
         &["draw", "--timeout-ms", "5", &bell()],

@@ -52,13 +52,11 @@ use crate::gates::Gate;
 use crate::measurement::Basis;
 use crate::observable::Pauli;
 use crate::program::{CompiledProgram, ProgramOp};
-use crate::sim::control::{StopCause, StopLatch};
+use crate::sim::control::StopCause;
 use crate::sim::stabilizer::StabilizerState;
-use crate::sim::trajectory::{shot_rng, stop_or_err, TrajectoryConfig};
+use crate::sim::trajectory::{fan_out, merge_counts, shot_rng, stop_or_err, TrajectoryConfig};
 use rand::rngs::StdRng;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One word-parallel frame-conjugation primitive. Every Clifford gate
 /// the tableau accepts lowers to a short sequence of these (sign-free:
@@ -449,15 +447,15 @@ pub(crate) struct FrameRun {
 
 /// Executes one batch of `lanes` consecutive shots starting at absolute
 /// shot index `first`: all frames advance through the schedule
-/// together, one pass of word ops per primitive. Returns the per-lane
-/// measurement records plus the batch's injected-error count.
+/// together, one pass of word ops per primitive. Returns the batch's
+/// record tally plus its injected-error count.
 fn run_batch(
     fp: &FrameProgram,
     reference: &Reference,
     config: &TrajectoryConfig,
     first: u64,
     lanes: usize,
-) -> Result<(Vec<String>, u64), QclabError> {
+) -> Result<(BTreeMap<String, u64>, u64), QclabError> {
     let noise = &config.noise;
     let mut batch = FrameBatch::new(fp.n, lanes);
     let words = batch.words;
@@ -546,16 +544,16 @@ fn run_batch(
         ticker.tick()?;
     }
     // transpose the outcome words into per-lane record strings
-    let mut records = Vec::with_capacity(lanes);
+    let mut counts = BTreeMap::new();
     for lane in 0..lanes {
         let (w, b) = (lane >> 6, lane & 63);
-        let mut record = String::with_capacity(outcomes.len());
-        for site in &outcomes {
-            record.push(if (site[w] >> b) & 1 == 1 { '1' } else { '0' });
-        }
-        records.push(record);
+        let record = outcomes
+            .iter()
+            .map(|site| if (site[w] >> b) & 1 == 1 { '1' } else { '0' })
+            .collect();
+        *counts.entry(record).or_insert(0) += 1;
     }
-    Ok((records, injected))
+    Ok((counts, injected))
 }
 
 /// One fair coin per lane, packed into `mask` (bit set = flip).
@@ -570,10 +568,9 @@ fn flip_mask(rngs: &mut [StdRng], mask: &mut [u64]) {
 }
 
 /// Samples `config.shots` shots of a frame-eligible program: reference
-/// tableau run, then bit-sliced frame batches (Rayon fans the batches
-/// out when `config.parallel`). Cooperative cancellation matches the
-/// trajectory engine: a stopped run keeps completed batches and flags
-/// the result partial; the in-flight batch is dropped whole.
+/// tableau run, then bit-sliced frame batches through the trajectory
+/// engine's [`fan_out`] — the same rounds, stop latch and partial-result
+/// rule, each batch tallied on its own and merged.
 pub(crate) fn run_frames(
     program: &CompiledProgram,
     fp: &FrameProgram,
@@ -588,68 +585,30 @@ pub(crate) fn run_frames(
     config.limits.check_frames(n, lanes)?;
     config.noise.validate()?;
 
+    let mut run = FrameRun {
+        counts: BTreeMap::new(),
+        shots: 0,
+        injected: 0,
+        stopped: None,
+        batch: lanes as u64,
+    };
     let reference = match reference_run(program, config) {
         Ok(r) => r,
         // stopped during the one-time reference run: no shot completed
         Err(e) => {
-            return Ok(FrameRun {
-                counts: BTreeMap::new(),
-                shots: 0,
-                injected: 0,
-                stopped: Some(stop_or_err(e)?),
-                batch: lanes as u64,
-            })
+            run.stopped = Some(stop_or_err(e)?);
+            return Ok(run);
         }
     };
-
-    let latch = StopLatch::new();
-    let control = &config.control;
-    let injected = AtomicU64::new(0);
-    let mut slots: Vec<Option<String>> = Vec::new();
-    slots.resize_with(shots as usize, || None);
-    let run_chunk = |first: usize, chunk: &mut [Option<String>]| {
-        if latch.is_tripped() {
-            return;
-        }
-        if let Some(cause) = control.probe() {
-            latch.trip(cause.into_error(crate::error::ExecProgress::default()));
-            return;
-        }
-        match run_batch(fp, &reference, config, first as u64, chunk.len()) {
-            Ok((records, inj)) => {
-                injected.fetch_add(inj, Ordering::Relaxed);
-                for (slot, record) in chunk.iter_mut().zip(records) {
-                    *slot = Some(record);
-                }
-            }
-            Err(e) => latch.trip(e),
-        }
-    };
-    if config.parallel && shots > 1 {
-        slots
-            .par_chunks_mut(lanes)
-            .enumerate()
-            .for_each(|(bi, chunk)| run_chunk(bi * lanes, chunk));
-    } else {
-        for (bi, chunk) in slots.chunks_mut(lanes).enumerate() {
-            run_chunk(bi * lanes, chunk);
-        }
-    }
-    let stopped = match latch.take() {
-        None => None,
-        Some(e) => Some(stop_or_err(e)?),
-    };
-    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-    let mut completed = 0u64;
-    for record in slots.into_iter().flatten() {
-        *counts.entry(record).or_insert(0) += 1;
-        completed += 1;
-    }
-    Ok(FrameRun {
-        counts,
-        shots: completed,
-        injected: injected.into_inner(),
-        stopped,
-        batch: lanes as u64,
-    })
+    run.stopped = fan_out(
+        config,
+        lanes,
+        |first, count| run_batch(fp, &reference, config, first, count),
+        |count, (counts, injected)| {
+            run.shots += count as u64;
+            run.injected += injected;
+            merge_counts(&mut run.counts, counts);
+        },
+    )?;
+    Ok(run)
 }

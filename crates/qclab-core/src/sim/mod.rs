@@ -165,13 +165,9 @@ impl Simulation {
 
     /// [`counts`](Self::counts) with a caller-supplied RNG.
     ///
-    /// Draws go through [`sampler::DiscreteSampler`] — cumulative search
-    /// for few branches, an O(1)-per-draw alias table for many — instead
-    /// of the old linear scan per shot, so sampling cost is
-    /// `O(branches + shots)` rather than `O(branches · shots)`. The
-    /// sampled *distribution* is unchanged but the RNG draw stream is
-    /// not: counts for a given seed differ from releases that used the
-    /// per-shot scan.
+    /// Draws go through [`sampler::CdfTable`] — the one sampler every
+    /// shot path uses — so sampling costs
+    /// `O(branches + shots · log branches)`.
     pub fn counts_with_rng(&self, shots: u64, rng: &mut impl Rng) -> Vec<(String, u64)> {
         let mut tally: BTreeMap<String, u64> = BTreeMap::new();
         // make every possible outcome visible even at zero frequency
@@ -181,8 +177,8 @@ impl Simulation {
         let weights: Vec<f64> = self.branches.iter().map(|b| b.probability).collect();
         // branch probabilities are positive and sum to ~1 by construction,
         // so the sampler build cannot fail for a simulation result
-        let sampler = sampler::DiscreteSampler::new(&weights)
-            .expect("branch probabilities are a distribution");
+        let sampler =
+            sampler::CdfTable::new(weights).expect("branch probabilities are a distribution");
         for _ in 0..shots {
             let chosen = sampler.sample(rng);
             *tally

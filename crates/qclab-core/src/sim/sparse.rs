@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use super::control::ExecutionControl;
 use super::guard::ResourceLimits;
-use super::sampler::DiscreteSampler;
+use super::sampler::CdfTable;
 use super::{Branch, Simulation};
 use crate::error::QclabError;
 use crate::gates::Gate;
@@ -341,8 +341,7 @@ impl SparseSimulation {
             tally.entry(b.result.clone()).or_insert(0);
         }
         let weights: Vec<f64> = self.branches.iter().map(|b| b.probability).collect();
-        let sampler =
-            DiscreteSampler::new(&weights).expect("branch probabilities are a distribution");
+        let sampler = CdfTable::new(weights).expect("branch probabilities are a distribution");
         for _ in 0..shots {
             let chosen = sampler.sample(rng);
             *tally

@@ -12,12 +12,33 @@
 //! the standard Monte-Carlo unraveling of a Pauli channel.
 //!
 //! Structure: `prepare` routes a run once (sparse → Pauli frames →
-//! alias → fork/per-shot) and pays its seed-independent preparation; a
-//! standalone run is a [`run_trajectories_grouped`] group of one. Every
-//! state-vector shot — one-time prefix, batch reference pass, lane
-//! suffix, [`run_single_trajectory`] — dispatches the plan's bytecode
-//! stream ([`super::bytecode`]) through one per-instruction body,
-//! `ShotState::step`; serial execution is the batch of one.
+//! terminal table → fork/per-shot) and pays its seed-independent
+//! preparation; a standalone run is a [`run_trajectories_grouped`] group
+//! of one. Every state-vector shot — one-time prefix, batch reference
+//! pass, lane suffix, [`run_single_trajectory`] — dispatches the plan's
+//! bytecode stream ([`super::bytecode`]) through one per-instruction
+//! body, `ShotState::step`; serial execution is the batch of one.
+//!
+//! **A terminal measurement is one draw, not `n` collapses.** When a
+//! program ends in measurements of pairwise-distinct qubits
+//! ([`ShotPlan::terminal_measurements`](crate::program::ShotPlan)) and
+//! no observable needs the post-measurement state, a shot's record is
+//! one function of (the state at the block, one uniform from the shot's
+//! `(seed, shot)` stream): rotate the measured qubits into their bases,
+//! take the joint marginal, prefix-sum it
+//! ([`CdfTable`](super::sampler::CdfTable)), bisect
+//! (`ShotState::terminal_table`). Who pays for the table is all that
+//! differs between paths: a run builds it **once** from the noiseless
+//! evolution (and may keep it on the plan, [`PrepSlot`]); a noiseless
+//! run draws every shot from it; a noisy lane whose gate, idle and
+//! readout draws never fire is still *exactly* that state and draws
+//! from it too — no clone, no kernel, no state; only a lane that
+//! injected an error builds the table of its own state. A lane's RNG
+//! draws come in one order on every path: gate/idle sites in schedule
+//! order → readout sites in measurement order → one outcome uniform.
+//! Per-qubit collapse (`ShotState::sample_z`) remains where a
+//! post-measurement state is consumed: mid-circuit measurements,
+//! resets, observables, [`run_single_trajectory`].
 //!
 //! Guarantees this module is tested for:
 //!
@@ -72,7 +93,7 @@ use crate::sim::control::{ControlTicker, ExecutionControl, StopCause, StopLatch}
 use crate::sim::frame;
 use crate::sim::guard::ResourceLimits;
 use crate::sim::kernel::KernelConfig;
-use crate::sim::sampler::DiscreteSampler;
+use crate::sim::sampler::CdfTable;
 use crate::sim::sparse;
 use crate::sim::{collapse, kernel};
 use qclab_math::scalar::C64;
@@ -237,6 +258,17 @@ impl NormStats {
         self.renormalizations += other.renormalizations;
         self.max_drift = self.max_drift.max(other.max_drift);
     }
+
+    /// The merge of `lanes` lanes that each report `self`.
+    fn times(&self, lanes: u64) -> NormStats {
+        let mut all = NormStats::default();
+        if lanes > 0 {
+            all.merge(self);
+            all.checks *= lanes;
+            all.renormalizations *= lanes;
+        }
+        all
+    }
 }
 
 /// Configuration of a trajectory run.
@@ -265,12 +297,14 @@ pub struct TrajectoryConfig {
     /// Observables whose expectations are averaged over the final states
     /// of all shots (must match the circuit's register size).
     pub observables: Vec<Observable>,
-    /// Enable the shot-execution fast paths (deterministic-prefix forking
-    /// and terminal-measurement alias sampling). Both are exact: the fork
-    /// path replays the cached [`ShotPlan`](crate::program::ShotPlan)
-    /// prefix once and produces bit-identical per-shot results, and the
-    /// alias path draws shots from the exact measured-qubit marginal.
-    /// Disable to force the plain per-shot engine (the F12 ablation).
+    /// Share the evolution that shots have in common: the deterministic
+    /// [`ShotPlan`](crate::program::ShotPlan) prefix is evolved once and
+    /// forked, and the table of a terminal measurement block is built
+    /// once and drawn from by every shot that injected no error. Results
+    /// are `==` either way — a shot's record is the same function of the
+    /// same state and the same `(seed, shot)` draws. Disable to make
+    /// every shot evolve (and tabulate) its own state from op 0 (the
+    /// F12 ablation).
     pub fast_path: bool,
     /// State representation of the shot engine. The default pins the
     /// dense engine (bit-compatible with every earlier release);
@@ -303,9 +337,9 @@ pub struct TrajectoryConfig {
     /// shot off at its own first stochastic divergence. Per-shot
     /// `(seed, shot)` RNG streams make every shot independent of the
     /// batch grouping, so results are bit-identical at any batch size;
-    /// `<= 1` is the serial engine (the batch of one). The effective
-    /// size is capped so one batch's lane states stay within a fixed
-    /// memory budget.
+    /// `<= 1` is the serial engine (the batch of one). A batch holds two
+    /// states at a time (its reference and the lane being finished)
+    /// whatever its width.
     pub shot_batch: usize,
 }
 
@@ -334,20 +368,6 @@ impl Default for TrajectoryConfig {
 /// still a reasonable work unit for the parallel fan-out.
 pub const DEFAULT_SHOT_BATCH: usize = 64;
 
-/// Memory budget for one in-flight batch's lane states (state + scratch
-/// per lane): bounds the working set the batched engine multiplies by
-/// its batch width, which the serial engine never held.
-const BATCH_MEM_BYTES: usize = 128 << 20;
-
-/// The batch width actually used for an `n`-qubit register: the
-/// requested width, capped so `2 * batch * 2^n` amplitudes stay within
-/// [`BATCH_MEM_BYTES`]. Capping never changes results — shots depend
-/// only on `(seed, shot)` — it only bounds memory.
-fn effective_batch(requested: usize, n: usize) -> usize {
-    let state_bytes = std::mem::size_of::<C64>() << n;
-    requested.min((BATCH_MEM_BYTES / (2 * state_bytes)).max(1))
-}
-
 /// Which shot-execution strategy a trajectory run actually used
 /// (reported on [`TrajectoryResult::path`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -360,9 +380,13 @@ pub enum ShotPath {
         /// Ops (gates + fences) replayed once instead of per shot.
         prefix_ops: usize,
     },
-    /// The circuit was pure unitary + terminal measurements: the state
-    /// was evolved once, the measured-qubit marginal built, and all
-    /// shots drawn from an alias table in O(1) each.
+    /// The circuit was pure unitary + terminal measurements and the run
+    /// noiseless: the state was evolved once, the measured-qubit
+    /// marginal tabulated, and every shot drawn from the table. ("Alias"
+    /// is historical — the table is cumulative sums searched by
+    /// bisection, the same one a noisy run's error-free lanes draw from;
+    /// the name and its `Display` string are kept for callers that match
+    /// on them.)
     AliasSampled {
         /// Ops evolved once before sampling.
         prefix_ops: usize,
@@ -440,7 +464,7 @@ pub struct TrajectoryResult {
     /// [`ExecutionControl`]; `shots` then counts only the completed
     /// trajectories.
     stopped: Option<StopCause>,
-    /// Effective shot-batch width the run executed with (1 = serial).
+    /// Shot-batch width the run executed with (1 = serial).
     batch: u64,
     /// The one-time preparation came from the plan, not from this run.
     prep_hit: bool,
@@ -519,11 +543,12 @@ impl TrajectoryResult {
         self.path
     }
 
-    /// Effective shot-batch width the run executed with: `> 1` when the
-    /// per-shot/forked path pushed batches of lane states through the
-    /// plan's bytecode, `1` for serial execution and the sampled paths
-    /// (which have no per-shot evolution to batch). Never affects
-    /// results — only how dispatch cost was amortized.
+    /// Shot-batch width the run executed with: the configured
+    /// [`TrajectoryConfig::shot_batch`] when the per-shot/forked path
+    /// pushed batches of lanes through the plan's bytecode, `1` for
+    /// serial execution and the sampled paths (which have no per-shot
+    /// evolution to batch). Never affects results — only how the shared
+    /// evolution was amortized.
     pub fn shot_batch(&self) -> u64 {
         self.batch
     }
@@ -796,6 +821,40 @@ impl ShotState {
         }
     }
 
+    /// The cumulative outcome table of `block` on this state — the one
+    /// build behind every terminal draw, whether the state is the run's
+    /// shared noiseless evolution or a diverged lane's own: the
+    /// end-of-shot norm check, each measured qubit rotated into its
+    /// basis, the joint marginal, prefix-summed in place. The state is
+    /// consumed as a state (left rotated); its layout is the identity,
+    /// which lowering guarantees at a terminal block.
+    fn terminal_table(&mut self, block: &TerminalBlock) -> Result<CdfTable, QclabError> {
+        debug_assert!(self.map.is_none());
+        self.final_check();
+        for vdg in &block.rotations {
+            kernel::apply_gate_with(vdg, &mut self.state, self.n, &self.kernel);
+        }
+        CdfTable::new(marginal(&self.state, &block.measured, self.n, &block.lut))
+    }
+
+    /// The terminal block on a lane's own state: the readout sites in
+    /// measurement order (a fired Pauli is injected — exact in every
+    /// basis, since the measured qubits are pairwise distinct), then
+    /// one outcome uniform through the same table build and the same
+    /// draw as the shared table's.
+    fn measure_terminal(
+        &mut self,
+        block: &TerminalBlock,
+        rng: &mut StdRng,
+    ) -> Result<usize, QclabError> {
+        if let Some(ch) = self.noise.before_measure {
+            for (&op, &q) in block.ops.iter().zip(&block.measured) {
+                self.inject(&ch, q, op, rng);
+            }
+        }
+        Ok(self.terminal_table(block)?.sample(rng))
+    }
+
     /// The one per-instruction body of the shot engine: executes `instr`
     /// — the instruction at the cursor — against the state, draws its
     /// noise sites from `rng`, appends measured bits to `record`, moves
@@ -929,6 +988,77 @@ struct ShotProgram {
     /// statistics match the unforked engine exactly.
     start: ShotState,
     path: ShotPath,
+    /// `Some` when the program ends in a terminal measurement block and
+    /// no observable reads the post-measurement state: lanes then end in
+    /// one draw instead of per-qubit collapses.
+    terminal: Option<Terminal>,
+}
+
+/// The measurements of a terminal block
+/// ([`ShotPlan::terminal_measurements`](crate::program::ShotPlan)), as
+/// the one draw reads them.
+struct TerminalBlock {
+    /// Schedule index of the block's first op (the prefix length).
+    first: usize,
+    /// Measured qubits in execution order (first = most significant
+    /// outcome bit) and the schedule index of each one's measurement —
+    /// the readout noise sites.
+    measured: Vec<usize>,
+    ops: Vec<usize>,
+    /// The `V†` that brings each non-Z measurement into the
+    /// computational basis. The measured qubits are pairwise distinct,
+    /// so the rotations commute and the Z-basis joint marginal of the
+    /// rotated state is exactly the joint outcome distribution of the
+    /// measurements taken one by one.
+    rotations: Vec<Gate>,
+    /// [`tile_lut`] of the measured qubits, built once for every lane
+    /// that tabulates its own state.
+    lut: Vec<usize>,
+}
+
+impl TerminalBlock {
+    fn of(program: &CompiledProgram) -> TerminalBlock {
+        let first = program.shot_plan().prefix_ops;
+        let mut block = TerminalBlock {
+            first,
+            measured: Vec::new(),
+            ops: Vec::new(),
+            rotations: Vec::new(),
+            lut: Vec::new(),
+        };
+        for (op, item) in program.ops().iter().enumerate().skip(first) {
+            if let ProgramOp::Measure(m) = item {
+                block.measured.push(m.qubit());
+                block.ops.push(op);
+                if !matches!(m.basis(), Basis::Z) {
+                    block.rotations.push(Gate::Custom {
+                        name: "V†".into(),
+                        qubits: vec![m.qubit()],
+                        matrix: m.basis().change_matrix().dagger(),
+                    });
+                }
+            }
+        }
+        block.lut = tile_lut(&block.measured, program.nb_qubits());
+        block
+    }
+}
+
+/// How the lanes of a [`ShotProgram`] end in a terminal block.
+struct Terminal {
+    block: TerminalBlock,
+    /// The table of the run's noiseless evolution, which every lane that
+    /// injects nothing draws from. `None` with
+    /// [`TrajectoryConfig::fast_path`] off: every lane then tabulates
+    /// its own state.
+    shared: Option<Arc<SampledPrep>>,
+}
+
+/// What a lane measured: the record of per-qubit collapses, or the
+/// outcome index of one terminal draw (measurement `j` is bit `m−1−j`).
+enum Measured {
+    Record(String),
+    Outcome(usize),
 }
 
 /// Where one lane's trajectory first leaves the batch's shared
@@ -936,10 +1066,13 @@ struct ShotProgram {
 /// without touching any state: every noise-site draw is a plain
 /// `rng.gen::<f64>()` whose *count and order* depend only on the op
 /// schedule, never on amplitudes, so the first op at which a shot can
-/// diverge — the first gate with a fired injection, the first
-/// measurement or reset — is a pure function of `(seed, shot)`.
+/// diverge — the first gate or readout site with a fired injection, the
+/// first measurement or reset that collapses the state — is a pure
+/// function of `(seed, shot)`.
 struct LaneFork {
-    /// Schedule index of the first op the lane executes itself.
+    /// Schedule index of the first op the lane executes itself; the op
+    /// count when it executes none (every draw up to and including a
+    /// terminal block's readout sites passed without firing).
     shared: usize,
     /// The lane's RNG stream, positioned exactly where the serial
     /// engine's would be on reaching op `shared`.
@@ -948,19 +1081,40 @@ struct LaneFork {
 
 /// Replays the noise draws of one `(seed, shot)` stream over the
 /// instructions from `start`'s cursor on (no state, no kernels) and
-/// returns the lane's fork point. A measurement or reset forks
-/// unconditionally — its draws consult the state. A gate forks when any
-/// of its noise draws fires, even if the sampled Pauli turns out to act
-/// trivially: forking early is always safe, the lane just replays more
-/// ops itself.
-fn scan_fork(stream: &[Instr], start: &ShotState, noise: &NoiseSpec, mut rng: StdRng) -> LaneFork {
+/// returns the lane's fork point. A gate forks when any of its noise
+/// draws fires, even if the sampled Pauli turns out to act trivially:
+/// forking early is always safe, the lane just replays more ops itself.
+/// A collapsing measurement or a reset forks unconditionally — its
+/// draws consult the state. A terminal block drawn from a shared table
+/// (`block`) does not: the lane forks there only if one of its readout
+/// sites fires, and otherwise comes back parked on its outcome uniform.
+fn scan_fork(
+    bc: &Bytecode,
+    start: &ShotState,
+    noise: &NoiseSpec,
+    block: Option<&TerminalBlock>,
+    mut rng: StdRng,
+) -> LaneFork {
     let gate_draws = noise.strikes_gates();
     let mut op = start.op;
-    for instr in &stream[start.pc..] {
+    for instr in &bc.stream[start.pc..] {
         let gates: &[Vec<usize>] = match instr {
             Instr::Gate { touched, .. } => std::slice::from_ref(touched),
             Instr::Window { touched, .. } => touched,
-            Instr::Measure(_) | Instr::Reset(_) => break,
+            Instr::Measure(_) | Instr::Reset(_) => {
+                if let Some(block) = block {
+                    let before = rng.clone();
+                    let fired = noise
+                        .before_measure
+                        .is_some_and(|ch| block.ops.iter().any(|_| ch.sample(&mut rng).is_some()));
+                    if fired {
+                        rng = before;
+                    } else {
+                        op = bc.ops;
+                    }
+                }
+                break;
+            }
             Instr::Fence | Instr::Permute { .. } => &[],
         };
         if gates.is_empty() || !gate_draws {
@@ -992,47 +1146,76 @@ fn scan_fork(stream: &[Instr], start: &ShotState, noise: &NoiseSpec, mut rng: St
 /// draws never consult the state, each lane's divergence point can be
 /// computed up front by replaying its `(seed, shot)` stream
 /// ([`scan_fork`]). The batch therefore evolves one reference state
-/// through the shared ops *once*, forks each lane off it at that lane's
-/// own divergence point (state + cursor + watchdog counters, with the
-/// RNG where the scan parked it), and finishes the lane before moving
-/// on, so the suffix state stays cache-resident; the last lane takes the
-/// reference itself, so a batch of one copies nothing. `reference` is
-/// the state the shots start from. Every lane runs
-/// the per-instruction body ([`ShotState::step`]) over the same ops in
-/// the same order with the same RNG stream whatever the grouping, so
-/// every shot is bit-identical at any batch width. Finished lanes are
-/// handed to `finish` with their lane index and record; a control stop
-/// (reference pass or any lane) returns the error, and the caller drops
-/// the whole in-flight batch.
+/// through the shared ops *once* — only as far as its last diverging
+/// lane — forks each lane off it at that lane's own divergence point
+/// (state + cursor + watchdog counters, with the RNG where the scan
+/// parked it), and finishes the lane before moving on, so the suffix
+/// state stays cache-resident; the last lane takes the reference itself,
+/// so a batch of one copies nothing. `reference` is the state the shots
+/// start from.
+///
+/// With a `terminal` block, a lane ends in one outcome draw
+/// ([`ShotState::measure_terminal`]) instead of stepping through the
+/// measurements; with a shared table as well, a lane that never
+/// diverges holds no state at all and draws from that table.
+///
+/// Every lane runs the per-instruction body ([`ShotState::step`]) over
+/// the same ops in the same order with the same RNG stream whatever the
+/// grouping, so every shot is bit-identical at any batch width. A
+/// finished lane is handed to `finish` as (lane index, what it measured,
+/// its own state — `None` if it drew from the shared table); a control
+/// stop (reference pass or any lane) returns the error, and the caller
+/// drops the whole in-flight batch.
 fn run_shot_batch(
     bc: &Bytecode,
+    terminal: Option<&Terminal>,
     mut reference: ShotState,
     config: &TrajectoryConfig,
     first: u64,
     count: usize,
-    mut finish: impl FnMut(usize, ShotState, String),
+    mut finish: impl FnMut(usize, Measured, Option<ShotState>),
 ) -> Result<(), QclabError> {
     let stream = &bc.stream;
+    let block = terminal.map(|t| &t.block);
+    let shared = terminal.and_then(|t| t.shared.as_deref());
     // pure-RNG pre-scan: where does each lane leave the shared
-    // trajectory? (a few ns per noise site — no state, no kernels)
+    // trajectory? (a few ns per noise site — no state, no kernels) Only
+    // with a table to draw from can a lane pass through the block.
+    let through = block.filter(|_| shared.is_some());
     let forks: Vec<LaneFork> = (0..count)
         .map(|j| {
             let rng = shot_rng(config.seed, first + j as u64);
-            scan_fork(stream, &reference, &config.noise, rng)
+            scan_fork(bc, &reference, &config.noise, through, rng)
         })
         .collect();
     let mut order: Vec<usize> = (0..count).collect();
     order.sort_by_key(|&j| forks[j].shared);
-    let Some((&last, rest)) = order.split_last() else {
+    // the lanes that never diverge sort last and need no state
+    let mut diverging = &order[..];
+    if let Some(table) = shared {
+        diverging = &order[..order.partition_point(|&j| forks[j].shared < bc.ops)];
+        for &j in &order[diverging.len()..] {
+            let outcome = table.draw(&mut forks[j].rng.clone());
+            finish(j, Measured::Outcome(outcome), None);
+        }
+    }
+    let Some((&last, rest)) = diverging.split_last() else {
         return Ok(());
     };
     let mut run_lane = |mut lane: ShotState, j: usize| -> Result<(), QclabError> {
         lane.noise = config.noise;
         let (mut rng, mut record) = (forks[j].rng.clone(), String::new());
         let mut ticker = config.control.ticker();
-        lane.advance(stream, bc.ops, &mut rng, &mut record, &mut ticker)?;
-        lane.final_check();
-        finish(j, lane, record);
+        let until = block.map_or(bc.ops, |b| b.first);
+        lane.advance(stream, until, &mut rng, &mut record, &mut ticker)?;
+        let measured = match block {
+            Some(block) => Measured::Outcome(lane.measure_terminal(block, &mut rng)?),
+            None => {
+                lane.final_check();
+                Measured::Record(record)
+            }
+        };
+        finish(j, measured, Some(lane));
         Ok(())
     };
     let mut ticker = config.control.ticker();
@@ -1102,20 +1285,21 @@ pub(crate) fn stop_or_err(err: QclabError) -> Result<StopCause, QclabError> {
     StopCause::from_error(&err).ok_or(err)
 }
 
-/// The shared, seed-independent preparation of a sampled-path run: the
-/// evolved prefix reduced to a [`DiscreteSampler`] over the
-/// measured-qubit marginal. Building it is the `O(2^n · gates)` (dense)
-/// or support-sized (sparse) part of the run; drawing shots from it is
-/// `O(1)` per shot and keyed only by `(seed, shot)` — so one prep can
-/// serve many same-fingerprint requests, within a group
+/// The shared, seed-independent preparation of a run that ends in a
+/// terminal measurement block: the noiseless evolution reduced to the
+/// [`CdfTable`] of the measured-qubit marginal. Building it is the
+/// `O(2^n · gates)` (dense) or support-sized (sparse) part of the run;
+/// a draw from it is one bisection keyed only by `(seed, shot)` — so one
+/// prep can serve every shot of a noiseless run, every error-free lane
+/// of a noisy one, many same-fingerprint requests within a group
 /// ([`run_trajectories_grouped`]) and, retained on the plan
-/// ([`PrepSlot`]), across runs, with every request's draws bit-identical
+/// ([`PrepSlot`]), later runs, with every request's draws bit-identical
 /// to a standalone run.
 struct SampledPrep {
     /// Outcome index for each sampler slot; `None` means the identity
     /// (the dense path's sampler covers the full `2^m` marginal).
     outcomes: Option<Vec<usize>>,
-    sampler: DiscreteSampler,
+    sampler: CdfTable,
     /// Measured-qubit count — the record width.
     m: usize,
     /// Watchdog statistics of the one-time prefix evolution (dense
@@ -1128,85 +1312,66 @@ struct SampledPrep {
     peak_entries: u128,
 }
 
+/// The measured-qubit outcome bits of every index within one sweep
+/// tile — the low half of [`marginal`]'s index split.
+fn tile_lut(measured: &[usize], n: usize) -> Vec<usize> {
+    (0..1usize << kernel::SWEEP_TILE_QUBITS.min(n))
+        .map(|j| bits::gather_bits(j, measured, n))
+        .collect()
+}
+
 /// Joint Z-basis marginal of `state` over the `measured` qubits (first
 /// listed qubit = most significant outcome bit). `gather_bits`
 /// distributes over disjoint bit sets, so the outcome of index
 /// `base | j` is `gather(base) | gather(j)`: one table over the low tile
-/// bits replaces the per-amplitude bit loop (the same split
-/// [`kernel::permute_state`] uses). Amplitudes are accumulated in index
-/// order, so the sums are bit-identical to the plain loop.
-fn marginal(state: &[C64], measured: &[usize], n: usize) -> Vec<f64> {
-    let tile = 1usize << kernel::SWEEP_TILE_QUBITS.min(n);
-    let lut: Vec<usize> = (0..tile)
-        .map(|j| bits::gather_bits(j, measured, n))
-        .collect();
+/// bits (`lut`, their [`tile_lut`]) replaces the per-amplitude bit loop
+/// (the same split [`kernel::permute_state`] uses). Amplitudes are
+/// accumulated in index order, so the sums are bit-identical to the
+/// plain loop.
+fn marginal(state: &[C64], measured: &[usize], n: usize, lut: &[usize]) -> Vec<f64> {
+    let tile = lut.len();
     let mut probs = vec![0.0f64; 1usize << measured.len()];
     for (ti, chunk) in state.chunks(tile).enumerate() {
         let hi = bits::gather_bits(ti * tile, measured, n);
-        for (amp, &lo) in chunk.iter().zip(&lut) {
+        for (amp, &lo) in chunk.iter().zip(lut) {
             probs[hi | lo] += amp.norm_sqr();
         }
     }
     probs
 }
 
-/// The `V†` rotations that bring each non-Z terminal measurement of
-/// `program` into the computational basis. The measured qubits are
-/// pairwise distinct, so the rotations commute and the Z-basis joint
-/// marginal of the rotated state is exactly the joint outcome
-/// distribution of the sequential per-shot measurements.
-fn basis_rotations(program: &CompiledProgram) -> impl Iterator<Item = Gate> + '_ {
-    program.ops()[program.shot_plan().prefix_ops..]
-        .iter()
-        .filter_map(|op| match op {
-            ProgramOp::Measure(m) if !matches!(m.basis(), Basis::Z) => Some(Gate::Custom {
-                name: "V†".into(),
-                qubits: vec![m.qubit()],
-                matrix: m.basis().change_matrix().dagger(),
-            }),
-            _ => None,
-        })
-}
-
-/// Builds the terminal-measurement fast-path preparation: the program
-/// is a unitary prefix followed only by measurements of
-/// pairwise-distinct qubits (plus fences), and the run is noiseless
-/// with no observables. Evolves the state once, rotates each measured
-/// qubit into its measurement basis and builds the exact joint marginal
-/// over the measured qubits.
-fn alias_prep(
+/// Builds the shared terminal table of a dense run: the program is a
+/// unitary prefix followed only by measurements of pairwise-distinct
+/// qubits (plus fences), and no observable is requested. Evolves the
+/// noiseless state once and tabulates it ([`ShotState::terminal_table`]);
+/// a control stop reports the run's own `path`.
+fn terminal_prep(
     program: &CompiledProgram,
     path: ShotPath,
     initial: CVec,
     config: &TrajectoryConfig,
 ) -> Result<Prepared, QclabError> {
-    let plan = program.shot_plan();
-    let n = program.nb_qubits();
-    // one-time evolution: no per-shot RNG stream to stay compatible
-    // with, so the parallel kernels are allowed here
+    let block = TerminalBlock::of(program);
+    // one-time evolution: the parallel kernels are allowed here, and
+    // leave the bits a shot's own single-threaded evolution leaves
     let bc = program.bytecode();
-    let mut s = match evolve_prefix(&bc, plan.prefix_ops, initial, config, config.kernel) {
+    let mut s = match evolve_prefix(&bc, block.first, initial, config, config.kernel) {
         Ok(s) => s,
         Err(e) => return Ok(Prepared::Stopped(stop_or_err(e)?, path)),
     };
-    // no per-shot epilogue runs on this path: the end-of-shot check
-    // happens here, once
-    s.final_check();
-    for vdg in basis_rotations(program) {
-        kernel::apply_gate_with(&vdg, &mut s.state, n, &config.kernel);
-    }
-    let measured = &plan.measured_qubits;
     Ok(Prepared::Sampled(Arc::new(SampledPrep {
         outcomes: None,
-        sampler: DiscreteSampler::new(&marginal(&s.state, measured, n))?,
-        m: measured.len(),
+        sampler: s.terminal_table(&block)?,
+        m: block.measured.len(),
         norm: s.stats,
-        path,
+        path: ShotPath::AliasSampled {
+            prefix_ops: block.first,
+        },
         peak_entries: 0,
     })))
 }
 
-/// Sparse variant of [`alias_prep`]: the prefix is evolved on the
+/// Sparse variant of [`terminal_prep`]: the prefix is evolved on the
 /// sparse executor from `|0…0⟩` and the joint marginal accumulated over
 /// the *live entries only* (keyed and sorted, so the sampler's outcome
 /// order is deterministic). A dense `2^n` buffer never exists, so
@@ -1248,10 +1413,11 @@ fn sparse_prep(
             return Ok(Prepared::Stopped(stop_or_err(e)?, path));
         }
     }
-    for vdg in basis_rotations(program) {
-        state.apply_gate(&vdg, sopts.prune_eps);
+    let block = TerminalBlock::of(program);
+    for vdg in &block.rotations {
+        state.apply_gate(vdg, sopts.prune_eps);
     }
-    let measured = &plan.measured_qubits;
+    let measured = &block.measured;
     // joint marginal over the live support; BTreeMap gives the sampler a
     // deterministic outcome order independent of hashmap iteration
     let mut marginal: BTreeMap<usize, f64> = BTreeMap::new();
@@ -1263,7 +1429,7 @@ fn sparse_prep(
     let weights: Vec<f64> = marginal.values().copied().collect();
     Ok(Prepared::Sampled(Arc::new(SampledPrep {
         outcomes: Some(marginal.into_keys().collect()),
-        sampler: DiscreteSampler::new(&weights)?,
+        sampler: CdfTable::new(weights)?,
         m: measured.len(),
         norm: NormStats::default(),
         path,
@@ -1271,12 +1437,26 @@ fn sparse_prep(
     })))
 }
 
-/// Draws `config.shots` shots from a prepared sampler, each from the
+/// Renders a tally keyed by terminal outcome index as measurement
+/// records, once per distinct outcome: measurement `j` (execution order)
+/// is bit `m−1−j` of the index, matching the per-qubit record layout.
+fn render_outcomes(tally: BTreeMap<usize, u64>, m: usize, counts: &mut BTreeMap<String, u64>) {
+    for (k, c) in tally {
+        let record = (0..m)
+            .rev()
+            .map(|j| if (k >> j) & 1 == 1 { '1' } else { '0' })
+            .collect();
+        *counts.entry(record).or_insert(0) += c;
+    }
+}
+
+/// Draws `config.shots` shots from a prepared table, each from the
 /// shot's own `(config.seed, shot)` RNG stream — one draw per shot, so
 /// the sample is deterministic and independent of execution order *and*
-/// of which request group the prep was built for. Polls
-/// `config.control` between draws; a stop keeps the tally of the shots
-/// already drawn.
+/// of which request group the prep was built for. This is the noisy
+/// ensemble with every lane error-free: each shot reports the shared
+/// evolution's watchdog statistics. Polls `config.control` between
+/// draws; a stop keeps the tally of the shots already drawn.
 fn draw_sampled(
     prep: &SampledPrep,
     n: usize,
@@ -1293,26 +1473,12 @@ fn draw_sampled(
             stopped = Some(stop_or_err(e)?);
             break;
         }
-        let mut rng = shot_rng(config.seed, shot);
-        let slot = prep.sampler.sample(&mut rng);
-        let outcome = match &prep.outcomes {
-            Some(outcomes) => outcomes[slot],
-            None => slot,
-        };
+        let outcome = prep.draw(&mut shot_rng(config.seed, shot));
         *tally.entry(outcome).or_insert(0) += 1;
         done += 1;
     }
-    // outcome index → record string: measurement j (execution order) is
-    // bit m−1−j, matching the per-shot engine's record layout
-    let m = prep.m;
-    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-    for (k, c) in tally {
-        let mut record = String::with_capacity(m);
-        for j in (0..m).rev() {
-            record.push(if (k >> j) & 1 == 1 { '1' } else { '0' });
-        }
-        counts.insert(record, c);
-    }
+    let mut counts = BTreeMap::new();
+    render_outcomes(tally, prep.m, &mut counts);
     Ok(TrajectoryResult {
         nb_qubits: n,
         shots: done,
@@ -1320,7 +1486,7 @@ fn draw_sampled(
         counts,
         injected_errors: 0,
         expectations: Vec::new(),
-        norm: prep.norm,
+        norm: prep.norm.times(done),
         path: prep.path,
         stopped,
         batch: 1,
@@ -1332,9 +1498,10 @@ fn draw_sampled(
 /// and pays once, whether one request or a coalesced group then draws
 /// shots from it.
 enum Prepared {
-    /// Sparse- or alias-sampled: shots are draws from a marginal. Shared,
-    /// never copied: the same value serves the run that built it and,
-    /// when the plan retains it ([`PrepSlot`]), every later run.
+    /// Noiseless terminal program, dense or sparse: every shot is a draw
+    /// from the table. Shared, never copied: the same value serves the
+    /// run that built it and, when the plan retains it ([`PrepSlot`]),
+    /// every later run.
     Sampled(Arc<SampledPrep>),
     /// Pauli-frame engine over the plan's cached frame stream.
     Frames(Arc<CompiledProgram>, Arc<frame::FrameProgram>),
@@ -1345,6 +1512,15 @@ enum Prepared {
 }
 
 impl SampledPrep {
+    /// One terminal outcome (measurement `j` is bit `m−1−j`) from one
+    /// uniform of `rng`.
+    fn draw(&self, rng: &mut StdRng) -> usize {
+        let slot = self.sampler.sample(rng);
+        self.outcomes
+            .as_ref()
+            .map_or(slot, |outcomes| outcomes[slot])
+    }
+
     /// Bytes a plan holds on to by retaining this preparation: the
     /// sampler and its outcome list.
     fn bytes(&self) -> usize {
@@ -1432,11 +1608,11 @@ fn retained_or(
     Ok((prep, false))
 }
 
-/// Routes a run — sparse → frames → alias → fork/per-shot — and performs
-/// its one-time preparation under `base` (whose seed and shot count are
-/// never consulted), or — on the sampled routes — takes it from the plan
-/// ([`PrepSlot`]): every guard and validation below runs either way,
-/// only the `O(2^n)` allocation and evolution are skipped. The flag is
+/// Routes a run — sparse → frames → terminal table → fork/per-shot — and
+/// performs its one-time preparation under `base` (whose seed and shot
+/// count are never consulted), or — for a terminal table — takes it from
+/// the plan ([`PrepSlot`]): every guard and validation below runs either
+/// way, only the `O(2^n)` allocation and evolution are skipped. The flag is
 /// `true` when the plan supplied it. `initial: None` starts from `|0…0⟩`
 /// and considers every engine; an explicit initial state pins the dense
 /// ones.
@@ -1446,11 +1622,11 @@ fn prepare(
     base: &TrajectoryConfig,
 ) -> Result<(Prepared, bool), QclabError> {
     let n = circuit.nb_qubits();
-    let sampleable = |program: &CompiledProgram| {
-        base.fast_path
-            && base.noise.is_noiseless()
-            && program.shot_plan().terminal_measurements
-            && base.observables.is_empty()
+    let noiseless = base.noise.is_noiseless();
+    // a terminal block ends in one draw when nobody reads the
+    // post-measurement state
+    let terminal = |program: &CompiledProgram| {
+        program.shot_plan().terminal_measurements && base.observables.is_empty()
     };
     // what a plan can key on: a run from `|0…0⟩`, not an explicit
     // initial state
@@ -1462,7 +1638,7 @@ fn prepare(
         let program = circuit.compile_with(&PlanOptions::sparse());
         let choice = program::resolve_backend(base.backend, program.stats(), n, &base.limits)?;
         if let BackendChoice::Sparse { .. } = choice {
-            if sampleable(&program) {
+            if base.fast_path && noiseless && terminal(&program) {
                 base.noise.validate()?;
                 base.limits.check_sparse_register(n)?;
                 let path = ShotPath::SparseSampled {
@@ -1495,9 +1671,8 @@ fn prepare(
     // reference tableau run — O(poly n) per shot, admitted by the
     // frame guard instead of the dense 2^n estimate, so 100+ qubit
     // Clifford workloads run where every state-vector backend refuses.
-    // Noiseless runs keep the exact alias/fork/sparse paths.
-    if initial.is_none() && base.frames && !base.noise.is_noiseless() && base.observables.is_empty()
-    {
+    // Noiseless runs keep the exact table/fork/sparse paths.
+    if initial.is_none() && base.frames && !noiseless && base.observables.is_empty() {
         let program = compile();
         if let Some(frames) = program.frame_program() {
             return Ok((Prepared::Frames(program, frames), false));
@@ -1508,33 +1683,46 @@ fn prepare(
     let initial_state = || initial.map_or_else(|| CVec::basis_state(dim, 0), CVec::clone);
     let program = compile();
 
-    // Terminal-measurement fast path: pure unitary + terminal
-    // measurements, noiseless, no observables — evolve once, sample the
-    // exact marginal.
-    if sampleable(&program) {
-        let path = ShotPath::AliasSampled {
-            prefix_ops: program.shot_plan().prefix_ops,
-        };
-        let dense = Some((base.kernel, base.watchdog));
-        return retained_or(&program, key(path, dense), || {
-            alias_prep(&program, path, initial_state(), base)
-        });
-    }
+    let plan = program.shot_plan();
+    let terminal = terminal(&program);
 
     // Deterministic-prefix forking: without gate/idle noise the prefix
     // consumes no RNG draws and injects no errors, so evolving it once
     // and forking each shot from the snapshot preserves the per-shot
     // (seed, shot) streams — and therefore the results — bit for bit.
     let prefix_ops = if base.fast_path && !base.noise.strikes_gates() {
-        program.shot_plan().prefix_ops
+        plan.prefix_ops
     } else {
         0
     };
-    let path = if prefix_ops > 0 {
+    let table_path = ShotPath::AliasSampled {
+        prefix_ops: plan.prefix_ops,
+    };
+    let tabulated = terminal && base.fast_path;
+    let path = if tabulated && noiseless {
+        table_path
+    } else if prefix_ops > 0 {
         ShotPath::Forked { prefix_ops }
     } else {
         ShotPath::PerShot
     };
+
+    // The shared terminal table: evolve the noiseless prefix once and
+    // tabulate the measured marginal. A noiseless run is the ensemble
+    // whose every lane is error-free — all of its shots are draws from
+    // the table; a noisy run hands the table to its lanes.
+    let (mut shared, mut prep_hit) = (None, false);
+    if tabulated {
+        let dense = Some((base.kernel, base.watchdog));
+        let (prep, hit) = retained_or(&program, key(table_path, dense), || {
+            terminal_prep(&program, path, initial_state(), base)
+        })?;
+        match prep {
+            Prepared::Sampled(table) if !noiseless => (shared, prep_hit) = (Some(table), hit),
+            done => return Ok((done, hit)),
+        }
+    }
+
     // the prefix runs under the kernel config of the shots themselves,
     // so the snapshot is bit-identical to what each unforked shot would
     // have computed
@@ -1548,10 +1736,16 @@ fn prepare(
     // the layout the stream left the snapshot in is the one lowering
     // published for the end of the prefix
     debug_assert!(prefix_ops == 0 || start.map.as_deref() == program.prefix_map());
-    Ok((
-        Prepared::Shots(Box::new(ShotProgram { bc, start, path })),
-        false,
-    ))
+    let shots = ShotProgram {
+        bc,
+        start,
+        path,
+        terminal: terminal.then(|| Terminal {
+            block: TerminalBlock::of(&program),
+            shared,
+        }),
+    };
+    Ok((Prepared::Shots(Box::new(shots)), prep_hit))
 }
 
 impl Prepared {
@@ -1583,112 +1777,163 @@ impl Prepared {
     }
 }
 
-/// Executes one shot ensemble over a prepared [`ShotProgram`]: the
-/// batched fan-out, stop-latch bookkeeping and result aggregation.
+/// Shots per fan-out round: what bounds the memory of a run whatever its
+/// shot count. A round's batch results are held until the round is
+/// merged; 2¹⁸ shots is 4096 batches of the default width, so every run
+/// the benchmark suite makes is a single round.
+const ROUND_SHOTS: u64 = 1 << 18;
+
+/// Fans `config.shots` shots out in batches of `batch`: `run(first,
+/// count)` executes one batch — on the Rayon workers when
+/// `config.parallel` — and `merge(count, result)` folds finished batches
+/// in **shot order**, so nothing accumulated across shots (a float sum
+/// least of all) depends on the batch width or the thread count. Batches
+/// go out in rounds of [`ROUND_SHOTS`] and are merged round by round:
+/// memory is that of one round's batch results, never of `shots`.
+///
+/// Shared stop latch: the first batch to observe a cancel/deadline (or
+/// hit an injected fault) trips it; every batch's prologue checks the
+/// latch — and probes the control directly, so short shots that never
+/// reach a ticker check still stop between batches — and returns without
+/// a result. The in-flight batch is dropped whole; finished batches are
+/// kept: each shot's RNG stream depends only on `(seed, shot)`. Returns
+/// the stop cause of a partial run; a genuine error propagates.
+pub(crate) fn fan_out<T: Send>(
+    config: &TrajectoryConfig,
+    batch: usize,
+    run: impl Fn(u64, usize) -> Result<T, QclabError> + Sync,
+    mut merge: impl FnMut(usize, T),
+) -> Result<Option<StopCause>, QclabError> {
+    let latch = StopLatch::new();
+    let mut slots: Vec<Option<T>> = Vec::new();
+    let mut first = 0u64;
+    while first < config.shots && !latch.is_tripped() {
+        let round = (config.shots - first).min(ROUND_SHOTS) as usize;
+        let batch = batch.min(round);
+        slots.resize_with(round.div_ceil(batch), || None);
+        let run_slot = |(bi, slot): (usize, &mut Option<T>)| {
+            if latch.is_tripped() {
+                return;
+            }
+            if let Some(cause) = config.control.probe() {
+                latch.trip(cause.into_error(crate::error::ExecProgress::default()));
+                return;
+            }
+            let at = bi * batch;
+            match run(first + at as u64, batch.min(round - at)) {
+                Ok(done) => *slot = Some(done),
+                Err(e) => latch.trip(e),
+            }
+        };
+        if config.parallel && round > 1 {
+            slots.par_iter_mut().enumerate().for_each(run_slot);
+        } else {
+            slots.iter_mut().enumerate().for_each(run_slot);
+        }
+        for (bi, slot) in slots.drain(..).enumerate() {
+            if let Some(done) = slot {
+                merge(batch.min(round - bi * batch), done);
+            }
+        }
+        first += round as u64;
+    }
+    latch.take().map(stop_or_err).transpose()
+}
+
+/// Adds the tally `from` to `into`.
+pub(crate) fn merge_counts<K: Ord>(into: &mut BTreeMap<K, u64>, from: BTreeMap<K, u64>) {
+    for (k, c) in from {
+        *into.entry(k).or_insert(0) += c;
+    }
+}
+
+/// What the finished lanes of one batch — or of a whole ensemble — add
+/// up to.
+#[derive(Default)]
+struct Tally {
+    /// Terminal draws by outcome index (rendered as records once per
+    /// distinct outcome), per-qubit records as they are.
+    outcomes: BTreeMap<usize, u64>,
+    records: BTreeMap<String, u64>,
+    injected: u64,
+    norm: NormStats,
+    /// A batch's observable values, lane-major — kept per lane so the
+    /// ensemble sums them in shot order.
+    expectations: Vec<f64>,
+}
+
+/// Executes one shot ensemble over a prepared [`ShotProgram`]: batches
+/// through [`fan_out`], each tallied on its own and merged in shot
+/// order.
 fn run_ensemble(
     prog: &ShotProgram,
     config: &TrajectoryConfig,
 ) -> Result<TrajectoryResult, QclabError> {
     let n = prog.start.n;
-    /// Per-shot summary kept after the state is dropped.
-    struct ShotSummary {
-        record: String,
-        injected: u64,
-        expectations: Vec<f64>,
-        norm: NormStats,
-    }
-
-    let shots = config.shots;
     // A batch is the unit of shared evolution and of the parallel
     // fan-out; serial execution is the batch of one. Per-shot RNG
     // streams make results independent of the grouping, so any width is
     // bit-identical.
-    let batch = if config.shot_batch > 1 && shots > 1 {
-        effective_batch(config.shot_batch, n)
+    let batch = if config.shot_batch > 1 && config.shots > 1 {
+        config.shot_batch
     } else {
         1
     };
-    // Shared stop latch: the first batch to observe a cancel/deadline
-    // (or hit an injected fault) trips it; every batch's prologue checks
-    // the latch — and probes the control directly, so short shots that
-    // never reach a ticker check still stop between batches — and
-    // returns, leaving its slots empty. Completed slots are unaffected:
-    // each shot's RNG stream depends only on (seed, shot index).
-    let latch = StopLatch::new();
-    let run_batch = |first: usize, chunk: &mut [Option<ShotSummary>]| {
-        if latch.is_tripped() {
-            return;
-        }
-        if let Some(cause) = config.control.probe() {
-            latch.trip(cause.into_error(crate::error::ExecProgress::default()));
-            return;
-        }
-        let mut done = Vec::with_capacity(chunk.len());
-        let summarize = |lane: usize, s: ShotState, record: String| {
-            let summary = ShotSummary {
-                expectations: config
-                    .observables
-                    .iter()
-                    .map(|o| o.expectation(&s.state))
-                    .collect(),
-                record,
-                injected: s.injected.len() as u64,
-                norm: s.stats,
+    let terminal = prog.terminal.as_ref();
+    // what a lane that never left the shared evolution reports
+    let shared_norm = terminal
+        .and_then(|t| t.shared.as_ref())
+        .map_or(NormStats::default(), |table| table.norm);
+    let observables = config.observables.len();
+    let run_batch = |first: u64, count: usize| {
+        let mut tally = Tally {
+            expectations: vec![0.0; count * observables],
+            ..Tally::default()
+        };
+        let finish = |lane: usize, measured: Measured, own: Option<ShotState>| {
+            match measured {
+                Measured::Outcome(k) => *tally.outcomes.entry(k).or_insert(0) += 1,
+                Measured::Record(r) => *tally.records.entry(r).or_insert(0) += 1,
+            }
+            let Some(s) = own else {
+                tally.norm.merge(&shared_norm);
+                return;
             };
-            done.push((lane, summary));
+            tally.injected += s.injected.len() as u64;
+            tally.norm.merge(&s.stats);
+            let values = &mut tally.expectations[lane * observables..][..observables];
+            for (value, o) in values.iter_mut().zip(&config.observables) {
+                *value = o.expectation(&s.state);
+            }
         };
         let start = prog.start.clone();
-        match run_shot_batch(
-            &prog.bc,
-            start,
-            config,
-            first as u64,
-            chunk.len(),
-            summarize,
-        ) {
-            Ok(()) => {
-                for (lane, summary) in done {
-                    chunk[lane] = Some(summary);
-                }
-            }
-            // the in-flight batch is dropped whole; batches that
-            // already completed keep their slots
-            Err(e) => latch.trip(e),
-        }
+        run_shot_batch(&prog.bc, terminal, start, config, first, count, finish)?;
+        Ok(tally)
     };
-    let mut slots: Vec<Option<ShotSummary>> = Vec::new();
-    slots.resize_with(shots as usize, || None);
-    if config.parallel && shots > 1 {
-        slots
-            .par_chunks_mut(batch)
-            .enumerate()
-            .for_each(|(bi, chunk)| run_batch(bi * batch, chunk));
-    } else {
-        for (bi, chunk) in slots.chunks_mut(batch).enumerate() {
-            run_batch(bi * batch, chunk);
-        }
-    }
-
-    // a tripped latch means a partial run (cancel/deadline) — completed
-    // shots are kept and flagged — or a genuine error, which propagates
-    let stopped = match latch.take() {
-        None => None,
-        Some(e) => Some(stop_or_err(e)?),
+    let mut all = Tally {
+        expectations: vec![0.0; observables],
+        ..Tally::default()
     };
-    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-    let mut injected_errors = 0u64;
-    let mut expectations = vec![0.0; config.observables.len()];
-    let mut norm = NormStats::default();
     let mut completed = 0u64;
-    for summary in slots.into_iter().flatten() {
-        *counts.entry(summary.record).or_insert(0) += 1;
-        injected_errors += summary.injected;
-        for (acc, e) in expectations.iter_mut().zip(&summary.expectations) {
-            *acc += e;
+    let stopped = fan_out(config, batch, run_batch, |count, done: Tally| {
+        completed += count as u64;
+        merge_counts(&mut all.outcomes, done.outcomes);
+        merge_counts(&mut all.records, done.records);
+        all.injected += done.injected;
+        all.norm.merge(&done.norm);
+        for lane in done.expectations.chunks_exact(observables.max(1)) {
+            for (acc, e) in all.expectations.iter_mut().zip(lane) {
+                *acc += e;
+            }
         }
-        norm.merge(&summary.norm);
-        completed += 1;
-    }
+    })?;
+    let mut counts = all.records;
+    render_outcomes(
+        all.outcomes,
+        terminal.map_or(0, |t| t.block.measured.len()),
+        &mut counts,
+    );
+    let mut expectations = all.expectations;
     if completed > 0 {
         for e in expectations.iter_mut() {
             *e /= completed as f64;
@@ -1698,11 +1943,11 @@ fn run_ensemble(
         nb_qubits: n,
         shots: completed,
         counts,
-        injected_errors,
+        injected_errors: all.injected,
         expectations,
-        norm,
+        norm: all.norm,
         path: prog.path,
-        requested_shots: shots,
+        requested_shots: config.shots,
         stopped,
         batch: batch as u64,
         prep_hit: false,
@@ -1837,11 +2082,14 @@ pub fn run_single_trajectory(
     let bc = circuit.compile_with(&plan_options(config)).bytecode();
     let start = ShotState::new(initial.clone(), bc.n(), config.kernel, config.watchdog);
     let mut out = None;
-    run_shot_batch(&bc, start, config, shot, 1, |_, s, record| {
-        out = Some((s, record))
+    run_shot_batch(&bc, None, start, config, shot, 1, |_, measured, own| {
+        out = Some((measured, own))
     })?;
-    // invariant: a batch that returns `Ok` has finished every lane
-    let (s, record) = out.expect("a batch of one finishes one lane");
+    // invariant: a batch that returns `Ok` has finished every lane, and
+    // without a terminal block every lane collapses its own state
+    let Some((Measured::Record(record), Some(s))) = out else {
+        unreachable!("a batch of one finishes one lane on its own state")
+    };
     Ok(Trajectory {
         state: s.state,
         record,
@@ -2259,7 +2507,7 @@ mod tests {
                     reference[bits::gather_bits(i, &measured, n)] += amp.norm_sqr();
                 }
                 assert_eq!(
-                    marginal(&state, &measured, n),
+                    marginal(&state, &measured, n, &tile_lut(&measured, n)),
                     reference,
                     "n={n} {measured:?}"
                 );

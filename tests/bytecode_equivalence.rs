@@ -169,11 +169,12 @@ fn prefix_config(seed: u64, remap: bool, check_every: usize) -> TrajectoryConfig
 }
 
 /// The one-time prefix of the sampled paths at every watchdog cadence,
-/// locality pass on and off. The fork path must reproduce the plain
+/// locality pass on and off. Whichever path shares the evolution — the
+/// terminal table or the fork snapshot — must reproduce the plain
 /// per-shot engine (`fast_path` off: every shot walks the whole
-/// schedule itself) exactly — counts, injected errors, watchdog
-/// statistics. The alias path's draws differ from it by design; its one
-/// walk of the prefix must perform exactly the checks that fall due.
+/// schedule itself) exactly: counts, injected errors, watchdog
+/// statistics. On the table path every shot reports the one walk of the
+/// prefix, which must perform exactly the checks that fall due.
 /// Returns the path taken.
 fn assert_prefix_bit_identical(c: &QCircuit, seed: u64) -> ShotPath {
     let mut path = ShotPath::PerShot;
@@ -183,27 +184,24 @@ fn assert_prefix_bit_identical(c: &QCircuit, seed: u64) -> ShotPath {
             let fast = run_trajectories(c, &config).unwrap();
             let what = format!("remap {remap}, check_every {check_every}");
             path = fast.path();
-            match path {
-                ShotPath::AliasSampled { .. } => {
-                    let plan = c.compile_with(&PlanOptions::from(&config.kernel));
-                    let due = due_checks(&plan, check_every);
-                    assert_eq!(fast.norm_stats().checks, due, "checks @ {what}");
-                }
-                _ => {
-                    let per_shot = TrajectoryConfig {
-                        fast_path: false,
-                        ..config.clone()
-                    };
-                    let slow = run_trajectories(c, &per_shot).unwrap();
-                    assert_eq!(fast.counts(), slow.counts(), "counts @ {what}");
-                    assert_eq!(
-                        fast.injected_errors(),
-                        slow.injected_errors(),
-                        "injected errors @ {what}"
-                    );
-                    assert_eq!(fast.norm_stats(), slow.norm_stats(), "norm stats @ {what}");
-                }
+            if let ShotPath::AliasSampled { .. } = path {
+                let plan = c.compile_with(&PlanOptions::from(&config.kernel));
+                let due = due_checks(&plan, check_every) * config.shots;
+                assert_eq!(fast.norm_stats().checks, due, "checks @ {what}");
             }
+            let per_shot = TrajectoryConfig {
+                fast_path: false,
+                ..config.clone()
+            };
+            let slow = run_trajectories(c, &per_shot).unwrap();
+            assert_eq!(slow.path(), ShotPath::PerShot);
+            assert_eq!(fast.counts(), slow.counts(), "counts @ {what}");
+            assert_eq!(
+                fast.injected_errors(),
+                slow.injected_errors(),
+                "injected errors @ {what}"
+            );
+            assert_eq!(fast.norm_stats(), slow.norm_stats(), "norm stats @ {what}");
         }
     }
     path

@@ -1,9 +1,10 @@
 //! Contract of the preparation a cached plan retains
-//! (`qclab_core::sim::trajectory`): a sampled run from `|0…0⟩` (dense
-//! alias or sparse) leaves its seed-independent preparation — the
-//! evolved prefix reduced to a sampler — on its plan, and every later
-//! run over that plan draws from it. A forked run retains nothing. What
-//! must hold:
+//! (`qclab_core::sim::trajectory`): a run from `|0…0⟩` that ends in a
+//! terminal measurement block (dense or sparse, noiseless or noisy)
+//! leaves its seed-independent preparation — the noiseless evolution
+//! reduced to a cumulative table, 8 bytes an outcome — on its plan, and
+//! every later run over that plan draws from it. A run with a
+//! mid-circuit measurement retains nothing. What must hold:
 //!
 //! * a run served from a retained preparation is `==` the same run made
 //!   cold — counts, injected errors, watchdog statistics, path;
@@ -114,6 +115,21 @@ fn sparse_ghz30() -> (QCircuit, TrajectoryConfig) {
     (c, config)
 }
 
+/// Noisy terminal program: the same circuit under gate noise (the QFT's
+/// controlled phases keep the frame sampler out). Lanes that inject
+/// nothing draw from the retained table of the noiseless evolution.
+fn noisy_qft8() -> (QCircuit, TrajectoryConfig) {
+    let (c, base) = alias_qft(8);
+    let config = TrajectoryConfig {
+        noise: NoiseSpec {
+            after_gate: Some(PauliChannel::Depolarizing(0.01)),
+            ..NoiseSpec::default()
+        },
+        ..base
+    };
+    (c, config)
+}
+
 /// Fork path, teleport/QEC style: a deterministic prefix, then
 /// mid-circuit measurements, a reset and more gates, under readout
 /// noise.
@@ -153,13 +169,17 @@ type Build = fn() -> (QCircuit, TrajectoryConfig);
 #[test]
 fn warm_runs_equal_cold_runs_on_every_path() {
     let _g = fresh_cache();
-    // the sampled paths retain their preparation, the fork path does not
-    let cases: [(&str, Build, bool); 3] = [
-        ("alias", || alias_qft(8), true),
-        ("sparse", sparse_ghz30, true),
-        ("forked", forked, false),
+    // a terminal block retains its table (8 bytes an outcome; the
+    // sparse one its outcome list as well), a mid-circuit measurement
+    // retains nothing
+    let cases: [(&str, Build, usize); 4] = [
+        ("alias", || alias_qft(8), 16 * 8),
+        ("noisy terminal", noisy_qft8, 16 * 8),
+        ("sparse", sparse_ghz30, 2 * (8 + 8)),
+        ("forked", forked, 0),
     ];
-    for (name, build, retained) in cases {
+    for (name, build, bytes) in cases {
+        let retained = bytes > 0;
         let (circuit, base) = build();
         clear_plan_cache();
         let before = plan_cache_stats();
@@ -178,7 +198,7 @@ fn warm_runs_equal_cold_runs_on_every_path() {
         let looks = u64::from(retained);
         assert_eq!(after.prep_hits, before.prep_hits + 2 * looks, "{name}");
         assert_eq!(after.prep_misses, before.prep_misses + looks, "{name}");
-        assert_eq!(after.prep_bytes > 0, retained, "{name}");
+        assert_eq!(after.prep_bytes, bytes, "{name}");
         assert_bounded();
         assert_eq!(outcome(&warm[0].1), outcome(&warm[2].1), "{name}: a ≠ a");
         assert_ne!(warm[0].1.counts(), warm[1].1.counts(), "{name}: a = b");
@@ -262,7 +282,7 @@ fn a_stopped_preparation_stores_nothing() {
     let cancelled =
         || ExecutionControl::with_cancel_token(Arc::new(AtomicBool::new(true))).check_every(1);
     let expired = || ExecutionControl::with_deadline(std::time::Instant::now()).check_every(1);
-    let builds: [Build; 3] = [|| alias_qft(8), sparse_ghz30, forked];
+    let builds: [Build; 4] = [|| alias_qft(8), noisy_qft8, sparse_ghz30, forked];
     for build in builds {
         let (circuit, base) = build();
         let config = seeded(&base, 8);
@@ -293,7 +313,7 @@ fn a_faulted_preparation_stores_nothing() {
     use qclab_core::sim::control::chaos::{self, Fault};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let _g = fresh_cache();
-    let builds: [Build; 2] = [|| alias_qft(8), forked];
+    let builds: [Build; 3] = [|| alias_qft(8), noisy_qft8, forked];
     for build in builds {
         let (circuit, base) = build();
         // serial, so the armed tick is an op boundary of the prefix
@@ -387,22 +407,29 @@ fn guards_still_refuse_on_a_warm_plan() {
 #[test]
 fn a_preparation_over_the_cap_is_not_retained() {
     let _g = fresh_cache();
-    // 18 measured qubits: a 2^18-outcome alias table is 4 MiB
-    let n = 18;
-    let mut big = QCircuit::new(n);
-    for q in 0..n {
-        big.push_back(Hadamard::new(q));
-    }
-    for q in 0..n {
-        big.push_back(Measurement::z(q));
-    }
+    // boundary-exact: at 8 bytes an outcome the table of 17 measured
+    // qubits is the cap to the byte and is kept; that of 18 is not
+    let hadamards = |n: usize| {
+        let mut c = QCircuit::new(n);
+        for q in 0..n {
+            c.push_back(Hadamard::new(q));
+        }
+        for q in 0..n {
+            c.push_back(Measurement::z(q));
+        }
+        c
+    };
     let config = seeded(&TrajectoryConfig::default(), 4);
-    let first = run_trajectories(&big, &config).unwrap();
-    assert!(matches!(first.path(), ShotPath::AliasSampled { .. }));
-    assert_eq!(plan_cache_stats().prep_bytes, 0);
-    let second = run_trajectories(&big, &config).unwrap();
-    assert!(!second.prep_hit(), "nothing was kept, nothing can hit");
-    assert_eq!(outcome(&first), outcome(&second));
+    for (n, kept) in [(17, RETAINED_BYTES_CAP), (18, 0)] {
+        clear_plan_cache();
+        let circuit = hadamards(n);
+        let first = run_trajectories(&circuit, &config).unwrap();
+        assert!(matches!(first.path(), ShotPath::AliasSampled { .. }));
+        assert_eq!(plan_cache_stats().prep_bytes, kept, "n = {n}");
+        let second = run_trajectories(&circuit, &config).unwrap();
+        assert_eq!(second.prep_hit(), kept > 0, "n = {n}");
+        assert_eq!(outcome(&first), outcome(&second));
+    }
 }
 
 #[test]
