@@ -249,9 +249,6 @@ fn usage() -> String {
      serve flags (jobs are newline-delimited JSON on stdin or the socket):\n  \
      --workers <n>           worker threads (default: CPU count, capped at 16)\n  \
      --queue-depth <n>       max queued jobs; overflow is rejected (default 1024)\n  \
-     --window-ms <n>         batching window for same-circuit coalescing (default 1)\n  \
-     --max-batch <n>         max jobs coalesced into one run (default 64)\n  \
-     --no-coalesce           run every job alone (plan-cache dedup still applies)\n  \
      --global-mem-mib <n>    admission budget for concurrent state memory (default 8192)\n  \
      --socket <path>         serve a Unix socket instead of stdin"
         .to_string()

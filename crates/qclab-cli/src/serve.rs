@@ -26,7 +26,7 @@
 //!  "path":"alias-sampled (prefix 3 ops)","injected_errors":0,
 //!  "counts":{"00":493,"11":507},
 //!  "telemetry":{"queue_ms":0.4,"run_ms":2.1,"wall_ms":2.5,
-//!               "dedup_hit":true,"coalesced":3,"prep_hit":true}}
+//!               "dedup_hit":true,"coalesced":1,"prep_hit":true}}
 //! {"id":"j2","ok":false,
 //!  "error":{"kind":"timeout","code":7,"message":"stopped after 210 of 500 shots"},
 //!  "partial":{ ...same shape as a success result... }}
@@ -46,18 +46,14 @@ use qclab_core::sim::trajectory::TrajectoryConfig;
 use qclab_core::{QCircuit, QclabError};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// Parsed `serve` flags.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeOpts {
     pub workers: Option<usize>,
     pub queue_depth: usize,
-    pub window_ms: u64,
-    pub max_batch: usize,
-    pub coalesce: bool,
     pub global_mem_mib: u64,
     pub socket: Option<String>,
     pub engine: EngineOpts,
@@ -68,9 +64,6 @@ impl Default for ServeOpts {
         ServeOpts {
             workers: None,
             queue_depth: 1024,
-            window_ms: 1,
-            max_batch: 64,
-            coalesce: true,
             global_mem_mib: 8192,
             socket: None,
             engine: EngineOpts::default(),
@@ -99,9 +92,6 @@ impl ServeOpts {
         ServiceConfig {
             workers: self.workers.unwrap_or(defaults.workers),
             queue_depth: self.queue_depth,
-            batch_window: Duration::from_millis(self.window_ms),
-            max_batch: self.max_batch,
-            coalesce: self.coalesce,
             global_state_bytes: self.global_mem_mib.saturating_mul(1 << 20),
             base,
         }
@@ -357,11 +347,13 @@ fn output_json(o: &JobOutput) -> String {
         counts.push_str(&format!("\"{}\":{n}", json_escape(record)));
     }
     let t = &o.telemetry;
+    // `coalesced` is a constant: every job runs alone. The key stays, as
+    // an integer, because clients of the wire decode it as one.
     format!(
         "{{\"id\":\"{}\",\"ok\":true,\"shots\":{},\"requested_shots\":{},\
          \"path\":\"{}\",\"injected_errors\":{},\"counts\":{{{counts}}},\
          \"telemetry\":{{\"queue_ms\":{:.3},\"run_ms\":{:.3},\"wall_ms\":{:.3},\
-         \"dedup_hit\":{},\"coalesced\":{},\"prep_hit\":{}}}}}",
+         \"dedup_hit\":{},\"coalesced\":1,\"prep_hit\":{}}}}}",
         json_escape(&o.id),
         o.shots,
         o.requested_shots,
@@ -371,7 +363,6 @@ fn output_json(o: &JobOutput) -> String {
         t.run_ms,
         t.wall_ms,
         t.dedup_hit,
-        t.coalesced,
         t.prep_hit,
     )
 }
@@ -557,125 +548,94 @@ fn decode_request(line: &str) -> Result<Request, (String, ErrorKind, String)> {
     Ok(Request::Submit(spec))
 }
 
-/// Jobs whose results have not yet been collected, keyed by id.
-type Pending = Arc<Mutex<HashMap<String, JobHandle>>>;
-
-/// Polls pending handles and streams each resolved job as one JSON
-/// line, until the reader signals end-of-input and the map drains.
-fn collect_results(pending: &Pending, out: &Sender<String>, input_done: &Mutex<bool>) {
-    loop {
-        let mut finished: Vec<String> = Vec::new();
-        let empty = {
-            let mut map = pending.lock().unwrap();
-            let done: Vec<String> = map
-                .iter()
-                .filter_map(|(id, h)| h.try_wait().map(|r| (id.clone(), r)))
-                .map(|(id, r)| {
-                    finished.push(result_line(&r));
-                    id
-                })
-                .collect();
-            for id in done {
-                map.remove(&id);
-            }
-            map.is_empty()
-        };
-        for line in finished {
-            if out.send(line).is_err() {
-                return;
-            }
-        }
-        if empty && *input_done.lock().unwrap() {
-            return;
-        }
-        std::thread::sleep(Duration::from_micros(500));
-    }
-}
-
 /// Reads request lines from `input`, submits jobs, and streams results
-/// to `write`. Shared by stdin mode and each socket connection.
-fn handle_stream(sched: &Scheduler, input: impl Read, write: Box<dyn Write + Send>) -> (u64, u64) {
-    let pending: Pending = Arc::new(Mutex::new(HashMap::new()));
-    let input_done = Arc::new(Mutex::new(false));
-    let (tx, rx) = channel::<String>();
-    let writer = {
-        let mut write = write;
-        std::thread::spawn(move || {
-            // each line flushes: tenants block on results, not buffers
-            for line in rx {
-                if writeln!(write, "{line}")
-                    .and_then(|_| write.flush())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        })
+/// to `write` as they resolve. Shared by stdin mode and each socket
+/// connection. Returns once the input has ended and every accepted job
+/// has had its line written.
+fn handle_stream(sched: &Scheduler, input: impl Read, write: impl Write + Send) -> (u64, u64) {
+    // jobs whose result line is not out yet, keyed by id
+    let pending: Mutex<HashMap<String, JobHandle>> = Mutex::new(HashMap::new());
+    let write = Mutex::new(write);
+    // each line flushes: tenants block on results, not buffers. A
+    // client that has gone away is not an error of the server.
+    let send = |line: String| {
+        let mut w = write.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = writeln!(w, "{line}").and_then(|_| w.flush());
     };
-    let collector = {
-        let pending = Arc::clone(&pending);
-        let tx = tx.clone();
-        let input_done = Arc::clone(&input_done);
-        std::thread::spawn(move || collect_results(&pending, &tx, &input_done))
-    };
+    let lock_pending = || pending.lock().unwrap_or_else(PoisonError::into_inner);
+    // every accepted job holds a clone of `tx`: the channel closes when
+    // the input has ended and the last of them has resolved
+    let (tx, rx) = channel::<JobResult>();
     let mut accepted = 0u64;
     let mut failed = 0u64;
-    for line in BufReader::new(input).lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match decode_request(&line) {
-            Err((id, kind, msg)) => {
-                failed += 1;
-                let _ = tx.send(error_line(&id, kind, &msg, None));
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for result in rx {
+                let id = match &result {
+                    Ok(o) => &o.id,
+                    Err(e) => &e.id,
+                };
+                // off the map first: the id is free again once its line
+                // is out
+                lock_pending().remove(id);
+                send(result_line(&result));
             }
-            Ok(Request::Cancel(id)) => {
-                let map = pending.lock().unwrap();
-                match map.get(&id) {
+        });
+        for line in BufReader::new(input).lines() {
+            let line = match line {
+                Ok(l) => l,
+                Err(_) => break,
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            match decode_request(&line) {
+                Err((id, kind, msg)) => {
+                    failed += 1;
+                    send(error_line(&id, kind, &msg, None));
+                }
+                Ok(Request::Cancel(id)) => match lock_pending().get(&id) {
                     Some(handle) => handle.cancel(),
-                    None => {
-                        let _ = tx.send(error_line(
-                            &id,
+                    None => send(error_line(
+                        &id,
+                        ErrorKind::Usage,
+                        "cancel target is not a pending job",
+                        None,
+                    )),
+                },
+                Ok(Request::Submit(spec)) => {
+                    // held across the submit: the job cannot resolve and
+                    // look for its entry before the entry is there
+                    let mut map = lock_pending();
+                    if map.contains_key(&spec.id) {
+                        failed += 1;
+                        send(error_line(
+                            &spec.id,
                             ErrorKind::Usage,
-                            "cancel target is not a pending job",
+                            "a job with this id is already pending",
                             None,
                         ));
+                        continue;
                     }
-                }
-            }
-            Ok(Request::Submit(spec)) => {
-                let mut map = pending.lock().unwrap();
-                if map.contains_key(&spec.id) {
-                    failed += 1;
-                    let _ = tx.send(error_line(
-                        &spec.id,
-                        ErrorKind::Usage,
-                        "a job with this id is already pending",
-                        None,
-                    ));
-                    continue;
-                }
-                match sched.submit(spec) {
-                    Ok(handle) => {
-                        accepted += 1;
-                        map.insert(handle.id.clone(), handle);
-                    }
-                    Err(e) => {
-                        failed += 1;
-                        let _ = tx.send(result_line(&Err(e)));
+                    match sched.submit_to(spec, tx.clone()) {
+                        Ok(handle) => {
+                            accepted += 1;
+                            map.insert(handle.id.clone(), handle);
+                        }
+                        Err(e) => {
+                            failed += 1;
+                            send(result_line(&Err(e)));
+                        }
                     }
                 }
             }
         }
-    }
-    *input_done.lock().unwrap() = true;
-    let _ = collector.join();
-    drop(tx);
-    let _ = writer.join();
+        drop(tx);
+    });
+    debug_assert!(
+        lock_pending().is_empty(),
+        "every accepted job's line has been written"
+    );
     (accepted, failed)
 }
 
@@ -687,22 +647,19 @@ pub fn run_serve(opts: &ServeOpts) -> Result<String, CliError> {
     match &opts.socket {
         None => {
             let stdin = std::io::stdin();
-            let (accepted, failed) =
-                handle_stream(&sched, stdin.lock(), Box::new(std::io::stdout()));
+            let (accepted, failed) = handle_stream(&sched, stdin.lock(), std::io::stdout());
             let stats = sched.stats();
             sched.shutdown();
             let plans = plan_cache_stats();
             let memo = lock_source_memo();
             Ok(format!(
                 "serve: {accepted} job(s) accepted, {failed} refused; {} completed, {} cancelled, \
-                 {} dedup hit(s), {} coalesced into {} group(s)\n\
+                 {} dedup hit(s)\n\
                  serve: retained preparation {} hit(s), {} miss(es), {} byte(s) held; \
                  source memo {} hit(s), {} miss(es)\n",
                 stats.completed,
                 stats.cancelled,
                 stats.dedup_hits,
-                stats.coalesce_hits,
-                stats.groups,
                 plans.prep_hits,
                 plans.prep_misses,
                 plans.prep_bytes,
@@ -734,7 +691,7 @@ pub fn run_serve(opts: &ServeOpts) -> Result<String, CliError> {
                 })?;
                 let sched = Arc::clone(&sched);
                 std::thread::spawn(move || {
-                    handle_stream(&sched, conn, Box::new(write));
+                    handle_stream(&sched, conn, write);
                 });
             }
             unreachable!("incoming() iterates forever");
@@ -775,16 +732,6 @@ pub fn parse_serve_flags(args: &[String]) -> Result<(ServeOpts, Vec<String>), Cl
             "--queue-depth" => {
                 opts.queue_depth = parse_nonzero("--queue-depth", value("count")?)? as usize
             }
-            "--window-ms" => {
-                let v = value("millisecond count")?;
-                opts.window_ms = v
-                    .parse()
-                    .map_err(|_| usage_err(format!("--window-ms value '{v}' is not an integer")))?;
-            }
-            "--max-batch" => {
-                opts.max_batch = parse_nonzero("--max-batch", value("count")?)? as usize
-            }
-            "--no-coalesce" => opts.coalesce = false,
             "--global-mem-mib" => {
                 opts.global_mem_mib = parse_nonzero("--global-mem-mib", value("MiB count")?)?
             }
@@ -798,6 +745,11 @@ pub fn parse_serve_flags(args: &[String]) -> Result<(ServeOpts, Vec<String>), Cl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qclab_core::sim::trajectory::run_trajectories;
+    use std::collections::BTreeMap;
+    use std::io::Cursor;
+    use std::sync::Condvar;
+    use std::time::Duration;
 
     #[test]
     fn json_parser_round_trips_job_lines() {
@@ -1048,13 +1000,10 @@ mod tests {
             "4",
             "--queue-depth",
             "16",
-            "--window-ms",
-            "0",
-            "--max-batch",
-            "8",
-            "--no-coalesce",
             "--global-mem-mib",
             "512",
+            "--socket",
+            "/tmp/qclab.sock",
             "--no-simd",
             "--max-qubits",
             "20",
@@ -1065,12 +1014,252 @@ mod tests {
         let (opts, rest) = parse_serve_flags(&raw).unwrap();
         assert_eq!(opts.workers, Some(4));
         assert_eq!(opts.queue_depth, 16);
-        assert_eq!(opts.window_ms, 0);
-        assert_eq!(opts.max_batch, 8);
-        assert!(!opts.coalesce);
         assert_eq!(opts.global_mem_mib, 512);
+        assert_eq!(opts.socket.as_deref(), Some("/tmp/qclab.sock"));
         assert_eq!(rest, vec!["--no-simd", "--max-qubits", "20"]);
         assert!(parse_serve_flags(&["--workers".to_string(), "0".to_string()]).is_err());
         assert!(parse_serve_flags(&["--workers".to_string()]).is_err());
+    }
+
+    /// A connection's output that the test can read while the
+    /// connection is still being served.
+    #[derive(Clone, Default)]
+    struct SharedOut(Arc<(Mutex<Vec<u8>>, Condvar)>);
+
+    impl Write for SharedOut {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0 .0.lock().unwrap().extend_from_slice(buf);
+            self.0 .1.notify_all();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// An input with nothing to say that ends — so a `chain` moves on
+    /// to what follows — once `marker` has appeared in the output: the
+    /// client that reads a reply before it writes again.
+    struct Until(SharedOut, &'static str);
+
+    impl Read for Until {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            let (buf, grew) = &*self.0 .0;
+            let seen =
+                |out: &mut Vec<u8>| !out.windows(self.1.len()).any(|w| w == self.1.as_bytes());
+            drop(grew.wait_while(buf.lock().unwrap(), seen).unwrap());
+            Ok(0)
+        }
+    }
+
+    /// What the soak test's requests must come back as.
+    #[derive(Default)]
+    struct Expected {
+        /// Per id: (job results, refusals) the output must hold.
+        lines: HashMap<String, (usize, usize)>,
+        /// Every job that must complete: (id, source, shots, seed).
+        good: Vec<(String, String, u64, u64)>,
+        /// Submissions the reader must turn away.
+        refused_submits: u64,
+    }
+
+    impl Expected {
+        fn result(&mut self, id: &str) {
+            self.lines.entry(id.to_string()).or_default().0 += 1;
+        }
+        fn refusal(&mut self, id: &str) {
+            self.lines.entry(id.to_string()).or_default().1 += 1;
+        }
+        fn refused_submit(&mut self, id: &str) {
+            self.refusal(id);
+            self.refused_submits += 1;
+        }
+        fn completes(&mut self, id: &str, qasm: &str, seed: u64) {
+            self.result(id);
+            self.good
+                .push((id.to_string(), qasm.to_string(), 200, seed));
+        }
+        fn results(&self) -> usize {
+            self.lines.values().map(|e| e.0).sum()
+        }
+    }
+
+    fn job_line(id: &str, qasm: &str, shots: u64, seed: u64, extra: &str) -> String {
+        format!(
+            "{{\"id\":\"{id}\",\"qasm\":\"{}\",\"shots\":{shots},\"seed\":{seed}{extra}}}\n",
+            json_escape(qasm)
+        )
+    }
+
+    fn cancel_line(id: &str) -> String {
+        format!("{{\"cancel\":\"{id}\"}}\n")
+    }
+
+    #[test]
+    fn a_stream_of_interleaved_requests_gets_exactly_one_line_each() {
+        let opts = ServeOpts {
+            workers: Some(2),
+            queue_depth: 4096,
+            ..ServeOpts::default()
+        };
+        let base = opts.service_config().base;
+        let sched = Scheduler::new(opts.service_config());
+
+        let header = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\n";
+        let sampled = |angle: f64| {
+            format!("{header}h q[0];\nry({angle}) q[1];\ncx q[0], q[2];\nmeasure q -> c;\n")
+        };
+        // a measurement in mid-circuit: every shot is evolved, so with
+        // this many of them the job runs until it is cancelled
+        let endless = format!(
+            "{header}h q[0];\nmeasure q[0] -> c[0];\ncx q[0], q[1];\nmeasure q[1] -> c[1];\n"
+        );
+        const ENDLESS_SHOTS: u64 = 1_000_000_000_000;
+        let mut want = Expected::default();
+
+        let mut first = job_line("slow-a", &endless, ENDLESS_SHOTS, 1, "");
+        want.result("slow-a");
+        for i in 0..420u64 {
+            let qasm = if i % 5 < 3 {
+                sampled(0.3 + 0.2 * (i % 3) as f64) // hot: resubmitted
+            } else {
+                sampled(1.0 + i as f64 * 1e-3) // one-off
+            };
+            let id = format!("g{i}");
+            first += &job_line(&id, &qasm, 200, 1000 + i, "");
+            want.completes(&id, &qasm, 1000 + i);
+            if i % 7 == 0 {
+                // an id that is pending for certain
+                first += &job_line("slow-a", &sampled(0.3), 10, i, "");
+                want.refused_submit("slow-a");
+            }
+            if i % 11 == 0 {
+                first += "{\"id\":\"broken\",\"qasm\":\n";
+                want.refused_submit("");
+            }
+            if i % 13 == 0 {
+                let id = format!("bad{i}");
+                first += &job_line(
+                    &id,
+                    "OPENQASM 2.0;\nqreg q[1];\nfrobnicate q[0];\n",
+                    10,
+                    1,
+                    "",
+                );
+                want.refused_submit(&id);
+            }
+            if i % 17 == 0 {
+                let id = format!("nobody{i}");
+                first += &cancel_line(&id);
+                want.refusal(&id);
+            }
+            if i % 19 == 0 {
+                let id = format!("late{i}");
+                first += &job_line(&id, &sampled(0.5), 200, i, ",\"timeout_ms\":0");
+                want.result(&id);
+            }
+        }
+        // two endless jobs on two workers: what follows them stays
+        // queued, for certain, until they are cancelled
+        first += &job_line("slow-b", &endless, ENDLESS_SHOTS, 2, "");
+        want.result("slow-b");
+        for q in ["q1", "q2", "q3"] {
+            first += &job_line(q, &sampled(0.7), 200, 5, "");
+        }
+        first += &cancel_line("q1");
+        want.result("q1");
+
+        // … and once the cancellation's line is out, the id is free
+        let mut second = job_line("q1", &sampled(0.7), 200, 6, "");
+        want.completes("q1", &sampled(0.7), 6);
+        second += &job_line("q2", &sampled(0.7), 200, 7, "");
+        want.refused_submit("q2");
+        want.completes("q2", &sampled(0.7), 5);
+        want.completes("q3", &sampled(0.7), 5);
+        second += &cancel_line("slow-b");
+        second += &cancel_line("slow-a");
+        // the input ends with these still queued
+        for i in 0..60u64 {
+            let id = format!("tail{i}");
+            second += &job_line(&id, &sampled(0.9), 200, i, "");
+            want.completes(&id, &sampled(0.9), i);
+        }
+        let requests = first.lines().count() + second.lines().count();
+        assert!(requests >= 500, "{requests} request lines");
+
+        let out = SharedOut::default();
+        let input = Cursor::new(first)
+            .chain(Until(out.clone(), "\"id\":\"q1\""))
+            .chain(Cursor::new(second));
+        // a hang is a failure, not a stuck test run
+        let (done_tx, done_rx) = channel();
+        std::thread::scope(|scope| {
+            let (sched, write) = (&sched, out.clone());
+            scope.spawn(move || done_tx.send(handle_stream(sched, input, write)));
+            let (accepted, failed) = done_rx
+                .recv_timeout(Duration::from_secs(300))
+                .expect("handle_stream returns once its input has ended");
+            assert_eq!(accepted as usize, want.results());
+            assert_eq!(failed, want.refused_submits);
+        });
+
+        // tally the output per id
+        let text = String::from_utf8(out.0 .0.lock().unwrap().clone()).unwrap();
+        let mut seen: HashMap<String, (usize, usize)> = HashMap::new();
+        let mut completed: HashMap<String, Vec<BTreeMap<String, u64>>> = HashMap::new();
+        let (mut timed_out, mut cancelled) = (0u64, 0u64);
+        for line in text.lines() {
+            let doc = parse_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            let id = doc.get("id").and_then(Json::as_str).expect("id");
+            let tally = seen.entry(id.to_string()).or_default();
+            match doc.get("error").and_then(|e| e.get("kind")?.as_str()) {
+                None => {
+                    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{line}");
+                    let Some(Json::Obj(counts)) = doc.get("counts") else {
+                        panic!("no counts: {line}");
+                    };
+                    let counts = counts
+                        .iter()
+                        .map(|(k, v)| (k.clone(), v.as_u64().unwrap()))
+                        .collect();
+                    completed.entry(id.to_string()).or_default().push(counts);
+                    tally.0 += 1;
+                }
+                Some("cancelled") => {
+                    cancelled += 1;
+                    tally.0 += 1;
+                }
+                Some("timeout") => {
+                    timed_out += 1;
+                    tally.0 += 1;
+                }
+                // usage, io, qasm-parse: the reader's refusals
+                Some(_) => tally.1 += 1,
+            }
+        }
+        assert_eq!(seen, want.lines);
+        assert_eq!(cancelled, 3, "slow-a, slow-b and the first q1");
+
+        // every completed job drew the bits of a standalone run
+        for (id, qasm, shots, seed) in &want.good {
+            let config = TrajectoryConfig {
+                seed: *seed,
+                shots: *shots,
+                ..base.clone()
+            };
+            let alone = run_trajectories(&qclab_qasm::from_qasm(qasm).unwrap(), &config).unwrap();
+            assert_eq!(completed[id], [alone.counts().clone()], "job {id}");
+        }
+        assert_eq!(completed.len(), want.good.len());
+
+        let stats = sched.stats();
+        assert_eq!(stats.submitted as usize, want.results());
+        assert_eq!(
+            stats.submitted,
+            stats.completed + stats.cancelled + timed_out
+        );
+        assert_eq!(stats.cancelled, cancelled);
+        assert_eq!(stats.rejected, 0);
+        sched.shutdown();
     }
 }

@@ -383,12 +383,19 @@ fn batch_flag_changes_nothing_but_is_policed_and_the_bytecode_flag_is_gone() {
         EXIT_USAGE,
         "does not apply",
     );
-    // the interpreter's switch was retired with it (spelled in two
-    // halves so a grep for the flag finds no live use): unknown
+    // the interpreter's switch was retired with it, and `serve`'s three
+    // coalescing switches with cross-request coalescing (spelled in two
+    // halves so a grep for a flag finds no live use): unknown
     // everywhere, `serve` included
-    let retired = concat!("--no-", "bytecode");
-    for cmd in ["simulate", "counts", "sample", "compile", "draw", "serve"] {
-        assert_fails(&[cmd, retired, &bell, "10"], EXIT_USAGE, "unknown option");
+    for retired in [
+        concat!("--no-", "bytecode"),
+        concat!("--window", "-ms"),
+        concat!("--max", "-batch"),
+        concat!("--no-", "coalesce"),
+    ] {
+        for cmd in ["simulate", "counts", "sample", "compile", "draw", "serve"] {
+            assert_fails(&[cmd, retired, &bell, "10"], EXIT_USAGE, "unknown option");
+        }
     }
 }
 
@@ -538,7 +545,7 @@ fn serve_resubmits_draw_the_same_bits_as_standalone_samples() {
     let mut replies = BufReader::new(child.stdout.take().unwrap());
     let mut lines = Vec::new();
     // one job at a time: each runs after the one before has resolved,
-    // so none is coalesced and `prep_hit` says what the plan supplied
+    // so `prep_hit` says what the plan supplied
     for (id, text, seed) in jobs {
         writeln!(
             stdin,

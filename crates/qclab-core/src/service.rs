@@ -3,37 +3,37 @@
 //! A [`Scheduler`] owns a bounded pool of worker threads and a FIFO
 //! admission queue. Tenants [`submit`](Scheduler::submit) jobs (a
 //! circuit plus `(seed, shots)` and an optional deadline) and receive a
-//! [`JobHandle`] whose result streams back asynchronously. Three
-//! mechanisms turn a stream of independent requests into less work than
-//! the sum of its parts:
+//! [`JobHandle`] whose result streams back asynchronously — or, with
+//! [`submit_to`](Scheduler::submit_to), arrives on a channel of the
+//! tenant's own the moment the job resolves.
+//!
+//! **A job is exactly one [`run_trajectories`] call** on the scheduler's
+//! base configuration with the job's seed, shot count and control, so
+//! its result is bit-identical to running it alone by construction.
+//! What a stream of requests shares lives on the cached plan, not in the
+//! scheduler:
 //!
 //! * **Compile dedup** — lowering goes through the global plan cache,
 //!   whose [`compile`](crate::program::compile) is single-flight: under
 //!   a burst of same-fingerprint jobs exactly one thread lowers and
 //!   every waiter shares the same `Arc<CompiledProgram>`.
-//! * **Shot coalescing** — same-fingerprint jobs that are queued
-//!   together (or arrive within the batching window) execute as one
-//!   [`run_trajectories_grouped`] ensemble: the seed-independent
-//!   preparation (prefix evolution, alias-table build, fork snapshot)
-//!   is paid once, and each job's shots are drawn from its own
-//!   `(seed, shot)` RNG streams — per-job results stay **bit-identical**
-//!   to running the job alone.
 //! * **Retained preparation** — a sampled path's preparation stays on
-//!   the cached plan (under a byte cap), so a circuit resubmitted
-//!   *after* its group has run costs its shots only
-//!   ([`JobTelemetry::prep_hit`]); coalescing is what shares the work
-//!   of a cold burst.
-//! * **Admission control** — per-job memory estimates from
-//!   [`sim::guard`](crate::sim::guard), a global in-flight byte budget,
-//!   and a queue-depth cap. Scheduling is fair-share: a large job the
-//!   budget cannot currently admit is *skipped, not waited on*, so it
-//!   never blocks small admissible jobs behind it; it keeps its queue
-//!   position and runs as soon as memory frees.
+//!   the cached plan (under a byte cap), so a resubmitted circuit costs
+//!   its shots only ([`JobTelemetry::prep_hit`]). A cold burst of one
+//!   circuit may prepare up to `workers` times before the first to
+//!   finish is retained.
+//!
+//! The scheduler itself is **admission control**: per-job memory
+//! estimates from [`sim::guard`](crate::sim::guard), a global in-flight
+//! byte budget, and a queue-depth cap. Scheduling is fair-share: a large
+//! job the budget cannot currently admit is *skipped, not waited on*, so
+//! it never blocks small admissible jobs behind it; it keeps its queue
+//! position and runs as soon as memory frees.
 //!
 //! Every job carries its own [`ExecutionControl`]: deadlines and
-//! cancellation stop only that job's shots (mid-group too). Cancelling
-//! a job that is still queued removes it immediately and resolves its
-//! handle with [`ErrorKind::Cancelled`] — no worker involvement.
+//! cancellation stop only that job. Cancelling a job that is still
+//! queued removes it immediately and resolves it with
+//! [`ErrorKind::Cancelled`] — no worker involvement.
 //!
 //! The scheduler never dies with a job: executor errors (and even
 //! panics) are caught and mapped onto the wire-level error contract
@@ -48,13 +48,11 @@ use crate::circuit::QCircuit;
 use crate::error::QclabError;
 use crate::program::BackendRequest;
 use crate::sim::control::{ExecutionControl, StopCause};
-use crate::sim::trajectory::{
-    run_trajectories_grouped, ShotRequest, TrajectoryConfig, TrajectoryResult,
-};
+use crate::sim::trajectory::{run_trajectories, TrajectoryConfig, TrajectoryResult};
 use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -165,9 +163,9 @@ impl JobSpec {
 /// Per-job scheduling/execution telemetry, streamed with every result.
 #[derive(Clone, Debug, Default)]
 pub struct JobTelemetry {
-    /// Submission → execution start (includes any batching-window hold).
+    /// Submission → execution start.
     pub queue_ms: f64,
-    /// Execution start → result (the coalesced group's run time).
+    /// Execution start → result.
     pub run_ms: f64,
     /// Submission → result.
     pub wall_ms: f64,
@@ -175,9 +173,6 @@ pub struct JobTelemetry {
     /// fingerprint (the plan — and its bytecode/frame lowerings — came
     /// from the cache instead of being lowered again).
     pub dedup_hit: bool,
-    /// Number of jobs in the coalesced ensemble this job executed in
-    /// (1 = ran alone).
-    pub coalesced: usize,
     /// `true` when the job's seed-independent preparation (evolved
     /// prefix, marginal, sampler) was already on its cached plan:
     /// the job paid for its shots only
@@ -236,16 +231,6 @@ pub struct ServiceConfig {
     /// Maximum jobs waiting in the queue; submissions beyond it are
     /// rejected with [`ErrorKind::Resource`] (backpressure, never OOM).
     pub queue_depth: usize,
-    /// How long a freshly submitted job may be held before execution so
-    /// same-fingerprint peers can join its ensemble. Zero coalesces
-    /// only jobs that are already queued together (no added latency).
-    pub batch_window: Duration,
-    /// Maximum jobs coalesced into one ensemble.
-    pub max_batch: usize,
-    /// Coalesce same-fingerprint jobs into grouped ensembles. Off, every
-    /// job runs alone (the F17 ablation) — dedup via the plan cache
-    /// still applies.
-    pub coalesce: bool,
     /// Global budget for the *estimated* state bytes of all running
     /// jobs. A job whose estimate does not currently fit is skipped —
     /// not waited on — so it never blocks smaller admissible jobs
@@ -275,9 +260,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers,
             queue_depth: 1024,
-            batch_window: Duration::from_millis(1),
-            max_batch: 64,
-            coalesce: true,
             global_state_bytes: 8 << 30,
             base,
         }
@@ -298,11 +280,6 @@ pub struct ServiceStats {
     /// Accepted jobs whose circuit fingerprint this scheduler had
     /// already compiled (they shared a cached/in-flight plan).
     pub dedup_hits: u64,
-    /// Jobs that executed inside a coalesced ensemble of ≥ 2 (each
-    /// follower counts once; the group leader does not).
-    pub coalesce_hits: u64,
-    /// Coalesced ensembles executed (groups of ≥ 2).
-    pub groups: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -311,7 +288,6 @@ pub struct ServiceStats {
 
 struct QueuedJob {
     spec: JobSpec,
-    fingerprint: u64,
     est_bytes: u64,
     submitted: Instant,
     deadline: Option<Instant>,
@@ -336,8 +312,6 @@ struct Counters {
     rejected: AtomicU64,
     cancelled: AtomicU64,
     dedup_hits: AtomicU64,
-    coalesce_hits: AtomicU64,
-    groups: AtomicU64,
 }
 
 struct Inner {
@@ -363,14 +337,15 @@ impl Inner {
     }
 }
 
-/// The async handle to a submitted job: poll or block for the result,
-/// or cancel the job.
+/// The handle to a submitted job: block for the result, or cancel the
+/// job.
 pub struct JobHandle {
     /// Echo of [`JobSpec::id`].
     pub id: String,
-    fingerprint: u64,
     cancel: Arc<AtomicBool>,
-    rx: Receiver<JobResult>,
+    /// `None` for a job submitted with [`Scheduler::submit_to`]: its
+    /// result goes to the sender given there.
+    rx: Option<Receiver<JobResult>>,
     inner: Arc<Inner>,
 }
 
@@ -378,7 +353,6 @@ impl std::fmt::Debug for JobHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobHandle")
             .field("id", &self.id)
-            .field("fingerprint", &self.fingerprint)
             .finish_non_exhaustive()
     }
 }
@@ -386,34 +360,22 @@ impl std::fmt::Debug for JobHandle {
 impl JobHandle {
     /// Blocks until the job resolves.
     pub fn wait(self) -> JobResult {
-        match self.rx.recv() {
-            Ok(r) => r,
-            Err(_) => Err(JobError {
+        let fail = |kind, message: &str| {
+            Err(JobError {
                 id: self.id.clone(),
-                kind: ErrorKind::Simulation,
-                message: "scheduler dropped the job".into(),
+                kind,
+                message: message.into(),
                 partial: None,
-            }),
+            })
+        };
+        match self.rx.as_ref().map(Receiver::recv) {
+            Some(Ok(r)) => r,
+            Some(Err(_)) => fail(ErrorKind::Simulation, "scheduler dropped the job"),
+            None => fail(
+                ErrorKind::Usage,
+                "the job's result goes to the sender it was submitted with",
+            ),
         }
-    }
-
-    /// Blocks up to `timeout` for the result.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<JobResult> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => Some(r),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => Some(Err(JobError {
-                id: self.id.clone(),
-                kind: ErrorKind::Simulation,
-                message: "scheduler dropped the job".into(),
-                partial: None,
-            })),
-        }
-    }
-
-    /// Non-blocking poll.
-    pub fn try_wait(&self) -> Option<JobResult> {
-        self.rx.try_recv().ok()
     }
 
     /// Cancels the job. A job still **queued** is removed immediately
@@ -462,7 +424,7 @@ fn dense_state_bytes(n: usize) -> u64 {
 // ---------------------------------------------------------------------
 
 /// The multi-tenant job scheduler. See the module docs for the
-/// dedup/coalescing/admission design.
+/// dedup/retention/admission design.
 pub struct Scheduler {
     inner: Arc<Inner>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -489,109 +451,102 @@ impl Scheduler {
         Scheduler { inner, workers }
     }
 
-    /// Submits a job. Admission control runs here, synchronously: a
-    /// rejected job returns `Err` immediately (queue depth, per-job
-    /// memory guard, global budget) and is never queued.
+    /// Submits a job whose result is read from the returned handle
+    /// ([`JobHandle::wait`]). Admission control runs here,
+    /// synchronously: a rejected job returns `Err` immediately (queue
+    /// depth, per-job memory guard, global budget) and is never queued.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, JobError> {
-        let reject = |kind: ErrorKind, message: String| {
+        let (tx, rx) = channel();
+        let mut handle = self.submit_to(spec, tx)?;
+        handle.rx = Some(rx);
+        Ok(handle)
+    }
+
+    /// [`submit`](Self::submit) for a tenant that collects many jobs on
+    /// one channel: the job's [`JobResult`] — which carries its id — is
+    /// sent on `results` the moment it resolves, and the channel closes
+    /// once every job holding a clone of it has. The returned handle
+    /// only cancels.
+    pub fn submit_to(
+        &self,
+        spec: JobSpec,
+        results: Sender<JobResult>,
+    ) -> Result<JobHandle, JobError> {
+        let reject = |id: &str, kind: ErrorKind, message: String| {
             self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
             Err(JobError {
-                id: spec.id.clone(),
+                id: id.to_string(),
                 kind,
                 message,
                 partial: None,
             })
         };
         let n = spec.circuit.nb_qubits();
-        // per-job guard: a dense-backend job that could never allocate
-        // fails fast at the door instead of occupying a queue slot
-        let est_bytes = if self.inner.cfg.base.backend == BackendRequest::Dense {
-            if let Err(e) = self.inner.cfg.base.limits.check_register(n) {
-                return reject(ErrorKind::classify(&e), e.to_string());
+        let base = &self.inner.cfg.base;
+        // A job is one run, so it holds one dense state whenever the
+        // dense engine could be the one that runs it — also under
+        // `auto`. A register the dense guard refuses is turned away
+        // here only when dense is the sole engine asked for; otherwise
+        // it can only resolve to an engine whose support-sized guard
+        // applies at run time.
+        let est_bytes = match base.limits.check_register(n) {
+            Err(e) if base.backend == BackendRequest::Dense => {
+                return reject(&spec.id, ErrorKind::classify(&e), e.to_string());
             }
-            dense_state_bytes(n)
-        } else {
-            // sparse/auto/frame admission is support-sized and enforced
-            // by the runtime guards; no up-front dense estimate
-            0
+            Ok(_) if base.backend != BackendRequest::Sparse => dense_state_bytes(n),
+            _ => 0,
         };
-        if est_bytes > self.inner.cfg.global_state_bytes {
+        let budget = self.inner.cfg.global_state_bytes;
+        if est_bytes > budget {
             return reject(
+                &spec.id,
                 ErrorKind::Resource,
                 format!(
-                    "job needs ~{est_bytes} state bytes but the scheduler's global budget is {}",
-                    self.inner.cfg.global_state_bytes
+                    "job needs ~{est_bytes} state bytes but the scheduler's global budget is {budget}"
                 ),
             );
         }
         let fingerprint = spec.circuit.fingerprint();
-        let (tx, rx) = channel();
         let cancel = Arc::new(AtomicBool::new(false));
         let now = Instant::now();
-        let job = QueuedJob {
+        let mut st = self.inner.lock();
+        if st.closed {
+            drop(st);
+            return reject(&spec.id, ErrorKind::Io, "scheduler is shut down".into());
+        }
+        let depth = self.inner.cfg.queue_depth;
+        if st.queue.len() >= depth {
+            drop(st);
+            return reject(
+                &spec.id,
+                ErrorKind::Resource,
+                format!("queue is full ({depth} jobs) — retry later"),
+            );
+        }
+        let dedup_hit = !st.seen.insert(fingerprint);
+        let id = spec.id.clone();
+        st.queue.push(QueuedJob {
             deadline: spec.timeout_ms.map(|ms| now + Duration::from_millis(ms)),
-            fingerprint,
             est_bytes,
             submitted: now,
             cancel: Arc::clone(&cancel),
-            dedup_hit: false,
-            tx,
+            dedup_hit,
+            tx: results,
             spec,
-        };
-        let mut st = self.inner.lock();
-        if st.closed {
-            let id = job.spec.id.clone();
-            drop(st);
-            self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(JobError {
-                id,
-                kind: ErrorKind::Io,
-                message: "scheduler is shut down".into(),
-                partial: None,
-            });
-        }
-        if st.queue.len() >= self.inner.cfg.queue_depth {
-            let id = job.spec.id.clone();
-            drop(st);
-            self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(JobError {
-                id,
-                kind: ErrorKind::Resource,
-                message: format!(
-                    "queue is full ({} jobs) — retry later",
-                    self.inner.cfg.queue_depth
-                ),
-                partial: None,
-            });
-        }
-        let mut job = job;
-        job.dedup_hit = !st.seen.insert(fingerprint);
-        if job.dedup_hit {
-            self.inner
-                .counters
-                .dedup_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let id = job.spec.id.clone();
-        st.queue.push(job);
+        });
         drop(st);
-        self.inner
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
+        let counters = &self.inner.counters;
+        counters
+            .dedup_hits
+            .fetch_add(dedup_hit as u64, Ordering::Relaxed);
+        counters.submitted.fetch_add(1, Ordering::Relaxed);
         self.inner.work_ready.notify_all();
         Ok(JobHandle {
             id,
-            fingerprint,
             cancel,
-            rx,
+            rx: None,
             inner: Arc::clone(&self.inner),
         })
-    }
-
-    /// The circuit fingerprint the handle's job was keyed under.
-    pub fn fingerprint_of(handle: &JobHandle) -> u64 {
-        handle.fingerprint
     }
 
     /// Counter snapshot.
@@ -603,8 +558,6 @@ impl Scheduler {
             rejected: c.rejected.load(Ordering::Relaxed),
             cancelled: c.cancelled.load(Ordering::Relaxed),
             dedup_hits: c.dedup_hits.load(Ordering::Relaxed),
-            coalesce_hits: c.coalesce_hits.load(Ordering::Relaxed),
-            groups: c.groups.load(Ordering::Relaxed),
         }
     }
 
@@ -661,121 +614,63 @@ fn sweep_queue(inner: &Inner, st: &mut SchedState) {
     }
 }
 
-/// Picks the next runnable group off the queue, or `None` at shutdown.
-/// Fair-share: the scan admits the *first* job whose memory estimate
-/// fits the remaining global budget, skipping (not waiting on) larger
-/// jobs ahead of it in FIFO order.
-fn next_group(inner: &Inner) -> Option<Vec<QueuedJob>> {
-    let cfg = &inner.cfg;
+/// Takes the next runnable job off the queue and debits its estimate,
+/// or returns `None` at shutdown. Fair-share: the scan admits the
+/// *first* job whose memory estimate fits the remaining global budget,
+/// skipping (not waiting on) larger jobs ahead of it in FIFO order.
+fn next_job(inner: &Inner) -> Option<QueuedJob> {
+    let budget = inner.cfg.global_state_bytes;
     let mut st = inner.lock();
     loop {
         sweep_queue(inner, &mut st);
-        let budget = cfg.global_state_bytes;
         let pick = st
             .queue
             .iter()
             .position(|j| st.running_bytes.saturating_add(j.est_bytes) <= budget);
-        match pick {
-            Some(pos) => {
-                // batching window: hold a fresh leader briefly so
-                // same-fingerprint peers arriving now can join its group
-                if cfg.coalesce && !cfg.batch_window.is_zero() {
-                    let ready_at = st.queue[pos].submitted + cfg.batch_window;
-                    let now = Instant::now();
-                    if now < ready_at {
-                        let (guard, _) = inner
-                            .work_ready
-                            .wait_timeout(st, ready_at - now)
-                            .unwrap_or_else(|p| {
-                                inner.state.clear_poison();
-                                p.into_inner()
-                            });
-                        st = guard;
-                        continue; // re-scan: the queue may have changed
-                    }
-                }
-                let leader = st.queue.remove(pos);
-                let mut group = vec![leader];
-                if cfg.coalesce {
-                    let fp = group[0].fingerprint;
-                    let mut i = 0;
-                    while i < st.queue.len() && group.len() < cfg.max_batch.max(1) {
-                        if st.queue[i].fingerprint == fp {
-                            group.push(st.queue.remove(i));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                // the group shares one preparation and runs its
-                // ensembles sequentially, so it holds one job's estimate
-                st.running_bytes = st.running_bytes.saturating_add(group[0].est_bytes);
-                if group.len() > 1 {
-                    inner
-                        .counters
-                        .coalesce_hits
-                        .fetch_add(group.len() as u64 - 1, Ordering::Relaxed);
-                    inner.counters.groups.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(group);
-            }
-            None => {
-                if st.closed && st.queue.is_empty() {
-                    return None;
-                }
-                // nothing admissible (empty queue, or every queued job
-                // is over the current budget): sleep until submit /
-                // completion / shutdown. The timeout bounds the wait so
-                // queued deadlines keep being swept.
-                let (guard, _) = inner
-                    .work_ready
-                    .wait_timeout(st, Duration::from_millis(50))
-                    .unwrap_or_else(|p| {
-                        inner.state.clear_poison();
-                        p.into_inner()
-                    });
-                st = guard;
-            }
+        if let Some(pos) = pick {
+            let job = st.queue.remove(pos);
+            st.running_bytes = st.running_bytes.saturating_add(job.est_bytes);
+            return Some(job);
         }
+        if st.closed && st.queue.is_empty() {
+            return None;
+        }
+        // nothing admissible (empty queue, or every queued job is over
+        // the current budget): sleep until submit / completion /
+        // shutdown. The timeout bounds the wait so queued deadlines
+        // keep being swept.
+        let (guard, _) = inner
+            .work_ready
+            .wait_timeout(st, Duration::from_millis(50))
+            .unwrap_or_else(|p| {
+                inner.state.clear_poison();
+                p.into_inner()
+            });
+        st = guard;
     }
 }
 
-/// Executes one coalesced group and resolves every member's handle.
-fn run_group(inner: &Inner, group: Vec<QueuedJob>) {
-    let cfg = &inner.cfg;
+/// Executes one job — [`run_trajectories`] on the base configuration
+/// with the job's seed, shot count and control — and resolves it.
+fn run_job(inner: &Inner, job: &QueuedJob) {
     let t_start = Instant::now();
-    let requests: Vec<ShotRequest> = group
-        .iter()
-        .map(|j| {
-            let mut control = ExecutionControl::with_cancel_token(Arc::clone(&j.cancel));
-            if let Some(d) = j.deadline {
-                control = control.deadline(d);
-            }
-            ShotRequest {
-                seed: j.spec.seed,
-                shots: j.spec.shots,
-                control,
-            }
-        })
-        .collect();
+    let mut control = ExecutionControl::with_cancel_token(Arc::clone(&job.cancel));
+    if let Some(d) = job.deadline {
+        control = control.deadline(d);
+    }
+    let config = TrajectoryConfig {
+        seed: job.spec.seed,
+        shots: job.spec.shots,
+        control,
+        ..inner.cfg.base.clone()
+    };
     // a panicking executor must not take the scheduler down: contain it
-    // and resolve the group as a simulation error
+    // and resolve the job as a simulation error
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_trajectories_grouped(&group[0].spec.circuit, &cfg.base, &requests)
+        run_trajectories(&job.spec.circuit, &config)
     }));
     let run_ms = t_start.elapsed().as_secs_f64() * 1e3;
-    let coalesced = group.len();
-    let finish = |job: &QueuedJob, result: JobResult| {
-        match &result {
-            Ok(_) => inner.counters.completed.fetch_add(1, Ordering::Relaxed),
-            Err(e) if e.kind == ErrorKind::Cancelled => {
-                inner.counters.cancelled.fetch_add(1, Ordering::Relaxed)
-            }
-            Err(_) => 0,
-        };
-        let _ = job.tx.send(result);
-    };
-    let output = |job: &QueuedJob, r: &TrajectoryResult| JobOutput {
+    let output = |r: &TrajectoryResult| JobOutput {
         id: job.spec.id.clone(),
         counts: r.counts().clone(),
         shots: r.shots(),
@@ -787,79 +682,62 @@ fn run_group(inner: &Inner, group: Vec<QueuedJob>) {
             run_ms,
             wall_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
             dedup_hit: job.dedup_hit,
-            coalesced,
             prep_hit: r.prep_hit(),
         },
     };
-    match outcome {
-        Ok(Ok(results)) => {
-            for (job, r) in group.iter().zip(&results) {
-                match r.stop_cause() {
-                    None => finish(job, Ok(output(job, r))),
-                    Some(cause) => {
-                        let kind = match cause {
-                            StopCause::Cancelled => ErrorKind::Cancelled,
-                            StopCause::DeadlineExceeded => ErrorKind::Timeout,
-                        };
-                        finish(
-                            job,
-                            Err(JobError {
-                                id: job.spec.id.clone(),
-                                kind,
-                                message: format!(
-                                    "stopped after {} of {} shots",
-                                    r.shots(),
-                                    r.requested_shots()
-                                ),
-                                partial: Some(output(job, r)),
-                            }),
-                        );
-                    }
-                }
-            }
-        }
-        Ok(Err(e)) => {
-            let kind = ErrorKind::classify(&e);
-            let msg = e.to_string();
-            for job in &group {
-                finish(
-                    job,
-                    Err(JobError {
-                        id: job.spec.id.clone(),
-                        kind,
-                        message: msg.clone(),
-                        partial: None,
-                    }),
-                );
-            }
-        }
+    let fail = |kind: ErrorKind, message: String, partial: Option<JobOutput>| {
+        Err(JobError {
+            id: job.spec.id.clone(),
+            kind,
+            message,
+            partial,
+        })
+    };
+    let result = match outcome {
+        Ok(Ok(r)) => match r.stop_cause() {
+            None => Ok(output(&r)),
+            Some(cause) => fail(
+                match cause {
+                    StopCause::Cancelled => ErrorKind::Cancelled,
+                    StopCause::DeadlineExceeded => ErrorKind::Timeout,
+                },
+                format!(
+                    "stopped after {} of {} shots",
+                    r.shots(),
+                    r.requested_shots()
+                ),
+                Some(output(&r)),
+            ),
+        },
+        Ok(Err(e)) => fail(ErrorKind::classify(&e), e.to_string(), None),
         Err(panic) => {
             let msg = panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "executor panicked".into());
-            for job in &group {
-                finish(
-                    job,
-                    Err(JobError {
-                        id: job.spec.id.clone(),
-                        kind: ErrorKind::Simulation,
-                        message: format!("executor panicked: {msg}"),
-                        partial: None,
-                    }),
-                );
-            }
+            fail(
+                ErrorKind::Simulation,
+                format!("executor panicked: {msg}"),
+                None,
+            )
         }
-    }
+    };
+    match &result {
+        Ok(_) => inner.counters.completed.fetch_add(1, Ordering::Relaxed),
+        Err(e) if e.kind == ErrorKind::Cancelled => {
+            inner.counters.cancelled.fetch_add(1, Ordering::Relaxed)
+        }
+        Err(_) => 0,
+    };
+    let _ = job.tx.send(result);
 }
 
 fn worker_loop(inner: &Inner) {
-    while let Some(group) = next_group(inner) {
-        let est = group[0].est_bytes;
-        run_group(inner, group);
+    while let Some(job) = next_job(inner) {
+        run_job(inner, &job);
         let mut st = inner.lock();
-        st.running_bytes = st.running_bytes.saturating_sub(est);
+        st.running_bytes = st.running_bytes.saturating_sub(job.est_bytes);
         drop(st);
         // free memory may admit a previously skipped large job
         inner.work_ready.notify_all();
@@ -871,7 +749,7 @@ mod tests {
     use super::*;
     use crate::gates::factories::*;
     use crate::measurement::Measurement;
-    use crate::sim::trajectory::run_trajectories;
+    use crate::sim::trajectory::PauliChannel;
 
     fn sampled_circuit(tag: f64) -> QCircuit {
         let mut c = QCircuit::new(3);
@@ -920,14 +798,23 @@ mod tests {
 
     #[test]
     fn queue_depth_rejects_with_resource_kind() {
-        let cfg = ServiceConfig {
+        let mut cfg = ServiceConfig {
             workers: 1,
             queue_depth: 1,
-            // park the worker so the queue actually fills
-            batch_window: Duration::from_millis(200),
             ..ServiceConfig::default()
         };
+        // gate noise on a non-Clifford stream: every shot is evolved, so
+        // the first job parks the only worker and the queue actually fills
+        cfg.base.noise.after_gate = Some(PauliChannel::BitFlip(0.01));
         let sched = Scheduler::new(cfg);
+        let mut slow = QCircuit::new(12);
+        for q in 0..12 {
+            slow.push_back(RotationY::new(q, 0.3));
+        }
+        slow.push_back(Measurement::z(0));
+        let busy = sched
+            .submit(JobSpec::new("busy", slow, 1_000_000, 1))
+            .expect("admitted");
         let mut handles = Vec::new();
         let mut rejected = None;
         for i in 0..8 {
@@ -942,6 +829,8 @@ mod tests {
         let e = rejected.expect("a submission beyond the depth must be rejected");
         assert_eq!(e.kind, ErrorKind::Resource);
         assert_eq!(e.kind.exit_code(), 6);
+        busy.cancel();
+        assert_eq!(busy.wait().unwrap_err().kind, ErrorKind::Cancelled);
         for h in handles {
             let _ = h.wait();
         }

@@ -13,8 +13,7 @@
 //!
 //! Structure: `prepare` routes a run once (sparse → Pauli frames →
 //! terminal table → fork/per-shot) and pays its seed-independent
-//! preparation; a standalone run is a [`run_trajectories_grouped`] group
-//! of one. Every state-vector shot — one-time prefix, batch reference
+//! preparation, `Prepared::run` samples the shots. Every state-vector shot — one-time prefix, batch reference
 //! pass, lane suffix, [`run_single_trajectory`] — dispatches the plan's
 //! bytecode stream ([`super::bytecode`]) through one per-instruction
 //! body, `ShotState::step`; serial execution is the batch of one.
@@ -1291,10 +1290,8 @@ pub(crate) fn stop_or_err(err: QclabError) -> Result<StopCause, QclabError> {
 /// `O(2^n · gates)` (dense) or support-sized (sparse) part of the run;
 /// a draw from it is one bisection keyed only by `(seed, shot)` — so one
 /// prep can serve every shot of a noiseless run, every error-free lane
-/// of a noisy one, many same-fingerprint requests within a group
-/// ([`run_trajectories_grouped`]) and, retained on the plan
-/// ([`PrepSlot`]), later runs, with every request's draws bit-identical
-/// to a standalone run.
+/// of a noisy one and, retained on the plan ([`PrepSlot`]), later runs,
+/// with every run's draws bit-identical to a cold run.
 struct SampledPrep {
     /// Outcome index for each sampler slot; `None` means the identity
     /// (the dense path's sampler covers the full `2^m` marginal).
@@ -1453,7 +1450,7 @@ fn render_outcomes(tally: BTreeMap<usize, u64>, m: usize, counts: &mut BTreeMap<
 /// Draws `config.shots` shots from a prepared table, each from the
 /// shot's own `(config.seed, shot)` RNG stream — one draw per shot, so
 /// the sample is deterministic and independent of execution order *and*
-/// of which request group the prep was built for. This is the noisy
+/// of which run the prep was built for. This is the noisy
 /// ensemble with every lane error-free: each shot reports the shared
 /// evolution's watchdog statistics. Polls `config.control` between
 /// draws; a stop keeps the tally of the shots already drawn.
@@ -1495,8 +1492,7 @@ fn draw_sampled(
 }
 
 /// The seed-independent half of a run — everything [`prepare`] decides
-/// and pays once, whether one request or a coalesced group then draws
-/// shots from it.
+/// and pays once, before any shot is drawn.
 enum Prepared {
     /// Noiseless terminal program, dense or sparse: every shot is a draw
     /// from the table. Shared, never copied: the same value serves the
@@ -1609,8 +1605,8 @@ fn retained_or(
 }
 
 /// Routes a run — sparse → frames → terminal table → fork/per-shot — and
-/// performs its one-time preparation under `base` (whose seed and shot
-/// count are never consulted), or — for a terminal table — takes it from
+/// performs its one-time preparation (which never consults the seed or
+/// the shot count), or — for a terminal table — takes it from
 /// the plan ([`PrepSlot`]): every guard and validation below runs either
 /// way, only the `O(2^n)` allocation and evolution are skipped. The flag is
 /// `true` when the plan supplied it. `initial: None` starts from `|0…0⟩`
@@ -1619,14 +1615,14 @@ fn retained_or(
 fn prepare(
     circuit: &QCircuit,
     initial: Option<&CVec>,
-    base: &TrajectoryConfig,
+    config: &TrajectoryConfig,
 ) -> Result<(Prepared, bool), QclabError> {
     let n = circuit.nb_qubits();
-    let noiseless = base.noise.is_noiseless();
+    let noiseless = config.noise.is_noiseless();
     // a terminal block ends in one draw when nobody reads the
     // post-measurement state
     let terminal = |program: &CompiledProgram| {
-        program.shot_plan().terminal_measurements && base.observables.is_empty()
+        program.shot_plan().terminal_measurements && config.observables.is_empty()
     };
     // what a plan can key on: a run from `|0…0⟩`, not an explicit
     // initial state
@@ -1634,25 +1630,25 @@ fn prepare(
     // Backend routing happens before the dense `|0…0⟩` guard, so
     // sparse-eligible wide registers are not refused on the dense byte
     // estimate.
-    if initial.is_none() && base.backend != BackendRequest::Dense {
+    if initial.is_none() && config.backend != BackendRequest::Dense {
         let program = circuit.compile_with(&PlanOptions::sparse());
-        let choice = program::resolve_backend(base.backend, program.stats(), n, &base.limits)?;
+        let choice = program::resolve_backend(config.backend, program.stats(), n, &config.limits)?;
         if let BackendChoice::Sparse { .. } = choice {
-            if base.fast_path && noiseless && terminal(&program) {
-                base.noise.validate()?;
-                base.limits.check_sparse_register(n)?;
+            if config.fast_path && noiseless && terminal(&program) {
+                config.noise.validate()?;
+                config.limits.check_sparse_register(n)?;
                 let path = ShotPath::SparseSampled {
                     prefix_ops: program.shot_plan().prefix_ops,
                 };
                 let (prep, hit) = retained_or(&program, key(path, None), || {
-                    sparse_prep(&program, path, base)
+                    sparse_prep(&program, path, config)
                 })?;
                 if let Prepared::Sampled(p) = &prep {
-                    base.limits.check_sparse_entries(n, p.peak_entries)?;
+                    config.limits.check_sparse_entries(n, p.peak_entries)?;
                 }
                 return Ok((prep, hit));
             }
-            if base.backend == BackendRequest::Sparse {
+            if config.backend == BackendRequest::Sparse {
                 return Err(QclabError::Unavailable(
                     "sparse trajectory execution covers noiseless terminal-measurement \
                      programs (prefix sampling) only — run with the dense or auto backend"
@@ -1665,20 +1661,20 @@ fn prepare(
         }
     }
     // lowers once (plan-cached); every shot executes the same program
-    let compile = || circuit.compile_with(&plan_options(base));
+    let compile = || circuit.compile_with(&plan_options(config));
     // Pauli-frame routing: a noisy Clifford+Pauli sampling run (no
     // observables) propagates only per-shot error frames over one
     // reference tableau run — O(poly n) per shot, admitted by the
     // frame guard instead of the dense 2^n estimate, so 100+ qubit
     // Clifford workloads run where every state-vector backend refuses.
     // Noiseless runs keep the exact table/fork/sparse paths.
-    if initial.is_none() && base.frames && !noiseless && base.observables.is_empty() {
+    if initial.is_none() && config.frames && !noiseless && config.observables.is_empty() {
         let program = compile();
         if let Some(frames) = program.frame_program() {
             return Ok((Prepared::Frames(program, frames), false));
         }
     }
-    let dim = validate(circuit, initial, base)?;
+    let dim = validate(circuit, initial, config)?;
     // only a preparation that is actually computed allocates its state
     let initial_state = || initial.map_or_else(|| CVec::basis_state(dim, 0), CVec::clone);
     let program = compile();
@@ -1690,7 +1686,7 @@ fn prepare(
     // consumes no RNG draws and injects no errors, so evolving it once
     // and forking each shot from the snapshot preserves the per-shot
     // (seed, shot) streams — and therefore the results — bit for bit.
-    let prefix_ops = if base.fast_path && !base.noise.strikes_gates() {
+    let prefix_ops = if config.fast_path && !config.noise.strikes_gates() {
         plan.prefix_ops
     } else {
         0
@@ -1698,7 +1694,7 @@ fn prepare(
     let table_path = ShotPath::AliasSampled {
         prefix_ops: plan.prefix_ops,
     };
-    let tabulated = terminal && base.fast_path;
+    let tabulated = terminal && config.fast_path;
     let path = if tabulated && noiseless {
         table_path
     } else if prefix_ops > 0 {
@@ -1713,9 +1709,9 @@ fn prepare(
     // the table; a noisy run hands the table to its lanes.
     let (mut shared, mut prep_hit) = (None, false);
     if tabulated {
-        let dense = Some((base.kernel, base.watchdog));
+        let dense = Some((config.kernel, config.watchdog));
         let (prep, hit) = retained_or(&program, key(table_path, dense), || {
-            terminal_prep(&program, path, initial_state(), base)
+            terminal_prep(&program, path, initial_state(), config)
         })?;
         match prep {
             Prepared::Sampled(table) if !noiseless => (shared, prep_hit) = (Some(table), hit),
@@ -1727,8 +1723,8 @@ fn prepare(
     // so the snapshot is bit-identical to what each unforked shot would
     // have computed
     let bc = program.bytecode();
-    let kernel = shot_kernel_config(base);
-    let start = match evolve_prefix(&bc, prefix_ops, initial_state(), base, kernel) {
+    let kernel = shot_kernel_config(config);
+    let start = match evolve_prefix(&bc, prefix_ops, initial_state(), config, kernel) {
         Ok(s) => s,
         // stopped during the one-time prefix: no shot completed
         Err(e) => return Ok((Prepared::Stopped(stop_or_err(e)?, path), false)),
@@ -1749,9 +1745,7 @@ fn prepare(
 }
 
 impl Prepared {
-    /// Samples one request — `config` is the base configuration with
-    /// that request's seed, shot count and control — from the shared
-    /// preparation.
+    /// Samples `config.shots` shots from the preparation.
     fn run(&self, n: usize, config: &TrajectoryConfig) -> Result<TrajectoryResult, QclabError> {
         match self {
             Prepared::Sampled(prep) => draw_sampled(prep, n, config),
@@ -1954,100 +1948,16 @@ fn run_ensemble(
     })
 }
 
-/// One tenant's slice of a coalesced ensemble
-/// ([`run_trajectories_grouped`]): its own `(seed, shots)` determinism
-/// and its own cooperative control, sharing everything else with the
-/// group's base configuration.
-#[derive(Clone, Debug)]
-pub struct ShotRequest {
-    /// Master seed of this request's per-shot RNG streams.
-    pub seed: u64,
-    /// Trajectories to sample for this request.
-    pub shots: u64,
-    /// Per-request deadline/cancellation, polled between this request's
-    /// shots; other requests in the group are unaffected (the shared
-    /// one-time preparation runs under the base configuration's
-    /// control).
-    pub control: ExecutionControl,
-}
-
-impl ShotRequest {
-    /// A request with no deadline/cancel control.
-    pub fn new(seed: u64, shots: u64) -> Self {
-        ShotRequest {
-            seed,
-            shots,
-            control: ExecutionControl::none(),
-        }
-    }
-}
-
-/// Prepares once under `base`, then samples each request with its own
-/// seed, shot count and control.
-fn run_group(
-    circuit: &QCircuit,
-    initial: Option<&CVec>,
-    base: &TrajectoryConfig,
-    requests: &[ShotRequest],
-) -> Result<Vec<TrajectoryResult>, QclabError> {
-    if requests.is_empty() {
-        return Ok(Vec::new());
-    }
-    let (prepared, prep_hit) = prepare(circuit, initial, base)?;
-    requests
-        .iter()
-        .map(|r| {
-            let config = TrajectoryConfig {
-                seed: r.seed,
-                shots: r.shots,
-                control: r.control.clone(),
-                ..base.clone()
-            };
-            let mut result = prepared.run(circuit.nb_qubits(), &config)?;
-            result.prep_hit = prep_hit;
-            Ok(result)
-        })
-        .collect()
-}
-
-/// A standalone run: the group of one whose request is `config`'s own
-/// seed, shot count and control.
+/// One run: route and prepare, then sample under the same configuration.
 fn run_alone(
     circuit: &QCircuit,
     initial: Option<&CVec>,
     config: &TrajectoryConfig,
 ) -> Result<TrajectoryResult, QclabError> {
-    let request = ShotRequest {
-        seed: config.seed,
-        shots: config.shots,
-        control: config.control.clone(),
-    };
-    let mut results = run_group(circuit, initial, config, &[request])?;
-    // invariant: `run_group` returns one result per request
-    Ok(results.pop().expect("one request, one result"))
-}
-
-/// Runs several same-circuit shot requests as **one coalesced
-/// ensemble**: the deterministic, seed-independent preparation (plan
-/// lookup, routing, prefix evolution, marginal + alias-table build, fork
-/// snapshot) is paid once for the whole group, and each request's shots
-/// are then drawn from that request's own `(seed, shot)` RNG streams.
-/// Every returned result is **bit-identical** to [`run_trajectories`]
-/// with the same `(seed, shots)` alone — a standalone run *is* the group
-/// of one — because all randomness derives from `(seed, shot)` pairs and
-/// the shared preparation never touches those streams.
-///
-/// `base` supplies everything but seed/shots/control (noise, kernels,
-/// limits, backend, …); results come back in request order. Where the
-/// engine has no seed-independent state to share beyond the cached plan
-/// (per-shot gate noise, the Pauli-frame reference run), each request
-/// still runs on its own over that one plan.
-pub fn run_trajectories_grouped(
-    circuit: &QCircuit,
-    base: &TrajectoryConfig,
-    requests: &[ShotRequest],
-) -> Result<Vec<TrajectoryResult>, QclabError> {
-    run_group(circuit, None, base, requests)
+    let (prepared, prep_hit) = prepare(circuit, initial, config)?;
+    let mut result = prepared.run(circuit.nb_qubits(), config)?;
+    result.prep_hit = prep_hit;
+    Ok(result)
 }
 
 /// Samples `config.shots` trajectories of `circuit` from `|0…0⟩` and
@@ -2513,209 +2423,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Grouped execution shares the seed-independent preparation, so
-    /// every request's result must be bit-identical to running it
-    /// standalone at the same `(seed, shots)`.
-    fn assert_grouped_matches_standalone(circuit: &QCircuit, base: &TrajectoryConfig) {
-        let requests: Vec<ShotRequest> = [(11, 400), (12, 400), (13, 150), (11, 250)]
-            .iter()
-            .map(|&(seed, shots)| ShotRequest::new(seed, shots))
-            .collect();
-        let grouped = run_trajectories_grouped(circuit, base, &requests).unwrap();
-        assert_eq!(grouped.len(), requests.len());
-        for (req, got) in requests.iter().zip(&grouped) {
-            let config = TrajectoryConfig {
-                seed: req.seed,
-                shots: req.shots,
-                ..base.clone()
-            };
-            let alone = run_trajectories(circuit, &config).unwrap();
-            assert_eq!(
-                got.counts(),
-                alone.counts(),
-                "grouped run diverged from standalone at seed {} (path {})",
-                req.seed,
-                alone.path()
-            );
-            assert_eq!(got.shots(), alone.shots());
-            assert_eq!(got.injected_errors(), alone.injected_errors());
-            assert_eq!(got.path(), alone.path());
-        }
-    }
-
-    #[test]
-    fn grouped_alias_path_is_bit_identical_per_request() {
-        let mut c = QCircuit::new(3);
-        c.push_back(Hadamard::new(0));
-        c.push_back(RotationY::new(1, 0.8));
-        c.push_back(CNOT::new(0, 2));
-        c.push_back(Measurement::z(0));
-        c.push_back(Measurement::z(2));
-        let base = TrajectoryConfig::default();
-        assert_grouped_matches_standalone(&c, &base);
-        // sanity: this circuit really takes the alias path
-        let probe = run_trajectories(
-            &c,
-            &TrajectoryConfig {
-                shots: 1,
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        assert!(matches!(probe.path(), ShotPath::AliasSampled { .. }));
-    }
-
-    #[test]
-    fn grouped_fork_path_is_bit_identical_per_request() {
-        // mid-circuit measurement followed by a gate: terminal sampling
-        // is ineligible, the deterministic prefix is forked instead
-        let mut c = QCircuit::new(2);
-        c.push_back(Hadamard::new(0));
-        c.push_back(Measurement::z(0));
-        c.push_back(CNOT::new(0, 1));
-        c.push_back(Measurement::z(1));
-        let base = TrajectoryConfig::default();
-        let probe = run_trajectories(
-            &c,
-            &TrajectoryConfig {
-                shots: 1,
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        assert!(matches!(probe.path(), ShotPath::Forked { .. }));
-        assert_grouped_matches_standalone(&c, &base);
-    }
-
-    #[test]
-    fn grouped_noisy_fallback_is_bit_identical_per_request() {
-        // non-Clifford + gate noise: no frames, no alias — the grouped
-        // runner falls back to per-request ensembles and must still
-        // reproduce the standalone bits
-        let mut c = QCircuit::new(2);
-        c.push_back(Hadamard::new(0));
-        c.push_back(RotationY::new(1, 0.3));
-        c.push_back(CNOT::new(0, 1));
-        c.push_back(Measurement::z(0));
-        c.push_back(Measurement::z(1));
-        let base = TrajectoryConfig {
-            noise: NoiseSpec {
-                after_gate: Some(PauliChannel::BitFlip(0.05)),
-                ..NoiseSpec::default()
-            },
-            ..TrajectoryConfig::default()
-        };
-        let probe = run_trajectories(
-            &c,
-            &TrajectoryConfig {
-                shots: 1,
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        assert_eq!(probe.path(), ShotPath::PerShot);
-        assert_grouped_matches_standalone(&c, &base);
-    }
-
-    #[test]
-    fn grouped_frame_path_is_bit_identical_per_request() {
-        // noisy Clifford circuit: the Pauli-frame sampler handles each
-        // request (shared plan, per-request frame runs)
-        let mut c = QCircuit::new(2);
-        c.push_back(Hadamard::new(0));
-        c.push_back(CNOT::new(0, 1));
-        c.push_back(Measurement::z(0));
-        c.push_back(Measurement::z(1));
-        let base = TrajectoryConfig {
-            noise: NoiseSpec {
-                after_gate: Some(PauliChannel::Depolarizing(0.02)),
-                ..NoiseSpec::default()
-            },
-            ..TrajectoryConfig::default()
-        };
-        let probe = run_trajectories(
-            &c,
-            &TrajectoryConfig {
-                shots: 1,
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        assert_eq!(probe.path(), ShotPath::PauliFrame);
-        assert_grouped_matches_standalone(&c, &base);
-    }
-
-    #[test]
-    fn grouped_sparse_path_is_bit_identical_per_request() {
-        // sparse-friendly circuit pinned to the sparse backend
-        let mut c = QCircuit::new(22);
-        c.push_back(Hadamard::new(0));
-        for q in 1..6 {
-            c.push_back(CNOT::new(0, q));
-        }
-        c.push_back(Measurement::z(0));
-        c.push_back(Measurement::z(5));
-        let base = TrajectoryConfig {
-            backend: BackendRequest::Sparse,
-            ..TrajectoryConfig::default()
-        };
-        let probe = run_trajectories(
-            &c,
-            &TrajectoryConfig {
-                shots: 1,
-                ..base.clone()
-            },
-        )
-        .unwrap();
-        assert!(matches!(probe.path(), ShotPath::SparseSampled { .. }));
-        assert_grouped_matches_standalone(&c, &base);
-    }
-
-    #[test]
-    fn grouped_edge_cases() {
-        // empty request list and single-request groups are well-defined
-        let c = bell_measured();
-        let base = TrajectoryConfig::default();
-        assert!(run_trajectories_grouped(&c, &base, &[]).unwrap().is_empty());
-        let one = run_trajectories_grouped(&c, &base, &[ShotRequest::new(5, 300)]).unwrap();
-        let mut config = base.clone();
-        config.seed = 5;
-        config.shots = 300;
-        let alone = run_trajectories(&c, &config).unwrap();
-        assert_eq!(one[0].counts(), alone.counts());
-        // a zero-shot request rides along without disturbing peers
-        let reqs = [ShotRequest::new(5, 300), ShotRequest::new(6, 0)];
-        let mixed = run_trajectories_grouped(&c, &base, &reqs).unwrap();
-        assert_eq!(mixed[0].counts(), alone.counts());
-        assert_eq!(mixed[1].total_counts(), 0);
-    }
-
-    #[test]
-    fn grouped_per_request_cancellation_stops_only_that_request() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        // request 0 carries a pre-tripped cancel token; request 1 must
-        // complete untouched and bit-identical to standalone
-        let c = bell_measured();
-        let base = TrajectoryConfig {
-            // per-shot engine so the control ticker is consulted
-            fast_path: false,
-            ..TrajectoryConfig::default()
-        };
-        let token = Arc::new(AtomicBool::new(true));
-        let mut cancelled = ShotRequest::new(3, 500);
-        cancelled.control = ExecutionControl::with_cancel_token(token);
-        let fine = ShotRequest::new(4, 500);
-        let results = run_trajectories_grouped(&c, &base, &[cancelled, fine]).unwrap();
-        assert_eq!(results[0].stop_cause(), Some(StopCause::Cancelled));
-        assert!(results[0].shots() < 500);
-        assert_eq!(results[1].stop_cause(), None);
-        let mut config = base.clone();
-        config.seed = 4;
-        config.shots = 500;
-        let alone = run_trajectories(&c, &config).unwrap();
-        assert_eq!(results[1].counts(), alone.counts());
     }
 }

@@ -1,11 +1,12 @@
 //! Integration contract of the multi-tenant scheduler
-//! (`qclab_core::service`): per-job bit-identity under coalescing,
-//! fair-share admission (a big blocked job must not starve small ones),
-//! immediate resolution of queued-job cancellations, deadline stops
-//! with partial results, and error isolation (a refused job never
-//! disturbs its neighbours).
+//! (`qclab_core::service`): per-job bit-identity with the standalone
+//! run, fair-share admission (a big blocked job must not starve small
+//! ones) whatever backend the job resolves to, immediate resolution of
+//! queued-job cancellations, deadline stops with partial results, and
+//! error isolation (a refused job never disturbs its neighbours).
 
 use qclab::prelude::*;
+use qclab_core::program::BackendRequest;
 use qclab_core::service::{ErrorKind, JobSpec, Scheduler, ServiceConfig};
 use qclab_core::sim::trajectory::{run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig};
 use std::time::{Duration, Instant};
@@ -26,8 +27,7 @@ fn sampled_circuit(n: usize, tag: f64) -> QCircuit {
 
 /// A circuit the per-shot engine must grind through (noise disables
 /// every fast path on a non-Clifford stream) — used where a job must
-/// take real wall time. `tag` makes the fingerprint unique: two slow
-/// jobs with distinct tags can never coalesce into one group.
+/// take real wall time. `tag` makes the fingerprint unique.
 fn slow_circuit(n: usize, tag: f64) -> QCircuit {
     let mut c = QCircuit::new(n);
     for q in 0..n {
@@ -56,15 +56,14 @@ fn noisy_base() -> TrajectoryConfig {
 }
 
 #[test]
-fn coalesced_jobs_are_bit_identical_to_standalone_runs() {
+fn scheduled_jobs_are_bit_identical_to_standalone_runs() {
     let cfg = ServiceConfig {
         workers: 3,
-        batch_window: Duration::from_millis(5),
         ..ServiceConfig::default()
     };
     let base = cfg.base.clone();
     let sched = Scheduler::new(cfg);
-    // 12 jobs over 3 fingerprints: heavy duplication forces coalescing
+    // 12 jobs over 3 fingerprints: duplicates in flight on every worker
     let jobs: Vec<(usize, u64)> = (0..12).map(|i| (i % 3, 1000 + i as u64)).collect();
     let handles: Vec<_> = jobs
         .iter()
@@ -100,10 +99,6 @@ fn coalesced_jobs_are_bit_identical_to_standalone_runs() {
         stats.dedup_hits > 0,
         "duplicate fingerprints must register dedup hits"
     );
-    assert!(
-        stats.coalesce_hits > 0,
-        "duplicate fingerprints queued together must coalesce"
-    );
     sched.shutdown();
 }
 
@@ -117,7 +112,6 @@ fn fair_share_small_jobs_pass_a_blocked_large_job() {
         // exactly one large job fits; a second must wait, but small
         // jobs (16·2^4 = 256 B) still fit beside the first
         global_state_bytes: large_bytes + (16 << (small_n + 2)),
-        batch_window: Duration::ZERO,
         base: noisy_base(),
         ..ServiceConfig::default()
     };
@@ -170,10 +164,76 @@ fn fair_share_small_jobs_pass_a_blocked_large_job() {
 }
 
 #[test]
+fn auto_backend_jobs_never_exceed_the_global_budget() {
+    let large_n = 16;
+    let large_bytes = 16u64 << large_n;
+    let config = |global_state_bytes| {
+        let mut cfg = ServiceConfig {
+            workers: 2,
+            global_state_bytes,
+            base: noisy_base(),
+            ..ServiceConfig::default()
+        };
+        // what `qclab serve --backend auto` runs with: these circuits
+        // all resolve to the dense engine
+        cfg.base.backend = BackendRequest::Auto;
+        cfg
+    };
+    // boundary-exact: one byte under one state can never be admitted
+    let tight = Scheduler::new(config(large_bytes - 1));
+    let err = tight
+        .submit(JobSpec::new("L0", slow_circuit(large_n, 0.0), 1, 1))
+        .expect_err("a job over the whole budget is refused at the door");
+    assert_eq!(err.kind, ErrorKind::Resource);
+    tight.shutdown();
+
+    // exactly one large state fits: two large jobs on two workers must
+    // run one after the other
+    let cfg = config(large_bytes);
+    let base = cfg.base.clone();
+    let sched = Scheduler::new(cfg);
+    let l1 = sched
+        .submit(JobSpec::new("L1", slow_circuit(large_n, 0.0), 60, 1))
+        .expect("L1 admitted");
+    let l2 = sched
+        .submit(JobSpec::new("L2", slow_circuit(large_n, 1.0), 60, 2))
+        .expect("L2 queued");
+    let smalls: Vec<_> = (0..4)
+        .map(|i| {
+            sched
+                .submit(JobSpec::new(
+                    format!("s{i}"),
+                    sampled_circuit(4, 0.4),
+                    200,
+                    50 + i,
+                ))
+                .expect("small job admitted")
+        })
+        .collect();
+    let l1_out = l1.wait().expect("L1 succeeds");
+    let l2_out = l2.wait().expect("L2 succeeds");
+    assert!(
+        l2_out.telemetry.queue_ms >= l1_out.telemetry.run_ms / 2.0,
+        "L2 should have waited for L1's budget (queued {:.1} ms, L1 ran {:.1} ms)",
+        l2_out.telemetry.queue_ms,
+        l1_out.telemetry.run_ms
+    );
+    // the small jobs behind them are served, with the standalone bits
+    for (i, h) in smalls.into_iter().enumerate() {
+        let out = h.wait().expect("small job succeeds");
+        let mut config = base.clone();
+        config.seed = 50 + i as u64;
+        config.shots = 200;
+        let alone = run_trajectories(&sampled_circuit(4, 0.4), &config).unwrap();
+        assert_eq!(&out.counts, alone.counts());
+    }
+    sched.shutdown();
+}
+
+#[test]
 fn cancelling_a_queued_job_resolves_immediately() {
     let cfg = ServiceConfig {
         workers: 1,
-        batch_window: Duration::ZERO,
         base: noisy_base(),
         ..ServiceConfig::default()
     };
@@ -182,7 +242,7 @@ fn cancelling_a_queued_job_resolves_immediately() {
     let busy = sched
         .submit(JobSpec::new("busy", slow_circuit(14, 0.0), 300, 1))
         .expect("admitted");
-    // park a victim behind it (different fingerprint: no coalescing)
+    // park a victim behind it
     let victim = sched
         .submit(JobSpec::new("victim", sampled_circuit(4, 0.9), 100_000, 2))
         .expect("queued");
@@ -209,7 +269,6 @@ fn cancelling_a_queued_job_resolves_immediately() {
 fn running_job_cancellation_keeps_partial_shots() {
     let cfg = ServiceConfig {
         workers: 1,
-        batch_window: Duration::ZERO,
         base: noisy_base(),
         ..ServiceConfig::default()
     };
@@ -231,7 +290,6 @@ fn running_job_cancellation_keeps_partial_shots() {
 fn deadline_resolves_as_timeout_with_partial_results() {
     let cfg = ServiceConfig {
         workers: 1,
-        batch_window: Duration::ZERO,
         base: noisy_base(),
         ..ServiceConfig::default()
     };
@@ -276,47 +334,5 @@ fn rejections_isolate_and_the_scheduler_survives() {
     let stats = sched.stats();
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.completed, 1);
-    sched.shutdown();
-}
-
-#[test]
-fn no_coalesce_mode_still_dedups_plans_and_matches_standalone() {
-    let cfg = ServiceConfig {
-        workers: 2,
-        coalesce: false,
-        ..ServiceConfig::default()
-    };
-    let base = cfg.base.clone();
-    let sched = Scheduler::new(cfg);
-    let handles: Vec<_> = (0..6)
-        .map(|i| {
-            sched
-                .submit(JobSpec::new(
-                    format!("n{i}"),
-                    sampled_circuit(4, 0.7),
-                    500,
-                    70 + i,
-                ))
-                .expect("admitted")
-        })
-        .collect();
-    for (i, h) in handles.into_iter().enumerate() {
-        let out = h.wait().expect("job succeeds");
-        assert_eq!(
-            out.telemetry.coalesced, 1,
-            "--no-coalesce must run jobs alone"
-        );
-        let mut config = base.clone();
-        config.seed = 70 + i as u64;
-        config.shots = 500;
-        let alone = run_trajectories(&sampled_circuit(4, 0.7), &config).unwrap();
-        assert_eq!(&out.counts, alone.counts());
-    }
-    let stats = sched.stats();
-    assert_eq!(stats.coalesce_hits, 0);
-    assert!(
-        stats.dedup_hits > 0,
-        "plan dedup is independent of coalescing"
-    );
     sched.shutdown();
 }
