@@ -110,10 +110,7 @@ impl Table {
     /// name per figure binary.
     pub fn emit(&self, id: &str) {
         println!("{}", self.render());
-        let path = json_override().unwrap_or_else(|| {
-            std::path::Path::new("target/experiments").join(format!("{id}.json"))
-        });
-        self.write_json(&path);
+        self.write_json(&record_path(id));
     }
 
     /// Writes the JSON record to `path`, creating parent directories.
@@ -127,31 +124,43 @@ impl Table {
     }
 }
 
-/// The path following a `--json` process argument, if one was given.
-fn json_override() -> Option<std::path::PathBuf> {
+/// Where a binary's JSON record goes: the path following a `--json`
+/// process argument if one was given, `target/experiments/<id>.json`
+/// otherwise.
+pub fn record_path(id: &str) -> std::path::PathBuf {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == "--json" {
-            return args.next().map(std::path::PathBuf::from);
+            if let Some(path) = args.next() {
+                return path.into();
+            }
         }
     }
-    None
+    std::path::Path::new("target/experiments").join(format!("{id}.json"))
+}
+
+/// Wall-clock nanoseconds of `runs` executions of `f` (after one
+/// warm-up run), ascending — for records that carry a median and its
+/// spread as numbers.
+pub fn sample_times_ns(runs: usize, mut f: impl FnMut()) -> Vec<u64> {
+    assert!(runs > 0);
+    f(); // warm-up
+    let mut samples: Vec<u64> = (0..runs)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    samples.sort_unstable();
+    samples
 }
 
 /// Median wall-clock seconds of `runs` executions of `f` (after one
 /// warm-up run). Returns seconds per execution.
-pub fn median_time(runs: usize, mut f: impl FnMut()) -> f64 {
-    assert!(runs > 0);
-    f(); // warm-up
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
+pub fn median_time(runs: usize, f: impl FnMut()) -> f64 {
+    let samples = sample_times_ns(runs, f);
+    samples[samples.len() / 2] as f64 * 1e-9
 }
 
 /// Formats seconds human-readably (ns/µs/ms/s).

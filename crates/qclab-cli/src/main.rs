@@ -43,8 +43,9 @@
 //!   the flag changes the reported noisy shot path,
 //! * `--shot-batch N` — trajectory shot-batch width for `sample`
 //!   (default 64): the noisy per-shot engine evolves what the `N` shots
-//!   of a batch share once instead of re-walking the schedule per shot.
-//!   Results are independent of the batch width,
+//!   of a batch share once instead of re-walking the schedule per shot;
+//!   the Pauli-frame sampler takes `N` words of 64 bit-sliced shots per
+//!   batch. Results are independent of the batch width,
 //! * `--timeout-ms N` — wall-clock deadline for the run (`simulate`,
 //!   `counts`, `sample`). A run that exceeds it stops at the next op
 //!   boundary and exits with code `7`; `sample` additionally prints the
@@ -828,6 +829,13 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Result<String, CliEr
         } else {
             "per-shot trajectories (program is not frame-expressible)"
         }
+    ));
+    // per shot and class: times a channel's p, the expected hits — what
+    // a shot's noise walk costs
+    let sites = qclab_core::sim::walk::site_counts(&noisy_plan);
+    out.push_str(&format!(
+        "  noise sites:  {} after-gate, {} idle, {} readout\n",
+        sites.after_gate, sites.idle, sites.readout
     ));
     out.push_str(&format!(
         "  locality:     {} window(s) remapped, {} move(s), {} fold(s)\n",

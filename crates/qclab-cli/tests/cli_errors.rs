@@ -452,6 +452,46 @@ fn frames_flag_is_policed_and_the_fallback_matches_the_distribution() {
     let text = stdout(&report);
     assert!(text.contains("clifford:     yes"), "{text}");
     assert!(text.contains("noisy shots:  pauli-frame sampler"), "{text}");
+    // and, under it, what a shot's noise walk ranges over: H + CX on two
+    // qubits touch 3 sites and leave 1 idle, two measurements read out
+    assert!(
+        text.contains(
+            "noisy shots:  pauli-frame sampler\n  noise sites:  3 after-gate, 1 idle, 2 readout\n"
+        ),
+        "{text}"
+    );
+}
+
+#[test]
+fn compile_reports_the_noise_sites_of_a_shot() {
+    // the benchmark's d = 25 repetition code: 24 CNOTs touch 48 sites
+    // and idle 24 × 23, every data qubit is read out
+    let rep25 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../benchmark/inputs/rep25.qasm"
+    );
+    let report = qclab(&["compile", rep25]);
+    assert_eq!(report.status.code(), Some(0), "{}", stderr(&report));
+    let text = stdout(&report);
+    assert!(
+        text.contains("  noise sites:  48 after-gate, 552 idle, 25 readout\n"),
+        "{text}"
+    );
+    // a non-Clifford file: sites are counted on the source gates (the
+    // fused schedule printed below the line has fewer), a reset is a
+    // readout site
+    let t = write_qasm(
+        "sites_t.qasm",
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\n\
+         h q[0];\nt q[0];\ncx q[0], q[2];\nreset q[1];\nmeasure q -> c;\n",
+    );
+    let report = qclab(&["compile", &t]);
+    assert_eq!(report.status.code(), Some(0), "{}", stderr(&report));
+    let text = stdout(&report);
+    assert!(
+        text.contains("per-shot trajectories (program is not frame-expressible)\n  noise sites:  4 after-gate, 5 idle, 4 readout\n"),
+        "{text}"
+    );
 }
 
 #[test]

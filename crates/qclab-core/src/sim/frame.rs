@@ -26,11 +26,22 @@
 //!   whole engine is XOR/swap arithmetic.
 //! - **Bit-slicing** — frames are stored struct-of-arrays over shots:
 //!   per qubit, an `x` and a `z` bit-plane holding **64 shots per
-//!   `u64` word**. One pass of word ops conjugates a whole batch; noise
-//!   is drawn per lane from the same schedule-independent
-//!   `(seed, shot)` SplitMix64 streams as the trajectory engine, then
-//!   injected branch-free as per-site XOR masks. Results are therefore
+//!   `u64` word**. One pass of word ops conjugates a whole batch. A
+//!   batch is [`TrajectoryConfig::shot_batch`] *words* wide (64 × as
+//!   many lanes), so its set-up and its walk over the schedule are
+//!   shared by thousands of shots.
+//! - **Noise per hit** — every lane walks its own noise
+//!   ([`super::walk`]: geometric gaps on the lane's `(seed, shot)`
+//!   stream, the same walk the trajectory engine consumes) and is queued
+//!   at the op of its next hit; an op touches only the lanes queued
+//!   there and XORs each hit into **one bit** of a plane. A batch costs
+//!   `O(ops · words + hits)`, never `O(sites · lanes)`, and results are
 //!   bitwise independent of the batch width.
+//! - **Tally per word** — measured words are kept as *flips* against the
+//!   reference record; the lanes of a word that flipped nothing are
+//!   counted with one OR + popcount, the rest keyed by their packed flip
+//!   words, and a record string is rendered once per *distinct* record
+//!   at the end of the run.
 //!
 //! A measurement site reads `outcome = reference_bit ⊕ x_frame[q]`
 //! (after rotating the frame into the measurement basis); at random
@@ -53,9 +64,14 @@ use crate::measurement::Basis;
 use crate::observable::Pauli;
 use crate::program::{CompiledProgram, ProgramOp};
 use crate::sim::control::StopCause;
+use crate::sim::guard::FRAME_LANE_BYTES;
 use crate::sim::stabilizer::StabilizerState;
-use crate::sim::trajectory::{fan_out, merge_counts, shot_rng, stop_or_err, TrajectoryConfig};
+use crate::sim::trajectory::{
+    fan_out, merge_counts, shot_rng, stop_or_err, TrajectoryConfig, ROUND_SHOTS,
+};
+use crate::sim::walk::{gate_site_qubit, Class, NoisePlan, NoiseWalk};
 use rand::rngs::StdRng;
+use rand::Rng;
 use std::collections::BTreeMap;
 
 /// One word-parallel frame-conjugation primitive. Every Clifford gate
@@ -84,13 +100,12 @@ enum FrameBasis {
 /// reference-run site list.
 #[derive(Clone, Debug)]
 enum FrameOp {
-    /// A gate: its frame conjugation plus the qubit sets the noise
-    /// model needs (`touched` in gate-qubit order, `untouched`
-    /// ascending — the same draw order as the trajectory engine).
+    /// A gate: its frame conjugation plus the qubits it touches, in
+    /// gate-qubit order — its after-gate noise sites (its idle sites are
+    /// the rest, ascending: the trajectory engine's numbering).
     Gate {
         prims: Vec<Prim>,
         touched: Vec<usize>,
-        untouched: Vec<usize>,
     },
     /// A measurement site: `site` indexes the reference-run record.
     Measure {
@@ -136,12 +151,9 @@ impl FrameProgram {
             match op {
                 ProgramOp::Gate(g) => {
                     let prims = lower_gate(g)?;
-                    let touched = g.qubits();
-                    let untouched = (0..n).filter(|q| !touched.contains(q)).collect();
                     ops.push(FrameOp::Gate {
                         prims,
-                        touched,
-                        untouched,
+                        touched: g.qubits(),
                     });
                 }
                 ProgramOp::Measure(m) => {
@@ -330,8 +342,7 @@ struct FrameBatch {
 }
 
 impl FrameBatch {
-    fn new(n: usize, lanes: usize) -> FrameBatch {
-        let words = lanes.div_ceil(64);
+    fn new(n: usize, words: usize) -> FrameBatch {
         FrameBatch {
             words,
             fx: vec![0u64; n * words],
@@ -369,6 +380,19 @@ impl FrameBatch {
         }
     }
 
+    /// Multiplies lane `lane`'s frame by `pauli` on `qubit`: one bit of
+    /// each plane the Pauli has a component in.
+    #[inline]
+    fn strike(&mut self, qubit: usize, lane: usize, pauli: Pauli) {
+        let (at, bit) = (qubit * self.words + (lane >> 6), 1u64 << (lane & 63));
+        if matches!(pauli, Pauli::X | Pauli::Y) {
+            self.fx[at] ^= bit;
+        }
+        if matches!(pauli, Pauli::Z | Pauli::Y) {
+            self.fz[at] ^= bit;
+        }
+    }
+
     /// Folds the witness row into every lane selected by `mask` (one
     /// bit per lane): frame ← frame · witness on those lanes.
     fn fold_witness(&mut self, witness: &(Vec<u64>, Vec<u64>), mask: &[u64]) {
@@ -394,44 +418,164 @@ impl FrameBatch {
     }
 }
 
-/// Draws one noise site (`channel` on `qubit`) for every lane and
-/// injects the sampled Paulis into the batch as XOR masks. Returns the
-/// number of lanes that received an error. Each lane draws exactly one
-/// `f64` — fired or not — so lane streams advance identically to the
-/// trajectory engine's per-site draw discipline and stay independent of
-/// the batch grouping.
-fn inject_site(
-    batch: &mut FrameBatch,
-    channel: &crate::sim::trajectory::PauliChannel,
-    qubit: usize,
-    rngs: &mut [StdRng],
-    mx: &mut [u64],
-    mz: &mut [u64],
-) -> u64 {
-    mx.fill(0);
-    mz.fill(0);
-    for (lane, rng) in rngs.iter_mut().enumerate() {
-        if let Some(p) = channel.sample(rng) {
-            let (w, b) = (lane >> 6, lane & 63);
-            match p {
-                Pauli::I => {}
-                Pauli::X => mx[w] |= 1 << b,
-                Pauli::Z => mz[w] |= 1 << b,
-                Pauli::Y => {
-                    mx[w] |= 1 << b;
-                    mz[w] |= 1 << b;
+/// What a batch holds per lane whatever the lane's hit count: its
+/// `(seed, shot)` stream, its noise walk, and its link in the queue of
+/// the op of its next hit.
+struct Lane {
+    rng: StdRng,
+    walk: NoiseWalk,
+    link: u32,
+}
+
+// the admission guard charges a lane by this size
+const _: () = assert!(std::mem::size_of::<Lane>() as u128 == FRAME_LANE_BYTES);
+
+/// End of a queue.
+const NO_LANE: u32 = u32::MAX;
+
+/// The lanes of one batch, queued by the op of their next noise hit:
+/// `due[op]` heads the list (through [`Lane::link`]) of the lanes with a
+/// hit at `op`, so an op touches exactly those.
+struct Lanes {
+    lanes: Vec<Lane>,
+    due: Vec<u32>,
+}
+
+impl Lanes {
+    /// Seeds `count` consecutive shots from `first` on, starts their
+    /// walks over `plan` and queues each at its first hit. `count` is at
+    /// most [`ROUND_SHOTS`], far inside the `u32` links.
+    fn start(plan: &NoisePlan, ops: usize, seed: u64, first: u64, count: usize) -> Lanes {
+        let mut all = Lanes {
+            lanes: Vec::with_capacity(count),
+            due: vec![NO_LANE; ops],
+        };
+        for j in 0..count {
+            let mut rng = shot_rng(seed, first + j as u64);
+            let walk = NoiseWalk::start(plan, &mut rng);
+            all.lanes.push(Lane {
+                rng,
+                walk,
+                link: NO_LANE,
+            });
+            all.queue(j as u32, plan);
+        }
+        all
+    }
+
+    /// Queues lane `j` at the op of its next hit, if it has one left.
+    fn queue(&mut self, j: u32, plan: &NoisePlan) {
+        let lane = &mut self.lanes[j as usize];
+        if let Some(head) = self.due.get_mut(lane.walk.next_op(plan)) {
+            lane.link = std::mem::replace(head, j);
+        }
+    }
+
+    /// Injects every hit the batch has at `op` — for each queued lane
+    /// its hits in draw order, each one bit of `batch` on the qubit
+    /// `qubit(class, site within the op)` — requeues the lanes and
+    /// returns the number of hits.
+    fn strike(
+        &mut self,
+        op: usize,
+        plan: &NoisePlan,
+        batch: &mut FrameBatch,
+        qubit: impl Fn(Class, usize) -> usize,
+    ) -> u64 {
+        let mut hits = 0;
+        let mut j = std::mem::replace(&mut self.due[op], NO_LANE);
+        while j != NO_LANE {
+            let lane = &mut self.lanes[j as usize];
+            for class in Class::ALL {
+                while let Some((site, pauli)) = lane.walk.take(plan, class, op, &mut lane.rng) {
+                    batch.strike(qubit(class, site), j as usize, pauli);
+                    hits += 1;
+                }
+            }
+            let next = lane.link;
+            self.queue(j, plan);
+            j = next;
+        }
+        hits
+    }
+
+    /// One fair coin per lane, packed into `mask` (bit set = flip).
+    fn coins(&mut self, mask: &mut [u64]) {
+        mask.fill(0);
+        for (j, lane) in self.lanes.iter_mut().enumerate() {
+            if lane.rng.gen::<bool>() {
+                mask[j >> 6] |= 1 << (j & 63);
+            }
+        }
+    }
+}
+
+/// A tally of records as *flips* against the reference record, packed 64
+/// measured sites per word (site `s` is bit `s & 63` of word `s >> 6`);
+/// the all-zero key is the reference record itself.
+type FlipTally = BTreeMap<Vec<u64>, u64>;
+
+/// Tallies the `count` lanes of a batch from its measured words
+/// (`flips`, `[site][word]`). The lanes of a word that flipped no site
+/// are counted with one OR over the sites and a popcount; only the
+/// others are gathered into keys.
+fn tally(flips: &[u64], recorded: usize, words: usize, count: usize) -> FlipTally {
+    let mut counts = FlipTally::new();
+    let mut key = vec![0u64; recorded.div_ceil(64)];
+    let mut clean = 0u64;
+    for w in 0..words {
+        // the last word of a batch may hold fewer than 64 lanes
+        let valid = match count - w * 64 {
+            lanes @ 1..=63 => (1u64 << lanes) - 1,
+            _ => !0,
+        };
+        let word = |site: usize| flips[site * words + w];
+        let flipped = (0..recorded).fold(0, |any, site| any | word(site)) & valid;
+        clean += (!flipped & valid).count_ones() as u64;
+        let mut rest = flipped;
+        while rest != 0 {
+            let b = rest.trailing_zeros();
+            rest &= rest - 1;
+            key.fill(0);
+            for site in 0..recorded {
+                key[site >> 6] |= ((word(site) >> b) & 1) << (site & 63);
+            }
+            match counts.get_mut(&key[..]) {
+                Some(c) => *c += 1,
+                None => {
+                    counts.insert(key.clone(), 1);
                 }
             }
         }
     }
-    let (fx, fz) = batch.plane(qubit);
-    let mut injected = 0u64;
-    for i in 0..fx.len() {
-        fx[i] ^= mx[i];
-        fz[i] ^= mz[i];
-        injected += (mx[i] | mz[i]).count_ones() as u64;
+    if clean > 0 {
+        key.fill(0);
+        *counts.entry(key).or_insert(0) += clean;
     }
-    injected
+    counts
+}
+
+/// Renders a flip tally as measurement records, once per distinct
+/// record: bit `s` of a record is the reference bit of measured site `s`
+/// XOR its flip.
+fn render(tally: FlipTally, reference: &[bool]) -> BTreeMap<String, u64> {
+    tally
+        .into_iter()
+        .map(|(key, c)| {
+            let record = reference
+                .iter()
+                .enumerate()
+                .map(|(s, &bit)| {
+                    if bit ^ ((key[s >> 6] >> (s & 63)) & 1 == 1) {
+                        '1'
+                    } else {
+                        '0'
+                    }
+                })
+                .collect();
+            (record, c)
+        })
+        .collect()
 }
 
 /// The aggregate a frame run hands back to the trajectory layer, which
@@ -445,54 +589,42 @@ pub(crate) struct FrameRun {
     pub batch: u64,
 }
 
-/// Executes one batch of `lanes` consecutive shots starting at absolute
+/// Executes one batch of `count` consecutive shots starting at absolute
 /// shot index `first`: all frames advance through the schedule
-/// together, one pass of word ops per primitive. Returns the batch's
-/// record tally plus its injected-error count.
+/// together, one pass of word ops per primitive, and each op injects the
+/// hits of the lanes queued at it. Returns the batch's flip tally plus
+/// its injected-error count.
 fn run_batch(
     fp: &FrameProgram,
     reference: &Reference,
+    plan: &NoisePlan,
     config: &TrajectoryConfig,
     first: u64,
-    lanes: usize,
-) -> Result<(BTreeMap<String, u64>, u64), QclabError> {
-    let noise = &config.noise;
-    let mut batch = FrameBatch::new(fp.n, lanes);
-    let words = batch.words;
-    let mut rngs: Vec<StdRng> = (0..lanes as u64)
-        .map(|j| shot_rng(config.seed, first + j))
-        .collect();
+    count: usize,
+) -> Result<(FlipTally, u64), QclabError> {
+    let words = count.div_ceil(64);
+    let mut batch = FrameBatch::new(fp.n, words);
+    let mut lanes = Lanes::start(plan, fp.ops.len(), config.seed, first, count);
     let mut ticker = config.control.ticker();
-    let (mut mx, mut mz) = (vec![0u64; words], vec![0u64; words]);
-    // per-site outcome words, assembled into strings once at the end
-    let mut outcomes: Vec<Vec<u64>> = Vec::with_capacity(fp.recorded);
+    let mut coin = vec![0u64; words];
+    // the measured words as flips against the reference record,
+    // `[site][word]`
+    let mut flips = vec![0u64; fp.recorded * words];
+    let mut measured = 0usize;
     let mut injected = 0u64;
-    for op in &fp.ops {
-        match op {
-            FrameOp::Gate {
-                prims,
-                touched,
-                untouched,
-            } => {
+    for (op, frame_op) in fp.ops.iter().enumerate() {
+        match frame_op {
+            FrameOp::Gate { prims, touched } => {
                 for &prim in prims {
                     batch.apply(prim);
                 }
-                if let Some(ch) = &noise.after_gate {
-                    for &q in touched {
-                        injected += inject_site(&mut batch, ch, q, &mut rngs, &mut mx, &mut mz);
-                    }
-                }
-                if let Some(ch) = &noise.idle {
-                    for &q in untouched {
-                        injected += inject_site(&mut batch, ch, q, &mut rngs, &mut mx, &mut mz);
-                    }
-                }
+                injected += lanes.strike(op, plan, &mut batch, |class, site| {
+                    gate_site_qubit(class, touched, site)
+                });
             }
             FrameOp::Measure { qubit, basis, site } => {
                 let q = *qubit;
-                if let Some(ch) = &noise.before_measure {
-                    injected += inject_site(&mut batch, ch, q, &mut rngs, &mut mx, &mut mz);
-                }
+                injected += lanes.strike(op, plan, &mut batch, |_, _| q);
                 // rotate the frame into the measurement basis (V†)
                 match basis {
                     FrameBasis::Z => {}
@@ -502,18 +634,18 @@ fn run_batch(
                         batch.apply(Prim::H(q));
                     }
                 }
-                let site = &reference.sites[*site];
-                if let Some(witness) = &site.witness {
+                if let Some(witness) = &reference.sites[*site].witness {
                     // random site: a fair per-lane coin folds the
                     // witness into the frame, toggling x[q] — the fold
                     // IS the outcome flip, kept consistent for every
                     // later op the witness touches
-                    flip_mask(&mut rngs, &mut mx);
-                    batch.fold_witness(witness, &mx);
+                    lanes.coins(&mut coin);
+                    batch.fold_witness(witness, &coin);
                 }
+                // outcome = reference bit ⊕ x[q]: the X plane is the flip
                 let (fx, _) = batch.plane(q);
-                let base = if site.bit { !0u64 } else { 0u64 };
-                outcomes.push(fx.iter().map(|&w| w ^ base).collect());
+                flips[measured * words..][..words].copy_from_slice(fx);
+                measured += 1;
                 // rotate back (V)
                 match basis {
                     FrameBasis::Z => {}
@@ -526,12 +658,10 @@ fn run_batch(
             }
             FrameOp::Reset { qubit, site } => {
                 let q = *qubit;
-                if let Some(ch) = &noise.before_measure {
-                    injected += inject_site(&mut batch, ch, q, &mut rngs, &mut mx, &mut mz);
-                }
+                injected += lanes.strike(op, plan, &mut batch, |_, _| q);
                 if let Some(witness) = &reference.sites[*site].witness {
-                    flip_mask(&mut rngs, &mut mx);
-                    batch.fold_witness(witness, &mx);
+                    lanes.coins(&mut coin);
+                    batch.fold_witness(witness, &coin);
                 }
                 // the reset branch correction (X on outcome 1) clears
                 // the X frame; Z on |0⟩ is gauge — both planes vanish
@@ -543,28 +673,7 @@ fn run_batch(
         }
         ticker.tick()?;
     }
-    // transpose the outcome words into per-lane record strings
-    let mut counts = BTreeMap::new();
-    for lane in 0..lanes {
-        let (w, b) = (lane >> 6, lane & 63);
-        let record = outcomes
-            .iter()
-            .map(|site| if (site[w] >> b) & 1 == 1 { '1' } else { '0' })
-            .collect();
-        *counts.entry(record).or_insert(0) += 1;
-    }
-    Ok((counts, injected))
-}
-
-/// One fair coin per lane, packed into `mask` (bit set = flip).
-fn flip_mask(rngs: &mut [StdRng], mask: &mut [u64]) {
-    use rand::Rng;
-    mask.fill(0);
-    for (lane, rng) in rngs.iter_mut().enumerate() {
-        if rng.gen::<bool>() {
-            mask[lane >> 6] |= 1 << (lane & 63);
-        }
-    }
+    Ok((tally(&flips, fp.recorded, words, count), injected))
 }
 
 /// Samples `config.shots` shots of a frame-eligible program: reference
@@ -577,12 +686,16 @@ pub(crate) fn run_frames(
     config: &TrajectoryConfig,
 ) -> Result<FrameRun, QclabError> {
     let n = fp.n;
-    let shots = config.shots;
-    let lanes = config
-        .shot_batch
-        .max(1)
-        .min(shots.max(1).min(usize::MAX as u64) as usize);
-    config.limits.check_frames(n, lanes)?;
+    // a batch is `shot_batch` words of 64 lanes, clipped to what a
+    // fan-out round can hand it
+    let round = config.shots.clamp(1, ROUND_SHOTS) as usize;
+    let lanes = config.shot_batch.max(1).saturating_mul(64).min(round);
+    let alive = if config.parallel {
+        rayon::current_num_threads().min(round.div_ceil(lanes))
+    } else {
+        1
+    };
+    config.limits.check_frames(n, fp.recorded, lanes, alive)?;
     config.noise.validate()?;
 
     let mut run = FrameRun {
@@ -600,15 +713,26 @@ pub(crate) fn run_frames(
             return Ok(run);
         }
     };
+    let plan = NoisePlan::new(program, &config.noise);
+    let mut counts = FlipTally::new();
     run.stopped = fan_out(
         config,
         lanes,
-        |first, count| run_batch(fp, &reference, config, first, count),
-        |count, (counts, injected)| {
+        |first, count| run_batch(fp, &reference, &plan, config, first, count),
+        |count, (flips, injected)| {
             run.shots += count as u64;
             run.injected += injected;
-            merge_counts(&mut run.counts, counts);
+            merge_counts(&mut counts, flips);
         },
     )?;
+    let record: Vec<bool> = fp
+        .ops
+        .iter()
+        .filter_map(|op| match op {
+            FrameOp::Measure { site, .. } => Some(reference.sites[*site].bit),
+            _ => None,
+        })
+        .collect();
+    run.counts = render(counts, &record);
     Ok(run)
 }

@@ -33,6 +33,13 @@ pub const DEFAULT_MAX_STATE_BYTES: u128 = 4 << 30;
 /// the Pauli-frame planes: an `x` word plus a `z` word, 8 B each.
 pub const TABLEAU_WORD_BYTES: u128 = 16;
 
+/// Bytes a Pauli-frame batch holds per lane beside its bit-planes: the
+/// lane's RNG stream (32 B), its noise walk (the next hit of each of the
+/// three noise classes, 24 B) and its queue link, padded — a fixed size
+/// whatever the lane's hit count (`sim::frame` asserts it against the
+/// type).
+pub const FRAME_LANE_BYTES: u128 = 64;
+
 /// Memory/size limits checked before dense state allocations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResourceLimits {
@@ -168,13 +175,20 @@ impl ResourceLimits {
             .saturating_mul(TABLEAU_WORD_BYTES)
     }
 
-    /// Bytes one Pauli-frame batch of `lanes` shots occupies: per qubit,
-    /// an `x` and a `z` bit-plane of `⌈lanes/64⌉` words each (64 frames
-    /// per word, struct-of-arrays over shots).
-    pub fn frame_batch_bytes(nb_qubits: usize, lanes: usize) -> u128 {
-        (nb_qubits as u128)
-            .saturating_mul(lanes.div_ceil(64) as u128)
-            .saturating_mul(TABLEAU_WORD_BYTES)
+    /// Bytes one Pauli-frame batch of `lanes` shots holds on a program
+    /// with `recorded` measurements. Per 64-lane word: an `x` and a `z`
+    /// word of every qubit's bit-plane, one outcome word per measurement
+    /// (kept until the batch is tallied — unbounded in the circuit's
+    /// depth, not its width) and one coin word; per lane,
+    /// [`FRAME_LANE_BYTES`] of stream and walk state.
+    pub fn frame_batch_bytes(nb_qubits: usize, recorded: usize, lanes: usize) -> u128 {
+        let rows = (nb_qubits as u128)
+            .saturating_mul(2)
+            .saturating_add(recorded as u128)
+            .saturating_add(1);
+        rows.saturating_mul(lanes.div_ceil(64) as u128)
+            .saturating_mul(8)
+            .saturating_add((lanes as u128).saturating_mul(FRAME_LANE_BYTES))
     }
 
     /// Admission check for the stabilizer tableau backend: the explicit
@@ -184,32 +198,32 @@ impl ResourceLimits {
     /// [`ResourceLimits`] as every dense path instead of bypassing the
     /// guard.
     pub fn check_tableau(&self, nb_qubits: usize) -> Result<(), QclabError> {
-        self.check_frames(nb_qubits, 0)
+        self.check_frames(nb_qubits, 0, 0, 0)
     }
 
     /// Admission check for a Pauli-frame sampling run: tableau bytes
-    /// (the reference run) plus one frame batch of `lanes` shots
-    /// ([`frame_batch_bytes`](Self::frame_batch_bytes)) must fit the
-    /// byte cap, and the explicit qubit cap applies. The caps are
-    /// inclusive, matching [`check_register`](Self::check_register).
-    pub fn check_frames(&self, nb_qubits: usize, lanes: usize) -> Result<(), QclabError> {
-        let bytes = Self::tableau_bytes(nb_qubits)
-            .saturating_add(Self::frame_batch_bytes(nb_qubits, lanes));
-        if let Some(max_q) = self.max_qubits {
-            if nb_qubits > max_q {
-                return Err(QclabError::ResourceExhausted {
-                    qubits: nb_qubits,
-                    bytes_needed: Some(bytes),
-                    limit_bytes: self.max_state_bytes,
-                });
-            }
-        }
-        if bytes > self.max_state_bytes {
-            return Err(QclabError::ResourceExhausted {
-                qubits: nb_qubits,
-                bytes_needed: Some(bytes),
-                limit_bytes: self.max_state_bytes,
-            });
+    /// (the reference run) plus `batches` frame batches alive at once
+    /// (one per thread of a parallel run), each
+    /// [`frame_batch_bytes`](Self::frame_batch_bytes), must fit the byte
+    /// cap, and the explicit qubit cap applies. The caps are inclusive,
+    /// matching [`check_register`](Self::check_register).
+    pub fn check_frames(
+        &self,
+        nb_qubits: usize,
+        recorded: usize,
+        lanes: usize,
+        batches: usize,
+    ) -> Result<(), QclabError> {
+        let bytes = Self::tableau_bytes(nb_qubits).saturating_add(
+            Self::frame_batch_bytes(nb_qubits, recorded, lanes).saturating_mul(batches as u128),
+        );
+        let refused = Err(QclabError::ResourceExhausted {
+            qubits: nb_qubits,
+            bytes_needed: Some(bytes),
+            limit_bytes: self.max_state_bytes,
+        });
+        if self.max_qubits.is_some_and(|max_q| nb_qubits > max_q) || bytes > self.max_state_bytes {
+            return refused;
         }
         Ok(())
     }
@@ -370,39 +384,58 @@ mod tests {
 
     #[test]
     fn frame_cap_boundary_is_exact() {
-        // a frame run charges tableau + one bit-sliced batch; the batch
-        // estimate moves in whole 64-lane words
+        // a frame run charges tableau + every batch alive at once; a
+        // batch is its planes, its outcome words (one row per
+        // measurement), a coin row, and its per-lane stream + walk state
         let n = 25usize;
-        for lanes in [1usize, 64, 1000] {
-            let bytes =
-                ResourceLimits::tableau_bytes(n) + ResourceLimits::frame_batch_bytes(n, lanes);
+        for (recorded, lanes, batches) in [
+            (25usize, 1usize, 1usize),
+            (25, 64, 2),
+            (25, 1000, 4),
+            // outcome words dominate a deep syndrome-extraction circuit
+            (100_000, 4096, 2),
+            (0, 65, 1),
+        ] {
+            let words = lanes.div_ceil(64) as u128;
+            let batch = (2 * n as u128 + recorded as u128 + 1) * words * 8
+                + lanes as u128 * FRAME_LANE_BYTES;
+            assert_eq!(ResourceLimits::frame_batch_bytes(n, recorded, lanes), batch);
+            let bytes = ResourceLimits::tableau_bytes(n) + batch * batches as u128;
             let lim = ResourceLimits {
                 max_qubits: None,
                 max_state_bytes: bytes,
             };
-            assert!(lim.check_frames(n, lanes).is_ok(), "at-cap lanes={lanes}");
+            let case = format!("recorded={recorded} lanes={lanes} batches={batches}");
+            assert!(
+                lim.check_frames(n, recorded, lanes, batches).is_ok(),
+                "at-cap {case}"
+            );
             let tight = ResourceLimits {
                 max_state_bytes: bytes - 1,
                 ..lim
             };
             assert!(
-                tight.check_frames(n, lanes).is_err(),
-                "cap-minus-one lanes={lanes}"
+                tight.check_frames(n, recorded, lanes, batches).is_err(),
+                "cap-minus-one {case}"
             );
-            // one more shot word is one unit above the cap
+            // one more lane, one more measurement, one more batch: each
+            // is above the cap
             assert!(
-                lim.check_frames(n, lanes.div_ceil(64) * 64 + 1).is_err(),
-                "next-word lanes={lanes}"
+                lim.check_frames(n, recorded, lanes + 1, batches).is_err(),
+                "next-lane {case}"
+            );
+            assert!(
+                lim.check_frames(n, recorded + 1, lanes, batches).is_err(),
+                "next-measurement {case}"
+            );
+            assert!(
+                lim.check_frames(n, recorded, lanes, batches + 1).is_err(),
+                "next-batch {case}"
             );
         }
-        // lanes within the same word cost the same
-        assert_eq!(
-            ResourceLimits::frame_batch_bytes(n, 1),
-            ResourceLimits::frame_batch_bytes(n, 64)
-        );
         // absurd inputs saturate into a refusal, never overflow
         assert!(ResourceLimits::default()
-            .check_frames(usize::MAX, usize::MAX)
+            .check_frames(usize::MAX, usize::MAX, usize::MAX, usize::MAX)
             .is_err());
     }
 

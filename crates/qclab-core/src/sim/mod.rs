@@ -29,6 +29,7 @@ pub(crate) mod simd;
 pub mod sparse;
 pub mod stabilizer;
 pub mod trajectory;
+pub mod walk;
 
 use crate::circuit::QCircuit;
 use crate::error::QclabError;

@@ -5,11 +5,14 @@
 //! `n`-qubit register exactly but pays `4^n` memory — it caps out around
 //! 13–14 qubits under the default resource limits. Trajectory sampling
 //! keeps noisy workloads on the optimized `2^n` state-vector path
-//! instead: each *shot* runs the circuit once, and at every noise
-//! location a concrete Pauli error (or none) is drawn from the channel
-//! and injected as an ordinary gate. Averaging counts/expectations over
-//! shots converges to the density-matrix result at `O(1/√shots)` —
-//! the standard Monte-Carlo unraveling of a Pauli channel.
+//! instead: each *shot* runs the circuit once, and every noise
+//! location that fires in it injects a concrete Pauli error as an
+//! ordinary gate. Which locations fire is the shot's *noise walk*
+//! ([`super::walk`]): geometric gaps from hit to hit on the shot's
+//! `(seed, shot)` stream, so a shot pays for its hits, not its sites.
+//! Averaging counts/expectations over shots converges to the
+//! density-matrix result at `O(1/√shots)` — the standard Monte-Carlo
+//! unraveling of a Pauli channel.
 //!
 //! Structure: `prepare` routes a run once (sparse → Pauli frames →
 //! terminal table → fork/per-shot) and pays its seed-independent
@@ -29,13 +32,13 @@
 //! (`ShotState::terminal_table`). Who pays for the table is all that
 //! differs between paths: a run builds it **once** from the noiseless
 //! evolution (and may keep it on the plan, [`PrepSlot`]); a noiseless
-//! run draws every shot from it; a noisy lane whose gate, idle and
-//! readout draws never fire is still *exactly* that state and draws
-//! from it too — no clone, no kernel, no state; only a lane that
-//! injected an error builds the table of its own state. A lane's RNG
-//! draws come in one order on every path: gate/idle sites in schedule
-//! order → readout sites in measurement order → one outcome uniform.
-//! Per-qubit collapse (`ShotState::sample_z`) remains where a
+//! run draws every shot from it; a noisy lane whose walk has no hit is
+//! still *exactly* that state and draws from it too — no clone, no
+//! kernel, no state; only a lane that injected an error builds the
+//! table of its own state. A lane's RNG draws come in one order on
+//! every path ([`super::walk`]): the walk's first gaps → each hit's
+//! draws where the schedule reaches it (readout hits in measurement
+//! order) → one outcome uniform. Per-qubit collapse (`ShotState::sample_z`) remains where a
 //! post-measurement state is consumed: mid-circuit measurements,
 //! resets, observables, [`run_single_trajectory`].
 //!
@@ -94,6 +97,7 @@ use crate::sim::guard::ResourceLimits;
 use crate::sim::kernel::KernelConfig;
 use crate::sim::sampler::CdfTable;
 use crate::sim::sparse;
+use crate::sim::walk::{self, Class, NoisePlan, NoiseWalk};
 use crate::sim::{collapse, kernel};
 use qclab_math::scalar::C64;
 use qclab_math::{bits, CVec};
@@ -149,28 +153,6 @@ impl PauliChannel {
             PauliChannel::BitFlip(p) => super::density::NoiseChannel::BitFlip(p),
             PauliChannel::PhaseFlip(p) => super::density::NoiseChannel::PhaseFlip(p),
             PauliChannel::Depolarizing(p) => super::density::NoiseChannel::Depolarizing(p),
-        }
-    }
-
-    /// Draws the Pauli to inject at one location (`None` = no error).
-    /// Shared with the frame engine so both draw identical per-site
-    /// distributions from identical streams.
-    pub(crate) fn sample(&self, rng: &mut StdRng) -> Option<Pauli> {
-        let r: f64 = rng.gen();
-        match *self {
-            PauliChannel::BitFlip(p) => (r < p).then_some(Pauli::X),
-            PauliChannel::PhaseFlip(p) => (r < p).then_some(Pauli::Z),
-            PauliChannel::Depolarizing(p) => {
-                if r >= p {
-                    None
-                } else if r < p / 3.0 {
-                    Some(Pauli::X)
-                } else if r < 2.0 * p / 3.0 {
-                    Some(Pauli::Y)
-                } else {
-                    Some(Pauli::Z)
-                }
-            }
         }
     }
 }
@@ -327,11 +309,14 @@ pub struct TrajectoryConfig {
     /// stabilizer tableau and propagates only per-shot error frames,
     /// bit-sliced 64 shots per word — `O(poly n)` per shot where the
     /// state-vector engine pays `O(2^n)`. Statistically equivalent (the
-    /// sampled distribution is identical), not bit-identical: frame
-    /// shots draw far fewer RNG values than state-vector shots. Disable
+    /// sampled distribution is identical), not bit-identical: both
+    /// engines walk a shot's noise the same way, but a frame shot flips
+    /// a coin where a state-vector shot collapses an amplitude. Disable
     /// (`--no-frames`) to force the state-vector trajectory engine.
     pub frames: bool,
-    /// Number of shots per batch on the per-shot/forked paths: a batch
+    /// Batch width. On the Pauli-frame path a batch is `shot_batch`
+    /// *words* of 64 bit-sliced lanes (the default is 4096 shots per
+    /// batch). On the per-shot/forked paths it is shots per batch: a batch
     /// evolves the noiseless stretch its shots share once and forks each
     /// shot off at its own first stochastic divergence. Per-shot
     /// `(seed, shot)` RNG streams make every shot independent of the
@@ -544,10 +529,11 @@ impl TrajectoryResult {
 
     /// Shot-batch width the run executed with: the configured
     /// [`TrajectoryConfig::shot_batch`] when the per-shot/forked path
-    /// pushed batches of lanes through the plan's bytecode, `1` for
-    /// serial execution and the sampled paths (which have no per-shot
-    /// evolution to batch). Never affects results — only how the shared
-    /// evolution was amortized.
+    /// pushed batches of lanes through the plan's bytecode, the lanes
+    /// of a Pauli-frame batch (64 per configured word, at most the shot
+    /// count), `1` for serial execution and the sampled paths (which
+    /// have no per-shot evolution to batch). Never affects results —
+    /// only how the shared evolution was amortized.
     pub fn shot_batch(&self) -> u64 {
         self.batch
     }
@@ -630,25 +616,36 @@ fn validate(
     Ok(dim)
 }
 
-/// The noise sites of one gate location in draw order: `after_gate` on
-/// the touched qubits, then `idle` on every other qubit in qubit order.
-/// The executor ([`ShotState::gate_noise`]) and the RNG replay
-/// ([`scan_fork`]) both draw through this, so they cannot drift apart.
-fn noise_sites<'a>(
-    noise: &'a NoiseSpec,
-    touched: &'a [usize],
-    n: usize,
-) -> impl Iterator<Item = (PauliChannel, usize)> + 'a {
-    let after = noise
-        .after_gate
-        .into_iter()
-        .flat_map(move |ch| touched.iter().map(move |&q| (ch, q)));
-    let idle = noise.idle.into_iter().flat_map(move |ch| {
-        (0..n)
-            .filter(move |q| !touched.contains(q))
-            .map(move |q| (ch, q))
-    });
-    after.chain(idle)
+/// A shot's randomness: its `(seed, shot)` stream and the noise walk
+/// over it ([`walk`]). The walk draws from the same stream as the
+/// measurements, lazily — each hit's draws where the schedule reaches
+/// it — so a shot's stream order is the one [`walk`] documents, on every
+/// path.
+struct ShotStream<'a> {
+    rng: StdRng,
+    walk: NoiseWalk,
+    noise: &'a NoisePlan,
+}
+
+impl<'a> ShotStream<'a> {
+    /// Seeds shot `shot` of a run and starts its walk over `noise`.
+    fn start(noise: &'a NoisePlan, seed: u64, shot: u64) -> Self {
+        let mut rng = shot_rng(seed, shot);
+        let walk = NoiseWalk::start(noise, &mut rng);
+        ShotStream { rng, walk, noise }
+    }
+
+    /// The stream of a stretch evolved once for many shots: no noise
+    /// strikes it and nothing in it draws.
+    fn silent() -> ShotStream<'static> {
+        ShotStream::start(&walk::SILENT, 0, 0)
+    }
+
+    /// The shot's next pending hit of `class` at op `op`: the site's
+    /// index among the op's sites of that class, and the Pauli.
+    fn hit(&mut self, class: Class, op: usize) -> Option<(usize, Pauli)> {
+        self.walk.take(self.noise, class, op, &mut self.rng)
+    }
 }
 
 /// State of one in-flight shot: the vector, its position in the
@@ -663,7 +660,6 @@ struct ShotState {
     stats: NormStats,
     gates_since_check: usize,
     injected: Vec<InjectedPauli>,
-    noise: NoiseSpec,
     /// Active logical→physical layout from the locality pass (`None` =
     /// identity). Only ever non-`None` on noiseless runs — the pass is
     /// disabled with noise (see [`plan_options`]), so noise injection
@@ -677,9 +673,7 @@ struct ShotState {
 }
 
 impl ShotState {
-    /// A shot standing at op 0 of `initial`. Noiseless until a lane
-    /// adopts it: the stretches evolved once for many shots (prefix,
-    /// batch reference) are exactly the ones no noise site fires in.
+    /// A shot standing at op 0 of `initial`.
     fn new(initial: CVec, n: usize, kernel: KernelConfig, watchdog: WatchdogConfig) -> Self {
         ShotState {
             state: initial,
@@ -690,7 +684,6 @@ impl ShotState {
             stats: NormStats::default(),
             gates_since_check: 0,
             injected: Vec::new(),
-            noise: NoiseSpec::default(),
             map: None,
             pc: 0,
             op: 0,
@@ -730,25 +723,34 @@ impl ShotState {
         }
     }
 
-    /// Samples `channel` on `qubit` and injects the drawn Pauli (if any).
-    fn inject(&mut self, channel: &PauliChannel, qubit: usize, op_index: usize, rng: &mut StdRng) {
-        if let Some(p) = channel.sample(rng) {
-            if let Some(g) = pauli_gate(p, qubit) {
-                kernel::apply_gate_with(&g, &mut self.state, self.n, &self.kernel);
-                self.injected.push(InjectedPauli {
-                    op_index,
-                    qubit,
-                    pauli: p,
-                });
+    /// Injects one noise hit: `pauli` on `qubit`, at op `op_index`.
+    fn inject(&mut self, pauli: Pauli, qubit: usize, op_index: usize) {
+        if let Some(g) = pauli_gate(pauli, qubit) {
+            kernel::apply_gate_with(&g, &mut self.state, self.n, &self.kernel);
+            self.injected.push(InjectedPauli {
+                op_index,
+                qubit,
+                pauli,
+            });
+        }
+    }
+
+    /// Injects the hits of the shot's walk at the gate at the cursor:
+    /// after-gate hits on `touched` in gate-qubit order, then idle hits
+    /// on the other qubits, ascending.
+    fn gate_noise(&mut self, touched: &[usize], draws: &mut ShotStream<'_>) {
+        for class in [Class::AfterGate, Class::Idle] {
+            while let Some((site, pauli)) = draws.hit(class, self.op) {
+                self.inject(pauli, walk::gate_site_qubit(class, touched, site), self.op);
             }
         }
     }
 
-    /// Applies the configured noise for a gate location.
-    fn gate_noise(&mut self, touched: &[usize], op_index: usize, rng: &mut StdRng) {
-        let noise = self.noise;
-        for (ch, q) in noise_sites(&noise, touched, self.n) {
-            self.inject(&ch, q, op_index, rng);
+    /// Injects the walk's readout hit on `qubit`, measured or reset by
+    /// op `op`, if it has one there.
+    fn readout_noise(&mut self, qubit: usize, op: usize, draws: &mut ShotStream<'_>) {
+        if let Some((_, pauli)) = draws.hit(Class::Readout, op) {
+            self.inject(pauli, qubit, op);
         }
     }
 
@@ -836,27 +838,25 @@ impl ShotState {
         CdfTable::new(marginal(&self.state, &block.measured, self.n, &block.lut))
     }
 
-    /// The terminal block on a lane's own state: the readout sites in
-    /// measurement order (a fired Pauli is injected — exact in every
-    /// basis, since the measured qubits are pairwise distinct), then
-    /// one outcome uniform through the same table build and the same
-    /// draw as the shared table's.
+    /// The terminal block on a lane's own state: the readout hits in
+    /// measurement order (a hit is injected — exact in every basis,
+    /// since the measured qubits are pairwise distinct), then one
+    /// outcome uniform through the same table build and the same draw
+    /// as the shared table's.
     fn measure_terminal(
         &mut self,
         block: &TerminalBlock,
-        rng: &mut StdRng,
+        draws: &mut ShotStream<'_>,
     ) -> Result<usize, QclabError> {
-        if let Some(ch) = self.noise.before_measure {
-            for (&op, &q) in block.ops.iter().zip(&block.measured) {
-                self.inject(&ch, q, op, rng);
-            }
+        for (&op, &q) in block.ops.iter().zip(&block.measured) {
+            self.readout_noise(q, op, draws);
         }
-        Ok(self.terminal_table(block)?.sample(rng))
+        Ok(self.terminal_table(block)?.sample(&mut draws.rng))
     }
 
     /// The one per-instruction body of the shot engine: executes `instr`
-    /// — the instruction at the cursor — against the state, draws its
-    /// noise sites from `rng`, appends measured bits to `record`, moves
+    /// — the instruction at the cursor — against the state, injects the
+    /// hits `draws` has there, appends measured bits to `record`, moves
     /// the cursor, and returns the number of schedule ops covered.
     ///
     /// Everything but a window is one op. A window is *cut*: it stops at
@@ -869,16 +869,16 @@ impl ShotState {
         &mut self,
         instr: &Instr,
         until: usize,
-        rng: &mut StdRng,
+        draws: &mut ShotStream<'_>,
         record: &mut String,
     ) -> usize {
-        let gate_noise = self.noise.strikes_gates();
+        let gate_noise = draws.noise.strikes_gates();
         match instr {
             Instr::Gate { pre, touched } => {
                 kernel::apply_prepared(pre, &mut self.state, self.n, &self.kernel);
                 self.bump_watchdog(1);
                 if gate_noise {
-                    self.gate_noise(touched, self.op, rng);
+                    self.gate_noise(touched, draws);
                 }
             }
             Instr::Window {
@@ -897,7 +897,7 @@ impl ShotState {
                 kernel::apply_window_pre(&mut self.state, self.n, now, &self.kernel);
                 self.bump_watchdog(cut);
                 if gate_noise {
-                    self.gate_noise(&touched[from], self.op, rng);
+                    self.gate_noise(&touched[from], draws);
                 }
                 self.op += cut;
                 self.pc += usize::from(from + cut == tiles.len());
@@ -913,17 +913,13 @@ impl ShotState {
                 self.map.clone_from(map);
             }
             Instr::Measure(m) => {
-                if let Some(ch) = self.noise.before_measure {
-                    self.inject(&ch, m.qubit(), self.op, rng);
-                }
-                let bit = self.sample_measurement(m, rng);
+                self.readout_noise(m.qubit(), self.op, draws);
+                let bit = self.sample_measurement(m, &mut draws.rng);
                 record.push(if bit == 0 { '0' } else { '1' });
             }
             Instr::Reset(q) => {
-                if let Some(ch) = self.noise.before_measure {
-                    self.inject(&ch, *q, self.op, rng);
-                }
-                if self.sample_z(*q, rng) == 1 {
+                self.readout_noise(*q, self.op, draws);
+                if self.sample_z(*q, &mut draws.rng) == 1 {
                     let flip = Gate::PauliX(self.physical(*q));
                     kernel::apply_gate_with(&flip, &mut self.state, self.n, &self.kernel);
                     self.bump_watchdog(1);
@@ -937,7 +933,7 @@ impl ShotState {
 
     /// Steps the shot through `stream` until its cursor stands at op
     /// `until`. Polls the control through `ticker` at every step — the
-    /// checks never touch `rng`, so a shot that completes under an
+    /// checks never touch `draws`, so a shot that completes under an
     /// enabled control is bit-identical to the same shot without one; a
     /// stopped shot surfaces [`QclabError::Cancelled`] /
     /// [`QclabError::DeadlineExceeded`].
@@ -945,12 +941,12 @@ impl ShotState {
         &mut self,
         stream: &[Instr],
         until: usize,
-        rng: &mut StdRng,
+        draws: &mut ShotStream<'_>,
         record: &mut String,
         ticker: &mut ControlTicker<'_>,
     ) -> Result<(), QclabError> {
         while self.op < until {
-            let ops = self.step(&stream[self.pc], until, rng, record);
+            let ops = self.step(&stream[self.pc], until, draws, record);
             ticker.tick_n(ops)?;
         }
         Ok(())
@@ -959,19 +955,18 @@ impl ShotState {
     /// [`advance`](Self::advance) over a stretch evolved once for many
     /// shots — the deterministic prefix, a batch's reference pass. Such
     /// a stretch ends at the first measurement or reset at the latest
-    /// and the state is noiseless there, so the RNG stream is never
-    /// drawn from and the record stays empty.
+    /// and no lane has a hit in it, so no stream is drawn from and the
+    /// record stays empty.
     fn advance_shared(
         &mut self,
         stream: &[Instr],
         until: usize,
         ticker: &mut ControlTicker<'_>,
     ) -> Result<(), QclabError> {
-        debug_assert!(self.noise.is_noiseless());
         self.advance(
             stream,
             until,
-            &mut shot_rng(0, 0),
+            &mut ShotStream::silent(),
             &mut String::new(),
             ticker,
         )
@@ -981,6 +976,8 @@ impl ShotState {
 /// Everything the shots of one prepared run share.
 struct ShotProgram {
     bc: Arc<Bytecode>,
+    /// The run's noise laws over the program's site numbering.
+    noise: NoisePlan,
     /// The state every shot starts from: `|initial⟩` at op 0, or — on
     /// the fork path — the snapshot after the deterministic prefix,
     /// carrying its cursor, watchdog counters and layout so per-shot
@@ -1061,94 +1058,53 @@ enum Measured {
 }
 
 /// Where one lane's trajectory first leaves the batch's shared
-/// noiseless evolution, found by replaying the lane's RNG stream
-/// without touching any state: every noise-site draw is a plain
-/// `rng.gen::<f64>()` whose *count and order* depend only on the op
-/// schedule, never on amplitudes, so the first op at which a shot can
-/// diverge — the first gate or readout site with a fired injection, the
-/// first measurement or reset that collapses the state — is a pure
-/// function of `(seed, shot)`.
-struct LaneFork {
+/// noiseless evolution. A shot's hits are a function of its
+/// `(seed, shot)` stream and the op schedule alone, never of
+/// amplitudes, and starting the walk already names the first one — so
+/// the first op at which a shot can diverge (its first hit, or the first
+/// measurement or reset that collapses the state) is known before any
+/// state exists.
+struct LaneFork<'a> {
     /// Schedule index of the first op the lane executes itself; the op
-    /// count when it executes none (every draw up to and including a
-    /// terminal block's readout sites passed without firing).
+    /// count when it executes none (its walk has no hit, up to and
+    /// including a terminal block's readout sites).
     shared: usize,
-    /// The lane's RNG stream, positioned exactly where the serial
-    /// engine's would be on reaching op `shared`.
-    rng: StdRng,
+    /// The lane's stream, its walk started: exactly where the serial
+    /// engine's stands on reaching op `shared`.
+    draws: ShotStream<'a>,
 }
 
-/// Replays the noise draws of one `(seed, shot)` stream over the
-/// instructions from `start`'s cursor on (no state, no kernels) and
-/// returns the lane's fork point. A gate forks when any of its noise
-/// draws fires, even if the sampled Pauli turns out to act trivially:
-/// forking early is always safe, the lane just replays more ops itself.
-/// A collapsing measurement or a reset forks unconditionally — its
-/// draws consult the state. A terminal block drawn from a shared table
-/// (`block`) does not: the lane forks there only if one of its readout
-/// sites fires, and otherwise comes back parked on its outcome uniform.
-fn scan_fork(
-    bc: &Bytecode,
-    start: &ShotState,
-    noise: &NoiseSpec,
-    block: Option<&TerminalBlock>,
-    mut rng: StdRng,
-) -> LaneFork {
-    let gate_draws = noise.strikes_gates();
-    let mut op = start.op;
-    for instr in &bc.stream[start.pc..] {
-        let gates: &[Vec<usize>] = match instr {
-            Instr::Gate { touched, .. } => std::slice::from_ref(touched),
-            Instr::Window { touched, .. } => touched,
-            Instr::Measure(_) | Instr::Reset(_) => {
-                if let Some(block) = block {
-                    let before = rng.clone();
-                    let fired = noise
-                        .before_measure
-                        .is_some_and(|ch| block.ops.iter().any(|_| ch.sample(&mut rng).is_some()));
-                    if fired {
-                        rng = before;
-                    } else {
-                        op = bc.ops;
-                    }
-                }
-                break;
-            }
-            Instr::Fence | Instr::Permute { .. } => &[],
-        };
-        if gates.is_empty() || !gate_draws {
-            op += gates.len().max(1);
-            continue;
-        }
-        for touched in gates {
-            let before = rng.clone();
-            let mut fired = false;
-            for (ch, _) in noise_sites(noise, touched, start.n) {
-                fired |= ch.sample(&mut rng).is_some();
-            }
-            if fired {
-                return LaneFork {
-                    shared: op,
-                    rng: before,
-                };
-            }
-            op += 1;
-        }
-    }
-    LaneFork { shared: op, rng }
+/// Starts shot `shot`'s stream and finds the lane's fork point: the op
+/// of its first hit, or `collapse` — the first measurement or reset,
+/// whose draws consult the state — if that comes first. With `through`
+/// (a terminal block drawn from a shared table) a lane without any hit
+/// does not fork at all: it comes back parked on its outcome uniform.
+fn lane_fork<'a>(
+    noise: &'a NoisePlan,
+    seed: u64,
+    shot: u64,
+    collapse: usize,
+    through: Option<usize>,
+) -> LaneFork<'a> {
+    let draws = ShotStream::start(noise, seed, shot);
+    let hit = draws.walk.next_op(noise);
+    let shared = match through {
+        Some(ops) if hit >= ops => ops,
+        _ => hit.min(collapse),
+    };
+    LaneFork { shared, draws }
 }
 
 /// Drives `count` shots (`first..first + count`) through the bytecode by
 /// amortizing the evolution the shots *share*. Up to its first
 /// stochastic divergence every shot follows the same noiseless
-/// trajectory through the same kernels, and because noise-site RNG
-/// draws never consult the state, each lane's divergence point can be
-/// computed up front by replaying its `(seed, shot)` stream
-/// ([`scan_fork`]). The batch therefore evolves one reference state
+/// trajectory through the same kernels, and because a shot's noise walk
+/// never consults the state, each lane's divergence point is known up
+/// front ([`lane_fork`]). The batch therefore evolves one reference state
 /// through the shared ops *once* — only as far as its last diverging
 /// lane — forks each lane off it at that lane's own divergence point
-/// (state + cursor + watchdog counters, with the RNG where the scan
-/// parked it), and finishes the lane before moving on, so the suffix
+/// (state + cursor + watchdog counters, with the lane's started
+/// stream), and finishes the lane before moving on, so the suffix
 /// state stays cache-resident; the last lane takes the reference itself,
 /// so a batch of one copies nothing. `reference` is the state the shots
 /// start from.
@@ -1165,8 +1121,10 @@ fn scan_fork(
 /// its own state — `None` if it drew from the shared table); a control
 /// stop (reference pass or any lane) returns the error, and the caller
 /// drops the whole in-flight batch.
+#[allow(clippy::too_many_arguments)]
 fn run_shot_batch(
     bc: &Bytecode,
+    noise: &NoisePlan,
     terminal: Option<&Terminal>,
     mut reference: ShotState,
     config: &TrajectoryConfig,
@@ -1177,15 +1135,13 @@ fn run_shot_batch(
     let stream = &bc.stream;
     let block = terminal.map(|t| &t.block);
     let shared = terminal.and_then(|t| t.shared.as_deref());
-    // pure-RNG pre-scan: where does each lane leave the shared
-    // trajectory? (a few ns per noise site — no state, no kernels) Only
-    // with a table to draw from can a lane pass through the block.
-    let through = block.filter(|_| shared.is_some());
-    let forks: Vec<LaneFork> = (0..count)
-        .map(|j| {
-            let rng = shot_rng(config.seed, first + j as u64);
-            scan_fork(bc, &reference, &config.noise, through, rng)
-        })
+    // where does each lane leave the shared trajectory? (one walk start
+    // per lane — no state, no kernels) Only with a table to draw from
+    // can a lane pass through the block.
+    let through = block.and(shared).map(|_| bc.ops);
+    let collapse = noise.next_readout_op(reference.op);
+    let mut forks: Vec<LaneFork> = (0..count as u64)
+        .map(|j| lane_fork(noise, config.seed, first + j, collapse, through))
         .collect();
     let mut order: Vec<usize> = (0..count).collect();
     order.sort_by_key(|&j| forks[j].shared);
@@ -1194,36 +1150,35 @@ fn run_shot_batch(
     if let Some(table) = shared {
         diverging = &order[..order.partition_point(|&j| forks[j].shared < bc.ops)];
         for &j in &order[diverging.len()..] {
-            let outcome = table.draw(&mut forks[j].rng.clone());
+            let outcome = table.draw(&mut forks[j].draws.rng);
             finish(j, Measured::Outcome(outcome), None);
         }
     }
     let Some((&last, rest)) = diverging.split_last() else {
         return Ok(());
     };
-    let mut run_lane = |mut lane: ShotState, j: usize| -> Result<(), QclabError> {
-        lane.noise = config.noise;
-        let (mut rng, mut record) = (forks[j].rng.clone(), String::new());
+    let mut run_lane = |mut lane: ShotState, j: usize, draws: &mut ShotStream<'_>| {
+        let mut record = String::new();
         let mut ticker = config.control.ticker();
         let until = block.map_or(bc.ops, |b| b.first);
-        lane.advance(stream, until, &mut rng, &mut record, &mut ticker)?;
+        lane.advance(stream, until, draws, &mut record, &mut ticker)?;
         let measured = match block {
-            Some(block) => Measured::Outcome(lane.measure_terminal(block, &mut rng)?),
+            Some(block) => Measured::Outcome(lane.measure_terminal(block, draws)?),
             None => {
                 lane.final_check();
                 Measured::Record(record)
             }
         };
         finish(j, measured, Some(lane));
-        Ok(())
+        Ok::<(), QclabError>(())
     };
     let mut ticker = config.control.ticker();
     for &j in rest {
         reference.advance_shared(stream, forks[j].shared, &mut ticker)?;
-        run_lane(reference.clone(), j)?;
+        run_lane(reference.clone(), j, &mut forks[j].draws)?;
     }
     reference.advance_shared(stream, forks[last].shared, &mut ticker)?;
-    run_lane(reference, last)
+    run_lane(reference, last, &mut forks[last].draws)
 }
 
 /// The kernel configuration a shot actually runs with: when shots are
@@ -1734,6 +1689,7 @@ fn prepare(
     debug_assert!(prefix_ops == 0 || start.map.as_deref() == program.prefix_map());
     let shots = ShotProgram {
         bc,
+        noise: NoisePlan::new(&program, &config.noise),
         start,
         path,
         terminal: terminal.then(|| Terminal {
@@ -1775,7 +1731,7 @@ impl Prepared {
 /// shot count. A round's batch results are held until the round is
 /// merged; 2¹⁸ shots is 4096 batches of the default width, so every run
 /// the benchmark suite makes is a single round.
-const ROUND_SHOTS: u64 = 1 << 18;
+pub(crate) const ROUND_SHOTS: u64 = 1 << 18;
 
 /// Fans `config.shots` shots out in batches of `batch`: `run(first,
 /// count)` executes one batch — on the Rayon workers when
@@ -1901,7 +1857,16 @@ fn run_ensemble(
             }
         };
         let start = prog.start.clone();
-        run_shot_batch(&prog.bc, terminal, start, config, first, count, finish)?;
+        run_shot_batch(
+            &prog.bc,
+            &prog.noise,
+            terminal,
+            start,
+            config,
+            first,
+            count,
+            finish,
+        )?;
         Ok(tally)
     };
     let mut all = Tally {
@@ -1989,12 +1954,20 @@ pub fn run_single_trajectory(
     shot: u64,
 ) -> Result<Trajectory, QclabError> {
     validate(circuit, Some(initial), config)?;
-    let bc = circuit.compile_with(&plan_options(config)).bytecode();
+    let program = circuit.compile_with(&plan_options(config));
+    let (bc, noise) = (program.bytecode(), NoisePlan::new(&program, &config.noise));
     let start = ShotState::new(initial.clone(), bc.n(), config.kernel, config.watchdog);
     let mut out = None;
-    run_shot_batch(&bc, None, start, config, shot, 1, |_, measured, own| {
-        out = Some((measured, own))
-    })?;
+    run_shot_batch(
+        &bc,
+        &noise,
+        None,
+        start,
+        config,
+        shot,
+        1,
+        |_, measured, own| out = Some((measured, own)),
+    )?;
     // invariant: a batch that returns `Ok` has finished every lane, and
     // without a terminal block every lane collapses its own state
     let Some((Measured::Record(record), Some(s))) = out else {

@@ -396,3 +396,51 @@ fn wide_clifford_run_completes_where_the_state_vector_engines_refuse() {
         "the dense engine admitted a 128-qubit register"
     );
 }
+
+/// Admission charges what a batch holds: its outcome words grow with
+/// the measurement count, not the register, so a deep
+/// syndrome-extraction-shaped circuit at a batch as wide as the run is
+/// refused where a guard that counted only the bit-planes would have
+/// allocated it — and runs at the default width under the same cap.
+#[test]
+fn a_deep_measurement_circuit_at_a_huge_batch_is_refused_not_allocated() {
+    let measurements = 4096usize;
+    let mut c = QCircuit::new(2);
+    c.push_back(CNOT::new(0, 1));
+    for m in 0..measurements {
+        c.push_back(Measurement::z(m % 2));
+    }
+    let shots = 1u64 << 18;
+    // one batch of every shot is 4096 words wide: 128 MiB of outcome
+    // words beside 128 KiB of planes and 16 MiB of per-lane state
+    let config = |shot_batch| TrajectoryConfig {
+        shot_batch,
+        limits: qclab_core::sim::guard::ResourceLimits {
+            max_qubits: None,
+            max_state_bytes: 32 << 20,
+        },
+        ..frame_config(
+            3,
+            shots,
+            NoiseSpec {
+                after_gate: Some(PauliChannel::BitFlip(0.01)),
+                ..NoiseSpec::default()
+            },
+        )
+    };
+    let refused = run_trajectories(&c, &config(shots as usize));
+    assert!(
+        matches!(
+            refused,
+            Err(qclab_core::QclabError::ResourceExhausted {
+                bytes_needed: Some(bytes),
+                ..
+            }) if bytes > 128 << 20
+        ),
+        "a 128 MiB batch passed a 32 MiB cap: {:?}",
+        refused.map(|r| r.path())
+    );
+    let run = run_trajectories(&c, &config(TrajectoryConfig::default().shot_batch)).unwrap();
+    assert_eq!(run.path(), ShotPath::PauliFrame);
+    assert_eq!(run.total_counts(), shots);
+}

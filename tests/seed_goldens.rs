@@ -9,14 +9,17 @@
 //!
 //! The goldens were generated at `f23ad2b` (PR 13). A deliberate seed
 //! compatibility break replaces the affected line with the `actual`
-//! value the failing assertion prints — and says so in CHANGES.md. One
-//! has happened: PR 16 made a terminal measurement block one draw
+//! value the failing assertion prints — and says so in CHANGES.md. Two
+//! have happened. PR 16 made a terminal measurement block one draw
 //! (readout sites in measurement order, then one outcome uniform), which
 //! regenerated `per_shot_n13`; `alias_qft8` kept its counts (a
 //! 16-outcome table was cumulative already) and changed only its check
-//! count, now reported per shot like every other path's. The programs
-//! with a mid-circuit measurement or a reset (`per_shot_n5`, `forked`),
-//! the sparse and the frame rows kept their bits.
+//! count, now reported per shot like every other path's. PR 19 made a
+//! shot's noise a walk from hit to hit (one geometric gap per hit in
+//! place of one uniform per site, `sim::walk`), which regenerated every
+//! row that configures noise — `per_shot_n5`, `per_shot_n13`, `forked`
+//! (readout noise) and `frame_rep5`; the noiseless rows (`alias_qft8`,
+//! `sparse_ghz30`, the branch probabilities) kept their bits.
 //!
 //! Registers are small and every branch/marginal probability sits far
 //! from a uniform draw, so AVX2 and scalar hosts agree; the SIMD-off leg
@@ -211,17 +214,17 @@ const SHOT_GOLDENS: [Case; 6] = [
     (
         "per_shot_n5",
         per_shot_n5,
-        "per-shot | injected 431 | checks 300 | 0000:39 0001:46 0010:9 0011:5 0100:21 0101:16 0110:5 0111:5 1000:50 1001:35 1010:5 1011:13 1100:21 1101:22 1110:4 1111:4",
+        "per-shot | injected 419 | checks 300 | 0000:57 0001:37 0010:1 0011:10 0100:21 0101:18 0110:5 0111:3 1000:53 1001:43 1010:8 1011:4 1100:19 1101:17 1110:3 1111:1",
     ),
     (
         "per_shot_n13",
         per_shot_n13,
-        "per-shot | injected 109 | checks 400 | 0000:1 0001:1 0010:3 0011:3 0100:2 0101:2 0110:3 0111:3 1000:4 1001:4 1010:1 1011:1 1100:1 1101:4 1110:6 1111:1",
+        "per-shot | injected 96 | checks 400 | 0001:3 0010:3 0011:2 0100:4 0101:5 0110:3 1000:4 1001:2 1010:4 1011:3 1100:2 1101:2 1110:1 1111:2",
     ),
     (
         "forked",
         forked,
-        "forked (prefix 4 ops) | injected 112 | checks 400 | 0000:36 0001:18 0010:26 0011:29 0100:25 0101:22 0110:25 0111:23 1000:28 1001:21 1010:29 1011:27 1100:16 1101:21 1110:30 1111:24",
+        "forked (prefix 4 ops) | injected 112 | checks 400 | 0000:33 0001:29 0010:17 0011:22 0100:37 0101:25 0110:22 0111:18 1000:25 1001:26 1010:34 1011:23 1100:23 1101:21 1110:24 1111:21",
     ),
     (
         "alias_qft8",
@@ -236,7 +239,7 @@ const SHOT_GOLDENS: [Case; 6] = [
     (
         "frame_rep5",
         frame_rep5,
-        "pauli-frame | injected 898 | checks 0 | 00000:1269 00001:87 00010:82 00011:7 00100:100 00101:3 00110:9 00111:6 01000:78 01001:2 01010:7 01011:1 01100:7 10000:71 10001:82 10010:4 10011:72 10100:4 10101:9 10110:4 10111:62 11000:7 11001:8 11010:2 11011:9 11100:1 11111:7",
+        "pauli-frame | injected 884 | checks 0 | 00000:1284 00001:81 00010:87 00011:12 00100:100 00101:5 00110:11 00111:7 01000:69 01001:6 01010:4 01011:1 01100:3 01101:2 10000:71 10001:75 10010:9 10011:63 10100:5 10101:10 10110:5 10111:63 11000:10 11001:6 11011:3 11100:1 11110:3 11111:4",
     ),
 ];
 
