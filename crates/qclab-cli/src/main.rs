@@ -1,68 +1,23 @@
-//! `qclab` — command-line front end for the toolbox.
+//! `qclab` — command-line front end for the toolbox. Mirrors the
+//! workflow of the paper: construct (or import) a circuit, inspect it,
+//! simulate it, and sample repeated experiments.
 //!
-//! ```text
-//! qclab draw     circuit.qasm              terminal rendering
-//! qclab tex      circuit.qasm              quantikz LaTeX to stdout
-//! qclab simulate circuit.qasm [BITSTRING]  branch results/probabilities
-//! qclab counts   circuit.qasm SHOTS        sampled outcome frequencies
-//! qclab sample   circuit.qasm SHOTS        trajectory sampling (noise!)
-//! qclab compile  circuit.qasm              lowered op schedule + plan stats
-//! qclab stats    circuit.qasm              gate/depth/measurement counts
-//! ```
+//! The commands are the rows of [`COMMANDS`] and the flags the rows of
+//! [`FLAGS`]. Parsing, the "does not apply to" check and the `--help`
+//! text all read those two tables, so a row's help line is the flag's
+//! documentation. Flags may appear anywhere after the command name, each
+//! at most once; the remaining arguments are positional.
 //!
-//! Engine flags (position-independent after the command name):
-//!
-//! * `--no-fuse` — disable the gate-fusion pre-pass (`simulate`,
-//!   `counts`, `sample`, `compile`),
-//! * `--no-simd` — force the scalar kernels (`simulate`, `counts`,
-//!   `sample`),
-//! * `--no-remap` — disable the locality pass (logical→physical qubit
-//!   remapping and the cache-blocked sweep), reproducing the pre-remap
-//!   engine bit for bit (`simulate`, `counts`, `sample`, `compile`),
-//! * `--max-qubits N` — refuse registers above `N` qubits instead of
-//!   relying on the 4 GiB default memory cap (any command that
-//!   simulates),
-//! * `--backend auto|dense|sparse` — pick the state representation
-//!   (`simulate`, `counts`, `sample`, `compile`). `dense` (the default)
-//!   keeps today's state-vector engine, `sparse` pins the hashmap
-//!   executor, and `auto` lets the compile-time support estimate route
-//!   each program — opening low-entanglement registers the dense guard
-//!   refuses (30+ qubits),
-//! * `--seed N` — RNG seed for `counts` and `sample`,
-//! * `--shots N` — alternative to the positional shot count,
-//! * `--noise CH:P` / `--idle-noise CH:P` / `--measure-noise CH:P` —
-//!   Pauli noise for `sample`, where `CH` is `bitflip`, `phaseflip` or
-//!   `depolarizing` and `P` the error probability per location,
-//! * `--no-fast-path` — make every `sample` shot evolve its own state
-//!   from the first gate (no deterministic-prefix forking, no shared
-//!   terminal-measurement table); the counts are the same either way,
-//!   record for record,
-//! * `--no-frames` — disable the Pauli-frame sampler for `sample`
-//!   (noisy Clifford circuits fall back to the state-vector trajectory
-//!   engine; same distribution, different per-shot bits). For `compile`
-//!   the flag changes the reported noisy shot path,
-//! * `--shot-batch N` — trajectory shot-batch width for `sample`
-//!   (default 64): the noisy per-shot engine evolves what the `N` shots
-//!   of a batch share once instead of re-walking the schedule per shot;
-//!   the Pauli-frame sampler takes `N` words of 64 bit-sliced shots per
-//!   batch. Results are independent of the batch width,
-//! * `--timeout-ms N` — wall-clock deadline for the run (`simulate`,
-//!   `counts`, `sample`). A run that exceeds it stops at the next op
-//!   boundary and exits with code `7`; `sample` additionally prints the
-//!   shots completed so far as a partial-result JSON document on stdout.
-//!   `--timeout-ms 0` is rejected as a usage error: an already-expired
-//!   deadline is a bad invocation, not a timeout.
-//!
-//! Errors go to stderr with a distinct exit code per failure class:
-//! `2` usage, `3` I/O, `4` QASM parse, `5` simulation, `6` resource
-//! limits, `7` timeout/cancellation (partial results may be printed).
-//!
-//! Mirrors the workflow of the paper: construct (or import) a circuit,
-//! inspect it, simulate it, and sample repeated experiments.
+//! Results go to stdout with exit code `0` (`--help` included). Errors go
+//! to stderr with a distinct exit code per failure class: `2` usage,
+//! `3` I/O, `4` QASM parse, `5` simulation, `6` resource limits, `7`
+//! timeout/cancellation — a `sample` run stopped by its deadline also
+//! prints the shots it completed as a partial-result JSON document on
+//! stdout.
 
 mod serve;
 
-use qclab_core::program::BackendRequest;
+use qclab_core::program::{plan_cache_stats, resolve_backend, BackendRequest, PlanOptions};
 use qclab_core::sim::control::ExecutionControl;
 use qclab_core::sim::guard::{ResourceLimits, SPARSE_ENTRY_BYTES};
 use qclab_core::sim::kernel::KernelConfig;
@@ -71,8 +26,11 @@ use qclab_core::sim::trajectory::{
 };
 use qclab_core::sim::{DispatchedSimulation, SimOptions};
 use qclab_core::{QCircuit, QclabError};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
+use Cmd::*;
+use Set::*;
 
 /// Exit code for command-line misuse (bad flags, bad noise specs).
 const EXIT_USAGE: u8 = 2;
@@ -105,6 +63,17 @@ fn usage_err(msg: impl Into<String>) -> CliError {
     }
 }
 
+fn io_err(msg: String) -> CliError {
+    CliError {
+        code: EXIT_IO,
+        msg,
+        stdout: None,
+    }
+}
+
+/// What a command produces: the text for stdout, or the failure.
+type Output = Result<String, CliError>;
+
 impl From<QclabError> for CliError {
     fn from(e: QclabError) -> Self {
         let code = match &e {
@@ -123,46 +92,25 @@ impl From<QclabError> for CliError {
 }
 
 /// Engine options shared by the simulating commands.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct EngineOpts {
-    fuse: bool,
-    simd: bool,
-    remap: bool,
-    frames: bool,
-    shot_batch: Option<usize>,
-    max_qubits: Option<usize>,
+    no_simd: bool,
+    max_qubits: Option<u64>,
     backend: BackendRequest,
     timeout_ms: Option<u64>,
-}
-
-impl Default for EngineOpts {
-    fn default() -> Self {
-        EngineOpts {
-            fuse: true,
-            simd: true,
-            remap: true,
-            frames: true,
-            shot_batch: None,
-            max_qubits: None,
-            backend: BackendRequest::Dense,
-            timeout_ms: None,
-        }
-    }
 }
 
 impl EngineOpts {
     fn kernel(&self) -> KernelConfig {
         KernelConfig {
-            fuse: self.fuse,
-            allow_simd: self.simd,
-            remap: self.remap,
+            allow_simd: !self.no_simd,
             ..KernelConfig::default()
         }
     }
 
     fn limits(&self) -> ResourceLimits {
         match self.max_qubits {
-            Some(n) => ResourceLimits::with_max_qubits(n),
+            Some(n) => ResourceLimits::with_max_qubits(n as usize),
             None => ResourceLimits::default(),
         }
     }
@@ -186,73 +134,242 @@ impl EngineOpts {
     }
 }
 
-/// A parsed command line.
-#[derive(Debug, PartialEq)]
-enum Command {
-    Draw {
-        path: String,
-    },
-    Tex {
-        path: String,
-    },
-    Simulate {
-        path: String,
-        init: Option<String>,
-        opts: EngineOpts,
-    },
-    Counts {
-        path: String,
-        shots: u64,
-        seed: u64,
-        opts: EngineOpts,
-    },
-    Sample {
-        path: String,
-        shots: u64,
-        seed: u64,
-        noise: NoiseSpec,
-        fast_path: bool,
-        opts: EngineOpts,
-    },
-    Compile {
-        path: String,
-        opts: EngineOpts,
-    },
-    Stats {
-        path: String,
-    },
-    Serve {
-        opts: serve::ServeOpts,
-    },
+/// The commands; `cmd as usize` indexes [`ALL`] and [`COMMANDS`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Cmd {
+    Draw,
+    Tex,
+    Simulate,
+    Counts,
+    Sample,
+    Compile,
+    Stats,
+    Serve,
+    Help,
 }
 
+const ALL: &[Cmd] = &[
+    Draw, Tex, Simulate, Counts, Sample, Compile, Stats, Serve, Help,
+];
+const ENGINE: &[Cmd] = &[Simulate, Counts, Sample, Compile, Serve];
+
+/// One row per command: name, positional arguments, what it prints.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &str, &str)] = &[
+    ("draw", "<file.qasm>", "terminal rendering"),
+    ("tex", "<file.qasm>", "quantikz LaTeX"),
+    ("simulate", "<file.qasm> [initial-bitstring]", "branch results and probabilities"),
+    ("counts", "<file.qasm> <shots>", "sampled outcome frequencies"),
+    ("sample", "<file.qasm> <shots>", "trajectory sampling, with Pauli noise if asked for"),
+    ("compile", "<file.qasm>", "lowered op schedule and plan statistics"),
+    ("stats", "<file.qasm>", "gate, depth and measurement counts"),
+    ("serve", "", "results of newline-delimited JSON jobs read from stdin or a socket"),
+    ("help", "", "this text"),
+];
+
+impl Cmd {
+    fn name(self) -> &'static str {
+        COMMANDS[self as usize].0
+    }
+}
+
+/// A parsed command line, less the command: each [`FLAGS`] row writes
+/// one field, the positional arguments the last two — and `shots`, when
+/// no flag did.
+#[derive(Debug, Default, PartialEq)]
+struct Options {
+    help: bool,
+    engine: EngineOpts,
+    seed: Option<u64>,
+    /// Set for `counts` and `sample`, which refuse to parse without it.
+    shots: Option<u64>,
+    noise: NoiseSpec,
+    serve: serve::ServeOpts,
+    /// The circuit file; empty for `serve` and `help`, which take none.
+    path: String,
+    /// `simulate`'s initial bitstring.
+    init: Option<String>,
+}
+
+/// How a flag takes effect: each kind names the field it writes.
+enum Set {
+    Switch(fn(&mut Options) -> &mut bool),
+    /// An integer no smaller than the minimum; a bad one "is not" the
+    /// description (`an integer`, `a qubit count`, …).
+    Number(u64, &'static str, fn(&mut Options) -> &mut Option<u64>),
+    Channel(fn(&mut Options) -> &mut Option<PauliChannel>),
+    Backend(fn(&mut Options) -> &mut BackendRequest),
+    Text(fn(&mut Options) -> &mut Option<String>),
+}
+
+impl Set {
+    /// How the usage text names the value; `None` for a switch.
+    fn placeholder(&self) -> Option<&'static str> {
+        match self {
+            Switch(_) => None,
+            Number(..) => Some("<n>"),
+            Channel(_) => Some("<ch:p>"),
+            Backend(_) => Some("<b>"),
+            Text(_) => Some("<path>"),
+        }
+    }
+}
+
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    /// The commands that accept the flag.
+    cmds: &'static [Cmd],
+    help: &'static str,
+    set: Set,
+}
+
+impl Flag {
+    /// Stores the value `v` (empty for a switch) in the flag's field.
+    fn apply(&self, o: &mut Options, v: &str) -> Result<(), CliError> {
+        let name = self.name;
+        match self.set {
+            Switch(at) => *at(o) = true,
+            Number(min, what, at) => {
+                let n: u64 = v
+                    .parse()
+                    .map_err(|_| usage_err(format!("{name} value '{v}' is not {what}")))?;
+                if n < min {
+                    return Err(usage_err(format!("{name} must be at least {min}")));
+                }
+                *at(o) = Some(n);
+            }
+            Channel(at) => *at(o) = Some(parse_channel(v)?),
+            Backend(at) => {
+                *at(o) = match v {
+                    "auto" => BackendRequest::Auto,
+                    "dense" => BackendRequest::Dense,
+                    "sparse" => BackendRequest::Sparse,
+                    other => {
+                        return Err(usage_err(format!(
+                            "unknown backend '{other}' (expected auto, dense or sparse)"
+                        )))
+                    }
+                }
+            }
+            Text(at) => *at(o) = Some(v.to_string()),
+        }
+        Ok(())
+    }
+}
+
+const HELP: &str = "--help";
+
+/// The flags. This table is all there is to a flag: the parser, the
+/// per-command check and the usage text read nothing else.
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: HELP,
+        cmds: ALL,
+        help: "print this text and exit 0 (also -h)",
+        set: Switch(|o| &mut o.help),
+    },
+    Flag {
+        name: "--no-simd",
+        cmds: &[Simulate, Counts, Sample, Serve],
+        help: "force the scalar kernels",
+        set: Switch(|o| &mut o.engine.no_simd),
+    },
+    Flag {
+        name: "--max-qubits",
+        cmds: ENGINE,
+        help: "refuse larger registers (default: whatever fits the 4 GiB memory cap)",
+        set: Number(0, "a qubit count", |o| &mut o.engine.max_qubits),
+    },
+    Flag {
+        name: "--backend",
+        cmds: ENGINE,
+        help: "state representation: dense (default), sparse, or auto to route per program",
+        set: Backend(|o| &mut o.engine.backend),
+    },
+    Flag {
+        name: "--seed",
+        cmds: &[Counts, Sample],
+        help: "RNG seed (default 1)",
+        set: Number(0, "an integer", |o| &mut o.seed),
+    },
+    Flag {
+        name: "--shots",
+        cmds: &[Counts, Sample],
+        help: "shot count, instead of the positional one",
+        set: Number(0, "an integer", |o| &mut o.shots),
+    },
+    Flag {
+        name: "--noise",
+        cmds: &[Sample],
+        help: "Pauli noise after every gate; ch = bitflip|phaseflip|depolarizing, p per location",
+        set: Channel(|o| &mut o.noise.after_gate),
+    },
+    Flag {
+        name: "--idle-noise",
+        cmds: &[Sample],
+        help: "Pauli noise on the qubits a gate leaves idle",
+        set: Channel(|o| &mut o.noise.idle),
+    },
+    Flag {
+        name: "--measure-noise",
+        cmds: &[Sample],
+        help: "Pauli noise before each measurement and reset",
+        set: Channel(|o| &mut o.noise.before_measure),
+    },
+    // A zero deadline is already expired before the run starts;
+    // reporting it as a timeout (exit 7) would dress a bad invocation
+    // up as a partial result.
+    Flag {
+        name: "--timeout-ms",
+        cmds: &[Simulate, Counts, Sample],
+        help: "wall-clock deadline, at least 1: exit 7, sample with partial results",
+        set: Number(1, "a millisecond count", |o| &mut o.engine.timeout_ms),
+    },
+    Flag {
+        name: "--workers",
+        cmds: &[Serve],
+        help: "worker threads (default: CPU count, capped at 16)",
+        set: Number(1, "an integer", |o| &mut o.serve.workers),
+    },
+    Flag {
+        name: "--queue-depth",
+        cmds: &[Serve],
+        help: "max queued jobs; overflow is rejected (default 1024)",
+        set: Number(1, "an integer", |o| &mut o.serve.queue_depth),
+    },
+    Flag {
+        name: "--global-mem-mib",
+        cmds: &[Serve],
+        help: "admission budget for concurrent state memory (default 8192)",
+        set: Number(1, "an integer", |o| &mut o.serve.global_mem_mib),
+    },
+    Flag {
+        name: "--socket",
+        cmds: &[Serve],
+        help: "serve connections on a Unix socket instead of stdin",
+        set: Text(|o| &mut o.serve.socket),
+    },
+];
+
+/// The usage text, generated from [`COMMANDS`] and [`FLAGS`].
 fn usage() -> String {
-    "usage:\n  qclab draw     <file.qasm>\n  qclab tex      <file.qasm>\n  \
-     qclab simulate [flags] <file.qasm> [initial-bitstring]\n  \
-     qclab counts   [flags] <file.qasm> <shots>\n  \
-     qclab sample   [flags] <file.qasm> <shots>\n  \
-     qclab compile  [flags] <file.qasm>\n  qclab stats    <file.qasm>\n  \
-     qclab serve    [flags]\n\
-     flags:\n  --no-fuse               disable gate fusion\n  \
-     --no-simd               force scalar kernels\n  \
-     --no-remap              disable the qubit-locality pass\n  \
-     --shot-batch <n>        trajectory shot-batch width (sample; default 64)\n  \
-     --max-qubits <n>        refuse larger registers\n  \
-     --backend <b>           state representation: auto|dense|sparse (simulate/counts/sample/compile)\n  \
-     --seed <n>              RNG seed (counts/sample)\n  \
-     --shots <n>             shot count (counts/sample)\n  \
-     --noise <ch:p>          after-gate noise (sample); ch = bitflip|phaseflip|depolarizing\n  \
-     --idle-noise <ch:p>     idle-qubit noise (sample)\n  \
-     --measure-noise <ch:p>  pre-measurement noise (sample)\n  \
-     --no-fast-path          share no evolution between shots; same counts (sample)\n  \
-     --no-frames             disable the Pauli-frame sampler (sample/compile)\n  \
-     --timeout-ms <n>        wall-clock deadline; exit 7 with partial results (simulate/counts/sample)\n\
-     serve flags (jobs are newline-delimited JSON on stdin or the socket):\n  \
-     --workers <n>           worker threads (default: CPU count, capped at 16)\n  \
-     --queue-depth <n>       max queued jobs; overflow is rejected (default 1024)\n  \
-     --global-mem-mib <n>    admission budget for concurrent state memory (default 8192)\n  \
-     --socket <path>         serve a Unix socket instead of stdin"
-        .to_string()
+    let mut lines = vec!["usage: qclab <command> [flags] [arguments]\ncommands:".to_string()];
+    for (name, args, help) in COMMANDS {
+        lines.push(format!("  {name:<8} {args:<31} {help}"));
+    }
+    lines.push("flags (anywhere after the command, each at most once):".to_string());
+    for flag in FLAGS {
+        let value = flag.set.placeholder().unwrap_or("");
+        let cmds: Vec<&str> = flag.cmds.iter().map(|c| c.name()).collect();
+        lines.push(format!(
+            "  {:<16} {value:<6} {} [{}]",
+            flag.name,
+            flag.help,
+            cmds.join(" ")
+        ));
+    }
+    lines.join("\n")
 }
 
 /// Parses `bitflip:0.01`-style channel specs.
@@ -277,272 +394,93 @@ fn parse_channel(spec: &str) -> Result<PauliChannel, CliError> {
     Ok(channel)
 }
 
-/// Flag values accumulated while scanning the argument vector.
-#[derive(Default)]
-struct Flags {
-    opts: EngineOpts,
-    seed: Option<u64>,
-    shots: Option<u64>,
-    noise: NoiseSpec,
-    no_fast_path: bool,
-    used: Vec<&'static str>,
-}
-
-/// Parses the argument vector (without the program name). Flags may
-/// appear anywhere after the command name; the remaining arguments are
-/// positional.
-fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let cmd = args
-        .first()
-        .ok_or_else(|| usage_err("missing command"))?
-        .clone();
-    // serve owns scheduler-level flags the other commands must not see;
-    // peel them off first and run the common parser on the remainder
-    let mut serve_opts = None;
-    let tail: Vec<String>;
-    let scan: &[String] = if cmd == "serve" {
-        let (so, remaining) = serve::parse_serve_flags(&args[1..])?;
-        serve_opts = Some(so);
-        tail = remaining;
-        &tail
+/// Parses the argument vector (without the program name): the command,
+/// then its flags — looked up in [`FLAGS`] — and positional arguments
+/// in any order.
+fn parse_args(args: &[String]) -> Result<(Cmd, Options), CliError> {
+    let first = args.first().ok_or_else(|| usage_err("missing command"))?;
+    let first = if first == "-h" || first == HELP {
+        Help.name()
     } else {
-        &args[1..]
+        first
     };
-    let mut flags = Flags::default();
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = scan.iter();
-    while let Some(a) = it.next() {
-        let mut value = |what: &str| -> Result<String, CliError> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| usage_err(format!("{a} requires a {what}")))
+    let cmd = COMMANDS
+        .iter()
+        .position(|row| row.0 == first)
+        .map(|at| ALL[at])
+        .ok_or_else(|| usage_err(format!("unknown command '{first}'")))?;
+    let mut o = Options::default();
+    let mut seen: Vec<&str> = Vec::new();
+    let mut rest: Vec<&String> = Vec::new();
+    let mut it = args[1..].iter();
+    while let Some(arg) = it.next() {
+        let a = if arg == "-h" { HELP } else { arg.as_str() };
+        if !a.starts_with("--") {
+            rest.push(arg);
+            continue;
+        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == a)
+            .ok_or_else(|| usage_err(format!("unknown option '{a}'")))?;
+        if !flag.cmds.contains(&cmd) {
+            let cmd = cmd.name();
+            return Err(usage_err(format!("{a} does not apply to '{cmd}'")));
+        }
+        if seen.contains(&flag.name) {
+            return Err(usage_err(format!("{a} given more than once")));
+        }
+        seen.push(flag.name);
+        let v = match flag.set.placeholder() {
+            None => "",
+            Some(placeholder) => it
+                .next()
+                .ok_or_else(|| usage_err(format!("{a} requires a value {placeholder}")))?,
         };
-        match a.as_str() {
-            "--no-fuse" => {
-                flags.opts.fuse = false;
-                flags.used.push("--no-fuse");
+        flag.apply(&mut o, v)?;
+    }
+
+    let cmd = if o.help { Help } else { cmd };
+    let mut rest = rest.into_iter();
+    match cmd {
+        Help => {}
+        Serve => {
+            if let Some(stray) = rest.next() {
+                return Err(usage_err(format!(
+                    "serve takes no positional arguments (got '{stray}'); jobs arrive on stdin or a socket"
+                )));
             }
-            "--no-simd" => {
-                flags.opts.simd = false;
-                flags.used.push("--no-simd");
+        }
+        _ => {
+            o.path = rest
+                .next()
+                .ok_or_else(|| usage_err("missing .qasm file"))?
+                .clone();
+            if cmd == Simulate {
+                o.init = rest.next().cloned();
             }
-            "--no-remap" => {
-                flags.opts.remap = false;
-                flags.used.push("--no-remap");
-            }
-            "--shot-batch" => {
-                let v = value("batch size")?;
-                let b: usize = v.parse().map_err(|_| {
-                    usage_err(format!("--shot-batch value '{v}' is not a batch size"))
-                })?;
-                if b == 0 {
-                    return Err(usage_err("--shot-batch must be at least 1"));
-                }
-                flags.opts.shot_batch = Some(b);
-                flags.used.push("--shot-batch");
-            }
-            "--max-qubits" => {
-                let v = value("qubit count")?;
-                flags.opts.max_qubits = Some(v.parse().map_err(|_| {
-                    usage_err(format!("--max-qubits value '{v}' is not a qubit count"))
-                })?);
-                flags.used.push("--max-qubits");
-            }
-            "--backend" => {
-                let v = value("backend name")?;
-                flags.opts.backend = match v.as_str() {
-                    "auto" => BackendRequest::Auto,
-                    "dense" => BackendRequest::Dense,
-                    "sparse" => BackendRequest::Sparse,
-                    other => {
-                        return Err(usage_err(format!(
-                            "unknown backend '{other}' (expected auto, dense or sparse)"
-                        )))
+            if cmd == Counts || cmd == Sample {
+                o.shots = Some(match (o.shots, rest.next()) {
+                    (Some(n), None) => n,
+                    (None, Some(s)) => s
+                        .parse()
+                        .map_err(|_| usage_err(format!("shot count '{s}' is not an integer")))?,
+                    (Some(_), Some(_)) => {
+                        return Err(usage_err(
+                            "shot count given both as an argument and as a flag",
+                        ))
                     }
-                };
-                flags.used.push("--backend");
+                    (None, None) => return Err(usage_err("missing shot count")),
+                });
             }
-            "--seed" => {
-                let v = value("seed")?;
-                flags.seed = Some(
-                    v.parse()
-                        .map_err(|_| usage_err(format!("--seed value '{v}' is not an integer")))?,
-                );
-                flags.used.push("--seed");
-            }
-            "--shots" => {
-                let v = value("shot count")?;
-                flags.shots =
-                    Some(v.parse().map_err(|_| {
-                        usage_err(format!("--shots value '{v}' is not an integer"))
-                    })?);
-                flags.used.push("--shots");
-            }
-            "--noise" => {
-                flags.noise.after_gate = Some(parse_channel(&value("channel spec")?)?);
-                flags.used.push("--noise");
-            }
-            "--idle-noise" => {
-                flags.noise.idle = Some(parse_channel(&value("channel spec")?)?);
-                flags.used.push("--idle-noise");
-            }
-            "--measure-noise" => {
-                flags.noise.before_measure = Some(parse_channel(&value("channel spec")?)?);
-                flags.used.push("--measure-noise");
-            }
-            "--no-fast-path" => {
-                flags.no_fast_path = true;
-                flags.used.push("--no-fast-path");
-            }
-            "--no-frames" => {
-                flags.opts.frames = false;
-                flags.used.push("--no-frames");
-            }
-            "--timeout-ms" => {
-                let v = value("millisecond count")?;
-                let ms: u64 = v.parse().map_err(|_| {
-                    usage_err(format!(
-                        "--timeout-ms value '{v}' is not a millisecond count"
-                    ))
-                })?;
-                if ms == 0 {
-                    // A zero deadline is already expired before the run
-                    // starts; reporting it as a timeout (exit 7) would
-                    // dress a bad invocation up as a partial result.
-                    return Err(usage_err("--timeout-ms must be at least 1"));
-                }
-                flags.opts.timeout_ms = Some(ms);
-                flags.used.push("--timeout-ms");
-            }
-            other if other.starts_with("--") => {
-                return Err(usage_err(format!("unknown option '{other}'")));
-            }
-            _ => rest.push(a.clone()),
         }
     }
-
-    // flag/command compatibility
-    let allowed: &[&str] = match cmd.as_str() {
-        "simulate" => &[
-            "--no-fuse",
-            "--no-simd",
-            "--no-remap",
-            "--max-qubits",
-            "--backend",
-            "--timeout-ms",
-        ],
-        "counts" => &[
-            "--no-fuse",
-            "--no-simd",
-            "--no-remap",
-            "--max-qubits",
-            "--backend",
-            "--seed",
-            "--shots",
-            "--timeout-ms",
-        ],
-        "sample" => &[
-            "--no-fuse",
-            "--no-simd",
-            "--no-remap",
-            "--shot-batch",
-            "--max-qubits",
-            "--backend",
-            "--seed",
-            "--shots",
-            "--noise",
-            "--idle-noise",
-            "--measure-noise",
-            "--no-fast-path",
-            "--no-frames",
-            "--timeout-ms",
-        ],
-        "compile" => &[
-            "--no-fuse",
-            "--no-remap",
-            "--max-qubits",
-            "--backend",
-            "--no-frames",
-        ],
-        "serve" => &[
-            "--no-fuse",
-            "--no-simd",
-            "--no-remap",
-            "--no-frames",
-            "--shot-batch",
-            "--max-qubits",
-            "--backend",
-        ],
-        _ => &[],
-    };
-    if let Some(bad) = flags.used.iter().find(|f| !allowed.contains(f)) {
-        return Err(usage_err(format!("{bad} does not apply to '{cmd}'")));
-    }
-
-    if cmd == "serve" {
-        if let Some(stray) = rest.first() {
-            return Err(usage_err(format!(
-                "serve takes no positional arguments (got '{stray}'); jobs arrive on stdin or --socket"
-            )));
-        }
-        let mut opts = serve_opts.expect("serve pre-pass ran");
-        opts.engine = flags.opts;
-        return Ok(Command::Serve { opts });
-    }
-
-    let path = rest
-        .first()
-        .cloned()
-        .ok_or_else(|| usage_err("missing .qasm file"))?;
-    let shots_at = |idx: usize| -> Result<u64, CliError> {
-        match (flags.shots, rest.get(idx)) {
-            (Some(n), None) => Ok(n),
-            (None, Some(s)) => s
-                .parse()
-                .map_err(|_| usage_err(format!("shot count '{s}' is not an integer"))),
-            (Some(_), Some(_)) => Err(usage_err(
-                "shot count given both positionally and via --shots",
-            )),
-            (None, None) => Err(usage_err("missing shot count")),
-        }
-    };
-    match cmd.as_str() {
-        "draw" => Ok(Command::Draw { path }),
-        "tex" => Ok(Command::Tex { path }),
-        "stats" => Ok(Command::Stats { path }),
-        "simulate" => Ok(Command::Simulate {
-            path,
-            init: rest.get(1).cloned(),
-            opts: flags.opts,
-        }),
-        "counts" => Ok(Command::Counts {
-            path,
-            shots: shots_at(1)?,
-            seed: flags.seed.unwrap_or(1),
-            opts: flags.opts,
-        }),
-        "sample" => Ok(Command::Sample {
-            path,
-            shots: shots_at(1)?,
-            seed: flags.seed.unwrap_or(1),
-            noise: flags.noise,
-            fast_path: !flags.no_fast_path,
-            opts: flags.opts,
-        }),
-        "compile" => Ok(Command::Compile {
-            path,
-            opts: flags.opts,
-        }),
-        other => Err(usage_err(format!("unknown command '{other}'"))),
-    }
+    Ok((cmd, o))
 }
 
 fn load(path: &str) -> Result<QCircuit, CliError> {
-    let src = std::fs::read_to_string(path).map_err(|e| CliError {
-        code: EXIT_IO,
-        msg: format!("cannot read {path}: {e}"),
-        stdout: None,
-    })?;
+    let src =
+        std::fs::read_to_string(path).map_err(|e| io_err(format!("cannot read {path}: {e}")))?;
     qclab_qasm::from_qasm(&src).map_err(|e| {
         let mut c = CliError::from(e);
         c.msg = format!("{path}: {}", c.msg);
@@ -550,32 +488,32 @@ fn load(path: &str) -> Result<QCircuit, CliError> {
     })
 }
 
-fn simulate(circuit: &QCircuit, init: Option<&str>, opts: &EngineOpts) -> Result<String, CliError> {
-    let zeros = "0".repeat(circuit.nb_qubits());
+/// `entr{}` completed: `1 live entry`, `2 live entries`.
+fn ies(n: u128) -> &'static str {
+    if n == 1 {
+        "y"
+    } else {
+        "ies"
+    }
+}
+
+fn simulate(circuit: &QCircuit, init: Option<&str>, opts: &EngineOpts) -> Output {
+    let n = circuit.nb_qubits();
+    let zeros = "0".repeat(n);
     let bits = init.unwrap_or(&zeros);
     let sim = circuit.simulate_bitstring_routed(bits, &opts.sim_opts(), opts.backend)?;
-    let mut out = String::new();
-    match &sim {
-        DispatchedSimulation::Dense(sim) => {
-            out.push_str(&format!(
-                "simulated {} qubits from |{}>: {} branch(es)\n",
-                circuit.nb_qubits(),
-                bits,
-                sim.branches().len()
-            ));
-        }
-        DispatchedSimulation::Sparse(sim) => {
-            out.push_str(&format!(
-                "simulated {} qubits from |{}>: {} branch(es) (sparse backend, peak {} live entr{})\n",
-                circuit.nb_qubits(),
-                bits,
-                sim.branches().len(),
-                sim.peak_entries(),
-                if sim.peak_entries() == 1 { "y" } else { "ies" }
-            ));
-        }
+    let results = sim.results();
+    let branches = results.len();
+    let mut out = format!("simulated {n} qubits from |{bits}>: {branches} branch(es)");
+    if let DispatchedSimulation::Sparse(sim) = &sim {
+        let peak = sim.peak_entries();
+        out.push_str(&format!(
+            " (sparse backend, peak {peak} live entr{})",
+            ies(peak as u128)
+        ));
     }
-    for (result, p) in sim.results().iter().zip(sim.probabilities()) {
+    out.push('\n');
+    for (result, p) in results.iter().zip(sim.probabilities()) {
         if result.is_empty() {
             out.push_str(&format!("  (no measurements)  p = {p:.6}\n"));
         } else {
@@ -585,12 +523,7 @@ fn simulate(circuit: &QCircuit, init: Option<&str>, opts: &EngineOpts) -> Result
     Ok(out)
 }
 
-fn counts(
-    circuit: &QCircuit,
-    shots: u64,
-    seed: u64,
-    opts: &EngineOpts,
-) -> Result<String, CliError> {
+fn counts(circuit: &QCircuit, shots: u64, seed: u64, opts: &EngineOpts) -> Output {
     let zeros = "0".repeat(circuit.nb_qubits());
     let sim = circuit.simulate_bitstring_routed(&zeros, &opts.sim_opts(), opts.backend)?;
     let mut out = if sim.is_sparse() {
@@ -604,29 +537,18 @@ fn counts(
     Ok(out)
 }
 
-fn sample(
-    circuit: &QCircuit,
-    shots: u64,
-    seed: u64,
-    noise: NoiseSpec,
-    fast_path: bool,
-    opts: &EngineOpts,
-) -> Result<String, CliError> {
-    let mut config = TrajectoryConfig {
+fn sample(circuit: &QCircuit, shots: u64, seed: u64, o: &Options) -> Output {
+    let (noise, opts) = (o.noise, &o.engine);
+    let config = TrajectoryConfig {
         seed,
         shots,
         noise,
         kernel: opts.kernel(),
         limits: opts.limits(),
-        fast_path,
-        frames: opts.frames,
         backend: opts.backend,
         control: opts.control(),
         ..TrajectoryConfig::default()
     };
-    if let Some(b) = opts.shot_batch {
-        config.shot_batch = b;
-    }
     let t_start = std::time::Instant::now();
     let result = run_trajectories(circuit, &config)?;
     let wall_ms = t_start.elapsed().as_secs_f64() * 1e3;
@@ -638,7 +560,7 @@ fn sample(
                 result.shots(),
                 result.requested_shots()
             ),
-            stdout: Some(partial_json(&result, wall_ms)),
+            stdout: Some(partial_json(&result, &cause.to_string(), wall_ms)),
         });
     }
     let mut out = format!(
@@ -686,31 +608,29 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The fields of a JSON `counts` object: `"00":493,"11":507`.
+fn counts_json(counts: &BTreeMap<String, u64>) -> String {
+    let fields: Vec<String> = counts
+        .iter()
+        .map(|(record, n)| format!("\"{}\":{n}", json_escape(record)))
+        .collect();
+    fields.join(",")
+}
+
 /// Renders a stopped trajectory run as the partial-result JSON document
 /// printed on stdout alongside exit code 7. Counts cover the completed
 /// shots only; the cause is `"cancelled"` or `"deadline exceeded"`;
 /// `wall_ms` is the measured run time, so a caller juggling many
 /// invocations gets the same timing telemetry `qclab serve` streams.
-fn partial_json(result: &TrajectoryResult, wall_ms: f64) -> String {
-    let cause = result
-        .stop_cause()
-        .map(|c| c.to_string())
-        .unwrap_or_default();
-    let mut out = format!(
+fn partial_json(result: &TrajectoryResult, cause: &str, wall_ms: f64) -> String {
+    let out = format!(
         "{{\"partial\":true,\"cause\":\"{}\",\"shots_requested\":{},\"shots_completed\":{},\"wall_ms\":{:.3},\"counts\":{{",
-        json_escape(&cause),
+        json_escape(cause),
         result.requested_shots(),
         result.shots(),
         wall_ms
     );
-    for (i, (record, n)) in result.counts().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{n}", json_escape(record)));
-    }
-    out.push_str("}}\n");
-    out
+    out + &counts_json(result.counts()) + "}}\n"
 }
 
 /// Renders a byte count like `64 B` / `16.0 MiB`; `None` means the
@@ -739,120 +659,109 @@ fn fmt_bytes(bytes: Option<u128>) -> String {
 /// backend resolution the simulating commands perform gates the report
 /// (exit 6), so "compiles here" means "would simulate here" under the
 /// same `--backend` request.
-fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Result<String, CliError> {
-    let kernel = opts.kernel();
-    let program = circuit.compile_with(&qclab_core::PlanOptions::from(&kernel));
+fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
+    let plan_opts = PlanOptions::from(&opts.kernel());
+    let program = circuit.compile_with(&plan_opts);
     let stats = program.stats();
-    let choice = qclab_core::program::resolve_backend(
-        opts.backend,
-        stats,
-        circuit.nb_qubits(),
-        &opts.limits(),
-    )?;
+    let choice = resolve_backend(opts.backend, stats, circuit.nb_qubits(), &opts.limits())?;
+    let on = |yes: bool| if yes { "on" } else { "off" };
     let mut out = format!(
         "compiled {} qubits (fingerprint {:016x}, fusion {}, remap {}):\n",
         program.nb_qubits(),
         program.fingerprint(),
-        if program.options().fuse { "on" } else { "off" },
-        if program.options().remap { "on" } else { "off" },
+        on(program.options().fuse),
+        on(program.options().remap),
     );
-    out.push_str(&format!(
-        "  gates:        {} -> {} ({} fused block(s))\n",
-        stats.gates_in, stats.gates_out, stats.fused_blocks
-    ));
-    out.push_str(&format!(
-        "  fences:       {}\n  measurements: {}\n  resets:       {}\n",
-        stats.fences, stats.measurements, stats.resets
-    ));
-    out.push_str(&format!(
-        "  state bytes:  {}\n",
-        fmt_bytes(stats.state_bytes)
-    ));
-    out.push_str(&format!(
-        "  sparse bound: {} live entr{} ({})\n",
-        stats.sparse_entries,
-        if stats.sparse_entries == 1 {
-            "y"
-        } else {
-            "ies"
-        },
-        fmt_bytes(Some(
-            stats.sparse_entries.saturating_mul(SPARSE_ENTRY_BYTES)
-        ))
-    ));
-    out.push_str(&format!(
-        "  backend:      {choice} (requested {})\n",
-        opts.backend
-    ));
+    let mut row = |label: &str, value: String| out.push_str(&format!("  {label:<13} {value}\n"));
+    row(
+        "gates:",
+        format!(
+            "{} -> {} ({} fused block(s))",
+            stats.gates_in, stats.gates_out, stats.fused_blocks
+        ),
+    );
+    row("fences:", stats.fences.to_string());
+    row("measurements:", stats.measurements.to_string());
+    row("resets:", stats.resets.to_string());
+    row("state bytes:", fmt_bytes(stats.state_bytes));
+    let bound = stats.sparse_entries;
+    let bound_bytes = fmt_bytes(Some(bound.saturating_mul(SPARSE_ENTRY_BYTES)));
+    row(
+        "sparse bound:",
+        format!("{bound} live entr{} ({bound_bytes})", ies(bound)),
+    );
+    row("backend:", format!("{choice} (requested {})", opts.backend));
     let plan = program.shot_plan();
-    out.push_str(&format!(
-        "  shot plan:    {} deterministic + {} stochastic op(s)\n",
-        plan.prefix_ops, plan.suffix_ops
-    ));
-    out.push_str(&format!(
-        "  terminal sampling: {}\n",
-        if plan.terminal_measurements {
-            format!(
-                "eligible ({} measured qubit(s), noiseless runs sample the marginal)",
-                plan.measured_qubits.len()
-            )
-        } else {
-            "not eligible (suffix has gates, resets or re-measured qubits)".to_string()
-        }
-    ));
+    row(
+        "shot plan:",
+        format!(
+            "{} deterministic + {} stochastic op(s)",
+            plan.prefix_ops, plan.suffix_ops
+        ),
+    );
+    let terminal = if plan.terminal_measurements {
+        let measured = plan.measured_qubits.len();
+        format!("eligible ({measured} measured qubit(s), noiseless runs sample the marginal)")
+    } else {
+        "not eligible (suffix has gates, resets or re-measured qubits)".to_string()
+    };
+    row("terminal sampling:", terminal);
     // noisy sampling executes the unfused, unrelabeled stream (noise
     // locations live on the source gates), so the Clifford
     // classification and frame eligibility are taken from that plan,
     // not from the fused schedule printed below
-    let noisy_plan = circuit.compile_with(&qclab_core::PlanOptions {
+    let noisy_plan = circuit.compile_with(&PlanOptions {
         fuse: false,
         remap: false,
-        ..qclab_core::PlanOptions::from(&kernel)
+        ..plan_opts
     });
-    out.push_str(&format!(
-        "  clifford:     {}\n",
-        if noisy_plan.stats().is_clifford {
-            "yes (tableau-expressible)"
-        } else {
-            "no (contains non-Clifford gates)"
-        }
-    ));
+    let clifford = if noisy_plan.stats().is_clifford {
+        "yes (tableau-expressible)"
+    } else {
+        "no (contains non-Clifford gates)"
+    };
+    row("clifford:", clifford.to_string());
     // the frame lowering is the authoritative eligibility check: it also
     // refuses custom measurement bases and permutation blocks
-    let frame_ready = noisy_plan.frame_program().is_some();
-    out.push_str(&format!(
-        "  noisy shots:  {}\n",
-        if !opts.frames {
-            "per-shot trajectories (--no-frames)"
-        } else if frame_ready {
-            "pauli-frame sampler"
-        } else {
-            "per-shot trajectories (program is not frame-expressible)"
-        }
-    ));
+    let noisy_shots = if noisy_plan.frame_program().is_some() {
+        "pauli-frame sampler"
+    } else {
+        "per-shot trajectories (program is not frame-expressible)"
+    };
+    row("noisy shots:", noisy_shots.to_string());
     // per shot and class: times a channel's p, the expected hits — what
     // a shot's noise walk costs
     let sites = qclab_core::sim::walk::site_counts(&noisy_plan);
-    out.push_str(&format!(
-        "  noise sites:  {} after-gate, {} idle, {} readout\n",
-        sites.after_gate, sites.idle, sites.readout
-    ));
-    out.push_str(&format!(
-        "  locality:     {} window(s) remapped, {} move(s), {} fold(s)\n",
-        stats.remap_windows, stats.remap_moves, stats.remap_folds
-    ));
-    let cache = qclab_core::program::plan_cache_stats();
-    out.push_str(&format!(
-        "  plan cache:   {} hit(s), {} miss(es), {} entr{} resident\n",
-        cache.hits,
-        cache.misses,
-        cache.entries,
-        if cache.entries == 1 { "y" } else { "ies" }
-    ));
-    out.push_str(&format!(
-        "  retained preparation: {} hit(s), {} miss(es), {} byte(s) held\n",
-        cache.prep_hits, cache.prep_misses, cache.prep_bytes
-    ));
+    row(
+        "noise sites:",
+        format!(
+            "{} after-gate, {} idle, {} readout",
+            sites.after_gate, sites.idle, sites.readout
+        ),
+    );
+    row(
+        "locality:",
+        format!(
+            "{} window(s) remapped, {} move(s), {} fold(s)",
+            stats.remap_windows, stats.remap_moves, stats.remap_folds
+        ),
+    );
+    let cache = plan_cache_stats();
+    let (hits, misses, resident) = (cache.hits, cache.misses, cache.entries as u128);
+    row(
+        "plan cache:",
+        format!(
+            "{hits} hit(s), {misses} miss(es), {resident} entr{} resident",
+            ies(resident)
+        ),
+    );
+    row(
+        "retained preparation:",
+        format!(
+            "{} hit(s), {} miss(es), {} byte(s) held",
+            cache.prep_hits, cache.prep_misses, cache.prep_bytes
+        ),
+    );
     out.push_str("schedule:\n");
     for (i, op) in program.ops().iter().enumerate() {
         out.push_str(&format!("  {i:>4}  {op}\n"));
@@ -870,34 +779,25 @@ fn stats(circuit: &QCircuit) -> String {
     )
 }
 
-fn run(cmd: Command) -> Result<String, CliError> {
+fn run((cmd, o): (Cmd, Options)) -> Output {
     // Fault-injection hook for the panic-containment path: the
     // integration suite sets this variable to prove a panic anywhere in
     // command dispatch becomes a clean exit code instead of an abort.
     if std::env::var_os("QCLAB_INJECT_PANIC").is_some() {
         panic!("injected panic for containment test");
     }
+    let circuit = || load(&o.path);
+    let (opts, seed, shots) = (&o.engine, o.seed.unwrap_or(1), o.shots.unwrap_or(0));
     match cmd {
-        Command::Draw { path } => Ok(qclab_draw::draw_circuit(&load(&path)?)),
-        Command::Tex { path } => Ok(qclab_draw::to_tex(&load(&path)?)),
-        Command::Simulate { path, init, opts } => simulate(&load(&path)?, init.as_deref(), &opts),
-        Command::Counts {
-            path,
-            shots,
-            seed,
-            opts,
-        } => counts(&load(&path)?, shots, seed, &opts),
-        Command::Sample {
-            path,
-            shots,
-            seed,
-            noise,
-            fast_path,
-            opts,
-        } => sample(&load(&path)?, shots, seed, noise, fast_path, &opts),
-        Command::Compile { path, opts } => compile_report(&load(&path)?, &opts),
-        Command::Stats { path } => Ok(stats(&load(&path)?)),
-        Command::Serve { opts } => serve::run_serve(&opts),
+        Help => Ok(usage() + "\n"),
+        Draw => Ok(qclab_draw::draw_circuit(&circuit()?)),
+        Tex => Ok(qclab_draw::to_tex(&circuit()?)),
+        Simulate => simulate(&circuit()?, o.init.as_deref(), opts),
+        Counts => counts(&circuit()?, shots, seed, opts),
+        Sample => sample(&circuit()?, shots, seed, &o),
+        Compile => compile_report(&circuit()?, opts),
+        Stats => Ok(stats(&circuit()?)),
+        Serve => serve::run_serve(&o.serve, opts),
     }
 }
 
@@ -935,7 +835,7 @@ mod tests {
 
     /// Writes `src` to a file of its own: tests run on parallel threads,
     /// so no two calls may share a path (process id + counter).
-    fn write_qasm(stem: &str, src: &str) -> std::path::PathBuf {
+    fn write_qasm(stem: &str, src: &str) -> String {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join("qclab_cli_test");
@@ -943,14 +843,15 @@ mod tests {
         let unique = NEXT.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!("{stem}_{}_{unique}.qasm", std::process::id()));
         std::fs::write(&path, src).unwrap();
-        path
+        path.to_str().unwrap().to_string()
     }
 
-    fn write_bell() -> std::path::PathBuf {
+    const HEADER: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+
+    fn write_bell() -> String {
         write_qasm(
             "bell",
-            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
-             h q[0];\ncx q[0], q[1];\nmeasure q -> c;\n",
+            &format!("{HEADER}qreg q[2];\ncreg c[2];\nh q[0];\ncx q[0], q[1];\nmeasure q -> c;\n"),
         )
     }
 
@@ -958,225 +859,383 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
-    #[test]
-    fn parse_all_commands() {
-        assert_eq!(
-            parse_args(&args(&["draw", "f.qasm"])).unwrap(),
-            Command::Draw {
-                path: "f.qasm".into()
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["counts", "f.qasm", "100", "--seed", "7"])).unwrap(),
-            Command::Counts {
-                path: "f.qasm".into(),
-                shots: 100,
-                seed: 7,
-                opts: EngineOpts::default(),
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["simulate", "f.qasm", "01"])).unwrap(),
-            Command::Simulate {
-                path: "f.qasm".into(),
-                init: Some("01".into()),
-                opts: EngineOpts::default(),
-            }
-        );
-        assert!(parse_args(&args(&[])).is_err());
-        assert!(parse_args(&args(&["bogus", "f.qasm"])).is_err());
-        assert!(parse_args(&args(&["counts", "f.qasm"])).is_err());
-        assert!(parse_args(&args(&["counts", "f.qasm", "x"])).is_err());
+    fn parse(v: &[&str]) -> Result<(Cmd, Options), CliError> {
+        parse_args(&args(v))
+    }
+
+    /// The usage error `v` parses to, less the usage text after it.
+    fn usage_error(v: &[&str]) -> String {
+        let e = parse(v).expect_err(&format!("{v:?} must be refused"));
+        assert_eq!(e.code, EXIT_USAGE, "{v:?}");
+        assert_eq!(e.stdout, None, "{v:?}");
+        let (msg, text) = e.msg.split_once('\n').expect("usage follows the message");
+        assert_eq!(text, usage(), "{v:?}");
+        msg.to_string()
+    }
+
+    /// A value a row of this kind accepts.
+    fn sample_value(set: &Set) -> Option<&'static str> {
+        match set {
+            Switch(_) => None,
+            Number(..) => Some("3"),
+            Channel(_) => Some("bitflip:0.1"),
+            Backend(_) => Some("auto"),
+            Text(_) => Some("/tmp/qclab.sock"),
+        }
+    }
+
+    /// `cmd` with its positional arguments, then `flag` with a value.
+    fn line_with(cmd: Cmd, flag: &Flag, times: usize) -> Vec<&'static str> {
+        let mut line = vec![cmd.name()];
+        match cmd {
+            Serve | Help => {}
+            // the shot count is positional unless the flag supplies it
+            Counts | Sample if flag.name != "--shots" => line.extend(["f.qasm", "10"]),
+            _ => line.push("f.qasm"),
+        }
+        for _ in 0..times {
+            line.push(flag.name);
+            line.extend(sample_value(&flag.set));
+        }
+        line
     }
 
     #[test]
-    fn parse_engine_flags() {
-        // flags are position-independent within simulate/counts/sample
+    fn the_tables_are_well_formed() {
+        // both are indexed by `Cmd as usize`
+        assert_eq!(ALL.len(), COMMANDS.len());
+        for (i, cmd) in ALL.iter().enumerate() {
+            assert_eq!(*cmd as usize, i);
+            assert!(COMMANDS[..i].iter().all(|row| row.0 != cmd.name()));
+        }
         assert_eq!(
-            parse_args(&args(&["simulate", "--no-fuse", "f.qasm"])).unwrap(),
-            Command::Simulate {
-                path: "f.qasm".into(),
-                init: None,
-                opts: EngineOpts {
-                    fuse: false,
-                    ..EngineOpts::default()
-                },
-            }
+            (Draw.name(), Serve.name(), Help.name()),
+            ("draw", "serve", "help")
         );
+        for (i, flag) in FLAGS.iter().enumerate() {
+            assert!(flag.name.starts_with("--"), "{}", flag.name);
+            assert!(!flag.cmds.is_empty(), "{} applies nowhere", flag.name);
+            assert!(!flag.help.is_empty(), "{} has no help line", flag.name);
+            assert!(
+                FLAGS[..i].iter().all(|f| f.name != flag.name),
+                "{} has two rows",
+                flag.name
+            );
+        }
+    }
+
+    /// Every `--word` of `text`, in order (a table rule `|---|` or a
+    /// comment's `<!--` is dashes, not a flag).
+    fn flags_named_in(text: &str) -> Vec<&str> {
+        text.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter(|word| {
+                word.strip_prefix("--")
+                    .is_some_and(|name| name.starts_with(|c: char| c.is_ascii_lowercase()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn usage_and_readme_name_exactly_the_tables_flags() {
+        let rows: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        // one line per row, in table order, and no other flag anywhere
+        assert_eq!(flags_named_in(&usage()), rows);
+        for (name, _, _) in COMMANDS {
+            let listed = usage()
+                .lines()
+                .filter(|l| l.starts_with(&format!("  {name} ")))
+                .count();
+            assert_eq!(listed, 1, "{name}");
+        }
+        // the README's flag section: the same set, in any order
+        let readme = include_str!("../../../README.md");
+        let section = readme
+            .split_once("<!-- flags -->")
+            .and_then(|(_, rest)| rest.split_once("<!-- /flags -->"))
+            .expect("README.md marks its flag section")
+            .0;
+        let mut documented = flags_named_in(section);
+        documented.sort_unstable();
+        documented.dedup();
+        let mut expected = rows.clone();
+        expected.sort_unstable();
+        assert_eq!(documented, expected);
+    }
+
+    #[test]
+    fn every_flag_is_accepted_exactly_where_its_row_says() {
+        for flag in FLAGS {
+            for &cmd in ALL {
+                let (name, line) = (cmd.name(), line_with(cmd, flag, 1));
+                if flag.cmds.contains(&cmd) {
+                    parse(&line).unwrap_or_else(|e| panic!("{line:?}: {}", e.msg));
+                    // twice is an error, for switches and value flags alike
+                    assert_eq!(
+                        usage_error(&line_with(cmd, flag, 2)),
+                        format!("{} given more than once", flag.name)
+                    );
+                } else {
+                    assert_eq!(
+                        usage_error(&line),
+                        format!("{} does not apply to '{name}'", flag.name)
+                    );
+                }
+            }
+            // a value flag at the end of the line has nothing to take
+            if let Some(placeholder) = flag.set.placeholder() {
+                assert_eq!(
+                    usage_error(&[flag.cmds[0].name(), "f.qasm", flag.name]),
+                    format!("{} requires a value {placeholder}", flag.name)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flags_reach_their_fields() {
+        // position-independent: before, between and after the positionals
         assert_eq!(
-            parse_args(&args(&[
+            parse(&[
                 "counts",
-                "f.qasm",
-                "50",
-                "--no-fuse",
                 "--no-simd",
+                "f.qasm",
+                "--timeout-ms",
+                "250",
+                "50",
                 "--max-qubits",
-                "20"
-            ]))
+                "20",
+                "--seed",
+                "7",
+                "--backend",
+                "sparse",
+            ])
             .unwrap(),
-            Command::Counts {
-                path: "f.qasm".into(),
-                shots: 50,
-                seed: 1,
-                opts: EngineOpts {
-                    fuse: false,
-                    simd: false,
-                    max_qubits: Some(20),
-                    ..EngineOpts::default()
-                },
-            }
+            (
+                Counts,
+                Options {
+                    engine: EngineOpts {
+                        no_simd: true,
+                        max_qubits: Some(20),
+                        backend: BackendRequest::Sparse,
+                        timeout_ms: Some(250),
+                    },
+                    seed: Some(7),
+                    shots: Some(50),
+                    path: "f.qasm".into(),
+                    ..Options::default()
+                }
+            )
         );
-        // rejected where they have no meaning
-        assert!(parse_args(&args(&["draw", "--no-fuse", "f.qasm"])).is_err());
-        assert!(parse_args(&args(&["simulate", "--seed", "3", "f.qasm"])).is_err());
-        // typo'd options are named in the error, not taken as file paths
-        let e = parse_args(&args(&["simulate", "--nofuse", "f.qasm"])).unwrap_err();
-        assert!(e.msg.contains("unknown option '--nofuse'"));
-        assert_eq!(e.code, EXIT_USAGE);
-        // flags that need a value fail cleanly without one
-        assert!(parse_args(&args(&["counts", "f.qasm", "50", "--seed"])).is_err());
-    }
-
-    #[test]
-    fn parse_sample_command_and_noise_specs() {
-        let cmd = parse_args(&args(&[
+        let (cmd, sampled) = parse(&[
             "sample",
             "f.qasm",
             "--shots",
             "500",
-            "--seed",
-            "9",
             "--noise",
             "depolarizing:0.01",
+            "--idle-noise",
+            "z:0.02",
             "--measure-noise",
             "bitflip:0.05",
-        ]))
+        ])
         .unwrap();
         assert_eq!(
-            cmd,
-            Command::Sample {
-                path: "f.qasm".into(),
-                shots: 500,
-                seed: 9,
-                noise: NoiseSpec {
-                    after_gate: Some(PauliChannel::Depolarizing(0.01)),
-                    idle: None,
-                    before_measure: Some(PauliChannel::BitFlip(0.05)),
-                },
-                fast_path: true,
-                opts: EngineOpts::default(),
+            (cmd, sampled.shots, sampled.seed),
+            (Sample, Some(500), None)
+        );
+        assert_eq!(
+            sampled.noise,
+            NoiseSpec {
+                after_gate: Some(PauliChannel::Depolarizing(0.01)),
+                idle: Some(PauliChannel::PhaseFlip(0.02)),
+                before_measure: Some(PauliChannel::BitFlip(0.05)),
             }
         );
-        // --no-fast-path forces the per-shot engine and is sample-only
-        let cmd = parse_args(&args(&["sample", "f.qasm", "10", "--no-fast-path"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Sample {
-                fast_path: false,
-                ..
+        // the scheduler's settings are rows like any other, beside the
+        // engine flags `serve` shares
+        let (_, served) = parse(&[
+            "serve",
+            "--workers",
+            "4",
+            "--no-simd",
+            "--queue-depth",
+            "16",
+            "--global-mem-mib",
+            "512",
+            "--socket",
+            "/tmp/qclab.sock",
+        ])
+        .unwrap();
+        assert_eq!(
+            served.serve,
+            serve::ServeOpts {
+                workers: Some(4),
+                queue_depth: Some(16),
+                global_mem_mib: Some(512),
+                socket: Some("/tmp/qclab.sock".into()),
             }
-        ));
-        assert!(parse_args(&args(&["counts", "f.qasm", "10", "--no-fast-path"])).is_err());
-        // malformed specs are usage errors
-        for bad in ["bitflip", "bitflip:x", "frob:0.1", "bitflip:1.5"] {
-            let e = parse_args(&args(&["sample", "f.qasm", "10", "--noise", bad])).unwrap_err();
-            assert_eq!(e.code, EXIT_USAGE, "spec '{bad}' should be a usage error");
+        );
+        assert!(served.engine.no_simd);
+        assert_eq!(parse(&["serve"]).unwrap(), (Serve, Options::default()));
+    }
+
+    #[test]
+    fn bad_values_are_usage_errors_that_name_the_flag() {
+        for (line, msg) in [
+            (
+                &["simulate", "f.qasm", "--max-qubits", "many"][..],
+                "--max-qubits value 'many' is not a qubit count",
+            ),
+            (
+                &["simulate", "f.qasm", "--backend", "magic"],
+                "unknown backend 'magic' (expected auto, dense or sparse)",
+            ),
+            (
+                &["counts", "f.qasm", "5", "--seed", "-1"],
+                "--seed value '-1' is not an integer",
+            ),
+            (
+                &["counts", "f.qasm", "--shots", "x"],
+                "--shots value 'x' is not an integer",
+            ),
+            (
+                &["simulate", "f.qasm", "--timeout-ms", "soon"],
+                "--timeout-ms value 'soon' is not a millisecond count",
+            ),
+            // a zero deadline is a bad invocation, not a timeout: it
+            // never reaches the engine to come back as exit 7
+            (
+                &["sample", "f.qasm", "5", "--timeout-ms", "0"],
+                "--timeout-ms must be at least 1",
+            ),
+            (&["serve", "--workers", "0"], "--workers must be at least 1"),
+            (
+                &["serve", "--queue-depth", "deep"],
+                "--queue-depth value 'deep' is not an integer",
+            ),
+            (
+                &["serve", "--global-mem-mib", "0"],
+                "--global-mem-mib must be at least 1",
+            ),
+            (
+                &["sample", "f.qasm", "5", "--noise", "bitflip"],
+                "noise spec 'bitflip' must look like 'bitflip:0.01'",
+            ),
+            (
+                &["sample", "f.qasm", "5", "--idle-noise", "bitflip:x"],
+                "noise probability 'x' is not a number",
+            ),
+            (
+                &["sample", "f.qasm", "5", "--measure-noise", "frob:0.1"],
+                "unknown noise channel 'frob' (expected bitflip, phaseflip or depolarizing)",
+            ),
+            // typo'd options are named, not taken as file paths
+            (
+                &["simulate", "--nosimd", "f.qasm"],
+                "unknown option '--nosimd'",
+            ),
+        ] {
+            assert_eq!(usage_error(line), msg);
         }
-        // shots given twice is ambiguous
-        assert!(parse_args(&args(&["sample", "f.qasm", "10", "--shots", "20"])).is_err());
+        // a probability outside [0, 1] is the library's refusal
+        let e = parse(&["sample", "f.qasm", "5", "--noise", "bitflip:1.5"]).unwrap_err();
+        assert_eq!(e.code, EXIT_USAGE);
+        assert!(e.msg.contains("invalid noise spec"), "{}", e.msg);
+    }
+
+    #[test]
+    fn commands_and_positionals() {
+        let (cmd, drawn) = parse(&["draw", "f.qasm"]).unwrap();
+        assert_eq!((cmd, drawn.path.as_str()), (Draw, "f.qasm"));
+        assert_eq!(
+            parse(&["simulate", "f.qasm", "01"]).unwrap(),
+            (
+                Simulate,
+                Options {
+                    path: "f.qasm".into(),
+                    init: Some("01".into()),
+                    ..Options::default()
+                }
+            )
+        );
+        assert_eq!(usage_error(&[]), "missing command");
+        // the command is named before anything after it is looked at
+        assert_eq!(usage_error(&["bogus"]), "unknown command 'bogus'");
+        assert_eq!(
+            usage_error(&["bogus", "--nope", "f.qasm"]),
+            "unknown command 'bogus'"
+        );
+        for cmd in [
+            "draw", "tex", "simulate", "counts", "sample", "compile", "stats",
+        ] {
+            assert_eq!(usage_error(&[cmd]), "missing .qasm file");
+        }
+        assert_eq!(usage_error(&["counts", "f.qasm"]), "missing shot count");
+        assert_eq!(
+            usage_error(&["counts", "f.qasm", "x"]),
+            "shot count 'x' is not an integer"
+        );
+        assert_eq!(
+            usage_error(&["sample", "f.qasm", "10", "--shots", "20"]),
+            "shot count given both as an argument and as a flag"
+        );
+        assert!(usage_error(&["serve", "jobs.ndjson"])
+            .starts_with("serve takes no positional arguments (got 'jobs.ndjson')"));
+    }
+
+    #[test]
+    fn help_wins_over_missing_positionals_but_not_over_a_bad_line() {
+        // where each spelling prints and exits is `cli_errors.rs::
+        // help_is_a_result_on_stdout`; here: what `run` hands `main`
+        assert_eq!(
+            run(parse(&["sample", "-h"]).unwrap()).unwrap(),
+            usage() + "\n"
+        );
+        // asking for help does not excuse the rest of the line
+        assert_eq!(
+            usage_error(&["sample", "--help", "--nope"]),
+            "unknown option '--nope'"
+        );
     }
 
     #[test]
     fn end_to_end_draw_and_stats() {
-        let path = write_bell();
-        let p = path.to_str().unwrap().to_string();
-        let art = run(Command::Draw { path: p.clone() }).unwrap();
+        let p = write_bell();
+        let art = run(parse(&["draw", &p]).unwrap()).unwrap();
         assert!(art.contains("┤ H ├"));
-        let st = run(Command::Stats { path: p }).unwrap();
+        let st = run(parse(&["stats", &p]).unwrap()).unwrap();
         assert!(st.contains("qubits:       2"));
         assert!(st.contains("gates:        2"));
     }
 
     #[test]
     fn end_to_end_simulate_and_counts() {
-        let path = write_bell();
-        let p = path.to_str().unwrap().to_string();
-        let sim = run(Command::Simulate {
-            path: p.clone(),
-            init: None,
-            opts: EngineOpts::default(),
-        })
-        .unwrap();
+        let p = write_bell();
+        let sim = run(parse(&["simulate", &p]).unwrap()).unwrap();
         assert!(sim.contains("'00'"));
         assert!(sim.contains("'11'"));
-        // disabling fusion and SIMD must not change the reported branches
-        let scalar = run(Command::Simulate {
-            path: p.clone(),
-            init: None,
-            opts: EngineOpts {
-                fuse: false,
-                simd: false,
-                ..EngineOpts::default()
-            },
-        })
-        .unwrap();
+        // the scalar kernels report the same branches
+        let scalar = run(parse(&["simulate", &p, "--no-simd"]).unwrap()).unwrap();
         assert_eq!(sim, scalar);
-        let cts = run(Command::Counts {
-            path: p,
-            shots: 100,
-            seed: 1,
-            opts: EngineOpts::default(),
-        })
-        .unwrap();
+        let cts = run(parse(&["counts", &p, "100"]).unwrap()).unwrap();
         assert!(cts.contains("counts over 100 shots"));
     }
 
     #[test]
     fn end_to_end_sample_noiseless_and_noisy() {
-        let path = write_bell();
-        let p = path.to_str().unwrap().to_string();
-        let clean = run(Command::Sample {
-            path: p.clone(),
-            shots: 200,
-            seed: 5,
-            noise: NoiseSpec::default(),
-            fast_path: true,
-            opts: EngineOpts::default(),
-        })
-        .unwrap();
+        let p = write_bell();
+        let clean = run(parse(&["sample", &p, "200", "--seed", "5"]).unwrap()).unwrap();
         assert!(clean.contains("sampled 200 trajectories"));
         assert!(clean.contains("'00'") && clean.contains("'11'"));
         assert!(!clean.contains("'01'") && !clean.contains("'10'"));
         // a noiseless terminal-measurement circuit draws every shot from
-        // the shared table; the opt-out reports the per-shot engine
-        // instead — and the same records
+        // the shared table (that the per-shot engine draws the same
+        // records is `tests/shot_fastpath.rs` and `tests/seed_goldens.rs`)
         assert!(clean.contains("path: alias-sampled"), "output: {clean}");
-        let slow = run(Command::Sample {
-            path: p.clone(),
-            shots: 200,
-            seed: 5,
-            noise: NoiseSpec::default(),
-            fast_path: false,
-            opts: EngineOpts::default(),
-        })
-        .unwrap();
-        assert!(slow.contains("path: per-shot"), "output: {slow}");
-        let records = |out: &str| out.lines().skip(1).map(str::to_string).collect::<Vec<_>>();
-        assert_eq!(records(&slow), records(&clean));
         // a certain bit-flip before the only measurement flips |0> to '1'
         let one = write_qasm("one", "qreg q[1];\ncreg c[1];\nmeasure q -> c;\n");
-        let flipped = run(Command::Sample {
-            path: one.to_str().unwrap().into(),
-            shots: 50,
-            seed: 5,
-            noise: NoiseSpec {
-                before_measure: Some(PauliChannel::BitFlip(1.0)),
-                ..NoiseSpec::default()
-            },
-            fast_path: true,
-            opts: EngineOpts::default(),
-        })
-        .unwrap();
+        let flipped =
+            run(parse(&["sample", &one, "50", "--measure-noise", "bitflip:1"]).unwrap()).unwrap();
         assert!(flipped.contains("'1': 50"), "output: {flipped}");
         assert!(
             flipped.contains("50 injected error(s)"),
@@ -1185,129 +1244,28 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_run_compile_command() {
-        assert_eq!(
-            parse_args(&args(&["compile", "--no-fuse", "f.qasm"])).unwrap(),
-            Command::Compile {
-                path: "f.qasm".into(),
-                opts: EngineOpts {
-                    fuse: false,
-                    ..EngineOpts::default()
-                },
-            }
-        );
-        // sampling flags have no meaning here
-        assert!(parse_args(&args(&["compile", "--seed", "3", "f.qasm"])).is_err());
-        assert!(parse_args(&args(&["compile", "--noise", "bitflip:0.1", "f.qasm"])).is_err());
-
-        let path = write_bell();
-        let p = path.to_str().unwrap().to_string();
-        let fused = run(Command::Compile {
-            path: p.clone(),
-            opts: EngineOpts::default(),
-        })
-        .unwrap();
+    fn compile_reports_the_plan() {
+        let p = write_bell();
+        let report = run(parse(&["compile", &p]).unwrap()).unwrap();
         // h+cx fuse into one block; the two measurements stay
         assert!(
-            fused.contains("gates:        2 -> 1 (1 fused block(s))"),
-            "{fused}"
+            report.contains("gates:        2 -> 1 (1 fused block(s))"),
+            "{report}"
         );
-        assert!(fused.contains("measurements: 2"), "{fused}");
-        assert!(fused.contains("state bytes:  64 B"), "{fused}");
-        assert!(fused.contains("fingerprint"), "{fused}");
+        assert!(report.contains("measurements: 2"), "{report}");
+        assert!(report.contains("state bytes:  64 B"), "{report}");
+        assert!(report.contains("fingerprint"), "{report}");
         // the fused bell circuit is one deterministic op plus two
         // terminal measurements — sample-eligible
         assert!(
-            fused.contains("shot plan:    1 deterministic + 2 stochastic op(s)"),
-            "{fused}"
+            report.contains("shot plan:    1 deterministic + 2 stochastic op(s)"),
+            "{report}"
         );
         assert!(
-            fused.contains("terminal sampling: eligible (2 measured qubit(s)"),
-            "{fused}"
+            report.contains("terminal sampling: eligible (2 measured qubit(s)"),
+            "{report}"
         );
-        let unfused = run(Command::Compile {
-            path: p.clone(),
-            opts: EngineOpts {
-                fuse: false,
-                ..EngineOpts::default()
-            },
-        })
-        .unwrap();
-        assert!(
-            unfused.contains("gates:        2 -> 2 (0 fused block(s))"),
-            "{unfused}"
-        );
-        // the fingerprint is structural: identical with and without fusion
-        let fp = |s: &str| {
-            s.split("fingerprint ")
-                .nth(1)
-                .unwrap()
-                .split(',')
-                .next()
-                .unwrap()
-                .to_string()
-        };
-        assert_eq!(fp(&fused), fp(&unfused));
-        // guard refusal surfaces as the resource exit code
-        let e = run(Command::Compile {
-            path: p,
-            opts: EngineOpts {
-                max_qubits: Some(1),
-                ..EngineOpts::default()
-            },
-        })
-        .unwrap_err();
-        assert_eq!(e.code, EXIT_RESOURCE);
-    }
-
-    #[test]
-    fn frames_flag_routes_sampling_and_shapes_the_compile_report() {
-        // --no-frames applies to sample and compile only
-        let cmd = parse_args(&args(&["sample", "f.qasm", "10", "--no-frames"])).unwrap();
-        assert!(matches!(cmd, Command::Sample { ref opts, .. } if !opts.frames));
-        let cmd = parse_args(&args(&["compile", "--no-frames", "f.qasm"])).unwrap();
-        assert!(matches!(cmd, Command::Compile { ref opts, .. } if !opts.frames));
-        assert!(parse_args(&args(&["counts", "f.qasm", "10", "--no-frames"])).is_err());
-        assert!(parse_args(&args(&["draw", "--no-frames", "f.qasm"])).is_err());
-
-        // a noisy Clifford sample takes the frame engine; the opt-out
-        // falls back to the state-vector per-shot engine
-        let p = write_bell().to_str().unwrap().to_string();
-        let noise = NoiseSpec {
-            after_gate: Some(PauliChannel::Depolarizing(0.02)),
-            ..NoiseSpec::default()
-        };
-        let framed = run(Command::Sample {
-            path: p.clone(),
-            shots: 100,
-            seed: 3,
-            noise,
-            fast_path: true,
-            opts: EngineOpts::default(),
-        })
-        .unwrap();
-        assert!(framed.contains("path: pauli-frame"), "output: {framed}");
-        let fallback = run(Command::Sample {
-            path: p.clone(),
-            shots: 100,
-            seed: 3,
-            noise,
-            fast_path: true,
-            opts: EngineOpts {
-                frames: false,
-                ..EngineOpts::default()
-            },
-        })
-        .unwrap();
-        assert!(fallback.contains("path: per-shot"), "output: {fallback}");
-
-        // the compile report states the classification and the path the
-        // noisy sampler would take, honoring the opt-out
-        let report = run(Command::Compile {
-            path: p.clone(),
-            opts: EngineOpts::default(),
-        })
-        .unwrap();
+        // the classification, and the path a noisy sample would take
         assert!(
             report.contains("clifford:     yes (tableau-expressible)"),
             "{report}"
@@ -1316,30 +1274,12 @@ mod tests {
             report.contains("noisy shots:  pauli-frame sampler"),
             "{report}"
         );
-        let report = run(Command::Compile {
-            path: p,
-            opts: EngineOpts {
-                frames: false,
-                ..EngineOpts::default()
-            },
-        })
-        .unwrap();
-        assert!(
-            report.contains("noisy shots:  per-shot trajectories (--no-frames)"),
-            "{report}"
-        );
-
         // a T gate declassifies the circuit
         let t = write_qasm(
             "tgate",
-            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ncreg c[1];\n\
-             h q[0];\nt q[0];\nmeasure q -> c;\n",
+            &format!("{HEADER}qreg q[1];\ncreg c[1];\nh q[0];\nt q[0];\nmeasure q -> c;\n"),
         );
-        let report = run(Command::Compile {
-            path: t.to_str().unwrap().into(),
-            opts: EngineOpts::default(),
-        })
-        .unwrap();
+        let report = run(parse(&["compile", &t]).unwrap()).unwrap();
         assert!(
             report.contains("clifford:     no (contains non-Clifford gates)"),
             "{report}"
@@ -1349,33 +1289,20 @@ mod tests {
                 .contains("noisy shots:  per-shot trajectories (program is not frame-expressible)"),
             "{report}"
         );
+        // guard refusal surfaces as the resource exit code
+        let e = run(parse(&["compile", &p, "--max-qubits", "1"]).unwrap()).unwrap_err();
+        assert_eq!(e.code, EXIT_RESOURCE);
     }
 
     #[test]
-    fn no_remap_flag_parses_on_engine_commands() {
-        let cmd = parse_args(&args(&["simulate", "--no-remap", "f.qasm"])).unwrap();
-        assert!(matches!(cmd, Command::Simulate { ref opts, .. } if !opts.remap));
-        let cmd = parse_args(&args(&["sample", "f.qasm", "10", "--no-remap"])).unwrap();
-        assert!(matches!(cmd, Command::Sample { ref opts, .. } if !opts.remap));
-        let cmd = parse_args(&args(&["compile", "--no-remap", "f.qasm"])).unwrap();
-        assert!(matches!(cmd, Command::Compile { ref opts, .. } if !opts.remap));
-        // no plan is lowered for draw/tex/stats, so the flag is an error there
-        assert!(parse_args(&args(&["draw", "--no-remap", "f.qasm"])).is_err());
-        assert!(parse_args(&args(&["stats", "--no-remap", "f.qasm"])).is_err());
-    }
-
-    #[test]
-    fn compile_no_fuse_on_fenced_circuit_succeeds_with_cache_counters() {
-        let fenced = write_qasm(
+    fn compile_on_a_fenced_circuit_reports_the_cache_counters() {
+        let p = write_qasm(
             "fenced",
             "qreg q[2];\ncreg c[2];\nh q[0];\nbarrier q;\ncx q[0], q[1];\nmeasure q -> c;\n",
         );
-        let p = fenced.to_str().unwrap().to_string();
-        // parse + run must take the success path (exit code 0 in main)
-        let cmd = parse_args(&args(&["compile", "--no-fuse", &p])).unwrap();
         let before = qclab_core::program::plan_cache_stats();
-        let report = run(cmd).unwrap();
-        assert!(report.contains("fusion off, remap on"), "{report}");
+        let report = run(parse(&["compile", &p]).unwrap()).unwrap();
+        assert!(report.contains("fusion on, remap on"), "{report}");
         assert!(report.contains("fences:       1"), "{report}");
         // a 2-qubit register is below the tile size: the pass is inert
         assert!(
@@ -1386,62 +1313,16 @@ mod tests {
         let after_first = qclab_core::program::plan_cache_stats();
         assert!(after_first.misses > before.misses, "first lowering misses");
         // recompiling the identical file is served from the plan cache
-        let cmd = parse_args(&args(&["compile", "--no-fuse", &p])).unwrap();
-        run(cmd).unwrap();
+        run(parse(&["compile", &p]).unwrap()).unwrap();
         let after_second = qclab_core::program::plan_cache_stats();
         assert!(after_second.hits > after_first.hits, "recompile hits");
-    }
-
-    #[test]
-    fn max_qubits_flag_is_enforced() {
-        let path = write_bell();
-        let e = run(Command::Simulate {
-            path: path.to_str().unwrap().into(),
-            init: None,
-            opts: EngineOpts {
-                max_qubits: Some(1),
-                ..EngineOpts::default()
-            },
-        })
-        .unwrap_err();
-        assert_eq!(e.code, EXIT_RESOURCE);
-        assert!(e.msg.contains("--max-qubits"), "message: {}", e.msg);
-    }
-
-    #[test]
-    fn parse_backend_flag() {
-        let cmd = parse_args(&args(&["simulate", "--backend", "auto", "f.qasm"])).unwrap();
-        assert!(
-            matches!(cmd, Command::Simulate { ref opts, .. } if opts.backend == BackendRequest::Auto)
-        );
-        let cmd = parse_args(&args(&["counts", "f.qasm", "10", "--backend", "sparse"])).unwrap();
-        assert!(
-            matches!(cmd, Command::Counts { ref opts, .. } if opts.backend == BackendRequest::Sparse)
-        );
-        let cmd = parse_args(&args(&["compile", "--backend", "dense", "f.qasm"])).unwrap();
-        assert!(
-            matches!(cmd, Command::Compile { ref opts, .. } if opts.backend == BackendRequest::Dense)
-        );
-        let cmd = parse_args(&args(&["sample", "f.qasm", "10", "--backend", "auto"])).unwrap();
-        assert!(
-            matches!(cmd, Command::Sample { ref opts, .. } if opts.backend == BackendRequest::Auto)
-        );
-        // bad values and non-engine commands are usage errors
-        let e = parse_args(&args(&["simulate", "--backend", "magic", "f.qasm"])).unwrap_err();
-        assert_eq!(e.code, EXIT_USAGE);
-        assert!(e.msg.contains("unknown backend 'magic'"), "{}", e.msg);
-        assert!(parse_args(&args(&["draw", "--backend", "auto", "f.qasm"])).is_err());
-        assert!(parse_args(&args(&["simulate", "--backend"])).is_err());
     }
 
     /// Writes a 30-qubit Grover-oracle-shaped circuit: X flips plus a
     /// Toffoli ladder. Pure permutation — one live sparse entry — but a
     /// dense register would need 16 GiB, past the 4 GiB default cap.
-    fn write_grover_oracle_30() -> std::path::PathBuf {
-        let mut src = String::from(
-            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[30];\ncreg c[30];\n\
-             x q[0];\nx q[1];\n",
-        );
+    fn write_grover_oracle_30() -> String {
+        let mut src = format!("{HEADER}qreg q[30];\ncreg c[30];\nx q[0];\nx q[1];\n");
         for t in 2..30 {
             src.push_str(&format!("ccx q[{}], q[{}], q[{t}];\n", t - 2, t - 1));
         }
@@ -1451,216 +1332,98 @@ mod tests {
 
     #[test]
     fn thirty_qubit_oracle_needs_the_sparse_backend() {
-        let p = write_grover_oracle_30().to_str().unwrap().to_string();
+        let p = write_grover_oracle_30();
         // the dense default refuses the register outright (exit 6) …
-        let e = run(Command::Simulate {
-            path: p.clone(),
-            init: None,
-            opts: EngineOpts::default(),
-        })
-        .unwrap_err();
+        let e = run(parse(&["simulate", &p]).unwrap()).unwrap_err();
         assert_eq!(e.code, EXIT_RESOURCE);
         // … and so does `compile` under the same dense request
-        let e = run(Command::Compile {
-            path: p.clone(),
-            opts: EngineOpts::default(),
-        })
-        .unwrap_err();
+        let e = run(parse(&["compile", &p]).unwrap()).unwrap_err();
         assert_eq!(e.code, EXIT_RESOURCE);
         // --backend auto routes to the sparse executor and completes:
         // the ladder propagates the two X flips through every ccx
-        let cmd = parse_args(&args(&["simulate", "--backend", "auto", &p])).unwrap();
-        let out = run(cmd).unwrap();
+        let out = run(parse(&["simulate", "--backend", "auto", &p]).unwrap()).unwrap();
         assert!(out.contains("sparse backend"), "{out}");
         assert!(
             out.contains(&format!("'{}'  p = 1.000000", "1".repeat(30))),
             "{out}"
         );
         // the compile report states the resolved choice
-        let cmd = parse_args(&args(&["compile", "--backend", "auto", &p])).unwrap();
-        let report = run(cmd).unwrap();
+        let report = run(parse(&["compile", "--backend", "auto", &p]).unwrap()).unwrap();
         assert!(report.contains("backend:      sparse"), "{report}");
         assert!(report.contains("(requested auto)"), "{report}");
         assert!(report.contains("sparse bound: 1 live entry"), "{report}");
         // counts and sample work on the same register through the flag
-        let cmd = parse_args(&args(&["counts", &p, "20", "--backend", "auto"])).unwrap();
-        let cts = run(cmd).unwrap();
+        let cts = run(parse(&["counts", &p, "20", "--backend", "auto"]).unwrap()).unwrap();
         assert!(cts.contains("sparse backend"), "{cts}");
         assert!(cts.contains(&format!("'{}': 20", "1".repeat(30))), "{cts}");
-        let cmd = parse_args(&args(&["sample", &p, "20", "--backend", "auto"])).unwrap();
-        let smp = run(cmd).unwrap();
+        let smp = run(parse(&["sample", &p, "20", "--backend", "auto"]).unwrap()).unwrap();
         assert!(smp.contains("path: sparse-sampled"), "{smp}");
         assert!(smp.contains(&format!("'{}': 20", "1".repeat(30))), "{smp}");
     }
 
     #[test]
     fn backend_flag_on_small_circuits_keeps_dense_output() {
-        let p = write_bell().to_str().unwrap().to_string();
+        let p = write_bell();
         // a Bell pair is cheap dense; auto stays on the dense engine and
         // the output is byte-identical to the unrouted default
-        let default_out = run(Command::Simulate {
-            path: p.clone(),
-            init: None,
-            opts: EngineOpts::default(),
-        })
-        .unwrap();
-        let auto_out = run(Command::Simulate {
-            path: p.clone(),
-            init: None,
-            opts: EngineOpts {
-                backend: BackendRequest::Auto,
-                ..EngineOpts::default()
-            },
-        })
-        .unwrap();
+        let default_out = run(parse(&["simulate", &p]).unwrap()).unwrap();
+        let auto_out = run(parse(&["simulate", &p, "--backend", "auto"]).unwrap()).unwrap();
         assert_eq!(default_out, auto_out);
         assert!(!auto_out.contains("sparse"), "{auto_out}");
         // pinning sparse works too and agrees on the distribution
-        let pinned = run(Command::Simulate {
-            path: p,
-            init: None,
-            opts: EngineOpts {
-                backend: BackendRequest::Sparse,
-                ..EngineOpts::default()
-            },
-        })
-        .unwrap();
+        let pinned = run(parse(&["simulate", &p, "--backend", "sparse"]).unwrap()).unwrap();
         assert!(pinned.contains("sparse backend"), "{pinned}");
         assert!(pinned.contains("'00'  p = 0.500000"), "{pinned}");
         assert!(pinned.contains("'11'  p = 0.500000"), "{pinned}");
     }
 
-    /// A 2-qubit circuit with 100 unfusable-by-flag ops so the default
-    /// check interval (64 ops) is crossed during a dense simulation.
-    fn write_long_chain() -> std::path::PathBuf {
-        let mut src = String::from("qreg q[2];\ncreg c[2];\n");
-        for i in 0..50 {
-            src.push_str(&format!("h q[{}];\ncx q[0], q[1];\n", i % 2));
+    /// A 4-qubit ring of 240 CNOTs. Neighbouring gates share one qubit,
+    /// so fusion merges none of them and a dense run crosses the default
+    /// check interval (64 ops) several times.
+    fn write_long_chain() -> String {
+        let mut src = String::from("qreg q[4];\ncreg c[4];\nh q[0];\n");
+        for i in 0..240 {
+            src.push_str(&format!("cx q[{}], q[{}];\n", i % 4, (i + 1) % 4));
         }
         src.push_str("measure q -> c;\n");
         write_qasm("chain", &src)
     }
 
-    #[test]
-    fn parse_timeout_flag() {
-        let cmd = parse_args(&args(&["simulate", "--timeout-ms", "500", "f.qasm"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Simulate { ref opts, .. } if opts.timeout_ms == Some(500)
-        ));
-        let cmd = parse_args(&args(&["counts", "f.qasm", "10", "--timeout-ms", "250"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Counts { ref opts, .. } if opts.timeout_ms == Some(250)
-        ));
-        let cmd = parse_args(&args(&["sample", "f.qasm", "10", "--timeout-ms", "250"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Sample { ref opts, .. } if opts.timeout_ms == Some(250)
-        ));
-        // no deadline applies to the non-simulating commands
-        assert!(parse_args(&args(&["draw", "--timeout-ms", "5", "f.qasm"])).is_err());
-        assert!(parse_args(&args(&["stats", "--timeout-ms", "5", "f.qasm"])).is_err());
-        assert!(parse_args(&args(&["compile", "--timeout-ms", "5", "f.qasm"])).is_err());
-        // bad values are usage errors
-        let e = parse_args(&args(&["simulate", "--timeout-ms", "soon", "f.qasm"])).unwrap_err();
-        assert_eq!(e.code, EXIT_USAGE);
-        assert!(parse_args(&args(&["simulate", "--timeout-ms"])).is_err());
-        // a zero deadline is a bad invocation, not a timeout: it must be
-        // rejected up front with the usage code, never reach the engine
-        // and come back as exit 7
-        let e = parse_args(&args(&["simulate", "--timeout-ms", "0", "f.qasm"])).unwrap_err();
-        assert_eq!(e.code, EXIT_USAGE);
-        assert!(e.msg.contains("--timeout-ms"), "message: {}", e.msg);
-        let e = parse_args(&args(&["sample", "f.qasm", "10", "--timeout-ms", "0"])).unwrap_err();
-        assert_eq!(e.code, EXIT_USAGE);
-    }
-
-    #[test]
-    fn parse_shot_batch_flag_and_retired_bytecode_flag() {
-        // the interpreter is gone and so is its switch (spelled in two
-        // halves here so a grep for the retired flag finds no live use):
-        // an unknown option on every subcommand, `serve` included
-        let retired = concat!("--no-", "bytecode");
-        for cmd in ["simulate", "counts", "sample", "compile", "draw", "serve"] {
-            let e = parse_args(&args(&[cmd, retired, "f.qasm", "10"])).unwrap_err();
-            assert_eq!(e.code, EXIT_USAGE, "{cmd}");
-            assert!(
-                e.msg.contains(&format!("unknown option '{retired}'")),
-                "{cmd}: {}",
-                e.msg
-            );
-        }
-        // --shot-batch applies to sample only; 0 and garbage are usage errors
-        let cmd = parse_args(&args(&["sample", "f.qasm", "10", "--shot-batch", "8"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Sample { ref opts, .. } if opts.shot_batch == Some(8)
-        ));
-        let e = parse_args(&args(&["sample", "f.qasm", "10", "--shot-batch", "0"])).unwrap_err();
-        assert_eq!(e.code, EXIT_USAGE);
-        let e = parse_args(&args(&["sample", "f.qasm", "10", "--shot-batch", "many"])).unwrap_err();
-        assert_eq!(e.code, EXIT_USAGE);
-        let e = parse_args(&args(&["simulate", "--shot-batch", "8", "f.qasm"])).unwrap_err();
-        assert_eq!(e.code, EXIT_USAGE);
+    /// The parsed line with a deadline the parser would refuse: one
+    /// that has expired before the run starts.
+    fn expired((cmd, mut o): (Cmd, Options)) -> (Cmd, Options) {
+        o.engine.timeout_ms = Some(0);
+        (cmd, o)
     }
 
     #[test]
     fn expired_deadline_stops_dense_simulation_with_timeout_code() {
-        let p = write_long_chain().to_str().unwrap().to_string();
+        let p = write_long_chain();
         // a 0 ms deadline is already expired at the first interval check
-        let e = run(Command::Simulate {
-            path: p.clone(),
-            init: None,
-            opts: EngineOpts {
-                fuse: false,
-                timeout_ms: Some(0),
-                ..EngineOpts::default()
-            },
-        })
-        .unwrap_err();
+        let e = run(expired(parse(&["simulate", &p]).unwrap())).unwrap_err();
         assert_eq!(e.code, EXIT_TIMEOUT);
         assert!(e.msg.contains("deadline exceeded"), "message: {}", e.msg);
         // a generous deadline changes nothing about the output
-        let plain = run(Command::Simulate {
-            path: p.clone(),
-            init: None,
-            opts: EngineOpts {
-                fuse: false,
-                ..EngineOpts::default()
-            },
-        })
-        .unwrap();
-        let timed = run(Command::Simulate {
-            path: p,
-            init: None,
-            opts: EngineOpts {
-                fuse: false,
-                timeout_ms: Some(3_600_000),
-                ..EngineOpts::default()
-            },
-        })
-        .unwrap();
+        let plain = run(parse(&["simulate", &p]).unwrap()).unwrap();
+        let timed = run(parse(&["simulate", &p, "--timeout-ms", "3600000"]).unwrap()).unwrap();
         assert_eq!(plain, timed);
     }
 
     #[test]
     fn expired_deadline_makes_sample_partial_with_json_payload() {
-        let p = write_bell().to_str().unwrap().to_string();
-        // the per-shot engine observes the deadline in each shot's
-        // prologue: 0 of 50 shots complete, and the partial contract
-        // still produces a payload for stdout
-        let e = run(Command::Sample {
-            path: p,
-            shots: 50,
-            seed: 5,
-            noise: NoiseSpec::default(),
-            fast_path: false,
-            opts: EngineOpts {
-                timeout_ms: Some(0),
-                ..EngineOpts::default()
-            },
-        })
+        // a measurement in mid-circuit: every shot is evolved, and each
+        // observes the deadline in its prologue — 0 of 50 complete, and
+        // the partial contract still produces a payload for stdout
+        let p = write_qasm(
+            "midmeasure",
+            &format!(
+                "{HEADER}qreg q[2];\ncreg c[2];\nh q[0];\nmeasure q[0] -> c[0];\n\
+                 cx q[0], q[1];\nmeasure q[1] -> c[1];\n"
+            ),
+        );
+        let e = run(expired(
+            parse(&["sample", &p, "50", "--seed", "5"]).unwrap(),
+        ))
         .unwrap_err();
         assert_eq!(e.code, EXIT_TIMEOUT);
         assert!(e.msg.contains("0/50 shots completed"), "message: {}", e.msg);
@@ -1676,26 +1439,20 @@ mod tests {
 
     #[test]
     fn generous_deadline_sample_is_bit_identical_to_untimed() {
-        let p = write_bell().to_str().unwrap().to_string();
-        let base = |timeout_ms| Command::Sample {
-            path: p.clone(),
-            shots: 200,
-            seed: 5,
-            noise: NoiseSpec {
-                after_gate: Some(PauliChannel::Depolarizing(0.05)),
-                ..NoiseSpec::default()
-            },
-            fast_path: false,
-            opts: EngineOpts {
-                timeout_ms,
-                ..EngineOpts::default()
-            },
-        };
+        // a T gate keeps the noisy run on the state-vector engine
+        let p = write_qasm(
+            "bell_t",
+            &format!(
+                "{HEADER}qreg q[2];\ncreg c[2];\nh q[0];\nt q[0];\ncx q[0], q[1];\nmeasure q -> c;\n"
+            ),
+        );
+        let noisy = ["sample", &p, "200", "--seed", "5", "--noise", "dep:0.05"];
         // control checks never touch the RNG streams: the timed run's
         // output is byte-identical to the untimed one
-        let untimed = run(base(None)).unwrap();
-        let timed = run(base(Some(3_600_000))).unwrap();
-        assert_eq!(untimed, timed);
+        let untimed = run(parse(&noisy).unwrap()).unwrap();
+        assert!(untimed.contains("path: per-shot"), "{untimed}");
+        let timed = run(parse(&[&noisy[..], &["--timeout-ms", "3600000"]].concat()).unwrap());
+        assert_eq!(untimed, timed.unwrap());
     }
 
     #[test]
@@ -1707,16 +1464,10 @@ mod tests {
 
     #[test]
     fn missing_file_and_bad_qasm_error_cleanly() {
-        let e = run(Command::Draw {
-            path: "/nonexistent/x.qasm".into(),
-        })
-        .unwrap_err();
+        let e = run(parse(&["draw", "/nonexistent/x.qasm"]).unwrap()).unwrap_err();
         assert_eq!(e.code, EXIT_IO);
         let bad = write_qasm("bad", "qreg q[1]; frobnicate q[0];");
-        let e = run(Command::Stats {
-            path: bad.to_str().unwrap().into(),
-        })
-        .unwrap_err();
+        let e = run(parse(&["stats", &bad]).unwrap()).unwrap_err();
         assert_eq!(e.code, EXIT_PARSE);
         assert!(e.msg.contains("frobnicate"));
     }

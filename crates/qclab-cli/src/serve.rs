@@ -37,7 +37,7 @@
 //! timeout/cancelled): a bad job resolves with an error line — it never
 //! kills the server or any other tenant's job.
 
-use crate::{json_escape, CliError, EngineOpts, EXIT_IO, EXIT_USAGE};
+use crate::{counts_json, io_err, json_escape, EngineOpts, Output};
 use qclab_core::program::{plan_cache_capacity, plan_cache_stats, RETAINED_BYTES_CAP};
 use qclab_core::service::{
     ErrorKind, JobHandle, JobOutput, JobResult, JobSpec, Scheduler, ServiceConfig,
@@ -49,52 +49,43 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Parsed `serve` flags.
-#[derive(Clone, Debug, PartialEq)]
+/// The deployment settings of `serve`; an unset one takes
+/// [`ServiceConfig::default`]'s value.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServeOpts {
-    pub workers: Option<usize>,
-    pub queue_depth: usize,
-    pub global_mem_mib: u64,
+    pub workers: Option<u64>,
+    pub queue_depth: Option<u64>,
+    pub global_mem_mib: Option<u64>,
     pub socket: Option<String>,
-    pub engine: EngineOpts,
-}
-
-impl Default for ServeOpts {
-    fn default() -> Self {
-        ServeOpts {
-            workers: None,
-            queue_depth: 1024,
-            global_mem_mib: 8192,
-            socket: None,
-            engine: EngineOpts::default(),
-        }
-    }
 }
 
 impl ServeOpts {
-    fn service_config(&self) -> ServiceConfig {
+    fn service_config(&self, engine: &EngineOpts) -> ServiceConfig {
         let mut base = TrajectoryConfig {
-            kernel: self.engine.kernel(),
-            limits: self.engine.limits(),
-            backend: self.engine.backend,
-            frames: self.engine.frames,
+            kernel: engine.kernel(),
+            limits: engine.limits(),
+            backend: engine.backend,
             ..TrajectoryConfig::default()
         };
-        if let Some(b) = self.engine.shot_batch {
-            base.shot_batch = b;
-        }
         // the worker pool is the parallelism; nested per-job threading
         // would oversubscribe it (and standalone replays for the
         // bit-identity contract use this same serial base)
         base.parallel = false;
         base.kernel.allow_parallel = false;
-        let defaults = ServiceConfig::default();
-        ServiceConfig {
-            workers: self.workers.unwrap_or(defaults.workers),
-            queue_depth: self.queue_depth,
-            global_state_bytes: self.global_mem_mib.saturating_mul(1 << 20),
+        let mut config = ServiceConfig {
             base,
+            ..ServiceConfig::default()
+        };
+        if let Some(n) = self.workers {
+            config.workers = n as usize;
         }
+        if let Some(n) = self.queue_depth {
+            config.queue_depth = n as usize;
+        }
+        if let Some(mib) = self.global_mem_mib {
+            config.global_state_bytes = mib.saturating_mul(1 << 20);
+        }
+        config
     }
 }
 
@@ -339,13 +330,7 @@ impl JsonParser<'_> {
 
 /// The success-result JSON object (also the `partial` payload shape).
 fn output_json(o: &JobOutput) -> String {
-    let mut counts = String::new();
-    for (i, (record, n)) in o.counts.iter().enumerate() {
-        if i > 0 {
-            counts.push(',');
-        }
-        counts.push_str(&format!("\"{}\":{n}", json_escape(record)));
-    }
+    let counts = counts_json(&o.counts);
     let t = &o.telemetry;
     // `coalesced` is a constant: every job runs alone. The key stays, as
     // an integer, because clients of the wire decode it as one.
@@ -457,94 +442,59 @@ enum Request {
 }
 
 fn decode_request(line: &str) -> Result<Request, (String, ErrorKind, String)> {
-    let fail = |id: &str, kind, msg: String| Err((id.to_string(), kind, msg));
+    let fail = |id: &str, kind, msg: &str| (id.to_string(), kind, msg.to_string());
+    let usage = |id: &str, msg: &str| fail(id, ErrorKind::Usage, msg);
     let doc = match parse_json(line) {
         Ok(d) => d,
-        Err(e) => return fail("", ErrorKind::Io, format!("bad JSON job line: {e}")),
+        Err(e) => return Err(fail("", ErrorKind::Io, &format!("bad JSON job line: {e}"))),
     };
     if let Some(target) = doc.get("cancel") {
         return match target.as_str() {
             Some(id) => Ok(Request::Cancel(id.to_string())),
-            None => fail("", ErrorKind::Usage, "'cancel' must name a job id".into()),
+            None => Err(usage("", "'cancel' must name a job id")),
         };
     }
     let id = match doc.get("id").and_then(Json::as_str) {
-        Some(id) if !id.is_empty() => id.to_string(),
-        _ => {
-            return fail(
-                "",
-                ErrorKind::Usage,
-                "job needs a non-empty string 'id'".into(),
-            )
-        }
+        Some(id) if !id.is_empty() => id,
+        _ => return Err(usage("", "job needs a non-empty string 'id'")),
     };
+    let text = |key: &str| doc.get(key).and_then(Json::as_str);
     let file_text;
-    let qasm = match (
-        doc.get("qasm").and_then(Json::as_str),
-        doc.get("file").and_then(Json::as_str),
-    ) {
+    let qasm = match (text("qasm"), text("file")) {
         (Some(src), None) => src,
         (None, Some(path)) => match std::fs::read_to_string(path) {
             Ok(src) => {
                 file_text = src;
                 &file_text
             }
-            Err(e) => return fail(&id, ErrorKind::Io, format!("cannot read {path}: {e}")),
+            Err(e) => return Err(fail(id, ErrorKind::Io, &format!("cannot read {path}: {e}"))),
         },
-        (Some(_), Some(_)) => {
-            return fail(
-                &id,
-                ErrorKind::Usage,
-                "give either 'qasm' or 'file', not both".into(),
-            )
-        }
+        (Some(_), Some(_)) => return Err(usage(id, "give either 'qasm' or 'file', not both")),
         (None, None) => {
-            return fail(
-                &id,
-                ErrorKind::Usage,
-                "job needs 'qasm' (inline source) or 'file' (path)".into(),
-            )
+            return Err(usage(
+                id,
+                "job needs 'qasm' (inline source) or 'file' (path)",
+            ))
         }
     };
     let circuit = match parse_source(qasm) {
         Ok(c) => c,
-        Err(e) => return fail(&id, ErrorKind::classify(&e), e.to_string()),
+        Err(e) => return Err(fail(id, ErrorKind::classify(&e), &e.to_string())),
     };
-    let shots = match doc.get("shots").map(|v| v.as_u64()) {
-        Some(Some(n)) => n,
-        Some(None) => {
-            return fail(
-                &id,
-                ErrorKind::Usage,
-                "'shots' must be a non-negative integer".into(),
-            )
-        }
-        None => return fail(&id, ErrorKind::Usage, "job needs integer 'shots'".into()),
+    // an integer field: absent, or a non-negative integer
+    let uint = |key: &str| match doc.get(key).map(Json::as_u64) {
+        Some(None) => Err(usage(
+            id,
+            &format!("'{key}' must be a non-negative integer"),
+        )),
+        field => Ok(field.flatten()),
     };
-    let seed = match doc.get("seed").map(|v| v.as_u64()) {
-        Some(Some(n)) => n,
-        None => 1,
-        Some(None) => {
-            return fail(
-                &id,
-                ErrorKind::Usage,
-                "'seed' must be a non-negative integer".into(),
-            )
-        }
+    let Some(shots) = uint("shots")? else {
+        return Err(usage(id, "job needs integer 'shots'"));
     };
-    let timeout_ms = match doc.get("timeout_ms").map(|v| v.as_u64()) {
-        Some(Some(n)) => Some(n),
-        None => None,
-        Some(None) => {
-            return fail(
-                &id,
-                ErrorKind::Usage,
-                "'timeout_ms' must be a non-negative integer".into(),
-            )
-        }
-    };
-    let mut spec = JobSpec::new(id, circuit, shots, seed);
-    spec.timeout_ms = timeout_ms;
+    let seed = uint("seed")?.unwrap_or(1);
+    let mut spec = JobSpec::new(id.to_string(), circuit, shots, seed);
+    spec.timeout_ms = uint("timeout_ms")?;
     Ok(Request::Submit(spec))
 }
 
@@ -642,8 +592,8 @@ fn handle_stream(sched: &Scheduler, input: impl Read, write: impl Write + Send) 
 /// Runs `qclab serve`. Stdin mode processes jobs until EOF and returns
 /// a human-readable summary (stderr-style, returned for main to print);
 /// socket mode accepts connections until the process is terminated.
-pub fn run_serve(opts: &ServeOpts) -> Result<String, CliError> {
-    let sched = Scheduler::new(opts.service_config());
+pub fn run_serve(opts: &ServeOpts, engine: &EngineOpts) -> Output {
+    let sched = Scheduler::new(opts.service_config(engine));
     match &opts.socket {
         None => {
             let stdin = std::io::stdin();
@@ -671,24 +621,15 @@ pub fn run_serve(opts: &ServeOpts) -> Result<String, CliError> {
             use std::os::unix::net::UnixListener;
             // a stale socket file from a previous run blocks bind
             let _ = std::fs::remove_file(path);
-            let listener = UnixListener::bind(path).map_err(|e| CliError {
-                code: EXIT_IO,
-                msg: format!("cannot bind socket {path}: {e}"),
-                stdout: None,
-            })?;
+            let listener = UnixListener::bind(path)
+                .map_err(|e| io_err(format!("cannot bind socket {path}: {e}")))?;
             let sched = Arc::new(sched);
             eprintln!("qclab serve: listening on {path}");
             for conn in listener.incoming() {
-                let conn = conn.map_err(|e| CliError {
-                    code: EXIT_IO,
-                    msg: format!("accept failed on {path}: {e}"),
-                    stdout: None,
-                })?;
-                let write = conn.try_clone().map_err(|e| CliError {
-                    code: EXIT_IO,
-                    msg: format!("cannot clone socket connection: {e}"),
-                    stdout: None,
-                })?;
+                let conn = conn.map_err(|e| io_err(format!("accept failed on {path}: {e}")))?;
+                let write = conn
+                    .try_clone()
+                    .map_err(|e| io_err(format!("cannot clone socket connection: {e}")))?;
                 let sched = Arc::clone(&sched);
                 std::thread::spawn(move || {
                     handle_stream(&sched, conn, write);
@@ -697,49 +638,6 @@ pub fn run_serve(opts: &ServeOpts) -> Result<String, CliError> {
             unreachable!("incoming() iterates forever");
         }
     }
-}
-
-/// Parses serve-specific flags out of the raw argument slice; returns
-/// the remaining (engine-level) arguments for the common flag parser.
-pub fn parse_serve_flags(args: &[String]) -> Result<(ServeOpts, Vec<String>), CliError> {
-    let usage_err = |msg: String| CliError {
-        code: EXIT_USAGE,
-        msg: format!("{msg}\n{}", crate::usage()),
-        stdout: None,
-    };
-    let mut opts = ServeOpts::default();
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |what: &str| -> Result<String, CliError> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| usage_err(format!("{a} requires a {what}")))
-        };
-        let parse_nonzero = |flag: &str, v: String| -> Result<u64, CliError> {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| usage_err(format!("{flag} value '{v}' is not an integer")))?;
-            if n == 0 {
-                return Err(usage_err(format!("{flag} must be at least 1")));
-            }
-            Ok(n)
-        };
-        match a.as_str() {
-            "--workers" => {
-                opts.workers = Some(parse_nonzero("--workers", value("count")?)? as usize)
-            }
-            "--queue-depth" => {
-                opts.queue_depth = parse_nonzero("--queue-depth", value("count")?)? as usize
-            }
-            "--global-mem-mib" => {
-                opts.global_mem_mib = parse_nonzero("--global-mem-mib", value("MiB count")?)?
-            }
-            "--socket" => opts.socket = Some(value("path")?),
-            _ => rest.push(a.clone()),
-        }
-    }
-    Ok((opts, rest))
 }
 
 #[cfg(test)]
@@ -993,34 +891,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serve_flags_parse_and_pass_engine_flags_through() {
-        let raw: Vec<String> = [
-            "--workers",
-            "4",
-            "--queue-depth",
-            "16",
-            "--global-mem-mib",
-            "512",
-            "--socket",
-            "/tmp/qclab.sock",
-            "--no-simd",
-            "--max-qubits",
-            "20",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let (opts, rest) = parse_serve_flags(&raw).unwrap();
-        assert_eq!(opts.workers, Some(4));
-        assert_eq!(opts.queue_depth, 16);
-        assert_eq!(opts.global_mem_mib, 512);
-        assert_eq!(opts.socket.as_deref(), Some("/tmp/qclab.sock"));
-        assert_eq!(rest, vec!["--no-simd", "--max-qubits", "20"]);
-        assert!(parse_serve_flags(&["--workers".to_string(), "0".to_string()]).is_err());
-        assert!(parse_serve_flags(&["--workers".to_string()]).is_err());
-    }
-
     /// A connection's output that the test can read while the
     /// connection is still being served.
     #[derive(Clone, Default)]
@@ -1099,11 +969,12 @@ mod tests {
     fn a_stream_of_interleaved_requests_gets_exactly_one_line_each() {
         let opts = ServeOpts {
             workers: Some(2),
-            queue_depth: 4096,
+            queue_depth: Some(4096),
             ..ServeOpts::default()
         };
-        let base = opts.service_config().base;
-        let sched = Scheduler::new(opts.service_config());
+        let config = opts.service_config(&EngineOpts::default());
+        let base = config.base.clone();
+        let sched = Scheduler::new(config);
 
         let header = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\n";
         let sampled = |angle: f64| {

@@ -73,7 +73,7 @@ pub struct KernelConfig {
     /// Run the locality pass (`qclab_core::program`'s logical→physical
     /// qubit remapping) during lowering and execute fence-delimited
     /// windows as cache-blocked sweeps. Switching this off reproduces
-    /// the pre-remap engine bit for bit (CLI `--no-remap`).
+    /// the pre-remap engine bit for bit.
     pub remap: bool,
 }
 

@@ -312,7 +312,7 @@ pub struct TrajectoryConfig {
     /// sampled distribution is identical), not bit-identical: both
     /// engines walk a shot's noise the same way, but a frame shot flips
     /// a coin where a state-vector shot collapses an amplitude. Disable
-    /// (`--no-frames`) to force the state-vector trajectory engine.
+    /// to force the state-vector trajectory engine.
     pub frames: bool,
     /// Batch width. On the Pauli-frame path a batch is `shot_batch`
     /// *words* of 64 bit-sliced lanes (the default is 4096 shots per

@@ -210,6 +210,37 @@ fn timed_out_trajectory_ensemble_keeps_completed_shots() {
 }
 
 #[test]
+fn a_batch_as_wide_as_an_unholdable_shot_count_times_out_too() {
+    // 10^11 noisy shots in one "batch" of 10^11: a lane per shot would
+    // be terabytes. A batch is never wider than the round it is
+    // dispatched in, so memory does not grow with the width asked for
+    // and the deadline decides, keeping the rounds tallied so far (until
+    // PR 20 a leg of the CLI's `a_noisy_shot_count_no_machine_can_hold_…`
+    // test, through the flags that set `shot_batch` and `frames`)
+    let bell = workload(2, 1);
+    let shots = 100_000_000_000u64;
+    let config = TrajectoryConfig {
+        shots,
+        shot_batch: shots as usize,
+        noise: NoiseSpec {
+            after_gate: Some(PauliChannel::BitFlip(0.01)),
+            ..NoiseSpec::default()
+        },
+        control: ExecutionControl::with_timeout(Duration::from_millis(200)),
+        // the state-vector engine: a Bell pair would otherwise route to
+        // the frame sampler
+        frames: false,
+        ..TrajectoryConfig::default()
+    };
+    let result = run_trajectories(&bell, &config).unwrap();
+    assert_eq!(result.stop_cause(), Some(StopCause::DeadlineExceeded));
+    assert_eq!(result.requested_shots(), shots);
+    assert!(result.shots() > 0 && result.shots() < shots);
+    assert_eq!(result.counts().values().sum::<u64>(), result.shots());
+    assert!(result.counts()["00"] > 0);
+}
+
+#[test]
 fn generous_deadline_trajectories_are_bit_identical() {
     let c = workload(4, 3);
     let base = TrajectoryConfig {
