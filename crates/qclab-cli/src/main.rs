@@ -22,7 +22,7 @@ use qclab_core::sim::control::ExecutionControl;
 use qclab_core::sim::guard::{ResourceLimits, SPARSE_ENTRY_BYTES};
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
-    run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig, TrajectoryResult,
+    run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig, TrajectoryResult, SEED_CONTRACT,
 };
 use qclab_core::sim::{DispatchedSimulation, SimOptions};
 use qclab_core::{QCircuit, QclabError};
@@ -369,6 +369,9 @@ fn usage() -> String {
             cmds.join(" ")
         ));
     }
+    // what a (circuit, seed, shots) triple maps to is versioned: a change
+    // of sampled bits bumps this number and is listed in CHANGES.md
+    lines.push(format!("seed contract: {SEED_CONTRACT}"));
     lines.join("\n")
 }
 
@@ -706,32 +709,27 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
         "not eligible (suffix has gates, resets or re-measured qubits)".to_string()
     };
     row("terminal sampling:", terminal);
-    // noisy sampling executes the unfused, unrelabeled stream (noise
-    // locations live on the source gates), so the Clifford
-    // classification and frame eligibility are taken from that plan,
-    // not from the fused schedule printed below
-    let noisy_plan = circuit.compile_with(&PlanOptions {
-        fuse: false,
-        remap: false,
-        ..plan_opts
-    });
-    let clifford = if noisy_plan.stats().is_clifford {
+    // a property of the circuit's own gates, whatever fusion made of them
+    let clifford = if stats.is_clifford {
         "yes (tableau-expressible)"
     } else {
         "no (contains non-Clifford gates)"
     };
     row("clifford:", clifford.to_string());
-    // the frame lowering is the authoritative eligibility check: it also
-    // refuses custom measurement bases and permutation blocks
-    let noisy_shots = if noisy_plan.frame_program().is_some() {
+    // where `sample` sends a noisy run of this circuit: Clifford source
+    // gates go to the frame sampler, which executes them one by one and
+    // so lowers unfused; everything else runs the plan printed below,
+    // noise or no noise
+    let noisy_shots = if stats.is_clifford {
         "pauli-frame sampler"
     } else {
-        "per-shot trajectories (program is not frame-expressible)"
+        "state-vector trajectories on this plan (hits land in its ops; a struck \
+         block replays its source gates)"
     };
     row("noisy shots:", noisy_shots.to_string());
-    // per shot and class: times a channel's p, the expected hits — what
-    // a shot's noise walk costs
-    let sites = qclab_core::sim::walk::site_counts(&noisy_plan);
+    // per shot and class, on the source schedule: times a channel's p,
+    // the expected hits — what a shot's noise walk costs
+    let sites = qclab_core::sim::walk::site_counts(&program);
     row(
         "noise sites:",
         format!(
@@ -739,6 +737,7 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
             sites.after_gate, sites.idle, sites.readout
         ),
     );
+    row("seed contract:", SEED_CONTRACT.to_string());
     row(
         "locality:",
         format!(
@@ -1285,10 +1284,14 @@ mod tests {
             "{report}"
         );
         assert!(
-            report
-                .contains("noisy shots:  per-shot trajectories (program is not frame-expressible)"),
+            report.contains("noisy shots:  state-vector trajectories on this plan"),
             "{report}"
         );
+        assert!(
+            report.contains(&format!("seed contract: {SEED_CONTRACT}")),
+            "{report}"
+        );
+        assert!(usage().ends_with(&format!("seed contract: {SEED_CONTRACT}")));
         // guard refusal surfaces as the resource exit code
         let e = run(parse(&["compile", &p, "--max-qubits", "1"]).unwrap()).unwrap_err();
         assert_eq!(e.code, EXIT_RESOURCE);

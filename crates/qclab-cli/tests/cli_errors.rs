@@ -486,9 +486,9 @@ fn compile_reports_the_noise_sites_of_a_shot() {
         text.contains("  noise sites:  48 after-gate, 552 idle, 25 readout\n"),
         "{text}"
     );
-    // a non-Clifford file: sites are counted on the source gates (the
-    // fused schedule printed below the line has fewer), a reset is a
-    // readout site
+    // a non-Clifford file: a noisy run executes the plan the report
+    // prints, and its sites are counted on the source gates (the fused
+    // schedule has fewer); a reset is a readout site
     let t = write_qasm(
         "sites_t.qasm",
         "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\n\
@@ -498,7 +498,7 @@ fn compile_reports_the_noise_sites_of_a_shot() {
     assert_eq!(report.status.code(), Some(0), "{}", stderr(&report));
     let text = stdout(&report);
     assert!(
-        text.contains("per-shot trajectories (program is not frame-expressible)\n  noise sites:  4 after-gate, 5 idle, 4 readout\n"),
+        text.contains("state-vector trajectories on this plan (hits land in its ops; a struck block replays its source gates)\n  noise sites:  4 after-gate, 5 idle, 4 readout\n"),
         "{text}"
     );
 }
@@ -550,6 +550,32 @@ fn sample_is_deterministic_in_the_seed() {
     ]);
     assert_eq!(stdout(&a), stdout(&b));
     assert_ne!(stdout(&a), stdout(&c));
+}
+
+#[test]
+fn a_zero_probability_channel_is_a_noiseless_run() {
+    // routing reads what the noise walk reads: a channel that cannot
+    // fire is not configured, so the run is the plain one, bit for bit
+    // (the parent reported `per-shot` and `forked` here)
+    let t = write_qasm(
+        "zero_noise_t.qasm",
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
+         h q[0];\nt q[0];\ncx q[0], q[1];\nmeasure q -> c;\n",
+    );
+    let plain = qclab(&["sample", &t, "20"]);
+    assert_eq!(plain.status.code(), Some(0), "{}", stderr(&plain));
+    assert!(
+        stdout(&plain).contains("path: alias-sampled"),
+        "{}",
+        stdout(&plain)
+    );
+    for flag in ["--noise", "--idle-noise", "--measure-noise"] {
+        for channel in ["depolarizing:0", "bitflip:0", "phaseflip:0.0"] {
+            let never = qclab(&["sample", &t, "20", flag, channel]);
+            assert_eq!(never.status.code(), Some(0), "{}", stderr(&never));
+            assert_eq!(stdout(&never), stdout(&plain), "{flag} {channel}");
+        }
+    }
 }
 
 /// The `counts` object `qclab sample` prints, in the wire's spelling

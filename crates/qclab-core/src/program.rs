@@ -50,7 +50,7 @@ use crate::circuit::{CircuitItem, QCircuit};
 use crate::error::QclabError;
 use crate::gates::Gate;
 use crate::measurement::Measurement;
-use crate::sim::fusion::{self, FusionStats, MAX_FUSED_QUBITS_LIMIT};
+use crate::sim::fusion::{self, FusionStats, Placed, MAX_FUSED_QUBITS_LIMIT};
 use crate::sim::guard::{self, ResourceLimits};
 use crate::sim::kernel::{KernelConfig, SWEEP_TILE_QUBITS};
 use qclab_math::CVec;
@@ -178,11 +178,14 @@ impl Default for PlanOptions {
 }
 
 impl PlanOptions {
-    /// Lowering without the fusion pass — the right options for backends
-    /// whose semantics are defined on the original gates (density noise
-    /// locations, stabilizer Clifford checks, `to_matrix` oracles).
-    /// Those backends walk gates at their source qubits, so the
-    /// locality pass is off too.
+    /// Lowering without the fusion pass — the right options for engines
+    /// that execute the original gates one by one at their source
+    /// qubits: the density-matrix runner (noise locations), the
+    /// stabilizer tableau and the Pauli-frame sampler built on it
+    /// (Clifford gates only), the `to_matrix` oracles. The locality pass
+    /// is off too. The dense trajectory engine is *not* on this list: a
+    /// noisy shot runs the fused plan and finds its noise locations
+    /// through [`CompiledProgram::source`].
     pub fn unfused() -> Self {
         PlanOptions {
             fuse: false,
@@ -271,12 +274,14 @@ pub struct PlanStats {
     /// [`crate::sim::kernel::permute_state`] instead of a full
     /// gather/scatter pass.
     pub remap_folds: usize,
-    /// `true` when every op of the compiled stream is exactly
-    /// representable on the stabilizer tableau: Clifford gates
+    /// `true` when every op of the *source* schedule
+    /// ([`CompiledProgram::source`]) is exactly representable on the
+    /// stabilizer tableau: Clifford gates
     /// ([`crate::sim::stabilizer::is_clifford_gate`]), Z/X/Y-basis
-    /// measurements and resets — no custom bases, no amplitude
-    /// permutations, no fused dense blocks. Such programs are eligible
-    /// for the Pauli-frame sampler ([`crate::sim::frame`]).
+    /// measurements and resets — no custom bases. A property of the
+    /// circuit, the same on every plan of it: such circuits are eligible
+    /// for the Pauli-frame sampler ([`crate::sim::frame`]), which lowers
+    /// them [`PlanOptions::unfused`].
     pub is_clifford: bool,
 }
 
@@ -381,6 +386,10 @@ pub struct CompiledProgram {
     stats: PlanStats,
     shot_plan: ShotPlan,
     prefix_map: Option<Vec<usize>>,
+    /// The source schedule and where each of its items went, kept when
+    /// fusion or the locality pass made `ops` differ from it (`None`:
+    /// `ops` *is* the source, item for item).
+    source: Option<(Vec<ProgramOp>, Vec<Placed>)>,
     /// Lazily-compiled bytecode ([`crate::sim::bytecode`]): the op
     /// schedule lowered one step further into flat instructions with
     /// every kernel operand precomputed. Lives inside the plan, so the
@@ -400,6 +409,10 @@ pub struct CompiledProgram {
     /// the process has solved once is resampled at the cost of its
     /// shots.
     prep: crate::sim::trajectory::PrepSlot,
+    /// Lazily-built map from the noise sites of the source schedule to
+    /// the ops that execute them ([`crate::sim::walk::Landings`]) — only
+    /// a noisy state-vector run asks for it.
+    landings: std::sync::OnceLock<std::sync::Arc<crate::sim::walk::Landings>>,
 }
 
 impl CompiledProgram {
@@ -422,6 +435,23 @@ impl CompiledProgram {
     /// The op schedule.
     pub fn ops(&self) -> &[ProgramOp] {
         &self.ops
+    }
+
+    /// The source schedule: the circuit flattened (sub-circuits inlined,
+    /// offsets resolved, barriers as fences) but neither fused nor
+    /// relabeled — what [`PlanOptions::unfused`] lowers to. Noise sites
+    /// and [`InjectedPauli::op_index`](crate::sim::trajectory::InjectedPauli)
+    /// are numbered on it, whatever plan executes.
+    pub fn source(&self) -> &[ProgramOp] {
+        self.source.as_ref().map_or(&self.ops, |(source, _)| source)
+    }
+
+    /// Where source item `s` went: the op of [`ops`](Self::ops) that
+    /// executes it and its position among the source gates of that op.
+    pub(crate) fn placed(&self, s: usize) -> Placed {
+        self.source
+            .as_ref()
+            .map_or(Placed { op: s, pos: 0 }, |(_, placed)| placed[s])
     }
 
     /// Lowering statistics.
@@ -472,6 +502,14 @@ impl CompiledProgram {
     /// The plan's retained trajectory preparation.
     pub(crate) fn prep(&self) -> &crate::sim::trajectory::PrepSlot {
         &self.prep
+    }
+
+    /// Where a noise hit of the source schedule lands in this plan
+    /// ([`crate::sim::walk::Landings`]), built on first use and cached on
+    /// the plan like the bytecode.
+    pub(crate) fn landings(&self) -> &crate::sim::walk::Landings {
+        self.landings
+            .get_or_init(|| std::sync::Arc::new(crate::sim::walk::Landings::of(self)))
     }
 
     /// `true` when the program contains no measurements or resets, i.e.
@@ -798,11 +836,11 @@ fn remap_window(
 /// [`ProgramOp::Permute`] ops at layout transitions and a final restore
 /// to the identity layout right after the last gate (so any terminal
 /// measurement run — the alias-sampling shape — sees a logical-layout
-/// state). Inert for registers that fit in one sweep tile.
-fn remap_ops(ops: Vec<ProgramOp>, n: usize, stats: &mut PlanStats) -> Vec<ProgramOp> {
-    if n <= SWEEP_TILE_QUBITS {
-        return ops;
-    }
+/// state). The caller skips registers that fit in one sweep tile, where
+/// every qubit is tile-resident already. The input ops come out in their
+/// input order; a stream of the same length means no layout was adopted
+/// and nothing was relabeled.
+fn remap_ops(ops: &[ProgramOp], n: usize, stats: &mut PlanStats) -> Vec<ProgramOp> {
     let identity: Vec<usize> = (0..n).collect();
     let mut cur = identity.clone();
     let mut out = Vec::with_capacity(ops.len() + 4);
@@ -1044,66 +1082,73 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
         ..PlanStats::default()
     };
 
-    let scheduled = if options.fuse {
+    // the ops that execute, and — when they differ from it — the source
+    // schedule with the place of each of its items
+    let (mut ops, mut source) = if options.fuse {
         // fusing the flattened stream lets blocks form across former
         // sub-circuit boundaries; the pass itself treats measurements,
         // resets and fences as walls on their qubits
         let mut fstats = FusionStats::default();
-        let fused = fusion::fuse_items(&flat, nb_qubits, options.max_fused_qubits, &mut fstats);
+        let (fused, placed) =
+            fusion::fuse_items(&flat, nb_qubits, options.max_fused_qubits, &mut fstats);
         stats.gates_in = fstats.gates_in;
         stats.gates_out = fstats.gates_out;
         stats.fused_blocks = fstats.blocks;
-        fused
+        (to_ops(fused), Some((to_ops(flat), placed)))
     } else {
-        let gates = flat
-            .iter()
-            .filter(|i| matches!(i, CircuitItem::Gate(_)))
-            .count();
-        stats.gates_in = gates;
-        stats.gates_out = gates;
-        flat
+        (to_ops(flat), None)
     };
-
-    let mut ops = Vec::with_capacity(scheduled.len());
-    for item in scheduled {
-        match item {
-            CircuitItem::Gate(g) => ops.push(ProgramOp::Gate(g)),
-            CircuitItem::Measurement(m) => {
-                stats.measurements += 1;
-                ops.push(ProgramOp::Measure(m));
-            }
-            CircuitItem::Reset(q) => {
-                stats.resets += 1;
-                ops.push(ProgramOp::Reset(q));
-            }
-            CircuitItem::Barrier(qs) => {
-                stats.fences += 1;
-                ops.push(ProgramOp::Fence(qs));
-            }
-            // the input stream is flat and fusion keeps it flat
-            CircuitItem::SubCircuit { .. } => unreachable!("sub-circuit survived flattening"),
+    // counts and the Clifford classification are taken on the source
+    // schedule: properties of the circuit, whatever fusion made of it
+    let schedule = source.as_ref().map_or(&ops, |(source, _)| source);
+    let mut gates = 0;
+    for op in schedule {
+        match op {
+            ProgramOp::Gate(_) => gates += 1,
+            ProgramOp::Measure(_) => stats.measurements += 1,
+            ProgramOp::Reset(_) => stats.resets += 1,
+            ProgramOp::Fence(_) => stats.fences += 1,
+            ProgramOp::Permute { .. } => {}
         }
     }
+    if !options.fuse {
+        (stats.gates_in, stats.gates_out) = (gates, gates);
+    }
+    stats.is_clifford = schedule.iter().all(|op| match op {
+        ProgramOp::Gate(g) => crate::sim::stabilizer::is_clifford_gate(g),
+        ProgramOp::Measure(m) => !matches!(m.basis(), crate::measurement::Basis::Custom { .. }),
+        ProgramOp::Reset(_) | ProgramOp::Fence(_) | ProgramOp::Permute { .. } => true,
+    });
 
-    if options.remap {
-        ops = remap_ops(ops, nb_qubits, &mut stats);
+    // inert for registers that fit in one sweep tile
+    if options.remap && nb_qubits > SWEEP_TILE_QUBITS {
+        let remapped = remap_ops(&ops, nb_qubits, &mut stats);
+        if remapped.len() != ops.len() {
+            // layout changes went in: every op after the first one moved
+            // down the schedule (and was relabeled)
+            let unmapped = std::mem::replace(&mut ops, remapped);
+            let at: Vec<usize> = (0..ops.len())
+                .filter(|&i| !matches!(ops[i], ProgramOp::Permute { .. }))
+                .collect();
+            source = Some(match source {
+                Some((source, mut placed)) => {
+                    for p in &mut placed {
+                        p.op = at[p.op];
+                    }
+                    (source, placed)
+                }
+                None => (
+                    unmapped,
+                    at.iter().map(|&op| Placed { op, pos: 0 }).collect(),
+                ),
+            });
+        }
     }
 
     let shot_plan = ShotPlan::classify(&ops);
     stats.shot_prefix_ops = shot_plan.prefix_ops;
     stats.shot_suffix_ops = shot_plan.suffix_ops;
     stats.terminal_sampling = shot_plan.terminal_measurements;
-
-    // Clifford classification on the final stream: fused `Custom`
-    // blocks and permutes disqualify a plan even when the source gates
-    // were all Clifford — the noisy trajectory entry points lower
-    // unfused/unremapped, so their plans classify on the raw gates
-    stats.is_clifford = ops.iter().all(|op| match op {
-        ProgramOp::Gate(g) => crate::sim::stabilizer::is_clifford_gate(g),
-        ProgramOp::Measure(m) => !matches!(m.basis(), crate::measurement::Basis::Custom { .. }),
-        ProgramOp::Reset(_) | ProgramOp::Fence(_) => true,
-        ProgramOp::Permute { .. } => false,
-    });
 
     // the layout the prefix ends in (forked suffixes resume under it)
     let mut prefix_map: Option<Vec<usize>> = None;
@@ -1122,10 +1167,28 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
         stats,
         shot_plan,
         prefix_map,
+        source,
         bytecode: std::sync::OnceLock::new(),
         frame: std::sync::OnceLock::new(),
         prep: Default::default(),
+        landings: std::sync::OnceLock::new(),
     }
+}
+
+/// A flat item list (the flattener's output, or the fusion pass's over
+/// it) as program ops, item for item.
+fn to_ops(items: Vec<CircuitItem>) -> Vec<ProgramOp> {
+    items
+        .into_iter()
+        .map(|item| match item {
+            CircuitItem::Gate(g) => ProgramOp::Gate(g),
+            CircuitItem::Measurement(m) => ProgramOp::Measure(m),
+            CircuitItem::Reset(q) => ProgramOp::Reset(q),
+            CircuitItem::Barrier(qs) => ProgramOp::Fence(qs),
+            // the input stream is flat and fusion keeps it flat
+            CircuitItem::SubCircuit { .. } => unreachable!("sub-circuit survived flattening"),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1884,6 +1947,46 @@ mod tests {
             .iter()
             .all(|op| !matches!(op, ProgramOp::Permute { .. })));
         assert_eq!(p.stats().remap_windows, 0);
+    }
+
+    #[test]
+    fn the_source_schedule_and_its_placement_survive_every_pass() {
+        let n = crate::sim::kernel::SWEEP_TILE_QUBITS + 2;
+        let mut c = far_heavy(n);
+        c.push_back(Measurement::z(1));
+        c.push_back(CircuitItem::Reset(0));
+        c.push_back(Hadamard::new(0));
+        c.push_back(Measurement::x(0));
+        let unfused = lower(&c, &PlanOptions::unfused());
+        assert_eq!(unfused.source(), unfused.ops());
+        for options in [
+            PlanOptions::default(),
+            remap_opts(),
+            PlanOptions {
+                remap: false,
+                ..PlanOptions::default()
+            },
+        ] {
+            let p = lower(&c, &options);
+            assert!(!options.remap || p.stats().remap_windows >= 1);
+            // every plan of the circuit carries the same source
+            assert_eq!(p.source(), unfused.ops(), "{options:?}");
+            assert_eq!(p.stats().is_clifford, unfused.stats().is_clifford);
+            let mut last_on = vec![(0usize, 0usize); n];
+            for (s, item) in p.source().iter().enumerate() {
+                let at = p.placed(s);
+                // an item is executed by an op of its own kind …
+                match (item, &p.ops()[at.op]) {
+                    (ProgramOp::Gate(_), ProgramOp::Gate(_)) => {}
+                    (item, op) => assert_eq!(item, op, "{options:?}: source op {s}"),
+                }
+                // … and items that share a qubit keep their order
+                for q in item.qubits() {
+                    assert!(last_on[q] <= (at.op, at.pos), "{options:?}: source op {s}");
+                    last_on[q] = (at.op, at.pos);
+                }
+            }
+        }
     }
 
     #[test]

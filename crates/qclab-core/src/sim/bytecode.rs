@@ -6,8 +6,8 @@
 //! otherwise re-derive on every run and every shot: the control masks,
 //! the dense target matrix (trig for rotation gates included), the
 //! extracted diagonal, the k-qubit kernel's sorted shifts and
-//! scatter-offset table, the cache-blocked sweep's tile lowering, and
-//! the touched-qubit list the noise model strikes. Each instruction is
+//! scatter-offset table, and the cache-blocked sweep's tile lowering.
+//! Each instruction is
 //! an opcode plus fully-resolved operands
 //! ([`kernel::PreparedOp`]/[`kernel::TilePre`] — matrix slot, stride,
 //! masks, offset table), stored in the plan itself, which lives in the
@@ -32,16 +32,11 @@ use crate::program::{CompiledProgram, ProgramOp};
 /// One instruction of the dense stream. Instructions cover the op
 /// schedule in order — a window covers `tiles.len()` consecutive ops,
 /// everything else exactly one — so a consumer that counts ops as it
-/// goes always knows the schedule index
-/// ([`crate::sim::trajectory::InjectedPauli::op_index`]) it stands at.
+/// goes always knows the op it stands at — which is where a shot's noise
+/// hits are addressed ([`crate::sim::walk::Landings`]).
 pub(crate) enum Instr {
     /// Apply one pre-lowered gate to the full register.
-    Gate {
-        pre: PreparedOp,
-        /// `gate.qubits()`: where after-gate noise strikes (idle noise
-        /// strikes the rest).
-        touched: Vec<usize>,
-    },
+    Gate(PreparedOp),
     /// Cache-blocked sweep over consecutive tile-local gates (maximal
     /// runs of two or more [`kernel::sweepable`] gates). Any sub-range
     /// of `tiles` is itself a valid sweep, bit-identical to applying
@@ -50,8 +45,6 @@ pub(crate) enum Instr {
         tiles: Vec<TilePre>,
         /// Schedule index of `tiles[0]`.
         first: usize,
-        /// `touched[j]` is the noise-site list of `tiles[j]`.
-        touched: Vec<Vec<usize>>,
     },
     /// Scheduling wall — nothing to execute.
     Fence,
@@ -108,23 +101,14 @@ impl Bytecode {
                     if run >= 2 {
                         next = i + run;
                         let mut tiles = Vec::with_capacity(run);
-                        let mut touched = Vec::with_capacity(run);
                         for op in &ops[i..next] {
                             if let ProgramOp::Gate(g) = op {
                                 tiles.push(kernel::prepare_tile(g, n));
-                                touched.push(g.qubits());
                             }
                         }
-                        Instr::Window {
-                            tiles,
-                            first: i,
-                            touched,
-                        }
+                        Instr::Window { tiles, first: i }
                     } else {
-                        Instr::Gate {
-                            pre: kernel::prepare_gate(g, n),
-                            touched: g.qubits(),
-                        }
+                        Instr::Gate(kernel::prepare_gate(g, n))
                     }
                 }
                 ProgramOp::Fence(_) => Instr::Fence,
@@ -171,7 +155,7 @@ pub(crate) fn execute_dense(
     for instr in &bc.stream {
         let mut ops = 1;
         match instr {
-            Instr::Gate { pre, .. } => {
+            Instr::Gate(pre) => {
                 for b in branches.iter_mut() {
                     kernel::apply_prepared(pre, &mut b.state, n, &opts.kernel);
                 }

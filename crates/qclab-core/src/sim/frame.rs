@@ -51,10 +51,12 @@
 //! frame on the reset qubit (the post-reset state is `|0⟩` regardless
 //! of the incoming error, and Z on `|0⟩` is gauge).
 //!
-//! Eligibility is classified at lowering time
-//! ([`crate::program::PlanStats::is_clifford`]) and the lowered
-//! [`FrameProgram`] is cached on the compiled plan, riding the
-//! fingerprint-keyed plan cache. Routing happens in
+//! Eligibility is classified at lowering time on the circuit's source
+//! gates ([`crate::program::PlanStats::is_clifford`]); the engine
+//! executes those gates one by one, so its plan is the
+//! [`unfused`](crate::program::PlanOptions::unfused) one, and the lowered
+//! [`FrameProgram`] is cached on it, riding the fingerprint-keyed plan
+//! cache. Routing happens in
 //! [`run_trajectories`](crate::sim::trajectory::run_trajectories);
 //! [`TrajectoryConfig::frames`] opts out.
 
@@ -136,9 +138,13 @@ pub struct FrameProgram {
 
 impl FrameProgram {
     /// Lowers a compiled program into the frame schedule, or `None`
-    /// when the op stream is not frame-eligible. The check mirrors
-    /// [`PlanStats::is_clifford`](crate::program::PlanStats::is_clifford)
-    /// op by op — callers may consult the stat first and skip the walk.
+    /// when the op stream is not frame-eligible: the circuit is not
+    /// Clifford ([`PlanStats::is_clifford`](crate::program::PlanStats::is_clifford),
+    /// a property of its source gates — callers may consult the stat
+    /// first and skip the walk), or the plan is not the
+    /// [`unfused`](crate::program::PlanOptions::unfused) one — the engine
+    /// executes source gates, so a fused block or a layout permutation
+    /// has no frame form.
     pub(crate) fn compile(program: &CompiledProgram) -> Option<FrameProgram> {
         if !program.stats().is_clifford {
             return None;
@@ -179,8 +185,7 @@ impl FrameProgram {
                     sites += 1;
                 }
                 ProgramOp::Fence(_) => ops.push(FrameOp::Fence),
-                // the locality pass is disabled on noisy plans, and a
-                // permuted plan never classifies as Clifford anyway
+                // the frame route lowers unfused, unrelabeled
                 ProgramOp::Permute { .. } => return None,
             }
         }

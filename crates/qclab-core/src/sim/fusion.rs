@@ -20,6 +20,10 @@
 //! Fusion preserves circuit semantics exactly (it only reassociates the
 //! unitary product) and is verified by three-way differential property
 //! tests against both unfused backends.
+//!
+//! The pass also reports where every input item went ([`Placed`]): noise
+//! strikes at *source* gates, so an engine that executes the fused
+//! schedule needs the way back (`sim::walk::Landings`).
 
 use crate::circuit::{CircuitItem, QCircuit};
 use crate::gates::Gate;
@@ -43,6 +47,15 @@ pub struct FusionStats {
     pub gates_out: usize,
     /// Fused blocks emitted (each replacing >= 2 input gates).
     pub blocks: usize,
+}
+
+/// Where one input item of a fusion pass went: the output item that
+/// executes it, and its position among the gates that item was built
+/// from (0 for anything but a gate merged into an earlier block).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Placed {
+    pub(crate) op: usize,
+    pub(crate) pos: usize,
 }
 
 /// An item being accumulated during the pass: either a fusable block of
@@ -132,14 +145,16 @@ fn union(a: &[usize], b: &[usize]) -> Vec<usize> {
     out
 }
 
-/// One fusion pass over an item list.
+/// One fusion pass over an item list: the fused items, and for every
+/// input item its place among them.
 pub(crate) fn fuse_items(
     items: &[CircuitItem],
     nb_qubits: usize,
     max_fused: usize,
     stats: &mut FusionStats,
-) -> Vec<CircuitItem> {
+) -> (Vec<CircuitItem>, Vec<Placed>) {
     let mut kept: Vec<Entry> = Vec::with_capacity(items.len());
+    let mut placed: Vec<Placed> = Vec::with_capacity(items.len());
     let mut last_on: Vec<Option<usize>> = vec![None; nb_qubits];
 
     for item in items {
@@ -152,6 +167,7 @@ pub(crate) fn fuse_items(
                 if gq.len() > max_fused {
                     // too wide to fuse: opaque wall on its own qubits
                     let idx = kept.len();
+                    placed.push(Placed { op: idx, pos: 0 });
                     kept.push(Entry::Item(item.clone()));
                     for &q in &gq {
                         last_on[q] = Some(idx);
@@ -166,6 +182,10 @@ pub(crate) fn fuse_items(
                     if let Entry::Block { gates, qubits } = &mut kept[j] {
                         let merged = union(qubits, &gq);
                         if merged.len() <= max_fused {
+                            placed.push(Placed {
+                                op: j,
+                                pos: gates.len(),
+                            });
                             gates.push(g.clone());
                             *qubits = merged;
                             for &q in &gq {
@@ -176,6 +196,7 @@ pub(crate) fn fuse_items(
                     }
                 }
                 let idx = kept.len();
+                placed.push(Placed { op: idx, pos: 0 });
                 kept.push(Entry::Block {
                     gates: vec![g.clone()],
                     qubits: gq.clone(),
@@ -188,6 +209,7 @@ pub(crate) fn fuse_items(
                 // fuse internally, keep opaque here (like the optimizer)
                 let sub_fused = fuse_subcircuit(circuit, max_fused, stats);
                 let idx = kept.len();
+                placed.push(Placed { op: idx, pos: 0 });
                 let span = *offset..offset + circuit.nb_qubits();
                 kept.push(Entry::Item(CircuitItem::SubCircuit {
                     offset: *offset,
@@ -200,6 +222,7 @@ pub(crate) fn fuse_items(
             other => {
                 // measurements, resets and barriers are fusion walls
                 let idx = kept.len();
+                placed.push(Placed { op: idx, pos: 0 });
                 kept.push(Entry::Item(other.clone()));
                 for q in other.qubits() {
                     last_on[q] = Some(idx);
@@ -208,7 +231,8 @@ pub(crate) fn fuse_items(
         }
     }
 
-    kept.into_iter()
+    let fused = kept
+        .into_iter()
         .map(|e| match e {
             Entry::Block { gates, qubits } => emit_block(gates, qubits, stats),
             Entry::Item(item) => {
@@ -218,11 +242,12 @@ pub(crate) fn fuse_items(
                 item
             }
         })
-        .collect()
+        .collect();
+    (fused, placed)
 }
 
 fn fuse_subcircuit(circuit: &QCircuit, max_fused: usize, stats: &mut FusionStats) -> QCircuit {
-    let items = fuse_items(circuit.items(), circuit.nb_qubits(), max_fused, stats);
+    let (items, _) = fuse_items(circuit.items(), circuit.nb_qubits(), max_fused, stats);
     rebuild(circuit, items)
 }
 
@@ -250,7 +275,7 @@ fn rebuild(circuit: &QCircuit, items: Vec<CircuitItem>) -> QCircuit {
 pub fn fuse_circuit(circuit: &QCircuit, max_fused: usize) -> (QCircuit, FusionStats) {
     let max_fused = max_fused.clamp(1, MAX_FUSED_QUBITS_LIMIT);
     let mut stats = FusionStats::default();
-    let items = fuse_items(circuit.items(), circuit.nb_qubits(), max_fused, &mut stats);
+    let (items, _) = fuse_items(circuit.items(), circuit.nb_qubits(), max_fused, &mut stats);
     (rebuild(circuit, items), stats)
 }
 
@@ -383,6 +408,23 @@ mod tests {
         let (fused, stats) = fuse_circuit(&c, 2);
         assert_eq!(stats.blocks, 1);
         assert_same_action(&c, &fused);
+    }
+
+    #[test]
+    fn every_input_item_is_placed_in_the_block_that_executes_it() {
+        // H(0) X(1) M(1) H(0) CX(0,2): the second H merges back across
+        // the measurement of another qubit, the CNOT joins the same block
+        let mut c = QCircuit::new(3);
+        c.push_back(Hadamard::new(0));
+        c.push_back(PauliX::new(1));
+        c.push_back(Measurement::z(1));
+        c.push_back(Hadamard::new(0));
+        c.push_back(CNOT::new(0, 2));
+        let mut stats = FusionStats::default();
+        let (fused, placed) = fuse_items(c.items(), 3, 2, &mut stats);
+        assert_eq!(fused.len(), 3);
+        let at = |op, pos| Placed { op, pos };
+        assert_eq!(placed, [at(0, 0), at(1, 0), at(2, 0), at(0, 1), at(0, 2)]);
     }
 
     #[test]

@@ -21,6 +21,18 @@
 //! bytecode stream ([`super::bytecode`]) through one per-instruction
 //! body, `ShotState::step`; serial execution is the batch of one.
 //!
+//! **One plan, noisy or not.** A noisy shot executes the same fused,
+//! relabeled plan a noiseless one does (they share its plan-cache entry,
+//! bytecode and retained terminal table). Noise sites stay numbered on
+//! the *source* schedule, so a lane first takes its draws in source
+//! order as far as its last hit (`NoisePlan::draw_shot`: the hits, and
+//! the uniform of every collapse among them), maps each hit to where it
+//! lands in the plan
+//! ([`walk::Landings`]) and sorts them — fusion merges gates backward, so
+//! landing order is not stream order — and only then executes. A hit
+//! between two ops is a Pauli between two kernels; an op with a hit
+//! *inside* it is replayed from its source gates, that op only.
+//!
 //! **A terminal measurement is one draw, not `n` collapses.** When a
 //! program ends in measurements of pairwise-distinct qubits
 //! ([`ShotPlan::terminal_measurements`](crate::program::ShotPlan)) and
@@ -97,7 +109,7 @@ use crate::sim::guard::ResourceLimits;
 use crate::sim::kernel::KernelConfig;
 use crate::sim::sampler::CdfTable;
 use crate::sim::sparse;
-use crate::sim::walk::{self, Class, NoisePlan, NoiseWalk};
+use crate::sim::walk::{Landing, NoisePlan, ShotDraws};
 use crate::sim::{collapse, kernel};
 use qclab_math::scalar::C64;
 use qclab_math::{bits, CVec};
@@ -132,6 +144,13 @@ impl PauliChannel {
             | PauliChannel::PhaseFlip(p)
             | PauliChannel::Depolarizing(p) => p,
         }
+    }
+
+    /// True when the channel can ever fire (`p > 0`). The one predicate
+    /// both routing and the noise walk read: a channel that cannot fire
+    /// is a channel that is not configured, on every path.
+    pub(crate) fn can_fire(&self) -> bool {
+        self.probability() > 0.0
     }
 
     /// Checks that the probability lies in `[0, 1]`.
@@ -174,16 +193,20 @@ pub struct NoiseSpec {
 }
 
 impl NoiseSpec {
-    /// True when no channel is configured — the trajectory then follows
-    /// the baseline simulator bit for bit.
+    /// True when no channel can fire (none configured, or only at
+    /// probability 0) — the trajectory then follows the baseline
+    /// simulator bit for bit.
     pub fn is_noiseless(&self) -> bool {
-        self.after_gate.is_none() && self.idle.is_none() && self.before_measure.is_none()
+        !self.strikes_gates() && !self.before_measure.is_some_and(|ch| ch.can_fire())
     }
 
     /// True when every gate is a noise site (an `after_gate` or `idle`
-    /// channel is configured): no stretch of gates is deterministic.
+    /// channel can fire): no stretch of gates is deterministic.
     fn strikes_gates(&self) -> bool {
-        self.after_gate.is_some() || self.idle.is_some()
+        [self.after_gate, self.idle]
+            .into_iter()
+            .flatten()
+            .any(|ch| ch.can_fire())
     }
 
     /// Validates every configured channel.
@@ -202,7 +225,10 @@ impl NoiseSpec {
 /// state norm drift over long gate sequences; the watchdog measures the
 /// norm every [`check_every`](Self::check_every) gate applications (plus
 /// once at the end of each shot), renormalizes when the drift exceeds
-/// [`tol`](Self::tol), and reports [`NormStats`].
+/// [`tol`](Self::tol), and reports [`NormStats`]. A gate application is
+/// one gate op of the executed plan — a fused block counts once, also in
+/// a lane that replays it gate by gate around a hit, so the cadence does
+/// not depend on which lanes were struck.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WatchdogConfig {
     /// Gate applications between norm checks; `0` disables the watchdog.
@@ -262,10 +288,10 @@ pub struct TrajectoryConfig {
     pub shots: u64,
     /// Noise locations and channels.
     pub noise: NoiseSpec,
-    /// Kernel dispatch configuration (fusion, SIMD, parallel kernels).
-    /// Fusion only applies to noiseless runs — noise locations are
-    /// defined on the original gates, so a noisy run always executes the
-    /// unfused circuit.
+    /// Kernel dispatch configuration (fusion, SIMD, parallel kernels) —
+    /// the same for noisy and noiseless runs: one plan serves both.
+    /// `fuse: false, remap: false` executes the source gates one by one
+    /// (the reference the fused plan is differentially tested against).
     pub kernel: KernelConfig,
     /// Resource limits checked before the per-shot state allocation.
     pub limits: ResourceLimits,
@@ -356,7 +382,12 @@ pub const DEFAULT_SHOT_BATCH: usize = 64;
 /// (reported on [`TrajectoryResult::path`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShotPath {
-    /// Every shot evolved the full op schedule from the initial state.
+    /// No deterministic prefix to fork from (gate or idle noise makes
+    /// every gate a noise site, or the fast path is off): shots start at
+    /// op 0. A batch still evolves the stretch its shots share once — a
+    /// lane clones the batch's reference state at its own first hit or
+    /// collapse — so "per shot" names where a shot *may* diverge, not
+    /// what each one evolves.
     PerShot,
     /// The deterministic prefix was evolved once and snapshotted; each
     /// shot forked from the snapshot and ran only the stochastic suffix.
@@ -410,9 +441,13 @@ impl fmt::Display for ShotPath {
 /// A Pauli error injected during one trajectory.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InjectedPauli {
-    /// Index into the lowered program ([`crate::program::CompiledProgram::ops`])
-    /// of the operation the error followed — gates, measurements, resets
-    /// and fences all count, matching the shared IR's op numbering.
+    /// Index into the **source schedule**
+    /// ([`crate::program::CompiledProgram::source`]) of the operation
+    /// the error followed (a readout error: preceded) — gates,
+    /// measurements, resets and fences all count. Noise sites are
+    /// numbered on the circuit's own gates, so the index means the same
+    /// whichever plan executed the shot (fused blocks and layout
+    /// permutations have no index of their own).
     pub op_index: usize,
     /// Qubit the error hit.
     pub qubit: usize,
@@ -548,20 +583,23 @@ impl TrajectoryResult {
     }
 }
 
-/// The plan options of a trajectory run: fusion and the locality pass
-/// only apply to noiseless runs — noise locations are defined on the
-/// original gates at their *source* qubits, so a noisy run always
-/// executes the unfused, unrelabeled sequence. For a noiseless run the
-/// options match the baseline simulator's, so both backends share one
-/// cached plan (and therefore the exact same kernel calls).
+/// The plan options of a state-vector trajectory run: the kernel
+/// configuration's, whatever the noise — the baseline simulator's
+/// options, so a noisy run, its noiseless twin and `simulate` share one
+/// cached plan (and therefore the exact same kernel calls between hits).
 fn plan_options(config: &TrajectoryConfig) -> PlanOptions {
-    PlanOptions {
-        fuse: config.kernel.fuse && config.noise.is_noiseless(),
-        max_fused_qubits: config.kernel.max_fused_qubits,
-        remap: config.kernel.remap && config.noise.is_noiseless(),
-        ..PlanOptions::default()
-    }
+    PlanOptions::from(&config.kernel)
 }
+
+/// Version of the seed contract: what a `(circuit, seed, shots)` triple
+/// maps to. Bumped by every change that can alter a sampled record or an
+/// injected-error count at a fixed seed — a *declared* break, listed in
+/// CHANGES.md with old and new goldens (`tests/seed_goldens.rs` keys its
+/// rows on this number). History: 1 = PR 13 (thread-count-invariant
+/// reductions at n ≥ 18), 2 = PR 16 (a terminal block is one draw),
+/// 3 = PR 19 (noise walked hit to hit), 4 = noisy state-vector shots run
+/// the fused plan (amplitude ulps; hits and the RNG stream unchanged).
+pub const SEED_CONTRACT: u32 = 4;
 
 /// Derives the per-shot RNG: a SplitMix64-style avalanche of the
 /// `(seed, shot)` pair, so consecutive shots get uncorrelated streams and
@@ -616,35 +654,94 @@ fn validate(
     Ok(dim)
 }
 
-/// A shot's randomness: its `(seed, shot)` stream and the noise walk
-/// over it ([`walk`]). The walk draws from the same stream as the
-/// measurements, lazily — each hit's draws where the schedule reaches
-/// it — so a shot's stream order is the one [`walk`] documents, on every
-/// path.
-struct ShotStream<'a> {
+/// A lane's draws, taken before it executes anything
+/// ([`NoisePlan::draw_shot`]) and addressed to the plan it executes:
+/// stream order is source order, but fusion moves gates back across
+/// other qubits' gates and measurements, so neither a hit nor a
+/// collapse uniform that precedes one can be drawn where execution
+/// reaches it. Past the shot's last hit the stream holds nothing but
+/// collapse uniforms (and a terminal outcome), and fusion keeps
+/// measurements and resets in order: those are drawn from `rng` as
+/// execution reaches them.
+struct LaneDraws {
+    /// The shot's hits by landing — sorted stably, so hits that land
+    /// together keep their stream order (two Paulis on one qubit
+    /// anticommute) — and the next one to apply.
+    hits: Vec<(Landing, InjectedPauli)>,
+    next_hit: usize,
+    /// The uniform of each collapsing measurement or reset up to the
+    /// last hit, in schedule order, and the next one to use.
+    collapses: Vec<f64>,
+    next_collapse: usize,
+    /// The shot's stream, standing right after the last hit's draws.
     rng: StdRng,
-    walk: NoiseWalk,
-    noise: &'a NoisePlan,
 }
 
-impl<'a> ShotStream<'a> {
-    /// Seeds shot `shot` of a run and starts its walk over `noise`.
-    fn start(noise: &'a NoisePlan, seed: u64, shot: u64) -> Self {
-        let mut rng = shot_rng(seed, shot);
-        let walk = NoiseWalk::start(noise, &mut rng);
-        ShotStream { rng, walk, noise }
+impl LaneDraws {
+    /// Addresses a shot's draws — its hits in stream order and the
+    /// collapse uniforms among them — to `program`; `rng` is the stream
+    /// they were taken from.
+    fn land(
+        program: &CompiledProgram,
+        drawn: &[InjectedPauli],
+        collapses: Vec<f64>,
+        rng: StdRng,
+    ) -> LaneDraws {
+        let mut hits: Vec<(Landing, InjectedPauli)> = Vec::new();
+        if !drawn.is_empty() {
+            let landings = program.landings();
+            hits.extend(
+                drawn
+                    .iter()
+                    .map(|hit| (landings.of_hit(program, hit), *hit)),
+            );
+            hits.sort_by_key(|&(at, _)| at);
+        }
+        LaneDraws {
+            hits,
+            next_hit: 0,
+            collapses,
+            next_collapse: 0,
+            rng,
+        }
     }
 
-    /// The stream of a stretch evolved once for many shots: no noise
-    /// strikes it and nothing in it draws.
-    fn silent() -> ShotStream<'static> {
-        ShotStream::start(&walk::SILENT, 0, 0)
+    /// The draws of a stretch evolved once for many shots: no hit lands
+    /// in it and it ends before the first collapse, so nothing is ever
+    /// drawn.
+    fn silent() -> LaneDraws {
+        LaneDraws {
+            hits: Vec::new(),
+            next_hit: 0,
+            collapses: Vec::new(),
+            next_collapse: 0,
+            rng: shot_rng(0, 0),
+        }
     }
 
-    /// The shot's next pending hit of `class` at op `op`: the site's
-    /// index among the op's sites of that class, and the Pauli.
-    fn hit(&mut self, class: Class, op: usize) -> Option<(usize, Pauli)> {
-        self.walk.take(self.noise, class, op, &mut self.rng)
+    /// Where the next pending hit lands.
+    fn next(&self) -> Option<Landing> {
+        self.hits.get(self.next_hit).map(|&(at, _)| at)
+    }
+
+    /// The op the next pending hit lands in (`usize::MAX`: none is
+    /// pending).
+    fn next_op(&self) -> usize {
+        self.next().map_or(usize::MAX, |at| at.op)
+    }
+
+    /// Takes the next pending hit if it lands at or before `upto`.
+    fn take(&mut self, upto: Landing) -> Option<(Landing, InjectedPauli)> {
+        let next = *self.hits.get(self.next_hit).filter(|(at, _)| *at <= upto)?;
+        self.next_hit += 1;
+        Some(next)
+    }
+
+    /// The uniform of the collapse the lane has reached.
+    fn collapse(&mut self) -> f64 {
+        let ahead = self.collapses.get(self.next_collapse).copied();
+        self.next_collapse += 1;
+        ahead.unwrap_or_else(|| self.rng.gen())
     }
 }
 
@@ -659,11 +756,12 @@ struct ShotState {
     watchdog: WatchdogConfig,
     stats: NormStats,
     gates_since_check: usize,
+    /// The shot's hits in stream order — known before the lane executes
+    /// (`lane_fork`), recorded here for the result.
     injected: Vec<InjectedPauli>,
     /// Active logical→physical layout from the locality pass (`None` =
-    /// identity). Only ever non-`None` on noiseless runs — the pass is
-    /// disabled with noise (see [`plan_options`]), so noise injection
-    /// below never has to translate its qubits.
+    /// identity). Hits and replayed source gates name logical qubits and
+    /// are translated through it.
     map: Option<Vec<usize>>,
     /// Cursor: index of the next instruction in the stream …
     pc: usize,
@@ -723,35 +821,46 @@ impl ShotState {
         }
     }
 
-    /// Injects one noise hit: `pauli` on `qubit`, at op `op_index`.
-    fn inject(&mut self, pauli: Pauli, qubit: usize, op_index: usize) {
-        if let Some(g) = pauli_gate(pauli, qubit) {
+    /// Applies one noise hit: `pauli` on logical qubit `qubit`.
+    fn inject(&mut self, pauli: Pauli, qubit: usize) {
+        if let Some(g) = pauli_gate(pauli, self.physical(qubit)) {
             kernel::apply_gate_with(&g, &mut self.state, self.n, &self.kernel);
-            self.injected.push(InjectedPauli {
-                op_index,
-                qubit,
-                pauli,
-            });
         }
     }
 
-    /// Injects the hits of the shot's walk at the gate at the cursor:
-    /// after-gate hits on `touched` in gate-qubit order, then idle hits
-    /// on the other qubits, ascending.
-    fn gate_noise(&mut self, touched: &[usize], draws: &mut ShotStream<'_>) {
-        for class in [Class::AfterGate, Class::Idle] {
-            while let Some((site, pauli)) = draws.hit(class, self.op) {
-                self.inject(pauli, walk::gate_site_qubit(class, touched, site), self.op);
+    /// Applies the lane's pending hits that land at or before `upto`.
+    fn inject_landed(&mut self, draws: &mut LaneDraws, upto: Landing) {
+        while let Some((_, hit)) = draws.take(upto) {
+            self.inject(hit.pauli, hit.qubit);
+        }
+    }
+
+    /// The struck op at the cursor, when a pending hit lands *inside*
+    /// it: applies its source gates one by one — relabeled through the
+    /// active layout — with each hit where it lands, and returns `true`.
+    /// `k + 1` sweeps for this op only; no matrix is rebuilt. Returns
+    /// `false`, having applied nothing, when the op's hits all sit at
+    /// its boundaries (the caller then runs the fused kernel).
+    fn replay(&mut self, program: &CompiledProgram, draws: &mut LaneDraws) -> bool {
+        let op = self.op;
+        let members = program.landings().members(op);
+        let inside = |at: Landing| at.op == op && at.slot < members.len();
+        if !draws.next().is_some_and(inside) {
+            return false;
+        }
+        for (pos, &s) in members.iter().enumerate() {
+            if let ProgramOp::Gate(g) = &program.source()[s] {
+                match &self.map {
+                    None => kernel::apply_gate_with(g, &mut self.state, self.n, &self.kernel),
+                    Some(map) => {
+                        let g = g.relabeled(map);
+                        kernel::apply_gate_with(&g, &mut self.state, self.n, &self.kernel)
+                    }
+                }
             }
+            self.inject_landed(draws, Landing { op, slot: pos + 1 });
         }
-    }
-
-    /// Injects the walk's readout hit on `qubit`, measured or reset by
-    /// op `op`, if it has one there.
-    fn readout_noise(&mut self, qubit: usize, op: usize, draws: &mut ShotStream<'_>) {
-        if let Some((_, pauli)) = draws.hit(Class::Readout, op) {
-            self.inject(pauli, qubit, op);
-        }
+        true
     }
 
     /// The physical slot of logical qubit `q` under the active layout.
@@ -759,17 +868,16 @@ impl ShotState {
         self.map.as_ref().map_or(q, |m| m[q])
     }
 
-    /// Samples a Z measurement of *logical* qubit `q`, collapses,
-    /// returns the bit. Under a non-identity layout the mapped collapse
-    /// routines enumerate amplitudes in logical index order, so
-    /// probabilities — and therefore the RNG comparison and the drawn
-    /// bit — are bit-identical to the unremapped engine.
-    fn sample_z(&mut self, q: usize, rng: &mut StdRng) -> usize {
+    /// Samples a Z measurement of *logical* qubit `q` with the uniform
+    /// `r`, collapses, returns the bit. Under a non-identity layout the
+    /// mapped collapse routines enumerate amplitudes in logical index
+    /// order, so probabilities — and therefore the comparison with `r`
+    /// and the drawn bit — are bit-identical to the unremapped engine.
+    fn sample_z(&mut self, q: usize, r: f64) -> usize {
         let (p0, p1) = match &self.map {
             None => collapse::measure_probabilities(&self.state, self.n, q),
             Some(m) => collapse::measure_probabilities_mapped(&self.state, self.n, q, m),
         };
-        let r: f64 = rng.gen();
         // degenerate outcomes never collapse onto a zero-probability half
         let bit = if p1 <= 0.0 {
             0
@@ -797,7 +905,7 @@ impl ShotState {
     /// back), mirroring the branching simulator's basis handling. The
     /// basis rotation is a physical single-qubit gate, so it targets the
     /// measured qubit's physical slot.
-    fn sample_measurement(&mut self, m: &Measurement, rng: &mut StdRng) -> usize {
+    fn sample_measurement(&mut self, m: &Measurement, r: f64) -> usize {
         let q = m.qubit();
         let pq = self.physical(q);
         let needs_change = !matches!(m.basis(), Basis::Z);
@@ -809,7 +917,7 @@ impl ShotState {
                 matrix: v.dagger(),
             };
             kernel::apply_gate_with(&vdg, &mut self.state, self.n, &self.kernel);
-            let bit = self.sample_z(q, rng);
+            let bit = self.sample_z(q, r);
             let vg = Gate::Custom {
                 name: "V".into(),
                 qubits: vec![pq],
@@ -818,7 +926,7 @@ impl ShotState {
             kernel::apply_gate_with(&vg, &mut self.state, self.n, &self.kernel);
             bit
         } else {
-            self.sample_z(q, rng)
+            self.sample_z(q, r)
         }
     }
 
@@ -838,70 +946,79 @@ impl ShotState {
         CdfTable::new(marginal(&self.state, &block.measured, self.n, &block.lut))
     }
 
-    /// The terminal block on a lane's own state: the readout hits in
-    /// measurement order (a hit is injected — exact in every basis,
-    /// since the measured qubits are pairwise distinct), then one
-    /// outcome uniform through the same table build and the same draw
-    /// as the shared table's.
+    /// The terminal block on a lane's own state: the pending hits that
+    /// land before a measurement of the block (readout hits — injected,
+    /// which is exact in every basis since the measured qubits are
+    /// pairwise distinct), then one outcome uniform through the same
+    /// table build and the same draw as the shared table's. A hit that
+    /// lands *after* its qubit's measurement can no longer reach an
+    /// outcome and is not applied.
     fn measure_terminal(
         &mut self,
         block: &TerminalBlock,
-        draws: &mut ShotStream<'_>,
+        draws: &mut LaneDraws,
     ) -> Result<usize, QclabError> {
-        for (&op, &q) in block.ops.iter().zip(&block.measured) {
-            self.readout_noise(q, op, draws);
+        let end = Landing {
+            op: usize::MAX,
+            slot: usize::MAX,
+        };
+        while let Some((at, hit)) = draws.take(end) {
+            if at.slot == 0 {
+                self.inject(hit.pauli, hit.qubit);
+            }
         }
         Ok(self.terminal_table(block)?.sample(&mut draws.rng))
     }
 
     /// The one per-instruction body of the shot engine: executes `instr`
-    /// — the instruction at the cursor — against the state, injects the
-    /// hits `draws` has there, appends measured bits to `record`, moves
-    /// the cursor, and returns the number of schedule ops covered.
+    /// — the instruction at the cursor — against the state together with
+    /// the hits of `draws` that land in it, appends measured bits to
+    /// `record`, moves the cursor, and returns the number of ops covered.
     ///
     /// Everything but a window is one op. A window is *cut*: it stops at
-    /// `until`, where a watchdog check falls due, and after every gate
-    /// when gate/idle noise makes each one a noise site. A cut is itself
-    /// a sweep over a sub-range of the tiles, bit-identical to the same
-    /// gates applied one by one, so every check, noise draw and fork
-    /// sees the state a per-gate walk would have shown it.
+    /// `until`, where a watchdog check falls due, and before the next op
+    /// one of the lane's hits lands in — which then runs alone. A cut is
+    /// itself a sweep over a sub-range of the tiles, bit-identical to the
+    /// same gates applied one by one, so every check and fork sees the
+    /// state a per-gate walk would have shown it.
     fn step(
         &mut self,
+        program: &CompiledProgram,
         instr: &Instr,
         until: usize,
-        draws: &mut ShotStream<'_>,
+        draws: &mut LaneDraws,
         record: &mut String,
     ) -> usize {
-        let gate_noise = draws.noise.strikes_gates();
+        let op = self.op;
+        let struck = draws.next_op() == op;
+        if struck {
+            self.inject_landed(draws, Landing { op, slot: 0 });
+        }
+        // ops covered, and whether the instruction is finished
+        let (mut covered, mut done) = (1, true);
         match instr {
-            Instr::Gate { pre, touched } => {
-                kernel::apply_prepared(pre, &mut self.state, self.n, &self.kernel);
+            Instr::Gate(pre) => {
+                if !(struck && self.replay(program, draws)) {
+                    kernel::apply_prepared(pre, &mut self.state, self.n, &self.kernel);
+                }
                 self.bump_watchdog(1);
-                if gate_noise {
-                    self.gate_noise(touched, draws);
-                }
             }
-            Instr::Window {
-                tiles,
-                first,
-                touched,
-            } => {
-                let from = self.op - first;
-                let mut cut = (tiles.len() - from).min(until - self.op);
-                if gate_noise {
-                    cut = 1;
-                } else if self.watchdog.check_every > 0 {
-                    cut = cut.min(self.watchdog.check_every - self.gates_since_check);
+            Instr::Window { tiles, first } => {
+                let from = op - first;
+                if !struck {
+                    covered = (tiles.len() - from)
+                        .min(until - op)
+                        .min(draws.next_op() - op);
+                    if self.watchdog.check_every > 0 {
+                        covered = covered.min(self.watchdog.check_every - self.gates_since_check);
+                    }
                 }
-                let now = &tiles[from..from + cut];
-                kernel::apply_window_pre(&mut self.state, self.n, now, &self.kernel);
-                self.bump_watchdog(cut);
-                if gate_noise {
-                    self.gate_noise(&touched[from], draws);
+                if !(struck && self.replay(program, draws)) {
+                    let now = &tiles[from..from + covered];
+                    kernel::apply_window_pre(&mut self.state, self.n, now, &self.kernel);
                 }
-                self.op += cut;
-                self.pc += usize::from(from + cut == tiles.len());
-                return cut;
+                self.bump_watchdog(covered);
+                done = from + covered == tiles.len();
             }
             Instr::Fence => {}
             Instr::Permute { perm, map } => {
@@ -913,40 +1030,44 @@ impl ShotState {
                 self.map.clone_from(map);
             }
             Instr::Measure(m) => {
-                self.readout_noise(m.qubit(), self.op, draws);
-                let bit = self.sample_measurement(m, &mut draws.rng);
+                let bit = self.sample_measurement(m, draws.collapse());
                 record.push(if bit == 0 { '0' } else { '1' });
             }
             Instr::Reset(q) => {
-                self.readout_noise(*q, self.op, draws);
-                if self.sample_z(*q, &mut draws.rng) == 1 {
+                if self.sample_z(*q, draws.collapse()) == 1 {
                     let flip = Gate::PauliX(self.physical(*q));
                     kernel::apply_gate_with(&flip, &mut self.state, self.n, &self.kernel);
                     self.bump_watchdog(1);
                 }
             }
         }
-        self.op += 1;
-        self.pc += 1;
-        1
+        if struck {
+            // what lands after the op (a replay has taken its own)
+            let slot = usize::MAX;
+            self.inject_landed(draws, Landing { op, slot });
+        }
+        self.op += covered;
+        self.pc += usize::from(done);
+        covered
     }
 
-    /// Steps the shot through `stream` until its cursor stands at op
-    /// `until`. Polls the control through `ticker` at every step — the
-    /// checks never touch `draws`, so a shot that completes under an
+    /// Steps the shot through `program`'s stream until its cursor stands
+    /// at op `until`. Polls the control through `ticker` at every step —
+    /// the checks never touch `draws`, so a shot that completes under an
     /// enabled control is bit-identical to the same shot without one; a
     /// stopped shot surfaces [`QclabError::Cancelled`] /
     /// [`QclabError::DeadlineExceeded`].
     fn advance(
         &mut self,
+        program: &CompiledProgram,
         stream: &[Instr],
         until: usize,
-        draws: &mut ShotStream<'_>,
+        draws: &mut LaneDraws,
         record: &mut String,
         ticker: &mut ControlTicker<'_>,
     ) -> Result<(), QclabError> {
         while self.op < until {
-            let ops = self.step(&stream[self.pc], until, draws, record);
+            let ops = self.step(program, &stream[self.pc], until, draws, record);
             ticker.tick_n(ops)?;
         }
         Ok(())
@@ -955,18 +1076,20 @@ impl ShotState {
     /// [`advance`](Self::advance) over a stretch evolved once for many
     /// shots — the deterministic prefix, a batch's reference pass. Such
     /// a stretch ends at the first measurement or reset at the latest
-    /// and no lane has a hit in it, so no stream is drawn from and the
+    /// and no lane has a hit in it, so there is nothing to draw and the
     /// record stays empty.
     fn advance_shared(
         &mut self,
+        program: &CompiledProgram,
         stream: &[Instr],
         until: usize,
         ticker: &mut ControlTicker<'_>,
     ) -> Result<(), QclabError> {
         self.advance(
+            program,
             stream,
             until,
-            &mut ShotStream::silent(),
+            &mut LaneDraws::silent(),
             &mut String::new(),
             ticker,
         )
@@ -975,6 +1098,7 @@ impl ShotState {
 
 /// Everything the shots of one prepared run share.
 struct ShotProgram {
+    program: Arc<CompiledProgram>,
     bc: Arc<Bytecode>,
     /// The run's noise laws over the program's site numbering.
     noise: NoisePlan,
@@ -997,10 +1121,8 @@ struct TerminalBlock {
     /// Schedule index of the block's first op (the prefix length).
     first: usize,
     /// Measured qubits in execution order (first = most significant
-    /// outcome bit) and the schedule index of each one's measurement —
-    /// the readout noise sites.
+    /// outcome bit).
     measured: Vec<usize>,
-    ops: Vec<usize>,
     /// The `V†` that brings each non-Z measurement into the
     /// computational basis. The measured qubits are pairwise distinct,
     /// so the rotations commute and the Z-basis joint marginal of the
@@ -1018,14 +1140,12 @@ impl TerminalBlock {
         let mut block = TerminalBlock {
             first,
             measured: Vec::new(),
-            ops: Vec::new(),
             rotations: Vec::new(),
             lut: Vec::new(),
         };
-        for (op, item) in program.ops().iter().enumerate().skip(first) {
+        for item in &program.ops()[first..] {
             if let ProgramOp::Measure(m) = item {
                 block.measured.push(m.qubit());
-                block.ops.push(op);
                 if !matches!(m.basis(), Basis::Z) {
                     block.rotations.push(Gate::Custom {
                         name: "V†".into(),
@@ -1059,40 +1179,51 @@ enum Measured {
 
 /// Where one lane's trajectory first leaves the batch's shared
 /// noiseless evolution. A shot's hits are a function of its
-/// `(seed, shot)` stream and the op schedule alone, never of
-/// amplitudes, and starting the walk already names the first one — so
-/// the first op at which a shot can diverge (its first hit, or the first
-/// measurement or reset that collapses the state) is known before any
-/// state exists.
-struct LaneFork<'a> {
-    /// Schedule index of the first op the lane executes itself; the op
-    /// count when it executes none (its walk has no hit, up to and
-    /// including a terminal block's readout sites).
+/// `(seed, shot)` stream and the source schedule alone, never of
+/// amplitudes — so they are all drawn, landed and sorted before any
+/// state exists, and the first op at which the shot can diverge (the
+/// earliest op a hit lands in, or the first measurement or reset that
+/// collapses the state) is known up front.
+struct LaneFork {
+    /// Index of the first op the lane executes itself; the op count when
+    /// it executes none (its walk has no hit, up to and including a
+    /// terminal block's readout sites).
     shared: usize,
-    /// The lane's stream, its walk started: exactly where the serial
-    /// engine's stands on reaching op `shared`.
-    draws: ShotStream<'a>,
+    /// The lane's hits, addressed to the plan, and its stream.
+    draws: LaneDraws,
+    /// The lane's hits in stream order, for its result.
+    injected: Vec<InjectedPauli>,
 }
 
-/// Starts shot `shot`'s stream and finds the lane's fork point: the op
-/// of its first hit, or `collapse` — the first measurement or reset,
-/// whose draws consult the state — if that comes first. With `through`
-/// (a terminal block drawn from a shared table) a lane without any hit
-/// does not fork at all: it comes back parked on its outcome uniform.
-fn lane_fork<'a>(
-    noise: &'a NoisePlan,
+/// Takes shot `shot`'s draws and finds the lane's fork point: the
+/// earliest op one of its hits lands in, or `collapse` — the first
+/// measurement or reset, which consults the state — if that comes first.
+/// `collapses` says whether measurements collapse one by one (each then
+/// owns a uniform of the stream) or end in a terminal draw. With
+/// `through` (a terminal block drawn from a shared table) a lane without
+/// any hit does not fork at all: it comes back parked on its outcome
+/// uniform.
+fn lane_fork(
+    program: &CompiledProgram,
+    noise: &NoisePlan,
     seed: u64,
     shot: u64,
     collapse: usize,
+    collapses: bool,
     through: Option<usize>,
-) -> LaneFork<'a> {
-    let draws = ShotStream::start(noise, seed, shot);
-    let hit = draws.walk.next_op(noise);
+) -> LaneFork {
+    let mut rng = shot_rng(seed, shot);
+    let ShotDraws { hits, collapses } = noise.draw_shot(program, collapses, &mut rng);
+    let draws = LaneDraws::land(program, &hits, collapses, rng);
     let shared = match through {
-        Some(ops) if hit >= ops => ops,
-        _ => hit.min(collapse),
+        Some(ops) if hits.is_empty() => ops,
+        _ => draws.next_op().min(collapse),
     };
-    LaneFork { shared, draws }
+    LaneFork {
+        shared,
+        draws,
+        injected: hits,
+    }
 }
 
 /// Drives `count` shots (`first..first + count`) through the bytecode by
@@ -1103,11 +1234,10 @@ fn lane_fork<'a>(
 /// front ([`lane_fork`]). The batch therefore evolves one reference state
 /// through the shared ops *once* — only as far as its last diverging
 /// lane — forks each lane off it at that lane's own divergence point
-/// (state + cursor + watchdog counters, with the lane's started
-/// stream), and finishes the lane before moving on, so the suffix
-/// state stays cache-resident; the last lane takes the reference itself,
-/// so a batch of one copies nothing. `reference` is the state the shots
-/// start from.
+/// (state + cursor + watchdog counters, with the lane's draws), and
+/// finishes the lane before moving on, so the suffix state stays
+/// cache-resident; the last lane takes the reference itself, so a batch
+/// of one copies nothing. `reference` is the state the shots start from.
 ///
 /// With a `terminal` block, a lane ends in one outcome draw
 /// ([`ShotState::measure_terminal`]) instead of stepping through the
@@ -1115,7 +1245,7 @@ fn lane_fork<'a>(
 /// diverges holds no state at all and draws from that table.
 ///
 /// Every lane runs the per-instruction body ([`ShotState::step`]) over
-/// the same ops in the same order with the same RNG stream whatever the
+/// the same ops in the same order with the same draws whatever the
 /// grouping, so every shot is bit-identical at any batch width. A
 /// finished lane is handed to `finish` as (lane index, what it measured,
 /// its own state — `None` if it drew from the shared table); a control
@@ -1123,6 +1253,7 @@ fn lane_fork<'a>(
 /// drops the whole in-flight batch.
 #[allow(clippy::too_many_arguments)]
 fn run_shot_batch(
+    program: &CompiledProgram,
     bc: &Bytecode,
     noise: &NoisePlan,
     terminal: Option<&Terminal>,
@@ -1135,13 +1266,27 @@ fn run_shot_batch(
     let stream = &bc.stream;
     let block = terminal.map(|t| &t.block);
     let shared = terminal.and_then(|t| t.shared.as_deref());
-    // where does each lane leave the shared trajectory? (one walk start
-    // per lane — no state, no kernels) Only with a table to draw from
-    // can a lane pass through the block.
+    // where does each lane leave the shared trajectory? (one set of
+    // draws per lane — no state, no kernels) Only with a table to draw
+    // from can a lane pass through the block.
     let through = block.and(shared).map(|_| bc.ops);
-    let collapse = noise.next_readout_op(reference.op);
+    // the reference starts at op 0 or at the end of the deterministic
+    // prefix: the first collapse is where that prefix ends
+    let collapse = program.shot_plan().prefix_ops;
+    debug_assert!(reference.op <= collapse);
     let mut forks: Vec<LaneFork> = (0..count as u64)
-        .map(|j| lane_fork(noise, config.seed, first + j, collapse, through))
+        .map(|j| {
+            let shot = first + j;
+            lane_fork(
+                program,
+                noise,
+                config.seed,
+                shot,
+                collapse,
+                block.is_none(),
+                through,
+            )
+        })
         .collect();
     let mut order: Vec<usize> = (0..count).collect();
     order.sort_by_key(|&j| forks[j].shared);
@@ -1157,13 +1302,21 @@ fn run_shot_batch(
     let Some((&last, rest)) = diverging.split_last() else {
         return Ok(());
     };
-    let mut run_lane = |mut lane: ShotState, j: usize, draws: &mut ShotStream<'_>| {
+    let mut run_lane = |mut lane: ShotState, j: usize, fork: &mut LaneFork| {
+        lane.injected = std::mem::take(&mut fork.injected);
         let mut record = String::new();
         let mut ticker = config.control.ticker();
         let until = block.map_or(bc.ops, |b| b.first);
-        lane.advance(stream, until, draws, &mut record, &mut ticker)?;
+        lane.advance(
+            program,
+            stream,
+            until,
+            &mut fork.draws,
+            &mut record,
+            &mut ticker,
+        )?;
         let measured = match block {
-            Some(block) => Measured::Outcome(lane.measure_terminal(block, draws)?),
+            Some(block) => Measured::Outcome(lane.measure_terminal(block, &mut fork.draws)?),
             None => {
                 lane.final_check();
                 Measured::Record(record)
@@ -1174,11 +1327,11 @@ fn run_shot_batch(
     };
     let mut ticker = config.control.ticker();
     for &j in rest {
-        reference.advance_shared(stream, forks[j].shared, &mut ticker)?;
-        run_lane(reference.clone(), j, &mut forks[j].draws)?;
+        reference.advance_shared(program, stream, forks[j].shared, &mut ticker)?;
+        run_lane(reference.clone(), j, &mut forks[j])?;
     }
-    reference.advance_shared(stream, forks[last].shared, &mut ticker)?;
-    run_lane(reference, last, &mut forks[last].draws)
+    reference.advance_shared(program, stream, forks[last].shared, &mut ticker)?;
+    run_lane(reference, last, &mut forks[last])
 }
 
 /// The kernel configuration a shot actually runs with: when shots are
@@ -1199,14 +1352,15 @@ fn shot_kernel_config(config: &TrajectoryConfig) -> KernelConfig {
 /// carries the cursor, watchdog counters and layout forked shots resume
 /// from.
 fn evolve_prefix(
-    bc: &Bytecode,
+    program: &CompiledProgram,
     prefix: usize,
     initial: CVec,
     config: &TrajectoryConfig,
     kernel: KernelConfig,
 ) -> Result<ShotState, QclabError> {
+    let bc = program.bytecode();
     let mut s = ShotState::new(initial, bc.n(), kernel, config.watchdog);
-    s.advance_shared(&bc.stream, prefix, &mut config.control.ticker())?;
+    s.advance_shared(program, &bc.stream, prefix, &mut config.control.ticker())?;
     Ok(s)
 }
 
@@ -1306,8 +1460,7 @@ fn terminal_prep(
     let block = TerminalBlock::of(program);
     // one-time evolution: the parallel kernels are allowed here, and
     // leave the bits a shot's own single-threaded evolution leaves
-    let bc = program.bytecode();
-    let mut s = match evolve_prefix(&bc, block.first, initial, config, config.kernel) {
+    let mut s = match evolve_prefix(program, block.first, initial, config, config.kernel) {
         Ok(s) => s,
         Err(e) => return Ok(Prepared::Stopped(stop_or_err(e)?, path)),
     };
@@ -1615,16 +1768,20 @@ fn prepare(
             // whose own guard decides admission.
         }
     }
-    // lowers once (plan-cached); every shot executes the same program
+    // lowers once (plan-cached): the one plan of this circuit, noisy or
+    // not; every shot executes the same program
     let compile = || circuit.compile_with(&plan_options(config));
     // Pauli-frame routing: a noisy Clifford+Pauli sampling run (no
     // observables) propagates only per-shot error frames over one
     // reference tableau run — O(poly n) per shot, admitted by the
     // frame guard instead of the dense 2^n estimate, so 100+ qubit
     // Clifford workloads run where every state-vector backend refuses.
+    // Chosen by the Clifford check on the source gates; the engine
+    // executes those gates one by one, so it lowers unfused.
     // Noiseless runs keep the exact table/fork/sparse paths.
-    if initial.is_none() && config.frames && !noiseless && config.observables.is_empty() {
-        let program = compile();
+    let sampled_noise = !noiseless && config.observables.is_empty();
+    if initial.is_none() && config.frames && sampled_noise && compile().stats().is_clifford {
+        let program = circuit.compile_with(&PlanOptions::unfused());
         if let Some(frames) = program.frame_program() {
             return Ok((Prepared::Frames(program, frames), false));
         }
@@ -1677,9 +1834,8 @@ fn prepare(
     // the prefix runs under the kernel config of the shots themselves,
     // so the snapshot is bit-identical to what each unforked shot would
     // have computed
-    let bc = program.bytecode();
     let kernel = shot_kernel_config(config);
-    let start = match evolve_prefix(&bc, prefix_ops, initial_state(), config, kernel) {
+    let start = match evolve_prefix(&program, prefix_ops, initial_state(), config, kernel) {
         Ok(s) => s,
         // stopped during the one-time prefix: no shot completed
         Err(e) => return Ok((Prepared::Stopped(stop_or_err(e)?, path), false)),
@@ -1688,7 +1844,7 @@ fn prepare(
     // published for the end of the prefix
     debug_assert!(prefix_ops == 0 || start.map.as_deref() == program.prefix_map());
     let shots = ShotProgram {
-        bc,
+        bc: program.bytecode(),
         noise: NoisePlan::new(&program, &config.noise),
         start,
         path,
@@ -1696,6 +1852,7 @@ fn prepare(
             block: TerminalBlock::of(&program),
             shared,
         }),
+        program,
     };
     Ok((Prepared::Shots(Box::new(shots)), prep_hit))
 }
@@ -1858,6 +2015,7 @@ fn run_ensemble(
         };
         let start = prog.start.clone();
         run_shot_batch(
+            &prog.program,
             &prog.bc,
             &prog.noise,
             terminal,
@@ -1959,6 +2117,7 @@ pub fn run_single_trajectory(
     let start = ShotState::new(initial.clone(), bc.n(), config.kernel, config.watchdog);
     let mut out = None;
     run_shot_batch(
+        &program,
         &bc,
         &noise,
         None,
@@ -2277,7 +2436,7 @@ mod tests {
         let r = run_trajectories(&bell_measured(), &noisy(false)).unwrap();
         assert_eq!(r.path(), ShotPath::PerShot);
         // readout noise strikes only in the suffix → with frames off,
-        // the fork path stays on
+        // the fork path stays on, over the same fused plan
         let cfg = TrajectoryConfig {
             noise: NoiseSpec {
                 before_measure: Some(PauliChannel::BitFlip(0.1)),
@@ -2287,7 +2446,21 @@ mod tests {
             ..base()
         };
         let r = run_trajectories(&bell_measured(), &cfg).unwrap();
-        assert_eq!(r.path(), ShotPath::Forked { prefix_ops: 2 });
+        assert_eq!(r.path(), ShotPath::Forked { prefix_ops: 1 });
+        // a channel that cannot fire is not noise: the run is routed —
+        // and sampled — as if the flag were absent
+        let never = TrajectoryConfig {
+            noise: NoiseSpec {
+                after_gate: Some(PauliChannel::Depolarizing(0.0)),
+                before_measure: Some(PauliChannel::BitFlip(0.0)),
+                ..NoiseSpec::default()
+            },
+            ..base()
+        };
+        let r = run_trajectories(&bell_measured(), &never).unwrap();
+        assert_eq!(r.path(), ShotPath::AliasSampled { prefix_ops: 1 });
+        let plain = run_trajectories(&bell_measured(), &base()).unwrap();
+        assert_eq!(r.counts(), plain.counts());
         // a non-Clifford gate keeps a noisy run off the frame path even
         // with frames enabled
         let mut c = QCircuit::new(2);
@@ -2336,8 +2509,7 @@ mod tests {
             };
             let fast = run_trajectories(&c, &mk(true)).unwrap();
             let slow = run_trajectories(&c, &mk(false)).unwrap();
-            // fused (noiseless) and unfused (noisy) plans have different
-            // prefix op counts; both must fork
+            // noisy or not, both run the one fused plan; both must fork
             assert!(matches!(fast.path(), ShotPath::Forked { prefix_ops } if prefix_ops > 0));
             assert_eq!(slow.path(), ShotPath::PerShot);
             assert_eq!(fast.counts(), slow.counts());

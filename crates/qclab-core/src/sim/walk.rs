@@ -19,6 +19,17 @@
 //! of the batch's planes — so a shot's hits are one function of
 //! `(seed, shot)` on either.
 //!
+//! **Sites live on the source schedule**
+//! ([`CompiledProgram::source`]): the circuit's own gates, one by one,
+//! whatever fusion and the locality pass made of them. The frame engine
+//! executes that schedule as it is. The state-vector engine executes the
+//! fused, relabeled plan, so a lane takes its draws *ahead of execution*
+//! ([`NoisePlan::draw_shot`] — stream order is source order, execution
+//! order is not) and [`Landings`] says where each hit lands: a Pauli on
+//! qubit `q` commutes with everything that does not touch `q`, so a hit
+//! at source op `s` is applied right after the last source op at or
+//! before `s` that does.
+//!
 //! **A shot's RNG order** (one stream, shared by both engines and
 //! [`run_single_trajectory`](super::trajectory::run_single_trajectory)):
 //! the first gap of each configured class, in class order; then, in
@@ -32,7 +43,7 @@
 
 use crate::observable::Pauli;
 use crate::program::{CompiledProgram, ProgramOp};
-use crate::sim::trajectory::{NoiseSpec, PauliChannel};
+use crate::sim::trajectory::{InjectedPauli, NoiseSpec, PauliChannel};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
@@ -71,9 +82,8 @@ impl Law {
     /// The law of `channel` over a schedule with `sites` sites of its
     /// class; `None` when it can never fire.
     fn of(channel: PauliChannel, sites: u64) -> Option<Law> {
-        let p = channel.probability();
-        (p > 0.0).then(|| {
-            let ln_q = (-p).ln_1p();
+        channel.can_fire().then(|| {
+            let ln_q = (-channel.probability()).ln_1p();
             Law {
                 channel,
                 ln_q,
@@ -133,9 +143,8 @@ pub struct SiteCounts {
     pub readout: u64,
 }
 
-/// The per-shot noise sites of `program` by class. Noisy runs execute
-/// the unfused, unrelabeled plan (noise locations live on the source
-/// gates) — count on that one.
+/// The per-shot noise sites of `program` by class — counted on its
+/// source schedule, so every plan of one circuit reports the same.
 pub fn site_counts(program: &CompiledProgram) -> SiteCounts {
     let plan = NoisePlan::new(program, &NoiseSpec::default());
     SiteCounts {
@@ -150,25 +159,18 @@ pub fn site_counts(program: &CompiledProgram) -> SiteCounts {
 #[derive(Debug)]
 pub(crate) struct NoisePlan {
     laws: [Option<Law>; 3],
-    /// `before[c][op]` = class-`c` sites of the ops before `op`; one
-    /// entry past the last op holds the total. Op `op` owns the sites
-    /// `before[c][op]..before[c][op + 1]`.
+    /// `before[c][op]` = class-`c` sites of the source ops before `op`;
+    /// one entry past the last op holds the total. Op `op` owns the
+    /// sites `before[c][op]..before[c][op + 1]`.
     before: [Vec<u64>; 3],
 }
 
-/// The plan of a stretch no noise strikes (the one-time prefix, a batch
-/// reference): no law, so no walk over it ever consults a site.
-pub(crate) static SILENT: NoisePlan = NoisePlan {
-    laws: [None; 3],
-    before: [Vec::new(), Vec::new(), Vec::new()],
-};
-
 impl NoisePlan {
-    /// Numbers the noise sites of `program` and fixes the laws of
-    /// `noise` (validated by the caller).
+    /// Numbers the noise sites of `program`'s source schedule and fixes
+    /// the laws of `noise` (validated by the caller).
     pub(crate) fn new(program: &CompiledProgram, noise: &NoiseSpec) -> NoisePlan {
         let n = program.nb_qubits() as u64;
-        let ops = program.ops();
+        let ops = program.source();
         let mut before = [(); 3].map(|()| Vec::with_capacity(ops.len() + 1));
         let mut total = [0u64; 3];
         for op in ops {
@@ -218,10 +220,175 @@ impl NoisePlan {
         row.partition_point(|&b| b <= row[op]) - 1
     }
 
-    /// True when a gate can be struck (an `after_gate` or `idle` law is
-    /// configured): no stretch of gates is deterministic.
-    pub(crate) fn strikes_gates(&self) -> bool {
-        self.laws[Class::AfterGate as usize].is_some() || self.laws[Class::Idle as usize].is_some()
+    /// Takes the draws of one shot in stream order, ahead of execution,
+    /// as far as its last hit: starts the walk on `rng` (the shot's
+    /// `(seed, shot)` stream), then visits the source ops that draw —
+    /// the ops with a hit, and with `collapses` the measurements and
+    /// resets on the way, each of which consumes one uniform after its
+    /// own hits. Nothing here consults a state, so the cost is
+    /// `O(hits + collapses)`. Past the last hit the stream holds only
+    /// the uniforms of the remaining collapses, in schedule order, and a
+    /// terminal block's outcome uniform: `rng` is left standing there,
+    /// and the engine draws them as it reaches them.
+    pub(crate) fn draw_shot(
+        &self,
+        program: &CompiledProgram,
+        collapses: bool,
+        rng: &mut StdRng,
+    ) -> ShotDraws {
+        let source = program.source();
+        let mut walk = NoiseWalk::start(self, rng);
+        let mut draws = ShotDraws::default();
+        let mut op = 0;
+        loop {
+            let hit = walk.next_op(self);
+            if hit >= self.ops() {
+                return draws;
+            }
+            let collapse = if collapses {
+                self.next_readout_op(op)
+            } else {
+                self.ops()
+            };
+            op = hit.min(collapse);
+            if op == hit {
+                for class in Class::ALL {
+                    while let Some((site, pauli)) = walk.take(self, class, op, rng) {
+                        let qubit = match &source[op] {
+                            ProgramOp::Gate(g) => gate_site_qubit(class, &g.qubits(), site),
+                            ProgramOp::Measure(m) => m.qubit(),
+                            ProgramOp::Reset(q) => *q,
+                            // neither owns a site
+                            ProgramOp::Fence(_) | ProgramOp::Permute { .. } => continue,
+                        };
+                        draws.hits.push(InjectedPauli {
+                            op_index: op,
+                            qubit,
+                            pauli,
+                        });
+                    }
+                }
+            }
+            if op == collapse {
+                draws.collapses.push(rng.gen());
+            }
+            op += 1;
+        }
+    }
+}
+
+/// One shot's draws, taken ahead of execution ([`NoisePlan::draw_shot`]).
+#[derive(Debug, Default)]
+pub(crate) struct ShotDraws {
+    /// The shot's hits in stream order — source-schedule order.
+    pub(crate) hits: Vec<InjectedPauli>,
+    /// The uniform of each collapsing measurement or reset up to the
+    /// last hit, in schedule order (the order fusion keeps them in).
+    pub(crate) collapses: Vec<f64>,
+}
+
+/// A position in an executed plan: after the first `slot` source gates
+/// of op `op` (`slot = 0`: before the op; a measurement or reset counts
+/// as one). Ordered the way the plan executes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Landing {
+    pub(crate) op: usize,
+    pub(crate) slot: usize,
+}
+
+/// Where the noise hits of a program's source schedule land in the ops
+/// that execute it — seed- and noise-independent, built once per plan
+/// ([`CompiledProgram::landings`]).
+///
+/// The landing rule: a hit on qubit `q` at source op `s` is applied
+/// right after the last source op at or before `s` that touches `q`
+/// (the gate itself, for an after-gate hit), a readout hit right before
+/// its measurement or reset. Fusion only ever moves a gate *back* over
+/// ops on other qubits, and ops that share a qubit keep their order, so
+/// that position exists in every plan and the Pauli, which commutes with
+/// everything in between, acts exactly as it did at `s`. Landing order
+/// is not stream order: a later hit can land in an earlier op.
+#[derive(Debug)]
+pub(crate) struct Landings {
+    /// Per qubit, the source ops that touch it (ascending) with the
+    /// landing right after each. Inside a fused block a landing rides
+    /// forward to the end of the block when no later gate of the block
+    /// touches the qubit — only a hit that truly sits between two gates
+    /// of a block makes the block replay them.
+    touching: Vec<Vec<(usize, Landing)>>,
+    /// `members[first[op]..first[op + 1]]`: the source ops that op `op`
+    /// executes, in order — what a struck block is replayed from.
+    first: Vec<usize>,
+    members: Vec<usize>,
+}
+
+impl Landings {
+    /// The landings of `program`.
+    pub(crate) fn of(program: &CompiledProgram) -> Landings {
+        let (source, ops) = (program.source(), program.ops().len());
+        // group the source ops by the op that executes them; within one
+        // op they stay in source order, which is their order in the block
+        let mut first = vec![0usize; ops + 1];
+        for s in 0..source.len() {
+            first[program.placed(s).op + 1] += 1;
+        }
+        for op in 0..ops {
+            first[op + 1] += first[op];
+        }
+        let mut members = vec![0usize; source.len()];
+        let mut fill = first.clone();
+        for s in 0..source.len() {
+            let op = program.placed(s).op;
+            members[fill[op]] = s;
+            fill[op] += 1;
+        }
+        let mut touching = vec![Vec::new(); program.nb_qubits()];
+        for op in 0..ops {
+            let block = &members[first[op]..first[op + 1]];
+            let mut qubits = Vec::new();
+            for (pos, &s) in block.iter().enumerate() {
+                // a fence is a no-op: nothing lands on it
+                if matches!(source[s], ProgramOp::Fence(_)) {
+                    continue;
+                }
+                for q in source[s].qubits() {
+                    touching[q].push((s, Landing { op, slot: pos + 1 }));
+                    qubits.push(q);
+                }
+            }
+            // the last gate of the block on each qubit: nothing after it
+            // touches the qubit, so its landing rides to the block's end
+            for q in qubits {
+                if let Some((_, at)) = touching[q].last_mut() {
+                    at.slot = block.len();
+                }
+            }
+        }
+        Landings {
+            touching,
+            first,
+            members,
+        }
+    }
+
+    /// The source ops op `op` executes, in order.
+    pub(crate) fn members(&self, op: usize) -> &[usize] {
+        &self.members[self.first[op]..self.first[op + 1]]
+    }
+
+    /// Where `hit` lands in `program`, the plan these landings are of.
+    pub(crate) fn of_hit(&self, program: &CompiledProgram, hit: &InjectedPauli) -> Landing {
+        if !matches!(program.source()[hit.op_index], ProgramOp::Gate(_)) {
+            // a readout hit: right before its measurement or reset
+            let op = program.placed(hit.op_index).op;
+            return Landing { op, slot: 0 };
+        }
+        let touching = &self.touching[hit.qubit];
+        match touching.partition_point(|&(s, _)| s <= hit.op_index) {
+            // nothing has touched the qubit yet: before the first op
+            0 => Landing { op: 0, slot: 0 },
+            i => touching[i - 1].1,
+        }
     }
 }
 
@@ -411,6 +578,123 @@ mod tests {
     }
 
     #[test]
+    fn draws_taken_ahead_are_the_draws_of_a_walk_in_schedule_order() {
+        // gates, a mid-circuit measurement, a reset, terminal measurements
+        let mut c = QCircuit::new(3);
+        c.push_back(Hadamard::new(0));
+        c.push_back(CNOT::new(0, 1));
+        c.push_back(Measurement::x(1));
+        c.push_back(TGate::new(0));
+        c.push_back(crate::circuit::CircuitItem::Reset(2));
+        c.push_back(RotationY::new(2, 0.4));
+        c.push_back(Measurement::z(0));
+        c.push_back(Measurement::z(2));
+        // numbered on the source schedule, whichever plan is asked
+        let program = c.compile_with(&crate::program::PlanOptions::default());
+        assert!(program.ops().len() < program.source().len());
+        let noise = NoiseSpec {
+            after_gate: Some(PauliChannel::Depolarizing(0.3)),
+            idle: Some(PauliChannel::PhaseFlip(0.2)),
+            before_measure: Some(PauliChannel::BitFlip(0.4)),
+        };
+        let plan = NoisePlan::new(&program, &noise);
+        for shot in 0..200 {
+            for collapses in [true, false] {
+                // the stated order, lazily: per op its hits, then its own draw
+                let mut rng = shot_rng(29, shot);
+                let mut walk = NoiseWalk::start(&plan, &mut rng);
+                let (mut hits, mut uniforms) = (Vec::new(), Vec::new());
+                for (op, item) in program.source().iter().enumerate() {
+                    for class in Class::ALL {
+                        while let Some((site, pauli)) = walk.take(&plan, class, op, &mut rng) {
+                            let qubit = match item {
+                                ProgramOp::Gate(g) => gate_site_qubit(class, &g.qubits(), site),
+                                other => other.qubits()[0],
+                            };
+                            hits.push(InjectedPauli {
+                                op_index: op,
+                                qubit,
+                                pauli,
+                            });
+                        }
+                    }
+                    if collapses && matches!(item, ProgramOp::Measure(_) | ProgramOp::Reset(_)) {
+                        uniforms.push(rng.gen::<f64>());
+                    }
+                }
+                let mut ahead = shot_rng(29, shot);
+                let drawn = plan.draw_shot(&program, collapses, &mut ahead);
+                assert_eq!(drawn.hits, hits, "shot {shot}");
+                // the collapses up to the last hit are taken ahead, the
+                // rest is what the stream holds next
+                let mut taken = drawn.collapses;
+                assert!(hits.is_empty() <= taken.is_empty());
+                while taken.len() < uniforms.len() {
+                    taken.push(ahead.gen::<f64>());
+                }
+                assert_eq!(taken, uniforms, "shot {shot}");
+                assert_eq!(
+                    ahead.next_u64(),
+                    rng.next_u64(),
+                    "shot {shot}: stream position"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_hit_lands_after_the_last_op_on_its_qubit_wherever_fusion_put_it() {
+        // fused: op 0 = H·T·RZ on q0, op 1 = RY·CX·RX on q1 q2
+        let mut c = QCircuit::new(3);
+        c.push_back(Hadamard::new(0));
+        c.push_back(RotationY::new(1, 0.7));
+        c.push_back(CNOT::new(1, 2));
+        c.push_back(TGate::new(0));
+        c.push_back(RotationX::new(1, 1.1));
+        c.push_back(RotationZ::new(0, 0.4));
+        c.push_back(Measurement::z(1));
+        let program = c.compile_with(&crate::program::PlanOptions::default());
+        assert_eq!(program.ops().len(), 3);
+        let landings = Landings::of(&program);
+        assert_eq!(landings.members(0), [0, 3, 5]);
+        assert_eq!(landings.members(1), [1, 2, 4]);
+        let land = |op_index, qubit| {
+            let hit = InjectedPauli {
+                op_index,
+                qubit,
+                pauli: Pauli::X,
+            };
+            let at = landings.of_hit(&program, &hit);
+            (at.op, at.slot)
+        };
+        // after CX on its control: inside the block, RX follows on q1
+        assert_eq!(land(2, 1), (1, 2));
+        // after CX on its target: nothing later in the block touches q2,
+        // so the hit rides to the block's end
+        assert_eq!(land(2, 2), (1, 3));
+        // idle on q0 while RX runs: after T, in the *earlier* op — behind
+        // a lane that had already applied the CX hit in stream order
+        assert_eq!(land(4, 0), (0, 2));
+        assert!(land(4, 0) < land(2, 1));
+        // idle on qubits nothing has touched yet: before the first op
+        assert_eq!(land(0, 1), (0, 0));
+        assert_eq!(land(1, 2), (0, 0));
+        // after the last gate of a block, idle later, readout: boundaries
+        assert_eq!(land(5, 0), (0, 3));
+        assert_eq!(land(5, 1), (1, 3));
+        assert_eq!(land(6, 1), (2, 0));
+        // on the unfused plan every op is its own block
+        let unfused = c.compile_with(&crate::program::PlanOptions::unfused());
+        let landings = Landings::of(&unfused);
+        let hit = InjectedPauli {
+            op_index: 4,
+            qubit: 0,
+            pauli: Pauli::Z,
+        };
+        assert_eq!(landings.of_hit(&unfused, &hit), Landing { op: 3, slot: 1 });
+    }
+
+    #[test]
     fn hit_frequency_and_spacing_follow_the_geometric_law() {
         // 10⁷ sites per probability: ten shots over 10⁶ sites, so the
         // start draw and the end of a schedule are walked too
@@ -495,7 +779,7 @@ mod tests {
             before_measure: Some(PauliChannel::PhaseFlip(0.0)),
         };
         let plan = synthetic(3, 50, 4, &never);
-        assert!(!plan.strikes_gates());
+        assert!(plan.laws.iter().all(Option::is_none));
         let mut rng = shot_rng(1, 2);
         assert!(hits(&plan, &mut rng).is_empty());
         assert_eq!(
@@ -529,7 +813,7 @@ mod tests {
             before_measure: Some(PauliChannel::PhaseFlip(f64::MIN_POSITIVE)),
         };
         let plan = synthetic(2, 1000, 3, &faint);
-        assert!(plan.strikes_gates());
+        assert!(plan.laws.iter().all(Option::is_some));
         for shot in 0..1000 {
             let walk = NoiseWalk::start(&plan, &mut shot_rng(5, shot));
             assert_eq!(walk.next_op(&plan), plan.ops());
@@ -545,11 +829,6 @@ mod tests {
         let empty = synthetic(2, 0, 0, &all_certain());
         assert_eq!(empty.ops(), 0);
         assert!(hits(&empty, &mut shot_rng(1, 1)).is_empty());
-        // the silent plan: no law, no site table, nothing to index
-        let mut rng = shot_rng(1, 1);
-        let mut walk = NoiseWalk::start(&SILENT, &mut rng);
-        assert_eq!(walk.next_op(&SILENT), 0);
-        assert_eq!(walk.take(&SILENT, Class::Readout, 3, &mut rng), None);
     }
 
     #[test]

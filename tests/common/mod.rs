@@ -230,3 +230,31 @@ pub fn state(n: usize) -> impl Strategy<Value = CVec> {
         },
     )
 }
+
+/// `layers` layers of pseudo-random rotations and a CNOT ladder on
+/// qubits `0..width` of an `n`-qubit register (non-Clifford, so the
+/// frame sampler stays out), from a fixed LCG.
+pub fn random_layers(n: usize, width: usize, layers: usize, seed: u64) -> QCircuit {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) as f64 / (1u64 << 31) as f64
+    };
+    let mut c = QCircuit::new(n);
+    for layer in 0..layers {
+        for q in 0..width {
+            let angle = 0.2 + 2.5 * next();
+            match (next() * 3.0) as usize {
+                0 => c.push_back(RotationX::new(q, angle)),
+                1 => c.push_back(RotationY::new(q, angle)),
+                _ => c.push_back(RotationZ::new(q, angle)),
+            };
+        }
+        for q in (layer % 2..width - 1).step_by(2) {
+            c.push_back(CNOT::new(q, q + 1));
+        }
+    }
+    c
+}

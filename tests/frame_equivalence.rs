@@ -188,7 +188,8 @@ proptest! {
     }
 }
 
-/// The frame opt-out (`frames: false`, CLI `--no-frames`) pins the
+/// The frame opt-out (`TrajectoryConfig::frames = false` — a library
+/// field; the CLI has had no flag for it since PR 20) pins the
 /// state-vector engine even on frame-eligible circuits.
 #[test]
 fn frames_opt_out_falls_back_to_the_trajectory_engine() {

@@ -9,17 +9,31 @@
 //!
 //! The goldens were generated at `f23ad2b` (PR 13). A deliberate seed
 //! compatibility break replaces the affected line with the `actual`
-//! value the failing assertion prints — and says so in CHANGES.md. Two
-//! have happened. PR 16 made a terminal measurement block one draw
-//! (readout sites in measurement order, then one outcome uniform), which
-//! regenerated `per_shot_n13`; `alias_qft8` kept its counts (a
-//! 16-outcome table was cumulative already) and changed only its check
-//! count, now reported per shot like every other path's. PR 19 made a
-//! shot's noise a walk from hit to hit (one geometric gap per hit in
-//! place of one uniform per site, `sim::walk`), which regenerated every
-//! row that configures noise — `per_shot_n5`, `per_shot_n13`, `forked`
-//! (readout noise) and `frame_rep5`; the noiseless rows (`alias_qft8`,
-//! `sparse_ghz30`, the branch probabilities) kept their bits.
+//! value the failing assertion prints — and says so in CHANGES.md. PR 16
+//! made a terminal measurement block one draw (readout sites in
+//! measurement order, then one outcome uniform), which regenerated
+//! `per_shot_n13`; `alias_qft8` kept its counts (a 16-outcome table was
+//! cumulative already) and changed only its check count, now reported
+//! per shot like every other path's. PR 19 made a shot's noise a walk
+//! from hit to hit (one geometric gap per hit in place of one uniform
+//! per site, `sim::walk`), which regenerated every row that configures
+//! noise — `per_shot_n5`, `per_shot_n13`, `forked` (readout noise) and
+//! `frame_rep5`; the noiseless rows (`alias_qft8`, `sparse_ghz30`, the
+//! branch probabilities) kept their bits.
+//!
+//! Since then the contract is a number,
+//! [`SEED_CONTRACT`](qclab_core::sim::trajectory::SEED_CONTRACT), and the
+//! rows a break can move are kept **per contract** ([`NOISY_DENSE`]): a
+//! break appends a generation under the new number instead of editing
+//! one in place, so the table is the old/new comparison, and the test
+//! refuses a bump that brings no new generation as well as a generation
+//! nobody bumped for. Contract 4 made a noisy state-vector shot run the
+//! fused plan: counts and injected errors of all three rows are *equal*
+//! to contract 3's (hits and the RNG stream are unchanged, and no
+//! uniform fell within an ulp of a boundary); what moved is what names
+//! the plan — `forked`'s prefix is 2 fused ops, not 4 gates, and
+//! `per_shot_n13` performs 5 watchdog checks per shot, not 10, because
+//! the watchdog counts the ops it executes and there are fewer.
 //!
 //! Registers are small and every branch/marginal probability sits far
 //! from a uniform draw, so AVX2 and scalar hosts agree; the SIMD-off leg
@@ -33,6 +47,7 @@ use qclab_core::program::BackendRequest;
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
     run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig, TrajectoryResult, WatchdogConfig,
+    SEED_CONTRACT,
 };
 use qclab_core::CircuitItem;
 
@@ -210,22 +225,34 @@ type Case = (
     &'static str,
 );
 
+/// The noisy state-vector rows — `per_shot_n5`, `per_shot_n13`, `forked`
+/// — by seed contract, oldest first: the rows a change to the dense shot
+/// engine can move. The last generation is the one that must reproduce.
+const NOISY_DENSE: [(u32, [&str; 3]); 2] = [
+    (
+        3,
+        [
+            "per-shot | injected 419 | checks 300 | 0000:57 0001:37 0010:1 0011:10 0100:21 0101:18 0110:5 0111:3 1000:53 1001:43 1010:8 1011:4 1100:19 1101:17 1110:3 1111:1",
+            "per-shot | injected 96 | checks 400 | 0001:3 0010:3 0011:2 0100:4 0101:5 0110:3 1000:4 1001:2 1010:4 1011:3 1100:2 1101:2 1110:1 1111:2",
+            "forked (prefix 4 ops) | injected 112 | checks 400 | 0000:33 0001:29 0010:17 0011:22 0100:37 0101:25 0110:22 0111:18 1000:25 1001:26 1010:34 1011:23 1100:23 1101:21 1110:24 1111:21",
+        ],
+    ),
+    (
+        4,
+        [
+            "per-shot | injected 419 | checks 300 | 0000:57 0001:37 0010:1 0011:10 0100:21 0101:18 0110:5 0111:3 1000:53 1001:43 1010:8 1011:4 1100:19 1101:17 1110:3 1111:1",
+            "per-shot | injected 96 | checks 200 | 0001:3 0010:3 0011:2 0100:4 0101:5 0110:3 1000:4 1001:2 1010:4 1011:3 1100:2 1101:2 1110:1 1111:2",
+            "forked (prefix 2 ops) | injected 112 | checks 400 | 0000:33 0001:29 0010:17 0011:22 0100:37 0101:25 0110:22 0111:18 1000:25 1001:26 1010:34 1011:23 1100:23 1101:21 1110:24 1111:21",
+        ],
+    ),
+];
+
+const CURRENT: [&str; 3] = NOISY_DENSE[NOISY_DENSE.len() - 1].1;
+
 const SHOT_GOLDENS: [Case; 6] = [
-    (
-        "per_shot_n5",
-        per_shot_n5,
-        "per-shot | injected 419 | checks 300 | 0000:57 0001:37 0010:1 0011:10 0100:21 0101:18 0110:5 0111:3 1000:53 1001:43 1010:8 1011:4 1100:19 1101:17 1110:3 1111:1",
-    ),
-    (
-        "per_shot_n13",
-        per_shot_n13,
-        "per-shot | injected 96 | checks 400 | 0001:3 0010:3 0011:2 0100:4 0101:5 0110:3 1000:4 1001:2 1010:4 1011:3 1100:2 1101:2 1110:1 1111:2",
-    ),
-    (
-        "forked",
-        forked,
-        "forked (prefix 4 ops) | injected 112 | checks 400 | 0000:33 0001:29 0010:17 0011:22 0100:37 0101:25 0110:22 0111:18 1000:25 1001:26 1010:34 1011:23 1100:23 1101:21 1110:24 1111:21",
-    ),
+    ("per_shot_n5", per_shot_n5, CURRENT[0]),
+    ("per_shot_n13", per_shot_n13, CURRENT[1]),
+    ("forked", forked, CURRENT[2]),
     (
         "alias_qft8",
         alias_qft8,
@@ -242,6 +269,28 @@ const SHOT_GOLDENS: [Case; 6] = [
         "pauli-frame | injected 884 | checks 0 | 00000:1284 00001:81 00010:87 00011:12 00100:100 00101:5 00110:11 00111:7 01000:69 01001:6 01010:4 01011:1 01100:3 01101:2 10000:71 10001:75 10010:9 10011:63 10100:5 10101:10 10110:5 10111:63 11000:10 11001:6 11011:3 11100:1 11110:3 11111:4",
     ),
 ];
+
+/// The goldens and [`SEED_CONTRACT`] move together: the newest
+/// generation is the current contract's, and every generation differs
+/// from the one before — a number nobody bumped for cannot cover new
+/// rows, and a bump that moved nothing is not a break.
+#[test]
+fn the_noisy_dense_goldens_are_keyed_on_the_seed_contract() {
+    let (newest, _) = NOISY_DENSE[NOISY_DENSE.len() - 1];
+    assert_eq!(
+        newest, SEED_CONTRACT,
+        "SEED_CONTRACT is {SEED_CONTRACT} but the newest noisy dense goldens were recorded \
+         under contract {newest}: a bump appends a generation, new goldens need a bump"
+    );
+    for pair in NOISY_DENSE.windows(2) {
+        let ((old, old_rows), (new, new_rows)) = (pair[0], pair[1]);
+        assert!(old < new, "generations {old} and {new} are out of order");
+        assert_ne!(
+            old_rows, new_rows,
+            "contract {new} changes no golden: not a seed-contract break"
+        );
+    }
+}
 
 #[test]
 fn shot_paths_reproduce_their_seed_goldens() {

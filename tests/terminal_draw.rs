@@ -18,6 +18,9 @@
 //!   totals do not depend on how many lanes diverged;
 //! * **the batch width is the width asked for**, at any register size.
 
+mod common;
+
+use common::random_layers;
 use qclab::prelude::*;
 use qclab_core::sim::density::{run_noisy, DensityState, NoiseModel};
 use qclab_core::sim::trajectory::{
@@ -26,34 +29,6 @@ use qclab_core::sim::trajectory::{
 };
 use qclab_core::PlanOptions;
 use qclab_math::bits;
-
-/// `layers` layers of pseudo-random rotations and a CNOT ladder on
-/// qubits `0..width` of an `n`-qubit register (non-Clifford, so the
-/// frame sampler stays out), from a fixed LCG.
-fn random_layers(n: usize, width: usize, layers: usize, seed: u64) -> QCircuit {
-    let mut x = seed | 1;
-    let mut next = move || {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (x >> 33) as f64 / (1u64 << 31) as f64
-    };
-    let mut c = QCircuit::new(n);
-    for layer in 0..layers {
-        for q in 0..width {
-            let angle = 0.2 + 2.5 * next();
-            match (next() * 3.0) as usize {
-                0 => c.push_back(RotationX::new(q, angle)),
-                1 => c.push_back(RotationY::new(q, angle)),
-                _ => c.push_back(RotationZ::new(q, angle)),
-            };
-        }
-        for q in (layer % 2..width - 1).step_by(2) {
-            c.push_back(CNOT::new(q, q + 1));
-        }
-    }
-    c
-}
 
 /// Five qubits, four measured in three bases: X on 0, Y on 2, Z on 3
 /// and on 4 — which no gate touches, so its bit reads 0 with certainty
@@ -166,8 +141,8 @@ fn the_terminal_draw_is_one_function_on_every_path() {
 #[test]
 fn windows_under_noise_end_in_the_same_draw() {
     // one qubit above the 12-qubit sweep tile: the stream holds windows,
-    // which a diverged lane cuts gate by gate and the shared evolution
-    // does not
+    // which a diverged lane cuts at the ops its hits land in and the
+    // shared evolution does not
     let n = 13;
     let mut c = random_layers(n, n, 2, 5);
     for q in [0, 4, 9, 12] {
@@ -316,8 +291,9 @@ fn watchdog_totals_do_not_depend_on_how_many_lanes_diverged() {
     let (none, some, all) = (run(1e-12, true), run(0.02, true), run(1.0, true));
     assert_eq!(none.injected_errors(), 0);
     assert!(0 < some.injected_errors() && some.injected_errors() < all.injected_errors());
-    // 22 gates at a cadence of 4: five checks and the end-of-shot one
-    let gates = c.compile_with(&PlanOptions::unfused()).stats().gates_out as u64;
+    // the plan every run executes, noisy or not: 22 gates fused into 8
+    // gate ops, at a cadence of 4 two checks
+    let gates = c.compile_with(&PlanOptions::default()).stats().gates_out as u64;
     let checks = 96 * gates.div_ceil(4);
     for (r, what) in [(&none, "none"), (&some, "some"), (&all, "all")] {
         assert_eq!(r.norm_stats().checks, checks, "{what} diverged");
