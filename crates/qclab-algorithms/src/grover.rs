@@ -284,6 +284,16 @@ mod tests {
                 "k = {k}: simulated {p}, analytic {analytic}"
             );
         }
+        // M = 1 through the single-marked oracle, past the peak at k = 6
+        let theta = (1.0 / 64f64).sqrt().asin();
+        for k in [1usize, 3, 6, 8] {
+            let p = success_probability(6, "111111", k).unwrap();
+            let analytic = ((2 * k + 1) as f64 * theta).sin().powi(2);
+            assert!(
+                (p - analytic).abs() < 1e-9,
+                "n = 6, k = {k}: simulated {p}, analytic {analytic}"
+            );
+        }
     }
 
     #[test]

@@ -594,6 +594,9 @@ mod tests {
             let (bare, protected) = memory_error_experiment(p, &paper_v());
             assert!(protected > bare, "no QEC gain at p = {p}");
         }
+        // well below it the gain is ~1/(3p): over 10x at p = 0.01
+        let (bare, protected) = memory_error_experiment(0.01, &paper_v());
+        assert!(1.0 - protected < (1.0 - bare) / 10.0);
         // and loses above the pseudo-threshold p = 1/2
         let (bare, protected) = memory_error_experiment(0.6, &paper_v());
         assert!(protected < bare);

@@ -202,6 +202,10 @@ mod tests {
         // fidelity error of a 1st-order formula scales ~1/steps²;
         // allow a loose factor on the asymptotic ratio
         assert!(e16 < e8 / 2.0, "convergence too slow: {e8} -> {e16}");
+        // and in the asymptotic regime the order shows: ~2^2 per doubling
+        let slope =
+            (tfim_error(32, TrotterOrder::First) / tfim_error(64, TrotterOrder::First)).log2();
+        assert!(slope > 1.5, "first-order slope 2^{slope} too shallow");
     }
 
     #[test]
@@ -212,6 +216,10 @@ mod tests {
             e2 < e1 / 5.0,
             "Strang splitting not better: first {e1}, second {e2}"
         );
+        // two powers better: ~2^4 per step doubling against 2^2
+        let slope =
+            (tfim_error(16, TrotterOrder::Second) / tfim_error(32, TrotterOrder::Second)).log2();
+        assert!(slope > 3.0, "second-order slope 2^{slope} too shallow");
     }
 
     #[test]

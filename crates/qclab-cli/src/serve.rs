@@ -14,8 +14,9 @@
 //! ```
 //!
 //! `qasm` (inline source) and `file` (path) are alternatives; `seed`
-//! defaults to 1, `timeout_ms` is optional. A `cancel` line aborts the
-//! named job: still-queued jobs resolve immediately with
+//! defaults to 1, `timeout_ms` is optional; a key given twice is a usage
+//! error. A `cancel` line aborts the named job: still-queued jobs resolve
+//! immediately with
 //! `error.kind = "cancelled"`, running jobs stop at the next control
 //! check and keep their completed shots as a partial result.
 //!
@@ -44,7 +45,7 @@ use qclab_core::service::{
 };
 use qclab_core::sim::trajectory::TrajectoryConfig;
 use qclab_core::{QCircuit, QclabError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -448,6 +449,18 @@ fn decode_request(line: &str) -> Result<Request, (String, ErrorKind, String)> {
         Ok(d) => d,
         Err(e) => return Err(fail("", ErrorKind::Io, &format!("bad JSON job line: {e}"))),
     };
+    // `get` reads the first of a repeated key; refuse the line rather
+    // than let one of two values win silently
+    if let Json::Obj(fields) = &doc {
+        let mut seen = HashSet::new();
+        if let Some((key, _)) = fields.iter().find(|(k, _)| !seen.insert(k.as_str())) {
+            let id = match key.as_str() {
+                "id" => "",
+                _ => doc.get("id").and_then(Json::as_str).unwrap_or(""),
+            };
+            return Err(usage(id, &format!("key '{key}' given more than once")));
+        }
+    }
     if let Some(target) = doc.get("cancel") {
         return match target.as_str() {
             Some(id) => Ok(Request::Cancel(id.to_string())),
@@ -870,6 +883,15 @@ mod tests {
         assert_eq!(bad_qasm.0, "j");
         let both = decode_request(r#"{"id":"j","qasm":"x","file":"y","shots":1}"#).unwrap_err();
         assert_eq!(both.1, ErrorKind::Usage);
+        // a repeated key is refused, never read as its first value
+        let dup =
+            decode_request(r#"{"id":"dup","file":"bell.qasm","shots":2,"shots":3}"#).unwrap_err();
+        assert_eq!((dup.0.as_str(), dup.1), ("dup", ErrorKind::Usage));
+        assert!(dup.2.contains("'shots'"), "{}", dup.2);
+        let dup_id = decode_request(r#"{"id":"a","id":"b","qasm":"x","shots":1}"#).unwrap_err();
+        assert_eq!((dup_id.0.as_str(), dup_id.1), ("", ErrorKind::Usage));
+        let dup_cancel = decode_request(r#"{"cancel":"a","cancel":"b"}"#).unwrap_err();
+        assert_eq!(dup_cancel.1, ErrorKind::Usage);
     }
 
     #[test]

@@ -1067,7 +1067,7 @@ pub fn resolve_backend(
 
 /// Lowers a circuit to a [`CompiledProgram`] without consulting the plan
 /// cache. Use [`compile`] unless you are measuring lowering cost itself
-/// (the F11 ablation) or deliberately want a private plan.
+/// (`qclab-e2e`'s `program.lower_us`) or deliberately want a private plan.
 pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
     let options = options.normalized();
     let nb_qubits = circuit.nb_qubits();

@@ -5,8 +5,9 @@
 //! state vector. This module reproduces that strategy exactly — for every
 //! gate application a fresh [`CsrMat`] of `O(2^n)` stored entries is
 //! built and applied. It is the reference backend the optimized kernels
-//! of [`super::kernel`] are benchmarked against (experiment F1), and the
-//! two backends are property-tested to agree on random circuits.
+//! of [`super::kernel`] were measured against (recorded in EXPERIMENTS.md
+//! F1), and the two backends are property-tested to agree on random
+//! circuits.
 
 use crate::gates::Gate;
 use qclab_math::bits;

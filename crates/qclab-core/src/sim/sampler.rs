@@ -16,7 +16,8 @@
 //! build costs three times the memory and several passes where this one
 //! costs the single pass that validates the weights anyway, and a
 //! request would have to draw ~57 000 shots from a 2¹⁶-outcome table
-//! (~108 000 from 2²⁰) before that paid off (EXPERIMENTS.md F12).
+//! (~108 000 from 2²⁰) before that paid off (recorded at PR 16,
+//! EXPERIMENTS.md F12).
 //!
 //! Weights need not be normalized — a draw scales its uniform by the
 //! total — but must be finite, non-negative and not all zero. Draws are

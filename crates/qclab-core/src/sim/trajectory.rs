@@ -311,7 +311,8 @@ pub struct TrajectoryConfig {
     /// are `==` either way — a shot's record is the same function of the
     /// same state and the same `(seed, shot)` draws. Disable to make
     /// every shot evolve (and tabulate) its own state from op 0 (the
-    /// F12 ablation).
+    /// reference `tests/shot_fastpath.rs` and `tests/terminal_draw.rs`
+    /// hold the shared paths to).
     pub fast_path: bool,
     /// State representation of the shot engine. The default pins the
     /// dense engine (bit-compatible with every earlier release);

@@ -73,6 +73,12 @@ fn section4_qasm_listing_matches_paper() {
                     measure q[0] -> c[0];\n\
                     measure q[1] -> c[1];\n";
     assert_eq!(qasm, expected);
+    // and re-importing the listing reproduces circuit (1)
+    let back = from_qasm(&qasm).unwrap();
+    assert_eq!(
+        back.simulate_bitstring("00").unwrap().results(),
+        &["00", "11"]
+    );
 }
 
 #[test]

@@ -11,10 +11,10 @@
 
 mod common;
 
-use common::{measured_circuit, state};
+use common::{measured_circuit, random_layers, state};
 use proptest::prelude::*;
 use qclab::prelude::*;
-use qclab_core::program::{BackendRequest, PlanOptions};
+use qclab_core::program::{choose_backend, BackendChoice, BackendRequest, PlanOptions};
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::sparse::{self, SparseOptions, SparseSimulation, SparseState};
 use qclab_core::sim::trajectory::{run_trajectories, ShotPath, TrajectoryConfig};
@@ -180,8 +180,9 @@ fn branching_circuit() -> QCircuit {
 }
 
 /// Sparse `counts` draws must follow the dense engine's exact branch
-/// marginal — the F10/F12-style statistical cross-check of the sampled
-/// surface, not just the amplitudes.
+/// marginal — the chi-square check `tests/shot_fastpath.rs` applies to
+/// the dense table path, here on the sampled surface, not just the
+/// amplitudes.
 #[test]
 fn sparse_counts_match_dense_marginal_chi_square() {
     let c = branching_circuit();
@@ -262,7 +263,8 @@ fn sparse_sampled_trajectories_match_dense_marginal_chi_square() {
 
 /// The headline capability, locked in at the library level: a 30-qubit
 /// low-entanglement circuit the dense guard refuses runs to completion
-/// under `Auto`, which resolves it to the sparse executor.
+/// under `Auto`, which resolves it to the sparse executor — and below
+/// the guard the chooser's verdicts follow the support bound.
 #[test]
 fn thirty_qubit_circuit_dense_refuses_auto_completes() {
     let n = 30;
@@ -300,4 +302,26 @@ fn thirty_qubit_circuit_dense_refuses_auto_completes() {
     );
     assert_eq!(sim.results(), vec!["1".repeat(n)]);
     assert!((sim.probabilities()[0] - 1.0).abs() < 1e-12);
+
+    // where the dense guard admits the register, `Auto` still routes by
+    // the support bound: an entangling circuit saturates it and stays
+    // dense, a GHZ ladder (bound 2) resolves sparse
+    let limits = ResourceLimits::default();
+    let verdict = |c: &QCircuit| {
+        let program = c.compile_with(&PlanOptions::sparse());
+        choose_backend(program.stats(), c.nb_qubits(), &limits).unwrap()
+    };
+    let entangling = random_layers(12, 12, 4, 3);
+    assert_eq!(verdict(&entangling), BackendChoice::Dense);
+    let mut ghz = QCircuit::new(24);
+    ghz.push_back(Hadamard::new(0));
+    for q in 1..24 {
+        ghz.push_back(CNOT::new(q - 1, q));
+    }
+    assert!(limits.check_register(24).is_ok());
+    assert!(
+        matches!(verdict(&ghz), BackendChoice::Sparse { .. }),
+        "GHZ-24 must resolve sparse, got {}",
+        verdict(&ghz)
+    );
 }
