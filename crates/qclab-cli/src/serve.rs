@@ -27,11 +27,16 @@
 //!  "path":"alias-sampled (prefix 3 ops)","injected_errors":0,
 //!  "counts":{"00":493,"11":507},
 //!  "telemetry":{"queue_ms":0.4,"run_ms":2.1,"wall_ms":2.5,
-//!               "dedup_hit":true,"coalesced":1,"prep_hit":true}}
+//!               "dedup_hit":true,"coalesced":1,"prep_hit":true,
+//!               "seed_contract":4}}
 //! {"id":"j2","ok":false,
 //!  "error":{"kind":"timeout","code":7,"message":"stopped after 210 of 500 shots"},
 //!  "partial":{ ...same shape as a success result... }}
 //! ```
+//!
+//! `seed_contract` is [`SEED_CONTRACT`]: the generation of the
+//! `(seed, shot)` → bits mapping the counts were drawn under, the value
+//! `qclab --help` and `qclab compile` print.
 //!
 //! `error.kind`/`error.code` mirror the CLI exit-code contract
 //! (2 usage, 3 io, 4 qasm-parse, 5 simulation, 6 resource, 7
@@ -43,7 +48,7 @@ use qclab_core::program::{plan_cache_capacity, plan_cache_stats, RETAINED_BYTES_
 use qclab_core::service::{
     ErrorKind, JobHandle, JobOutput, JobResult, JobSpec, Scheduler, ServiceConfig,
 };
-use qclab_core::sim::trajectory::TrajectoryConfig;
+use qclab_core::sim::trajectory::{TrajectoryConfig, SEED_CONTRACT};
 use qclab_core::{QCircuit, QclabError};
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -339,7 +344,7 @@ fn output_json(o: &JobOutput) -> String {
         "{{\"id\":\"{}\",\"ok\":true,\"shots\":{},\"requested_shots\":{},\
          \"path\":\"{}\",\"injected_errors\":{},\"counts\":{{{counts}}},\
          \"telemetry\":{{\"queue_ms\":{:.3},\"run_ms\":{:.3},\"wall_ms\":{:.3},\
-         \"dedup_hit\":{},\"coalesced\":1,\"prep_hit\":{}}}}}",
+         \"dedup_hit\":{},\"coalesced\":1,\"prep_hit\":{},\"seed_contract\":{SEED_CONTRACT}}}}}",
         json_escape(&o.id),
         o.shots,
         o.requested_shots,
@@ -869,6 +874,45 @@ mod tests {
         // failures are reported as before and not remembered
         assert!(parse_source("this is not qasm").is_err());
         assert!(parse_source("this is not qasm").is_err());
+    }
+
+    #[test]
+    fn result_lines_encode_every_field() {
+        let output = JobOutput {
+            id: "j\"1".into(),
+            counts: BTreeMap::from([("00".to_string(), 3), ("11".to_string(), 1)]),
+            shots: 4,
+            requested_shots: 5,
+            path: "alias-sampled (prefix 2 ops)".into(),
+            injected_errors: 0,
+            telemetry: qclab_core::service::JobTelemetry {
+                queue_ms: 0.25,
+                run_ms: 1.5,
+                wall_ms: 1.75,
+                dedup_hit: true,
+                prep_hit: false,
+            },
+        };
+        let line = output_json(&output);
+        assert_eq!(
+            line,
+            format!(
+                "{{\"id\":\"j\\\"1\",\"ok\":true,\"shots\":4,\"requested_shots\":5,\
+                 \"path\":\"alias-sampled (prefix 2 ops)\",\"injected_errors\":0,\
+                 \"counts\":{{\"00\":3,\"11\":1}},\"telemetry\":{{\"queue_ms\":0.250,\
+                 \"run_ms\":1.500,\"wall_ms\":1.750,\"dedup_hit\":true,\"coalesced\":1,\
+                 \"prep_hit\":false,\"seed_contract\":{SEED_CONTRACT}}}}}"
+            )
+        );
+        let doc = parse_json(&line).unwrap();
+        let telemetry = doc.get("telemetry").unwrap();
+        assert_eq!(
+            telemetry.get("seed_contract").and_then(Json::as_u64),
+            Some(u64::from(SEED_CONTRACT))
+        );
+        // a partial result rides in an error line with the same encoding
+        let err = error_line("j", ErrorKind::Timeout, "stopped", Some(&output));
+        assert!(err.ends_with(&format!(",\"partial\":{line}}}")), "{err}");
     }
 
     #[test]

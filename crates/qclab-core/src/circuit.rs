@@ -176,6 +176,11 @@ impl QCircuit {
         Ok(self)
     }
 
+    /// Reserves room for at least `additional` more items.
+    pub fn reserve(&mut self, additional: usize) {
+        self.items.reserve(additional);
+    }
+
     /// Appends a sub-circuit starting at qubit `offset` of this register.
     pub fn push_back_at(
         &mut self,

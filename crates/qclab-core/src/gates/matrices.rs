@@ -5,165 +5,284 @@
 //! QCLAB builds controlled gates). Two-qubit matrices use the convention
 //! that the first listed target qubit is the most significant sub-index
 //! bit, consistent with [`qclab_math::bits`].
+//!
+//! Every matrix is defined once, as its row-major entries — which the
+//! lowering reads without allocating (`Gate::write_target_matrix`) —
+//! and each public function wraps those entries in a [`CMat`].
 
-use qclab_math::scalar::{c, cis, cr, C64};
+use qclab_math::scalar::{c, cis, cr, zero, C64};
 use qclab_math::CMat;
 
 const INV_SQRT2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
+/// Row-major entries of a one-qubit matrix.
+pub(crate) type One = [C64; 4];
+/// Row-major entries of a two-qubit matrix.
+pub(crate) type Two = [C64; 16];
+
+fn one(entries: One) -> CMat {
+    CMat::from_vec(2, 2, entries.to_vec())
+}
+
+fn two(entries: Two) -> CMat {
+    CMat::from_vec(4, 4, entries.to_vec())
+}
+
+/// A two-qubit matrix with `entries` at `(row, col)` and zeros elsewhere.
+fn sparse4(entries: &[(usize, usize, C64)]) -> Two {
+    let mut m = [zero(); 16];
+    for &(row, col, v) in entries {
+        m[4 * row + col] = v;
+    }
+    m
+}
+
 /// 2x2 identity.
 pub fn identity() -> CMat {
-    CMat::identity(2)
+    one(identity_entries())
+}
+
+pub(crate) fn identity_entries() -> One {
+    [cr(1.0), zero(), zero(), cr(1.0)]
 }
 
 /// Hadamard gate.
 pub fn hadamard() -> CMat {
-    CMat::mat2(cr(INV_SQRT2), cr(INV_SQRT2), cr(INV_SQRT2), cr(-INV_SQRT2))
+    one(hadamard_entries())
+}
+
+pub(crate) fn hadamard_entries() -> One {
+    [cr(INV_SQRT2), cr(INV_SQRT2), cr(INV_SQRT2), cr(-INV_SQRT2)]
 }
 
 /// Pauli-X (NOT).
 pub fn pauli_x() -> CMat {
-    CMat::mat2(cr(0.0), cr(1.0), cr(1.0), cr(0.0))
+    one(pauli_x_entries())
+}
+
+pub(crate) fn pauli_x_entries() -> One {
+    [cr(0.0), cr(1.0), cr(1.0), cr(0.0)]
 }
 
 /// Pauli-Y.
 pub fn pauli_y() -> CMat {
-    CMat::mat2(cr(0.0), c(0.0, -1.0), c(0.0, 1.0), cr(0.0))
+    one(pauli_y_entries())
+}
+
+pub(crate) fn pauli_y_entries() -> One {
+    [cr(0.0), c(0.0, -1.0), c(0.0, 1.0), cr(0.0)]
 }
 
 /// Pauli-Z.
 pub fn pauli_z() -> CMat {
-    CMat::mat2(cr(1.0), cr(0.0), cr(0.0), cr(-1.0))
+    one(pauli_z_entries())
+}
+
+pub(crate) fn pauli_z_entries() -> One {
+    [cr(1.0), cr(0.0), cr(0.0), cr(-1.0)]
 }
 
 /// Phase gate S = diag(1, i) = √Z.
 pub fn s_gate() -> CMat {
-    CMat::diag(&[cr(1.0), c(0.0, 1.0)])
+    one(s_entries())
+}
+
+pub(crate) fn s_entries() -> One {
+    [cr(1.0), zero(), zero(), c(0.0, 1.0)]
 }
 
 /// S† = diag(1, -i).
 pub fn sdg_gate() -> CMat {
-    CMat::diag(&[cr(1.0), c(0.0, -1.0)])
+    one(sdg_entries())
+}
+
+pub(crate) fn sdg_entries() -> One {
+    [cr(1.0), zero(), zero(), c(0.0, -1.0)]
 }
 
 /// T = diag(1, e^{iπ/4}) = √S.
 pub fn t_gate() -> CMat {
-    CMat::diag(&[cr(1.0), cis(std::f64::consts::FRAC_PI_4)])
+    one(t_entries())
+}
+
+pub(crate) fn t_entries() -> One {
+    [cr(1.0), zero(), zero(), cis(std::f64::consts::FRAC_PI_4)]
 }
 
 /// T† = diag(1, e^{-iπ/4}).
 pub fn tdg_gate() -> CMat {
-    CMat::diag(&[cr(1.0), cis(-std::f64::consts::FRAC_PI_4)])
+    one(tdg_entries())
+}
+
+pub(crate) fn tdg_entries() -> One {
+    [cr(1.0), zero(), zero(), cis(-std::f64::consts::FRAC_PI_4)]
 }
 
 /// √X gate.
 pub fn sx_gate() -> CMat {
-    CMat::mat2(c(0.5, 0.5), c(0.5, -0.5), c(0.5, -0.5), c(0.5, 0.5))
+    one(sx_entries())
+}
+
+pub(crate) fn sx_entries() -> One {
+    [c(0.5, 0.5), c(0.5, -0.5), c(0.5, -0.5), c(0.5, 0.5)]
 }
 
 /// (√X)† gate.
 pub fn sxdg_gate() -> CMat {
-    CMat::mat2(c(0.5, -0.5), c(0.5, 0.5), c(0.5, 0.5), c(0.5, -0.5))
+    one(sxdg_entries())
+}
+
+pub(crate) fn sxdg_entries() -> One {
+    [c(0.5, -0.5), c(0.5, 0.5), c(0.5, 0.5), c(0.5, -0.5)]
 }
 
 /// Rotation about X: `RX(θ) = exp(-iθX/2)`.
 pub fn rotation_x(theta: f64) -> CMat {
+    one(rotation_x_entries(theta))
+}
+
+pub(crate) fn rotation_x_entries(theta: f64) -> One {
     let (co, si) = ((theta / 2.0).cos(), (theta / 2.0).sin());
-    CMat::mat2(cr(co), c(0.0, -si), c(0.0, -si), cr(co))
+    [cr(co), c(0.0, -si), c(0.0, -si), cr(co)]
 }
 
 /// Rotation about Y: `RY(θ) = exp(-iθY/2)`.
 pub fn rotation_y(theta: f64) -> CMat {
+    one(rotation_y_entries(theta))
+}
+
+pub(crate) fn rotation_y_entries(theta: f64) -> One {
     let (co, si) = ((theta / 2.0).cos(), (theta / 2.0).sin());
-    CMat::mat2(cr(co), cr(-si), cr(si), cr(co))
+    [cr(co), cr(-si), cr(si), cr(co)]
 }
 
 /// Rotation about Z: `RZ(θ) = exp(-iθZ/2) = diag(e^{-iθ/2}, e^{iθ/2})`.
 pub fn rotation_z(theta: f64) -> CMat {
-    CMat::diag(&[cis(-theta / 2.0), cis(theta / 2.0)])
+    one(rotation_z_entries(theta))
+}
+
+pub(crate) fn rotation_z_entries(theta: f64) -> One {
+    [cis(-theta / 2.0), zero(), zero(), cis(theta / 2.0)]
 }
 
 /// Phase gate `P(θ) = diag(1, e^{iθ})` (QASM `u1`/`p`).
 pub fn phase(theta: f64) -> CMat {
-    CMat::diag(&[cr(1.0), cis(theta)])
+    one(phase_entries(theta))
+}
+
+pub(crate) fn phase_entries(theta: f64) -> One {
+    [cr(1.0), zero(), zero(), cis(theta)]
 }
 
 /// `U2(φ, λ)` (QASM convention): a single-qubit gate built from two
 /// quarter rotations.
 pub fn u2(phi: f64, lambda: f64) -> CMat {
-    CMat::mat2(
+    one(u2_entries(phi, lambda))
+}
+
+pub(crate) fn u2_entries(phi: f64, lambda: f64) -> One {
+    [
         cr(INV_SQRT2),
         cis(lambda).scale_re(-INV_SQRT2),
         cis(phi).scale_re(INV_SQRT2),
         cis(phi + lambda).scale_re(INV_SQRT2),
-    )
+    ]
 }
 
 /// `U3(θ, φ, λ)` — the general single-qubit unitary up to global phase
 /// (QASM convention).
 pub fn u3(theta: f64, phi: f64, lambda: f64) -> CMat {
+    one(u3_entries(theta, phi, lambda))
+}
+
+pub(crate) fn u3_entries(theta: f64, phi: f64, lambda: f64) -> One {
     let (co, si) = ((theta / 2.0).cos(), (theta / 2.0).sin());
-    CMat::mat2(
+    [
         cr(co),
         cis(lambda).scale_re(-si),
         cis(phi).scale_re(si),
         cis(phi + lambda).scale_re(co),
-    )
+    ]
 }
 
 /// SWAP gate on two qubits.
 pub fn swap() -> CMat {
-    let mut m = CMat::zeros(4, 4);
-    m[(0, 0)] = cr(1.0);
-    m[(1, 2)] = cr(1.0);
-    m[(2, 1)] = cr(1.0);
-    m[(3, 3)] = cr(1.0);
-    m
+    two(swap_entries())
+}
+
+pub(crate) fn swap_entries() -> Two {
+    sparse4(&[
+        (0, 0, cr(1.0)),
+        (1, 2, cr(1.0)),
+        (2, 1, cr(1.0)),
+        (3, 3, cr(1.0)),
+    ])
 }
 
 /// iSWAP gate on two qubits.
 pub fn iswap() -> CMat {
-    let mut m = CMat::zeros(4, 4);
-    m[(0, 0)] = cr(1.0);
-    m[(1, 2)] = c(0.0, 1.0);
-    m[(2, 1)] = c(0.0, 1.0);
-    m[(3, 3)] = cr(1.0);
-    m
+    two(iswap_entries())
+}
+
+pub(crate) fn iswap_entries() -> Two {
+    sparse4(&[
+        (0, 0, cr(1.0)),
+        (1, 2, c(0.0, 1.0)),
+        (2, 1, c(0.0, 1.0)),
+        (3, 3, cr(1.0)),
+    ])
 }
 
 /// Two-qubit rotation `RXX(θ) = exp(-iθ X⊗X / 2)`.
 pub fn rotation_xx(theta: f64) -> CMat {
+    two(rotation_xx_entries(theta))
+}
+
+pub(crate) fn rotation_xx_entries(theta: f64) -> Two {
     let (co, si) = ((theta / 2.0).cos(), (theta / 2.0).sin());
     let mis = c(0.0, -si);
-    let mut m = CMat::zeros(4, 4);
-    for i in 0..4 {
-        m[(i, i)] = cr(co);
-        m[(i, 3 - i)] = mis;
-    }
-    m
+    sparse4(&[
+        (0, 0, cr(co)),
+        (0, 3, mis),
+        (1, 1, cr(co)),
+        (1, 2, mis),
+        (2, 2, cr(co)),
+        (2, 1, mis),
+        (3, 3, cr(co)),
+        (3, 0, mis),
+    ])
 }
 
 /// Two-qubit rotation `RYY(θ) = exp(-iθ Y⊗Y / 2)`.
 pub fn rotation_yy(theta: f64) -> CMat {
+    two(rotation_yy_entries(theta))
+}
+
+pub(crate) fn rotation_yy_entries(theta: f64) -> Two {
     let (co, si) = ((theta / 2.0).cos(), (theta / 2.0).sin());
     let mis = c(0.0, -si);
     let pis = c(0.0, si);
-    let mut m = CMat::zeros(4, 4);
-    for i in 0..4 {
-        m[(i, i)] = cr(co);
-    }
-    m[(0, 3)] = pis;
-    m[(3, 0)] = pis;
-    m[(1, 2)] = mis;
-    m[(2, 1)] = mis;
-    m
+    sparse4(&[
+        (0, 0, cr(co)),
+        (1, 1, cr(co)),
+        (2, 2, cr(co)),
+        (3, 3, cr(co)),
+        (0, 3, pis),
+        (3, 0, pis),
+        (1, 2, mis),
+        (2, 1, mis),
+    ])
 }
 
 /// Two-qubit rotation `RZZ(θ) = exp(-iθ Z⊗Z / 2)`.
 pub fn rotation_zz(theta: f64) -> CMat {
+    two(rotation_zz_entries(theta))
+}
+
+pub(crate) fn rotation_zz_entries(theta: f64) -> Two {
     let e_m = cis(-theta / 2.0);
     let e_p = cis(theta / 2.0);
-    CMat::diag(&[e_m, e_p, e_p, e_m])
+    sparse4(&[(0, 0, e_m), (1, 1, e_p), (2, 2, e_p), (3, 3, e_m)])
 }
 
 /// Helper for scaling a complex number by a real factor, used by the

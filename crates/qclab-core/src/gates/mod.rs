@@ -12,7 +12,26 @@ pub mod factories;
 pub mod matrices;
 
 use crate::error::QclabError;
-use qclab_math::CMat;
+use qclab_math::{CMat, C64};
+
+/// A gate's target qubits, borrowed where the gate stores them as one
+/// list and held inline where it stores them as two fields.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Qubits<'a> {
+    Borrowed(&'a [usize]),
+    Pair([usize; 2]),
+}
+
+impl std::ops::Deref for Qubits<'_> {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        match self {
+            Qubits::Borrowed(qs) => qs,
+            Qubits::Pair(qs) => qs,
+        }
+    }
+}
 
 /// A quantum gate instance: a unitary bound to specific qubits.
 #[derive(Clone, Debug, PartialEq)]
@@ -113,9 +132,8 @@ impl Gate {
         }
     }
 
-    /// The target qubits the gate's [`target_matrix`](Self::target_matrix)
-    /// acts on, in matrix order (first = most significant sub-index bit).
-    pub fn targets(&self) -> Vec<usize> {
+    /// [`targets`](Self::targets) without an allocation.
+    pub(crate) fn target_qubits(&self) -> Qubits<'_> {
         match self {
             Gate::Identity(q)
             | Gate::Hadamard(q)
@@ -127,82 +145,127 @@ impl Gate {
             | Gate::T(q)
             | Gate::Tdg(q)
             | Gate::SX(q)
-            | Gate::SXdg(q) => vec![*q],
-            Gate::RotationX { qubit, .. }
-            | Gate::RotationY { qubit, .. }
-            | Gate::RotationZ { qubit, .. }
-            | Gate::Phase { qubit, .. }
-            | Gate::U2 { qubit, .. }
-            | Gate::U3 { qubit, .. } => vec![*qubit],
-            Gate::Swap(a, b) | Gate::ISwap(a, b) => vec![*a, *b],
+            | Gate::SXdg(q)
+            | Gate::RotationX { qubit: q, .. }
+            | Gate::RotationY { qubit: q, .. }
+            | Gate::RotationZ { qubit: q, .. }
+            | Gate::Phase { qubit: q, .. }
+            | Gate::U2 { qubit: q, .. }
+            | Gate::U3 { qubit: q, .. } => Qubits::Borrowed(std::slice::from_ref(q)),
+            Gate::Swap(a, b) | Gate::ISwap(a, b) => Qubits::Pair([*a, *b]),
             Gate::RotationXX { qubits, .. }
             | Gate::RotationYY { qubits, .. }
-            | Gate::RotationZZ { qubits, .. } => qubits.to_vec(),
-            Gate::Controlled { target, .. } => target.targets(),
-            Gate::Custom { qubits, .. } => qubits.clone(),
+            | Gate::RotationZZ { qubits, .. } => Qubits::Borrowed(qubits),
+            Gate::Controlled { target, .. } => target.target_qubits(),
+            Gate::Custom { qubits, .. } => Qubits::Borrowed(qubits),
         }
     }
 
-    /// Control qubits with their control states; empty for uncontrolled
-    /// gates.
-    pub fn controls(&self) -> Vec<(usize, u8)> {
+    /// [`controls`](Self::controls) without an allocation: the control
+    /// qubits and their states, both empty for uncontrolled gates.
+    pub(crate) fn control_lists(&self) -> (&[usize], &[u8]) {
         match self {
             Gate::Controlled {
                 controls,
                 control_states,
                 ..
-            } => controls
-                .iter()
-                .copied()
-                .zip(control_states.iter().copied())
-                .collect(),
-            _ => Vec::new(),
+            } => {
+                // pairs, like `controls()` (unequal lengths fail `validate`)
+                let n = controls.len().min(control_states.len());
+                (&controls[..n], &control_states[..n])
+            }
+            _ => (&[], &[]),
         }
+    }
+
+    /// The target qubits the gate's [`target_matrix`](Self::target_matrix)
+    /// acts on, in matrix order (first = most significant sub-index bit).
+    pub fn targets(&self) -> Vec<usize> {
+        self.target_qubits().to_vec()
+    }
+
+    /// Control qubits with their control states; empty for uncontrolled
+    /// gates.
+    pub fn controls(&self) -> Vec<(usize, u8)> {
+        let (qubits, states) = self.control_lists();
+        qubits.iter().copied().zip(states.iter().copied()).collect()
     }
 
     /// All qubits the gate touches (controls followed by targets).
     pub fn qubits(&self) -> Vec<usize> {
-        let mut qs: Vec<usize> = self.controls().iter().map(|&(q, _)| q).collect();
-        qs.extend(self.targets());
-        qs
+        self.qubit_iter().collect()
+    }
+
+    /// [`qubits`](Self::qubits) without an allocation.
+    pub(crate) fn qubit_iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let targets = self.target_qubits();
+        let controls = self.control_lists().0.iter().copied();
+        controls.chain((0..targets.len()).map(move |i| targets[i]))
     }
 
     /// The number of target qubits.
     pub fn nb_targets(&self) -> usize {
-        self.targets().len()
+        self.target_qubits().len()
     }
 
     /// The unitary matrix on the **target** qubits only (controls are
     /// handled structurally during application).
     pub fn target_matrix(&self) -> CMat {
-        use matrices as m;
         match self {
-            Gate::Identity(_) => m::identity(),
-            Gate::Hadamard(_) => m::hadamard(),
-            Gate::PauliX(_) => m::pauli_x(),
-            Gate::PauliY(_) => m::pauli_y(),
-            Gate::PauliZ(_) => m::pauli_z(),
-            Gate::S(_) => m::s_gate(),
-            Gate::Sdg(_) => m::sdg_gate(),
-            Gate::T(_) => m::t_gate(),
-            Gate::Tdg(_) => m::tdg_gate(),
-            Gate::SX(_) => m::sx_gate(),
-            Gate::SXdg(_) => m::sxdg_gate(),
-            Gate::RotationX { theta, .. } => m::rotation_x(*theta),
-            Gate::RotationY { theta, .. } => m::rotation_y(*theta),
-            Gate::RotationZ { theta, .. } => m::rotation_z(*theta),
-            Gate::Phase { theta, .. } => m::phase(*theta),
-            Gate::U2 { phi, lambda, .. } => m::u2(*phi, *lambda),
-            Gate::U3 {
-                theta, phi, lambda, ..
-            } => m::u3(*theta, *phi, *lambda),
-            Gate::Swap(..) => m::swap(),
-            Gate::ISwap(..) => m::iswap(),
-            Gate::RotationXX { theta, .. } => m::rotation_xx(*theta),
-            Gate::RotationYY { theta, .. } => m::rotation_yy(*theta),
-            Gate::RotationZZ { theta, .. } => m::rotation_zz(*theta),
             Gate::Controlled { target, .. } => target.target_matrix(),
             Gate::Custom { matrix, .. } => matrix.clone(),
+            _ => {
+                let dim = 1 << self.nb_targets();
+                let mut entries = Vec::with_capacity(dim * dim);
+                self.write_target_matrix(&mut entries);
+                CMat::from_vec(dim, dim, entries)
+            }
+        }
+    }
+
+    /// Appends the row-major entries of
+    /// [`target_matrix`](Self::target_matrix) to `out` and returns its
+    /// dimension — the matrix without a `CMat` of its own.
+    pub(crate) fn write_target_matrix(&self, out: &mut Vec<C64>) -> usize {
+        use matrices as m;
+        let one = |out: &mut Vec<C64>, entries: m::One| {
+            out.extend_from_slice(&entries);
+            2
+        };
+        let two = |out: &mut Vec<C64>, entries: m::Two| {
+            out.extend_from_slice(&entries);
+            4
+        };
+        match self {
+            Gate::Identity(_) => one(out, m::identity_entries()),
+            Gate::Hadamard(_) => one(out, m::hadamard_entries()),
+            Gate::PauliX(_) => one(out, m::pauli_x_entries()),
+            Gate::PauliY(_) => one(out, m::pauli_y_entries()),
+            Gate::PauliZ(_) => one(out, m::pauli_z_entries()),
+            Gate::S(_) => one(out, m::s_entries()),
+            Gate::Sdg(_) => one(out, m::sdg_entries()),
+            Gate::T(_) => one(out, m::t_entries()),
+            Gate::Tdg(_) => one(out, m::tdg_entries()),
+            Gate::SX(_) => one(out, m::sx_entries()),
+            Gate::SXdg(_) => one(out, m::sxdg_entries()),
+            Gate::RotationX { theta, .. } => one(out, m::rotation_x_entries(*theta)),
+            Gate::RotationY { theta, .. } => one(out, m::rotation_y_entries(*theta)),
+            Gate::RotationZ { theta, .. } => one(out, m::rotation_z_entries(*theta)),
+            Gate::Phase { theta, .. } => one(out, m::phase_entries(*theta)),
+            Gate::U2 { phi, lambda, .. } => one(out, m::u2_entries(*phi, *lambda)),
+            Gate::U3 {
+                theta, phi, lambda, ..
+            } => one(out, m::u3_entries(*theta, *phi, *lambda)),
+            Gate::Swap(..) => two(out, m::swap_entries()),
+            Gate::ISwap(..) => two(out, m::iswap_entries()),
+            Gate::RotationXX { theta, .. } => two(out, m::rotation_xx_entries(*theta)),
+            Gate::RotationYY { theta, .. } => two(out, m::rotation_yy_entries(*theta)),
+            Gate::RotationZZ { theta, .. } => two(out, m::rotation_zz_entries(*theta)),
+            Gate::Controlled { target, .. } => target.write_target_matrix(out),
+            Gate::Custom { matrix, .. } => {
+                out.extend_from_slice(matrix.as_slice());
+                matrix.rows()
+            }
         }
     }
 
@@ -405,7 +468,8 @@ impl Gate {
         g
     }
 
-    fn relabel_in_place(&mut self, map: &[usize]) {
+    /// [`relabeled`](Self::relabeled) in place.
+    pub(crate) fn relabel_in_place(&mut self, map: &[usize]) {
         match self {
             Gate::Identity(q)
             | Gate::Hadamard(q)
@@ -454,20 +518,28 @@ impl Gate {
     /// all qubit indices in range and mutually distinct, control states
     /// binary, custom matrices unitary and of matching dimension.
     pub fn validate(&self, nb_qubits: usize) -> Result<(), QclabError> {
-        let qs = self.qubits();
-        for &q in &qs {
-            if q >= nb_qubits {
-                return Err(QclabError::QubitOutOfRange {
-                    qubit: q,
-                    nb_qubits,
-                });
+        // the qubits, sorted in place: on the stack for the gates of
+        // every-day width
+        let mut stack = [0usize; 8];
+        let mut heap = Vec::new();
+        let k = self.control_lists().0.len() + self.target_qubits().len();
+        let sorted = if k <= stack.len() {
+            &mut stack[..k]
+        } else {
+            heap.resize(k, 0);
+            &mut heap[..]
+        };
+        for (slot, qubit) in sorted.iter_mut().zip(self.qubit_iter()) {
+            if qubit >= nb_qubits {
+                return Err(QclabError::QubitOutOfRange { qubit, nb_qubits });
             }
+            *slot = qubit;
         }
-        let mut sorted = qs.clone();
         sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != qs.len() {
-            return Err(QclabError::DuplicateQubits { qubits: qs });
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            return Err(QclabError::DuplicateQubits {
+                qubits: self.qubits(),
+            });
         }
         if let Gate::Controlled {
             controls,

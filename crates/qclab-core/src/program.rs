@@ -16,7 +16,8 @@
 //!   flatten      sub-circuits inlined, qubit offsets resolved,
 //!      │         barriers kept as explicit fence ops
 //!      ▼
-//!   fingerprint  structural FNV-1a hash of the flat, unfused op stream
+//!   fingerprint  structural word-at-a-time hash of the flat, unfused
+//!                op stream
 //!      │
 //!      ▼
 //!   fuse         optional gate-fusion pre-pass (the plan cache key
@@ -50,10 +51,10 @@ use crate::circuit::{CircuitItem, QCircuit};
 use crate::error::QclabError;
 use crate::gates::Gate;
 use crate::measurement::Measurement;
-use crate::sim::fusion::{self, FusionStats, Placed, MAX_FUSED_QUBITS_LIMIT};
+use crate::sim::fusion::{self, FusionStats, Placed, TargetMatrices, MAX_FUSED_QUBITS_LIMIT};
 use crate::sim::guard::{self, ResourceLimits};
 use crate::sim::kernel::{KernelConfig, SWEEP_TILE_QUBITS};
-use qclab_math::CVec;
+use qclab_math::{CVec, C64};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -543,88 +544,99 @@ impl CompiledProgram {
 // fingerprint
 // ---------------------------------------------------------------------
 
-/// FNV-1a, 64 bit. Hand-rolled so the hash is stable across Rust
-/// versions and needs no external dependency.
-struct Fnv(u64);
+/// A 64-bit content hash fed one word at a time. Each step rotates the
+/// state, xors the word in and multiplies by an odd constant — a
+/// bijection of the state, so two streams that differ in one word never
+/// collide — and the SplitMix64 finalizer mixes the result. Hand-rolled
+/// so the value is stable across Rust versions and needs no external
+/// dependency.
+struct WordHash(u64);
 
-impl Fnv {
+impl WordHash {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        WordHash(0)
     }
 
     #[inline]
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 
     fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+        self.word(v as u64);
     }
 
     /// Exact bit pattern, so any parameter perturbation — even below
     /// printing precision — changes the hash.
     fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
+        self.word(v.to_bits());
     }
 
-    fn matrix(&mut self, m: &qclab_math::CMat) {
-        self.usize(m.rows());
-        self.usize(m.cols());
-        for i in 0..m.rows() {
-            for j in 0..m.cols() {
-                let z = m[(i, j)];
-                self.f64(z.re);
-                self.f64(z.im);
-            }
+    /// A square matrix of dimension `dim`, row-major.
+    fn matrix(&mut self, dim: usize, entries: &[C64]) {
+        self.usize(dim);
+        self.usize(dim);
+        for z in entries {
+            self.f64(z.re);
+            self.f64(z.im);
         }
     }
+
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+}
+
+/// The SplitMix64 finalizer: a bijection of `u64` with full avalanche.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Hashes the items of `circuit` (qubits shifted by `offset`) into `h`.
 /// Sub-circuits are hashed through their *content* at their resolved
 /// offsets, so nesting vs. manual inlining hash equal exactly when the
-/// flattened op streams are equal.
-fn hash_items(circuit: &QCircuit, offset: usize, h: &mut Fnv) {
+/// flattened op streams are equal. `matrix` is room for a gate's target
+/// matrix, reused gate after gate.
+fn hash_items(circuit: &QCircuit, offset: usize, h: &mut WordHash, matrix: &mut Vec<C64>) {
     for item in circuit.items() {
         match item {
             CircuitItem::Gate(g) => {
-                h.byte(1);
-                let targets = g.targets();
+                h.word(1);
+                let targets = g.target_qubits();
                 h.usize(targets.len());
-                for q in targets {
+                for &q in targets.iter() {
                     h.usize(q + offset);
                 }
-                // control order is semantically irrelevant: sort by qubit
-                let mut controls = g.controls();
-                controls.sort_unstable();
+                // control order is semantically irrelevant: the controls
+                // enter as a sum of their mixed (qubit, state) words
+                let (controls, states) = g.control_lists();
                 h.usize(controls.len());
-                for (q, s) in controls {
-                    h.usize(q + offset);
-                    h.byte(s);
-                }
+                let set = controls.iter().zip(states).fold(0u64, |acc, (&q, &s)| {
+                    acc.wrapping_add(mix64(((q + offset) as u64) << 1 | s as u64))
+                });
+                h.word(set);
                 // the target matrix carries every parameter bit; custom
                 // gate *names* are display-only and deliberately skipped
-                h.matrix(&g.target_matrix());
+                matrix.clear();
+                let dim = g.write_target_matrix(matrix);
+                h.matrix(dim, matrix);
             }
             CircuitItem::Measurement(m) => {
-                h.byte(2);
+                h.word(2);
                 h.usize(m.qubit() + offset);
                 // the basis-change matrix identifies the basis (Z/X/Y or
                 // custom) without depending on display labels
-                h.matrix(&m.basis().change_matrix());
+                let v = m.basis().change_matrix();
+                h.matrix(v.rows(), v.as_slice());
             }
             CircuitItem::Reset(q) => {
-                h.byte(3);
+                h.word(3);
                 h.usize(q + offset);
             }
             CircuitItem::Barrier(qs) => {
-                h.byte(4);
+                h.word(4);
                 h.usize(qs.len());
                 for q in qs {
                     h.usize(q + offset);
@@ -633,7 +645,7 @@ fn hash_items(circuit: &QCircuit, offset: usize, h: &mut Fnv) {
             CircuitItem::SubCircuit {
                 offset: sub_off,
                 circuit: sub,
-            } => hash_items(sub, offset + sub_off, h),
+            } => hash_items(sub, offset + sub_off, h, matrix),
         }
     }
 }
@@ -642,12 +654,13 @@ fn hash_items(circuit: &QCircuit, offset: usize, h: &mut Fnv) {
 /// unfused op stream (gates with targets/controls/parameter bits,
 /// measurements with their basis, resets, barriers). Two circuits hash
 /// equal iff their flattened streams are identical — in particular a
-/// nested sub-circuit and its manual inlining hash equal.
+/// nested sub-circuit and its manual inlining hash equal. Values are a
+/// cache key, not a stable format: they change when the hash does.
 pub fn fingerprint(circuit: &QCircuit) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = WordHash::new();
     h.usize(circuit.nb_qubits());
-    hash_items(circuit, 0, &mut h);
-    h.0
+    hash_items(circuit, 0, &mut h, &mut Vec::new());
+    h.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -760,10 +773,11 @@ fn window_layout(cur: &[usize], hist: &[usize], n: usize) -> (Vec<usize>, Vec<(u
     (desired, swaps)
 }
 
-/// Relabels one maximal run of consecutive gates, adopting a new layout
-/// when the cost model says the relabeling pays for its transition.
+/// Moves one maximal run of consecutive gate ops to `out`, relabeling
+/// them in place after adopting a new layout when the cost model says
+/// the relabeling pays for its transition.
 fn remap_window(
-    window: &[&Gate],
+    window: &mut [ProgramOp],
     n: usize,
     cur: &mut Vec<usize>,
     identity: &[usize],
@@ -771,10 +785,16 @@ fn remap_window(
     last_gate: &mut Option<usize>,
     stats: &mut PlanStats,
 ) {
+    let gates = || {
+        window.iter().map(|op| match op {
+            ProgramOp::Gate(g) => g,
+            _ => unreachable!("a window holds gates only"),
+        })
+    };
     let b = SWEEP_TILE_QUBITS;
     let mut hist = vec![0usize; n];
-    for g in window {
-        for t in g.targets() {
+    for g in gates() {
+        for &t in g.target_qubits().iter() {
             hist[t] += 1;
         }
     }
@@ -783,14 +803,13 @@ fn remap_window(
     // controls are deliberately ignored: the sweep strips high controls
     // into a tile predicate, so only *targets* need to be near
     let gate_cost = |map: &[usize], g: &Gate| {
-        if g.targets().iter().all(|&t| map[t] >= n - b) {
+        if g.target_qubits().iter().all(|&t| map[t] >= n - b) {
             GATE_NEAR_COST
         } else {
             GATE_FAR_COST
         }
     };
-    let benefit: f64 = window
-        .iter()
+    let benefit: f64 = gates()
         .map(|g| gate_cost(cur, g) - gate_cost(&desired, g))
         .sum();
 
@@ -821,13 +840,15 @@ fn remap_window(
         });
         *cur = desired;
     }
-    for g in window {
+    for op in window {
+        let mut op = std::mem::replace(op, ProgramOp::Fence(Vec::new()));
+        if let ProgramOp::Gate(g) = &mut op {
+            if cur.as_slice() != identity {
+                g.relabel_in_place(cur);
+            }
+        }
         *last_gate = Some(out.len());
-        out.push(ProgramOp::Gate(if cur.as_slice() == identity {
-            (*g).clone()
-        } else {
-            g.relabeled(cur)
-        }));
+        out.push(op);
     }
 }
 
@@ -838,9 +859,9 @@ fn remap_window(
 /// measurement run — the alias-sampling shape — sees a logical-layout
 /// state). The caller skips registers that fit in one sweep tile, where
 /// every qubit is tile-resident already. The input ops come out in their
-/// input order; a stream of the same length means no layout was adopted
-/// and nothing was relabeled.
-fn remap_ops(ops: &[ProgramOp], n: usize, stats: &mut PlanStats) -> Vec<ProgramOp> {
+/// input order, relabeled in place; a stream of the same length means no
+/// layout was adopted and nothing was relabeled.
+fn remap_ops(mut ops: Vec<ProgramOp>, n: usize, stats: &mut PlanStats) -> Vec<ProgramOp> {
     let identity: Vec<usize> = (0..n).collect();
     let mut cur = identity.clone();
     let mut out = Vec::with_capacity(ops.len() + 4);
@@ -852,15 +873,8 @@ fn remap_ops(ops: &[ProgramOp], n: usize, stats: &mut PlanStats) -> Vec<ProgramO
             while j < ops.len() && matches!(ops[j], ProgramOp::Gate(_)) {
                 j += 1;
             }
-            let window: Vec<&Gate> = ops[i..j]
-                .iter()
-                .map(|op| match op {
-                    ProgramOp::Gate(g) => g,
-                    _ => unreachable!(),
-                })
-                .collect();
             remap_window(
-                &window,
+                &mut ops[i..j],
                 n,
                 &mut cur,
                 &identity,
@@ -872,7 +886,7 @@ fn remap_ops(ops: &[ProgramOp], n: usize, stats: &mut PlanStats) -> Vec<ProgramO
         } else {
             // measurements and resets keep their logical qubits; the
             // executor resolves them through the tracked map
-            out.push(ops[i].clone());
+            out.push(std::mem::replace(&mut ops[i], ProgramOp::Fence(Vec::new())));
             i += 1;
         }
     }
@@ -909,20 +923,14 @@ fn remap_ops(ops: &[ProgramOp], n: usize, stats: &mut PlanStats) -> Vec<ProgramO
 /// gate maps basis states to (phased) basis states, so it cannot grow
 /// the nonzero support of a sparse state. Covers X, Y, Z, phases, S, T,
 /// SWAP, controlled versions thereof, and any diagonal.
-fn is_permutation_matrix(m: &qclab_math::CMat) -> bool {
+fn is_permutation_matrix((dim, entries): (usize, &[C64])) -> bool {
     const TOL: f64 = 1e-12;
-    for col in 0..m.cols() {
-        let mut nonzero = 0usize;
-        for row in 0..m.rows() {
-            if m[(row, col)].norm_sqr() > TOL * TOL {
-                nonzero += 1;
-                if nonzero > 1 {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    (0..dim).all(|col| {
+        (0..dim)
+            .filter(|&row| entries[row * dim + col].norm_sqr() > TOL * TOL)
+            .nth(1)
+            .is_none()
+    })
 }
 
 /// Upper-bound nonzero-amplitude count of a sparse execution of the flat
@@ -930,19 +938,19 @@ fn is_permutation_matrix(m: &qclab_math::CMat) -> bool {
 /// Computed on the *unfused* stream so the bound is identical across
 /// dense- and sparse-tagged plans of one circuit: fusion would coarsen a
 /// run of support-preserving gates into one dense block.
-fn estimate_sparse_entries(flat: &[CircuitItem], nb_qubits: usize) -> u128 {
+fn estimate_sparse_entries(flat: &[CircuitItem], mats: &TargetMatrices, nb_qubits: usize) -> u128 {
     let cap: u128 = if nb_qubits >= 127 {
         u128::MAX
     } else {
         1u128 << nb_qubits
     };
     let mut support: u128 = 1;
-    for item in flat {
+    for (i, item) in flat.iter().enumerate() {
         if let CircuitItem::Gate(g) = item {
             // diagonal and permutation-class target matrices preserve
             // support; a general k-target gate spreads each basis state
             // over at most 2^k partners (controls never spread)
-            if g.is_diagonal() || is_permutation_matrix(&g.target_matrix()) {
+            if is_permutation_matrix(mats.get(i)) {
                 continue;
             }
             let k = g.nb_targets().min(127) as u32;
@@ -1073,12 +1081,15 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
     let nb_qubits = circuit.nb_qubits();
     let fingerprint = circuit.fingerprint();
 
-    let mut flat = Vec::new();
+    let mut flat = Vec::with_capacity(circuit.len());
     flatten_items(circuit, 0, &mut flat);
+    // every pass below reads a gate's target matrix from here: it is
+    // built once per lowering, trig and all
+    let mats = TargetMatrices::of(&flat);
 
     let mut stats = PlanStats {
         state_bytes: ResourceLimits::state_bytes(nb_qubits),
-        sparse_entries: estimate_sparse_entries(&flat, nb_qubits),
+        sparse_entries: estimate_sparse_entries(&flat, &mats, nb_qubits),
         ..PlanStats::default()
     };
 
@@ -1089,8 +1100,13 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
         // sub-circuit boundaries; the pass itself treats measurements,
         // resets and fences as walls on their qubits
         let mut fstats = FusionStats::default();
-        let (fused, placed) =
-            fusion::fuse_items(&flat, nb_qubits, options.max_fused_qubits, &mut fstats);
+        let (fused, placed) = fusion::fuse_items(
+            &flat,
+            &mats,
+            nb_qubits,
+            options.max_fused_qubits,
+            &mut fstats,
+        );
         stats.gates_in = fstats.gates_in;
         stats.gates_out = fstats.gates_out;
         stats.fused_blocks = fstats.blocks;
@@ -1122,11 +1138,13 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
 
     // inert for registers that fit in one sweep tile
     if options.remap && nb_qubits > SWEEP_TILE_QUBITS {
-        let remapped = remap_ops(&ops, nb_qubits, &mut stats);
-        if remapped.len() != ops.len() {
+        // unfused, the source schedule is the stream as it stands
+        let unmapped = source.is_none().then(|| ops.clone());
+        let unmapped_len = ops.len();
+        ops = remap_ops(ops, nb_qubits, &mut stats);
+        if ops.len() != unmapped_len {
             // layout changes went in: every op after the first one moved
             // down the schedule (and was relabeled)
-            let unmapped = std::mem::replace(&mut ops, remapped);
             let at: Vec<usize> = (0..ops.len())
                 .filter(|&i| !matches!(ops[i], ProgramOp::Permute { .. }))
                 .collect();
@@ -1138,7 +1156,7 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
                     (source, placed)
                 }
                 None => (
-                    unmapped,
+                    unmapped.expect("kept when there was no source"),
                     at.iter().map(|&op| Placed { op, pos: 0 }).collect(),
                 ),
             });

@@ -174,8 +174,12 @@ pub(crate) fn execute_dense(
                 }
                 map = new_map.as_deref();
             }
-            Instr::Measure(m) => *branches = measure_branches(branches, m, opts, n, map),
-            Instr::Reset(q) => *branches = reset_branches(branches, *q, opts, n, map),
+            Instr::Measure(m) => {
+                *branches = measure_branches(std::mem::take(branches), m, opts, n, map)?
+            }
+            Instr::Reset(q) => {
+                *branches = reset_branches(std::mem::take(branches), *q, opts, n, map)?
+            }
         }
         ticker.tick_n(ops)?;
     }

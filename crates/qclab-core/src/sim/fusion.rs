@@ -27,8 +27,8 @@
 
 use crate::circuit::{CircuitItem, QCircuit};
 use crate::gates::Gate;
-use qclab_math::scalar::{cr, C64};
-use qclab_math::{bits, CMat};
+use qclab_math::scalar::{cr, zero, C64};
+use qclab_math::CMat;
 
 /// Default cap on the qubit footprint (controls included) of a fused
 /// block: two-qubit blocks keep the dense matrices in registers.
@@ -58,97 +58,209 @@ pub(crate) struct Placed {
     pub(crate) pos: usize,
 }
 
+/// The target matrix of every gate of an item list, row-major, in one
+/// buffer: a lowering builds each matrix once and every pass reads it
+/// here.
+pub(crate) struct TargetMatrices {
+    entries: Vec<C64>,
+    /// Per item: where its entries start, and its dimension (0 for
+    /// anything but a gate).
+    at: Vec<(usize, usize)>,
+}
+
+impl TargetMatrices {
+    pub(crate) fn of(items: &[CircuitItem]) -> Self {
+        let mut entries = Vec::with_capacity(4 * items.len());
+        let mut at = Vec::with_capacity(items.len());
+        for item in items {
+            at.push(match item {
+                CircuitItem::Gate(g) => (entries.len(), g.write_target_matrix(&mut entries)),
+                _ => (0, 0),
+            });
+        }
+        TargetMatrices { entries, at }
+    }
+
+    /// Item `i`'s matrix: its dimension and its row-major entries.
+    pub(crate) fn get(&self, i: usize) -> (usize, &[C64]) {
+        let (start, dim) = self.at[i];
+        (dim, &self.entries[start..start + dim * dim])
+    }
+}
+
+/// The ascending qubit set of a block, at most
+/// [`MAX_FUSED_QUBITS_LIMIT`] long.
+#[derive(Clone, Copy, Debug, Default)]
+struct Footprint {
+    qubits: [usize; MAX_FUSED_QUBITS_LIMIT],
+    len: usize,
+}
+
+impl Footprint {
+    fn as_slice(&self) -> &[usize] {
+        &self.qubits[..self.len]
+    }
+
+    /// Adds `q` in order; `false` when that would exceed `cap` qubits.
+    fn insert(&mut self, q: usize, cap: usize) -> bool {
+        let at = self.as_slice().partition_point(|&x| x < q);
+        if self.as_slice().get(at) == Some(&q) {
+            return true;
+        }
+        if self.len == cap {
+            return false;
+        }
+        self.qubits.copy_within(at..self.len, at + 1);
+        self.qubits[at] = q;
+        self.len += 1;
+        true
+    }
+
+    /// The union with `other`, or `None` beyond `cap` qubits.
+    fn union(mut self, other: &Footprint, cap: usize) -> Option<Footprint> {
+        other
+            .as_slice()
+            .iter()
+            .all(|&q| self.insert(q, cap))
+            .then_some(self)
+    }
+}
+
 /// An item being accumulated during the pass: either a fusable block of
-/// gates sharing a bounded qubit footprint, or an opaque wall.
+/// gates sharing a bounded qubit footprint — `len` gates, chained from
+/// input index `first` to `last` through the pass's `next` links — or an
+/// opaque wall.
 enum Entry {
     Block {
-        gates: Vec<Gate>,
-        qubits: Vec<usize>,
+        first: usize,
+        last: usize,
+        len: usize,
+        qubits: Footprint,
     },
     Item(CircuitItem),
 }
 
-/// Builds the dense `2^k x 2^k` unitary of `gate` on the local register
-/// defined by `qubits` (ascending; position in the slice = local qubit
-/// index). Controls are expanded structurally, exactly like
-/// [`super::kron::extended_unitary`] but dense and block-local. Also
-/// used by the locality pass (`crate::program`) to fold an index-bit
-/// transposition into the following gate's matrix.
-pub(crate) fn local_unitary(gate: &Gate, qubits: &[usize]) -> CMat {
+/// `out = U · acc` for `2^k x 2^k` row-major matrices, where `U` is the
+/// unitary of `gate` (target matrix `m`) on
+/// the local register `qubits` (ascending; position in the slice = local
+/// qubit, the first one the most significant index bit). Controls are
+/// expanded structurally, as in [`super::kron::extended_unitary`]. `U` is
+/// never built: row `i` with a control unmet is row `i` of the identity,
+/// and otherwise its nonzeros are `m[gather(i), s]` at the columns
+/// sharing `i`'s other bits. Those are accumulated in ascending column
+/// order, zeros skipped — the order of [`CMat::matmul`] on the dense `U`
+/// — so `out` is bit for bit that product.
+fn apply_to_block(
+    gate: &Gate,
+    (m_dim, m): (usize, &[C64]),
+    qubits: &[usize],
+    acc: &[C64],
+    out: &mut [C64],
+) {
     let k = qubits.len();
     let dim = 1usize << k;
-    let local = |q: usize| {
-        qubits
+    let bit = |q: usize| {
+        let local = qubits
             .iter()
             .position(|&x| x == q)
-            .expect("gate qubit outside its block")
+            .expect("gate qubit outside its block");
+        1usize << (k - 1 - local)
     };
-    let targets: Vec<usize> = gate.targets().iter().map(|&q| local(q)).collect();
-    let controls: Vec<(usize, u8)> = gate
-        .controls()
-        .iter()
-        .map(|&(q, s)| (local(q), s))
-        .collect();
-    let m = gate.target_matrix();
-
-    let mut u = CMat::zeros(dim, dim);
-    'cols: for col in 0..dim {
-        for &(q, s) in &controls {
-            if bits::qubit_bit(col, q, k) != s as usize {
-                u[(col, col)] = cr(1.0);
-                continue 'cols;
-            }
+    let targets = gate.target_qubits();
+    let t = targets.len();
+    let mut target_bits = [0usize; MAX_FUSED_QUBITS_LIMIT];
+    for (b, &q) in target_bits.iter_mut().zip(targets.iter()) {
+        *b = bit(q);
+    }
+    // the column offset of every target sub-index, and the sub-indices
+    // in ascending order of their offsets
+    let mut offset = [0usize; 1 << MAX_FUSED_QUBITS_LIMIT];
+    let mut order = [0usize; 1 << MAX_FUSED_QUBITS_LIMIT];
+    for s in 0..1 << t {
+        offset[s] = (0..t)
+            .filter(|idx| (s >> (t - 1 - idx)) & 1 == 1)
+            .fold(0, |o, idx| o | target_bits[idx]);
+        order[s] = s;
+    }
+    let order = &mut order[..1 << t];
+    order.sort_unstable_by_key(|&s| offset[s]);
+    let target_mask = offset[(1 << t) - 1];
+    let (controls, states) = gate.control_lists();
+    let (mut control_mask, mut control_want) = (0, 0);
+    for (&q, &s) in controls.iter().zip(states) {
+        control_mask |= bit(q);
+        if s == 1 {
+            control_want |= bit(q);
         }
-        let sub_col = bits::gather_bits(col, &targets, k);
-        for sub_row in 0..m.rows() {
-            let v = m[(sub_row, sub_col)];
-            if v != C64::new(0.0, 0.0) {
-                u[(bits::scatter_bits(col, sub_row, &targets, k), col)] = v;
+    }
+
+    out[..dim * dim].fill(zero());
+    for (i, row) in out[..dim * dim].chunks_exact_mut(dim).enumerate() {
+        let mut add = |x: C64, k: usize| {
+            for (o, &y) in row.iter_mut().zip(&acc[k * dim..(k + 1) * dim]) {
+                *o += x * y;
+            }
+        };
+        if i & control_mask != control_want {
+            add(cr(1.0), i);
+            continue;
+        }
+        let sub_row = (0..t).fold(0, |r, idx| r << 1 | usize::from(i & target_bits[idx] != 0));
+        for &s in order.iter() {
+            let x = m[sub_row * m_dim + s];
+            if x != zero() {
+                add(x, (i & !target_mask) | offset[s]);
             }
         }
     }
-    u
 }
 
-/// Collapses a finished block into circuit items: single gates pass
-/// through unchanged (so specialized kernels still apply); longer runs
-/// become one dense [`Gate::Custom`] block.
-fn emit_block(gates: Vec<Gate>, qubits: Vec<usize>, stats: &mut FusionStats) -> CircuitItem {
-    if gates.len() == 1 {
-        stats.gates_out += 1;
-        return CircuitItem::Gate(gates.into_iter().next().unwrap());
+/// Collapses a finished block into a circuit item: a single gate passes
+/// through unchanged (so specialized kernels still apply); a longer run
+/// becomes one dense [`Gate::Custom`] block.
+fn emit_block(
+    (first, len): (usize, usize),
+    next: &[usize],
+    qubits: &[usize],
+    items: &[CircuitItem],
+    mats: &TargetMatrices,
+    stats: &mut FusionStats,
+) -> CircuitItem {
+    stats.gates_out += 1;
+    if len == 1 {
+        return items[first].clone();
     }
     let dim = 1usize << qubits.len();
-    let mut u = CMat::identity(dim);
-    for g in &gates {
-        // gates apply left to right; matrices multiply right to left
-        u = local_unitary(g, &qubits).matmul(&u);
+    // gates apply left to right; matrices multiply right to left,
+    // starting from the identity
+    let mut acc = vec![zero(); dim * dim];
+    for i in 0..dim {
+        acc[i * dim + i] = cr(1.0);
     }
-    stats.gates_out += 1;
+    let mut out = vec![zero(); dim * dim];
+    let mut g = first;
+    for _ in 0..len {
+        let CircuitItem::Gate(gate) = &items[g] else {
+            unreachable!("blocks hold gates");
+        };
+        apply_to_block(gate, mats.get(g), qubits, &acc, &mut out);
+        std::mem::swap(&mut acc, &mut out);
+        g = next[g];
+    }
     stats.blocks += 1;
     CircuitItem::Gate(Gate::Custom {
-        name: format!("F{}", gates.len()),
-        qubits,
-        matrix: u,
+        name: format!("F{len}"),
+        qubits: qubits.to_vec(),
+        matrix: CMat::from_vec(dim, dim, acc),
     })
 }
 
-/// Sorted union of two ascending qubit lists.
-fn union(a: &[usize], b: &[usize]) -> Vec<usize> {
-    let mut out = a.to_vec();
-    for &q in b {
-        if !out.contains(&q) {
-            out.push(q);
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// One fusion pass over an item list: the fused items, and for every
-/// input item its place among them.
+/// One fusion pass over an item list whose gates' target matrices are
+/// `mats`: the fused items, and for every input item its place among
+/// them.
 pub(crate) fn fuse_items(
     items: &[CircuitItem],
+    mats: &TargetMatrices,
     nb_qubits: usize,
     max_fused: usize,
     stats: &mut FusionStats,
@@ -156,20 +268,20 @@ pub(crate) fn fuse_items(
     let mut kept: Vec<Entry> = Vec::with_capacity(items.len());
     let mut placed: Vec<Placed> = Vec::with_capacity(items.len());
     let mut last_on: Vec<Option<usize>> = vec![None; nb_qubits];
+    // the gate after each gate of a block
+    let mut next = vec![usize::MAX; items.len()];
 
-    for item in items {
+    for (i, item) in items.iter().enumerate() {
         match item {
             CircuitItem::Gate(g) => {
                 stats.gates_in += 1;
-                let mut gq = g.qubits();
-                gq.sort_unstable();
-                gq.dedup();
-                if gq.len() > max_fused {
+                let mut gq = Footprint::default();
+                if !g.qubit_iter().all(|q| gq.insert(q, max_fused)) {
                     // too wide to fuse: opaque wall on its own qubits
                     let idx = kept.len();
                     placed.push(Placed { op: idx, pos: 0 });
                     kept.push(Entry::Item(item.clone()));
-                    for &q in &gq {
+                    for q in g.qubit_iter() {
                         last_on[q] = Some(idx);
                     }
                     continue;
@@ -177,18 +289,17 @@ pub(crate) fn fuse_items(
                 // latest kept item touching any qubit of the gate: no
                 // later item touches those qubits, so merging there
                 // preserves causal order
-                let pred = gq.iter().filter_map(|&q| last_on[q]).max();
+                let pred = gq.as_slice().iter().filter_map(|&q| last_on[q]).max();
                 if let Some(j) = pred {
-                    if let Entry::Block { gates, qubits } = &mut kept[j] {
-                        let merged = union(qubits, &gq);
-                        if merged.len() <= max_fused {
-                            placed.push(Placed {
-                                op: j,
-                                pos: gates.len(),
-                            });
-                            gates.push(g.clone());
-                            *qubits = merged;
-                            for &q in &gq {
+                    if let Entry::Block {
+                        last, len, qubits, ..
+                    } = &mut kept[j]
+                    {
+                        if let Some(merged) = qubits.union(&gq, max_fused) {
+                            placed.push(Placed { op: j, pos: *len });
+                            next[*last] = i;
+                            (*last, *len, *qubits) = (i, *len + 1, merged);
+                            for &q in gq.as_slice() {
                                 last_on[q] = Some(j);
                             }
                             continue;
@@ -198,10 +309,12 @@ pub(crate) fn fuse_items(
                 let idx = kept.len();
                 placed.push(Placed { op: idx, pos: 0 });
                 kept.push(Entry::Block {
-                    gates: vec![g.clone()],
-                    qubits: gq.clone(),
+                    first: i,
+                    last: i,
+                    len: 1,
+                    qubits: gq,
                 });
-                for &q in &gq {
+                for &q in gq.as_slice() {
                     last_on[q] = Some(idx);
                 }
             }
@@ -234,7 +347,9 @@ pub(crate) fn fuse_items(
     let fused = kept
         .into_iter()
         .map(|e| match e {
-            Entry::Block { gates, qubits } => emit_block(gates, qubits, stats),
+            Entry::Block {
+                first, len, qubits, ..
+            } => emit_block((first, len), &next, qubits.as_slice(), items, mats, stats),
             Entry::Item(item) => {
                 if matches!(item, CircuitItem::Gate(_)) {
                     stats.gates_out += 1;
@@ -247,7 +362,14 @@ pub(crate) fn fuse_items(
 }
 
 fn fuse_subcircuit(circuit: &QCircuit, max_fused: usize, stats: &mut FusionStats) -> QCircuit {
-    let (items, _) = fuse_items(circuit.items(), circuit.nb_qubits(), max_fused, stats);
+    let mats = TargetMatrices::of(circuit.items());
+    let (items, _) = fuse_items(
+        circuit.items(),
+        &mats,
+        circuit.nb_qubits(),
+        max_fused,
+        stats,
+    );
     rebuild(circuit, items)
 }
 
@@ -275,8 +397,8 @@ fn rebuild(circuit: &QCircuit, items: Vec<CircuitItem>) -> QCircuit {
 pub fn fuse_circuit(circuit: &QCircuit, max_fused: usize) -> (QCircuit, FusionStats) {
     let max_fused = max_fused.clamp(1, MAX_FUSED_QUBITS_LIMIT);
     let mut stats = FusionStats::default();
-    let (items, _) = fuse_items(circuit.items(), circuit.nb_qubits(), max_fused, &mut stats);
-    (rebuild(circuit, items), stats)
+    let fused = fuse_subcircuit(circuit, max_fused, &mut stats);
+    (fused, stats)
 }
 
 #[cfg(test)]
@@ -421,7 +543,8 @@ mod tests {
         c.push_back(Hadamard::new(0));
         c.push_back(CNOT::new(0, 2));
         let mut stats = FusionStats::default();
-        let (fused, placed) = fuse_items(c.items(), 3, 2, &mut stats);
+        let (fused, placed) =
+            fuse_items(c.items(), &TargetMatrices::of(c.items()), 3, 2, &mut stats);
         assert_eq!(fused.len(), 3);
         let at = |op, pos| Placed { op, pos };
         assert_eq!(placed, [at(0, 0), at(1, 0), at(2, 0), at(0, 1), at(0, 2)]);
@@ -503,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn local_unitary_matches_extended_unitary() {
+    fn block_product_matches_extended_unitary() {
         // block-local construction agrees with the kron backend on a
         // register of exactly the block size
         for gate in [
@@ -514,7 +637,12 @@ mod tests {
             CRY::new(0, 1, 1.1),
         ] {
             let dense = super::super::kron::extended_unitary(&gate, 2).to_dense();
-            let local = local_unitary(&gate, &[0, 1]);
+            let mut local = [zero(); 16];
+            let identity = CMat::identity(4);
+            let m = gate.target_matrix();
+            let m = (m.rows(), m.as_slice());
+            apply_to_block(&gate, m, &[0, 1], identity.as_slice(), &mut local);
+            let local = CMat::from_vec(4, 4, local.to_vec());
             assert!(local.approx_eq(&dense, 1e-14), "{}", gate.name());
         }
     }

@@ -113,6 +113,21 @@ impl ResourceLimits {
         }
     }
 
+    /// Checks that `branches` dense `nb_qubits`-qubit states fit the byte
+    /// cap together: the branch set a measurement or reset splits a
+    /// simulation into, checked before each new branch is allocated.
+    pub fn check_branches(&self, nb_qubits: usize, branches: usize) -> Result<(), QclabError> {
+        let bytes = Self::state_bytes(nb_qubits).map(|b| b.saturating_mul(branches as u128));
+        match bytes {
+            Some(b) if b <= self.max_state_bytes => Ok(()),
+            _ => Err(QclabError::ResourceExhausted {
+                qubits: nb_qubits,
+                bytes_needed: bytes,
+                limit_bytes: self.max_state_bytes,
+            }),
+        }
+    }
+
     /// Live-entry budget of a sparse execution under these limits: the
     /// byte cap divided by [`SPARSE_ENTRY_BYTES`].
     pub fn max_sparse_entries(&self) -> u128 {
@@ -319,6 +334,26 @@ mod tests {
             assert!(tight.check_register(n).is_err(), "cap-minus-one n={n}");
             assert!(tight.check_register(n - 1).is_ok());
         }
+    }
+
+    #[test]
+    fn branch_cap_boundary_is_exact() {
+        // three 4-qubit branches (256 B each) exactly at the cap
+        let lim = ResourceLimits {
+            max_qubits: None,
+            max_state_bytes: 3 * 16 * AMPLITUDE_BYTES,
+        };
+        assert!(lim.check_branches(4, 3).is_ok(), "at cap");
+        assert!(lim.check_branches(4, 4).is_err(), "one branch over");
+        assert!(lim.check_branches(5, 2).is_err(), "wider states");
+        let tight = ResourceLimits {
+            max_state_bytes: lim.max_state_bytes - 1,
+            ..lim
+        };
+        assert!(tight.check_branches(4, 3).is_err(), "cap minus one byte");
+        // saturating byte math keeps absurd branch counts an error
+        assert!(lim.check_branches(4, usize::MAX).is_err());
+        assert!(ResourceLimits::unlimited().check_branches(200, 2).is_err());
     }
 
     #[test]

@@ -320,10 +320,10 @@ impl QCircuit {
                         }
                         ProgramOp::Fence(_) => {}
                         ProgramOp::Measure(m) => {
-                            branches = measure_branches(&branches, m, opts, n, None)
+                            branches = measure_branches(branches, m, opts, n, None)?
                         }
                         ProgramOp::Reset(q) => {
-                            branches = reset_branches(&branches, *q, opts, n, None)
+                            branches = reset_branches(branches, *q, opts, n, None)?
                         }
                         // invariant: only the locality pass emits
                         // permutes, and this plan was lowered with it off
@@ -475,21 +475,27 @@ pub(crate) fn apply_backend(gate: &Gate, state: &mut CVec, n: usize, opts: &SimO
 /// logical→physical layout (`None` = identity): the measurement's qubit
 /// is *logical*, so probabilities and collapse go through the mapped
 /// collapse routines and any basis rotation targets the physical slot.
+/// Each new branch is admitted against `opts.limits` before its state is
+/// allocated: the branches alive after it — the old ones not yet split
+/// and the new ones — must fit the byte cap. A branch splits into at
+/// least one, so that bounds the new set exactly, and memory at any
+/// point to the cap plus the branch being split.
 pub(crate) fn measure_branches(
-    branches: &[Branch],
+    branches: Vec<Branch>,
     m: &Measurement,
     opts: &SimOptions,
     n: usize,
     map: Option<&[usize]>,
-) -> Vec<Branch> {
+) -> Result<Vec<Branch>, QclabError> {
     let q = m.qubit();
     let pq = map.map_or(q, |m| m[q]);
     let v = m.basis().change_matrix();
     let needs_change = !matches!(m.basis(), Basis::Z);
     let mut out = Vec::with_capacity(branches.len() * 2);
+    let mut unsplit = branches.len();
 
-    for b in branches {
-        let mut pre = b.state.clone();
+    for mut b in branches {
+        unsplit -= 1;
         if needs_change {
             // rotate the measured qubit into the computational basis
             let vdg = Gate::Custom {
@@ -497,21 +503,22 @@ pub(crate) fn measure_branches(
                 qubits: vec![pq],
                 matrix: v.dagger(),
             };
-            apply_backend(&vdg, &mut pre, n, opts);
+            apply_backend(&vdg, &mut b.state, n, opts);
         }
         let (p0, p1) = match map {
-            None => collapse::measure_probabilities(&pre, n, q),
-            Some(m) => collapse::measure_probabilities_mapped(&pre, n, q, m),
+            None => collapse::measure_probabilities(&b.state, n, q),
+            Some(m) => collapse::measure_probabilities_mapped(&b.state, n, q, m),
         };
         for (bit, p) in [(0usize, p0), (1usize, p1)] {
             if p <= opts.branch_tol {
                 continue;
             }
+            opts.limits.check_branches(n, unsplit + out.len() + 1)?;
             let mut post = match map {
-                None => collapse::collapse(&pre, n, q, bit, p),
+                None => collapse::collapse(&b.state, n, q, bit, p),
                 Some(m) => {
                     let mut post = CVec::zeros(0);
-                    collapse::collapse_into_mapped(&pre, n, q, bit, p, m, &mut post);
+                    collapse::collapse_into_mapped(&b.state, n, q, bit, p, m, &mut post);
                     post
                 }
             };
@@ -537,23 +544,25 @@ pub(crate) fn measure_branches(
             });
         }
     }
-    out
+    Ok(out)
 }
 
 /// Resets a qubit to `|0>`: Z-measure it and flip on outcome 1. The
 /// measurement outcome is *not* recorded in the result string. As with
-/// [`measure_branches`], `q` is logical and `map` locates its physical
-/// slot.
+/// [`measure_branches`], `q` is logical, `map` locates its physical
+/// slot, and each new branch is admitted before it is allocated.
 pub(crate) fn reset_branches(
-    branches: &[Branch],
+    branches: Vec<Branch>,
     q: usize,
     opts: &SimOptions,
     n: usize,
     map: Option<&[usize]>,
-) -> Vec<Branch> {
+) -> Result<Vec<Branch>, QclabError> {
     let pq = map.map_or(q, |m| m[q]);
     let mut out = Vec::with_capacity(branches.len());
+    let mut unsplit = branches.len();
     for b in branches {
+        unsplit -= 1;
         let (p0, p1) = match map {
             None => collapse::measure_probabilities(&b.state, n, q),
             Some(m) => collapse::measure_probabilities_mapped(&b.state, n, q, m),
@@ -562,6 +571,7 @@ pub(crate) fn reset_branches(
             if p <= opts.branch_tol {
                 continue;
             }
+            opts.limits.check_branches(n, unsplit + out.len() + 1)?;
             let mut post = match map {
                 None => collapse::collapse(&b.state, n, q, bit, p),
                 Some(m) => {
@@ -581,7 +591,7 @@ pub(crate) fn reset_branches(
             });
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -795,6 +805,64 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-10);
         for s in sim.states() {
             assert!((s.norm() - 1.0).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn branch_set_cap_boundary_is_exact() {
+        // `h q0; measure q0; ch q0, q1; measure q1` splits into three
+        // branches (`0`, `10`, `11`); with both qubits in `|+⟩`, a
+        // measurement of each — or a measurement and a reset — into four
+        let mut three = QCircuit::new(2);
+        three.push_back(Hadamard::new(0));
+        three.push_back(Measurement::z(0));
+        three.push_back(CH::new(0, 1));
+        three.push_back(Measurement::z(1));
+        let plus = || {
+            let mut c = QCircuit::new(2);
+            c.push_back(Hadamard::new(0));
+            c.push_back(Hadamard::new(1));
+            c.push_back(Measurement::z(0));
+            c
+        };
+        let mut measured = plus();
+        measured.push_back(Measurement::z(1));
+        let mut reset = plus();
+        reset.push_back(crate::circuit::CircuitItem::Reset(1));
+
+        let state = guard::ResourceLimits::state_bytes(2).unwrap();
+        for backend in [Backend::Kernel, Backend::Kron] {
+            let capped = |bytes: u128| SimOptions {
+                backend,
+                limits: guard::ResourceLimits {
+                    max_qubits: None,
+                    max_state_bytes: bytes,
+                },
+                ..SimOptions::default()
+            };
+            let branches = |c: &QCircuit, bytes| {
+                c.simulate_bitstring_with("00", &capped(bytes))
+                    .map(|sim| sim.branches().len())
+            };
+            // three 2-qubit states (64 B each) exactly at the cap
+            assert_eq!(branches(&three, 3 * state), Ok(3), "{backend:?}");
+            // a fourth branch — of a measurement or of a reset — is one
+            // over, and so is the third under a byte less
+            for (c, bytes) in [
+                (&measured, 3 * state),
+                (&reset, 3 * state),
+                (&three, 3 * state - 1),
+            ] {
+                assert!(
+                    matches!(
+                        branches(c, bytes),
+                        Err(QclabError::ResourceExhausted { qubits: 2, .. })
+                    ),
+                    "{backend:?}"
+                );
+            }
+            assert_eq!(branches(&measured, 4 * state), Ok(4), "{backend:?}");
+            assert_eq!(branches(&reset, 4 * state), Ok(4), "{backend:?}");
         }
     }
 

@@ -434,10 +434,10 @@ pub fn execute_controlled(
                 }
             }
             ProgramOp::Measure(m) => {
-                branches = measure_sparse(&branches, m, opts);
+                branches = measure_sparse(branches, m, opts, n)?;
             }
             ProgramOp::Reset(q) => {
-                branches = reset_sparse(&branches, *q, opts);
+                branches = reset_sparse(branches, *q, opts, n)?;
             }
         }
         ticker.tick()?;
@@ -452,32 +452,36 @@ pub fn execute_controlled(
 /// Splits every branch on a measurement outcome — the sparse mirror of
 /// the dense `measure_branches`, including the `V†`/`V` basis rotation
 /// and the branch-tolerance pruning, so branch order and records match
-/// the dense walk exactly.
+/// the dense walk exactly. As each branch is added, the live entries —
+/// of the old branches not yet split and of the new ones — are
+/// re-admitted.
 fn measure_sparse(
-    branches: &[SparseBranch],
+    branches: Vec<SparseBranch>,
     m: &Measurement,
     opts: &SparseOptions,
-) -> Vec<SparseBranch> {
+    n: usize,
+) -> Result<Vec<SparseBranch>, QclabError> {
     let q = m.qubit();
     let v = m.basis().change_matrix();
     let needs_change = !matches!(m.basis(), Basis::Z);
     let mut out = Vec::with_capacity(branches.len() * 2);
-    for b in branches {
-        let mut pre = b.state.clone();
+    let mut live: u128 = branches.iter().map(|b| b.state.nnz() as u128).sum();
+    for mut b in branches {
+        live -= b.state.nnz() as u128;
         if needs_change {
             let vdg = Gate::Custom {
                 name: "V†".into(),
                 qubits: vec![q],
                 matrix: v.dagger(),
             };
-            pre.apply_gate(&vdg, opts.prune_eps);
+            b.state.apply_gate(&vdg, opts.prune_eps);
         }
-        let (p0, p1) = pre.measure_probabilities(q);
+        let (p0, p1) = b.state.measure_probabilities(q);
         for (bit, p) in [(0usize, p0), (1usize, p1)] {
             if p <= opts.branch_tol {
                 continue;
             }
-            let mut post = pre.collapsed(q, bit, p);
+            let mut post = b.state.collapsed(q, bit, p);
             if needs_change {
                 let vg = Gate::Custom {
                     name: "V".into(),
@@ -486,6 +490,8 @@ fn measure_sparse(
                 };
                 post.apply_gate(&vg, opts.prune_eps);
             }
+            live += post.nnz() as u128;
+            opts.limits.check_sparse_entries(n, live)?;
             let mut measured = b.measured.clone();
             measured.insert(q, (v.col(bit), bit as u8));
             let mut result = b.result.clone();
@@ -498,15 +504,22 @@ fn measure_sparse(
             });
         }
     }
-    out
+    Ok(out)
 }
 
 /// Resets a qubit to `|0>` on every branch: Z-measure and flip on
 /// outcome 1, without recording — the sparse mirror of the dense
-/// `reset_branches`.
-fn reset_sparse(branches: &[SparseBranch], q: usize, opts: &SparseOptions) -> Vec<SparseBranch> {
+/// `reset_branches`, re-admitting live entries like [`measure_sparse`].
+fn reset_sparse(
+    branches: Vec<SparseBranch>,
+    q: usize,
+    opts: &SparseOptions,
+    n: usize,
+) -> Result<Vec<SparseBranch>, QclabError> {
     let mut out = Vec::with_capacity(branches.len());
+    let mut live: u128 = branches.iter().map(|b| b.state.nnz() as u128).sum();
     for b in branches {
+        live -= b.state.nnz() as u128;
         let (p0, p1) = b.state.measure_probabilities(q);
         for (bit, p) in [(0usize, p0), (1usize, p1)] {
             if p <= opts.branch_tol {
@@ -516,6 +529,8 @@ fn reset_sparse(branches: &[SparseBranch], q: usize, opts: &SparseOptions) -> Ve
             if bit == 1 {
                 post.apply_gate(&Gate::PauliX(q), opts.prune_eps);
             }
+            live += post.nnz() as u128;
+            opts.limits.check_sparse_entries(n, live)?;
             out.push(SparseBranch {
                 result: b.result.clone(),
                 probability: b.probability * p,
@@ -524,7 +539,7 @@ fn reset_sparse(branches: &[SparseBranch], q: usize, opts: &SparseOptions) -> Ve
             });
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -612,6 +627,33 @@ mod tests {
         };
         let err = execute(&program, SparseState::basis_state(n, 0), &opts).unwrap_err();
         assert!(matches!(err, QclabError::ResourceExhausted { .. }));
+    }
+
+    #[test]
+    fn branch_split_entry_cap_boundary_is_exact() {
+        // measuring |0⟩ in the X basis splits one entry into two
+        // branches, |+⟩ and |−⟩, of two entries each; two measurements
+        // into four branches of eight entries in all
+        let mut c = QCircuit::new(2);
+        c.push_back(Measurement::x(0));
+        c.push_back(Measurement::x(1));
+        let program = program::compile(&c, &PlanOptions::sparse());
+        let at = |entries: u128| SparseOptions {
+            limits: ResourceLimits {
+                max_qubits: None,
+                max_state_bytes: entries * super::super::guard::SPARSE_ENTRY_BYTES,
+            },
+            ..SparseOptions::default()
+        };
+        let run = |entries| execute(&program, SparseState::basis_state(2, 0), &at(entries));
+        let sim = run(16).unwrap();
+        assert_eq!(sim.branches().len(), 4);
+        let live: usize = sim.branches().iter().map(|b| b.state().nnz()).sum();
+        assert_eq!(live, 16);
+        // the last branch's entries are one over
+        assert!(matches!(run(15), Err(QclabError::ResourceExhausted { .. })));
+        // and a split whose first branch alone exceeds the cap stops there
+        assert!(matches!(run(1), Err(QclabError::ResourceExhausted { .. })));
     }
 
     #[test]

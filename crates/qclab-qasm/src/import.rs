@@ -6,19 +6,21 @@
 //! substituted, recursively, so the resulting circuit contains only
 //! built-in gates. Bare register arguments broadcast across the register
 //! as the OpenQASM spec prescribes.
+//!
+//! Registers and definitions are looked up in tables built once per
+//! program. A gate call's parameter values and qubits go on scratch
+//! stacks that every call reuses (a definition's body pushes its own
+//! frame above its caller's), so expanding a call allocates nothing but
+//! the gates it emits.
 
-use crate::ast::{Arg, GateCall, Program, Stmt};
+use crate::ast::{Arg, GateDef, Program, Stmt};
+use crate::{perr, Fallible};
 use qclab_core::circuit::CircuitItem;
 use qclab_core::gates::factories::gate_from_mnemonic;
-use qclab_core::{Measurement, QCircuit, QclabError};
-use std::collections::HashMap;
-
-fn perr(line: usize, message: impl Into<String>) -> QclabError {
-    QclabError::QasmParse {
-        line,
-        message: message.into(),
-    }
-}
+use qclab_core::{Gate, Measurement, QCircuit, QclabError};
+use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Cap on the combined size of all quantum registers. Far beyond anything
 /// simulable (the state-vector guard kicks in near 30 qubits), but low
@@ -26,24 +28,106 @@ fn perr(line: usize, message: impl Into<String>) -> QclabError {
 /// memory.
 pub const MAX_IMPORT_QUBITS: usize = 1 << 20;
 
-struct RegTable {
+/// Deepest chain of user gate definitions one call may expand through.
+const MAX_EXPANSION_DEPTH: usize = 64;
+
+struct Importer<'p, 'a> {
+    program: &'p Program<'a>,
     /// name -> (offset, size)
-    qregs: HashMap<String, (usize, usize)>,
+    qregs: HashMap<&'a str, (usize, usize)>,
+    /// The register the last lookup found: an argument mostly names the
+    /// register the one before it did.
+    last_qreg: Cell<Option<(&'a str, (usize, usize))>>,
     nb_qubits: usize,
-    cregs: HashMap<String, usize>,
+    cregs: HashSet<&'a str>,
+    /// The last definition of each name.
+    defs: HashMap<&'a str, GateDef<'a>>,
+    /// Parameter values of the calls being expanded, innermost last.
+    values: Vec<f64>,
+    /// Absolute qubits of the calls being expanded, innermost last.
+    qubits: Vec<usize>,
+    /// Operand stack of the expression evaluator.
+    stack: Vec<f64>,
+    /// The built-in gates one top-level call expanded to.
+    gates: Vec<Gate>,
 }
 
-impl RegTable {
-    /// Resolves an indexed argument to an absolute qubit.
-    fn resolve(&self, arg: &Arg, line: usize) -> Result<usize, QclabError> {
-        let (off, size) = self
-            .qregs
-            .get(&arg.reg)
-            .ok_or_else(|| perr(line, format!("unknown quantum register '{}'", arg.reg)))?;
+impl<'p, 'a> Importer<'p, 'a> {
+    /// First pass: registers and definitions.
+    fn new(program: &'p Program<'a>) -> Fallible<Self> {
+        let mut imp = Importer {
+            program,
+            qregs: HashMap::new(),
+            last_qreg: Cell::new(None),
+            nb_qubits: 0,
+            cregs: HashSet::new(),
+            defs: HashMap::new(),
+            values: Vec::new(),
+            qubits: Vec::new(),
+            stack: Vec::new(),
+            gates: Vec::new(),
+        };
+        for stmt in &program.statements {
+            match *stmt {
+                Stmt::Qreg { name, size } => {
+                    if imp.qregs.insert(name, (imp.nb_qubits, size)).is_some() {
+                        return Err(perr(0, format!("duplicate qreg '{name}'")));
+                    }
+                    // checked: a hostile `qreg q[huge]` must error, not
+                    // overflow (debug) or wrap (release) — and registers past
+                    // MAX_IMPORT_QUBITS would only die later in broadcasting
+                    // or simulation, so refuse them with a clear message here
+                    imp.nb_qubits = match imp.nb_qubits.checked_add(size) {
+                        Some(total) if total <= MAX_IMPORT_QUBITS => total,
+                        _ => {
+                            return Err(perr(
+                                0,
+                                format!(
+                                    "quantum registers exceed {MAX_IMPORT_QUBITS} qubits in total"
+                                ),
+                            ))
+                        }
+                    };
+                }
+                Stmt::Creg { name, .. } => {
+                    imp.cregs.insert(name);
+                }
+                Stmt::GateDef(def) => {
+                    imp.defs.insert(def.name, def);
+                }
+                _ => {}
+            }
+        }
+        if imp.nb_qubits == 0 {
+            return Err(perr(0, "program declares no quantum register"));
+        }
+        Ok(imp)
+    }
+
+    /// `(offset, size)` of a quantum register.
+    fn qreg(&self, name: &str, line: usize) -> Fallible<(usize, usize)> {
+        match self.last_qreg.get() {
+            Some((last, reg)) if last == name => Ok(reg),
+            _ => {
+                let (&name, &reg) = self
+                    .qregs
+                    .get_key_value(name)
+                    .ok_or_else(|| perr(line, format!("unknown quantum register '{name}'")))?;
+                self.last_qreg.set(Some((name, reg)));
+                Ok(reg)
+            }
+        }
+    }
+
+    /// Resolves argument `arg` to an absolute qubit; a bare register
+    /// stands for its qubit `k` (the broadcast iteration).
+    fn resolve(&self, arg: &Arg<'_>, k: Option<usize>, line: usize) -> Fallible<usize> {
+        let (off, size) = self.qreg(arg.reg, line)?;
         let idx = arg
             .index
+            .or(k)
             .ok_or_else(|| perr(line, format!("register '{}' used without index", arg.reg)))?;
-        if idx >= *size {
+        if idx >= size {
             return Err(perr(
                 line,
                 format!("index {idx} out of range for qreg {}[{size}]", arg.reg),
@@ -54,237 +138,170 @@ impl RegTable {
 
     /// Broadcast width of a call: the common size of all bare registers
     /// (1 if every argument is indexed).
-    fn broadcast_width(&self, args: &[Arg], line: usize) -> Result<usize, QclabError> {
+    fn broadcast_width(&self, args: &[Arg<'_>], line: usize) -> Fallible<usize> {
         let mut width: Option<usize> = None;
-        for a in args {
-            if a.index.is_none() {
-                let (_, size) = self
-                    .qregs
-                    .get(&a.reg)
-                    .ok_or_else(|| perr(line, format!("unknown quantum register '{}'", a.reg)))?;
-                match width {
-                    None => width = Some(*size),
-                    Some(w) if w == *size => {}
-                    Some(w) => {
-                        return Err(perr(
-                            line,
-                            format!("broadcast size mismatch: {w} vs {size}"),
-                        ))
-                    }
+        for a in args.iter().filter(|a| a.index.is_none()) {
+            let (_, size) = self.qreg(a.reg, line)?;
+            match width {
+                None => width = Some(size),
+                Some(w) if w == size => {}
+                Some(w) => {
+                    return Err(perr(
+                        line,
+                        format!("broadcast size mismatch: {w} vs {size}"),
+                    ))
                 }
             }
         }
         Ok(width.unwrap_or(1))
     }
 
-    /// Resolves argument `a` for broadcast iteration `k`.
-    fn resolve_broadcast(&self, a: &Arg, k: usize, line: usize) -> Result<usize, QclabError> {
-        if a.index.is_some() {
-            self.resolve(a, line)
-        } else {
-            self.resolve(
-                &Arg {
-                    reg: a.reg.clone(),
-                    index: Some(k),
-                },
-                line,
-            )
+    /// Expands a gate call into built-in gates on [`Self::gates`],
+    /// resolving user definitions recursively. The call's parameter
+    /// values are `self.values[params]`, its absolute qubits
+    /// `self.qubits[qubits]`.
+    fn expand(
+        &mut self,
+        name: &str,
+        params: Range<usize>,
+        qubits: Range<usize>,
+        line: usize,
+        depth: usize,
+    ) -> Fallible<()> {
+        if depth > MAX_EXPANSION_DEPTH {
+            return Err(perr(line, "gate definition recursion too deep"));
         }
-    }
-}
-
-/// Expands a gate call into built-in gates, resolving user definitions
-/// recursively. `qubits` are the absolute qubit indices of the call.
-fn expand_call(
-    name: &str,
-    params: &[f64],
-    qubits: &[usize],
-    defs: &HashMap<String, crate::ast::GateDef>,
-    line: usize,
-    depth: usize,
-    out: &mut Vec<qclab_core::Gate>,
-) -> Result<(), QclabError> {
-    if depth > 64 {
-        return Err(perr(line, "gate definition recursion too deep"));
-    }
-    if let Some(def) = defs.get(name) {
-        if def.params.len() != params.len() || def.qargs.len() != qubits.len() {
+        let Some(def) = self.defs.get(name).copied() else {
+            return match gate_from_mnemonic(name, &self.values[params], &self.qubits[qubits]) {
+                Ok(g) => {
+                    self.gates.push(g);
+                    Ok(())
+                }
+                Err(e) => Err(perr(line, format!("{e}"))),
+            };
+        };
+        if def.params.len != params.len() || def.qargs.len != qubits.len() {
             return Err(perr(
                 line,
                 format!(
                     "gate '{name}' expects {} params / {} qubits, got {} / {}",
-                    def.params.len(),
-                    def.qargs.len(),
+                    def.params.len,
+                    def.qargs.len,
                     params.len(),
                     qubits.len()
                 ),
             ));
         }
-        let bindings: HashMap<String, f64> = def
-            .params
-            .iter()
-            .cloned()
-            .zip(params.iter().copied())
-            .collect();
-        let qmap: HashMap<&str, usize> = def
-            .qargs
-            .iter()
-            .map(String::as_str)
-            .zip(qubits.iter().copied())
-            .collect();
-        for call in &def.body {
-            let sub_params: Vec<f64> = call
-                .params
-                .iter()
-                .map(|e| e.eval(&bindings))
-                .collect::<Result<_, _>>()?;
-            let sub_qubits: Vec<usize> = call
-                .args
-                .iter()
-                .map(|a| {
-                    qmap.get(a.reg.as_str()).copied().ok_or_else(|| {
-                        perr(call.line, format!("unknown gate argument '{}'", a.reg))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            expand_call(
-                &call.name,
-                &sub_params,
-                &sub_qubits,
-                defs,
-                call.line,
-                depth + 1,
-                out,
-            )?;
+        let program = self.program;
+        let formal = def.params.of(&program.names)?;
+        let qargs = def.qargs.of(&program.names)?;
+        for call in def.body.of(&program.body)? {
+            let (v0, q0) = (self.values.len(), self.qubits.len());
+            for &code in call.params.of(&program.params)? {
+                let v =
+                    program.eval(code, formal, &self.values[params.clone()], &mut self.stack)?;
+                self.values.push(v);
+            }
+            for a in call.args.of(&program.args)? {
+                // the last of two equal formal names wins
+                let i = qargs
+                    .iter()
+                    .rposition(|q| *q == a.reg)
+                    .ok_or_else(|| perr(call.line, format!("unknown gate argument '{}'", a.reg)))?;
+                self.qubits.push(self.qubits[qubits.start + i]);
+            }
+            let (v1, q1) = (self.values.len(), self.qubits.len());
+            self.expand(call.name, v0..v1, q0..q1, call.line, depth + 1)?;
+            self.values.truncate(v0);
+            self.qubits.truncate(q0);
         }
-        Ok(())
-    } else {
-        let g = gate_from_mnemonic(name, params, qubits).map_err(|e| perr(line, format!("{e}")))?;
-        out.push(g);
         Ok(())
     }
 }
 
-/// Builds a [`QCircuit`] from a parsed program.
-pub fn program_to_circuit(program: &Program) -> Result<QCircuit, QclabError> {
-    // first pass: registers and definitions
-    let mut table = RegTable {
-        qregs: HashMap::new(),
-        nb_qubits: 0,
-        cregs: HashMap::new(),
-    };
-    let mut defs: HashMap<String, crate::ast::GateDef> = HashMap::new();
-    for stmt in &program.statements {
-        match stmt {
-            Stmt::Qreg { name, size } => {
-                if table.qregs.contains_key(name) {
-                    return Err(perr(0, format!("duplicate qreg '{name}'")));
-                }
-                table.qregs.insert(name.clone(), (table.nb_qubits, *size));
-                // checked: a hostile `qreg q[huge]` must error, not
-                // overflow (debug) or wrap (release) — and registers past
-                // MAX_IMPORT_QUBITS would only die later in broadcasting
-                // or simulation, so refuse them with a clear message here
-                table.nb_qubits = match table.nb_qubits.checked_add(*size) {
-                    Some(total) if total <= MAX_IMPORT_QUBITS => total,
-                    _ => {
-                        return Err(perr(
-                            0,
-                            format!("quantum registers exceed {MAX_IMPORT_QUBITS} qubits in total"),
-                        ))
-                    }
-                };
-            }
-            Stmt::Creg { name, size } => {
-                table.cregs.insert(name.clone(), *size);
-            }
-            Stmt::GateDef(def) => {
-                defs.insert(def.name.clone(), def.clone());
-            }
-            _ => {}
-        }
+fn push(circuit: &mut QCircuit, item: impl Into<CircuitItem>, line: usize) -> Fallible<()> {
+    match circuit.try_push_back(item) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(perr(line, format!("{e}"))),
     }
-    if table.nb_qubits == 0 {
-        return Err(perr(0, "program declares no quantum register"));
-    }
+}
 
-    let mut circuit = QCircuit::new(table.nb_qubits);
+/// Builds a [`QCircuit`] from a parsed program.
+pub fn program_to_circuit(program: &Program<'_>) -> Result<QCircuit, QclabError> {
+    import(program).map_err(|e| *e)
+}
+
+fn import(program: &Program<'_>) -> Fallible<QCircuit> {
+    let mut imp = Importer::new(program)?;
+    let mut circuit = QCircuit::new(imp.nb_qubits);
+    circuit.reserve(program.statements.len());
 
     // second pass: operations
     for stmt in &program.statements {
-        match stmt {
+        match *stmt {
             Stmt::Qreg { .. } | Stmt::Creg { .. } | Stmt::GateDef(_) => {}
-            Stmt::Apply(GateCall {
-                name,
-                params,
-                args,
-                line,
-            }) => {
-                let width = table.broadcast_width(args, *line)?;
-                let values: Vec<f64> = params
-                    .iter()
-                    .map(|e| e.eval(&HashMap::new()))
-                    .collect::<Result<_, _>>()?;
+            Stmt::Apply(call) => {
+                let line = call.line;
+                let args = call.args.of(&program.args)?;
+                let width = imp.broadcast_width(args, line)?;
+                for &code in call.params.of(&program.params)? {
+                    let v = program.eval(code, &[], &[], &mut imp.stack)?;
+                    imp.values.push(v);
+                }
+                let params = 0..imp.values.len();
                 for k in 0..width {
-                    let qubits: Vec<usize> = args
-                        .iter()
-                        .map(|a| table.resolve_broadcast(a, k, *line))
-                        .collect::<Result<_, _>>()?;
-                    let mut gates = Vec::new();
-                    expand_call(name, &values, &qubits, &defs, *line, 0, &mut gates)?;
-                    for g in gates {
-                        circuit
-                            .try_push_back(g)
-                            .map_err(|e| perr(*line, format!("{e}")))?;
+                    imp.qubits.clear();
+                    for a in args {
+                        let q = imp.resolve(a, Some(k), line)?;
+                        imp.qubits.push(q);
+                    }
+                    // the whole call expands before any of its gates is
+                    // pushed: an expansion error outranks a placement error
+                    imp.expand(call.name, params.clone(), 0..args.len(), line, 0)?;
+                    for g in imp.gates.drain(..) {
+                        push(&mut circuit, g, line)?;
                     }
                 }
+                imp.values.clear();
             }
             Stmt::Measure { qubit, cbit, line } => {
                 // classical bit target is validated for existence only —
                 // qclab records outcomes per branch, not in cregs
-                if !table.cregs.contains_key(&cbit.reg) {
+                if !imp.cregs.contains(cbit.reg) {
                     return Err(perr(
-                        *line,
+                        line,
                         format!("unknown classical register '{}'", cbit.reg),
                     ));
                 }
                 if qubit.index.is_none() {
                     // broadcast measurement over the whole register
-                    let (off, size) = table.qregs[&qubit.reg];
-                    for k in 0..size {
-                        circuit
-                            .try_push_back(Measurement::z(off + k))
-                            .map_err(|e| perr(*line, format!("{e}")))?;
+                    let (off, size) = imp.qreg(qubit.reg, line)?;
+                    for q in off..off + size {
+                        push(&mut circuit, Measurement::z(q), line)?;
                     }
                 } else {
-                    let q = table.resolve(qubit, *line)?;
-                    circuit
-                        .try_push_back(Measurement::z(q))
-                        .map_err(|e| perr(*line, format!("{e}")))?;
+                    let q = imp.resolve(&qubit, None, line)?;
+                    push(&mut circuit, Measurement::z(q), line)?;
                 }
             }
             Stmt::Reset { qubit, line } => {
-                let q = table.resolve(qubit, *line)?;
-                circuit
-                    .try_push_back(CircuitItem::Reset(q))
-                    .map_err(|e| perr(*line, format!("{e}")))?;
+                let q = imp.resolve(&qubit, None, line)?;
+                push(&mut circuit, CircuitItem::Reset(q), line)?;
             }
             Stmt::Barrier { args, line } => {
                 let mut qs = Vec::new();
-                for a in args {
+                for a in args.of(&program.args)? {
                     if a.index.is_none() {
-                        let (off, size) = *table
+                        let (off, size) = *imp
                             .qregs
-                            .get(&a.reg)
-                            .ok_or_else(|| perr(*line, format!("unknown qreg '{}'", a.reg)))?;
+                            .get(a.reg)
+                            .ok_or_else(|| perr(line, format!("unknown qreg '{}'", a.reg)))?;
                         qs.extend(off..off + size);
                     } else {
-                        qs.push(table.resolve(a, *line)?);
+                        qs.push(imp.resolve(a, None, line)?);
                     }
                 }
-                circuit
-                    .try_push_back(CircuitItem::Barrier(qs))
-                    .map_err(|e| perr(*line, format!("{e}")))?;
+                push(&mut circuit, CircuitItem::Barrier(qs), line)?;
             }
         }
     }
@@ -372,6 +389,30 @@ measure q[1] -> c[1];
         assert!(program_to_circuit(&parse("creg c[1];").unwrap()).is_err());
         // unknown creg in measure
         assert!(program_to_circuit(&parse("qreg q[1]; measure q[0] -> c[0];").unwrap()).is_err());
+        // unknown qreg in a broadcast measure
+        assert!(
+            program_to_circuit(&parse("qreg q[1]; creg c[1]; measure r -> c;").unwrap()).is_err()
+        );
+    }
+
+    #[test]
+    fn spans_past_their_arena_are_an_error() {
+        // only a program not built by the parser has them
+        let src = "qreg q[1]; gate g(t) a { rz(t) a; } g(0.5) q[0]; barrier q;";
+        let arenas: [fn(&mut Program<'_>); 5] = [
+            |p| p.exprs.clear(),
+            |p| p.params.clear(),
+            |p| p.args.clear(),
+            |p| p.names.clear(),
+            |p| p.body.clear(),
+        ];
+        for clear in arenas {
+            let mut p = parse(src).unwrap();
+            program_to_circuit(&p).unwrap();
+            clear(&mut p);
+            let e = program_to_circuit(&p).unwrap_err();
+            assert!(e.to_string().contains("malformed program"), "{e}");
+        }
     }
 
     #[test]

@@ -1,22 +1,25 @@
 //! Tokenizer for OpenQASM 2.0 source text.
 //!
-//! Produces a flat token stream with line numbers for error reporting.
-//! Handles `//` line comments, string literals (for `include`), reals,
-//! integers, identifiers/keywords and the operator/punctuation set of the
-//! OpenQASM 2.0 grammar.
+//! Scans the source byte by byte into a flat token stream with line
+//! numbers for error reporting. Identifiers and string literals are
+//! slices of the source; a number is parsed from its slice with
+//! `str::parse::<f64>`. Handles `//` line comments, string literals (for
+//! `include`), reals, integers, identifiers/keywords and the
+//! operator/punctuation set of the OpenQASM 2.0 grammar. Whitespace is
+//! what `char::is_whitespace` says it is, non-ASCII included.
 
 use qclab_core::QclabError;
 
 /// A lexical token.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Tok {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Tok<'a> {
     /// Identifier or keyword (`qreg`, `measure`, gate names, …).
-    Ident(String),
+    Ident(&'a str),
     /// Numeric literal (integers are also parsed as reals; integer-ness
     /// is re-checked where the grammar requires it).
     Number(f64),
     /// String literal, quotes stripped (only used by `include`).
-    Str(String),
+    Str(&'a str),
     LParen,
     RParen,
     LBracket,
@@ -38,160 +41,117 @@ pub enum Tok {
 }
 
 /// A token paired with its 1-based source line.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SpannedTok {
-    pub tok: Tok,
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SpannedTok<'a> {
+    pub tok: Tok<'a>,
     pub line: usize,
 }
 
+fn err(line: usize, message: String) -> QclabError {
+    QclabError::QasmParse { line, message }
+}
+
 /// Tokenizes QASM source. Returns a lex error with line info on an
-/// unexpected character or an unterminated string.
-pub fn tokenize(src: &str) -> Result<Vec<SpannedTok>, QclabError> {
-    let mut out = Vec::new();
-    let mut chars = src.chars().peekable();
+/// unexpected character, a malformed number or an unterminated string.
+pub fn tokenize(src: &str) -> Result<Vec<SpannedTok<'_>>, QclabError> {
+    let b = src.as_bytes();
+    // gate lists run to a token per two or three bytes: one allocation
+    let mut out = Vec::with_capacity(b.len() / 2);
     let mut line = 1usize;
-
-    let err = |line: usize, msg: String| QclabError::QasmParse { line, message: msg };
-
-    while let Some(&ch) = chars.peek() {
-        match ch {
-            '\n' => {
+    let mut i = 0;
+    // every jump below lands on an ASCII byte or past a whole scalar, so
+    // `i` is always a char boundary of `src`
+    while let Some(&c) = b.get(i) {
+        let start = i;
+        i += 1;
+        let tok = match c {
+            b'\n' => {
                 line += 1;
-                chars.next();
+                continue;
             }
-            c if c.is_whitespace() => {
-                chars.next();
+            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => continue,
+            b'/' if b.get(i) == Some(&b'/') => {
+                // line comment: its newline is counted by the next turn
+                i = b[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(b.len(), |n| i + n);
+                continue;
             }
-            '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    // line comment
-                    for c in chars.by_ref() {
-                        if c == '\n' {
-                            line += 1;
-                            break;
-                        }
-                    }
-                } else {
-                    out.push(SpannedTok {
-                        tok: Tok::Slash,
-                        line,
-                    });
-                }
-            }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                let mut closed = false;
-                for c in chars.by_ref() {
-                    if c == '"' {
-                        closed = true;
-                        break;
-                    }
-                    if c == '\n' {
-                        line += 1;
-                    }
-                    s.push(c);
-                }
-                if !closed {
+            b'"' => {
+                let Some(len) = b[i..].iter().position(|&c| c == b'"') else {
+                    line += b[i..].iter().filter(|&&c| c == b'\n').count();
                     return Err(err(line, "unterminated string literal".into()));
-                }
-                out.push(SpannedTok {
-                    tok: Tok::Str(s),
-                    line,
-                });
+                };
+                let text = &src[i..i + len];
+                line += text.bytes().filter(|&c| c == b'\n').count();
+                i += len + 1;
+                Tok::Str(text)
             }
-            c if c.is_ascii_digit() || c == '.' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() || c == '.' {
-                        s.push(c);
-                        chars.next();
-                    } else if (c == 'e' || c == 'E') && !s.is_empty() {
-                        // exponent part; may be followed by a sign
-                        s.push(c);
-                        chars.next();
-                        if let Some(&sign) = chars.peek() {
-                            if sign == '+' || sign == '-' {
-                                s.push(sign);
-                                chars.next();
+            b'0'..=b'9' | b'.' => {
+                while let Some(&d) = b.get(i) {
+                    match d {
+                        b'0'..=b'9' | b'.' => i += 1,
+                        // an exponent, optionally signed
+                        b'e' | b'E' => {
+                            i += 1;
+                            if matches!(b.get(i), Some(b'+' | b'-')) {
+                                i += 1;
                             }
                         }
-                    } else {
-                        break;
+                        _ => break,
                     }
                 }
-                let v: f64 = s
-                    .parse()
-                    .map_err(|_| err(line, format!("invalid number '{s}'")))?;
-                out.push(SpannedTok {
-                    tok: Tok::Number(v),
-                    line,
-                });
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(SpannedTok {
-                    tok: Tok::Ident(s),
-                    line,
-                });
-            }
-            '-' => {
-                chars.next();
-                if chars.peek() == Some(&'>') {
-                    chars.next();
-                    out.push(SpannedTok {
-                        tok: Tok::Arrow,
-                        line,
-                    });
-                } else {
-                    out.push(SpannedTok {
-                        tok: Tok::Minus,
-                        line,
-                    });
+                let text = &src[start..i];
+                match text.parse() {
+                    Ok(v) => Tok::Number(v),
+                    Err(_) => return Err(err(line, format!("invalid number '{text}'"))),
                 }
             }
-            '=' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    out.push(SpannedTok {
-                        tok: Tok::EqEq,
-                        line,
-                    });
-                } else {
-                    return Err(err(line, "unexpected '='".into()));
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                while b
+                    .get(i)
+                    .is_some_and(|d| d.is_ascii_alphanumeric() || *d == b'_')
+                {
+                    i += 1;
                 }
+                Tok::Ident(&src[start..i])
             }
+            b'-' if b.get(i) == Some(&b'>') => {
+                i += 1;
+                Tok::Arrow
+            }
+            b'=' if b.get(i) == Some(&b'=') => {
+                i += 1;
+                Tok::EqEq
+            }
+            b'=' => return Err(err(line, "unexpected '='".into())),
+            b'(' => Tok::LParen,
+            b')' => Tok::RParen,
+            b'[' => Tok::LBracket,
+            b']' => Tok::RBracket,
+            b'{' => Tok::LBrace,
+            b'}' => Tok::RBrace,
+            b',' => Tok::Comma,
+            b';' => Tok::Semicolon,
+            b'+' => Tok::Plus,
+            b'-' => Tok::Minus,
+            b'*' => Tok::Star,
+            b'/' => Tok::Slash,
+            b'^' => Tok::Caret,
             _ => {
-                chars.next();
-                let tok = match ch {
-                    '(' => Tok::LParen,
-                    ')' => Tok::RParen,
-                    '[' => Tok::LBracket,
-                    ']' => Tok::RBracket,
-                    '{' => Tok::LBrace,
-                    '}' => Tok::RBrace,
-                    ',' => Tok::Comma,
-                    ';' => Tok::Semicolon,
-                    '+' => Tok::Plus,
-                    '*' => Tok::Star,
-                    '^' => Tok::Caret,
-                    other => {
-                        return Err(err(line, format!("unexpected character '{other}'")));
-                    }
-                };
-                out.push(SpannedTok { tok, line });
+                let ch = src[start..]
+                    .chars()
+                    .next()
+                    .expect("`start` is a char boundary");
+                if ch.is_whitespace() {
+                    i = start + ch.len_utf8();
+                    continue;
+                }
+                return Err(err(line, format!("unexpected character '{ch}'")));
             }
-        }
+        };
+        out.push(SpannedTok { tok, line });
     }
     Ok(out)
 }
@@ -200,7 +160,7 @@ pub fn tokenize(src: &str) -> Result<Vec<SpannedTok>, QclabError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         tokenize(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
@@ -209,8 +169,8 @@ mod tests {
         assert_eq!(
             toks("qreg q[2];"),
             vec![
-                Tok::Ident("qreg".into()),
-                Tok::Ident("q".into()),
+                Tok::Ident("qreg"),
+                Tok::Ident("q"),
                 Tok::LBracket,
                 Tok::Number(2.0),
                 Tok::RBracket,
@@ -226,6 +186,7 @@ mod tests {
             [Tok::RBracket, Tok::Arrow]
         );
         assert_eq!(toks("-1")[0], Tok::Minus);
+        assert_eq!(toks("a-")[1], Tok::Minus);
     }
 
     #[test]
@@ -234,6 +195,10 @@ mod tests {
             toks("h q[0]; // apply hadamard\nx q[1];").len(),
             12 // two gate statements of 6 tokens each
         );
+        assert_eq!(
+            toks("1 / 2 // end"),
+            [Tok::Number(1.0), Tok::Slash, Tok::Number(2.0)]
+        );
     }
 
     #[test]
@@ -241,8 +206,8 @@ mod tests {
         assert_eq!(
             toks("include \"qelib1.inc\";"),
             vec![
-                Tok::Ident("include".into()),
-                Tok::Str("qelib1.inc".into()),
+                Tok::Ident("include"),
+                Tok::Str("qelib1.inc"),
                 Tok::Semicolon
             ]
         );
@@ -253,6 +218,9 @@ mod tests {
         assert_eq!(toks("2.5e-3")[0], Tok::Number(2.5e-3));
         assert_eq!(toks("0.5")[0], Tok::Number(0.5));
         assert_eq!(toks("3")[0], Tok::Number(3.0));
+        assert_eq!(toks("1E+2")[0], Tok::Number(100.0));
+        assert!(tokenize("1e").is_err());
+        assert!(tokenize("1.2.3").is_err());
     }
 
     #[test]
@@ -260,14 +228,39 @@ mod tests {
         let spanned = tokenize("h q[0];\n\nx q[1];").unwrap();
         assert_eq!(spanned[0].line, 1);
         assert_eq!(spanned.last().unwrap().line, 3);
+        // a string's own newlines count, and it sits on the line it ends on
+        let spanned = tokenize("\"a\nb\" x").unwrap();
+        assert_eq!((spanned[0].line, spanned[1].line), (2, 2));
+    }
+
+    #[test]
+    fn non_ascii_whitespace_separates_tokens() {
+        assert_eq!(
+            toks("h\u{a0}q\u{3000}[\u{2028}0]"),
+            [
+                Tok::Ident("h"),
+                Tok::Ident("q"),
+                Tok::LBracket,
+                Tok::Number(0.0),
+                Tok::RBracket
+            ]
+        );
     }
 
     #[test]
     fn bad_character_errors_with_line() {
-        let e = tokenize("h q[0];\n$").unwrap_err();
-        match e {
-            QclabError::QasmParse { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected error {other:?}"),
+        for (src, want) in [
+            ("h q[0];\n$", '$'),
+            ("x;\n\u{e9}", '\u{e9}'),
+            ("\n\u{feff}", '\u{feff}'),
+        ] {
+            match tokenize(src).unwrap_err() {
+                QclabError::QasmParse { line, message } => {
+                    assert_eq!(line, 2);
+                    assert_eq!(message, format!("unexpected character '{want}'"));
+                }
+                other => panic!("unexpected error {other:?}"),
+            }
         }
     }
 

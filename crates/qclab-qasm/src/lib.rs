@@ -26,6 +26,19 @@ pub mod parser;
 
 use qclab_core::{QCircuit, QclabError};
 
+/// The front end's own results: the error boxed, so that on the path
+/// where nothing fails — every path but one — a result stays a register
+/// or two wide instead of the size of a [`QclabError`].
+type Fallible<T> = Result<T, Box<QclabError>>;
+
+/// A [`QclabError::QasmParse`] at `line`.
+fn perr(line: usize, message: impl Into<String>) -> Box<QclabError> {
+    Box::new(QclabError::QasmParse {
+        line,
+        message: message.into(),
+    })
+}
+
 /// Serializes a circuit to OpenQASM 2.0 (QCLAB's `circuit.toQASM()`).
 pub fn to_qasm(circuit: &QCircuit) -> Result<String, QclabError> {
     emit::circuit_to_qasm(circuit)

@@ -5,22 +5,28 @@
 //! declarations, gate definitions, gate applications with parameter
 //! expressions and register broadcasting, `measure`, `reset` and
 //! `barrier`. `if` and `opaque` are rejected with a clear message.
+//!
+//! The parser appends to the [`Program`]'s arenas as it goes; a gate
+//! call costs a statement and its entries there, nothing of its own.
 
 use crate::ast::*;
 use crate::lexer::{tokenize, SpannedTok, Tok};
+use crate::{perr, Fallible};
 use qclab_core::QclabError;
 
-struct Parser {
-    toks: Vec<SpannedTok>,
+struct Parser<'a> {
+    toks: Vec<SpannedTok<'a>>,
     pos: usize,
     /// Current expression-nesting depth; bounded by [`MAX_EXPR_DEPTH`] so
-    /// pathological inputs like `((((…` error out instead of overflowing
-    /// the stack.
+    /// pathological inputs like `((((…` or `1^1^1^…` error out instead of
+    /// overflowing the stack.
     depth: usize,
+    program: Program<'a>,
 }
 
-/// Maximum expression nesting (parentheses, unary signs, function calls).
-/// Far above anything a real program needs, far below stack exhaustion.
+/// Maximum expression nesting (parentheses, unary signs, function calls,
+/// chained powers). Far above anything a real program needs, far below
+/// stack exhaustion.
 const MAX_EXPR_DEPTH: usize = 128;
 
 /// Largest integer literal accepted for register sizes and indices.
@@ -28,62 +34,82 @@ const MAX_EXPR_DEPTH: usize = 128;
 /// register-size checks.
 const MAX_UINT: f64 = u32::MAX as f64;
 
-fn perr(line: usize, message: impl Into<String>) -> QclabError {
-    QclabError::QasmParse {
-        line,
-        message: message.into(),
+/// `found …` of an error message: the token, or the end of the input.
+fn found(t: Option<Tok<'_>>) -> String {
+    match t {
+        Some(t) => format!("{t:?}"),
+        None => "end of input".into(),
     }
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|s| &s.tok)
+/// The span of arena entries pushed since the arena held `start`.
+fn since<T>(arena: &[T], start: usize) -> Span {
+    Span {
+        start,
+        len: arena.len() - start,
+    }
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|s| s.tok)
     }
 
-    fn line(&self) -> usize {
+    /// The line of token `at` (of the last one past the end).
+    fn line_at(&self, at: usize) -> usize {
         self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map(|s| s.line)
-            .unwrap_or(0)
+            .get(at.min(self.toks.len().saturating_sub(1)))
+            .map_or(0, |s| s.line)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|s| s.tok.clone());
+    /// The line of the current token.
+    fn line(&self) -> usize {
+        self.line_at(self.pos)
+    }
+
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<(), QclabError> {
-        let line = self.line();
+    /// An error about `t`, the token just consumed, found where `what`
+    /// was expected.
+    fn unexpected(&self, what: &str, t: Option<Tok<'_>>) -> Box<QclabError> {
+        perr(
+            self.line_at(self.pos - 1),
+            format!("expected {what}, found {}", found(t)),
+        )
+    }
+
+    fn expect(&mut self, want: Tok<'_>, what: &str) -> Fallible<()> {
         match self.next() {
-            Some(t) if &t == want => Ok(()),
-            Some(t) => Err(perr(line, format!("expected {what}, found {t:?}"))),
-            None => Err(perr(line, format!("expected {what}, found end of input"))),
+            Some(t) if t == want => Ok(()),
+            t => Err(self.unexpected(what, t)),
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, QclabError> {
-        let line = self.line();
+    fn expect_ident(&mut self, what: &str) -> Fallible<&'a str> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
-            Some(t) => Err(perr(line, format!("expected {what}, found {t:?}"))),
-            None => Err(perr(line, format!("expected {what}, found end of input"))),
+            t => Err(self.unexpected(what, t)),
         }
     }
 
-    fn expect_uint(&mut self, what: &str) -> Result<usize, QclabError> {
-        let line = self.line();
+    fn expect_uint(&mut self, what: &str) -> Fallible<usize> {
         match self.next() {
-            Some(Tok::Number(v)) if v >= 0.0 && v.fract() == 0.0 && v <= MAX_UINT => Ok(v as usize),
-            Some(Tok::Number(v)) if v > MAX_UINT => {
-                Err(perr(line, format!("{what} {v} is too large")))
+            Some(Tok::Number(v)) if (0.0..=MAX_UINT).contains(&v) && v == (v as u64) as f64 => {
+                Ok(v as usize)
             }
-            Some(t) => Err(perr(line, format!("expected {what}, found {t:?}"))),
-            None => Err(perr(line, format!("expected {what}, found end of input"))),
+            Some(Tok::Number(v)) if v > MAX_UINT => Err(perr(
+                self.line_at(self.pos - 1),
+                format!("{what} {v} is too large"),
+            )),
+            t => Err(self.unexpected(what, t)),
         }
     }
 
-    fn eat(&mut self, tok: &Tok) -> bool {
+    fn eat(&mut self, tok: Tok<'_>) -> bool {
         if self.peek() == Some(tok) {
             self.pos += 1;
             true
@@ -94,104 +120,104 @@ impl Parser {
 
     // ---- expressions -------------------------------------------------
 
-    fn parse_expr(&mut self) -> Result<Expr, QclabError> {
-        self.parse_add()
+    fn emit(&mut self, e: Expr<'a>) {
+        self.program.exprs.push(e);
     }
 
-    fn parse_add(&mut self) -> Result<Expr, QclabError> {
-        let mut lhs = self.parse_mul()?;
+    /// An expression whose binary operators bind at least `min` tight
+    /// (`+ -` 1, `* /` 2, `^` 3), appended to [`Program::exprs`] in
+    /// postfix order. `+ - * /` associate to the left, `^` to the right,
+    /// and a unary sign binds tighter than any of them.
+    fn parse_expr(&mut self, min: u8) -> Fallible<()> {
+        self.parse_unary()?;
         loop {
-            if self.eat(&Tok::Plus) {
-                let rhs = self.parse_mul()?;
-                lhs = Expr::Bin(BinOp::Add, Box::new(lhs), Box::new(rhs));
-            } else if self.eat(&Tok::Minus) {
-                let rhs = self.parse_mul()?;
-                lhs = Expr::Bin(BinOp::Sub, Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
+            let (op, prec) = match self.peek() {
+                Some(Tok::Plus) => (BinOp::Add, 1),
+                Some(Tok::Minus) => (BinOp::Sub, 1),
+                Some(Tok::Star) => (BinOp::Mul, 2),
+                Some(Tok::Slash) => (BinOp::Div, 2),
+                Some(Tok::Caret) => (BinOp::Pow, 3),
+                _ => return Ok(()),
+            };
+            if prec < min {
+                return Ok(());
             }
-        }
-    }
-
-    fn parse_mul(&mut self) -> Result<Expr, QclabError> {
-        let mut lhs = self.parse_pow()?;
-        loop {
-            if self.eat(&Tok::Star) {
-                let rhs = self.parse_pow()?;
-                lhs = Expr::Bin(BinOp::Mul, Box::new(lhs), Box::new(rhs));
-            } else if self.eat(&Tok::Slash) {
-                let rhs = self.parse_pow()?;
-                lhs = Expr::Bin(BinOp::Div, Box::new(lhs), Box::new(rhs));
+            self.pos += 1;
+            if op == BinOp::Pow {
+                // the exponent nests one level deeper
+                self.nested(|p| p.parse_expr(3))?;
             } else {
-                return Ok(lhs);
+                self.parse_expr(prec + 1)?;
             }
+            self.emit(Expr::Bin(op));
         }
     }
 
-    fn parse_pow(&mut self) -> Result<Expr, QclabError> {
-        let base = self.parse_unary()?;
-        if self.eat(&Tok::Caret) {
-            // right-associative
-            let exp = self.parse_pow()?;
-            Ok(Expr::Bin(BinOp::Pow, Box::new(base), Box::new(exp)))
-        } else {
-            Ok(base)
-        }
-    }
-
-    fn parse_unary(&mut self) -> Result<Expr, QclabError> {
+    /// Runs `f` one nesting level deeper, refusing past [`MAX_EXPR_DEPTH`].
+    fn nested(&mut self, f: impl FnOnce(&mut Self) -> Fallible<()>) -> Fallible<()> {
         if self.depth >= MAX_EXPR_DEPTH {
             return Err(perr(self.line(), "expression nesting too deep"));
         }
         self.depth += 1;
-        let result = self.parse_unary_inner();
+        let result = f(self);
         self.depth -= 1;
         result
     }
 
-    fn parse_unary_inner(&mut self) -> Result<Expr, QclabError> {
-        if self.eat(&Tok::Minus) {
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
-        }
-        if self.eat(&Tok::Plus) {
-            return self.parse_unary();
-        }
-        self.parse_atom()
+    fn parse_unary(&mut self) -> Fallible<()> {
+        self.nested(|p| {
+            if p.eat(Tok::Minus) {
+                p.parse_unary()?;
+                p.emit(Expr::Neg);
+                return Ok(());
+            }
+            if p.eat(Tok::Plus) {
+                return p.parse_unary();
+            }
+            p.parse_atom()
+        })
     }
 
-    fn parse_atom(&mut self) -> Result<Expr, QclabError> {
-        let line = self.line();
+    fn parse_atom(&mut self) -> Fallible<()> {
         match self.next() {
-            Some(Tok::Number(v)) => Ok(Expr::Num(v)),
-            Some(Tok::Ident(name)) => {
-                if name == "pi" {
-                    Ok(Expr::Pi)
-                } else if let Some(f) = Func::from_name(&name) {
-                    self.expect(&Tok::LParen, "'(' after function name")?;
-                    let arg = self.parse_expr()?;
-                    self.expect(&Tok::RParen, "')' after function argument")?;
-                    Ok(Expr::Call(f, Box::new(arg)))
-                } else {
-                    Ok(Expr::Param(name))
+            Some(Tok::Number(v)) => self.emit(Expr::Num(v)),
+            Some(Tok::Ident("pi")) => self.emit(Expr::Pi),
+            Some(Tok::Ident(name)) => match Func::from_name(name) {
+                Some(f) => {
+                    self.expect(Tok::LParen, "'(' after function name")?;
+                    self.parse_expr(1)?;
+                    self.expect(Tok::RParen, "')' after function argument")?;
+                    self.emit(Expr::Call(f));
                 }
-            }
+                None => self.emit(Expr::Param(name)),
+            },
             Some(Tok::LParen) => {
-                let e = self.parse_expr()?;
-                self.expect(&Tok::RParen, "closing ')'")?;
-                Ok(e)
+                self.parse_expr(1)?;
+                self.expect(Tok::RParen, "closing ')'")?;
             }
-            Some(t) => Err(perr(line, format!("unexpected token {t:?} in expression"))),
-            None => Err(perr(line, "unexpected end of input in expression")),
+            Some(t) => {
+                return Err(perr(
+                    self.line_at(self.pos - 1),
+                    format!("unexpected token {t:?} in expression"),
+                ))
+            }
+            None => {
+                return Err(perr(
+                    self.line_at(self.pos - 1),
+                    "unexpected end of input in expression",
+                ))
+            }
         }
+        Ok(())
     }
 
     // ---- arguments ---------------------------------------------------
 
-    fn parse_arg(&mut self) -> Result<Arg, QclabError> {
+    fn parse_arg(&mut self) -> Fallible<Arg<'a>> {
         let reg = self.expect_ident("register name")?;
-        let index = if self.eat(&Tok::LBracket) {
+        let index = if self.eat(Tok::LBracket) {
             let i = self.expect_uint("register index")?;
-            self.expect(&Tok::RBracket, "closing ']'")?;
+            self.expect(Tok::RBracket, "closing ']'")?;
             Some(i)
         } else {
             None
@@ -199,26 +225,36 @@ impl Parser {
         Ok(Arg { reg, index })
     }
 
-    fn parse_args(&mut self) -> Result<Vec<Arg>, QclabError> {
-        let mut args = vec![self.parse_arg()?];
-        while self.eat(&Tok::Comma) {
-            args.push(self.parse_arg()?);
+    /// A comma-separated argument list, appended to [`Program::args`].
+    fn parse_args(&mut self) -> Fallible<Span> {
+        let start = self.program.args.len();
+        loop {
+            let arg = self.parse_arg()?;
+            self.program.args.push(arg);
+            if !self.eat(Tok::Comma) {
+                return Ok(since(&self.program.args, start));
+            }
         }
-        Ok(args)
     }
 
     /// A gate call after its name has been consumed.
-    fn parse_gate_call(&mut self, name: String, line: usize) -> Result<GateCall, QclabError> {
-        let mut params = Vec::new();
-        if self.eat(&Tok::LParen) && !self.eat(&Tok::RParen) {
-            params.push(self.parse_expr()?);
-            while self.eat(&Tok::Comma) {
-                params.push(self.parse_expr()?);
+    fn parse_gate_call(&mut self, name: &'a str, line: usize) -> Fallible<GateCall<'a>> {
+        let start = self.program.params.len();
+        if self.eat(Tok::LParen) && !self.eat(Tok::RParen) {
+            loop {
+                let code = self.program.exprs.len();
+                self.parse_expr(1)?;
+                let code = since(&self.program.exprs, code);
+                self.program.params.push(code);
+                if !self.eat(Tok::Comma) {
+                    break;
+                }
             }
-            self.expect(&Tok::RParen, "closing ')' after parameters")?;
+            self.expect(Tok::RParen, "closing ')' after parameters")?;
         }
+        let params = since(&self.program.params, start);
         let args = self.parse_args()?;
-        self.expect(&Tok::Semicolon, "';' after gate application")?;
+        self.expect(Tok::Semicolon, "';' after gate application")?;
         Ok(GateCall {
             name,
             params,
@@ -229,58 +265,65 @@ impl Parser {
 
     // ---- statements --------------------------------------------------
 
-    fn parse_reg(&mut self) -> Result<(String, usize), QclabError> {
+    fn parse_reg(&mut self) -> Fallible<(&'a str, usize)> {
         let name = self.expect_ident("register name")?;
-        self.expect(&Tok::LBracket, "'['")?;
+        self.expect(Tok::LBracket, "'['")?;
         let size = self.expect_uint("register size")?;
-        self.expect(&Tok::RBracket, "']'")?;
-        self.expect(&Tok::Semicolon, "';'")?;
+        self.expect(Tok::RBracket, "']'")?;
+        self.expect(Tok::Semicolon, "';'")?;
         Ok((name, size))
     }
 
-    fn parse_gate_def(&mut self) -> Result<GateDef, QclabError> {
-        let name = self.expect_ident("gate name")?;
-        let mut params = Vec::new();
-        if self.eat(&Tok::LParen) && !self.eat(&Tok::RParen) {
-            params.push(self.expect_ident("parameter name")?);
-            while self.eat(&Tok::Comma) {
-                params.push(self.expect_ident("parameter name")?);
+    /// Comma-separated formal names, appended to [`Program::names`].
+    fn parse_names(&mut self, what: &str) -> Fallible<Span> {
+        let start = self.program.names.len();
+        loop {
+            let name = self.expect_ident(what)?;
+            self.program.names.push(name);
+            if !self.eat(Tok::Comma) {
+                return Ok(since(&self.program.names, start));
             }
-            self.expect(&Tok::RParen, "')' after gate parameters")?;
         }
-        let mut qargs = vec![self.expect_ident("qubit argument")?];
-        while self.eat(&Tok::Comma) {
-            qargs.push(self.expect_ident("qubit argument")?);
+    }
+
+    fn parse_gate_def(&mut self) -> Fallible<GateDef<'a>> {
+        let name = self.expect_ident("gate name")?;
+        let mut params = since(&self.program.names, self.program.names.len());
+        if self.eat(Tok::LParen) && !self.eat(Tok::RParen) {
+            params = self.parse_names("parameter name")?;
+            self.expect(Tok::RParen, "')' after gate parameters")?;
         }
-        self.expect(&Tok::LBrace, "'{' starting gate body")?;
-        let mut body = Vec::new();
-        while self.peek() != Some(&Tok::RBrace) {
+        let qargs = self.parse_names("qubit argument")?;
+        self.expect(Tok::LBrace, "'{' starting gate body")?;
+        // a body holds gate calls only, so they are one run of the body
+        // arena
+        let start = self.program.body.len();
+        while self.peek() != Some(Tok::RBrace) {
             let line = self.line();
             let gname = self.expect_ident("gate name in body")?;
             if gname == "barrier" {
                 // barriers inside gate bodies are no-ops; skip to ';'
-                while self.peek() != Some(&Tok::Semicolon) && self.peek().is_some() {
+                while self.peek().is_some_and(|t| t != Tok::Semicolon) {
                     self.pos += 1;
                 }
-                self.expect(&Tok::Semicolon, "';'")?;
+                self.expect(Tok::Semicolon, "';'")?;
                 continue;
             }
-            body.push(self.parse_gate_call(gname, line)?);
+            let call = self.parse_gate_call(gname, line)?;
+            self.program.body.push(call);
         }
-        self.expect(&Tok::RBrace, "'}' ending gate body")?;
+        self.expect(Tok::RBrace, "'}' ending gate body")?;
         Ok(GateDef {
             name,
             params,
             qargs,
-            body,
+            body: since(&self.program.body, start),
         })
     }
 
-    fn parse_program(&mut self) -> Result<Program, QclabError> {
-        let mut program = Program::default();
-
+    fn parse_program(&mut self) -> Fallible<()> {
         // optional header: OPENQASM <version>;
-        if self.peek() == Some(&Tok::Ident("OPENQASM".into())) {
+        if self.peek() == Some(Tok::Ident("OPENQASM")) {
             self.pos += 1;
             let line = self.line();
             match self.next() {
@@ -288,86 +331,86 @@ impl Parser {
                 Some(t) => return Err(perr(line, format!("unsupported QASM version {t:?}"))),
                 None => return Err(perr(line, "missing QASM version")),
             }
-            self.expect(&Tok::Semicolon, "';' after version")?;
+            self.expect(Tok::Semicolon, "';' after version")?;
         }
 
-        while let Some(tok) = self.peek().cloned() {
+        while let Some(tok) = self.peek() {
             let line = self.line();
-            match tok {
-                Tok::Ident(kw) => {
-                    self.pos += 1;
-                    match kw.as_str() {
-                        "include" => {
-                            // the built-in gate table plays the role of
-                            // qelib1.inc; the file itself is not read
-                            match self.next() {
-                                Some(Tok::Str(_)) => {}
-                                _ => return Err(perr(line, "expected include file string")),
-                            }
-                            self.expect(&Tok::Semicolon, "';' after include")?;
-                        }
-                        "qreg" => {
-                            let (name, size) = self.parse_reg()?;
-                            program.statements.push(Stmt::Qreg { name, size });
-                        }
-                        "creg" => {
-                            let (name, size) = self.parse_reg()?;
-                            program.statements.push(Stmt::Creg { name, size });
-                        }
-                        "gate" => {
-                            let def = self.parse_gate_def()?;
-                            program.statements.push(Stmt::GateDef(def));
-                        }
-                        "measure" => {
-                            let qubit = self.parse_arg()?;
-                            self.expect(&Tok::Arrow, "'->' in measure")?;
-                            let cbit = self.parse_arg()?;
-                            self.expect(&Tok::Semicolon, "';' after measure")?;
-                            program.statements.push(Stmt::Measure { qubit, cbit, line });
-                        }
-                        "reset" => {
-                            let qubit = self.parse_arg()?;
-                            self.expect(&Tok::Semicolon, "';' after reset")?;
-                            program.statements.push(Stmt::Reset { qubit, line });
-                        }
-                        "barrier" => {
-                            let args = self.parse_args()?;
-                            self.expect(&Tok::Semicolon, "';' after barrier")?;
-                            program.statements.push(Stmt::Barrier { args, line });
-                        }
-                        "if" => {
-                            return Err(perr(
-                                line,
-                                "classically controlled 'if' statements are not supported",
-                            ));
-                        }
-                        "opaque" => {
-                            return Err(perr(line, "'opaque' gates are not supported"));
-                        }
-                        gate_name => {
-                            let call = self.parse_gate_call(gate_name.to_string(), line)?;
-                            program.statements.push(Stmt::Apply(call));
-                        }
-                    }
+            let Tok::Ident(kw) = tok else {
+                return Err(perr(line, format!("unexpected token {tok:?}")));
+            };
+            self.pos += 1;
+            let stmt = match kw {
+                "include" => {
+                    // the built-in gate table plays the role of
+                    // qelib1.inc; the file itself is not read
+                    let Some(Tok::Str(_)) = self.next() else {
+                        return Err(perr(line, "expected include file string"));
+                    };
+                    self.expect(Tok::Semicolon, "';' after include")?;
+                    continue;
                 }
-                other => {
-                    return Err(perr(line, format!("unexpected token {other:?}")));
+                "qreg" => {
+                    let (name, size) = self.parse_reg()?;
+                    Stmt::Qreg { name, size }
                 }
-            }
+                "creg" => {
+                    let (name, size) = self.parse_reg()?;
+                    Stmt::Creg { name, size }
+                }
+                "gate" => Stmt::GateDef(self.parse_gate_def()?),
+                "measure" => {
+                    let qubit = self.parse_arg()?;
+                    self.expect(Tok::Arrow, "'->' in measure")?;
+                    let cbit = self.parse_arg()?;
+                    self.expect(Tok::Semicolon, "';' after measure")?;
+                    Stmt::Measure { qubit, cbit, line }
+                }
+                "reset" => {
+                    let qubit = self.parse_arg()?;
+                    self.expect(Tok::Semicolon, "';' after reset")?;
+                    Stmt::Reset { qubit, line }
+                }
+                "barrier" => {
+                    let args = self.parse_args()?;
+                    self.expect(Tok::Semicolon, "';' after barrier")?;
+                    Stmt::Barrier { args, line }
+                }
+                "if" => {
+                    return Err(perr(
+                        line,
+                        "classically controlled 'if' statements are not supported",
+                    ));
+                }
+                "opaque" => return Err(perr(line, "'opaque' gates are not supported")),
+                gate_name => Stmt::Apply(self.parse_gate_call(gate_name, line)?),
+            };
+            self.program.statements.push(stmt);
         }
-        Ok(program)
+        Ok(())
     }
 }
 
-/// Parses OpenQASM 2.0 source into a [`Program`].
-pub fn parse(src: &str) -> Result<Program, QclabError> {
+/// Parses OpenQASM 2.0 source into a [`Program`] borrowing from it.
+pub fn parse(src: &str) -> Result<Program<'_>, QclabError> {
     let toks = tokenize(src)?;
-    Parser {
+    // gate-list programs run to a statement and an argument per five
+    // tokens, and an expression node per ten
+    let n = toks.len();
+    let mut parser = Parser {
         toks,
         pos: 0,
         depth: 0,
-    }
-    .parse_program()
+        program: Program {
+            statements: Vec::with_capacity(n / 5),
+            args: Vec::with_capacity(n / 5),
+            params: Vec::with_capacity(n / 10),
+            exprs: Vec::with_capacity(n / 10),
+            ..Program::default()
+        },
+    };
+    parser.parse_program().map_err(|e| *e)?;
+    Ok(parser.program)
 }
 
 #[cfg(test)]
@@ -384,54 +427,51 @@ measure q[0] -> c[0];
 measure q[1] -> c[1];
 "#;
 
-    #[test]
-    fn parses_the_paper_listing() {
-        let p = parse(PAPER_QASM).unwrap();
-        assert_eq!(p.statements.len(), 6);
-        match &p.statements[0] {
-            Stmt::Qreg { name, size } => {
-                assert_eq!(name, "q");
-                assert_eq!(*size, 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &p.statements[3] {
-            Stmt::Apply(call) => {
-                assert_eq!(call.name, "cx");
-                assert_eq!(call.args.len(), 2);
-                assert_eq!(call.args[1].index, Some(1));
-            }
+    fn call<'a>(p: &Program<'a>, i: usize) -> GateCall<'a> {
+        match p.statements[i] {
+            Stmt::Apply(call) => call,
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
+    fn parses_the_paper_listing() {
+        let p = parse(PAPER_QASM).unwrap();
+        assert_eq!(p.statements.len(), 6);
+        assert_eq!(p.statements[0], Stmt::Qreg { name: "q", size: 2 });
+        let cx = call(&p, 3);
+        assert_eq!(cx.name, "cx");
+        assert_eq!(cx.args.len, 2);
+        assert_eq!(cx.args.of(&p.args).unwrap()[1].index, Some(1));
+    }
+
+    #[test]
     fn parses_parameters_with_expressions() {
         let p = parse("qreg q[1]; rz(pi/2) q[0]; u3(0.1, -pi, 2*pi) q[0];").unwrap();
-        match &p.statements[1] {
-            Stmt::Apply(call) => {
-                assert_eq!(call.params.len(), 1);
-                let v = call.params[0].eval(&Default::default()).unwrap();
-                assert!((v - std::f64::consts::FRAC_PI_2).abs() < 1e-15);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &p.statements[2] {
-            Stmt::Apply(call) => assert_eq!(call.params.len(), 3),
-            other => panic!("unexpected {other:?}"),
-        }
+        let rz = call(&p, 1);
+        assert_eq!(rz.params.len, 1);
+        let v = p.eval(
+            rz.params.of(&p.params).unwrap()[0],
+            &[],
+            &[],
+            &mut Vec::new(),
+        );
+        let v = v.unwrap();
+        assert!((v - std::f64::consts::FRAC_PI_2).abs() < 1e-15);
+        assert_eq!(call(&p, 2).params.len, 3);
     }
 
     #[test]
     fn parses_gate_definition() {
         let src = "gate rzz(theta) a,b { cx a,b; rz(theta) b; cx a,b; }";
         let p = parse(src).unwrap();
-        match &p.statements[0] {
+        match p.statements[0] {
             Stmt::GateDef(def) => {
                 assert_eq!(def.name, "rzz");
-                assert_eq!(def.params, vec!["theta"]);
-                assert_eq!(def.qargs, vec!["a", "b"]);
-                assert_eq!(def.body.len(), 3);
+                assert_eq!(def.params.of(&p.names).unwrap(), ["theta"]);
+                assert_eq!(def.qargs.of(&p.names).unwrap(), ["a", "b"]);
+                assert_eq!(def.body.len, 3);
+                assert_eq!(def.body.of(&p.body).unwrap()[1].name, "rz");
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -440,18 +480,15 @@ measure q[1] -> c[1];
     #[test]
     fn broadcast_argument_without_index() {
         let p = parse("qreg q[3]; h q;").unwrap();
-        match &p.statements[1] {
-            Stmt::Apply(call) => assert_eq!(call.args[0].index, None),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(call(&p, 1).args.of(&p.args).unwrap()[0].index, None);
     }
 
     #[test]
     fn reset_and_barrier() {
         let p = parse("qreg q[2]; reset q[0]; barrier q[0], q[1];").unwrap();
         assert!(matches!(p.statements[1], Stmt::Reset { .. }));
-        match &p.statements[2] {
-            Stmt::Barrier { args, .. } => assert_eq!(args.len(), 2),
+        match p.statements[2] {
+            Stmt::Barrier { args, .. } => assert_eq!(args.len, 2),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -486,6 +523,7 @@ measure q[1] -> c[1];
                 "cos(".repeat(5000),
                 ")".repeat(5000)
             ),
+            format!("qreg q[1]; rz(1{}) q[0];", "^1".repeat(100_000)),
         ] {
             let e = parse(&pathological).unwrap_err();
             assert!(matches!(e, QclabError::QasmParse { .. }));
@@ -493,6 +531,7 @@ measure q[1] -> c[1];
         // moderately nested expressions still parse
         let ok = format!("qreg q[1]; rz({}1{}) q[0];", "(".repeat(60), ")".repeat(60));
         assert!(parse(&ok).is_ok());
+        assert!(parse(&format!("qreg q[1]; rz(1{}) q[0];", "^1".repeat(60))).is_ok());
     }
 
     #[test]
@@ -505,11 +544,7 @@ measure q[1] -> c[1];
     #[test]
     fn expression_precedence() {
         let p = parse("qreg q[1]; rz(1+2*3^2) q[0];").unwrap();
-        match &p.statements[1] {
-            Stmt::Apply(call) => {
-                assert_eq!(call.params[0].eval(&Default::default()).unwrap(), 19.0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let code = call(&p, 1).params.of(&p.params).unwrap()[0];
+        assert_eq!(p.eval(code, &[], &[], &mut Vec::new()).unwrap(), 19.0);
     }
 }
