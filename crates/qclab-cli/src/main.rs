@@ -24,7 +24,7 @@ use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
     run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig, TrajectoryResult, SEED_CONTRACT,
 };
-use qclab_core::sim::{DispatchedSimulation, SimOptions};
+use qclab_core::sim::SimOptions;
 use qclab_core::{QCircuit, QclabError};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -508,7 +508,7 @@ fn simulate(circuit: &QCircuit, init: Option<&str>, opts: &EngineOpts) -> Output
     let results = sim.results();
     let branches = results.len();
     let mut out = format!("simulated {n} qubits from |{bits}>: {branches} branch(es)");
-    if let DispatchedSimulation::Sparse(sim) = &sim {
+    if sim.is_sparse() {
         let peak = sim.peak_entries();
         out.push_str(&format!(
             " (sparse backend, peak {peak} live entr{})",

@@ -44,9 +44,9 @@ pub use service::{
     ServiceConfig, ServiceStats,
 };
 pub use sim::density::{DensityState, NoiseChannel, NoiseModel};
-pub use sim::sparse::{SparseSimulation, SparseState};
+pub use sim::sparse::SparseState;
 pub use sim::stabilizer::{run_stabilizer, MeasureOutcome, StabilizerRun, StabilizerState};
-pub use sim::{Backend, Branch, DispatchedSimulation, SimOptions, Simulation};
+pub use sim::{Backend, Branch, RoutedState, SimOptions, Simulation};
 
 /// Everything needed to write paper-style circuit code.
 pub mod prelude {

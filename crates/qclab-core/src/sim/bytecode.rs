@@ -24,7 +24,7 @@
 
 use super::control::ControlTicker;
 use super::kernel::{self, PreparedOp, TilePre};
-use super::{measure_branches, reset_branches, Branch, SimOptions};
+use super::{split_branches, Branch, BranchState, SimOptions};
 use crate::error::QclabError;
 use crate::measurement::Measurement;
 use crate::program::{CompiledProgram, ProgramOp};
@@ -168,17 +168,18 @@ pub(crate) fn execute_dense(
             }
             Instr::Fence => {}
             Instr::Permute { perm, map: new_map } => {
-                let parallel = opts.kernel.allow_parallel && n >= kernel::PARALLEL_THRESHOLD_QUBITS;
                 for b in branches.iter_mut() {
-                    kernel::permute_state(&mut b.state, n, perm, parallel);
+                    b.state.permute(perm, n, opts);
                 }
                 map = new_map.as_deref();
             }
             Instr::Measure(m) => {
-                *branches = measure_branches(std::mem::take(branches), m, opts, n, map)?
+                let old = std::mem::take(branches);
+                *branches = split_branches(old, m.qubit(), Some(m), opts, &opts.limits, n, map)?;
             }
             Instr::Reset(q) => {
-                *branches = reset_branches(std::mem::take(branches), *q, opts, n, map)?
+                let old = std::mem::take(branches);
+                *branches = split_branches(old, *q, None, opts, &opts.limits, n, map)?;
             }
         }
         ticker.tick_n(ops)?;

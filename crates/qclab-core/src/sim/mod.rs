@@ -9,12 +9,22 @@
 //! exposes per-branch results, probabilities and state vectors, sampled
 //! `counts`, and reduced states of unmeasured qubits.
 //!
-//! Two interchangeable gate-application backends are provided:
+//! The branch tree is written once, generic over the state a branch
+//! carries: a dense [`CVec`] or a [`sparse::SparseState`]. Each engine
+//! keeps its own arithmetic behind the crate-private `BranchState` trait —
+//! Z probabilities, collapse, gate application and the live size the
+//! resource guard charges — while the measurement/reset split
+//! (`split_branches`) and the op walk over a
+//! [`CompiledProgram`](program::CompiledProgram) (`walk_branches`) exist
+//! once. The dense bytecode executor ([`bytecode::execute_dense`]) runs
+//! its own instruction stream and calls the same split.
+//!
+//! Two interchangeable dense gate-application backends are provided:
 //! [`Backend::Kron`] (sparse extended unitary — the MATLAB QCLAB
-//! strategy) and [`Backend::Kernel`] (in-place kernels — the QCLAB++
-//! strategy). They are property-tested against each other
-//! (`tests/backend_equivalence.rs`); their speed gap is recorded in
-//! EXPERIMENTS.md F1.
+//! strategy, run on the shared op walk as the test oracle) and
+//! [`Backend::Kernel`] (in-place kernels — the QCLAB++ strategy). They are
+//! property-tested against each other (`tests/backend_equivalence.rs`);
+//! their speed gap is recorded in EXPERIMENTS.md F1.
 
 pub mod bytecode;
 pub mod collapse;
@@ -38,10 +48,17 @@ use crate::gates::Gate;
 use crate::measurement::{Basis, Measurement};
 use crate::program::{self, BackendChoice, BackendRequest, PlanOptions, ProgramOp};
 use crate::reduced::contract_qubit;
+use control::ControlTicker;
+use guard::ResourceLimits;
 use qclab_math::CVec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sparse::SparseState;
 use std::collections::BTreeMap;
+
+/// Measurement outcomes with probability at or below this are pruned
+/// instead of spawning a branch.
+const BRANCH_TOL: f64 = 1e-12;
 
 /// Gate-application strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,9 +75,6 @@ pub enum Backend {
 pub struct SimOptions {
     /// Gate-application backend (default: [`Backend::Kernel`]).
     pub backend: Backend,
-    /// Measurement outcomes with probability below this threshold are
-    /// pruned instead of spawning a branch.
-    pub branch_tol: f64,
     /// Kernel dispatch configuration: the gate-fusion pre-pass
     /// (`kernel.fuse` / `kernel.max_fused_qubits`, honoured by both
     /// backends) and the locality pass and parallel/SIMD switches
@@ -69,7 +83,7 @@ pub struct SimOptions {
     /// Resource limits checked before the state allocation; oversized
     /// registers come back as [`QclabError::ResourceExhausted`] instead
     /// of aborting the process.
-    pub limits: guard::ResourceLimits,
+    pub limits: ResourceLimits,
     /// Cooperative deadline/cancellation, polled at op boundaries. The
     /// default ([`control::ExecutionControl::none`]) is a no-op and
     /// leaves results bit-identical to runs without control.
@@ -80,9 +94,8 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             backend: Backend::Kernel,
-            branch_tol: 1e-12,
             kernel: kernel::KernelConfig::default(),
-            limits: guard::ResourceLimits::default(),
+            limits: ResourceLimits::default(),
             control: control::ExecutionControl::none(),
         }
     }
@@ -90,16 +103,16 @@ impl Default for SimOptions {
 
 /// One post-measurement branch of a simulation.
 #[derive(Clone, Debug)]
-pub struct Branch {
+pub struct Branch<S = CVec> {
     result: String,
     probability: f64,
-    state: CVec,
+    state: S,
     /// Last known single-qubit state of each measured qubit: the
     /// basis-change matrix column selected by the observed bit.
     measured: BTreeMap<usize, (Vec<qclab_math::C64>, u8)>,
 }
 
-impl Branch {
+impl<S> Branch<S> {
     /// Concatenated measurement outcomes of this branch, in execution
     /// order (e.g. `"01"`).
     pub fn result(&self) -> &str {
@@ -111,8 +124,8 @@ impl Branch {
         self.probability
     }
 
-    /// Full-register state vector of this branch.
-    pub fn state(&self) -> &CVec {
+    /// Full-register state of this branch.
+    pub fn state(&self) -> &S {
         &self.state
     }
 
@@ -122,21 +135,40 @@ impl Branch {
     }
 }
 
-/// The result of simulating a circuit (`circuit.simulate(...)`).
+/// The result of simulating a circuit (`circuit.simulate(...)`): the
+/// branch tree, whose states are dense vectors unless an executor says
+/// otherwise.
 #[derive(Clone, Debug)]
-pub struct Simulation {
+pub struct Simulation<S = CVec> {
     nb_qubits: usize,
-    branches: Vec<Branch>,
+    branches: Vec<Branch<S>>,
+    peak_entries: usize,
 }
 
-impl Simulation {
+impl<S> Simulation<S> {
+    /// A run's tree before its first op: the initial state with
+    /// probability 1 and an empty record.
+    fn start(nb_qubits: usize, initial: S) -> Self {
+        let root = Branch {
+            result: String::new(),
+            probability: 1.0,
+            state: initial,
+            measured: BTreeMap::new(),
+        };
+        Simulation {
+            nb_qubits,
+            branches: vec![root],
+            peak_entries: 0,
+        }
+    }
+
     /// Number of register qubits.
     pub fn nb_qubits(&self) -> usize {
         self.nb_qubits
     }
 
     /// All branches (unique measurement histories).
-    pub fn branches(&self) -> &[Branch] {
+    pub fn branches(&self) -> &[Branch<S>] {
         &self.branches
     }
 
@@ -151,9 +183,16 @@ impl Simulation {
         self.branches.iter().map(|b| b.probability).collect()
     }
 
-    /// Final state vectors, one per branch (`simulation.states`).
-    pub fn states(&self) -> Vec<&CVec> {
+    /// Final states, one per branch (`simulation.states`).
+    pub fn states(&self) -> Vec<&S> {
         self.branches.iter().map(|b| &b.state).collect()
+    }
+
+    /// Largest live-entry total (summed over branches) the sparse
+    /// executor held after any gate — the number its guard admitted. 0
+    /// for dense states, which the guard charges per branch.
+    pub fn peak_entries(&self) -> usize {
+        self.peak_entries
     }
 
     /// Samples `shots` repetitions of the experiment, returning
@@ -202,6 +241,29 @@ impl Simulation {
             .sum()
     }
 
+    /// The same tree with every branch state passed through `f`.
+    fn map_states<T>(
+        self,
+        mut f: impl FnMut(S) -> Result<T, QclabError>,
+    ) -> Result<Simulation<T>, QclabError> {
+        let mut branches = Vec::with_capacity(self.branches.len());
+        for b in self.branches {
+            branches.push(Branch {
+                result: b.result,
+                probability: b.probability,
+                state: f(b.state)?,
+                measured: b.measured,
+            });
+        }
+        Ok(Simulation {
+            nb_qubits: self.nb_qubits,
+            branches,
+            peak_entries: self.peak_entries,
+        })
+    }
+}
+
+impl Simulation {
     /// Reduced states of the unmeasured qubits, one per branch
     /// (`simulation.reducedStates`). Fails if no qubit was left
     /// unmeasured, if every qubit was measured, or if a measured qubit was
@@ -289,106 +351,50 @@ impl QCircuit {
             return Err(QclabError::NotNormalized { norm });
         }
 
-        let mut branches = vec![Branch {
-            result: String::new(),
-            probability: 1.0,
-            state: initial.clone(),
-            measured: BTreeMap::new(),
-        }];
+        let n = self.nb_qubits();
+        let mut sim = Simulation::start(n, initial.clone());
         // lower through the shared compile/execute split — the plan
         // cache makes repeated simulation of one circuit lower once
-        let n = self.nb_qubits();
-        let mut plan_opts = crate::program::PlanOptions::from(&opts.kernel);
+        let mut plan_opts = PlanOptions::from(&opts.kernel);
         // op-boundary deadline/cancel checks; a no-op for the default
         // (disabled) control, so results are unaffected by its presence
         let mut ticker = opts.control.ticker();
         match opts.backend {
             Backend::Kernel => {
                 let bc = self.compile_with(&plan_opts).bytecode();
-                bytecode::execute_dense(&bc, &mut branches, opts, &mut ticker)?;
+                bytecode::execute_dense(&bc, &mut sim.branches, opts, &mut ticker)?;
             }
             // the test oracle: register-wide sparse unitaries, one op at
             // a time; index-bit locality buys it nothing
             Backend::Kron => {
                 plan_opts.remap = false;
-                for op in self.compile_with(&plan_opts).ops() {
-                    match op {
-                        ProgramOp::Gate(g) => {
-                            for b in branches.iter_mut() {
-                                apply_backend(g, &mut b.state, n, opts);
-                            }
-                        }
-                        ProgramOp::Fence(_) => {}
-                        ProgramOp::Measure(m) => {
-                            branches = measure_branches(branches, m, opts, n, None)?
-                        }
-                        ProgramOp::Reset(q) => {
-                            branches = reset_branches(branches, *q, opts, n, None)?
-                        }
-                        // invariant: only the locality pass emits
-                        // permutes, and this plan was lowered with it off
-                        ProgramOp::Permute { .. } => unreachable!("remap is off for kron plans"),
-                    }
-                    ticker.tick()?;
-                }
+                let program = self.compile_with(&plan_opts);
+                let ops = program.ops();
+                walk_branches(&mut sim.branches, ops, opts, &opts.limits, n, &mut ticker)?;
             }
         }
-        Ok(Simulation {
-            nb_qubits: n,
-            branches,
-        })
+        Ok(sim)
     }
 }
 
-/// A simulation that ran on whichever state representation the
-/// dense/sparse chooser picked — the return type of
-/// [`QCircuit::simulate_bitstring_routed`].
+/// The state of one branch of a routed run, on whichever representation
+/// the dense/sparse chooser picked — the branch state of
+/// [`QCircuit::simulate_bitstring_routed`]'s result.
 #[derive(Clone, Debug)]
-pub enum DispatchedSimulation {
-    /// Ran on the dense engine ([`Simulation`]).
-    Dense(Simulation),
-    /// Ran on the sparse executor ([`sparse::SparseSimulation`]).
-    Sparse(sparse::SparseSimulation),
+pub enum RoutedState {
+    /// Ran on the dense engine.
+    Dense(CVec),
+    /// Ran on the sparse executor.
+    Sparse(SparseState),
 }
 
-impl DispatchedSimulation {
-    /// Number of register qubits.
-    pub fn nb_qubits(&self) -> usize {
-        match self {
-            DispatchedSimulation::Dense(s) => s.nb_qubits(),
-            DispatchedSimulation::Sparse(s) => s.nb_qubits(),
-        }
-    }
-
-    /// The observed measurement result strings, one per branch.
-    pub fn results(&self) -> Vec<&str> {
-        match self {
-            DispatchedSimulation::Dense(s) => s.results(),
-            DispatchedSimulation::Sparse(s) => s.results(),
-        }
-    }
-
-    /// Branch probabilities.
-    pub fn probabilities(&self) -> Vec<f64> {
-        match self {
-            DispatchedSimulation::Dense(s) => s.probabilities(),
-            DispatchedSimulation::Sparse(s) => s.probabilities(),
-        }
-    }
-
-    /// Sampled counts — both representations use the same sampler and
-    /// tally shape, so for one seed the draws match when the branch
-    /// distributions do.
-    pub fn counts(&self, shots: u64, seed: u64) -> Vec<(String, u64)> {
-        match self {
-            DispatchedSimulation::Dense(s) => s.counts(shots, seed),
-            DispatchedSimulation::Sparse(s) => s.counts(shots, seed),
-        }
-    }
-
+impl Simulation<RoutedState> {
     /// `true` when the sparse executor ran.
     pub fn is_sparse(&self) -> bool {
-        matches!(self, DispatchedSimulation::Sparse(_))
+        matches!(
+            self.branches.first().map(Branch::state),
+            Some(RoutedState::Sparse(_))
+        )
     }
 }
 
@@ -404,7 +410,7 @@ impl QCircuit {
         bits: &str,
         opts: &SimOptions,
         request: BackendRequest,
-    ) -> Result<DispatchedSimulation, QclabError> {
+    ) -> Result<Simulation<RoutedState>, QclabError> {
         if bits.len() != self.nb_qubits() {
             return Err(QclabError::InvalidBitstring(bits.to_string()));
         }
@@ -415,24 +421,15 @@ impl QCircuit {
         let probe = self.compile_with(&PlanOptions::sparse());
         let choice =
             program::resolve_backend(request, probe.stats(), self.nb_qubits(), &opts.limits)?;
-        let run_sparse = || -> Result<DispatchedSimulation, QclabError> {
-            let initial = sparse::SparseState::from_bitstring(bits)
+        let run_sparse = || {
+            let initial = SparseState::from_bitstring(bits)
                 .ok_or_else(|| QclabError::InvalidBitstring(bits.to_string()))?;
-            let sopts = sparse::SparseOptions {
-                branch_tol: opts.branch_tol,
-                limits: opts.limits,
-                ..sparse::SparseOptions::default()
-            };
-            Ok(DispatchedSimulation::Sparse(sparse::execute_controlled(
-                &probe,
-                initial,
-                &sopts,
-                &opts.control,
-            )?))
+            sparse::execute_controlled(&probe, initial, &opts.limits, &opts.control)?
+                .map_states(|s| Ok(RoutedState::Sparse(s)))
         };
         match choice {
             BackendChoice::Dense => match self.simulate_bitstring_with(bits, opts) {
-                Ok(sim) => Ok(DispatchedSimulation::Dense(sim)),
+                Ok(sim) => sim.map_states(|s| Ok(RoutedState::Dense(s))),
                 // graceful degradation: under Auto, a dense run that was
                 // refused mid-flight (allocation) or overran its deadline
                 // falls back to the sparse executor — if the chooser's
@@ -464,78 +461,148 @@ impl QCircuit {
     }
 }
 
-pub(crate) fn apply_backend(gate: &Gate, state: &mut CVec, n: usize, opts: &SimOptions) {
-    match opts.backend {
-        Backend::Kron => kron::apply_gate(gate, state, n),
-        Backend::Kernel => kernel::apply_gate_with(gate, state, n, &opts.kernel),
+/// A state the branch tree can carry. Each engine keeps its own
+/// arithmetic here; the split and the op walk over it exist once.
+/// Measured and reset qubits are *logical*: `map` is the active
+/// logical→physical layout (`None` = identity) of a state the locality
+/// pass relabeled, and the engine resolves the qubit through it.
+pub(crate) trait BranchState: Sized {
+    /// What applying a gate takes beside the state: the dense backend
+    /// and kernel switches, nothing for a sparse state.
+    type Engine;
+
+    /// Applies `gate` (physical qubits) in place.
+    fn apply(&mut self, gate: &Gate, n: usize, engine: &Self::Engine);
+
+    /// Moves the bit on qubit `q` to qubit `perm[q]`.
+    fn permute(&mut self, perm: &[usize], n: usize, engine: &Self::Engine);
+
+    /// `(P(0), P(1))` of a Z measurement of logical qubit `q`.
+    fn z_probabilities(&self, n: usize, q: usize, map: Option<&[usize]>) -> (f64, f64);
+
+    /// The state collapsed onto outcome `bit` (probability `p`) of a Z
+    /// measurement of logical qubit `q`.
+    fn collapsed(&self, n: usize, q: usize, bit: usize, p: f64, map: Option<&[usize]>) -> Self;
+
+    /// The live size the guard charges per entry: 0 for a dense state,
+    /// whose size the register fixes.
+    fn live(&self) -> u128;
+
+    /// Admits `kept` branches holding `live` entries in all: a dense
+    /// engine charges `2^n · 16` B per branch, a sparse one 48 B per
+    /// live entry.
+    fn admit(limits: &ResourceLimits, n: usize, kept: usize, live: u128) -> Result<(), QclabError>;
+}
+
+impl BranchState for CVec {
+    type Engine = SimOptions;
+
+    fn apply(&mut self, gate: &Gate, n: usize, opts: &SimOptions) {
+        match opts.backend {
+            Backend::Kron => kron::apply_gate(gate, self, n),
+            Backend::Kernel => kernel::apply_gate_with(gate, self, n, &opts.kernel),
+        }
+    }
+
+    fn permute(&mut self, perm: &[usize], n: usize, opts: &SimOptions) {
+        let parallel = opts.kernel.allow_parallel && n >= kernel::PARALLEL_THRESHOLD_QUBITS;
+        kernel::permute_state(self, n, perm, parallel);
+    }
+
+    fn z_probabilities(&self, n: usize, q: usize, map: Option<&[usize]>) -> (f64, f64) {
+        match map {
+            None => collapse::measure_probabilities(self, n, q),
+            Some(m) => collapse::measure_probabilities_mapped(self, n, q, m),
+        }
+    }
+
+    fn collapsed(&self, n: usize, q: usize, bit: usize, p: f64, map: Option<&[usize]>) -> Self {
+        match map {
+            None => collapse::collapse(self, n, q, bit, p),
+            Some(m) => {
+                let mut post = CVec::zeros(0);
+                collapse::collapse_into_mapped(self, n, q, bit, p, m, &mut post);
+                post
+            }
+        }
+    }
+
+    fn live(&self) -> u128 {
+        0
+    }
+
+    fn admit(limits: &ResourceLimits, n: usize, kept: usize, _: u128) -> Result<(), QclabError> {
+        limits.check_branches(n, kept)
     }
 }
 
-/// Splits every branch on a measurement outcome. `map` is the active
-/// logical→physical layout (`None` = identity): the measurement's qubit
-/// is *logical*, so probabilities and collapse go through the mapped
-/// collapse routines and any basis rotation targets the physical slot.
-/// Each new branch is admitted against `opts.limits` before its state is
-/// allocated: the branches alive after it — the old ones not yet split
-/// and the new ones — must fit the byte cap. A branch splits into at
-/// least one, so that bounds the new set exactly, and memory at any
-/// point to the cap plus the branch being split.
-pub(crate) fn measure_branches(
-    branches: Vec<Branch>,
-    m: &Measurement,
-    opts: &SimOptions,
+/// Live size of a branch set, summed.
+fn total_live<S: BranchState>(branches: &[Branch<S>]) -> u128 {
+    branches.iter().map(|b| b.state.live()).sum()
+}
+
+/// Splits every branch on a Z outcome of logical qubit `q` (see
+/// [`BranchState`] for `map`). With `measurement`, the outcome is
+/// recorded, and an X/Y basis is rotated into Z on the physical slot
+/// first and back after the collapse (paper Sec. 3.3). Without, it is a
+/// reset: the outcome goes unrecorded and outcome 1 is flipped back to
+/// `|0>`.
+///
+/// Each new branch is admitted against `limits` with the branches alive
+/// after it — the old ones not yet split and the new ones. A branch
+/// splits into at least one, so that bounds the new set exactly. A dense
+/// branch is charged before its `2^n` buffer exists, so memory stays
+/// within the cap plus the branch being split; a sparse one once its
+/// entries are known.
+pub(crate) fn split_branches<S: BranchState>(
+    branches: Vec<Branch<S>>,
+    q: usize,
+    measurement: Option<&Measurement>,
+    engine: &S::Engine,
+    limits: &ResourceLimits,
     n: usize,
     map: Option<&[usize]>,
-) -> Result<Vec<Branch>, QclabError> {
-    let q = m.qubit();
+) -> Result<Vec<Branch<S>>, QclabError> {
     let pq = map.map_or(q, |m| m[q]);
-    let v = m.basis().change_matrix();
-    let needs_change = !matches!(m.basis(), Basis::Z);
+    let on_pq = |name: &str, matrix| Gate::Custom {
+        name: name.into(),
+        qubits: vec![pq],
+        matrix,
+    };
+    // a measurement's basis-change matrix, and whether it rotates (X/Y)
+    let basis = measurement.map(|m| (m.basis().change_matrix(), !matches!(m.basis(), Basis::Z)));
     let mut out = Vec::with_capacity(branches.len() * 2);
     let mut unsplit = branches.len();
-
+    let mut live = total_live(&branches);
     for mut b in branches {
         unsplit -= 1;
-        if needs_change {
-            // rotate the measured qubit into the computational basis
-            let vdg = Gate::Custom {
-                name: "V†".into(),
-                qubits: vec![pq],
-                matrix: v.dagger(),
-            };
-            apply_backend(&vdg, &mut b.state, n, opts);
+        live -= b.state.live();
+        if let Some((v, true)) = &basis {
+            b.state.apply(&on_pq("V†", v.dagger()), n, engine);
         }
-        let (p0, p1) = match map {
-            None => collapse::measure_probabilities(&b.state, n, q),
-            Some(m) => collapse::measure_probabilities_mapped(&b.state, n, q, m),
-        };
+        let (p0, p1) = b.state.z_probabilities(n, q, map);
         for (bit, p) in [(0usize, p0), (1usize, p1)] {
-            if p <= opts.branch_tol {
+            if p <= BRANCH_TOL {
                 continue;
             }
-            opts.limits.check_branches(n, unsplit + out.len() + 1)?;
-            let mut post = match map {
-                None => collapse::collapse(&b.state, n, q, bit, p),
-                Some(m) => {
-                    let mut post = CVec::zeros(0);
-                    collapse::collapse_into_mapped(&b.state, n, q, bit, p, m, &mut post);
-                    post
-                }
-            };
-            if needs_change {
-                // rotate back so the post-measurement state is expressed
-                // in the original basis (paper Sec. 3.3)
-                let vg = Gate::Custom {
-                    name: "V".into(),
-                    qubits: vec![pq],
-                    matrix: v.clone(),
-                };
-                apply_backend(&vg, &mut post, n, opts);
-            }
-            let mut measured = b.measured.clone();
-            measured.insert(q, (v.col(bit), bit as u8));
+            let kept = unsplit + out.len() + 1;
+            S::admit(limits, n, kept, live)?;
+            let mut post = b.state.collapsed(n, q, bit, p, map);
             let mut result = b.result.clone();
-            result.push(if bit == 0 { '0' } else { '1' });
+            let mut measured = b.measured.clone();
+            match &basis {
+                Some((v, rotates)) => {
+                    if *rotates {
+                        post.apply(&on_pq("V", v.clone()), n, engine);
+                    }
+                    measured.insert(q, (v.col(bit), bit as u8));
+                    result.push(if bit == 0 { '0' } else { '1' });
+                }
+                None if bit == 1 => post.apply(&Gate::PauliX(pq), n, engine),
+                None => {}
+            }
+            live += post.live();
+            S::admit(limits, n, kept, live)?;
             out.push(Branch {
                 result,
                 probability: b.probability * p,
@@ -547,51 +614,51 @@ pub(crate) fn measure_branches(
     Ok(out)
 }
 
-/// Resets a qubit to `|0>`: Z-measure it and flip on outcome 1. The
-/// measurement outcome is *not* recorded in the result string. As with
-/// [`measure_branches`], `q` is logical, `map` locates its physical
-/// slot, and each new branch is admitted before it is allocated.
-pub(crate) fn reset_branches(
-    branches: Vec<Branch>,
-    q: usize,
-    opts: &SimOptions,
+/// The branch walk over a compiled op stream: gates evolve every branch
+/// and the guard re-admits their live size, permutes relabel every
+/// branch and adopt the op's layout map, measurements and resets split
+/// ([`split_branches`]), fences do nothing. One control tick per op.
+/// Returns the largest live size admitted after a gate (or held at the
+/// start).
+pub(crate) fn walk_branches<S: BranchState>(
+    branches: &mut Vec<Branch<S>>,
+    ops: &[ProgramOp],
+    engine: &S::Engine,
+    limits: &ResourceLimits,
     n: usize,
-    map: Option<&[usize]>,
-) -> Result<Vec<Branch>, QclabError> {
-    let pq = map.map_or(q, |m| m[q]);
-    let mut out = Vec::with_capacity(branches.len());
-    let mut unsplit = branches.len();
-    for b in branches {
-        unsplit -= 1;
-        let (p0, p1) = match map {
-            None => collapse::measure_probabilities(&b.state, n, q),
-            Some(m) => collapse::measure_probabilities_mapped(&b.state, n, q, m),
-        };
-        for (bit, p) in [(0usize, p0), (1usize, p1)] {
-            if p <= opts.branch_tol {
-                continue;
-            }
-            opts.limits.check_branches(n, unsplit + out.len() + 1)?;
-            let mut post = match map {
-                None => collapse::collapse(&b.state, n, q, bit, p),
-                Some(m) => {
-                    let mut post = CVec::zeros(0);
-                    collapse::collapse_into_mapped(&b.state, n, q, bit, p, m, &mut post);
-                    post
+    ticker: &mut ControlTicker<'_>,
+) -> Result<u128, QclabError> {
+    let mut peak = total_live(branches);
+    let mut map: Option<&[usize]> = None;
+    for op in ops {
+        match op {
+            ProgramOp::Gate(g) => {
+                for b in branches.iter_mut() {
+                    b.state.apply(g, n, engine);
                 }
-            };
-            if bit == 1 {
-                apply_backend(&Gate::PauliX(pq), &mut post, n, opts);
+                let now = total_live(branches);
+                S::admit(limits, n, branches.len(), now)?;
+                peak = peak.max(now);
             }
-            out.push(Branch {
-                result: b.result.clone(),
-                probability: b.probability * p,
-                state: post,
-                measured: b.measured.clone(),
-            });
+            ProgramOp::Fence(_) => {}
+            ProgramOp::Permute { perm, map: layout } => {
+                for b in branches.iter_mut() {
+                    b.state.permute(perm, n, engine);
+                }
+                map = Some(layout.as_slice());
+            }
+            ProgramOp::Measure(m) => {
+                let old = std::mem::take(branches);
+                *branches = split_branches(old, m.qubit(), Some(m), engine, limits, n, map)?;
+            }
+            ProgramOp::Reset(q) => {
+                let old = std::mem::take(branches);
+                *branches = split_branches(old, *q, None, engine, limits, n, map)?;
+            }
         }
+        ticker.tick()?;
     }
-    Ok(out)
+    Ok(peak)
 }
 
 #[cfg(test)]

@@ -13,12 +13,15 @@
 //!
 //! The executor consumes the same [`CompiledProgram`] as every dense
 //! executor (gates, fences, permutes, mid-circuit measurements and
-//! resets all supported) and mirrors the branching semantics of
-//! [`simulate_with`](crate::circuit::QCircuit::simulate_with) exactly,
-//! which is what the `sparse_equivalence` differential suite locks in.
-//! Amplitudes whose magnitude drops to the pruning epsilon are removed,
-//! so destructive interference (the uncompute half of an oracle) shrinks
-//! the support back down instead of accumulating dead entries.
+//! resets all supported). A [`SparseState`] is one more state the branch
+//! tree carries: [`execute`] runs the shared op walk and measurement/reset
+//! split of [`super`] over it and returns a [`Simulation<SparseState>`],
+//! with the same records, probabilities and `counts` as the dense engine
+//! — what the `sparse_equivalence` differential suite locks in. This
+//! module supplies only the arithmetic. Amplitudes whose magnitude drops
+//! to [`DEFAULT_PRUNE_EPS`] are removed, so destructive interference (the
+//! uncompute half of an oracle) shrinks the support back down instead of
+//! accumulating dead entries.
 //!
 //! Use [`PlanOptions::sparse()`](crate::program::PlanOptions::sparse)
 //! when lowering for this executor: fusion would coarsen
@@ -28,49 +31,21 @@
 //! [`choose_backend`](crate::program::choose_backend) and
 //! [`simulate_bitstring_routed`](crate::circuit::QCircuit::simulate_bitstring_routed).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use super::control::ExecutionControl;
 use super::guard::ResourceLimits;
-use super::sampler::CdfTable;
-use super::{Branch, Simulation};
+use super::{walk_branches, BranchState, Simulation};
 use crate::error::QclabError;
 use crate::gates::Gate;
-use crate::measurement::{Basis, Measurement};
-use crate::program::{CompiledProgram, ProgramOp};
+use crate::program::CompiledProgram;
 use qclab_math::{bits, CVec, C64};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-/// Default amplitude-pruning epsilon: entries with `|amp| ≤ eps` are
-/// dropped after a general gate application. Two orders of magnitude
-/// below the 1e-12 equivalence tolerance the differential suite
-/// asserts, so pruning is invisible at that precision.
+/// Amplitude-pruning epsilon: entries with `|amp|` at or below it are
+/// dropped after a general gate application. Two orders of magnitude below the
+/// 1e-12 equivalence tolerance the differential suite asserts, so
+/// pruning is invisible at that precision.
 pub const DEFAULT_PRUNE_EPS: f64 = 1e-14;
-
-/// Options of a sparse execution run.
-#[derive(Clone, Copy, Debug)]
-pub struct SparseOptions {
-    /// Amplitude-pruning threshold (see [`DEFAULT_PRUNE_EPS`]).
-    pub prune_eps: f64,
-    /// Measurement outcomes with probability below this threshold are
-    /// pruned instead of spawning a branch (matches
-    /// [`SimOptions::branch_tol`](super::SimOptions::branch_tol)).
-    pub branch_tol: f64,
-    /// Resource limits; sparse admission charges live entries via
-    /// [`ResourceLimits::check_sparse_entries`] after every op.
-    pub limits: ResourceLimits,
-}
-
-impl Default for SparseOptions {
-    fn default() -> Self {
-        SparseOptions {
-            prune_eps: DEFAULT_PRUNE_EPS,
-            branch_tol: 1e-12,
-            limits: ResourceLimits::default(),
-        }
-    }
-}
 
 /// `(mask, want)` test precomputed from a gate's control list: index `i`
 /// satisfies the controls iff `i & mask == want`.
@@ -162,7 +137,7 @@ impl SparseState {
     }
 
     /// Applies `gate` in place, pruning result amplitudes with
-    /// `|amp| ≤ eps`.
+    /// `|amp| ≤ `[`DEFAULT_PRUNE_EPS`].
     ///
     /// Diagonal gates (controls included) multiply live entries in
     /// place and can never grow or shrink the support; every other gate
@@ -170,7 +145,7 @@ impl SparseState {
     /// bits, multiplies each group by the `2^k × 2^k` target matrix and
     /// scatters the nonzero results back — entries failing the control
     /// test pass through untouched.
-    pub fn apply_gate(&mut self, gate: &Gate, eps: f64) {
+    pub fn apply_gate(&mut self, gate: &Gate) {
         let n = self.n;
         let targets = gate.targets();
         let (cmask, cwant) = control_masks(&gate.controls(), n);
@@ -208,7 +183,7 @@ impl SparseState {
                 .entry(base)
                 .or_insert_with(|| vec![C64::new(0.0, 0.0); dim])[sub] = a;
         }
-        let eps2 = eps * eps;
+        let eps2 = DEFAULT_PRUNE_EPS * DEFAULT_PRUNE_EPS;
         for (base, vin) in groups {
             for row in 0..dim {
                 let mut acc = C64::new(0.0, 0.0);
@@ -263,127 +238,56 @@ impl SparseState {
     }
 }
 
-/// One post-measurement branch of a sparse simulation — the sparse
-/// mirror of [`Branch`].
-#[derive(Clone, Debug)]
-pub struct SparseBranch {
-    result: String,
-    probability: f64,
-    state: SparseState,
-    measured: BTreeMap<usize, (Vec<C64>, u8)>,
+impl BranchState for SparseState {
+    type Engine = ();
+
+    fn apply(&mut self, gate: &Gate, _n: usize, _: &()) {
+        self.apply_gate(gate);
+    }
+
+    fn permute(&mut self, perm: &[usize], _n: usize, _: &()) {
+        SparseState::permute(self, perm);
+    }
+
+    fn z_probabilities(&self, _n: usize, q: usize, map: Option<&[usize]>) -> (f64, f64) {
+        self.measure_probabilities(map.map_or(q, |m| m[q]))
+    }
+
+    fn collapsed(&self, _n: usize, q: usize, bit: usize, p: f64, map: Option<&[usize]>) -> Self {
+        SparseState::collapsed(self, map.map_or(q, |m| m[q]), bit, p)
+    }
+
+    fn live(&self) -> u128 {
+        self.nnz() as u128
+    }
+
+    fn admit(limits: &ResourceLimits, n: usize, _: usize, live: u128) -> Result<(), QclabError> {
+        limits.check_sparse_entries(n, live)
+    }
 }
 
-impl SparseBranch {
-    /// Concatenated measurement outcomes, in execution order.
-    pub fn result(&self) -> &str {
-        &self.result
-    }
-
-    /// Probability of observing this branch.
-    pub fn probability(&self) -> f64 {
-        self.probability
-    }
-
-    /// Sparse final state of this branch.
-    pub fn state(&self) -> &SparseState {
-        &self.state
-    }
-}
-
-/// The result of a sparse execution — the sparse mirror of
-/// [`Simulation`], with the same branch ordering, result strings and
-/// probabilities (the differential suite asserts this).
-#[derive(Clone, Debug)]
-pub struct SparseSimulation {
-    nb_qubits: usize,
-    branches: Vec<SparseBranch>,
-    peak_entries: usize,
-}
-
-impl SparseSimulation {
-    /// Number of register qubits.
-    pub fn nb_qubits(&self) -> usize {
-        self.nb_qubits
-    }
-
-    /// All branches (unique measurement histories).
-    pub fn branches(&self) -> &[SparseBranch] {
-        &self.branches
-    }
-
-    /// Largest total live-entry count (summed over branches) reached
-    /// after any op — the number the guard admitted against.
-    pub fn peak_entries(&self) -> usize {
-        self.peak_entries
-    }
-
-    /// The observed measurement result strings, one per branch.
-    pub fn results(&self) -> Vec<&str> {
-        self.branches.iter().map(|b| b.result.as_str()).collect()
-    }
-
-    /// Branch probabilities.
-    pub fn probabilities(&self) -> Vec<f64> {
-        self.branches.iter().map(|b| b.probability).collect()
-    }
-
-    /// Samples `shots` repetitions — same sampler, tally shape and
-    /// result ordering as [`Simulation::counts`].
-    pub fn counts(&self, shots: u64, seed: u64) -> Vec<(String, u64)> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.counts_with_rng(shots, &mut rng)
-    }
-
-    /// [`counts`](Self::counts) with a caller-supplied RNG.
-    pub fn counts_with_rng(&self, shots: u64, rng: &mut impl Rng) -> Vec<(String, u64)> {
-        let mut tally: BTreeMap<String, u64> = BTreeMap::new();
-        for b in &self.branches {
-            tally.entry(b.result.clone()).or_insert(0);
-        }
-        let weights: Vec<f64> = self.branches.iter().map(|b| b.probability).collect();
-        let sampler = CdfTable::new(weights).expect("branch probabilities are a distribution");
-        for _ in 0..shots {
-            let chosen = sampler.sample(rng);
-            *tally
-                .entry(self.branches[chosen].result.clone())
-                .or_insert(0) += 1;
-        }
-        tally.into_iter().collect()
-    }
-
-    /// Densifies every branch into a [`Simulation`], guard-checked
+impl Simulation<SparseState> {
+    /// Densifies every branch into a dense [`Simulation`], guard-checked
     /// against `limits` — the bridge the differential tests use to
     /// compare sparse and dense runs amplitude for amplitude.
     pub fn to_dense(&self, limits: &ResourceLimits) -> Result<Simulation, QclabError> {
-        let mut branches = Vec::with_capacity(self.branches.len());
-        for b in &self.branches {
-            branches.push(Branch {
-                result: b.result.clone(),
-                probability: b.probability,
-                state: b.state.to_dense(limits)?,
-                measured: b.measured.clone(),
-            });
-        }
-        Ok(Simulation {
-            nb_qubits: self.nb_qubits,
-            branches,
-        })
+        self.clone().map_states(|s| s.to_dense(limits))
     }
 }
 
-/// Executes a compiled program on a sparse initial state, mirroring the
-/// dense branching walk of `simulate_with`: gates evolve every live
-/// branch, measurements split branches (pruning outcomes below
-/// `branch_tol`), resets Z-measure and flip without recording, fences
+/// Executes a compiled program on a sparse initial state: the branch
+/// walk of [`super`] — gates evolve every live branch, measurements
+/// split branches, resets Z-measure and flip without recording, fences
 /// are no-ops and layout permutes re-key the support. After every gate
 /// the total live-entry count is re-admitted against
-/// [`ResourceLimits::check_sparse_entries`].
+/// [`ResourceLimits::check_sparse_entries`], and each new branch of a
+/// split once its entries are known.
 pub fn execute(
     program: &CompiledProgram,
     initial: SparseState,
-    opts: &SparseOptions,
-) -> Result<SparseSimulation, QclabError> {
-    execute_controlled(program, initial, opts, &ExecutionControl::none())
+    limits: &ResourceLimits,
+) -> Result<Simulation<SparseState>, QclabError> {
+    execute_controlled(program, initial, limits, &ExecutionControl::none())
 }
 
 /// [`execute`] under an [`ExecutionControl`]: the per-op loop polls the
@@ -393,153 +297,39 @@ pub fn execute(
 pub fn execute_controlled(
     program: &CompiledProgram,
     initial: SparseState,
-    opts: &SparseOptions,
+    limits: &ResourceLimits,
     control: &ExecutionControl,
-) -> Result<SparseSimulation, QclabError> {
+) -> Result<Simulation<SparseState>, QclabError> {
     let n = program.nb_qubits();
-    opts.limits.check_sparse_register(n)?;
-    if initial.nb_qubits() != n {
+    limits.check_sparse_register(n)?;
+    let width = initial.nb_qubits();
+    if width != n {
+        // `n` passed the register check; `width` may not index at all
         return Err(QclabError::DimensionMismatch {
-            expected: 1usize << n,
-            actual: 1usize << initial.nb_qubits(),
+            expected: 1 << n,
+            actual: if width < usize::BITS as usize {
+                1 << width
+            } else {
+                usize::MAX
+            },
         });
     }
     let norm = initial.norm();
     if (norm - 1.0).abs() > 1e-6 {
         return Err(QclabError::NotNormalized { norm });
     }
-
-    let mut peak = initial.nnz();
-    let mut branches = vec![SparseBranch {
-        result: String::new(),
-        probability: 1.0,
-        state: initial,
-        measured: BTreeMap::new(),
-    }];
+    let mut sim = Simulation::start(n, initial);
     let mut ticker = control.ticker();
-    for op in program.ops() {
-        match op {
-            ProgramOp::Gate(g) => {
-                for b in branches.iter_mut() {
-                    b.state.apply_gate(g, opts.prune_eps);
-                }
-                let live: u128 = branches.iter().map(|b| b.state.nnz() as u128).sum();
-                opts.limits.check_sparse_entries(n, live)?;
-                peak = peak.max(live as usize);
-            }
-            ProgramOp::Fence(_) => {}
-            ProgramOp::Permute { perm, .. } => {
-                for b in branches.iter_mut() {
-                    b.state.permute(perm);
-                }
-            }
-            ProgramOp::Measure(m) => {
-                branches = measure_sparse(branches, m, opts, n)?;
-            }
-            ProgramOp::Reset(q) => {
-                branches = reset_sparse(branches, *q, opts, n)?;
-            }
-        }
-        ticker.tick()?;
-    }
-    Ok(SparseSimulation {
-        nb_qubits: n,
-        branches,
-        peak_entries: peak,
-    })
-}
-
-/// Splits every branch on a measurement outcome — the sparse mirror of
-/// the dense `measure_branches`, including the `V†`/`V` basis rotation
-/// and the branch-tolerance pruning, so branch order and records match
-/// the dense walk exactly. As each branch is added, the live entries —
-/// of the old branches not yet split and of the new ones — are
-/// re-admitted.
-fn measure_sparse(
-    branches: Vec<SparseBranch>,
-    m: &Measurement,
-    opts: &SparseOptions,
-    n: usize,
-) -> Result<Vec<SparseBranch>, QclabError> {
-    let q = m.qubit();
-    let v = m.basis().change_matrix();
-    let needs_change = !matches!(m.basis(), Basis::Z);
-    let mut out = Vec::with_capacity(branches.len() * 2);
-    let mut live: u128 = branches.iter().map(|b| b.state.nnz() as u128).sum();
-    for mut b in branches {
-        live -= b.state.nnz() as u128;
-        if needs_change {
-            let vdg = Gate::Custom {
-                name: "V†".into(),
-                qubits: vec![q],
-                matrix: v.dagger(),
-            };
-            b.state.apply_gate(&vdg, opts.prune_eps);
-        }
-        let (p0, p1) = b.state.measure_probabilities(q);
-        for (bit, p) in [(0usize, p0), (1usize, p1)] {
-            if p <= opts.branch_tol {
-                continue;
-            }
-            let mut post = b.state.collapsed(q, bit, p);
-            if needs_change {
-                let vg = Gate::Custom {
-                    name: "V".into(),
-                    qubits: vec![q],
-                    matrix: v.clone(),
-                };
-                post.apply_gate(&vg, opts.prune_eps);
-            }
-            live += post.nnz() as u128;
-            opts.limits.check_sparse_entries(n, live)?;
-            let mut measured = b.measured.clone();
-            measured.insert(q, (v.col(bit), bit as u8));
-            let mut result = b.result.clone();
-            result.push(if bit == 0 { '0' } else { '1' });
-            out.push(SparseBranch {
-                result,
-                probability: b.probability * p,
-                state: post,
-                measured,
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Resets a qubit to `|0>` on every branch: Z-measure and flip on
-/// outcome 1, without recording — the sparse mirror of the dense
-/// `reset_branches`, re-admitting live entries like [`measure_sparse`].
-fn reset_sparse(
-    branches: Vec<SparseBranch>,
-    q: usize,
-    opts: &SparseOptions,
-    n: usize,
-) -> Result<Vec<SparseBranch>, QclabError> {
-    let mut out = Vec::with_capacity(branches.len());
-    let mut live: u128 = branches.iter().map(|b| b.state.nnz() as u128).sum();
-    for b in branches {
-        live -= b.state.nnz() as u128;
-        let (p0, p1) = b.state.measure_probabilities(q);
-        for (bit, p) in [(0usize, p0), (1usize, p1)] {
-            if p <= opts.branch_tol {
-                continue;
-            }
-            let mut post = b.state.collapsed(q, bit, p);
-            if bit == 1 {
-                post.apply_gate(&Gate::PauliX(q), opts.prune_eps);
-            }
-            live += post.nnz() as u128;
-            opts.limits.check_sparse_entries(n, live)?;
-            out.push(SparseBranch {
-                result: b.result.clone(),
-                probability: b.probability * p,
-                state: post,
-                measured: b.measured.clone(),
-            });
-        }
-    }
-    Ok(out)
+    let peak = walk_branches(
+        &mut sim.branches,
+        program.ops(),
+        &(),
+        limits,
+        n,
+        &mut ticker,
+    )?;
+    sim.peak_entries = peak as usize;
+    Ok(sim)
 }
 
 #[cfg(test)]
@@ -547,12 +337,13 @@ mod tests {
     use super::*;
     use crate::circuit::QCircuit;
     use crate::gates::factories::*;
+    use crate::measurement::Measurement;
     use crate::program::{self, PlanOptions};
 
-    fn run_sparse(c: &QCircuit, bits_str: &str) -> SparseSimulation {
+    fn run_sparse(c: &QCircuit, bits_str: &str) -> Simulation<SparseState> {
         let program = program::compile(c, &PlanOptions::sparse());
         let initial = SparseState::from_bitstring(bits_str).unwrap();
-        execute(&program, initial, &SparseOptions::default()).unwrap()
+        execute(&program, initial, &ResourceLimits::default()).unwrap()
     }
 
     #[test]
@@ -618,14 +409,11 @@ mod tests {
             c.push_back(Hadamard::new(q));
         }
         let program = program::compile(&c, &PlanOptions::sparse());
-        let opts = SparseOptions {
-            limits: ResourceLimits {
-                max_qubits: None,
-                max_state_bytes: 1 << 20,
-            },
-            ..SparseOptions::default()
+        let limits = ResourceLimits {
+            max_qubits: None,
+            max_state_bytes: 1 << 20,
         };
-        let err = execute(&program, SparseState::basis_state(n, 0), &opts).unwrap_err();
+        let err = execute(&program, SparseState::basis_state(n, 0), &limits).unwrap_err();
         assert!(matches!(err, QclabError::ResourceExhausted { .. }));
     }
 
@@ -638,12 +426,9 @@ mod tests {
         c.push_back(Measurement::x(0));
         c.push_back(Measurement::x(1));
         let program = program::compile(&c, &PlanOptions::sparse());
-        let at = |entries: u128| SparseOptions {
-            limits: ResourceLimits {
-                max_qubits: None,
-                max_state_bytes: entries * super::super::guard::SPARSE_ENTRY_BYTES,
-            },
-            ..SparseOptions::default()
+        let at = |entries: u128| ResourceLimits {
+            max_qubits: None,
+            max_state_bytes: entries * super::super::guard::SPARSE_ENTRY_BYTES,
         };
         let run = |entries| execute(&program, SparseState::basis_state(2, 0), &at(entries));
         let sim = run(16).unwrap();
@@ -654,6 +439,24 @@ mod tests {
         assert!(matches!(run(15), Err(QclabError::ResourceExhausted { .. })));
         // and a split whose first branch alone exceeds the cap stops there
         assert!(matches!(run(1), Err(QclabError::ResourceExhausted { .. })));
+    }
+
+    #[test]
+    fn a_mismatched_initial_width_is_an_error_not_an_overflow() {
+        let mut c = QCircuit::new(2);
+        c.push_back(Hadamard::new(0));
+        let program = program::compile(&c, &PlanOptions::sparse());
+        let limits = ResourceLimits::default();
+        for (width, actual) in [(3, 8), (70, usize::MAX)] {
+            let err = execute(&program, SparseState::basis_state(width, 0), &limits).unwrap_err();
+            assert_eq!(
+                err,
+                QclabError::DimensionMismatch {
+                    expected: 4,
+                    actual
+                }
+            );
+        }
     }
 
     #[test]

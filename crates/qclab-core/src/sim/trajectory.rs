@@ -110,7 +110,7 @@ use crate::sim::kernel::KernelConfig;
 use crate::sim::sampler::CdfTable;
 use crate::sim::sparse;
 use crate::sim::walk::{Landing, NoisePlan, ShotDraws};
-use crate::sim::{collapse, kernel};
+use crate::sim::{collapse, kernel, walk_branches, Simulation};
 use qclab_math::scalar::C64;
 use qclab_math::{bits, CVec};
 use rand::rngs::StdRng;
@@ -1489,39 +1489,28 @@ fn sparse_prep(
     config: &TrajectoryConfig,
 ) -> Result<Prepared, QclabError> {
     let n = program.nb_qubits();
-    let plan = program.shot_plan();
-    let sopts = sparse::SparseOptions {
-        limits: config.limits,
-        ..sparse::SparseOptions::default()
-    };
-    let mut state = sparse::SparseState::basis_state(n, 0);
-    let mut peak_entries = state.nnz() as u128;
+    let ops = &program.ops()[..program.shot_plan().prefix_ops];
+    let mut prefix = Simulation::start(n, sparse::SparseState::basis_state(n, 0));
     let mut ticker = config.control.ticker();
-    for op in &program.ops()[..plan.prefix_ops] {
-        match op {
-            ProgramOp::Gate(g) => {
-                state.apply_gate(g, sopts.prune_eps);
-                config.limits.check_sparse_entries(n, state.nnz() as u128)?;
-                peak_entries = peak_entries.max(state.nnz() as u128);
-            }
-            ProgramOp::Fence(_) => {}
-            // sparse-tagged plans never emit layout permutes, but a
-            // caller handing in a dense plan still gets correct results
-            ProgramOp::Permute { perm, .. } => state.permute(perm),
-            // invariant: `ShotPlan::classify` ends the prefix at the
-            // first measurement or reset
-            ProgramOp::Measure(_) | ProgramOp::Reset(_) => {
-                unreachable!("measurement inside a shot-plan prefix")
-            }
-        }
-        if let Err(e) = ticker.tick() {
-            // stopped before any shot existed
-            return Ok(Prepared::Stopped(stop_or_err(e)?, path));
-        }
-    }
+    // `ShotPlan::classify` ends the prefix at the first measurement or
+    // reset, so the walk never splits its one branch
+    let walked = walk_branches(
+        &mut prefix.branches,
+        ops,
+        &(),
+        &config.limits,
+        n,
+        &mut ticker,
+    );
+    let peak_entries = match walked {
+        Ok(peak) => peak,
+        // stopped before any shot existed
+        Err(e) => return Ok(Prepared::Stopped(stop_or_err(e)?, path)),
+    };
+    let mut state = prefix.branches.swap_remove(0).state;
     let block = TerminalBlock::of(program);
     for vdg in &block.rotations {
-        state.apply_gate(vdg, sopts.prune_eps);
+        state.apply_gate(vdg);
     }
     let measured = &block.measured;
     // joint marginal over the live support; BTreeMap gives the sampler a

@@ -50,7 +50,7 @@ fn assert_sims_agree(a: &Simulation, b: &Simulation, what: &str) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(64)))]
 
     /// Both backends produce identical state vectors on random circuits.
     #[test]

@@ -42,15 +42,6 @@ use qclab_math::CVec;
 /// control masks and the locality pass to all engage.
 const N: usize = 8;
 
-/// Honour `QCLAB_PROPTEST_CASES` to run more (or fewer) cases per
-/// property (the hardened CI job raises it).
-fn fuzz_cases() -> u32 {
-    std::env::var("QCLAB_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
-
 fn kernel(remap: bool) -> KernelConfig {
     KernelConfig {
         remap,
@@ -208,7 +199,7 @@ fn assert_prefix_bit_identical(c: &QCircuit, seed: u64) -> ShotPath {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(64)))]
 
     /// Noiseless random circuits route to the alias, fork or per-shot
     /// path by their shape; whichever it is, the one-time prefix leaves

@@ -19,7 +19,8 @@ use qclab_core::program::{compile, plan_cache_stats, BackendRequest, PlanOptions
 use qclab_core::sim::control::chaos::{self, Fault};
 use qclab_core::sim::control::StopCause;
 use qclab_core::sim::density::{run_noisy, DensityState, NoiseModel};
-use qclab_core::sim::sparse::{self, SparseOptions, SparseState};
+use qclab_core::sim::guard::ResourceLimits;
+use qclab_core::sim::sparse::{self, SparseState};
 use qclab_core::sim::stabilizer::run_program;
 use qclab_core::sim::trajectory::{run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig};
 use qclab_core::sim::SimOptions;
@@ -117,7 +118,7 @@ fn sparse_executor_unwinds_cleanly_under_every_fault() {
         sparse::execute_controlled(
             &program,
             SparseState::from_bitstring("000").unwrap(),
-            &SparseOptions::default(),
+            &ResourceLimits::default(),
             &qclab_core::sim::control::ExecutionControl::none(),
         )
         .map(|s| {

@@ -7,6 +7,15 @@ use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_math::scalar::c;
 
+/// Cases per property: `QCLAB_PROPTEST_CASES` when set (the hardened CI
+/// job raises it), else the file's own `default`.
+pub fn fuzz_cases(default: u32) -> u32 {
+    std::env::var("QCLAB_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// Strategy over angles in (-2π, 2π).
 pub fn angle() -> impl Strategy<Value = f64> {
     -std::f64::consts::TAU..std::f64::consts::TAU

@@ -11,7 +11,7 @@ use qclab_core::program::{BackendRequest, PlanOptions};
 use qclab_core::sim::control::{ExecutionControl, StopCause};
 use qclab_core::sim::density::{run_noisy, run_noisy_controlled, DensityState, NoiseModel};
 use qclab_core::sim::guard::ResourceLimits;
-use qclab_core::sim::sparse::{self, SparseOptions, SparseState};
+use qclab_core::sim::sparse::{self, SparseState};
 use qclab_core::sim::stabilizer::{run_program, run_program_controlled};
 use qclab_core::sim::trajectory::{run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig};
 use qclab_core::sim::SimOptions;
@@ -88,7 +88,7 @@ fn sparse_run_observes_cancellation_and_deadline() {
         sparse::execute_controlled(
             &program,
             SparseState::from_bitstring("000").unwrap(),
-            &SparseOptions::default(),
+            &ResourceLimits::default(),
             control,
         )
     };

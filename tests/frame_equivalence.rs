@@ -27,14 +27,6 @@ use std::collections::BTreeMap;
 
 const N: usize = 4;
 
-/// Honour `QCLAB_PROPTEST_CASES` (the hardened CI job raises it).
-fn fuzz_cases() -> u32 {
-    std::env::var("QCLAB_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
-
 /// Strategy over a Pauli channel with a probability fat enough to
 /// exercise the injection masks.
 fn channel() -> impl Strategy<Value = PauliChannel> {
@@ -102,7 +94,7 @@ fn frame_config(seed: u64, shots: u64, noise: NoiseSpec) -> TrajectoryConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(64)))]
 
     /// The headline differential property: on random Clifford+noise
     /// circuits (mid-circuit measurements in all three bases, resets,

@@ -34,15 +34,6 @@ use qclab_core::sim::trajectory::{
 };
 use qclab_core::{CircuitItem, Pauli};
 
-/// Honour `QCLAB_PROPTEST_CASES` to run more (or fewer) cases per
-/// property (the hardened CI job raises it).
-fn fuzz_cases() -> u32 {
-    std::env::var("QCLAB_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
-
 fn noise(gate: f64, idle: f64, readout: f64) -> NoiseSpec {
     NoiseSpec {
         after_gate: Some(PauliChannel::Depolarizing(gate)),
@@ -418,7 +409,7 @@ fn certain_channels_strike_every_block() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(48)))]
 
     /// Random circuits with mid-circuit measurements, resets and
     /// barriers under all three classes, at every fusion cap.

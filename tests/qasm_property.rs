@@ -7,17 +7,8 @@ use common::circuit;
 use proptest::prelude::*;
 use qclab::prelude::*;
 
-/// Case count, raised by the hardened CI job through
-/// `QCLAB_PROPTEST_CASES`.
-fn cases() -> u32 {
-    std::env::var("QCLAB_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(48)))]
 
     /// Export → import → compare unitaries.
     #[test]

@@ -2,17 +2,10 @@
 //! never panic — malformed programs produce structured parse errors with
 //! line information.
 
+mod common;
+
 use proptest::prelude::*;
 use qclab_qasm::from_qasm;
-
-/// Fuzz case count, overridable for the hardened CI job: set
-/// `QCLAB_PROPTEST_CASES` to run more (or fewer) cases per property.
-fn fuzz_cases() -> u32 {
-    std::env::var("QCLAB_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256)
-}
 
 /// A representative valid program exercising registers, gate defs,
 /// parameters, broadcasts, measurements, resets and barriers — the
@@ -24,7 +17,7 @@ const VALID_PROGRAM: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n\
     barrier q;\nreset q[2];\nu3(0.1, 0.2, 0.3) q[2];\nmeasure q -> c;\n";
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(256)))]
 
     /// Completely arbitrary strings: the parser returns Ok or Err, never
     /// panics.

@@ -33,15 +33,6 @@ const N: usize = 14;
 /// so windows mix near and far targets.
 const HOT: [usize; 5] = [0, 1, 2, 12, 13];
 
-/// Honour `QCLAB_PROPTEST_CASES` to run more (or fewer) cases per
-/// property (the hardened CI job raises it).
-fn fuzz_cases() -> u32 {
-    std::env::var("QCLAB_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
-
 /// One circuit item on the hot qubits: mostly gates, with measurements
 /// in all three bases, resets and barriers mixed in.
 fn hot_item() -> impl Strategy<Value = CircuitItem> {
@@ -125,7 +116,7 @@ fn run_both(c: &QCircuit, max_fused: usize, simd: bool, what: &str) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(64)))]
 
     /// Default engine configuration (fusion cap 2, SIMD on): remapped
     /// execution is bit-identical on circuits with mid-circuit

@@ -16,21 +16,12 @@ use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::program::{choose_backend, BackendChoice, BackendRequest, PlanOptions};
 use qclab_core::sim::guard::ResourceLimits;
-use qclab_core::sim::sparse::{self, SparseOptions, SparseSimulation, SparseState};
+use qclab_core::sim::sparse::{self, SparseState};
 use qclab_core::sim::trajectory::{run_trajectories, ShotPath, TrajectoryConfig};
 use qclab_core::{CircuitItem, QclabError};
 use std::collections::BTreeMap;
 
 const N: usize = 4;
-
-/// Honour `QCLAB_PROPTEST_CASES` to run more (or fewer) cases per
-/// property (the hardened CI job raises it).
-fn fuzz_cases() -> u32 {
-    std::env::var("QCLAB_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-}
 
 /// A random circuit that exercises the whole item vocabulary the two
 /// executors must agree on: a measured prefix, a nested sub-circuit at a
@@ -57,16 +48,16 @@ fn rich_circuit() -> impl Strategy<Value = QCircuit> {
 
 /// Runs the sparse executor over the circuit's unfused plan from an
 /// arbitrary dense initial state.
-fn run_sparse(c: &QCircuit, init: &CVec) -> SparseSimulation {
+fn run_sparse(c: &QCircuit, init: &CVec) -> Simulation<SparseState> {
     let program = c.compile_with(&PlanOptions::sparse());
     let initial = SparseState::from_dense(init, 0.0);
-    sparse::execute(&program, initial, &SparseOptions::default()).unwrap()
+    sparse::execute(&program, initial, &ResourceLimits::default()).unwrap()
 }
 
 /// Asserts the sparse run reproduces the dense run: identical branch
 /// records, probabilities to 1e-12, and every amplitude to 1e-12 (via
 /// the dense bridge, which also re-checks the byte guard).
-fn assert_sparse_matches_dense(sp: &SparseSimulation, dense: &Simulation, what: &str) {
+fn assert_sparse_matches_dense(sp: &Simulation<SparseState>, dense: &Simulation, what: &str) {
     assert_eq!(
         sp.results(),
         dense.results(),
@@ -90,7 +81,7 @@ fn assert_sparse_matches_dense(sp: &SparseSimulation, dense: &Simulation, what: 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(64)))]
 
     /// Differential oracle from the all-zeros basis state: the workload
     /// shape the CLI and the trajectory prefix path run.
@@ -131,6 +122,67 @@ proptest! {
             }
         }
     }
+}
+
+/// `H q0; H q1; CX q0,q1` forty times on 14 qubits: above one sweep
+/// tile, so the locality pass relabels q0 and q1 into low-order bits.
+fn hot_rounds(c: &mut QCircuit) {
+    for _ in 0..40 {
+        c.push_back(Hadamard::new(0));
+        c.push_back(Hadamard::new(1));
+        c.push_back(CNOT::new(0, 1));
+    }
+}
+
+/// Runs the sparse executor on the circuit's default dense plan without
+/// fusion — the locality pass stays on, so the plan relabels — and
+/// asserts it reproduces the dense engine.
+fn assert_sparse_matches_dense_on_relabeled_plan(c: &QCircuit, what: &str) {
+    let program = c.compile_with(&PlanOptions {
+        fuse: false,
+        ..PlanOptions::default()
+    });
+    let stats = program.stats();
+    assert!(
+        stats.remap_moves + stats.remap_folds > 0,
+        "{what}: the plan must relabel"
+    );
+    let zeros = "0".repeat(c.nb_qubits());
+    let initial = SparseState::from_bitstring(&zeros).unwrap();
+    let sp = sparse::execute(&program, initial, &ResourceLimits::default()).unwrap();
+    let dense = c.simulate_bitstring(&zeros).unwrap();
+    assert_sparse_matches_dense(&sp, &dense, what);
+}
+
+/// A measurement after a layout permute measures the logical qubit: the
+/// executor resolves it through the layout map, as the dense engine does.
+#[test]
+fn sparse_measures_the_logical_qubit_after_a_relabel() {
+    let mut c = QCircuit::new(14);
+    hot_rounds(&mut c);
+    c.push_back(PauliX::new(0));
+    c.push_back(Measurement::z(0));
+    c.push_back(Measurement::z(13));
+    hot_rounds(&mut c);
+    c.push_back(Measurement::z(1));
+    assert_eq!(
+        c.simulate_bitstring(&"0".repeat(14)).unwrap().results(),
+        ["101"]
+    );
+    assert_sparse_matches_dense_on_relabeled_plan(&c, "measure after relabel");
+}
+
+/// A reset after a layout permute resets — and flips — the logical
+/// qubit.
+#[test]
+fn sparse_resets_the_logical_qubit_after_a_relabel() {
+    let mut c = QCircuit::new(14);
+    hot_rounds(&mut c);
+    c.push_back(PauliX::new(0));
+    c.push_back(CircuitItem::Reset(0));
+    hot_rounds(&mut c);
+    c.push_back(Measurement::z(0));
+    assert_sparse_matches_dense_on_relabeled_plan(&c, "reset after relabel");
 }
 
 /// Pearson chi-square over labelled counts against exact probabilities,
