@@ -17,12 +17,13 @@
 
 mod serve;
 
-use qclab_core::program::{plan_cache_stats, resolve_backend, BackendRequest, PlanOptions};
+use qclab_core::program::{plan_cache_stats, BackendRequest, PlanOptions};
 use qclab_core::sim::control::ExecutionControl;
 use qclab_core::sim::guard::{ResourceLimits, SPARSE_ENTRY_BYTES};
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
-    run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig, TrajectoryResult, SEED_CONTRACT,
+    route, run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig, TrajectoryResult,
+    SEED_CONTRACT,
 };
 use qclab_core::sim::SimOptions;
 use qclab_core::{QCircuit, QclabError};
@@ -121,6 +122,17 @@ impl EngineOpts {
         match self.timeout_ms {
             Some(ms) => ExecutionControl::with_timeout(Duration::from_millis(ms)),
             None => ExecutionControl::none(),
+        }
+    }
+
+    /// The trajectory run these options select, noiseless.
+    fn trajectory(&self) -> TrajectoryConfig {
+        TrajectoryConfig {
+            kernel: self.kernel(),
+            limits: self.limits(),
+            backend: self.backend,
+            control: self.control(),
+            ..TrajectoryConfig::default()
         }
     }
 
@@ -541,16 +553,11 @@ fn counts(circuit: &QCircuit, shots: u64, seed: u64, opts: &EngineOpts) -> Outpu
 }
 
 fn sample(circuit: &QCircuit, shots: u64, seed: u64, o: &Options) -> Output {
-    let (noise, opts) = (o.noise, &o.engine);
     let config = TrajectoryConfig {
         seed,
         shots,
-        noise,
-        kernel: opts.kernel(),
-        limits: opts.limits(),
-        backend: opts.backend,
-        control: opts.control(),
-        ..TrajectoryConfig::default()
+        noise: o.noise,
+        ..o.engine.trajectory()
     };
     let t_start = std::time::Instant::now();
     let result = run_trajectories(circuit, &config)?;
@@ -656,24 +663,22 @@ fn fmt_bytes(bytes: Option<u128>) -> String {
 }
 
 /// `qclab compile`: lowers the circuit through the shared pipeline and
-/// prints the plan — op counts before/after fusion, fences, the guard's
-/// state-byte estimate, the sparse support bound, the backend the
-/// requested routing resolves to, and the op schedule itself. The same
-/// backend resolution the simulating commands perform gates the report
-/// (exit 6), so "compiles here" means "would simulate here" under the
-/// same `--backend` request.
+/// prints the plan, its op schedule and — under the same `--backend` and
+/// `--max-qubits` — the [`route`] `sample` takes for each noise class, or
+/// the refusal it exits with. A route reads noise only through "can a
+/// channel fire" and "do gates strike", so three classes cover every flag.
 fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
     let plan_opts = PlanOptions::from(&opts.kernel());
     let program = circuit.compile_with(&plan_opts);
     let stats = program.stats();
-    let choice = resolve_backend(opts.backend, stats, circuit.nb_qubits(), &opts.limits())?;
     let on = |yes: bool| if yes { "on" } else { "off" };
     let mut out = format!(
-        "compiled {} qubits (fingerprint {:016x}, fusion {}, remap {}):\n",
+        "compiled {} qubits (fingerprint {:016x}, fusion {}, remap {}, backend {}):\n",
         program.nb_qubits(),
         program.fingerprint(),
         on(program.options().fuse),
         on(program.options().remap),
+        opts.backend,
     );
     let mut row = |label: &str, value: String| out.push_str(&format!("  {label:<13} {value}\n"));
     row(
@@ -693,7 +698,6 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
         "sparse bound:",
         format!("{bound} live entr{} ({bound_bytes})", ies(bound)),
     );
-    row("backend:", format!("{choice} (requested {})", opts.backend));
     let plan = program.shot_plan();
     row(
         "shot plan:",
@@ -702,31 +706,27 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
             plan.prefix_ops, plan.suffix_ops
         ),
     );
-    let terminal = if plan.terminal_measurements {
-        let measured = plan.measured_qubits.len();
-        format!("eligible ({measured} measured qubit(s), noiseless runs sample the marginal)")
-    } else {
-        "not eligible (suffix has gates, resets or re-measured qubits)".to_string()
-    };
-    row("terminal sampling:", terminal);
-    // a property of the circuit's own gates, whatever fusion made of them
-    let clifford = if stats.is_clifford {
-        "yes (tableau-expressible)"
-    } else {
-        "no (contains non-Clifford gates)"
-    };
-    row("clifford:", clifford.to_string());
-    // where `sample` sends a noisy run of this circuit: Clifford source
-    // gates go to the frame sampler, which executes them one by one and
-    // so lowers unfused; everything else runs the plan printed below,
-    // noise or no noise
-    let noisy_shots = if stats.is_clifford {
-        "pauli-frame sampler"
-    } else {
-        "state-vector trajectories on this plan (hits land in its ops; a struck \
-         block replays its source gates)"
-    };
-    row("noisy shots:", noisy_shots.to_string());
+    let channel = Some(PauliChannel::BitFlip(0.01));
+    for (class, after_gate, before_measure) in [
+        ("noiseless", None, None),
+        ("readout noise", None, channel),
+        ("gate noise", channel, None),
+    ] {
+        let noise = NoiseSpec {
+            after_gate,
+            before_measure,
+            ..NoiseSpec::default()
+        };
+        let config = TrajectoryConfig {
+            noise,
+            ..opts.trajectory()
+        };
+        let value = match route(circuit, &config, None) {
+            Ok(r) => format!("{} [{}]", r.path, r.why),
+            Err(e) => format!("refused: {e}"),
+        };
+        row(&format!("route, {class}:"), value);
+    }
     // per shot and class, on the source schedule: times a channel's p,
     // the expected hits — what a shot's noise walk costs
     let sites = qclab_core::sim::walk::site_counts(&program);
@@ -1255,36 +1255,28 @@ mod tests {
         assert!(report.contains("state bytes:  64 B"), "{report}");
         assert!(report.contains("fingerprint"), "{report}");
         // the fused bell circuit is one deterministic op plus two
-        // terminal measurements — sample-eligible
+        // terminal measurements: a noiseless sample draws from one table,
+        // a noisy one propagates Pauli frames (the circuit is Clifford)
         assert!(
             report.contains("shot plan:    1 deterministic + 2 stochastic op(s)"),
             "{report}"
         );
         assert!(
-            report.contains("terminal sampling: eligible (2 measured qubit(s)"),
-            "{report}"
-        );
-        // the classification, and the path a noisy sample would take
-        assert!(
-            report.contains("clifford:     yes (tableau-expressible)"),
+            report.contains("  route, noiseless: alias-sampled (prefix 1 ops) ["),
             "{report}"
         );
         assert!(
-            report.contains("noisy shots:  pauli-frame sampler"),
+            report.contains("  route, gate noise: pauli-frame ["),
             "{report}"
         );
-        // a T gate declassifies the circuit
+        // a T gate keeps a noisy run on the state-vector engine
         let t = write_qasm(
             "tgate",
             &format!("{HEADER}qreg q[1];\ncreg c[1];\nh q[0];\nt q[0];\nmeasure q -> c;\n"),
         );
         let report = run(parse(&["compile", &t]).unwrap()).unwrap();
         assert!(
-            report.contains("clifford:     no (contains non-Clifford gates)"),
-            "{report}"
-        );
-        assert!(
-            report.contains("noisy shots:  state-vector trajectories on this plan"),
+            report.contains("  route, gate noise: per-shot ["),
             "{report}"
         );
         assert!(
@@ -1292,9 +1284,15 @@ mod tests {
             "{report}"
         );
         assert!(usage().ends_with(&format!("seed contract: {SEED_CONTRACT}")));
-        // guard refusal surfaces as the resource exit code
-        let e = run(parse(&["compile", &p, "--max-qubits", "1"]).unwrap()).unwrap_err();
+        // a guard refusal is the route's row, with the message `sample`
+        // exits with
+        let report = run(parse(&["compile", &p, "--max-qubits", "1"]).unwrap()).unwrap();
+        let e = run(parse(&["sample", &p, "10", "--max-qubits", "1"]).unwrap()).unwrap_err();
         assert_eq!(e.code, EXIT_RESOURCE);
+        assert!(
+            report.contains(&format!("  route, noiseless: refused: {}\n", e.msg)),
+            "{report}"
+        );
     }
 
     #[test]
@@ -1339,9 +1337,12 @@ mod tests {
         // the dense default refuses the register outright (exit 6) …
         let e = run(parse(&["simulate", &p]).unwrap()).unwrap_err();
         assert_eq!(e.code, EXIT_RESOURCE);
-        // … and so does `compile` under the same dense request
-        let e = run(parse(&["compile", &p]).unwrap()).unwrap_err();
-        assert_eq!(e.code, EXIT_RESOURCE);
+        // … and `compile` says so on the route rows of the same request
+        let report = run(parse(&["compile", &p]).unwrap()).unwrap();
+        assert!(
+            report.contains("  route, noiseless: refused: a 30-qubit state needs"),
+            "{report}"
+        );
         // --backend auto routes to the sparse executor and completes:
         // the ladder propagates the two X flips through every ccx
         let out = run(parse(&["simulate", "--backend", "auto", &p]).unwrap()).unwrap();
@@ -1350,10 +1351,13 @@ mod tests {
             out.contains(&format!("'{}'  p = 1.000000", "1".repeat(30))),
             "{out}"
         );
-        // the compile report states the resolved choice
+        // the compile report states the route `sample` takes below
         let report = run(parse(&["compile", "--backend", "auto", &p]).unwrap()).unwrap();
-        assert!(report.contains("backend:      sparse"), "{report}");
-        assert!(report.contains("(requested auto)"), "{report}");
+        assert!(report.contains("backend auto):"), "{report}");
+        assert!(
+            report.contains("  route, noiseless: sparse-sampled (prefix 30 ops) ["),
+            "{report}"
+        );
         assert!(report.contains("sparse bound: 1 live entry"), "{report}");
         // counts and sample work on the same register through the flag
         let cts = run(parse(&["counts", &p, "20", "--backend", "auto"]).unwrap()).unwrap();

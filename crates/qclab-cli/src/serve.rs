@@ -48,7 +48,7 @@ use qclab_core::program::{plan_cache_capacity, plan_cache_stats, RETAINED_BYTES_
 use qclab_core::service::{
     ErrorKind, JobHandle, JobOutput, JobResult, JobSpec, Scheduler, ServiceConfig,
 };
-use qclab_core::sim::trajectory::{TrajectoryConfig, SEED_CONTRACT};
+use qclab_core::sim::trajectory::SEED_CONTRACT;
 use qclab_core::{QCircuit, QclabError};
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -67,12 +67,7 @@ pub struct ServeOpts {
 
 impl ServeOpts {
     fn service_config(&self, engine: &EngineOpts) -> ServiceConfig {
-        let mut base = TrajectoryConfig {
-            kernel: engine.kernel(),
-            limits: engine.limits(),
-            backend: engine.backend,
-            ..TrajectoryConfig::default()
-        };
+        let mut base = engine.trajectory();
         // the worker pool is the parallelism; nested per-job threading
         // would oversubscribe it (and standalone replays for the
         // bit-identity contract use this same serial base)
@@ -662,6 +657,7 @@ pub fn run_serve(opts: &ServeOpts, engine: &EngineOpts) -> Output {
 mod tests {
     use super::*;
     use qclab_core::sim::trajectory::run_trajectories;
+    use qclab_core::sim::trajectory::TrajectoryConfig;
     use std::collections::BTreeMap;
     use std::io::Cursor;
     use std::sync::Condvar;

@@ -245,14 +245,23 @@ fn compile_honors_the_full_exit_code_contract() {
     // 4 — parse: malformed QASM
     let bad = write_qasm("bad_compile.qasm", "qreg q[1]; frobnicate q[0];");
     assert_fails(&["compile", &bad], EXIT_PARSE, "frobnicate");
-    // 6 — resource: the guard refuses before reporting a plan
+    // a guard's refusal is not compile's: the report shows it on the
+    // route it refuses, the one `sample` would exit 6 with
+    let bell = bell();
     assert_fails(
-        &["compile", "--max-qubits", "1", &bell()],
+        &["sample", "--max-qubits", "1", &bell, "10"],
         EXIT_RESOURCE,
         "--max-qubits",
     );
+    let out = qclab(&["compile", "--max-qubits", "1", &bell]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        route_row(&stdout(&out), "noiseless").contains("refused: a 2-qubit state needs"),
+        "{}",
+        stdout(&out)
+    );
     // and the happy path prints the plan on stdout only
-    let out = qclab(&["compile", &bell()]);
+    let out = qclab(&["compile", &bell]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert_eq!(stderr(&out), "");
     let text = stdout(&out);
@@ -455,18 +464,22 @@ fn noisy_clifford_samples_take_the_frame_path_and_compile_says_so() {
         "stdout: {}",
         stdout(&framed)
     );
-    // the compile report names the classification and the chosen path
+    // the compile report names that path on both noisy routes
     let report = qclab(&["compile", &bell]);
     assert_eq!(report.status.code(), Some(0), "{}", stderr(&report));
     let text = stdout(&report);
-    assert!(text.contains("clifford:     yes"), "{text}");
-    assert!(text.contains("noisy shots:  pauli-frame sampler"), "{text}");
-    // and, under it, what a shot's noise walk ranges over: H + CX on two
-    // qubits touch 3 sites and leave 1 idle, two measurements read out
     assert!(
-        text.contains(
-            "noisy shots:  pauli-frame sampler\n  noise sites:  3 after-gate, 1 idle, 2 readout\n"
-        ),
+        route_row(&text, "readout noise").starts_with("pauli-frame ["),
+        "{text}"
+    );
+    assert!(
+        route_row(&text, "gate noise").starts_with("pauli-frame ["),
+        "{text}"
+    );
+    // and, under them, what a shot's noise walk ranges over: H + CX on
+    // two qubits touch 3 sites and leave 1 idle, two measurements read out
+    assert!(
+        text.contains("]\n  noise sites:  3 after-gate, 1 idle, 2 readout\n"),
         "{text}"
     );
 }
@@ -498,9 +511,66 @@ fn compile_reports_the_noise_sites_of_a_shot() {
     assert_eq!(report.status.code(), Some(0), "{}", stderr(&report));
     let text = stdout(&report);
     assert!(
-        text.contains("state-vector trajectories on this plan (hits land in its ops; a struck block replays its source gates)\n  noise sites:  4 after-gate, 5 idle, 4 readout\n"),
+        route_row(&text, "gate noise").starts_with("per-shot ["),
         "{text}"
     );
+    assert!(
+        text.contains("  noise sites:  4 after-gate, 5 idle, 4 readout\n"),
+        "{text}"
+    );
+}
+
+/// The value of `compile`'s `route, <class>:` row.
+fn route_row<'a>(report: &'a str, class: &str) -> &'a str {
+    let label = format!("  route, {class}: ");
+    report
+        .lines()
+        .find_map(|line| line.strip_prefix(label.as_str()))
+        .unwrap_or_else(|| panic!("no {label:?} row in:\n{report}"))
+}
+
+#[test]
+fn compile_prints_the_route_sample_takes() {
+    // every benchmark input under every backend request and each noise
+    // class `compile` reports: the row is the `path: …` that `sample`
+    // prints — before the rule in brackets — or, where `sample` fails,
+    // `refused: ` and the message it exits with
+    let inputs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/inputs");
+    let classes: [(&str, &[&str]); 3] = [
+        ("noiseless", &[]),
+        ("readout noise", &["--measure-noise", "bitflip:0.01"]),
+        ("gate noise", &["--noise", "depolarizing:0.01"]),
+    ];
+    let mut cases = 0;
+    for name in ["teleport", "grover2", "qec3", "qft16", "rep25"] {
+        let file = format!("{inputs}/{name}.qasm");
+        for backend in ["dense", "auto", "sparse"] {
+            let report = qclab(&["compile", &file, "--backend", backend]);
+            assert_eq!(report.status.code(), Some(0), "{}", stderr(&report));
+            let report = stdout(&report);
+            for (class, noise) in classes {
+                let line = [&["sample", &file, "8", "--backend", backend], noise].concat();
+                let sampled = qclab(&line);
+                let row = route_row(&report, class);
+                let case = format!("{name} --backend {backend}, {class}");
+                if sampled.status.success() {
+                    let out = stdout(&sampled);
+                    let path = out
+                        .split_once("path: ")
+                        .and_then(|(_, rest)| rest.split_once("):\n"))
+                        .map(|(path, _)| path)
+                        .unwrap_or_else(|| panic!("{case}: no path in {out}"));
+                    assert_eq!(row.split_once(" [").map(|r| r.0), Some(path), "{case}");
+                } else {
+                    let err = stderr(&sampled);
+                    let msg = err.strip_prefix("qclab: ").unwrap_or(&err).trim_end();
+                    assert_eq!(row, format!("refused: {msg}"), "{case}");
+                }
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 45);
 }
 
 #[test]

@@ -257,13 +257,6 @@ pub struct PlanStats {
     /// `k` targets multiplies it by at most `2^k` (H and Ry double),
     /// measurements and resets only shrink it. Saturates at `2^n`.
     pub sparse_entries: u128,
-    /// Ops in the deterministic shot prefix (see [`ShotPlan`]).
-    pub shot_prefix_ops: usize,
-    /// Ops in the stochastic shot suffix (see [`ShotPlan`]).
-    pub shot_suffix_ops: usize,
-    /// `true` when the program is eligible for terminal-measurement
-    /// sampling (see [`ShotPlan::terminal_measurements`]).
-    pub terminal_sampling: bool,
     /// Gate windows where the locality pass adopted a new layout.
     pub remap_windows: usize,
     /// General amplitude permutations emitted (three or more displaced
@@ -303,7 +296,7 @@ pub struct PlanStats {
 /// The classification is purely structural — whether a *run* may
 /// actually fork or sample also depends on its noise configuration
 /// (gate/idle noise makes every gate a stochastic site) and is decided
-/// by the executor.
+/// by [`route`](crate::sim::trajectory::route).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShotPlan {
     /// Ops before the first measurement or reset (gates and fences
@@ -1164,9 +1157,6 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
     }
 
     let shot_plan = ShotPlan::classify(&ops);
-    stats.shot_prefix_ops = shot_plan.prefix_ops;
-    stats.shot_suffix_ops = shot_plan.suffix_ops;
-    stats.terminal_sampling = shot_plan.terminal_measurements;
 
     // the layout the prefix ends in (forked suffixes resume under it)
     let mut prefix_map: Option<Vec<usize>> = None;
@@ -1776,9 +1766,6 @@ mod tests {
         assert_eq!(sp.suffix_gates, 0);
         assert!(sp.terminal_measurements);
         assert_eq!(sp.measured_qubits, vec![0, 1]);
-        assert_eq!(p.stats().shot_prefix_ops, 2);
-        assert_eq!(p.stats().shot_suffix_ops, 2);
-        assert!(p.stats().terminal_sampling);
 
         // purely unitary program: everything is prefix, trivially terminal
         let p = lower(&bell(), &PlanOptions::unfused());

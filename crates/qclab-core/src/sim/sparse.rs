@@ -31,7 +31,9 @@
 //! [`choose_backend`](crate::program::choose_backend) and
 //! [`simulate_bitstring_routed`](crate::circuit::QCircuit::simulate_bitstring_routed).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use super::control::ExecutionControl;
 use super::guard::ResourceLimits;
@@ -62,19 +64,26 @@ fn control_masks(controls: &[(usize, u8)], n: usize) -> (usize, usize) {
     (mask, want)
 }
 
+/// A map keyed by basis index, hashed with fixed keys: its order — and
+/// every sum taken in it — is the same in every process, where std's
+/// per-process random keys would move such sums in their last bits.
+/// Fixed keys give up std's defence against crafted collisions; the
+/// live-entry cap still bounds the map.
+type Amps<V> = HashMap<usize, V, BuildHasherDefault<DefaultHasher>>;
+
 /// A sparse `n`-qubit state: the nonzero amplitudes keyed by basis
 /// index (qubit 0 is the most significant index bit, as everywhere in
 /// the workspace).
 #[derive(Clone, Debug, Default)]
 pub struct SparseState {
     n: usize,
-    amps: HashMap<usize, C64>,
+    amps: Amps<C64>,
 }
 
 impl SparseState {
     /// The basis state `|idx>` on `n` qubits — one live entry.
     pub fn basis_state(n: usize, idx: usize) -> Self {
-        let mut amps = HashMap::with_capacity(1);
+        let mut amps = Amps::default();
         amps.insert(idx, C64::new(1.0, 0.0));
         SparseState { n, amps }
     }
@@ -115,8 +124,8 @@ impl SparseState {
         self.amps.get(&idx).copied().unwrap_or(C64::new(0.0, 0.0))
     }
 
-    /// Iterator over the live `(basis index, amplitude)` entries, in
-    /// unspecified order.
+    /// Iterator over the live `(basis index, amplitude)` entries, in the
+    /// map's order: unspecified, but the same in every process.
     pub fn iter(&self) -> impl Iterator<Item = (usize, C64)> + '_ {
         self.amps.iter().map(|(&i, &a)| (i, a))
     }
@@ -170,8 +179,9 @@ impl SparseState {
             .map(|&q| 1usize << bits::qubit_shift(q, n))
             .fold(0, |acc, b| acc | b);
 
-        let mut out: HashMap<usize, C64> = HashMap::with_capacity(self.amps.len() * 2);
-        let mut groups: HashMap<usize, Vec<C64>> = HashMap::new();
+        let mut out: Amps<C64> =
+            Amps::with_capacity_and_hasher(self.amps.len() * 2, Default::default());
+        let mut groups: Amps<Vec<C64>> = Amps::default();
         for (&i, &a) in &self.amps {
             if i & cmask != cwant {
                 out.insert(i, a);

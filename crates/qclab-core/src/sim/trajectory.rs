@@ -14,9 +14,10 @@
 //! density-matrix result at `O(1/√shots)` — the standard Monte-Carlo
 //! unraveling of a Pauli channel.
 //!
-//! Structure: `prepare` routes a run once (sparse → Pauli frames →
-//! terminal table → fork/per-shot) and pays its seed-independent
-//! preparation, `Prepared::run` samples the shots. Every state-vector shot — one-time prefix, batch reference
+//! Structure: [`route`] decides a run once, before anything is allocated
+//! (sparse → Pauli frames → terminal table → fork/per-shot), `prepare`
+//! pays that route's seed-independent preparation, `Prepared::run`
+//! samples the shots. Every state-vector shot — one-time prefix, batch reference
 //! pass, lane suffix, [`run_single_trajectory`] — dispatches the plan's
 //! bytecode stream ([`super::bytecode`]) through one per-instruction
 //! body, `ShotState::step`; serial execution is the batch of one.
@@ -304,22 +305,14 @@ pub struct TrajectoryConfig {
     /// Observables whose expectations are averaged over the final states
     /// of all shots (must match the circuit's register size).
     pub observables: Vec<Observable>,
-    /// Share the evolution that shots have in common: the deterministic
-    /// [`ShotPlan`](crate::program::ShotPlan) prefix is evolved once and
-    /// forked, and the table of a terminal measurement block is built
-    /// once and drawn from by every shot that injected no error. Results
-    /// are `==` either way — a shot's record is the same function of the
-    /// same state and the same `(seed, shot)` draws. Disable to make
-    /// every shot evolve (and tabulate) its own state from op 0 (the
-    /// reference `tests/shot_fastpath.rs` and `tests/terminal_draw.rs`
-    /// hold the shared paths to).
+    /// Share the evolution that shots have in common (the prefix forked,
+    /// the terminal table, the sparse path — [`route`]). Results are `==`
+    /// either way; off, every shot evolves and tabulates its own state
+    /// from op 0, the reference the shared paths are tested against.
     pub fast_path: bool,
-    /// State representation of the shot engine. The default pins the
-    /// dense engine (bit-compatible with every earlier release);
-    /// [`BackendRequest::Auto`]/[`BackendRequest::Sparse`] route
-    /// noiseless terminal-measurement programs through the sparse
-    /// prefix-sampling path ([`ShotPath::SparseSampled`]), which admits
-    /// 30+ qubit low-entanglement registers the dense guard refuses.
+    /// State representation of the shot engine: the default pins the
+    /// dense engine, `Auto`/`Sparse` open the sparse prefix-sampling path
+    /// ([`route`]) to 30+ qubit registers the dense guard refuses.
     pub backend: BackendRequest,
     /// Cooperative deadline/cancellation, polled at op boundaries inside
     /// every shot and once per shot in the fan-out prologue. A stopped
@@ -329,17 +322,11 @@ pub struct TrajectoryConfig {
     /// bit-identical to the same shots of an uncontrolled run. The
     /// default ([`ExecutionControl::none`]) is a no-op.
     pub control: ExecutionControl,
-    /// Route eligible noisy sampling runs through the Pauli-frame
-    /// engine ([`crate::sim::frame`]): Clifford gates + Pauli noise +
-    /// Z/X/Y-basis measurements/resets, no observables, default/auto
-    /// backend. The engine runs the reference circuit once on the
-    /// stabilizer tableau and propagates only per-shot error frames,
-    /// bit-sliced 64 shots per word — `O(poly n)` per shot where the
-    /// state-vector engine pays `O(2^n)`. Statistically equivalent (the
-    /// sampled distribution is identical), not bit-identical: both
-    /// engines walk a shot's noise the same way, but a frame shot flips
-    /// a coin where a state-vector shot collapses an amplitude. Disable
-    /// to force the state-vector trajectory engine.
+    /// Let eligible noisy runs ([`route`]) take the Pauli-frame engine
+    /// ([`crate::sim::frame`]): `O(poly n)` per shot where the state
+    /// vector pays `O(2^n)`. Statistically equivalent, not bit-identical
+    /// — a frame shot flips a coin where a state-vector shot collapses an
+    /// amplitude. Disable to force the state-vector trajectory engine.
     pub frames: bool,
     /// Batch width. On the Pauli-frame path a batch is `shot_batch`
     /// *words* of 64 bit-sliced lanes (the default is 4096 shots per
@@ -379,16 +366,13 @@ impl Default for TrajectoryConfig {
 /// still a reasonable work unit for the parallel fan-out.
 pub const DEFAULT_SHOT_BATCH: usize = 64;
 
-/// Which shot-execution strategy a trajectory run actually used
-/// (reported on [`TrajectoryResult::path`]).
+/// Which shot-execution strategy a trajectory run takes ([`route`]
+/// decides, [`TrajectoryResult::path`] reports).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShotPath {
-    /// No deterministic prefix to fork from (gate or idle noise makes
-    /// every gate a noise site, or the fast path is off): shots start at
-    /// op 0. A batch still evolves the stretch its shots share once — a
-    /// lane clones the batch's reference state at its own first hit or
-    /// collapse — so "per shot" names where a shot *may* diverge, not
-    /// what each one evolves.
+    /// No deterministic prefix to fork from: shots start at op 0. A batch
+    /// still evolves the stretch its shots share once, so "per shot"
+    /// names where a shot *may* diverge, not what each one evolves.
     PerShot,
     /// The deterministic prefix was evolved once and snapshotted; each
     /// shot forked from the snapshot and ran only the stochastic suffix.
@@ -396,13 +380,10 @@ pub enum ShotPath {
         /// Ops (gates + fences) replayed once instead of per shot.
         prefix_ops: usize,
     },
-    /// The circuit was pure unitary + terminal measurements and the run
-    /// noiseless: the state was evolved once, the measured-qubit
-    /// marginal tabulated, and every shot drawn from the table. ("Alias"
-    /// is historical — the table is cumulative sums searched by
-    /// bisection, the same one a noisy run's error-free lanes draw from;
-    /// the name and its `Display` string are kept for callers that match
-    /// on them.)
+    /// A noiseless terminal-measurement run: the state was evolved once,
+    /// the measured marginal tabulated, every shot drawn from the table.
+    /// ("Alias" is historical — the table is cumulative sums searched by
+    /// bisection; the name is kept for callers that match on it.)
     AliasSampled {
         /// Ops evolved once before sampling.
         prefix_ops: usize,
@@ -491,6 +472,25 @@ pub struct TrajectoryResult {
 }
 
 impl TrajectoryResult {
+    /// The result of `route` under `config` before any shot completed:
+    /// what a run stopped in its one-time preparation reports, and what
+    /// every executing arm fills in.
+    fn empty(route: &Route, config: &TrajectoryConfig) -> Self {
+        TrajectoryResult {
+            nb_qubits: route.program.nb_qubits(),
+            shots: 0,
+            requested_shots: config.shots,
+            counts: BTreeMap::new(),
+            injected_errors: 0,
+            expectations: vec![0.0; config.observables.len()],
+            norm: NormStats::default(),
+            path: route.path,
+            stopped: None,
+            batch: 1,
+            prep_hit: false,
+        }
+    }
+
     /// Number of register qubits.
     pub fn nb_qubits(&self) -> usize {
         self.nb_qubits
@@ -585,9 +585,8 @@ impl TrajectoryResult {
 }
 
 /// The plan options of a state-vector trajectory run: the kernel
-/// configuration's, whatever the noise — the baseline simulator's
-/// options, so a noisy run, its noiseless twin and `simulate` share one
-/// cached plan (and therefore the exact same kernel calls between hits).
+/// configuration's, whatever the noise — so a noisy run, its noiseless
+/// twin and `simulate` share one cached plan.
 fn plan_options(config: &TrajectoryConfig) -> PlanOptions {
     PlanOptions::from(&config.kernel)
 }
@@ -622,13 +621,12 @@ fn pauli_gate(p: Pauli, q: usize) -> Option<Gate> {
 }
 
 /// Validates the register, initial state (`None` = `|0…0⟩`, valid by
-/// construction), noise spec and observables of a run; returns the
-/// state dimension. Allocates nothing.
+/// construction), noise spec and observables of a run. Allocates nothing.
 fn validate(
     circuit: &QCircuit,
     initial: Option<&CVec>,
     config: &TrajectoryConfig,
-) -> Result<usize, QclabError> {
+) -> Result<(), QclabError> {
     let n = circuit.nb_qubits();
     let dim = config.limits.check_register(n)?;
     if let Some(initial) = initial {
@@ -652,7 +650,7 @@ fn validate(
             });
         }
     }
-    Ok(dim)
+    Ok(())
 }
 
 /// A lane's draws, taken before it executes anything
@@ -1097,9 +1095,9 @@ impl ShotState {
     }
 }
 
-/// Everything the shots of one prepared run share.
+/// Everything the shots of one prepared run share beside the route's
+/// plan.
 struct ShotProgram {
-    program: Arc<CompiledProgram>,
     bc: Arc<Bytecode>,
     /// The run's noise laws over the program's site numbering.
     noise: NoisePlan,
@@ -1108,7 +1106,6 @@ struct ShotProgram {
     /// carrying its cursor, watchdog counters and layout so per-shot
     /// statistics match the unforked engine exactly.
     start: ShotState,
-    path: ShotPath,
     /// `Some` when the program ends in a terminal measurement block and
     /// no observable reads the post-measurement state: lanes then end in
     /// one draw instead of per-qubit collapses.
@@ -1365,29 +1362,6 @@ fn evolve_prefix(
     Ok(s)
 }
 
-/// A partial [`TrajectoryResult`] for a run stopped before any shot
-/// completed (e.g. the one-time prefix evolution hit the deadline).
-fn partial_empty(
-    n: usize,
-    config: &TrajectoryConfig,
-    cause: StopCause,
-    path: ShotPath,
-) -> TrajectoryResult {
-    TrajectoryResult {
-        nb_qubits: n,
-        shots: 0,
-        requested_shots: config.shots,
-        counts: BTreeMap::new(),
-        injected_errors: 0,
-        expectations: vec![0.0; config.observables.len()],
-        norm: NormStats::default(),
-        path,
-        stopped: Some(cause),
-        batch: 1,
-        prep_hit: false,
-    }
-}
-
 /// Splits a control stop (cancel/deadline — the partial-result cases)
 /// from a genuine execution error, which propagates.
 pub(crate) fn stop_or_err(err: QclabError) -> Result<StopCause, QclabError> {
@@ -1412,7 +1386,6 @@ struct SampledPrep {
     /// Watchdog statistics of the one-time prefix evolution (dense
     /// path; the sparse executor has no norm watchdog).
     norm: NormStats,
-    path: ShotPath,
     /// Most live entries the sparse prefix evolution held (0 on the
     /// dense path): a run served from a retained prep still answers to
     /// its own [`ResourceLimits::check_sparse_entries`].
@@ -1450,11 +1423,9 @@ fn marginal(state: &[C64], measured: &[usize], n: usize, lut: &[usize]) -> Vec<f
 /// Builds the shared terminal table of a dense run: the program is a
 /// unitary prefix followed only by measurements of pairwise-distinct
 /// qubits (plus fences), and no observable is requested. Evolves the
-/// noiseless state once and tabulates it ([`ShotState::terminal_table`]);
-/// a control stop reports the run's own `path`.
+/// noiseless state once and tabulates it ([`ShotState::terminal_table`]).
 fn terminal_prep(
     program: &CompiledProgram,
-    path: ShotPath,
     initial: CVec,
     config: &TrajectoryConfig,
 ) -> Result<Prepared, QclabError> {
@@ -1463,16 +1434,13 @@ fn terminal_prep(
     // leave the bits a shot's own single-threaded evolution leaves
     let mut s = match evolve_prefix(program, block.first, initial, config, config.kernel) {
         Ok(s) => s,
-        Err(e) => return Ok(Prepared::Stopped(stop_or_err(e)?, path)),
+        Err(e) => return Ok(Prepared::Stopped(stop_or_err(e)?)),
     };
     Ok(Prepared::Sampled(Arc::new(SampledPrep {
         outcomes: None,
         sampler: s.terminal_table(&block)?,
         m: block.measured.len(),
         norm: s.stats,
-        path: ShotPath::AliasSampled {
-            prefix_ops: block.first,
-        },
         peak_entries: 0,
     })))
 }
@@ -1482,10 +1450,9 @@ fn terminal_prep(
 /// the *live entries only* (keyed and sorted, so the sampler's outcome
 /// order is deterministic). A dense `2^n` buffer never exists, so
 /// 30+ qubit low-entanglement programs sample in support-sized memory.
-/// The caller has validated the noise spec and the sparse register.
+/// [`route`] has validated the noise spec and the sparse register.
 fn sparse_prep(
     program: &CompiledProgram,
-    path: ShotPath,
     config: &TrajectoryConfig,
 ) -> Result<Prepared, QclabError> {
     let n = program.nb_qubits();
@@ -1505,7 +1472,7 @@ fn sparse_prep(
     let peak_entries = match walked {
         Ok(peak) => peak,
         // stopped before any shot existed
-        Err(e) => return Ok(Prepared::Stopped(stop_or_err(e)?, path)),
+        Err(e) => return Ok(Prepared::Stopped(stop_or_err(e)?)),
     };
     let mut state = prefix.branches.swap_remove(0).state;
     let block = TerminalBlock::of(program);
@@ -1513,8 +1480,8 @@ fn sparse_prep(
         state.apply_gate(vdg);
     }
     let measured = &block.measured;
-    // joint marginal over the live support; BTreeMap gives the sampler a
-    // deterministic outcome order independent of hashmap iteration
+    // joint marginal over the live support, summed in the map's fixed
+    // order; BTreeMap gives the sampler an outcome order independent of it
     let mut marginal: BTreeMap<usize, f64> = BTreeMap::new();
     for (i, amp) in state.iter() {
         *marginal
@@ -1527,7 +1494,6 @@ fn sparse_prep(
         sampler: CdfTable::new(weights)?,
         m: measured.len(),
         norm: NormStats::default(),
-        path,
         peak_entries,
     })))
 }
@@ -1554,8 +1520,8 @@ fn render_outcomes(tally: BTreeMap<usize, u64>, m: usize, counts: &mut BTreeMap<
 /// draws; a stop keeps the tally of the shots already drawn.
 fn draw_sampled(
     prep: &SampledPrep,
-    n: usize,
     config: &TrajectoryConfig,
+    empty: TrajectoryResult,
 ) -> Result<TrajectoryResult, QclabError> {
     // tally by outcome index — O(log distinct) per draw, never 2^m
     // storage for sparse outcomes
@@ -1575,22 +1541,16 @@ fn draw_sampled(
     let mut counts = BTreeMap::new();
     render_outcomes(tally, prep.m, &mut counts);
     Ok(TrajectoryResult {
-        nb_qubits: n,
         shots: done,
-        requested_shots: config.shots,
         counts,
-        injected_errors: 0,
-        expectations: Vec::new(),
         norm: prep.norm.times(done),
-        path: prep.path,
         stopped,
-        batch: 1,
-        prep_hit: false,
+        ..empty
     })
 }
 
-/// The seed-independent half of a run — everything [`prepare`] decides
-/// and pays once, before any shot is drawn.
+/// The seed-independent half of a run — everything [`prepare`] pays
+/// once for its route, before any shot is drawn.
 enum Prepared {
     /// Noiseless terminal program, dense or sparse: every shot is a draw
     /// from the table. Shared, never copied: the same value serves the
@@ -1598,11 +1558,11 @@ enum Prepared {
     /// every later run.
     Sampled(Arc<SampledPrep>),
     /// Pauli-frame engine over the plan's cached frame stream.
-    Frames(Arc<CompiledProgram>, Arc<frame::FrameProgram>),
+    Frames(Arc<frame::FrameProgram>),
     /// Forked or per-shot state-vector ensemble.
     Shots(Box<ShotProgram>),
     /// The one-time preparation was stopped before any shot existed.
-    Stopped(StopCause, ShotPath),
+    Stopped(StopCause),
 }
 
 impl SampledPrep {
@@ -1623,14 +1583,13 @@ impl SampledPrep {
     }
 }
 
-/// What a retained preparation was built under: the route taken and
-/// everything else its builder reads from the base configuration that
-/// the plan's own options do not already fix — other than seed, shots
-/// and control (a preparation is independent of them) and limits
-/// (checked on every run, hit or miss).
+/// What a retained preparation was built under: what its builder reads
+/// of the configuration beyond the plan's own options, seed, shots,
+/// control and limits (checked on every run, hit or miss). A plan has
+/// one preparation whatever the route: the sparse table, or the dense
+/// noiseless table a noisy run hands to its lanes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct PrepKey {
-    path: ShotPath,
     /// The kernel and watchdog configuration a dense prefix was evolved
     /// under; `None` on the sparse route, which reads neither.
     dense: Option<(KernelConfig, WatchdogConfig)>,
@@ -1639,9 +1598,8 @@ struct PrepKey {
 /// The slot of a [`CompiledProgram`] that retains the seed-independent
 /// preparation of sampled runs from `|0…0⟩`, so a circuit the process
 /// has already solved costs its shots only. Only [`Prepared::Sampled`]
-/// is ever kept: `Frames` is cached by
-/// [`CompiledProgram::frame_program`] already (and its plan handle would
-/// make the plan own itself), a fork snapshot saved nothing measurable
+/// is ever kept: `Frames` is cached by [`CompiledProgram::frame_program`]
+/// already, a fork snapshot saved nothing measurable
 /// (EXPERIMENTS F12), a per-shot start is the initial state itself and
 /// `Stopped` is not a preparation. First come, first kept: a run under
 /// another [`PrepKey`] computes its own preparation and leaves the slot
@@ -1702,29 +1660,55 @@ fn retained_or(
     Ok((prep, false))
 }
 
-/// Routes a run — sparse → frames → terminal table → fork/per-shot — and
-/// performs its one-time preparation (which never consults the seed or
-/// the shot count), or — for a terminal table — takes it from
-/// the plan ([`PrepSlot`]): every guard and validation below runs either
-/// way, only the `O(2^n)` allocation and evolution are skipped. The flag is
-/// `true` when the plan supplied it. `initial: None` starts from `|0…0⟩`
-/// and considers every engine; an explicit initial state pins the dense
+/// How a trajectory run executes, decided by [`route`] before anything
+/// is allocated: every consumer — the run itself, `qclab compile`, the
+/// tests — reads this one record instead of restating the rules.
+#[derive(Clone, Debug)]
+pub struct Route {
+    /// The engine, the shot strategy and the ops evolved once: what the
+    /// run's [`TrajectoryResult::path`] reports.
+    pub path: ShotPath,
+    /// The plan the run executes, and so its [`PlanOptions`]:
+    /// [`PlanOptions::sparse`] on the sparse path,
+    /// [`PlanOptions::unfused`] for Pauli frames (the engine executes
+    /// source gates), the kernel configuration's everywhere else.
+    pub program: Arc<CompiledProgram>,
+    /// A forked or per-shot ensemble whose terminal block is drawn from
+    /// the noiseless evolution's table by every lane that injects no
+    /// error — the table a noiseless run of the same plan draws from.
+    pub shares_table: bool,
+    /// The rule that decided the route.
+    pub why: &'static str,
+}
+
+/// `true` when a run's lanes end in one terminal draw: the program ends
+/// in a terminal measurement block and no observable reads the
+/// post-measurement state.
+fn ends_in_draw(program: &CompiledProgram, config: &TrajectoryConfig) -> bool {
+    program.shot_plan().terminal_measurements && config.observables.is_empty()
+}
+
+/// Routes a run — sparse → Pauli frames → terminal table → fork or per
+/// shot — without allocating any state or touching a plan's retained
+/// preparation: it lowers (through the plan cache) only the plans the
+/// decision reads, and returns the refusals a run meets before its
+/// one-time preparation, in the order the run meets them.
+/// `initial: None` starts from `|0…0⟩` and considers every engine; an
+/// explicit initial state (validated here, never copied) pins the dense
 /// ones.
-fn prepare(
+pub fn route(
     circuit: &QCircuit,
-    initial: Option<&CVec>,
     config: &TrajectoryConfig,
-) -> Result<(Prepared, bool), QclabError> {
+    initial: Option<&CVec>,
+) -> Result<Route, QclabError> {
     let n = circuit.nb_qubits();
     let noiseless = config.noise.is_noiseless();
-    // a terminal block ends in one draw when nobody reads the
-    // post-measurement state
-    let terminal = |program: &CompiledProgram| {
-        program.shot_plan().terminal_measurements && config.observables.is_empty()
+    let routed = |path, program, shares_table, why| Route {
+        path,
+        program,
+        shares_table,
+        why,
     };
-    // what a plan can key on: a run from `|0…0⟩`, not an explicit
-    // initial state
-    let key = |path, dense| initial.is_none().then_some(PrepKey { path, dense });
     // Backend routing happens before the dense `|0…0⟩` guard, so
     // sparse-eligible wide registers are not refused on the dense byte
     // estimate.
@@ -1732,19 +1716,12 @@ fn prepare(
         let program = circuit.compile_with(&PlanOptions::sparse());
         let choice = program::resolve_backend(config.backend, program.stats(), n, &config.limits)?;
         if let BackendChoice::Sparse { .. } = choice {
-            if config.fast_path && noiseless && terminal(&program) {
+            if config.fast_path && noiseless && ends_in_draw(&program, config) {
                 config.noise.validate()?;
                 config.limits.check_sparse_register(n)?;
-                let path = ShotPath::SparseSampled {
-                    prefix_ops: program.shot_plan().prefix_ops,
-                };
-                let (prep, hit) = retained_or(&program, key(path, None), || {
-                    sparse_prep(&program, path, config)
-                })?;
-                if let Prepared::Sampled(p) = &prep {
-                    config.limits.check_sparse_entries(n, p.peak_entries)?;
-                }
-                return Ok((prep, hit));
+                let prefix_ops = program.shot_plan().prefix_ops;
+                let path = ShotPath::SparseSampled { prefix_ops };
+                return Ok(routed(path, program, false, "sparse, noiseless, terminal"));
             }
             if config.backend == BackendRequest::Sparse {
                 return Err(QclabError::Unavailable(
@@ -1759,117 +1736,140 @@ fn prepare(
         }
     }
     // lowers once (plan-cached): the one plan of this circuit, noisy or
-    // not; every shot executes the same program
+    // not; every state-vector shot executes the same program
     let compile = || circuit.compile_with(&plan_options(config));
-    // Pauli-frame routing: a noisy Clifford+Pauli sampling run (no
-    // observables) propagates only per-shot error frames over one
-    // reference tableau run — O(poly n) per shot, admitted by the
-    // frame guard instead of the dense 2^n estimate, so 100+ qubit
-    // Clifford workloads run where every state-vector backend refuses.
-    // Chosen by the Clifford check on the source gates; the engine
-    // executes those gates one by one, so it lowers unfused.
-    // Noiseless runs keep the exact table/fork/sparse paths.
+    // Pauli frames: admitted by the frame guard instead of the dense 2^n
+    // estimate, so 100+ qubit Clifford workloads run. Chosen by the
+    // Clifford check on the source gates, which the engine executes one
+    // by one — so it lowers unfused. Noiseless runs keep the exact paths.
     let sampled_noise = !noiseless && config.observables.is_empty();
     if initial.is_none() && config.frames && sampled_noise && compile().stats().is_clifford {
         let program = circuit.compile_with(&PlanOptions::unfused());
-        if let Some(frames) = program.frame_program() {
-            return Ok((Prepared::Frames(program, frames), false));
+        if program.frame_program().is_some() {
+            let why = "noisy Clifford, no observables";
+            return Ok(routed(ShotPath::PauliFrame, program, false, why));
         }
     }
-    let dim = validate(circuit, initial, config)?;
-    // only a preparation that is actually computed allocates its state
-    let initial_state = || initial.map_or_else(|| CVec::basis_state(dim, 0), CVec::clone);
+    validate(circuit, initial, config)?;
     let program = compile();
-
-    let plan = program.shot_plan();
-    let terminal = terminal(&program);
-
-    // Deterministic-prefix forking: without gate/idle noise the prefix
-    // consumes no RNG draws and injects no errors, so evolving it once
-    // and forking each shot from the snapshot preserves the per-shot
-    // (seed, shot) streams — and therefore the results — bit for bit.
-    let prefix_ops = if config.fast_path && !config.noise.strikes_gates() {
-        plan.prefix_ops
+    let prefix_ops = program.shot_plan().prefix_ops;
+    // A terminal block is tabulated once from the noiseless evolution: a
+    // noiseless run draws every shot from it, a noisy one hands it to its
+    // lanes. Without gate/idle noise the prefix draws nothing, so it is
+    // evolved once and forked, bit for bit.
+    let tabulated = config.fast_path && ends_in_draw(&program, config);
+    let (path, why) = if tabulated && noiseless {
+        (ShotPath::AliasSampled { prefix_ops }, "noiseless, terminal")
+    } else if !config.fast_path {
+        (ShotPath::PerShot, "fast path off")
+    } else if config.noise.strikes_gates() {
+        (ShotPath::PerShot, "gate or idle noise")
+    } else if prefix_ops == 0 {
+        (ShotPath::PerShot, "measures or resets first")
     } else {
-        0
+        (ShotPath::Forked { prefix_ops }, "no gate or idle noise")
     };
-    let table_path = ShotPath::AliasSampled {
-        prefix_ops: plan.prefix_ops,
-    };
-    let tabulated = terminal && config.fast_path;
-    let path = if tabulated && noiseless {
-        table_path
-    } else if prefix_ops > 0 {
-        ShotPath::Forked { prefix_ops }
-    } else {
-        ShotPath::PerShot
-    };
+    Ok(routed(path, program, tabulated && !noiseless, why))
+}
 
-    // The shared terminal table: evolve the noiseless prefix once and
-    // tabulate the measured marginal. A noiseless run is the ensemble
-    // whose every lane is error-free — all of its shots are draws from
-    // the table; a noisy run hands the table to its lanes.
+/// Performs `route`'s one-time preparation (which never consults the
+/// seed or the shot count), or — for a terminal table — takes it from
+/// the plan ([`PrepSlot`]): only the `O(2^n)` allocation and evolution
+/// are skipped then. The flag is `true` when the plan supplied it.
+fn prepare(
+    route: &Route,
+    initial: Option<&CVec>,
+    config: &TrajectoryConfig,
+) -> Result<(Prepared, bool), QclabError> {
+    let program = &route.program;
+    let n = program.nb_qubits();
+    // what a plan can key on: a run from `|0…0⟩`, not an explicit
+    // initial state
+    let key = |dense| initial.is_none().then_some(PrepKey { dense });
+    let dense = Some((config.kernel, config.watchdog));
+    // only a preparation that is actually computed allocates its state
+    let initial_state = || initial.map_or_else(|| CVec::basis_state(1 << n, 0), CVec::clone);
+    let prefix_ops = match route.path {
+        ShotPath::PauliFrame => {
+            let frames = program
+                .frame_program()
+                .expect("route() lowered the frame stream");
+            return Ok((Prepared::Frames(frames), false));
+        }
+        ShotPath::SparseSampled { .. } => {
+            let (prep, hit) = retained_or(program, key(None), || sparse_prep(program, config))?;
+            if let Prepared::Sampled(p) = &prep {
+                config.limits.check_sparse_entries(n, p.peak_entries)?;
+            }
+            return Ok((prep, hit));
+        }
+        ShotPath::AliasSampled { .. } => {
+            return retained_or(program, key(dense), || {
+                terminal_prep(program, initial_state(), config)
+            });
+        }
+        ShotPath::Forked { prefix_ops } => prefix_ops,
+        ShotPath::PerShot => 0,
+    };
     let (mut shared, mut prep_hit) = (None, false);
-    if tabulated {
-        let dense = Some((config.kernel, config.watchdog));
-        let (prep, hit) = retained_or(&program, key(table_path, dense), || {
-            terminal_prep(&program, path, initial_state(), config)
-        })?;
-        match prep {
-            Prepared::Sampled(table) if !noiseless => (shared, prep_hit) = (Some(table), hit),
-            done => return Ok((done, hit)),
+    if route.shares_table {
+        match retained_or(program, key(dense), || {
+            terminal_prep(program, initial_state(), config)
+        })? {
+            (Prepared::Sampled(table), hit) => (shared, prep_hit) = (Some(table), hit),
+            stopped => return Ok(stopped),
         }
     }
-
     // the prefix runs under the kernel config of the shots themselves,
     // so the snapshot is bit-identical to what each unforked shot would
     // have computed
     let kernel = shot_kernel_config(config);
-    let start = match evolve_prefix(&program, prefix_ops, initial_state(), config, kernel) {
+    let start = match evolve_prefix(program, prefix_ops, initial_state(), config, kernel) {
         Ok(s) => s,
         // stopped during the one-time prefix: no shot completed
-        Err(e) => return Ok((Prepared::Stopped(stop_or_err(e)?, path), false)),
+        Err(e) => return Ok((Prepared::Stopped(stop_or_err(e)?), false)),
     };
     // the layout the stream left the snapshot in is the one lowering
     // published for the end of the prefix
     debug_assert!(prefix_ops == 0 || start.map.as_deref() == program.prefix_map());
     let shots = ShotProgram {
         bc: program.bytecode(),
-        noise: NoisePlan::new(&program, &config.noise),
+        noise: NoisePlan::new(program, &config.noise),
         start,
-        path,
-        terminal: terminal.then(|| Terminal {
-            block: TerminalBlock::of(&program),
+        terminal: ends_in_draw(program, config).then(|| Terminal {
+            block: TerminalBlock::of(program),
             shared,
         }),
-        program,
     };
     Ok((Prepared::Shots(Box::new(shots)), prep_hit))
 }
 
 impl Prepared {
-    /// Samples `config.shots` shots from the preparation.
-    fn run(&self, n: usize, config: &TrajectoryConfig) -> Result<TrajectoryResult, QclabError> {
+    /// Samples `config.shots` shots of `route` from the preparation.
+    fn run(
+        &self,
+        route: &Route,
+        config: &TrajectoryConfig,
+    ) -> Result<TrajectoryResult, QclabError> {
+        let empty = TrajectoryResult::empty(route, config);
         match self {
-            Prepared::Sampled(prep) => draw_sampled(prep, n, config),
-            Prepared::Frames(program, frames) => {
-                let run = frame::run_frames(program, frames, config)?;
+            Prepared::Sampled(prep) => draw_sampled(prep, config, empty),
+            Prepared::Frames(frames) => {
+                let run = frame::run_frames(&route.program, frames, config)?;
                 Ok(TrajectoryResult {
-                    nb_qubits: n,
                     shots: run.shots,
-                    requested_shots: config.shots,
                     counts: run.counts,
                     injected_errors: run.injected,
-                    expectations: Vec::new(),
-                    norm: NormStats::default(),
-                    path: ShotPath::PauliFrame,
                     stopped: run.stopped,
                     batch: run.batch,
-                    prep_hit: false,
+                    ..empty
                 })
             }
-            Prepared::Shots(prog) => run_ensemble(prog, config),
-            Prepared::Stopped(cause, path) => Ok(partial_empty(n, config, *cause, *path)),
+            Prepared::Shots(prog) => run_ensemble(&route.program, prog, config, empty),
+            Prepared::Stopped(cause) => Ok(TrajectoryResult {
+                stopped: Some(*cause),
+                ..empty
+            }),
         }
     }
 }
@@ -1963,10 +1963,11 @@ struct Tally {
 /// through [`fan_out`], each tallied on its own and merged in shot
 /// order.
 fn run_ensemble(
+    program: &CompiledProgram,
     prog: &ShotProgram,
     config: &TrajectoryConfig,
+    empty: TrajectoryResult,
 ) -> Result<TrajectoryResult, QclabError> {
-    let n = prog.start.n;
     // A batch is the unit of shared evolution and of the parallel
     // fan-out; serial execution is the batch of one. Per-shot RNG
     // streams make results independent of the grouping, so any width is
@@ -2005,7 +2006,7 @@ fn run_ensemble(
         };
         let start = prog.start.clone();
         run_shot_batch(
-            &prog.program,
+            program,
             &prog.bc,
             &prog.noise,
             terminal,
@@ -2047,17 +2048,14 @@ fn run_ensemble(
         }
     }
     Ok(TrajectoryResult {
-        nb_qubits: n,
         shots: completed,
         counts,
         injected_errors: all.injected,
         expectations,
         norm: all.norm,
-        path: prog.path,
-        requested_shots: config.shots,
         stopped,
         batch: batch as u64,
-        prep_hit: false,
+        ..empty
     })
 }
 
@@ -2067,10 +2065,12 @@ fn run_alone(
     initial: Option<&CVec>,
     config: &TrajectoryConfig,
 ) -> Result<TrajectoryResult, QclabError> {
-    let (prepared, prep_hit) = prepare(circuit, initial, config)?;
-    let mut result = prepared.run(circuit.nb_qubits(), config)?;
-    result.prep_hit = prep_hit;
-    Ok(result)
+    let route = route(circuit, config, initial)?;
+    let (prepared, prep_hit) = prepare(&route, initial, config)?;
+    Ok(TrajectoryResult {
+        prep_hit,
+        ..prepared.run(&route, config)?
+    })
 }
 
 /// Samples `config.shots` trajectories of `circuit` from `|0…0⟩` and

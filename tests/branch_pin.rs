@@ -7,11 +7,14 @@
 //! are folded into one FNV-1a digest per (circuit, engine). The engines
 //! are the dense kernel backend, the Kronecker oracle and the sparse
 //! executor on its own plan (densified through `to_dense` for the
-//! amplitudes, and pinned to 2^-20 — see [`coarse`]).
+//! amplitudes).
 //!
-//! The digests were recorded at `7fe8e39`, when the dense and sparse
-//! branch trees were still two copies; a change that moves any bit of a
-//! dense branch, of its probability or of the sampled counts fails here.
+//! The dense digests were recorded at `7fe8e39`, when the dense and
+//! sparse branch trees were still two copies; a change that moves any
+//! bit of a branch, of its probability or of the sampled counts fails
+//! here. The sparse digests are as exact: the sparse maps hash with
+//! fixed keys, so the sums taken in their order are the same in every
+//! process (CI runs this binary in 20 fresh processes).
 
 use qclab::prelude::*;
 use qclab_core::program::PlanOptions;
@@ -23,49 +26,49 @@ use qclab_core::sim::sparse::{self, SparseState};
 const PINS: &[(&str, &str, u64)] = &[
     ("teleport", "kernel", 0x9791d1d932396db8),
     ("teleport", "kron", 0x9791d1d932396db8),
-    ("teleport", "sparse", 0xaaa47c9c26f14c94),
+    ("teleport", "sparse", 0x9791d1d932396db8),
     ("qec3", "kernel", 0x59d7b2634d1ded64),
     ("qec3", "kron", 0x59d7b2634d1ded64),
-    ("qec3", "sparse", 0x65f602744c7950e4),
+    ("qec3", "sparse", 0x59d7b2634d1ded64),
     ("grover2", "kernel", 0xbb1142cd94287192),
     ("grover2", "kron", 0xbb1142cd94287192),
-    ("grover2", "sparse", 0x8f6cbe7740ce6c48),
+    ("grover2", "sparse", 0xbb1142cd94287192),
     ("seeded1", "kernel", 0x04b6c8148ef1ad5a),
     ("seeded1", "kron", 0x75487f8dfb7d27f7),
-    ("seeded1", "sparse", 0x80d4189bfc60f99f),
+    ("seeded1", "sparse", 0xfcd94a43d7fb4197),
     ("seeded2", "kernel", 0xb8367c368249a02a),
     ("seeded2", "kron", 0x55020d657fe6ddfa),
-    ("seeded2", "sparse", 0x93da3b08e07723f3),
+    ("seeded2", "sparse", 0x8fa471169fa0436c),
     ("seeded3", "kernel", 0x8a0ed73a401c5c47),
     ("seeded3", "kron", 0xfa1532f9f58a945f),
-    ("seeded3", "sparse", 0x8e5c3a8c72b57b47),
+    ("seeded3", "sparse", 0x2fb4214a2ecd89af),
     ("seeded4", "kernel", 0x63ca67b920874617),
     ("seeded4", "kron", 0xc6c218f9a4912bcd),
-    ("seeded4", "sparse", 0x9cf0eddc5a95a428),
+    ("seeded4", "sparse", 0x6360573a6900423c),
     ("seeded5", "kernel", 0x69f52b01c2c78a78),
     ("seeded5", "kron", 0x69f52b01c2c78a78),
-    ("seeded5", "sparse", 0xec85e5dc44644a10),
+    ("seeded5", "sparse", 0xfee20f8f4f766d4c),
     ("seeded6", "kernel", 0xc46dffb9441a7677),
     ("seeded6", "kron", 0x85a8e4622673d914),
-    ("seeded6", "sparse", 0xa7c3b82ee4c428b1),
+    ("seeded6", "sparse", 0x494f1aca49c9d53e),
     ("seeded7", "kernel", 0x9041e4b84c2531bd),
     ("seeded7", "kron", 0x679c60d702037215),
-    ("seeded7", "sparse", 0xfdc88b7441a682c5),
+    ("seeded7", "sparse", 0x20b822debfec91ad),
     ("seeded8", "kernel", 0x03f378d9858544e3),
     ("seeded8", "kron", 0x2aaa519634f677fd),
-    ("seeded8", "sparse", 0xb6db6530985eee93),
+    ("seeded8", "sparse", 0x8ca759e8ff86876b),
     ("seeded9", "kernel", 0x20c8e04d9986796b),
     ("seeded9", "kron", 0x1db3a78dfc8878fb),
-    ("seeded9", "sparse", 0x276dbea045dcf6bb),
+    ("seeded9", "sparse", 0x7e2e5e6aa0a01493),
     ("seeded10", "kernel", 0xae208f831eb04801),
     ("seeded10", "kron", 0x25c84f93da99f7a9),
-    ("seeded10", "sparse", 0xe43a8630e54fea49),
+    ("seeded10", "sparse", 0x8f33b53a64da80f9),
     ("seeded11", "kernel", 0x10b8e492831531c7),
     ("seeded11", "kron", 0x10b8e492831531c7),
-    ("seeded11", "sparse", 0xa1e4c3e2f5a7f297),
+    ("seeded11", "sparse", 0x31769fb2e70cc77f),
     ("seeded12", "kernel", 0xe9496bd76df92f9c),
     ("seeded12", "kron", 0x90adab43742f6909),
-    ("seeded12", "sparse", 0x61e62dc1e695f919),
+    ("seeded12", "sparse", 0xbe1570cfdb790d71),
     ("relabeled14", "kernel", 0xbe9e4a785b05d0ae),
 ];
 
@@ -89,29 +92,15 @@ impl Fnv {
     }
 }
 
-/// A dense engine's values enter the digest by their bits.
-fn exact(x: f64) -> u64 {
-    x.to_bits()
-}
-
-/// The sparse executor sums a measurement's probability over its
-/// hashmap in iteration order, which std's per-process hash seed
-/// varies, so its values can move in the last bits between two runs of
-/// the same binary. Its leg pins records and counts exactly and values
-/// to 2^-20.
-fn coarse(x: f64) -> u64 {
-    (x * (1u64 << 20) as f64).round() as i64 as u64
-}
-
-fn digest(sim: &Simulation, value: fn(f64) -> u64) -> u64 {
+fn digest(sim: &Simulation) -> u64 {
     let mut h = Fnv::new();
     for b in sim.branches() {
         h.bytes(b.result().as_bytes());
         h.word(u64::MAX);
-        h.word(value(b.probability()));
+        h.word(b.probability().to_bits());
         for amp in b.state().iter() {
-            h.word(value(amp.re));
-            h.word(value(amp.im));
+            h.word(amp.re.to_bits());
+            h.word(amp.im.to_bits());
         }
     }
     for (record, n) in sim.counts(1000, 7) {
@@ -291,9 +280,9 @@ fn actual() -> Vec<(String, &'static str, u64)> {
     for (name, c, init) in &cases {
         let kernel = dense(c, init, Backend::Kernel, true);
         let kron = dense(c, init, Backend::Kron, true);
-        out.push((name.clone(), "kernel", digest(&kernel, exact)));
-        out.push((name.clone(), "kron", digest(&kron, exact)));
-        out.push((name.clone(), "sparse", digest(&sparse_run(c, init), coarse)));
+        out.push((name.clone(), "kernel", digest(&kernel)));
+        out.push((name.clone(), "kron", digest(&kron)));
+        out.push((name.clone(), "sparse", digest(&sparse_run(c, init))));
     }
     let c = relabeled14();
     let plan = c.compile_with(&PlanOptions {
@@ -308,7 +297,7 @@ fn actual() -> Vec<(String, &'static str, u64)> {
     out.push((
         "relabeled14".to_string(),
         "kernel",
-        digest(&dense(&c, &init, Backend::Kernel, false), exact),
+        digest(&dense(&c, &init, Backend::Kernel, false)),
     ));
     out
 }

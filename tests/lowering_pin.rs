@@ -163,51 +163,51 @@ fn option_sets() -> Vec<(&'static str, PlanOptions)> {
 
 /// `(circuit, options, digest of the plan's description)`.
 const PINNED: &[(&str, &str, u64)] = &[
-    ("grover2", "default", 0x27bfc889cd8ea24e),
-    ("grover2", "cap3", 0x27bfc889cd8ea24e),
-    ("grover2", "cap4", 0x27bfc889cd8ea24e),
-    ("grover2", "unfused", 0xcd8fec0c4799dad5),
-    ("grover2", "sparse", 0xcd8fec0c4799dad5),
-    ("qec3", "default", 0x797007c1baa12e6b),
-    ("qec3", "cap3", 0x8848fab8ef17c380),
-    ("qec3", "cap4", 0x24940f8bfcc67306),
-    ("qec3", "unfused", 0x3571d999b7318b4d),
-    ("qec3", "sparse", 0x3571d999b7318b4d),
-    ("qft16", "default", 0x1906213b1c926d9a),
-    ("qft16", "cap3", 0xdbcfae1d5482875f),
-    ("qft16", "cap4", 0x50bd80e653a25fca),
-    ("qft16", "unfused", 0xdf2d62208c5a43da),
-    ("qft16", "sparse", 0xdf2d62208c5a43da),
-    ("rep25", "default", 0x88035446ed65f8eb),
-    ("rep25", "cap3", 0x5dc8171df1ed04b6),
-    ("rep25", "cap4", 0x976b90f96ee46dd1),
-    ("rep25", "unfused", 0x88035446ed65f8eb),
-    ("rep25", "sparse", 0x88035446ed65f8eb),
-    ("teleport", "default", 0xf79db2247df4c802),
-    ("teleport", "cap3", 0xa14504cc96a54840),
-    ("teleport", "cap4", 0xa14504cc96a54840),
-    ("teleport", "unfused", 0xc194693a5ce55613),
-    ("teleport", "sparse", 0xc194693a5ce55613),
-    ("layers20x8", "default", 0x089961659132a2e6),
-    ("layers20x8", "cap3", 0x411d618bf543372e),
-    ("layers20x8", "cap4", 0xc6852bfd3ef0324b),
-    ("layers20x8", "unfused", 0x9e1af20bf4e13f18),
-    ("layers20x8", "sparse", 0x9e1af20bf4e13f18),
-    ("layers12x10", "default", 0xdc902e11a715e6e8),
-    ("layers12x10", "cap3", 0x628b4b86143d18e9),
-    ("layers12x10", "cap4", 0x40f5d39808840789),
-    ("layers12x10", "unfused", 0xa27db6686314f34c),
-    ("layers12x10", "sparse", 0xa27db6686314f34c),
-    ("layers15x8", "default", 0x6b3c03ac295df11a),
-    ("layers15x8", "cap3", 0x25d5154361a423e5),
-    ("layers15x8", "cap4", 0x52047c23db9c4254),
-    ("layers15x8", "unfused", 0x3e60908659f5c207),
-    ("layers15x8", "sparse", 0x3e60908659f5c207),
-    ("layers6x40", "default", 0x245cf4264e8ad26c),
-    ("layers6x40", "cap3", 0xe9477c4454d8bbf1),
-    ("layers6x40", "cap4", 0x98961f7209d66f79),
-    ("layers6x40", "unfused", 0x80b104a246ef6ab5),
-    ("layers6x40", "sparse", 0x80b104a246ef6ab5),
+    ("grover2", "default", 0x694f8215c1596d41),
+    ("grover2", "cap3", 0x694f8215c1596d41),
+    ("grover2", "cap4", 0x694f8215c1596d41),
+    ("grover2", "unfused", 0x52f53a67f4d23dbf),
+    ("grover2", "sparse", 0x52f53a67f4d23dbf),
+    ("qec3", "default", 0x1c908875a35a0f9a),
+    ("qec3", "cap3", 0x22ab03f5a78a06a1),
+    ("qec3", "cap4", 0x3598860134079cb1),
+    ("qec3", "unfused", 0x4fde4eec85813332),
+    ("qec3", "sparse", 0x4fde4eec85813332),
+    ("qft16", "default", 0x7c73fbcfe70083ea),
+    ("qft16", "cap3", 0x74e34ee3406aa05d),
+    ("qft16", "cap4", 0x9691feb5603e9681),
+    ("qft16", "unfused", 0x975445ce1da08567),
+    ("qft16", "sparse", 0x975445ce1da08567),
+    ("rep25", "default", 0xc6a04fc0bc68cf3f),
+    ("rep25", "cap3", 0x274105b9077e2fef),
+    ("rep25", "cap4", 0xad18032b26b24187),
+    ("rep25", "unfused", 0xc6a04fc0bc68cf3f),
+    ("rep25", "sparse", 0xc6a04fc0bc68cf3f),
+    ("teleport", "default", 0x016d45e9375fe56a),
+    ("teleport", "cap3", 0xd1a6a06ed9594b60),
+    ("teleport", "cap4", 0xd1a6a06ed9594b60),
+    ("teleport", "unfused", 0x5dbb560e7c9921be),
+    ("teleport", "sparse", 0x5dbb560e7c9921be),
+    ("layers20x8", "default", 0x0b786fd5b9120295),
+    ("layers20x8", "cap3", 0x8de14ef63899242d),
+    ("layers20x8", "cap4", 0x1a9446b98fcf4415),
+    ("layers20x8", "unfused", 0x6d5854c8e502e7d5),
+    ("layers20x8", "sparse", 0x6d5854c8e502e7d5),
+    ("layers12x10", "default", 0xf02333c50cc69b91),
+    ("layers12x10", "cap3", 0x0cbb18e04faa76e2),
+    ("layers12x10", "cap4", 0x277ceb20654feb38),
+    ("layers12x10", "unfused", 0x350e5a55ce3962e3),
+    ("layers12x10", "sparse", 0x350e5a55ce3962e3),
+    ("layers15x8", "default", 0x9e26a865334a12ae),
+    ("layers15x8", "cap3", 0xdceaef0ffc5744af),
+    ("layers15x8", "cap4", 0x9458049b513acd74),
+    ("layers15x8", "unfused", 0xafd082f24dfb0356),
+    ("layers15x8", "sparse", 0xafd082f24dfb0356),
+    ("layers6x40", "default", 0x99635b4af30c30e0),
+    ("layers6x40", "cap3", 0x728a71dd6206692f),
+    ("layers6x40", "cap4", 0x2aff20a0dbe2100a),
+    ("layers6x40", "unfused", 0x0087d7e1600cdca9),
+    ("layers6x40", "sparse", 0x0087d7e1600cdca9),
 ];
 
 #[test]
