@@ -5,11 +5,11 @@
 //! algorithms used as benchmark workloads:
 //!
 //! * [`teleportation`] — paper Sec. 5.1 (mid-circuit measurements),
-//! * [`tomography`] — paper Sec. 5.2 (multi-basis measurement, `counts`),
+//! * [`tomography`](mod@tomography) — paper Sec. 5.2 (multi-basis measurement, `counts`),
 //! * [`grover`] — paper Sec. 5.3 (modular blocks), generalized to `n`
 //!   qubits with a success-probability sweep,
 //! * [`qec`] — paper Sec. 5.4 (repetition codes, multi-controlled gates),
-//! * [`qft`], [`phase_estimation`], [`ghz`], [`bernstein_vazirani`],
+//! * [`qft`](mod@qft), [`phase_estimation`], [`ghz`], [`bernstein_vazirani`],
 //!   [`deutsch_jozsa`] — further standard circuits.
 
 pub mod amplitude_estimation;

@@ -141,7 +141,6 @@ impl EngineOpts {
             kernel: self.kernel(),
             limits: self.limits(),
             control: self.control(),
-            ..SimOptions::default()
         }
     }
 }

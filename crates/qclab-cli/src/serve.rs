@@ -67,16 +67,11 @@ pub struct ServeOpts {
 
 impl ServeOpts {
     fn service_config(&self, engine: &EngineOpts) -> ServiceConfig {
-        let mut base = engine.trajectory();
-        // the worker pool is the parallelism; nested per-job threading
-        // would oversubscribe it (and standalone replays for the
-        // bit-identity contract use this same serial base)
-        base.parallel = false;
-        base.kernel.allow_parallel = false;
-        let mut config = ServiceConfig {
-            base,
-            ..ServiceConfig::default()
-        };
+        let mut config = ServiceConfig::default();
+        // the engine flags, under the default's serial policy
+        let allow_parallel = config.base.kernel.allow_parallel;
+        config.base = engine.trajectory();
+        config.base.kernel.allow_parallel = allow_parallel;
         if let Some(n) = self.workers {
             config.workers = n as usize;
         }

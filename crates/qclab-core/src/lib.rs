@@ -5,13 +5,14 @@
 //!
 //! * [`gates`] — the gate zoo and MATLAB-style factories,
 //! * [`measurement`] — single-qubit measurements in Z/X/Y/custom bases,
-//! * [`circuit`] — [`QCircuit`](circuit::QCircuit) with `push_back`,
+//! * [`circuit`] — [`QCircuit`] with `push_back`,
 //!   sub-circuits/blocks, adjoints and `to_matrix`,
 //! * [`program`] — the compile/execute split: circuits lower once to a
-//!   flat [`CompiledProgram`](program::CompiledProgram) IR (plan-cached
-//!   by structural fingerprint) that every backend executes,
-//! * [`sim`] — branching state-vector simulation with two backends
-//!   (sparse Kronecker à la QCLAB, in-place kernels à la QCLAB++),
+//!   flat [`CompiledProgram`] IR (plan-cached by structural
+//!   fingerprint) that every backend executes,
+//! * [`sim`] — branching state-vector simulation on in-place kernels
+//!   à la QCLAB++, with the sparse Kronecker product of QCLAB as its
+//!   test oracle ([`sim::kron::simulate`]),
 //! * [`reduced`] — reduced state vectors of partially measured registers.
 
 pub mod circuit;
@@ -46,7 +47,7 @@ pub use service::{
 pub use sim::density::{DensityState, NoiseChannel, NoiseModel};
 pub use sim::sparse::SparseState;
 pub use sim::stabilizer::{run_stabilizer, MeasureOutcome, StabilizerRun, StabilizerState};
-pub use sim::{Backend, Branch, RoutedState, SimOptions, Simulation};
+pub use sim::{Branch, RoutedState, SimOptions, Simulation};
 
 /// Everything needed to write paper-style circuit code.
 pub mod prelude {
@@ -56,5 +57,5 @@ pub mod prelude {
     pub use crate::gates::Gate;
     pub use crate::measurement::{Basis, Measurement};
     pub use crate::reduced::reduced_statevector;
-    pub use crate::sim::{Backend, SimOptions, Simulation};
+    pub use crate::sim::{SimOptions, Simulation};
 }

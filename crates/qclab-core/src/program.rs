@@ -134,23 +134,8 @@ impl fmt::Display for ProgramOp {
     }
 }
 
-/// State representation a plan is lowered for. Part of
-/// [`PlanOptions`] — and therefore of the plan-cache key — so plans
-/// lowered for the dense executors never cross-contaminate plans
-/// lowered for the sparse one, even when every other knob coincides.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PlanBackend {
-    /// Dense `2^n`-amplitude state vector (all historical executors).
-    #[default]
-    Dense,
-    /// Hashmap-of-nonzero-amplitudes state
-    /// ([`crate::sim::sparse`]).
-    Sparse,
-}
-
 /// Options of the lowering pipeline — exactly the knobs that change the
-/// produced op stream, plus the [`PlanBackend`] tag that keys plans per
-/// state representation (all of it is part of the plan-cache key).
+/// produced op stream (all of them are part of the plan-cache key).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanOptions {
     /// Run the gate-fusion pre-pass on the flattened op stream.
@@ -163,8 +148,6 @@ pub struct PlanOptions {
     /// LSB-stride SIMD kernels apply (inert for registers of
     /// ≤ [`SWEEP_TILE_QUBITS`] qubits).
     pub remap: bool,
-    /// State representation the plan targets (cache-key tag).
-    pub backend: PlanBackend,
 }
 
 impl Default for PlanOptions {
@@ -173,7 +156,6 @@ impl Default for PlanOptions {
             fuse: true,
             max_fused_qubits: fusion::DEFAULT_MAX_FUSED_QUBITS,
             remap: true,
-            backend: PlanBackend::Dense,
         }
     }
 }
@@ -181,29 +163,18 @@ impl Default for PlanOptions {
 impl PlanOptions {
     /// Lowering without the fusion pass — the right options for engines
     /// that execute the original gates one by one at their source
-    /// qubits: the density-matrix runner (noise locations), the
-    /// stabilizer tableau and the Pauli-frame sampler built on it
-    /// (Clifford gates only), the `to_matrix` oracles. The locality pass
-    /// is off too. The dense trajectory engine is *not* on this list: a
-    /// noisy shot runs the fused plan and finds its noise locations
-    /// through [`CompiledProgram::source`].
+    /// qubits: the sparse executor (fused dense blocks only coarsen its
+    /// support bound, and it has no stride for locality to serve), the
+    /// density-matrix runner (noise locations), the stabilizer tableau
+    /// and the Pauli-frame sampler built on it (Clifford gates only), the
+    /// `to_matrix` oracles. The locality pass is off too. The dense
+    /// trajectory engine is *not* on this list: a noisy shot runs the
+    /// fused plan and finds its noise locations through
+    /// [`CompiledProgram::source`].
     pub fn unfused() -> Self {
         PlanOptions {
             fuse: false,
             remap: false,
-            ..PlanOptions::default()
-        }
-    }
-
-    /// Lowering for the sparse executor: fused dense blocks and index-bit
-    /// locality buy a hashmap-of-amplitudes nothing (there is no stride
-    /// to optimize and fusion only coarsens the support bound), so both
-    /// passes are off and the plan is tagged [`PlanBackend::Sparse`].
-    pub fn sparse() -> Self {
-        PlanOptions {
-            fuse: false,
-            remap: false,
-            backend: PlanBackend::Sparse,
             ..PlanOptions::default()
         }
     }
@@ -222,7 +193,6 @@ impl From<&KernelConfig> for PlanOptions {
             fuse: cfg.fuse,
             max_fused_qubits: cfg.max_fused_qubits,
             remap: cfg.remap,
-            backend: PlanBackend::Dense,
         }
     }
 }
@@ -929,8 +899,8 @@ fn is_permutation_matrix((dim, entries): (usize, &[C64])) -> bool {
 /// Upper-bound nonzero-amplitude count of a sparse execution of the flat
 /// stream from a basis initial state (see [`PlanStats::sparse_entries`]).
 /// Computed on the *unfused* stream so the bound is identical across
-/// dense- and sparse-tagged plans of one circuit: fusion would coarsen a
-/// run of support-preserving gates into one dense block.
+/// every plan of one circuit: fusion would coarsen a run of
+/// support-preserving gates into one dense block.
 fn estimate_sparse_entries(flat: &[CircuitItem], mats: &TargetMatrices, nb_qubits: usize) -> u128 {
     let cap: u128 = if nb_qubits >= 127 {
         u128::MAX

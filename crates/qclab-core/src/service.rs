@@ -46,10 +46,10 @@
 
 use crate::circuit::QCircuit;
 use crate::error::QclabError;
-use crate::program::BackendRequest;
+use crate::program::{plan_cache_capacity, BackendRequest};
 use crate::sim::control::{ExecutionControl, StopCause};
 use crate::sim::trajectory::{run_trajectories, TrajectoryConfig, TrajectoryResult};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -169,9 +169,10 @@ pub struct JobTelemetry {
     pub run_ms: f64,
     /// Submission → result.
     pub wall_ms: f64,
-    /// `true` when this scheduler had already compiled the job's
-    /// fingerprint (the plan — and its bytecode/frame lowerings — came
-    /// from the cache instead of being lowered again).
+    /// `true` when the job's fingerprint is among the
+    /// [`plan_cache_capacity`] this scheduler accepted most recently: the
+    /// plan — and its bytecode/frame lowerings — can still be on the
+    /// cache instead of being lowered again.
     pub dedup_hit: bool,
     /// `true` when the job's seed-independent preparation (evolved
     /// prefix, marginal, sampler) was already on its cached plan:
@@ -239,8 +240,8 @@ pub struct ServiceConfig {
     /// Template configuration every job executes with; `seed`, `shots`
     /// and `control` come from the job. Its `limits` field is the
     /// per-job guard. The default keeps kernels and shot fan-out serial
-    /// (`parallel: false`, `allow_parallel: false`): the worker pool is
-    /// the parallelism, and nested threading would oversubscribe it.
+    /// (`kernel.allow_parallel: false`): the worker pool is the
+    /// parallelism, and nested threading would oversubscribe it.
     pub base: TrajectoryConfig,
 }
 
@@ -252,10 +253,7 @@ impl Default for ServiceConfig {
             .clamp(1, 16);
         // workers are the parallelism: each job runs serially so N
         // jobs never oversubscribe the cores N workers already own
-        let mut base = TrajectoryConfig {
-            parallel: false,
-            ..TrajectoryConfig::default()
-        };
+        let mut base = TrajectoryConfig::default();
         base.kernel.allow_parallel = false;
         ServiceConfig {
             workers,
@@ -277,8 +275,8 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Jobs resolved as cancelled (queued or running).
     pub cancelled: u64,
-    /// Accepted jobs whose circuit fingerprint this scheduler had
-    /// already compiled (they shared a cached/in-flight plan).
+    /// Accepted jobs that were a dedup hit
+    /// ([`JobTelemetry::dedup_hit`]).
     pub dedup_hits: u64,
 }
 
@@ -301,8 +299,27 @@ struct SchedState {
     queue: Vec<QueuedJob>,
     running_bytes: u64,
     closed: bool,
-    /// Fingerprints this scheduler has accepted (dedup telemetry).
-    seen: HashSet<u64>,
+    /// Fingerprints of the jobs accepted most recently, least recently
+    /// used first — as many as the plan cache holds plans, so a hit names
+    /// a plan the cache can still hold, and a long-running server keeps a
+    /// bounded window (dedup telemetry).
+    seen: Vec<u64>,
+}
+
+impl SchedState {
+    /// Moves `fingerprint` to the recent end of the window, dropping the
+    /// least recently used past the plan cache's capacity; `true` if it
+    /// was already in the window.
+    fn see(&mut self, fingerprint: u64) -> bool {
+        let at = self.seen.iter().position(|&f| f == fingerprint);
+        if let Some(at) = at {
+            self.seen.remove(at);
+        }
+        self.seen.push(fingerprint);
+        let over = self.seen.len().saturating_sub(plan_cache_capacity());
+        self.seen.drain(..over);
+        at.is_some()
+    }
 }
 
 #[derive(Default)]
@@ -523,7 +540,7 @@ impl Scheduler {
                 format!("queue is full ({depth} jobs) — retry later"),
             );
         }
-        let dedup_hit = !st.seen.insert(fingerprint);
+        let dedup_hit = st.see(fingerprint);
         let id = spec.id.clone();
         st.queue.push(QueuedJob {
             deadline: spec.timeout_ms.map(|ms| now + Duration::from_millis(ms)),

@@ -9,7 +9,7 @@
 //! scatter-offset table, and the cache-blocked sweep's tile lowering.
 //! Each instruction is
 //! an opcode plus fully-resolved operands
-//! ([`kernel::PreparedOp`]/[`kernel::TilePre`] — matrix slot, stride,
+//! (the kernel's `PreparedOp`/`TilePre` — matrix slot, stride,
 //! masks, offset table), stored in the plan itself, which lives in the
 //! fingerprint-keyed plan cache. A cache hit therefore skips both
 //! lowering *and* preparation.
@@ -169,17 +169,18 @@ pub(crate) fn execute_dense(
             Instr::Fence => {}
             Instr::Permute { perm, map: new_map } => {
                 for b in branches.iter_mut() {
-                    b.state.permute(perm, n, opts);
+                    b.state.permute(perm, n, &opts.kernel);
                 }
                 map = new_map.as_deref();
             }
             Instr::Measure(m) => {
                 let old = std::mem::take(branches);
-                *branches = split_branches(old, m.qubit(), Some(m), opts, &opts.limits, n, map)?;
+                *branches =
+                    split_branches(old, m.qubit(), Some(m), &opts.kernel, &opts.limits, n, map)?;
             }
             Instr::Reset(q) => {
                 let old = std::mem::take(branches);
-                *branches = split_branches(old, *q, None, opts, &opts.limits, n, map)?;
+                *branches = split_branches(old, *q, None, &opts.kernel, &opts.limits, n, map)?;
             }
         }
         ticker.tick_n(ops)?;

@@ -31,7 +31,7 @@
 //! With the `chaos` cargo feature, this module also hosts the
 //! fault-injection hook (modeled on the trajectory noise-injection
 //! style: a process-global armed fault instead of a per-gate channel):
-//! [`chaos::arm`] schedules a forced cancellation, a synthetic
+//! `chaos::arm` schedules a forced cancellation, a synthetic
 //! allocation refusal, or a panic after a chosen number of op
 //! boundaries, which the ticker fires from the same call sites the real
 //! checks use. The chaos test suite drives it through every executor to

@@ -56,9 +56,9 @@
 //! executes those gates one by one, so its plan is the
 //! [`unfused`](crate::program::PlanOptions::unfused) one, and the lowered
 //! [`FrameProgram`] is cached on it, riding the fingerprint-keyed plan
-//! cache. Routing happens in
-//! [`run_trajectories`](crate::sim::trajectory::run_trajectories);
-//! [`TrajectoryConfig::frames`] opts out.
+//! cache. Routing happens in [`route`](crate::sim::trajectory::route);
+//! [`Reference::NoFrames`](crate::sim::trajectory::Reference::NoFrames)
+//! opts out.
 
 use crate::error::QclabError;
 use crate::gates::Gate;
@@ -695,7 +695,7 @@ pub(crate) fn run_frames(
     // fan-out round can hand it
     let round = config.shots.clamp(1, ROUND_SHOTS) as usize;
     let lanes = config.shot_batch.max(1).saturating_mul(64).min(round);
-    let alive = if config.parallel {
+    let alive = if config.kernel.allow_parallel {
         rayon::current_num_threads().min(round.div_ceil(lanes))
     } else {
         1

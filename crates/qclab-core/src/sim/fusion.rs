@@ -9,7 +9,7 @@
 //! can execute in far fewer than `g` sweeps.
 //!
 //! The pass mirrors the causal-adjacency bookkeeping of
-//! [`crate::optimize`]: a per-qubit pointer to the last emitted item.
+//! [`crate::optimize`](mod@crate::optimize): a per-qubit pointer to the last emitted item.
 //! A gate is merged into the *latest* block touching any of its qubits.
 //! That is always causally sound: if `j` is the maximum `last_on` index
 //! over the gate's qubits, no item after `j` touches any of those
@@ -21,7 +21,7 @@
 //! unitary product) and is verified by three-way differential property
 //! tests against both unfused backends.
 //!
-//! The pass also reports where every input item went ([`Placed`]): noise
+//! The pass also reports where every input item went (`Placed`): noise
 //! strikes at *source* gates, so an engine that executes the fused
 //! schedule needs the way back (`sim::walk::Landings`).
 

@@ -31,11 +31,11 @@ use rayon::prelude::*;
 /// fan-out costs more than it saves.
 pub const PARALLEL_THRESHOLD_QUBITS: usize = 18;
 
-/// `(bit position, required value)` pairs precomputed from a gate's
-/// control specification.
-type CtrlMasks = (usize, usize); // (mask, required-bits pattern)
+/// `(mask, want)` test precomputed from a gate's control list: index `i`
+/// satisfies the controls iff `i & mask == want`.
+type CtrlMasks = (usize, usize);
 
-fn control_masks(controls: &[(usize, u8)], n: usize) -> CtrlMasks {
+pub(crate) fn control_masks(controls: &[(usize, u8)], n: usize) -> CtrlMasks {
     let mut mask = 0usize;
     let mut want = 0usize;
     for &(q, s) in controls {
@@ -1009,7 +1009,7 @@ mod tests {
         // all 8 flag combinations must agree bit-for-bit in semantics;
         // the circuit goes through `simulate_with` so the `fuse` flag
         // exercises the fusion pre-pass, not just the per-gate dispatch
-        use crate::sim::{Backend, SimOptions};
+        use crate::sim::SimOptions;
         let n = 6;
         let mut circuit = crate::circuit::QCircuit::new(n);
         circuit
@@ -1031,7 +1031,6 @@ mod tests {
                     ..KernelConfig::default()
                 };
                 let opts = SimOptions {
-                    backend: Backend::Kernel,
                     kernel: cfg,
                     ..SimOptions::default()
                 };

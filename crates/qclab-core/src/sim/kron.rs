@@ -6,10 +6,15 @@
 //! gate application a fresh [`CsrMat`] of `O(2^n)` stored entries is
 //! built and applied. It is the reference backend the optimized kernels
 //! of [`super::kernel`] were measured against (recorded in EXPERIMENTS.md
-//! F1), and the two backends are property-tested to agree on random
-//! circuits.
+//! F1), and [`simulate`] — the whole branch tree on it — is the oracle
+//! the dense engine is property-tested against on random circuits.
 
+use super::guard::ResourceLimits;
+use super::{walk_branches, BranchState, SimOptions, Simulation};
+use crate::circuit::QCircuit;
+use crate::error::QclabError;
 use crate::gates::Gate;
+use crate::program::PlanOptions;
 use qclab_math::bits;
 use qclab_math::scalar::{cr, C64};
 use qclab_math::{CVec, CsrMat};
@@ -54,6 +59,68 @@ pub fn apply_gate(gate: &Gate, state: &mut CVec, n: usize) {
     let u = extended_unitary(gate, n);
     let out = u.matvec(state);
     state.0 = out;
+}
+
+/// [`QCircuit::simulate_with`] on the Kronecker oracle: every gate —
+/// measurement basis changes and reset corrections included — is the
+/// register-wide unitary of [`apply_gate`], walked op by op over the
+/// shared branch tree. It honours `opts.kernel.fuse` and
+/// `max_fused_qubits` (a fused block is one more gate); the locality
+/// pass is off, since index-bit locality buys a sparse product nothing.
+pub fn simulate(
+    circuit: &QCircuit,
+    initial: &CVec,
+    opts: &SimOptions,
+) -> Result<Simulation, QclabError> {
+    let n = circuit.nb_qubits();
+    let plan = circuit.compile_with(&PlanOptions {
+        remap: false,
+        ..PlanOptions::from(&opts.kernel)
+    });
+    let mut sim = circuit
+        .start(initial, &opts.limits)?
+        .map_states(|s| Ok(Oracle(s)))?;
+    let mut ticker = opts.control.ticker();
+    walk_branches(
+        &mut sim.branches,
+        plan.ops(),
+        &(),
+        &opts.limits,
+        n,
+        &mut ticker,
+    )?;
+    sim.map_states(|s| Ok(s.0))
+}
+
+/// A dense branch state whose gates go through [`apply_gate`].
+struct Oracle(CVec);
+
+impl BranchState for Oracle {
+    type Engine = ();
+
+    fn apply(&mut self, gate: &Gate, n: usize, _: &()) {
+        apply_gate(gate, &mut self.0, n);
+    }
+
+    fn permute(&mut self, _: &[usize], _: usize, _: &()) {
+        unreachable!("the oracle lowers without the locality pass")
+    }
+
+    fn z_probabilities(&self, n: usize, q: usize, map: Option<&[usize]>) -> (f64, f64) {
+        self.0.z_probabilities(n, q, map)
+    }
+
+    fn collapsed(&self, n: usize, q: usize, bit: usize, p: f64, map: Option<&[usize]>) -> Self {
+        Oracle(self.0.collapsed(n, q, bit, p, map))
+    }
+
+    fn live(&self) -> u128 {
+        0
+    }
+
+    fn admit(limits: &ResourceLimits, n: usize, kept: usize, live: u128) -> Result<(), QclabError> {
+        CVec::admit(limits, n, kept, live)
+    }
 }
 
 #[cfg(test)]

@@ -16,13 +16,11 @@
 //! resource guard charges — while the measurement/reset split
 //! (`split_branches`) and the op walk over a
 //! [`CompiledProgram`](program::CompiledProgram) (`walk_branches`) exist
-//! once. The dense bytecode executor ([`bytecode::execute_dense`]) runs
-//! its own instruction stream and calls the same split.
+//! once. The dense bytecode executor runs its own instruction stream of
+//! in-place kernels (the QCLAB++ strategy) and calls the same split.
 //!
-//! Two interchangeable dense gate-application backends are provided:
-//! [`Backend::Kron`] (sparse extended unitary — the MATLAB QCLAB
-//! strategy, run on the shared op walk as the test oracle) and
-//! [`Backend::Kernel`] (in-place kernels — the QCLAB++ strategy). They are
+//! [`kron::simulate`] is the test oracle: the sparse extended unitary of
+//! the MATLAB QCLAB strategy, run on the shared op walk. The two are
 //! property-tested against each other (`tests/backend_equivalence.rs`);
 //! their speed gap is recorded in EXPERIMENTS.md F1.
 
@@ -60,25 +58,13 @@ use std::collections::BTreeMap;
 /// instead of spawning a branch.
 const BRANCH_TOL: f64 = 1e-12;
 
-/// Gate-application strategy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Build the sparse register-wide unitary per gate and multiply
-    /// (MATLAB QCLAB, paper Sec. 3.2).
-    Kron,
-    /// Apply gates in place with specialized kernels (QCLAB++).
-    Kernel,
-}
-
 /// Options controlling a simulation run.
 #[derive(Clone, Debug)]
 pub struct SimOptions {
-    /// Gate-application backend (default: [`Backend::Kernel`]).
-    pub backend: Backend,
     /// Kernel dispatch configuration: the gate-fusion pre-pass
-    /// (`kernel.fuse` / `kernel.max_fused_qubits`, honoured by both
-    /// backends) and the locality pass and parallel/SIMD switches
-    /// (kernel backend only).
+    /// (`kernel.fuse` / `kernel.max_fused_qubits`, honoured by the
+    /// [`kron::simulate`] oracle too), the locality pass and the
+    /// parallel/SIMD switches.
     pub kernel: kernel::KernelConfig,
     /// Resource limits checked before the state allocation; oversized
     /// registers come back as [`QclabError::ResourceExhausted`] instead
@@ -93,7 +79,6 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            backend: Backend::Kernel,
             kernel: kernel::KernelConfig::default(),
             limits: ResourceLimits::default(),
             control: control::ExecutionControl::none(),
@@ -339,7 +324,24 @@ impl QCircuit {
         initial: &CVec,
         opts: &SimOptions,
     ) -> Result<Simulation, QclabError> {
-        let dim = opts.limits.check_register(self.nb_qubits())?;
+        let mut sim = self.start(initial, &opts.limits)?;
+        // lower through the shared compile/execute split — the plan
+        // cache makes repeated simulation of one circuit lower once
+        let bc = self
+            .compile_with(&PlanOptions::from(&opts.kernel))
+            .bytecode();
+        // op-boundary deadline/cancel checks; a no-op for the default
+        // (disabled) control, so results are unaffected by its presence
+        let mut ticker = opts.control.ticker();
+        bytecode::execute_dense(&bc, &mut sim.branches, opts, &mut ticker)?;
+        Ok(sim)
+    }
+
+    /// The tree a dense run of this circuit starts from, once `initial`
+    /// is admitted: a register the limits allow, a vector of its
+    /// dimension, normalized.
+    fn start(&self, initial: &CVec, limits: &ResourceLimits) -> Result<Simulation, QclabError> {
+        let dim = limits.check_register(self.nb_qubits())?;
         if initial.len() != dim {
             return Err(QclabError::DimensionMismatch {
                 expected: dim,
@@ -350,30 +352,7 @@ impl QCircuit {
         if (norm - 1.0).abs() > 1e-6 {
             return Err(QclabError::NotNormalized { norm });
         }
-
-        let n = self.nb_qubits();
-        let mut sim = Simulation::start(n, initial.clone());
-        // lower through the shared compile/execute split — the plan
-        // cache makes repeated simulation of one circuit lower once
-        let mut plan_opts = PlanOptions::from(&opts.kernel);
-        // op-boundary deadline/cancel checks; a no-op for the default
-        // (disabled) control, so results are unaffected by its presence
-        let mut ticker = opts.control.ticker();
-        match opts.backend {
-            Backend::Kernel => {
-                let bc = self.compile_with(&plan_opts).bytecode();
-                bytecode::execute_dense(&bc, &mut sim.branches, opts, &mut ticker)?;
-            }
-            // the test oracle: register-wide sparse unitaries, one op at
-            // a time; index-bit locality buys it nothing
-            Backend::Kron => {
-                plan_opts.remap = false;
-                let program = self.compile_with(&plan_opts);
-                let ops = program.ops();
-                walk_branches(&mut sim.branches, ops, opts, &opts.limits, n, &mut ticker)?;
-            }
-        }
-        Ok(sim)
+        Ok(Simulation::start(self.nb_qubits(), initial.clone()))
     }
 }
 
@@ -416,9 +395,9 @@ impl QCircuit {
         }
         // the support bound is computed on the unfused stream, so any
         // plan of this circuit reports the same estimate; lowering the
-        // sparse-tagged plan avoids building dense fused blocks for a
-        // register the dense engine may not even admit
-        let probe = self.compile_with(&PlanOptions::sparse());
+        // unfused plan the sparse executor runs avoids building dense
+        // fused blocks for a register the dense engine may not even admit
+        let probe = self.compile_with(&PlanOptions::unfused());
         let choice =
             program::resolve_backend(request, probe.stats(), self.nb_qubits(), &opts.limits)?;
         let run_sparse = || {
@@ -467,8 +446,8 @@ impl QCircuit {
 /// logical→physical layout (`None` = identity) of a state the locality
 /// pass relabeled, and the engine resolves the qubit through it.
 pub(crate) trait BranchState: Sized {
-    /// What applying a gate takes beside the state: the dense backend
-    /// and kernel switches, nothing for a sparse state.
+    /// What applying a gate takes beside the state: the kernel switches
+    /// of a dense state, nothing for a sparse one or the oracle's.
     type Engine;
 
     /// Applies `gate` (physical qubits) in place.
@@ -495,17 +474,14 @@ pub(crate) trait BranchState: Sized {
 }
 
 impl BranchState for CVec {
-    type Engine = SimOptions;
+    type Engine = kernel::KernelConfig;
 
-    fn apply(&mut self, gate: &Gate, n: usize, opts: &SimOptions) {
-        match opts.backend {
-            Backend::Kron => kron::apply_gate(gate, self, n),
-            Backend::Kernel => kernel::apply_gate_with(gate, self, n, &opts.kernel),
-        }
+    fn apply(&mut self, gate: &Gate, n: usize, cfg: &kernel::KernelConfig) {
+        kernel::apply_gate_with(gate, self, n, cfg);
     }
 
-    fn permute(&mut self, perm: &[usize], n: usize, opts: &SimOptions) {
-        let parallel = opts.kernel.allow_parallel && n >= kernel::PARALLEL_THRESHOLD_QUBITS;
+    fn permute(&mut self, perm: &[usize], n: usize, cfg: &kernel::KernelConfig) {
+        let parallel = cfg.allow_parallel && n >= kernel::PARALLEL_THRESHOLD_QUBITS;
         kernel::permute_state(self, n, perm, parallel);
     }
 
@@ -705,13 +681,12 @@ mod tests {
     #[test]
     fn both_backends_agree_on_branching() {
         let circuit = bell_with_measurements();
-        for backend in [Backend::Kron, Backend::Kernel] {
-            let opts = SimOptions {
-                backend,
-                ..Default::default()
-            };
-            let init = CVec::from_bitstring("00").unwrap();
-            let sim = circuit.simulate_with(&init, &opts).unwrap();
+        let init = CVec::from_bitstring("00").unwrap();
+        let opts = SimOptions::default();
+        for sim in [
+            circuit.simulate_with(&init, &opts).unwrap(),
+            kron::simulate(&circuit, &init, &opts).unwrap(),
+        ] {
             assert_eq!(sim.results(), &["00", "11"]);
         }
     }
@@ -898,9 +873,9 @@ mod tests {
         reset.push_back(crate::circuit::CircuitItem::Reset(1));
 
         let state = guard::ResourceLimits::state_bytes(2).unwrap();
-        for backend in [Backend::Kernel, Backend::Kron] {
+        let zero = CVec::from_bitstring("00").unwrap();
+        for backend in ["kernel", "kron"] {
             let capped = |bytes: u128| SimOptions {
-                backend,
                 limits: guard::ResourceLimits {
                     max_qubits: None,
                     max_state_bytes: bytes,
@@ -908,8 +883,12 @@ mod tests {
                 ..SimOptions::default()
             };
             let branches = |c: &QCircuit, bytes| {
-                c.simulate_bitstring_with("00", &capped(bytes))
-                    .map(|sim| sim.branches().len())
+                let opts = capped(bytes);
+                match backend {
+                    "kernel" => c.simulate_with(&zero, &opts),
+                    _ => kron::simulate(c, &zero, &opts),
+                }
+                .map(|sim| sim.branches().len())
             };
             // three 2-qubit states (64 B each) exactly at the cap
             assert_eq!(branches(&three, 3 * state), Ok(3), "{backend:?}");

@@ -6,7 +6,7 @@
 //! low-entanglement workloads keep all but a handful at exactly zero.
 //! This executor stores only the nonzero support, so its memory and
 //! per-gate cost scale with the *live-entry count* instead of `2^n` —
-//! [`guard::ResourceLimits`] admission goes through
+//! [`ResourceLimits`] admission goes through
 //! [`check_sparse_entries`](ResourceLimits::check_sparse_entries)
 //! rather than the dense byte estimate, opening 30+ qubit registers the
 //! dense engine guard-refuses.
@@ -23,7 +23,7 @@
 //! uncompute half of an oracle) shrinks the support back down instead of
 //! accumulating dead entries.
 //!
-//! Use [`PlanOptions::sparse()`](crate::program::PlanOptions::sparse)
+//! Use [`PlanOptions::unfused()`](crate::program::PlanOptions::unfused)
 //! when lowering for this executor: fusion would coarsen
 //! support-preserving gate runs into dense blocks and the locality pass
 //! optimizes a stride that a hashmap does not have. The automatic
@@ -37,6 +37,7 @@ use std::hash::BuildHasherDefault;
 
 use super::control::ExecutionControl;
 use super::guard::ResourceLimits;
+use super::kernel::control_masks;
 use super::{walk_branches, BranchState, Simulation};
 use crate::error::QclabError;
 use crate::gates::Gate;
@@ -48,21 +49,6 @@ use qclab_math::{bits, CVec, C64};
 /// 1e-12 equivalence tolerance the differential suite asserts, so
 /// pruning is invisible at that precision.
 pub const DEFAULT_PRUNE_EPS: f64 = 1e-14;
-
-/// `(mask, want)` test precomputed from a gate's control list: index `i`
-/// satisfies the controls iff `i & mask == want`.
-fn control_masks(controls: &[(usize, u8)], n: usize) -> (usize, usize) {
-    let mut mask = 0usize;
-    let mut want = 0usize;
-    for &(q, s) in controls {
-        let bit = 1usize << bits::qubit_shift(q, n);
-        mask |= bit;
-        if s == 1 {
-            want |= bit;
-        }
-    }
-    (mask, want)
-}
 
 /// A map keyed by basis index, hashed with fixed keys: its order — and
 /// every sum taken in it — is the same in every process, where std's
@@ -351,7 +337,7 @@ mod tests {
     use crate::program::{self, PlanOptions};
 
     fn run_sparse(c: &QCircuit, bits_str: &str) -> Simulation<SparseState> {
-        let program = program::compile(c, &PlanOptions::sparse());
+        let program = program::compile(c, &PlanOptions::unfused());
         let initial = SparseState::from_bitstring(bits_str).unwrap();
         execute(&program, initial, &ResourceLimits::default()).unwrap()
     }
@@ -418,7 +404,7 @@ mod tests {
         for q in 0..n {
             c.push_back(Hadamard::new(q));
         }
-        let program = program::compile(&c, &PlanOptions::sparse());
+        let program = program::compile(&c, &PlanOptions::unfused());
         let limits = ResourceLimits {
             max_qubits: None,
             max_state_bytes: 1 << 20,
@@ -435,7 +421,7 @@ mod tests {
         let mut c = QCircuit::new(2);
         c.push_back(Measurement::x(0));
         c.push_back(Measurement::x(1));
-        let program = program::compile(&c, &PlanOptions::sparse());
+        let program = program::compile(&c, &PlanOptions::unfused());
         let at = |entries: u128| ResourceLimits {
             max_qubits: None,
             max_state_bytes: entries * super::super::guard::SPARSE_ENTRY_BYTES,
@@ -455,7 +441,7 @@ mod tests {
     fn a_mismatched_initial_width_is_an_error_not_an_overflow() {
         let mut c = QCircuit::new(2);
         c.push_back(Hadamard::new(0));
-        let program = program::compile(&c, &PlanOptions::sparse());
+        let program = program::compile(&c, &PlanOptions::unfused());
         let limits = ResourceLimits::default();
         for (width, actual) in [(3, 8), (70, usize::MAX)] {
             let err = execute(&program, SparseState::basis_state(width, 0), &limits).unwrap_err();

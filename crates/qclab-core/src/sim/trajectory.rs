@@ -29,7 +29,7 @@
 //! order as far as its last hit (`NoisePlan::draw_shot`: the hits, and
 //! the uniform of every collapse among them), maps each hit to where it
 //! lands in the plan
-//! ([`walk::Landings`]) and sorts them — fusion merges gates backward, so
+//! (`walk::Landings`) and sorts them — fusion merges gates backward, so
 //! landing order is not stream order — and only then executes. A hit
 //! between two ops is a Pauli between two kernels; an op with a hit
 //! *inside* it is replayed from its source gates, that op only.
@@ -41,10 +41,10 @@
 //! one function of (the state at the block, one uniform from the shot's
 //! `(seed, shot)` stream): rotate the measured qubits into their bases,
 //! take the joint marginal, prefix-sum it
-//! ([`CdfTable`](super::sampler::CdfTable)), bisect
+//! ([`CdfTable`]), bisect
 //! (`ShotState::terminal_table`). Who pays for the table is all that
 //! differs between paths: a run builds it **once** from the noiseless
-//! evolution (and may keep it on the plan, [`PrepSlot`]); a noiseless
+//! evolution (and may keep it on the plan, `PrepSlot`); a noiseless
 //! run draws every shot from it; a noisy lane whose walk has no hit is
 //! still *exactly* that state and draws from it too — no clone, no
 //! kernel, no state; only a lane that injected an error builds the
@@ -289,27 +289,25 @@ pub struct TrajectoryConfig {
     pub shots: u64,
     /// Noise locations and channels.
     pub noise: NoiseSpec,
-    /// Kernel dispatch configuration (fusion, SIMD, parallel kernels) —
-    /// the same for noisy and noiseless runs: one plan serves both.
+    /// Kernel dispatch configuration (fusion, SIMD, parallelism) — the
+    /// same for noisy and noiseless runs: one plan serves both.
     /// `fuse: false, remap: false` executes the source gates one by one
     /// (the reference the fused plan is differentially tested against).
+    /// `allow_parallel` is the run's one parallelism switch: on, shots
+    /// (and Pauli-frame batches) fan out over the Rayon workers and a
+    /// terminal table's one-time evolution uses the parallel kernels; a
+    /// shot's own kernels are always serial, so nothing nests.
     pub kernel: KernelConfig,
     /// Resource limits checked before the per-shot state allocation.
     pub limits: ResourceLimits,
     /// Norm-drift watchdog.
     pub watchdog: WatchdogConfig,
-    /// Sample trajectories in parallel (one Rayon task per shot). The
-    /// per-shot kernels then run single-threaded to avoid nested
-    /// parallelism.
-    pub parallel: bool,
     /// Observables whose expectations are averaged over the final states
     /// of all shots (must match the circuit's register size).
     pub observables: Vec<Observable>,
-    /// Share the evolution that shots have in common (the prefix forked,
-    /// the terminal table, the sparse path — [`route`]). Results are `==`
-    /// either way; off, every shot evolves and tabulates its own state
-    /// from op 0, the reference the shared paths are tested against.
-    pub fast_path: bool,
+    /// The product route (the default), or one of the reference routes
+    /// the differential tests compare it against. Read only by [`route`].
+    pub reference: Reference,
     /// State representation of the shot engine: the default pins the
     /// dense engine, `Auto`/`Sparse` open the sparse prefix-sampling path
     /// ([`route`]) to 30+ qubit registers the dense guard refuses.
@@ -322,12 +320,6 @@ pub struct TrajectoryConfig {
     /// bit-identical to the same shots of an uncontrolled run. The
     /// default ([`ExecutionControl::none`]) is a no-op.
     pub control: ExecutionControl,
-    /// Let eligible noisy runs ([`route`]) take the Pauli-frame engine
-    /// ([`crate::sim::frame`]): `O(poly n)` per shot where the state
-    /// vector pays `O(2^n)`. Statistically equivalent, not bit-identical
-    /// — a frame shot flips a coin where a state-vector shot collapses an
-    /// amplitude. Disable to force the state-vector trajectory engine.
-    pub frames: bool,
     /// Batch width. On the Pauli-frame path a batch is `shot_batch`
     /// *words* of 64 bit-sliced lanes (the default is 4096 shots per
     /// batch). On the per-shot/forked paths it is shots per batch: a batch
@@ -350,15 +342,31 @@ impl Default for TrajectoryConfig {
             kernel: KernelConfig::default(),
             limits: ResourceLimits::default(),
             watchdog: WatchdogConfig::default(),
-            parallel: true,
             observables: Vec::new(),
-            fast_path: true,
+            reference: Reference::Product,
             backend: BackendRequest::Dense,
             control: ExecutionControl::none(),
-            frames: true,
             shot_batch: DEFAULT_SHOT_BATCH,
         }
     }
+}
+
+/// Which route [`route`] takes: the product's, or a reference route that
+/// gives up one shortcut so a test can compare the product against it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reference {
+    /// Every shortcut the run's shape allows.
+    Product,
+    /// No shared evolution: every shot evolves and tabulates its own
+    /// state from op 0 — no forked prefix, no terminal table, no sparse
+    /// prefix sampling (the Pauli frames stay eligible). Results are
+    /// `==` the product's.
+    NoSharing,
+    /// No Pauli frames: a noisy Clifford run stays on the state-vector
+    /// engine. Statistically equivalent to the product, not bit-identical
+    /// — a frame shot flips a coin where a state-vector shot collapses an
+    /// amplitude.
+    NoFrames,
 }
 
 /// Default [`TrajectoryConfig::shot_batch`]: large enough to amortize
@@ -1162,9 +1170,8 @@ impl TerminalBlock {
 struct Terminal {
     block: TerminalBlock,
     /// The table of the run's noiseless evolution, which every lane that
-    /// injects nothing draws from. `None` with
-    /// [`TrajectoryConfig::fast_path`] off: every lane then tabulates
-    /// its own state.
+    /// injects nothing draws from. `None` on [`Reference::NoSharing`]:
+    /// every lane then tabulates its own state.
     shared: Option<Arc<SampledPrep>>,
 }
 
@@ -1332,13 +1339,12 @@ fn run_shot_batch(
     run_lane(reference, last, &mut forks[last])
 }
 
-/// The kernel configuration a shot actually runs with: when shots are
-/// sampled in parallel the per-shot kernels stay single-threaded (no
-/// nested parallelism — the trajectory fan-out already saturates the
-/// cores).
+/// The kernel configuration a shot actually runs with: single-threaded,
+/// whether or not the shots fan out — the fan-out is the parallelism,
+/// and a serial run asked for none.
 fn shot_kernel_config(config: &TrajectoryConfig) -> KernelConfig {
     KernelConfig {
-        allow_parallel: config.kernel.allow_parallel && !config.parallel,
+        allow_parallel: false,
         ..config.kernel
     }
 }
@@ -1669,9 +1675,9 @@ pub struct Route {
     /// run's [`TrajectoryResult::path`] reports.
     pub path: ShotPath,
     /// The plan the run executes, and so its [`PlanOptions`]:
-    /// [`PlanOptions::sparse`] on the sparse path,
-    /// [`PlanOptions::unfused`] for Pauli frames (the engine executes
-    /// source gates), the kernel configuration's everywhere else.
+    /// [`PlanOptions::unfused`] on the sparse path and for Pauli frames
+    /// (both engines execute source gates), the kernel configuration's
+    /// everywhere else.
     pub program: Arc<CompiledProgram>,
     /// A forked or per-shot ensemble whose terminal block is drawn from
     /// the noiseless evolution's table by every lane that injects no
@@ -1703,6 +1709,7 @@ pub fn route(
 ) -> Result<Route, QclabError> {
     let n = circuit.nb_qubits();
     let noiseless = config.noise.is_noiseless();
+    let shares = config.reference != Reference::NoSharing;
     let routed = |path, program, shares_table, why| Route {
         path,
         program,
@@ -1713,10 +1720,10 @@ pub fn route(
     // sparse-eligible wide registers are not refused on the dense byte
     // estimate.
     if initial.is_none() && config.backend != BackendRequest::Dense {
-        let program = circuit.compile_with(&PlanOptions::sparse());
+        let program = circuit.compile_with(&PlanOptions::unfused());
         let choice = program::resolve_backend(config.backend, program.stats(), n, &config.limits)?;
         if let BackendChoice::Sparse { .. } = choice {
-            if config.fast_path && noiseless && ends_in_draw(&program, config) {
+            if shares && noiseless && ends_in_draw(&program, config) {
                 config.noise.validate()?;
                 config.limits.check_sparse_register(n)?;
                 let prefix_ops = program.shot_plan().prefix_ops;
@@ -1742,8 +1749,9 @@ pub fn route(
     // estimate, so 100+ qubit Clifford workloads run. Chosen by the
     // Clifford check on the source gates, which the engine executes one
     // by one — so it lowers unfused. Noiseless runs keep the exact paths.
+    let frames = config.reference != Reference::NoFrames;
     let sampled_noise = !noiseless && config.observables.is_empty();
-    if initial.is_none() && config.frames && sampled_noise && compile().stats().is_clifford {
+    if initial.is_none() && frames && sampled_noise && compile().stats().is_clifford {
         let program = circuit.compile_with(&PlanOptions::unfused());
         if program.frame_program().is_some() {
             let why = "noisy Clifford, no observables";
@@ -1757,10 +1765,10 @@ pub fn route(
     // noiseless run draws every shot from it, a noisy one hands it to its
     // lanes. Without gate/idle noise the prefix draws nothing, so it is
     // evolved once and forked, bit for bit.
-    let tabulated = config.fast_path && ends_in_draw(&program, config);
+    let tabulated = shares && ends_in_draw(&program, config);
     let (path, why) = if tabulated && noiseless {
         (ShotPath::AliasSampled { prefix_ops }, "noiseless, terminal")
-    } else if !config.fast_path {
+    } else if !shares {
         (ShotPath::PerShot, "fast path off")
     } else if config.noise.strikes_gates() {
         (ShotPath::PerShot, "gate or idle noise")
@@ -1882,7 +1890,7 @@ pub(crate) const ROUND_SHOTS: u64 = 1 << 18;
 
 /// Fans `config.shots` shots out in batches of `batch`: `run(first,
 /// count)` executes one batch — on the Rayon workers when
-/// `config.parallel` — and `merge(count, result)` folds finished batches
+/// `config.kernel.allow_parallel` — and `merge(count, result)` folds finished batches
 /// in **shot order**, so nothing accumulated across shots (a float sum
 /// least of all) depends on the batch width or the thread count. Batches
 /// go out in rounds of [`ROUND_SHOTS`] and are merged round by round:
@@ -1922,7 +1930,7 @@ pub(crate) fn fan_out<T: Send>(
                 Err(e) => latch.trip(e),
             }
         };
-        if config.parallel && round > 1 {
+        if config.kernel.allow_parallel && round > 1 {
             slots.par_iter_mut().enumerate().for_each(run_slot);
         } else {
             slots.iter_mut().enumerate().for_each(run_slot);
@@ -2161,10 +2169,13 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed_and_independent_of_parallelism() {
-        let mk = |parallel| TrajectoryConfig {
+        let mk = |allow_parallel| TrajectoryConfig {
             shots: 300,
             seed: 7,
-            parallel,
+            kernel: KernelConfig {
+                allow_parallel,
+                ..KernelConfig::default()
+            },
             noise: NoiseSpec {
                 after_gate: Some(PauliChannel::Depolarizing(0.05)),
                 ..NoiseSpec::default()
@@ -2397,7 +2408,7 @@ mod tests {
         assert_eq!(r.total_counts(), 32);
         // opt-out forces the plain per-shot engine
         let cfg = TrajectoryConfig {
-            fast_path: false,
+            reference: Reference::NoSharing,
             ..base()
         };
         let r = run_trajectories(&bell_measured(), &cfg).unwrap();
@@ -2410,20 +2421,20 @@ mod tests {
         let r = run_trajectories(&bell_measured(), &cfg).unwrap();
         assert_eq!(r.path(), ShotPath::Forked { prefix_ops: 1 });
         // noisy Clifford circuit → the Pauli-frame sampler takes it
-        let noisy = |frames| TrajectoryConfig {
+        let noisy = |reference| TrajectoryConfig {
             noise: NoiseSpec {
                 after_gate: Some(PauliChannel::BitFlip(0.1)),
                 ..NoiseSpec::default()
             },
-            frames,
+            reference,
             ..base()
         };
-        let r = run_trajectories(&bell_measured(), &noisy(true)).unwrap();
+        let r = run_trajectories(&bell_measured(), &noisy(Reference::Product)).unwrap();
         assert_eq!(r.path(), ShotPath::PauliFrame);
         assert_eq!(r.total_counts(), 32);
         // frame opt-out + gate noise → every gate is a noise site, so
         // no deterministic prefix remains
-        let r = run_trajectories(&bell_measured(), &noisy(false)).unwrap();
+        let r = run_trajectories(&bell_measured(), &noisy(Reference::NoFrames)).unwrap();
         assert_eq!(r.path(), ShotPath::PerShot);
         // readout noise strikes only in the suffix → with frames off,
         // the fork path stays on, over the same fused plan
@@ -2432,7 +2443,7 @@ mod tests {
                 before_measure: Some(PauliChannel::BitFlip(0.1)),
                 ..NoiseSpec::default()
             },
-            frames: false,
+            reference: Reference::NoFrames,
             ..base()
         };
         let r = run_trajectories(&bell_measured(), &cfg).unwrap();
@@ -2490,15 +2501,15 @@ mod tests {
                 ..NoiseSpec::default()
             },
         ] {
-            let mk = |fast_path| TrajectoryConfig {
+            let mk = |reference| TrajectoryConfig {
                 shots: 200,
                 seed: 11,
-                fast_path,
+                reference,
                 noise,
                 ..TrajectoryConfig::default()
             };
-            let fast = run_trajectories(&c, &mk(true)).unwrap();
-            let slow = run_trajectories(&c, &mk(false)).unwrap();
+            let fast = run_trajectories(&c, &mk(Reference::Product)).unwrap();
+            let slow = run_trajectories(&c, &mk(Reference::NoSharing)).unwrap();
             // noisy or not, both run the one fused plan; both must fork
             assert!(matches!(fast.path(), ShotPath::Forked { prefix_ops } if prefix_ops > 0));
             assert_eq!(slow.path(), ShotPath::PerShot);

@@ -11,8 +11,8 @@
 //! and the `n · ops` idle sites of a wide circuit cost nothing until one
 //! fires.
 //!
-//! [`NoisePlan`] is the seed-independent half (the laws and the site
-//! numbering of one program), [`NoiseWalk`] the per-shot cursor: the
+//! `NoisePlan` is the seed-independent half (the laws and the site
+//! numbering of one program), `NoiseWalk` the per-shot cursor: the
 //! next hit of each class, 24 bytes whatever the hit count. Both shot
 //! engines consume the same walk — [`super::trajectory`] injects a hit
 //! into the lane's state vector, [`super::frame`] XORs it into one bit
@@ -24,8 +24,8 @@
 //! whatever fusion and the locality pass made of them. The frame engine
 //! executes that schedule as it is. The state-vector engine executes the
 //! fused, relabeled plan, so a lane takes its draws *ahead of execution*
-//! ([`NoisePlan::draw_shot`] — stream order is source order, execution
-//! order is not) and [`Landings`] says where each hit lands: a Pauli on
+//! (`NoisePlan::draw_shot` — stream order is source order, execution
+//! order is not) and `Landings` says where each hit lands: a Pauli on
 //! qubit `q` commutes with everything that does not touch `q`, so a hit
 //! at source op `s` is applied right after the last source op at or
 //! before `s` that does.

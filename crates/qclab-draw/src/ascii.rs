@@ -2,7 +2,7 @@
 //! command (paper Sec. 4).
 //!
 //! Each qubit occupies three text rows (box top, wire, box bottom); items
-//! are placed by the shared [`crate::layout`] and connected with vertical
+//! are placed by the shared [`crate::layout`](mod@crate::layout) and connected with vertical
 //! lines, producing the "musical score" diagrams the paper shows in the
 //! MATLAB command window.
 

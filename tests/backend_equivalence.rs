@@ -21,9 +21,8 @@ use rand::SeedableRng;
 const N: usize = 4;
 
 /// [`SimOptions`] for one corner of the differential triangle.
-fn opts(backend: Backend, fuse: bool, max_fused: usize, parallel: bool) -> SimOptions {
+fn opts(fuse: bool, max_fused: usize, parallel: bool) -> SimOptions {
     SimOptions {
-        backend,
         kernel: KernelConfig {
             fuse,
             max_fused_qubits: max_fused,
@@ -115,9 +114,9 @@ proptest! {
     /// branch and its state must match that branch's state.
     #[test]
     fn four_way_differential(c in measured_circuit(N, 12), init in state(N)) {
-        let kron_sim = c.simulate_with(&init, &opts(Backend::Kron, false, 2, false)).unwrap();
-        let unfused = c.simulate_with(&init, &opts(Backend::Kernel, false, 2, false)).unwrap();
-        let fused = c.simulate_with(&init, &opts(Backend::Kernel, true, 2, false)).unwrap();
+        let kron_sim = kron::simulate(&c, &init, &opts(false, 2, false)).unwrap();
+        let unfused = c.simulate_with(&init, &opts(false, 2, false)).unwrap();
+        let fused = c.simulate_with(&init, &opts(true, 2, false)).unwrap();
         assert_sims_agree(&kron_sim, &unfused, "kron vs unfused kernel");
         assert_sims_agree(&unfused, &fused, "unfused vs fused kernel");
 
@@ -162,8 +161,8 @@ proptest! {
         init in state(N),
         cap in 1usize..=4,
     ) {
-        let unfused = c.simulate_with(&init, &opts(Backend::Kernel, false, 2, false)).unwrap();
-        let fused = c.simulate_with(&init, &opts(Backend::Kernel, true, cap, false)).unwrap();
+        let unfused = c.simulate_with(&init, &opts(false, 2, false)).unwrap();
+        let fused = c.simulate_with(&init, &opts(true, cap, false)).unwrap();
         assert_sims_agree(&unfused, &fused, "unfused vs fused at random cap");
     }
 }
@@ -198,15 +197,9 @@ fn boundary_circuit(n: usize) -> QCircuit {
 fn check_parallel_boundary(n: usize) {
     let c = boundary_circuit(n);
     let init = CVec::basis_state(1 << n, 0);
-    let serial = c
-        .simulate_with(&init, &opts(Backend::Kernel, false, 2, false))
-        .unwrap();
-    let parallel = c
-        .simulate_with(&init, &opts(Backend::Kernel, false, 2, true))
-        .unwrap();
-    let fused = c
-        .simulate_with(&init, &opts(Backend::Kernel, true, 2, true))
-        .unwrap();
+    let serial = c.simulate_with(&init, &opts(false, 2, false)).unwrap();
+    let parallel = c.simulate_with(&init, &opts(false, 2, true)).unwrap();
+    let fused = c.simulate_with(&init, &opts(true, 2, true)).unwrap();
     assert_sims_agree(&serial, &parallel, "serial vs parallel kernel");
     assert_sims_agree(&parallel, &fused, "parallel vs fused-parallel kernel");
 }
@@ -227,7 +220,7 @@ fn kernels_agree_one_above_parallel_threshold() {
 #[test]
 fn cached_plan_matches_fresh_lowering_bit_for_bit() {
     let c = boundary_circuit(N);
-    let sim_opts = opts(Backend::Kernel, true, 2, false);
+    let sim_opts = opts(true, 2, false);
     let popts = PlanOptions::from(&sim_opts.kernel);
 
     // two compiles of an unchanged circuit share one plan
@@ -309,20 +302,16 @@ fn barrier_blocks_fusion_identically_in_all_backends() {
     // reference agree on the barred circuit, and the barrier changes no
     // amplitudes relative to the barrier-free circuit
     let init = CVec::basis_state(1 << 2, 0);
-    let reference = barred
-        .simulate_with(&init, &opts(Backend::Kernel, false, 2, false))
-        .unwrap();
-    for (backend, what) in [
-        (Backend::Kernel, "fused kernel"),
-        (Backend::Kron, "fused kron"),
+    let reference = barred.simulate_with(&init, &opts(false, 2, false)).unwrap();
+    let fused = opts(true, 2, false);
+    for (fused, what) in [
+        (barred.simulate_with(&init, &fused), "fused kernel"),
+        (kron::simulate(&barred, &init, &fused), "fused kron"),
     ] {
-        let fused = barred
-            .simulate_with(&init, &opts(backend, true, 2, false))
-            .unwrap();
-        assert_sims_agree(&reference, &fused, what);
+        assert_sims_agree(&reference, &fused.unwrap(), what);
     }
     let no_barrier = unbarred
-        .simulate_with(&init, &opts(Backend::Kernel, true, 2, false))
+        .simulate_with(&init, &opts(true, 2, false))
         .unwrap();
     assert_sims_agree(&reference, &no_barrier, "barrier must be a no-op");
 

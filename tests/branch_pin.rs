@@ -20,6 +20,7 @@ use qclab::prelude::*;
 use qclab_core::program::PlanOptions;
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::kernel::KernelConfig;
+use qclab_core::sim::kron;
 use qclab_core::sim::sparse::{self, SparseState};
 
 /// The recorded digests: `(case, engine, digest)`.
@@ -235,20 +236,18 @@ fn input(name: &str) -> QCircuit {
     from_qasm(&std::fs::read_to_string(&path).unwrap()).unwrap()
 }
 
-fn dense(c: &QCircuit, init: &CVec, backend: Backend, fuse: bool) -> Simulation {
-    let opts = SimOptions {
-        backend,
+fn opts(fuse: bool) -> SimOptions {
+    SimOptions {
         kernel: KernelConfig {
             fuse,
             ..KernelConfig::default()
         },
         ..SimOptions::default()
-    };
-    c.simulate_with(init, &opts).unwrap()
+    }
 }
 
 fn sparse_run(c: &QCircuit, init: &CVec) -> Simulation {
-    let program = c.compile_with(&PlanOptions::sparse());
+    let program = c.compile_with(&PlanOptions::unfused());
     let sim = sparse::execute(
         &program,
         SparseState::from_dense(init, 0.0),
@@ -278,8 +277,8 @@ fn actual() -> Vec<(String, &'static str, u64)> {
     }
     let mut out = Vec::new();
     for (name, c, init) in &cases {
-        let kernel = dense(c, init, Backend::Kernel, true);
-        let kron = dense(c, init, Backend::Kron, true);
+        let kernel = c.simulate_with(init, &opts(true)).unwrap();
+        let kron = kron::simulate(c, init, &opts(true)).unwrap();
         out.push((name.clone(), "kernel", digest(&kernel)));
         out.push((name.clone(), "kron", digest(&kron)));
         out.push((name.clone(), "sparse", digest(&sparse_run(c, init))));
@@ -297,7 +296,7 @@ fn actual() -> Vec<(String, &'static str, u64)> {
     out.push((
         "relabeled14".to_string(),
         "kernel",
-        digest(&dense(&c, &init, Backend::Kernel, false)),
+        digest(&c.simulate_with(&init, &opts(false)).unwrap()),
     ));
     out
 }

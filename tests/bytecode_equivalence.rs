@@ -30,9 +30,10 @@ use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::program::{PlanOptions, ProgramOp};
 use qclab_core::sim::kernel::KernelConfig;
+use qclab_core::sim::kron;
 use qclab_core::sim::trajectory::{
-    run_single_trajectory, run_trajectories, NoiseSpec, PauliChannel, ShotPath, TrajectoryConfig,
-    WatchdogConfig,
+    run_single_trajectory, run_trajectories, NoiseSpec, PauliChannel, Reference, ShotPath,
+    TrajectoryConfig, WatchdogConfig,
 };
 use qclab_core::CircuitItem;
 use qclab_math::CVec;
@@ -51,7 +52,6 @@ fn kernel(remap: bool) -> KernelConfig {
 
 fn opts(remap: bool) -> SimOptions {
     SimOptions {
-        backend: Backend::Kernel,
         kernel: kernel(remap),
         ..SimOptions::default()
     }
@@ -133,11 +133,10 @@ fn shot_config(seed: u64, shots: u64, batch: usize) -> TrajectoryConfig {
             idle: Some(PauliChannel::PhaseFlip(0.01)),
             before_measure: Some(PauliChannel::BitFlip(0.02)),
         },
-        fast_path: false,
         // this suite pins the state-vector shot engines (serial vs
         // batched); all-Clifford draws would otherwise route to the
         // frame sampler
-        frames: false,
+        reference: Reference::NoFrames,
         shot_batch: batch,
         ..TrajectoryConfig::default()
     }
@@ -162,7 +161,7 @@ fn prefix_config(seed: u64, remap: bool, check_every: usize) -> TrajectoryConfig
 /// The one-time prefix of the sampled paths at every watchdog cadence,
 /// locality pass on and off. Whichever path shares the evolution — the
 /// terminal table or the fork snapshot — must reproduce the plain
-/// per-shot engine (`fast_path` off: every shot walks the whole
+/// per-shot engine ([`Reference::NoSharing`]: every shot walks the whole
 /// schedule itself) exactly: counts, injected errors, watchdog
 /// statistics. On the table path every shot reports the one walk of the
 /// prefix, which must perform exactly the checks that fall due.
@@ -181,7 +180,7 @@ fn assert_prefix_bit_identical(c: &QCircuit, seed: u64) -> ShotPath {
                 assert_eq!(fast.norm_stats().checks, due, "checks @ {what}");
             }
             let per_shot = TrajectoryConfig {
-                fast_path: false,
+                reference: Reference::NoSharing,
                 ..config.clone()
             };
             let slow = run_trajectories(c, &per_shot).unwrap();
@@ -370,11 +369,7 @@ fn measure_reset_heavy_circuit_is_bit_identical() {
     for (a, b) in on.states().iter().zip(off.states()) {
         assert_state_identical(a, b, "remap on vs off");
     }
-    let oracle = SimOptions {
-        backend: Backend::Kron,
-        ..SimOptions::default()
-    };
-    let kron = c.simulate_with(&init, &oracle).unwrap();
+    let kron = kron::simulate(&c, &init, &SimOptions::default()).unwrap();
     assert_eq!(on.results(), kron.results());
     for (p, q) in on.probabilities().iter().zip(kron.probabilities()) {
         assert!((p - q).abs() < 1e-12, "branch probability {p} vs {q}");

@@ -20,9 +20,12 @@ use qclab_core::sim::control::chaos::{self, Fault};
 use qclab_core::sim::control::StopCause;
 use qclab_core::sim::density::{run_noisy, DensityState, NoiseModel};
 use qclab_core::sim::guard::ResourceLimits;
+use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::sparse::{self, SparseState};
 use qclab_core::sim::stabilizer::run_program;
-use qclab_core::sim::trajectory::{run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig};
+use qclab_core::sim::trajectory::{
+    run_trajectories, NoiseSpec, PauliChannel, Reference, TrajectoryConfig,
+};
 use qclab_core::sim::SimOptions;
 use qclab_core::QclabError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -113,7 +116,7 @@ fn dense_executor_unwinds_cleanly_under_every_fault() {
 fn sparse_executor_unwinds_cleanly_under_every_fault() {
     let _g = lock();
     let c = workload();
-    let program = c.compile_with(&PlanOptions::sparse());
+    let program = c.compile_with(&PlanOptions::unfused());
     let run = || {
         sparse::execute_controlled(
             &program,
@@ -186,11 +189,14 @@ fn trajectory_ensemble_unwinds_cleanly_under_every_fault() {
             after_gate: Some(PauliChannel::Depolarizing(0.05)),
             ..NoiseSpec::default()
         },
-        parallel: false,
+        kernel: KernelConfig {
+            allow_parallel: false,
+            ..KernelConfig::default()
+        },
         // pin the state-vector per-shot path: the fault tick counts
         // below are calibrated to its op cadence (the frame sampler
         // has its own leg below)
-        frames: false,
+        reference: Reference::NoFrames,
         ..TrajectoryConfig::default()
     };
     let run = || run_trajectories(&c, &config);
@@ -237,7 +243,10 @@ fn frame_sampler_unwinds_cleanly_under_every_fault() {
             after_gate: Some(PauliChannel::Depolarizing(0.05)),
             ..NoiseSpec::default()
         },
-        parallel: false,
+        kernel: KernelConfig {
+            allow_parallel: false,
+            ..KernelConfig::default()
+        },
         ..TrajectoryConfig::default()
     };
     let run = || run_trajectories(&c, &config);

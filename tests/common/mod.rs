@@ -1,11 +1,13 @@
 #![allow(dead_code)] // each test binary uses a different subset
 
 //! Shared proptest strategies for the integration test suite: random
-//! gates, random circuits, and random normalized state vectors.
+//! gates, random circuits, and random normalized state vectors — and
+//! the one distribution check the statistical legs assert.
 
 use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_math::scalar::c;
+use std::collections::BTreeMap;
 
 /// Cases per property: `QCLAB_PROPTEST_CASES` when set (the hardened CI
 /// job raises it), else the file's own `default`.
@@ -266,4 +268,82 @@ pub fn random_layers(n: usize, width: usize, layers: usize, seed: u64) -> QCircu
         }
     }
     c
+}
+
+/// What [`assert_distribution`] tests a sample against.
+pub enum Expected<'a> {
+    /// Exact probabilities per record.
+    Exact(&'a BTreeMap<String, f64>),
+    /// A second sample of the same size, drawn independently.
+    Sample(&'a BTreeMap<String, u64>),
+}
+
+/// Asserts that `counts` follows `expected` by a chi-square test and
+/// returns the degrees of freedom it kept. Against exact probabilities,
+/// records expected fewer than 5 times are left out (the test's
+/// applicability rule); against a second sample, records seen fewer
+/// than 10 times in both together are pooled into one bin.
+///
+/// The statistic is compared with `dof + 5·√(2·dof) + 10`. For a correct
+/// sampler that bound is exceeded with probability at most 2.2·10⁻⁵ per
+/// call (at 1 dof; 1.4·10⁻⁶ at 100 dof), asymptotically in the shot
+/// count. The suite makes about 70 calls at its default case counts, so
+/// its family-wise false-alarm rate is at most 1.5·10⁻³ (union bound);
+/// at `QCLAB_PROPTEST_CASES=8192` the frame differential alone makes 8192
+/// calls, and the bound is 0.18. Every seed is fixed, so a verdict
+/// repeats run to run: these rates are what a new seed or case count
+/// risks, not a flake rate.
+pub fn assert_distribution(
+    counts: &BTreeMap<String, u64>,
+    expected: Expected<'_>,
+    what: &str,
+) -> usize {
+    let mut stat = 0.0;
+    let mut bins = 0usize;
+    match expected {
+        Expected::Exact(probs) => {
+            let draws: u64 = counts.values().sum();
+            for (record, p) in probs {
+                let expect = p * draws as f64;
+                if expect < 5.0 {
+                    continue;
+                }
+                let d = counts.get(record).copied().unwrap_or(0) as f64 - expect;
+                stat += d * d / expect;
+                bins += 1;
+            }
+        }
+        Expected::Sample(other) => {
+            let total = |s: &BTreeMap<String, u64>| s.values().sum::<u64>();
+            assert_eq!(total(counts), total(other), "{what}: sample sizes differ");
+            let records: std::collections::BTreeSet<&String> =
+                counts.keys().chain(other.keys()).collect();
+            let mut pooled = (0u64, 0u64);
+            let mut add = |a: u64, b: u64| {
+                let d = a as f64 - b as f64;
+                stat += d * d / (a + b) as f64;
+                bins += 1;
+            };
+            for record in records {
+                let a = counts.get(record).copied().unwrap_or(0);
+                let b = other.get(record).copied().unwrap_or(0);
+                if a + b < 10 {
+                    pooled = (pooled.0 + a, pooled.1 + b);
+                } else {
+                    add(a, b);
+                }
+            }
+            if pooled.0 + pooled.1 >= 10 {
+                add(pooled.0, pooled.1);
+            }
+        }
+    }
+    let dof = bins.saturating_sub(1);
+    let bound = dof as f64 + 5.0 * (2.0 * dof as f64).sqrt() + 10.0;
+    assert!(
+        stat <= bound,
+        "{what}: chi-square {stat:.2} over {dof} dof exceeds {bound:.2}\n\
+         sample: {counts:?}"
+    );
+    dof
 }

@@ -13,7 +13,9 @@ use qclab_core::sim::density::{run_noisy, run_noisy_controlled, DensityState, No
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::sparse::{self, SparseState};
 use qclab_core::sim::stabilizer::{run_program, run_program_controlled};
-use qclab_core::sim::trajectory::{run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig};
+use qclab_core::sim::trajectory::{
+    run_trajectories, NoiseSpec, PauliChannel, Reference, TrajectoryConfig,
+};
 use qclab_core::sim::SimOptions;
 use qclab_core::QclabError;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,7 +85,7 @@ fn dense_run_observes_deadline() {
 #[test]
 fn sparse_run_observes_cancellation_and_deadline() {
     let c = workload(3, 4);
-    let program = c.compile_with(&PlanOptions::sparse());
+    let program = c.compile_with(&PlanOptions::unfused());
     let run = |control: &ExecutionControl| {
         sparse::execute_controlled(
             &program,
@@ -193,7 +195,7 @@ fn timed_out_trajectory_ensemble_keeps_completed_shots() {
         // pin the heavy state-vector per-shot engine this test's
         // timing model is built on (the Clifford workload would
         // otherwise route to the frame sampler and finish instantly)
-        frames: false,
+        reference: Reference::NoFrames,
         ..TrajectoryConfig::default()
     };
     let result = run_trajectories(&c, &config).unwrap();
@@ -229,7 +231,7 @@ fn a_batch_as_wide_as_an_unholdable_shot_count_times_out_too() {
         control: ExecutionControl::with_timeout(Duration::from_millis(200)),
         // the state-vector engine: a Bell pair would otherwise route to
         // the frame sampler
-        frames: false,
+        reference: Reference::NoFrames,
         ..TrajectoryConfig::default()
     };
     let result = run_trajectories(&bell, &config).unwrap();
@@ -323,7 +325,7 @@ fn mid_run_cancellation_from_another_thread_stops_the_ensemble() {
         control: ExecutionControl::with_cancel_token(Arc::clone(&token)),
         // pin the state-vector engine: 100k shots must still be
         // running when the controller thread cancels at 30 ms
-        frames: false,
+        reference: Reference::NoFrames,
         ..TrajectoryConfig::default()
     };
     let canceller = {

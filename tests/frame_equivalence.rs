@@ -5,7 +5,7 @@
 //! noise channel. A two-sample chi-square compares the sampled record
 //! distributions; bitwise legs pin the determinism contract (results
 //! independent of batch width and parallelism); routing legs prove
-//! non-Clifford circuits and the `frames` opt-out stay on the old
+//! non-Clifford circuits and the `Reference::NoFrames` opt-out stay on the old
 //! engines; and `logical_error_rate` legs check the flagship QEC
 //! workload against both the trajectory engine (small distance) and
 //! the analytic binomial curve (large distance, where only the frame
@@ -13,17 +13,17 @@
 
 mod common;
 
-use common::clifford_measured_circuit;
+use common::{assert_distribution, clifford_measured_circuit, Expected};
 use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_algorithms::qec::{
     analytic_logical_error_rate, logical_error_rate, majority_decode, repetition_code_circuit,
     InjectedError,
 };
+use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
-    run_trajectories, NoiseSpec, PauliChannel, ShotPath, TrajectoryConfig,
+    run_trajectories, NoiseSpec, PauliChannel, Reference, ShotPath, TrajectoryConfig,
 };
-use std::collections::BTreeMap;
 
 const N: usize = 4;
 
@@ -46,42 +46,6 @@ fn noise_spec() -> impl Strategy<Value = NoiseSpec> {
         idle,
         before_measure,
     })
-}
-
-/// Two-sample Pearson chi-square between equally-sized count tables:
-/// with `a` and `b` drawn from the same distribution,
-/// `Σ (aᵢ − bᵢ)² / (aᵢ + bᵢ)` follows a chi-square with `bins − 1`
-/// degrees of freedom. Sparse bins are pooled into one rest bucket to
-/// stay inside the statistic's applicability range.
-fn two_sample_chi_square(a: &BTreeMap<String, u64>, b: &BTreeMap<String, u64>) -> (f64, usize) {
-    let labels: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
-    let mut stat = 0.0;
-    let mut bins = 0usize;
-    let (mut rest_a, mut rest_b) = (0u64, 0u64);
-    for label in labels {
-        let ca = a.get(label).copied().unwrap_or(0);
-        let cb = b.get(label).copied().unwrap_or(0);
-        if ca + cb < 10 {
-            rest_a += ca;
-            rest_b += cb;
-            continue;
-        }
-        let d = ca as f64 - cb as f64;
-        stat += d * d / (ca + cb) as f64;
-        bins += 1;
-    }
-    if rest_a + rest_b >= 10 {
-        let d = rest_a as f64 - rest_b as f64;
-        stat += d * d / (rest_a + rest_b) as f64;
-        bins += 1;
-    }
-    (stat, bins.saturating_sub(1))
-}
-
-/// Loose acceptance bound: mean + 5 sigma plus slack, so a correct
-/// sampler fails with negligible probability.
-fn chi_bound(dof: usize) -> f64 {
-    dof as f64 + 5.0 * (2.0 * dof as f64).sqrt() + 10.0
 }
 
 fn frame_config(seed: u64, shots: u64, noise: NoiseSpec) -> TrajectoryConfig {
@@ -113,15 +77,14 @@ proptest! {
         // independent seed stream on the state-vector engine: the two
         // samples must agree in distribution, not bit for bit
         let traj = run_trajectories(&c, &TrajectoryConfig {
-            frames: false,
+            reference: Reference::NoFrames,
             ..frame_config(seed ^ 0x5EED, shots, noise)
         }).unwrap();
         prop_assert!(traj.path() != ShotPath::PauliFrame);
-        let (stat, dof) = two_sample_chi_square(frames.counts(), traj.counts());
-        prop_assert!(
-            stat <= chi_bound(dof),
-            "chi-square {stat:.2} over {dof} dof exceeds {:.2}\nframe: {:?}\ntraj: {:?}",
-            chi_bound(dof), frames.counts(), traj.counts()
+        assert_distribution(
+            frames.counts(),
+            Expected::Sample(traj.counts()),
+            &format!("frame vs trajectory, trajectory sample {:?}", traj.counts()),
         );
     }
 
@@ -135,9 +98,10 @@ proptest! {
         seed in 0u64..1 << 16,
     ) {
         let base = frame_config(seed, 400, noise);
+        let fan_out = |allow_parallel| KernelConfig { allow_parallel, ..KernelConfig::default() };
         let reference = run_trajectories(&c, &TrajectoryConfig {
             shot_batch: 1,
-            parallel: false,
+            kernel: fan_out(false),
             ..base.clone()
         }).unwrap();
         prop_assert_eq!(reference.path(), ShotPath::PauliFrame);
@@ -145,7 +109,7 @@ proptest! {
             for parallel in [false, true] {
                 let run = run_trajectories(&c, &TrajectoryConfig {
                     shot_batch: width,
-                    parallel,
+                    kernel: fan_out(parallel),
                     ..base.clone()
                 }).unwrap();
                 prop_assert_eq!(run.counts(), reference.counts(),
@@ -156,7 +120,7 @@ proptest! {
     }
 
     /// One non-Clifford gate keeps a noisy run on the state-vector
-    /// engines, and the `frames` opt-out never changes what the
+    /// engines, and the `Reference::NoFrames` opt-out never changes what the
     /// state-vector engine computes.
     #[test]
     fn non_clifford_circuits_route_to_the_state_vector_engine(
@@ -171,7 +135,7 @@ proptest! {
         prop_assert!(on.path() != ShotPath::PauliFrame,
             "non-Clifford circuit took the frame path");
         let off = run_trajectories(&c, &TrajectoryConfig {
-            frames: false,
+            reference: Reference::NoFrames,
             ..frame_config(seed, 64, noise)
         }).unwrap();
         // same engine either way: bit-identical
@@ -180,9 +144,9 @@ proptest! {
     }
 }
 
-/// The frame opt-out (`TrajectoryConfig::frames = false` — a library
-/// field; the CLI has had no flag for it since PR 20) pins the
-/// state-vector engine even on frame-eligible circuits.
+/// The frame opt-out (`Reference::NoFrames` — a library value; the CLI
+/// has no flag for it) pins the state-vector engine even on
+/// frame-eligible circuits.
 #[test]
 fn frames_opt_out_falls_back_to_the_trajectory_engine() {
     let mut bell = QCircuit::new(2);
@@ -199,7 +163,7 @@ fn frames_opt_out_falls_back_to_the_trajectory_engine() {
     let off = run_trajectories(
         &bell,
         &TrajectoryConfig {
-            frames: false,
+            reference: Reference::NoFrames,
             ..frame_config(5, 256, noise)
         },
     )
@@ -298,7 +262,7 @@ fn logical_error_rate_agrees_with_the_trajectory_engine_at_small_distance() {
     let traj = run_trajectories(
         &circuit,
         &TrajectoryConfig {
-            frames: false,
+            reference: Reference::NoFrames,
             ..frame_config(
                 11,
                 shots,
@@ -377,7 +341,7 @@ fn wide_clifford_run_completes_where_the_state_vector_engines_refuse() {
     let refused = run_trajectories(
         &ghz,
         &TrajectoryConfig {
-            frames: false,
+            reference: Reference::NoFrames,
             ..frame_config(7, 4096, noise)
         },
     );

@@ -1,6 +1,6 @@
 //! Lowering pin: the fused plans of the benchmark's checked-in circuits
 //! and of one circuit of each generated harness shape, under the fusion
-//! caps 2, 3 and 4 and the unfused and sparse options. Each plan is
+//! caps 2, 3 and 4 and the unfused options. Each plan is
 //! described op by op — every fused block by the bits of its matrix —
 //! and the description is stored as a digest, so a lowering change that
 //! moves one ulp of one block fails here.
@@ -157,7 +157,6 @@ fn option_sets() -> Vec<(&'static str, PlanOptions)> {
         ("cap3", cap(3)),
         ("cap4", cap(4)),
         ("unfused", PlanOptions::unfused()),
-        ("sparse", PlanOptions::sparse()),
     ]
 }
 
@@ -167,47 +166,38 @@ const PINNED: &[(&str, &str, u64)] = &[
     ("grover2", "cap3", 0x694f8215c1596d41),
     ("grover2", "cap4", 0x694f8215c1596d41),
     ("grover2", "unfused", 0x52f53a67f4d23dbf),
-    ("grover2", "sparse", 0x52f53a67f4d23dbf),
     ("qec3", "default", 0x1c908875a35a0f9a),
     ("qec3", "cap3", 0x22ab03f5a78a06a1),
     ("qec3", "cap4", 0x3598860134079cb1),
     ("qec3", "unfused", 0x4fde4eec85813332),
-    ("qec3", "sparse", 0x4fde4eec85813332),
     ("qft16", "default", 0x7c73fbcfe70083ea),
     ("qft16", "cap3", 0x74e34ee3406aa05d),
     ("qft16", "cap4", 0x9691feb5603e9681),
     ("qft16", "unfused", 0x975445ce1da08567),
-    ("qft16", "sparse", 0x975445ce1da08567),
     ("rep25", "default", 0xc6a04fc0bc68cf3f),
     ("rep25", "cap3", 0x274105b9077e2fef),
     ("rep25", "cap4", 0xad18032b26b24187),
     ("rep25", "unfused", 0xc6a04fc0bc68cf3f),
-    ("rep25", "sparse", 0xc6a04fc0bc68cf3f),
     ("teleport", "default", 0x016d45e9375fe56a),
     ("teleport", "cap3", 0xd1a6a06ed9594b60),
     ("teleport", "cap4", 0xd1a6a06ed9594b60),
     ("teleport", "unfused", 0x5dbb560e7c9921be),
-    ("teleport", "sparse", 0x5dbb560e7c9921be),
     ("layers20x8", "default", 0x0b786fd5b9120295),
     ("layers20x8", "cap3", 0x8de14ef63899242d),
     ("layers20x8", "cap4", 0x1a9446b98fcf4415),
     ("layers20x8", "unfused", 0x6d5854c8e502e7d5),
-    ("layers20x8", "sparse", 0x6d5854c8e502e7d5),
     ("layers12x10", "default", 0xf02333c50cc69b91),
     ("layers12x10", "cap3", 0x0cbb18e04faa76e2),
     ("layers12x10", "cap4", 0x277ceb20654feb38),
     ("layers12x10", "unfused", 0x350e5a55ce3962e3),
-    ("layers12x10", "sparse", 0x350e5a55ce3962e3),
     ("layers15x8", "default", 0x9e26a865334a12ae),
     ("layers15x8", "cap3", 0xdceaef0ffc5744af),
     ("layers15x8", "cap4", 0x9458049b513acd74),
     ("layers15x8", "unfused", 0xafd082f24dfb0356),
-    ("layers15x8", "sparse", 0xafd082f24dfb0356),
     ("layers6x40", "default", 0x99635b4af30c30e0),
     ("layers6x40", "cap3", 0x728a71dd6206692f),
     ("layers6x40", "cap4", 0x2aff20a0dbe2100a),
     ("layers6x40", "unfused", 0x0087d7e1600cdca9),
-    ("layers6x40", "sparse", 0x0087d7e1600cdca9),
 ];
 
 #[test]

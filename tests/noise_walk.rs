@@ -4,7 +4,7 @@
 //! by both shot engines. What must hold of the engines:
 //!
 //! * **scheduling is invisible** — the batch width, the fan-out, the
-//!   thread count and (dense) `fast_path` never show in counts or
+//!   thread count and (dense) shared evolution never show in counts or
 //!   injected-error totals, `==`, with a shot count that is not a
 //!   multiple of the 64-lane word so every width ends in a partial word;
 //! * **one walk, two consumers** — where a circuit keeps every shot on a
@@ -16,8 +16,10 @@
 
 use qclab::algorithms::qec::{repetition_code_circuit, InjectedError};
 use qclab::prelude::*;
+use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
-    run_trajectories, NoiseSpec, PauliChannel, ShotPath, TrajectoryConfig, TrajectoryResult,
+    run_trajectories, run_trajectories_from, NoiseSpec, PauliChannel, Reference, ShotPath,
+    TrajectoryConfig, TrajectoryResult,
 };
 use qclab_core::sim::walk::site_counts;
 use qclab_core::{CircuitItem, PlanOptions};
@@ -44,33 +46,44 @@ fn outcome(r: &TrajectoryResult) -> String {
 }
 
 /// Runs `base` at every batch width × fan-out × thread count (× each of
-/// `fast_paths`) and requires the result of the serial width-1 run.
-fn assert_scheduling_is_invisible(c: &QCircuit, base: &TrajectoryConfig, fast_paths: &[bool]) {
-    let golden = run_trajectories(
-        c,
-        &TrajectoryConfig {
-            shot_batch: 1,
-            parallel: false,
-            ..base.clone()
-        },
-    )
+/// `references`) and requires the result of the serial width-1 run. An
+/// explicit `initial` state keeps a Clifford circuit off the frame engine.
+fn assert_scheduling_is_invisible(
+    c: &QCircuit,
+    initial: Option<&CVec>,
+    base: &TrajectoryConfig,
+    references: &[Reference],
+) {
+    let run = |config: &TrajectoryConfig| match initial {
+        None => run_trajectories(c, config),
+        Some(v) => run_trajectories_from(c, v, config),
+    };
+    let fan_out = |allow_parallel| KernelConfig {
+        allow_parallel,
+        ..base.kernel
+    };
+    let golden = run(&TrajectoryConfig {
+        shot_batch: 1,
+        kernel: fan_out(false),
+        ..base.clone()
+    })
     .unwrap();
     assert_eq!(golden.total_counts(), base.shots);
     assert!(golden.injected_errors() > 0, "the grid must see hits");
-    for &fast_path in fast_paths {
+    for &reference in references {
         for shot_batch in [1usize, 3, 63, 64, 65, 1000, base.shots as usize] {
             let config = |parallel| TrajectoryConfig {
-                fast_path,
+                reference,
                 shot_batch,
-                parallel,
+                kernel: fan_out(parallel),
                 ..base.clone()
             };
-            let leg = format!("fast_path {fast_path}, batch {shot_batch}");
-            let serial = run_trajectories(c, &config(false)).unwrap();
+            let leg = format!("{reference:?}, batch {shot_batch}");
+            let serial = run(&config(false)).unwrap();
             assert_eq!(serial.path(), golden.path(), "{leg}");
             assert_eq!(outcome(&serial), outcome(&golden), "{leg}, serial");
             for threads in 1..=4 {
-                let fanned = with_threads(threads, || run_trajectories(c, &config(true))).unwrap();
+                let fanned = with_threads(threads, || run(&config(true))).unwrap();
                 assert_eq!(
                     outcome(&fanned),
                     outcome(&golden),
@@ -117,7 +130,7 @@ fn frame_results_do_not_depend_on_width_fan_out_or_threads() {
     };
     let path = run_trajectories(&c, &base).unwrap().path();
     assert_eq!(path, ShotPath::PauliFrame);
-    assert_scheduling_is_invisible(&c, &base, &[true]);
+    assert_scheduling_is_invisible(&c, None, &base, &[Reference::Product]);
 }
 
 #[test]
@@ -150,18 +163,22 @@ fn dense_results_do_not_depend_on_width_fan_out_threads_or_fast_path() {
             noise: all_noise(0.01, 0.003, 0.02),
             ..TrajectoryConfig::default()
         };
-        assert_scheduling_is_invisible(c, &base, &[true, false]);
+        let references = [Reference::Product, Reference::NoSharing];
+        assert_scheduling_is_invisible(c, None, &base, &references);
     }
-    // the Clifford circuit with the frame sampler opted out walks the
-    // dense engine through coins' counterpart, the collapses
+    // the Clifford circuit kept off the frame sampler (an explicit
+    // |0…0⟩) walks the dense engine through coins' counterpart, the
+    // collapses
     let base = TrajectoryConfig {
         seed: 41,
         shots: 203,
-        frames: false,
         noise: all_noise(0.02, 0.004, 0.03),
         ..TrajectoryConfig::default()
     };
-    assert_scheduling_is_invisible(&clifford_with_coins(), &base, &[true, false]);
+    let c = clifford_with_coins();
+    let zero = CVec::basis_state(1 << c.nb_qubits(), 0);
+    let references = [Reference::Product, Reference::NoSharing];
+    assert_scheduling_is_invisible(&c, Some(&zero), &base, &references);
 }
 
 #[test]
@@ -177,15 +194,15 @@ fn both_engines_walk_the_same_hits() {
             before_measure: Some(PauliChannel::Depolarizing(0.05)),
         },
     ] {
-        let config = |frames| TrajectoryConfig {
+        let config = |reference| TrajectoryConfig {
             seed: 47,
             shots: 1500,
             noise,
-            frames,
+            reference,
             ..TrajectoryConfig::default()
         };
-        let frame = run_trajectories(&c, &config(true)).unwrap();
-        let dense = run_trajectories(&c, &config(false)).unwrap();
+        let frame = run_trajectories(&c, &config(Reference::Product)).unwrap();
+        let dense = run_trajectories(&c, &config(Reference::NoFrames)).unwrap();
         assert_eq!(frame.path(), ShotPath::PauliFrame);
         assert_ne!(dense.path(), ShotPath::PauliFrame);
         assert!(
@@ -213,23 +230,19 @@ fn certain_and_impossible_channels_are_exact_on_both_engines() {
         idle: Some(PauliChannel::PhaseFlip(p)),
         before_measure: Some(PauliChannel::Depolarizing(p)),
     };
-    for frames in [true, false] {
+    for reference in [Reference::Product, Reference::NoFrames] {
         let config = |noise| TrajectoryConfig {
             seed: 53,
             shots,
             noise,
-            frames,
+            reference,
             ..TrajectoryConfig::default()
         };
         let certain = run_trajectories(&c, &config(every(1.0))).unwrap();
-        assert_eq!(
-            certain.injected_errors(),
-            per_shot * shots,
-            "frames {frames}"
-        );
+        assert_eq!(certain.injected_errors(), per_shot * shots, "{reference:?}");
         assert_eq!(certain.total_counts(), shots);
         let never = run_trajectories(&c, &config(every(0.0))).unwrap();
-        assert_eq!(never.injected_errors(), 0, "frames {frames}");
-        assert_eq!(never.counts().get("00000"), Some(&shots), "frames {frames}");
+        assert_eq!(never.injected_errors(), 0, "{reference:?}");
+        assert_eq!(never.counts().get("00000"), Some(&shots), "{reference:?}");
     }
 }

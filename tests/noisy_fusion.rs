@@ -29,8 +29,8 @@ use qclab::prelude::*;
 use qclab_core::program::{PlanOptions, ProgramOp};
 use qclab_core::sim::kernel::{apply_gate_with, KernelConfig};
 use qclab_core::sim::trajectory::{
-    run_single_trajectory, run_trajectories, InjectedPauli, NoiseSpec, PauliChannel, Trajectory,
-    TrajectoryConfig,
+    run_single_trajectory, run_trajectories, InjectedPauli, NoiseSpec, PauliChannel, Reference,
+    Trajectory, TrajectoryConfig,
 };
 use qclab_core::{CircuitItem, Pauli};
 
@@ -262,17 +262,21 @@ fn a_gate_fused_back_across_a_measurement_and_a_reset_keeps_the_stream_order() {
         },
     );
     let want = want.unwrap();
-    for (fast_path, shot_batch) in [(true, 64), (true, 1), (false, 3)] {
+    for (reference, shot_batch) in [
+        (Reference::Product, 64),
+        (Reference::Product, 1),
+        (Reference::NoSharing, 3),
+    ] {
         let got = run_trajectories(
             &c,
             &TrajectoryConfig {
-                fast_path,
+                reference,
                 shot_batch,
                 ..base.clone()
             },
         );
         let got = got.unwrap();
-        assert_eq!(got.counts(), want.counts(), "fast_path {fast_path}");
+        assert_eq!(got.counts(), want.counts(), "{reference:?}");
         assert_eq!(got.injected_errors(), want.injected_errors());
     }
 }

@@ -7,6 +7,7 @@ use qclab_algorithms::grover::{grover_circuit, paper_diffuser_2q};
 use qclab_algorithms::qec::{bit_flip_circuit, logical_fidelity, protect, InjectedError};
 use qclab_algorithms::teleportation::teleport;
 use qclab_algorithms::tomography::tomography;
+use qclab_core::sim::kron;
 use qclab_math::scalar::{c, cr};
 
 const INV_SQRT2: f64 = std::f64::consts::FRAC_1_SQRT_2;
@@ -45,15 +46,13 @@ fn section3_vector_initial_state_equivalent() {
 
 #[test]
 fn section3_both_backends_reproduce_circuit1() {
-    for backend in [Backend::Kron, Backend::Kernel] {
-        let opts = SimOptions {
-            backend,
-            ..Default::default()
-        };
-        let sim = bell_circuit()
-            .simulate_with(&CVec::from_bitstring("00").unwrap(), &opts)
-            .unwrap();
-        assert_eq!(sim.results(), &["00", "11"]);
+    let zero = CVec::from_bitstring("00").unwrap();
+    let opts = SimOptions::default();
+    for sim in [
+        kron::simulate(&bell_circuit(), &zero, &opts),
+        bell_circuit().simulate_with(&zero, &opts),
+    ] {
+        assert_eq!(sim.unwrap().results(), &["00", "11"]);
     }
 }
 

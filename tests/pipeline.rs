@@ -8,6 +8,7 @@ use qclab_algorithms::state_preparation::prepare_state;
 use qclab_algorithms::trotter::{evolve, exact_evolution, TrotterOrder};
 use qclab_core::observable::Observable;
 use qclab_core::optimize::optimize;
+use qclab_core::sim::kron;
 use qclab_math::scalar::{c, cr};
 
 #[test]
@@ -80,15 +81,14 @@ fn both_backends_agree_on_synthesized_circuits() {
     .normalized();
     let circuit = prepare_state(&psi).unwrap();
     let init = CVec::basis_state(8, 0);
-    for backend in [Backend::Kron, Backend::Kernel] {
-        let opts = SimOptions {
-            backend,
-            ..Default::default()
-        };
-        let sim = circuit.simulate_with(&init, &opts).unwrap();
+    let opts = SimOptions::default();
+    for (backend, sim) in [
+        ("kron", kron::simulate(&circuit, &init, &opts)),
+        ("kernel", circuit.simulate_with(&init, &opts)),
+    ] {
         assert!(
-            sim.states()[0].approx_eq_up_to_phase(&psi, 1e-9),
-            "{backend:?} failed to prepare the state"
+            sim.unwrap().states()[0].approx_eq_up_to_phase(&psi, 1e-9),
+            "{backend} failed to prepare the state"
         );
     }
 }

@@ -1,7 +1,8 @@
 //! LRU behaviour of the global plan cache: filling it past
 //! [`PLAN_CACHE_CAPACITY`] evicts the least-recently-used plan, a hit
-//! refreshes an entry's position, and a re-lowered plan after
-//! [`clear_plan_cache`] is indistinguishable from the evicted one.
+//! refreshes an entry's position, a re-lowered plan after
+//! [`clear_plan_cache`] is indistinguishable from the evicted one, and
+//! the scheduler's dedup window follows the cache's capacity.
 //!
 //! Everything lives in ONE test function: the cache and its counters
 //! are process-global, and the default parallel test runner would race
@@ -9,6 +10,7 @@
 
 use qclab::prelude::*;
 use qclab_core::program::{self, PlanOptions, PLAN_CACHE_CAPACITY};
+use qclab_core::service::{JobSpec, Scheduler, ServiceConfig};
 
 /// Circuits with pairwise-distinct fingerprints (the angle encodes `i`).
 fn distinct_circuit(i: usize) -> QCircuit {
@@ -93,28 +95,28 @@ fn plan_cache_is_lru_and_relowering_matches() {
         "re-lowered shot plan diverged"
     );
 
-    // the cache key is backend-aware: the same circuit lowered under
-    // the dense defaults and under the sparse-tagged options are two
-    // distinct entries — the second request must miss, not alias
+    // the cache key is the options: the same circuit lowered under the
+    // defaults and unfused (the sparse executor's plan) are two distinct
+    // entries — the second request must miss, not alias
     program::clear_plan_cache();
-    let dense_plan = program::compile(&distinct_circuit(0), &PlanOptions::default());
+    let fused_plan = program::compile(&distinct_circuit(0), &PlanOptions::default());
     let before = program::plan_cache_stats();
-    let sparse_plan = program::compile(&distinct_circuit(0), &PlanOptions::sparse());
+    let unfused_plan = program::compile(&distinct_circuit(0), &PlanOptions::unfused());
     let after = program::plan_cache_stats();
     assert_eq!(
         after.misses,
         before.misses + 1,
-        "a sparse-tagged lowering of a dense-cached circuit must miss"
+        "an unfused lowering of a fused-cached circuit must miss"
     );
-    assert_eq!(after.entries, 2, "dense and sparse plans must coexist");
+    assert_eq!(after.entries, 2, "fused and unfused plans must coexist");
     assert!(
-        !std::sync::Arc::ptr_eq(&dense_plan, &sparse_plan),
-        "dense and sparse requests must not share a plan"
+        !std::sync::Arc::ptr_eq(&fused_plan, &unfused_plan),
+        "fused and unfused requests must not share a plan"
     );
     // …and each variant hits its own entry afterwards, no cross-talk
     let before = program::plan_cache_stats();
-    let dense_again = program::compile(&distinct_circuit(0), &PlanOptions::default());
-    let sparse_again = program::compile(&distinct_circuit(0), &PlanOptions::sparse());
+    let fused_again = program::compile(&distinct_circuit(0), &PlanOptions::default());
+    let unfused_again = program::compile(&distinct_circuit(0), &PlanOptions::unfused());
     let after = program::plan_cache_stats();
     assert_eq!(
         after.hits,
@@ -122,13 +124,13 @@ fn plan_cache_is_lru_and_relowering_matches() {
         "both variants must be resident"
     );
     assert_eq!(after.misses, before.misses, "no re-lowering on either side");
-    assert!(std::sync::Arc::ptr_eq(&dense_plan, &dense_again));
-    assert!(std::sync::Arc::ptr_eq(&sparse_plan, &sparse_again));
+    assert!(std::sync::Arc::ptr_eq(&fused_plan, &fused_again));
+    assert!(std::sync::Arc::ptr_eq(&unfused_plan, &unfused_again));
     // the support bound is computed on the flat unfused stream, so both
     // variants of one circuit report the same estimate
     assert_eq!(
-        dense_plan.stats().sparse_entries,
-        sparse_plan.stats().sparse_entries,
+        fused_plan.stats().sparse_entries,
+        unfused_plan.stats().sparse_entries,
         "the sparse-entry bound must not depend on the plan variant"
     );
 
@@ -175,6 +177,34 @@ fn plan_cache_is_lru_and_relowering_matches() {
     let st = program::plan_cache_stats();
     assert_eq!(st.entries, 2, "shrink must evict down to the new cap");
     assert_eq!(st.evictions, evicted_before + 2);
+    // the scheduler's dedup window is the plan cache's: at capacity 2,
+    // A B C A evicts A's plan, and the second A is no dedup hit
+    program::clear_plan_cache();
+    let scheduler = Scheduler::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let submit = |i: usize| {
+        let job = JobSpec::new(format!("c{i}"), distinct_circuit(i), 8, 1);
+        scheduler
+            .submit(job)
+            .unwrap()
+            .wait()
+            .unwrap()
+            .telemetry
+            .dedup_hit
+    };
+    let before = program::plan_cache_stats();
+    let hits: Vec<bool> = [0, 1, 2, 0].into_iter().map(submit).collect();
+    assert_eq!(hits, [false, false, false, false], "A B C A at capacity 2");
+    assert_eq!(
+        program::plan_cache_stats().misses,
+        before.misses + 4,
+        "the second A lowers again"
+    );
+    assert!(submit(0), "A A is a hit");
+    drop(scheduler);
+
     // clamp: capacity 0 is meaningless, it becomes 1
     program::set_plan_cache_capacity(0);
     assert_eq!(program::plan_cache_capacity(), 1);

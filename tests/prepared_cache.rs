@@ -317,10 +317,8 @@ fn a_faulted_preparation_stores_nothing() {
     for build in builds {
         let (circuit, base) = build();
         // serial, so the armed tick is an op boundary of the prefix
-        let config = TrajectoryConfig {
-            parallel: false,
-            ..seeded(&base, 8)
-        };
+        let mut config = seeded(&base, 8);
+        config.kernel.allow_parallel = false;
         let golden = cold(&circuit, &config);
         let run = || run_trajectories(&circuit, &config);
 

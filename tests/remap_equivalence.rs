@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::program::PlanOptions;
 use qclab_core::sim::kernel::KernelConfig;
-use qclab_core::sim::trajectory::{run_trajectories, ShotPath, TrajectoryConfig};
+use qclab_core::sim::trajectory::{run_trajectories, Reference, ShotPath, TrajectoryConfig};
 use qclab_core::CircuitItem;
 use qclab_math::CVec;
 
@@ -70,7 +70,6 @@ fn hot_circuit(max_items: usize) -> impl Strategy<Value = QCircuit> {
 
 fn opts(remap: bool, max_fused: usize, simd: bool) -> SimOptions {
     SimOptions {
-        backend: Backend::Kernel,
         kernel: KernelConfig {
             remap,
             max_fused_qubits: max_fused,
@@ -182,7 +181,6 @@ fn pass_fires_on_far_heavy_circuit() {
     );
     // bit-identity on the exact configuration the pass fires under
     let mk = |remap| SimOptions {
-        backend: Backend::Kernel,
         kernel: KernelConfig {
             remap,
             fuse: false,
@@ -220,15 +218,15 @@ fn fork_path_resumes_under_the_prefix_layout() {
         "prefix_map must be non-identity"
     );
 
-    let mk = |fast_path| TrajectoryConfig {
+    let mk = |reference| TrajectoryConfig {
         shots: 200,
         seed: 7,
-        fast_path,
+        reference,
         kernel,
         ..TrajectoryConfig::default()
     };
-    let fast = run_trajectories(&c, &mk(true)).unwrap();
-    let slow = run_trajectories(&c, &mk(false)).unwrap();
+    let fast = run_trajectories(&c, &mk(Reference::Product)).unwrap();
+    let slow = run_trajectories(&c, &mk(Reference::NoSharing)).unwrap();
     assert!(
         matches!(fast.path(), ShotPath::Forked { prefix_ops } if prefix_ops > 0),
         "expected the forked engine, got {:?}",

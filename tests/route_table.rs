@@ -1,21 +1,22 @@
 //! The route table (`qclab_core::sim::trajectory::route`): which engine,
 //! shot strategy and plan a trajectory run takes, for every circuit
-//! shape × noise class × backend request × initial state × the two
-//! reference switches. [`TABLE`] is the rule list `DESIGN.md` §3e prints:
+//! shape × noise class × backend request × initial state × reference
+//! route. [`TABLE`] is the rule list `DESIGN.md` §3e prints:
 //! the first rule whose conditions hold decides. For every row the test
 //! checks that `route()` returns what the table says — path, plan
 //! options, shared table, rule — or the refusal it names; that a cold
 //! `run_trajectories` reports the same path (or fails the same way); and
 //! that `route()` alone lowers exactly the plans the cold run lowers,
 //! as many as the table's rules read (the counts a cold run recorded
-//! before `route()` existed, at `b7ef2b0`). Alone in its binary, because
-//! it reads the process-wide plan-cache counters.
+//! before `route()` existed, at `b7ef2b0`, less one where the sparse
+//! probe and the frame plan became one unfused plan). Alone in its
+//! binary, because it reads the process-wide plan-cache counters.
 
 use qclab::algorithms::ghz::ghz_circuit;
 use qclab::prelude::*;
 use qclab_core::program::{self, BackendRequest, PlanOptions};
 use qclab_core::sim::trajectory::{
-    route, run_trajectories, run_trajectories_from, NoiseSpec, PauliChannel, ShotPath,
+    route, run_trajectories, run_trajectories_from, NoiseSpec, PauliChannel, Reference, ShotPath,
     TrajectoryConfig,
 };
 use qclab_core::QclabError;
@@ -30,8 +31,10 @@ enum Cond {
     SparseChosen,
     /// The backend request is `sparse`.
     SparseRequested,
+    /// The reference route is not [`Reference::NoSharing`].
     FastPath,
     FastPathOff,
+    /// The reference route is not [`Reference::NoFrames`].
     Frames,
     Noiseless,
     Noisy,
@@ -217,9 +220,9 @@ impl Row<'_> {
                 BackendRequest::Sparse => true,
             },
             SparseRequested => config.backend == BackendRequest::Sparse,
-            FastPath => config.fast_path,
-            FastPathOff => !config.fast_path,
-            Frames => config.frames,
+            FastPath => config.reference != Reference::NoSharing,
+            FastPathOff => config.reference == Reference::NoSharing,
+            Frames => config.reference != Reference::NoFrames,
             Noiseless => noise == NoiseSpec::default(),
             Noisy => noise != NoiseSpec::default(),
             GateNoise => noise.after_gate.is_some(),
@@ -244,9 +247,9 @@ impl Row<'_> {
         self.shape.circuit.compile_with(&options)
     }
 
-    /// Plans the rules read: the sparse plan when the request is not
-    /// dense, the kernel plan for the Clifford check of a noisy run and
-    /// behind the dense guard, the unfused plan on the frame path.
+    /// Plans the rules read: the unfused plan when the request is not
+    /// dense (the sparse probe) or on the frame path, the kernel plan for
+    /// the Clifford check of a noisy run and behind the dense guard.
     fn plans_lowered(&self, then: Then) -> u64 {
         let sparse_probe = self.holds(FromZero) && self.config.backend != BackendRequest::Dense;
         let decided_sparse =
@@ -256,11 +259,8 @@ impl Row<'_> {
         }
         let clifford_check = self.holds(FromZero) && self.holds(Frames) && self.holds(Noisy);
         let kernel = clifford_check || !self.holds(DenseRefused);
-        let unfused = then == Then::Frames;
-        [sparse_probe, kernel, unfused]
-            .into_iter()
-            .map(u64::from)
-            .sum()
+        let unfused = sparse_probe || then == Then::Frames;
+        [unfused, kernel].into_iter().map(u64::from).sum()
     }
 
     fn run(&self) -> Result<ShotPath, QclabError> {
@@ -304,10 +304,10 @@ fn every_route_is_the_table_s() {
                 BackendRequest::Sparse,
             ] {
                 for initial in &initials {
-                    for (flags, fast_path, frames) in [
-                        ("", true, true),
-                        (", fast path off", false, true),
-                        (", frames off", true, false),
+                    for (flags, reference) in [
+                        ("", Reference::Product),
+                        (", fast path off", Reference::NoSharing),
+                        (", frames off", Reference::NoFrames),
                     ] {
                         let from = if initial.is_some() {
                             "explicit"
@@ -321,8 +321,7 @@ fn every_route_is_the_table_s() {
                                 seed: 3,
                                 noise,
                                 backend,
-                                fast_path,
-                                frames,
+                                reference,
                                 ..TrajectoryConfig::default()
                             },
                             initial: initial.clone(),
@@ -375,8 +374,7 @@ fn every_route_is_the_table_s() {
         assert_eq!(Ok(routed.path), ran.map_err(|e| e.to_string()), "{label}");
         assert_eq!(routed.why, why, "{label}");
         let plan = match then {
-            Then::Sparse => PlanOptions::sparse(),
-            Then::Frames => PlanOptions::unfused(),
+            Then::Sparse | Then::Frames => PlanOptions::unfused(),
             _ => PlanOptions::from(&row.config.kernel),
         };
         assert_eq!(routed.program.options(), &plan, "{label}: plan options");

@@ -302,7 +302,10 @@ fn shot_paths_reproduce_their_seed_goldens() {
             for parallel in [true, false] {
                 let config = TrajectoryConfig {
                     shot_batch,
-                    parallel,
+                    kernel: KernelConfig {
+                        allow_parallel: parallel,
+                        ..base.kernel
+                    },
                     ..base.clone()
                 };
                 legs.push((format!("batch {shot_batch}, parallel {parallel}"), config));

@@ -44,7 +44,6 @@ fn slow_circuit(n: usize, tag: f64) -> QCircuit {
 
 fn noisy_base() -> TrajectoryConfig {
     let mut base = TrajectoryConfig {
-        parallel: false,
         noise: NoiseSpec {
             after_gate: Some(PauliChannel::BitFlip(0.01)),
             ..NoiseSpec::default()

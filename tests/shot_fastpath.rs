@@ -14,11 +14,12 @@
 
 mod common;
 
-use common::measured_circuit;
+use common::{assert_distribution, measured_circuit, Expected};
 use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::sim::trajectory::{
-    run_trajectories, NoiseSpec, PauliChannel, ShotPath, TrajectoryConfig,
+    run_trajectories, run_trajectories_from, NoiseSpec, PauliChannel, Reference, ShotPath,
+    TrajectoryConfig,
 };
 use qclab_core::{Observable, PlanOptions, ProgramOp};
 
@@ -61,25 +62,13 @@ fn alias_sampled_counts_match_exact_branch_probabilities() {
     assert_eq!(result.total_counts(), shots);
 
     // chi-square goodness of fit against the exact branch distribution
-    let mut chi2 = 0.0;
-    let mut dof = 0usize;
+    let mut probs = std::collections::BTreeMap::new();
     for b in sim.branches() {
-        let expected = b.probability() * shots as f64;
-        if expected < 5.0 {
-            continue; // chi-square needs a minimum expected count
-        }
-        let observed = *result.counts().get(b.result()).unwrap_or(&0) as f64;
-        chi2 += (observed - expected).powi(2) / expected;
-        dof += 1;
+        *probs.entry(b.result().to_string()).or_insert(0.0) += b.probability();
     }
-    assert!(dof > 4, "workload should spread over many branches");
-    let dof = (dof - 1) as f64;
-    // mean dof, variance 2·dof: five sigma plus slack never false-alarms
-    let bound = dof + 5.0 * (2.0 * dof).sqrt() + 10.0;
-    assert!(
-        chi2 < bound,
-        "alias draws diverge from the simulator: chi2 = {chi2:.1}, bound = {bound:.1}"
-    );
+    let what = "alias draws vs the simulator";
+    let dof = assert_distribution(result.counts(), Expected::Exact(&probs), what);
+    assert!(dof > 3, "workload should spread over many branches");
     // every drawn record must be a branch the simulator produces
     let valid: std::collections::BTreeSet<_> = sim
         .branches()
@@ -104,14 +93,14 @@ fn forked_zero_noise_runs_are_bit_identical_to_per_shot() {
     c.push_back(CNOT::new(1, 2));
     c.push_back(Measurement::x(2));
     c.push_back(Measurement::z(0)); // re-measure: never alias-eligible
-    let mk = |fast_path| TrajectoryConfig {
+    let mk = |reference| TrajectoryConfig {
         shots: 500,
         seed: 29,
-        fast_path,
+        reference,
         ..TrajectoryConfig::default()
     };
-    let fast = run_trajectories(&c, &mk(true)).unwrap();
-    let slow = run_trajectories(&c, &mk(false)).unwrap();
+    let fast = run_trajectories(&c, &mk(Reference::Product)).unwrap();
+    let slow = run_trajectories(&c, &mk(Reference::NoSharing)).unwrap();
     assert!(matches!(fast.path(), ShotPath::Forked { .. }));
     assert_eq!(slow.path(), ShotPath::PerShot);
     assert_eq!(fast.counts(), slow.counts(), "forking changed the counts");
@@ -125,15 +114,15 @@ fn forked_observable_runs_match_per_shot_expectations_exactly() {
     // states are needed) but the whole circuit is deterministic prefix
     let c = sampling_workload(3);
     let z0 = Observable::new(3).term(1.0, "ZII");
-    let mk = |fast_path| TrajectoryConfig {
+    let mk = |reference| TrajectoryConfig {
         shots: 200,
         seed: 5,
-        fast_path,
+        reference,
         observables: vec![z0.clone()],
         ..TrajectoryConfig::default()
     };
-    let fast = run_trajectories(&c, &mk(true)).unwrap();
-    let slow = run_trajectories(&c, &mk(false)).unwrap();
+    let fast = run_trajectories(&c, &mk(Reference::Product)).unwrap();
+    let slow = run_trajectories(&c, &mk(Reference::NoSharing)).unwrap();
     assert!(matches!(fast.path(), ShotPath::Forked { .. }));
     assert_eq!(fast.counts(), slow.counts());
     // bit-identical forking extends to the averaged expectations
@@ -186,22 +175,22 @@ proptest! {
     /// runs agree bit for bit.
     #[test]
     fn forking_is_exact_under_readout_noise(c in measured_circuit(3, 10)) {
-        let mk = |fast_path| TrajectoryConfig {
+        let mk = |reference| TrajectoryConfig {
             shots: 48,
             seed: 17,
-            fast_path,
+            reference,
             noise: NoiseSpec {
                 before_measure: Some(PauliChannel::BitFlip(0.1)),
                 ..NoiseSpec::default()
             },
-            // this test pins the fork-vs-per-shot engines; an
-            // all-Clifford draw would otherwise route to the frame
-            // sampler
-            frames: false,
             ..TrajectoryConfig::default()
         };
-        let fast = run_trajectories(&c, &mk(true)).unwrap();
-        let slow = run_trajectories(&c, &mk(false)).unwrap();
+        // this test pins the fork-vs-per-shot engines; an all-Clifford
+        // draw would otherwise route to the frame sampler, which an
+        // explicit initial state rules out
+        let zero = CVec::basis_state(1 << c.nb_qubits(), 0);
+        let fast = run_trajectories(&c, &mk(Reference::NoFrames)).unwrap();
+        let slow = run_trajectories_from(&c, &zero, &mk(Reference::NoSharing)).unwrap();
         prop_assert_eq!(slow.path(), ShotPath::PerShot);
         prop_assert_eq!(fast.counts(), slow.counts());
         prop_assert_eq!(fast.injected_errors(), slow.injected_errors());

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{measured_circuit, random_layers, state};
+use common::{assert_distribution, measured_circuit, random_layers, state, Expected};
 use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::program::{choose_backend, BackendChoice, BackendRequest, PlanOptions};
@@ -49,7 +49,7 @@ fn rich_circuit() -> impl Strategy<Value = QCircuit> {
 /// Runs the sparse executor over the circuit's unfused plan from an
 /// arbitrary dense initial state.
 fn run_sparse(c: &QCircuit, init: &CVec) -> Simulation<SparseState> {
-    let program = c.compile_with(&PlanOptions::sparse());
+    let program = c.compile_with(&PlanOptions::unfused());
     let initial = SparseState::from_dense(init, 0.0);
     sparse::execute(&program, initial, &ResourceLimits::default()).unwrap()
 }
@@ -185,35 +185,6 @@ fn sparse_resets_the_logical_qubit_after_a_relabel() {
     assert_sparse_matches_dense_on_relabeled_plan(&c, "reset after relabel");
 }
 
-/// Pearson chi-square over labelled counts against exact probabilities,
-/// skipping bins whose expectation is below the standard applicability
-/// threshold (mirrors the sampler's own statistical tests).
-fn chi_square(
-    counts: &BTreeMap<String, u64>,
-    probs: &BTreeMap<String, f64>,
-    draws: u64,
-) -> (f64, usize) {
-    let mut stat = 0.0;
-    let mut dof = 0usize;
-    for (label, p) in probs {
-        let expect = p * draws as f64;
-        if expect < 5.0 {
-            continue; // standard applicability rule
-        }
-        let c = counts.get(label).copied().unwrap_or(0);
-        let d = c as f64 - expect;
-        stat += d * d / expect;
-        dof += 1;
-    }
-    (stat, dof.saturating_sub(1))
-}
-
-/// Loose acceptance bound: mean + 5 sigma of the chi-square distribution
-/// plus slack, so a correct sampler fails with negligible probability.
-fn chi_bound(dof: usize) -> f64 {
-    dof as f64 + 5.0 * (2.0 * dof as f64).sqrt() + 10.0
-}
-
 /// A branching workload for the statistical legs: superposition,
 /// entanglement, a mid-circuit X-basis measurement and a reset, so the
 /// outcome marginal is spread over several result strings.
@@ -254,14 +225,9 @@ fn sparse_counts_match_dense_marginal_chi_square() {
         let counts: BTreeMap<String, u64> = sp.counts(draws, seed).into_iter().collect();
         let total: u64 = counts.values().sum();
         assert_eq!(total, draws);
-        let (stat, dof) = chi_square(&counts, &probs, draws);
+        let what = format!("seed {seed}: sparse counts vs the dense marginal");
+        let dof = assert_distribution(&counts, Expected::Exact(&probs), &what);
         assert!(dof >= 3, "chi-square must retain bins, got dof {dof}");
-        assert!(
-            stat <= chi_bound(dof),
-            "seed {seed}: sparse counts drifted from the dense marginal \
-             (chi2 {stat:.1} > bound {:.1}, dof {dof})",
-            chi_bound(dof)
-        );
     }
 }
 
@@ -298,19 +264,9 @@ fn sparse_sampled_trajectories_match_dense_marginal_chi_square() {
         "pinned sparse trajectory must take the prefix-sampling path, got {}",
         result.path()
     );
-    let counts: BTreeMap<String, u64> = result
-        .counts()
-        .iter()
-        .map(|(r, n)| (r.clone(), *n))
-        .collect();
-    let (stat, dof) = chi_square(&counts, &probs, shots);
+    let what = "sparse-sampled counts vs the dense marginal";
+    let dof = assert_distribution(result.counts(), Expected::Exact(&probs), what);
     assert!(dof >= 2, "chi-square must retain bins, got dof {dof}");
-    assert!(
-        stat <= chi_bound(dof),
-        "sparse-sampled counts drifted from the dense marginal \
-         (chi2 {stat:.1} > bound {:.1}, dof {dof})",
-        chi_bound(dof)
-    );
 }
 
 /// The headline capability, locked in at the library level: a 30-qubit
@@ -360,7 +316,7 @@ fn thirty_qubit_circuit_dense_refuses_auto_completes() {
     // dense, a GHZ ladder (bound 2) resolves sparse
     let limits = ResourceLimits::default();
     let verdict = |c: &QCircuit| {
-        let program = c.compile_with(&PlanOptions::sparse());
+        let program = c.compile_with(&PlanOptions::unfused());
         choose_backend(program.stats(), c.nb_qubits(), &limits).unwrap()
     };
     let entangling = random_layers(12, 12, 4, 3);

@@ -3,7 +3,8 @@
 //! `(seed, shot)` stream) — measured-qubit marginal, cumulative sums,
 //! bisection — whichever path pays for the table. What must hold:
 //!
-//! * **one function** — sharing the evolution (`fast_path`), the batch
+//! * **one function** — sharing the evolution (or not,
+//!   `Reference::NoSharing`), the batch
 //!   width, the fan-out and the thread count are pure scheduling:
 //!   counts, injected errors and watchdog statistics are `==` across all
 //!   of them, noiseless and under gate + idle + readout noise. No leg
@@ -20,12 +21,13 @@
 
 mod common;
 
-use common::random_layers;
+use common::{assert_distribution, random_layers, Expected};
 use qclab::prelude::*;
 use qclab_core::sim::density::{run_noisy, DensityState, NoiseModel};
+use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
-    run_trajectories, NoiseSpec, PauliChannel, ShotPath, TrajectoryConfig, TrajectoryResult,
-    WatchdogConfig,
+    run_trajectories, NoiseSpec, PauliChannel, Reference, ShotPath, TrajectoryConfig,
+    TrajectoryResult, WatchdogConfig,
 };
 use qclab_core::PlanOptions;
 use qclab_math::bits;
@@ -72,16 +74,19 @@ fn outcome(r: &TrajectoryResult) -> String {
 fn assert_scheduling_is_invisible(c: &QCircuit, base: &TrajectoryConfig, what: &str) {
     let golden = run_trajectories(c, base).unwrap();
     assert_eq!(golden.total_counts(), base.shots);
-    for fast_path in [true, false] {
+    for reference in [Reference::Product, Reference::NoSharing] {
         for shot_batch in [1usize, 3, 64] {
-            let config = |parallel| TrajectoryConfig {
-                fast_path,
+            let config = |allow_parallel| TrajectoryConfig {
+                reference,
                 shot_batch,
-                parallel,
+                kernel: KernelConfig {
+                    allow_parallel,
+                    ..base.kernel
+                },
                 ..base.clone()
             };
             let serial = run_trajectories(c, &config(false)).unwrap();
-            let leg = format!("{what}: fast_path {fast_path}, batch {shot_batch}");
+            let leg = format!("{what}: {reference:?}, batch {shot_batch}");
             assert_eq!(outcome(&serial), outcome(&golden), "{leg}, serial");
             for threads in 1..=4 {
                 let fanned = with_threads(threads, || run_trajectories(c, &config(true))).unwrap();
@@ -156,11 +161,15 @@ fn windows_under_noise_end_in_the_same_draw() {
     };
     let golden = run_trajectories(&c, &base).unwrap();
     assert!(golden.injected_errors() > 0);
-    for (fast_path, shot_batch) in [(true, 1), (false, 64), (false, 1)] {
+    for (reference, shot_batch) in [
+        (Reference::Product, 1),
+        (Reference::NoSharing, 64),
+        (Reference::NoSharing, 1),
+    ] {
         let r = run_trajectories(
             &c,
             &TrajectoryConfig {
-                fast_path,
+                reference,
                 shot_batch,
                 ..base.clone()
             },
@@ -169,7 +178,7 @@ fn windows_under_noise_end_in_the_same_draw() {
         assert_eq!(
             outcome(&r),
             outcome(&golden),
-            "fast_path {fast_path}, batch {shot_batch}"
+            "{reference:?}, batch {shot_batch}"
         );
     }
 }
@@ -235,15 +244,15 @@ fn noisy_terminal_draws_follow_the_density_matrix_exactly() {
     assert_eq!(result.total_counts(), shots);
     assert!(result.injected_errors() > shots / 4, "lanes must diverge");
 
-    let (mut chi2, mut dof, mut impossible) = (0.0, 0usize, 0usize);
+    let (mut probs, mut impossible) = (std::collections::BTreeMap::new(), 0usize);
     for (k, &p) in exact.iter().enumerate() {
         let record: String = (0..measured.len())
             .rev()
             .map(|j| if (k >> j) & 1 == 1 { '1' } else { '0' })
             .collect();
-        let observed = *result.counts().get(&record).unwrap_or(&0);
         if k & 1 == 1 {
             // the last measured qubit is never touched: its bit is 0
+            let observed = *result.counts().get(&record).unwrap_or(&0);
             assert!(p.abs() < 1e-15, "outcome {record} has probability {p}");
             assert_eq!(observed, 0, "impossible outcome {record} was drawn");
             impossible += 1;
@@ -251,29 +260,23 @@ fn noisy_terminal_draws_follow_the_density_matrix_exactly() {
         }
         let expected = p * shots as f64;
         assert!(expected > 5.0, "outcome {record}: expectation {expected}");
-        chi2 += (observed as f64 - expected).powi(2) / expected;
-        dof += 1;
+        probs.insert(record, p);
     }
-    assert_eq!((dof, impossible), (8, 8));
-    let dof = (dof - 1) as f64;
-    // mean dof, variance 2·dof: five sigma plus slack never false-alarms
-    let bound = dof + 5.0 * (2.0 * dof).sqrt() + 10.0;
-    assert!(
-        chi2 < bound,
-        "chi2 = {chi2:.1} over {dof} dof, bound {bound:.1}"
-    );
+    let what = "noisy terminal draws vs the density matrix";
+    let dof = assert_distribution(result.counts(), Expected::Exact(&probs), what);
+    assert_eq!((dof, impossible), (7, 8));
 }
 
 #[test]
 fn watchdog_totals_do_not_depend_on_how_many_lanes_diverged() {
     let c = partial_mixed_bases();
-    let run = |p: f64, fast_path| {
+    let run = |p: f64, reference| {
         run_trajectories(
             &c,
             &TrajectoryConfig {
                 seed: 2,
                 shots: 96,
-                fast_path,
+                reference,
                 noise: NoiseSpec {
                     after_gate: Some(PauliChannel::Depolarizing(p)),
                     ..NoiseSpec::default()
@@ -288,7 +291,8 @@ fn watchdog_totals_do_not_depend_on_how_many_lanes_diverged() {
         .unwrap()
     };
     // nobody diverges, some do, everybody does (at the first gate)
-    let (none, some, all) = (run(1e-12, true), run(0.02, true), run(1.0, true));
+    let product = Reference::Product;
+    let (none, some, all) = (run(1e-12, product), run(0.02, product), run(1.0, product));
     assert_eq!(none.injected_errors(), 0);
     assert!(0 < some.injected_errors() && some.injected_errors() < all.injected_errors());
     // the plan every run executes, noisy or not: 22 gates fused into 8
@@ -300,7 +304,10 @@ fn watchdog_totals_do_not_depend_on_how_many_lanes_diverged() {
         assert_eq!(r.norm_stats().renormalizations, 0, "{what} diverged");
     }
     // … which is what every lane evolving on its own reports
-    assert_eq!(run(1e-12, false).norm_stats(), none.norm_stats());
+    assert_eq!(
+        run(1e-12, Reference::NoSharing).norm_stats(),
+        none.norm_stats()
+    );
 }
 
 #[test]

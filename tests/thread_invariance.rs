@@ -202,7 +202,6 @@ fn compiled_programs_with_windows_are_bit_identical_at_any_thread_count() {
     let initial = CVec::basis_state(1 << n, 0);
     for simd in [true, false] {
         let opts = SimOptions {
-            backend: Backend::Kernel,
             kernel: KernelConfig {
                 allow_simd: simd,
                 ..KernelConfig::default()
