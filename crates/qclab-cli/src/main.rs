@@ -22,8 +22,8 @@ use qclab_core::sim::control::ExecutionControl;
 use qclab_core::sim::guard::{ResourceLimits, SPARSE_ENTRY_BYTES};
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
-    route, run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig, TrajectoryResult,
-    SEED_CONTRACT,
+    route, run_trajectories, NoiseSpec, PauliChannel, TerminalDraw, TrajectoryConfig,
+    TrajectoryResult, SEED_CONTRACT,
 };
 use qclab_core::sim::SimOptions;
 use qclab_core::{QCircuit, QclabError};
@@ -744,6 +744,14 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
             stats.remap_windows, stats.remap_moves, stats.remap_folds
         ),
     );
+    // the noiseless route's terminal draw, at the library's default shot
+    // count: its table, or streamed when no plan could keep the table
+    let draw = match route(circuit, &opts.trajectory(), None).map(|r| r.draw) {
+        Ok(Some(TerminalDraw::Table { bytes })) => format!("table {}", fmt_bytes(Some(bytes))),
+        Ok(Some(TerminalDraw::Streamed)) => "streamed".to_string(),
+        _ => "none".to_string(),
+    };
+    row("terminal draw:", draw);
     let cache = plan_cache_stats();
     let (hits, misses, resident) = (cache.hits, cache.misses, cache.entries as u128);
     row(

@@ -574,6 +574,39 @@ fn compile_prints_the_route_sample_takes() {
 }
 
 #[test]
+fn compile_prints_the_terminal_draw() {
+    // the noiseless route's draw at the default shot count: a table a
+    // plan can keep (qft16, 2^16 outcomes), streamed where none could
+    // keep it (18 measured qubits), none without a terminal block
+    let draw_row = |file: &str| {
+        let out = qclab(&["compile", file]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        let report = stdout(&out);
+        report
+            .lines()
+            .find_map(|line| line.strip_prefix("  terminal draw: "))
+            .unwrap_or_else(|| panic!("no terminal draw row in:\n{report}"))
+            .to_string()
+    };
+    let inputs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/inputs");
+    assert_eq!(draw_row(&format!("{inputs}/qft16.qasm")), "table 512.0 KiB");
+    assert_eq!(draw_row(&format!("{inputs}/teleport.qasm")), "none");
+    let wide = write_qasm(
+        "draw18.qasm",
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[18];\ncreg c[18];\nh q;\nmeasure q -> c;\n",
+    );
+    assert_eq!(draw_row(&wide), "streamed");
+    // and `sample` names the same path it always did
+    let sampled = qclab(&["sample", &wide, "1000"]);
+    assert_eq!(sampled.status.code(), Some(0), "{}", stderr(&sampled));
+    assert!(
+        stdout(&sampled).contains("path: alias-sampled (prefix"),
+        "{}",
+        stdout(&sampled)
+    );
+}
+
+#[test]
 fn panics_in_dispatch_become_a_clean_sim_error() {
     // the injected panic proves the containment wrapper: a bug report
     // message on stderr and the simulation-failure exit code, no abort

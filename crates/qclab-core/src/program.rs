@@ -82,9 +82,9 @@ pub enum ProgramOp {
     /// adopt it verbatim — it is never composed at run time). The
     /// executor permutes the amplitudes via
     /// [`crate::sim::kernel::permute_state`] — pure data movement, so
-    /// executing a remapped plan is bit-identical to the unmapped one
-    /// (single transpositions take the cheap pair-exchange swap path
-    /// inside `permute_state`).
+    /// executing a remapped plan is bit-identical to the unmapped one —
+    /// in place, in one pair-exchange pass per involution `perm` splits
+    /// into (single transpositions take the SWAP kernel).
     Permute {
         /// Physical movement: bit at qubit `i` goes to qubit `perm[i]`.
         perm: Vec<usize>,
@@ -233,10 +233,9 @@ pub struct PlanStats {
     /// index bits, including the trailing restore to the identity
     /// layout when it displaces that many).
     pub remap_moves: usize,
-    /// Single-transposition layout changes, realized by the cheap
-    /// pair-exchange swap path of
-    /// [`crate::sim::kernel::permute_state`] instead of a full
-    /// gather/scatter pass.
+    /// Single-transposition layout changes, realized by the SWAP
+    /// kernel inside [`crate::sim::kernel::permute_state`], which
+    /// touches only the half of the state that moves.
     pub remap_folds: usize,
     /// `true` when every op of the *source* schedule
     /// ([`CompiledProgram::source`]) is exactly representable on the
@@ -671,21 +670,20 @@ fn flatten_items(circuit: &QCircuit, offset: usize, out: &mut Vec<CircuitItem>) 
 // logical→physical permutation over the schedule, rewrites gate qubits
 // through it, and only touches amplitudes when a window's layout
 // actually changes — and even then prefers single index-bit
-// transpositions (the cheap pair-exchange path of `permute_state`)
-// over general gather/scatter permutations.
+// transpositions (the SWAP kernel inside `permute_state`) over general
+// permutations, which exchange pairs across the whole state.
 
 /// Cost-model weight of a gate whose targets miss the hot tile.
 const GATE_FAR_COST: f64 = 1.0;
 /// Weight of a gate whose targets all sit inside the hot tile (the
 /// sweep applies it from cache; ~1/3 of a strided full-vector walk).
 const GATE_NEAR_COST: f64 = 0.35;
-/// Weight of one explicit amplitude permutation (two full passes over
-/// the state: a strided gather plus a linear write).
+/// Weight of one explicit amplitude permutation (up to two in-place
+/// pair-exchange passes over the whole state, strided on one side).
 const PERMUTE_COST: f64 = 2.0;
 /// Weight of a single-transposition layout change: `permute_state`
-/// realizes it with the in-place pair-exchange swap kernel (half the
-/// state read+written once, no allocation) — far cheaper than the
-/// general gather into a fresh vector.
+/// realizes it with the SWAP kernel (half the state read+written once)
+/// — far cheaper than a general permutation.
 const FOLD_COST: f64 = 0.3;
 
 /// Minimal-movement layout for one gate window: hot (most-targeted)
@@ -776,7 +774,7 @@ fn remap_window(
         .map(|g| gate_cost(cur, g) - gate_cost(&desired, g))
         .sum();
 
-    // a single transposition takes the pair-exchange fast path inside
+    // a single transposition takes the SWAP kernel inside
     // `permute_state` — much cheaper than a general permutation, and
     // still pure movement (bit-exact)
     let fold = swaps.len() == 1;
@@ -818,9 +816,9 @@ fn remap_window(
 /// The locality pass: rewrites a lowered op stream so each gate
 /// window's hot targets live in low-order index bits, inserting
 /// [`ProgramOp::Permute`] ops at layout transitions and a final restore
-/// to the identity layout right after the last gate (so any terminal
-/// measurement run — the alias-sampling shape — sees a logical-layout
-/// state). The caller skips registers that fit in one sweep tile, where
+/// to the identity layout right after the last gate (so a terminal
+/// measurement block — the shape drawn in one draw per shot — sees a
+/// logical-layout state). The caller skips registers that fit in one sweep tile, where
 /// every qubit is tile-resident already. The input ops come out in their
 /// input order, relabeled in place; a stream of the same length means no
 /// layout was adopted and nothing was relabeled.
@@ -1186,11 +1184,13 @@ pub const PLAN_CACHE_CAPACITY: usize = 32;
 /// one bound that keeps "remember what was already solved" from growing
 /// with the traffic: the plan cache holds at most
 /// [`plan_cache_capacity`]` × RETAINED_BYTES_CAP` bytes of
-/// preparations (32 MiB at the defaults). 1 MiB keeps a `2^16`-outcome
-/// alias table and nothing larger: a
-/// `2^20`-outcome table (16 MiB) is rebuilt by every run, and whether
-/// holding one would be worth its bytes is for the cost model to weigh
-/// per plan, not for a second constant.
+/// preparations (32 MiB at the defaults). 1 MiB keeps a `2^17`-outcome
+/// terminal table and nothing larger. A larger table could never be
+/// kept, so a noiseless run streams its draw over the state instead of
+/// building one, unless its shots' sorted points would outweigh the
+/// table (`sim::trajectory::TerminalDraw`). Whether holding a
+/// `2^20`-outcome table (8 MiB) would be worth its bytes is for the cost
+/// model to weigh per plan, not for a second constant.
 pub const RETAINED_BYTES_CAP: usize = 1 << 20;
 
 type CacheKey = (u64, usize, PlanOptions);

@@ -430,8 +430,12 @@ fn resolve_cancelled(job: &QueuedJob) {
 }
 
 /// Estimated dense state bytes of an `n`-qubit job (what the guard
-/// would allocate). Used for admission only — sparse/frame jobs are
-/// re-guarded at runtime on their own support-sized estimates.
+/// would allocate), which is also a noiseless dense run's peak: its one
+/// state vector, permuted in place and drawn from without a second copy
+/// (what [`ResourceLimits::check_register`](crate::sim::guard::ResourceLimits::check_register)
+/// says of larger shot counts and noisy runs holds here too).
+/// Used for admission only — sparse/frame jobs are re-guarded at runtime
+/// on their own support-sized estimates.
 fn dense_state_bytes(n: usize) -> u64 {
     (16u128 << n).min(u64::MAX as u128) as u64
 }

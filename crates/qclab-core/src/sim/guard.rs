@@ -88,7 +88,12 @@ impl ResourceLimits {
     }
 
     /// Checks that a dense `nb_qubits`-qubit state vector may be
-    /// allocated and returns its dimension `1 << nb_qubits`.
+    /// allocated and returns its dimension `1 << nb_qubits`. That one
+    /// vector is a noiseless dense run's peak, up to small lookup tables
+    /// and tallies: layout permutes work in place, and a terminal table no
+    /// plan could keep is streamed instead while its shots' points weigh
+    /// less (`sim::trajectory::TerminalDraw`). A run that builds such a
+    /// table anyway (noisy lanes, more shots) holds it on top.
     pub fn check_register(&self, nb_qubits: usize) -> Result<usize, QclabError> {
         let bytes = Self::state_bytes(nb_qubits);
         if let Some(max_q) = self.max_qubits {

@@ -205,52 +205,53 @@ pub(crate) fn apply_prepared(pre: &PreparedOp, state: &mut [C64], n: usize, cfg:
     }
 }
 
-/// Tile size (in qubits) of the cache-blocked sweep and of
-/// [`permute_state`]: `2^12` amplitudes = 64 KiB, sized to keep one tile
-/// resident in L1/L2 across every gate of a window.
+/// Tile size (in qubits) of the cache-blocked sweep: `2^12` amplitudes =
+/// 64 KiB, sized to keep one tile resident in L1/L2 across every gate of
+/// a window.
 pub const SWEEP_TILE_QUBITS: usize = 12;
 
-/// Physically permutes the state vector: the amplitude at index `i`
-/// moves to index [`bits::permute_index`]`(i, perm, n)` (the bit on
+/// Physically permutes the state vector in place: the amplitude at index
+/// `i` moves to index [`bits::permute_index`]`(i, perm, n)` (the bit on
 /// qubit `q` moves to qubit `perm[q]`). Realizes the locality pass's
-/// layout changes: single transpositions swap two index-bit planes in
-/// place; general permutations rebuild the vector in destination order
-/// in tile-sized chunks, so writes stream sequentially.
+/// layout changes without a second vector. Every permutation is the
+/// product of two involutions (`involutions`), and an involution of the
+/// index bits is one pair-exchange pass: the SWAP kernel for a single
+/// transposition, `exchange_pass` for more. A window's layout change
+/// (disjoint transpositions) is therefore one pass, any restore at most
+/// two. A state with at most `2^n / 1024` nonzero amplitudes (a register
+/// still near `|0…0⟩`) moves just those instead.
 ///
 /// Pure data movement — no arithmetic — so it can never perturb a
 /// single amplitude bit.
-pub fn permute_state(state: &mut CVec, n: usize, perm: &[usize], parallel: bool) {
-    debug_assert_eq!(state.len(), 1usize << n);
-    debug_assert_eq!(perm.len(), n);
-    if perm.iter().enumerate().all(|(q, &p)| q == p) {
+pub fn permute_state(state: &mut [C64], n: usize, perm: &[usize], parallel: bool) {
+    // the passes index the register through raw pointers: a shorter
+    // state would be written past its end
+    assert_eq!(state.len(), 1usize << n);
+    assert_eq!(perm.len(), n);
+    if perm.iter().enumerate().all(|(q, &p)| q == p) || move_support(state, n, perm) {
         return;
     }
-    // single-transposition fast path: exchange the two index-bit planes
-    // in place with the pair-exchange swap kernel — half the state
-    // read+written once, no allocation. Exactly two displaced positions
-    // in a permutation always form a transposition.
-    let displaced: Vec<usize> = (0..n).filter(|&q| perm[q] != q).collect();
-    if let [a, b] = displaced[..] {
-        apply_swap(&mut state.0, n, a, b, parallel);
-        return;
+    let (first, second) = involutions(perm);
+    for sigma in [first, second] {
+        let moved: Vec<usize> = (0..n).filter(|&q| sigma[q] != q).collect();
+        match moved[..] {
+            [] => {}
+            [a, b] => apply_swap(state, n, a, b, parallel),
+            _ => exchange_pass(state, n, &sigma, &moved, parallel),
+        }
     }
-    // inverse permutation: destination index d reads from source
-    // permute_index(d, inv, n)
-    let mut inv = vec![0usize; n];
-    for (q, &p) in perm.iter().enumerate() {
-        inv[p] = q;
-    }
-    let tile = 1usize << SWEEP_TILE_QUBITS.min(n);
-    // sparse fast path: when the support is small (the expected shape
-    // right after a remap concentrates an idle-qubit register), scatter
-    // just the nonzero amplitudes into a fresh zero vector instead of
-    // gathering the full register. The collection pass aborts to the
-    // dense path as soon as the support exceeds 1/64 of the register.
-    let cap = (state.len() >> 6).max(1);
-    let mut nz: Vec<(usize, C64)> = Vec::with_capacity(cap);
-    // bit-level occupancy test (`-0.0` counts as occupied and is copied
-    // verbatim), so this path is exactly the gather, amplitude for
-    // amplitude
+}
+
+/// The sparse form of [`permute_state`]: when at most `2^n / 1024`
+/// amplitudes are nonzero, clears them and writes each to its
+/// destination, and returns `true`; otherwise changes nothing and returns
+/// `false`. The scan stops at the first amplitude over that bound, which
+/// keeps the list (24 B an entry) under 3 % of the state it spares a pass
+/// over. Occupancy is tested on the bits (`-0.0` counts as occupied and moves
+/// verbatim), so every other amplitude is `+0.0` and stays valid.
+fn move_support(state: &mut [C64], n: usize, perm: &[usize]) -> bool {
+    let cap = (state.len() >> 10).max(1);
+    let mut nz: Vec<(usize, C64)> = Vec::new();
     let sparse = state.iter().enumerate().all(|(i, &z)| {
         if z.re.to_bits() != 0 || z.im.to_bits() != 0 {
             if nz.len() == cap {
@@ -261,34 +262,84 @@ pub fn permute_state(state: &mut CVec, n: usize, perm: &[usize], parallel: bool)
         true
     });
     if sparse {
-        let mut out = vec![C64::new(0.0, 0.0); state.len()];
+        for &(i, _) in &nz {
+            state[i] = C64::new(0.0, 0.0);
+        }
         for (i, z) in nz {
-            out[bits::permute_index(i, perm, n)] = z;
-        }
-        state.0 = out;
-        return;
-    }
-    // permute_index distributes over disjoint bit sets, so the source of
-    // destination `base | j` is `permute_index(base) | permute_index(j)`:
-    // one table over the low tile bits replaces the per-element bit loop
-    let lut: Vec<usize> = (0..tile).map(|j| bits::permute_index(j, &inv, n)).collect();
-    let mut out = vec![C64::new(0.0, 0.0); state.len()];
-    let fill = |ti: usize, chunk: &mut [C64]| {
-        let hi_src = bits::permute_index(ti * tile, &inv, n);
-        for (j, z) in chunk.iter_mut().enumerate() {
-            *z = state[hi_src | lut[j]];
-        }
-    };
-    if parallel && state.len() / tile >= 2 {
-        out.par_chunks_mut(tile)
-            .enumerate()
-            .for_each(|(ti, chunk)| fill(ti, chunk));
-    } else {
-        for (ti, chunk) in out.chunks_mut(tile).enumerate() {
-            fill(ti, chunk);
+            state[bits::permute_index(i, perm, n)] = z;
         }
     }
-    state.0 = out;
+    sparse
+}
+
+/// Splits the qubit permutation `perm` into two involutions `(first,
+/// second)` with `second[first[q]] == perm[q]`, so permuting by `first`
+/// and then by `second` permutes by `perm`. On each cycle
+/// `c_0 → c_1 → … → c_{k−1}` of `perm`, `first` reflects `c_j ↔ c_{−j}`
+/// and `second` reflects `c_j ↔ c_{1−j}` (indices mod `k`). An involution
+/// comes back as `(identity, perm)`.
+fn involutions(perm: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let n = perm.len();
+    let mut first: Vec<usize> = (0..n).collect();
+    let mut second = first.clone();
+    let mut seen = vec![false; n];
+    let mut cycle = Vec::new();
+    for start in 0..n {
+        cycle.clear();
+        let mut q = start;
+        while !seen[q] {
+            seen[q] = true;
+            cycle.push(q);
+            q = perm[q];
+        }
+        let k = cycle.len();
+        for (j, &c) in cycle.iter().enumerate() {
+            first[c] = cycle[(k - j) % k];
+            second[c] = cycle[(k + 1 - j) % k];
+        }
+    }
+    (first, second)
+}
+
+/// One in-place pass of an involution `sigma` of the qubits (`moved` its
+/// displaced ones): exchanges every amplitude pair `(i, P(i))` with
+/// `P(i) > i`, `P` the index map of `sigma`, which is its own inverse —
+/// the SWAP kernel generalised to several transpositions. `P` changes the
+/// moved bits only, so a pair never leaves a [`split`] part of a gate on
+/// them; inside a part the indices are walked in ascending order.
+fn exchange_pass(state: &mut [C64], n: usize, sigma: &[usize], moved: &[usize], parallel: bool) {
+    let tmask = moved
+        .iter()
+        .fold(0usize, |t, &q| t | 1 << bits::qubit_shift(q, n));
+    // P distributes over disjoint bit sets, P(hi | lo) = P(hi) | P(lo):
+    // one table per half of the index replaces the per-element bit loop
+    let lo_bits = n / 2;
+    let lo_mask = (1usize << lo_bits) - 1;
+    let lo: Vec<usize> = (0..=lo_mask)
+        .map(|j| bits::permute_index(j, sigma, n))
+        .collect();
+    let hi: Vec<usize> = (0..1usize << (n - lo_bits))
+        .map(|h| bits::permute_index(h << lo_bits, sigma, n))
+        .collect();
+    split(state, tmask, parallel, |p| {
+        // the part's indices: `r0` plus any setting of the range's bits
+        // and of the target bits above it, enumerated in ascending order
+        let free = (p.rlen - 1) | (tmask & !(p.rlen - 1));
+        let mut x = 0usize;
+        loop {
+            let i = p.r0 | x;
+            let j = hi[i >> lo_bits] | lo[i & lo_mask];
+            if j > i {
+                // SAFETY: `i` and `j` differ in target bits only, so both
+                // belong to the group of `i`, which is based in `p`
+                unsafe { std::ptr::swap(p.at(i), p.at(j)) };
+            }
+            if x == free {
+                break;
+            }
+            x = ((x | !free) + 1) & free;
+        }
+    });
 }
 
 /// One gate of a cache-blocked sweep window, pre-lowered to the tile
@@ -1045,6 +1096,109 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The out-of-place gather the in-place passes replaced: destination
+    /// `d` reads source `permute_index(d, perm⁻¹)`.
+    fn permute_gather(state: &[C64], n: usize, perm: &[usize]) -> Vec<C64> {
+        let mut inv = vec![0usize; n];
+        for (q, &p) in perm.iter().enumerate() {
+            inv[p] = q;
+        }
+        (0..state.len())
+            .map(|d| state[bits::permute_index(d, &inv, n)])
+            .collect()
+    }
+
+    #[test]
+    fn in_place_permutes_equal_the_gather() {
+        use crate::sim::BranchState;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        let pool = |t| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(t)
+                .build()
+                .unwrap()
+        };
+        let shuffled = |rng: &mut StdRng, n: usize| {
+            let mut qs: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                qs.swap(i, rng.gen_range(0..=i));
+            }
+            qs
+        };
+        for n in [1usize, 2, 12, 13, 17, 19] {
+            let identity: Vec<usize> = (0..n).collect();
+            let mut perms = vec![(0..n).rev().collect::<Vec<_>>(), shuffled(&mut rng, n)];
+            if n >= 2 {
+                let qs = shuffled(&mut rng, n);
+                let mut transposition = identity.clone();
+                transposition.swap(qs[0], qs[1]);
+                // disjoint transpositions over all but at most one qubit
+                let mut involution = identity.clone();
+                for pair in qs.chunks_exact(2) {
+                    involution.swap(pair[0], pair[1]);
+                }
+                perms.extend([transposition, involution]);
+            }
+            if n >= 3 {
+                let qs = shuffled(&mut rng, n);
+                let mut cycle = identity.clone();
+                (cycle[qs[0]], cycle[qs[1]], cycle[qs[2]]) = (qs[1], qs[2], qs[0]);
+                perms.push(cycle);
+            }
+            let random: Vec<C64> = (0..1usize << n)
+                .map(|_| C64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+                .collect();
+            let mut basis = vec![C64::new(0.0, 0.0); 1 << n];
+            basis[rng.gen_range(0..1usize << n)] = C64::new(-0.0, 1.0);
+            for state in [random, basis] {
+                for perm in &perms {
+                    let want = permute_gather(&state, n, perm);
+                    for (threads, parallel, simd) in (1..=4)
+                        .flat_map(|t| [(t, true, true), (t, true, false)])
+                        .chain([(1, false, true)])
+                    {
+                        let cfg = KernelConfig {
+                            allow_parallel: parallel,
+                            allow_simd: simd,
+                            ..KernelConfig::default()
+                        };
+                        let mut got = CVec(state.clone());
+                        pool(threads).install(|| got.permute(perm, n, &cfg));
+                        assert!(
+                            got.iter()
+                                .zip(&want)
+                                .all(|(a, b)| a.re.to_bits() == b.re.to_bits()
+                                    && a.im.to_bits() == b.im.to_bits()),
+                            "n = {n}, perm {perm:?}, {threads} threads, {cfg:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn involutions_compose_to_the_permutation() {
+        for perm in [
+            vec![0, 1, 2, 3, 4],
+            vec![1, 0, 2, 3, 4],
+            vec![1, 2, 0, 3, 4],
+            vec![4, 3, 2, 1, 0],
+            vec![1, 2, 3, 4, 0],
+            vec![2, 0, 1, 4, 3],
+        ] {
+            let (first, second) = involutions(&perm);
+            for sigma in [&first, &second] {
+                assert!((0..5).all(|q| sigma[sigma[q]] == q), "{perm:?}: {sigma:?}");
+            }
+            assert!((0..5).all(|q| second[first[q]] == perm[q]), "{perm:?}");
+        }
+        // an involution is one pass: the first factor is the identity
+        assert_eq!(involutions(&[3, 2, 1, 0]).0, vec![0, 1, 2, 3]);
     }
 
     #[test]

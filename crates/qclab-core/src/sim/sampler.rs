@@ -12,6 +12,13 @@
 //! same way, so an outcome is one function of (distribution, one
 //! uniform) wherever it is drawn.
 //!
+//! The table is the one sampler, in two forms. A noiseless dense run
+//! whose table could never be kept on its plan (over
+//! [`RETAINED_BYTES_CAP`](crate::program::RETAINED_BYTES_CAP)) and would
+//! cost more than its shots' points draws from a `CdfStream` instead:
+//! the same running total, read off the state twice rather than stored,
+//! every point's outcome the table's bit for bit.
+//!
 //! There is deliberately no `O(1)`-per-draw alias table beside it: its
 //! build costs three times the memory and several passes where this one
 //! costs the single pass that validates the weights anyway, and a
@@ -36,30 +43,48 @@ pub struct CdfTable {
     cum: Vec<f64>,
 }
 
-impl CdfTable {
-    /// Turns (unnormalized) weights into their running totals in place:
-    /// one pass that validates as it sums.
-    pub fn new(mut weights: Vec<f64>) -> Result<Self, QclabError> {
-        if weights.is_empty() {
+/// The running total both samplers keep over weights in outcome order,
+/// validating each weight as it is added.
+#[derive(Default)]
+struct Running(f64);
+
+impl Running {
+    /// Adds `w` and returns the new total.
+    fn add(&mut self, w: f64) -> Result<f64, QclabError> {
+        if !w.is_finite() || w < 0.0 {
+            return Err(QclabError::Unavailable(format!(
+                "cannot sample from a distribution with weight {w}"
+            )));
+        }
+        self.0 += w;
+        Ok(self.0)
+    }
+
+    /// The total of `len` weights, if they form a distribution.
+    fn total(self, len: usize) -> Result<f64, QclabError> {
+        if len == 0 {
             return Err(QclabError::Unavailable(
                 "cannot sample from an empty distribution".into(),
             ));
         }
-        let mut acc = 0.0;
-        for w in &mut weights {
-            if !w.is_finite() || *w < 0.0 {
-                return Err(QclabError::Unavailable(format!(
-                    "cannot sample from a distribution with weight {w}"
-                )));
-            }
-            acc += *w;
-            *w = acc;
-        }
-        if acc <= 0.0 || !acc.is_finite() {
+        if self.0 <= 0.0 || !self.0.is_finite() {
             return Err(QclabError::Unavailable(
                 "cannot sample from an all-zero distribution".into(),
             ));
         }
+        Ok(self.0)
+    }
+}
+
+impl CdfTable {
+    /// Turns (unnormalized) weights into their running totals in place:
+    /// one pass that validates as it sums.
+    pub fn new(mut weights: Vec<f64>) -> Result<Self, QclabError> {
+        let mut running = Running::default();
+        for w in &mut weights {
+            *w = running.add(*w)?;
+        }
+        running.total(weights.len())?;
         Ok(CdfTable { cum: weights })
     }
 
@@ -85,10 +110,92 @@ impl CdfTable {
     #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let total = *self.cum.last().expect("CdfTable is never empty");
-        let r: f64 = rng.gen::<f64>() * total;
-        // first index whose cumulative sum exceeds r
+        self.outcome(rng.gen::<f64>() * total)
+    }
+
+    /// The outcome of the point `r` in `[0, total]`: the first index
+    /// whose cumulative sum exceeds `r`, clamped to the last outcome.
+    #[inline]
+    fn outcome(&self, r: f64) -> usize {
         let idx = self.cum.partition_point(|&c| c <= r);
         idx.min(self.cum.len() - 1)
+    }
+}
+
+/// [`CdfTable`]'s draws without its table, for weights that can be
+/// produced again in outcome order (a marginal read off the state it came
+/// from): [`new`](Self::new) sums them once for the total, and a run
+/// draws all its shots at once — each shot's point `u · total`, sorted,
+/// then outcomes assigned in one more pass over the weights
+/// ([`outcomes`](Self::outcomes)). The running total is kept as
+/// [`CdfTable::new`] keeps it, so every outcome — and every validation
+/// error — is the table's, bit for bit.
+///
+/// A pass receives the weights as `weights(sink)`, which must call `sink`
+/// on consecutive slices of them in outcome order: a slice at a time
+/// keeps the per-weight work a plain loop.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CdfStream {
+    len: usize,
+    total: f64,
+}
+
+/// Where a pass of a [`CdfStream`] receives its weights.
+pub(crate) type Sink<'a> = &'a mut dyn FnMut(&[f64]);
+
+impl CdfStream {
+    /// Validates and sums the weights in outcome order; the first invalid
+    /// one is the error.
+    pub(crate) fn new(weights: impl FnOnce(Sink<'_>)) -> Result<Self, QclabError> {
+        let (mut running, mut len, mut invalid) = (Running::default(), 0, None);
+        weights(&mut |slice| {
+            len += slice.len();
+            for &w in slice {
+                if let Err(e) = running.add(w) {
+                    invalid.get_or_insert(e);
+                }
+            }
+        });
+        match invalid {
+            Some(e) => Err(e),
+            None => Ok(CdfStream {
+                len,
+                total: running.total(len)?,
+            }),
+        }
+    }
+
+    /// The point a uniform `u` in `[0, 1)` selects, as
+    /// [`CdfTable::sample`] computes it.
+    pub(crate) fn point(&self, u: f64) -> f64 {
+        u * self.total
+    }
+
+    /// Emits the outcome of each point of `sorted` (ascending) in order,
+    /// walking the weights [`new`](Self::new) saw once more: the outcome
+    /// of `r` is the first whose running total exceeds it, which is
+    /// [`CdfTable`]'s bisection.
+    pub(crate) fn outcomes(
+        &self,
+        sorted: &[f64],
+        weights: impl FnOnce(Sink<'_>),
+        mut emit: impl FnMut(usize),
+    ) {
+        let (mut next, mut cum, mut k) = (0, 0.0, 0);
+        weights(&mut |slice| {
+            for &w in slice {
+                cum += w;
+                while next < sorted.len() && cum > sorted[next] {
+                    emit(k);
+                    next += 1;
+                }
+                k += 1;
+            }
+        });
+        // points at or above the total: clamped to the last outcome
+        for _ in next..sorted.len() {
+            emit(self.len - 1);
+        }
     }
 }
 
@@ -206,6 +313,88 @@ mod tests {
             vec![f64::INFINITY, 1.0],
         ] {
             assert!(CdfTable::new(bad.clone()).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// `weights` handed to a stream pass three at a time.
+    fn slices(weights: &[f64]) -> impl FnOnce(Sink<'_>) + '_ {
+        move |f| weights.chunks(3).for_each(f)
+    }
+
+    /// The stream's outcome of every point of `points` (sorted here)
+    /// against the table's outcome of the same point.
+    fn assert_stream_is_the_table(weights: &[f64], mut points: Vec<f64>) {
+        let table = CdfTable::new(weights.to_vec()).unwrap();
+        let stream = CdfStream::new(slices(weights)).unwrap();
+        assert_eq!(stream.total.to_bits(), table.cum.last().unwrap().to_bits());
+        points.sort_unstable_by(f64::total_cmp);
+        let mut got = Vec::new();
+        stream.outcomes(&points, slices(weights), |k| got.push(k));
+        let want: Vec<usize> = points.iter().map(|&r| table.outcome(r)).collect();
+        assert_eq!(got, want, "{weights:?}");
+    }
+
+    #[test]
+    fn streamed_draws_are_the_tables_on_every_uniform() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for len in [1usize, 2, 7, 64, 1000] {
+            // zeros leading, trailing and in runs
+            let weights: Vec<f64> = (0..len)
+                .map(|i| {
+                    if i == 0 || i + 1 == len || rng.gen::<f64>() < 0.3 {
+                        0.0
+                    } else {
+                        rng.gen::<f64>() * 10.0
+                    }
+                })
+                .collect();
+            if weights.iter().all(|&w| w == 0.0) {
+                continue;
+            }
+            let table = CdfTable::new(weights.clone()).unwrap();
+            let stream = CdfStream::new(slices(&weights)).unwrap();
+            // each shot's one uniform, through `sample` and through the
+            // stream: the same multiset of outcomes
+            let seed = rng.gen::<u64>();
+            let mut tabled: Vec<usize> = {
+                let mut draw = StdRng::seed_from_u64(seed);
+                (0..2000).map(|_| table.sample(&mut draw)).collect()
+            };
+            tabled.sort_unstable();
+            let mut draw = StdRng::seed_from_u64(seed);
+            let mut points: Vec<f64> = (0..2000).map(|_| stream.point(draw.gen())).collect();
+            points.sort_unstable_by(f64::total_cmp);
+            let mut streamed = Vec::new();
+            stream.outcomes(&points, slices(&weights), |k| streamed.push(k));
+            assert_eq!(streamed, tabled, "len {len}");
+            // every point on its own: ties, each running total exactly,
+            // zero, the total itself and the largest uniform's point, which
+            // may round to it (clamped onto the trailing zeros)
+            let mut edges: Vec<f64> = table.cum.clone();
+            let last = stream.point(1.0 - f64::EPSILON / 2.0);
+            edges.extend([0.0, 0.0, *table.cum.last().unwrap(), last]);
+            edges.extend(points.iter().take(5));
+            edges.extend(points.iter().take(5));
+            assert_stream_is_the_table(&weights, edges);
+        }
+        assert_stream_is_the_table(&[0.0, 1.0, 0.0, 0.0], vec![0.0, 0.5, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn the_stream_refuses_what_the_table_refuses_in_the_same_words() {
+        for bad in [
+            vec![],
+            vec![0.0, 0.0],
+            vec![1.0, -0.5],
+            vec![f64::NAN],
+            vec![f64::INFINITY, 1.0],
+            vec![f64::MAX, f64::MAX],
+            // the first invalid weight is the one named, in a later slice
+            vec![1.0, 2.0, 0.0, 3.0, -1.0, f64::NAN],
+        ] {
+            let table = CdfTable::new(bad.clone()).unwrap_err().to_string();
+            let stream = CdfStream::new(slices(&bad)).unwrap_err().to_string();
+            assert_eq!(stream, table, "{bad:?}");
         }
     }
 

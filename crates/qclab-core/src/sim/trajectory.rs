@@ -45,7 +45,10 @@
 //! (`ShotState::terminal_table`). Who pays for the table is all that
 //! differs between paths: a run builds it **once** from the noiseless
 //! evolution (and may keep it on the plan, `PrepSlot`); a noiseless
-//! run draws every shot from it; a noisy lane whose walk has no hit is
+//! run draws every shot from it — or, when no plan could keep it, from
+//! the rotated state, its shots' points sorted and matched in one more
+//! pass over the marginal ([`TerminalDraw::Streamed`], outcomes bit for
+//! bit the table's); a noisy lane whose walk has no hit is
 //! still *exactly* that state and draws from it too — no clone, no
 //! kernel, no state; only a lane that injected an error builds the
 //! table of its own state. A lane's RNG draws come in one order on
@@ -108,7 +111,7 @@ use crate::sim::control::{ControlTicker, ExecutionControl, StopCause, StopLatch}
 use crate::sim::frame;
 use crate::sim::guard::ResourceLimits;
 use crate::sim::kernel::KernelConfig;
-use crate::sim::sampler::CdfTable;
+use crate::sim::sampler::{CdfStream, CdfTable, Sink};
 use crate::sim::sparse;
 use crate::sim::walk::{Landing, NoisePlan, ShotDraws};
 use crate::sim::{collapse, kernel, walk_branches, Simulation};
@@ -388,10 +391,12 @@ pub enum ShotPath {
         /// Ops (gates + fences) replayed once instead of per shot.
         prefix_ops: usize,
     },
-    /// A noiseless terminal-measurement run: the state was evolved once,
-    /// the measured marginal tabulated, every shot drawn from the table.
-    /// ("Alias" is historical — the table is cumulative sums searched by
-    /// bisection; the name is kept for callers that match on it.)
+    /// A noiseless terminal-measurement run: the state was evolved once
+    /// and every shot drawn from the measured marginal — tabulated, or
+    /// streamed over the state when no plan could keep the table
+    /// ([`TerminalDraw`]). ("Alias" is historical — the table is
+    /// cumulative sums searched by bisection; the name is kept for
+    /// callers that match on it.)
     AliasSampled {
         /// Ops evolved once before sampling.
         prefix_ops: usize,
@@ -945,12 +950,19 @@ impl ShotState {
     /// consumed as a state (left rotated); its layout is the identity,
     /// which lowering guarantees at a terminal block.
     fn terminal_table(&mut self, block: &TerminalBlock) -> Result<CdfTable, QclabError> {
+        self.rotate_terminal(block);
+        CdfTable::new(marginal(&self.state, &block.measured, self.n, &block.lut))
+    }
+
+    /// The state a terminal block is drawn from, table or stream: the
+    /// end-of-shot norm check, then each measured qubit rotated into its
+    /// basis.
+    fn rotate_terminal(&mut self, block: &TerminalBlock) {
         debug_assert!(self.map.is_none());
         self.final_check();
         for vdg in &block.rotations {
             kernel::apply_gate_with(vdg, &mut self.state, self.n, &self.kernel);
         }
-        CdfTable::new(marginal(&self.state, &block.measured, self.n, &block.lut))
     }
 
     /// The terminal block on a lane's own state: the pending hits that
@@ -1426,14 +1438,75 @@ fn marginal(state: &[C64], measured: &[usize], n: usize, lut: &[usize]) -> Vec<f
     probs
 }
 
-/// Builds the shared terminal table of a dense run: the program is a
-/// unitary prefix followed only by measurements of pairwise-distinct
-/// qubits (plus fences), and no observable is requested. Evolves the
-/// noiseless state once and tabulates it ([`ShotState::terminal_table`]).
+/// [`marginal`]'s entries in outcome order without its vector: calls `f`
+/// on each tile of `lut.len()` consecutive outcomes. Outcome `k` sums
+/// `|amp|²` over the indices that gather to `k` in increasing index — the
+/// order `marginal` adds them in — so each weight is its entry there bit
+/// for bit. `scatter_bits` distributes over disjoint bit sets, so the
+/// first index of outcome `hi | lo` is `scatter(hi) | lut[lo]` (`lut` the
+/// measured qubits' [`scatter_lut`]), and the others add every setting of
+/// the unmeasured bits in turn.
+fn marginal_tiles(state: &[C64], measured: &[usize], n: usize, lut: &[usize], f: Sink<'_>) {
+    let rest = (state.len() - 1) & !bits::scatter_bits(0, usize::MAX, measured, n);
+    let mut tile = vec![0.0f64; lut.len()];
+    for hi in (0..1usize << measured.len()).step_by(lut.len()) {
+        let base = bits::scatter_bits(0, hi, measured, n);
+        tile.fill(0.0);
+        let mut u = 0usize;
+        loop {
+            for (w, &lo) in tile.iter_mut().zip(lut) {
+                *w += state[base | lo | u].norm_sqr();
+            }
+            if u == rest {
+                break;
+            }
+            u = ((u | !rest) + 1) & rest;
+        }
+        f(&tile);
+    }
+}
+
+/// The first index of each outcome within one tile of outcomes — the
+/// low half of [`marginal_tiles`]' index split.
+fn scatter_lut(measured: &[usize], n: usize) -> Vec<usize> {
+    (0..1usize << kernel::SWEEP_TILE_QUBITS.min(measured.len()))
+        .map(|lo| bits::scatter_bits(0, lo, measured, n))
+        .collect()
+}
+
+/// A streamed terminal draw's preparation ([`TerminalDraw::Streamed`]):
+/// the noiseless evolution rotated into the measured bases, and the
+/// running total of its marginal. It is the run's one state vector, so
+/// no plan keeps it.
+struct StreamedPrep {
+    state: CVec,
+    n: usize,
+    measured: Vec<usize>,
+    /// [`scatter_lut`] of `measured`.
+    lut: Vec<usize>,
+    stream: CdfStream,
+    /// Watchdog statistics of the one-time evolution.
+    norm: NormStats,
+}
+
+impl StreamedPrep {
+    /// Hands the marginal's weights to `f` in outcome order, read off the
+    /// state.
+    fn weights(&self, f: Sink<'_>) {
+        marginal_tiles(&self.state, &self.measured, self.n, &self.lut, f)
+    }
+}
+
+/// Prepares the terminal draw of a dense run: the program is a unitary
+/// prefix followed only by measurements of pairwise-distinct qubits (plus
+/// fences), and no observable is requested. Evolves the noiseless state
+/// once and tabulates it ([`ShotState::terminal_table`]) — or, when
+/// `streamed`, keeps it rotated with its marginal's total.
 fn terminal_prep(
     program: &CompiledProgram,
     initial: CVec,
     config: &TrajectoryConfig,
+    streamed: bool,
 ) -> Result<Prepared, QclabError> {
     let block = TerminalBlock::of(program);
     // one-time evolution: the parallel kernels are allowed here, and
@@ -1442,6 +1515,19 @@ fn terminal_prep(
         Ok(s) => s,
         Err(e) => return Ok(Prepared::Stopped(stop_or_err(e)?)),
     };
+    if streamed {
+        s.rotate_terminal(&block);
+        let lut = scatter_lut(&block.measured, s.n);
+        let stream = CdfStream::new(|f| marginal_tiles(&s.state, &block.measured, s.n, &lut, f))?;
+        return Ok(Prepared::Streamed(Box::new(StreamedPrep {
+            n: s.n,
+            state: s.state,
+            measured: block.measured,
+            lut,
+            stream,
+            norm: s.stats,
+        })));
+    }
     Ok(Prepared::Sampled(Arc::new(SampledPrep {
         outcomes: None,
         sampler: s.terminal_table(&block)?,
@@ -1532,27 +1618,74 @@ fn draw_sampled(
     // tally by outcome index — O(log distinct) per draw, never 2^m
     // storage for sparse outcomes
     let mut tally: BTreeMap<usize, u64> = BTreeMap::new();
+    let (done, stopped) = each_shot(config, |rng| {
+        *tally.entry(prep.draw(rng)).or_insert(0) += 1;
+    })?;
+    Ok(tallied(tally, prep.m, &prep.norm, done, stopped, empty))
+}
+
+/// [`draw_sampled`] without the table: each shot's one uniform is taken
+/// in shot order, as there, and scaled to its point; the points are
+/// sorted and their outcomes assigned in one more pass over the marginal
+/// ([`CdfStream::outcomes`]). A shot's outcome is the table's for the
+/// same uniform, so the tally is the one the table draws.
+fn draw_streamed(
+    prep: &StreamedPrep,
+    config: &TrajectoryConfig,
+    empty: TrajectoryResult,
+) -> Result<TrajectoryResult, QclabError> {
+    // `route` streams only when 16 B per shot stay below the table
+    let mut points = Vec::with_capacity(config.shots as usize);
+    let (done, stopped) = each_shot(config, |rng| points.push(prep.stream.point(rng.gen())))?;
+    points.sort_unstable_by(f64::total_cmp);
+    let mut tally: BTreeMap<usize, u64> = BTreeMap::new();
+    prep.stream.outcomes(
+        &points,
+        |f| prep.weights(f),
+        |k| {
+            *tally.entry(k).or_insert(0) += 1;
+        },
+    );
+    let m = prep.measured.len();
+    Ok(tallied(tally, m, &prep.norm, done, stopped, empty))
+}
+
+/// Hands `take` each shot's `(config.seed, shot)` stream in shot order,
+/// polling `config.control` between shots: returns the shots taken and
+/// what stopped the rest, if anything did.
+fn each_shot(
+    config: &TrajectoryConfig,
+    mut take: impl FnMut(&mut StdRng),
+) -> Result<(u64, Option<StopCause>), QclabError> {
     let mut ticker = config.control.ticker();
-    let mut done = 0u64;
-    let mut stopped = None;
     for shot in 0..config.shots {
         if let Err(e) = ticker.tick() {
-            stopped = Some(stop_or_err(e)?);
-            break;
+            return Ok((shot, Some(stop_or_err(e)?)));
         }
-        let outcome = prep.draw(&mut shot_rng(config.seed, shot));
-        *tally.entry(outcome).or_insert(0) += 1;
-        done += 1;
+        take(&mut shot_rng(config.seed, shot));
     }
+    Ok((config.shots, None))
+}
+
+/// The result of `done` terminal draws tallied by outcome index, each
+/// shot reporting the one-time evolution's watchdog statistics `norm`.
+fn tallied(
+    tally: BTreeMap<usize, u64>,
+    m: usize,
+    norm: &NormStats,
+    done: u64,
+    stopped: Option<StopCause>,
+    empty: TrajectoryResult,
+) -> TrajectoryResult {
     let mut counts = BTreeMap::new();
-    render_outcomes(tally, prep.m, &mut counts);
-    Ok(TrajectoryResult {
+    render_outcomes(tally, m, &mut counts);
+    TrajectoryResult {
         shots: done,
         counts,
-        norm: prep.norm.times(done),
+        norm: norm.times(done),
         stopped,
         ..empty
-    })
+    }
 }
 
 /// The seed-independent half of a run — everything [`prepare`] pays
@@ -1563,6 +1696,9 @@ enum Prepared {
     /// run that built it and, when the plan retains it ([`PrepSlot`]),
     /// every later run.
     Sampled(Arc<SampledPrep>),
+    /// Noiseless dense terminal program drawn by streaming
+    /// ([`TerminalDraw::Streamed`]).
+    Streamed(Box<StreamedPrep>),
     /// Pauli-frame engine over the plan's cached frame stream.
     Frames(Arc<frame::FrameProgram>),
     /// Forked or per-shot state-vector ensemble.
@@ -1683,8 +1819,52 @@ pub struct Route {
     /// the noiseless evolution's table by every lane that injects no
     /// error — the table a noiseless run of the same plan draws from.
     pub shares_table: bool,
+    /// How the dense noiseless evolution's terminal block is drawn, on
+    /// the routes that draw it (`AliasSampled`, and lanes sharing its
+    /// table); `None` elsewhere.
+    pub draw: Option<TerminalDraw>,
     /// The rule that decided the route.
     pub why: &'static str,
+}
+
+/// How a dense terminal block is drawn ([`Route::draw`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TerminalDraw {
+    /// From the marginal's cumulative table ([`CdfTable`]).
+    Table {
+        /// The table's size: 8 B per outcome.
+        bytes: u128,
+    },
+    /// From the rotated state itself, in two ascending passes over its
+    /// marginal: a noiseless run whose table could never be kept on its
+    /// plan (over [`program::RETAINED_BYTES_CAP`]) and would outweigh the
+    /// run's sorted points (16 B a shot). Every outcome is the table's.
+    Streamed,
+}
+
+/// Bytes a streamed terminal draw holds per shot: an 8-byte point in the
+/// sort buffer, and as much again for the outcome tally it feeds.
+const STREAM_BYTES_PER_SHOT: u128 = 16;
+
+/// How `config`'s run draws the terminal block of the dense `program`:
+/// streamed when it is noiseless, its table is over
+/// [`program::RETAINED_BYTES_CAP`] and the shots' points weigh less than
+/// the table; from the table otherwise. Noisy lanes share the table
+/// whatever its size.
+fn terminal_draw(program: &CompiledProgram, config: &TrajectoryConfig) -> TerminalDraw {
+    let block = &program.ops()[program.shot_plan().prefix_ops..];
+    let m = block
+        .iter()
+        .filter(|op| matches!(op, ProgramOp::Measure(_)))
+        .count();
+    let bytes = (std::mem::size_of::<f64>() as u128) << m;
+    let points = STREAM_BYTES_PER_SHOT.saturating_mul(config.shots.into());
+    let retainable = bytes <= program::RETAINED_BYTES_CAP as u128;
+    if config.noise.is_noiseless() && !retainable && points < bytes {
+        TerminalDraw::Streamed
+    } else {
+        TerminalDraw::Table { bytes }
+    }
 }
 
 /// `true` when a run's lanes end in one terminal draw: the program ends
@@ -1710,10 +1890,11 @@ pub fn route(
     let n = circuit.nb_qubits();
     let noiseless = config.noise.is_noiseless();
     let shares = config.reference != Reference::NoSharing;
-    let routed = |path, program, shares_table, why| Route {
+    let routed = |path, program, shares_table, draw, why| Route {
         path,
         program,
         shares_table,
+        draw,
         why,
     };
     // Backend routing happens before the dense `|0…0⟩` guard, so
@@ -1728,7 +1909,8 @@ pub fn route(
                 config.limits.check_sparse_register(n)?;
                 let prefix_ops = program.shot_plan().prefix_ops;
                 let path = ShotPath::SparseSampled { prefix_ops };
-                return Ok(routed(path, program, false, "sparse, noiseless, terminal"));
+                let why = "sparse, noiseless, terminal";
+                return Ok(routed(path, program, false, None, why));
             }
             if config.backend == BackendRequest::Sparse {
                 return Err(QclabError::Unavailable(
@@ -1755,7 +1937,7 @@ pub fn route(
         let program = circuit.compile_with(&PlanOptions::unfused());
         if program.frame_program().is_some() {
             let why = "noisy Clifford, no observables";
-            return Ok(routed(ShotPath::PauliFrame, program, false, why));
+            return Ok(routed(ShotPath::PauliFrame, program, false, None, why));
         }
     }
     validate(circuit, initial, config)?;
@@ -1777,7 +1959,8 @@ pub fn route(
     } else {
         (ShotPath::Forked { prefix_ops }, "no gate or idle noise")
     };
-    Ok(routed(path, program, tabulated && !noiseless, why))
+    let draw = tabulated.then(|| terminal_draw(&program, config));
+    Ok(routed(path, program, tabulated && !noiseless, draw, why))
 }
 
 /// Performs `route`'s one-time preparation (which never consults the
@@ -1812,8 +1995,9 @@ fn prepare(
             return Ok((prep, hit));
         }
         ShotPath::AliasSampled { .. } => {
+            let streamed = route.draw == Some(TerminalDraw::Streamed);
             return retained_or(program, key(dense), || {
-                terminal_prep(program, initial_state(), config)
+                terminal_prep(program, initial_state(), config, streamed)
             });
         }
         ShotPath::Forked { prefix_ops } => prefix_ops,
@@ -1822,7 +2006,7 @@ fn prepare(
     let (mut shared, mut prep_hit) = (None, false);
     if route.shares_table {
         match retained_or(program, key(dense), || {
-            terminal_prep(program, initial_state(), config)
+            terminal_prep(program, initial_state(), config, false)
         })? {
             (Prepared::Sampled(table), hit) => (shared, prep_hit) = (Some(table), hit),
             stopped => return Ok(stopped),
@@ -1862,6 +2046,7 @@ impl Prepared {
         let empty = TrajectoryResult::empty(route, config);
         match self {
             Prepared::Sampled(prep) => draw_sampled(prep, config, empty),
+            Prepared::Streamed(prep) => draw_streamed(prep, config, empty),
             Prepared::Frames(frames) => {
                 let run = frame::run_frames(&route.program, frames, config)?;
                 Ok(TrajectoryResult {
@@ -2542,6 +2727,84 @@ mod tests {
         let r = run_trajectories(&c, &none).unwrap();
         assert_eq!(r.total_counts(), 0);
         assert!(r.counts().is_empty());
+    }
+
+    #[test]
+    fn streamed_marginal_tiles_are_the_marginals() {
+        // measured subsets in shuffled order, m < n and m = n, on both
+        // sides of the lookup tile: every weight bit for bit
+        let mut rng = StdRng::seed_from_u64(9);
+        for n in [1usize, 3, 7, 12, 13, 15] {
+            let mut state: Vec<C64> = (0..1usize << n)
+                .map(|_| C64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+                .collect();
+            // zero runs: empty outcomes between live ones
+            for z in state.iter_mut().step_by(3) {
+                *z = C64::new(0.0, 0.0);
+            }
+            for _ in 0..8 {
+                let mut measured: Vec<usize> = (0..n).filter(|_| rng.gen::<bool>()).collect();
+                if rng.gen::<bool>() {
+                    measured = (0..n).collect();
+                }
+                for i in (1..measured.len()).rev() {
+                    measured.swap(i, rng.gen_range(0..=i));
+                }
+                let table = marginal(&state, &measured, n, &tile_lut(&measured, n));
+                let lut = scatter_lut(&measured, n);
+                let mut streamed = Vec::new();
+                marginal_tiles(&state, &measured, n, &lut, &mut |tile| {
+                    streamed.extend_from_slice(tile)
+                });
+                let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&streamed), bits(&table), "n={n} {measured:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_streamed_run_draws_what_its_table_draws() {
+        // the same prepared evolution drawn both ways, measured qubits
+        // in shuffled order and three bases, and zero shots
+        let n = 13;
+        let mut c = QCircuit::new(n);
+        for q in 0..n {
+            c.push_back(RotationY::new(q, 0.3 + 0.17 * q as f64));
+        }
+        for q in 1..n {
+            c.push_back(CNOT::new(q - 1, q));
+        }
+        for (i, q) in [7, 2, 11, 0, 5, 9, 12, 3, 1, 8].into_iter().enumerate() {
+            c.push_back(match i % 3 {
+                0 => Measurement::z(q),
+                1 => Measurement::x(q),
+                _ => Measurement::y(q),
+            });
+        }
+        let config = TrajectoryConfig {
+            shots: 5000,
+            seed: 21,
+            ..TrajectoryConfig::default()
+        };
+        let routed = route(&c, &config, None).unwrap();
+        assert!(matches!(routed.path, ShotPath::AliasSampled { .. }));
+        assert_eq!(routed.draw, Some(TerminalDraw::Table { bytes: 8 << 10 }));
+        let initial = || CVec::basis_state(1 << n, 0);
+        let prep = |streamed| terminal_prep(&routed.program, initial(), &config, streamed).unwrap();
+        for config in [
+            config.clone(),
+            TrajectoryConfig {
+                shots: 0,
+                ..config.clone()
+            },
+        ] {
+            let tabled = prep(false).run(&routed, &config).unwrap();
+            let streamed = prep(true).run(&routed, &config).unwrap();
+            assert!(matches!(prep(true), Prepared::Streamed(_)));
+            assert_eq!(streamed.counts(), tabled.counts());
+            assert_eq!(streamed.shots(), tabled.shots());
+            assert_eq!(streamed.norm_stats(), tabled.norm_stats());
+        }
     }
 
     #[test]
