@@ -706,6 +706,11 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
         ),
     );
     let channel = Some(PauliChannel::BitFlip(0.01));
+    // the routes also read the unfused plan — to pick the backend, or
+    // for Pauli frames — and the cache keeps a plan asked for once only
+    // while someone holds it: the report holds both across its rows
+    let _unfused = (opts.backend != BackendRequest::Dense || stats.is_clifford)
+        .then(|| circuit.compile_with(&PlanOptions::unfused()));
     for (class, after_gate, before_measure) in [
         ("noiseless", None, None),
         ("readout noise", None, channel),

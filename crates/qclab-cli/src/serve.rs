@@ -45,12 +45,14 @@
 
 use crate::{counts_json, io_err, json_escape, EngineOpts, Output};
 use qclab_core::program::{plan_cache_capacity, plan_cache_stats, RETAINED_BYTES_CAP};
+use qclab_core::recent::RecencyRing;
 use qclab_core::service::{
     ErrorKind, JobHandle, JobOutput, JobResult, JobSpec, Scheduler, ServiceConfig,
 };
 use qclab_core::sim::trajectory::SEED_CONTRACT;
 use qclab_core::{QCircuit, QclabError};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -377,54 +379,69 @@ fn error_line(id: &str, kind: ErrorKind, message: &str, partial: Option<&JobOutp
 // the serve loop
 // ---------------------------------------------------------------------
 
-/// The circuits of the source texts most recently submitted, least
+/// The circuits of the source texts submitted more than once, least
 /// recently used first: a resubmitted text — byte for byte the same —
-/// is not lexed, parsed and imported again. Bounded in entries (the plan
-/// cache's capacity: a circuit whose plan is gone has little use for its
-/// parse) and in text bytes ([`RETAINED_BYTES_CAP`]), so it does not
-/// grow with the traffic. Keyed by the full text, never by a hash of it.
+/// is not lexed, parsed and imported again. Like the plan cache, the
+/// memo keeps a circuit only when its text comes back: a text seen for
+/// the first time is parsed and handed out, and only its hash is
+/// remembered (`seen`, as many as the plan cache's capacity); seen
+/// again, it is parsed once more and kept. Kept circuits are bounded in
+/// entries (the plan cache's capacity: a circuit whose plan is gone has
+/// little use for its parse) and in text bytes ([`RETAINED_BYTES_CAP`]),
+/// so the memo does not grow with the traffic, and are keyed by the full
+/// text, never by a hash of it — a collision in `seen` only keeps a
+/// circuit one sighting early.
 struct SourceMemo {
-    entries: Vec<(String, QCircuit)>,
+    kept: RecencyRing<String, QCircuit>,
+    seen: RecencyRing<u64, ()>,
     text_bytes: usize,
     hits: u64,
     misses: u64,
 }
 
 static SOURCE_MEMO: Mutex<SourceMemo> = Mutex::new(SourceMemo {
-    entries: Vec::new(),
+    kept: RecencyRing::new(),
+    seen: RecencyRing::new(),
     text_bytes: 0,
     hits: 0,
     misses: 0,
 });
 
 fn lock_source_memo() -> MutexGuard<'static, SourceMemo> {
-    // only `Vec` bookkeeping runs under the lock (parsing does not), so
+    // only ring bookkeeping runs under the lock (parsing does not), so
     // a poisoned guard still holds a consistent memo
     SOURCE_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// [`qclab_qasm::from_qasm`] through the [`SourceMemo`].
 fn parse_source(qasm: &str) -> Result<QCircuit, QclabError> {
-    {
+    let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(qasm);
+    let recurring = {
         let mut memo = lock_source_memo();
-        if let Some(pos) = memo.entries.iter().position(|(text, _)| text == qasm) {
+        if let Some(circuit) = memo.kept.touch(qasm) {
+            let circuit = circuit.clone();
             memo.hits += 1;
-            let entry = memo.entries.remove(pos);
-            let circuit = entry.1.clone();
-            memo.entries.push(entry);
             return Ok(circuit);
         }
         memo.misses += 1;
-    }
+        memo.seen.remove(&hash).is_some()
+    };
     let circuit = qclab_qasm::from_qasm(qasm)?;
     // hashed here, once: every clone handed out carries the fingerprint
     circuit.fingerprint();
-    if qasm.len() <= RETAINED_BYTES_CAP {
-        let mut memo = lock_source_memo();
+    let mut memo = lock_source_memo();
+    if !recurring {
+        memo.seen.insert(hash, ());
+        memo.seen.evict_down_to(plan_cache_capacity(), |_| true);
+    } else if qasm.len() <= RETAINED_BYTES_CAP {
         memo.text_bytes += qasm.len();
-        memo.entries.push((qasm.to_string(), circuit.clone()));
-        while memo.entries.len() > plan_cache_capacity() || memo.text_bytes > RETAINED_BYTES_CAP {
-            memo.text_bytes -= memo.entries.remove(0).0.len();
+        memo.kept.insert(qasm.to_string(), circuit.clone());
+        while memo.kept.len() > plan_cache_capacity() || memo.text_bytes > RETAINED_BYTES_CAP {
+            let (text, _) = memo
+                .kept
+                .pop_oldest()
+                .expect("the bytes are the kept texts'");
+            memo.text_bytes -= text.len();
         }
     }
     Ok(circuit)
@@ -837,22 +854,34 @@ mod tests {
                  rz(0.{tag:05}) q[0];\ncx q[0], q[1];\nmeasure q -> c;\n// memo test\n"
             )
         };
+        let kept = |text: &str| lock_source_memo().kept.get(text).is_some();
+        // seen once: parsed, not kept
         let first = parse_source(&text(0)).unwrap();
-        let hits = lock_source_memo().hits;
+        assert!(!kept(&text(0)), "a text seen once must not be kept");
+        // seen twice: parsed again, and kept
+        let misses = lock_source_memo().misses;
         let again = parse_source(&text(0)).unwrap();
         assert!(
-            lock_source_memo().hits > hits,
-            "a resubmitted text must hit"
+            lock_source_memo().misses > misses,
+            "the second sighting parses"
         );
+        assert!(kept(&text(0)), "a text seen twice must be kept");
+        // after that it hits
+        let hits = lock_source_memo().hits;
+        let third = parse_source(&text(0)).unwrap();
+        assert!(lock_source_memo().hits > hits, "a kept text must hit");
         assert_eq!(first, again);
+        assert_eq!(first, third);
         assert_eq!(first, qclab_qasm::from_qasm(&text(0)).unwrap());
-        // far more distinct texts than the memo may hold
+        // far more distinct texts than the memo may hold, each twice
         for tag in 1..=3 * plan_cache_capacity() {
             parse_source(&text(tag)).unwrap();
+            parse_source(&text(tag)).unwrap();
             let memo = lock_source_memo();
-            assert!(memo.entries.len() <= plan_cache_capacity());
+            assert!(memo.kept.len() <= plan_cache_capacity());
+            assert!(memo.seen.len() <= plan_cache_capacity());
             assert!(memo.text_bytes <= RETAINED_BYTES_CAP);
-            let held: usize = memo.entries.iter().map(|(t, _)| t.len()).sum();
+            let held: usize = memo.kept.iter().map(|(t, _)| t.len()).sum();
             assert_eq!(held, memo.text_bytes);
         }
         // a text over the byte cap is parsed, never held
@@ -861,7 +890,8 @@ mod tests {
             huge.push_str("// padding padding padding padding padding padding padding\n");
         }
         assert_eq!(parse_source(&huge).unwrap(), first);
-        assert!(lock_source_memo().entries.iter().all(|(t, _)| *t != huge));
+        assert_eq!(parse_source(&huge).unwrap(), first);
+        assert!(!kept(&huge));
         // failures are reported as before and not remembered
         assert!(parse_source("this is not qasm").is_err());
         assert!(parse_source("this is not qasm").is_err());

@@ -607,6 +607,42 @@ fn compile_prints_the_terminal_draw() {
 }
 
 #[test]
+fn compile_lowers_each_plan_once() {
+    // the misses of one `compile` process, as its `plan cache:` row
+    // reports them: the counts of the cache that kept every plan, so a
+    // route row that drops a plan and asks for it again shows here
+    let inputs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/inputs");
+    let expected = [
+        ("teleport", [2, 2, 2]),
+        ("grover2", [2, 2, 2]),
+        ("qec3", [1, 2, 2]),
+        ("qft16", [1, 2, 2]),
+        ("rep25", [2, 2, 2]),
+    ];
+    for (name, misses) in expected {
+        let file = format!("{inputs}/{name}.qasm");
+        for (backend, want) in ["dense", "auto", "sparse"].into_iter().zip(misses) {
+            let out = qclab(&["compile", &file, "--backend", backend]);
+            assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+            let report = stdout(&out);
+            let row = report
+                .lines()
+                .find_map(|line| line.strip_prefix("  plan cache:   "))
+                .unwrap_or_else(|| panic!("no plan cache row in:\n{report}"));
+            let got = row
+                .split(", ")
+                .nth(1)
+                .and_then(|m| m.strip_suffix(" miss(es)"));
+            assert_eq!(
+                got,
+                Some(want.to_string().as_str()),
+                "{name} --backend {backend}: {row}"
+            );
+        }
+    }
+}
+
+#[test]
 fn panics_in_dispatch_become_a_clean_sim_error() {
     // the injected panic proves the containment wrapper: a bug report
     // message on stderr and the simulation-failure exit code, no abort
@@ -756,19 +792,20 @@ fn serve_resubmits_draw_the_same_bits_as_standalone_samples() {
     assert_eq!(counts[3], counts[0], "the text is not part of the seed");
     assert_eq!(counts[0], sample_counts_as_wire(&file, "300", "41"));
     assert_eq!(counts[2], sample_counts_as_wire(&file, "300", "42"));
-    // the first job prepares; every later one — the respelled text
+    // the first job's plan and parse are not kept, the second's are: the
+    // first two jobs prepare, and every later one — the respelled text
     // included: its parse is new, its plan is not — finds that on the plan
     let prep_hits: Vec<bool> = lines
         .iter()
         .map(|l| l.contains("\"prep_hit\":true"))
         .collect();
-    assert_eq!(prep_hits, [false, true, true, true]);
+    assert_eq!(prep_hits, [false, false, true, true]);
     assert!(
-        summary.contains("retained preparation 3 hit(s), 1 miss(es)"),
+        summary.contains("retained preparation 2 hit(s), 2 miss(es)"),
         "{summary}"
     );
     assert!(
-        summary.contains("source memo 2 hit(s), 2 miss(es)"),
+        summary.contains("source memo 1 hit(s), 3 miss(es)"),
         "{summary}"
     );
 }

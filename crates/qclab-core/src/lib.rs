@@ -23,6 +23,7 @@ pub mod measurement;
 pub mod observable;
 pub mod optimize;
 pub mod program;
+pub mod recent;
 pub mod reduced;
 pub mod service;
 pub mod sim;

@@ -39,6 +39,9 @@
 //! over. [`compile`] memoizes plans in a bounded global cache keyed by
 //! `(fingerprint, nb_qubits, fusion options)`; cache hits skip
 //! flattening and fusion entirely and share one [`Arc`] across callers.
+//! The cache keeps a plan only when its key comes back: a circuit asked
+//! for once — most circuits a user prototyping or a server sees —
+//! leaves its key behind and nothing else.
 //! The fingerprint is a 64-bit content hash, so two *different* circuits
 //! colliding is astronomically unlikely but not impossible; the hash
 //! covers every gate matrix bit pattern, so a collision requires two
@@ -51,13 +54,14 @@ use crate::circuit::{CircuitItem, QCircuit};
 use crate::error::QclabError;
 use crate::gates::Gate;
 use crate::measurement::Measurement;
+use crate::recent::RecencyRing;
 use crate::sim::fusion::{self, FusionStats, Placed, TargetMatrices, MAX_FUSED_QUBITS_LIMIT};
 use crate::sim::guard::{self, ResourceLimits};
 use crate::sim::kernel::{KernelConfig, SWEEP_TILE_QUBITS};
 use qclab_math::{CVec, C64};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 
 /// One operation of a lowered program. Qubit indices are absolute
 /// (register-relative); there are no nested structures left.
@@ -369,8 +373,8 @@ pub struct CompiledProgram {
     /// run over this plan (evolved prefix → marginal + sampler), filled
     /// by the first such run at most [`RETAINED_BYTES_CAP`] bytes large — see
     /// [`crate::sim::trajectory`]. Rides the same cache, so a circuit
-    /// the process has solved once is resampled at the cost of its
-    /// shots.
+    /// the process has been asked for twice is resampled at the cost of
+    /// its shots.
     prep: crate::sim::trajectory::PrepSlot,
     /// Lazily-built map from the noise sites of the source schedule to
     /// the ops that execute them ([`crate::sim::walk::Landings`]) — only
@@ -1171,40 +1175,85 @@ fn to_ops(items: Vec<CircuitItem>) -> Vec<ProgramOp> {
 // plan cache
 // ---------------------------------------------------------------------
 
-/// Default number of plans kept in the global cache (see
-/// [`set_plan_cache_capacity`]). Small on purpose: a plan can hold
-/// dense fused blocks, and single-process workloads that benefit (shot
-/// loops, sweeps) revisit a handful of circuits. Multi-tenant servers
-/// raise it to match their working set.
+/// Default number of plans the global cache keeps, and of keys it
+/// remembers as asked for once (see [`set_plan_cache_capacity`]). Small
+/// on purpose: a plan can hold dense fused blocks, and single-process
+/// workloads that benefit (shot loops, sweeps) revisit a handful of
+/// circuits. Multi-tenant servers raise it to match their working set.
 pub const PLAN_CACHE_CAPACITY: usize = 32;
 
-/// Most bytes a cached plan may retain of a trajectory run's one-time
+/// Most bytes a plan may retain of a trajectory run's one-time
 /// preparation (sampler tables and outcome list), and most source text
 /// `qclab serve` remembers parsed circuits for — not a tuning knob, the
 /// one bound that keeps "remember what was already solved" from growing
-/// with the traffic: the plan cache holds at most
+/// with the traffic: the resident plans hold at most
 /// [`plan_cache_capacity`]` × RETAINED_BYTES_CAP` bytes of
-/// preparations (32 MiB at the defaults). 1 MiB keeps a `2^17`-outcome
-/// terminal table and nothing larger. A larger table could never be
-/// kept, so a noiseless run streams its draw over the state instead of
-/// building one, unless its shots' sorted points would outweigh the
-/// table (`sim::trajectory::TerminalDraw`). Whether holding a
-/// `2^20`-outcome table (8 MiB) would be worth its bytes is for the cost
-/// model to weigh per plan, not for a second constant.
+/// preparations (32 MiB at the defaults), and a plan asked for once
+/// holds its preparation only as long as a caller holds the plan.
+/// 1 MiB keeps a `2^17`-outcome terminal table and nothing larger. A
+/// larger table could never be kept, so a noiseless run streams its
+/// draw over the state instead of building one, unless its shots'
+/// sorted points would outweigh the table
+/// (`sim::trajectory::TerminalDraw`). Whether holding a `2^20`-outcome
+/// table (8 MiB) would be worth its bytes is for the cost model to weigh
+/// per plan, not for a second constant.
 pub const RETAINED_BYTES_CAP: usize = 1 << 20;
 
 type CacheKey = (u64, usize, PlanOptions);
 
-/// One cache slot: a lowered plan, or a claim that some thread is
-/// currently lowering this key. The claim is what makes compilation
-/// single-flight — concurrent requesters of the same key wait on
-/// [`PLAN_CACHE_READY`] instead of lowering a duplicate.
-enum Slot {
-    Ready(Arc<CompiledProgram>),
-    InFlight,
+/// A key the cache has seen but keeps no plan for.
+enum Sighting {
+    /// Some thread is lowering this key. The claim is what makes
+    /// compilation single-flight: concurrent requesters wait on
+    /// [`PLAN_CACHE_READY`] instead of lowering a duplicate.
+    Lowering,
+    /// Lowered once and handed out: the plan lives as long as its
+    /// holders do, and a lookup meanwhile shares it.
+    Lowered(Weak<CompiledProgram>),
 }
 
-static PLAN_CACHE: Mutex<Vec<(CacheKey, Slot)>> = Mutex::new(Vec::new());
+impl Sighting {
+    /// The plan a caller still holds, if any.
+    fn held(&self) -> Option<Arc<CompiledProgram>> {
+        match self {
+            Sighting::Lowering => None,
+            Sighting::Lowered(plan) => plan.upgrade(),
+        }
+    }
+}
+
+/// The global plan cache: plans asked for again after their last holder
+/// let go (`resident`, least recently used first), and the keys asked
+/// for once (`seen`). At most [`plan_cache_capacity`] of each; a claim
+/// in flight is never evicted.
+struct PlanCache {
+    resident: RecencyRing<CacheKey, Arc<CompiledProgram>>,
+    seen: RecencyRing<CacheKey, Sighting>,
+}
+
+impl PlanCache {
+    /// Evicts least recently used plans and sightings down to
+    /// `capacity` each, counting the plans.
+    fn evict_down_to(&mut self, capacity: usize) {
+        let evicted = self.resident.evict_down_to(capacity, |_| true);
+        CACHE_EVICTIONS.fetch_add(evicted as u64, Ordering::Relaxed);
+        self.seen
+            .evict_down_to(capacity, |s| matches!(s, Sighting::Lowered(_)));
+    }
+
+    /// Drops every plan and every key, keeping the claims in flight
+    /// when `claims` is `false`.
+    fn clear(&mut self, claims: bool) {
+        self.resident.clear();
+        self.seen
+            .retain(|s| !claims && matches!(s, Sighting::Lowering));
+    }
+}
+
+static PLAN_CACHE: Mutex<PlanCache> = Mutex::new(PlanCache {
+    resident: RecencyRing::new(),
+    seen: RecencyRing::new(),
+});
 static PLAN_CACHE_READY: Condvar = Condvar::new();
 static CACHE_CAPACITY: AtomicUsize = AtomicUsize::new(PLAN_CACHE_CAPACITY);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
@@ -1219,90 +1268,77 @@ pub(crate) fn count_prep(hit: bool) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Locks the plan cache, recovering from poisoning. A thread that
-/// panicked while holding the lock (an executor panic can propagate
-/// through a caller that compiles under the lock, or a chaos-injected
-/// fault) poisons the `Mutex`; every entry is an immutable
-/// `Arc<CompiledProgram>` and the `Vec` itself is never left
-/// half-mutated by the short critical sections below, but the
-/// conservative recovery is to drop the cached plans and keep serving —
-/// unrelated callers must never see the panic. The poison flag is
-/// cleared so the cache refills instead of being emptied on every
-/// subsequent lock, and waiters are woken: their in-flight markers were
-/// dropped with the rest of the entries, so they must re-claim.
-fn lock_plan_cache() -> std::sync::MutexGuard<'static, Vec<(CacheKey, Slot)>> {
-    match PLAN_CACHE.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            PLAN_CACHE.clear_poison();
-            let mut guard = poisoned.into_inner();
-            guard.clear();
-            PLAN_CACHE_READY.notify_all();
-            guard
-        }
-    }
+/// Recovers the plan cache from poisoning. A thread that panicked while
+/// holding the lock (an executor panic can propagate through a caller
+/// that compiles under the lock, or a chaos-injected fault) poisons the
+/// `Mutex`; every plan is an immutable `Arc<CompiledProgram>` and the
+/// rings are never left half-mutated by the short critical sections
+/// below, but the conservative recovery is to drop the cached plans and
+/// keep serving — unrelated callers must never see the panic. The poison
+/// flag is cleared so the cache refills instead of being emptied on
+/// every subsequent lock, and waiters are woken: their in-flight claims
+/// were dropped with the rest, so they must re-claim.
+fn recover(
+    poisoned: PoisonError<MutexGuard<'static, PlanCache>>,
+) -> MutexGuard<'static, PlanCache> {
+    PLAN_CACHE.clear_poison();
+    let mut guard = poisoned.into_inner();
+    guard.clear(true);
+    PLAN_CACHE_READY.notify_all();
+    guard
 }
 
-/// Evicts least-recently-used plans (front of the list first) until at
-/// most `keep` remain, counting each eviction. In-flight claims are
-/// transient, not plans: they are skipped and never counted or evicted.
-fn evict_ready_down_to(cache: &mut Vec<(CacheKey, Slot)>, keep: usize) {
-    let mut ready = cache
-        .iter()
-        .filter(|(_, s)| matches!(s, Slot::Ready(_)))
-        .count();
-    let mut i = 0;
-    while ready > keep && i < cache.len() {
-        if matches!(cache[i].1, Slot::Ready(_)) {
-            cache.remove(i);
-            ready -= 1;
-            CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        } else {
-            i += 1;
-        }
-    }
+fn lock_plan_cache() -> MutexGuard<'static, PlanCache> {
+    PLAN_CACHE.lock().unwrap_or_else(recover)
 }
 
 /// Counters of the global plan cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered without lowering: a resident plan, or one a
+    /// caller still holds.
     pub hits: u64,
     /// Lookups that had to lower.
     pub misses: u64,
-    /// Plans dropped to make room (capacity evictions — `clear_plan_cache`
-    /// and poison recovery do not count).
+    /// Resident plans dropped to make room (capacity evictions —
+    /// `clear_plan_cache` and poison recovery do not count).
     pub evictions: u64,
-    /// Plans currently cached.
+    /// Plans currently resident.
     pub entries: usize,
+    /// Keys currently remembered as asked for once (at most
+    /// [`plan_cache_capacity`], besides the keys being lowered).
+    pub seen: usize,
     /// Sampled trajectory runs whose one-time preparation came from
     /// their plan.
     pub prep_hits: u64,
     /// Such runs that had to prepare (an empty slot, or one kept under
     /// another configuration).
     pub prep_misses: u64,
-    /// Bytes of preparations the cached plans currently retain — at
+    /// Bytes of preparations the resident plans currently retain — at
     /// most [`plan_cache_capacity`]` × `[`RETAINED_BYTES_CAP`].
     pub prep_bytes: usize,
 }
 
 /// Snapshot of the plan-cache counters.
 pub fn plan_cache_stats() -> PlanCacheStats {
-    let (mut entries, mut prep_bytes) = (0, 0);
-    for (_, slot) in lock_plan_cache().iter() {
-        if let Slot::Ready(plan) = slot {
-            entries += 1;
-            prep_bytes += plan.prep.bytes();
-        }
-    }
+    let cache = lock_plan_cache();
     PlanCacheStats {
         hits: CACHE_HITS.load(Ordering::Relaxed),
         misses: CACHE_MISSES.load(Ordering::Relaxed),
         evictions: CACHE_EVICTIONS.load(Ordering::Relaxed),
-        entries,
+        entries: cache.resident.len(),
+        seen: cache
+            .seen
+            .iter()
+            .filter(|(_, s)| matches!(s, Sighting::Lowered(_)))
+            .count(),
         prep_hits: PREP_HITS.load(Ordering::Relaxed),
         prep_misses: PREP_MISSES.load(Ordering::Relaxed),
-        prep_bytes,
+        prep_bytes: cache
+            .resident
+            .iter()
+            .map(|(_, plan)| plan.prep.bytes())
+            .sum(),
     }
 }
 
@@ -1320,21 +1356,21 @@ pub fn plan_cache_capacity() -> usize {
 pub fn set_plan_cache_capacity(capacity: usize) {
     let cap = capacity.max(1);
     CACHE_CAPACITY.store(cap, Ordering::Relaxed);
-    let mut cache = lock_plan_cache();
-    evict_ready_down_to(&mut cache, cap);
+    lock_plan_cache().evict_down_to(cap);
 }
 
-/// Empties the plan cache (counters keep running; in-flight lowerings
-/// are unaffected and republish when they finish). Benchmarks use this
-/// to measure cold lowering; long-lived processes may use it to drop
-/// plans holding large fused blocks.
+/// Empties the plan cache, plans and remembered keys alike (counters
+/// keep running; in-flight lowerings are unaffected and publish when
+/// they finish). Benchmarks use this to measure cold lowering;
+/// long-lived processes may use it to drop plans holding large fused
+/// blocks.
 pub fn clear_plan_cache() {
-    lock_plan_cache().retain(|(_, s)| matches!(s, Slot::InFlight));
+    lock_plan_cache().clear(false);
 }
 
 /// Removes `key`'s in-flight claim (if it is still a claim) and wakes
 /// waiters. Runs on drop so a panicking lowering can never strand the
-/// claim — waiters wake, find no slot, and re-claim as the new leader.
+/// claim — waiters wake, find no claim, and re-claim as the new leader.
 struct FlightGuard {
     key: CacheKey,
 }
@@ -1342,11 +1378,8 @@ struct FlightGuard {
 impl Drop for FlightGuard {
     fn drop(&mut self) {
         let mut cache = lock_plan_cache();
-        if let Some(pos) = cache
-            .iter()
-            .position(|(k, s)| *k == self.key && matches!(s, Slot::InFlight))
-        {
-            cache.remove(pos);
+        if matches!(cache.seen.get(&self.key), Some(Sighting::Lowering)) {
+            cache.seen.remove(&self.key);
         }
         drop(cache);
         PLAN_CACHE_READY.notify_all();
@@ -1356,9 +1389,18 @@ impl Drop for FlightGuard {
 /// Lowers `circuit` through the global plan cache: the key is the
 /// circuit's fingerprint (remembered by the circuit until its next
 /// mutation, which is what detects a changed circuit), and
-/// flattening, fusion and scheduling run only on a cache miss. Returns a
+/// flattening, fusion and scheduling run only on a miss. Returns a
 /// shared handle; executions on the same circuit across backends and
 /// shots all reuse one plan.
+///
+/// The cache **keeps a plan on recurrence**. A key asked for the first
+/// time is lowered and handed out, and only the key is remembered: the
+/// plan lives as long as its callers hold it, and a lookup meanwhile
+/// shares it. Asked for again once no caller holds it, the key is
+/// lowered again and the plan becomes resident — kept, with the
+/// preparation its runs retain, until it is the least recently used of
+/// [`plan_cache_capacity`] plans. So a one-off circuit leaves nothing
+/// behind, and a caller that needs one plan twice holds on to it.
 ///
 /// Compilation is **single-flight**: under contention on one key,
 /// exactly one thread lowers (outside the lock — fusion does real work)
@@ -1370,44 +1412,41 @@ pub fn compile(circuit: &QCircuit, options: &PlanOptions) -> Arc<CompiledProgram
     let options = options.normalized();
     let key: CacheKey = (circuit.fingerprint(), circuit.nb_qubits(), options);
 
-    {
+    let recurring = {
         let mut cache = lock_plan_cache();
         loop {
-            match cache.iter().position(|(k, _)| *k == key) {
-                Some(pos) => match &cache[pos].1 {
-                    Slot::Ready(plan) => {
-                        let plan = Arc::clone(plan);
-                        // move to the back: the front is the eviction
-                        // candidate
-                        let entry = cache.remove(pos);
-                        cache.push(entry);
+            if let Some(plan) = cache.resident.touch(&key) {
+                let plan = Arc::clone(plan);
+                CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+                return plan;
+            }
+            match cache.seen.touch(&key) {
+                None => {
+                    cache.seen.insert(key, Sighting::Lowering);
+                    break false;
+                }
+                // another thread is lowering this key; wait for its
+                // publish (or its FlightGuard, if it dies), then re-check:
+                // the plan may be there, the claim gone (leader panicked
+                // / cache cleared — this thread re-claims), or still in
+                // flight (spurious wake)
+                Some(Sighting::Lowering) => {
+                    cache = PLAN_CACHE_READY.wait(cache).unwrap_or_else(recover);
+                }
+                Some(sighting) => match sighting.held() {
+                    Some(plan) => {
                         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
                         return plan;
                     }
-                    Slot::InFlight => {
-                        // another thread is lowering this key; wait for
-                        // its publish (or its FlightGuard, if it dies)
-                        cache = match PLAN_CACHE_READY.wait(cache) {
-                            Ok(guard) => guard,
-                            Err(poisoned) => {
-                                PLAN_CACHE.clear_poison();
-                                let mut guard = poisoned.into_inner();
-                                guard.clear();
-                                guard
-                            }
-                        };
-                        // re-check: the slot may now be ready, gone
-                        // (leader panicked / cache cleared — this thread
-                        // re-claims), or still in flight (spurious wake)
+                    // asked for again after its last holder let go
+                    None => {
+                        *sighting = Sighting::Lowering;
+                        break true;
                     }
                 },
-                None => {
-                    cache.push((key, Slot::InFlight));
-                    break;
-                }
             }
         }
-    }
+    };
 
     // This thread owns the lowering; the guard un-claims on every exit
     // path, including a panic inside `lower`.
@@ -1416,21 +1455,26 @@ pub fn compile(circuit: &QCircuit, options: &PlanOptions) -> Arc<CompiledProgram
     CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
     {
         let mut cache = lock_plan_cache();
-        if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
-            if let Slot::Ready(other) = &cache[pos].1 {
-                // only possible after a poison/clear dropped this
-                // thread's claim and another thread republished first:
-                // share theirs (both lowerings really happened, so both
-                // misses stand)
-                return Arc::clone(other);
-            }
-            // this thread's claim (or a re-claimer's, after a clear):
-            // replace it with the finished plan
-            cache.remove(pos);
+        // only possible after a poison/clear dropped this thread's claim
+        // and another thread published first: share theirs (both
+        // lowerings really happened, so both misses stand)
+        if let Some(other) = cache.resident.touch(&key) {
+            return Arc::clone(other);
         }
-        let cap = CACHE_CAPACITY.load(Ordering::Relaxed);
-        evict_ready_down_to(&mut cache, cap.saturating_sub(1));
-        cache.push((key, Slot::Ready(Arc::clone(&plan))));
+        if let Some(other) = cache.seen.get(&key).and_then(Sighting::held) {
+            return other;
+        }
+        // this thread's claim (or a re-claimer's, after a clear):
+        // replace it with the finished plan
+        cache.seen.remove(&key);
+        if recurring {
+            cache.resident.insert(key, Arc::clone(&plan));
+        } else {
+            cache
+                .seen
+                .insert(key, Sighting::Lowered(Arc::downgrade(&plan)));
+        }
+        cache.evict_down_to(plan_cache_capacity());
     }
     drop(guard); // notifies waiters (the claim itself is already gone)
     plan

@@ -18,10 +18,11 @@
 //!   a burst of same-fingerprint jobs exactly one thread lowers and
 //!   every waiter shares the same `Arc<CompiledProgram>`.
 //! * **Retained preparation** — a sampled path's preparation stays on
-//!   the cached plan (under a byte cap), so a resubmitted circuit costs
-//!   its shots only ([`JobTelemetry::prep_hit`]). A cold burst of one
-//!   circuit may prepare up to `workers` times before the first to
-//!   finish is retained.
+//!   its plan (under a byte cap), and the plan cache keeps a plan once
+//!   its circuit comes back, so a circuit submitted twice costs its
+//!   shots only from then on ([`JobTelemetry::prep_hit`]); a one-off
+//!   leaves nothing behind. A cold burst of one circuit may prepare up
+//!   to `workers` times before the first to finish is retained.
 //!
 //! The scheduler itself is **admission control**: per-job memory
 //! estimates from [`sim::guard`](crate::sim::guard), a global in-flight
@@ -47,6 +48,7 @@
 use crate::circuit::QCircuit;
 use crate::error::QclabError;
 use crate::program::{plan_cache_capacity, BackendRequest};
+use crate::recent::RecencyRing;
 use crate::sim::control::{ExecutionControl, StopCause};
 use crate::sim::trajectory::{run_trajectories, TrajectoryConfig, TrajectoryResult};
 use std::collections::BTreeMap;
@@ -170,9 +172,9 @@ pub struct JobTelemetry {
     /// Submission → result.
     pub wall_ms: f64,
     /// `true` when the job's fingerprint is among the
-    /// [`plan_cache_capacity`] this scheduler accepted most recently: the
-    /// plan — and its bytecode/frame lowerings — can still be on the
-    /// cache instead of being lowered again.
+    /// [`plan_cache_capacity`] this scheduler accepted most recently: a
+    /// recurring circuit, whose plan — and its bytecode/frame lowerings —
+    /// the cache shares while it is held and keeps once it comes back.
     pub dedup_hit: bool,
     /// `true` when the job's seed-independent preparation (evolved
     /// prefix, marginal, sampler) was already on its cached plan:
@@ -300,10 +302,10 @@ struct SchedState {
     running_bytes: u64,
     closed: bool,
     /// Fingerprints of the jobs accepted most recently, least recently
-    /// used first — as many as the plan cache holds plans, so a hit names
-    /// a plan the cache can still hold, and a long-running server keeps a
-    /// bounded window (dedup telemetry).
-    seen: Vec<u64>,
+    /// used first — as many as the plan cache remembers keys, so a hit
+    /// names a circuit the cache can still know, and a long-running
+    /// server keeps a bounded window (dedup telemetry).
+    seen: RecencyRing<u64, ()>,
 }
 
 impl SchedState {
@@ -311,14 +313,12 @@ impl SchedState {
     /// least recently used past the plan cache's capacity; `true` if it
     /// was already in the window.
     fn see(&mut self, fingerprint: u64) -> bool {
-        let at = self.seen.iter().position(|&f| f == fingerprint);
-        if let Some(at) = at {
-            self.seen.remove(at);
+        let hit = self.seen.touch(&fingerprint).is_some();
+        if !hit {
+            self.seen.insert(fingerprint, ());
+            self.seen.evict_down_to(plan_cache_capacity(), |_| true);
         }
-        self.seen.push(fingerprint);
-        let over = self.seen.len().saturating_sub(plan_cache_capacity());
-        self.seen.drain(..over);
-        at.is_some()
+        hit
     }
 }
 

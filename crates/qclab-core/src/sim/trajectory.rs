@@ -1739,14 +1739,17 @@ struct PrepKey {
 
 /// The slot of a [`CompiledProgram`] that retains the seed-independent
 /// preparation of sampled runs from `|0…0⟩`, so a circuit the process
-/// has already solved costs its shots only. Only [`Prepared::Sampled`]
+/// has been asked for twice costs its shots only: the plan cache keeps
+/// a plan, and with it this slot, once its circuit comes back
+/// ([`program::compile`]); a plan asked for once keeps its slot only
+/// while a caller holds it. Only [`Prepared::Sampled`]
 /// is ever kept: `Frames` is cached by [`CompiledProgram::frame_program`]
 /// already, a fork snapshot saved nothing measurable
 /// (EXPERIMENTS F12), a per-shot start is the initial state itself and
 /// `Stopped` is not a preparation. First come, first kept: a run under
 /// another [`PrepKey`] computes its own preparation and leaves the slot
 /// alone, and one over [`program::RETAINED_BYTES_CAP`] is never kept.
-/// The slot dies with its plan (LRU eviction,
+/// The slot dies with its plan (its last holder, LRU eviction,
 /// [`program::clear_plan_cache`]).
 #[derive(Clone, Default)]
 pub(crate) struct PrepSlot(OnceLock<(PrepKey, Arc<SampledPrep>)>);
@@ -1897,11 +1900,17 @@ pub fn route(
         draw,
         why,
     };
+    // Each plan is lowered at most once and held until the decision is
+    // made: the plan cache keeps a plan only when it is asked for again
+    // after its last holder let go, so a second lookup would lower again.
+    let unfused = OnceLock::new();
+    let unfused =
+        || Arc::clone(unfused.get_or_init(|| circuit.compile_with(&PlanOptions::unfused())));
     // Backend routing happens before the dense `|0…0⟩` guard, so
     // sparse-eligible wide registers are not refused on the dense byte
     // estimate.
     if initial.is_none() && config.backend != BackendRequest::Dense {
-        let program = circuit.compile_with(&PlanOptions::unfused());
+        let program = unfused();
         let choice = program::resolve_backend(config.backend, program.stats(), n, &config.limits)?;
         if let BackendChoice::Sparse { .. } = choice {
             if shares && noiseless && ends_in_draw(&program, config) {
@@ -1924,9 +1933,10 @@ pub fn route(
             // whose own guard decides admission.
         }
     }
-    // lowers once (plan-cached): the one plan of this circuit, noisy or
-    // not; every state-vector shot executes the same program
-    let compile = || circuit.compile_with(&plan_options(config));
+    // the one plan of this circuit, noisy or not; every state-vector
+    // shot executes the same program
+    let fused = OnceLock::new();
+    let compile = || Arc::clone(fused.get_or_init(|| circuit.compile_with(&plan_options(config))));
     // Pauli frames: admitted by the frame guard instead of the dense 2^n
     // estimate, so 100+ qubit Clifford workloads run. Chosen by the
     // Clifford check on the source gates, which the engine executes one
@@ -1934,7 +1944,7 @@ pub fn route(
     let frames = config.reference != Reference::NoFrames;
     let sampled_noise = !noiseless && config.observables.is_empty();
     if initial.is_none() && frames && sampled_noise && compile().stats().is_clifford {
-        let program = circuit.compile_with(&PlanOptions::unfused());
+        let program = unfused();
         if program.frame_program().is_some() {
             let why = "noisy Clifford, no observables";
             return Ok(routed(ShotPath::PauliFrame, program, false, None, why));

@@ -1,4 +1,5 @@
-//! A dense run's peak heap is its one state vector.
+//! A dense run's peak heap is its one state vector, and a one-off
+//! request leaves no heap behind.
 //!
 //! This binary's global allocator counts live heap bytes and their
 //! high-water mark (nothing else links it: the library and the CLI keep
@@ -6,10 +7,15 @@
 //! three or more index bits at once and whose marginal table would be
 //! over `RETAINED_BYTES_CAP` must peak at the `2^n` state plus small
 //! change: the layout permutes work in place, and the draw streams over
-//! the state instead of tabulating it.
+//! the state instead of tabulating it. A scheduler fed one-off circuits
+//! and a few resubmitted ones must end holding the resubmitted plans
+//! only: the plan cache keeps a plan when its circuit comes back.
+//!
+//! The counters are process-wide, so the tests take one lock.
 
 use qclab::prelude::*;
-use qclab_core::program::{ProgramOp, RETAINED_BYTES_CAP};
+use qclab_core::program::{self, ProgramOp, RETAINED_BYTES_CAP};
+use qclab_core::service::{JobSpec, Scheduler, ServiceConfig};
 use qclab_core::sim::trajectory::{
     route, run_trajectories, TerminalDraw, TrajectoryConfig, TrajectoryResult,
 };
@@ -17,6 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The system allocator, counting.
 struct Counting;
@@ -66,6 +73,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// `layers` layers of one random rotation per qubit and a random
 /// CX/CZ pairing, then every qubit measured: the benchmark's dense shape.
 fn random_layers(n: usize, layers: usize, seed: u64) -> QCircuit {
@@ -108,6 +121,7 @@ fn peak_of(run: impl FnOnce() -> TrajectoryResult) -> (usize, TrajectoryResult) 
 
 #[test]
 fn a_dense_terminal_run_peaks_at_its_state_vector() {
+    let _g = serial();
     let n = 18;
     let (state, table) = (16usize << n, 8usize << n);
     let circuit = random_layers(n, 8, 1);
@@ -149,4 +163,67 @@ fn a_dense_terminal_run_peaks_at_its_state_vector() {
     );
     let (peak, _) = peak_of(|| run_trajectories(&circuit, &many).unwrap());
     assert!(peak >= state + table, "peak {peak} B");
+}
+
+/// Runs `circuits` through a one-worker scheduler, in order, to the end.
+fn drain(circuits: Vec<QCircuit>) {
+    let scheduler = Scheduler::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let handles: Vec<_> = (0u64..)
+        .zip(circuits)
+        .map(|(i, c)| {
+            scheduler
+                .submit(JobSpec::new(i.to_string(), c, 100, i))
+                .unwrap()
+        })
+        .collect();
+    for handle in handles {
+        handle.wait().unwrap();
+    }
+    scheduler.shutdown();
+}
+
+#[test]
+fn one_off_requests_leave_only_the_recurring_plans_behind() {
+    let _g = serial();
+    let hot: Vec<QCircuit> = (0..3).map(|k| random_layers(6, 40, 500 + k)).collect();
+    // the first scheduler's one-time allocations are not the cache's
+    drain((0..4).map(|k| random_layers(6, 40, 900 + k % 3)).collect());
+    program::clear_plan_cache();
+    // what a hot plan weighs once its run has retained its table: held
+    // across its run, then let go
+    let base = ServiceConfig::default().base;
+    let mut plans = 0;
+    for circuit in &hot {
+        let before = LIVE.load(Relaxed);
+        let plan = route(circuit, &base, None).unwrap().program;
+        run_trajectories(circuit, &base).unwrap();
+        plans += LIVE.load(Relaxed) - before;
+        drop(plan);
+    }
+    program::clear_plan_cache();
+
+    // 200 one-offs, and a hot circuit after every fourth: each hot one
+    // comes back 14 distinct circuits later, well inside the ring
+    let before = LIVE.load(Relaxed);
+    let mut jobs = Vec::new();
+    for i in 0..200 {
+        jobs.push(random_layers(6, 40, 1000 + i as u64));
+        if i % 4 == 3 {
+            jobs.push(hot[(i / 4) % 3].clone());
+        }
+    }
+    drain(jobs);
+    // the ring of 32 keys asked for once (each a `Weak`'s emptied plan
+    // allocation) and the rings' own buffers
+    let slack = 64 << 10;
+    let left = LIVE.load(Relaxed) - before;
+    assert!(
+        left <= plans + slack,
+        "{left} B left over the starting heap; the hot plans weigh {plans} B"
+    );
+    let stats = program::plan_cache_stats();
+    assert_eq!(stats.entries, 3, "only the resubmitted circuits are kept");
 }

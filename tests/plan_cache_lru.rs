@@ -1,8 +1,10 @@
-//! LRU behaviour of the global plan cache: filling it past
-//! [`PLAN_CACHE_CAPACITY`] evicts the least-recently-used plan, a hit
-//! refreshes an entry's position, a re-lowered plan after
-//! [`clear_plan_cache`] is indistinguishable from the evicted one, and
-//! the scheduler's dedup window follows the cache's capacity.
+//! Admission and LRU behaviour of the global plan cache: a plan is kept
+//! only when its key is asked for again after its last holder dropped
+//! it; residents fill up to [`PLAN_CACHE_CAPACITY`] and evict the
+//! least-recently-used plan, a hit refreshes an entry's position, a
+//! re-lowered plan after [`clear_plan_cache`] is indistinguishable from
+//! the evicted one, and the scheduler's dedup window follows the cache's
+//! capacity.
 //!
 //! Everything lives in ONE test function: the cache and its counters
 //! are process-global, and the default parallel test runner would race
@@ -11,6 +13,8 @@
 use qclab::prelude::*;
 use qclab_core::program::{self, PlanOptions, PLAN_CACHE_CAPACITY};
 use qclab_core::service::{JobSpec, Scheduler, ServiceConfig};
+use qclab_core::CompiledProgram;
+use std::sync::Arc;
 
 /// Circuits with pairwise-distinct fingerprints (the angle encodes `i`).
 fn distinct_circuit(i: usize) -> QCircuit {
@@ -22,14 +26,56 @@ fn distinct_circuit(i: usize) -> QCircuit {
     c
 }
 
+/// Makes circuit `i`'s plan resident the way a caller does: asks for
+/// it, lets go, and asks again.
+fn resident(i: usize, opts: &PlanOptions) -> Arc<CompiledProgram> {
+    drop(program::compile(&distinct_circuit(i), opts));
+    program::compile(&distinct_circuit(i), opts)
+}
+
 #[test]
 fn plan_cache_is_lru_and_relowering_matches() {
     let opts = PlanOptions::default();
     program::clear_plan_cache();
 
+    // ---- admission on recurrence ------------------------------------
+    // asked once, then dropped: nothing is kept but the key
+    let before = program::plan_cache_stats();
+    let once = program::compile(&distinct_circuit(0), &opts);
+    // asked while held: the held plan, without lowering
+    let held = program::compile(&distinct_circuit(0), &opts);
+    assert!(Arc::ptr_eq(&once, &held), "a held plan must be shared");
+    let after = program::plan_cache_stats();
+    assert_eq!(
+        after.misses,
+        before.misses + 1,
+        "a held plan must not lower"
+    );
+    assert_eq!(after.hits, before.hits + 1);
+    drop((once, held));
+    let after = program::plan_cache_stats();
+    assert_eq!(
+        (after.entries, after.prep_bytes),
+        (0, 0),
+        "a one-off is not kept"
+    );
+    assert_eq!(after.seen, 1, "only its key is remembered");
+    // asked again after the drop: one miss, then resident, then hits
+    let again = program::compile(&distinct_circuit(0), &opts);
+    let st = program::plan_cache_stats();
+    assert_eq!(st.misses, after.misses + 1, "a recurrence lowers once more");
+    assert_eq!((st.entries, st.seen), (1, 0), "…and is kept");
+    drop(again);
+    let plan = program::compile(&distinct_circuit(0), &opts);
+    let st = program::plan_cache_stats();
+    assert_eq!((st.hits, st.misses), (after.hits + 1, after.misses + 1));
+    assert_eq!(st.entries, 1, "a resident outlives its holders");
+    drop(plan);
+
     // fill exactly to capacity: circuits 0..CAP, front-to-back in age
+    program::clear_plan_cache();
     for i in 0..PLAN_CACHE_CAPACITY {
-        program::compile(&distinct_circuit(i), &opts);
+        resident(i, &opts);
     }
     let full = program::plan_cache_stats();
     assert_eq!(full.entries, PLAN_CACHE_CAPACITY, "cache must be full");
@@ -48,12 +94,16 @@ fn plan_cache_is_lru_and_relowering_matches() {
         "refill of a resident plan must not lower"
     );
 
-    // the 33rd distinct circuit evicts the *oldest* entry — which is
-    // now circuit 1, because circuit 0 was just touched
+    // the 33rd resident evicts the *oldest* entry — which is now
+    // circuit 1, because circuit 0 was just touched
     let before = program::plan_cache_stats();
-    program::compile(&distinct_circuit(PLAN_CACHE_CAPACITY), &opts);
+    resident(PLAN_CACHE_CAPACITY, &opts);
     let after = program::plan_cache_stats();
-    assert_eq!(after.misses, before.misses + 1);
+    assert_eq!(
+        after.misses,
+        before.misses + 2,
+        "asked twice, lowered twice"
+    );
     assert_eq!(
         after.entries, PLAN_CACHE_CAPACITY,
         "insertion at capacity must evict, not grow"
@@ -79,13 +129,29 @@ fn plan_cache_is_lru_and_relowering_matches() {
         "the LRU plan must have been evicted"
     );
 
+    // the ring of keys asked for once never exceeds the capacity
+    for i in 0..3 * PLAN_CACHE_CAPACITY {
+        program::compile(&distinct_circuit(1000 + i), &opts);
+        assert!(program::plan_cache_stats().seen <= PLAN_CACHE_CAPACITY);
+    }
+    assert_eq!(program::plan_cache_stats().seen, PLAN_CACHE_CAPACITY);
+    // …so the oldest of them is a first sighting again, and the newest
+    // a recurrence
+    let before = program::plan_cache_stats();
+    program::compile(&distinct_circuit(1000), &opts);
+    program::compile(&distinct_circuit(1000 + 3 * PLAN_CACHE_CAPACITY - 1), &opts);
+    let after = program::plan_cache_stats();
+    assert_eq!(after.misses, before.misses + 2);
+    assert_eq!(after.evictions, before.evictions + 1, "one became resident");
+
     // re-lowering after a clear reproduces the cached plan exactly:
     // same ops, same stats, same shot classification
     let cached_ops = plan0.ops().to_vec();
     let cached_stats = *plan0.stats();
     let cached_shot = plan0.shot_plan().clone();
     program::clear_plan_cache();
-    assert_eq!(program::plan_cache_stats().entries, 0);
+    let cleared = program::plan_cache_stats();
+    assert_eq!((cleared.entries, cleared.seen), (0, 0));
     let fresh = program::compile(&distinct_circuit(0), &opts);
     assert_eq!(fresh.ops(), &cached_ops[..], "re-lowered ops diverged");
     assert_eq!(*fresh.stats(), cached_stats, "re-lowered stats diverged");
@@ -94,12 +160,13 @@ fn plan_cache_is_lru_and_relowering_matches() {
         cached_shot,
         "re-lowered shot plan diverged"
     );
+    drop((plan0, fresh));
 
     // the cache key is the options: the same circuit lowered under the
     // defaults and unfused (the sparse executor's plan) are two distinct
-    // entries — the second request must miss, not alias
+    // entries — the unfused request must miss, not alias
     program::clear_plan_cache();
-    let fused_plan = program::compile(&distinct_circuit(0), &PlanOptions::default());
+    let fused_plan = resident(0, &PlanOptions::default());
     let before = program::plan_cache_stats();
     let unfused_plan = program::compile(&distinct_circuit(0), &PlanOptions::unfused());
     let after = program::plan_cache_stats();
@@ -108,10 +175,16 @@ fn plan_cache_is_lru_and_relowering_matches() {
         before.misses + 1,
         "an unfused lowering of a fused-cached circuit must miss"
     );
-    assert_eq!(after.entries, 2, "fused and unfused plans must coexist");
     assert!(
-        !std::sync::Arc::ptr_eq(&fused_plan, &unfused_plan),
+        !Arc::ptr_eq(&fused_plan, &unfused_plan),
         "fused and unfused requests must not share a plan"
+    );
+    drop(unfused_plan);
+    let unfused_plan = program::compile(&distinct_circuit(0), &PlanOptions::unfused());
+    assert_eq!(
+        program::plan_cache_stats().entries,
+        2,
+        "fused and unfused plans must coexist"
     );
     // …and each variant hits its own entry afterwards, no cross-talk
     let before = program::plan_cache_stats();
@@ -124,8 +197,8 @@ fn plan_cache_is_lru_and_relowering_matches() {
         "both variants must be resident"
     );
     assert_eq!(after.misses, before.misses, "no re-lowering on either side");
-    assert!(std::sync::Arc::ptr_eq(&fused_plan, &fused_again));
-    assert!(std::sync::Arc::ptr_eq(&unfused_plan, &unfused_again));
+    assert!(Arc::ptr_eq(&fused_plan, &fused_again));
+    assert!(Arc::ptr_eq(&unfused_plan, &unfused_again));
     // the support bound is computed on the flat unfused stream, so both
     // variants of one circuit report the same estimate
     assert_eq!(
@@ -142,7 +215,7 @@ fn plan_cache_is_lru_and_relowering_matches() {
     assert_eq!(program::plan_cache_capacity(), 4);
     let evicted_before = program::plan_cache_stats().evictions;
     for i in 0..4 {
-        program::compile(&distinct_circuit(i), &opts);
+        resident(i, &opts);
     }
     assert_eq!(program::plan_cache_stats().entries, 4);
     assert_eq!(
@@ -150,9 +223,9 @@ fn plan_cache_is_lru_and_relowering_matches() {
         evicted_before,
         "filling to the new capacity must not evict"
     );
-    // touch 0, insert a 5th: 1 (the LRU) is evicted and counted
+    // touch 0, admit a 5th: 1 (the LRU) is evicted and counted
     program::compile(&distinct_circuit(0), &opts);
-    program::compile(&distinct_circuit(4), &opts);
+    resident(4, &opts);
     let st = program::plan_cache_stats();
     assert_eq!(st.entries, 4, "non-default capacity must be enforced");
     assert_eq!(st.evictions, evicted_before + 1, "one eviction expected");
@@ -170,6 +243,11 @@ fn plan_cache_is_lru_and_relowering_matches() {
         before.misses + 1,
         "LRU plan must be gone at capacity 4"
     );
+    // the ring of keys follows the capacity too
+    for i in 0..10 {
+        program::compile(&distinct_circuit(2000 + i), &opts);
+    }
+    assert_eq!(program::plan_cache_stats().seen, 4);
 
     // shrinking below the resident count evicts down immediately
     let evicted_before = program::plan_cache_stats().evictions;
@@ -177,8 +255,9 @@ fn plan_cache_is_lru_and_relowering_matches() {
     let st = program::plan_cache_stats();
     assert_eq!(st.entries, 2, "shrink must evict down to the new cap");
     assert_eq!(st.evictions, evicted_before + 2);
+    assert_eq!(st.seen, 2);
     // the scheduler's dedup window is the plan cache's: at capacity 2,
-    // A B C A evicts A's plan, and the second A is no dedup hit
+    // A B C A forgets A, and the second A is no dedup hit
     program::clear_plan_cache();
     let scheduler = Scheduler::new(ServiceConfig {
         workers: 1,
@@ -202,7 +281,9 @@ fn plan_cache_is_lru_and_relowering_matches() {
         before.misses + 4,
         "the second A lowers again"
     );
+    assert_eq!(program::plan_cache_stats().entries, 0, "A was forgotten");
     assert!(submit(0), "A A is a hit");
+    assert_eq!(program::plan_cache_stats().entries, 1, "…and A is kept");
     drop(scheduler);
 
     // clamp: capacity 0 is meaningless, it becomes 1

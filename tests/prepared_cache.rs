@@ -15,7 +15,10 @@
 //! * nothing is stored by a preparation that did not finish (deadline,
 //!   cancel, injected fault), and guards keep refusing on a warm plan;
 //! * memory is bounded: nothing over the cap is kept, the total never
-//!   exceeds capacity × cap, and a preparation dies with its plan.
+//!   exceeds capacity × cap, and a preparation dies with its plan;
+//! * a plan is kept only when asked for again after its last holder let
+//!   go, so a one-off run leaves nothing behind. The tests below that
+//!   need a resident plan ask for it once first ([`seen_once`]).
 //!
 //! The plan cache and its counters are process-global, so the tests of
 //! this binary take one lock.
@@ -32,7 +35,7 @@ use qclab_core::sim::control::ExecutionControl;
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
-    run_trajectories, NoiseSpec, NormStats, PauliChannel, ShotPath, TrajectoryConfig,
+    route, run_trajectories, NoiseSpec, NormStats, PauliChannel, ShotPath, TrajectoryConfig,
     TrajectoryResult, WatchdogConfig,
 };
 use qclab_core::{CircuitItem, QclabError};
@@ -72,6 +75,12 @@ fn cold(circuit: &QCircuit, config: &TrajectoryConfig) -> Outcome {
     let r = run_trajectories(circuit, config).unwrap();
     assert!(!r.prep_hit(), "a cleared cache cannot supply a preparation");
     outcome(&r)
+}
+
+/// Asks for the plan a run of `circuit` under `config` executes, and
+/// lets go of it: the next run asks again, and its plan is resident.
+fn seen_once(circuit: &QCircuit, config: &TrajectoryConfig) {
+    drop(route(circuit, config, None));
 }
 
 fn assert_bounded() {
@@ -182,6 +191,7 @@ fn warm_runs_equal_cold_runs_on_every_path() {
         let retained = bytes > 0;
         let (circuit, base) = build();
         clear_plan_cache();
+        seen_once(&circuit, &seeded(&base, 21));
         let before = plan_cache_stats();
         // seeds a, b, a over one plan: the first run prepares, the
         // others draw from what it left
@@ -241,8 +251,10 @@ fn another_configuration_is_a_miss_that_leaves_the_first_in_place() {
     assert_ne!(golden_first.2, golden_watched.2, "cadence must show");
 
     clear_plan_cache();
+    seen_once(&circuit, &first);
     assert!(!run_trajectories(&circuit, &first).unwrap().prep_hit());
     let held = plan_cache_stats().prep_bytes;
+    assert!(held > 0);
     for (other, golden) in [(&scalar, &golden_scalar), (&watched, &golden_watched)] {
         for _ in 0..2 {
             let r = run_trajectories(&circuit, other).unwrap();
@@ -260,6 +272,8 @@ fn another_configuration_is_a_miss_that_leaves_the_first_in_place() {
     let (circuit, base) = sparse_ghz30();
     let first = seeded(&base, 5);
     let golden = cold(&circuit, &first);
+    // asked again: resident now, with the first run's preparation
+    assert!(!run_trajectories(&circuit, &first).unwrap().prep_hit());
     for other in [
         TrajectoryConfig {
             kernel: scalar.kernel,
@@ -289,6 +303,7 @@ fn a_stopped_preparation_stores_nothing() {
         let golden = cold(&circuit, &config);
         for control in [cancelled(), expired()] {
             clear_plan_cache();
+            seen_once(&circuit, &config);
             let stopped = run_trajectories(
                 &circuit,
                 &TrajectoryConfig {
@@ -323,6 +338,7 @@ fn a_faulted_preparation_stores_nothing() {
         let run = || run_trajectories(&circuit, &config);
 
         clear_plan_cache();
+        seen_once(&circuit, &config);
         chaos::arm(Fault::Refuse, 1);
         assert!(matches!(run(), Err(QclabError::ResourceExhausted { .. })));
         assert_eq!(plan_cache_stats().prep_bytes, 0);
@@ -331,6 +347,7 @@ fn a_faulted_preparation_stores_nothing() {
         assert_eq!(outcome(&next), golden, "after Refuse");
 
         clear_plan_cache();
+        seen_once(&circuit, &config);
         chaos::arm(Fault::Panic, 1);
         assert!(catch_unwind(AssertUnwindSafe(run)).is_err());
         assert_eq!(plan_cache_stats().prep_bytes, 0);
@@ -350,6 +367,7 @@ fn guards_still_refuse_on_a_warm_plan() {
     };
     let (circuit, base) = alias_qft(8);
     let config = seeded(&base, 2);
+    seen_once(&circuit, &config);
     run_trajectories(&circuit, &config).unwrap();
     assert!(run_trajectories(&circuit, &config).unwrap().prep_hit());
     let narrow = TrajectoryConfig {
@@ -364,6 +382,7 @@ fn guards_still_refuse_on_a_warm_plan() {
     // the live entries its evolution peaked at
     let (circuit, base) = sparse_ghz30();
     let config = seeded(&base, 2);
+    seen_once(&circuit, &config);
     run_trajectories(&circuit, &config).unwrap();
     assert!(run_trajectories(&circuit, &config).unwrap().prep_hit());
     for limits in [
@@ -421,6 +440,7 @@ fn a_preparation_over_the_cap_is_not_retained() {
     for (n, kept) in [(17, RETAINED_BYTES_CAP), (18, 0)] {
         clear_plan_cache();
         let circuit = hadamards(n);
+        seen_once(&circuit, &config);
         let first = run_trajectories(&circuit, &config).unwrap();
         assert!(matches!(first.path(), ShotPath::AliasSampled { .. }));
         assert_eq!(plan_cache_stats().prep_bytes, kept, "n = {n}");
@@ -437,10 +457,12 @@ fn evicting_a_plan_drops_its_preparation() {
     let (a, base) = alias_qft(8);
     let (b, _) = alias_qft(6);
     let config = seeded(&base, 6);
+    seen_once(&a, &config);
     run_trajectories(&a, &config).unwrap();
     let held_a = plan_cache_stats().prep_bytes;
     assert!(held_a > 0);
     assert!(run_trajectories(&a, &config).unwrap().prep_hit());
+    seen_once(&b, &config);
     run_trajectories(&b, &config).unwrap();
     let held_b = plan_cache_stats().prep_bytes;
     assert!(
@@ -464,6 +486,7 @@ fn concurrent_cold_runs_all_equal_the_standalone_run() {
         let config = seeded(&base, 17);
         let golden = cold(&circuit, &config);
         clear_plan_cache();
+        seen_once(&circuit, &config);
         let threads = 8;
         let barrier = Barrier::new(threads);
         let outcomes: Vec<Outcome> = std::thread::scope(|s| {
@@ -483,4 +506,27 @@ fn concurrent_cold_runs_all_equal_the_standalone_run() {
         assert!(run_trajectories(&circuit, &config).unwrap().prep_hit());
         assert_bounded();
     }
+}
+
+#[test]
+fn a_one_off_run_leaves_nothing_behind() {
+    let _g = fresh_cache();
+    let (circuit, base) = alias_qft(8);
+    let config = seeded(&base, 9);
+    let golden = outcome(&run_trajectories(&circuit, &config).unwrap());
+    let once = plan_cache_stats();
+    assert_eq!((once.entries, once.prep_bytes), (0, 0), "asked once");
+    // asked again after the first run let go: lowered and prepared once
+    // more, and kept
+    let again = run_trajectories(&circuit, &config).unwrap();
+    assert!(!again.prep_hit());
+    let twice = plan_cache_stats();
+    assert_eq!(twice.misses, once.misses + 1);
+    assert_eq!((twice.entries, twice.prep_bytes), (1, 16 * 8));
+    // from then on the plan and its preparation are hits
+    let third = run_trajectories(&circuit, &config).unwrap();
+    assert!(third.prep_hit());
+    assert_eq!(plan_cache_stats().misses, twice.misses);
+    assert_eq!(outcome(&again), golden);
+    assert_eq!(outcome(&third), golden);
 }
