@@ -72,6 +72,14 @@ fn io_err(msg: String) -> CliError {
     }
 }
 
+fn resource_err(msg: String) -> CliError {
+    CliError {
+        code: EXIT_RESOURCE,
+        msg,
+        stdout: None,
+    }
+}
+
 /// What a command produces: the text for stdout, or the failure.
 type Output = Result<String, CliError>;
 

@@ -43,7 +43,7 @@
 //! timeout/cancelled): a bad job resolves with an error line — it never
 //! kills the server or any other tenant's job.
 
-use crate::{counts_json, io_err, json_escape, EngineOpts, Output};
+use crate::{counts_json, io_err, json_escape, resource_err, EngineOpts, Output};
 use qclab_core::program::{plan_cache_capacity, plan_cache_stats, RETAINED_BYTES_CAP};
 use qclab_core::recent::RecencyRing;
 use qclab_core::service::{
@@ -525,9 +525,14 @@ fn decode_request(line: &str) -> Result<Request, (String, ErrorKind, String)> {
 
 /// Reads request lines from `input`, submits jobs, and streams results
 /// to `write` as they resolve. Shared by stdin mode and each socket
-/// connection. Returns once the input has ended and every accepted job
-/// has had its line written.
-fn handle_stream(sched: &Scheduler, input: impl Read, write: impl Write + Send) -> (u64, u64) {
+/// connection. Returns the accepted and refused job counts once the
+/// input has ended and every accepted job has had its line written — or,
+/// before reading a line, the OS's refusal of the delivery thread.
+fn handle_stream(
+    sched: &Scheduler,
+    input: impl Read,
+    write: impl Write + Send,
+) -> std::io::Result<(u64, u64)> {
     // jobs whose result line is not out yet, keyed by id
     let pending: Mutex<HashMap<String, JobHandle>> = Mutex::new(HashMap::new());
     let write = Mutex::new(write);
@@ -544,7 +549,7 @@ fn handle_stream(sched: &Scheduler, input: impl Read, write: impl Write + Send) 
     let mut accepted = 0u64;
     let mut failed = 0u64;
     std::thread::scope(|scope| {
-        scope.spawn(|| {
+        let deliver = || {
             for result in rx {
                 let id = match &result {
                     Ok(o) => &o.id,
@@ -555,7 +560,12 @@ fn handle_stream(sched: &Scheduler, input: impl Read, write: impl Write + Send) 
                 lock_pending().remove(id);
                 send(result_line(&result));
             }
-        });
+        };
+        std::thread::Builder::new()
+            .spawn_scoped(scope, deliver)
+            .map_err(|e| {
+                std::io::Error::new(e.kind(), format!("cannot start a delivery thread: {e}"))
+            })?;
         for line in BufReader::new(input).lines() {
             let line = match line {
                 Ok(l) => l,
@@ -606,23 +616,33 @@ fn handle_stream(sched: &Scheduler, input: impl Read, write: impl Write + Send) 
             }
         }
         drop(tx);
-    });
+        Ok::<_, std::io::Error>(())
+    })?;
     debug_assert!(
         lock_pending().is_empty(),
         "every accepted job's line has been written"
     );
-    (accepted, failed)
+    Ok((accepted, failed))
+}
+
+/// Answers a connection the server cannot serve — the OS refused it a
+/// thread — with one `resource` error line. Dropping it then closes it.
+fn refuse(mut conn: &std::os::unix::net::UnixStream, message: &str) {
+    let line = error_line("", ErrorKind::Resource, message, None);
+    let _ = writeln!(conn, "{line}");
 }
 
 /// Runs `qclab serve`. Stdin mode processes jobs until EOF and returns
 /// a human-readable summary (stderr-style, returned for main to print);
 /// socket mode accepts connections until the process is terminated.
 pub fn run_serve(opts: &ServeOpts, engine: &EngineOpts) -> Output {
-    let sched = Scheduler::new(opts.service_config(engine));
+    let sched =
+        Scheduler::try_new(opts.service_config(engine)).map_err(|e| resource_err(e.to_string()))?;
     match &opts.socket {
         None => {
             let stdin = std::io::stdin();
-            let (accepted, failed) = handle_stream(&sched, stdin.lock(), std::io::stdout());
+            let (accepted, failed) = handle_stream(&sched, stdin.lock(), std::io::stdout())
+                .map_err(|e| resource_err(e.to_string()))?;
             let stats = sched.stats();
             sched.shutdown();
             let plans = plan_cache_stats();
@@ -652,13 +672,18 @@ pub fn run_serve(opts: &ServeOpts, engine: &EngineOpts) -> Output {
             eprintln!("qclab serve: listening on {path}");
             for conn in listener.incoming() {
                 let conn = conn.map_err(|e| io_err(format!("accept failed on {path}: {e}")))?;
-                let write = conn
-                    .try_clone()
-                    .map_err(|e| io_err(format!("cannot clone socket connection: {e}")))?;
-                let sched = Arc::clone(&sched);
-                std::thread::spawn(move || {
-                    handle_stream(&sched, conn, write);
+                // shared with its thread, so a refused thread still
+                // leaves the connection here to answer
+                let conn = Arc::new(conn);
+                let (sched, mine) = (Arc::clone(&sched), Arc::clone(&conn));
+                let started = std::thread::Builder::new().spawn(move || {
+                    if let Err(e) = handle_stream(&sched, &*mine, &*mine) {
+                        refuse(&mine, &e.to_string());
+                    }
                 });
+                if let Err(e) = started {
+                    refuse(&conn, &format!("cannot start a connection thread: {e}"));
+                }
             }
             unreachable!("incoming() iterates forever");
         }
@@ -666,6 +691,7 @@ pub fn run_serve(opts: &ServeOpts, engine: &EngineOpts) -> Output {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // a test may let a refused thread panic
 mod tests {
     use super::*;
     use qclab_core::sim::trajectory::run_trajectories;
@@ -1156,7 +1182,8 @@ mod tests {
             scope.spawn(move || done_tx.send(handle_stream(sched, input, write)));
             let (accepted, failed) = done_rx
                 .recv_timeout(Duration::from_secs(300))
-                .expect("handle_stream returns once its input has ended");
+                .expect("handle_stream returns once its input has ended")
+                .expect("the delivery thread starts");
             assert_eq!(accepted as usize, want.results());
             assert_eq!(failed, want.refused_submits);
         });

@@ -809,3 +809,134 @@ fn serve_resubmits_draw_the_same_bits_as_standalone_samples() {
         "{summary}"
     );
 }
+
+/// Runs the built binary under `ulimit -v <kib>`: an address space too
+/// small for more than a few thread stacks, so the OS refuses thread
+/// starts the way a pid limit does.
+#[cfg(target_os = "linux")]
+fn qclab_capped(kib: u32, args: &[&str]) -> Output {
+    Command::new("sh")
+        .arg("-c")
+        .arg(format!("ulimit -v {kib}; exec \"$0\" \"$@\""))
+        .arg(env!("CARGO_BIN_EXE_qclab"))
+        .args(args)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("sh must spawn")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_refused_its_workers_is_a_resource_error() {
+    let out = qclab_capped(300_000, &["serve", "--workers", "2000"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(EXIT_RESOURCE), "stderr: {err}");
+    assert!(err.contains("2000 scheduler workers"), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_sample_refused_its_threads_prints_the_uncapped_counts() {
+    // 19 qubits: above the parallel threshold, and its 8 MiB state still
+    // fits beside the binary in 16 MB, where thread stacks do not
+    let n = 19;
+    let mut src = format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{n}];\ncreg c[{n}];\n");
+    for layer in 0..4 {
+        for q in 0..n {
+            src += &format!("h q[{q}];\n");
+        }
+        for q in (layer % 2..n - 1).step_by(2) {
+            src += &format!("cx q[{q}],q[{}];\n", q + 1);
+        }
+    }
+    src += "measure q -> c;\n";
+    let w19 = write_qasm("w19.qasm", &src);
+    let capped = qclab_capped(16_000, &["sample", &w19, "10"]);
+    assert_eq!(capped.status.code(), Some(0), "stderr: {}", stderr(&capped));
+    assert_eq!(stdout(&capped), stdout(&qclab(&["sample", &w19, "10"])));
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_socket_connection_refused_its_thread_gets_one_resource_line() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::os::unix::net::UnixStream;
+    use std::process::{Child, Stdio};
+    use std::time::Duration;
+    /// Kills the server however the test ends: a live one would hold
+    /// the test harness's output open.
+    struct Server(Child);
+    impl Drop for Server {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let dir = std::env::temp_dir().join("qclab_cli_errors");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{}_refused.sock", std::process::id()));
+    let path = path.to_str().unwrap();
+    // 100 MB thread stacks and one malloc arena in 350 MB: the worker
+    // and the first connection's two threads fit, a fourth does not
+    let mut server = Server(
+        Command::new("sh")
+            .arg("-c")
+            .arg("ulimit -v 350000; exec \"$0\" serve --workers 1 --socket \"$1\"")
+            .arg(env!("CARGO_BIN_EXE_qclab"))
+            .arg(path)
+            .env("RUST_MIN_STACK", "100000000")
+            .env("MALLOC_ARENA_MAX", "1")
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sh must spawn"),
+    );
+    let mut banner = String::new();
+    BufReader::new(server.0.stderr.take().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    assert!(banner.contains("listening"), "{banner}");
+    let connect = || {
+        let conn = UnixStream::connect(path).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        conn
+    };
+    let job = "{\"id\":\"j\",\"qasm\":\"qreg q[1];\\ncreg c[1];\\nx q[0];\\nmeasure q -> c;\\n\",\"shots\":5}\n";
+    // a refused connection closes under a request it never read, which
+    // resets it: what it said is whatever arrived before that
+    let reply = |mut conn: UnixStream, send: bool| {
+        if send {
+            let _ = conn
+                .write_all(job.as_bytes())
+                .and_then(|_| conn.shutdown(std::net::Shutdown::Write));
+        }
+        let mut text = String::new();
+        let _ = conn.read_to_string(&mut text);
+        text
+    };
+    // the first connection's threads are up once its first reply is in
+    let held = connect();
+    (&held).write_all(job.as_bytes()).unwrap();
+    let mut first = String::new();
+    BufReader::new(&held).read_line(&mut first).unwrap();
+    assert!(first.contains("\"counts\":{\"1\":5}"), "{first}");
+    // the next one is answered and closed without a request
+    let refused = reply(connect(), false);
+    assert_eq!(refused.lines().count(), 1, "{refused}");
+    assert!(refused.contains("\"kind\":\"resource\""), "{refused}");
+    // the server lives on: once the first connection's threads are gone,
+    // a new one is served
+    drop(held);
+    let served = (0..100).find_map(|_| {
+        let text = reply(connect(), true);
+        if !text.contains("\"ok\":true") {
+            std::thread::sleep(Duration::from_millis(50));
+            return None;
+        }
+        Some(text)
+    });
+    let served = served.expect("a connection is served again");
+    assert!(served.contains("\"counts\":{\"1\":5}"), "{served}");
+    let _ = std::fs::remove_file(path);
+}

@@ -1481,6 +1481,7 @@ pub fn compile(circuit: &QCircuit, options: &PlanOptions) -> Arc<CompiledProgram
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // a test may let a refused thread panic
 mod tests {
     use super::*;
     use crate::gates::factories::*;

@@ -453,23 +453,45 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Starts `cfg.workers` worker threads.
+    ///
+    /// # Panics
+    /// If the OS refuses a worker thread; [`try_new`](Self::try_new)
+    /// returns that refusal instead.
     pub fn new(cfg: ServiceConfig) -> Self {
+        Self::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Starts `cfg.workers` worker threads, or none: when the OS refuses
+    /// one, the workers already started are stopped and the refusal is
+    /// returned, naming the worker count.
+    pub fn try_new(cfg: ServiceConfig) -> std::io::Result<Self> {
         let inner = Arc::new(Inner {
             cfg,
             state: Mutex::new(SchedState::default()),
             work_ready: Condvar::new(),
             counters: Counters::default(),
         });
-        let workers = (0..inner.cfg.workers.max(1))
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("qclab-serve-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn scheduler worker")
-            })
-            .collect();
-        Scheduler { inner, workers }
+        let count = inner.cfg.workers.max(1);
+        // dropped on a refusal: closes the queue and joins the workers
+        // it holds so far
+        let mut sched = Scheduler {
+            inner,
+            workers: Vec::new(),
+        };
+        for i in 0..count {
+            let inner = Arc::clone(&sched.inner);
+            let worker = std::thread::Builder::new()
+                .name(format!("qclab-serve-{i}"))
+                .spawn(move || worker_loop(&inner))
+                .map_err(|e| {
+                    std::io::Error::new(
+                        e.kind(),
+                        format!("cannot start {count} scheduler workers (worker {i} refused: {e})"),
+                    )
+                })?;
+            sched.workers.push(worker);
+        }
+        Ok(sched)
     }
 
     /// Submits a job whose result is read from the returned handle

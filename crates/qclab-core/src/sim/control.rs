@@ -36,7 +36,9 @@
 //! boundaries, which the ticker fires from the same call sites the real
 //! checks use. The chaos test suite drives it through every executor to
 //! prove clean unwinding: scratch buffers returned, watchdog stats
-//! consistent, plan cache never poisoned.
+//! consistent, plan cache never poisoned. `chaos::refuse_spawns` makes
+//! the parallel loops' thread starts fail, to prove a refused thread
+//! only slows a run down.
 
 use crate::error::{ExecProgress, QclabError};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -313,6 +315,7 @@ pub mod chaos {
 
     static FAULT: AtomicU64 = AtomicU64::new(DISARMED);
     static COUNTDOWN: AtomicU64 = AtomicU64::new(0);
+    static REFUSED_SPAWNS: AtomicU64 = AtomicU64::new(0);
 
     /// Arms `fault` to fire after `after_ops` more op boundaries
     /// (0 = the very next boundary). Single-shot: firing disarms.
@@ -326,9 +329,28 @@ pub mod chaos {
         FAULT.store(code, Ordering::SeqCst);
     }
 
-    /// Disarms any pending fault.
+    /// Disarms any pending fault and refused spawns.
     pub fn disarm() {
         FAULT.store(DISARMED, Ordering::SeqCst);
+        REFUSED_SPAWNS.store(0, Ordering::SeqCst);
+    }
+
+    /// Makes the next `count` thread starts of the parallel loops fail,
+    /// the way they fail when the OS refuses a thread.
+    pub fn refuse_spawns(count: u64) {
+        REFUSED_SPAWNS.store(count, Ordering::SeqCst);
+    }
+
+    /// How many thread starts are still to be refused.
+    pub fn spawns_to_refuse() -> u64 {
+        REFUSED_SPAWNS.load(Ordering::SeqCst)
+    }
+
+    /// Parallel-loop call site: whether this thread start is refused.
+    pub(crate) fn spawn_refused() -> bool {
+        REFUSED_SPAWNS
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| c.checked_sub(1))
+            .is_ok()
     }
 
     /// Ticker call site: counts down and fires the armed fault.

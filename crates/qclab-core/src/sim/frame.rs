@@ -67,6 +67,7 @@ use crate::observable::Pauli;
 use crate::program::{CompiledProgram, ProgramOp};
 use crate::sim::control::StopCause;
 use crate::sim::guard::FRAME_LANE_BYTES;
+use crate::sim::par;
 use crate::sim::stabilizer::StabilizerState;
 use crate::sim::trajectory::{
     fan_out, merge_counts, shot_rng, stop_or_err, TrajectoryConfig, ROUND_SHOTS,
@@ -695,11 +696,7 @@ pub(crate) fn run_frames(
     // fan-out round can hand it
     let round = config.shots.clamp(1, ROUND_SHOTS) as usize;
     let lanes = config.shot_batch.max(1).saturating_mul(64).min(round);
-    let alive = if config.kernel.allow_parallel {
-        rayon::current_num_threads().min(round.div_ceil(lanes))
-    } else {
-        1
-    };
+    let alive = par::width(config.kernel.allow_parallel).min(round.div_ceil(lanes));
     config.limits.check_frames(n, fp.recorded, lanes, alive)?;
     config.noise.validate()?;
 

@@ -5,7 +5,7 @@
 //! gate **in place** with specialized kernels and GPU parallelism. This
 //! module reproduces that optimized code path on the CPU: bit-twiddling
 //! index enumeration, per-gate-class kernels (diagonal / single-qubit /
-//! controlled / SWAP / general k-qubit), and Rayon data-parallelism
+//! controlled / SWAP / general k-qubit), and threads (`sim::par`)
 //! standing in for the GPU (see DESIGN.md, substitutions).
 //!
 //! Every kernel has one form — the serial kernel over a `Part` of the
@@ -24,11 +24,12 @@ use crate::gates::Gate;
 use qclab_math::bits;
 use qclab_math::scalar::C64;
 use qclab_math::{CMat, CVec};
-use rayon::prelude::*;
 
-/// Number of register qubits from which kernels switch to Rayon
-/// parallelism. Below this the state fits comfortably in cache and thread
-/// fan-out costs more than it saves.
+use super::par;
+
+/// Number of register qubits from which kernels fan out over threads.
+/// Below this the state fits comfortably in cache and thread fan-out
+/// costs more than it saves.
 pub const PARALLEL_THRESHOLD_QUBITS: usize = 18;
 
 /// `(mask, want)` test precomputed from a gate's control list: index `i`
@@ -56,7 +57,7 @@ fn ctrl_ok(i: usize, (mask, want): CtrlMasks) -> bool {
 /// Dispatch configuration for the kernel backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelConfig {
-    /// Allow Rayon parallelism above [`PARALLEL_THRESHOLD_QUBITS`].
+    /// Allow multithreaded kernels from [`PARALLEL_THRESHOLD_QUBITS`] up.
     pub allow_parallel: bool,
     /// Allow the vectorized dense kernels where the CPU supports them.
     /// Switching this off falls back to the scalar kernels at runtime
@@ -86,6 +87,13 @@ impl Default for KernelConfig {
             max_fused_qubits: super::fusion::DEFAULT_MAX_FUSED_QUBITS,
             remap: true,
         }
+    }
+}
+
+impl KernelConfig {
+    /// Whether an `n`-qubit register's kernels fan out over threads.
+    pub(crate) fn parallel_at(&self, n: usize) -> bool {
+        self.allow_parallel && n >= PARALLEL_THRESHOLD_QUBITS
     }
 }
 
@@ -194,7 +202,7 @@ pub(crate) fn prepare_gate(gate: &Gate, n: usize) -> PreparedOp {
 /// class and its operands were fixed by [`prepare_gate`].
 pub(crate) fn apply_prepared(pre: &PreparedOp, state: &mut [C64], n: usize, cfg: &KernelConfig) {
     debug_assert_eq!(state.len(), 1usize << n);
-    let parallel = cfg.allow_parallel && n >= PARALLEL_THRESHOLD_QUBITS;
+    let parallel = cfg.parallel_at(n);
     match &pre.kind {
         PreparedKind::Swap { a, b } => apply_swap(state, n, *a, *b, parallel),
         PreparedKind::Diagonal { targets, diag } => {
@@ -449,7 +457,7 @@ pub(crate) fn prepare_tile(gate: &Gate, n: usize) -> TilePre {
 /// loop): applies a window of pre-lowered [`sweepable`] gates
 /// tile-by-tile, so each `2^b`-amplitude tile stays cache-resident across
 /// *all* gates of the window instead of the state being walked once per
-/// gate. Tiles partition the register, so the parallel path hands Rayon
+/// gate. Tiles partition the register, so the threads share it out as
 /// disjoint `&mut` chunks.
 pub(crate) fn apply_window_pre(state: &mut CVec, n: usize, tgs: &[TilePre], cfg: &KernelConfig) {
     let b = SWEEP_TILE_QUBITS;
@@ -464,7 +472,6 @@ pub(crate) fn apply_window_pre(state: &mut CVec, n: usize, tgs: &[TilePre], cfg:
         allow_simd: false,
         ..cfg_tile
     };
-    let parallel = cfg.allow_parallel && n >= PARALLEL_THRESHOLD_QUBITS;
     let run_tile = |ti: usize, tile: &mut [C64]| {
         // occupancy skip: window gates keep every target inside the
         // tile, so an exactly-zero tile stays exactly zero through the
@@ -484,16 +491,7 @@ pub(crate) fn apply_window_pre(state: &mut CVec, n: usize, tgs: &[TilePre], cfg:
             }
         }
     };
-    if parallel {
-        state
-            .par_chunks_mut(tile_len)
-            .enumerate()
-            .for_each(|(ti, tile)| run_tile(ti, tile));
-    } else {
-        for (ti, tile) in state.chunks_mut(tile_len).enumerate() {
-            run_tile(ti, tile);
-        }
-    }
+    par::for_each_chunk(par::width(cfg.parallel_at(n)), state, tile_len, run_tile);
 }
 
 /// One thread's share of a gate application: the aligned index range
@@ -569,13 +567,15 @@ impl<'a> Part<'a> {
     }
 }
 
-/// log2 of the number of parts a parallel sweep is cut into: four per
-/// thread rounded up to a power of two, so the static one-piece-per-thread
-/// partition stays balanced at thread counts that are not powers of two.
-fn part_bits() -> usize {
-    (4 * rayon::current_num_threads())
-        .next_power_of_two()
-        .trailing_zeros() as usize
+/// log2 of the number of parts a sweep over `width` threads is cut
+/// into: none on one thread, else four per thread rounded up to a power
+/// of two, so the pieces stay balanced at thread counts that are not
+/// powers of two.
+fn part_bits(width: usize) -> usize {
+    if width == 1 {
+        return 0;
+    }
+    (4 * width).next_power_of_two().trailing_zeros() as usize
 }
 
 /// The one parallel form of every pairing kernel: runs `kernel` — the
@@ -587,10 +587,8 @@ fn part_bits() -> usize {
 /// the thread count; what is computed for a group does not.
 fn split(state: &mut [C64], tmask: usize, parallel: bool, kernel: impl Fn(Part<'_>) + Send + Sync) {
     let whole = Part::whole(state);
-    if !parallel {
-        return kernel(whole);
-    }
-    let (mut p, mut cut, want) = (whole.len().trailing_zeros() as usize, 0, part_bits());
+    let width = par::width(parallel);
+    let (mut p, mut cut, want) = (whole.len().trailing_zeros() as usize, 0, part_bits(width));
     while cut < want && p > 1 {
         p -= 1;
         cut += usize::from(tmask >> p & 1 == 0);
@@ -612,9 +610,9 @@ fn split(state: &mut [C64], tmask: usize, parallel: bool, kernel: impl Fn(Part<'
     debug_assert!((0..1usize << cut).all(|v| {
         start(v) & (high | ((1 << p) - 1)) == 0 && (v == 0 || start(v - 1) < start(v))
     }));
-    (0..1usize << cut)
-        .into_par_iter()
-        .for_each(|v| kernel(whole.with_range(start(v), 1 << p)));
+    par::for_each(width, 1 << cut, |v| {
+        kernel(whole.with_range(start(v), 1 << p))
+    });
 }
 
 /// [`split`] for the diagonal kernels, which scale every amplitude on its
@@ -622,14 +620,9 @@ fn split(state: &mut [C64], tmask: usize, parallel: bool, kernel: impl Fn(Part<'
 /// register index of `chunk[0]`. No amplitude has a partner, so plain
 /// disjoint `&mut` chunks do.
 fn split_flat(state: &mut [C64], parallel: bool, kernel: impl Fn(usize, &mut [C64]) + Send + Sync) {
-    if !parallel {
-        return kernel(0, state);
-    }
-    let chunk = (state.len() >> part_bits()).max(1);
-    state
-        .par_chunks_mut(chunk)
-        .enumerate()
-        .for_each(|(ci, part)| kernel(ci * chunk, part));
+    let width = par::width(parallel);
+    let chunk = (state.len() >> part_bits(width)).max(1);
+    par::for_each_chunk(width, state, chunk, |ci, part| kernel(ci * chunk, part));
 }
 
 /// Whether the vectorized dense kernels take over. Nothing about the
@@ -896,6 +889,15 @@ mod tests {
 
     const INV_SQRT2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
+    /// Runs `f` with the kernels' fan-out capped at `threads`.
+    fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("the vendored pool always builds")
+            .install(f)
+    }
+
     fn apply_to_zero(gates: &[Gate], n: usize) -> CVec {
         let mut state = CVec::basis_state(1 << n, 0);
         for g in gates {
@@ -1044,14 +1046,8 @@ mod tests {
         assert!((s.norm() - 1.0).abs() < 1e-12);
         // and the split must not show in the bits: exactly the state one
         // thread computes, at a width that divides the parts unevenly
-        let pool = |t| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(t)
-                .build()
-                .unwrap()
-        };
-        let one = pool(1).install(|| apply_to_zero(&gates, n));
-        assert!(pool(3).install(|| apply_to_zero(&gates, n)) == one);
+        let one = with_threads(1, || apply_to_zero(&gates, n));
+        assert!(with_threads(3, || apply_to_zero(&gates, n)) == one);
         assert!(s == one);
     }
 
@@ -1116,12 +1112,6 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(31);
-        let pool = |t| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(t)
-                .build()
-                .unwrap()
-        };
         let shuffled = |rng: &mut StdRng, n: usize| {
             let mut qs: Vec<usize> = (0..n).collect();
             for i in (1..n).rev() {
@@ -1167,7 +1157,7 @@ mod tests {
                             ..KernelConfig::default()
                         };
                         let mut got = CVec(state.clone());
-                        pool(threads).install(|| got.permute(perm, n, &cfg));
+                        with_threads(threads, || got.permute(perm, n, &cfg));
                         assert!(
                             got.iter()
                                 .zip(&want)

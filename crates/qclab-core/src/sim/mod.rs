@@ -33,6 +33,7 @@ pub mod fusion;
 pub mod guard;
 pub mod kernel;
 pub mod kron;
+mod par;
 pub mod sampler;
 pub(crate) mod simd;
 pub mod sparse;
@@ -481,8 +482,7 @@ impl BranchState for CVec {
     }
 
     fn permute(&mut self, perm: &[usize], n: usize, cfg: &kernel::KernelConfig) {
-        let parallel = cfg.allow_parallel && n >= kernel::PARALLEL_THRESHOLD_QUBITS;
-        kernel::permute_state(self, n, perm, parallel);
+        kernel::permute_state(self, n, perm, cfg.parallel_at(n));
     }
 
     fn z_probabilities(&self, n: usize, q: usize, map: Option<&[usize]>) -> (f64, f64) {

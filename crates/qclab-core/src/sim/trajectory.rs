@@ -114,12 +114,11 @@ use crate::sim::kernel::KernelConfig;
 use crate::sim::sampler::{CdfStream, CdfTable, Sink};
 use crate::sim::sparse;
 use crate::sim::walk::{Landing, NoisePlan, ShotDraws};
-use crate::sim::{collapse, kernel, walk_branches, Simulation};
+use crate::sim::{collapse, kernel, par, walk_branches, Simulation};
 use qclab_math::scalar::C64;
 use qclab_math::{bits, CVec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -297,7 +296,7 @@ pub struct TrajectoryConfig {
     /// `fuse: false, remap: false` executes the source gates one by one
     /// (the reference the fused plan is differentially tested against).
     /// `allow_parallel` is the run's one parallelism switch: on, shots
-    /// (and Pauli-frame batches) fan out over the Rayon workers and a
+    /// (and Pauli-frame batches) fan out over threads (`sim::par`) and a
     /// terminal table's one-time evolution uses the parallel kernels; a
     /// shot's own kernels are always serial, so nothing nests.
     pub kernel: KernelConfig,
@@ -616,8 +615,9 @@ pub const SEED_CONTRACT: u32 = 4;
 
 /// Derives the per-shot RNG: a SplitMix64-style avalanche of the
 /// `(seed, shot)` pair, so consecutive shots get uncorrelated streams and
-/// results are independent of execution order.
-pub(crate) fn shot_rng(seed: u64, shot: u64) -> StdRng {
+/// results are independent of execution order. Part of the seed
+/// contract: its first draws are pinned by `tests/rng_known_answers.rs`.
+pub fn shot_rng(seed: u64, shot: u64) -> StdRng {
     let mut z = seed ^ shot.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -1043,9 +1043,12 @@ impl ShotState {
             Instr::Permute { perm, map } => {
                 // pure data movement: never perturbs amplitude bits,
                 // never consumes RNG draws
-                let parallel =
-                    self.kernel.allow_parallel && self.n >= kernel::PARALLEL_THRESHOLD_QUBITS;
-                kernel::permute_state(&mut self.state, self.n, perm, parallel);
+                kernel::permute_state(
+                    &mut self.state,
+                    self.n,
+                    perm,
+                    self.kernel.parallel_at(self.n),
+                );
                 self.map.clone_from(map);
             }
             Instr::Measure(m) => {
@@ -2084,9 +2087,9 @@ impl Prepared {
 pub(crate) const ROUND_SHOTS: u64 = 1 << 18;
 
 /// Fans `config.shots` shots out in batches of `batch`: `run(first,
-/// count)` executes one batch — on the Rayon workers when
-/// `config.kernel.allow_parallel` — and `merge(count, result)` folds finished batches
-/// in **shot order**, so nothing accumulated across shots (a float sum
+/// count)` executes one batch — on up to `sim::par`'s width of threads
+/// when `config.kernel.allow_parallel` — and `merge(count, result)` folds
+/// finished batches in **shot order**, so nothing accumulated across shots (a float sum
 /// least of all) depends on the batch width or the thread count. Batches
 /// go out in rounds of [`ROUND_SHOTS`] and are merged round by round:
 /// memory is that of one round's batch results, never of `shots`.
@@ -2111,7 +2114,7 @@ pub(crate) fn fan_out<T: Send>(
         let round = (config.shots - first).min(ROUND_SHOTS) as usize;
         let batch = batch.min(round);
         slots.resize_with(round.div_ceil(batch), || None);
-        let run_slot = |(bi, slot): (usize, &mut Option<T>)| {
+        let run_slot = |bi: usize, slot: &mut [Option<T>]| {
             if latch.is_tripped() {
                 return;
             }
@@ -2121,15 +2124,12 @@ pub(crate) fn fan_out<T: Send>(
             }
             let at = bi * batch;
             match run(first + at as u64, batch.min(round - at)) {
-                Ok(done) => *slot = Some(done),
+                Ok(done) => slot[0] = Some(done),
                 Err(e) => latch.trip(e),
             }
         };
-        if config.kernel.allow_parallel && round > 1 {
-            slots.par_iter_mut().enumerate().for_each(run_slot);
-        } else {
-            slots.iter_mut().enumerate().for_each(run_slot);
-        }
+        let width = par::width(config.kernel.allow_parallel);
+        par::for_each_chunk(width, &mut slots, 1, run_slot);
         for (bi, slot) in slots.drain(..).enumerate() {
             if let Some(done) = slot {
                 merge(batch.min(round - bi * batch), done);

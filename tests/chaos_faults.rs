@@ -14,6 +14,9 @@
 
 #![cfg(feature = "chaos")]
 
+mod common;
+
+use common::with_threads;
 use qclab::prelude::*;
 use qclab_core::program::{compile, plan_cache_stats, BackendRequest, PlanOptions};
 use qclab_core::sim::control::chaos::{self, Fault};
@@ -364,4 +367,64 @@ fn plan_cache_survives_forced_panics() {
         .unwrap();
     assert_eq!(a.results(), b.results());
     assert_eq!(a.probabilities(), b.probabilities());
+}
+
+/// Runs `run` at four threads with every thread start refused, then with
+/// only the first refused, and requires the unfaulted result each time.
+fn assert_refused_threads_only_slow_down<T: PartialEq + std::fmt::Debug>(run: impl Fn() -> T) {
+    let baseline = with_threads(4, &run);
+    for refused in [u64::MAX, 1] {
+        chaos::refuse_spawns(refused);
+        let got = with_threads(4, &run);
+        assert!(
+            chaos::spawns_to_refuse() < refused,
+            "the run never asked for a thread"
+        );
+        chaos::disarm();
+        assert_eq!(got, baseline, "{refused} thread start(s) refused");
+    }
+}
+
+#[test]
+fn a_refused_thread_is_a_slower_run_not_a_different_one() {
+    let _g = lock();
+    let sample = |c: &QCircuit, config: &TrajectoryConfig| {
+        let r = run_trajectories(c, config).unwrap();
+        (r.path(), r.injected_errors(), r.counts().clone())
+    };
+
+    // a dense sample above the parallel threshold: the kernels and the
+    // window tiles fan out
+    let n = 19;
+    let mut dense = QCircuit::new(n);
+    for layer in 0..4 {
+        for q in 0..n {
+            dense.push_back(Hadamard::new(q));
+        }
+        for q in (layer % 2..n - 1).step_by(2) {
+            dense.push_back(CNOT::new(q, q + 1));
+        }
+    }
+    for q in 0..n {
+        dense.push_back(Measurement::z(q));
+    }
+    let config = TrajectoryConfig {
+        shots: 10,
+        ..TrajectoryConfig::default()
+    };
+    assert_refused_threads_only_slow_down(|| sample(&dense, &config));
+
+    // a noisy non-Clifford ensemble: the shot batches fan out
+    let mut noisy = workload();
+    noisy.insert(0, TGate::new(1)).unwrap();
+    let config = TrajectoryConfig {
+        shots: 2000,
+        shot_batch: 8,
+        noise: NoiseSpec {
+            after_gate: Some(PauliChannel::Depolarizing(0.05)),
+            ..NoiseSpec::default()
+        },
+        ..TrajectoryConfig::default()
+    };
+    assert_refused_threads_only_slow_down(|| sample(&noisy, &config));
 }

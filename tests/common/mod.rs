@@ -347,3 +347,23 @@ pub fn assert_distribution(
     );
     dof
 }
+
+/// Runs `f` with the engines' fan-out capped at `threads`.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("the vendored pool always builds")
+        .install(f)
+}
+
+/// Depolarizing gate noise, phase-flip idle noise and bit-flip readout
+/// noise at the given probabilities.
+pub fn all_noise(gate: f64, idle: f64, readout: f64) -> qclab_core::sim::trajectory::NoiseSpec {
+    use qclab_core::sim::trajectory::{NoiseSpec, PauliChannel};
+    NoiseSpec {
+        after_gate: Some(PauliChannel::Depolarizing(gate)),
+        idle: Some(PauliChannel::PhaseFlip(idle)),
+        before_measure: Some(PauliChannel::BitFlip(readout)),
+    }
+}

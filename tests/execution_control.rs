@@ -6,6 +6,8 @@
 //! stream, so a run that completes under a generous deadline is
 //! byte-identical to one with no control at all.
 
+#![allow(clippy::disallowed_methods)] // a test may let a refused thread panic
+
 use qclab::prelude::*;
 use qclab_core::program::{BackendRequest, PlanOptions};
 use qclab_core::sim::control::{ExecutionControl, StopCause};

@@ -14,6 +14,9 @@
 //! * **the edges** — a certain channel injects `sites × shots` errors and
 //!   a zero-probability channel none, on either engine.
 
+mod common;
+
+use common::{all_noise, with_threads};
 use qclab::algorithms::qec::{repetition_code_circuit, InjectedError};
 use qclab::prelude::*;
 use qclab_core::sim::kernel::KernelConfig;
@@ -23,22 +26,6 @@ use qclab_core::sim::trajectory::{
 };
 use qclab_core::sim::walk::site_counts;
 use qclab_core::{CircuitItem, PlanOptions};
-
-fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("the vendored pool always builds")
-        .install(f)
-}
-
-fn all_noise(gate: f64, idle: f64, readout: f64) -> NoiseSpec {
-    NoiseSpec {
-        after_gate: Some(PauliChannel::Depolarizing(gate)),
-        idle: Some(PauliChannel::PhaseFlip(idle)),
-        before_measure: Some(PauliChannel::BitFlip(readout)),
-    }
-}
 
 /// Everything of a result that scheduling must not show in.
 fn outcome(r: &TrajectoryResult) -> String {

@@ -10,6 +10,8 @@
 //! across `#[test]`s. (Separate integration-test *files* are separate
 //! processes, so this file cannot race `plan_cache_lru.rs`.)
 
+#![allow(clippy::disallowed_methods)] // a test may let a refused thread panic
+
 use qclab::prelude::*;
 use qclab_core::program::{self, PlanOptions};
 use std::sync::{Arc, Barrier};

@@ -23,6 +23,8 @@
 //! The plan cache and its counters are process-global, so the tests of
 //! this binary take one lock.
 
+#![allow(clippy::disallowed_methods)] // a test may let a refused thread panic
+
 use qclab::algorithms::ghz::ghz_circuit;
 use qclab::algorithms::qft::qft;
 use qclab::prelude::*;

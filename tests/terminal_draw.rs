@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::{assert_distribution, random_layers, Expected};
+use common::{all_noise, assert_distribution, random_layers, with_threads, Expected};
 use qclab::prelude::*;
 use qclab_core::sim::density::{run_noisy, DensityState, NoiseModel};
 use qclab_core::sim::kernel::KernelConfig;
@@ -42,22 +42,6 @@ fn partial_mixed_bases() -> QCircuit {
     c.push_back(Measurement::z(3));
     c.push_back(Measurement::z(4));
     c
-}
-
-fn all_noise(gate: f64, idle: f64, readout: f64) -> NoiseSpec {
-    NoiseSpec {
-        after_gate: Some(PauliChannel::Depolarizing(gate)),
-        idle: Some(PauliChannel::PhaseFlip(idle)),
-        before_measure: Some(PauliChannel::BitFlip(readout)),
-    }
-}
-
-fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("the vendored pool always builds")
-        .install(f)
 }
 
 /// Everything of a result that scheduling must not show in.
