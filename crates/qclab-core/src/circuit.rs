@@ -479,8 +479,8 @@ mod tests {
         UnBlock,
     }
 
-    fn mutation() -> impl proptest::strategy::Strategy<Value = Mutation> {
-        use proptest::prelude::*;
+    fn mutation() -> impl qclab_testkit::Strategy<Value = Mutation> {
+        use qclab_testkit::prelude::*;
         let item = || {
             prop_oneof![
                 (0..3usize).prop_map(|q| Hadamard::new(q).into()),
@@ -505,14 +505,14 @@ mod tests {
         ]
     }
 
-    proptest::proptest! {
+    qclab_testkit::proptest! {
         /// The remembered fingerprint never outlives the items it was
         /// hashed from: after every mutator — with the memo filled in
         /// between — it equals the hash of a circuit rebuilt from
         /// scratch, and a clone carries it.
         #[test]
         fn fingerprint_memo_tracks_every_mutator(
-            mutations in proptest::collection::vec(mutation(), 1..24),
+            mutations in qclab_testkit::collection::vec(mutation(), 1..24),
         ) {
             let mut c = QCircuit::new(3);
             for m in mutations {
@@ -537,9 +537,9 @@ mod tests {
                 for item in c.items() {
                     rebuilt.push_back(item.clone());
                 }
-                proptest::prop_assert_eq!(c.fingerprint(), crate::program::fingerprint(&rebuilt));
-                proptest::prop_assert_eq!(c.clone().fingerprint(), c.fingerprint());
-                proptest::prop_assert_eq!(&c.clone(), &c);
+                qclab_testkit::prop_assert_eq!(c.fingerprint(), crate::program::fingerprint(&rebuilt));
+                qclab_testkit::prop_assert_eq!(c.clone().fingerprint(), c.fingerprint());
+                qclab_testkit::prop_assert_eq!(&c.clone(), &c);
             }
         }
     }

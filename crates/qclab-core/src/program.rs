@@ -58,6 +58,7 @@ use crate::recent::RecencyRing;
 use crate::sim::fusion::{self, FusionStats, Placed, TargetMatrices, MAX_FUSED_QUBITS_LIMIT};
 use crate::sim::guard::{self, ResourceLimits};
 use crate::sim::kernel::{KernelConfig, SWEEP_TILE_QUBITS};
+use qclab_math::rng::mix64;
 use qclab_math::{CVec, C64};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -551,13 +552,6 @@ impl WordHash {
     fn finish(&self) -> u64 {
         mix64(self.0)
     }
-}
-
-/// The SplitMix64 finalizer: a bijection of `u64` with full avalanche.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Hashes the items of `circuit` (qubits shifted by `offset`) into `h`.

@@ -73,8 +73,7 @@ use crate::sim::trajectory::{
     fan_out, merge_counts, shot_rng, stop_or_err, TrajectoryConfig, ROUND_SHOTS,
 };
 use crate::sim::walk::{gate_site_qubit, Class, NoisePlan, NoiseWalk};
-use rand::rngs::StdRng;
-use rand::Rng;
+use qclab_math::rng::Rng;
 use std::collections::BTreeMap;
 
 /// One word-parallel frame-conjugation primitive. Every Clifford gate
@@ -428,7 +427,7 @@ impl FrameBatch {
 /// `(seed, shot)` stream, its noise walk, and its link in the queue of
 /// the op of its next hit.
 struct Lane {
-    rng: StdRng,
+    rng: Rng,
     walk: NoiseWalk,
     link: u32,
 }
@@ -509,7 +508,7 @@ impl Lanes {
     fn coins(&mut self, mask: &mut [u64]) {
         mask.fill(0);
         for (j, lane) in self.lanes.iter_mut().enumerate() {
-            if lane.rng.gen::<bool>() {
+            if lane.rng.bool() {
                 mask[j >> 6] |= 1 << (j & 63);
             }
         }

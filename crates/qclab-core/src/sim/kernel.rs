@@ -1109,13 +1109,12 @@ mod tests {
     #[test]
     fn in_place_permutes_equal_the_gather() {
         use crate::sim::BranchState;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(31);
-        let shuffled = |rng: &mut StdRng, n: usize| {
+        use qclab_math::rng::Rng;
+        let mut rng = Rng::seed_from_u64(31);
+        let shuffled = |rng: &mut Rng, n: usize| {
             let mut qs: Vec<usize> = (0..n).collect();
             for i in (1..n).rev() {
-                qs.swap(i, rng.gen_range(0..=i));
+                qs.swap(i, rng.below(i + 1));
             }
             qs
         };
@@ -1140,10 +1139,10 @@ mod tests {
                 perms.push(cycle);
             }
             let random: Vec<C64> = (0..1usize << n)
-                .map(|_| C64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+                .map(|_| C64::new(rng.f64() - 0.5, rng.f64() - 0.5))
                 .collect();
             let mut basis = vec![C64::new(0.0, 0.0); 1 << n];
-            basis[rng.gen_range(0..1usize << n)] = C64::new(-0.0, 1.0);
+            basis[rng.below(1 << n)] = C64::new(-0.0, 1.0);
             for state in [random, basis] {
                 for perm in &perms {
                     let want = permute_gather(&state, n, perm);

@@ -49,9 +49,8 @@ use crate::program::{self, BackendChoice, BackendRequest, PlanOptions, ProgramOp
 use crate::reduced::contract_qubit;
 use control::ControlTicker;
 use guard::ResourceLimits;
+use qclab_math::rng::Rng;
 use qclab_math::CVec;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sparse::SparseState;
 use std::collections::BTreeMap;
 
@@ -186,7 +185,7 @@ impl<S> Simulation<S> {
     /// QCLAB's `counts` function with MATLAB's `rng(seed)` replaced by a
     /// seeded PRNG.
     pub fn counts(&self, shots: u64, seed: u64) -> Vec<(String, u64)> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         self.counts_with_rng(shots, &mut rng)
     }
 
@@ -195,7 +194,7 @@ impl<S> Simulation<S> {
     /// Draws go through [`sampler::CdfTable`] — the one sampler every
     /// shot path uses — so sampling costs
     /// `O(branches + shots · log branches)`.
-    pub fn counts_with_rng(&self, shots: u64, rng: &mut impl Rng) -> Vec<(String, u64)> {
+    pub fn counts_with_rng(&self, shots: u64, rng: &mut Rng) -> Vec<(String, u64)> {
         let mut tally: BTreeMap<String, u64> = BTreeMap::new();
         // make every possible outcome visible even at zero frequency
         for b in &self.branches {

@@ -33,7 +33,7 @@
 //! and `(seed, shot)`-keyed trajectory sampling reproducible.
 
 use crate::error::QclabError;
-use rand::Rng;
+use qclab_math::rng::Rng;
 
 /// Cumulative-sum sampler: one `f64` per outcome, draws by binary search
 /// over the running totals.
@@ -108,9 +108,9 @@ impl CdfTable {
     /// outcomes are unreachable because the search skips empty
     /// cumulative intervals.
     #[inline]
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    pub fn sample(&self, rng: &mut Rng) -> usize {
         let total = *self.cum.last().expect("CdfTable is never empty");
-        self.outcome(rng.gen::<f64>() * total)
+        self.outcome(rng.f64() * total)
     }
 
     /// The outcome of the point `r` in `[0, total]`: the first index
@@ -202,8 +202,6 @@ impl CdfStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// Pearson chi-square statistic of observed counts against expected
     /// probabilities (bins with negligible expectation are pooled away).
@@ -223,7 +221,7 @@ mod tests {
     }
 
     fn draw_histogram(sampler: &CdfTable, draws: u64, seed: u64) -> Vec<u64> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut counts = vec![0u64; sampler.len()];
         for _ in 0..draws {
             counts[sampler.sample(&mut rng)] += 1;
@@ -290,7 +288,7 @@ mod tests {
     #[test]
     fn degenerate_single_outcome_always_wins() {
         let sampler = CdfTable::new(vec![4.2]).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         for _ in 0..100 {
             assert_eq!(sampler.sample(&mut rng), 0);
         }
@@ -336,15 +334,15 @@ mod tests {
 
     #[test]
     fn streamed_draws_are_the_tables_on_every_uniform() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         for len in [1usize, 2, 7, 64, 1000] {
             // zeros leading, trailing and in runs
             let weights: Vec<f64> = (0..len)
                 .map(|i| {
-                    if i == 0 || i + 1 == len || rng.gen::<f64>() < 0.3 {
+                    if i == 0 || i + 1 == len || rng.f64() < 0.3 {
                         0.0
                     } else {
-                        rng.gen::<f64>() * 10.0
+                        rng.f64() * 10.0
                     }
                 })
                 .collect();
@@ -355,14 +353,14 @@ mod tests {
             let stream = CdfStream::new(slices(&weights)).unwrap();
             // each shot's one uniform, through `sample` and through the
             // stream: the same multiset of outcomes
-            let seed = rng.gen::<u64>();
+            let seed = rng.next_u64();
             let mut tabled: Vec<usize> = {
-                let mut draw = StdRng::seed_from_u64(seed);
+                let mut draw = Rng::seed_from_u64(seed);
                 (0..2000).map(|_| table.sample(&mut draw)).collect()
             };
             tabled.sort_unstable();
-            let mut draw = StdRng::seed_from_u64(seed);
-            let mut points: Vec<f64> = (0..2000).map(|_| stream.point(draw.gen())).collect();
+            let mut draw = Rng::seed_from_u64(seed);
+            let mut points: Vec<f64> = (0..2000).map(|_| stream.point(draw.f64())).collect();
             points.sort_unstable_by(f64::total_cmp);
             let mut streamed = Vec::new();
             stream.outcomes(&points, slices(&weights), |k| streamed.push(k));

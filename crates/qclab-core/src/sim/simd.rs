@@ -8,10 +8,12 @@
 //! profitable: once a sweep costs bandwidth rather than flops, halving
 //! the number of sweeps halves the simulation time.
 //!
-//! Complex numbers are `[re, im]` pairs (`Complex<f64>` is `repr(C)`), so
-//! a `__m256d` holds two amplitudes. The product `z * m` for a constant
-//! `m` splits into `A ∓ B` with `A = z·m.re` and `B = swap(z)·m.im`
-//! (`swap` exchanges re/im); `addsub` applies the alternating sign.
+//! Complex numbers are `[re, im]` pairs: [`C64`] is `#[repr(C)]`, and a
+//! compile-time assertion beside it fixes its size at 16 bytes and its
+//! alignment at 8, so a `__m256d` holds two amplitudes. The product
+//! `z * m` for a constant `m` splits into `A ∓ B` with `A = z·m.re` and
+//! `B = swap(z)·m.im` (`swap` exchanges re/im); `addsub` applies the
+//! alternating sign.
 //! Accumulating the `A` and `B` sides separately over matrix columns
 //! turns a whole matrix row into FMA chains plus one final `addsub`.
 //!

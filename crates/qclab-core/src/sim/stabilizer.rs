@@ -22,8 +22,7 @@
 //! assert_eq!(s.stabilizer_strings(), vec!["+XX", "+ZZ"]);
 //!
 //! // the Bell pair measures randomly but perfectly correlated
-//! use rand::SeedableRng;
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! let mut rng = qclab_math::rng::Rng::seed_from_u64(1);
 //! let first = s.measure(0, &mut rng);
 //! let second = s.measure(1, &mut rng);
 //! assert!(first.random && !second.random);
@@ -35,7 +34,7 @@ use crate::gates::Gate;
 use crate::measurement::{Basis, Measurement};
 use crate::program::{CompiledProgram, PlanOptions, ProgramOp};
 use crate::sim::control::ExecutionControl;
-use rand::Rng;
+use qclab_math::rng::Rng;
 
 /// A Pauli row of the tableau: `x`/`z` bit vectors plus a sign.
 #[derive(Clone, Debug, PartialEq)]
@@ -227,10 +226,10 @@ impl StabilizerState {
 
     /// Measures qubit `q` in the Z basis, consuming randomness from `rng`
     /// when the outcome is not determined.
-    pub fn measure(&mut self, q: usize, rng: &mut impl Rng) -> MeasureOutcome {
+    pub fn measure(&mut self, q: usize, rng: &mut Rng) -> MeasureOutcome {
         match self.find_random_stabilizer(q) {
             Some(p) => {
-                let bit = rng.gen::<bool>();
+                let bit = rng.bool();
                 self.collapse(q, p, bit);
                 MeasureOutcome { bit, random: true }
             }
@@ -253,12 +252,12 @@ impl StabilizerState {
     pub fn measure_witness(
         &mut self,
         q: usize,
-        rng: &mut impl Rng,
+        rng: &mut Rng,
     ) -> (MeasureOutcome, Option<Witness>) {
         match self.find_random_stabilizer(q) {
             Some(p) => {
                 let witness = (self.rows[p].x.clone(), self.rows[p].z.clone());
-                let bit = rng.gen::<bool>();
+                let bit = rng.bool();
                 self.collapse(q, p, bit);
                 (MeasureOutcome { bit, random: true }, Some(witness))
             }
@@ -394,7 +393,7 @@ impl StabilizerState {
     pub fn measure_in_basis(
         &mut self,
         m: &Measurement,
-        rng: &mut impl Rng,
+        rng: &mut Rng,
     ) -> Result<MeasureOutcome, QclabError> {
         let q = m.qubit();
         match m.basis() {
@@ -488,10 +487,7 @@ pub struct StabilizerRun {
 /// Clifford, measurements sample through `rng`, resets force `|0⟩`,
 /// fences are no-ops. This is the stabilizer backend's executor over the
 /// shared [`CompiledProgram`] IR.
-pub fn run_program(
-    program: &CompiledProgram,
-    rng: &mut impl Rng,
-) -> Result<StabilizerRun, QclabError> {
+pub fn run_program(program: &CompiledProgram, rng: &mut Rng) -> Result<StabilizerRun, QclabError> {
     run_program_controlled(program, rng, &ExecutionControl::none())
 }
 
@@ -502,7 +498,7 @@ pub fn run_program(
 /// control.
 pub fn run_program_controlled(
     program: &CompiledProgram,
-    rng: &mut impl Rng,
+    rng: &mut Rng,
     control: &ExecutionControl,
 ) -> Result<StabilizerRun, QclabError> {
     let mut state = StabilizerState::new(program.nb_qubits())?;
@@ -543,7 +539,7 @@ pub fn run_program_controlled(
 /// tableau cannot absorb even when every constituent gate is Clifford.
 pub fn run_stabilizer(
     circuit: &crate::circuit::QCircuit,
-    rng: &mut impl Rng,
+    rng: &mut Rng,
 ) -> Result<StabilizerRun, QclabError> {
     let program = circuit.compile_with(&PlanOptions::unfused());
     run_program(&program, rng)
@@ -552,8 +548,6 @@ pub fn run_stabilizer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn initial_state_stabilized_by_z() {
@@ -615,7 +609,7 @@ mod tests {
     fn deterministic_measurement_of_basis_state() {
         let mut s = StabilizerState::new(2).unwrap();
         s.x(0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let m0 = s.measure(0, &mut rng);
         assert!(!m0.random);
         assert!(m0.bit);
@@ -628,7 +622,7 @@ mod tests {
     fn plus_state_measurement_is_random_then_fixed() {
         let mut s = StabilizerState::new(1).unwrap();
         s.h(0);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let first = s.measure(0, &mut rng);
         assert!(first.random);
         // repeated measurement is now deterministic and equal
@@ -646,7 +640,7 @@ mod tests {
             for q in 1..n {
                 s.cnot(q - 1, q);
             }
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let first = s.measure(0, &mut rng);
             assert!(first.random);
             for q in 1..n {
@@ -694,7 +688,7 @@ mod tests {
         s.x(0);
         use crate::gates::factories::SwapGate;
         s.apply_gate(&SwapGate::new(0, 1)).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         assert!(!s.measure(0, &mut rng).bit);
         assert!(s.measure(1, &mut rng).bit);
     }
@@ -708,7 +702,7 @@ mod tests {
         for q in 1..n {
             s.cnot(q - 1, q);
         }
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let first = s.measure(0, &mut rng);
         let last = s.measure(n - 1, &mut rng);
         assert_eq!(first.bit, last.bit);
@@ -717,7 +711,7 @@ mod tests {
     #[test]
     fn x_and_y_basis_measurements_are_deterministic_on_eigenstates() {
         use crate::gates::factories::{Hadamard, SGate};
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
 
         // H|0> = |+>: X-basis measurement reads 0 deterministically
         let mut s = StabilizerState::new(1).unwrap();
@@ -770,7 +764,7 @@ mod tests {
         c.push_back(Measurement::z(1));
 
         for seed in 0..8 {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let run = run_stabilizer(&c, &mut rng).unwrap();
             let bits: Vec<char> = run.record.chars().collect();
             assert_eq!(bits.len(), 3);
@@ -782,7 +776,7 @@ mod tests {
         // non-Clifford circuits are rejected by the same runner
         let mut bad = QCircuit::new(1);
         bad.push_back(crate::gates::factories::TGate::new(0));
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         assert!(run_stabilizer(&bad, &mut rng).is_err());
     }
 }

@@ -115,10 +115,9 @@ use crate::sim::sampler::{CdfStream, CdfTable, Sink};
 use crate::sim::sparse;
 use crate::sim::walk::{Landing, NoisePlan, ShotDraws};
 use crate::sim::{collapse, kernel, par, walk_branches, Simulation};
+use qclab_math::rng::{mix64, Rng};
 use qclab_math::scalar::C64;
 use qclab_math::{bits, CVec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -617,11 +616,8 @@ pub const SEED_CONTRACT: u32 = 4;
 /// `(seed, shot)` pair, so consecutive shots get uncorrelated streams and
 /// results are independent of execution order. Part of the seed
 /// contract: its first draws are pinned by `tests/rng_known_answers.rs`.
-pub fn shot_rng(seed: u64, shot: u64) -> StdRng {
-    let mut z = seed ^ shot.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    StdRng::seed_from_u64(z ^ (z >> 31))
+pub fn shot_rng(seed: u64, shot: u64) -> Rng {
+    Rng::seed_from_u64(mix64(seed ^ shot.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 fn pauli_gate(p: Pauli, q: usize) -> Option<Gate> {
@@ -686,7 +682,7 @@ struct LaneDraws {
     collapses: Vec<f64>,
     next_collapse: usize,
     /// The shot's stream, standing right after the last hit's draws.
-    rng: StdRng,
+    rng: Rng,
 }
 
 impl LaneDraws {
@@ -697,7 +693,7 @@ impl LaneDraws {
         program: &CompiledProgram,
         drawn: &[InjectedPauli],
         collapses: Vec<f64>,
-        rng: StdRng,
+        rng: Rng,
     ) -> LaneDraws {
         let mut hits: Vec<(Landing, InjectedPauli)> = Vec::new();
         if !drawn.is_empty() {
@@ -753,7 +749,7 @@ impl LaneDraws {
     fn collapse(&mut self) -> f64 {
         let ahead = self.collapses.get(self.next_collapse).copied();
         self.next_collapse += 1;
-        ahead.unwrap_or_else(|| self.rng.gen())
+        ahead.unwrap_or_else(|| self.rng.f64())
     }
 }
 
@@ -1639,7 +1635,7 @@ fn draw_streamed(
 ) -> Result<TrajectoryResult, QclabError> {
     // `route` streams only when 16 B per shot stay below the table
     let mut points = Vec::with_capacity(config.shots as usize);
-    let (done, stopped) = each_shot(config, |rng| points.push(prep.stream.point(rng.gen())))?;
+    let (done, stopped) = each_shot(config, |rng| points.push(prep.stream.point(rng.f64())))?;
     points.sort_unstable_by(f64::total_cmp);
     let mut tally: BTreeMap<usize, u64> = BTreeMap::new();
     prep.stream.outcomes(
@@ -1658,7 +1654,7 @@ fn draw_streamed(
 /// what stopped the rest, if anything did.
 fn each_shot(
     config: &TrajectoryConfig,
-    mut take: impl FnMut(&mut StdRng),
+    mut take: impl FnMut(&mut Rng),
 ) -> Result<(u64, Option<StopCause>), QclabError> {
     let mut ticker = config.control.ticker();
     for shot in 0..config.shots {
@@ -1713,7 +1709,7 @@ enum Prepared {
 impl SampledPrep {
     /// One terminal outcome (measurement `j` is bit `m−1−j`) from one
     /// uniform of `rng`.
-    fn draw(&self, rng: &mut StdRng) -> usize {
+    fn draw(&self, rng: &mut Rng) -> usize {
         let slot = self.sampler.sample(rng);
         self.outcomes
             .as_ref()
@@ -2743,22 +2739,22 @@ mod tests {
     fn streamed_marginal_tiles_are_the_marginals() {
         // measured subsets in shuffled order, m < n and m = n, on both
         // sides of the lookup tile: every weight bit for bit
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         for n in [1usize, 3, 7, 12, 13, 15] {
             let mut state: Vec<C64> = (0..1usize << n)
-                .map(|_| C64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+                .map(|_| C64::new(rng.f64() - 0.5, rng.f64() - 0.5))
                 .collect();
             // zero runs: empty outcomes between live ones
             for z in state.iter_mut().step_by(3) {
                 *z = C64::new(0.0, 0.0);
             }
             for _ in 0..8 {
-                let mut measured: Vec<usize> = (0..n).filter(|_| rng.gen::<bool>()).collect();
-                if rng.gen::<bool>() {
+                let mut measured: Vec<usize> = (0..n).filter(|_| rng.bool()).collect();
+                if rng.bool() {
                     measured = (0..n).collect();
                 }
                 for i in (1..measured.len()).rev() {
-                    measured.swap(i, rng.gen_range(0..=i));
+                    measured.swap(i, rng.below(i + 1));
                 }
                 let table = marginal(&state, &measured, n, &tile_lut(&measured, n));
                 let lut = scatter_lut(&measured, n);
@@ -2821,15 +2817,15 @@ mod tests {
     fn marginal_equals_the_per_amplitude_gather_loop() {
         // random states, measured subsets in random order, registers on
         // both sides of the lookup tile — sums must match bit for bit
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         for n in [1usize, 3, 7, 12, 13, 15] {
             let state: Vec<C64> = (0..1usize << n)
-                .map(|_| C64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+                .map(|_| C64::new(rng.f64() - 0.5, rng.f64() - 0.5))
                 .collect();
             for _ in 0..8 {
-                let mut measured: Vec<usize> = (0..n).filter(|_| rng.gen::<bool>()).collect();
+                let mut measured: Vec<usize> = (0..n).filter(|_| rng.bool()).collect();
                 for i in (1..measured.len()).rev() {
-                    measured.swap(i, (rng.gen::<f64>() * (i + 1) as f64) as usize);
+                    measured.swap(i, (rng.f64() * (i + 1) as f64) as usize);
                 }
                 let mut reference = vec![0.0f64; 1 << measured.len()];
                 for (i, amp) in state.iter().enumerate() {

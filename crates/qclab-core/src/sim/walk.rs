@@ -44,8 +44,7 @@
 use crate::observable::Pauli;
 use crate::program::{CompiledProgram, ProgramOp};
 use crate::sim::trajectory::{InjectedPauli, NoiseSpec, PauliChannel};
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore};
+use qclab_math::rng::Rng;
 
 /// A noise class — the index of its law, its site numbering and its
 /// cursor.
@@ -96,8 +95,8 @@ impl Law {
     /// geometric inverse CDF. The quotient is non-negative, so the
     /// saturating float→int cast is its floor; a sub-normal `p` sends it
     /// to `u64::MAX` (never, on any schedule that fits in memory).
-    fn gap(&self, rng: &mut StdRng) -> u64 {
-        self.gap_of(rng.gen())
+    fn gap(&self, rng: &mut Rng) -> u64 {
+        self.gap_of(rng.f64())
     }
 
     /// The geometric inverse CDF at the uniform `u`.
@@ -110,8 +109,8 @@ impl Law {
     /// `p` — are recognised by comparison and take no logarithm
     /// (`⌊ln(1−u)/ln(1−p)⌋ ≥ sites` exactly when
     /// `u ≥ 1 − (1−p)^sites`).
-    fn first(&self, rng: &mut StdRng) -> u64 {
-        let u: f64 = rng.gen();
+    fn first(&self, rng: &mut Rng) -> u64 {
+        let u = rng.f64();
         if u >= self.any_hit {
             return u64::MAX;
         }
@@ -120,7 +119,7 @@ impl Law {
 
     /// The Pauli a hit injects; a depolarizing hit draws it uniformly
     /// (one widening multiply of one `u64`).
-    fn kind(&self, rng: &mut StdRng) -> Pauli {
+    fn kind(&self, rng: &mut Rng) -> Pauli {
         match self.channel {
             PauliChannel::BitFlip(_) => Pauli::X,
             PauliChannel::PhaseFlip(_) => Pauli::Z,
@@ -234,7 +233,7 @@ impl NoisePlan {
         &self,
         program: &CompiledProgram,
         collapses: bool,
-        rng: &mut StdRng,
+        rng: &mut Rng,
     ) -> ShotDraws {
         let source = program.source();
         let mut walk = NoiseWalk::start(self, rng);
@@ -270,7 +269,7 @@ impl NoisePlan {
                 }
             }
             if op == collapse {
-                draws.collapses.push(rng.gen());
+                draws.collapses.push(rng.f64());
             }
             op += 1;
         }
@@ -426,7 +425,7 @@ pub(crate) struct NoiseWalk {
 impl NoiseWalk {
     /// Starts a shot's walk: the first gap of every configured class,
     /// drawn in class order.
-    pub(crate) fn start(plan: &NoisePlan, rng: &mut StdRng) -> NoiseWalk {
+    pub(crate) fn start(plan: &NoisePlan, rng: &mut Rng) -> NoiseWalk {
         NoiseWalk {
             next: plan
                 .laws
@@ -458,7 +457,7 @@ impl NoiseWalk {
         plan: &NoisePlan,
         class: Class,
         op: usize,
-        rng: &mut StdRng,
+        rng: &mut Rng,
     ) -> Option<(usize, Pauli)> {
         let c = class as usize;
         let law = plan.laws[c]?;
@@ -518,7 +517,7 @@ mod tests {
 
     /// Walks `plan` hit to hit and returns the hits as (class, op, site
     /// within the op, Pauli).
-    fn hits(plan: &NoisePlan, rng: &mut StdRng) -> Vec<(Class, usize, usize, Pauli)> {
+    fn hits(plan: &NoisePlan, rng: &mut Rng) -> Vec<(Class, usize, usize, Pauli)> {
         let mut walk = NoiseWalk::start(plan, rng);
         let mut out = Vec::new();
         let mut op = walk.next_op(plan);
@@ -619,7 +618,7 @@ mod tests {
                         }
                     }
                     if collapses && matches!(item, ProgramOp::Measure(_) | ProgramOp::Reset(_)) {
-                        uniforms.push(rng.gen::<f64>());
+                        uniforms.push(rng.f64());
                     }
                 }
                 let mut ahead = shot_rng(29, shot);
@@ -630,7 +629,7 @@ mod tests {
                 let mut taken = drawn.collapses;
                 assert!(hits.is_empty() <= taken.is_empty());
                 while taken.len() < uniforms.len() {
-                    taken.push(ahead.gen::<f64>());
+                    taken.push(ahead.f64());
                 }
                 assert_eq!(taken, uniforms, "shot {shot}");
                 assert_eq!(

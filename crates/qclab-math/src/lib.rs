@@ -17,7 +17,8 @@
 //! * [`eig`] — a cyclic Jacobi eigensolver for Hermitian matrices,
 //! * [`density`] — density matrices, trace distance and fidelity,
 //! * [`bits`] — the bit-manipulation helpers QCLAB uses to index basis
-//!   states during measurement and collapse.
+//!   states during measurement and collapse,
+//! * [`rng`] — the seeded generator every sampled bit is drawn from.
 //!
 //! Everything here is deterministic and allocation-conscious; the simulator
 //! hot paths in `qclab-core` build directly on these types.
@@ -26,6 +27,7 @@ pub mod bits;
 pub mod dense;
 pub mod density;
 pub mod eig;
+pub mod rng;
 pub mod scalar;
 pub mod sparse;
 pub mod vector;

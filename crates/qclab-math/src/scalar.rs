@@ -4,10 +4,166 @@
 //! emphasizes numerical stability, so comparisons throughout the workspace
 //! go through the helpers here rather than ad-hoc `==` on floats.
 
-use num_complex::Complex64;
+use std::iter::Sum;
+use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Sub};
 
-/// The complex scalar used throughout qclab (MATLAB `double` analog).
-pub type C64 = Complex64;
+/// The complex scalar used throughout qclab (MATLAB `double` analog):
+/// `re + i·im` in double precision. It carries the arithmetic the
+/// workspace uses and no more.
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[repr(C)]
+pub struct C64 {
+    /// Real part.
+    pub re: f64,
+    /// Imaginary part.
+    pub im: f64,
+}
+
+// The SIMD kernels (`qclab-core`'s `sim/simd.rs`) read a `[C64]` as
+// interleaved `[re, im]` `f64` pairs: `#[repr(C)]` fixes the field order,
+// and this fixes the size and alignment that cast relies on.
+const _: () = assert!(std::mem::size_of::<C64>() == 16 && std::mem::align_of::<C64>() == 8);
+
+impl C64 {
+    /// Creates a complex number from real and imaginary parts.
+    #[inline]
+    pub const fn new(re: f64, im: f64) -> Self {
+        C64 { re, im }
+    }
+
+    /// Modulus `|z| = sqrt(re² + im²)`.
+    #[inline]
+    pub fn norm(self) -> f64 {
+        self.re.hypot(self.im)
+    }
+
+    /// Squared modulus `re² + im²`.
+    #[inline]
+    pub fn norm_sqr(self) -> f64 {
+        self.re * self.re + self.im * self.im
+    }
+
+    /// Complex conjugate `re − i·im`.
+    #[inline]
+    pub fn conj(self) -> Self {
+        C64::new(self.re, -self.im)
+    }
+
+    /// Multiplies by the real scalar `t`.
+    #[inline]
+    pub fn scale(self, t: f64) -> Self {
+        C64::new(self.re * t, self.im * t)
+    }
+}
+
+impl Add for C64 {
+    type Output = Self;
+    #[inline]
+    fn add(self, rhs: Self) -> Self {
+        C64::new(self.re + rhs.re, self.im + rhs.im)
+    }
+}
+
+impl Sub for C64 {
+    type Output = Self;
+    #[inline]
+    fn sub(self, rhs: Self) -> Self {
+        C64::new(self.re - rhs.re, self.im - rhs.im)
+    }
+}
+
+impl Mul for C64 {
+    type Output = Self;
+    #[inline]
+    fn mul(self, rhs: Self) -> Self {
+        C64::new(
+            self.re * rhs.re - self.im * rhs.im,
+            self.re * rhs.im + self.im * rhs.re,
+        )
+    }
+}
+
+impl Div for C64 {
+    type Output = Self;
+    /// `z / w = z · w⁻¹`, with `w⁻¹ = conj(w) / |w|²`.
+    #[inline]
+    #[allow(clippy::suspicious_arithmetic_impl)]
+    fn div(self, rhs: Self) -> Self {
+        let d = rhs.norm_sqr();
+        self * C64::new(rhs.re / d, -rhs.im / d)
+    }
+}
+
+// by-reference forms of `+`, `-` and `*`
+macro_rules! forward_ref_binop {
+    ($($trait:ident :: $method:ident),*) => {$(
+        impl $trait<&C64> for C64 {
+            type Output = C64;
+            #[inline]
+            fn $method(self, rhs: &C64) -> C64 {
+                $trait::$method(self, *rhs)
+            }
+        }
+        impl $trait<C64> for &C64 {
+            type Output = C64;
+            #[inline]
+            fn $method(self, rhs: C64) -> C64 {
+                $trait::$method(*self, rhs)
+            }
+        }
+        impl $trait<&C64> for &C64 {
+            type Output = C64;
+            #[inline]
+            fn $method(self, rhs: &C64) -> C64 {
+                $trait::$method(*self, *rhs)
+            }
+        }
+    )*};
+}
+
+forward_ref_binop!(Add::add, Sub::sub, Mul::mul);
+
+impl Mul<f64> for C64 {
+    type Output = Self;
+    #[inline]
+    fn mul(self, rhs: f64) -> Self {
+        self.scale(rhs)
+    }
+}
+
+impl AddAssign for C64 {
+    #[inline]
+    fn add_assign(&mut self, rhs: Self) {
+        *self = *self + rhs;
+    }
+}
+
+impl AddAssign<&C64> for C64 {
+    #[inline]
+    fn add_assign(&mut self, rhs: &C64) {
+        *self = *self + *rhs;
+    }
+}
+
+impl MulAssign for C64 {
+    #[inline]
+    fn mul_assign(&mut self, rhs: Self) {
+        *self = *self * rhs;
+    }
+}
+
+impl MulAssign<f64> for C64 {
+    #[inline]
+    fn mul_assign(&mut self, rhs: f64) {
+        *self = self.scale(rhs);
+    }
+}
+
+impl Sum for C64 {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(C64::new(0.0, 0.0), |a, b| a + b)
+    }
+}
 
 /// Default absolute tolerance for floating-point comparisons.
 ///
@@ -94,6 +250,16 @@ pub fn format_matlab(a: C64, decimals: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arithmetic_identities() {
+        let z = c(3.0, -4.0);
+        assert_eq!(z.norm(), 5.0);
+        assert_eq!(z.norm_sqr(), 25.0);
+        assert_eq!(z.conj(), c(3.0, 4.0));
+        assert_eq!(c(1.0, 2.0) * c(3.0, 4.0), c(-5.0, 10.0));
+        assert!(approx_eq_c(c(-5.0, 10.0) / c(3.0, 4.0), c(1.0, 2.0), 1e-15));
+    }
 
     #[test]
     fn cis_matches_euler() {

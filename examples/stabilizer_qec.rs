@@ -6,8 +6,7 @@
 
 use qclab::prelude::*;
 use qclab_core::StabilizerState;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use qclab_math::rng::Rng;
 
 fn main() {
     // 50 logical qubits, each a distance-3 repetition code with two
@@ -16,7 +15,7 @@ fn main() {
     let per_block = 5usize;
     let n = logical * per_block;
     let mut s = StabilizerState::new(n).expect("non-empty register");
-    let mut rng = StdRng::seed_from_u64(42);
+    let mut rng = Rng::seed_from_u64(42);
 
     println!("{logical} logical qubits = {n} physical qubits in one tableau\n");
 
@@ -30,8 +29,8 @@ fn main() {
     // inject random X errors with probability 0.2 per logical block
     let mut injected = Vec::new();
     for b in 0..logical {
-        if rng.gen_bool(0.2) {
-            let q = b * per_block + rng.gen_range(0..3);
+        if rng.f64() < 0.2 {
+            let q = b * per_block + rng.below(3);
             s.apply_gate(&PauliX::new(q)).unwrap();
             injected.push((b, q % per_block));
         }

@@ -8,15 +8,14 @@
 mod common;
 
 use common::{circuit, measured_circuit, state};
-use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::program::{self, PlanOptions};
 use qclab_core::sim::kernel::{KernelConfig, PARALLEL_THRESHOLD_QUBITS};
 use qclab_core::sim::stabilizer::run_stabilizer;
 use qclab_core::sim::trajectory::{self, TrajectoryConfig};
 use qclab_core::sim::{kernel, kron};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use qclab_math::rng::Rng;
+use qclab_testkit::prelude::*;
 
 const N: usize = 4;
 
@@ -326,7 +325,7 @@ fn barrier_blocks_fusion_identically_in_all_backends() {
     );
 
     // the stabilizer engine executes the same fence-preserving plan
-    let mut rng = StdRng::seed_from_u64(5);
+    let mut rng = Rng::seed_from_u64(5);
     let stab = run_stabilizer(&barred, &mut rng).unwrap();
     assert_eq!(stab.record, "", "no measurements, no record");
 }

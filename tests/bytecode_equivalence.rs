@@ -26,7 +26,6 @@
 mod common;
 
 use common::{gate, measured_circuit, nested_circuit, reference_state};
-use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::program::{PlanOptions, ProgramOp};
 use qclab_core::sim::kernel::KernelConfig;
@@ -37,6 +36,7 @@ use qclab_core::sim::trajectory::{
 };
 use qclab_core::CircuitItem;
 use qclab_math::CVec;
+use qclab_testkit::prelude::*;
 
 /// Register size for the dense equivalence properties: small enough to
 /// keep thousands of cases fast, large enough for multi-qubit kernels,

@@ -170,7 +170,7 @@ fn stabilizer_executor_unwinds_cleanly_under_every_fault() {
     let program = c.compile_with(&PlanOptions::unfused());
     let run = || {
         // fresh RNG per run: recovery must be deterministic in the seed
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
+        let mut rng = qclab_math::rng::Rng::seed_from_u64(17);
         run_program(&program, &mut rng).map(|r| r.record)
     };
     let baseline = run().unwrap();

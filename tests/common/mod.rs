@@ -4,9 +4,9 @@
 //! gates, random circuits, and random normalized state vectors — and
 //! the one distribution check the statistical legs assert.
 
-use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_math::scalar::c;
+use qclab_testkit::prelude::*;
 use std::collections::BTreeMap;
 
 /// Cases per property: `QCLAB_PROPTEST_CASES` when set (the hardened CI

@@ -5,9 +5,9 @@
 mod common;
 
 use common::circuit;
-use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::optimize::optimize;
+use qclab_testkit::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

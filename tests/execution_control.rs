@@ -136,7 +136,7 @@ fn stabilizer_run_observes_cancellation_and_deadline() {
     // Clifford-only workload: H / CNOT layers + measurements
     let c = workload(3, 4);
     let program = c.compile_with(&PlanOptions::unfused());
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
+    let mut rng = qclab_math::rng::Rng::seed_from_u64(11);
     assert!(matches!(
         run_program_controlled(&program, &mut rng, &cancelled_control()),
         Err(QclabError::Cancelled(_))
@@ -147,8 +147,8 @@ fn stabilizer_run_observes_cancellation_and_deadline() {
     ));
     // control checks never draw from the RNG: a fresh seed under a
     // generous deadline matches the uncontrolled run bit for bit
-    let mut a = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
-    let mut b = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
+    let mut a = qclab_math::rng::Rng::seed_from_u64(11);
+    let mut b = qclab_math::rng::Rng::seed_from_u64(11);
     let plain = run_program(&program, &mut a).unwrap();
     let timed = run_program_controlled(&program, &mut b, &generous_control()).unwrap();
     assert_eq!(plain.record, timed.record);

@@ -14,7 +14,6 @@
 mod common;
 
 use common::{assert_distribution, clifford_measured_circuit, Expected};
-use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_algorithms::qec::{
     analytic_logical_error_rate, logical_error_rate, majority_decode, repetition_code_circuit,
@@ -24,6 +23,7 @@ use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
     run_trajectories, NoiseSpec, PauliChannel, Reference, ShotPath, TrajectoryConfig,
 };
+use qclab_testkit::prelude::*;
 
 const N: usize = 4;
 

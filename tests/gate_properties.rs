@@ -5,10 +5,10 @@
 mod common;
 
 use common::gate;
-use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::sim::kron::extended_unitary;
 use qclab_math::scalar::cr;
+use qclab_testkit::prelude::*;
 
 const N: usize = 4;
 

@@ -24,7 +24,6 @@
 mod common;
 
 use common::{circuit, measured_circuit, random_layers};
-use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::program::{PlanOptions, ProgramOp};
 use qclab_core::sim::kernel::{apply_gate_with, KernelConfig};
@@ -33,6 +32,7 @@ use qclab_core::sim::trajectory::{
     Trajectory, TrajectoryConfig,
 };
 use qclab_core::{CircuitItem, Pauli};
+use qclab_testkit::prelude::*;
 
 fn noise(gate: f64, idle: f64, readout: f64) -> NoiseSpec {
     NoiseSpec {

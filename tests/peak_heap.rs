@@ -19,8 +19,7 @@ use qclab_core::service::{JobSpec, Scheduler, ServiceConfig};
 use qclab_core::sim::trajectory::{
     route, run_trajectories, TerminalDraw, TrajectoryConfig, TrajectoryResult,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use qclab_math::rng::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -82,23 +81,23 @@ fn serial() -> MutexGuard<'static, ()> {
 /// `layers` layers of one random rotation per qubit and a random
 /// CX/CZ pairing, then every qubit measured: the benchmark's dense shape.
 fn random_layers(n: usize, layers: usize, seed: u64) -> QCircuit {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut circuit = QCircuit::new(n);
     let mut order: Vec<usize> = (0..n).collect();
     for _ in 0..layers {
         for q in 0..n {
-            let angle = rng.gen::<f64>() * std::f64::consts::TAU;
-            match rng.gen_range(0..3) {
+            let angle = rng.f64() * std::f64::consts::TAU;
+            match rng.below(3) {
                 0 => circuit.push_back(RotationX::new(q, angle)),
                 1 => circuit.push_back(RotationY::new(q, angle)),
                 _ => circuit.push_back(RotationZ::new(q, angle)),
             };
         }
         for i in (1..n).rev() {
-            order.swap(i, rng.gen_range(0..=i));
+            order.swap(i, rng.below(i + 1));
         }
         for pair in order.chunks_exact(2) {
-            if rng.gen::<bool>() {
+            if rng.bool() {
                 circuit.push_back(CNOT::new(pair[0], pair[1]));
             } else {
                 circuit.push_back(CZ::new(pair[0], pair[1]));

@@ -4,8 +4,8 @@
 mod common;
 
 use common::circuit;
-use proptest::prelude::*;
 use qclab::prelude::*;
+use qclab_testkit::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(48)))]

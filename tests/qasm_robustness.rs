@@ -4,8 +4,8 @@
 
 mod common;
 
-use proptest::prelude::*;
 use qclab_qasm::from_qasm;
+use qclab_testkit::prelude::*;
 
 /// A representative valid program exercising registers, gate defs,
 /// parameters, broadcasts, measurements, resets and barriers — the

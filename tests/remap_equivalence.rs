@@ -16,13 +16,13 @@
 mod common;
 
 use common::{gate, nested_circuit};
-use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::program::PlanOptions;
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{run_trajectories, Reference, ShotPath, TrajectoryConfig};
 use qclab_core::CircuitItem;
 use qclab_math::CVec;
+use qclab_testkit::prelude::*;
 
 /// Register size: two qubits above the sweep tile (12), so the pass has
 /// genuinely far qubits to pull in and room for a non-trivial layout.

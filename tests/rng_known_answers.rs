@@ -1,19 +1,18 @@
 //! Known answers of the seeded generators every sampled bit comes from.
 //! `tests/seed_goldens.rs` pins what whole runs draw; this pins the
-//! streams underneath: the first draws of the vendored
-//! `StdRng::seed_from_u64` (SplitMix64 seed expansion into xoshiro256++)
-//! and of `trajectory::shot_rng`, the `(seed, shot)` derivation. A
+//! streams underneath: the first draws of `Rng::seed_from_u64`
+//! (`qclab_math::rng`: SplitMix64 seed expansion into xoshiro256++) and
+//! of `trajectory::shot_rng`, the `(seed, shot)` derivation. A
 //! change to either is a break of `SEED_CONTRACT`, and it fails here
 //! even where a golden run happens not to notice.
 
 use qclab_core::sim::trajectory::shot_rng;
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use qclab_math::rng::Rng;
 
-/// The first `u64`, `f64`, `bool` and `gen_range(0..1000)` draws, in
+/// The first `u64`, `f64`, `bool` and `below(1000)` draws, in
 /// that order.
-fn first_draws(mut rng: StdRng) -> (u64, f64, bool, usize) {
-    (rng.next_u64(), rng.gen(), rng.gen(), rng.gen_range(0..1000))
+fn first_draws(mut rng: Rng) -> (u64, f64, bool, usize) {
+    (rng.next_u64(), rng.f64(), rng.bool(), rng.below(1000))
 }
 
 #[test]
@@ -28,11 +27,7 @@ fn std_rng_first_draws_are_pinned() {
         ),
     ];
     for (seed, want) in pinned {
-        assert_eq!(
-            first_draws(StdRng::seed_from_u64(seed)),
-            want,
-            "seed {seed}"
-        );
+        assert_eq!(first_draws(Rng::seed_from_u64(seed)), want, "seed {seed}");
     }
 }
 

@@ -15,13 +15,13 @@
 mod common;
 
 use common::{assert_distribution, measured_circuit, Expected};
-use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::sim::trajectory::{
     run_trajectories, run_trajectories_from, NoiseSpec, PauliChannel, Reference, ShotPath,
     TrajectoryConfig,
 };
 use qclab_core::{Observable, PlanOptions, ProgramOp};
+use qclab_testkit::prelude::*;
 
 /// A small entangling workload with measurements on every qubit.
 fn sampling_workload(n: usize) -> QCircuit {

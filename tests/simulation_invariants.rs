@@ -5,8 +5,8 @@
 mod common;
 
 use common::{circuit, state};
-use proptest::prelude::*;
 use qclab::prelude::*;
+use qclab_testkit::prelude::*;
 
 const N: usize = 3;
 

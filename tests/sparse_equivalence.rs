@@ -12,13 +12,13 @@
 mod common;
 
 use common::{assert_distribution, measured_circuit, random_layers, state, Expected};
-use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::program::{choose_backend, BackendChoice, BackendRequest, PlanOptions};
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::sparse::{self, SparseState};
 use qclab_core::sim::trajectory::{run_trajectories, ShotPath, TrajectoryConfig};
 use qclab_core::{CircuitItem, QclabError};
+use qclab_testkit::prelude::*;
 use std::collections::BTreeMap;
 
 const N: usize = 4;

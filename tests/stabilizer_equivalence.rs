@@ -3,10 +3,10 @@
 //! deterministic outcomes, same randomness structure, same
 //! post-measurement correlations.
 
-use proptest::prelude::*;
 use qclab::prelude::*;
 use qclab_core::sim::{collapse, kernel};
 use qclab_core::StabilizerState;
+use qclab_testkit::prelude::*;
 
 /// A random Clifford operation for the equivalence test.
 #[derive(Clone, Debug)]
@@ -37,71 +37,84 @@ fn clifford_op(n: usize) -> impl Strategy<Value = CliffordOp> {
     ]
 }
 
+/// Steps `ops` through both simulators. Whenever the stabilizer backend
+/// declares an outcome random, the state vector must show a 50/50
+/// split; when deterministic, probability 1 of the same bit. The
+/// statevector branch follows the stabilizer's (forced) outcomes, so the
+/// comparison holds along the whole path.
+fn tableau_agrees(ops: &[CliffordOp]) -> Result<(), TestCaseError> {
+    let n = 4;
+    let mut tableau = StabilizerState::new(n).unwrap();
+    let mut psi = CVec::basis_state(1 << n, 0);
+
+    for op in ops {
+        match *op {
+            CliffordOp::H(q) => {
+                tableau.apply_gate(&Hadamard::new(q)).unwrap();
+                kernel::apply_gate(&Hadamard::new(q), &mut psi, n);
+            }
+            CliffordOp::S(q) => {
+                tableau.apply_gate(&SGate::new(q)).unwrap();
+                kernel::apply_gate(&SGate::new(q), &mut psi, n);
+            }
+            CliffordOp::X(q) => {
+                tableau.apply_gate(&PauliX::new(q)).unwrap();
+                kernel::apply_gate(&PauliX::new(q), &mut psi, n);
+            }
+            CliffordOp::Z(q) => {
+                tableau.apply_gate(&PauliZ::new(q)).unwrap();
+                kernel::apply_gate(&PauliZ::new(q), &mut psi, n);
+            }
+            CliffordOp::Cnot(a, b) => {
+                tableau.apply_gate(&CNOT::new(a, b)).unwrap();
+                kernel::apply_gate(&CNOT::new(a, b), &mut psi, n);
+            }
+            CliffordOp::Cz(a, b) => {
+                tableau.apply_gate(&CZ::new(a, b)).unwrap();
+                kernel::apply_gate(&CZ::new(a, b), &mut psi, n);
+            }
+            CliffordOp::Measure(q) => {
+                let (p0, p1) = collapse::measure_probabilities(&psi, n, q);
+                // choose the branch the statevector can follow
+                let bit = p1 > p0;
+                let outcome = tableau.measure_forced(q, bit).unwrap();
+                if outcome.random {
+                    prop_assert!(
+                        (p0 - 0.5).abs() < 1e-9,
+                        "tableau says random, statevector says P(0) = {p0}"
+                    );
+                } else {
+                    let expected = if outcome.bit { p1 } else { p0 };
+                    prop_assert!(
+                        (expected - 1.0).abs() < 1e-9,
+                        "tableau deterministic but P = {expected}"
+                    );
+                }
+                let p = if bit { p1 } else { p0 };
+                psi = collapse::collapse(&psi, n, q, bit as usize, p);
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Step a random Clifford program through both simulators. Whenever
-    /// the stabilizer backend declares an outcome random, the state
-    /// vector must show a 50/50 split; when deterministic, probability 1
-    /// of the same bit. The statevector branch follows the stabilizer's
-    /// (forced) outcomes, so the comparison holds along the whole path.
+    /// [`tableau_agrees`] on random Clifford programs.
     #[test]
     fn tableau_agrees_with_statevector(
         ops in prop::collection::vec(clifford_op(4), 1..40),
     ) {
-        let n = 4;
-        let mut tableau = StabilizerState::new(n).unwrap();
-        let mut psi = CVec::basis_state(1 << n, 0);
-
-        for op in &ops {
-            match *op {
-                CliffordOp::H(q) => {
-                    tableau.apply_gate(&Hadamard::new(q)).unwrap();
-                    kernel::apply_gate(&Hadamard::new(q), &mut psi, n);
-                }
-                CliffordOp::S(q) => {
-                    tableau.apply_gate(&SGate::new(q)).unwrap();
-                    kernel::apply_gate(&SGate::new(q), &mut psi, n);
-                }
-                CliffordOp::X(q) => {
-                    tableau.apply_gate(&PauliX::new(q)).unwrap();
-                    kernel::apply_gate(&PauliX::new(q), &mut psi, n);
-                }
-                CliffordOp::Z(q) => {
-                    tableau.apply_gate(&PauliZ::new(q)).unwrap();
-                    kernel::apply_gate(&PauliZ::new(q), &mut psi, n);
-                }
-                CliffordOp::Cnot(a, b) => {
-                    tableau.apply_gate(&CNOT::new(a, b)).unwrap();
-                    kernel::apply_gate(&CNOT::new(a, b), &mut psi, n);
-                }
-                CliffordOp::Cz(a, b) => {
-                    tableau.apply_gate(&CZ::new(a, b)).unwrap();
-                    kernel::apply_gate(&CZ::new(a, b), &mut psi, n);
-                }
-                CliffordOp::Measure(q) => {
-                    let (p0, p1) = collapse::measure_probabilities(&psi, n, q);
-                    // choose the branch the statevector can follow
-                    let bit = p1 > p0;
-                    let outcome = tableau.measure_forced(q, bit).unwrap();
-                    if outcome.random {
-                        prop_assert!(
-                            (p0 - 0.5).abs() < 1e-9,
-                            "tableau says random, statevector says P(0) = {p0}"
-                        );
-                    } else {
-                        let expected = if outcome.bit { p1 } else { p0 };
-                        prop_assert!(
-                            (expected - 1.0).abs() < 1e-9,
-                            "tableau deterministic but P = {expected}"
-                        );
-                    }
-                    let p = if bit { p1 } else { p0 };
-                    psi = collapse::collapse(&psi, n, q, bit as usize, p);
-                }
-            }
-        }
+        tableau_agrees(&ops)?;
     }
+}
+
+/// A case the property once failed on, kept as a fixed regression.
+#[test]
+fn tableau_agrees_after_s_h_measure() {
+    use CliffordOp::{Measure, H, S};
+    tableau_agrees(&[S(0), H(0), Measure(0)]).unwrap();
 }
 
 #[test]
@@ -144,7 +157,7 @@ fn five_hundred_qubit_cluster_state() {
         s.apply_gate(&CZ::new(q, q + 1)).unwrap();
     }
     // measuring every qubit in Z yields all-random outcomes
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+    let mut rng = qclab_math::rng::Rng::seed_from_u64(5);
     let mut randoms = 0;
     for q in 0..n {
         if s.measure(q, &mut rng).random {
