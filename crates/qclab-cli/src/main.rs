@@ -17,13 +17,13 @@
 
 mod serve;
 
-use qclab_core::program::{plan_cache_stats, BackendRequest, PlanOptions};
+use qclab_core::program::{plan_cache_stats, PlanOptions};
 use qclab_core::sim::control::ExecutionControl;
 use qclab_core::sim::guard::{ResourceLimits, SPARSE_ENTRY_BYTES};
 use qclab_core::sim::kernel::KernelConfig;
+use qclab_core::sim::route::{route, BackendRequest, TerminalDraw};
 use qclab_core::sim::trajectory::{
-    route, run_trajectories, NoiseSpec, PauliChannel, TerminalDraw, TrajectoryConfig,
-    TrajectoryResult, SEED_CONTRACT,
+    run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig, TrajectoryResult, SEED_CONTRACT,
 };
 use qclab_core::sim::SimOptions;
 use qclab_core::{QCircuit, QclabError};

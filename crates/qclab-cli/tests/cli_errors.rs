@@ -574,6 +574,31 @@ fn compile_prints_the_route_sample_takes() {
 }
 
 #[test]
+fn simulate_and_counts_print_one_branch_tree_on_both_backends() {
+    // every benchmark input both engines finish quickly: the same branch
+    // lines under `--backend dense` and `--backend sparse` (the header
+    // names the backend, so it is cut)
+    let inputs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/inputs");
+    for name in ["teleport", "grover2", "qec3"] {
+        let file = format!("{inputs}/{name}.qasm");
+        for command in [
+            &["simulate", &file][..],
+            &["counts", &file, "1000", "--seed", "7"],
+        ] {
+            let body = |backend| {
+                let out = qclab(&[command, &["--backend", backend]].concat());
+                assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+                let out = stdout(&out);
+                let (_, body) = out.split_once('\n').expect("a header line");
+                assert!(!body.is_empty(), "{name} {command:?}: no branch lines");
+                body.to_string()
+            };
+            assert_eq!(body("dense"), body("sparse"), "{name} {command:?}");
+        }
+    }
+}
+
+#[test]
 fn compile_prints_the_terminal_draw() {
     // the noiseless route's draw at the default shot count: a table a
     // plan can keep (qft16, 2^16 outcomes), streamed where none could
@@ -807,6 +832,58 @@ fn serve_resubmits_draw_the_same_bits_as_standalone_samples() {
     assert!(
         summary.contains("source memo 1 hit(s), 3 miss(es)"),
         "{summary}"
+    );
+
+    // all three lines piped at once to one worker, by file: seeds 7, 7,
+    // 8 on one circuit run one after the other, and only the third job
+    // finds the preparation on the plan — the first job's plan is not
+    // kept, so the second prepares again and keeps it
+    let triple = write_qasm(
+        "triple.qasm",
+        "qreg q[2];\ncreg c[2];\nh q[0];\ncx q[0], q[1];\nmeasure q -> c;\n",
+    );
+    let input: String = [("a", 7), ("b", 7), ("c", 8)]
+        .iter()
+        .map(|(id, seed)| {
+            format!("{{\"id\":\"{id}\",\"file\":\"{triple}\",\"shots\":1000,\"seed\":{seed}}}\n")
+        })
+        .collect();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qclab"))
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("binary must spawn");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let out = stdout(&out);
+    let line = |id: &str| {
+        let needle = format!("\"id\":\"{id}\",\"ok\":true");
+        out.lines()
+            .find(|l| l.contains(&needle))
+            .unwrap_or_else(|| panic!("no {id} result in:\n{out}"))
+    };
+    assert_eq!(
+        counts_of(line("a")),
+        counts_of(line("b")),
+        "same seed, same bits"
+    );
+    assert_ne!(
+        counts_of(line("a")),
+        counts_of(line("c")),
+        "another seed, other bits"
+    );
+    let prep_hits = ["a", "b", "c"].map(|id| line(id).contains("\"prep_hit\":true"));
+    assert_eq!(prep_hits, [false, false, true]);
+    assert!(
+        out.contains("retained preparation 1 hit(s), 2 miss(es)"),
+        "{out}"
     );
 }
 

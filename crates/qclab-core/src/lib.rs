@@ -36,16 +36,14 @@ pub use gates::Gate;
 pub use measurement::{Basis, Measurement};
 pub use observable::{Observable, Pauli, PauliString};
 pub use optimize::{optimize, OptimizeStats};
-pub use program::{
-    BackendChoice, BackendRequest, CompiledProgram, PlanCacheStats, PlanOptions, PlanStats,
-    ProgramOp, ShotPlan,
-};
+pub use program::{CompiledProgram, PlanCacheStats, PlanOptions, PlanStats, ProgramOp, ShotPlan};
 pub use reduced::{contract_qubit, reduced_statevector};
 pub use service::{
     ErrorKind, JobError, JobHandle, JobOutput, JobResult, JobSpec, JobTelemetry, Scheduler,
     ServiceConfig, ServiceStats,
 };
 pub use sim::density::{DensityState, NoiseChannel, NoiseModel};
+pub use sim::route::{BackendChoice, BackendRequest};
 pub use sim::sparse::SparseState;
 pub use sim::stabilizer::{run_stabilizer, MeasureOutcome, StabilizerRun, StabilizerState};
 pub use sim::{Branch, RoutedState, SimOptions, Simulation};

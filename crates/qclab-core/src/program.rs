@@ -51,12 +51,11 @@
 //! serves callers with different limits.
 
 use crate::circuit::{CircuitItem, QCircuit};
-use crate::error::QclabError;
 use crate::gates::Gate;
 use crate::measurement::Measurement;
 use crate::recent::RecencyRing;
 use crate::sim::fusion::{self, FusionStats, Placed, TargetMatrices, MAX_FUSED_QUBITS_LIMIT};
-use crate::sim::guard::{self, ResourceLimits};
+use crate::sim::guard::ResourceLimits;
 use crate::sim::kernel::{KernelConfig, SWEEP_TILE_QUBITS};
 use qclab_math::rng::mix64;
 use qclab_math::{CVec, C64};
@@ -270,7 +269,7 @@ pub struct PlanStats {
 /// The classification is purely structural — whether a *run* may
 /// actually fork or sample also depends on its noise configuration
 /// (gate/idle noise makes every gate a stochastic site) and is decided
-/// by [`route`](crate::sim::trajectory::route).
+/// by [`route`](crate::sim::route::route).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShotPlan {
     /// Ops before the first measurement or reset (gates and fences
@@ -920,118 +919,6 @@ fn estimate_sparse_entries(flat: &[CircuitItem], mats: &TargetMatrices, nb_qubit
     support
 }
 
-/// Executor family a caller asks for. [`Auto`](BackendRequest::Auto)
-/// defers to [`choose_backend`]; the other two pin the decision (and
-/// fail if that executor's guard refuses the program).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BackendRequest {
-    /// Let [`choose_backend`] pick per program.
-    Auto,
-    /// Dense state vector, guard-checked against `2^n` bytes.
-    #[default]
-    Dense,
-    /// Sparse hashmap state, guard-checked against the live-entry cap.
-    Sparse,
-}
-
-impl fmt::Display for BackendRequest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendRequest::Auto => write!(f, "auto"),
-            BackendRequest::Dense => write!(f, "dense"),
-            BackendRequest::Sparse => write!(f, "sparse"),
-        }
-    }
-}
-
-/// The executor the chooser selected for one program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// Dense `2^n`-amplitude execution.
-    Dense,
-    /// Sparse execution; `est_entries` is the support bound the
-    /// decision was based on ([`PlanStats::sparse_entries`]).
-    Sparse {
-        /// Upper bound on live entries used for admission.
-        est_entries: u128,
-    },
-}
-
-impl fmt::Display for BackendChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendChoice::Dense => write!(f, "dense"),
-            BackendChoice::Sparse { est_entries } => {
-                write!(f, "sparse (est ≤ {est_entries} entries)")
-            }
-        }
-    }
-}
-
-/// Work-ratio margin of the dense/sparse chooser: hashmap traffic makes
-/// one sparse entry cost roughly this many dense amplitude updates, so
-/// sparse only wins when its estimated footprint is at least this factor
-/// below the dense one.
-pub const SPARSE_CROSSOVER_FACTOR: u128 = 8;
-
-/// Picks the executor for a lowered program under `limits`: sparse when
-/// the support bound fits the live-entry budget *and* either undercuts
-/// the dense footprint by [`SPARSE_CROSSOVER_FACTOR`] or the dense state
-/// is guard-refused outright; dense otherwise. Errs with the dense
-/// refusal when neither representation fits.
-pub fn choose_backend(
-    stats: &PlanStats,
-    nb_qubits: usize,
-    limits: &ResourceLimits,
-) -> Result<BackendChoice, QclabError> {
-    let est = stats.sparse_entries;
-    let dense_ok = limits.check_register(nb_qubits).is_ok();
-    let sparse_ok = limits.check_sparse_register(nb_qubits).is_ok()
-        && limits.check_sparse_entries(nb_qubits, est).is_ok();
-    let sparse_wins = match stats.state_bytes {
-        Some(dense_bytes) => {
-            est.saturating_mul(guard::SPARSE_ENTRY_BYTES)
-                .saturating_mul(SPARSE_CROSSOVER_FACTOR)
-                <= dense_bytes
-        }
-        // a dense state beyond u128 bytes loses to any admitted support
-        None => true,
-    };
-    if sparse_ok && (sparse_wins || !dense_ok) {
-        Ok(BackendChoice::Sparse { est_entries: est })
-    } else if dense_ok {
-        Ok(BackendChoice::Dense)
-    } else {
-        Err(limits
-            .check_register(nb_qubits)
-            .expect_err("dense admission failed above"))
-    }
-}
-
-/// Resolves a [`BackendRequest`] against a program's stats: `Auto` runs
-/// the chooser, a pinned request only checks that executor's own guard.
-pub fn resolve_backend(
-    request: BackendRequest,
-    stats: &PlanStats,
-    nb_qubits: usize,
-    limits: &ResourceLimits,
-) -> Result<BackendChoice, QclabError> {
-    match request {
-        BackendRequest::Auto => choose_backend(stats, nb_qubits, limits),
-        BackendRequest::Dense => {
-            limits.check_register(nb_qubits)?;
-            Ok(BackendChoice::Dense)
-        }
-        BackendRequest::Sparse => {
-            limits.check_sparse_register(nb_qubits)?;
-            limits.check_sparse_entries(nb_qubits, stats.sparse_entries)?;
-            Ok(BackendChoice::Sparse {
-                est_entries: stats.sparse_entries,
-            })
-        }
-    }
-}
-
 /// Lowers a circuit to a [`CompiledProgram`] without consulting the plan
 /// cache. Use [`compile`] unless you are measuring lowering cost itself
 /// (`qclab-e2e`'s `program.lower_us`) or deliberately want a private plan.
@@ -1188,7 +1075,7 @@ pub const PLAN_CACHE_CAPACITY: usize = 32;
 /// larger table could never be kept, so a noiseless run streams its
 /// draw over the state instead of building one, unless its shots'
 /// sorted points would outweigh the table
-/// (`sim::trajectory::TerminalDraw`). Whether holding a `2^20`-outcome
+/// (`sim::route::TerminalDraw`). Whether holding a `2^20`-outcome
 /// table (8 MiB) would be worth its bytes is for the cost model to weigh
 /// per plan, not for a second constant.
 pub const RETAINED_BYTES_CAP: usize = 1 << 20;

@@ -47,9 +47,11 @@
 
 use crate::circuit::QCircuit;
 use crate::error::QclabError;
-use crate::program::{plan_cache_capacity, BackendRequest};
+use crate::program::plan_cache_capacity;
 use crate::recent::RecencyRing;
 use crate::sim::control::{ExecutionControl, StopCause};
+use crate::sim::guard::ResourceLimits;
+use crate::sim::route::BackendRequest;
 use crate::sim::trajectory::{run_trajectories, TrajectoryConfig, TrajectoryResult};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -429,17 +431,6 @@ fn resolve_cancelled(job: &QueuedJob) {
     }));
 }
 
-/// Estimated dense state bytes of an `n`-qubit job (what the guard
-/// would allocate), which is also a noiseless dense run's peak: its one
-/// state vector, permuted in place and drawn from without a second copy
-/// (what [`ResourceLimits::check_register`](crate::sim::guard::ResourceLimits::check_register)
-/// says of larger shot counts and noisy runs holds here too).
-/// Used for admission only — sparse/frame jobs are re-guarded at runtime
-/// on their own support-sized estimates.
-fn dense_state_bytes(n: usize) -> u64 {
-    (16u128 << n).min(u64::MAX as u128) as u64
-}
-
 // ---------------------------------------------------------------------
 // scheduler
 // ---------------------------------------------------------------------
@@ -526,7 +517,8 @@ impl Scheduler {
         };
         let n = spec.circuit.nb_qubits();
         let base = &self.inner.cfg.base;
-        // A job is one run, so it holds one dense state whenever the
+        // A job is one run, so it holds one dense state (the guard's
+        // byte count, also a noiseless dense run's peak) whenever the
         // dense engine could be the one that runs it — also under
         // `auto`. A register the dense guard refuses is turned away
         // here only when dense is the sole engine asked for; otherwise
@@ -536,7 +528,9 @@ impl Scheduler {
             Err(e) if base.backend == BackendRequest::Dense => {
                 return reject(&spec.id, ErrorKind::classify(&e), e.to_string());
             }
-            Ok(_) if base.backend != BackendRequest::Sparse => dense_state_bytes(n),
+            Ok(_) if base.backend != BackendRequest::Sparse => {
+                ResourceLimits::state_bytes(n).map_or(u64::MAX, |b| b.min(u64::MAX.into()) as u64)
+            }
             _ => 0,
         };
         let budget = self.inner.cfg.global_state_bytes;

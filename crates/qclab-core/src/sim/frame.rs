@@ -56,7 +56,7 @@
 //! executes those gates one by one, so its plan is the
 //! [`unfused`](crate::program::PlanOptions::unfused) one, and the lowered
 //! [`FrameProgram`] is cached on it, riding the fingerprint-keyed plan
-//! cache. Routing happens in [`route`](crate::sim::trajectory::route);
+//! cache. Routing happens in [`route`](crate::sim::route::route);
 //! [`Reference::NoFrames`](crate::sim::trajectory::Reference::NoFrames)
 //! opts out.
 

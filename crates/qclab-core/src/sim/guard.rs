@@ -92,7 +92,7 @@ impl ResourceLimits {
     /// vector is a noiseless dense run's peak, up to small lookup tables
     /// and tallies: layout permutes work in place, and a terminal table no
     /// plan could keep is streamed instead while its shots' points weigh
-    /// less (`sim::trajectory::TerminalDraw`). A run that builds such a
+    /// less (`sim::route::TerminalDraw`). A run that builds such a
     /// table anyway (noisy lanes, more shots) holds it on top.
     pub fn check_register(&self, nb_qubits: usize) -> Result<usize, QclabError> {
         let bytes = Self::state_bytes(nb_qubits);
@@ -169,7 +169,7 @@ impl ResourceLimits {
 
     /// Checks that `entries` live sparse entries fit the byte cap
     /// (`entries · `[`SPARSE_ENTRY_BYTES`]` ≤ max_state_bytes`). The
-    /// sparse executor calls this after every op; the chooser calls it
+    /// sparse executor calls this after every op, [`super::route::resolve`]
     /// on the lowering-time support bound.
     pub fn check_sparse_entries(&self, nb_qubits: usize, entries: u128) -> Result<(), QclabError> {
         let bytes = entries.saturating_mul(SPARSE_ENTRY_BYTES);

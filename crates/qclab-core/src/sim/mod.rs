@@ -15,7 +15,7 @@
 //! Z probabilities, collapse, gate application and the live size the
 //! resource guard charges — while the measurement/reset split
 //! (`split_branches`) and the op walk over a
-//! [`CompiledProgram`](program::CompiledProgram) (`walk_branches`) exist
+//! [`CompiledProgram`](crate::program::CompiledProgram) (`walk_branches`) exist
 //! once. The dense bytecode executor runs its own instruction stream of
 //! in-place kernels (the QCLAB++ strategy) and calls the same split.
 //!
@@ -34,6 +34,7 @@ pub mod guard;
 pub mod kernel;
 pub mod kron;
 mod par;
+pub mod route;
 pub mod sampler;
 pub(crate) mod simd;
 pub mod sparse;
@@ -45,12 +46,13 @@ use crate::circuit::QCircuit;
 use crate::error::QclabError;
 use crate::gates::Gate;
 use crate::measurement::{Basis, Measurement};
-use crate::program::{self, BackendChoice, BackendRequest, PlanOptions, ProgramOp};
+use crate::program::{PlanOptions, ProgramOp};
 use crate::reduced::contract_qubit;
 use control::ControlTicker;
 use guard::ResourceLimits;
 use qclab_math::rng::Rng;
 use qclab_math::CVec;
+use route::BackendRequest;
 use sparse::SparseState;
 use std::collections::BTreeMap;
 
@@ -357,7 +359,7 @@ impl QCircuit {
 }
 
 /// The state of one branch of a routed run, on whichever representation
-/// the dense/sparse chooser picked — the branch state of
+/// [`route::resolve`] picked — the branch state of
 /// [`QCircuit::simulate_bitstring_routed`]'s result.
 #[derive(Clone, Debug)]
 pub enum RoutedState {
@@ -378,65 +380,17 @@ impl Simulation<RoutedState> {
 }
 
 impl QCircuit {
-    /// Simulates from a basis-state bitstring on the backend a
-    /// [`BackendRequest`] resolves to: `Auto` lets
-    /// [`program::choose_backend`] pick dense or sparse per program
-    /// (using the lowering-time support bound), `Dense`/`Sparse` pin
-    /// the executor and fail if its guard refuses. This is the routing
-    /// entry the CLI `--backend` flag drives.
+    /// Simulates from a basis-state bitstring on the engine
+    /// [`route::resolve`] picks for `request`, with the branch tree's one
+    /// fallback ([`route`]'s module doc). This is the routing entry the
+    /// CLI `--backend` flag drives.
     pub fn simulate_bitstring_routed(
         &self,
         bits: &str,
         opts: &SimOptions,
         request: BackendRequest,
     ) -> Result<Simulation<RoutedState>, QclabError> {
-        if bits.len() != self.nb_qubits() {
-            return Err(QclabError::InvalidBitstring(bits.to_string()));
-        }
-        // the support bound is computed on the unfused stream, so any
-        // plan of this circuit reports the same estimate; lowering the
-        // unfused plan the sparse executor runs avoids building dense
-        // fused blocks for a register the dense engine may not even admit
-        let probe = self.compile_with(&PlanOptions::unfused());
-        let choice =
-            program::resolve_backend(request, probe.stats(), self.nb_qubits(), &opts.limits)?;
-        let run_sparse = || {
-            let initial = SparseState::from_bitstring(bits)
-                .ok_or_else(|| QclabError::InvalidBitstring(bits.to_string()))?;
-            sparse::execute_controlled(&probe, initial, &opts.limits, &opts.control)?
-                .map_states(|s| Ok(RoutedState::Sparse(s)))
-        };
-        match choice {
-            BackendChoice::Dense => match self.simulate_bitstring_with(bits, opts) {
-                Ok(sim) => sim.map_states(|s| Ok(RoutedState::Dense(s))),
-                // graceful degradation: under Auto, a dense run that was
-                // refused mid-flight (allocation) or overran its deadline
-                // falls back to the sparse executor — if the chooser's
-                // sparse guard admits the program — before giving up. A
-                // post-timeout retry keeps the original deadline: sparse
-                // ops are cheap enough that a small program can finish
-                // before the next check fires, and otherwise the retry
-                // stops within one check interval.
-                Err(
-                    err @ (QclabError::ResourceExhausted { .. } | QclabError::DeadlineExceeded(_)),
-                ) if request == BackendRequest::Auto => {
-                    if program::resolve_backend(
-                        BackendRequest::Sparse,
-                        probe.stats(),
-                        self.nb_qubits(),
-                        &opts.limits,
-                    )
-                    .is_ok()
-                    {
-                        run_sparse()
-                    } else {
-                        Err(err)
-                    }
-                }
-                Err(err) => Err(err),
-            },
-            BackendChoice::Sparse { .. } => run_sparse(),
-        }
+        route::branch_tree(self, bits, opts, request)
     }
 }
 

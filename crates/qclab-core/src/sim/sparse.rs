@@ -27,9 +27,8 @@
 //! when lowering for this executor: fusion would coarsen
 //! support-preserving gate runs into dense blocks and the locality pass
 //! optimizes a stride that a hashmap does not have. The automatic
-//! dense/sparse dispatch lives in
-//! [`choose_backend`](crate::program::choose_backend) and
-//! [`simulate_bitstring_routed`](crate::circuit::QCircuit::simulate_bitstring_routed).
+//! dense/sparse dispatch, for the branch tree and for sampled runs, is
+//! [`route::resolve`](crate::sim::route::resolve).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

@@ -103,14 +103,13 @@ use crate::error::QclabError;
 use crate::gates::Gate;
 use crate::measurement::{Basis, Measurement};
 use crate::observable::{Observable, Pauli};
-use crate::program::{
-    self, BackendChoice, BackendRequest, CompiledProgram, PlanOptions, ProgramOp,
-};
+use crate::program::{self, CompiledProgram, PlanOptions, ProgramOp};
 use crate::sim::bytecode::{Bytecode, Instr};
 use crate::sim::control::{ControlTicker, ExecutionControl, StopCause, StopLatch};
 use crate::sim::frame;
 use crate::sim::guard::ResourceLimits;
 use crate::sim::kernel::KernelConfig;
+use crate::sim::route::{ends_in_draw, route, BackendRequest, Route, TerminalDraw};
 use crate::sim::sampler::{CdfStream, CdfTable, Sink};
 use crate::sim::sparse;
 use crate::sim::walk::{Landing, NoisePlan, ShotDraws};
@@ -204,7 +203,7 @@ impl NoiseSpec {
 
     /// True when every gate is a noise site (an `after_gate` or `idle`
     /// channel can fire): no stretch of gates is deterministic.
-    fn strikes_gates(&self) -> bool {
+    pub(crate) fn strikes_gates(&self) -> bool {
         [self.after_gate, self.idle]
             .into_iter()
             .flatten()
@@ -598,7 +597,7 @@ impl TrajectoryResult {
 /// The plan options of a state-vector trajectory run: the kernel
 /// configuration's, whatever the noise — so a noisy run, its noiseless
 /// twin and `simulate` share one cached plan.
-fn plan_options(config: &TrajectoryConfig) -> PlanOptions {
+pub(crate) fn plan_options(config: &TrajectoryConfig) -> PlanOptions {
     PlanOptions::from(&config.kernel)
 }
 
@@ -631,7 +630,7 @@ fn pauli_gate(p: Pauli, q: usize) -> Option<Gate> {
 
 /// Validates the register, initial state (`None` = `|0…0⟩`, valid by
 /// construction), noise spec and observables of a run. Allocates nothing.
-fn validate(
+pub(crate) fn validate(
     circuit: &QCircuit,
     initial: Option<&CVec>,
     config: &TrajectoryConfig,
@@ -1802,174 +1801,6 @@ fn retained_or(
         program.prep().offer(key, p);
     }
     Ok((prep, false))
-}
-
-/// How a trajectory run executes, decided by [`route`] before anything
-/// is allocated: every consumer — the run itself, `qclab compile`, the
-/// tests — reads this one record instead of restating the rules.
-#[derive(Clone, Debug)]
-pub struct Route {
-    /// The engine, the shot strategy and the ops evolved once: what the
-    /// run's [`TrajectoryResult::path`] reports.
-    pub path: ShotPath,
-    /// The plan the run executes, and so its [`PlanOptions`]:
-    /// [`PlanOptions::unfused`] on the sparse path and for Pauli frames
-    /// (both engines execute source gates), the kernel configuration's
-    /// everywhere else.
-    pub program: Arc<CompiledProgram>,
-    /// A forked or per-shot ensemble whose terminal block is drawn from
-    /// the noiseless evolution's table by every lane that injects no
-    /// error — the table a noiseless run of the same plan draws from.
-    pub shares_table: bool,
-    /// How the dense noiseless evolution's terminal block is drawn, on
-    /// the routes that draw it (`AliasSampled`, and lanes sharing its
-    /// table); `None` elsewhere.
-    pub draw: Option<TerminalDraw>,
-    /// The rule that decided the route.
-    pub why: &'static str,
-}
-
-/// How a dense terminal block is drawn ([`Route::draw`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TerminalDraw {
-    /// From the marginal's cumulative table ([`CdfTable`]).
-    Table {
-        /// The table's size: 8 B per outcome.
-        bytes: u128,
-    },
-    /// From the rotated state itself, in two ascending passes over its
-    /// marginal: a noiseless run whose table could never be kept on its
-    /// plan (over [`program::RETAINED_BYTES_CAP`]) and would outweigh the
-    /// run's sorted points (16 B a shot). Every outcome is the table's.
-    Streamed,
-}
-
-/// Bytes a streamed terminal draw holds per shot: an 8-byte point in the
-/// sort buffer, and as much again for the outcome tally it feeds.
-const STREAM_BYTES_PER_SHOT: u128 = 16;
-
-/// How `config`'s run draws the terminal block of the dense `program`:
-/// streamed when it is noiseless, its table is over
-/// [`program::RETAINED_BYTES_CAP`] and the shots' points weigh less than
-/// the table; from the table otherwise. Noisy lanes share the table
-/// whatever its size.
-fn terminal_draw(program: &CompiledProgram, config: &TrajectoryConfig) -> TerminalDraw {
-    let block = &program.ops()[program.shot_plan().prefix_ops..];
-    let m = block
-        .iter()
-        .filter(|op| matches!(op, ProgramOp::Measure(_)))
-        .count();
-    let bytes = (std::mem::size_of::<f64>() as u128) << m;
-    let points = STREAM_BYTES_PER_SHOT.saturating_mul(config.shots.into());
-    let retainable = bytes <= program::RETAINED_BYTES_CAP as u128;
-    if config.noise.is_noiseless() && !retainable && points < bytes {
-        TerminalDraw::Streamed
-    } else {
-        TerminalDraw::Table { bytes }
-    }
-}
-
-/// `true` when a run's lanes end in one terminal draw: the program ends
-/// in a terminal measurement block and no observable reads the
-/// post-measurement state.
-fn ends_in_draw(program: &CompiledProgram, config: &TrajectoryConfig) -> bool {
-    program.shot_plan().terminal_measurements && config.observables.is_empty()
-}
-
-/// Routes a run — sparse → Pauli frames → terminal table → fork or per
-/// shot — without allocating any state or touching a plan's retained
-/// preparation: it lowers (through the plan cache) only the plans the
-/// decision reads, and returns the refusals a run meets before its
-/// one-time preparation, in the order the run meets them.
-/// `initial: None` starts from `|0…0⟩` and considers every engine; an
-/// explicit initial state (validated here, never copied) pins the dense
-/// ones.
-pub fn route(
-    circuit: &QCircuit,
-    config: &TrajectoryConfig,
-    initial: Option<&CVec>,
-) -> Result<Route, QclabError> {
-    let n = circuit.nb_qubits();
-    let noiseless = config.noise.is_noiseless();
-    let shares = config.reference != Reference::NoSharing;
-    let routed = |path, program, shares_table, draw, why| Route {
-        path,
-        program,
-        shares_table,
-        draw,
-        why,
-    };
-    // Each plan is lowered at most once and held until the decision is
-    // made: the plan cache keeps a plan only when it is asked for again
-    // after its last holder let go, so a second lookup would lower again.
-    let unfused = OnceLock::new();
-    let unfused =
-        || Arc::clone(unfused.get_or_init(|| circuit.compile_with(&PlanOptions::unfused())));
-    // Backend routing happens before the dense `|0…0⟩` guard, so
-    // sparse-eligible wide registers are not refused on the dense byte
-    // estimate.
-    if initial.is_none() && config.backend != BackendRequest::Dense {
-        let program = unfused();
-        let choice = program::resolve_backend(config.backend, program.stats(), n, &config.limits)?;
-        if let BackendChoice::Sparse { .. } = choice {
-            if shares && noiseless && ends_in_draw(&program, config) {
-                config.noise.validate()?;
-                config.limits.check_sparse_register(n)?;
-                let prefix_ops = program.shot_plan().prefix_ops;
-                let path = ShotPath::SparseSampled { prefix_ops };
-                let why = "sparse, noiseless, terminal";
-                return Ok(routed(path, program, false, None, why));
-            }
-            if config.backend == BackendRequest::Sparse {
-                return Err(QclabError::Unavailable(
-                    "sparse trajectory execution covers noiseless terminal-measurement \
-                     programs (prefix sampling) only — run with the dense or auto backend"
-                        .into(),
-                ));
-            }
-            // Auto preferred sparse but the program shape is not
-            // prefix-sampleable: fall through to the dense engine,
-            // whose own guard decides admission.
-        }
-    }
-    // the one plan of this circuit, noisy or not; every state-vector
-    // shot executes the same program
-    let fused = OnceLock::new();
-    let compile = || Arc::clone(fused.get_or_init(|| circuit.compile_with(&plan_options(config))));
-    // Pauli frames: admitted by the frame guard instead of the dense 2^n
-    // estimate, so 100+ qubit Clifford workloads run. Chosen by the
-    // Clifford check on the source gates, which the engine executes one
-    // by one — so it lowers unfused. Noiseless runs keep the exact paths.
-    let frames = config.reference != Reference::NoFrames;
-    let sampled_noise = !noiseless && config.observables.is_empty();
-    if initial.is_none() && frames && sampled_noise && compile().stats().is_clifford {
-        let program = unfused();
-        if program.frame_program().is_some() {
-            let why = "noisy Clifford, no observables";
-            return Ok(routed(ShotPath::PauliFrame, program, false, None, why));
-        }
-    }
-    validate(circuit, initial, config)?;
-    let program = compile();
-    let prefix_ops = program.shot_plan().prefix_ops;
-    // A terminal block is tabulated once from the noiseless evolution: a
-    // noiseless run draws every shot from it, a noisy one hands it to its
-    // lanes. Without gate/idle noise the prefix draws nothing, so it is
-    // evolved once and forked, bit for bit.
-    let tabulated = shares && ends_in_draw(&program, config);
-    let (path, why) = if tabulated && noiseless {
-        (ShotPath::AliasSampled { prefix_ops }, "noiseless, terminal")
-    } else if !shares {
-        (ShotPath::PerShot, "fast path off")
-    } else if config.noise.strikes_gates() {
-        (ShotPath::PerShot, "gate or idle noise")
-    } else if prefix_ops == 0 {
-        (ShotPath::PerShot, "measures or resets first")
-    } else {
-        (ShotPath::Forked { prefix_ops }, "no gate or idle noise")
-    };
-    let draw = tabulated.then(|| terminal_draw(&program, config));
-    Ok(routed(path, program, tabulated && !noiseless, draw, why))
 }
 
 /// Performs `route`'s one-time preparation (which never consults the

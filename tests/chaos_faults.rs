@@ -18,12 +18,13 @@ mod common;
 
 use common::with_threads;
 use qclab::prelude::*;
-use qclab_core::program::{compile, plan_cache_stats, BackendRequest, PlanOptions};
+use qclab_core::program::{compile, plan_cache_stats, PlanOptions};
 use qclab_core::sim::control::chaos::{self, Fault};
 use qclab_core::sim::control::StopCause;
 use qclab_core::sim::density::{run_noisy, DensityState, NoiseModel};
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::kernel::KernelConfig;
+use qclab_core::sim::route::BackendRequest;
 use qclab_core::sim::sparse::{self, SparseState};
 use qclab_core::sim::stabilizer::run_program;
 use qclab_core::sim::trajectory::{

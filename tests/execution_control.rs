@@ -9,10 +9,11 @@
 #![allow(clippy::disallowed_methods)] // a test may let a refused thread panic
 
 use qclab::prelude::*;
-use qclab_core::program::{BackendRequest, PlanOptions};
+use qclab_core::program::PlanOptions;
 use qclab_core::sim::control::{ExecutionControl, StopCause};
 use qclab_core::sim::density::{run_noisy, run_noisy_controlled, DensityState, NoiseModel};
 use qclab_core::sim::guard::ResourceLimits;
+use qclab_core::sim::route::BackendRequest;
 use qclab_core::sim::sparse::{self, SparseState};
 use qclab_core::sim::stabilizer::{run_program, run_program_controlled};
 use qclab_core::sim::trajectory::{

@@ -16,9 +16,8 @@
 use qclab::prelude::*;
 use qclab_core::program::{self, ProgramOp, RETAINED_BYTES_CAP};
 use qclab_core::service::{JobSpec, Scheduler, ServiceConfig};
-use qclab_core::sim::trajectory::{
-    route, run_trajectories, TerminalDraw, TrajectoryConfig, TrajectoryResult,
-};
+use qclab_core::sim::route::{route, TerminalDraw};
+use qclab_core::sim::trajectory::{run_trajectories, TrajectoryConfig, TrajectoryResult};
 use qclab_math::rng::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};

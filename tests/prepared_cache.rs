@@ -29,15 +29,15 @@ use qclab::algorithms::ghz::ghz_circuit;
 use qclab::algorithms::qft::qft;
 use qclab::prelude::*;
 use qclab_core::program::{
-    self, clear_plan_cache, plan_cache_stats, BackendRequest, PLAN_CACHE_CAPACITY,
-    RETAINED_BYTES_CAP,
+    self, clear_plan_cache, plan_cache_stats, PLAN_CACHE_CAPACITY, RETAINED_BYTES_CAP,
 };
 use qclab_core::service::ErrorKind;
 use qclab_core::sim::control::ExecutionControl;
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::kernel::KernelConfig;
+use qclab_core::sim::route::{route, BackendRequest};
 use qclab_core::sim::trajectory::{
-    route, run_trajectories, NoiseSpec, NormStats, PauliChannel, ShotPath, TrajectoryConfig,
+    run_trajectories, NoiseSpec, NormStats, PauliChannel, ShotPath, TrajectoryConfig,
     TrajectoryResult, WatchdogConfig,
 };
 use qclab_core::{CircuitItem, QclabError};

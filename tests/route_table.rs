@@ -1,4 +1,4 @@
-//! The route table (`qclab_core::sim::trajectory::route`): which engine,
+//! The route table (`qclab_core::sim::route::route`): which engine,
 //! shot strategy and plan a trajectory run takes, for every circuit
 //! shape × noise class × backend request × initial state × reference
 //! route. [`TABLE`] is the rule list `DESIGN.md` §3e prints:
@@ -14,9 +14,10 @@
 
 use qclab::algorithms::ghz::ghz_circuit;
 use qclab::prelude::*;
-use qclab_core::program::{self, BackendRequest, PlanOptions};
+use qclab_core::program::{self, PlanOptions};
+use qclab_core::sim::route::{route, BackendRequest};
 use qclab_core::sim::trajectory::{
-    route, run_trajectories, run_trajectories_from, NoiseSpec, PauliChannel, Reference, ShotPath,
+    run_trajectories, run_trajectories_from, NoiseSpec, PauliChannel, Reference, ShotPath,
     TrajectoryConfig,
 };
 use qclab_core::QclabError;

@@ -43,8 +43,8 @@ use qclab::algorithms::ghz::ghz_circuit;
 use qclab::algorithms::qec::{repetition_code_circuit, InjectedError};
 use qclab::algorithms::qft::qft;
 use qclab::prelude::*;
-use qclab_core::program::BackendRequest;
 use qclab_core::sim::kernel::KernelConfig;
+use qclab_core::sim::route::BackendRequest;
 use qclab_core::sim::trajectory::{
     run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig, TrajectoryResult, WatchdogConfig,
     SEED_CONTRACT,

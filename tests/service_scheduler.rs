@@ -6,8 +6,8 @@
 //! error isolation (a refused job never disturbs its neighbours).
 
 use qclab::prelude::*;
-use qclab_core::program::BackendRequest;
 use qclab_core::service::{ErrorKind, JobSpec, Scheduler, ServiceConfig};
+use qclab_core::sim::route::BackendRequest;
 use qclab_core::sim::trajectory::{run_trajectories, NoiseSpec, PauliChannel, TrajectoryConfig};
 use std::time::{Duration, Instant};
 

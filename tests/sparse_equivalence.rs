@@ -13,8 +13,9 @@ mod common;
 
 use common::{assert_distribution, measured_circuit, random_layers, state, Expected};
 use qclab::prelude::*;
-use qclab_core::program::{choose_backend, BackendChoice, BackendRequest, PlanOptions};
+use qclab_core::program::PlanOptions;
 use qclab_core::sim::guard::ResourceLimits;
+use qclab_core::sim::route::{self, BackendChoice, BackendRequest};
 use qclab_core::sim::sparse::{self, SparseState};
 use qclab_core::sim::trajectory::{run_trajectories, ShotPath, TrajectoryConfig};
 use qclab_core::{CircuitItem, QclabError};
@@ -315,10 +316,7 @@ fn thirty_qubit_circuit_dense_refuses_auto_completes() {
     // the support bound: an entangling circuit saturates it and stays
     // dense, a GHZ ladder (bound 2) resolves sparse
     let limits = ResourceLimits::default();
-    let verdict = |c: &QCircuit| {
-        let program = c.compile_with(&PlanOptions::unfused());
-        choose_backend(program.stats(), c.nb_qubits(), &limits).unwrap()
-    };
+    let verdict = |c: &QCircuit| route::resolve(BackendRequest::Auto, c, &limits).unwrap().0;
     let entangling = random_layers(12, 12, 4, 3);
     assert_eq!(verdict(&entangling), BackendChoice::Dense);
     let mut ghz = QCircuit::new(24);
