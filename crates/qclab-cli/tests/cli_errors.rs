@@ -199,6 +199,22 @@ fn oversized_register_is_a_resource_error() {
     );
 }
 
+/// A measurement split that would outgrow the byte cap is refused
+/// before it allocates: 16 measured qubits in |+⟩ would branch into
+/// 2^16 states of 1 MiB each. The branches admitted up to the refusal
+/// hold the whole default cap (4 GiB), so the two commands run one after
+/// the other.
+#[test]
+fn a_branch_split_past_the_byte_cap_is_a_resource_error() {
+    let wide = write_qasm(
+        "wide.qasm",
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[16];\ncreg c[16];\n\
+         h q;\nmeasure q -> c;\n",
+    );
+    assert_fails(&["simulate", &wide], EXIT_RESOURCE, "resource limit");
+    assert_fails(&["counts", &wide, "10"], EXIT_RESOURCE, "resource limit");
+}
+
 #[test]
 fn successful_runs_exit_zero_with_clean_stderr() {
     let bell = bell();
@@ -885,6 +901,49 @@ fn serve_resubmits_draw_the_same_bits_as_standalone_samples() {
         out.contains("retained preparation 1 hit(s), 2 miss(es)"),
         "{out}"
     );
+}
+
+/// `qclab serve` on stdin with a duplicate pair and a malformed job: both
+/// good jobs succeed, one on the other's plan (`dedup_hit`), the bad job
+/// resolves as a qasm-parse error line of its own (code 4), and the
+/// server exits zero — a bad job never kills the server.
+#[test]
+fn a_bad_served_job_is_an_error_line_and_the_server_exits_zero() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let bell = write_qasm(
+        "smoke.qasm",
+        "qreg q[2];\ncreg c[2];\nh q[0];\ncx q[0], q[1];\nmeasure q -> c;\n",
+    );
+    let input = format!(
+        "{{\"id\":\"a\",\"file\":\"{bell}\",\"shots\":100,\"seed\":7}}\n\
+         {{\"id\":\"b\",\"file\":\"{bell}\",\"shots\":100,\"seed\":8}}\n\
+         {{\"id\":\"bad\",\"qasm\":\"not qasm\",\"shots\":1}}\n"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qclab"))
+        .args(["serve", "--workers", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("binary must spawn");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let out = stdout(&out);
+    let ok = out.lines().filter(|l| l.contains("\"ok\":true")).count();
+    assert_eq!(ok, 2, "{out}");
+    let bad = out
+        .lines()
+        .find(|l| l.contains("\"id\":\"bad\""))
+        .unwrap_or_else(|| panic!("no bad-job line in:\n{out}"));
+    assert!(bad.contains("\"kind\":\"qasm-parse\""), "{bad}");
+    assert!(bad.contains("\"code\":4"), "{bad}");
+    assert!(out.contains("\"dedup_hit\":true"), "{out}");
 }
 
 /// Runs the built binary under `ulimit -v <kib>`: an address space too

@@ -10,6 +10,7 @@
 //! (`H — measure — H`).
 
 use crate::error::QclabError;
+use crate::gates::Gate;
 use qclab_math::scalar::{c, cr};
 use qclab_math::CMat;
 
@@ -46,6 +47,19 @@ impl Basis {
             ),
             Basis::Custom { change, .. } => change.clone(),
         }
+    }
+
+    /// The basis change as dense gates on qubit `q`: `(V†, V)`, applied
+    /// before and after a Z measurement. `None` for Z, which needs no
+    /// rotation.
+    pub(crate) fn change_gates(&self, q: usize) -> Option<(Gate, Gate)> {
+        let v = (*self != Basis::Z).then(|| self.change_matrix())?;
+        let on_q = |name: &str, matrix| Gate::Custom {
+            name: name.into(),
+            qubits: vec![q],
+            matrix,
+        };
+        Some((on_q("V†", v.dagger()), on_q("V", v)))
     }
 
     /// One-character label used by the circuit renderers.

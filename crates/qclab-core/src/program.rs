@@ -57,6 +57,7 @@ use crate::recent::RecencyRing;
 use crate::sim::fusion::{self, FusionStats, Placed, TargetMatrices, MAX_FUSED_QUBITS_LIMIT};
 use crate::sim::guard::ResourceLimits;
 use crate::sim::kernel::{KernelConfig, SWEEP_TILE_QUBITS};
+use crate::sim::stabilizer::{basis_change, is_clifford_gate};
 use qclab_math::rng::mix64;
 use qclab_math::{CVec, C64};
 use std::fmt;
@@ -243,9 +244,10 @@ pub struct PlanStats {
     pub remap_folds: usize,
     /// `true` when every op of the *source* schedule
     /// ([`CompiledProgram::source`]) is exactly representable on the
-    /// stabilizer tableau: Clifford gates
-    /// ([`crate::sim::stabilizer::is_clifford_gate`]), Z/X/Y-basis
-    /// measurements and resets — no custom bases. A property of the
+    /// stabilizer tableau: gates and measurement bases the stabilizer
+    /// module's one Clifford table decomposes
+    /// ([`crate::sim::stabilizer::is_clifford_gate`]; a custom basis has
+    /// no tableau form), and resets. A property of the
     /// circuit, the same on every plan of it: such circuits are eligible
     /// for the Pauli-frame sampler ([`crate::sim::frame`]), which lowers
     /// them [`PlanOptions::unfused`].
@@ -977,8 +979,8 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
         (stats.gates_in, stats.gates_out) = (gates, gates);
     }
     stats.is_clifford = schedule.iter().all(|op| match op {
-        ProgramOp::Gate(g) => crate::sim::stabilizer::is_clifford_gate(g),
-        ProgramOp::Measure(m) => !matches!(m.basis(), crate::measurement::Basis::Custom { .. }),
+        ProgramOp::Gate(g) => is_clifford_gate(g),
+        ProgramOp::Measure(m) => basis_change(m.basis(), m.qubit()).is_some(),
         ProgramOp::Reset(_) | ProgramOp::Fence(_) | ProgramOp::Permute { .. } => true,
     });
 

@@ -7,23 +7,28 @@
 //! circuit as another Pauli, so the *difference* between a noisy shot
 //! and the noiseless reference is itself just a Pauli operator (the
 //! **error frame**). This module runs the reference circuit **once** on
-//! the bit-packed [`StabilizerState`] tableau and then propagates only
+//! the bit-packed [`StabilizerState`](stabilizer::StabilizerState)
+//! tableau and then propagates only
 //! frames per shot:
 //!
-//! - **Reference run** — one tableau simulation of the noiseless
-//!   circuit records, per measurement/reset site, the reference outcome
-//!   bit and — when the outcome is random — the *witness*: the
+//! - **Reference run** — one tableau walk of the noiseless circuit
+//!   (`stabilizer::walk`, the pass [`stabilizer::run_program`] makes)
+//!   records, per
+//!   measurement/reset site, the reference outcome bit and — when the
+//!   outcome is random — the *witness*: the
 //!   anticommuting stabilizer row captured just before the collapse
-//!   ([`StabilizerState::measure_witness`]). Multiplying a frame by the
+//!   ([`stabilizer::StabilizerState::measure_witness`]). Multiplying a frame by the
 //!   witness moves that shot onto the opposite measurement branch
 //!   consistently, which is what restores independent per-shot
 //!   randomness at random sites (a plain frame sampler would freeze
 //!   them to the reference outcome).
 //! - **Frame propagation** — a shot's frame is a pair of bits
 //!   `(x, z)` per qubit. Clifford conjugation acts linearly and
-//!   sign-free on those bits (H swaps `x↔z`; S maps `z ^= x`; CNOT maps
-//!   `x_t ^= x_c`, `z_c ^= z_t`; Pauli gates are frame no-ops), so the
-//!   whole engine is XOR/swap arithmetic.
+//!   sign-free on those bits, so the whole engine is XOR/swap
+//!   arithmetic over the primitives of the one Clifford table
+//!   (`stabilizer::clifford`, `stabilizer::basis_change`): H swaps `x↔z`; S and S† both map
+//!   `z ^= x`; CNOT maps `x_t ^= x_c`, `z_c ^= z_t`. Pauli gates are
+//!   frame no-ops, dropped when the schedule is lowered.
 //! - **Bit-slicing** — frames are stored struct-of-arrays over shots:
 //!   per qubit, an `x` and a `z` bit-plane holding **64 shots per
 //!   `u64` word**. One pass of word ops conjugates a whole batch. A
@@ -52,7 +57,8 @@
 //! of the incoming error, and Z on `|0⟩` is gauge).
 //!
 //! Eligibility is classified at lowering time on the circuit's source
-//! gates ([`crate::program::PlanStats::is_clifford`]); the engine
+//! gates ([`crate::program::PlanStats::is_clifford`], which reads the
+//! same table); the engine
 //! executes those gates one by one, so its plan is the
 //! [`unfused`](crate::program::PlanOptions::unfused) one, and the lowered
 //! [`FrameProgram`] is cached on it, riding the fingerprint-keyed plan
@@ -61,14 +67,12 @@
 //! opts out.
 
 use crate::error::QclabError;
-use crate::gates::Gate;
-use crate::measurement::Basis;
 use crate::observable::Pauli;
 use crate::program::{CompiledProgram, ProgramOp};
 use crate::sim::control::StopCause;
 use crate::sim::guard::FRAME_LANE_BYTES;
 use crate::sim::par;
-use crate::sim::stabilizer::StabilizerState;
+use crate::sim::stabilizer::{self, basis_change, clifford, Prim, Prims, Site, Witness};
 use crate::sim::trajectory::{
     fan_out, merge_counts, shot_rng, stop_or_err, TrajectoryConfig, ROUND_SHOTS,
 };
@@ -76,43 +80,23 @@ use crate::sim::walk::{gate_site_qubit, Class, NoisePlan, NoiseWalk};
 use qclab_math::rng::Rng;
 use std::collections::BTreeMap;
 
-/// One word-parallel frame-conjugation primitive. Every Clifford gate
-/// the tableau accepts lowers to a short sequence of these (sign-free:
-/// frames ignore phases, so S and S† coincide and Pauli gates vanish).
-#[derive(Clone, Copy, Debug)]
-enum Prim {
-    /// Swap the `x` and `z` planes of a qubit.
-    H(usize),
-    /// `z ^= x` on a qubit (conjugation by S or S†).
-    S(usize),
-    /// `x_t ^= x_c`, `z_c ^= z_t`.
-    Cnot(usize, usize),
-}
-
-/// Measurement basis a frame site supports (Custom never classifies as
-/// Clifford, so it cannot reach the frame engine).
-#[derive(Clone, Copy, Debug)]
-enum FrameBasis {
-    Z,
-    X,
-    Y,
-}
-
 /// One op of the lowered frame schedule, walked in lockstep with the
 /// reference-run site list.
 #[derive(Clone, Debug)]
 enum FrameOp {
-    /// A gate: its frame conjugation plus the qubits it touches, in
-    /// gate-qubit order — its after-gate noise sites (its idle sites are
-    /// the rest, ascending: the trajectory engine's numbering).
+    /// A gate: its table primitives less the Paulis, plus the qubits it
+    /// touches, in gate-qubit order — its after-gate noise sites (its
+    /// idle sites are the rest, ascending: the trajectory engine's
+    /// numbering).
     Gate {
         prims: Vec<Prim>,
         touched: Vec<usize>,
     },
-    /// A measurement site: `site` indexes the reference-run record.
+    /// A measurement site with its basis change `(V†, V)`: `site`
+    /// indexes the reference-run record.
     Measure {
         qubit: usize,
-        basis: FrameBasis,
+        change: (Prims, Prims),
         site: usize,
     },
     /// A reset site (also consumes a reference-run record).
@@ -138,40 +122,35 @@ pub struct FrameProgram {
 
 impl FrameProgram {
     /// Lowers a compiled program into the frame schedule, or `None`
-    /// when the op stream is not frame-eligible: the circuit is not
-    /// Clifford ([`PlanStats::is_clifford`](crate::program::PlanStats::is_clifford),
-    /// a property of its source gates — callers may consult the stat
-    /// first and skip the walk), or the plan is not the
-    /// [`unfused`](crate::program::PlanOptions::unfused) one — the engine
+    /// when the op stream is not frame-eligible: an op the Clifford
+    /// table refuses — the circuit is not Clifford
+    /// ([`PlanStats::is_clifford`](crate::program::PlanStats::is_clifford),
+    /// which callers consult first), or the plan is not the
+    /// [`unfused`](crate::program::PlanOptions::unfused) one: the engine
     /// executes source gates, so a fused block or a layout permutation
     /// has no frame form.
     pub(crate) fn compile(program: &CompiledProgram) -> Option<FrameProgram> {
-        if !program.stats().is_clifford {
-            return None;
-        }
         let n = program.nb_qubits();
         let mut ops = Vec::with_capacity(program.ops().len());
         let mut sites = 0usize;
         let mut recorded = 0usize;
         for op in program.ops() {
             match op {
-                ProgramOp::Gate(g) => {
-                    let prims = lower_gate(g)?;
-                    ops.push(FrameOp::Gate {
-                        prims,
-                        touched: g.qubits(),
-                    });
-                }
+                ProgramOp::Gate(g) => ops.push(FrameOp::Gate {
+                    // a Pauli gate commutes with every frame up to a
+                    // phase, which frames do not track: it stays a noise
+                    // location with nothing to apply
+                    prims: clifford(g)?
+                        .iter()
+                        .copied()
+                        .filter(|p| !matches!(p, Prim::X(_) | Prim::Y(_) | Prim::Z(_)))
+                        .collect(),
+                    touched: g.qubits(),
+                }),
                 ProgramOp::Measure(m) => {
-                    let basis = match m.basis() {
-                        Basis::Z => FrameBasis::Z,
-                        Basis::X => FrameBasis::X,
-                        Basis::Y => FrameBasis::Y,
-                        Basis::Custom { .. } => return None,
-                    };
                     ops.push(FrameOp::Measure {
                         qubit: m.qubit(),
-                        basis,
+                        change: basis_change(m.basis(), m.qubit())?,
                         site: sites,
                     });
                     sites += 1;
@@ -223,120 +202,6 @@ impl FrameProgram {
     }
 }
 
-/// The frame conjugation of one Clifford gate, or `None` when the gate
-/// is outside the family. Pauli gates (and identity) commute with any
-/// frame up to phase, which frames do not track — they lower to no
-/// primitives but remain noise locations.
-fn lower_gate(g: &Gate) -> Option<Vec<Prim>> {
-    Some(match g {
-        Gate::Identity(_) | Gate::PauliX(_) | Gate::PauliY(_) | Gate::PauliZ(_) => Vec::new(),
-        Gate::Hadamard(q) => vec![Prim::H(*q)],
-        Gate::S(q) | Gate::Sdg(q) => vec![Prim::S(*q)],
-        Gate::Swap(a, b) => vec![Prim::Cnot(*a, *b), Prim::Cnot(*b, *a), Prim::Cnot(*a, *b)],
-        Gate::Controlled {
-            controls,
-            control_states,
-            target,
-        } if controls.len() == 1 && control_states[0] == 1 => {
-            let c = controls[0];
-            match &**target {
-                Gate::PauliX(t) => vec![Prim::Cnot(c, *t)],
-                // CZ = H(t) · CX · H(t)
-                Gate::PauliZ(t) => vec![Prim::H(*t), Prim::Cnot(c, *t), Prim::H(*t)],
-                // CY = S†(t) · CX · S(t); S and S† coincide frame-wise
-                Gate::PauliY(t) => vec![Prim::S(*t), Prim::Cnot(c, *t), Prim::S(*t)],
-                _ => return None,
-            }
-        }
-        _ => return None,
-    })
-}
-
-/// One measurement/reset site of the reference run: the noiseless
-/// outcome bit, plus the witness row when the outcome was random
-/// (`None` = deterministic — every shot's randomness at that site is
-/// already carried by its frame).
-struct RefSite {
-    bit: bool,
-    witness: Option<(Vec<u64>, Vec<u64>)>,
-}
-
-/// The reference run: one tableau pass over the schedule.
-struct Reference {
-    sites: Vec<RefSite>,
-}
-
-/// Runs the noiseless circuit once on the stabilizer tableau, recording
-/// per-site outcomes and witnesses. The reference RNG stream is derived
-/// from `(seed, u64::MAX)` — outside every per-shot stream, so shot
-/// results stay independent of it being consumed here.
-fn reference_run(
-    program: &CompiledProgram,
-    config: &TrajectoryConfig,
-) -> Result<Reference, QclabError> {
-    let n = program.nb_qubits();
-    let mut st = StabilizerState::new(n)?;
-    let mut rng = shot_rng(config.seed, u64::MAX);
-    let mut ticker = config.control.ticker();
-    let mut sites = Vec::new();
-    for op in program.ops() {
-        match op {
-            ProgramOp::Gate(g) => st.apply_gate(g)?,
-            ProgramOp::Measure(m) => {
-                let q = m.qubit();
-                // rotate into the measurement basis (V†), Z-measure
-                // with witness, rotate back (V) — the witness is
-                // captured in the rotated picture, matching where the
-                // executor folds it
-                match m.basis() {
-                    Basis::Z => {}
-                    Basis::X => st.h(q),
-                    Basis::Y => {
-                        st.sdg(q);
-                        st.h(q);
-                    }
-                    Basis::Custom { .. } => {
-                        return Err(QclabError::Unavailable(
-                            "custom measurement basis is not frame-eligible".into(),
-                        ))
-                    }
-                }
-                let (out, witness) = st.measure_witness(q, &mut rng);
-                match m.basis() {
-                    Basis::Z | Basis::Custom { .. } => {}
-                    Basis::X => st.h(q),
-                    Basis::Y => {
-                        st.h(q);
-                        st.s(q);
-                    }
-                }
-                sites.push(RefSite {
-                    bit: out.bit,
-                    witness,
-                });
-            }
-            ProgramOp::Reset(q) => {
-                let (out, witness) = st.measure_witness(*q, &mut rng);
-                if out.bit {
-                    st.x(*q);
-                }
-                sites.push(RefSite {
-                    bit: out.bit,
-                    witness,
-                });
-            }
-            ProgramOp::Fence(_) => {}
-            ProgramOp::Permute { .. } => {
-                return Err(QclabError::Unavailable(
-                    "permuted plans are not frame-eligible".into(),
-                ))
-            }
-        }
-        ticker.tick()?;
-    }
-    Ok(Reference { sites })
-}
-
 /// One batch of bit-sliced frames: per qubit, an `x` and a `z`
 /// bit-plane of `words` `u64`s, 64 shot lanes per word, flattened
 /// `[qubit][word]`.
@@ -361,7 +226,8 @@ impl FrameBatch {
         (&mut self.fx[r.clone()], &mut self.fz[r])
     }
 
-    /// Applies one conjugation primitive across every lane of the batch.
+    /// Applies one table primitive, sign-free, across every lane of the
+    /// batch.
     #[inline]
     fn apply(&mut self, prim: Prim) {
         let w = self.words;
@@ -371,7 +237,8 @@ impl FrameBatch {
                     std::mem::swap(&mut self.fx[i], &mut self.fz[i]);
                 }
             }
-            Prim::S(q) => {
+            // S and S† coincide on a frame
+            Prim::S(q) | Prim::Sdg(q) => {
                 for i in q * w..(q + 1) * w {
                     self.fz[i] ^= self.fx[i];
                 }
@@ -382,6 +249,8 @@ impl FrameBatch {
                     self.fz[c * w + i] ^= self.fz[t * w + i];
                 }
             }
+            // frame no-ops, dropped at lowering
+            Prim::X(_) | Prim::Y(_) | Prim::Z(_) => {}
         }
     }
 
@@ -400,7 +269,7 @@ impl FrameBatch {
 
     /// Folds the witness row into every lane selected by `mask` (one
     /// bit per lane): frame ← frame · witness on those lanes.
-    fn fold_witness(&mut self, witness: &(Vec<u64>, Vec<u64>), mask: &[u64]) {
+    fn fold_witness(&mut self, witness: &Witness, mask: &[u64]) {
         let w = self.words;
         for (wq, (&xw, &zw)) in witness.0.iter().zip(&witness.1).enumerate() {
             let mut bits = xw | zw;
@@ -601,7 +470,7 @@ pub(crate) struct FrameRun {
 /// its injected-error count.
 fn run_batch(
     fp: &FrameProgram,
-    reference: &Reference,
+    reference: &[Site],
     plan: &NoisePlan,
     config: &TrajectoryConfig,
     first: u64,
@@ -627,19 +496,18 @@ fn run_batch(
                     gate_site_qubit(class, touched, site)
                 });
             }
-            FrameOp::Measure { qubit, basis, site } => {
+            FrameOp::Measure {
+                qubit,
+                change: (vdg, v),
+                site,
+            } => {
                 let q = *qubit;
                 injected += lanes.strike(op, plan, &mut batch, |_, _| q);
-                // rotate the frame into the measurement basis (V†)
-                match basis {
-                    FrameBasis::Z => {}
-                    FrameBasis::X => batch.apply(Prim::H(q)),
-                    FrameBasis::Y => {
-                        batch.apply(Prim::S(q));
-                        batch.apply(Prim::H(q));
-                    }
+                // rotate the frame into the measurement basis
+                for &prim in vdg.iter() {
+                    batch.apply(prim);
                 }
-                if let Some(witness) = &reference.sites[*site].witness {
+                if let Some(witness) = &reference[*site].witness {
                     // random site: a fair per-lane coin folds the
                     // witness into the frame, toggling x[q] — the fold
                     // IS the outcome flip, kept consistent for every
@@ -651,20 +519,15 @@ fn run_batch(
                 let (fx, _) = batch.plane(q);
                 flips[measured * words..][..words].copy_from_slice(fx);
                 measured += 1;
-                // rotate back (V)
-                match basis {
-                    FrameBasis::Z => {}
-                    FrameBasis::X => batch.apply(Prim::H(q)),
-                    FrameBasis::Y => {
-                        batch.apply(Prim::H(q));
-                        batch.apply(Prim::S(q));
-                    }
+                // and back
+                for &prim in v.iter() {
+                    batch.apply(prim);
                 }
             }
             FrameOp::Reset { qubit, site } => {
                 let q = *qubit;
                 injected += lanes.strike(op, plan, &mut batch, |_, _| q);
-                if let Some(witness) = &reference.sites[*site].witness {
+                if let Some(witness) = &reference[*site].witness {
                     lanes.coins(&mut coin);
                     batch.fold_witness(witness, &coin);
                 }
@@ -706,14 +569,18 @@ pub(crate) fn run_frames(
         stopped: None,
         batch: lanes as u64,
     };
-    let reference = match reference_run(program, config) {
-        Ok(r) => r,
-        // stopped during the one-time reference run: no shot completed
-        Err(e) => {
-            run.stopped = Some(stop_or_err(e)?);
-            return Ok(run);
-        }
-    };
+    // the reference run: the noiseless circuit once on the tableau, on
+    // the stream `(seed, u64::MAX)` — outside every per-shot stream, so
+    // shot results stay independent of it being consumed here
+    let mut reference = Vec::new();
+    let mut rng = shot_rng(config.seed, u64::MAX);
+    if let Err(e) = stabilizer::walk(program, &mut rng, &config.control, |site| {
+        reference.push(site)
+    }) {
+        // stopped during the reference run: no shot completed
+        run.stopped = Some(stop_or_err(e)?);
+        return Ok(run);
+    }
     let plan = NoisePlan::new(program, &config.noise);
     let mut counts = FlipTally::new();
     run.stopped = fan_out(
@@ -730,7 +597,7 @@ pub(crate) fn run_frames(
         .ops
         .iter()
         .filter_map(|op| match op {
-            FrameOp::Measure { site, .. } => Some(reference.sites[*site].bit),
+            FrameOp::Measure { site, .. } => Some(reference[*site].bit),
             _ => None,
         })
         .collect();

@@ -45,7 +45,7 @@ pub mod walk;
 use crate::circuit::QCircuit;
 use crate::error::QclabError;
 use crate::gates::Gate;
-use crate::measurement::{Basis, Measurement};
+use crate::measurement::Measurement;
 use crate::program::{PlanOptions, ProgramOp};
 use crate::reduced::contract_qubit;
 use control::ControlTicker;
@@ -493,21 +493,16 @@ pub(crate) fn split_branches<S: BranchState>(
     map: Option<&[usize]>,
 ) -> Result<Vec<Branch<S>>, QclabError> {
     let pq = map.map_or(q, |m| m[q]);
-    let on_pq = |name: &str, matrix| Gate::Custom {
-        name: name.into(),
-        qubits: vec![pq],
-        matrix,
-    };
-    // a measurement's basis-change matrix, and whether it rotates (X/Y)
-    let basis = measurement.map(|m| (m.basis().change_matrix(), !matches!(m.basis(), Basis::Z)));
+    // a measurement's basis-change matrix and, off Z, its (V†, V) gates
+    let basis = measurement.map(|m| (m.basis().change_matrix(), m.basis().change_gates(pq)));
     let mut out = Vec::with_capacity(branches.len() * 2);
     let mut unsplit = branches.len();
     let mut live = total_live(&branches);
     for mut b in branches {
         unsplit -= 1;
         live -= b.state.live();
-        if let Some((v, true)) = &basis {
-            b.state.apply(&on_pq("V†", v.dagger()), n, engine);
+        if let Some((_, Some((vdg, _)))) = &basis {
+            b.state.apply(vdg, n, engine);
         }
         let (p0, p1) = b.state.z_probabilities(n, q, map);
         for (bit, p) in [(0usize, p0), (1usize, p1)] {
@@ -520,9 +515,9 @@ pub(crate) fn split_branches<S: BranchState>(
             let mut result = b.result.clone();
             let mut measured = b.measured.clone();
             match &basis {
-                Some((v, rotates)) => {
-                    if *rotates {
-                        post.apply(&on_pq("V", v.clone()), n, engine);
+                Some((v, rotation)) => {
+                    if let Some((_, vg)) = rotation {
+                        post.apply(vg, n, engine);
                     }
                     measured.insert(q, (v.col(bit), bit as u8));
                     result.push(if bit == 0 { '0' } else { '1' });

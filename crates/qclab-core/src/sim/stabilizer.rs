@@ -13,6 +13,16 @@
 //! Aaronson & Gottesman, *Improved simulation of stabilizer circuits*
 //! (2004).
 //!
+//! The module holds the one **Clifford table**: `clifford` decomposes a
+//! gate into at most three primitives (`Prim`: H, S, S†, X, Y, Z, CNOT)
+//! or refuses it, and `basis_change` gives a Z/X/Y measurement's
+//! `(V†, V)` in the same primitives. The tableau, the eligibility stat
+//! ([`PlanStats::is_clifford`](crate::program::PlanStats::is_clifford))
+//! and the Pauli-frame lowering ([`super::frame`], sign-free) all read
+//! it. `walk` is the one tableau pass over a compiled program:
+//! [`run_program`] and the frame sampler's reference run differ only in
+//! what they record of its sites.
+//!
 //! ```
 //! use qclab_core::StabilizerState;
 //!
@@ -227,17 +237,7 @@ impl StabilizerState {
     /// Measures qubit `q` in the Z basis, consuming randomness from `rng`
     /// when the outcome is not determined.
     pub fn measure(&mut self, q: usize, rng: &mut Rng) -> MeasureOutcome {
-        match self.find_random_stabilizer(q) {
-            Some(p) => {
-                let bit = rng.bool();
-                self.collapse(q, p, bit);
-                MeasureOutcome { bit, random: true }
-            }
-            None => MeasureOutcome {
-                bit: self.deterministic_outcome(q),
-                random: false,
-            },
-        }
+        self.measure_witness(q, rng).0
     }
 
     /// Measures qubit `q` in the Z basis like
@@ -332,93 +332,70 @@ impl StabilizerState {
         r
     }
 
-    /// Applies a circuit gate; errors on non-Clifford gates.
-    pub fn apply_gate(&mut self, gate: &Gate) -> Result<(), QclabError> {
-        match gate {
-            Gate::Identity(_) => {}
-            Gate::Hadamard(q) => self.h(*q),
-            Gate::S(q) => self.s(*q),
-            Gate::Sdg(q) => self.sdg(*q),
-            Gate::PauliX(q) => self.x(*q),
-            Gate::PauliY(q) => self.y(*q),
-            Gate::PauliZ(q) => self.z(*q),
-            Gate::Swap(a, b) => {
-                self.cnot(*a, *b);
-                self.cnot(*b, *a);
-                self.cnot(*a, *b);
-            }
-            Gate::Controlled {
-                controls,
-                control_states,
-                target,
-            } if controls.len() == 1 && control_states[0] == 1 => {
-                let c = controls[0];
-                match &**target {
-                    Gate::PauliX(t) => self.cnot(c, *t),
-                    Gate::PauliZ(t) => {
-                        // CZ = H(t) CX H(t)
-                        self.h(*t);
-                        self.cnot(c, *t);
-                        self.h(*t);
-                    }
-                    Gate::PauliY(t) => {
-                        // CY = S(t) CX S†(t)
-                        self.sdg(*t);
-                        self.cnot(c, *t);
-                        self.s(*t);
-                    }
-                    other => {
-                        return Err(QclabError::Unavailable(format!(
-                            "controlled {} is not Clifford",
-                            other.name()
-                        )))
-                    }
-                }
-            }
-            other => {
-                return Err(QclabError::Unavailable(format!(
-                    "gate {} is not Clifford (stabilizer backend)",
-                    other.name()
-                )))
-            }
+    /// Applies one primitive of the Clifford table.
+    fn apply(&mut self, prim: Prim) {
+        match prim {
+            Prim::H(q) => self.h(q),
+            Prim::S(q) => self.s(q),
+            Prim::Sdg(q) => self.sdg(q),
+            Prim::X(q) => self.x(q),
+            Prim::Y(q) => self.y(q),
+            Prim::Z(q) => self.z(q),
+            Prim::Cnot(c, t) => self.cnot(c, t),
         }
+    }
+
+    fn apply_all(&mut self, prims: &[Prim]) {
+        for &prim in prims {
+            self.apply(prim);
+        }
+    }
+
+    /// Applies a circuit gate through the Clifford table (`clifford`);
+    /// errors on non-Clifford gates.
+    pub fn apply_gate(&mut self, gate: &Gate) -> Result<(), QclabError> {
+        let prims = clifford(gate).ok_or_else(|| {
+            QclabError::Unavailable(format!(
+                "gate {} is not Clifford (stabilizer backend)",
+                gate.name()
+            ))
+        })?;
+        self.apply_all(&prims);
         Ok(())
     }
 
     /// Measures a qubit in the measurement's basis by rotating it into
     /// the computational basis (`V†`), Z-measuring, and rotating back
-    /// (`V`) — mirroring the state-vector backends' basis handling. X
-    /// and Y bases are Clifford rotations (`V = H` resp. `V = S·H`); a
-    /// custom basis is not representable on the tableau.
+    /// (`V`) — mirroring the state-vector backends' basis handling. The
+    /// rotations are the table's `basis_change`; a custom basis is not
+    /// representable on the tableau.
     pub fn measure_in_basis(
         &mut self,
         m: &Measurement,
         rng: &mut Rng,
     ) -> Result<MeasureOutcome, QclabError> {
+        Ok(self.measure_in_basis_witness(m, rng)?.0)
+    }
+
+    /// [`measure_in_basis`](Self::measure_in_basis) with the witness of
+    /// a random outcome ([`measure_witness`](Self::measure_witness)),
+    /// captured in the rotated picture, between `V†` and `V`.
+    fn measure_in_basis_witness(
+        &mut self,
+        m: &Measurement,
+        rng: &mut Rng,
+    ) -> Result<(MeasureOutcome, Option<Witness>), QclabError> {
         let q = m.qubit();
-        match m.basis() {
-            Basis::Z => Ok(self.measure(q, rng)),
-            Basis::X => {
-                // V = H is self-adjoint
-                self.h(q);
-                let out = self.measure(q, rng);
-                self.h(q);
-                Ok(out)
-            }
-            Basis::Y => {
-                // V = S·H, so V† = H·S†: apply S† then H
-                self.sdg(q);
-                self.h(q);
-                let out = self.measure(q, rng);
-                self.h(q);
-                self.s(q);
-                Ok(out)
-            }
-            Basis::Custom { .. } => Err(QclabError::Unavailable(format!(
+        let (vdg, v) = basis_change(m.basis(), q).ok_or_else(|| {
+            QclabError::Unavailable(format!(
                 "custom measurement basis {} is not Clifford (stabilizer backend)",
                 m.basis().label()
-            ))),
-        }
+            ))
+        })?;
+        self.apply_all(&vdg);
+        let out = self.measure_witness(q, rng);
+        self.apply_all(&v);
+        Ok(out)
     }
 
     /// The stabilizer generators as strings like `+XZI` (sign, then one
@@ -443,34 +420,166 @@ impl StabilizerState {
     }
 }
 
-/// Whether the tableau — and the Pauli-frame sampler built on top of
-/// it — can execute `gate` exactly: the Clifford generators
-/// H/S/S†/Paulis/Swap plus singly-controlled Paulis (CX/CY/CZ).
-/// Mirrors the accepting arms of [`StabilizerState::apply_gate`].
-pub fn is_clifford_gate(gate: &Gate) -> bool {
-    match gate {
-        Gate::Identity(_)
-        | Gate::Hadamard(_)
-        | Gate::S(_)
-        | Gate::Sdg(_)
-        | Gate::PauliX(_)
-        | Gate::PauliY(_)
-        | Gate::PauliZ(_)
-        | Gate::Swap(_, _) => true,
+/// A primitive of the Clifford table: one tableau generator on given
+/// qubits.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Prim {
+    H(usize),
+    S(usize),
+    Sdg(usize),
+    X(usize),
+    Y(usize),
+    Z(usize),
+    /// Control, target.
+    Cnot(usize, usize),
+}
+
+/// A short primitive sequence in application order, held inline: at
+/// most three primitives, so classifying a gate — which every lowering
+/// does ([`PlanStats::is_clifford`](crate::program::PlanStats::is_clifford))
+/// — never allocates.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Prims {
+    seq: [Prim; 3],
+    len: u8,
+}
+
+impl Prims {
+    fn of(prims: &[Prim]) -> Prims {
+        // the padding is never read
+        let mut seq = [Prim::X(0); 3];
+        seq[..prims.len()].copy_from_slice(prims);
+        Prims {
+            seq,
+            len: prims.len() as u8,
+        }
+    }
+}
+
+impl std::ops::Deref for Prims {
+    type Target = [Prim];
+
+    fn deref(&self) -> &[Prim] {
+        &self.seq[..self.len as usize]
+    }
+}
+
+/// The Clifford table: `gate` as tableau primitives, or `None` outside
+/// the family the tableau — and the Pauli-frame sampler built on it —
+/// executes exactly: H, S, S†, the Paulis, Swap and the singly-controlled
+/// Paulis (CX, CY, CZ). The identity is the empty sequence.
+pub(crate) fn clifford(gate: &Gate) -> Option<Prims> {
+    use Prim::*;
+    Some(match gate {
+        Gate::Identity(_) => Prims::of(&[]),
+        Gate::Hadamard(q) => Prims::of(&[H(*q)]),
+        Gate::S(q) => Prims::of(&[S(*q)]),
+        Gate::Sdg(q) => Prims::of(&[Sdg(*q)]),
+        Gate::PauliX(q) => Prims::of(&[X(*q)]),
+        Gate::PauliY(q) => Prims::of(&[Y(*q)]),
+        Gate::PauliZ(q) => Prims::of(&[Z(*q)]),
+        Gate::Swap(a, b) => Prims::of(&[Cnot(*a, *b), Cnot(*b, *a), Cnot(*a, *b)]),
         Gate::Controlled {
             controls,
             control_states,
             target,
-        } => {
-            controls.len() == 1
-                && control_states[0] == 1
-                && matches!(
-                    &**target,
-                    Gate::PauliX(_) | Gate::PauliY(_) | Gate::PauliZ(_)
-                )
+        } if controls.len() == 1 && control_states[0] == 1 => {
+            let c = controls[0];
+            match **target {
+                Gate::PauliX(t) => Prims::of(&[Cnot(c, t)]),
+                // CZ = H(t) CX H(t)
+                Gate::PauliZ(t) => Prims::of(&[H(t), Cnot(c, t), H(t)]),
+                // CY = S(t) CX S†(t): S† acts first
+                Gate::PauliY(t) => Prims::of(&[Sdg(t), Cnot(c, t), S(t)]),
+                _ => return None,
+            }
         }
-        _ => false,
+        _ => return None,
+    })
+}
+
+/// The basis change of a measurement of qubit `q` as table primitives:
+/// `(V†, V)`, applied before and after its Z measurement. `V` is
+/// [`Basis::change_matrix`] up to phase: the identity for Z, `H` for X,
+/// `S·H` for Y (so `V† = H·S†`: S† acts first). `None` for a custom
+/// basis, which has no tableau form.
+pub(crate) fn basis_change(basis: &Basis, q: usize) -> Option<(Prims, Prims)> {
+    use Prim::*;
+    Some(match basis {
+        Basis::Z => (Prims::of(&[]), Prims::of(&[])),
+        Basis::X => (Prims::of(&[H(q)]), Prims::of(&[H(q)])),
+        Basis::Y => (Prims::of(&[Sdg(q), H(q)]), Prims::of(&[H(q), S(q)])),
+        Basis::Custom { .. } => return None,
+    })
+}
+
+/// Whether the tableau — and the Pauli-frame sampler built on top of
+/// it — can execute `gate` exactly: whether the Clifford table
+/// (`clifford`) decomposes it.
+pub fn is_clifford_gate(gate: &Gate) -> bool {
+    clifford(gate).is_some()
+}
+
+/// One measurement or reset site of a [`walk`]: its outcome bit, and
+/// the witness when the outcome was random
+/// ([`StabilizerState::measure_witness`]).
+pub(crate) struct Site {
+    /// `true` for a measurement, `false` for a reset.
+    pub recorded: bool,
+    pub bit: bool,
+    pub witness: Option<Witness>,
+}
+
+/// The tableau walk over a compiled program, from `|0…0⟩`: gates go
+/// through the Clifford table, measurements are taken in their basis,
+/// resets measure and flip a 1 back to `|0⟩`, fences do nothing, and a
+/// permute is refused — the tableau has no amplitude layout to relabel,
+/// so Clifford programs are lowered
+/// [`unfused`](crate::program::PlanOptions::unfused). One control tick
+/// per op; the ticks never draw from `rng`. Each measurement and reset
+/// is handed to `site`. Returns the final tableau.
+pub(crate) fn walk(
+    program: &CompiledProgram,
+    rng: &mut Rng,
+    control: &ExecutionControl,
+    mut site: impl FnMut(Site),
+) -> Result<StabilizerState, QclabError> {
+    let mut state = StabilizerState::new(program.nb_qubits())?;
+    let mut ticker = control.ticker();
+    for op in program.ops() {
+        match op {
+            ProgramOp::Gate(g) => state.apply_gate(g)?,
+            ProgramOp::Fence(_) => {}
+            ProgramOp::Measure(m) => {
+                let (out, witness) = state.measure_in_basis_witness(m, rng)?;
+                site(Site {
+                    recorded: true,
+                    bit: out.bit,
+                    witness,
+                });
+            }
+            ProgramOp::Reset(q) => {
+                let (out, witness) = state.measure_witness(*q, rng);
+                if out.bit {
+                    state.x(*q);
+                }
+                site(Site {
+                    recorded: false,
+                    bit: out.bit,
+                    witness,
+                });
+            }
+            ProgramOp::Permute { .. } => {
+                return Err(QclabError::Unavailable(
+                    "stabilizer backend cannot execute a relabeled plan — \
+                     lower with PlanOptions::unfused()"
+                        .into(),
+                ))
+            }
+        }
+        ticker.tick()?;
     }
+    Ok(state)
 }
 
 /// The outcome of running a circuit on the stabilizer backend.
@@ -495,42 +604,19 @@ pub fn run_program(program: &CompiledProgram, rng: &mut Rng) -> Result<Stabilize
 /// deadline/cancel token at op boundaries, so long tableau runs stop
 /// cooperatively. The checks never draw from `rng`, so a run that
 /// completes under a generous deadline is bit-identical to one without
-/// control.
+/// control. The run is the tableau `walk`, recording each measurement
+/// bit.
 pub fn run_program_controlled(
     program: &CompiledProgram,
     rng: &mut Rng,
     control: &ExecutionControl,
 ) -> Result<StabilizerRun, QclabError> {
-    let mut state = StabilizerState::new(program.nb_qubits())?;
     let mut record = String::new();
-    let mut ticker = control.ticker();
-    for op in program.ops() {
-        match op {
-            ProgramOp::Gate(g) => state.apply_gate(g)?,
-            ProgramOp::Fence(_) => {}
-            ProgramOp::Measure(m) => {
-                let out = state.measure_in_basis(m, rng)?;
-                record.push(if out.bit { '1' } else { '0' });
-            }
-            ProgramOp::Reset(q) => {
-                let out = state.measure(*q, rng);
-                if out.bit {
-                    state.x(*q);
-                }
-            }
-            // the tableau has no amplitude layout to permute; stabilizer
-            // programs are lowered unfused/unremapped (see below), so
-            // this arm never fires on plans built by `run_stabilizer`
-            ProgramOp::Permute { .. } => {
-                return Err(QclabError::Unavailable(
-                    "stabilizer backend cannot execute a relabeled plan — \
-                     lower with PlanOptions::unfused()"
-                        .into(),
-                ))
-            }
+    let state = walk(program, rng, control, |site| {
+        if site.recorded {
+            record.push(if site.bit { '1' } else { '0' });
         }
-        ticker.tick()?;
-    }
+    })?;
     Ok(StabilizerRun { state, record })
 }
 

@@ -101,7 +101,7 @@
 use crate::circuit::QCircuit;
 use crate::error::QclabError;
 use crate::gates::Gate;
-use crate::measurement::{Basis, Measurement};
+use crate::measurement::Measurement;
 use crate::observable::{Observable, Pauli};
 use crate::program::{self, CompiledProgram, PlanOptions, ProgramOp};
 use crate::sim::bytecode::{Bytecode, Instr};
@@ -914,27 +914,13 @@ impl ShotState {
     /// measured qubit's physical slot.
     fn sample_measurement(&mut self, m: &Measurement, r: f64) -> usize {
         let q = m.qubit();
-        let pq = self.physical(q);
-        let needs_change = !matches!(m.basis(), Basis::Z);
-        if needs_change {
-            let v = m.basis().change_matrix();
-            let vdg = Gate::Custom {
-                name: "V†".into(),
-                qubits: vec![pq],
-                matrix: v.dagger(),
-            };
-            kernel::apply_gate_with(&vdg, &mut self.state, self.n, &self.kernel);
-            let bit = self.sample_z(q, r);
-            let vg = Gate::Custom {
-                name: "V".into(),
-                qubits: vec![pq],
-                matrix: v,
-            };
-            kernel::apply_gate_with(&vg, &mut self.state, self.n, &self.kernel);
-            bit
-        } else {
-            self.sample_z(q, r)
-        }
+        let Some((vdg, v)) = m.basis().change_gates(self.physical(q)) else {
+            return self.sample_z(q, r);
+        };
+        kernel::apply_gate_with(&vdg, &mut self.state, self.n, &self.kernel);
+        let bit = self.sample_z(q, r);
+        kernel::apply_gate_with(&v, &mut self.state, self.n, &self.kernel);
+        bit
     }
 
     /// The cumulative outcome table of `block` on this state — the one
@@ -1162,13 +1148,9 @@ impl TerminalBlock {
         for item in &program.ops()[first..] {
             if let ProgramOp::Measure(m) = item {
                 block.measured.push(m.qubit());
-                if !matches!(m.basis(), Basis::Z) {
-                    block.rotations.push(Gate::Custom {
-                        name: "V†".into(),
-                        qubits: vec![m.qubit()],
-                        matrix: m.basis().change_matrix().dagger(),
-                    });
-                }
+                block
+                    .rotations
+                    .extend(m.basis().change_gates(m.qubit()).map(|(vdg, _)| vdg));
             }
         }
         block.lut = tile_lut(&block.measured, program.nb_qubits());

@@ -10,7 +10,7 @@ use qclab_core::optimize::optimize;
 use qclab_testkit::prelude::*;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(64)))]
 
     /// The ASCII renderer handles any circuit and keeps basic structure:
     /// 3 rows per qubit, a wire label per qubit, trimmed lines.

@@ -13,7 +13,7 @@ use qclab_testkit::prelude::*;
 const N: usize = 4;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(96)))]
 
     /// Every generated gate has a unitary target matrix.
     #[test]

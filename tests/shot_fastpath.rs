@@ -130,7 +130,7 @@ fn forked_observable_runs_match_per_shot_expectations_exactly() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(32)))]
 
     /// The shot plan splits the lowered schedule in place: the prefix is
     /// purely deterministic (gates and fences), the split sits exactly at

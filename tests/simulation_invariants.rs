@@ -20,7 +20,7 @@ fn with_measurements(c: &QCircuit, k: usize) -> QCircuit {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(48)))]
 
     /// Branch probabilities sum to one and every branch state is a unit
     /// vector supported on its observed outcome.

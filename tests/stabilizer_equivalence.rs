@@ -3,37 +3,29 @@
 //! deterministic outcomes, same randomness structure, same
 //! post-measurement correlations.
 
+mod common;
+
 use qclab::prelude::*;
 use qclab_core::sim::{collapse, kernel};
 use qclab_core::StabilizerState;
+use qclab_math::rng::Rng;
 use qclab_testkit::prelude::*;
 
-/// A random Clifford operation for the equivalence test.
+/// A random op for the equivalence test: a gate of the tableau's whole
+/// Clifford family ([`common::clifford_gate`]), or a Z measurement.
 #[derive(Clone, Debug)]
 enum CliffordOp {
-    H(usize),
-    S(usize),
-    X(usize),
-    Z(usize),
-    Cnot(usize, usize),
-    Cz(usize, usize),
+    Gate(Gate),
     Measure(usize),
 }
 
 fn clifford_op(n: usize) -> impl Strategy<Value = CliffordOp> {
-    let q = 0..n;
-    let qq = (0..n, 0..n - 1).prop_map(move |(a, b)| {
-        let b = if b >= a { b + 1 } else { b };
-        (a, b)
-    });
     prop_oneof![
-        q.clone().prop_map(CliffordOp::H),
-        q.clone().prop_map(CliffordOp::S),
-        q.clone().prop_map(CliffordOp::X),
-        q.clone().prop_map(CliffordOp::Z),
-        qq.clone().prop_map(|(a, b)| CliffordOp::Cnot(a, b)),
-        qq.prop_map(|(a, b)| CliffordOp::Cz(a, b)),
-        q.prop_map(CliffordOp::Measure),
+        common::clifford_gate(n).prop_map(CliffordOp::Gate),
+        common::clifford_gate(n).prop_map(CliffordOp::Gate),
+        common::clifford_gate(n).prop_map(CliffordOp::Gate),
+        common::clifford_gate(n).prop_map(CliffordOp::Gate),
+        (0..n).prop_map(CliffordOp::Measure),
     ]
 }
 
@@ -48,32 +40,12 @@ fn tableau_agrees(ops: &[CliffordOp]) -> Result<(), TestCaseError> {
     let mut psi = CVec::basis_state(1 << n, 0);
 
     for op in ops {
-        match *op {
-            CliffordOp::H(q) => {
-                tableau.apply_gate(&Hadamard::new(q)).unwrap();
-                kernel::apply_gate(&Hadamard::new(q), &mut psi, n);
+        match op {
+            CliffordOp::Gate(g) => {
+                tableau.apply_gate(g).unwrap();
+                kernel::apply_gate(g, &mut psi, n);
             }
-            CliffordOp::S(q) => {
-                tableau.apply_gate(&SGate::new(q)).unwrap();
-                kernel::apply_gate(&SGate::new(q), &mut psi, n);
-            }
-            CliffordOp::X(q) => {
-                tableau.apply_gate(&PauliX::new(q)).unwrap();
-                kernel::apply_gate(&PauliX::new(q), &mut psi, n);
-            }
-            CliffordOp::Z(q) => {
-                tableau.apply_gate(&PauliZ::new(q)).unwrap();
-                kernel::apply_gate(&PauliZ::new(q), &mut psi, n);
-            }
-            CliffordOp::Cnot(a, b) => {
-                tableau.apply_gate(&CNOT::new(a, b)).unwrap();
-                kernel::apply_gate(&CNOT::new(a, b), &mut psi, n);
-            }
-            CliffordOp::Cz(a, b) => {
-                tableau.apply_gate(&CZ::new(a, b)).unwrap();
-                kernel::apply_gate(&CZ::new(a, b), &mut psi, n);
-            }
-            CliffordOp::Measure(q) => {
+            &CliffordOp::Measure(q) => {
                 let (p0, p1) = collapse::measure_probabilities(&psi, n, q);
                 // choose the branch the statevector can follow
                 let bit = p1 > p0;
@@ -99,7 +71,7 @@ fn tableau_agrees(ops: &[CliffordOp]) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(48)))]
 
     /// [`tableau_agrees`] on random Clifford programs.
     #[test]
@@ -113,8 +85,93 @@ proptest! {
 /// A case the property once failed on, kept as a fixed regression.
 #[test]
 fn tableau_agrees_after_s_h_measure() {
-    use CliffordOp::{Measure, H, S};
-    tableau_agrees(&[S(0), H(0), Measure(0)]).unwrap();
+    use CliffordOp::{Gate, Measure};
+    tableau_agrees(&[Gate(SGate::new(0)), Gate(Hadamard::new(0)), Measure(0)]).unwrap();
+}
+
+/// The tableau's signs, pinned: every gate form the Clifford table
+/// accepts, on every 2-qubit product of the six Pauli eigenstates
+/// `|0⟩, |1⟩, |±⟩, |±i⟩`, then each qubit measured in Z, X and Y — on
+/// the tableau through `measure_in_basis`, on the state vector through
+/// `Basis::change_matrix`. A determined outcome must be certain on the
+/// state vector, a random one 50/50; measured again in the same basis
+/// (after the rotation back) it must repeat for certain. Frames are
+/// sign-free, so a wrong sign (CY as S†·CX·S, or Y's `V†` as S·H) would
+/// otherwise pass every frame test while moving the frame sampler's
+/// reference bits.
+#[test]
+fn every_table_gate_keeps_the_signs_on_pauli_eigenstates() {
+    let n = 2;
+    // the gates that prepare eigenstate `k` on qubit `q` from |0⟩
+    let prepare = |k: usize, q: usize| match k {
+        0 => vec![],
+        1 => vec![PauliX::new(q)],
+        2 => vec![Hadamard::new(q)],
+        3 => vec![PauliX::new(q), Hadamard::new(q)],
+        4 => vec![Hadamard::new(q), SGate::new(q)],
+        _ => vec![Hadamard::new(q), SdgGate::new(q)],
+    };
+    let mut gates = Vec::new();
+    for q in 0..n {
+        gates.extend([
+            IdentityGate::new(q),
+            Hadamard::new(q),
+            SGate::new(q),
+            SdgGate::new(q),
+            PauliX::new(q),
+            PauliY::new(q),
+            PauliZ::new(q),
+        ]);
+    }
+    for (a, b) in [(0, 1), (1, 0)] {
+        gates.extend([
+            SwapGate::new(a, b),
+            CNOT::new(a, b),
+            CY::new(a, b),
+            CZ::new(a, b),
+        ]);
+    }
+    let mut rng = Rng::seed_from_u64(1);
+    for gate in &gates {
+        for (k0, k1) in (0..6).flat_map(|k0| (0..6).map(move |k1| (k0, k1))) {
+            let mut tableau = StabilizerState::new(n).unwrap();
+            let mut psi = CVec::basis_state(1 << n, 0);
+            for g in prepare(k0, 0).iter().chain(&prepare(k1, 1)).chain([gate]) {
+                tableau.apply_gate(g).unwrap();
+                kernel::apply_gate(g, &mut psi, n);
+            }
+            for m in (0..n).flat_map(|q| [Measurement::z(q), Measurement::x(q), Measurement::y(q)])
+            {
+                let case = format!("{gate:?} on eigenstates ({k0}, {k1}), {m:?}");
+                let q = m.qubit();
+                let vdg = Gate::Custom {
+                    name: "V†".into(),
+                    qubits: vec![q],
+                    matrix: m.basis().change_matrix().dagger(),
+                };
+                let mut rotated = psi.clone();
+                kernel::apply_gate(&vdg, &mut rotated, n);
+                let (p0, _) = collapse::measure_probabilities(&rotated, n, q);
+
+                let mut t = tableau.clone();
+                let out = t.measure_in_basis(&m, &mut rng).unwrap();
+                let expected = match (out.random, out.bit) {
+                    (true, _) => 0.5,
+                    (false, false) => 1.0,
+                    (false, true) => 0.0,
+                };
+                assert!(
+                    (p0 - expected).abs() < 1e-9,
+                    "{case}: tableau {out:?}, state vector P(0) = {p0}"
+                );
+                let again = t.measure_in_basis(&m, &mut rng).unwrap();
+                assert!(
+                    !again.random && again.bit == out.bit,
+                    "{case}: {out:?} then {again:?}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -157,7 +214,7 @@ fn five_hundred_qubit_cluster_state() {
         s.apply_gate(&CZ::new(q, q + 1)).unwrap();
     }
     // measuring every qubit in Z yields all-random outcomes
-    let mut rng = qclab_math::rng::Rng::seed_from_u64(5);
+    let mut rng = Rng::seed_from_u64(5);
     let mut randoms = 0;
     for q in 0..n {
         if s.measure(q, &mut rng).random {
