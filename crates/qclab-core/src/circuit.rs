@@ -339,7 +339,7 @@ impl QCircuit {
         let mut out = CMat::zeros(dim, dim);
         for j in 0..dim {
             let mut col = qclab_math::CVec::basis_state(dim, j);
-            program.apply_unitary(&mut col);
+            program.apply_unitary(&mut col)?;
             for i in 0..dim {
                 out[(i, j)] = col[i];
             }

@@ -32,28 +32,13 @@
 //! executor (`simulate_with`, `to_matrix`, `density::run_noisy`,
 //! `trajectory::run_*`, the stabilizer runner) consumes directly.
 //!
-//! # Plan cache
-//!
-//! Repeated executions — `counts(shots)`, tomography sweeps, trajectory
-//! ensembles, QEC threshold scans — lower the same circuit over and
-//! over. [`compile`] memoizes plans in a bounded global cache keyed by
-//! `(fingerprint, nb_qubits, fusion options)`; cache hits skip
-//! flattening and fusion entirely and share one [`Arc`] across callers.
-//! The cache keeps a plan only when its key comes back: a circuit asked
-//! for once — most circuits a user prototyping or a server sees —
-//! leaves its key behind and nothing else.
-//! The fingerprint is a 64-bit content hash, so two *different* circuits
-//! colliding is astronomically unlikely but not impossible; the hash
-//! covers every gate matrix bit pattern, so a collision requires two
-//! structurally different circuits with identical semantics-bearing
-//! bits. Resource limits are **not** baked into plans: executors
-//! re-check [`ResourceLimits`] before allocating, so one cached plan
-//! serves callers with different limits.
+//! Plans are memoized by [`compile`], the plan cache: a circuit asked
+//! for again shares one plan across callers, backends and shots.
 
 use crate::circuit::{CircuitItem, QCircuit};
+use crate::error::QclabError;
 use crate::gates::Gate;
 use crate::measurement::Measurement;
-use crate::recent::RecencyRing;
 use crate::sim::fusion::{self, FusionStats, Placed, TargetMatrices, MAX_FUSED_QUBITS_LIMIT};
 use crate::sim::guard::ResourceLimits;
 use crate::sim::kernel::{KernelConfig, SWEEP_TILE_QUBITS};
@@ -61,8 +46,14 @@ use crate::sim::stabilizer::{basis_change, is_clifford_gate};
 use qclab_math::rng::mix64;
 use qclab_math::{CVec, C64};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+
+pub(crate) mod cache;
+mod remap;
+
+pub use cache::{
+    clear_plan_cache, compile, plan_cache_capacity, plan_cache_stats, set_plan_cache_capacity,
+    PlanCacheStats, PLAN_CACHE_CAPACITY,
+};
 
 /// One operation of a lowered program. Qubit indices are absolute
 /// (register-relative); there are no nested structures left.
@@ -377,7 +368,7 @@ pub struct CompiledProgram {
     /// [`crate::sim::trajectory`]. Rides the same cache, so a circuit
     /// the process has been asked for twice is resampled at the cost of
     /// its shots.
-    prep: crate::sim::trajectory::PrepSlot,
+    prep: crate::sim::prep::PrepSlot,
     /// Lazily-built map from the noise sites of the source schedule to
     /// the ops that execute them ([`crate::sim::walk::Landings`]) — only
     /// a noisy state-vector run asks for it.
@@ -469,7 +460,7 @@ impl CompiledProgram {
     }
 
     /// The plan's retained trajectory preparation.
-    pub(crate) fn prep(&self) -> &crate::sim::trajectory::PrepSlot {
+    pub(crate) fn prep(&self) -> &crate::sim::prep::PrepSlot {
         &self.prep
     }
 
@@ -487,24 +478,26 @@ impl CompiledProgram {
         self.stats.measurements == 0 && self.stats.resets == 0
     }
 
-    /// Applies all ops to `state` in place (fences are no-ops). Panics
-    /// on measurements/resets — callers must check
-    /// [`is_unitary`](Self::is_unitary) first.
-    pub fn apply_unitary(&self, state: &mut CVec) {
+    /// Applies all ops to `state` in place (fences are no-ops). A
+    /// program that is not [`is_unitary`](Self::is_unitary) is refused
+    /// with [`QclabError::NonUnitaryCircuit`] before anything is applied.
+    pub fn apply_unitary(&self, state: &mut CVec) -> Result<(), QclabError> {
+        if !self.is_unitary() {
+            return Err(QclabError::NonUnitaryCircuit("apply_unitary".into()));
+        }
         let n = state.nb_qubits();
         debug_assert_eq!(n, self.nb_qubits);
         for op in &self.ops {
             match op {
                 ProgramOp::Gate(g) => crate::sim::kernel::apply_gate(g, state, n),
-                ProgramOp::Fence(_) => {}
                 ProgramOp::Permute { perm, .. } => {
                     crate::sim::kernel::permute_state(state, n, perm, false);
                 }
-                ProgramOp::Measure(_) | ProgramOp::Reset(_) => {
-                    panic!("apply_unitary on a non-unitary program")
-                }
+                // none left once `is_unitary` holds
+                ProgramOp::Fence(_) | ProgramOp::Measure(_) | ProgramOp::Reset(_) => {}
             }
         }
+        Ok(())
     }
 }
 
@@ -656,229 +649,6 @@ fn flatten_items(circuit: &QCircuit, offset: usize, out: &mut Vec<CircuitItem>) 
     }
 }
 
-// ---------------------------------------------------------------------
-// locality pass
-// ---------------------------------------------------------------------
-//
-// The dense kernels are fastest when a gate's targets live in low-order
-// index bits: unit-stride pairs vectorize (`sim::simd`), and the
-// cache-blocked sweep (`sim::kernel::apply_window`) can keep a
-// `2^SWEEP_TILE_QUBITS`-amplitude tile resident across a whole gate
-// window. Instead of physically swapping amplitudes toward qubit 0 like
-// a SWAP-insertion router would, this pass *relabels*: it tracks a
-// logical→physical permutation over the schedule, rewrites gate qubits
-// through it, and only touches amplitudes when a window's layout
-// actually changes — and even then prefers single index-bit
-// transpositions (the SWAP kernel inside `permute_state`) over general
-// permutations, which exchange pairs across the whole state.
-
-/// Cost-model weight of a gate whose targets miss the hot tile.
-const GATE_FAR_COST: f64 = 1.0;
-/// Weight of a gate whose targets all sit inside the hot tile (the
-/// sweep applies it from cache; ~1/3 of a strided full-vector walk).
-const GATE_NEAR_COST: f64 = 0.35;
-/// Weight of one explicit amplitude permutation (up to two in-place
-/// pair-exchange passes over the whole state, strided on one side).
-const PERMUTE_COST: f64 = 2.0;
-/// Weight of a single-transposition layout change: `permute_state`
-/// realizes it with the SWAP kernel (half the state read+written once)
-/// — far cheaper than a general permutation.
-const FOLD_COST: f64 = 0.3;
-
-/// Minimal-movement layout for one gate window: hot (most-targeted)
-/// logical qubits claim the hot physical slots `n-b..n` (index shifts
-/// `< b`), keeping every already-hot assignment in place. Returns the
-/// desired map and the transpositions `(from, to)` of physical
-/// positions that turn `cur` into it.
-fn window_layout(cur: &[usize], hist: &[usize], n: usize) -> (Vec<usize>, Vec<(usize, usize)>) {
-    let b = SWEEP_TILE_QUBITS;
-    let lo = n - b;
-    let mut hot: Vec<usize> = (0..n).filter(|&q| hist[q] > 0).collect();
-    hot.sort_by_key(|&q| (std::cmp::Reverse(hist[q]), q));
-    hot.truncate(b);
-
-    let mut desired = cur.to_vec();
-    let mut swaps = Vec::new();
-    let mut used = vec![false; n];
-    for &q in &hot {
-        if desired[q] >= lo {
-            used[desired[q]] = true;
-        }
-    }
-    for &q in &hot {
-        if desired[q] >= lo {
-            continue;
-        }
-        // hottest qubits were visited first, so they get the largest
-        // free physical index (smallest shift) — except the bottom two
-        // index bits, preferred last: pair strides of 1-2 force the
-        // shuffle-heavy LSB SIMD kernels, while shifts >= 2 keep the
-        // fast contiguous-lane paths
-        let slot = (lo..n.saturating_sub(2))
-            .rev()
-            .chain(n.saturating_sub(2)..n)
-            .find(|&s| !used[s]);
-        let Some(slot) = slot else {
-            break;
-        };
-        used[slot] = true;
-        let old = desired[q];
-        // the displaced occupant is cold (hot occupants were marked
-        // used above), so parking it at `q`'s old position is free
-        let occupant = desired.iter().position(|&p| p == slot).unwrap();
-        desired[occupant] = old;
-        desired[q] = slot;
-        swaps.push((old, slot));
-    }
-    (desired, swaps)
-}
-
-/// Moves one maximal run of consecutive gate ops to `out`, relabeling
-/// them in place after adopting a new layout when the cost model says
-/// the relabeling pays for its transition.
-fn remap_window(
-    window: &mut [ProgramOp],
-    n: usize,
-    cur: &mut Vec<usize>,
-    identity: &[usize],
-    out: &mut Vec<ProgramOp>,
-    last_gate: &mut Option<usize>,
-    stats: &mut PlanStats,
-) {
-    let gates = || {
-        window.iter().map(|op| match op {
-            ProgramOp::Gate(g) => g,
-            _ => unreachable!("a window holds gates only"),
-        })
-    };
-    let b = SWEEP_TILE_QUBITS;
-    let mut hist = vec![0usize; n];
-    for g in gates() {
-        for &t in g.target_qubits().iter() {
-            hist[t] += 1;
-        }
-    }
-    let (desired, swaps) = window_layout(cur, &hist, n);
-
-    // controls are deliberately ignored: the sweep strips high controls
-    // into a tile predicate, so only *targets* need to be near
-    let gate_cost = |map: &[usize], g: &Gate| {
-        if g.target_qubits().iter().all(|&t| map[t] >= n - b) {
-            GATE_NEAR_COST
-        } else {
-            GATE_FAR_COST
-        }
-    };
-    let benefit: f64 = gates()
-        .map(|g| gate_cost(cur, g) - gate_cost(&desired, g))
-        .sum();
-
-    // a single transposition takes the SWAP kernel inside
-    // `permute_state` — much cheaper than a general permutation, and
-    // still pure movement (bit-exact)
-    let fold = swaps.len() == 1;
-    let mut transition = if fold { FOLD_COST } else { PERMUTE_COST };
-    if cur.as_slice() == identity {
-        // leaving the identity layout commits us to a restore later
-        transition += PERMUTE_COST;
-    }
-
-    if !swaps.is_empty() && benefit > transition {
-        let mut perm = vec![0usize; n];
-        for q in 0..n {
-            perm[cur[q]] = desired[q];
-        }
-        stats.remap_windows += 1;
-        if fold {
-            stats.remap_folds += 1;
-        } else {
-            stats.remap_moves += 1;
-        }
-        out.push(ProgramOp::Permute {
-            perm,
-            map: desired.clone(),
-        });
-        *cur = desired;
-    }
-    for op in window {
-        let mut op = std::mem::replace(op, ProgramOp::Fence(Vec::new()));
-        if let ProgramOp::Gate(g) = &mut op {
-            if cur.as_slice() != identity {
-                g.relabel_in_place(cur);
-            }
-        }
-        *last_gate = Some(out.len());
-        out.push(op);
-    }
-}
-
-/// The locality pass: rewrites a lowered op stream so each gate
-/// window's hot targets live in low-order index bits, inserting
-/// [`ProgramOp::Permute`] ops at layout transitions and a final restore
-/// to the identity layout right after the last gate (so a terminal
-/// measurement block — the shape drawn in one draw per shot — sees a
-/// logical-layout state). The caller skips registers that fit in one sweep tile, where
-/// every qubit is tile-resident already. The input ops come out in their
-/// input order, relabeled in place; a stream of the same length means no
-/// layout was adopted and nothing was relabeled.
-fn remap_ops(mut ops: Vec<ProgramOp>, n: usize, stats: &mut PlanStats) -> Vec<ProgramOp> {
-    let identity: Vec<usize> = (0..n).collect();
-    let mut cur = identity.clone();
-    let mut out = Vec::with_capacity(ops.len() + 4);
-    let mut last_gate: Option<usize> = None;
-    let mut i = 0;
-    while i < ops.len() {
-        if matches!(ops[i], ProgramOp::Gate(_)) {
-            let mut j = i;
-            while j < ops.len() && matches!(ops[j], ProgramOp::Gate(_)) {
-                j += 1;
-            }
-            remap_window(
-                &mut ops[i..j],
-                n,
-                &mut cur,
-                &identity,
-                &mut out,
-                &mut last_gate,
-                stats,
-            );
-            i = j;
-        } else {
-            // measurements and resets keep their logical qubits; the
-            // executor resolves them through the tracked map
-            out.push(std::mem::replace(&mut ops[i], ProgramOp::Fence(Vec::new())));
-            i += 1;
-        }
-    }
-    if cur != identity {
-        let mut perm = vec![0usize; n];
-        for (q, &p) in cur.iter().enumerate() {
-            perm[p] = q;
-        }
-        if perm.iter().enumerate().filter(|&(i, &p)| p != i).count() == 2 {
-            stats.remap_folds += 1;
-        } else {
-            stats.remap_moves += 1;
-        }
-        // `cur` only leaves identity when `remap_window` adopted a
-        // relabeling, which it does for gate-bearing windows only — so a
-        // gate was emitted and `last_gate` is set. Lowering is
-        // infallible by contract, so rather than panicking on a broken
-        // invariant (the old `expect` here could abort a whole service
-        // process), degrade gracefully: append the restore permute at
-        // the end of the schedule, which is still layout-correct.
-        let at = last_gate.map_or(out.len(), |g| g + 1);
-        out.insert(
-            at,
-            ProgramOp::Permute {
-                perm,
-                map: identity,
-            },
-        );
-    }
-    out
-}
-
 /// `true` when every column of `m` has at most one nonzero entry — the
 /// gate maps basis states to (phased) basis states, so it cannot grow
 /// the nonzero support of a sparse state. Covers X, Y, Z, phases, S, T,
@@ -989,7 +759,7 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
         // unfused, the source schedule is the stream as it stands
         let unmapped = source.is_none().then(|| ops.clone());
         let unmapped_len = ops.len();
-        ops = remap_ops(ops, nb_qubits, &mut stats);
+        ops = remap::remap_ops(ops, nb_qubits, &mut stats);
         if ops.len() != unmapped_len {
             // layout changes went in: every op after the first one moved
             // down the schedule (and was relabeled)
@@ -1054,17 +824,6 @@ fn to_ops(items: Vec<CircuitItem>) -> Vec<ProgramOp> {
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// plan cache
-// ---------------------------------------------------------------------
-
-/// Default number of plans the global cache keeps, and of keys it
-/// remembers as asked for once (see [`set_plan_cache_capacity`]). Small
-/// on purpose: a plan can hold dense fused blocks, and single-process
-/// workloads that benefit (shot loops, sweeps) revisit a handful of
-/// circuits. Multi-tenant servers raise it to match their working set.
-pub const PLAN_CACHE_CAPACITY: usize = 32;
-
 /// Most bytes a plan may retain of a trajectory run's one-time
 /// preparation (sampler tables and outcome list), and most source text
 /// `qclab serve` remembers parsed circuits for — not a tuning knob, the
@@ -1081,287 +840,6 @@ pub const PLAN_CACHE_CAPACITY: usize = 32;
 /// table (8 MiB) would be worth its bytes is for the cost model to weigh
 /// per plan, not for a second constant.
 pub const RETAINED_BYTES_CAP: usize = 1 << 20;
-
-type CacheKey = (u64, usize, PlanOptions);
-
-/// A key the cache has seen but keeps no plan for.
-enum Sighting {
-    /// Some thread is lowering this key. The claim is what makes
-    /// compilation single-flight: concurrent requesters wait on
-    /// [`PLAN_CACHE_READY`] instead of lowering a duplicate.
-    Lowering,
-    /// Lowered once and handed out: the plan lives as long as its
-    /// holders do, and a lookup meanwhile shares it.
-    Lowered(Weak<CompiledProgram>),
-}
-
-impl Sighting {
-    /// The plan a caller still holds, if any.
-    fn held(&self) -> Option<Arc<CompiledProgram>> {
-        match self {
-            Sighting::Lowering => None,
-            Sighting::Lowered(plan) => plan.upgrade(),
-        }
-    }
-}
-
-/// The global plan cache: plans asked for again after their last holder
-/// let go (`resident`, least recently used first), and the keys asked
-/// for once (`seen`). At most [`plan_cache_capacity`] of each; a claim
-/// in flight is never evicted.
-struct PlanCache {
-    resident: RecencyRing<CacheKey, Arc<CompiledProgram>>,
-    seen: RecencyRing<CacheKey, Sighting>,
-}
-
-impl PlanCache {
-    /// Evicts least recently used plans and sightings down to
-    /// `capacity` each, counting the plans.
-    fn evict_down_to(&mut self, capacity: usize) {
-        let evicted = self.resident.evict_down_to(capacity, |_| true);
-        CACHE_EVICTIONS.fetch_add(evicted as u64, Ordering::Relaxed);
-        self.seen
-            .evict_down_to(capacity, |s| matches!(s, Sighting::Lowered(_)));
-    }
-
-    /// Drops every plan and every key, keeping the claims in flight
-    /// when `claims` is `false`.
-    fn clear(&mut self, claims: bool) {
-        self.resident.clear();
-        self.seen
-            .retain(|s| !claims && matches!(s, Sighting::Lowering));
-    }
-}
-
-static PLAN_CACHE: Mutex<PlanCache> = Mutex::new(PlanCache {
-    resident: RecencyRing::new(),
-    seen: RecencyRing::new(),
-});
-static PLAN_CACHE_READY: Condvar = Condvar::new();
-static CACHE_CAPACITY: AtomicUsize = AtomicUsize::new(PLAN_CACHE_CAPACITY);
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static PREP_HITS: AtomicU64 = AtomicU64::new(0);
-static PREP_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Counts one look into a plan's retained-preparation slot.
-pub(crate) fn count_prep(hit: bool) {
-    let counter = if hit { &PREP_HITS } else { &PREP_MISSES };
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Recovers the plan cache from poisoning. A thread that panicked while
-/// holding the lock (an executor panic can propagate through a caller
-/// that compiles under the lock, or a chaos-injected fault) poisons the
-/// `Mutex`; every plan is an immutable `Arc<CompiledProgram>` and the
-/// rings are never left half-mutated by the short critical sections
-/// below, but the conservative recovery is to drop the cached plans and
-/// keep serving — unrelated callers must never see the panic. The poison
-/// flag is cleared so the cache refills instead of being emptied on
-/// every subsequent lock, and waiters are woken: their in-flight claims
-/// were dropped with the rest, so they must re-claim.
-fn recover(
-    poisoned: PoisonError<MutexGuard<'static, PlanCache>>,
-) -> MutexGuard<'static, PlanCache> {
-    PLAN_CACHE.clear_poison();
-    let mut guard = poisoned.into_inner();
-    guard.clear(true);
-    PLAN_CACHE_READY.notify_all();
-    guard
-}
-
-fn lock_plan_cache() -> MutexGuard<'static, PlanCache> {
-    PLAN_CACHE.lock().unwrap_or_else(recover)
-}
-
-/// Counters of the global plan cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Lookups answered without lowering: a resident plan, or one a
-    /// caller still holds.
-    pub hits: u64,
-    /// Lookups that had to lower.
-    pub misses: u64,
-    /// Resident plans dropped to make room (capacity evictions —
-    /// `clear_plan_cache` and poison recovery do not count).
-    pub evictions: u64,
-    /// Plans currently resident.
-    pub entries: usize,
-    /// Keys currently remembered as asked for once (at most
-    /// [`plan_cache_capacity`], besides the keys being lowered).
-    pub seen: usize,
-    /// Sampled trajectory runs whose one-time preparation came from
-    /// their plan.
-    pub prep_hits: u64,
-    /// Such runs that had to prepare (an empty slot, or one kept under
-    /// another configuration).
-    pub prep_misses: u64,
-    /// Bytes of preparations the resident plans currently retain — at
-    /// most [`plan_cache_capacity`]` × `[`RETAINED_BYTES_CAP`].
-    pub prep_bytes: usize,
-}
-
-/// Snapshot of the plan-cache counters.
-pub fn plan_cache_stats() -> PlanCacheStats {
-    let cache = lock_plan_cache();
-    PlanCacheStats {
-        hits: CACHE_HITS.load(Ordering::Relaxed),
-        misses: CACHE_MISSES.load(Ordering::Relaxed),
-        evictions: CACHE_EVICTIONS.load(Ordering::Relaxed),
-        entries: cache.resident.len(),
-        seen: cache
-            .seen
-            .iter()
-            .filter(|(_, s)| matches!(s, Sighting::Lowered(_)))
-            .count(),
-        prep_hits: PREP_HITS.load(Ordering::Relaxed),
-        prep_misses: PREP_MISSES.load(Ordering::Relaxed),
-        prep_bytes: cache
-            .resident
-            .iter()
-            .map(|(_, plan)| plan.prep.bytes())
-            .sum(),
-    }
-}
-
-/// The plan cache's current capacity (plans, not bytes).
-pub fn plan_cache_capacity() -> usize {
-    CACHE_CAPACITY.load(Ordering::Relaxed)
-}
-
-/// Sets the plan-cache capacity (clamped to ≥ 1; the process default is
-/// [`PLAN_CACHE_CAPACITY`]). Shrinking below the current population
-/// evicts least-recently-used plans immediately (counted in
-/// [`PlanCacheStats::evictions`]). A multi-tenant server sizes this to
-/// its distinct-circuit working set so hot tenants do not thrash each
-/// other's plans.
-pub fn set_plan_cache_capacity(capacity: usize) {
-    let cap = capacity.max(1);
-    CACHE_CAPACITY.store(cap, Ordering::Relaxed);
-    lock_plan_cache().evict_down_to(cap);
-}
-
-/// Empties the plan cache, plans and remembered keys alike (counters
-/// keep running; in-flight lowerings are unaffected and publish when
-/// they finish). Benchmarks use this to measure cold lowering;
-/// long-lived processes may use it to drop plans holding large fused
-/// blocks.
-pub fn clear_plan_cache() {
-    lock_plan_cache().clear(false);
-}
-
-/// Removes `key`'s in-flight claim (if it is still a claim) and wakes
-/// waiters. Runs on drop so a panicking lowering can never strand the
-/// claim — waiters wake, find no claim, and re-claim as the new leader.
-struct FlightGuard {
-    key: CacheKey,
-}
-
-impl Drop for FlightGuard {
-    fn drop(&mut self) {
-        let mut cache = lock_plan_cache();
-        if matches!(cache.seen.get(&self.key), Some(Sighting::Lowering)) {
-            cache.seen.remove(&self.key);
-        }
-        drop(cache);
-        PLAN_CACHE_READY.notify_all();
-    }
-}
-
-/// Lowers `circuit` through the global plan cache: the key is the
-/// circuit's fingerprint (remembered by the circuit until its next
-/// mutation, which is what detects a changed circuit), and
-/// flattening, fusion and scheduling run only on a miss. Returns a
-/// shared handle; executions on the same circuit across backends and
-/// shots all reuse one plan.
-///
-/// The cache **keeps a plan on recurrence**. A key asked for the first
-/// time is lowered and handed out, and only the key is remembered: the
-/// plan lives as long as its callers hold it, and a lookup meanwhile
-/// shares it. Asked for again once no caller holds it, the key is
-/// lowered again and the plan becomes resident — kept, with the
-/// preparation its runs retain, until it is the least recently used of
-/// [`plan_cache_capacity`] plans. So a one-off circuit leaves nothing
-/// behind, and a caller that needs one plan twice holds on to it.
-///
-/// Compilation is **single-flight**: under contention on one key,
-/// exactly one thread lowers (outside the lock — fusion does real work)
-/// while every concurrent requester blocks on the shared result and
-/// receives the same `Arc`. This is what lets a multi-tenant server
-/// admit a burst of identical circuits without paying one lowering per
-/// tenant.
-pub fn compile(circuit: &QCircuit, options: &PlanOptions) -> Arc<CompiledProgram> {
-    let options = options.normalized();
-    let key: CacheKey = (circuit.fingerprint(), circuit.nb_qubits(), options);
-
-    let recurring = {
-        let mut cache = lock_plan_cache();
-        loop {
-            if let Some(plan) = cache.resident.touch(&key) {
-                let plan = Arc::clone(plan);
-                CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-                return plan;
-            }
-            match cache.seen.touch(&key) {
-                None => {
-                    cache.seen.insert(key, Sighting::Lowering);
-                    break false;
-                }
-                // another thread is lowering this key; wait for its
-                // publish (or its FlightGuard, if it dies), then re-check:
-                // the plan may be there, the claim gone (leader panicked
-                // / cache cleared — this thread re-claims), or still in
-                // flight (spurious wake)
-                Some(Sighting::Lowering) => {
-                    cache = PLAN_CACHE_READY.wait(cache).unwrap_or_else(recover);
-                }
-                Some(sighting) => match sighting.held() {
-                    Some(plan) => {
-                        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-                        return plan;
-                    }
-                    // asked for again after its last holder let go
-                    None => {
-                        *sighting = Sighting::Lowering;
-                        break true;
-                    }
-                },
-            }
-        }
-    };
-
-    // This thread owns the lowering; the guard un-claims on every exit
-    // path, including a panic inside `lower`.
-    let guard = FlightGuard { key };
-    let plan = Arc::new(lower(circuit, &options));
-    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut cache = lock_plan_cache();
-        // only possible after a poison/clear dropped this thread's claim
-        // and another thread published first: share theirs (both
-        // lowerings really happened, so both misses stand)
-        if let Some(other) = cache.resident.touch(&key) {
-            return Arc::clone(other);
-        }
-        if let Some(other) = cache.seen.get(&key).and_then(Sighting::held) {
-            return other;
-        }
-        // this thread's claim (or a re-claimer's, after a clear):
-        // replace it with the finished plan
-        cache.seen.remove(&key);
-        if recurring {
-            cache.resident.insert(key, Arc::clone(&plan));
-        } else {
-            cache
-                .seen
-                .insert(key, Sighting::Lowered(Arc::downgrade(&plan)));
-        }
-        cache.evict_down_to(plan_cache_capacity());
-    }
-    drop(guard); // notifies waiters (the claim itself is already gone)
-    plan
-}
 
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)] // a test may let a refused thread panic
@@ -1551,7 +1029,7 @@ mod tests {
         let p = lower(&c, &PlanOptions::unfused());
         assert!(p.is_unitary());
         let mut v = CVec::basis_state(4, 0);
-        p.apply_unitary(&mut v);
+        p.apply_unitary(&mut v).unwrap();
         let mut expect = CVec::basis_state(4, 0);
         for item in c.items() {
             if let CircuitItem::Gate(g) = item {
@@ -1564,90 +1042,18 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_shares_one_arc_per_circuit() {
-        // a circuit unique to this test so parallel tests cannot evict it
-        // between the two compile calls with overwhelming likelihood
-        let mut c = QCircuit::new(2);
-        c.push_back(RotationX::new(0, 0.123_456_789));
-        c.push_back(CNOT::new(0, 1));
-        let before = plan_cache_stats();
-        let a = compile(&c, &PlanOptions::default());
-        let b = compile(&c, &PlanOptions::default());
-        assert!(Arc::ptr_eq(&a, &b), "second compile must hit the cache");
-        let after = plan_cache_stats();
-        assert!(after.hits > before.hits);
-        assert!(after.misses > before.misses);
-
-        // different options are a different plan
-        let unfused = compile(&c, &PlanOptions::unfused());
-        assert!(!Arc::ptr_eq(&a, &unfused));
-        assert_eq!(a.fingerprint(), unfused.fingerprint());
-
-        // equivalent (clamped) fusion caps share one entry
-        let clamped = compile(
-            &c,
-            &PlanOptions {
-                max_fused_qubits: 64,
-                ..PlanOptions::default()
-            },
-        );
-        let limit = compile(
-            &c,
-            &PlanOptions {
-                max_fused_qubits: MAX_FUSED_QUBITS_LIMIT,
-                ..PlanOptions::default()
-            },
-        );
-        assert!(Arc::ptr_eq(&clamped, &limit));
-    }
-
-    #[test]
-    fn plan_cache_detects_circuit_mutation() {
-        let mut c = QCircuit::new(1);
-        c.push_back(RotationZ::new(0, 0.987_654_321));
-        let a = compile(&c, &PlanOptions::default());
-        c.push_back(Hadamard::new(0));
-        let b = compile(&c, &PlanOptions::default());
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_eq!(b.stats().gates_in, 2);
-    }
-
-    #[test]
-    fn plan_cache_is_bounded() {
-        for i in 0..PLAN_CACHE_CAPACITY + 8 {
-            let mut c = QCircuit::new(1);
-            c.push_back(RotationZ::new(0, 1e-3 * i as f64 + 0.618_033_988));
-            compile(&c, &PlanOptions::default());
-        }
-        assert!(plan_cache_stats().entries <= PLAN_CACHE_CAPACITY);
-    }
-
-    #[test]
-    fn plan_cache_recovers_from_poison() {
-        // Poison the cache mutex on purpose: panic while holding the lock.
-        let poisoner = std::thread::spawn(|| {
-            let _guard = PLAN_CACHE.lock().unwrap();
-            panic!("deliberate poison for recovery test");
-        });
-        assert!(poisoner.join().is_err());
-        // Note: we do NOT assert PLAN_CACHE.is_poisoned() here — another
-        // test compiling concurrently may already have recovered it.
-
-        // Every cache entry point must keep working after the poison.
-        let stats = plan_cache_stats();
-        assert!(stats.entries <= PLAN_CACHE_CAPACITY);
-
-        let mut c = QCircuit::new(2);
-        c.push_back(RotationY::new(0, 0.777_000_111));
-        c.push_back(CNOT::new(1, 0));
-        let a = compile(&c, &PlanOptions::default());
-        let b = compile(&c, &PlanOptions::default());
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "cache must serve hits again after poison recovery"
-        );
-        clear_plan_cache();
+    fn apply_unitary_refuses_a_measured_plan() {
+        let mut c = bell();
+        c.push_back(Measurement::z(0));
+        c.push_back(Measurement::z(1));
+        let p = compile(&c, &PlanOptions::default());
+        let mut v = CVec::basis_state(4, 0);
+        assert!(matches!(
+            p.apply_unitary(&mut v),
+            Err(QclabError::NonUnitaryCircuit(_))
+        ));
+        // refused before anything was applied
+        assert_eq!(v, CVec::basis_state(4, 0));
     }
 
     #[test]

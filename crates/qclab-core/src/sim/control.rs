@@ -380,6 +380,12 @@ pub mod chaos {
     }
 }
 
+/// Splits a control stop (cancel/deadline — the partial-result cases)
+/// from a genuine execution error, which propagates.
+pub(crate) fn stop_or_err(err: QclabError) -> Result<StopCause, QclabError> {
+    StopCause::from_error(&err).ok_or(err)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

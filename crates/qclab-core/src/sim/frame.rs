@@ -69,13 +69,12 @@
 use crate::error::QclabError;
 use crate::observable::Pauli;
 use crate::program::{CompiledProgram, ProgramOp};
-use crate::sim::control::StopCause;
+use crate::sim::control::stop_or_err;
 use crate::sim::guard::FRAME_LANE_BYTES;
 use crate::sim::par;
+use crate::sim::shots::{fan_out, merge_counts, ROUND_SHOTS};
 use crate::sim::stabilizer::{self, basis_change, clifford, Prim, Prims, Site, Witness};
-use crate::sim::trajectory::{
-    fan_out, merge_counts, shot_rng, stop_or_err, TrajectoryConfig, ROUND_SHOTS,
-};
+use crate::sim::trajectory::{shot_rng, TrajectoryConfig, TrajectoryResult};
 use crate::sim::walk::{gate_site_qubit, Class, NoisePlan, NoiseWalk};
 use qclab_math::rng::Rng;
 use std::collections::BTreeMap;
@@ -452,17 +451,6 @@ fn render(tally: FlipTally, reference: &[bool]) -> BTreeMap<String, u64> {
         .collect()
 }
 
-/// The aggregate a frame run hands back to the trajectory layer, which
-/// owns [`TrajectoryResult`](crate::sim::trajectory::TrajectoryResult)
-/// assembly.
-pub(crate) struct FrameRun {
-    pub counts: BTreeMap<String, u64>,
-    pub shots: u64,
-    pub injected: u64,
-    pub stopped: Option<StopCause>,
-    pub batch: u64,
-}
-
 /// Executes one batch of `count` consecutive shots starting at absolute
 /// shot index `first`: all frames advance through the schedule
 /// together, one pass of word ops per primitive, and each op injects the
@@ -547,12 +535,14 @@ fn run_batch(
 /// Samples `config.shots` shots of a frame-eligible program: reference
 /// tableau run, then bit-sliced frame batches through the trajectory
 /// engine's [`fan_out`] — the same rounds, stop latch and partial-result
-/// rule, each batch tallied on its own and merged.
+/// rule, each batch tallied on its own and merged into `empty`, the
+/// run's result before any shot.
 pub(crate) fn run_frames(
     program: &CompiledProgram,
     fp: &FrameProgram,
     config: &TrajectoryConfig,
-) -> Result<FrameRun, QclabError> {
+    empty: TrajectoryResult,
+) -> Result<TrajectoryResult, QclabError> {
     let n = fp.n;
     // a batch is `shot_batch` words of 64 lanes, clipped to what a
     // fan-out round can hand it
@@ -562,12 +552,9 @@ pub(crate) fn run_frames(
     config.limits.check_frames(n, fp.recorded, lanes, alive)?;
     config.noise.validate()?;
 
-    let mut run = FrameRun {
-        counts: BTreeMap::new(),
-        shots: 0,
-        injected: 0,
-        stopped: None,
+    let mut run = TrajectoryResult {
         batch: lanes as u64,
+        ..empty
     };
     // the reference run: the noiseless circuit once on the tableau, on
     // the stream `(seed, u64::MAX)` — outside every per-shot stream, so
@@ -589,7 +576,7 @@ pub(crate) fn run_frames(
         |first, count| run_batch(fp, &reference, &plan, config, first, count),
         |count, (flips, injected)| {
             run.shots += count as u64;
-            run.injected += injected;
+            run.injected_errors += injected;
             merge_counts(&mut counts, flips);
         },
     )?;

@@ -19,6 +19,9 @@
 //! once. The dense bytecode executor runs its own instruction stream of
 //! in-place kernels (the QCLAB++ strategy) and calls the same split.
 //!
+//! A sampled run ([`trajectory`]) has one module per stage: [`route`] →
+//! `prep` (one-time preparation) → `shots`, [`frame`] or [`sampler`].
+//!
 //! [`kron::simulate`] is the test oracle: the sparse extended unitary of
 //! the MATLAB QCLAB strategy, run on the shared op walk. The two are
 //! property-tested against each other (`tests/backend_equivalence.rs`);
@@ -34,8 +37,10 @@ pub mod guard;
 pub mod kernel;
 pub mod kron;
 mod par;
+pub(crate) mod prep;
 pub mod route;
 pub mod sampler;
+mod shots;
 pub(crate) mod simd;
 pub mod sparse;
 pub mod stabilizer;
@@ -344,18 +349,26 @@ impl QCircuit {
     /// dimension, normalized.
     fn start(&self, initial: &CVec, limits: &ResourceLimits) -> Result<Simulation, QclabError> {
         let dim = limits.check_register(self.nb_qubits())?;
-        if initial.len() != dim {
-            return Err(QclabError::DimensionMismatch {
-                expected: dim,
-                actual: initial.len(),
-            });
-        }
-        let norm = initial.norm();
-        if (norm - 1.0).abs() > 1e-6 {
-            return Err(QclabError::NotNormalized { norm });
-        }
+        check_initial(dim, initial.len(), initial.norm())?;
         Ok(Simulation::start(self.nb_qubits(), initial.clone()))
     }
+}
+
+/// Admits an initial state of `len` amplitudes and norm `norm` into a
+/// register of dimension `dim` (the one the register guard admitted):
+/// the dimensions must agree and `|norm − 1| ≤ 1e-6`. Every engine that
+/// takes a caller's state checks it here.
+pub(crate) fn check_initial(dim: usize, len: usize, norm: f64) -> Result<(), QclabError> {
+    if len != dim {
+        return Err(QclabError::DimensionMismatch {
+            expected: dim,
+            actual: len,
+        });
+    }
+    if (norm - 1.0).abs() > 1e-6 {
+        return Err(QclabError::NotNormalized { norm });
+    }
+    Ok(())
 }
 
 /// The state of one branch of a routed run, on whichever representation
@@ -439,21 +452,11 @@ impl BranchState for CVec {
     }
 
     fn z_probabilities(&self, n: usize, q: usize, map: Option<&[usize]>) -> (f64, f64) {
-        match map {
-            None => collapse::measure_probabilities(self, n, q),
-            Some(m) => collapse::measure_probabilities_mapped(self, n, q, m),
-        }
+        collapse::measure_probabilities(self, n, q, map)
     }
 
     fn collapsed(&self, n: usize, q: usize, bit: usize, p: f64, map: Option<&[usize]>) -> Self {
-        match map {
-            None => collapse::collapse(self, n, q, bit, p),
-            Some(m) => {
-                let mut post = CVec::zeros(0);
-                collapse::collapse_into_mapped(self, n, q, bit, p, m, &mut post);
-                post
-            }
-        }
+        collapse::collapse(self, n, q, bit, p, map)
     }
 
     fn live(&self) -> u128 {
@@ -779,6 +782,16 @@ mod tests {
         ));
         assert!(c.simulate_bitstring("000").is_err());
         assert!(c.simulate_bitstring("0x").is_err());
+        // the trajectory engine admits a caller's state by the same rule
+        let config = trajectory::TrajectoryConfig::default();
+        assert!(matches!(
+            trajectory::run_trajectories_from(&c, &CVec::zeros(4), &config),
+            Err(QclabError::NotNormalized { .. })
+        ));
+        assert!(matches!(
+            trajectory::run_trajectories_from(&c, &CVec::basis_state(8, 0), &config),
+            Err(QclabError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

@@ -19,10 +19,11 @@
 
 use crate::circuit::QCircuit;
 use crate::error::QclabError;
-use crate::program::{self, CompiledProgram, PlanOptions, PlanStats, ProgramOp};
+use crate::program::{CompiledProgram, PlanOptions, PlanStats};
 use crate::sim::guard::{self, ResourceLimits};
+use crate::sim::prep::retainable;
 use crate::sim::sparse::{self, SparseState};
-use crate::sim::trajectory::{self, plan_options, Reference, ShotPath, TrajectoryConfig};
+use crate::sim::trajectory::{self, Reference, ShotPath, TrajectoryConfig};
 use crate::sim::{RoutedState, SimOptions, Simulation};
 use qclab_math::CVec;
 use std::fmt;
@@ -200,7 +201,7 @@ pub enum TerminalDraw {
     },
     /// From the rotated state itself, in two ascending passes over its
     /// marginal: a noiseless run whose table could never be kept on its
-    /// plan (over [`program::RETAINED_BYTES_CAP`]) and would outweigh the
+    /// plan (over [`crate::program::RETAINED_BYTES_CAP`]) and would outweigh the
     /// run's sorted points (16 B a shot). Every outcome is the table's.
     Streamed,
 }
@@ -211,19 +212,14 @@ const STREAM_BYTES_PER_SHOT: u128 = 16;
 
 /// How `config`'s run draws the terminal block of the dense `program`:
 /// streamed when it is noiseless, its table is over
-/// [`program::RETAINED_BYTES_CAP`] and the shots' points weigh less than
+/// [`crate::program::RETAINED_BYTES_CAP`] and the shots' points weigh less than
 /// the table; from the table otherwise. Noisy lanes share the table
 /// whatever its size.
 fn terminal_draw(program: &CompiledProgram, config: &TrajectoryConfig) -> TerminalDraw {
-    let block = &program.ops()[program.shot_plan().prefix_ops..];
-    let m = block
-        .iter()
-        .filter(|op| matches!(op, ProgramOp::Measure(_)))
-        .count();
+    let m = program.shot_plan().measured_qubits.len();
     let bytes = (std::mem::size_of::<f64>() as u128) << m;
     let points = STREAM_BYTES_PER_SHOT.saturating_mul(config.shots.into());
-    let retainable = bytes <= program::RETAINED_BYTES_CAP as u128;
-    if config.noise.is_noiseless() && !retainable && points < bytes {
+    if config.noise.is_noiseless() && !retainable(bytes) && points < bytes {
         TerminalDraw::Streamed
     } else {
         TerminalDraw::Table { bytes }
@@ -296,7 +292,9 @@ pub fn route(
     // the one plan of this circuit, noisy or not; every state-vector
     // shot executes the same program
     let fused = OnceLock::new();
-    let compile = || Arc::clone(fused.get_or_init(|| circuit.compile_with(&plan_options(config))));
+    let compile = || {
+        Arc::clone(fused.get_or_init(|| circuit.compile_with(&PlanOptions::from(&config.kernel))))
+    };
     // Pauli frames: admitted by the frame guard instead of the dense 2^n
     // estimate, so 100+ qubit Clifford workloads run. Chosen by the
     // Clifford check on the source gates, which the engine executes one

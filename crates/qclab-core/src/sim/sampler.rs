@@ -12,6 +12,10 @@
 //! same way, so an outcome is one function of (distribution, one
 //! uniform) wherever it is drawn.
 //!
+//! A prepared trajectory run draws its terminal block here: every shot
+//! from the table (`draw_sampled`) or from the stream (`draw_streamed`),
+//! each on its own `(seed, shot)` stream, tallied by outcome index.
+//!
 //! The table is the one sampler, in two forms. A noiseless dense run
 //! whose table could never be kept on its plan (over
 //! [`RETAINED_BYTES_CAP`](crate::program::RETAINED_BYTES_CAP)) and would
@@ -33,7 +37,11 @@
 //! and `(seed, shot)`-keyed trajectory sampling reproducible.
 
 use crate::error::QclabError;
+use crate::sim::control::{stop_or_err, StopCause};
+use crate::sim::prep::{SampledPrep, StreamedPrep};
+use crate::sim::trajectory::{shot_rng, NormStats, TrajectoryConfig, TrajectoryResult};
 use qclab_math::rng::Rng;
+use std::collections::BTreeMap;
 
 /// Cumulative-sum sampler: one `f64` per outcome, draws by binary search
 /// over the running totals.
@@ -196,6 +204,98 @@ impl CdfStream {
         for _ in next..sorted.len() {
             emit(self.len - 1);
         }
+    }
+}
+
+/// Renders a tally keyed by terminal outcome index as measurement
+/// records, once per distinct outcome: measurement `j` (execution order)
+/// is bit `m−1−j` of the index, matching the per-qubit record layout.
+pub(super) fn render_outcomes(tally: BTreeMap<usize, u64>, m: usize) -> BTreeMap<String, u64> {
+    let bit = |k: usize, j: usize| if (k >> j) & 1 == 1 { '1' } else { '0' };
+    let record = |k| (0..m).rev().map(|j| bit(k, j)).collect();
+    tally.into_iter().map(|(k, c)| (record(k), c)).collect()
+}
+
+/// Draws `config.shots` shots from a prepared table, each from the
+/// shot's own `(config.seed, shot)` RNG stream — one draw per shot, so
+/// the sample is deterministic and independent of execution order *and*
+/// of which run the prep was built for. This is the noisy
+/// ensemble with every lane error-free: each shot reports the shared
+/// evolution's watchdog statistics. Polls `config.control` between
+/// draws; a stop keeps the tally of the shots already drawn.
+pub(super) fn draw_sampled(
+    prep: &SampledPrep,
+    config: &TrajectoryConfig,
+    empty: TrajectoryResult,
+) -> Result<TrajectoryResult, QclabError> {
+    // tally by outcome index — O(log distinct) per draw, never 2^m
+    // storage for sparse outcomes
+    let mut tally: BTreeMap<usize, u64> = BTreeMap::new();
+    let (done, stopped) = each_shot(config, |rng| {
+        *tally.entry(prep.draw(rng)).or_insert(0) += 1;
+    })?;
+    Ok(tallied(tally, prep.m, &prep.norm, done, stopped, empty))
+}
+
+/// [`draw_sampled`] without the table: each shot's one uniform is taken
+/// in shot order, as there, and scaled to its point; the points are
+/// sorted and their outcomes assigned in one more pass over the marginal
+/// ([`CdfStream::outcomes`]). A shot's outcome is the table's for the
+/// same uniform, so the tally is the one the table draws.
+pub(super) fn draw_streamed(
+    prep: &StreamedPrep,
+    config: &TrajectoryConfig,
+    empty: TrajectoryResult,
+) -> Result<TrajectoryResult, QclabError> {
+    // `route` streams only when 16 B per shot stay below the table
+    let mut points = Vec::with_capacity(config.shots as usize);
+    let (done, stopped) = each_shot(config, |rng| points.push(prep.stream.point(rng.f64())))?;
+    points.sort_unstable_by(f64::total_cmp);
+    let mut tally: BTreeMap<usize, u64> = BTreeMap::new();
+    prep.stream.outcomes(
+        &points,
+        |f| prep.weights(f),
+        |k| {
+            *tally.entry(k).or_insert(0) += 1;
+        },
+    );
+    let m = prep.measured.len();
+    Ok(tallied(tally, m, &prep.norm, done, stopped, empty))
+}
+
+/// Hands `take` each shot's `(config.seed, shot)` stream in shot order,
+/// polling `config.control` between shots: returns the shots taken and
+/// what stopped the rest, if anything did.
+fn each_shot(
+    config: &TrajectoryConfig,
+    mut take: impl FnMut(&mut Rng),
+) -> Result<(u64, Option<StopCause>), QclabError> {
+    let mut ticker = config.control.ticker();
+    for shot in 0..config.shots {
+        if let Err(e) = ticker.tick() {
+            return Ok((shot, Some(stop_or_err(e)?)));
+        }
+        take(&mut shot_rng(config.seed, shot));
+    }
+    Ok((config.shots, None))
+}
+
+/// The result of `done` terminal draws tallied by outcome index, each
+/// shot reporting the one-time evolution's watchdog statistics `norm`.
+fn tallied(
+    tally: BTreeMap<usize, u64>,
+    m: usize,
+    norm: &NormStats,
+    done: u64,
+    stopped: Option<StopCause>,
+    empty: TrajectoryResult,
+) -> TrajectoryResult {
+    TrajectoryResult {
+        shots: done,
+        counts: render_outcomes(tally, m),
+        norm: norm.times(done),
+        stopped,
+        ..empty
     }
 }
 

@@ -37,7 +37,7 @@ use std::hash::BuildHasherDefault;
 use super::control::ExecutionControl;
 use super::guard::ResourceLimits;
 use super::kernel::control_masks;
-use super::{walk_branches, BranchState, Simulation};
+use super::{check_initial, walk_branches, BranchState, Simulation};
 use crate::error::QclabError;
 use crate::gates::Gate;
 use crate::program::CompiledProgram;
@@ -298,21 +298,13 @@ pub fn execute_controlled(
     let n = program.nb_qubits();
     limits.check_sparse_register(n)?;
     let width = initial.nb_qubits();
-    if width != n {
-        // `n` passed the register check; `width` may not index at all
-        return Err(QclabError::DimensionMismatch {
-            expected: 1 << n,
-            actual: if width < usize::BITS as usize {
-                1 << width
-            } else {
-                usize::MAX
-            },
-        });
-    }
-    let norm = initial.norm();
-    if (norm - 1.0).abs() > 1e-6 {
-        return Err(QclabError::NotNormalized { norm });
-    }
+    // `n` passed the register check; `width` may not index at all
+    let len = if width < usize::BITS as usize {
+        1 << width
+    } else {
+        usize::MAX
+    };
+    check_initial(1 << n, len, initial.norm())?;
     let mut sim = Simulation::start(n, initial);
     let mut ticker = control.ticker();
     let peak = walk_branches(

@@ -241,8 +241,8 @@ fn cached_plan_matches_fresh_lowering_bit_for_bit() {
     let init = CVec::basis_state(1 << N, 3);
     let mut via_fresh = init.clone();
     let mut via_cached = init.clone();
-    fresh.apply_unitary(&mut via_fresh);
-    cached.apply_unitary(&mut via_cached);
+    fresh.apply_unitary(&mut via_fresh).unwrap();
+    cached.apply_unitary(&mut via_cached).unwrap();
     for (x, y) in via_fresh.iter().zip(via_cached.iter()) {
         assert_eq!(x.re.to_bits(), y.re.to_bits(), "cached amplitudes drifted");
         assert_eq!(x.im.to_bits(), y.im.to_bits(), "cached amplitudes drifted");

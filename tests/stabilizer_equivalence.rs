@@ -46,7 +46,7 @@ fn tableau_agrees(ops: &[CliffordOp]) -> Result<(), TestCaseError> {
                 kernel::apply_gate(g, &mut psi, n);
             }
             &CliffordOp::Measure(q) => {
-                let (p0, p1) = collapse::measure_probabilities(&psi, n, q);
+                let (p0, p1) = collapse::measure_probabilities(&psi, n, q, None);
                 // choose the branch the statevector can follow
                 let bit = p1 > p0;
                 let outcome = tableau.measure_forced(q, bit).unwrap();
@@ -63,7 +63,7 @@ fn tableau_agrees(ops: &[CliffordOp]) -> Result<(), TestCaseError> {
                     );
                 }
                 let p = if bit { p1 } else { p0 };
-                psi = collapse::collapse(&psi, n, q, bit as usize, p);
+                psi = collapse::collapse(&psi, n, q, bit as usize, p, None);
             }
         }
     }
@@ -151,7 +151,7 @@ fn every_table_gate_keeps_the_signs_on_pauli_eigenstates() {
                 };
                 let mut rotated = psi.clone();
                 kernel::apply_gate(&vdg, &mut rotated, n);
-                let (p0, _) = collapse::measure_probabilities(&rotated, n, q);
+                let (p0, _) = collapse::measure_probabilities(&rotated, n, q, None);
 
                 let mut t = tableau.clone();
                 let out = t.measure_in_basis(&m, &mut rng).unwrap();
