@@ -37,8 +37,9 @@
 //! checks use. The chaos test suite drives it through every executor to
 //! prove clean unwinding: scratch buffers returned, watchdog stats
 //! consistent, plan cache never poisoned. `chaos::refuse_spawns` makes
-//! the parallel loops' thread starts fail, to prove a refused thread
-//! only slows a run down.
+//! the parallel loops' hand-offs to team workers fail, the way a thread
+//! start the OS refuses does, to prove a refused thread only slows a run
+//! down.
 
 use crate::error::{ExecProgress, QclabError};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -335,18 +336,19 @@ pub mod chaos {
         REFUSED_SPAWNS.store(0, Ordering::SeqCst);
     }
 
-    /// Makes the next `count` thread starts of the parallel loops fail,
-    /// the way they fail when the OS refuses a thread.
+    /// Makes the next `count` hand-offs of a parallel loop to a team
+    /// worker fail, the way a thread start fails when the OS refuses a
+    /// thread: that worker sits the loop out.
     pub fn refuse_spawns(count: u64) {
         REFUSED_SPAWNS.store(count, Ordering::SeqCst);
     }
 
-    /// How many thread starts are still to be refused.
+    /// How many hand-offs are still to be refused.
     pub fn spawns_to_refuse() -> u64 {
         REFUSED_SPAWNS.load(Ordering::SeqCst)
     }
 
-    /// Parallel-loop call site: whether this thread start is refused.
+    /// Parallel-loop call site: whether this hand-off is refused.
     pub(crate) fn spawn_refused() -> bool {
         REFUSED_SPAWNS
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| c.checked_sub(1))

@@ -124,7 +124,7 @@ pub(crate) struct PreparedOp {
 #[derive(Clone)]
 enum PreparedKind {
     Swap { a: usize, b: usize },
-    Diagonal { targets: Vec<usize>, diag: Vec<C64> },
+    Diagonal(DiagWalk),
     OneQ { q: usize, m: CMat },
     Kq(KqPre),
 }
@@ -185,7 +185,7 @@ pub(crate) fn prepare_gate(gate: &Gate, n: usize) -> PreparedOp {
 
     let kind = if matrix.is_diagonal(0.0) {
         let diag: Vec<C64> = (0..matrix.rows()).map(|i| matrix[(i, i)]).collect();
-        PreparedKind::Diagonal { targets, diag }
+        PreparedKind::Diagonal(DiagWalk::new(n, &targets, &diag, cm))
     } else if targets.len() == 1 {
         PreparedKind::OneQ {
             q: targets[0],
@@ -205,9 +205,7 @@ pub(crate) fn apply_prepared(pre: &PreparedOp, state: &mut [C64], n: usize, cfg:
     let parallel = cfg.parallel_at(n);
     match &pre.kind {
         PreparedKind::Swap { a, b } => apply_swap(state, n, *a, *b, parallel),
-        PreparedKind::Diagonal { targets, diag } => {
-            apply_diagonal(state, n, targets, diag, pre.cm, parallel)
-        }
+        PreparedKind::Diagonal(walk) => apply_diagonal(state, walk, parallel, cfg.allow_simd),
         PreparedKind::OneQ { q, m } => apply_1q(state, n, *q, m, pre.cm, parallel, cfg.allow_simd),
         PreparedKind::Kq(kq) => apply_kq(state, kq, pre.cm, parallel, cfg.allow_simd),
     }
@@ -615,7 +613,7 @@ fn split(state: &mut [C64], tmask: usize, parallel: bool, kernel: impl Fn(Part<'
     });
 }
 
-/// [`split`] for the diagonal kernels, which scale every amplitude on its
+/// [`split`] for the diagonal kernel, which scales every amplitude on its
 /// own: `kernel(base, chunk)` over aligned contiguous chunks, `base` the
 /// register index of `chunk[0]`. No amplitude has a partner, so plain
 /// disjoint `&mut` chunks do.
@@ -684,88 +682,134 @@ fn apply_1q(
     });
 }
 
-/// Diagonal kernel: every amplitude is scaled by the diagonal entry
-/// selected by its target-qubit bits. Covers Z, S, T, RZ, P, RZZ and all
-/// their controlled versions with a single streaming pass.
-fn apply_diagonal(
-    state: &mut [C64],
-    n: usize,
-    targets: &[usize],
-    diag: &[C64],
-    cm: CtrlMasks,
-    parallel: bool,
-) {
-    if let [q] = targets {
-        let s = bits::qubit_shift(*q, n);
-        return apply_diag_1q(state, s, diag[0], diag[1], cm, parallel);
-    }
-    if cm.0 == 0 {
-        return apply_diag_kq(state, n, targets, diag, parallel);
-    }
-    let one = C64::new(1.0, 0.0);
-    split_flat(state, parallel, |base, part| {
-        for (i, z) in (base..).zip(part) {
-            if ctrl_ok(i, cm) {
-                let d = diag[bits::gather_bits(i, targets, n)];
-                if d != one {
-                    *z *= d;
-                }
-            }
-        }
-    });
+/// Lanes of the diagonal kernel's entry pattern: the amplitudes whose
+/// index differs only in bits 0–2, four vector registers.
+pub(crate) const DIAG_LANES: usize = 8;
+
+/// A diagonal gate as the diagonal kernel walks it. Amplitude `i` is
+/// scaled by the entry its target bits select, or left alone when its
+/// controls do not match. Bits 0–2 of `i` pick one of [`DIAG_LANES`]
+/// lanes; every other involved bit (target or control) is fixed along
+/// an aligned run of `run` amplitudes, which therefore repeats one lane
+/// pattern. So the controls on bits 0–2 fold into the pattern (their
+/// mismatching lanes read one), the targets above pick it, and only the
+/// controls above are tested, once per run.
+#[derive(Clone)]
+pub(crate) struct DiagWalk {
+    /// Run length: the lowest involved bit at or above the lanes' bits,
+    /// `usize::MAX` when there is none (a run is then the whole part).
+    run: usize,
+    /// The controls on bits above the lanes', tested once per run.
+    ctrl: CtrlMasks,
+    /// Target bits above the lanes', lowest first: bit `j` of a run's
+    /// pattern index is bit `keys[j]` of its first amplitude's index.
+    keys: Vec<usize>,
+    /// Each run's lane entries, indexed as above; `None` where every
+    /// entry is one, so the run is skipped.
+    patterns: Vec<Option<[C64; DIAG_LANES]>>,
 }
 
-/// Uncontrolled multi-target diagonal kernel. Every target bit is fixed
-/// within an aligned run of `2^s_min` amplitudes (`s_min` the smallest
-/// target shift), so each run shares one diagonal entry and the state
-/// streams through in sequential run-sized chunks — no per-amplitude
-/// index arithmetic. This is also the path diagonal fused blocks take.
-fn apply_diag_kq(state: &mut [C64], n: usize, targets: &[usize], diag: &[C64], parallel: bool) {
-    let Some(s_min) = targets.iter().map(|&q| bits::qubit_shift(q, n)).min() else {
-        return; // zero-target diagonal "gate": identity
-    };
-    let one = C64::new(1.0, 0.0);
-    split_flat(state, parallel, |base, part| {
-        let run = (1usize << s_min).min(part.len());
-        for (ci, chunk) in part.chunks_mut(run).enumerate() {
-            let d = diag[bits::gather_bits(base + ci * run, targets, n)];
-            if d != one {
-                for z in chunk {
-                    *z *= d;
-                }
-            }
+impl DiagWalk {
+    /// Diagonal `diag` on `targets` (gate order, `diag` indexed as
+    /// [`bits::gather_bits`] reads them), controls `cm`, `n` qubits.
+    fn new(n: usize, targets: &[usize], diag: &[C64], cm: CtrlMasks) -> Self {
+        // the index bits that pick a lane
+        let low = DIAG_LANES - 1;
+        let tmask = targets
+            .iter()
+            .fold(0usize, |t, &q| t | 1 << bits::qubit_shift(q, n));
+        let above = (tmask | cm.0) & !low;
+        let keys: Vec<usize> = (0..usize::BITS as usize)
+            .filter(|&b| (tmask & !low) >> b & 1 == 1)
+            .collect();
+        let one = C64::new(1.0, 0.0);
+        // an uncontrolled diagonal on no target is the identity
+        let identity = targets.is_empty() && cm.0 == 0;
+        let patterns = (0..1usize << keys.len())
+            .map(|key| {
+                let hi = keys
+                    .iter()
+                    .enumerate()
+                    .fold(0, |i, (j, &b)| i | (key >> j & 1) << b);
+                let lane = |l: usize| {
+                    let i = hi | l;
+                    if i & cm.0 & low == cm.1 & low {
+                        diag[bits::gather_bits(i, targets, n)]
+                    } else {
+                        one
+                    }
+                };
+                let entries: [C64; DIAG_LANES] = std::array::from_fn(lane);
+                (!identity && entries.iter().any(|&d| d != one)).then_some(entries)
+            })
+            .collect();
+        DiagWalk {
+            run: if above == 0 {
+                usize::MAX
+            } else {
+                1 << above.trailing_zeros()
+            },
+            ctrl: (cm.0 & !low, cm.1 & !low),
+            keys,
+            patterns,
         }
-    });
-}
+    }
 
-/// Single-qubit diagonal kernel, target on index bit `s`: streams over
-/// the contiguous runs that share one diagonal entry with no
-/// per-amplitude index arithmetic, and skips unit entries entirely, so
-/// P/T/S and CZ touch only the amplitudes they change. Controls cost one
-/// mask test per amplitude of the runs that are scaled.
-fn apply_diag_1q(state: &mut [C64], s: usize, d0: C64, d1: C64, cm: CtrlMasks, parallel: bool) {
-    let one = C64::new(1.0, 0.0);
-    let half = 1usize << s;
-    split_flat(state, parallel, |base, part| {
-        let run = half.min(part.len());
-        for (ci, chunk) in part.chunks_mut(run).enumerate() {
-            let i0 = base + ci * run;
-            let d = if i0 & half == 0 { d0 } else { d1 };
-            if d == one {
+    /// Calls `scale(run, lanes)` for every run of `part` (`base` the
+    /// register index of `part[0]`) that holds an entry other than one:
+    /// amplitude `j` of the run is to be scaled by `lanes[j % 8]`.
+    #[inline(always)]
+    pub(crate) fn for_each_run(
+        &self,
+        base: usize,
+        part: &mut [C64],
+        mut scale: impl FnMut(&mut [C64], &[C64; DIAG_LANES]),
+    ) {
+        let run = self.run.min(part.len());
+        for (ri, chunk) in part.chunks_mut(run).enumerate() {
+            let i0 = base + ri * run;
+            if !ctrl_ok(i0, self.ctrl) {
                 continue;
             }
-            if cm.0 == 0 {
-                for z in chunk {
-                    *z *= d;
-                }
-            } else {
-                for (i, z) in (i0..).zip(chunk) {
-                    if ctrl_ok(i, cm) {
+            let key = self
+                .keys
+                .iter()
+                .enumerate()
+                .fold(0, |k, (j, &b)| k | (i0 >> b & 1) << j);
+            if let Some(lanes) = &self.patterns[key] {
+                scale(chunk, lanes);
+            }
+        }
+    }
+}
+
+/// Diagonal kernel: Z, S, T, RZ, P, RZZ, diagonal fused blocks and all
+/// their controlled versions, in one streaming pass that touches only
+/// the runs with an entry other than one. Vectorized wherever the CPU
+/// allows; the scalar loop (`--no-simd`) computes the same product, and
+/// both leave a lane whose entry is one untouched, so the bits agree.
+fn apply_diagonal(state: &mut [C64], walk: &DiagWalk, parallel: bool, simd: bool) {
+    #[cfg(target_arch = "x86_64")]
+    let simd = use_simd(simd);
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
+    let one = C64::new(1.0, 0.0);
+    split_flat(state, parallel, |base, part| {
+        #[cfg(target_arch = "x86_64")]
+        if simd && part.len().is_multiple_of(DIAG_LANES) {
+            // SAFETY: AVX2+FMA checked by `use_simd`, and the part's
+            // length checked just above
+            return unsafe { super::simd::apply_diagonal(walk, base, part) };
+        }
+        walk.for_each_run(base, part, |run, lanes| {
+            for chunk in run.chunks_mut(DIAG_LANES) {
+                for (z, &d) in chunk.iter_mut().zip(lanes) {
+                    if d != one {
                         *z *= d;
                     }
                 }
             }
-        }
+        });
     });
 }
 
@@ -1092,6 +1136,113 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-amplitude diagonal the run walk replaced: amplitude `i`
+    /// whose controls match is scaled by the entry its target bits
+    /// select, unless that entry equals one.
+    fn diagonal_reference(state: &mut [C64], n: usize, g: &Gate) {
+        let (targets, cm) = (g.targets(), control_masks(&g.controls(), n));
+        let m = g.target_matrix();
+        let one = C64::new(1.0, 0.0);
+        for (i, z) in state.iter_mut().enumerate() {
+            let d = m[(
+                bits::gather_bits(i, &targets, n),
+                bits::gather_bits(i, &targets, n),
+            )];
+            if ctrl_ok(i, cm) && d != one {
+                *z *= d;
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_kernel_is_bit_identical_to_the_per_amplitude_product() {
+        let one_neg = C64::new(1.0, -0.0);
+        let entries = [
+            C64::new(1.0, 0.0),
+            one_neg,
+            C64::new(0.6, -0.8),
+            C64::new(-1.0, 0.0),
+            C64::new(0.0, 1.0),
+            C64::new(-0.0, -1.0),
+            C64::new(0.28, 0.96),
+        ];
+        // for n = 6 qubit q sits on bit 5 - q: q5 is bit 0, q4 bit 1, q0
+        // and q1 the high bits, q2 bit 3 (the first above the lanes)
+        let target_sets: [&[usize]; 8] =
+            [&[], &[5], &[4], &[1], &[5, 2], &[4, 0], &[2, 3], &[1, 0, 5]];
+        let control_sets: [&[(usize, u8)]; 6] = [
+            &[],
+            &[(5, 1)],
+            &[(4, 0)],
+            &[(0, 1)],
+            &[(2, 0), (5, 1)],
+            &[(3, 1), (1, 0)],
+        ];
+        let mut case = 0;
+        for n in [6, 2] {
+            // a state with +0.0 and -0.0 components among the others
+            let state: Vec<C64> = (0..1usize << n)
+                .map(|i| {
+                    let x = (i as f64 * 0.7).sin();
+                    match i % 5 {
+                        0 => C64::new(0.0, -0.0),
+                        1 => C64::new(-0.0, x),
+                        2 => C64::new(x, 0.0),
+                        _ => C64::new(x, -(i as f64).cos()),
+                    }
+                })
+                .collect();
+            for targets in target_sets {
+                for controls in control_sets {
+                    let touched = |q: &usize| *q < n;
+                    if !targets.iter().all(touched)
+                        || !controls
+                            .iter()
+                            .all(|(q, _)| touched(q) && !targets.contains(q))
+                    {
+                        continue;
+                    }
+                    case += 1;
+                    let diag: Vec<C64> = (0..1usize << targets.len())
+                        .map(|k| entries[(k + case) % entries.len()])
+                        .collect();
+                    let mut g = Gate::Custom {
+                        name: "D".into(),
+                        qubits: targets.to_vec(),
+                        matrix: CMat::diag(&diag),
+                    };
+                    if !controls.is_empty() {
+                        g = Gate::Controlled {
+                            controls: controls.iter().map(|c| c.0).collect(),
+                            control_states: controls.iter().map(|c| c.1).collect(),
+                            target: Box::new(g),
+                        };
+                    }
+                    let mut want = state.clone();
+                    if !(targets.is_empty() && controls.is_empty()) {
+                        diagonal_reference(&mut want, n, &g);
+                    }
+                    for allow_simd in [true, false] {
+                        let cfg = KernelConfig {
+                            allow_simd,
+                            ..KernelConfig::default()
+                        };
+                        let mut got = CVec(state.clone());
+                        apply_gate_with(&g, &mut got, n, &cfg);
+                        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                                "n {n}, targets {targets:?}, controls {controls:?}, simd {allow_simd}: \
+                                 amplitude {i} is {a:?}, want {b:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(case > 30, "only {case} cases ran");
     }
 
     /// The out-of-place gather the in-place passes replaced: destination

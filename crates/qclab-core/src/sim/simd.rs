@@ -1,12 +1,14 @@
-//! AVX2+FMA kernels for uncontrolled dense 1- and 2-qubit gates.
+//! AVX2+FMA kernels for uncontrolled dense 1- and 2-qubit gates, and
+//! the diagonal kernel.
 //!
-//! The scalar kernels in [`super::kernel`] are compute-bound: a complex
-//! multiply costs ~3 scalar FMA chains per amplitude, so a dense sweep
-//! runs well below memory bandwidth. These vectorized paths process two
-//! amplitudes per 256-bit register and push dense sweeps to the
-//! memory-bound regime — which is precisely what makes gate fusion
-//! profitable: once a sweep costs bandwidth rather than flops, halving
-//! the number of sweeps halves the simulation time.
+//! A scalar complex multiply costs ~3 scalar FMA chains per amplitude;
+//! these paths process two amplitudes per 256-bit register. That does
+//! not make a dense sweep memory-bound: on a 2-vCPU Xeon host the 2q
+//! kernel costs about as much per amplitude with the state in L2 as
+//! streamed from memory (EXPERIMENTS F21). A sweep's cost is its
+//! arithmetic, which is why gate fusion pays by saving arithmetic and
+//! per-pass overhead rather than bandwidth (DESIGN.md, "Why fusion
+//! pays").
 //!
 //! Complex numbers are `[re, im]` pairs: [`C64`] is `#[repr(C)]`, and a
 //! compile-time assertion beside it fixes its size at 16 bytes and its
@@ -17,17 +19,19 @@
 //! Accumulating the `A` and `B` sides separately over matrix columns
 //! turns a whole matrix row into FMA chains plus one final `addsub`.
 //!
-//! Only used when the gate has no controls (fused blocks fold controls
-//! into the matrix) and the innermost stride admits two consecutive
-//! groups. Everything here is gated on runtime CPU detection with the
-//! scalar kernels as the universal fallback — and on nothing else: each
-//! kernel works on a [`Part`] of the register, the whole of it on the
-//! serial path and one thread's share of it above the parallel
-//! threshold, so a gate takes the same vector kernel, and every
-//! amplitude group the same instruction sequence, at any thread count.
+//! The dense kernels are only used when the gate has no controls (fused
+//! blocks fold controls into the matrix) and the innermost stride admits
+//! two consecutive groups; the diagonal kernel takes every diagonal gate,
+//! its controls folded into the entries it is handed. Everything here is
+//! gated on runtime CPU detection with the scalar kernels as the
+//! universal fallback — and on nothing else: each kernel works on a
+//! [`Part`] (or a chunk) of the register, the whole of it on the serial
+//! path and one thread's share of it above the parallel threshold, so a
+//! gate takes the same vector kernel, and every amplitude group the same
+//! instruction sequence, at any thread count.
 #![cfg(target_arch = "x86_64")]
 
-use super::kernel::Part;
+use super::kernel::{DiagWalk, Part, DIAG_LANES};
 use qclab_math::scalar::C64;
 use std::arch::x86_64::*;
 
@@ -336,6 +340,46 @@ pub(crate) unsafe fn apply_kq_dense(part: Part<'_>, shifts: &[usize], m: &[C64])
         }
         mcount += 2;
     }
+}
+
+/// The diagonal kernel's vector form: each run [`DiagWalk`] hands out is
+/// scaled two amplitudes per register, lane entries `lanes[2j]` and
+/// `lanes[2j + 1]` in register `j` of four. The product is
+/// `addsub(z·re, swap(z)·im)` — a `mul`, a `mul` and an `addsub`, no FMA —
+/// which rounds exactly as the scalar `C64` product does; a lane whose
+/// entry equals one keeps its amplitude, as the scalar loop skips it.
+///
+/// # Safety
+/// Caller must ensure AVX2+FMA are available and `part.len()` is a
+/// multiple of [`DIAG_LANES`].
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn apply_diagonal(walk: &DiagWalk, base: usize, part: &mut [C64]) {
+    let one = _mm256_setr_pd(1.0, 0.0, 1.0, 0.0);
+    walk.for_each_run(base, part, |run, lanes| {
+        let (mut re, mut im, mut keep) = (
+            [_mm256_setzero_pd(); 4],
+            [_mm256_setzero_pd(); 4],
+            [_mm256_setzero_pd(); 4],
+        );
+        for j in 0..4 {
+            let d = _mm256_loadu_pd(lanes[2 * j..].as_ptr() as *const f64);
+            re[j] = _mm256_movedup_pd(d);
+            im[j] = _mm256_permute_pd(d, 0b1111);
+            let eq = _mm256_cmp_pd(d, one, _CMP_EQ_OQ);
+            keep[j] = _mm256_and_pd(eq, swap_reim(eq));
+        }
+        debug_assert!(run.len().is_multiple_of(DIAG_LANES));
+        for group in run.chunks_exact_mut(DIAG_LANES) {
+            let p = group.as_mut_ptr() as *mut f64;
+            // register `j` holds amplitudes `2j` and `2j + 1` of the group
+            for j in 0..4 {
+                let z = _mm256_loadu_pd(p.add(4 * j));
+                let prod =
+                    _mm256_addsub_pd(_mm256_mul_pd(z, re[j]), _mm256_mul_pd(swap_reim(z), im[j]));
+                _mm256_storeu_pd(p.add(4 * j), _mm256_blendv_pd(prod, z, keep[j]));
+            }
+        }
+    });
 }
 
 #[cfg(test)]
