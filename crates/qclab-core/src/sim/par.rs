@@ -21,6 +21,15 @@
 //! time, never a result, because what a piece computes never depends on
 //! the thread that runs it. A panic in a piece reaches the caller once
 //! the loop is done, and the team stays usable.
+//!
+//! Its users are every whole-state pass of a wide dense run: the kernels
+//! (`sim::kernel`'s `split`, `split_flat` and window sweeps), the
+//! state's first touch ([`filled`], from `sim::prep`), the watchdog's
+//! norm and renormalization (`sim::shots`) and a streamed draw's outcome
+//! pass (`sim::sampler::CdfStream`); and, at shot granularity, the
+//! trajectory and Pauli-frame fan-outs. Below the parallel threshold
+//! each of them asks for width 1, and a width-1 loop runs inline
+//! without looking at the team.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -53,6 +62,28 @@ pub(crate) fn for_each_chunk<T: Send>(
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
     run(width, data.chunks_mut(chunk).enumerate(), |(i, c)| f(i, c));
+}
+
+/// Elements per piece of [`filled`]: 64 KiB of `C64`s, 16 pages.
+const FILL_PIECE: usize = 1 << 12;
+
+/// A vector of `len` copies of `value`, written on up to `width`
+/// threads: a large vector's pages are first touched — faulted in — by
+/// the threads that write them, not all by the caller.
+pub(crate) fn filled<T: Copy + Send + Sync>(width: usize, len: usize, value: T) -> Vec<T> {
+    let mut v = Vec::with_capacity(len);
+    let spare = &mut v.spare_capacity_mut()[..len];
+    for_each_chunk(width, spare, FILL_PIECE, |_, piece| {
+        for x in piece {
+            x.write(value);
+        }
+    });
+    // SAFETY: the capacity is at least `len`, and `for_each_chunk` has
+    // run the closure on every piece of the first `len` spare slots
+    // before it returns — a panicking piece reaches this frame as a
+    // panic, before this line — so each of them holds `value`.
+    unsafe { v.set_len(len) };
+    v
 }
 
 /// Runs `f` on every piece, on the caller and on up to `width − 1`
@@ -259,6 +290,17 @@ mod tests {
             let mut v = vec![usize::MAX; 1000];
             for_each_chunk(w, &mut v, 64, |ci, chunk| chunk.fill(ci));
             assert!(v.iter().enumerate().all(|(i, &x)| x == i / 64), "width {w}");
+        }
+    }
+
+    #[test]
+    fn filled_writes_every_element_at_every_width() {
+        for w in 1..=4 {
+            for len in [0, 1, FILL_PIECE - 1, FILL_PIECE, 3 * FILL_PIECE + 5] {
+                let v = filled(w, len, (w, 7u8));
+                assert_eq!(v.len(), len);
+                assert!(v.iter().all(|&x| x == (w, 7)), "width {w}, len {len}");
+            }
         }
     }
 

@@ -22,14 +22,14 @@ use crate::program::{self, CompiledProgram};
 use crate::sim::frame;
 use crate::sim::kernel::{self, KernelConfig};
 use crate::sim::route::{ends_in_draw, Route, TerminalDraw};
-use crate::sim::sampler::{draw_sampled, draw_streamed, CdfStream, CdfTable, Sink};
+use crate::sim::sampler::{draw_sampled, draw_streamed, CdfStream, CdfTable, Weights, TILE};
 use crate::sim::shots::{evolve_prefix, run_ensemble, ShotProgram, TerminalBlock};
 use crate::sim::sparse;
 use crate::sim::trajectory::{
     NormStats, ShotPath, TrajectoryConfig, TrajectoryResult, WatchdogConfig,
 };
 use crate::sim::walk::NoisePlan;
-use crate::sim::{walk_branches, Simulation};
+use crate::sim::{par, walk_branches, Simulation};
 use qclab_math::rng::Rng;
 use qclab_math::scalar::C64;
 use qclab_math::{bits, CVec};
@@ -98,23 +98,69 @@ pub(super) fn marginal(state: &[C64], measured: &[usize], n: usize, lut: &[usize
     probs
 }
 
-/// [`marginal`]'s entries in outcome order without its vector: calls `f`
-/// on each tile of `lut.len()` consecutive outcomes. Outcome `k` sums
-/// `|amp|²` over the indices that gather to `k` in increasing index — the
-/// order `marginal` adds them in — so each weight is its entry there bit
-/// for bit. `scatter_bits` distributes over disjoint bit sets, so the
-/// first index of outcome `hi | lo` is `scatter(hi) | lut[lo]` (`lut` the
-/// measured qubits' [`scatter_lut`]), and the others add every setting of
-/// the unmeasured bits in turn.
-fn marginal_tiles(state: &[C64], measured: &[usize], n: usize, lut: &[usize], f: Sink<'_>) {
-    let rest = (state.len() - 1) & !bits::scatter_bits(0, usize::MAX, measured, n);
-    let mut tile = vec![0.0f64; lut.len()];
-    for hi in (0..1usize << measured.len()).step_by(lut.len()) {
-        let base = bits::scatter_bits(0, hi, measured, n);
-        tile.fill(0.0);
+/// [`marginal`]'s entries in outcome order without its vector, read a
+/// stretch at a time ([`Weights`]). Outcome `k` sums `|amp|²` over the
+/// indices that gather to `k` in increasing index — the order `marginal`
+/// adds them in — so each weight is its entry there bit for bit.
+/// `scatter_bits` distributes over disjoint bit sets, so the first index
+/// of outcome `hi | lo` is `scatter(hi) | lut[lo]` (`lut` the measured
+/// qubits' [`scatter_lut`]), and the others add every setting of the
+/// unmeasured bits in turn. When every qubit is measured in register
+/// order, an outcome is its index, and a stretch is read straight off
+/// the state.
+#[derive(Clone, Copy)]
+pub(super) struct Marginal<'a> {
+    state: &'a [C64],
+    measured: &'a [usize],
+    n: usize,
+    lut: &'a [usize],
+    /// The unmeasured index bits.
+    rest: usize,
+    /// Whether `measured` is `0..n` in order.
+    direct: bool,
+}
+
+impl<'a> Marginal<'a> {
+    pub(super) fn new(state: &'a [C64], measured: &'a [usize], n: usize, lut: &'a [usize]) -> Self {
+        Marginal {
+            state,
+            measured,
+            n,
+            lut,
+            rest: (state.len() - 1) & !bits::scatter_bits(0, usize::MAX, measured, n),
+            direct: measured.iter().copied().eq(0..n),
+        }
+    }
+}
+
+impl Weights for Marginal<'_> {
+    fn len(&self) -> usize {
+        1 << self.measured.len()
+    }
+
+    fn read(&self, first: usize, out: &mut [f64]) {
+        let Marginal {
+            state,
+            measured,
+            n,
+            lut,
+            rest,
+            direct,
+        } = *self;
+        if direct {
+            let amps = &state[first..first + out.len()];
+            for (w, amp) in out.iter_mut().zip(amps) {
+                *w = amp.norm_sqr();
+            }
+            return;
+        }
+        let lo = first % lut.len();
+        let base = bits::scatter_bits(0, first - lo, measured, n);
+        let lut = &lut[lo..lo + out.len()];
+        out.fill(0.0);
         let mut u = 0usize;
         loop {
-            for (w, &lo) in tile.iter_mut().zip(lut) {
+            for (w, &lo) in out.iter_mut().zip(lut) {
                 *w += state[base | lo | u].norm_sqr();
             }
             if u == rest {
@@ -122,14 +168,14 @@ fn marginal_tiles(state: &[C64], measured: &[usize], n: usize, lut: &[usize], f:
             }
             u = ((u | !rest) + 1) & rest;
         }
-        f(&tile);
     }
 }
 
 /// The first index of each outcome within one tile of outcomes — the
-/// low half of [`marginal_tiles`]' index split.
-fn scatter_lut(measured: &[usize], n: usize) -> Vec<usize> {
-    (0..1usize << kernel::SWEEP_TILE_QUBITS.min(measured.len()))
+/// low half of [`Marginal`]'s index split. Its tile is the stream's
+/// [`TILE`], so no read of a stream ever crosses one.
+pub(super) fn scatter_lut(measured: &[usize], n: usize) -> Vec<usize> {
+    (0..TILE.min(1 << measured.len()))
         .map(|lo| bits::scatter_bits(0, lo, measured, n))
         .collect()
 }
@@ -150,10 +196,14 @@ pub(super) struct StreamedPrep {
 }
 
 impl StreamedPrep {
-    /// Hands the marginal's weights to `f` in outcome order, read off the
-    /// state.
-    pub(super) fn weights(&self, f: Sink<'_>) {
-        marginal_tiles(&self.state, &self.measured, self.n, &self.lut, f)
+    /// The marginal's weights, read off the state.
+    pub(super) fn weights(&self) -> Marginal<'_> {
+        Marginal::new(&self.state, &self.measured, self.n, &self.lut)
+    }
+
+    /// How many threads a draw's outcome pass runs on under `config`.
+    pub(super) fn width(&self, config: &TrajectoryConfig) -> usize {
+        par::width(config.kernel.parallel_at(self.n))
     }
 }
 
@@ -175,7 +225,7 @@ fn terminal_prep(
     if streamed {
         s.rotate_terminal(&block);
         let lut = scatter_lut(&block.measured, s.n);
-        let stream = CdfStream::new(|f| marginal_tiles(&s.state, &block.measured, s.n, &lut, f))?;
+        let stream = CdfStream::new(Marginal::new(&s.state, &block.measured, s.n, &lut))?;
         return Ok(Prepared::Streamed(Box::new(StreamedPrep {
             n: s.n,
             state: s.state,
@@ -357,6 +407,14 @@ fn retained_or(
     Ok((prep, false))
 }
 
+/// `|0…0⟩` on `n` qubits, written on up to `width` threads: the state's
+/// pages are first touched by the team that goes on to evolve it.
+fn ground_state(n: usize, width: usize) -> CVec {
+    let mut state = CVec(par::filled(width, 1 << n, C64::new(0.0, 0.0)));
+    state[0] = C64::new(1.0, 0.0);
+    state
+}
+
 /// Performs `route`'s one-time preparation (which never consults the
 /// seed or the shot count), or — for a terminal table — takes it from
 /// the plan ([`PrepSlot`]): only the `O(2^n)` allocation and evolution
@@ -374,7 +432,10 @@ pub(super) fn prepare(
     let key = |dense| initial.is_none().then_some(PrepKey { dense });
     let dense = Some((config.kernel, config.watchdog));
     // only a preparation that is actually computed allocates its state
-    let initial_state = || initial.map_or_else(|| CVec::basis_state(1 << n, 0), CVec::clone);
+    let initial_state = || {
+        let width = par::width(config.kernel.parallel_at(n));
+        initial.map_or_else(|| ground_state(n, width), CVec::clone)
+    };
     let prefix_ops = match route.path {
         ShotPath::PauliFrame => {
             let frames = program
@@ -452,7 +513,7 @@ mod tests {
     use crate::sim::route::route;
 
     #[test]
-    fn streamed_marginal_tiles_are_the_marginals() {
+    fn streamed_marginal_stretches_are_the_marginals() {
         // measured subsets in shuffled order, m < n and m = n, on both
         // sides of the lookup tile: every weight bit for bit
         let mut rng = Rng::seed_from_u64(9);
@@ -464,7 +525,7 @@ mod tests {
             for z in state.iter_mut().step_by(3) {
                 *z = C64::new(0.0, 0.0);
             }
-            for _ in 0..8 {
+            for trial in 0..9 {
                 let mut measured: Vec<usize> = (0..n).filter(|_| rng.bool()).collect();
                 if rng.bool() {
                     measured = (0..n).collect();
@@ -472,12 +533,23 @@ mod tests {
                 for i in (1..measured.len()).rev() {
                     measured.swap(i, rng.below(i + 1));
                 }
+                if trial == 0 {
+                    // the register's own order: read straight off the state
+                    measured = (0..n).collect();
+                }
                 let table = marginal(&state, &measured, n, &tile_lut(&measured, n));
                 let lut = scatter_lut(&measured, n);
-                let mut streamed = Vec::new();
-                marginal_tiles(&state, &measured, n, &lut, &mut |tile| {
-                    streamed.extend_from_slice(tile)
-                });
+                let weights = Marginal::new(&state, &measured, n, &lut);
+                assert!(weights.direct || trial > 0);
+                // stretches of every length up to a tile, none crossing one
+                let mut streamed = vec![f64::NAN; weights.len()];
+                let mut first = 0;
+                while first < streamed.len() {
+                    let tile_end = (first / lut.len() + 1) * lut.len();
+                    let end = tile_end.min(first + 1 + rng.below(700));
+                    weights.read(first, &mut streamed[first..end]);
+                    first = end;
+                }
                 let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&streamed), bits(&table), "n={n} {measured:?}");
             }

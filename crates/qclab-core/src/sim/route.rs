@@ -199,10 +199,12 @@ pub enum TerminalDraw {
         /// The table's size: 8 B per outcome.
         bytes: u128,
     },
-    /// From the rotated state itself, in two ascending passes over its
-    /// marginal: a noiseless run whose table could never be kept on its
-    /// plan (over [`crate::program::RETAINED_BYTES_CAP`]) and would outweigh the
-    /// run's sorted points (16 B a shot). Every outcome is the table's.
+    /// From the rotated state itself: a serial pass over its marginal
+    /// for the total, then a team pass over the tiles that hold a point
+    /// (`sampler::CdfStream`). A noiseless run whose table could never be
+    /// kept on its plan (over [`crate::program::RETAINED_BYTES_CAP`]) and
+    /// would outweigh the run's sorted points (16 B a shot). Every
+    /// outcome is the table's.
     Streamed,
 }
 

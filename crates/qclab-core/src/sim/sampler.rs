@@ -20,8 +20,11 @@
 //! whose table could never be kept on its plan (over
 //! [`RETAINED_BYTES_CAP`](crate::program::RETAINED_BYTES_CAP)) and would
 //! cost more than its shots' points draws from a `CdfStream` instead:
-//! the same running total, read off the state twice rather than stored,
-//! every point's outcome the table's bit for bit.
+//! the same running total, read off the state rather than stored — a
+//! serial total pass that records the total at every 4 096-outcome tile,
+//! then a pass on `sim::par`'s team over only the tiles that hold a
+//! point, each restarting the chain from its checkpoint — every point's
+//! outcome the table's bit for bit.
 //!
 //! There is deliberately no `O(1)`-per-draw alias table beside it: its
 //! build costs three times the memory and several passes where this one
@@ -38,6 +41,7 @@
 
 use crate::error::QclabError;
 use crate::sim::control::{stop_or_err, StopCause};
+use crate::sim::par;
 use crate::sim::prep::{SampledPrep, StreamedPrep};
 use crate::sim::trajectory::{shot_rng, NormStats, TrajectoryConfig, TrajectoryResult};
 use qclab_math::rng::Rng;
@@ -51,48 +55,78 @@ pub struct CdfTable {
     cum: Vec<f64>,
 }
 
-/// The running total both samplers keep over weights in outcome order,
-/// validating each weight as it is added.
-#[derive(Default)]
-struct Running(f64);
+/// Outcomes per tile of the running total: both samplers validate a
+/// tile of weights at a time, and a [`CdfStream`] records the total at
+/// every tile boundary (one `f64` per 4 096 outcomes).
+pub(super) const TILE: usize = 1 << 12;
 
-impl Running {
-    /// Adds `w` and returns the new total.
-    fn add(&mut self, w: f64) -> Result<f64, QclabError> {
-        if !w.is_finite() || w < 0.0 {
-            return Err(QclabError::Unavailable(format!(
-                "cannot sample from a distribution with weight {w}"
-            )));
-        }
-        self.0 += w;
-        Ok(self.0)
-    }
+/// Weights a [`CdfStream`] reads in outcome order, a stretch at a time.
+/// Any stretch can be read again, on any thread, and reads the same
+/// weights bit for bit.
+pub(crate) trait Weights: Sync {
+    /// Number of outcomes.
+    fn len(&self) -> usize;
 
-    /// The total of `len` weights, if they form a distribution.
-    fn total(self, len: usize) -> Result<f64, QclabError> {
-        if len == 0 {
-            return Err(QclabError::Unavailable(
-                "cannot sample from an empty distribution".into(),
-            ));
-        }
-        if self.0 <= 0.0 || !self.0.is_finite() {
-            return Err(QclabError::Unavailable(
-                "cannot sample from an all-zero distribution".into(),
-            ));
-        }
-        Ok(self.0)
+    /// Writes the weights of outcomes `first..first + out.len()` to
+    /// `out`; the stretch never crosses a multiple of [`TILE`].
+    fn read(&self, first: usize, out: &mut [f64]);
+}
+
+/// Replaces each weight of `tile` by the running total through it,
+/// starting from `sum`, and returns the new total: the one chain both
+/// samplers add in outcome order. The tile is checked first, as a
+/// whole; when a weight fails, the error names the tile's first failing
+/// weight, which is the first in outcome order since every earlier
+/// tile passed.
+fn cumulate(sum: f64, tile: &mut [f64]) -> Result<f64, QclabError> {
+    let valid = |w: f64| (0.0..=f64::MAX).contains(&w);
+    if !tile.iter().fold(true, |ok, &w| ok & valid(w)) {
+        let w = tile.iter().find(|&&w| !valid(w)).expect("a weight failed");
+        return Err(QclabError::Unavailable(format!(
+            "cannot sample from a distribution with weight {w}"
+        )));
     }
+    Ok(accumulate(sum, tile))
+}
+
+/// [`cumulate`]'s chain without the check, for weights that passed it.
+fn accumulate(mut sum: f64, tile: &mut [f64]) -> f64 {
+    for w in tile {
+        sum += *w;
+        *w = sum;
+    }
+    sum
+}
+
+/// The total of `len` weights, if they form a distribution.
+fn total(sum: f64, len: usize) -> Result<f64, QclabError> {
+    if len == 0 {
+        return Err(QclabError::Unavailable(
+            "cannot sample from an empty distribution".into(),
+        ));
+    }
+    if !sum.is_finite() {
+        return Err(QclabError::Unavailable(
+            "cannot sample from a distribution whose total weight overflows".into(),
+        ));
+    }
+    if sum <= 0.0 {
+        return Err(QclabError::Unavailable(
+            "cannot sample from an all-zero distribution".into(),
+        ));
+    }
+    Ok(sum)
 }
 
 impl CdfTable {
     /// Turns (unnormalized) weights into their running totals in place:
     /// one pass that validates as it sums.
     pub fn new(mut weights: Vec<f64>) -> Result<Self, QclabError> {
-        let mut running = Running::default();
-        for w in &mut weights {
-            *w = running.add(*w)?;
+        let mut sum = 0.0;
+        for tile in weights.chunks_mut(TILE) {
+            sum = cumulate(sum, tile)?;
         }
-        running.total(weights.len())?;
+        total(sum, weights.len())?;
         Ok(CdfTable { cum: weights })
     }
 
@@ -130,47 +164,49 @@ impl CdfTable {
     }
 }
 
-/// [`CdfTable`]'s draws without its table, for weights that can be
-/// produced again in outcome order (a marginal read off the state it came
-/// from): [`new`](Self::new) sums them once for the total, and a run
-/// draws all its shots at once — each shot's point `u · total`, sorted,
-/// then outcomes assigned in one more pass over the weights
-/// ([`outcomes`](Self::outcomes)). The running total is kept as
-/// [`CdfTable::new`] keeps it, so every outcome — and every validation
-/// error — is the table's, bit for bit.
-///
-/// A pass receives the weights as `weights(sink)`, which must call `sink`
-/// on consecutive slices of them in outcome order: a slice at a time
-/// keeps the per-weight work a plain loop.
-#[derive(Clone, Copy, Debug)]
+/// Outcomes a [`CdfStream`] reads at once: a 4 KiB buffer, and how far
+/// past a tile's last point its outcome pass may read.
+const BLOCK: usize = 1 << 9;
+
+/// [`CdfTable`]'s draws without its table, for weights that can be read
+/// again ([`Weights`]). [`new`](Self::new) is one serial pass that
+/// validates the weights and sums them in outcome order — the table's
+/// chain — recording the running total at every [`TILE`] boundary. A
+/// run then draws all its shots at once: each shot's point `u · total`,
+/// sorted, and [`outcomes`](Self::outcomes) hands the tiles that hold a
+/// point to `sim::par`'s team, each restarting the chain from its
+/// checkpoint and stopping at its last point. Every outcome — and every
+/// validation error — is the table's, bit for bit.
+#[derive(Clone, Debug)]
 pub(crate) struct CdfStream {
     len: usize,
     total: f64,
+    /// The running total before each tile: `starts[t]` sums the weights
+    /// of tiles `0..t`.
+    starts: Vec<f64>,
 }
 
-/// Where a pass of a [`CdfStream`] receives its weights.
-pub(crate) type Sink<'a> = &'a mut dyn FnMut(&[f64]);
-
 impl CdfStream {
-    /// Validates and sums the weights in outcome order; the first invalid
-    /// one is the error.
-    pub(crate) fn new(weights: impl FnOnce(Sink<'_>)) -> Result<Self, QclabError> {
-        let (mut running, mut len, mut invalid) = (Running::default(), 0, None);
-        weights(&mut |slice| {
-            len += slice.len();
-            for &w in slice {
-                if let Err(e) = running.add(w) {
-                    invalid.get_or_insert(e);
-                }
+    /// Validates and sums the weights in outcome order, recording the
+    /// running total at every tile; the first invalid weight is the
+    /// error.
+    pub(crate) fn new(weights: impl Weights) -> Result<Self, QclabError> {
+        let len = weights.len();
+        let mut starts = Vec::with_capacity(len.div_ceil(TILE));
+        let (mut sum, mut block) = (0.0, [0.0f64; BLOCK]);
+        for first in (0..len).step_by(BLOCK) {
+            if first % TILE == 0 {
+                starts.push(sum);
             }
-        });
-        match invalid {
-            Some(e) => Err(e),
-            None => Ok(CdfStream {
-                len,
-                total: running.total(len)?,
-            }),
+            let block = &mut block[..BLOCK.min(len - first)];
+            weights.read(first, block);
+            sum = cumulate(sum, block)?;
         }
+        Ok(CdfStream {
+            len,
+            total: total(sum, len)?,
+            starts,
+        })
     }
 
     /// The point a uniform `u` in `[0, 1)` selects, as
@@ -180,31 +216,89 @@ impl CdfStream {
     }
 
     /// Emits the outcome of each point of `sorted` (ascending) in order,
-    /// walking the weights [`new`](Self::new) saw once more: the outcome
-    /// of `r` is the first whose running total exceeds it, which is
-    /// [`CdfTable`]'s bisection.
+    /// and returns how many weights it read. The outcome of `r` is the
+    /// first whose running total exceeds it, which is [`CdfTable`]'s
+    /// bisection: `r` falls in the first tile whose closing total exceeds
+    /// it, and a point at or above the total is clamped to the last
+    /// outcome. The tiles that hold a point run on up to `width` threads,
+    /// each from its recorded checkpoint — the serial chain's totals bit
+    /// for bit — reading a [`BLOCK`] at a time until its last point has
+    /// its outcome.
     pub(crate) fn outcomes(
         &self,
         sorted: &[f64],
-        weights: impl FnOnce(Sink<'_>),
+        weights: impl Weights,
+        width: usize,
         mut emit: impl FnMut(usize),
-    ) {
-        let (mut next, mut cum, mut k) = (0, 0.0, 0);
-        weights(&mut |slice| {
-            for &w in slice {
-                cum += w;
-                while next < sorted.len() && cum > sorted[next] {
-                    emit(k);
-                    next += 1;
-                }
-                k += 1;
+    ) -> usize {
+        let mut outcomes = vec![self.len - 1; sorted.len()];
+        let mut busy = Vec::new();
+        let (mut points, mut out) = (sorted, &mut outcomes[..]);
+        for (t, &start) in self.starts.iter().enumerate() {
+            let close = self.starts.get(t + 1).copied().unwrap_or(self.total);
+            let here = points.partition_point(|&r| close > r);
+            if here > 0 {
+                let (these, later) = points.split_at(here);
+                let (theirs, rest) = std::mem::take(&mut out).split_at_mut(here);
+                let first = t * TILE;
+                busy.push(BusyTile {
+                    outcomes: first..(first + TILE).min(self.len),
+                    start,
+                    points: these,
+                    out: theirs,
+                    read: 0,
+                });
+                (points, out) = (later, rest);
             }
-        });
-        // points at or above the total: clamped to the last outcome
-        for _ in next..sorted.len() {
-            emit(self.len - 1);
         }
+        par::for_each_chunk(width, &mut busy, 1, |_, tile| {
+            let BusyTile {
+                outcomes,
+                start,
+                points,
+                out,
+                read,
+            } = &mut tile[0];
+            let (mut sum, mut next, mut block) = (*start, 0, [0.0f64; BLOCK]);
+            for from in outcomes.clone().step_by(BLOCK) {
+                let block = &mut block[..BLOCK.min(outcomes.end - from)];
+                weights.read(from, block);
+                *read += block.len();
+                sum = accumulate(sum, block);
+                for (k, &cum) in (from..).zip(block.iter()) {
+                    while next < points.len() && cum > points[next] {
+                        out[next] = k;
+                        next += 1;
+                    }
+                }
+                if next == points.len() {
+                    break;
+                }
+            }
+            debug_assert_eq!(
+                next,
+                points.len(),
+                "the tile's closing total exceeds its points"
+            );
+        });
+        let read = busy.iter().map(|tile| tile.read).sum();
+        outcomes.into_iter().for_each(&mut emit);
+        read
     }
+}
+
+/// A tile of a [`CdfStream`] that holds points, as its outcome pass
+/// walks it.
+struct BusyTile<'a> {
+    /// The tile's outcomes.
+    outcomes: std::ops::Range<usize>,
+    /// The running total before the tile.
+    start: f64,
+    /// The points that fall in the tile, ascending, and their outcomes.
+    points: &'a [f64],
+    out: &'a mut [usize],
+    /// Weights read so far.
+    read: usize,
 }
 
 /// Renders a tally keyed by terminal outcome index as measurement
@@ -239,7 +333,7 @@ pub(super) fn draw_sampled(
 
 /// [`draw_sampled`] without the table: each shot's one uniform is taken
 /// in shot order, as there, and scaled to its point; the points are
-/// sorted and their outcomes assigned in one more pass over the marginal
+/// sorted and their outcomes assigned from the marginal
 /// ([`CdfStream::outcomes`]). A shot's outcome is the table's for the
 /// same uniform, so the tally is the one the table draws.
 pub(super) fn draw_streamed(
@@ -252,13 +346,10 @@ pub(super) fn draw_streamed(
     let (done, stopped) = each_shot(config, |rng| points.push(prep.stream.point(rng.f64())))?;
     points.sort_unstable_by(f64::total_cmp);
     let mut tally: BTreeMap<usize, u64> = BTreeMap::new();
-    prep.stream.outcomes(
-        &points,
-        |f| prep.weights(f),
-        |k| {
+    prep.stream
+        .outcomes(&points, prep.weights(), prep.width(config), |k| {
             *tally.entry(k).or_insert(0) += 1;
-        },
-    );
+        });
     let m = prep.measured.len();
     Ok(tallied(tally, m, &prep.norm, done, stopped, empty))
 }
@@ -414,22 +505,50 @@ mod tests {
         }
     }
 
-    /// `weights` handed to a stream pass three at a time.
-    fn slices(weights: &[f64]) -> impl FnOnce(Sink<'_>) + '_ {
-        move |f| weights.chunks(3).for_each(f)
+    /// `weights` as a stream reads them, refusing a read across a tile.
+    struct Slices<'a>(&'a [f64]);
+
+    impl Weights for Slices<'_> {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn read(&self, first: usize, out: &mut [f64]) {
+            let last = first + out.len() - 1;
+            assert_eq!(first / TILE, last / TILE, "a read across a tile");
+            out.copy_from_slice(&self.0[first..=last]);
+        }
+    }
+
+    fn slices(weights: &[f64]) -> Slices<'_> {
+        Slices(weights)
+    }
+
+    /// The stream's outcomes of `sorted` on `width` threads.
+    fn streamed(
+        stream: &CdfStream,
+        sorted: &[f64],
+        weights: impl Weights,
+        width: usize,
+    ) -> Vec<usize> {
+        let mut got = Vec::new();
+        stream.outcomes(sorted, weights, width, |k| got.push(k));
+        got
     }
 
     /// The stream's outcome of every point of `points` (sorted here)
-    /// against the table's outcome of the same point.
+    /// against the table's outcome of the same point, at one, two and
+    /// four threads.
     fn assert_stream_is_the_table(weights: &[f64], mut points: Vec<f64>) {
         let table = CdfTable::new(weights.to_vec()).unwrap();
         let stream = CdfStream::new(slices(weights)).unwrap();
         assert_eq!(stream.total.to_bits(), table.cum.last().unwrap().to_bits());
         points.sort_unstable_by(f64::total_cmp);
-        let mut got = Vec::new();
-        stream.outcomes(&points, slices(weights), |k| got.push(k));
         let want: Vec<usize> = points.iter().map(|&r| table.outcome(r)).collect();
-        assert_eq!(got, want, "{weights:?}");
+        for width in [1, 2, 4] {
+            let got = streamed(&stream, &points, slices(weights), width);
+            assert_eq!(got, want, "width {width}, {} weights", weights.len());
+        }
     }
 
     #[test]
@@ -462,9 +581,11 @@ mod tests {
             let mut draw = Rng::seed_from_u64(seed);
             let mut points: Vec<f64> = (0..2000).map(|_| stream.point(draw.f64())).collect();
             points.sort_unstable_by(f64::total_cmp);
-            let mut streamed = Vec::new();
-            stream.outcomes(&points, slices(&weights), |k| streamed.push(k));
-            assert_eq!(streamed, tabled, "len {len}");
+            assert_eq!(
+                streamed(&stream, &points, slices(&weights), 1),
+                tabled,
+                "len {len}"
+            );
             // every point on its own: ties, each running total exactly,
             // zero, the total itself and the largest uniform's point, which
             // may round to it (clamped onto the trailing zeros)
@@ -494,6 +615,125 @@ mod tests {
             let stream = CdfStream::new(slices(&bad)).unwrap_err().to_string();
             assert_eq!(stream, table, "{bad:?}");
         }
+    }
+
+    /// Weights over `len` outcomes: random, with zero runs, and tile 1
+    /// and the last tile zero throughout.
+    fn tiled_weights(len: usize, rng: &mut Rng) -> Vec<f64> {
+        (0..len)
+            .map(|i| {
+                let (tile, last) = (i / TILE, (len - 1) / TILE);
+                if tile == 1 || tile == last || rng.f64() < 0.2 {
+                    0.0
+                } else {
+                    rng.f64()
+                }
+            })
+            .collect()
+    }
+
+    /// Points that probe every tile boundary: each checkpoint exactly and
+    /// either side of it, zero, the total, past the total, and uniforms.
+    fn boundary_points(stream: &CdfStream, rng: &mut Rng) -> Vec<f64> {
+        let mut points: Vec<f64> = (0..500).map(|_| stream.point(rng.f64())).collect();
+        for &c in stream.starts.iter().chain([&stream.total]) {
+            points.extend([c, c, c.next_down(), c.next_up()]);
+        }
+        points.extend([0.0, stream.total, 1.5 * stream.total, f64::MAX]);
+        points
+    }
+
+    #[test]
+    fn checkpointed_draws_are_the_tables_across_tiles() {
+        let mut rng = Rng::seed_from_u64(13);
+        for len in [1usize << 13, 1 << 14] {
+            let weights = tiled_weights(len, &mut rng);
+            let stream = CdfStream::new(slices(&weights)).unwrap();
+            assert_eq!(stream.starts.len(), len / TILE);
+            // a whole tile of zeros closes where it opens
+            let close = stream.starts.get(2).unwrap_or(&stream.total);
+            assert_eq!(stream.starts[1].to_bits(), close.to_bits());
+            let points = boundary_points(&stream, &mut rng);
+            assert_stream_is_the_table(&weights, points);
+        }
+    }
+
+    #[test]
+    fn checkpointed_draws_of_a_marginal_are_the_tables() {
+        use crate::sim::prep::{marginal, scatter_lut, tile_lut, Marginal};
+        use qclab_math::scalar::C64;
+        let mut rng = Rng::seed_from_u64(17);
+        // (register, measured): the register's own order, read straight
+        // off the state; a scrambled order of every qubit; a scrambled
+        // part of the register
+        let mut scrambled = |n: usize, m: usize| {
+            let mut q: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                q.swap(i, rng.below(i + 1));
+            }
+            q.truncate(m);
+            q
+        };
+        let cases = [
+            (13, (0..13).collect()),
+            (14, scrambled(14, 14)),
+            (15, scrambled(15, 13)),
+            (16, scrambled(16, 14)),
+        ];
+        for (n, measured) in cases {
+            // whole tiles of zero amplitudes, then random ones
+            let state: Vec<C64> = (0..1usize << n)
+                .map(|i| {
+                    if i >> 12 == 1 {
+                        C64::new(0.0, 0.0)
+                    } else {
+                        C64::new(rng.f64() - 0.5, rng.f64() - 0.5)
+                    }
+                })
+                .collect();
+            let weights = marginal(&state, &measured, n, &tile_lut(&measured, n));
+            let table = CdfTable::new(weights.clone()).unwrap();
+            let lut = scatter_lut(&measured, n);
+            let source = Marginal::new(&state, &measured, n, &lut);
+            let stream = CdfStream::new(source).unwrap();
+            assert_eq!(stream.total.to_bits(), table.cum.last().unwrap().to_bits());
+            let mut points = boundary_points(&stream, &mut rng);
+            points.sort_unstable_by(f64::total_cmp);
+            let want: Vec<usize> = points.iter().map(|&r| table.outcome(r)).collect();
+            for width in [1, 2, 4] {
+                let got = streamed(&stream, &points, source, width);
+                assert_eq!(got, want, "n={n} {measured:?}, width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_shot_draw_reads_at_most_one_tile() {
+        // the parent's outcome pass read every weight: 65 536 here
+        let mut rng = Rng::seed_from_u64(5);
+        let weights: Vec<f64> = (0..1usize << 16).map(|_| rng.f64()).collect();
+        let table = CdfTable::new(weights.clone()).unwrap();
+        let stream = CdfStream::new(slices(&weights)).unwrap();
+        for _ in 0..50 {
+            let point = [stream.point(rng.f64())];
+            let mut got = Vec::new();
+            let read = stream.outcomes(&point, slices(&weights), 1, |k| got.push(k));
+            let k = table.outcome(point[0]);
+            assert_eq!(got, [k]);
+            // the blocks of the point's tile up to the one holding it
+            assert_eq!(read, (k % TILE / BLOCK + 1) * BLOCK);
+            assert!(read <= TILE);
+        }
+        // no point, no read; a point past the total reads nothing either
+        assert_eq!(stream.outcomes(&[], slices(&weights), 1, |_| ()), 0);
+        let past = [2.0 * stream.total];
+        assert_eq!(stream.outcomes(&past, slices(&weights), 1, |_| ()), 0);
+    }
+
+    #[test]
+    fn an_overflowing_total_is_not_an_all_zero_distribution() {
+        let e = CdfTable::new(vec![f64::MAX, f64::MAX]).unwrap_err();
+        assert!(e.to_string().contains("total weight overflows"), "{e}");
     }
 
     #[test]

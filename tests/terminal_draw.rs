@@ -25,6 +25,7 @@ use common::{all_noise, assert_distribution, random_layers, with_threads, Expect
 use qclab::prelude::*;
 use qclab_core::sim::density::{run_noisy, DensityState, NoiseModel};
 use qclab_core::sim::kernel::KernelConfig;
+use qclab_core::sim::route::{route, TerminalDraw};
 use qclab_core::sim::trajectory::{
     run_trajectories, NoiseSpec, PauliChannel, Reference, ShotPath, TrajectoryConfig,
     TrajectoryResult, WatchdogConfig,
@@ -329,4 +330,58 @@ fn the_batch_width_is_the_width_asked_for_at_any_register_size() {
     assert_eq!(wide.shot_batch(), 64);
     assert_eq!(serial.shot_batch(), 1);
     assert_eq!(outcome(&wide), outcome(&serial));
+}
+
+#[test]
+fn wide_draws_are_one_function_at_every_thread_count() {
+    // 19 qubits, above the parallel threshold: the state's fill, the
+    // watchdog's norm and renormalization, and a streamed draw's outcome
+    // pass run on the team. A zero tolerance renormalizes at every check,
+    // so the renormalized bits reach the counts.
+    let n = 19;
+    let mut scrambled: Vec<usize> = (0..n).collect();
+    let mut x = 0x9e37_79b9_u64;
+    for i in (1..n).rev() {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        scrambled.swap(i, (x >> 33) as usize % (i + 1));
+    }
+    let config = TrajectoryConfig {
+        seed: 41,
+        shots: 500,
+        watchdog: WatchdogConfig {
+            check_every: 16,
+            tol: 0.0,
+        },
+        ..TrajectoryConfig::default()
+    };
+    // every qubit in register order and 18 of them scrambled stream
+    // (their tables are over the cap a plan may keep); 12 scrambled
+    // draw from a 32 KiB table
+    let cases = [
+        ((0..n).collect::<Vec<_>>(), TerminalDraw::Streamed),
+        (scrambled[..18].to_vec(), TerminalDraw::Streamed),
+        (
+            scrambled[..12].to_vec(),
+            TerminalDraw::Table { bytes: 8 << 12 },
+        ),
+    ];
+    for (measured, draw) in cases {
+        let mut c = random_layers(n, n, 2, 29);
+        for &q in &measured {
+            c.push_back(Measurement::z(q));
+        }
+        assert_eq!(route(&c, &config, None).unwrap().draw, Some(draw));
+        let golden = with_threads(1, || run_trajectories(&c, &config)).unwrap();
+        assert!(golden.norm_stats().renormalizations > 0);
+        for threads in [2, 4] {
+            let wide = with_threads(threads, || run_trajectories(&c, &config)).unwrap();
+            assert_eq!(
+                outcome(&wide),
+                outcome(&golden),
+                "{measured:?}, {threads} threads"
+            );
+        }
+    }
 }
