@@ -825,27 +825,40 @@ fn main() -> ExitCode {
     // The default panic hook stays installed, so an unwinding thread
     // still prints its message (and a backtrace under RUST_BACKTRACE=1)
     // to stderr before we convert the panic into a clean exit code.
-    match std::panic::catch_unwind(|| parse_args(&args).and_then(run)) {
-        Ok(Ok(output)) => {
-            print!("{output}");
-            ExitCode::SUCCESS
-        }
-        Ok(Err(e)) => {
-            if let Some(payload) = &e.stdout {
-                print!("{payload}");
-            }
-            eprintln!("qclab: {}", e.msg);
-            ExitCode::from(e.code)
-        }
+    let result = match std::panic::catch_unwind(|| parse_args(&args).and_then(run)) {
+        Ok(result) => result,
         Err(_) => {
             eprintln!(
                 "qclab: internal error: the command panicked. This is a bug — please report \
                  it with the command line and input circuit that triggered it (rerun with \
                  RUST_BACKTRACE=1 for a backtrace)."
             );
-            ExitCode::from(EXIT_SIM)
+            return ExitCode::from(EXIT_SIM);
+        }
+    };
+    let (stdout, code) = match &result {
+        Ok(output) => (Some(output), 0),
+        Err(e) => (e.stdout.as_ref(), e.code),
+    };
+    // a reader that closed the pipe (`qclab sample … | head -1`) took
+    // what it wanted: the command keeps its own status
+    if let Some(Err(err)) = stdout.map(|text| write_stdout(text)) {
+        if err.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("qclab: cannot write output: {err}");
+            return ExitCode::from(EXIT_IO);
         }
     }
+    if let Err(e) = &result {
+        eprintln!("qclab: {}", e.msg);
+    }
+    ExitCode::from(code)
+}
+
+fn write_stdout(text: &str) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes())?;
+    out.flush()
 }
 
 #[cfg(test)]

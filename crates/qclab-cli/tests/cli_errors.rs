@@ -699,6 +699,35 @@ fn panics_in_dispatch_become_a_clean_sim_error() {
 }
 
 #[test]
+fn a_reader_that_closes_the_pipe_early_ends_the_run_cleanly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // 12 uniform qubits sampled 100 000 times print all 4 096 outcomes,
+    // about 120 KB: more than a pipe holds, so the write meets the
+    // closed end (`qclab sample … | head -1`)
+    let all_h = write_qasm(
+        "all_h.qasm",
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[12];\ncreg c[12];\n\
+         h q;\nmeasure q -> c;\n",
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qclab"))
+        .args(["sample", &all_h, "100000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary must spawn");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("sampled 100000"), "first line: {first}");
+    let out = child.wait_with_output().unwrap();
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+}
+
+#[test]
 fn sample_is_deterministic_in_the_seed() {
     let bell = bell();
     let a = qclab(&[

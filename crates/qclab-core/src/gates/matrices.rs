@@ -301,6 +301,7 @@ impl ScaleRe for C64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gates::{shape, Shape};
     use qclab_math::scalar::DEFAULT_TOL;
 
     const PI: f64 = std::f64::consts::PI;
@@ -443,8 +444,8 @@ mod tests {
             phase(0.4),
             rotation_zz(0.4),
         ] {
-            assert!(m.is_diagonal(0.0));
+            assert_eq!(shape(m.rows(), m.as_slice(), 0.0), Shape::Diagonal);
         }
-        assert!(!hadamard().is_diagonal(1e-15));
+        assert_eq!(shape(2, hadamard().as_slice(), 0.0), Shape::Dense);
     }
 }

@@ -33,6 +33,45 @@ impl std::ops::Deref for Qubits<'_> {
     }
 }
 
+/// How a target matrix acts on basis states — the one question the
+/// dense kernel class, the sparse executor and the sparse support bound
+/// ask of a gate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// Every off-diagonal entry is zero: each basis state is only
+    /// rephased.
+    Diagonal,
+    /// Not diagonal, but no column holds more than one nonzero: each
+    /// basis state maps to at most one (phased) basis state — X, Y, CX,
+    /// SWAP.
+    Permutation,
+    /// Some column holds two nonzeros: a basis state spreads.
+    Dense,
+}
+
+/// The [`Shape`] of the row-major `dim × dim` matrix `entries`, where an
+/// entry counts as nonzero only when its magnitude exceeds `floor`.
+///
+/// The floor is the caller's: 0 where dropping an entry would change
+/// arithmetic (the kernel class, the sparse in-place path), the sparse
+/// executor's prune floor where only what survives pruning matters (the
+/// support bound).
+pub(crate) fn shape(dim: usize, entries: &[C64], floor: f64) -> Shape {
+    debug_assert_eq!(entries.len(), dim * dim);
+    // the zero test spares most entries of a sparse matrix the `hypot`
+    let counts = |e: C64| (e.re != 0.0 || e.im != 0.0) && e.norm() > floor;
+    let mut shape = Shape::Diagonal;
+    for col in 0..dim {
+        let mut nonzero = (0..dim).filter(|&row| counts(entries[row * dim + col]));
+        match (nonzero.next(), nonzero.next()) {
+            (_, Some(_)) => return Shape::Dense,
+            (Some(row), None) if row != col => shape = Shape::Permutation,
+            _ => {}
+        }
+    }
+    shape
+}
+
 /// A quantum gate instance: a unitary bound to specific qubits.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Gate {
@@ -354,27 +393,6 @@ impl Gate {
                 qubits: qubits.clone(),
                 matrix: matrix.dagger(),
             },
-        }
-    }
-
-    /// `true` if the target matrix is diagonal, enabling the fast diagonal
-    /// application kernel.
-    pub fn is_diagonal(&self) -> bool {
-        matches!(
-            self,
-            Gate::Identity(_)
-                | Gate::PauliZ(_)
-                | Gate::S(_)
-                | Gate::Sdg(_)
-                | Gate::T(_)
-                | Gate::Tdg(_)
-                | Gate::RotationZ { .. }
-                | Gate::Phase { .. }
-                | Gate::RotationZZ { .. }
-        ) || match self {
-            Gate::Controlled { target, .. } => target.is_diagonal(),
-            Gate::Custom { matrix, .. } => matrix.is_diagonal(0.0),
-            _ => false,
         }
     }
 
@@ -756,16 +774,6 @@ mod tests {
         ] {
             assert_eq!(g.relabeled(&id), g);
         }
-    }
-
-    #[test]
-    fn diagonal_detection() {
-        assert!(PauliZ::new(0).is_diagonal());
-        assert!(CZ::new(0, 1).is_diagonal());
-        assert!(CPhase::new(0, 1, 0.4).is_diagonal());
-        assert!(RotationZZ::new(0, 1, 0.4).is_diagonal());
-        assert!(!Hadamard::new(0).is_diagonal());
-        assert!(!CNOT::new(0, 1).is_diagonal());
     }
 
     #[test]

@@ -37,11 +37,12 @@
 
 use crate::circuit::{CircuitItem, QCircuit};
 use crate::error::QclabError;
-use crate::gates::Gate;
-use crate::measurement::Measurement;
+use crate::gates::{shape, Gate, Shape};
+use crate::measurement::{Basis, Measurement};
 use crate::sim::fusion::{self, FusionStats, Placed, TargetMatrices, MAX_FUSED_QUBITS_LIMIT};
 use crate::sim::guard::ResourceLimits;
 use crate::sim::kernel::{KernelConfig, SWEEP_TILE_QUBITS};
+use crate::sim::sparse::DEFAULT_PRUNE_EPS;
 use crate::sim::stabilizer::{basis_change, is_clifford_gate};
 use qclab_math::rng::mix64;
 use qclab_math::{CVec, C64};
@@ -216,12 +217,16 @@ pub struct PlanStats {
     /// whose dense footprint is refused is not over-refused for the
     /// sparse executor.
     pub state_bytes: Option<u128>,
-    /// Upper bound on the nonzero-amplitude count a sparse execution of
-    /// this program can reach from a basis initial state, propagated
-    /// op-by-op over the flat stream: permutation-class gates (X, CX,
-    /// SWAP, …) and diagonal gates preserve support, a general gate on
-    /// `k` targets multiplies it by at most `2^k` (H and Ry double),
-    /// measurements and resets only shrink it. Saturates at `2^n`.
+    /// Upper bound on the live entries a sparse execution of this
+    /// program holds, summed over its branches, from a basis initial
+    /// state, propagated op by op over the flat stream: permutation-
+    /// and diagonal-shaped gates (X, CX, SWAP, RZ, …) preserve support,
+    /// any other gate on `k` targets multiplies it by at most `2^k` (H
+    /// and Ry double), a Z measurement or a reset shares it out between
+    /// branches, and an X or Y measurement's basis change spreads it
+    /// twice. A matrix entry counts only if the product it makes can
+    /// survive the executor's pruning, so `rx(π)` preserves support
+    /// while `rx(1e-12)` spreads it. Saturates at `2^n` per branch.
     pub sparse_entries: u128,
     /// Gate windows where the locality pass adopted a new layout.
     pub remap_windows: usize,
@@ -649,46 +654,79 @@ fn flatten_items(circuit: &QCircuit, offset: usize, out: &mut Vec<CircuitItem>) 
     }
 }
 
-/// `true` when every column of `m` has at most one nonzero entry — the
-/// gate maps basis states to (phased) basis states, so it cannot grow
-/// the nonzero support of a sparse state. Covers X, Y, Z, phases, S, T,
-/// SWAP, controlled versions thereof, and any diagonal.
-fn is_permutation_matrix((dim, entries): (usize, &[C64])) -> bool {
-    const TOL: f64 = 1e-12;
-    (0..dim).all(|col| {
-        (0..dim)
-            .filter(|&row| entries[row * dim + col].norm_sqr() > TOL * TOL)
-            .nth(1)
-            .is_none()
-    })
+/// The support bound's running state over a sparse execution: live
+/// entries summed over the branches, the most branches there can be, and
+/// the qubits each branch holds at one value; a branch holds at most
+/// `2^free` entries, `free` being the qubits not held.
+struct Support {
+    entries: u128,
+    branches: u128,
+    fixed: Vec<bool>,
 }
 
-/// Upper-bound nonzero-amplitude count of a sparse execution of the flat
-/// stream from a basis initial state (see [`PlanStats::sparse_entries`]).
-/// Computed on the *unfused* stream so the bound is identical across
-/// every plan of one circuit: fusion would coarsen a run of
-/// support-preserving gates into one dense block.
-fn estimate_sparse_entries(flat: &[CircuitItem], mats: &TargetMatrices, nb_qubits: usize) -> u128 {
-    let cap: u128 = if nb_qubits >= 127 {
-        u128::MAX
-    } else {
-        1u128 << nb_qubits
-    };
-    let mut support: u128 = 1;
-    for (i, item) in flat.iter().enumerate() {
-        if let CircuitItem::Gate(g) = item {
-            // diagonal and permutation-class target matrices preserve
-            // support; a general k-target gate spreads each basis state
-            // over at most 2^k partners (controls never spread)
-            if is_permutation_matrix(mats.get(i)) {
-                continue;
-            }
-            let k = g.nb_targets().min(127) as u32;
-            support = support.saturating_mul(1u128 << k).min(cap);
+impl Support {
+    /// A `dim × dim` matrix on `targets`. Only the matrix entries whose
+    /// products can survive `SparseState::apply_gate`'s pruning count:
+    /// an amplitude is at most 1, so the entries at or below the floor
+    /// add at most `DEFAULT_PRUNE_EPS / 2` to any output, which is
+    /// pruned; the 2 covers rounding in the sum. A diagonal keeps every
+    /// entry on its index, a permutation moves it to one other, anything
+    /// else spreads it over at most `dim` (controls never spread).
+    fn apply(&mut self, targets: &[usize], (dim, entries): (usize, &[C64])) {
+        let shape = shape(dim, entries, DEFAULT_PRUNE_EPS / (2.0 * dim as f64));
+        if shape == Shape::Diagonal {
+            return;
         }
-        // measurements and resets collapse: support can only shrink
+        for &q in targets {
+            self.fixed[q] = false;
+        }
+        if shape == Shape::Dense {
+            let free = self.fixed.iter().filter(|&&held| !held).count();
+            let cap = 1u128
+                .checked_shl(free as u32)
+                .unwrap_or(u128::MAX)
+                .saturating_mul(self.branches);
+            self.entries = self.entries.saturating_mul(dim as u128).min(cap);
+        }
     }
-    support
+
+    /// A Z split of `q`: it shares each branch's entries out between its
+    /// two outcomes, and only a free qubit has two.
+    fn split(&mut self, q: usize) {
+        if !std::mem::replace(&mut self.fixed[q], true) {
+            self.branches = self.branches.saturating_mul(2);
+        }
+    }
+}
+
+/// Upper bound on the live entries a sparse execution of the flat stream
+/// holds, summed over its branches, from a basis initial state (see
+/// [`PlanStats::sparse_entries`]). Computed on the *unfused* stream so
+/// the bound is identical across every plan of one circuit: fusion would
+/// coarsen a run of support-preserving gates into one dense block.
+fn estimate_sparse_entries(flat: &[CircuitItem], mats: &TargetMatrices, nb_qubits: usize) -> u128 {
+    let mut support = Support {
+        entries: 1,
+        branches: 1,
+        fixed: vec![false; nb_qubits],
+    };
+    for (i, item) in flat.iter().enumerate() {
+        match item {
+            CircuitItem::Gate(g) => support.apply(&g.target_qubits(), mats.get(i)),
+            // off Z, the split is the basis change V† before it and V
+            // after it, as the executor runs it
+            CircuitItem::Measurement(m) if *m.basis() != Basis::Z => {
+                let v = m.basis().change_matrix();
+                support.apply(&[m.qubit()], (2, v.dagger().as_slice()));
+                support.split(m.qubit());
+                support.apply(&[m.qubit()], (2, v.as_slice()));
+            }
+            CircuitItem::Measurement(m) => support.split(m.qubit()),
+            CircuitItem::Reset(q) => support.split(*q),
+            _ => {}
+        }
+    }
+    support.entries
 }
 
 /// Lowers a circuit to a [`CompiledProgram`] without consulting the plan

@@ -20,7 +20,7 @@
 //! All kernels follow the register convention of [`qclab_math::bits`]:
 //! qubit 0 is the most significant index bit.
 
-use crate::gates::Gate;
+use crate::gates::{shape, Gate, Shape};
 use qclab_math::bits;
 use qclab_math::scalar::C64;
 use qclab_math::{CMat, CVec};
@@ -183,7 +183,7 @@ pub(crate) fn prepare_gate(gate: &Gate, n: usize) -> PreparedOp {
     let targets = gate.targets();
     let matrix = gate.target_matrix();
 
-    let kind = if matrix.is_diagonal(0.0) {
+    let kind = if shape(matrix.rows(), matrix.as_slice(), 0.0) == Shape::Diagonal {
         let diag: Vec<C64> = (0..matrix.rows()).map(|i| matrix[(i, i)]).collect();
         PreparedKind::Diagonal(DiagWalk::new(n, &targets, &diag, cm))
     } else if targets.len() == 1 {
@@ -1041,6 +1041,101 @@ mod tests {
         apply_gate(&cz, &mut s1, 2);
         apply_gate(&dense, &mut s2, 2);
         assert!(s1.approx_eq(&s2, 1e-14));
+    }
+
+    /// Every gate form's shape at floor 0, and the kernel class it
+    /// selects: the diagonal kernel exactly when the shape is diagonal.
+    /// At floor 0 the trig rounding of `cos(π/2)` and `sin(π)` counts,
+    /// so an X or Y rotation is diagonal only at angle 0.
+    #[test]
+    fn the_diagonal_kernel_runs_exactly_the_diagonal_shapes() {
+        use crate::gates::matrices;
+        use crate::program::{self, PlanOptions, ProgramOp};
+        use std::f64::consts::{PI, TAU};
+        use Shape::{Dense, Diagonal, Permutation};
+
+        let mut cases = vec![
+            (IdentityGate::new(0), Diagonal),
+            (Hadamard::new(0), Dense),
+            (PauliX::new(0), Permutation),
+            (PauliY::new(0), Permutation),
+            (PauliZ::new(0), Diagonal),
+            (SGate::new(0), Diagonal),
+            (SdgGate::new(0), Diagonal),
+            (TGate::new(0), Diagonal),
+            (TdgGate::new(0), Diagonal),
+            (SXGate::new(0), Dense),
+            (SXdgGate::new(0), Dense),
+            (U2Gate::new(0, 0.4, 0.7), Dense),
+            (SwapGate::new(0, 2), Permutation),
+            (ISwapGate::new(0, 2), Permutation),
+            (CNOT::new(0, 1), Permutation),
+            (CNOT::with_control_state(0, 1, 0), Permutation),
+            (CY::new(2, 0), Permutation),
+            (CZ::new(0, 1), Diagonal),
+            (CH::new(1, 0), Dense),
+            (CU::new(0, Hadamard::new(2)), Dense),
+            (Toffoli::new(0, 1, 2), Permutation),
+            (MCX::new(&[0, 2], 1, &[0, 1]), Permutation),
+            (MCZ::new(&[1, 2], 0, &[1, 0]), Diagonal),
+            (MCPhase::new(&[0, 1], 2, &[0, 0], 0.4), Diagonal),
+            (
+                CustomGate::new("D", &[2, 0], CMat::diag(&[cr(1.0), cr(-1.0)].repeat(2))).unwrap(),
+                Diagonal,
+            ),
+            (
+                CustomGate::new("P", &[1, 2], matrices::swap()).unwrap(),
+                Permutation,
+            ),
+        ];
+        // at angles 0.4, 0, π and 2π
+        let (spreads, diagonal) = ([Dense, Diagonal, Dense, Dense], [Diagonal; 4]);
+        type Rotation = fn(f64) -> Gate;
+        let rotations: [(Rotation, [Shape; 4]); 13] = [
+            (|t| RotationX::new(0, t), spreads),
+            (|t| RotationY::new(1, t), spreads),
+            (|t| RotationZ::new(2, t), diagonal),
+            (|t| PhaseGate::new(0, t), diagonal),
+            (|t| U3Gate::new(1, t, 0.3, 0.5), spreads),
+            (|t| RotationXX::new(0, 1, t), spreads),
+            (|t| RotationYY::new(1, 2, t), spreads),
+            (|t| RotationZZ::new(0, 2, t), diagonal),
+            (|t| CRX::new(0, 1, t), spreads),
+            (|t| CRY::new(2, 1, t), spreads),
+            (|t| CRZ::new(1, 0, t), diagonal),
+            (|t| CPhase::new(0, 2, t), diagonal),
+            (|t| RotationX::new(1, t).controlled(2, 0), spreads),
+        ];
+        for (make, shapes) in rotations {
+            for (theta, want) in [0.4, 0.0, PI, TAU].into_iter().zip(shapes) {
+                cases.push((make(theta), want));
+            }
+        }
+        // fused 2-qubit blocks: a product of diagonals stays diagonal
+        for (members, want) in [
+            (
+                vec![TGate::new(0), CZ::new(0, 1), RotationZ::new(1, 0.3)],
+                Diagonal,
+            ),
+            (vec![Hadamard::new(0), CNOT::new(0, 1)], Dense),
+        ] {
+            let mut c = crate::circuit::QCircuit::new(2);
+            for g in members {
+                c.push_back(g);
+            }
+            let plan = program::compile(&c, &PlanOptions::default());
+            let [ProgramOp::Gate(block)] = plan.ops() else {
+                panic!("one fused block expected, got {:?}", plan.ops());
+            };
+            cases.push((block.clone(), want));
+        }
+
+        for (gate, want) in cases {
+            let m = gate.target_matrix();
+            assert_eq!(shape(m.rows(), m.as_slice(), 0.0), want, "{gate:?}");
+            let diagonal = matches!(prepare_gate(&gate, 3).kind, PreparedKind::Diagonal(_));
+            assert_eq!(diagonal, want == Diagonal, "{gate:?}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use super::guard::ResourceLimits;
 use super::kernel::control_masks;
 use super::{check_initial, walk_branches, BranchState, Simulation};
 use crate::error::QclabError;
-use crate::gates::Gate;
+use crate::gates::{shape, Gate, Shape};
 use crate::program::CompiledProgram;
 use qclab_math::{bits, CVec, C64};
 
@@ -145,7 +145,7 @@ impl SparseState {
         let (cmask, cwant) = control_masks(&gate.controls(), n);
         let m = gate.target_matrix();
 
-        if m.is_diagonal(0.0) {
+        if shape(m.rows(), m.as_slice(), 0.0) == Shape::Diagonal {
             // unitary diagonal entries have unit magnitude: support and
             // entry magnitudes are preserved, no pruning needed
             for (&i, a) in self.amps.iter_mut() {

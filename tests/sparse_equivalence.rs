@@ -125,6 +125,101 @@ proptest! {
     }
 }
 
+/// An angle that puts a rotation's flip entry on either side of the
+/// support bound's floor: generic; 1e-12 or 1e-13, whose flips survive
+/// pruning; or π and 2π, whose flips are trig rounding (about 1e-16)
+/// and are pruned.
+fn edge_angle() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        common::angle(),
+        Just(1e-12),
+        Just(1e-13),
+        Just(std::f64::consts::PI),
+        Just(std::f64::consts::TAU),
+    ]
+}
+
+/// A random measured circuit (all three bases, resets, barriers) whose
+/// rotations half the time take an [`edge_angle`].
+fn edge_circuit() -> impl Strategy<Value = QCircuit> {
+    let q = 0..N;
+    let qq = (0..N, 0..N - 1).prop_map(|(a, b)| (a, if b >= a { b + 1 } else { b }));
+    let item = prop_oneof![
+        common::gate(N).prop_map(CircuitItem::Gate),
+        common::gate(N).prop_map(CircuitItem::Gate),
+        common::gate(N).prop_map(CircuitItem::Gate),
+        (q.clone(), edge_angle()).prop_map(|(q, t)| CircuitItem::Gate(RotationX::new(q, t))),
+        (q.clone(), edge_angle()).prop_map(|(q, t)| CircuitItem::Gate(RotationY::new(q, t))),
+        (qq.clone(), edge_angle())
+            .prop_map(|((a, b), t)| CircuitItem::Gate(RotationXX::new(a, b, t))),
+        (qq, edge_angle()).prop_map(|((a, b), t)| CircuitItem::Gate(CRY::new(a, b, t))),
+        (q.clone(), edge_angle(), common::angle())
+            .prop_map(|(q, t, p)| CircuitItem::Gate(U3Gate::new(q, t, p, -p))),
+        q.clone().prop_map(|q| CircuitItem::Barrier(vec![q])),
+        (q.clone(), 0u8..3).prop_map(|(q, b)| {
+            CircuitItem::Measurement(match b {
+                0 => Measurement::z(q),
+                1 => Measurement::x(q),
+                _ => Measurement::y(q),
+            })
+        }),
+        q.prop_map(CircuitItem::Reset),
+    ];
+    prop::collection::vec(item, 1..=16).prop_map(|items| {
+        let mut c = QCircuit::new(N);
+        for it in items {
+            c.push_back(it);
+        }
+        c
+    })
+}
+
+/// The sparse executor's peak and final live entries, summed over
+/// branches, from `|0…0⟩`, and the plan's support bound.
+fn support_and_bound(c: &QCircuit) -> (usize, usize, u128) {
+    let program = c.compile_with(&PlanOptions::unfused());
+    let initial = SparseState::basis_state(c.nb_qubits(), 0);
+    let sim = sparse::execute(&program, initial, &ResourceLimits::default()).unwrap();
+    let live = sim.branches().iter().map(|b| b.state().nnz()).sum();
+    (sim.peak_entries(), live, program.stats().sparse_entries)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(64)))]
+
+    /// `PlanStats::sparse_entries` is an upper bound: the sparse
+    /// executor never holds more live entries, summed over branches.
+    #[test]
+    fn the_support_bound_holds_what_the_sparse_executor_keeps(c in edge_circuit()) {
+        let (peak, live, bound) = support_and_bound(&c);
+        prop_assert!(bound >= peak as u128, "bound {} below the peak {}", bound, peak);
+        prop_assert!(bound >= live as u128, "bound {} below the final {}", bound, live);
+    }
+}
+
+/// One rotation per qubit on 16 qubits: `rx(1e-12)` leaves each flip at
+/// 5e-13, above the prune floor, so the executor keeps all 16 single
+/// flips and the bound must spread; `rx(π)`'s flip is exact up to
+/// rounding, so the bound must stay at one entry.
+#[test]
+fn the_support_bound_spreads_exactly_where_pruning_keeps_the_flip() {
+    for (theta, kept, bound_is) in [(1e-12, 17, None), (std::f64::consts::PI, 1, Some(1))] {
+        let mut c = QCircuit::new(16);
+        for q in 0..16 {
+            c.push_back(RotationX::new(q, theta));
+        }
+        let (_, live, bound) = support_and_bound(&c);
+        assert_eq!(live, kept, "rx({theta}): live entries");
+        assert!(
+            bound >= kept as u128,
+            "rx({theta}): bound {bound} below {kept}"
+        );
+        if let Some(b) = bound_is {
+            assert_eq!(bound, b, "rx({theta}): bound");
+        }
+    }
+}
+
 /// `H q0; H q1; CX q0,q1` forty times on 14 qubits: above one sweep
 /// tile, so the locality pass relabels q0 and q1 into low-order bits.
 fn hot_rounds(c: &mut QCircuit) {
