@@ -495,6 +495,12 @@ fn parse_args(args: &[String]) -> Result<(Cmd, Options), CliError> {
                     (None, None) => return Err(usage_err("missing shot count")),
                 });
             }
+            if let Some(stray) = rest.next() {
+                let cmd = cmd.name();
+                return Err(usage_err(format!(
+                    "unexpected argument '{stray}' for '{cmd}'"
+                )));
+            }
         }
     }
     Ok((cmd, o))

@@ -133,6 +133,24 @@ fn a_flag_given_twice_is_a_usage_error() {
 }
 
 #[test]
+fn a_stray_positional_argument_is_a_usage_error() {
+    let bell = bell();
+    // the parent ran each of these with the stray words dropped
+    for (args, stray) in [
+        (&["draw", &bell, "77"][..], "77"),
+        (&["tex", &bell, "x"], "x"),
+        (&["simulate", &bell, "00", "x"], "x"),
+        (&["counts", &bell, "10", "20"], "20"),
+        (&["sample", &bell, "10", "--seed", "1", "20"], "20"),
+        (&["compile", &bell, "1000"], "1000"),
+        (&["stats", &bell, "5", "x"], "5"),
+    ] {
+        let needle = format!("unexpected argument '{stray}' for '{}'", args[0]);
+        assert_fails(args, EXIT_USAGE, &needle);
+    }
+}
+
+#[test]
 fn bad_noise_specs_are_usage_errors() {
     let bell = bell();
     assert_fails(

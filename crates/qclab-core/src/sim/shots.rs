@@ -5,6 +5,15 @@
 //! dispatches the plan's bytecode through one per-instruction body,
 //! [`ShotState::step`], and serial execution is the batch of one.
 //!
+//! **One state per history.** A batch is walked as groups
+//! ([`run_shot_batch`]): shots with the same ops and the same collapse
+//! outcomes so far, and no hit yet, share one state. A mid-circuit
+//! measurement or reset computes its `(p0, p1)` once per group, each shot
+//! draws its own uniform against it, and the group splits by outcome —
+//! so teleportation's batch evolves one state per Bell outcome, not one
+//! per shot. A shot leaves its group on a state of its own at the op its
+//! first hit lands in.
+//!
 //! **One plan, noisy or not.** A noisy shot executes the same fused,
 //! relabeled plan a noiseless one does (they share its plan-cache entry,
 //! bytecode and retained terminal table). Noise sites stay numbered on
@@ -18,17 +27,17 @@
 //! only. A lane with no hit before a terminal block draws from the
 //! shared table without a state; one that injected an error tabulates
 //! its own ([`ShotState::measure_terminal`]). Per-qubit collapse
-//! ([`ShotState::sample_z`]) remains where a post-measurement state is
-//! consumed: mid-circuit measurements, resets, observables,
-//! `run_single_trajectory`.
+//! ([`ShotState::open`], then `collapse` and `settle`) remains where a
+//! post-measurement state is consumed: mid-circuit measurements, resets,
+//! observables, `run_single_trajectory`.
 
 use crate::error::QclabError;
 use crate::gates::Gate;
-use crate::measurement::Measurement;
 use crate::observable::Pauli;
 use crate::program::{CompiledProgram, ProgramOp};
 use crate::sim::bytecode::Instr;
-use crate::sim::control::{stop_or_err, ControlTicker, StopCause, StopLatch};
+use crate::sim::control::{stop_or_err, ControlTicker, ExecutionControl, StopCause, StopLatch};
+use crate::sim::guard::ResourceLimits;
 use crate::sim::kernel::{self, KernelConfig};
 use crate::sim::prep::{marginal, tile_lut, SampledPrep};
 use crate::sim::sampler::{render_outcomes, CdfTable};
@@ -166,9 +175,41 @@ fn norm(state: &[C64], width: usize) -> f64 {
     partials.iter().sum::<f64>().sqrt()
 }
 
+/// The outcome probabilities `(p0, p1)` of a collapsing op, computed
+/// once per state however many lanes draw against them.
+#[derive(Clone, Copy)]
+struct Probs(f64, f64);
+
+impl Probs {
+    /// The bit the uniform `r` picks. A degenerate outcome never
+    /// collapses onto its zero-probability half, whatever `r`, and a ratio
+    /// that is not a number picks 1.
+    fn outcome(self, r: f64) -> usize {
+        let Probs(p0, p1) = self;
+        if p1 <= 0.0 {
+            0
+        } else if p0 <= 0.0 {
+            1
+        } else if r < p0 / (p0 + p1) {
+            0
+        } else {
+            1
+        }
+    }
+
+    /// The probability of outcome `bit`.
+    fn of(self, bit: usize) -> f64 {
+        if bit == 0 {
+            self.0
+        } else {
+            self.1
+        }
+    }
+}
+
 /// State of one in-flight shot: the vector, its position in the
-/// instruction stream, and the watchdog bookkeeping.
-#[derive(Clone)]
+/// instruction stream, and the watchdog bookkeeping. A clone leaves the
+/// scratch buffer behind: it holds no state.
 pub(super) struct ShotState {
     pub(super) state: CVec,
     scratch: CVec,
@@ -189,6 +230,12 @@ pub(super) struct ShotState {
     /// … and schedule index of the next op. Inside a window the two
     /// differ in pace: `op − first` of its gates are already applied.
     op: usize,
+}
+
+impl Clone for ShotState {
+    fn clone(&self) -> Self {
+        self.with_state(self.state.clone())
+    }
 }
 
 impl ShotState {
@@ -297,45 +344,100 @@ impl ShotState {
         self.map.as_ref().map_or(q, |m| m[q])
     }
 
-    /// Samples a Z measurement of *logical* qubit `q` with the uniform
-    /// `r`, collapses, returns the bit. Under a non-identity layout the
-    /// collapse pair enumerates amplitudes in logical index order
-    /// ([`collapse`]), so probabilities — and therefore the comparison with `r`
-    /// and the drawn bit — are bit-identical to the unremapped engine.
-    fn sample_z(&mut self, q: usize, r: f64) -> usize {
+    /// Rotates the qubit a collapsing `instr` reads — a measurement's, in
+    /// its basis (the basis change is a physical single-qubit gate, so it
+    /// targets the qubit's physical slot), or a reset's, in Z — into the
+    /// computational basis, and returns the *logical* qubit with its
+    /// outcome probabilities. Under a non-identity layout the collapse
+    /// pair enumerates amplitudes in logical index order ([`collapse`]),
+    /// so the probabilities — and therefore every drawn bit — are
+    /// bit-identical to the unremapped engine.
+    fn open(&mut self, instr: &Instr) -> (usize, Probs) {
+        let q = match instr {
+            Instr::Measure(m) => {
+                if let Some((vdg, _)) = m.basis().change_gates(self.physical(m.qubit())) {
+                    kernel::apply_gate_with(&vdg, &mut self.state, self.n, &self.kernel);
+                }
+                m.qubit()
+            }
+            Instr::Reset(q) => *q,
+            _ => unreachable!("only a measurement or a reset collapses"),
+        };
         let map = self.map.as_deref();
         let (p0, p1) = collapse::measure_probabilities(&self.state, self.n, q, map);
-        // degenerate outcomes never collapse onto a zero-probability half
-        let bit = if p1 <= 0.0 {
-            0
-        } else if p0 <= 0.0 {
-            1
-        } else if r < p0 / (p0 + p1) {
-            0
-        } else {
-            1
-        };
-        let p = if bit == 0 { p0 } else { p1 };
-        // collapse into the scratch buffer and swap: same arithmetic as
-        // `collapse::collapse`, one allocation per shot at most
-        collapse::collapse_into(&self.state, self.n, q, bit, p, map, &mut self.scratch);
-        std::mem::swap(&mut self.state, &mut self.scratch);
-        bit
+        (q, Probs(p0, p1))
     }
 
-    /// Samples a measurement in its basis (rotate in, Z-sample, rotate
-    /// back), mirroring the branching simulator's basis handling. The
-    /// basis rotation is a physical single-qubit gate, so it targets the
-    /// measured qubit's physical slot.
-    fn sample_measurement(&mut self, m: &Measurement, r: f64) -> usize {
-        let q = m.qubit();
-        let Some((vdg, v)) = m.basis().change_gates(self.physical(q)) else {
-            return self.sample_z(q, r);
-        };
-        kernel::apply_gate_with(&vdg, &mut self.state, self.n, &self.kernel);
-        let bit = self.sample_z(q, r);
-        kernel::apply_gate_with(&v, &mut self.state, self.n, &self.kernel);
-        bit
+    /// Collapses the opened qubit `q` onto `bit` in place: into the
+    /// scratch buffer and swapped, one allocation per state at most.
+    fn collapse(&mut self, q: usize, bit: usize, probs: Probs) {
+        let (p, map) = (probs.of(bit), self.map.as_deref());
+        collapse::collapse_into(&self.state, self.n, q, bit, p, map, &mut self.scratch);
+        std::mem::swap(&mut self.state, &mut self.scratch);
+    }
+
+    /// A new state: this one with the opened qubit `q` collapsed onto
+    /// `bit`, written from these amplitudes (the same arithmetic as
+    /// [`collapse`](Self::collapse)), which stay as they are, into this
+    /// state's scratch buffer — so a state that waits for another holds
+    /// its amplitudes only.
+    fn collapsed(&mut self, q: usize, bit: usize, probs: Probs) -> ShotState {
+        let mut state = std::mem::replace(&mut self.scratch, CVec(Vec::new()));
+        let (p, map) = (probs.of(bit), self.map.as_deref());
+        collapse::collapse_into(&self.state, self.n, q, bit, p, map, &mut state);
+        self.with_state(state)
+    }
+
+    /// A copy of this shot, written into this state's scratch buffer like
+    /// [`collapsed`](Self::collapsed)'s.
+    fn fork(&mut self) -> ShotState {
+        let mut state = std::mem::replace(&mut self.scratch, CVec(Vec::new()));
+        state.0.clone_from(&self.state.0);
+        self.with_state(state)
+    }
+
+    /// The rest of a collapsing `instr` once it collapsed onto `bit`: a
+    /// measurement rotates back out of its basis and records the bit, a
+    /// reset that read 1 flips the qubit back to 0.
+    fn settle(&mut self, instr: &Instr, bit: usize, record: &mut String) {
+        match instr {
+            Instr::Measure(m) => {
+                if let Some((_, v)) = m.basis().change_gates(self.physical(m.qubit())) {
+                    kernel::apply_gate_with(&v, &mut self.state, self.n, &self.kernel);
+                }
+                record.push(if bit == 0 { '0' } else { '1' });
+            }
+            Instr::Reset(q) if bit == 1 => {
+                let flip = Gate::PauliX(self.physical(*q));
+                kernel::apply_gate_with(&flip, &mut self.state, self.n, &self.kernel);
+                self.bump_watchdog(1);
+            }
+            _ => {}
+        }
+    }
+
+    /// Moves the cursor past a one-op instruction.
+    fn passed(&mut self) {
+        self.op += 1;
+        self.pc += 1;
+    }
+
+    /// This shot's bookkeeping — cursor, watchdog, layout, hits — on the
+    /// amplitudes `state`, with a scratch buffer of its own to come.
+    fn with_state(&self, state: CVec) -> ShotState {
+        ShotState {
+            state,
+            scratch: CVec(Vec::new()),
+            n: self.n,
+            kernel: self.kernel,
+            watchdog: self.watchdog,
+            stats: self.stats,
+            gates_since_check: self.gates_since_check,
+            injected: self.injected.clone(),
+            map: self.map.clone(),
+            pc: self.pc,
+            op: self.op,
+        }
     }
 
     /// The cumulative outcome table of `block` on this state — the one
@@ -447,16 +549,11 @@ impl ShotState {
                 );
                 self.map.clone_from(map);
             }
-            Instr::Measure(m) => {
-                let bit = self.sample_measurement(m, draws.collapse());
-                record.push(if bit == 0 { '0' } else { '1' });
-            }
-            Instr::Reset(q) => {
-                if self.sample_z(*q, draws.collapse()) == 1 {
-                    let flip = Gate::PauliX(self.physical(*q));
-                    kernel::apply_gate_with(&flip, &mut self.state, self.n, &self.kernel);
-                    self.bump_watchdog(1);
-                }
+            Instr::Measure(_) | Instr::Reset(_) => {
+                let (q, probs) = self.open(instr);
+                let bit = probs.outcome(draws.collapse());
+                self.collapse(q, bit, probs);
+                self.settle(instr, bit, record);
             }
         }
         if struck {
@@ -491,11 +588,10 @@ impl ShotState {
         Ok(())
     }
 
-    /// [`advance`](Self::advance) over a stretch evolved once for many
-    /// shots — the deterministic prefix, a batch's reference pass. Such
-    /// a stretch ends at the first measurement or reset at the latest
-    /// and no lane has a hit in it, so there is nothing to draw and the
-    /// record stays empty.
+    /// [`advance`](Self::advance) over the deterministic prefix, evolved
+    /// once for every shot of a run. It ends at the first measurement or
+    /// reset at the latest and no lane has a hit in it, so there is
+    /// nothing to draw and the record stays empty.
     fn advance_shared(
         &mut self,
         program: &CompiledProgram,
@@ -530,8 +626,10 @@ pub(super) struct ShotProgram {
     pub(super) terminal: Option<TerminalBlock>,
     /// The table of the run's noiseless evolution, which every lane that
     /// injects nothing before the terminal block draws from. `None` on
-    /// [`Reference::NoSharing`](super::trajectory::Reference::NoSharing):
-    /// every lane then tabulates its own state.
+    /// [`Reference::NoSharing`](super::trajectory::Reference::NoSharing),
+    /// which gives up the run-wide prefix and table only: within a batch
+    /// a group still shares its state and its table (`shot_batch = 1` is
+    /// the per-shot engine).
     pub(super) shared: Option<Arc<SampledPrep>>,
 }
 
@@ -574,167 +672,330 @@ impl TerminalBlock {
     }
 }
 
-/// What a lane measured: the record of per-qubit collapses, or the
-/// outcome index of one terminal draw (measurement `j` is bit `m−1−j`).
+/// What the lanes handed to `finish` together measured: the record of
+/// their per-qubit collapses, which they share, or the outcome index of
+/// each one's terminal draw, in lane order (measurement `j` is bit
+/// `m−1−j`).
 pub(super) enum Measured {
     Record(String),
-    Outcome(usize),
+    Outcomes(Vec<usize>),
 }
 
-/// Where one lane's trajectory first leaves the batch's shared
-/// noiseless evolution. A shot's hits are a function of its
+/// One lane of a batch. A shot's hits are a function of its
 /// `(seed, shot)` stream and the source schedule alone, never of
 /// amplitudes — so they are all drawn, landed and sorted before any
-/// state exists, and the first op at which the shot can diverge (the
-/// earliest op a hit lands in, or the first measurement or reset that
-/// collapses the state) is known up front.
-struct LaneFork {
-    /// Index of the first op the lane executes itself; the op count when
-    /// it executes none (its walk has no hit, up to and including a
-    /// terminal block's readout sites).
-    shared: usize,
+/// state exists, and the op at which the lane leaves its group (the
+/// earliest op a hit lands in) is known up front.
+struct Lane {
     /// The lane's hits, addressed to the plan, and its stream.
     draws: LaneDraws,
     /// The lane's hits in stream order, for its result.
     injected: Vec<InjectedPauli>,
 }
 
-/// Takes shot `shot`'s draws and finds the lane's fork point: the
-/// earliest op one of its hits lands in, or `collapse` — the first
-/// measurement or reset, which consults the state — if that comes first.
-/// `collapses` says whether measurements collapse one by one (each then
-/// owns a uniform of the stream) or end in a terminal draw. With
-/// `through` (a terminal block drawn from a shared table) a lane without
-/// any hit does not fork at all: it comes back parked on its outcome
-/// uniform.
-fn lane_fork(
+/// Takes shot `shot`'s draws. `collapses` says whether measurements
+/// collapse one by one (each then owns a uniform of the stream) or end in
+/// a terminal draw.
+fn draw_lane(
     program: &CompiledProgram,
     noise: &NoisePlan,
     seed: u64,
     shot: u64,
-    collapse: usize,
     collapses: bool,
-    through: Option<usize>,
-) -> LaneFork {
+) -> Lane {
     let mut rng = shot_rng(seed, shot);
     let ShotDraws { hits, collapses } = noise.draw_shot(program, collapses, &mut rng);
-    let draws = LaneDraws::land(program, &hits, collapses, rng);
-    let shared = match through {
-        Some(ops) if hits.is_empty() => ops,
-        _ => draws.next_op().min(collapse),
-    };
-    LaneFork {
-        shared,
-        draws,
+    Lane {
+        draws: LaneDraws::land(program, &hits, collapses, rng),
         injected: hits,
     }
 }
 
-/// Drives `count` shots (`first..first + count`) through the bytecode by
-/// amortizing the evolution the shots *share*. Up to its first
-/// stochastic divergence every shot follows the same noiseless
-/// trajectory through the same kernels, and because a shot's noise walk
-/// never consults the state, each lane's divergence point is known up
-/// front ([`lane_fork`]). The batch therefore evolves one reference state
-/// through the shared ops *once* — only as far as its last diverging
-/// lane — forks each lane off it at that lane's own divergence point
-/// (state + cursor + watchdog counters, with the lane's draws), and
-/// finishes the lane before moving on, so the suffix state stays
-/// cache-resident; the last lane takes the reference itself, so a batch
-/// of one copies nothing. `reference` is the state the shots start from.
+/// A group of the walk: one state and the lanes whose history it holds —
+/// the same ops, the same collapse outcomes, no hit yet — with the record
+/// they share.
+struct Group {
+    state: ShotState,
+    lanes: Vec<usize>,
+    record: String,
+}
+
+/// One batch's group walk: what its groups and lanes read, and the
+/// states it holds.
+struct Walk<'a, F> {
+    program: &'a CompiledProgram,
+    stream: &'a [Instr],
+    block: Option<&'a TerminalBlock>,
+    /// Where a lane stops stepping: the terminal block, or the end.
+    until: usize,
+    limits: &'a ResourceLimits,
+    /// Batches the fan-out may run at once, each holding what this one
+    /// does.
+    width: usize,
+    lanes: Vec<Lane>,
+    /// The draws of a group: it holds no hit and draws nothing itself.
+    silent: LaneDraws,
+    /// The groups' poll of the run's control; a lane on its own polls
+    /// through a ticker of its own, as it would alone.
+    ticker: ControlTicker<'a>,
+    control: &'a ExecutionControl,
+    finish: F,
+    /// States the walk holds, and the most it has held at once.
+    live: usize,
+    peak: usize,
+}
+
+impl<F: FnMut(&[usize], Measured, Option<ShotState>)> Walk<'_, F> {
+    /// Counts a state the walk has just made.
+    fn hold(&mut self, state: ShotState) -> ShotState {
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
+        state
+    }
+
+    /// Hands finished lanes, and the state they end on, to `finish`.
+    fn hand(&mut self, lanes: &[usize], measured: Measured, state: ShotState) {
+        (self.finish)(lanes, measured, Some(state));
+        self.live -= 1;
+    }
+
+    /// Walks group `g` to its end. The group steps until the earliest op
+    /// one of its lanes' hits lands in, where that lane leaves on a state
+    /// of its own; at a measurement or reset each lane draws its own
+    /// uniform against the group's `(p0, p1)`, and a side that not every
+    /// lane took runs first as a group (or lane by lane) of its own.
+    fn walk(&mut self, mut g: Group) -> Result<(), QclabError> {
+        loop {
+            let op = g.state.op;
+            let end = op == self.until;
+            // a lane with a hit here — at the end: in the terminal
+            // block — goes on alone; the last to leave takes the state
+            let leaves = |lane: &Lane| lane.draws.next().is_some_and(|at| end || at.op == op);
+            if g.lanes.iter().any(|&j| leaves(&self.lanes[j])) {
+                let (gone, stay): (Vec<usize>, Vec<usize>) =
+                    g.lanes.iter().partition(|&&j| leaves(&self.lanes[j]));
+                g.lanes = stay;
+                for (k, &j) in gone.iter().enumerate() {
+                    if g.lanes.is_empty() && k + 1 == gone.len() {
+                        return self.lone(g.state, j, g.record);
+                    }
+                    let lane = self.hold(g.state.fork());
+                    self.lone(lane, j, g.record.clone())?;
+                }
+            }
+            if end {
+                return self.end(g);
+            }
+            let instr = &self.stream[g.state.pc];
+            if let Instr::Measure(_) | Instr::Reset(_) = instr {
+                self.split(&mut g, instr)?;
+                continue;
+            }
+            let lanes = &self.lanes;
+            let next_hit = g.lanes.iter().map(|&j| lanes[j].draws.next_op()).min();
+            let stop = next_hit.unwrap_or(usize::MAX).min(self.until);
+            let (program, silent) = (self.program, &mut self.silent);
+            let ops = g.state.step(program, instr, stop, silent, &mut g.record);
+            self.ticker.tick_n(ops)?;
+        }
+    }
+
+    /// The collapse at `g`'s cursor: every lane takes its own uniform, in
+    /// lane order, and joins the side it picks. A side every lane took
+    /// collapses in place. Otherwise the smaller side runs first, on a
+    /// collapsed copy, and the larger goes on in place — at most
+    /// `1 + ⌊log₂ lanes⌋` states alive. A state that waits gives its
+    /// scratch buffer to the state it waits for, so the walk's `live`
+    /// states hold `live + 1` vectors at most. A smaller side of two lanes
+    /// or more runs as a group only if the limits admit what every batch
+    /// the fan-out runs at once may then hold
+    /// ([`ResourceLimits::check_branches`]); else lane by lane, one state
+    /// beside the group's at a time: the group's amplitudes and the lane's
+    /// two vectors.
+    fn split(&mut self, g: &mut Group, instr: &Instr) -> Result<(), QclabError> {
+        let (q, probs) = g.state.open(instr);
+        let lanes = &mut self.lanes;
+        let (zeros, ones): (Vec<usize>, Vec<usize>) = g
+            .lanes
+            .iter()
+            .partition(|&&j| probs.outcome(lanes[j].draws.collapse()) == 0);
+        let (bit, small, large) = if ones.len() < zeros.len() {
+            (1, ones, zeros)
+        } else {
+            (0, zeros, ones)
+        };
+        if !small.is_empty() {
+            // nesting keeps this group's state waiting beside the side's,
+            // and a lane of the side may leave on one more with a scratch
+            let vectors = self.width * (self.live + 3);
+            let nest = small.len() > 1 && self.limits.check_branches(g.state.n, vectors).is_ok();
+            let side = |s: &mut ShotState, record: &String| {
+                let mut side = s.collapsed(q, bit, probs);
+                let mut record = record.clone();
+                side.settle(instr, bit, &mut record);
+                side.passed();
+                (side, record)
+            };
+            if nest {
+                let (state, record) = side(&mut g.state, &g.record);
+                let state = self.hold(state);
+                self.walk(Group {
+                    state,
+                    lanes: small,
+                    record,
+                })?;
+            } else {
+                for j in small {
+                    let (state, record) = side(&mut g.state, &g.record);
+                    let lane = self.hold(state);
+                    self.lone(lane, j, record)?;
+                }
+            }
+        }
+        g.lanes = large;
+        g.state.collapse(q, 1 - bit, probs);
+        g.state.settle(instr, 1 - bit, &mut g.record);
+        g.state.passed();
+        Ok(())
+    }
+
+    /// A group at the end of its walk: the end-of-shot check and its
+    /// shared record, or one table of its terminal block that each lane
+    /// draws from with its own stream.
+    fn end(&mut self, mut g: Group) -> Result<(), QclabError> {
+        let measured = match self.block {
+            Some(block) => {
+                let table = g.state.terminal_table(block)?;
+                let lanes = &mut self.lanes;
+                let draw = |&j: &usize| table.sample(&mut lanes[j].draws.rng);
+                Measured::Outcomes(g.lanes.iter().map(draw).collect())
+            }
+            None => {
+                g.state.final_check();
+                Measured::Record(g.record)
+            }
+        };
+        self.hand(&g.lanes, measured, g.state);
+        Ok(())
+    }
+
+    /// Lane `j` on a state of its own, from where it left its group to
+    /// the end of its shot.
+    fn lone(
+        &mut self,
+        mut lane: ShotState,
+        j: usize,
+        mut record: String,
+    ) -> Result<(), QclabError> {
+        let Lane { draws, injected } = &mut self.lanes[j];
+        lane.injected = std::mem::take(injected);
+        let (program, stream) = (self.program, self.stream);
+        lane.advance(
+            program,
+            stream,
+            self.until,
+            draws,
+            &mut record,
+            &mut self.control.ticker(),
+        )?;
+        let measured = match self.block {
+            Some(block) => Measured::Outcomes(vec![lane.measure_terminal(block, draws)?]),
+            None => {
+                lane.final_check();
+                Measured::Record(record)
+            }
+        };
+        self.hand(&[j], measured, lane);
+        Ok(())
+    }
+}
+
+/// Drives `count` shots (`first..first + count`) through the bytecode as
+/// a **group walk**: shots that share a history share one state. A group
+/// is one state plus the lanes whose history it holds — the same ops, the
+/// same collapse outcomes, no hit yet — and a batch starts as one group on
+/// `reference`, the state the shots start from. A shot's noise walk
+/// never consults the state, so where each lane's first hit lands is
+/// known up front ([`draw_lane`]): the group evolves once as far as that
+/// op, and the lane leaves there on a copy of its own (the last to leave
+/// takes the state). At a collapsing measurement or reset the group
+/// computes `(p0, p1)` once, each lane draws its own uniform, and each
+/// side that some lane took goes on as a group on its own collapsed state
+/// ([`Walk::split`]); the smaller side runs first, so a batch holds at
+/// most `1 + ⌊log₂ count⌋` states. A waiting state keeps no scratch
+/// buffer, and a split nests only where the limits admit what the batches
+/// running at once may then hold; otherwise its smaller side runs lane by
+/// lane, the three vectors a batch held before.
 ///
-/// With a terminal `block`, a lane ends in one outcome draw
-/// ([`ShotState::measure_terminal`]) instead of stepping through the
-/// measurements; with a shared table as well, a lane that never
-/// diverges holds no state at all and draws from that table.
+/// With a terminal `block`, a group ends in one table that each of its
+/// lanes draws one outcome from, and a lane with a hit in the block in
+/// its own draw ([`ShotState::measure_terminal`]); with a shared table as
+/// well, a lane that never diverges holds no state at all and draws from
+/// that table.
 ///
-/// Every lane runs the per-instruction body ([`ShotState::step`]) over
-/// the same ops in the same order with the same draws whatever the
-/// grouping, so every shot is bit-identical at any batch width. A
-/// finished lane is handed to `finish` as (lane index, what it measured,
-/// its own state — `None` if it drew from the shared table); a control
-/// stop (reference pass or any lane) returns the error, and the caller
-/// drops the whole in-flight batch.
+/// Every lane runs the per-instruction body ([`ShotState::step`]) and the
+/// same collapse arithmetic over the same ops in the same order with its
+/// own draws whatever the grouping, so every shot is bit-identical at any
+/// batch width. Finished lanes are handed to `finish` as (lane indices,
+/// what they measured, the state they end on — `None` for lanes that
+/// drew from the shared table). Returns the most states the batch held at
+/// once; a control stop returns the error, and the caller drops the whole
+/// in-flight batch.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn run_shot_batch(
     program: &CompiledProgram,
     noise: &NoisePlan,
     block: Option<&TerminalBlock>,
     shared: Option<&SampledPrep>,
-    mut reference: ShotState,
+    reference: ShotState,
     config: &TrajectoryConfig,
     first: u64,
     count: usize,
-    mut finish: impl FnMut(usize, Measured, Option<ShotState>),
-) -> Result<(), QclabError> {
+    mut finish: impl FnMut(&[usize], Measured, Option<ShotState>),
+) -> Result<usize, QclabError> {
     let bc = program.bytecode();
-    let stream = &bc.stream;
-    // where does each lane leave the shared trajectory? (one set of
-    // draws per lane — no state, no kernels) Only with a table to draw
-    // from can a lane pass through the block.
-    let through = block.and(shared).map(|_| bc.ops);
-    // the reference starts at op 0 or at the end of the deterministic
-    // prefix: the first collapse is where that prefix ends
-    let collapse = program.shot_plan().prefix_ops;
-    debug_assert!(reference.op <= collapse);
-    let mut forks: Vec<LaneFork> = (0..count as u64)
-        .map(|j| {
-            let shot = first + j;
-            lane_fork(
-                program,
-                noise,
-                config.seed,
-                shot,
-                collapse,
-                block.is_none(),
-                through,
-            )
-        })
+    // one set of draws per lane — no state, no kernels
+    let seed = config.seed;
+    let collapses = block.is_none();
+    let mut lanes: Vec<Lane> = (0..count as u64)
+        .map(|j| draw_lane(program, noise, seed, first + j, collapses))
         .collect();
-    let mut order: Vec<usize> = (0..count).collect();
-    order.sort_by_key(|&j| forks[j].shared);
-    // the lanes that never diverge sort last and need no state
-    let mut diverging = &order[..];
+    let mut walking: Vec<usize> = (0..count).collect();
     if let Some(table) = shared {
-        diverging = &order[..order.partition_point(|&j| forks[j].shared < bc.ops)];
-        for &j in &order[diverging.len()..] {
-            let outcome = table.draw(&mut forks[j].draws.rng);
-            finish(j, Measured::Outcome(outcome), None);
+        // the lanes that never diverge need no state
+        let quiet: Vec<usize>;
+        (quiet, walking) = walking.iter().partition(|&&j| lanes[j].injected.is_empty());
+        if !quiet.is_empty() {
+            let draw = |&j: &usize| table.draw(&mut lanes[j].draws.rng);
+            let outcomes = quiet.iter().map(draw).collect();
+            finish(&quiet, Measured::Outcomes(outcomes), None);
         }
     }
-    let Some((&last, rest)) = diverging.split_last() else {
-        return Ok(());
-    };
-    let mut run_lane = |mut lane: ShotState, j: usize, fork: &mut LaneFork| {
-        lane.injected = std::mem::take(&mut fork.injected);
-        let mut record = String::new();
-        let mut ticker = config.control.ticker();
-        let until = block.map_or(bc.ops, |b| b.first);
-        lane.advance(
-            program,
-            stream,
-            until,
-            &mut fork.draws,
-            &mut record,
-            &mut ticker,
-        )?;
-        let measured = match block {
-            Some(block) => Measured::Outcome(lane.measure_terminal(block, &mut fork.draws)?),
-            None => {
-                lane.final_check();
-                Measured::Record(record)
-            }
-        };
-        finish(j, measured, Some(lane));
-        Ok::<(), QclabError>(())
-    };
-    let mut ticker = config.control.ticker();
-    for &j in rest {
-        reference.advance_shared(program, stream, forks[j].shared, &mut ticker)?;
-        run_lane(reference.clone(), j, &mut forks[j])?;
+    if walking.is_empty() {
+        return Ok(0);
     }
-    reference.advance_shared(program, stream, forks[last].shared, &mut ticker)?;
-    run_lane(reference, last, &mut forks[last])
+    let mut walk = Walk {
+        program,
+        stream: &bc.stream,
+        block,
+        until: block.map_or(bc.ops, |b| b.first),
+        limits: &config.limits,
+        width: par::width(config.kernel.allow_parallel),
+        lanes,
+        silent: LaneDraws::silent(),
+        ticker: config.control.ticker(),
+        control: &config.control,
+        finish,
+        live: 1,
+        peak: 1,
+    };
+    let root = Group {
+        state: reference,
+        lanes: walking,
+        record: String::new(),
+    };
+    walk.walk(root)?;
+    Ok(walk.peak)
 }
 
 /// Evolves the deterministic prefix (the first `prefix` ops — gates,
@@ -867,20 +1128,34 @@ pub(super) fn run_ensemble(
             expectations: vec![0.0; count * observables],
             ..Tally::default()
         };
-        let finish = |lane: usize, measured: Measured, own: Option<ShotState>| {
+        // a state handed over with several lanes is each one's: its
+        // stats and values count once per lane
+        let finish = |lanes: &[usize], measured: Measured, own: Option<ShotState>| {
+            let members = lanes.len() as u64;
             match measured {
-                Measured::Outcome(k) => *tally.outcomes.entry(k).or_insert(0) += 1,
-                Measured::Record(r) => *tally.records.entry(r).or_insert(0) += 1,
+                Measured::Outcomes(ks) => {
+                    for k in ks {
+                        *tally.outcomes.entry(k).or_insert(0) += 1;
+                    }
+                }
+                Measured::Record(r) => *tally.records.entry(r).or_insert(0) += members,
             }
             let Some(s) = own else {
-                tally.norm.merge(&shared_norm);
+                tally.norm.merge(&shared_norm.times(members));
                 return;
             };
-            tally.injected += s.injected.len() as u64;
-            tally.norm.merge(&s.stats);
-            let values = &mut tally.expectations[lane * observables..][..observables];
-            for (value, o) in values.iter_mut().zip(&config.observables) {
-                *value = o.expectation(&s.state);
+            tally.injected += s.injected.len() as u64 * members;
+            tally.norm.merge(&s.stats.times(members));
+            if observables > 0 {
+                let values: Vec<f64> = config
+                    .observables
+                    .iter()
+                    .map(|o| o.expectation(&s.state))
+                    .collect();
+                for &lane in lanes {
+                    tally.expectations[lane * observables..][..observables]
+                        .copy_from_slice(&values);
+                }
             }
         };
         let start = prog.start.clone();
@@ -938,6 +1213,11 @@ pub(super) fn run_ensemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::QCircuit;
+    use crate::gates::factories::*;
+    use crate::measurement::Measurement;
+    use crate::sim::prep;
+    use crate::sim::route::route;
 
     #[test]
     fn the_watchdog_norm_is_one_function_at_every_width() {
@@ -955,5 +1235,140 @@ mod tests {
                 assert_eq!(norm(&state, width).to_bits(), serial.to_bits(), "n={n}");
             }
         }
+    }
+
+    /// The paper's teleportation (Sec. 5.1): the message is un-prepared
+    /// after the correction, so only the two Bell bits are random.
+    fn teleport() -> QCircuit {
+        let mut c = QCircuit::new(3);
+        c.push_back(Hadamard::new(0));
+        c.push_back(SGate::new(0));
+        c.push_back(Hadamard::new(1));
+        c.push_back(CNOT::new(1, 2));
+        c.push_back(CNOT::new(0, 1));
+        c.push_back(Hadamard::new(0));
+        c.push_back(Measurement::z(0));
+        c.push_back(Measurement::z(1));
+        c.push_back(CNOT::new(1, 2));
+        c.push_back(CZ::new(0, 2));
+        c.push_back(SdgGate::new(2));
+        c.push_back(Hadamard::new(2));
+        c.push_back(Measurement::z(2));
+        c
+    }
+
+    /// The paper's distance-3 repetition code (Sec. 5.4): the syndrome
+    /// and the corrected data are certain.
+    fn qec3() -> QCircuit {
+        let mut c = QCircuit::new(5);
+        c.push_back(PauliX::new(0));
+        c.push_back(CNOT::new(0, 1));
+        c.push_back(CNOT::new(0, 2));
+        c.push_back(PauliX::new(1));
+        for (a, b) in [(0, 3), (1, 3), (0, 4), (2, 4)] {
+            c.push_back(CNOT::new(a, b));
+        }
+        c.push_back(Measurement::z(3));
+        c.push_back(Measurement::z(4));
+        c.push_back(PauliX::new(3));
+        c.push_back(Toffoli::new(3, 4, 2));
+        c.push_back(PauliX::new(3));
+        c.push_back(PauliX::new(4));
+        c.push_back(Toffoli::new(3, 4, 1));
+        c.push_back(PauliX::new(4));
+        c.push_back(Toffoli::new(3, 4, 0));
+        for q in 0..3 {
+            c.push_back(Measurement::z(q));
+        }
+        c
+    }
+
+    /// `bits` fair coins, each measured mid-circuit and then flipped back.
+    fn coins(n: usize, bits: usize) -> QCircuit {
+        let mut c = QCircuit::new(n);
+        for q in 0..bits {
+            c.push_back(Hadamard::new(q));
+        }
+        for q in 0..bits {
+            c.push_back(Measurement::z(q));
+            c.push_back(PauliX::new(q));
+        }
+        c
+    }
+
+    /// One batch of `count` shots of `c` through the product route's
+    /// preparation: the states handed to `finish`, the records, and the
+    /// most states the batch held at once.
+    fn one_batch(
+        c: &QCircuit,
+        config: &TrajectoryConfig,
+        count: usize,
+    ) -> (usize, Vec<String>, usize) {
+        let route = route(c, config, None).unwrap();
+        let (prepared, _) = prep::prepare(&route, None, config).unwrap();
+        let prep::Prepared::Shots(prog) = prepared else {
+            panic!("{} runs shot by shot", route.path);
+        };
+        let (mut states, mut records) = (0, Vec::new());
+        let peak = run_shot_batch(
+            &route.program,
+            &prog.noise,
+            prog.terminal.as_ref(),
+            prog.shared.as_deref(),
+            prog.start.clone(),
+            config,
+            0,
+            count,
+            |lanes, measured, own| {
+                states += usize::from(own.is_some());
+                if let Measured::Record(r) = measured {
+                    records.extend(lanes.iter().map(|_| r.clone()));
+                }
+            },
+        )
+        .unwrap();
+        records.sort();
+        (states, records, peak)
+    }
+
+    #[test]
+    fn shots_with_one_measurement_history_share_one_state() {
+        let config = TrajectoryConfig::default();
+        // one state per Bell outcome, and every one of them drawn
+        let (states, records, _) = one_batch(&teleport(), &config, 64);
+        assert_eq!(states, 4);
+        assert_eq!(records.len(), 64);
+        let mut bell: Vec<&str> = records.iter().map(|r| &r[..2]).collect();
+        bell.dedup();
+        assert_eq!(bell, ["00", "01", "10", "11"]);
+        assert!(records.iter().all(|r| r.ends_with('0')));
+        // a certain syndrome never splits the batch
+        let (states, records, peak) = one_batch(&qec3(), &config, 64);
+        assert_eq!((states, peak), (1, 1));
+        assert!(records.iter().all(|r| r == "10111"), "{records:?}");
+    }
+
+    #[test]
+    fn a_batch_holds_at_most_one_state_per_halving_and_two_when_refused() {
+        let c = coins(8, 6);
+        let config = TrajectoryConfig::default();
+        let (states, records, peak) = one_batch(&c, &config, 64);
+        // 64 lanes over 2⁶ histories: the smaller side first nests at
+        // most ⌊log₂ 64⌋ deep
+        assert!((3..=1 + 6).contains(&peak), "peak {peak}");
+        assert!(states > 16, "{states} histories");
+        // the same run where the limits admit two states but not three:
+        // each split's smaller side goes lane by lane, the bits unchanged
+        let two = ResourceLimits {
+            max_state_bytes: 2 * ResourceLimits::state_bytes(8).unwrap(),
+            ..ResourceLimits::default()
+        };
+        let capped = TrajectoryConfig {
+            limits: two,
+            ..TrajectoryConfig::default()
+        };
+        let (_, capped_records, capped_peak) = one_batch(&c, &capped, 64);
+        assert_eq!(capped_peak, 2);
+        assert_eq!(capped_records, records);
     }
 }

@@ -277,13 +277,16 @@ pub struct TrajectoryConfig {
     /// Batch width. On the Pauli-frame path a batch is `shot_batch`
     /// *words* of 64 bit-sliced lanes (the default is 4096 shots per
     /// batch). On the per-shot/forked paths it is shots per batch: a batch
-    /// evolves the noiseless stretch its shots share once and forks each
-    /// shot off at its own first stochastic divergence. Per-shot
+    /// evolves what its shots share once — a collapse splits it by
+    /// outcome — and each shot goes on alone from its first hit. Per-shot
     /// `(seed, shot)` RNG streams make every shot independent of the
     /// batch grouping, so results are bit-identical at any batch size;
-    /// `<= 1` is the serial engine (the batch of one). A batch holds two
-    /// states at a time (its reference and the lane being finished)
-    /// whatever its width.
+    /// `<= 1` is the serial engine (the batch of one). Shots of a batch
+    /// that share a measurement history share one state, so a batch
+    /// holds at most `1 + ⌊log₂ shot_batch⌋` states and one scratch
+    /// vector; past the three vectors of a state and one lane, only as
+    /// many as [`limits`](Self::limits) admits for every batch running
+    /// at once.
     pub shot_batch: usize,
 }
 
@@ -311,10 +314,12 @@ impl Default for TrajectoryConfig {
 pub enum Reference {
     /// Every shortcut the run's shape allows.
     Product,
-    /// No shared evolution: every shot evolves and tabulates its own
-    /// state from op 0 — no forked prefix, no terminal table, no sparse
-    /// prefix sampling (the Pauli frames stay eligible). Results are
-    /// `==` the product's.
+    /// No run-wide shared evolution: every batch evolves from op 0 — no
+    /// forked prefix, no run-wide terminal table, no sparse prefix
+    /// sampling (the Pauli frames stay eligible). Within a batch, shots
+    /// that share a history still share a state and its table;
+    /// [`TrajectoryConfig::shot_batch`] `= 1` is the per-shot engine.
+    /// Results are `==` the product's.
     NoSharing,
     /// No Pauli frames: a noisy Clifford run stays on the state-vector
     /// engine. Statistically equivalent to the product, not bit-identical

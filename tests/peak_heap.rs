@@ -16,6 +16,7 @@
 use qclab::prelude::*;
 use qclab_core::program::{self, ProgramOp, RETAINED_BYTES_CAP};
 use qclab_core::service::{JobSpec, Scheduler, ServiceConfig};
+use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::route::{route, TerminalDraw};
 use qclab_core::sim::trajectory::{run_trajectories, TrajectoryConfig, TrajectoryResult};
 use qclab_math::rng::Rng;
@@ -161,6 +162,54 @@ fn a_dense_terminal_run_peaks_at_its_state_vector() {
     );
     let (peak, _) = peak_of(|| run_trajectories(&circuit, &many).unwrap());
     assert!(peak >= state + table, "peak {peak} B");
+}
+
+/// Six fair coins on 18 qubits, each measured mid-circuit: one batch of
+/// 64 shots splits into up to 64 histories. A state the group walk keeps
+/// waiting holds its amplitudes and no scratch, so the walk's heap is one
+/// vector per state it holds and one scratch: under a cap that refuses a
+/// third state, the run's start, the group's amplitudes and a lane's two,
+/// and with every split admitted the start, `1 + ⌊log₂ 64⌋` states and
+/// one scratch.
+#[test]
+fn a_group_walk_holds_one_vector_per_state_and_one_scratch() {
+    let _g = serial();
+    let n = 18;
+    let state = 16usize << n;
+    let mut c = QCircuit::new(n);
+    for q in 0..6 {
+        c.push_back(Hadamard::new(q));
+    }
+    for q in 0..6 {
+        c.push_back(Measurement::z(q));
+        c.push_back(CNOT::new(q, q + 6));
+    }
+    let config = |max_state_bytes| TrajectoryConfig {
+        shots: 64,
+        seed: 11,
+        limits: ResourceLimits {
+            max_state_bytes,
+            ..ResourceLimits::default()
+        },
+        ..TrajectoryConfig::default()
+    };
+    let capped = config(3 * state as u128 - 1);
+    let uncapped = config(u128::MAX);
+    let cold = run_trajectories(&c, &capped).unwrap();
+    let slack = 256 << 10;
+    let (peak, walked) = peak_of(|| run_trajectories(&c, &capped).unwrap());
+    assert_eq!(walked.counts(), cold.counts());
+    assert!(
+        peak <= 4 * state + slack,
+        "capped: peak {peak} B, {state} B a state"
+    );
+    let (peak, walked) = peak_of(|| run_trajectories(&c, &uncapped).unwrap());
+    assert_eq!(walked.counts(), cold.counts());
+    assert!(
+        peak <= (2 + 6 + 1) * state + slack,
+        "peak {peak} B, {state} B a state"
+    );
+    assert!(peak > 5 * state, "peak {peak} B: the walk never nested");
 }
 
 /// Runs `circuits` through a one-worker scheduler, in order, to the end.
