@@ -28,6 +28,7 @@ use qclab_core::sim::trajectory::{
 use qclab_core::sim::SimOptions;
 use qclab_core::{QCircuit, QclabError};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 use Cmd::*;
@@ -560,7 +561,7 @@ fn counts(circuit: &QCircuit, shots: u64, seed: u64, opts: &EngineOpts) -> Outpu
         format!("counts over {shots} shots (seed {seed}):\n")
     };
     for (result, n) in sim.counts(shots, seed) {
-        out.push_str(&format!("  '{result}': {n}\n"));
+        let _ = writeln!(out, "  '{result}': {n}");
     }
     Ok(out)
 }
@@ -592,15 +593,12 @@ fn sample(circuit: &QCircuit, shots: u64, seed: u64, o: &Options) -> Output {
         result.path()
     );
     for (record, n) in result.counts() {
-        let label = if record.is_empty() {
-            "(no measurements)".to_string()
+        let share = *n as f64 / shots.max(1) as f64;
+        let _ = if record.is_empty() {
+            writeln!(out, "  (no measurements): {n}  ({share:.4})")
         } else {
-            format!("'{record}'")
+            writeln!(out, "  '{record}': {n}  ({share:.4})")
         };
-        out.push_str(&format!(
-            "  {label}: {n}  ({:.4})\n",
-            *n as f64 / shots.max(1) as f64
-        ));
     }
     let stats = result.norm_stats();
     if stats.renormalizations > 0 {
@@ -617,6 +615,12 @@ fn sample(circuit: &QCircuit, shots: u64, seed: u64, o: &Options) -> Output {
 /// silently break if record labels ever grow richer.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_json_escaped(&mut out, s);
+    out
+}
+
+/// [`json_escape`], appended to `out`.
+fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -624,20 +628,31 @@ fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// The fields of a JSON `counts` object: `"00":493,"11":507`.
 fn counts_json(counts: &BTreeMap<String, u64>) -> String {
-    let fields: Vec<String> = counts
-        .iter()
-        .map(|(record, n)| format!("\"{}\":{n}", json_escape(record)))
-        .collect();
-    fields.join(",")
+    let mut out = String::new();
+    push_counts_json(&mut out, counts);
+    out
+}
+
+/// [`counts_json`], appended to `out`.
+fn push_counts_json(out: &mut String, counts: &BTreeMap<String, u64>) {
+    for (i, (record, n)) in counts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        push_json_escaped(out, record);
+        let _ = write!(out, "\":{n}");
+    }
 }
 
 /// Renders a stopped trajectory run as the partial-result JSON document
@@ -646,14 +661,16 @@ fn counts_json(counts: &BTreeMap<String, u64>) -> String {
 /// `wall_ms` is the measured run time, so a caller juggling many
 /// invocations gets the same timing telemetry `qclab serve` streams.
 fn partial_json(result: &TrajectoryResult, cause: &str, wall_ms: f64) -> String {
-    let out = format!(
+    let mut out = format!(
         "{{\"partial\":true,\"cause\":\"{}\",\"shots_requested\":{},\"shots_completed\":{},\"wall_ms\":{:.3},\"counts\":{{",
         json_escape(cause),
         result.requested_shots(),
         result.shots(),
         wall_ms
     );
-    out + &counts_json(result.counts()) + "}}\n"
+    push_counts_json(&mut out, result.counts());
+    out.push_str("}}\n");
+    out
 }
 
 /// Renders a byte count like `64 B` / `16.0 MiB`; `None` means the
@@ -681,6 +698,14 @@ fn fmt_bytes(bytes: Option<u128>) -> String {
 /// the refusal it exits with. A route reads noise only through "can a
 /// channel fire" and "do gates strike", so three classes cover every flag.
 fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
+    // The noiseless route's terminal draw, at the library's default shot
+    // count, as a one-shot `sample` takes it: routed before this report
+    // holds the plan, since nothing else holds it in that process. A
+    // backend other than dense reads the unfused plan; held from here on,
+    // neither plan is lowered twice.
+    let unfused = (opts.backend != BackendRequest::Dense)
+        .then(|| circuit.compile_with(&PlanOptions::unfused()));
+    let sampled = route(circuit, &opts.trajectory(), None);
     let plan_opts = PlanOptions::from(&opts.kernel());
     let program = circuit.compile_with(&plan_opts);
     let stats = program.stats();
@@ -723,8 +748,11 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
     // the routes also read the unfused plan — to pick the backend, or
     // for Pauli frames — and the cache keeps a plan asked for once only
     // while someone holds it: the report holds both across its rows
-    let _unfused = (opts.backend != BackendRequest::Dense || stats.is_clifford)
-        .then(|| circuit.compile_with(&PlanOptions::unfused()));
+    let _unfused = unfused.or_else(|| {
+        stats
+            .is_clifford
+            .then(|| circuit.compile_with(&PlanOptions::unfused()))
+    });
     for (class, after_gate, before_measure) in [
         ("noiseless", None, None),
         ("readout noise", None, channel),
@@ -763,9 +791,7 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
             stats.remap_windows, stats.remap_moves, stats.remap_folds
         ),
     );
-    // the noiseless route's terminal draw, at the library's default shot
-    // count: its table, or streamed when no plan could keep the table
-    let draw = match route(circuit, &opts.trajectory(), None).map(|r| r.draw) {
+    let draw = match sampled.map(|r| r.draw) {
         Ok(Some(TerminalDraw::Table { bytes })) => format!("table {}", fmt_bytes(Some(bytes))),
         Ok(Some(TerminalDraw::Streamed)) => "streamed".to_string(),
         _ => "none".to_string(),

@@ -634,9 +634,11 @@ fn simulate_and_counts_print_one_branch_tree_on_both_backends() {
 
 #[test]
 fn compile_prints_the_terminal_draw() {
-    // the noiseless route's draw at the default shot count: a table a
-    // plan can keep (qft16, 2^16 outcomes), streamed where none could
-    // keep it (18 measured qubits), none without a terminal block
+    // the noiseless route's draw at the default shot count, as a
+    // one-shot `sample` takes it: a table its points outweigh (grover2,
+    // 4 outcomes), streamed where no later run could draw from the table
+    // (qft16, 2^16 outcomes; 18 measured qubits), none without a
+    // terminal block
     let draw_row = |file: &str| {
         let out = qclab(&["compile", file]);
         assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
@@ -648,7 +650,8 @@ fn compile_prints_the_terminal_draw() {
             .to_string()
     };
     let inputs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/inputs");
-    assert_eq!(draw_row(&format!("{inputs}/qft16.qasm")), "table 512.0 KiB");
+    assert_eq!(draw_row(&format!("{inputs}/qft16.qasm")), "streamed");
+    assert_eq!(draw_row(&format!("{inputs}/grover2.qasm")), "table 32 B");
     assert_eq!(draw_row(&format!("{inputs}/teleport.qasm")), "none");
     let wide = write_qasm(
         "draw18.qasm",

@@ -871,10 +871,10 @@ fn to_ops(items: Vec<CircuitItem>) -> Vec<ProgramOp> {
 /// preparations (32 MiB at the defaults), and a plan asked for once
 /// holds its preparation only as long as a caller holds the plan.
 /// 1 MiB keeps a `2^17`-outcome terminal table and nothing larger. A
-/// larger table could never be kept, so a noiseless run streams its
-/// draw over the state instead of building one, unless its shots'
-/// sorted points would outweigh the table
-/// (`sim::route::TerminalDraw`). Whether holding a `2^20`-outcome
+/// larger table could never be kept — nor one on a plan nothing else
+/// holds — so a noiseless run streams its draw over the state instead of
+/// building one, unless its shots' sorted points would outweigh the
+/// table (`sim::route::TerminalDraw`). Whether holding a `2^20`-outcome
 /// table (8 MiB) would be worth its bytes is for the cost model to weigh
 /// per plan, not for a second constant.
 pub const RETAINED_BYTES_CAP: usize = 1 << 20;

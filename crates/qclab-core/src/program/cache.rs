@@ -56,7 +56,7 @@ impl Sighting {
 /// The global plan cache: plans asked for again after their last holder
 /// let go (`resident`, least recently used first), and the keys asked
 /// for once (`seen`). At most [`plan_cache_capacity`] of each; a claim
-/// in flight is never evicted.
+/// in flight and a sighting whose plan a caller holds are never evicted.
 struct PlanCache {
     resident: RecencyRing<CacheKey, Arc<CompiledProgram>>,
     seen: RecencyRing<CacheKey, Sighting>,
@@ -64,12 +64,16 @@ struct PlanCache {
 
 impl PlanCache {
     /// Evicts least recently used plans and sightings down to
-    /// `capacity` each, counting the plans.
+    /// `capacity` each, counting the plans. A sighting goes only once its
+    /// plan is dead — while a caller holds the plan, a lookup shares it —
+    /// so the held ones stay and the dead ones make room around them.
     fn evict_down_to(&mut self, capacity: usize) {
         let evicted = self.resident.evict_down_to(capacity, |_| true);
         CACHE_EVICTIONS.fetch_add(evicted as u64, Ordering::Relaxed);
-        self.seen
-            .evict_down_to(capacity, |s| matches!(s, Sighting::Lowered(_)));
+        let held = |s: &Sighting| matches!(s, Sighting::Lowered(plan) if plan.strong_count() > 0);
+        let dead = |s: &Sighting| matches!(s, Sighting::Lowered(plan) if plan.strong_count() == 0);
+        let kept = self.seen.iter().filter(|(_, s)| held(s)).count();
+        self.seen.evict_down_to(capacity.saturating_sub(kept), dead);
     }
 
     /// Drops every plan and every key, keeping the claims in flight
@@ -137,7 +141,7 @@ pub struct PlanCacheStats {
     /// Plans currently resident.
     pub entries: usize,
     /// Keys currently remembered as asked for once (at most
-    /// [`plan_cache_capacity`], besides the keys being lowered).
+    /// [`plan_cache_capacity`], besides the keys being lowered or held).
     pub seen: usize,
     /// Sampled trajectory runs whose one-time preparation came from
     /// their plan.

@@ -10,9 +10,22 @@
 //! take the joint marginal, prefix-sum it ([`CdfTable`]), bisect. A run
 //! builds that table **once** from the noiseless evolution and may keep
 //! it on the plan ([`PrepSlot`]); a noiseless run draws every shot from
-//! it — or, when no plan could keep it, from the rotated state
+//! it — or, when no later run could draw from it, from the rotated state
 //! ([`StreamedPrep`], outcomes bit for bit the table's) — and a noisy
-//! ensemble hands it to its lanes. A lane's RNG draws come in one order
+//! ensemble hands it to its lanes. The draw follows retention
+//! ([`TerminalDraw::Streamed`]): a run on a plan nothing else keeps (a
+//! one-shot `qclab sample`, a first sighting nobody holds) or from an
+//! explicit initial state, which no key keeps, builds no table its points
+//! would not outweigh.
+//!
+//! **`|0…0⟩` needs no layout move.** The run's starting state is built in
+//! one place ([`ground_state`]) and marked there: a layout permutation
+//! before its first write adopts the new map and moves nothing, since the
+//! ground state is invariant under every qubit permutation. The prefix
+//! evolution, the fork path and per-shot lanes that start at op 0 skip
+//! the locality pass's opening move; an explicit initial state pays it.
+//!
+//! A lane's RNG draws come in one order
 //! on every path ([`super::walk`]): the walk's first gaps → each hit's
 //! draws where the schedule reaches it (readout hits in measurement
 //! order) → one outcome uniform.
@@ -23,7 +36,7 @@ use crate::sim::frame;
 use crate::sim::kernel::{self, KernelConfig};
 use crate::sim::route::{ends_in_draw, Route, TerminalDraw};
 use crate::sim::sampler::{draw_sampled, draw_streamed, CdfStream, CdfTable, Weights, TILE};
-use crate::sim::shots::{evolve_prefix, run_ensemble, ShotProgram, TerminalBlock};
+use crate::sim::shots::{evolve_prefix, run_ensemble, ShotProgram, ShotState, TerminalBlock};
 use crate::sim::sparse;
 use crate::sim::trajectory::{
     NormStats, ShotPath, TrajectoryConfig, TrajectoryResult, WatchdogConfig,
@@ -39,9 +52,9 @@ use std::sync::{Arc, OnceLock};
 
 /// `true` when a preparation of `bytes` may be kept on its plan (at
 /// most [`program::RETAINED_BYTES_CAP`]): the rule that decides both
-/// whether a plan keeps a table ([`PrepSlot`]) and whether a noiseless
-/// run streams its draw instead of building one
-/// ([`TerminalDraw::Streamed`]).
+/// whether a plan keeps a table ([`PrepSlot`]) and — with whether
+/// anything keeps the plan — whether a noiseless run streams its draw
+/// instead of building one ([`TerminalDraw::Streamed`]).
 pub(crate) fn retainable(bytes: u128) -> bool {
     bytes <= program::RETAINED_BYTES_CAP as u128
 }
@@ -183,7 +196,8 @@ pub(super) fn scatter_lut(measured: &[usize], n: usize) -> Vec<usize> {
 /// A streamed terminal draw's preparation ([`TerminalDraw::Streamed`]):
 /// the noiseless evolution rotated into the measured bases, and the
 /// running total of its marginal. It is the run's one state vector, so
-/// no plan keeps it.
+/// no plan keeps it — nor the table it stands in for, which no later
+/// run could have drawn from.
 pub(super) struct StreamedPrep {
     state: CVec,
     n: usize,
@@ -210,18 +224,16 @@ impl StreamedPrep {
 /// Prepares the terminal draw of a dense run: the program is a unitary
 /// prefix followed only by measurements of pairwise-distinct qubits (plus
 /// fences), and no observable is requested. Evolves the noiseless state
-/// once and tabulates it ([`ShotState::terminal_table`](super::shots::ShotState::terminal_table)) — or, when
-/// `streamed`, keeps it rotated with its marginal's total.
+/// once from `start` and tabulates it ([`ShotState::terminal_table`]) —
+/// or, when `streamed`, keeps it rotated with its marginal's total.
 fn terminal_prep(
     program: &CompiledProgram,
-    initial: CVec,
+    start: ShotState,
     config: &TrajectoryConfig,
     streamed: bool,
 ) -> Result<Prepared, QclabError> {
     let block = TerminalBlock::of(program);
-    // one-time evolution: the parallel kernels are allowed here, and
-    // leave the bits a shot's own single-threaded evolution leaves
-    let mut s = evolve_prefix(program, block.first, initial, config, config.kernel)?;
+    let mut s = evolve_prefix(program, block.first, start, config)?;
     if streamed {
         s.rotate_terminal(&block);
         let lut = scatter_lut(&block.measured, s.n);
@@ -407,12 +419,22 @@ fn retained_or(
     Ok((prep, false))
 }
 
-/// `|0…0⟩` on `n` qubits, written on up to `width` threads: the state's
-/// pages are first touched by the team that goes on to evolve it.
-fn ground_state(n: usize, width: usize) -> CVec {
+/// A shot at op 0 of `|0…0⟩` on `n` qubits under `kernel`, written on
+/// up to `width` threads — the state's pages are first touched by the
+/// team that goes on to evolve it — and the one state marked as the
+/// ground state ([`ShotState::ground`]): a layout move before its first
+/// write moves nothing.
+pub(super) fn ground_state(
+    n: usize,
+    width: usize,
+    kernel: KernelConfig,
+    watchdog: WatchdogConfig,
+) -> ShotState {
     let mut state = CVec(par::filled(width, 1 << n, C64::new(0.0, 0.0)));
     state[0] = C64::new(1.0, 0.0);
-    state
+    let mut start = ShotState::new(state, n, kernel, watchdog);
+    start.ground = true;
+    start
 }
 
 /// Performs `route`'s one-time preparation (which never consults the
@@ -431,10 +453,14 @@ pub(super) fn prepare(
     // initial state
     let key = |dense| initial.is_none().then_some(PrepKey { dense });
     let dense = Some((config.kernel, config.watchdog));
-    // only a preparation that is actually computed allocates its state
-    let initial_state = || {
+    // only a preparation that is actually computed allocates its state:
+    // a shot at op 0 that evolves under `kernel`
+    let fresh = |kernel| {
         let width = par::width(config.kernel.parallel_at(n));
-        initial.map_or_else(|| ground_state(n, width), CVec::clone)
+        match initial {
+            None => ground_state(n, width, kernel, config.watchdog),
+            Some(s) => ShotState::new(s.clone(), n, kernel, config.watchdog),
+        }
     };
     let prefix_ops = match route.path {
         ShotPath::PauliFrame => {
@@ -452,8 +478,11 @@ pub(super) fn prepare(
         }
         ShotPath::AliasSampled { .. } => {
             let streamed = route.draw == Some(TerminalDraw::Streamed);
+            // one-time evolution: the parallel kernels are allowed here,
+            // and leave the bits a shot's own single-threaded evolution
+            // leaves
             return retained_or(program, key(dense), || {
-                terminal_prep(program, initial_state(), config, streamed)
+                terminal_prep(program, fresh(config.kernel), config, streamed)
             });
         }
         ShotPath::Forked { prefix_ops } => prefix_ops,
@@ -461,7 +490,7 @@ pub(super) fn prepare(
     };
     let (mut shared, mut prep_hit) = (None, false);
     if route.shares_table {
-        let table = || terminal_prep(program, initial_state(), config, false);
+        let table = || terminal_prep(program, fresh(config.kernel), config, false);
         if let (Prepared::Sampled(table), hit) = retained_or(program, key(dense), table)? {
             (shared, prep_hit) = (Some(table), hit);
         }
@@ -474,7 +503,7 @@ pub(super) fn prepare(
         allow_parallel: false,
         ..config.kernel
     };
-    let start = evolve_prefix(program, prefix_ops, initial_state(), config, kernel)?;
+    let start = evolve_prefix(program, prefix_ops, fresh(kernel), config)?;
     // the layout the stream left the snapshot in is the one lowering
     // published for the end of the prefix
     debug_assert!(prefix_ops == 0 || start.map.as_deref() == program.prefix_map());
@@ -583,7 +612,14 @@ mod tests {
         let routed = route(&c, &config, None).unwrap();
         assert!(matches!(routed.path, ShotPath::AliasSampled { .. }));
         assert_eq!(routed.draw, Some(TerminalDraw::Table { bytes: 8 << 10 }));
-        let initial = || CVec::basis_state(1 << n, 0);
+        let initial = || {
+            ShotState::new(
+                CVec::basis_state(1 << n, 0),
+                n,
+                config.kernel,
+                config.watchdog,
+            )
+        };
         let prep = |streamed| terminal_prep(&routed.program, initial(), &config, streamed).unwrap();
         for config in [
             config.clone(),

@@ -15,13 +15,19 @@
 //!   allocated — sparse prefix sampling or Pauli frames on the unfused
 //!   plan, otherwise the fused plan. No fallback after the fact: `Auto`
 //!   falls through to dense when the sparse path cannot sample the
-//!   program, `Sparse` is refused there.
+//!   program, `Sparse` is refused there. A dense noiseless terminal
+//!   block is drawn from a table only when a later run can draw from it
+//!   as well — its plan resident in the plan cache or held by another
+//!   caller — when the shots' points outweigh it, or when it spans one
+//!   tile of outcomes; otherwise the draw streams over the state
+//!   ([`TerminalDraw::Streamed`]), bit for bit the table's outcomes.
 
 use crate::circuit::QCircuit;
 use crate::error::QclabError;
 use crate::program::{CompiledProgram, PlanOptions, PlanStats};
 use crate::sim::guard::{self, ResourceLimits};
 use crate::sim::prep::retainable;
+use crate::sim::sampler::TILE;
 use crate::sim::sparse::{self, SparseState};
 use crate::sim::trajectory::{self, Reference, ShotPath, TrajectoryConfig};
 use crate::sim::{RoutedState, SimOptions, Simulation};
@@ -185,7 +191,8 @@ pub struct Route {
     pub shares_table: bool,
     /// How the dense noiseless evolution's terminal block is drawn, on
     /// the routes that draw it (`AliasSampled`, and lanes sharing its
-    /// table); `None` elsewhere.
+    /// table); `None` elsewhere. It is the draw the run takes, read with
+    /// what holds the plan when the run is routed.
     pub draw: Option<TerminalDraw>,
     /// The rule that decided the route.
     pub why: &'static str,
@@ -201,10 +208,14 @@ pub enum TerminalDraw {
     },
     /// From the rotated state itself: a serial pass over its marginal
     /// for the total, then a team pass over the tiles that hold a point
-    /// (`sampler::CdfStream`). A noiseless run whose table could never be
-    /// kept on its plan (over [`crate::program::RETAINED_BYTES_CAP`]) and
-    /// would outweigh the run's sorted points (16 B a shot). Every
-    /// outcome is the table's.
+    /// (`sampler::CdfStream`). A noiseless run whose table no later run
+    /// could draw from, spans more than one tile of outcomes and would
+    /// outweigh the run's sorted points (16 B a shot). No later run can
+    /// draw from it when the plan is neither resident in the plan cache
+    /// nor held by another caller, when the run starts from an explicit
+    /// initial state (no key keeps its table), or when the table is over
+    /// [`crate::program::RETAINED_BYTES_CAP`]. Every outcome is the
+    /// table's.
     Streamed,
 }
 
@@ -213,15 +224,21 @@ pub enum TerminalDraw {
 const STREAM_BYTES_PER_SHOT: u128 = 16;
 
 /// How `config`'s run draws the terminal block of the dense `program`:
-/// streamed when it is noiseless, its table is over
-/// [`crate::program::RETAINED_BYTES_CAP`] and the shots' points weigh less than
-/// the table; from the table otherwise. Noisy lanes share the table
-/// whatever its size.
-fn terminal_draw(program: &CompiledProgram, config: &TrajectoryConfig) -> TerminalDraw {
+/// streamed when it is noiseless, no later run can draw from its table
+/// — the plan is not `kept` beyond this run, or the table is over
+/// [`crate::program::RETAINED_BYTES_CAP`] — and the shots' points weigh
+/// less than the table; from the table otherwise. A marginal of one
+/// [`TILE`] (32 KiB of table at most) is always tabulated: a stream
+/// would read all of it again for its first point, the state twice
+/// where the table reads it once. Noisy lanes share the table whatever
+/// its size.
+fn terminal_draw(program: &CompiledProgram, config: &TrajectoryConfig, kept: bool) -> TerminalDraw {
     let m = program.shot_plan().measured_qubits.len();
     let bytes = (std::mem::size_of::<f64>() as u128) << m;
     let points = STREAM_BYTES_PER_SHOT.saturating_mul(config.shots.into());
-    if config.noise.is_noiseless() && !retainable(bytes) && points < bytes {
+    let one_tile = m <= TILE.ilog2() as usize;
+    let tabulate = (kept || one_tile) && retainable(bytes);
+    if config.noise.is_noiseless() && !tabulate && points < bytes {
         TerminalDraw::Streamed
     } else {
         TerminalDraw::Table { bytes }
@@ -242,7 +259,10 @@ pub(crate) fn ends_in_draw(program: &CompiledProgram, config: &TrajectoryConfig)
 /// one-time preparation, in the order the run meets them.
 /// `initial: None` starts from `|0…0⟩` and considers every engine; an
 /// explicit initial state (validated here, never copied) pins the dense
-/// ones.
+/// ones. The terminal draw follows retention ([`TerminalDraw::Streamed`]):
+/// a caller that means to run a plan again holds it across the calls,
+/// and the route states the draw the run takes with what holds the plan
+/// at the time.
 pub fn route(
     circuit: &QCircuit,
     config: &TrajectoryConfig,
@@ -312,6 +332,12 @@ pub fn route(
     }
     trajectory::validate(circuit, initial, config)?;
     let program = compile();
+    // A table outlives the run only on a plan something else keeps: the
+    // plan cache (resident) or another caller. With this route's own
+    // handles gone, any other count is theirs; a run from an explicit
+    // initial state has no key to keep a table under.
+    drop((fused, held));
+    let kept = initial.is_none() && Arc::strong_count(&program) > 1;
     let prefix_ops = program.shot_plan().prefix_ops;
     // A terminal block is tabulated once from the noiseless evolution: a
     // noiseless run draws every shot from it, a noisy one hands it to its
@@ -329,6 +355,6 @@ pub fn route(
     } else {
         (ShotPath::Forked { prefix_ops }, "no gate or idle noise")
     };
-    let draw = tabulated.then(|| terminal_draw(&program, config));
+    let draw = tabulated.then(|| terminal_draw(&program, config, kept));
     Ok(routed(path, program, tabulated && !noiseless, draw, why))
 }

@@ -17,9 +17,10 @@
 //! each on its own `(seed, shot)` stream, tallied by outcome index.
 //!
 //! The table is the one sampler, in two forms. A noiseless dense run
-//! whose table could never be kept on its plan (over
-//! [`RETAINED_BYTES_CAP`](crate::program::RETAINED_BYTES_CAP)) and would
-//! cost more than its shots' points draws from a `CdfStream` instead:
+//! whose table no later run could draw from (over
+//! [`RETAINED_BYTES_CAP`](crate::program::RETAINED_BYTES_CAP), or on a
+//! plan nothing else keeps) and would cost more than its shots' points
+//! draws from a `CdfStream` instead:
 //! the same running total, read off the state rather than stored — a
 //! serial total pass that records the total at every 4 096-outcome tile,
 //! then a pass on `sim::par`'s team over only the tiles that hold a

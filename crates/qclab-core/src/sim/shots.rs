@@ -230,6 +230,12 @@ pub(super) struct ShotState {
     /// … and schedule index of the next op. Inside a window the two
     /// differ in pace: `op − first` of its gates are already applied.
     op: usize,
+    /// The amplitudes are still `|0…0⟩` as `prep::ground_state` wrote
+    /// them: set there only, cleared by everything that writes
+    /// amplitudes, carried by forks. A layout move on it adopts the map
+    /// and moves nothing — the ground state is invariant under every
+    /// qubit permutation, so its bits are the move's.
+    pub(super) ground: bool,
 }
 
 impl Clone for ShotState {
@@ -258,6 +264,7 @@ impl ShotState {
             map: None,
             pc: 0,
             op: 0,
+            ground: false,
         }
     }
 
@@ -280,6 +287,7 @@ impl ShotState {
         let drift = (norm - 1.0).abs();
         self.stats.max_drift = self.stats.max_drift.max(drift);
         if drift > self.watchdog.tol && norm > 0.0 {
+            self.ground = false;
             let inv = 1.0 / norm;
             par::for_each_chunk(width, &mut self.state.0, NORM_PIECE, |_, piece| {
                 for z in piece {
@@ -300,6 +308,7 @@ impl ShotState {
     /// Applies one noise hit: `pauli` on logical qubit `qubit`.
     fn inject(&mut self, pauli: Pauli, qubit: usize) {
         if let Some(g) = pauli_gate(pauli, self.physical(qubit)) {
+            self.ground = false;
             kernel::apply_gate_with(&g, &mut self.state, self.n, &self.kernel);
         }
     }
@@ -353,6 +362,9 @@ impl ShotState {
     /// so the probabilities — and therefore every drawn bit — are
     /// bit-identical to the unremapped engine.
     fn open(&mut self, instr: &Instr) -> (usize, Probs) {
+        // the collapse that follows writes the amplitudes, on this state
+        // or on the copies it hands out
+        self.ground = false;
         let q = match instr {
             Instr::Measure(m) => {
                 if let Some((vdg, _)) = m.basis().change_gates(self.physical(m.qubit())) {
@@ -437,6 +449,7 @@ impl ShotState {
             map: self.map.clone(),
             pc: self.pc,
             op: self.op,
+            ground: self.ground,
         }
     }
 
@@ -458,6 +471,7 @@ impl ShotState {
     pub(super) fn rotate_terminal(&mut self, block: &TerminalBlock) {
         debug_assert!(self.map.is_none());
         self.final_check();
+        self.ground = false;
         for vdg in &block.rotations {
             kernel::apply_gate_with(vdg, &mut self.state, self.n, &self.kernel);
         }
@@ -515,12 +529,14 @@ impl ShotState {
         let (mut covered, mut done) = (1, true);
         match instr {
             Instr::Gate(pre) => {
+                self.ground = false;
                 if !(struck && self.replay(program, draws)) {
                     kernel::apply_prepared(pre, &mut self.state, self.n, &self.kernel);
                 }
                 self.bump_watchdog(1);
             }
             Instr::Window { tiles, first } => {
+                self.ground = false;
                 let from = op - first;
                 if !struck {
                     covered = (tiles.len() - from)
@@ -540,13 +556,18 @@ impl ShotState {
             Instr::Fence => {}
             Instr::Permute { perm, map } => {
                 // pure data movement: never perturbs amplitude bits,
-                // never consumes RNG draws
-                kernel::permute_state(
-                    &mut self.state,
-                    self.n,
-                    perm,
-                    self.kernel.parallel_at(self.n),
-                );
+                // never consumes RNG draws — and on the ground state,
+                // moves nothing at all
+                if !self.ground {
+                    #[cfg(test)]
+                    tests::MOVES.with(|m| m.set(m.get() + 1));
+                    kernel::permute_state(
+                        &mut self.state,
+                        self.n,
+                        perm,
+                        self.kernel.parallel_at(self.n),
+                    );
+                }
                 self.map.clone_from(map);
             }
             Instr::Measure(_) | Instr::Reset(_) => {
@@ -1000,21 +1021,19 @@ pub(super) fn run_shot_batch(
 
 /// Evolves the deterministic prefix (the first `prefix` ops — gates,
 /// fences and layout permutations only, by construction of
-/// [`crate::program::ShotPlan`]) once from `initial`, on the plan's
-/// cached stream with full watchdog bookkeeping. The returned state
-/// carries the cursor, watchdog counters and layout forked shots resume
-/// from.
+/// [`crate::program::ShotPlan`]) once from `start`, a shot at op 0, on
+/// the plan's cached stream with full watchdog bookkeeping. The
+/// returned state carries the cursor, watchdog counters and layout
+/// forked shots resume from.
 pub(super) fn evolve_prefix(
     program: &CompiledProgram,
     prefix: usize,
-    initial: CVec,
+    mut start: ShotState,
     config: &TrajectoryConfig,
-    kernel: KernelConfig,
 ) -> Result<ShotState, QclabError> {
     let bc = program.bytecode();
-    let mut s = ShotState::new(initial, bc.n(), kernel, config.watchdog);
-    s.advance_shared(program, &bc.stream, prefix, &mut config.control.ticker())?;
-    Ok(s)
+    start.advance_shared(program, &bc.stream, prefix, &mut config.control.ticker())?;
+    Ok(start)
 }
 
 /// Shots per fan-out round: what bounds the memory of a run whatever its
@@ -1216,8 +1235,25 @@ mod tests {
     use crate::circuit::QCircuit;
     use crate::gates::factories::*;
     use crate::measurement::Measurement;
+    use crate::program::PlanOptions;
     use crate::sim::prep;
     use crate::sim::route::route;
+    use crate::sim::trajectory::{run_trajectories, run_trajectories_from, NoiseSpec};
+    use crate::sim::trajectory::{PauliChannel, Reference, TrajectoryResult};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Layout moves this thread's shots made ([`kernel::permute_state`]
+        /// calls from [`ShotState::step`]).
+        pub(super) static MOVES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// `f`'s result and the layout moves it made on this thread.
+    fn moves<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = MOVES.with(Cell::get);
+        let out = f();
+        (out, MOVES.with(Cell::get) - before)
+    }
 
     #[test]
     fn the_watchdog_norm_is_one_function_at_every_width() {
@@ -1370,5 +1406,149 @@ mod tests {
         let (_, capped_records, capped_peak) = one_batch(&c, &capped, 64);
         assert_eq!(capped_peak, 2);
         assert_eq!(capped_records, records);
+    }
+
+    /// The `n`-qubit QFT of the paper's Sec. 5 benchmark (Hadamards,
+    /// cascading controlled phases, the bit-reversal swaps), every qubit
+    /// measured when `measured`.
+    fn qft(n: usize, measured: bool) -> QCircuit {
+        let mut c = QCircuit::new(n);
+        for q in 0..n {
+            c.push_back(Hadamard::new(q));
+            for k in q + 1..n {
+                let theta = std::f64::consts::PI / (1u64 << (k - q)) as f64;
+                c.push_back(CPhase::new(k, q, theta));
+            }
+        }
+        for q in 0..n / 2 {
+            c.push_back(SwapGate::new(q, n - 1 - q));
+        }
+        if measured {
+            for q in 0..n {
+                c.push_back(Measurement::z(q));
+            }
+        }
+        c
+    }
+
+    /// `start`'s evolution through the first `prefix` ops of `program`,
+    /// and the layout moves it made.
+    fn evolved(program: &CompiledProgram, prefix: usize, start: ShotState) -> (ShotState, usize) {
+        let config = TrajectoryConfig::default();
+        moves(|| evolve_prefix(program, prefix, start, &config).unwrap())
+    }
+
+    fn bits(s: &ShotState) -> Vec<(u64, u64)> {
+        s.state
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn a_ground_state_adopts_its_layout_and_moves_nothing() {
+        // QFT-16 from |0…0⟩: the locality pass opens with a layout move
+        // and restores the identity before the terminal block
+        let n = 16;
+        let program = qft(n, true).compile_with(&PlanOptions::default());
+        let prefix = program.shot_plan().prefix_ops;
+        let permutes = program.ops()[..prefix]
+            .iter()
+            .filter(|op| matches!(op, ProgramOp::Permute { .. }))
+            .count();
+        assert_eq!(permutes, 2);
+        assert!(matches!(program.ops()[0], ProgramOp::Permute { .. }));
+        let (kernel, watchdog) = (KernelConfig::default(), WatchdogConfig::default());
+        let (ground, free) = evolved(&program, prefix, prep::ground_state(n, 1, kernel, watchdog));
+        let explicit = ShotState::new(CVec::basis_state(1 << n, 0), n, kernel, watchdog);
+        let (moved, paid) = evolved(&program, prefix, explicit);
+        // one `permute_state` call, not two — and the parent's bits
+        assert_eq!((free, paid), (1, 2));
+        assert!(!ground.ground);
+        assert_eq!(bits(&ground), bits(&moved));
+        assert_eq!(ground.map, moved.map);
+        assert_eq!(ground.stats, moved.stats);
+        // the opening move alone: the map adopted, the amplitudes as the
+        // move leaves them
+        let (one, free) = evolved(&program, 1, prep::ground_state(n, 1, kernel, watchdog));
+        let explicit = ShotState::new(CVec::basis_state(1 << n, 0), n, kernel, watchdog);
+        let (other, paid) = evolved(&program, 1, explicit);
+        assert_eq!((free, paid), (0, 1));
+        assert!(one.ground && one.map.is_some());
+        assert_eq!((bits(&one), &one.map), (bits(&other), &other.map));
+    }
+
+    #[test]
+    fn a_run_from_an_explicit_initial_state_still_moves_its_amplitudes() {
+        let n = 16;
+        let c = qft(n, false);
+        let remapped = c.compile_with(&PlanOptions::default());
+        let plain = c.compile_with(&PlanOptions {
+            remap: false,
+            ..PlanOptions::default()
+        });
+        let mut rng = Rng::seed_from_u64(48);
+        let initial = CVec(
+            (0..1usize << n)
+                .map(|_| C64::new(rng.f64() - 0.5, rng.f64() - 0.5))
+                .collect(),
+        )
+        .normalized();
+        let (kernel, watchdog) = (KernelConfig::default(), WatchdogConfig::default());
+        let start = || ShotState::new(initial.clone(), n, kernel, watchdog);
+        let ops = remapped.ops().len();
+        let (s, paid) = evolved(&remapped, ops, start());
+        assert_eq!(paid, 2);
+        // the locality pass is pure data movement: the unmapped plan's bits
+        let (reference, none) = evolved(&plain, plain.ops().len(), start());
+        assert_eq!(none, 0);
+        assert_eq!(s.map, None);
+        assert_eq!(bits(&s), bits(&reference));
+    }
+
+    #[test]
+    fn noisy_lanes_from_the_ground_state_are_the_moved_lanes() {
+        // gate and idle noise: every lane starts at op 0 of a remapped
+        // 14-qubit plan, which opens with a layout move
+        let n = 14;
+        let c = qft(n, true);
+        let noise = NoiseSpec {
+            after_gate: Some(PauliChannel::Depolarizing(0.002)),
+            idle: Some(PauliChannel::BitFlip(0.0005)),
+            ..NoiseSpec::default()
+        };
+        let config = TrajectoryConfig {
+            seed: 14,
+            shots: 24,
+            noise,
+            ..TrajectoryConfig::default()
+        };
+        let routed = route(&c, &config, None).unwrap();
+        assert_eq!(routed.path, crate::sim::trajectory::ShotPath::PerShot);
+        assert!(matches!(routed.program.ops()[0], ProgramOp::Permute { .. }));
+        let result = |r: &TrajectoryResult| {
+            format!(
+                "{} {:?} {:?}",
+                r.injected_errors(),
+                r.norm_stats(),
+                r.counts()
+            )
+        };
+        let (grouped, free) = moves(|| run_trajectories(&c, &config).unwrap());
+        assert!(grouped.injected_errors() > 0);
+        let no_sharing = TrajectoryConfig {
+            reference: Reference::NoSharing,
+            ..config.clone()
+        };
+        let alone = run_trajectories(&c, &no_sharing).unwrap();
+        assert_eq!(result(&alone), result(&grouped));
+        // the same lanes from an explicit |0…0⟩, which pay every move
+        let zero = CVec::basis_state(1 << n, 0);
+        let (moved, paid) = moves(|| run_trajectories_from(&c, &zero, &config).unwrap());
+        assert_eq!(result(&moved), result(&grouped));
+        assert!(
+            free < paid,
+            "{free} moves from the ground state, {paid} paid"
+        );
     }
 }

@@ -349,7 +349,7 @@ pub enum ShotPath {
     },
     /// A noiseless terminal-measurement run: the state was evolved once
     /// and every shot drawn from the measured marginal — tabulated, or
-    /// streamed over the state when no plan could keep the table
+    /// streamed over the state when no later run could draw from the table
     /// ([`TerminalDraw`](super::route::TerminalDraw)). ("Alias" is historical — the table is
     /// cumulative sums searched by bisection; the name is kept for
     /// callers that match on it.)

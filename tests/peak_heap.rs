@@ -4,9 +4,9 @@
 //! This binary's global allocator counts live heap bytes and their
 //! high-water mark (nothing else links it: the library and the CLI keep
 //! the system allocator). A noiseless terminal run whose plan moves
-//! three or more index bits at once and whose marginal table would be
-//! over `RETAINED_BYTES_CAP` must peak at the `2^n` state plus small
-//! change: the layout permutes work in place, and the draw streams over
+//! three or more index bits at once and whose marginal table no later
+//! run could draw from (over `RETAINED_BYTES_CAP`, or on a plan nothing
+//! keeps) must peak at the `2^n` state plus small change: the layout permutes work in place, and the draw streams over
 //! the state instead of tabulating it. A scheduler fed one-off circuits
 //! and a few resubmitted ones must end holding the resubmitted plans
 //! only: the plan cache keeps a plan when its circuit comes back.
@@ -14,7 +14,7 @@
 //! The counters are process-wide, so the tests take one lock.
 
 use qclab::prelude::*;
-use qclab_core::program::{self, ProgramOp, RETAINED_BYTES_CAP};
+use qclab_core::program::{self, PlanOptions, ProgramOp, RETAINED_BYTES_CAP};
 use qclab_core::service::{JobSpec, Scheduler, ServiceConfig};
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::route::{route, TerminalDraw};
@@ -162,6 +162,57 @@ fn a_dense_terminal_run_peaks_at_its_state_vector() {
     );
     let (peak, _) = peak_of(|| run_trajectories(&circuit, &many).unwrap());
     assert!(peak >= state + table, "peak {peak} B");
+}
+
+/// The paper's QFT-16 of `|0…0⟩`, every qubit measured, 1 000 shots, as
+/// a one-shot `qclab sample` runs it: on a plan neither resident nor held,
+/// whose 512 KiB table no later run could draw from, the draw streams and
+/// the run's heap is its 1 MiB state and small change: ≈ 129 KiB of plan
+/// and bytecode, ≈ 120 KiB of points and tallies (state + 249 KiB in
+/// all). Before the draw followed retention the same run peaked at
+/// state + 673 KiB: the table on top. On a held plan, and on a resident
+/// one, the run still builds its table, and the plan keeps it.
+#[test]
+fn a_one_off_run_pays_for_its_state_and_nothing_more() {
+    let _g = serial();
+    let n = 16;
+    let (state, table) = (16usize << n, 8usize << n);
+    let qft = from_qasm(include_str!("../benchmark/inputs/qft16.qasm")).unwrap();
+    let config = TrajectoryConfig {
+        shots: 1000,
+        seed: 48,
+        ..TrajectoryConfig::default()
+    };
+    program::clear_plan_cache();
+    let (peak, one_off) = peak_of(|| run_trajectories(&qft, &config).unwrap());
+    assert!(!one_off.prep_hit());
+    assert!(
+        peak <= state + (256 << 10),
+        "peak {peak} B over a {state} B state"
+    );
+    // held: the route names the table, the run builds it and the plan
+    // keeps it for the next run
+    program::clear_plan_cache();
+    let held = qft.compile_with(&PlanOptions::default());
+    let kept = Some(TerminalDraw::Table {
+        bytes: table as u128,
+    });
+    assert_eq!(route(&qft, &config, None).unwrap().draw, kept);
+    let (peak, first) = peak_of(|| run_trajectories(&qft, &config).unwrap());
+    assert!(peak >= state + table, "peak {peak} B");
+    let again = run_trajectories(&qft, &config).unwrap();
+    assert!(!first.prep_hit() && again.prep_hit());
+    assert_eq!(first.counts(), one_off.counts());
+    assert_eq!(again.counts(), one_off.counts());
+    drop(held);
+    // resident: asked for again once nobody holds it, the plan stays in
+    // the cache, and its first run there keeps a table too
+    assert_eq!(route(&qft, &config, None).unwrap().draw, kept);
+    assert_eq!(program::plan_cache_stats().entries, 1);
+    let first = run_trajectories(&qft, &config).unwrap();
+    let again = run_trajectories(&qft, &config).unwrap();
+    assert!(!first.prep_hit() && again.prep_hit());
+    assert_eq!(again.counts(), one_off.counts());
 }
 
 /// Six fair coins on 18 qubits, each measured mid-circuit: one batch of

@@ -17,21 +17,29 @@
 //! * **no lane is special** — a lane that never left the shared
 //!   evolution reports that evolution's watchdog statistics, so the
 //!   totals do not depend on how many lanes diverged;
-//! * **the batch width is the width asked for**, at any register size.
+//! * **the batch width is the width asked for**, at any register size;
+//! * **the one-shot draw is the kept table's** — a run whose plan nothing
+//!   keeps streams its draw, or tabulates it where its points outweigh the
+//!   table, from a ground state whose opening layout move is free; a run
+//!   on a held plan keeps its table; a run from an explicit `|0…0⟩` pays
+//!   every move. Their counts, shots and watchdog statistics are `==`.
 
 mod common;
 
-use common::{all_noise, assert_distribution, random_layers, with_threads, Expected};
+use common::{all_noise, assert_distribution, gate, random_layers, with_threads, Expected};
 use qclab::prelude::*;
 use qclab_core::sim::density::{run_noisy, DensityState, NoiseModel};
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::route::{route, TerminalDraw};
 use qclab_core::sim::trajectory::{
-    run_trajectories, NoiseSpec, PauliChannel, Reference, ShotPath, TrajectoryConfig,
-    TrajectoryResult, WatchdogConfig,
+    run_trajectories, run_trajectories_from, NoiseSpec, PauliChannel, Reference, ShotPath,
+    TrajectoryConfig, TrajectoryResult, WatchdogConfig,
 };
 use qclab_core::PlanOptions;
+use qclab_core::ProgramOp;
 use qclab_math::bits;
+use qclab_math::rng::Rng;
+use qclab_testkit::prelude::*;
 
 /// Five qubits, four measured in three bases: X on 0, Y on 2, Z on 3
 /// and on 4 — which no gate touches, so its bit reads 0 with certainty
@@ -382,6 +390,112 @@ fn wide_draws_are_one_function_at_every_thread_count() {
                 outcome(&golden),
                 "{measured:?}, {threads} threads"
             );
+        }
+    }
+}
+
+/// A one-shot case: a circuit on `n` qubits ending in a terminal
+/// measurement block, and its shot count.
+#[derive(Debug)]
+struct OneShot {
+    circuit: QCircuit,
+    shots: u64,
+}
+
+/// A circuit on `n` qubits whose first gates keep hitting the
+/// high-stride qubits 0–2 — so the locality pass adopts a layout: the
+/// plan opens with a move and restores the register's own before the
+/// block — then random gates, a shuffled subset of the qubits measured
+/// in Z, X and Y, and a shot count on either side of the points-vs-table
+/// rule: `2^(m−1)` shots weigh as much as the table of `m` measured
+/// qubits.
+fn one_shot(n: usize) -> impl Strategy<Value = OneShot> {
+    (prop::collection::vec(gate(n), 0..=6), any::<u64>()).prop_map(move |(gates, seed)| {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut circuit = QCircuit::new(n);
+        for _ in 0..4 + rng.below(5) {
+            let mut angle = || std::f64::consts::TAU * rng.f64();
+            circuit.push_back(Hadamard::new(0));
+            circuit.push_back(CNOT::new(0, 1));
+            circuit.push_back(RotationX::new(1, angle()));
+            circuit.push_back(CNOT::new(1, 2));
+            circuit.push_back(RotationZ::new(2, angle()));
+            circuit.push_back(CNOT::new(2, 0));
+        }
+        for g in gates {
+            circuit.push_back(g);
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.below(i + 1));
+        }
+        // half the cases measure more than a tile of outcomes
+        let m = if rng.bool() {
+            13 + rng.below(n - 12)
+        } else {
+            1 + rng.below(n)
+        };
+        for &q in &order[..m] {
+            circuit.push_back(match rng.below(3) {
+                0 => Measurement::z(q),
+                1 => Measurement::x(q),
+                _ => Measurement::y(q),
+            });
+        }
+        let even = 1u64 << (m - 1);
+        let shots = match rng.below(4) {
+            0 => 1,
+            1 => (even - 1).max(1),
+            2 => even,
+            _ => even + 1 + rng.below(64) as u64,
+        };
+        OneShot { circuit, shots }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::fuzz_cases(12)))]
+
+    #[test]
+    fn the_one_shot_draw_is_the_kept_tables_draw(
+        case in prop_oneof![one_shot(13), one_shot(14), one_shot(15), one_shot(16)],
+    ) {
+        let OneShot { circuit: c, shots } = case;
+        let n = c.nb_qubits();
+        let config = TrajectoryConfig {
+            seed: shots ^ 0x5eed,
+            shots,
+            ..TrajectoryConfig::default()
+        };
+        let opens = |plan: &qclab_core::program::CompiledProgram| {
+            matches!(plan.ops().first(), Some(ProgramOp::Permute { .. }))
+        };
+        // a first sighting that nothing holds: the one-shot draw
+        let one_off = run_trajectories(&c, &config).unwrap();
+        // from an explicit |0…0⟩, whose table no key keeps: the same
+        // rule, every layout move paid
+        let zero = CVec::basis_state(1 << n, 0);
+        let routed = route(&c, &config, Some(&zero)).unwrap();
+        prop_assume!(opens(&routed.program));
+        let m = routed.program.shot_plan().measured_qubits.len();
+        let table = TerminalDraw::Table { bytes: 8 << m };
+        let streams = m > 12 && shots < 1 << (m - 1);
+        let expected = if streams { TerminalDraw::Streamed } else { table };
+        prop_assert_eq!(routed.draw, Some(expected));
+        drop(routed);
+        let moved = run_trajectories_from(&c, &zero, &config).unwrap();
+        // held (and resident, asked for again): the table is built and kept
+        let plan = c.compile_with(&PlanOptions::default());
+        prop_assert_eq!(route(&c, &config, None).unwrap().draw, Some(table));
+        let kept = run_trajectories(&c, &config).unwrap();
+        let again = run_trajectories(&c, &config).unwrap();
+        prop_assert!(!kept.prep_hit() && again.prep_hit());
+        drop(plan);
+        prop_assert_eq!(one_off.shots(), shots);
+        for (r, what) in [(&moved, "explicit |0…0⟩"), (&kept, "held"), (&again, "kept")] {
+            prop_assert_eq!(r.counts(), one_off.counts(), "{}", what);
+            prop_assert_eq!(r.shots(), one_off.shots(), "{}", what);
+            prop_assert_eq!(r.norm_stats(), one_off.norm_stats(), "{}", what);
         }
     }
 }
