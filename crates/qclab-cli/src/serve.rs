@@ -44,7 +44,7 @@
 //! kills the server or any other tenant's job.
 
 use crate::{counts_json, io_err, json_escape, resource_err, EngineOpts, Output};
-use qclab_core::program::{plan_cache_capacity, plan_cache_stats, RETAINED_BYTES_CAP};
+use qclab_core::program::{plan_cache_stats, PLAN_CACHE_CAPACITY, RETAINED_BYTES_CAP};
 use qclab_core::recent::RecencyRing;
 use qclab_core::service::{
     ErrorKind, JobHandle, JobOutput, JobResult, JobSpec, Scheduler, ServiceConfig,
@@ -55,7 +55,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The deployment settings of `serve`; an unset one takes
 /// [`ServiceConfig::default`]'s value.
@@ -97,6 +97,8 @@ impl ServeOpts {
 pub enum Json {
     Null,
     Bool(bool),
+    /// A digit literal that fits a `u64`: exact, where an `f64` rounds.
+    Int(u64),
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -118,11 +120,13 @@ impl Json {
         }
     }
 
+    /// The value as a non-negative integer; a spelling other than plain
+    /// digits (`1e1`, `10.0`) only up to 2^53, where an `f64` is exact.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << f64::MANTISSA_DIGITS) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Int(n) => Some(*n),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= EXACT => Some(*n as u64),
             _ => None,
         }
     }
@@ -186,8 +190,8 @@ impl JsonParser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.list([b'{', b'}'], Self::field).map(Json::Obj),
+            Some(b'[') => self.list([b'[', b']'], Self::value).map(Json::Arr),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -198,55 +202,44 @@ impl JsonParser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
+    /// A list of comma-separated entries between `open` and `close`,
+    /// each read by `entry`: an object's fields, an array's items.
+    fn list<T>(
+        &mut self,
+        [open, close]: [u8; 2],
+        entry: fn(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.eat(open)?;
+        let mut entries = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.i += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(entries);
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
+            entries.push(entry(self)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
-                Some(b'}') => {
+                Some(c) if c == close => {
                     self.i += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(entries);
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
+                _ => {
+                    let close = close as char;
+                    return Err(format!("expected ',' or '{close}' at byte {}", self.i));
+                }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
+    fn field(&mut self) -> Result<(String, Json), String> {
+        let key = self.string()?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-            }
-        }
+        self.eat(b':')?;
+        self.skip_ws();
+        Ok((key, self.value()?))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -314,10 +307,11 @@ impl JsonParser<'_> {
         {
             self.i += 1;
         }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
+        let text = std::str::from_utf8(&self.b[start..self.i]).ok();
+        // the literal opens with a digit or '-', never '+': only plain
+        // digits parse as a `u64`
+        let int = text.and_then(|s| s.parse::<u64>().ok()).map(Json::Int);
+        int.or_else(|| text?.parse::<f64>().ok().map(Json::Num))
             .ok_or(format!("invalid number at byte {start}"))
     }
 }
@@ -390,7 +384,9 @@ fn error_line(id: &str, kind: ErrorKind, message: &str, partial: Option<&JobOutp
 /// little use for its parse) and in text bytes ([`RETAINED_BYTES_CAP`]),
 /// so the memo does not grow with the traffic, and are keyed by the full
 /// text, never by a hash of it — a collision in `seen` only keeps a
-/// circuit one sighting early.
+/// circuit one sighting early. [`run_serve`] owns one, shared by every
+/// connection.
+#[derive(Default)]
 struct SourceMemo {
     kept: RecencyRing<String, QCircuit>,
     seen: RecencyRing<u64, ()>,
@@ -399,25 +395,14 @@ struct SourceMemo {
     misses: u64,
 }
 
-static SOURCE_MEMO: Mutex<SourceMemo> = Mutex::new(SourceMemo {
-    kept: RecencyRing::new(),
-    seen: RecencyRing::new(),
-    text_bytes: 0,
-    hits: 0,
-    misses: 0,
-});
-
-fn lock_source_memo() -> MutexGuard<'static, SourceMemo> {
-    // only ring bookkeeping runs under the lock (parsing does not), so
-    // a poisoned guard still holds a consistent memo
-    SOURCE_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`qclab_qasm::from_qasm`] through the [`SourceMemo`].
-fn parse_source(qasm: &str) -> Result<QCircuit, QclabError> {
+/// [`qclab_qasm::from_qasm`] through `memo`.
+fn parse_source(memo: &Mutex<SourceMemo>, qasm: &str) -> Result<QCircuit, QclabError> {
+    // only ring bookkeeping runs under the lock (parsing does not), so a
+    // poisoned guard still holds a consistent memo
+    let lock = || memo.lock().unwrap_or_else(PoisonError::into_inner);
     let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(qasm);
     let recurring = {
-        let mut memo = lock_source_memo();
+        let mut memo = lock();
         if let Some(circuit) = memo.kept.touch(qasm) {
             let circuit = circuit.clone();
             memo.hits += 1;
@@ -429,18 +414,18 @@ fn parse_source(qasm: &str) -> Result<QCircuit, QclabError> {
     let circuit = qclab_qasm::from_qasm(qasm)?;
     // hashed here, once: every clone handed out carries the fingerprint
     circuit.fingerprint();
-    let mut memo = lock_source_memo();
+    let mut memo = lock();
     if !recurring {
         memo.seen.insert(hash, ());
-        memo.seen.evict_down_to(plan_cache_capacity(), |_| true);
+        memo.seen.evict_down_to(PLAN_CACHE_CAPACITY, |_| true);
     } else if qasm.len() <= RETAINED_BYTES_CAP {
         memo.text_bytes += qasm.len();
         memo.kept.insert(qasm.to_string(), circuit.clone());
-        while memo.kept.len() > plan_cache_capacity() || memo.text_bytes > RETAINED_BYTES_CAP {
-            let (text, _) = memo
-                .kept
-                .pop_oldest()
-                .expect("the bytes are the kept texts'");
+        while memo.kept.len() > PLAN_CACHE_CAPACITY || memo.text_bytes > RETAINED_BYTES_CAP {
+            // `text_bytes` counts the kept texts: it is 0 once they are gone
+            let Some((text, _)) = memo.kept.pop_oldest() else {
+                break;
+            };
             memo.text_bytes -= text.len();
         }
     }
@@ -454,7 +439,10 @@ enum Request {
     Cancel(String),
 }
 
-fn decode_request(line: &str) -> Result<Request, (String, ErrorKind, String)> {
+/// A refused request line: the job's id (or ""), the kind, the message.
+type Refusal = (String, ErrorKind, String);
+
+fn decode_request(memo: &Mutex<SourceMemo>, line: &str) -> Result<Request, Refusal> {
     let fail = |id: &str, kind, msg: &str| (id.to_string(), kind, msg.to_string());
     let usage = |id: &str, msg: &str| fail(id, ErrorKind::Usage, msg);
     let doc = match parse_json(line) {
@@ -502,7 +490,7 @@ fn decode_request(line: &str) -> Result<Request, (String, ErrorKind, String)> {
             ))
         }
     };
-    let circuit = match parse_source(qasm) {
+    let circuit = match parse_source(memo, qasm) {
         Ok(c) => c,
         Err(e) => return Err(fail(id, ErrorKind::classify(&e), &e.to_string())),
     };
@@ -525,11 +513,13 @@ fn decode_request(line: &str) -> Result<Request, (String, ErrorKind, String)> {
 
 /// Reads request lines from `input`, submits jobs, and streams results
 /// to `write` as they resolve. Shared by stdin mode and each socket
-/// connection. Returns the accepted and refused job counts once the
-/// input has ended and every accepted job has had its line written — or,
-/// before reading a line, the OS's refusal of the delivery thread.
+/// connection, all decoding through the server's one `memo`. Returns the
+/// accepted and refused job counts once the input has ended and every
+/// accepted job has had its line written — or, before reading a line,
+/// the OS's refusal of the delivery thread.
 fn handle_stream(
     sched: &Scheduler,
+    memo: &Mutex<SourceMemo>,
     input: impl Read,
     write: impl Write + Send,
 ) -> std::io::Result<(u64, u64)> {
@@ -574,7 +564,7 @@ fn handle_stream(
             if line.trim().is_empty() {
                 continue;
             }
-            match decode_request(&line) {
+            match decode_request(memo, &line) {
                 Err((id, kind, msg)) => {
                     failed += 1;
                     send(error_line(&id, kind, &msg, None));
@@ -638,15 +628,16 @@ fn refuse(mut conn: &std::os::unix::net::UnixStream, message: &str) {
 pub fn run_serve(opts: &ServeOpts, engine: &EngineOpts) -> Output {
     let sched =
         Scheduler::try_new(opts.service_config(engine)).map_err(|e| resource_err(e.to_string()))?;
+    let memo = Arc::new(Mutex::new(SourceMemo::default()));
     match &opts.socket {
         None => {
             let stdin = std::io::stdin();
-            let (accepted, failed) = handle_stream(&sched, stdin.lock(), std::io::stdout())
+            let (accepted, failed) = handle_stream(&sched, &memo, stdin.lock(), std::io::stdout())
                 .map_err(|e| resource_err(e.to_string()))?;
             let stats = sched.stats();
             sched.shutdown();
             let plans = plan_cache_stats();
-            let memo = lock_source_memo();
+            let memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
             Ok(format!(
                 "serve: {accepted} job(s) accepted, {failed} refused; {} completed, {} cancelled, \
                  {} dedup hit(s)\n\
@@ -670,14 +661,17 @@ pub fn run_serve(opts: &ServeOpts, engine: &EngineOpts) -> Output {
                 .map_err(|e| io_err(format!("cannot bind socket {path}: {e}")))?;
             let sched = Arc::new(sched);
             eprintln!("qclab serve: listening on {path}");
-            for conn in listener.incoming() {
-                let conn = conn.map_err(|e| io_err(format!("accept failed on {path}: {e}")))?;
+            loop {
+                let (conn, _) = listener
+                    .accept()
+                    .map_err(|e| io_err(format!("accept failed on {path}: {e}")))?;
                 // shared with its thread, so a refused thread still
                 // leaves the connection here to answer
                 let conn = Arc::new(conn);
-                let (sched, mine) = (Arc::clone(&sched), Arc::clone(&conn));
+                let (sched, memo, mine) =
+                    (Arc::clone(&sched), Arc::clone(&memo), Arc::clone(&conn));
                 let started = std::thread::Builder::new().spawn(move || {
-                    if let Err(e) = handle_stream(&sched, &*mine, &*mine) {
+                    if let Err(e) = handle_stream(&sched, &memo, &*mine, &*mine) {
                         refuse(&mine, &e.to_string());
                     }
                 });
@@ -685,7 +679,6 @@ pub fn run_serve(opts: &ServeOpts, engine: &EngineOpts) -> Output {
                     refuse(&conn, &format!("cannot start a connection thread: {e}"));
                 }
             }
-            unreachable!("incoming() iterates forever");
         }
     }
 }
@@ -880,32 +873,30 @@ mod tests {
                  rz(0.{tag:05}) q[0];\ncx q[0], q[1];\nmeasure q -> c;\n// memo test\n"
             )
         };
-        let kept = |text: &str| lock_source_memo().kept.get(text).is_some();
+        let memo = Mutex::new(SourceMemo::default());
+        let lock = || memo.lock().unwrap();
+        let kept = |text: &str| lock().kept.get(text).is_some();
         // seen once: parsed, not kept
-        let first = parse_source(&text(0)).unwrap();
+        let first = parse_source(&memo, &text(0)).unwrap();
         assert!(!kept(&text(0)), "a text seen once must not be kept");
         // seen twice: parsed again, and kept
-        let misses = lock_source_memo().misses;
-        let again = parse_source(&text(0)).unwrap();
-        assert!(
-            lock_source_memo().misses > misses,
-            "the second sighting parses"
-        );
+        let again = parse_source(&memo, &text(0)).unwrap();
+        assert_eq!(lock().misses, 2, "the second sighting parses");
         assert!(kept(&text(0)), "a text seen twice must be kept");
         // after that it hits
-        let hits = lock_source_memo().hits;
-        let third = parse_source(&text(0)).unwrap();
-        assert!(lock_source_memo().hits > hits, "a kept text must hit");
+        let third = parse_source(&memo, &text(0)).unwrap();
+        assert_eq!(lock().hits, 1, "a kept text must hit");
+        assert_eq!(lock().misses, 2, "…and not parse");
         assert_eq!(first, again);
         assert_eq!(first, third);
         assert_eq!(first, qclab_qasm::from_qasm(&text(0)).unwrap());
         // far more distinct texts than the memo may hold, each twice
-        for tag in 1..=3 * plan_cache_capacity() {
-            parse_source(&text(tag)).unwrap();
-            parse_source(&text(tag)).unwrap();
-            let memo = lock_source_memo();
-            assert!(memo.kept.len() <= plan_cache_capacity());
-            assert!(memo.seen.len() <= plan_cache_capacity());
+        for tag in 1..=3 * PLAN_CACHE_CAPACITY {
+            parse_source(&memo, &text(tag)).unwrap();
+            parse_source(&memo, &text(tag)).unwrap();
+            let memo = lock();
+            assert!(memo.kept.len() <= PLAN_CACHE_CAPACITY);
+            assert!(memo.seen.len() <= PLAN_CACHE_CAPACITY);
             assert!(memo.text_bytes <= RETAINED_BYTES_CAP);
             let held: usize = memo.kept.iter().map(|(t, _)| t.len()).sum();
             assert_eq!(held, memo.text_bytes);
@@ -915,12 +906,12 @@ mod tests {
         while huge.len() <= RETAINED_BYTES_CAP {
             huge.push_str("// padding padding padding padding padding padding padding\n");
         }
-        assert_eq!(parse_source(&huge).unwrap(), first);
-        assert_eq!(parse_source(&huge).unwrap(), first);
+        assert_eq!(parse_source(&memo, &huge).unwrap(), first);
+        assert_eq!(parse_source(&memo, &huge).unwrap(), first);
         assert!(!kept(&huge));
         // failures are reported as before and not remembered
-        assert!(parse_source("this is not qasm").is_err());
-        assert!(parse_source("this is not qasm").is_err());
+        assert!(parse_source(&memo, "this is not qasm").is_err());
+        assert!(parse_source(&memo, "this is not qasm").is_err());
     }
 
     #[test]
@@ -962,33 +953,36 @@ mod tests {
         assert!(err.ends_with(&format!(",\"partial\":{line}}}")), "{err}");
     }
 
+    /// [`decode_request`] through a memo of its own.
+    fn decode(line: &str) -> Result<Request, Refusal> {
+        decode_request(&Mutex::default(), line)
+    }
+
     #[test]
     fn decode_request_classifies_errors_by_kind() {
-        let bad_json = decode_request("{nope").unwrap_err();
+        let bad_json = decode("{nope").unwrap_err();
         assert_eq!(bad_json.1, ErrorKind::Io);
-        let no_id = decode_request(r#"{"qasm":"x","shots":1}"#).unwrap_err();
+        let no_id = decode(r#"{"qasm":"x","shots":1}"#).unwrap_err();
         assert_eq!(no_id.1, ErrorKind::Usage);
-        let bad_qasm =
-            decode_request(r#"{"id":"j","qasm":"this is not qasm","shots":1}"#).unwrap_err();
+        let bad_qasm = decode(r#"{"id":"j","qasm":"this is not qasm","shots":1}"#).unwrap_err();
         assert_eq!(bad_qasm.1, ErrorKind::QasmParse);
         assert_eq!(bad_qasm.0, "j");
-        let both = decode_request(r#"{"id":"j","qasm":"x","file":"y","shots":1}"#).unwrap_err();
+        let both = decode(r#"{"id":"j","qasm":"x","file":"y","shots":1}"#).unwrap_err();
         assert_eq!(both.1, ErrorKind::Usage);
         // a repeated key is refused, never read as its first value
-        let dup =
-            decode_request(r#"{"id":"dup","file":"bell.qasm","shots":2,"shots":3}"#).unwrap_err();
+        let dup = decode(r#"{"id":"dup","file":"bell.qasm","shots":2,"shots":3}"#).unwrap_err();
         assert_eq!((dup.0.as_str(), dup.1), ("dup", ErrorKind::Usage));
         assert!(dup.2.contains("'shots'"), "{}", dup.2);
-        let dup_id = decode_request(r#"{"id":"a","id":"b","qasm":"x","shots":1}"#).unwrap_err();
+        let dup_id = decode(r#"{"id":"a","id":"b","qasm":"x","shots":1}"#).unwrap_err();
         assert_eq!((dup_id.0.as_str(), dup_id.1), ("", ErrorKind::Usage));
-        let dup_cancel = decode_request(r#"{"cancel":"a","cancel":"b"}"#).unwrap_err();
+        let dup_cancel = decode(r#"{"cancel":"a","cancel":"b"}"#).unwrap_err();
         assert_eq!(dup_cancel.1, ErrorKind::Usage);
     }
 
     #[test]
     fn decode_request_accepts_a_job() {
         let line = r#"{"id":"bell","qasm":"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0], q[1];\nmeasure q -> c;","shots":64,"seed":3,"timeout_ms":500}"#;
-        match decode_request(line).unwrap() {
+        match decode(line).unwrap() {
             Request::Submit(spec) => {
                 assert_eq!(spec.id, "bell");
                 assert_eq!(spec.shots, 64);
@@ -998,7 +992,7 @@ mod tests {
             }
             Request::Cancel(_) => panic!("expected a submit"),
         }
-        match decode_request(r#"{"cancel":"bell"}"#).unwrap() {
+        match decode(r#"{"cancel":"bell"}"#).unwrap() {
             Request::Cancel(id) => assert_eq!(id, "bell"),
             Request::Submit(_) => panic!("expected a cancel"),
         }
@@ -1178,8 +1172,8 @@ mod tests {
         // a hang is a failure, not a stuck test run
         let (done_tx, done_rx) = channel();
         std::thread::scope(|scope| {
-            let (sched, write) = (&sched, out.clone());
-            scope.spawn(move || done_tx.send(handle_stream(sched, input, write)));
+            let (sched, memo, write) = (&sched, Mutex::default(), out.clone());
+            scope.spawn(move || done_tx.send(handle_stream(sched, &memo, input, write)));
             let (accepted, failed) = done_rx
                 .recv_timeout(Duration::from_secs(300))
                 .expect("handle_stream returns once its input has ended")

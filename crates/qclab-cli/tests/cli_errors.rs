@@ -996,6 +996,62 @@ fn a_bad_served_job_is_an_error_line_and_the_server_exits_zero() {
     assert!(out.contains("\"dedup_hit\":true"), "{out}");
 }
 
+/// A wire integer decodes exactly: a served seed of 2^53 + 1 draws what
+/// `qclab sample --seed` draws with it, not the bits of 2^53, and a
+/// seed past `u64::MAX` is the usage error the CLI makes of it.
+#[test]
+fn served_integers_decode_exactly() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let teleport = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../benchmark/inputs/teleport.qasm"
+    );
+    let input = format!(
+        "{{\"id\":\"big\",\"file\":\"{teleport}\",\"shots\":50,\"seed\":9007199254740993}}\n\
+         {{\"id\":\"over\",\"file\":\"{teleport}\",\"shots\":50,\"seed\":18446744073709551616}}\n"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qclab"))
+        .args(["serve", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("binary must spawn");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let out = stdout(&out);
+    let line = |id: &str| {
+        let needle = format!("\"id\":\"{id}\"");
+        out.lines()
+            .find(|l| l.contains(&needle))
+            .unwrap_or_else(|| panic!("no {id} line in:\n{out}"))
+    };
+    let big = line("big");
+    let from = big.find("\"counts\":{").expect("counts") + "\"counts\":{".len();
+    let counts = &big[from..from + big[from..].find('}').unwrap()];
+    assert_eq!(
+        counts,
+        sample_counts_as_wire(teleport, "50", "9007199254740993")
+    );
+    let over = line("over");
+    assert!(over.contains("\"kind\":\"usage\",\"code\":2"), "{over}");
+    assert!(
+        over.contains("'seed' must be a non-negative integer"),
+        "{over}"
+    );
+    assert_fails(
+        &["sample", teleport, "50", "--seed", "18446744073709551616"],
+        EXIT_USAGE,
+        "seed",
+    );
+}
+
 /// Runs the built binary under `ulimit -v <kib>`: an address space too
 /// small for more than a few thread stacks, so the OS refuses thread
 /// starts the way a pid limit does.

@@ -362,7 +362,7 @@ impl QCircuit {
     }
 
     /// Lowers the circuit to a [`CompiledProgram`](crate::program::CompiledProgram)
-    /// through the global plan cache, with default [`crate::program::PlanOptions`].
+    /// through the process's plan cache, with default [`crate::program::PlanOptions`].
     pub fn compile(&self) -> std::sync::Arc<crate::program::CompiledProgram> {
         crate::program::compile(self, &crate::program::PlanOptions::default())
     }

@@ -51,10 +51,7 @@ use std::fmt;
 pub(crate) mod cache;
 mod remap;
 
-pub use cache::{
-    clear_plan_cache, compile, plan_cache_capacity, plan_cache_stats, set_plan_cache_capacity,
-    PlanCacheStats, PLAN_CACHE_CAPACITY,
-};
+pub use cache::{clear_plan_cache, compile, plan_cache_stats, PlanCacheStats, PLAN_CACHE_CAPACITY};
 
 /// One operation of a lowered program. Qubit indices are absolute
 /// (register-relative); there are no nested structures left.
@@ -795,28 +792,30 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
     // inert for registers that fit in one sweep tile
     if options.remap && nb_qubits > SWEEP_TILE_QUBITS {
         // unfused, the source schedule is the stream as it stands
-        let unmapped = source.is_none().then(|| ops.clone());
+        let unmapped = source.take().ok_or_else(|| ops.clone());
         let unmapped_len = ops.len();
         ops = remap::remap_ops(ops, nb_qubits, &mut stats);
-        if ops.len() != unmapped_len {
+        source = if ops.len() == unmapped_len {
+            unmapped.ok()
+        } else {
             // layout changes went in: every op after the first one moved
             // down the schedule (and was relabeled)
             let at: Vec<usize> = (0..ops.len())
                 .filter(|&i| !matches!(ops[i], ProgramOp::Permute { .. }))
                 .collect();
-            source = Some(match source {
-                Some((source, mut placed)) => {
+            Some(match unmapped {
+                Ok((source, mut placed)) => {
                     for p in &mut placed {
                         p.op = at[p.op];
                     }
                     (source, placed)
                 }
-                None => (
-                    unmapped.expect("kept when there was no source"),
+                Err(unmapped) => (
+                    unmapped,
                     at.iter().map(|&op| Placed { op, pos: 0 }).collect(),
                 ),
-            });
-        }
+            })
+        };
     }
 
     let shot_plan = ShotPlan::classify(&ops);
@@ -856,7 +855,8 @@ fn to_ops(items: Vec<CircuitItem>) -> Vec<ProgramOp> {
             CircuitItem::Measurement(m) => ProgramOp::Measure(m),
             CircuitItem::Reset(q) => ProgramOp::Reset(q),
             CircuitItem::Barrier(qs) => ProgramOp::Fence(qs),
-            // the input stream is flat and fusion keeps it flat
+            // invariant: `flatten` emits no sub-circuit, and fusion emits
+            // only the gates, measurements, resets and barriers it reads
             CircuitItem::SubCircuit { .. } => unreachable!("sub-circuit survived flattening"),
         })
         .collect()
@@ -867,7 +867,7 @@ fn to_ops(items: Vec<CircuitItem>) -> Vec<ProgramOp> {
 /// `qclab serve` remembers parsed circuits for — not a tuning knob, the
 /// one bound that keeps "remember what was already solved" from growing
 /// with the traffic: the resident plans hold at most
-/// [`plan_cache_capacity`]` × RETAINED_BYTES_CAP` bytes of
+/// [`PLAN_CACHE_CAPACITY`]` × RETAINED_BYTES_CAP` bytes of
 /// preparations (32 MiB at the defaults), and a plan asked for once
 /// holds its preparation only as long as a caller holds the plan.
 /// 1 MiB keeps a `2^17`-outcome terminal table and nothing larger. A

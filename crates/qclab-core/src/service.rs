@@ -13,7 +13,7 @@
 //! What a stream of requests shares lives on the cached plan, not in the
 //! scheduler:
 //!
-//! * **Compile dedup** — lowering goes through the global plan cache,
+//! * **Compile dedup** — lowering goes through the process's plan cache,
 //!   whose [`compile`](crate::program::compile) is single-flight: under
 //!   a burst of same-fingerprint jobs exactly one thread lowers and
 //!   every waiter shares the same `Arc<CompiledProgram>`.
@@ -47,7 +47,7 @@
 
 use crate::circuit::QCircuit;
 use crate::error::QclabError;
-use crate::program::plan_cache_capacity;
+use crate::program::PLAN_CACHE_CAPACITY;
 use crate::recent::RecencyRing;
 use crate::sim::control::{ExecutionControl, StopCause};
 use crate::sim::guard::ResourceLimits;
@@ -57,7 +57,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -174,7 +174,7 @@ pub struct JobTelemetry {
     /// Submission → result.
     pub wall_ms: f64,
     /// `true` when the job's fingerprint is among the
-    /// [`plan_cache_capacity`] this scheduler accepted most recently: a
+    /// [`PLAN_CACHE_CAPACITY`] this scheduler accepted most recently: a
     /// recurring circuit, whose plan — and its bytecode/frame lowerings —
     /// the cache shares while it is held and keeps once it comes back.
     pub dedup_hit: bool,
@@ -217,6 +217,18 @@ pub struct JobError {
     /// For timeout/cancel mid-run: the shots completed before the stop
     /// (bit-identical to the same shots of an uninterrupted run).
     pub partial: Option<JobOutput>,
+}
+
+impl JobError {
+    /// An error without a partial result.
+    fn new(id: &str, kind: ErrorKind, message: impl Into<String>) -> Self {
+        JobError {
+            id: id.to_string(),
+            kind,
+            message: message.into(),
+            partial: None,
+        }
+    }
 }
 
 /// What a [`JobHandle`] resolves to.
@@ -318,7 +330,7 @@ impl SchedState {
         let hit = self.seen.touch(&fingerprint).is_some();
         if !hit {
             self.seen.insert(fingerprint, ());
-            self.seen.evict_down_to(plan_cache_capacity(), |_| true);
+            self.seen.evict_down_to(PLAN_CACHE_CAPACITY, |_| true);
         }
         hit
     }
@@ -346,13 +358,7 @@ impl Inner {
         // a worker that panicked mid-bookkeeping must not wedge the
         // scheduler; the state is only ever mutated in small consistent
         // steps, so recovery is to keep going
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.state.clear_poison();
-                poisoned.into_inner()
-            }
-        }
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -379,14 +385,7 @@ impl std::fmt::Debug for JobHandle {
 impl JobHandle {
     /// Blocks until the job resolves.
     pub fn wait(self) -> JobResult {
-        let fail = |kind, message: &str| {
-            Err(JobError {
-                id: self.id.clone(),
-                kind,
-                message: message.into(),
-                partial: None,
-            })
-        };
+        let fail = |kind, message: &str| Err(JobError::new(&self.id, kind, message));
         match self.rx.as_ref().map(Receiver::recv) {
             Some(Ok(r)) => r,
             Some(Err(_)) => fail(ErrorKind::Simulation, "scheduler dropped the job"),
@@ -423,12 +422,12 @@ impl JobHandle {
 }
 
 fn resolve_cancelled(job: &QueuedJob) {
-    let _ = job.tx.send(Err(JobError {
-        id: job.spec.id.clone(),
-        kind: ErrorKind::Cancelled,
-        message: "cancelled while queued".into(),
-        partial: None,
-    }));
+    let message = "cancelled while queued";
+    let _ = job.tx.send(Err(JobError::new(
+        &job.spec.id,
+        ErrorKind::Cancelled,
+        message,
+    )));
 }
 
 // ---------------------------------------------------------------------
@@ -508,12 +507,7 @@ impl Scheduler {
     ) -> Result<JobHandle, JobError> {
         let reject = |id: &str, kind: ErrorKind, message: String| {
             self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            Err(JobError {
-                id: id.to_string(),
-                kind,
-                message,
-                partial: None,
-            })
+            Err(JobError::new(id, kind, message))
         };
         let n = spec.circuit.nb_qubits();
         let base = &self.inner.cfg.base;
@@ -639,12 +633,12 @@ fn sweep_queue(inner: &Inner, st: &mut SchedState) {
             resolve_cancelled(&job);
         } else if j.deadline.is_some_and(|d| now >= d) {
             let job = st.queue.remove(i);
-            let _ = job.tx.send(Err(JobError {
-                id: job.spec.id.clone(),
-                kind: ErrorKind::Timeout,
-                message: "deadline expired while queued".into(),
-                partial: None,
-            }));
+            let message = "deadline expired while queued";
+            let _ = job.tx.send(Err(JobError::new(
+                &job.spec.id,
+                ErrorKind::Timeout,
+                message,
+            )));
         } else {
             i += 1;
         }
@@ -679,10 +673,7 @@ fn next_job(inner: &Inner) -> Option<QueuedJob> {
         let (guard, _) = inner
             .work_ready
             .wait_timeout(st, Duration::from_millis(50))
-            .unwrap_or_else(|p| {
-                inner.state.clear_poison();
-                p.into_inner()
-            });
+            .unwrap_or_else(PoisonError::into_inner);
         st = guard;
     }
 }
@@ -724,10 +715,8 @@ fn run_job(inner: &Inner, job: &QueuedJob) {
     };
     let fail = |kind: ErrorKind, message: String, partial: Option<JobOutput>| {
         Err(JobError {
-            id: job.spec.id.clone(),
-            kind,
-            message,
             partial,
+            ..JobError::new(&job.spec.id, kind, message)
         })
     };
     let result = match outcome {

@@ -364,7 +364,8 @@ struct PrepKey {
 /// another [`PrepKey`] computes its own preparation and leaves the slot
 /// alone, and one over [`program::RETAINED_BYTES_CAP`] is never kept.
 /// The slot dies with its plan (its last holder, LRU eviction,
-/// [`program::clear_plan_cache`]).
+/// [`program::clear_plan_cache`]). Its looks count in the process
+/// cache's [`program::PlanCacheStats`] whichever cache holds the plan.
 #[derive(Clone, Default)]
 pub(crate) struct PrepSlot(OnceLock<(PrepKey, Arc<SampledPrep>)>);
 

@@ -1,10 +1,11 @@
-//! Admission and LRU behaviour of the global plan cache: a plan is kept
-//! only when its key is asked for again after its last holder dropped
-//! it; residents fill up to [`PLAN_CACHE_CAPACITY`] and evict the
-//! least-recently-used plan, a hit refreshes an entry's position, a
+//! Admission and LRU behaviour of the process's plan cache: a plan is
+//! kept only when its key is asked for again after its last holder
+//! dropped it; residents fill up to [`PLAN_CACHE_CAPACITY`] and evict
+//! the least-recently-used plan, a hit refreshes an entry's position, a
 //! re-lowered plan after [`clear_plan_cache`] is indistinguishable from
-//! the evicted one, and the scheduler's dedup window follows the cache's
-//! capacity.
+//! the evicted one, and the scheduler's dedup window is
+//! [`PLAN_CACHE_CAPACITY`] circuits wide, as the cache's ring of keys is.
+//! (A smaller cache's LRU order is `program::cache`'s unit tests'.)
 //!
 //! Everything lives in ONE test function: the cache and its counters
 //! are process-global, and the default parallel test runner would race
@@ -207,57 +208,9 @@ fn plan_cache_is_lru_and_relowering_matches() {
         "the sparse-entry bound must not depend on the plan variant"
     );
 
-    // ---- configurable capacity + eviction accounting ----------------
-    // shrink the cache to a non-default size; LRU order and the
-    // eviction counter must track it exactly
-    program::clear_plan_cache();
-    program::set_plan_cache_capacity(4);
-    assert_eq!(program::plan_cache_capacity(), 4);
-    let evicted_before = program::plan_cache_stats().evictions;
-    for i in 0..4 {
-        resident(i, &opts);
-    }
-    assert_eq!(program::plan_cache_stats().entries, 4);
-    assert_eq!(
-        program::plan_cache_stats().evictions,
-        evicted_before,
-        "filling to the new capacity must not evict"
-    );
-    // touch 0, admit a 5th: 1 (the LRU) is evicted and counted
-    program::compile(&distinct_circuit(0), &opts);
-    resident(4, &opts);
-    let st = program::plan_cache_stats();
-    assert_eq!(st.entries, 4, "non-default capacity must be enforced");
-    assert_eq!(st.evictions, evicted_before + 1, "one eviction expected");
-    let before = program::plan_cache_stats();
-    program::compile(&distinct_circuit(0), &opts);
-    assert_eq!(
-        program::plan_cache_stats().hits,
-        before.hits + 1,
-        "touched plan must survive at capacity 4"
-    );
-    let before = program::plan_cache_stats();
-    program::compile(&distinct_circuit(1), &opts);
-    assert_eq!(
-        program::plan_cache_stats().misses,
-        before.misses + 1,
-        "LRU plan must be gone at capacity 4"
-    );
-    // the ring of keys follows the capacity too
-    for i in 0..10 {
-        program::compile(&distinct_circuit(2000 + i), &opts);
-    }
-    assert_eq!(program::plan_cache_stats().seen, 4);
-
-    // shrinking below the resident count evicts down immediately
-    let evicted_before = program::plan_cache_stats().evictions;
-    program::set_plan_cache_capacity(2);
-    let st = program::plan_cache_stats();
-    assert_eq!(st.entries, 2, "shrink must evict down to the new cap");
-    assert_eq!(st.evictions, evicted_before + 2);
-    assert_eq!(st.seen, 2);
-    // the scheduler's dedup window is the plan cache's: at capacity 2,
-    // A B C A forgets A, and the second A is no dedup hit
+    // the scheduler's dedup window is the plan cache's capacity: A, then
+    // `PLAN_CACHE_CAPACITY` other circuits, forgets A, and the last A is
+    // no dedup hit
     program::clear_plan_cache();
     let scheduler = Scheduler::new(ServiceConfig {
         workers: 1,
@@ -274,25 +227,17 @@ fn plan_cache_is_lru_and_relowering_matches() {
             .dedup_hit
     };
     let before = program::plan_cache_stats();
-    let hits: Vec<bool> = [0, 1, 2, 0].into_iter().map(submit).collect();
-    assert_eq!(hits, [false, false, false, false], "A B C A at capacity 2");
+    let order = std::iter::once(0).chain(1..=PLAN_CACHE_CAPACITY).chain([0]);
+    let hits: Vec<bool> = order.map(submit).collect();
+    assert_eq!(hits, [false; PLAN_CACHE_CAPACITY + 2], "A, the others, A");
     assert_eq!(
         program::plan_cache_stats().misses,
-        before.misses + 4,
-        "the second A lowers again"
+        before.misses + PLAN_CACHE_CAPACITY as u64 + 2,
+        "the last A lowers again"
     );
     assert_eq!(program::plan_cache_stats().entries, 0, "A was forgotten");
     assert!(submit(0), "A A is a hit");
     assert_eq!(program::plan_cache_stats().entries, 1, "…and A is kept");
     drop(scheduler);
-
-    // clamp: capacity 0 is meaningless, it becomes 1
-    program::set_plan_cache_capacity(0);
-    assert_eq!(program::plan_cache_capacity(), 1);
-    assert_eq!(program::plan_cache_stats().entries, 1);
-
-    // restore the default so later suites see the documented behaviour
-    program::set_plan_cache_capacity(PLAN_CACHE_CAPACITY);
-    assert_eq!(program::plan_cache_capacity(), PLAN_CACHE_CAPACITY);
     program::clear_plan_cache();
 }

@@ -29,7 +29,7 @@ use qclab::algorithms::ghz::ghz_circuit;
 use qclab::algorithms::qft::qft;
 use qclab::prelude::*;
 use qclab_core::program::{
-    self, clear_plan_cache, plan_cache_stats, PLAN_CACHE_CAPACITY, RETAINED_BYTES_CAP,
+    clear_plan_cache, plan_cache_stats, PLAN_CACHE_CAPACITY, RETAINED_BYTES_CAP,
 };
 use qclab_core::service::ErrorKind;
 use qclab_core::sim::control::ExecutionControl;
@@ -53,7 +53,6 @@ fn fresh_cache() -> MutexGuard<'static, ()> {
     let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     #[cfg(feature = "chaos")]
     qclab_core::sim::control::chaos::disarm();
-    program::set_plan_cache_capacity(PLAN_CACHE_CAPACITY);
     clear_plan_cache();
     guard
 }
@@ -88,7 +87,7 @@ fn seen_once(circuit: &QCircuit, config: &TrajectoryConfig) {
 fn assert_bounded() {
     let stats = plan_cache_stats();
     assert!(
-        stats.prep_bytes <= program::plan_cache_capacity() * RETAINED_BYTES_CAP,
+        stats.prep_bytes <= PLAN_CACHE_CAPACITY * RETAINED_BYTES_CAP,
         "{} bytes retained",
         stats.prep_bytes
     );
@@ -455,7 +454,6 @@ fn a_preparation_over_the_cap_is_not_retained() {
 #[test]
 fn evicting_a_plan_drops_its_preparation() {
     let _g = fresh_cache();
-    program::set_plan_cache_capacity(1);
     let (a, base) = alias_qft(8);
     let (b, _) = alias_qft(6);
     let config = seeded(&base, 6);
@@ -464,19 +462,30 @@ fn evicting_a_plan_drops_its_preparation() {
     let held_a = plan_cache_stats().prep_bytes;
     assert!(held_a > 0);
     assert!(run_trajectories(&a, &config).unwrap().prep_hit());
-    seen_once(&b, &config);
-    run_trajectories(&b, &config).unwrap();
-    let held_b = plan_cache_stats().prep_bytes;
+    // a full cache of other plans after a: b, each copy its own circuit
+    // (a phase on |0⟩ changes the key, not the table)
+    let mut held_b = 0;
+    for k in 0..PLAN_CACHE_CAPACITY {
+        let mut other = b.clone();
+        other
+            .insert(0, RotationZ::new(0, 0.1 + 1e-3 * k as f64))
+            .unwrap();
+        seen_once(&other, &config);
+        run_trajectories(&other, &config).unwrap();
+        if k == 0 {
+            held_b = plan_cache_stats().prep_bytes - held_a;
+        }
+    }
+    let held = plan_cache_stats().prep_bytes;
     assert!(
-        0 < held_b && held_b < held_a,
-        "only b's smaller table may remain, {held_b} bytes held"
+        0 < held_b && held_b < held_a && held == PLAN_CACHE_CAPACITY * held_b,
+        "only the copies of b's smaller table may remain, {held} bytes held"
     );
     assert_bounded();
     assert!(
         !run_trajectories(&a, &config).unwrap().prep_hit(),
         "a's plan was evicted, and its preparation with it"
     );
-    program::set_plan_cache_capacity(PLAN_CACHE_CAPACITY);
 }
 
 #[test]
