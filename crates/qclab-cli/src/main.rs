@@ -18,6 +18,7 @@
 mod serve;
 
 use qclab_core::program::{plan_cache_stats, PlanOptions};
+use qclab_core::service::ErrorKind;
 use qclab_core::sim::control::ExecutionControl;
 use qclab_core::sim::guard::{ResourceLimits, SPARSE_ENTRY_BYTES};
 use qclab_core::sim::kernel::KernelConfig;
@@ -35,18 +36,16 @@ use Cmd::*;
 use Set::*;
 
 /// Exit code for command-line misuse (bad flags, bad noise specs).
-const EXIT_USAGE: u8 = 2;
+const EXIT_USAGE: u8 = ErrorKind::Usage.exit_code();
 /// Exit code for file-system failures.
-const EXIT_IO: u8 = 3;
-/// Exit code for OpenQASM parse/import failures.
-const EXIT_PARSE: u8 = 4;
+const EXIT_IO: u8 = ErrorKind::Io.exit_code();
 /// Exit code for simulation failures (bad state, bad observable, …).
-const EXIT_SIM: u8 = 5;
+const EXIT_SIM: u8 = ErrorKind::Simulation.exit_code();
 /// Exit code for resource-limit refusals.
-const EXIT_RESOURCE: u8 = 6;
+const EXIT_RESOURCE: u8 = ErrorKind::Resource.exit_code();
 /// Exit code for deadline/cancellation stops (`--timeout-ms`). Partial
 /// results, when available, are printed on stdout before exiting.
-const EXIT_TIMEOUT: u8 = 7;
+const EXIT_TIMEOUT: u8 = ErrorKind::Timeout.exit_code();
 
 /// A failure carrying its exit code; the message goes to stderr. A
 /// timed-out run may also carry a partial-result document for stdout.
@@ -86,15 +85,8 @@ type Output = Result<String, CliError>;
 
 impl From<QclabError> for CliError {
     fn from(e: QclabError) -> Self {
-        let code = match &e {
-            QclabError::QasmParse { .. } => EXIT_PARSE,
-            QclabError::ResourceExhausted { .. } => EXIT_RESOURCE,
-            QclabError::InvalidNoiseSpec(_) => EXIT_USAGE,
-            QclabError::Cancelled(_) | QclabError::DeadlineExceeded(_) => EXIT_TIMEOUT,
-            _ => EXIT_SIM,
-        };
         CliError {
-            code,
+            code: ErrorKind::classify(&e).exit_code(),
             msg: e.to_string(),
             stdout: None,
         }
@@ -1540,7 +1532,7 @@ mod tests {
         assert_eq!(e.code, EXIT_IO);
         let bad = write_qasm("bad", "qreg q[1]; frobnicate q[0];");
         let e = run(parse(&["stats", &bad]).unwrap()).unwrap_err();
-        assert_eq!(e.code, EXIT_PARSE);
+        assert_eq!(e.code, ErrorKind::QasmParse.exit_code());
         assert!(e.msg.contains("frobnicate"));
     }
 }

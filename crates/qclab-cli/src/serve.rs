@@ -97,9 +97,9 @@ impl ServeOpts {
 pub enum Json {
     Null,
     Bool(bool),
-    /// A digit literal that fits a `u64`: exact, where an `f64` rounds.
+    /// A number literal whose exact value is a `u64` (`7`, `1e1`, `10.0`).
     Int(u64),
-    Num(f64),
+    Num, // any other literal: checked, not kept (no job field takes one)
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
@@ -120,13 +120,10 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer; a spelling other than plain
-    /// digits (`1e1`, `10.0`) only up to 2^53, where an `f64` is exact.
+    /// The value as a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
-        const EXACT: f64 = (1u64 << f64::MANTISSA_DIGITS) as f64;
         match self {
             Json::Int(n) => Some(*n),
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= EXACT => Some(*n as u64),
             _ => None,
         }
     }
@@ -298,21 +295,39 @@ impl JsonParser<'_> {
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
         while self
             .peek()
             .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
         {
             self.i += 1;
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).ok();
-        // the literal opens with a digit or '-', never '+': only plain
-        // digits parse as a `u64`
-        let int = text.and_then(|s| s.parse::<u64>().ok()).map(Json::Int);
-        int.or_else(|| text?.parse::<f64>().ok().map(Json::Num))
-            .ok_or(format!("invalid number at byte {start}"))
+        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap_or("");
+        match text.parse::<f64>() {
+            Ok(_) => Ok(exact_u64(text).map_or(Json::Num, Json::Int)),
+            Err(_) => Err(format!("invalid number at byte {start}")),
+        }
+    }
+}
+
+/// A number literal's exact value when it is a non-negative integer
+/// that fits a `u64` (`1e1`, `10.0`; not `1.5`, `1e20`), decided on its
+/// digits and exponent (`n × 10^shift`), never through an `f64`.
+fn exact_u64(literal: &str) -> Option<u64> {
+    let (mantissa, exp) = literal.split_once(['e', 'E']).unwrap_or((literal, "0"));
+    let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+    let digits = format!("{}{frac}", int.trim_start_matches('-'));
+    let digits = digits.trim_start_matches('0');
+    let significant = digits.trim_end_matches('0');
+    match (significant.parse::<u64>(), exp.parse::<i64>()) {
+        _ if significant.is_empty() => Some(0),
+        (Ok(n), Ok(exp)) if !int.starts_with('-') => {
+            let shift = exp
+                .saturating_sub(frac.len() as i64)
+                .saturating_add((digits.len() - significant.len()) as i64);
+            let n = (0..shift).try_fold(n, |n, _| n.checked_mul(10));
+            n.filter(|_| shift >= 0)
+        }
+        _ => None,
     }
 }
 
@@ -729,8 +744,35 @@ mod tests {
         assert_eq!(items.len(), 3);
         assert_eq!(items[2].get("b").unwrap().as_str(), Some("qA\"\n"));
         assert_eq!(doc.get("c"), Some(&Json::Bool(true)));
-        assert_eq!(doc.get("d"), Some(&Json::Num(-2.5)));
+        assert_eq!(doc.get("d"), Some(&Json::Num));
         assert_eq!(doc.get("d").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn integer_literals_decode_on_their_exact_value() {
+        let cases = [
+            ("7", Some(7)),
+            ("1e1", Some(10)),
+            ("10.0", Some(10)),
+            ("2.5E+1", Some(25)),
+            ("1200e-2", Some(12)),
+            ("-0", Some(0)),
+            ("0.000e99999999999999999999", Some(0)),
+            ("9007199254740993.0", Some(9007199254740993)),
+            ("18446744073709551615", Some(u64::MAX)),
+            ("1844674407370955161.5e1", Some(u64::MAX)),
+            ("18446744073709551616", None),
+            ("1e20", None),
+            ("1.5", None),
+            ("1.0000000000000000001", None),
+            ("15e-1", None),
+            ("-1", None),
+            ("1e99999999999999999999", None),
+        ];
+        for (literal, want) in cases {
+            let doc = parse_json(&format!("{{\"n\":{literal}}}")).unwrap();
+            assert_eq!(doc.get("n").unwrap().as_u64(), want, "{literal}");
+        }
     }
 
     /// The decoder this file shipped before `string()` copied whole

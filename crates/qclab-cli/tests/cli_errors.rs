@@ -996,9 +996,10 @@ fn a_bad_served_job_is_an_error_line_and_the_server_exits_zero() {
     assert!(out.contains("\"dedup_hit\":true"), "{out}");
 }
 
-/// A wire integer decodes exactly: a served seed of 2^53 + 1 draws what
-/// `qclab sample --seed` draws with it, not the bits of 2^53, and a
-/// seed past `u64::MAX` is the usage error the CLI makes of it.
+/// A wire integer decodes on its exact value: a served seed of 2^53 + 1,
+/// in any spelling, draws what `qclab sample --seed` draws with it, not
+/// the bits of 2^53; a seed past `u64::MAX`, or one whose exact value is
+/// no integer, is the usage error the CLI makes of it.
 #[test]
 fn served_integers_decode_exactly() {
     use std::io::Write;
@@ -1007,10 +1008,21 @@ fn served_integers_decode_exactly() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../benchmark/inputs/teleport.qasm"
     );
-    let input = format!(
-        "{{\"id\":\"big\",\"file\":\"{teleport}\",\"shots\":50,\"seed\":9007199254740993}}\n\
-         {{\"id\":\"over\",\"file\":\"{teleport}\",\"shots\":50,\"seed\":18446744073709551616}}\n"
-    );
+    let rows = [
+        ("big", "9007199254740993"),
+        ("over", "18446744073709551616"),
+        ("big_point", "9007199254740993.0"),
+        ("ten", "1e1"),
+        ("half", "1.5"),
+        ("near_one", "1.0000000000000000001"),
+        ("e20", "1e20"),
+    ];
+    let input: String = rows
+        .iter()
+        .map(|(id, seed)| {
+            format!("{{\"id\":\"{id}\",\"file\":\"{teleport}\",\"shots\":50,\"seed\":{seed}}}\n")
+        })
+        .collect();
     let mut child = Command::new(env!("CARGO_BIN_EXE_qclab"))
         .args(["serve", "--workers", "1"])
         .stdin(Stdio::piped())
@@ -1032,19 +1044,27 @@ fn served_integers_decode_exactly() {
             .find(|l| l.contains(&needle))
             .unwrap_or_else(|| panic!("no {id} line in:\n{out}"))
     };
-    let big = line("big");
-    let from = big.find("\"counts\":{").expect("counts") + "\"counts\":{".len();
-    let counts = &big[from..from + big[from..].find('}').unwrap()];
-    assert_eq!(
-        counts,
-        sample_counts_as_wire(teleport, "50", "9007199254740993")
-    );
-    let over = line("over");
-    assert!(over.contains("\"kind\":\"usage\",\"code\":2"), "{over}");
-    assert!(
-        over.contains("'seed' must be a non-negative integer"),
-        "{over}"
-    );
+    for (id, seed) in [
+        ("big", "9007199254740993"),
+        ("big_point", "9007199254740993"),
+        ("ten", "10"),
+    ] {
+        let served = line(id);
+        let from = served.find("\"counts\":{").expect("counts") + "\"counts\":{".len();
+        let counts = &served[from..from + served[from..].find('}').unwrap()];
+        assert_eq!(counts, sample_counts_as_wire(teleport, "50", seed), "{id}");
+    }
+    for id in ["over", "half", "near_one", "e20"] {
+        let refused = line(id);
+        assert!(
+            refused.contains("\"kind\":\"usage\",\"code\":2"),
+            "{refused}"
+        );
+        assert!(
+            refused.contains("'seed' must be a non-negative integer"),
+            "{refused}"
+        );
+    }
     assert_fails(
         &["sample", teleport, "50", "--seed", "18446744073709551616"],
         EXIT_USAGE,

@@ -1,13 +1,13 @@
 //! Pins what the built `qclab` binary prints — stdout, stderr and the
 //! exit code — for the benchmark's five circuits under every backend and
-//! each one-shot command, against `tests/golden/cli_goldens.txt`.
+//! each one-shot command, against
+//! `tests/golden/cli_goldens/<SEED_CONTRACT>.txt`.
 //!
 //! An output longer than [`VERBATIM_MAX`] bytes is pinned by its length
-//! and FNV-1a digest, so the golden file stays readable. On a mismatch
-//! the whole actual file is written under `CARGO_TARGET_TMPDIR` and the
-//! failure message names it; after a deliberate change, review that file
-//! and copy it over the golden.
+//! and FNV-1a digest, so the golden file stays readable.
 
+use qclab_core::sim::trajectory::SEED_CONTRACT;
+use qclab_testkit::seeded_golden;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -83,7 +83,7 @@ fn render_stream(out: &mut String, name: &str, bytes: &[u8]) {
 
 /// One case's block: a `=== ` header naming the command line, the exit
 /// code, then both streams.
-fn run_case(input: &str, backend: &str, args: &[&str]) -> (String, String) {
+fn run_case(input: &str, backend: &str, args: &[&str]) -> String {
     let path = format!("benchmark/inputs/{input}.qasm");
     let mut argv = vec![args[0], &path];
     argv.extend_from_slice(&args[1..]);
@@ -93,22 +93,14 @@ fn run_case(input: &str, backend: &str, args: &[&str]) -> (String, String) {
         .current_dir(workspace_root())
         .output()
         .expect("binary must spawn");
-    let header = format!("qclab {}", argv.join(" "));
-    let mut block = format!("exit {:?}\n", out.status.code());
+    let mut block = format!(
+        "=== qclab {}\nexit {:?}\n",
+        argv.join(" "),
+        out.status.code()
+    );
     render_stream(&mut block, "stdout", &out.stdout);
     render_stream(&mut block, "stderr", &out.stderr);
-    (header, block)
-}
-
-fn parse(golden: &str) -> Vec<(String, String)> {
-    golden
-        .split("=== ")
-        .skip(1)
-        .map(|case| {
-            let (header, block) = case.split_once('\n').unwrap_or((case, ""));
-            (header.to_string(), block.to_string())
-        })
-        .collect()
+    block
 }
 
 #[test]
@@ -124,32 +116,5 @@ fn benchmark_circuits_print_their_goldens() {
         }
     }
     assert_eq!(actual.len(), 84);
-
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cli_goldens.txt");
-    let golden = std::fs::read_to_string(&golden_path).unwrap_or_default();
-    let expected = parse(&golden);
-    let mismatched: Vec<&str> = actual
-        .iter()
-        .enumerate()
-        .filter(|&(k, case)| expected.get(k) != Some(case))
-        .map(|(_, (header, _))| header.as_str())
-        .collect();
-    if mismatched.is_empty() && expected.len() == actual.len() {
-        return;
-    }
-    let text: String = actual
-        .iter()
-        .map(|(header, block)| format!("=== {header}\n{block}"))
-        .collect();
-    let dump = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_goldens.actual.txt");
-    std::fs::write(&dump, text).expect("the target tmpdir must be writable");
-    panic!(
-        "{} of {} cases differ from {} ({} golden cases); actual output written to {}\nfirst: {:?}",
-        mismatched.len(),
-        actual.len(),
-        golden_path.display(),
-        expected.len(),
-        dump.display(),
-        mismatched.first()
-    );
+    seeded_golden!("cli_goldens", SEED_CONTRACT, actual.concat());
 }

@@ -104,7 +104,7 @@ impl ErrorKind {
     }
 
     /// The CLI exit code this kind corresponds to (`error.code`).
-    pub fn exit_code(self) -> u8 {
+    pub const fn exit_code(self) -> u8 {
         match self {
             ErrorKind::Usage => 2,
             ErrorKind::Io => 3,
@@ -115,8 +115,8 @@ impl ErrorKind {
         }
     }
 
-    /// Classifies an engine error, mirroring the CLI's
-    /// `From<QclabError> for CliError` mapping.
+    /// Classifies an engine error; the CLI exits with its
+    /// [`exit_code`](Self::exit_code).
     pub fn classify(e: &QclabError) -> ErrorKind {
         match e {
             QclabError::QasmParse { .. } => ErrorKind::QasmParse,

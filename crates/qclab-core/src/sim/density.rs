@@ -28,7 +28,7 @@ use crate::gates::Gate;
 use crate::program::ProgramOp;
 use crate::sim::control::ExecutionControl;
 use crate::sim::kernel;
-use qclab_math::scalar::{c, cr, zero, C64};
+use qclab_math::scalar::{cr, zero, C64};
 use qclab_math::{CMat, CVec, DensityMatrix};
 
 /// A standard single-qubit noise channel.
@@ -353,17 +353,11 @@ pub fn run_noisy_controlled(
     Ok(state)
 }
 
-/// Helper: builds the imaginary unit without importing scalar helpers at
-/// call sites (kept for symmetry with the statevector module).
-#[allow(dead_code)]
-fn im() -> C64 {
-    c(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gates::factories::*;
+    use qclab_math::scalar::c;
 
     const INV_SQRT2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 

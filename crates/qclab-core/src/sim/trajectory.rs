@@ -556,7 +556,7 @@ impl TrajectoryResult {
 /// Version of the seed contract: what a `(circuit, seed, shots)` triple
 /// maps to. Bumped by every change that can alter a sampled record or an
 /// injected-error count at a fixed seed — a *declared* break, listed in
-/// CHANGES.md with old and new goldens (`tests/seed_goldens.rs` keys its
+/// CHANGES.md with old and new goldens (each `tests/golden/<name>/<n>.txt` keys its
 /// rows on this number). History: 1 = PR 13 (thread-count-invariant
 /// reductions at n ≥ 18), 2 = PR 16 (a terminal block is one draw),
 /// 3 = PR 19 (noise walked hit to hit), 4 = noisy state-vector shots run

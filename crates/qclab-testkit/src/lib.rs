@@ -1,4 +1,4 @@
-//! Seeded property tests for the qclab test suites.
+//! Seeded property tests and checked-in goldens for the qclab test suites.
 //!
 //! A [`proptest!`] block turns each `fn name(arg in strategy, ..) { body }`
 //! into a `#[test]` that draws its arguments from the [`Strategy`]s and
@@ -13,6 +13,11 @@
 //! [`Strategy::prop_filter_map`], [`collection::vec`], `".{a,b}"` strings
 //! and [`any`] over `u8` and `u64`. The macro and method names follow the
 //! `proptest` crate's, but nothing here is that crate or draws its values.
+//!
+//! [`golden!`] and [`seeded_golden!`] compare a test's output with its
+//! checked-in golden file ([`mod@golden`]).
+
+pub mod golden;
 
 use qclab_math::rng::Rng;
 use std::fmt::Debug;

@@ -9,12 +9,11 @@
 //! executor on its own plan (densified through `to_dense` for the
 //! amplitudes).
 //!
-//! The dense digests were recorded at `7fe8e39`, when the dense and
-//! sparse branch trees were still two copies; a change that moves any
-//! bit of a branch, of its probability or of the sampled counts fails
-//! here. The sparse digests are as exact: the sparse maps hash with
-//! fixed keys, so the sums taken in their order are the same in every
-//! process (CI runs this binary in 20 fresh processes).
+//! The digests are `tests/golden/branch_pin/<SEED_CONTRACT>.txt`: a
+//! change that moves any bit of a branch, of its probability or of the
+//! sampled counts fails here. The sparse digests are as exact: the sparse
+//! maps hash with fixed keys, so the sums taken in their order are the
+//! same in every process (CI runs this binary in 20 fresh processes).
 
 use qclab::prelude::*;
 use qclab_core::program::PlanOptions;
@@ -22,56 +21,8 @@ use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::kron;
 use qclab_core::sim::sparse::{self, SparseState};
-
-/// The recorded digests: `(case, engine, digest)`.
-const PINS: &[(&str, &str, u64)] = &[
-    ("teleport", "kernel", 0x9791d1d932396db8),
-    ("teleport", "kron", 0x9791d1d932396db8),
-    ("teleport", "sparse", 0x9791d1d932396db8),
-    ("qec3", "kernel", 0x59d7b2634d1ded64),
-    ("qec3", "kron", 0x59d7b2634d1ded64),
-    ("qec3", "sparse", 0x59d7b2634d1ded64),
-    ("grover2", "kernel", 0xbb1142cd94287192),
-    ("grover2", "kron", 0xbb1142cd94287192),
-    ("grover2", "sparse", 0xbb1142cd94287192),
-    ("seeded1", "kernel", 0x04b6c8148ef1ad5a),
-    ("seeded1", "kron", 0x75487f8dfb7d27f7),
-    ("seeded1", "sparse", 0xfcd94a43d7fb4197),
-    ("seeded2", "kernel", 0xb8367c368249a02a),
-    ("seeded2", "kron", 0x55020d657fe6ddfa),
-    ("seeded2", "sparse", 0x8fa471169fa0436c),
-    ("seeded3", "kernel", 0x8a0ed73a401c5c47),
-    ("seeded3", "kron", 0xfa1532f9f58a945f),
-    ("seeded3", "sparse", 0x2fb4214a2ecd89af),
-    ("seeded4", "kernel", 0x63ca67b920874617),
-    ("seeded4", "kron", 0xc6c218f9a4912bcd),
-    ("seeded4", "sparse", 0x6360573a6900423c),
-    ("seeded5", "kernel", 0x69f52b01c2c78a78),
-    ("seeded5", "kron", 0x69f52b01c2c78a78),
-    ("seeded5", "sparse", 0xfee20f8f4f766d4c),
-    ("seeded6", "kernel", 0xc46dffb9441a7677),
-    ("seeded6", "kron", 0x85a8e4622673d914),
-    ("seeded6", "sparse", 0x494f1aca49c9d53e),
-    ("seeded7", "kernel", 0x9041e4b84c2531bd),
-    ("seeded7", "kron", 0x679c60d702037215),
-    ("seeded7", "sparse", 0x20b822debfec91ad),
-    ("seeded8", "kernel", 0x03f378d9858544e3),
-    ("seeded8", "kron", 0x2aaa519634f677fd),
-    ("seeded8", "sparse", 0x8ca759e8ff86876b),
-    ("seeded9", "kernel", 0x20c8e04d9986796b),
-    ("seeded9", "kron", 0x1db3a78dfc8878fb),
-    ("seeded9", "sparse", 0x7e2e5e6aa0a01493),
-    ("seeded10", "kernel", 0xae208f831eb04801),
-    ("seeded10", "kron", 0x25c84f93da99f7a9),
-    ("seeded10", "sparse", 0x8f33b53a64da80f9),
-    ("seeded11", "kernel", 0x10b8e492831531c7),
-    ("seeded11", "kron", 0x10b8e492831531c7),
-    ("seeded11", "sparse", 0x31769fb2e70cc77f),
-    ("seeded12", "kernel", 0xe9496bd76df92f9c),
-    ("seeded12", "kron", 0x90adab43742f6909),
-    ("seeded12", "sparse", 0xbe1570cfdb790d71),
-    ("relabeled14", "kernel", 0xbe9e4a785b05d0ae),
-];
+use qclab_core::sim::trajectory::SEED_CONTRACT;
+use qclab_testkit::seeded_golden;
 
 /// FNV-1a over everything a branch tree reports.
 struct Fnv(u64);
@@ -303,21 +254,9 @@ fn actual() -> Vec<(String, &'static str, u64)> {
 
 #[test]
 fn branch_trees_keep_their_bits() {
-    let got = actual();
-    let table: String = got
+    let text: String = actual()
         .iter()
-        .map(|(case, engine, d)| format!("    (\"{case}\", \"{engine}\", {d:#018x}),\n"))
+        .map(|(case, engine, d)| format!("{case} {engine} {d:#018x}\n"))
         .collect();
-    assert_eq!(
-        got.len(),
-        PINS.len(),
-        "pinned set changed; actual:\n{table}"
-    );
-    for ((case, engine, d), (pc, pe, pd)) in got.iter().zip(PINS) {
-        assert_eq!((case.as_str(), *engine), (*pc, *pe), "actual:\n{table}");
-        assert_eq!(
-            *d, *pd,
-            "{case} on {engine}: branch tree bits moved; actual:\n{table}"
-        );
-    }
+    seeded_golden!("branch_pin", SEED_CONTRACT, text);
 }

@@ -1,57 +1,25 @@
 //! Golden-output tests pinning the exact text artifacts the paper shows:
 //! the terminal rendering of circuit (1), its LaTeX source, and its
-//! OpenQASM listing. Any unintended change to the renderers breaks these
-//! loudly.
+//! OpenQASM listing (`tests/golden/circuit1_*.txt`). Any unintended
+//! change to the renderers breaks these loudly.
 
 use qclab::prelude::*;
 use qclab_algorithms::bell_circuit;
+use qclab_testkit::golden;
 
 #[test]
 fn golden_ascii_rendering_of_circuit_1() {
-    let art = draw_circuit(&bell_circuit());
-    // note: no line-continuation backslashes here — they would strip the
-    // significant leading spaces of the first line
-    let expected = r#"     ┌───┐       ┌───┐
-q0: ─┤ H ├───●───┤ M ├──
-     └───┘   │   └───┘
-           ┌─┴─┐ ┌───┐
-q1: ───────┤ X ├─┤ M ├──
-           └───┘ └───┘
-"#;
-    assert_eq!(art, expected, "terminal rendering drifted:\n{art}");
+    golden!("circuit1_ascii", draw_circuit(&bell_circuit()));
 }
 
 #[test]
 fn golden_qasm_of_circuit_1() {
-    let qasm = to_qasm(&bell_circuit()).unwrap();
-    let expected = "\
-OPENQASM 2.0;
-include \"qelib1.inc\";
-qreg q[2];
-creg c[2];
-h q[0];
-cx q[0], q[1];
-measure q[0] -> c[0];
-measure q[1] -> c[1];
-";
-    assert_eq!(qasm, expected);
+    golden!("circuit1_qasm", to_qasm(&bell_circuit()).unwrap());
 }
 
 #[test]
 fn golden_latex_of_circuit_1() {
-    let tex = to_tex(&bell_circuit());
-    let expected = "\
-\\documentclass{standalone}
-\\usepackage{tikz}
-\\usetikzlibrary{quantikz}
-\\begin{document}
-\\begin{quantikz}
-\\lstick{$q_{0}$} & \\gate{H} & \\ctrl{1} & \\meter{} & \\qw \\\\
-\\lstick{$q_{1}$} & \\qw & \\gate{X} & \\meter{} & \\qw \\\\
-\\end{quantikz}
-\\end{document}
-";
-    assert_eq!(tex, expected, "LaTeX drifted:\n{tex}");
+    golden!("circuit1_tex", to_tex(&bell_circuit()));
 }
 
 #[test]

@@ -6,56 +6,34 @@
 //! change to either is a break of `SEED_CONTRACT`, and it fails here
 //! even where a golden run happens not to notice.
 
-use qclab_core::sim::trajectory::shot_rng;
+use qclab_core::sim::trajectory::{shot_rng, SEED_CONTRACT};
 use qclab_math::rng::Rng;
+use qclab_testkit::seeded_golden;
 
 /// The first `u64`, `f64`, `bool` and `below(1000)` draws, in
 /// that order.
-fn first_draws(mut rng: Rng) -> (u64, f64, bool, usize) {
-    (rng.next_u64(), rng.f64(), rng.bool(), rng.below(1000))
+fn first_draws(mut rng: Rng) -> String {
+    let (u, f, b, k) = (rng.next_u64(), rng.f64(), rng.bool(), rng.below(1000));
+    format!("{u} {f:?} {b} {k}")
 }
 
 #[test]
 fn std_rng_first_draws_are_pinned() {
-    let pinned = [
-        (0, (5987356902031041503, 0.38223929651167343, false, 11)),
-        (1, (14971601782005023387, 0.7471047161582187, false, 746)),
-        (42, (15021278609987233951, 0.3188210400616611, false, 701)),
-        (
-            u64::MAX,
-            (6254647548650071986, 0.9004750408188128, true, 273),
-        ),
-    ];
-    for (seed, want) in pinned {
-        assert_eq!(first_draws(Rng::seed_from_u64(seed)), want, "seed {seed}");
-    }
+    let text: String = [0, 1, 42, u64::MAX]
+        .into_iter()
+        .map(|seed| format!("seed {seed}: {}\n", first_draws(Rng::seed_from_u64(seed))))
+        .collect();
+    seeded_golden!("std_rng", SEED_CONTRACT, text);
 }
 
 #[test]
 fn shot_rng_first_draws_are_pinned() {
-    let pinned = [
-        (
-            (1, 0),
-            (17730607322089975729, 0.2420423546116901, false, 677),
-        ),
-        (
-            (1, 1),
-            (2012775937921775851, 0.5946126267308343, false, 201),
-        ),
-        (
-            (7, 1000),
-            (8181069628903954802, 0.21847511723837665, true, 988),
-        ),
-        (
-            (u64::MAX, 3),
-            (3081226513843032512, 0.8602719498760981, true, 192),
-        ),
-    ];
-    for ((seed, shot), want) in pinned {
-        assert_eq!(
-            first_draws(shot_rng(seed, shot)),
-            want,
-            "seed {seed}, shot {shot}"
-        );
-    }
+    let text: String = [(1, 0), (1, 1), (7, 1000), (u64::MAX, 3)]
+        .into_iter()
+        .map(|(seed, shot)| {
+            let draws = first_draws(shot_rng(seed, shot));
+            format!("seed {seed}, shot {shot}: {draws}\n")
+        })
+        .collect();
+    seeded_golden!("shot_rng", SEED_CONTRACT, text);
 }

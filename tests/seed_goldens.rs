@@ -5,35 +5,9 @@
 //! injected-error total, the watchdog check count and the reported
 //! [`ShotPath`](qclab_core::sim::trajectory::ShotPath), and must
 //! reproduce at every batch width with the fan-out on and off (results
-//! depend only on `(seed, shot)`).
-//!
-//! The goldens were generated at `f23ad2b` (PR 13). A deliberate seed
-//! compatibility break replaces the affected line with the `actual`
-//! value the failing assertion prints — and says so in CHANGES.md. PR 16
-//! made a terminal measurement block one draw (readout sites in
-//! measurement order, then one outcome uniform), which regenerated
-//! `per_shot_n13`; `alias_qft8` kept its counts (a 16-outcome table was
-//! cumulative already) and changed only its check count, now reported
-//! per shot like every other path's. PR 19 made a shot's noise a walk
-//! from hit to hit (one geometric gap per hit in place of one uniform
-//! per site, `sim::walk`), which regenerated every row that configures
-//! noise — `per_shot_n5`, `per_shot_n13`, `forked` (readout noise) and
-//! `frame_rep5`; the noiseless rows (`alias_qft8`, `sparse_ghz30`, the
-//! branch probabilities) kept their bits.
-//!
-//! Since then the contract is a number,
-//! [`SEED_CONTRACT`](qclab_core::sim::trajectory::SEED_CONTRACT), and the
-//! rows a break can move are kept **per contract** ([`NOISY_DENSE`]): a
-//! break appends a generation under the new number instead of editing
-//! one in place, so the table is the old/new comparison, and the test
-//! refuses a bump that brings no new generation as well as a generation
-//! nobody bumped for. Contract 4 made a noisy state-vector shot run the
-//! fused plan: counts and injected errors of all three rows are *equal*
-//! to contract 3's (hits and the RNG stream are unchanged, and no
-//! uniform fell within an ulp of a boundary); what moved is what names
-//! the plan — `forked`'s prefix is 2 fused ops, not 4 gates, and
-//! `per_shot_n13` performs 5 watchdog checks per shot, not 10, because
-//! the watchdog counts the ops it executes and there are fewer.
+//! depend only on `(seed, shot)`). The records are
+//! `tests/golden/seed_goldens/<SEED_CONTRACT>.txt`, one file per seed
+//! contract.
 //!
 //! Registers are small and every branch/marginal probability sits far
 //! from a uniform draw, so AVX2 and scalar hosts agree; the SIMD-off leg
@@ -50,6 +24,7 @@ use qclab_core::sim::trajectory::{
     SEED_CONTRACT,
 };
 use qclab_core::CircuitItem;
+use qclab_testkit::{golden, seeded_golden};
 
 /// `path | injected | checks | record:count …` of one run.
 fn describe(r: &TrajectoryResult) -> String {
@@ -219,83 +194,24 @@ fn frame_rep5() -> (QCircuit, TrajectoryConfig) {
     (c, config)
 }
 
-type Case = (
-    &'static str,
-    fn() -> (QCircuit, TrajectoryConfig),
-    &'static str,
-);
+type Case = (&'static str, fn() -> (QCircuit, TrajectoryConfig));
 
-/// The noisy state-vector rows — `per_shot_n5`, `per_shot_n13`, `forked`
-/// — by seed contract, oldest first: the rows a change to the dense shot
-/// engine can move. The last generation is the one that must reproduce.
-const NOISY_DENSE: [(u32, [&str; 3]); 2] = [
-    (
-        3,
-        [
-            "per-shot | injected 419 | checks 300 | 0000:57 0001:37 0010:1 0011:10 0100:21 0101:18 0110:5 0111:3 1000:53 1001:43 1010:8 1011:4 1100:19 1101:17 1110:3 1111:1",
-            "per-shot | injected 96 | checks 400 | 0001:3 0010:3 0011:2 0100:4 0101:5 0110:3 1000:4 1001:2 1010:4 1011:3 1100:2 1101:2 1110:1 1111:2",
-            "forked (prefix 4 ops) | injected 112 | checks 400 | 0000:33 0001:29 0010:17 0011:22 0100:37 0101:25 0110:22 0111:18 1000:25 1001:26 1010:34 1011:23 1100:23 1101:21 1110:24 1111:21",
-        ],
-    ),
-    (
-        4,
-        [
-            "per-shot | injected 419 | checks 300 | 0000:57 0001:37 0010:1 0011:10 0100:21 0101:18 0110:5 0111:3 1000:53 1001:43 1010:8 1011:4 1100:19 1101:17 1110:3 1111:1",
-            "per-shot | injected 96 | checks 200 | 0001:3 0010:3 0011:2 0100:4 0101:5 0110:3 1000:4 1001:2 1010:4 1011:3 1100:2 1101:2 1110:1 1111:2",
-            "forked (prefix 2 ops) | injected 112 | checks 400 | 0000:33 0001:29 0010:17 0011:22 0100:37 0101:25 0110:22 0111:18 1000:25 1001:26 1010:34 1011:23 1100:23 1101:21 1110:24 1111:21",
-        ],
-    ),
+/// The shot-path cases, in the golden's order.
+const SHOT_CASES: [Case; 6] = [
+    ("per_shot_n5", per_shot_n5),
+    ("per_shot_n13", per_shot_n13),
+    ("forked", forked),
+    ("alias_qft8", alias_qft8),
+    ("sparse_ghz30", sparse_ghz30),
+    ("frame_rep5", frame_rep5),
 ];
 
-const CURRENT: [&str; 3] = NOISY_DENSE[NOISY_DENSE.len() - 1].1;
-
-const SHOT_GOLDENS: [Case; 6] = [
-    ("per_shot_n5", per_shot_n5, CURRENT[0]),
-    ("per_shot_n13", per_shot_n13, CURRENT[1]),
-    ("forked", forked, CURRENT[2]),
-    (
-        "alias_qft8",
-        alias_qft8,
-        "alias-sampled (prefix 33 ops) | injected 0 | checks 1000 | 0000:402 0001:96 0010:29 0011:15 0100:15 0101:6 0110:25 0111:33 1000:120 1001:35 1010:14 1011:3 1100:19 1101:17 1110:57 1111:114",
-    ),
-    (
-        "sparse_ghz30",
-        sparse_ghz30,
-        "sparse-sampled (prefix 30 ops) | injected 0 | checks 0 | 000000000000000000000000000000:251 111111111111111111111111111111:249",
-    ),
-    (
-        "frame_rep5",
-        frame_rep5,
-        "pauli-frame | injected 884 | checks 0 | 00000:1284 00001:81 00010:87 00011:12 00100:100 00101:5 00110:11 00111:7 01000:69 01001:6 01010:4 01011:1 01100:3 01101:2 10000:71 10001:75 10010:9 10011:63 10100:5 10101:10 10110:5 10111:63 11000:10 11001:6 11011:3 11100:1 11110:3 11111:4",
-    ),
-];
-
-/// The goldens and [`SEED_CONTRACT`] move together: the newest
-/// generation is the current contract's, and every generation differs
-/// from the one before — a number nobody bumped for cannot cover new
-/// rows, and a bump that moved nothing is not a break.
-#[test]
-fn the_noisy_dense_goldens_are_keyed_on_the_seed_contract() {
-    let (newest, _) = NOISY_DENSE[NOISY_DENSE.len() - 1];
-    assert_eq!(
-        newest, SEED_CONTRACT,
-        "SEED_CONTRACT is {SEED_CONTRACT} but the newest noisy dense goldens were recorded \
-         under contract {newest}: a bump appends a generation, new goldens need a bump"
-    );
-    for pair in NOISY_DENSE.windows(2) {
-        let ((old, old_rows), (new, new_rows)) = (pair[0], pair[1]);
-        assert!(old < new, "generations {old} and {new} are out of order");
-        assert_ne!(
-            old_rows, new_rows,
-            "contract {new} changes no golden: not a seed-contract break"
-        );
-    }
-}
-
+/// One `name: row` line per case from its first leg, then a
+/// `name @ leg: row` line for every leg that differs from it.
 #[test]
 fn shot_paths_reproduce_their_seed_goldens() {
-    let mut failures = Vec::new();
-    for (name, build, golden) in SHOT_GOLDENS {
+    let mut text = String::new();
+    for (name, build) in SHOT_CASES {
         let (circuit, base) = build();
         let mut legs = Vec::new();
         for shot_batch in [1usize, 3, 64] {
@@ -319,20 +235,19 @@ fn shot_paths_reproduce_their_seed_goldens() {
             ..base.clone()
         };
         legs.push(("simd off".into(), scalar));
-        for (leg, config) in legs {
-            let actual = describe(&run_trajectories(&circuit, &config).unwrap());
-            if actual != golden {
-                failures.push(format!(
-                    "{name} @ {leg}\n  golden: {golden}\n  actual: {actual}"
-                ));
+        let rows: Vec<(String, String)> = legs
+            .into_iter()
+            .map(|(leg, config)| (leg, describe(&run_trajectories(&circuit, &config).unwrap())))
+            .collect();
+        let first = &rows[0].1;
+        text += &format!("{name}: {first}\n");
+        for (leg, row) in &rows[1..] {
+            if row != first {
+                text += &format!("{name} @ {leg}: {row}\n");
             }
         }
     }
-    assert!(
-        failures.is_empty(),
-        "seed goldens diverged:\n{}",
-        failures.join("\n")
-    );
+    seeded_golden!("seed_goldens", SEED_CONTRACT, text);
 }
 
 /// `record=probability bits` of every branch, in branch order.
@@ -379,54 +294,37 @@ fn branching_mixed_bases() -> QCircuit {
     c
 }
 
-/// `(name, circuit, golden, AVX2 golden)`: the scalar kernels round the
-/// same way on every host and are pinned outright; the vectorized kernels
-/// fuse a multiply-add, so where they run the last bit of a probability
-/// may differ — the default configuration must land on one of the two.
-type BranchCase = (&'static str, fn() -> QCircuit, &'static str, &'static str);
-
-const TELEPORT_GOLDEN: &str = "000=3fcb25b5ef38cc33 001=3fa36928431ccf35 010=3fcb25b5ef38cc33 011=3fa36928431ccf35 100=3fcb25b5ef38cc33 101=3fa36928431ccf35 110=3fcb25b5ef38cc33 111=3fa36928431ccf35";
-
-const BRANCH_GOLDENS: [BranchCase; 2] = [
-    (
-        "teleport",
-        branching_teleport,
-        TELEPORT_GOLDEN,
-        TELEPORT_GOLDEN,
-    ),
-    (
-        "mixed_bases",
-        branching_mixed_bases,
-        "000=3fbb8cc06f6032bf 001=3fbb8cc06f6032bf 010=3fbb8cc06f6032bf 011=3fbb8cc06f6032bf 000=3fbd844328fd758b 001=3fbd844328fd758d 010=3fbd844328fd758b 011=3fbd844328fd758d 100=3f8ac73d2a555ecd 101=3f8ac73d2a555ecd 110=3f8ac73d2a555ecd 111=3f8ac73d2a555ecd 100=3f8cb0a612bd5f2b 101=3f8cb0a612bd5f2d 110=3f8cb0a612bd5f2b 111=3f8cb0a612bd5f2d",
-        "000=3fbb8cc06f6032bd 001=3fbb8cc06f6032bd 010=3fbb8cc06f6032bd 011=3fbb8cc06f6032bd 000=3fbd844328fd758a 001=3fbd844328fd758a 010=3fbd844328fd758c 011=3fbd844328fd758c 100=3f8ac73d2a555ecd 101=3f8ac73d2a555ecd 110=3f8ac73d2a555ecd 111=3f8ac73d2a555ecd 100=3f8cb0a612bd5f2b 101=3f8cb0a612bd5f2d 110=3f8cb0a612bd5f2b 111=3f8cb0a612bd5f2d",
-    ),
-];
-
+/// `name: branches` per case. The scalar kernels round the same way on
+/// every host and are pinned outright (`seed_branches`); the vectorized
+/// kernels fuse a multiply-add, so where they run the last bit of a
+/// probability may differ — the default configuration must land on the
+/// scalar golden or on `seed_branches.avx2`.
 #[test]
 fn branch_probabilities_reproduce_their_goldens() {
-    let mut failures = Vec::new();
-    for (name, build, golden, golden_avx2) in BRANCH_GOLDENS {
-        let c = build();
-        let init = CVec::basis_state(1 << c.nb_qubits(), 0);
-        for simd in [true, false] {
-            let opts = SimOptions {
-                kernel: KernelConfig {
-                    allow_simd: simd,
-                    ..KernelConfig::default()
-                },
-                ..SimOptions::default()
-            };
-            let actual = describe_branches(&c.simulate_with(&init, &opts).unwrap());
-            if actual != golden && !(simd && actual == golden_avx2) {
-                failures.push(format!(
-                    "{name} @ simd {simd}\n  golden: {golden}\n  actual: {actual}"
-                ));
-            }
+    let text = |simd: bool| {
+        let opts = SimOptions {
+            kernel: KernelConfig {
+                allow_simd: simd,
+                ..KernelConfig::default()
+            },
+            ..SimOptions::default()
+        };
+        let mut text = String::new();
+        for (name, build) in [
+            ("teleport", branching_teleport as fn() -> QCircuit),
+            ("mixed_bases", branching_mixed_bases),
+        ] {
+            let c = build();
+            let init = CVec::basis_state(1 << c.nb_qubits(), 0);
+            let sim = c.simulate_with(&init, &opts).unwrap();
+            text += &format!("{name}: {}\n", describe_branches(&sim));
         }
+        text
+    };
+    let scalar = text(false);
+    golden!("seed_branches", scalar);
+    let simd = text(true);
+    if simd != scalar {
+        golden!("seed_branches.avx2", simd);
     }
-    assert!(
-        failures.is_empty(),
-        "branch-probability goldens diverged:\n{}",
-        failures.join("\n")
-    );
 }
