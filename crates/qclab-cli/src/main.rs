@@ -779,8 +779,8 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
     row(
         "locality:",
         format!(
-            "{} window(s) remapped, {} move(s), {} fold(s)",
-            stats.remap_windows, stats.remap_moves, stats.remap_folds
+            "{} window(s) remapped, {} move(s), {} fold(s), {} relabel(s)",
+            stats.remap_windows, stats.remap_moves, stats.remap_folds, stats.remap_relabels
         ),
     );
     let draw = match sampled.map(|r| r.draw) {
@@ -788,7 +788,17 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
         Ok(Some(TerminalDraw::Streamed)) => "streamed".to_string(),
         _ => "none".to_string(),
     };
-    row("terminal draw:", draw);
+    // a draw that skips the trailing restore reads the measured qubits
+    // where the layout left them
+    let in_place = plan.draw_in_place.is_some() && draw != "none";
+    row(
+        "terminal draw:",
+        draw + if in_place {
+            ", in place (no restore)"
+        } else {
+            ""
+        },
+    );
     let cache = plan_cache_stats();
     let (hits, misses, resident) = (cache.hits, cache.misses, cache.entries as u128);
     row(

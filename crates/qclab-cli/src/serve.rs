@@ -293,19 +293,48 @@ impl JsonParser<'_> {
         }
     }
 
+    /// A number as RFC 8259 spells it,
+    /// `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`: `01`, `1.`,
+    /// `-.5` and `1e+` are not numbers (a leading zero ends the integer
+    /// part, so `01` is `0` followed by a stray digit).
     fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
+        let invalid = || format!("invalid number at byte {start}");
+        self.skip(b'-');
+        match self.peek() {
+            Some(b'0') => self.i += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(invalid()),
+        }
+        if self.skip(b'.') && !self.digits() {
+            return Err(invalid());
+        }
+        if self.skip(b'e') || self.skip(b'E') {
+            let _ = self.skip(b'+') || self.skip(b'-');
+            if !self.digits() {
+                return Err(invalid());
+            }
         }
         let text = std::str::from_utf8(&self.b[start..self.i]).unwrap_or("");
-        match text.parse::<f64>() {
-            Ok(_) => Ok(exact_u64(text).map_or(Json::Num, Json::Int)),
-            Err(_) => Err(format!("invalid number at byte {start}")),
+        Ok(exact_u64(text).map_or(Json::Num, Json::Int))
+    }
+
+    /// Consumes `c` if it is next.
+    fn skip(&mut self, c: u8) -> bool {
+        let next = self.peek() == Some(c);
+        self.i += usize::from(next);
+        next
+    }
+
+    /// Consumes a run of digits; `false` when there is none.
+    fn digits(&mut self) -> bool {
+        let start = self.i;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.i += 1;
         }
+        self.i > start
     }
 }
 

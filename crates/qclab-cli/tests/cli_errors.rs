@@ -638,7 +638,8 @@ fn compile_prints_the_terminal_draw() {
     // one-shot `sample` takes it: a table its points outweigh (grover2,
     // 4 outcomes), streamed where no later run could draw from the table
     // (qft16, 2^16 outcomes; 18 measured qubits), none without a
-    // terminal block
+    // terminal block; qft16's below the parallel threshold reads its
+    // bit-reversal relabels in place instead of paying the restore
     let draw_row = |file: &str| {
         let out = qclab(&["compile", file]);
         assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
@@ -650,7 +651,10 @@ fn compile_prints_the_terminal_draw() {
             .to_string()
     };
     let inputs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/inputs");
-    assert_eq!(draw_row(&format!("{inputs}/qft16.qasm")), "streamed");
+    assert_eq!(
+        draw_row(&format!("{inputs}/qft16.qasm")),
+        "streamed, in place (no restore)"
+    );
     assert_eq!(draw_row(&format!("{inputs}/grover2.qasm")), "table 32 B");
     assert_eq!(draw_row(&format!("{inputs}/teleport.qasm")), "none");
     let wide = write_qasm(
@@ -996,31 +1000,21 @@ fn a_bad_served_job_is_an_error_line_and_the_server_exits_zero() {
     assert!(out.contains("\"dedup_hit\":true"), "{out}");
 }
 
-/// A wire integer decodes on its exact value: a served seed of 2^53 + 1,
-/// in any spelling, draws what `qclab sample --seed` draws with it, not
-/// the bits of 2^53; a seed past `u64::MAX`, or one whose exact value is
-/// no integer, is the usage error the CLI makes of it.
-#[test]
-fn served_integers_decode_exactly() {
+/// The paper's teleportation circuit, as the benchmark samples it.
+const TELEPORT: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../benchmark/inputs/teleport.qasm"
+);
+
+/// Serves one 50-shot [`TELEPORT`] job per `(id, seed)` row, the seed
+/// spelled as given, on one worker; returns what `serve` printed.
+fn serve_teleport(rows: &[(&str, &str)]) -> String {
     use std::io::Write;
     use std::process::Stdio;
-    let teleport = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../benchmark/inputs/teleport.qasm"
-    );
-    let rows = [
-        ("big", "9007199254740993"),
-        ("over", "18446744073709551616"),
-        ("big_point", "9007199254740993.0"),
-        ("ten", "1e1"),
-        ("half", "1.5"),
-        ("near_one", "1.0000000000000000001"),
-        ("e20", "1e20"),
-    ];
     let input: String = rows
         .iter()
         .map(|(id, seed)| {
-            format!("{{\"id\":\"{id}\",\"file\":\"{teleport}\",\"shots\":50,\"seed\":{seed}}}\n")
+            format!("{{\"id\":\"{id}\",\"file\":\"{TELEPORT}\",\"shots\":50,\"seed\":{seed}}}\n")
         })
         .collect();
     let mut child = Command::new(env!("CARGO_BIN_EXE_qclab"))
@@ -1037,7 +1031,24 @@ fn served_integers_decode_exactly() {
         .unwrap();
     let out = child.wait_with_output().unwrap();
     assert_eq!(out.status.code(), Some(0));
-    let out = stdout(&out);
+    stdout(&out)
+}
+
+/// A wire integer decodes on its exact value: a served seed of 2^53 + 1,
+/// in any spelling, draws what `qclab sample --seed` draws with it, not
+/// the bits of 2^53; a seed past `u64::MAX`, or one whose exact value is
+/// no integer, is the usage error the CLI makes of it.
+#[test]
+fn served_integers_decode_exactly() {
+    let out = serve_teleport(&[
+        ("big", "9007199254740993"),
+        ("over", "18446744073709551616"),
+        ("big_point", "9007199254740993.0"),
+        ("ten", "1e1"),
+        ("half", "1.5"),
+        ("near_one", "1.0000000000000000001"),
+        ("e20", "1e20"),
+    ]);
     let line = |id: &str| {
         let needle = format!("\"id\":\"{id}\"");
         out.lines()
@@ -1052,7 +1063,7 @@ fn served_integers_decode_exactly() {
         let served = line(id);
         let from = served.find("\"counts\":{").expect("counts") + "\"counts\":{".len();
         let counts = &served[from..from + served[from..].find('}').unwrap()];
-        assert_eq!(counts, sample_counts_as_wire(teleport, "50", seed), "{id}");
+        assert_eq!(counts, sample_counts_as_wire(TELEPORT, "50", seed), "{id}");
     }
     for id in ["over", "half", "near_one", "e20"] {
         let refused = line(id);
@@ -1066,10 +1077,32 @@ fn served_integers_decode_exactly() {
         );
     }
     assert_fails(
-        &["sample", teleport, "50", "--seed", "18446744073709551616"],
+        &["sample", TELEPORT, "50", "--seed", "18446744073709551616"],
         EXIT_USAGE,
         "seed",
     );
+}
+
+/// RFC 8259's number grammar on the wire: each spelling JSON forbids is
+/// the wire's parse error, never a seed, while `0` and `1` still run.
+#[test]
+fn served_numbers_follow_the_json_grammar() {
+    let forbidden = ["01", "1.", "-.5", "1.e5", "-01", "00", "+1", ".5", "1e+"];
+    let rows: Vec<(&str, &str)> = forbidden
+        .iter()
+        .chain(&["0", "1"])
+        .map(|&seed| (seed, seed))
+        .collect();
+    let out = serve_teleport(&rows);
+    let refused: Vec<&str> = out.lines().filter(|l| l.contains("\"ok\":false")).collect();
+    assert_eq!(refused.len(), forbidden.len(), "{out}");
+    for line in refused {
+        assert!(
+            line.contains("\"kind\":\"io\",\"code\":3") && line.contains("bad JSON job line"),
+            "{line}"
+        );
+    }
+    assert!(out.contains("2 job(s) accepted, 9 refused"), "{out}");
 }
 
 /// Runs the built binary under `ulimit -v <kib>`: an address space too

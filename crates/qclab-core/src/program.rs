@@ -41,7 +41,7 @@ use crate::gates::{shape, Gate, Shape};
 use crate::measurement::{Basis, Measurement};
 use crate::sim::fusion::{self, FusionStats, Placed, TargetMatrices, MAX_FUSED_QUBITS_LIMIT};
 use crate::sim::guard::ResourceLimits;
-use crate::sim::kernel::{KernelConfig, SWEEP_TILE_QUBITS};
+use crate::sim::kernel::{KernelConfig, PARALLEL_THRESHOLD_QUBITS, SWEEP_TILE_QUBITS};
 use crate::sim::sparse::DEFAULT_PRUNE_EPS;
 use crate::sim::stabilizer::{basis_change, is_clifford_gate};
 use qclab_math::rng::mix64;
@@ -88,6 +88,13 @@ pub enum ProgramOp {
 }
 
 impl ProgramOp {
+    /// `true` for a [`Permute`](ProgramOp::Permute) that only adopts a
+    /// new layout — a SWAP gate the locality pass relabeled — and moves
+    /// no amplitude.
+    pub fn is_relabel(&self) -> bool {
+        matches!(self, ProgramOp::Permute { perm, .. } if perm.iter().enumerate().all(|(q, &p)| q == p))
+    }
+
     /// The qubits the op touches.
     pub fn qubits(&self) -> Vec<usize> {
         match self {
@@ -116,6 +123,14 @@ impl fmt::Display for ProgramOp {
             }
             ProgramOp::Reset(q) => write!(f, "reset            q{q}"),
             ProgramOp::Fence(qs) => write!(f, "fence            {}", qubits(qs)),
+            ProgramOp::Permute { map, .. } if self.is_relabel() => {
+                let slots = (0..map.len())
+                    .filter(|&q| map[q] != q)
+                    .map(|q| format!("q{q}->p{}", map[q]))
+                    .collect::<Vec<_>>()
+                    .join(" ");
+                write!(f, "relabel          {slots}")
+            }
             ProgramOp::Permute { perm, .. } => {
                 let swaps = (0..perm.len())
                     .filter(|&i| perm[i] != i)
@@ -235,6 +250,9 @@ pub struct PlanStats {
     /// kernel inside [`crate::sim::kernel::permute_state`], which
     /// touches only the half of the state that moves.
     pub remap_folds: usize,
+    /// SWAP gates the locality pass turned into relabels: layout
+    /// changes that move no amplitude ([`ProgramOp::is_relabel`]).
+    pub remap_relabels: usize,
     /// `true` when every op of the *source* schedule
     /// ([`CompiledProgram::source`]) is exactly representable on the
     /// stabilizer tableau: gates and measurement bases the stabilizer
@@ -285,13 +303,33 @@ pub struct ShotPlan {
     /// (record character `j` is the outcome of `measured_qubits[j]`);
     /// empty otherwise.
     pub measured_qubits: Vec<usize>,
+    /// Where a terminal draw reads its state in place, when it does: the
+    /// index of the locality pass's trailing restore, which the draw
+    /// stops before, and the logical→physical layout in force there,
+    /// which it reads the measured qubits through. Only below
+    /// [`PARALLEL_THRESHOLD_QUBITS`] — on a wider state a draw scattered
+    /// over the layout costs more than the restore — and only where the
+    /// layout keeps the unmeasured qubits in order, so every marginal
+    /// entry adds its amplitudes in the order the restored state would.
+    /// The plan keeps its restore: every other consumer still sees the
+    /// logical layout.
+    pub draw_in_place: Option<(usize, Vec<usize>)>,
 }
 
 impl ShotPlan {
-    /// Classifies a lowered op stream. The partition never reorders
-    /// anything: `ops[..prefix_ops]` and `ops[prefix_ops..]` concatenate
-    /// back to the original schedule, fences included.
-    fn classify(ops: &[ProgramOp]) -> ShotPlan {
+    /// The ops a terminal draw evolves before it reads the state:
+    /// [`prefix_ops`](Self::prefix_ops), or up to the restore it skips
+    /// ([`draw_in_place`](Self::draw_in_place)).
+    pub fn draw_ops(&self) -> usize {
+        self.draw_in_place
+            .as_ref()
+            .map_or(self.prefix_ops, |(at, _)| *at)
+    }
+
+    /// Classifies a lowered op stream on `n` qubits. The partition never
+    /// reorders anything: `ops[..prefix_ops]` and `ops[prefix_ops..]`
+    /// concatenate back to the original schedule, fences included.
+    fn classify(ops: &[ProgramOp], n: usize) -> ShotPlan {
         let prefix_ops = ops
             .iter()
             .position(|op| matches!(op, ProgramOp::Measure(_) | ProgramOp::Reset(_)))
@@ -326,6 +364,9 @@ impl ShotPlan {
         if !terminal_measurements {
             measured_qubits.clear();
         }
+        let draw_in_place = (terminal_measurements && n < PARALLEL_THRESHOLD_QUBITS)
+            .then(|| in_place_layout(&ops[..prefix_ops], &measured_qubits))
+            .flatten();
         ShotPlan {
             prefix_ops,
             suffix_ops: ops.len() - prefix_ops,
@@ -333,8 +374,39 @@ impl ShotPlan {
             suffix_gates: gate_count(&ops[prefix_ops..]),
             terminal_measurements,
             measured_qubits,
+            draw_in_place,
         }
     }
+}
+
+/// The trailing restore of a terminal program's `prefix` and the layout
+/// before it, when a draw of `measured` may read that layout in place:
+/// the prefix's last layout change moves amplitudes back to the identity
+/// layout, only fences follow it, and the unmeasured qubits sit in the
+/// layout before it in their logical order.
+fn in_place_layout(prefix: &[ProgramOp], measured: &[usize]) -> Option<(usize, Vec<usize>)> {
+    let mut layouts = prefix
+        .iter()
+        .enumerate()
+        .rev()
+        .filter_map(|(i, op)| match op {
+            ProgramOp::Permute { map, .. } => Some((i, map)),
+            _ => None,
+        });
+    let (at, restored) = layouts.next()?;
+    let identity = restored.iter().enumerate().all(|(q, &p)| q == p);
+    if !identity || prefix[at].is_relabel() {
+        return None;
+    }
+    let (_, layout) = layouts.next()?;
+    let slots: Vec<usize> = (0..layout.len())
+        .filter(|q| !measured.contains(q))
+        .map(|q| layout[q])
+        .collect();
+    let tail = prefix[at + 1..]
+        .iter()
+        .all(|op| matches!(op, ProgramOp::Fence(_)));
+    (tail && slots.windows(2).all(|w| w[0] < w[1])).then(|| (at, layout.clone()))
 }
 
 /// A circuit lowered to a flat op schedule: the shared IR all simulation
@@ -795,13 +867,14 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
         let unmapped = source.take().ok_or_else(|| ops.clone());
         let unmapped_len = ops.len();
         ops = remap::remap_ops(ops, nb_qubits, &mut stats);
-        source = if ops.len() == unmapped_len {
+        source = if ops.len() == unmapped_len && stats.remap_relabels == 0 {
             unmapped.ok()
         } else {
             // layout changes went in: every op after the first one moved
-            // down the schedule (and was relabeled)
+            // down the schedule (and was relabeled); a relabel stands in
+            // the place of the SWAP gate it executes
             let at: Vec<usize> = (0..ops.len())
-                .filter(|&i| !matches!(ops[i], ProgramOp::Permute { .. }))
+                .filter(|&i| !matches!(ops[i], ProgramOp::Permute { .. }) || ops[i].is_relabel())
                 .collect();
             Some(match unmapped {
                 Ok((source, mut placed)) => {
@@ -818,7 +891,7 @@ pub fn lower(circuit: &QCircuit, options: &PlanOptions) -> CompiledProgram {
         };
     }
 
-    let shot_plan = ShotPlan::classify(&ops);
+    let shot_plan = ShotPlan::classify(&ops, nb_qubits);
 
     // the layout the prefix ends in (forked suffixes resume under it)
     let mut prefix_map: Option<Vec<usize>> = None;

@@ -13,6 +13,15 @@
 //! actually changes — and even then prefers single index-bit
 //! transpositions (the SWAP kernel inside `permute_state`) over general
 //! permutations, which exchange pairs across the whole state.
+//!
+//! A SWAP gate moves nothing either: it becomes a *relabel*, a
+//! [`ProgramOp::Permute`] whose `perm` is the identity and whose `map`
+//! exchanges the two qubits' slots. It keeps the SWAP's place in the
+//! schedule, so the source op it executes, its noise sites and where
+//! their hits land are those of the gate. The exchange it stands for is
+//! paid once, in the trailing restore, which a terminal draw below the
+//! parallel threshold skips by reading the measured qubits through the
+//! layout (`sim::shots::TerminalBlock`).
 
 use super::{PlanStats, ProgramOp};
 use crate::gates::Gate;
@@ -160,13 +169,14 @@ fn remap_window(
 
 /// The locality pass: rewrites a lowered op stream so each gate
 /// window's hot targets live in low-order index bits, inserting
-/// [`ProgramOp::Permute`] ops at layout transitions and a final restore
-/// to the identity layout right after the last gate (so a terminal
+/// [`ProgramOp::Permute`] ops at layout transitions, turning each SWAP
+/// gate into a relabel in its place, and adding a final restore to the
+/// identity layout right after the last gate or relabel (so a terminal
 /// measurement block — the shape drawn in one draw per shot — sees a
 /// logical-layout state). The caller skips registers that fit in one sweep tile, where
 /// every qubit is tile-resident already. The input ops come out in their
-/// input order, relabeled in place; a stream of the same length means no
-/// layout was adopted and nothing was relabeled.
+/// input order, relabeled in place (a SWAP as its relabel); a stream of
+/// the same length and no relabel means no layout was adopted.
 pub(super) fn remap_ops(
     mut ops: Vec<ProgramOp>,
     n: usize,
@@ -177,10 +187,21 @@ pub(super) fn remap_ops(
     let mut out = Vec::with_capacity(ops.len() + 4);
     let mut last_gate: Option<usize> = None;
     let mut i = 0;
+    let windowed =
+        |op: &ProgramOp| matches!(op, ProgramOp::Gate(g) if !matches!(g, Gate::Swap(..)));
     while i < ops.len() {
-        if matches!(ops[i], ProgramOp::Gate(_)) {
+        if let ProgramOp::Gate(Gate::Swap(a, b)) = ops[i] {
+            cur.swap(a, b);
+            stats.remap_relabels += 1;
+            last_gate = Some(out.len());
+            out.push(ProgramOp::Permute {
+                perm: identity.clone(),
+                map: cur.clone(),
+            });
+            i += 1;
+        } else if windowed(&ops[i]) {
             let mut j = i;
-            while j < ops.len() && matches!(ops[j], ProgramOp::Gate(_)) {
+            while j < ops.len() && windowed(&ops[j]) {
                 j += 1;
             }
             remap_window(

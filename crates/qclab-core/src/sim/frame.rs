@@ -572,6 +572,7 @@ pub(crate) fn run_frames(
     let mut counts = FlipTally::new();
     run.stopped = fan_out(
         config,
+        alive,
         lanes,
         |first, count| run_batch(fp, &reference, &plan, config, first, count),
         |count, (flips, injected)| {

@@ -29,7 +29,10 @@
 //! pass (`sim::sampler::CdfStream`); and, at shot granularity, the
 //! trajectory and Pauli-frame fan-outs. Below the parallel threshold
 //! each of them asks for width 1, and a width-1 loop runs inline
-//! without looking at the team.
+//! without looking at the team. The trajectory fan-out applies the same
+//! threshold to the ensemble as a whole (`sim::shots`'s
+//! `ensemble_width`): below one parallel kernel pass of work its batches
+//! run inline, so a paper-sized sample never starts the team.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};

@@ -506,8 +506,15 @@ pub(super) fn prepare(
     };
     let start = evolve_prefix(program, prefix_ops, fresh(kernel), config)?;
     // the layout the stream left the snapshot in is the one lowering
-    // published for the end of the prefix
-    debug_assert!(prefix_ops == 0 || start.map.as_deref() == program.prefix_map());
+    // published for the end of the prefix, or for the in-place draw
+    debug_assert!(
+        prefix_ops == 0
+            || start.map.as_deref()
+                == match &program.shot_plan().draw_in_place {
+                    Some((at, layout)) if *at == prefix_ops => Some(layout.as_slice()),
+                    _ => program.prefix_map(),
+                }
+    );
     let shots = ShotProgram {
         noise: NoisePlan::new(program, &config.noise),
         start,

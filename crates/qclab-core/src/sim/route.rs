@@ -338,7 +338,13 @@ pub fn route(
     // initial state has no key to keep a table under.
     drop((fused, held));
     let kept = initial.is_none() && Arc::strong_count(&program) > 1;
-    let prefix_ops = program.shot_plan().prefix_ops;
+    // a draw that reads its layout in place forks before the restore
+    let plan = program.shot_plan();
+    let prefix_ops = if ends_in_draw(&program, config) {
+        plan.draw_ops()
+    } else {
+        plan.prefix_ops
+    };
     // A terminal block is tabulated once from the noiseless evolution: a
     // noiseless run draws every shot from it, a noisy one hands it to its
     // lanes. Without gate/idle noise the prefix draws nothing, so it is

@@ -458,8 +458,8 @@ impl ShotState {
     /// shared noiseless evolution or a diverged lane's own: the
     /// end-of-shot norm check, each measured qubit rotated into its
     /// basis, the joint marginal, prefix-summed in place. The state is
-    /// consumed as a state (left rotated); its layout is the identity,
-    /// which lowering guarantees at a terminal block.
+    /// consumed as a state (left rotated); its layout is the one the
+    /// block reads through.
     pub(super) fn terminal_table(&mut self, block: &TerminalBlock) -> Result<CdfTable, QclabError> {
         self.rotate_terminal(block);
         CdfTable::new(marginal(&self.state, &block.measured, self.n, &block.lut))
@@ -469,7 +469,7 @@ impl ShotState {
     /// end-of-shot norm check, then each measured qubit rotated into its
     /// basis.
     pub(super) fn rotate_terminal(&mut self, block: &TerminalBlock) {
-        debug_assert!(self.map.is_none());
+        debug_assert_eq!(self.map, block.layout);
         self.final_check();
         self.ground = false;
         for vdg in &block.rotations {
@@ -556,9 +556,9 @@ impl ShotState {
             Instr::Fence => {}
             Instr::Permute { perm, map } => {
                 // pure data movement: never perturbs amplitude bits,
-                // never consumes RNG draws — and on the ground state,
-                // moves nothing at all
-                if !self.ground {
+                // never consumes RNG draws — and on the ground state, or
+                // as a relabel, moves nothing at all
+                if !self.ground && perm.iter().enumerate().any(|(q, &p)| q != p) {
                     #[cfg(test)]
                     tests::MOVES.with(|m| m.set(m.get() + 1));
                     kernel::permute_state(
@@ -656,12 +656,18 @@ pub(super) struct ShotProgram {
 
 /// The measurements of a terminal block
 /// ([`ShotPlan::terminal_measurements`](crate::program::ShotPlan)), as
-/// the one draw reads them.
+/// the one draw reads them: in the identity layout after the locality
+/// pass's restore, or — where the plan reads it in place
+/// ([`ShotPlan::draw_in_place`](crate::program::ShotPlan)) — through
+/// the layout before it, whose physical slots every field below names.
 pub(super) struct TerminalBlock {
-    /// Schedule index of the block's first op (the prefix length).
+    /// Schedule index where the draw reads the state: the block's first
+    /// op (the prefix length), or the restore it skips.
     pub(super) first: usize,
-    /// Measured qubits in execution order (first = most significant
-    /// outcome bit).
+    /// The layout the state is read through (`None` = identity).
+    layout: Option<Vec<usize>>,
+    /// Measured qubits' slots in execution order (first = most
+    /// significant outcome bit).
     pub(super) measured: Vec<usize>,
     /// The `V†` that brings each non-Z measurement into the
     /// computational basis. The measured qubits are pairwise distinct,
@@ -678,17 +684,26 @@ impl TerminalBlock {
     pub(super) fn of(program: &CompiledProgram) -> TerminalBlock {
         let plan = program.shot_plan();
         debug_assert!(plan.terminal_measurements);
+        let layout = plan
+            .draw_in_place
+            .as_ref()
+            .map(|(_, layout)| layout.clone());
+        let slot = |q: usize| layout.as_ref().map_or(q, |map| map[q]);
         let rotations = program.ops()[plan.prefix_ops..]
             .iter()
             .filter_map(|op| match op {
-                ProgramOp::Measure(m) => m.basis().change_gates(m.qubit()).map(|(vdg, _)| vdg),
+                ProgramOp::Measure(m) => {
+                    m.basis().change_gates(slot(m.qubit())).map(|(vdg, _)| vdg)
+                }
                 _ => None,
             });
+        let measured: Vec<usize> = plan.measured_qubits.iter().map(|&q| slot(q)).collect();
         TerminalBlock {
-            first: plan.prefix_ops,
-            measured: plan.measured_qubits.clone(),
+            first: plan.draw_ops(),
             rotations: rotations.collect(),
-            lut: tile_lut(&plan.measured_qubits, program.nb_qubits()),
+            lut: tile_lut(&measured, program.nb_qubits()),
+            measured,
+            layout,
         }
     }
 }
@@ -1043,8 +1058,9 @@ pub(super) fn evolve_prefix(
 pub(crate) const ROUND_SHOTS: u64 = 1 << 18;
 
 /// Fans `config.shots` shots out in batches of `batch`: `run(first,
-/// count)` executes one batch — on up to `sim::par`'s width of threads
-/// when `config.kernel.allow_parallel` — and `merge(count, result)` folds
+/// count)` executes one batch — on up to `width` threads, which the
+/// caller sizes to its work ([`ensemble_width`], or the frames' batch
+/// count) — and `merge(count, result)` folds
 /// finished batches in **shot order**, so nothing accumulated across shots (a float sum
 /// least of all) depends on the batch width or the thread count. Batches
 /// go out in rounds of [`ROUND_SHOTS`] and are merged round by round:
@@ -1059,6 +1075,7 @@ pub(crate) const ROUND_SHOTS: u64 = 1 << 18;
 /// the stop cause of a partial run; a genuine error propagates.
 pub(crate) fn fan_out<T: Send>(
     config: &TrajectoryConfig,
+    width: usize,
     batch: usize,
     run: impl Fn(u64, usize) -> Result<T, QclabError> + Sync,
     mut merge: impl FnMut(usize, T),
@@ -1084,7 +1101,6 @@ pub(crate) fn fan_out<T: Send>(
                 Err(e) => latch.trip(e),
             }
         };
-        let width = par::width(config.kernel.allow_parallel);
         par::for_each_chunk(width, &mut slots, 1, run_slot);
         for (bi, slot) in slots.drain(..).enumerate() {
             if let Some(done) = slot {
@@ -1094,6 +1110,39 @@ pub(crate) fn fan_out<T: Send>(
         first += round as u64;
     }
     latch.take().map(stop_or_err).transpose()
+}
+
+/// The width a state-vector ensemble fans its batches out on: the team's
+/// only when the ensemble holds at least one parallel kernel pass of
+/// work — `2^PARALLEL_THRESHOLD_QUBITS` amplitude-operations, the unit
+/// at which the kernels themselves go parallel — and inline below it.
+/// The work is judged from what the route knows before running: every
+/// shot making, on its own `2^n` amplitudes, one pass per gate op after
+/// the shared prefix, and a noisy lane one more for a terminal table of
+/// its own. Collapses are left out: a noiseless walk takes each one once
+/// per group of lanes, not per shot, and counting them put the
+/// repetition code at 1 000 shots on the team, which made it slower
+/// (EXPERIMENTS F26). A paper-sized request (teleportation or the
+/// repetition code at 1 000 shots) is then under a quarter million
+/// amplitude-operations, which one core finishes before a worker would
+/// wake.
+fn ensemble_width(
+    program: &CompiledProgram,
+    prog: &ShotProgram,
+    config: &TrajectoryConfig,
+) -> usize {
+    let until = prog
+        .terminal
+        .as_ref()
+        .map_or(program.ops().len(), |b| b.first);
+    let gates = program.ops()[prog.start.op..until]
+        .iter()
+        .filter(|op| matches!(op, ProgramOp::Gate(_)))
+        .count();
+    let own_table = prog.terminal.is_some() && !config.noise.is_noiseless();
+    let passes = (gates + usize::from(own_table)) as u128;
+    let work = (u128::from(config.shots) * passes) << program.nb_qubits();
+    par::width(config.kernel.allow_parallel && work >= 1 << kernel::PARALLEL_THRESHOLD_QUBITS)
 }
 
 /// Adds the tally `from` to `into`.
@@ -1196,7 +1245,8 @@ pub(super) fn run_ensemble(
         ..Tally::default()
     };
     let mut completed = 0u64;
-    let stopped = fan_out(config, batch, run_batch, |count, done: Tally| {
+    let width = ensemble_width(program, prog, config);
+    let stopped = fan_out(config, width, batch, run_batch, |count, done: Tally| {
         completed += count as u64;
         merge_counts(&mut all.outcomes, done.outcomes);
         merge_counts(&mut all.records, done.records);
@@ -1232,7 +1282,7 @@ pub(super) fn run_ensemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::QCircuit;
+    use crate::circuit::{CircuitItem, QCircuit};
     use crate::gates::factories::*;
     use crate::measurement::Measurement;
     use crate::program::PlanOptions;
@@ -1447,16 +1497,17 @@ mod tests {
 
     #[test]
     fn a_ground_state_adopts_its_layout_and_moves_nothing() {
-        // QFT-16 from |0…0⟩: the locality pass opens with a layout move
-        // and restores the identity before the terminal block
+        // QFT-16 from |0…0⟩: the locality pass opens with a layout move,
+        // relabels the eight bit-reversal swaps and restores the identity
+        // before the terminal block
         let n = 16;
         let program = qft(n, true).compile_with(&PlanOptions::default());
         let prefix = program.shot_plan().prefix_ops;
-        let permutes = program.ops()[..prefix]
+        let (relabels, permutes): (Vec<_>, Vec<_>) = program.ops()[..prefix]
             .iter()
             .filter(|op| matches!(op, ProgramOp::Permute { .. }))
-            .count();
-        assert_eq!(permutes, 2);
+            .partition(|op| op.is_relabel());
+        assert_eq!((relabels.len(), permutes.len()), (8, 2));
         assert!(matches!(program.ops()[0], ProgramOp::Permute { .. }));
         let (kernel, watchdog) = (KernelConfig::default(), WatchdogConfig::default());
         let (ground, free) = evolved(&program, prefix, prep::ground_state(n, 1, kernel, watchdog));
@@ -1550,5 +1601,79 @@ mod tests {
             free < paid,
             "{free} moves from the ground state, {paid} paid"
         );
+    }
+
+    /// The passes that move amplitudes — SWAP gates and layout moves —
+    /// that `config`'s run of `c` makes after its ground state, with its
+    /// plan.
+    fn moving_passes(c: &QCircuit, config: &TrajectoryConfig) -> (TrajectoryResult, usize) {
+        let program = c.compile_with(&PlanOptions::from(&config.kernel));
+        let swaps = program.ops()[..program.shot_plan().draw_ops()]
+            .iter()
+            .filter(|op| matches!(op, ProgramOp::Gate(Gate::Swap(..))))
+            .count();
+        let (r, moved) = moves(|| run_trajectories(c, config).unwrap());
+        (r, swaps + moved)
+    }
+
+    #[test]
+    fn a_one_off_qft16_sample_moves_no_amplitude() {
+        // the opening move is free on |0…0⟩, the bit-reversal swaps are
+        // relabels, and the draw reads them in place: none of the nine
+        // passes the swaps and the restore made before
+        let c = qft(16, true);
+        let config = TrajectoryConfig {
+            shots: 1000,
+            ..TrajectoryConfig::default()
+        };
+        let (r, passes) = moving_passes(&c, &config);
+        assert_eq!(passes, 0);
+        let plain = TrajectoryConfig {
+            kernel: KernelConfig {
+                remap: false,
+                ..config.kernel
+            },
+            ..config.clone()
+        };
+        let (reference, paid) = moving_passes(&c, &plain);
+        assert_eq!(paid, 8);
+        assert_eq!(r.counts(), reference.counts());
+    }
+
+    #[test]
+    fn a_wide_swap_ended_draw_still_restores() {
+        // at the parallel threshold and above a draw scattered over the
+        // layout costs more than the restore, so the plan's restore runs
+        let n = 20;
+        let mut c = QCircuit::new(n);
+        for q in 0..n {
+            c.push_back(Hadamard::new(q));
+        }
+        c.push_back(CNOT::new(0, 1));
+        // a fence keeps fusion from folding the swaps into the layer
+        c.push_back(CircuitItem::Barrier((0..n).collect()));
+        for q in 0..3 {
+            c.push_back(SwapGate::new(q, n - 1 - q));
+        }
+        for q in 0..n {
+            c.push_back(Measurement::z(q));
+        }
+        let config = TrajectoryConfig {
+            shots: 100,
+            ..TrajectoryConfig::default()
+        };
+        let program = c.compile_with(&PlanOptions::default());
+        assert_eq!(program.stats().remap_relabels, 3);
+        assert_eq!(program.shot_plan().draw_in_place, None);
+        let (r, passes) = moving_passes(&c, &config);
+        assert_eq!(passes, 1);
+        let plain = TrajectoryConfig {
+            kernel: KernelConfig {
+                remap: false,
+                ..config.kernel
+            },
+            ..config.clone()
+        };
+        assert_eq!(r.counts(), run_trajectories(&c, &plain).unwrap().counts());
     }
 }

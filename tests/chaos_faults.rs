@@ -415,11 +415,13 @@ fn a_refused_thread_is_a_slower_run_not_a_different_one() {
     };
     assert_refused_threads_only_slow_down(|| sample(&dense, &config));
 
-    // a noisy non-Clifford ensemble: the shot batches fan out
+    // a noisy non-Clifford ensemble: the shot batches fan out — enough
+    // shots of 8 amplitudes that the ensemble holds a parallel kernel
+    // pass of work
     let mut noisy = workload();
     noisy.insert(0, TGate::new(1)).unwrap();
     let config = TrajectoryConfig {
-        shots: 2000,
+        shots: 20_000,
         shot_batch: 8,
         noise: NoiseSpec {
             after_gate: Some(PauliChannel::Depolarizing(0.05)),

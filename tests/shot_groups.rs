@@ -14,7 +14,7 @@ use qclab_core::sim::trajectory::{
     run_trajectories, NoiseSpec, PauliChannel, Reference, ShotPath, TrajectoryConfig,
     TrajectoryResult, WatchdogConfig,
 };
-use qclab_core::Observable;
+use qclab_core::{Observable, PlanOptions, ProgramOp};
 use qclab_testkit::prelude::*;
 
 /// A collapsing item: a measurement in Z, X or Y, or a reset.
@@ -31,7 +31,8 @@ fn collapse(n: usize) -> impl Strategy<Value = CircuitItem> {
 /// basis, resets) among its gates, each followed by at least one gate —
 /// so the run never ends in a terminal draw and every collapse is
 /// mid-circuit — and, half of the time, a final measurement of every
-/// qubit.
+/// qubit. A Hadamard layer opens it, so a collapse of a qubit no drawn
+/// gate touches still splits a batch.
 fn mid_circuit(n: usize) -> impl Strategy<Value = QCircuit> {
     (
         prop::collection::vec(gate(n), 2..=14),
@@ -47,11 +48,35 @@ fn mid_circuit(n: usize) -> impl Strategy<Value = QCircuit> {
                 items.extend((0..n).map(|q| CircuitItem::Measurement(Measurement::z(q))));
             }
             let mut c = QCircuit::new(n);
+            for q in 0..n {
+                c.push_back(Hadamard::new(q));
+            }
             for item in items {
                 c.push_back(item);
             }
             c
         })
+}
+
+/// Shots enough that the 2-thread legs of `c` under noise `class` fan
+/// out on the team: the gate passes over `2^n` amplitudes that each shot
+/// makes past the shared prefix — every gate when gate or idle noise
+/// starts each shot at op 0, else the gates after the first collapse,
+/// and at least one (the gate after a collapse, or a lane's own terminal
+/// table) — add up to `2^18` amplitude-operations, one parallel kernel
+/// pass, the grain of the shot fan-out.
+fn team_shots(c: &QCircuit, class: u8) -> u64 {
+    let plan = c.compile_with(&PlanOptions::default());
+    let from = if matches!(class, 1 | 2) {
+        0
+    } else {
+        plan.shot_plan().prefix_ops
+    };
+    let passes = plan.ops()[from..]
+        .iter()
+        .filter(|op| matches!(op, ProgramOp::Gate(_)))
+        .count();
+    (1u64 << 18 >> c.nb_qubits()).div_ceil(passes.max(1) as u64)
 }
 
 /// A unitary circuit ending in a terminal measurement block.
@@ -139,7 +164,7 @@ proptest! {
     /// each width is the batch of one.
     #[test]
     fn the_group_walk_is_the_per_shot_engine(
-        c in prop_oneof![mid_circuit(3), mid_circuit(4)],
+        c in prop_oneof![mid_circuit(9), mid_circuit(10)],
         seed in 0u64..1 << 32,
         class in 0u8..4,
         strong in 0u8..2,
@@ -148,7 +173,7 @@ proptest! {
     ) {
         let n = c.nb_qubits();
         let config = TrajectoryConfig {
-            shots: 100,
+            shots: team_shots(&c, class),
             seed,
             noise: noise(class, if strong == 1 { 0.2 } else { 1e-3 }),
             observables: if observed == 1 { observables(n) } else { Vec::new() },
@@ -168,13 +193,13 @@ proptest! {
     /// table; lanes struck in the block draw from their own.
     #[test]
     fn groups_draw_a_terminal_block_as_lanes_do(
-        c in terminal_circuit(4),
+        c in terminal_circuit(10),
         seed in 0u64..1 << 32,
         class in 1u8..4,
         strong in 0u8..2,
     ) {
         let config = TrajectoryConfig {
-            shots: 100,
+            shots: team_shots(&c, class),
             seed,
             noise: noise(class, if strong == 1 { 0.2 } else { 1e-3 }),
             reference: Reference::NoFrames,
