@@ -7,6 +7,7 @@
 //! obtained by conjugating with Hadamards.
 
 use qclab_core::prelude::*;
+use qclab_core::sim::kernel::{self, KernelConfig};
 use qclab_math::CVec;
 
 /// Which single-qubit error (if any) to inject between encoding and
@@ -142,7 +143,7 @@ pub fn correct_by_pauli_frame(sim: &qclab_core::Simulation) -> Vec<(String, CVec
             };
             let mut state = b.state().clone();
             if let Some(q) = flip {
-                qclab_core::sim::kernel::apply_gate(&qclab_core::Gate::PauliX(q), &mut state, n);
+                kernel::apply_gate(&Gate::PauliX(q), &mut state, n, &KernelConfig::default());
             }
             (syndrome, state)
         })

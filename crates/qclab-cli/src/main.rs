@@ -17,7 +17,7 @@
 
 mod serve;
 
-use qclab_core::program::{plan_cache_stats, PlanOptions};
+use qclab_core::program::{self, plan_cache_stats, PlanOptions};
 use qclab_core::service::ErrorKind;
 use qclab_core::sim::control::ExecutionControl;
 use qclab_core::sim::guard::{ResourceLimits, SPARSE_ENTRY_BYTES};
@@ -696,10 +696,10 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
     // backend other than dense reads the unfused plan; held from here on,
     // neither plan is lowered twice.
     let unfused = (opts.backend != BackendRequest::Dense)
-        .then(|| circuit.compile_with(&PlanOptions::unfused()));
+        .then(|| program::compile(circuit, &PlanOptions::unfused()));
     let sampled = route(circuit, &opts.trajectory(), None);
     let plan_opts = PlanOptions::from(&opts.kernel());
-    let program = circuit.compile_with(&plan_opts);
+    let program = program::compile(circuit, &plan_opts);
     let stats = program.stats();
     let on = |yes: bool| if yes { "on" } else { "off" };
     let mut out = format!(
@@ -743,7 +743,7 @@ fn compile_report(circuit: &QCircuit, opts: &EngineOpts) -> Output {
     let _unfused = unfused.or_else(|| {
         stats
             .is_clifford
-            .then(|| circuit.compile_with(&PlanOptions::unfused()))
+            .then(|| program::compile(circuit, &PlanOptions::unfused()))
     });
     for (class, after_gate, before_measure) in [
         ("noiseless", None, None),

@@ -335,7 +335,7 @@ impl QCircuit {
         let dim = crate::sim::guard::ResourceLimits::default().check_matrix(self.nb_qubits)?;
         // lower unfused so the matrix reflects the original gate list —
         // the fusion tests use `to_matrix` as their semantic oracle
-        let program = self.compile_with(&crate::program::PlanOptions::unfused());
+        let program = crate::program::compile(self, &crate::program::PlanOptions::unfused());
         let mut out = CMat::zeros(dim, dim);
         for j in 0..dim {
             let mut col = qclab_math::CVec::basis_state(dim, j);
@@ -359,20 +359,6 @@ impl QCircuit {
             .fingerprint
             .0
             .get_or_init(|| crate::program::fingerprint(self))
-    }
-
-    /// Lowers the circuit to a [`CompiledProgram`](crate::program::CompiledProgram)
-    /// through the process's plan cache, with default [`crate::program::PlanOptions`].
-    pub fn compile(&self) -> std::sync::Arc<crate::program::CompiledProgram> {
-        crate::program::compile(self, &crate::program::PlanOptions::default())
-    }
-
-    /// Lowers the circuit with explicit plan options (cached).
-    pub fn compile_with(
-        &self,
-        options: &crate::program::PlanOptions,
-    ) -> std::sync::Arc<crate::program::CompiledProgram> {
-        crate::program::compile(self, options)
     }
 }
 

@@ -19,7 +19,7 @@
 
 use crate::error::QclabError;
 use crate::gates::Gate;
-use crate::sim::kernel;
+use crate::sim::kernel::{self, KernelConfig};
 use qclab_math::scalar::cr;
 use qclab_math::{CMat, CVec};
 
@@ -126,7 +126,7 @@ impl PauliString {
         debug_assert_eq!(state.len(), 1usize << n);
         for (q, p) in self.paulis.iter().enumerate() {
             if let Some(g) = p.gate(q) {
-                kernel::apply_gate(&g, state, n);
+                kernel::apply_gate(&g, state, n, &KernelConfig::default());
             }
         }
     }
@@ -377,7 +377,7 @@ mod tests {
         let obs = Observable::ising_chain(n, 0.0, 1.0);
         let mut plus = CVec::basis_state(1 << n, 0);
         for q in 0..n {
-            kernel::apply_gate(&Gate::Hadamard(q), &mut plus, n);
+            kernel::apply_gate(&Gate::Hadamard(q), &mut plus, n, &KernelConfig::default());
         }
         assert!((obs.expectation(&plus) + 4.0).abs() < 1e-13);
     }
@@ -410,9 +410,14 @@ mod tests {
         // GHZ: <ZZ> = 1 on every bond, <X> = 0 -> E = -J(n-1)
         let n = 5;
         let mut state = CVec::basis_state(1 << n, 0);
-        kernel::apply_gate(&Gate::Hadamard(0), &mut state, n);
+        kernel::apply_gate(&Gate::Hadamard(0), &mut state, n, &KernelConfig::default());
         for q in 1..n {
-            kernel::apply_gate(&Gate::PauliX(q).controlled(q - 1, 1), &mut state, n);
+            kernel::apply_gate(
+                &Gate::PauliX(q).controlled(q - 1, 1),
+                &mut state,
+                n,
+                &KernelConfig::default(),
+            );
         }
         let obs = Observable::ising_chain(n, 1.0, 0.7);
         assert!((obs.expectation(&state) + 4.0).abs() < 1e-12);

@@ -30,10 +30,10 @@
 //! The result is a [`CompiledProgram`]: a flat list of [`ProgramOp`]s
 //! with **no** sub-circuits and **no** unresolved offsets, which every
 //! executor (`simulate_with`, `to_matrix`, `density::run_noisy`,
-//! `trajectory::run_*`, the stabilizer runner) consumes directly.
+//! `trajectory::run_*`, `stabilizer::run_program`) consumes directly.
 //!
-//! Plans are memoized by [`compile`], the plan cache: a circuit asked
-//! for again shares one plan across callers, backends and shots.
+//! [`compile`] is the one way to a plan, through the plan cache: a
+//! circuit asked for again shares one plan across callers and shots.
 
 use crate::circuit::{CircuitItem, QCircuit};
 use crate::error::QclabError;
@@ -41,7 +41,7 @@ use crate::gates::{shape, Gate, Shape};
 use crate::measurement::{Basis, Measurement};
 use crate::sim::fusion::{self, FusionStats, Placed, TargetMatrices, MAX_FUSED_QUBITS_LIMIT};
 use crate::sim::guard::ResourceLimits;
-use crate::sim::kernel::{KernelConfig, PARALLEL_THRESHOLD_QUBITS, SWEEP_TILE_QUBITS};
+use crate::sim::kernel::{self, KernelConfig, PARALLEL_THRESHOLD_QUBITS, SWEEP_TILE_QUBITS};
 use crate::sim::sparse::DEFAULT_PRUNE_EPS;
 use crate::sim::stabilizer::{basis_change, is_clifford_gate};
 use qclab_math::rng::mix64;
@@ -563,9 +563,9 @@ impl CompiledProgram {
         debug_assert_eq!(n, self.nb_qubits);
         for op in &self.ops {
             match op {
-                ProgramOp::Gate(g) => crate::sim::kernel::apply_gate(g, state, n),
+                ProgramOp::Gate(g) => kernel::apply_gate(g, state, n, &KernelConfig::default()),
                 ProgramOp::Permute { perm, .. } => {
-                    crate::sim::kernel::permute_state(state, n, perm, false);
+                    kernel::permute_state(state, n, perm, false);
                 }
                 // none left once `is_unitary` holds
                 ProgramOp::Fence(_) | ProgramOp::Measure(_) | ProgramOp::Reset(_) => {}
@@ -1144,7 +1144,7 @@ mod tests {
         let mut expect = CVec::basis_state(4, 0);
         for item in c.items() {
             if let CircuitItem::Gate(g) = item {
-                crate::sim::kernel::apply_gate(g, &mut expect, 2);
+                kernel::apply_gate(g, &mut expect, 2, &KernelConfig::default());
             }
         }
         for (a, b) in v.iter().zip(expect.iter()) {

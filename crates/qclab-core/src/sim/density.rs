@@ -8,7 +8,8 @@
 //! `ρ → U ρ U†` reuses the optimized state-vector kernels verbatim —
 //! apply `U` on the row qubits and `U*` on the column qubits. Kraus
 //! channels `ρ → Σ K_i ρ K_i†` apply each (non-unitary) `K_i` the same
-//! way and sum.
+//! way and sum. [`run_noisy`] is the one circuit entry, under an
+//! [`ExecutionControl`].
 //!
 //! ```
 //! use qclab_core::sim::density::{DensityState, NoiseChannel};
@@ -25,9 +26,9 @@
 use crate::circuit::QCircuit;
 use crate::error::QclabError;
 use crate::gates::Gate;
-use crate::program::ProgramOp;
+use crate::program::{PlanOptions, ProgramOp};
 use crate::sim::control::ExecutionControl;
-use crate::sim::kernel;
+use crate::sim::kernel::{self, KernelConfig};
 use qclab_math::scalar::{cr, zero, C64};
 use qclab_math::{CMat, CVec, DensityMatrix};
 
@@ -198,10 +199,10 @@ impl DensityState {
         let n = self.nb_qubits;
         let nn = 2 * n;
         // U on the row qubits
-        kernel::apply_gate(gate, &mut self.vec, nn);
+        kernel::apply_gate(gate, &mut self.vec, nn, &KernelConfig::default());
         // U* on the column qubits
         let conj = conjugated_gate(gate).shifted(n);
-        kernel::apply_gate(&conj, &mut self.vec, nn);
+        kernel::apply_gate(&conj, &mut self.vec, nn, &KernelConfig::default());
     }
 
     /// Applies a single-qubit Kraus channel to `qubit`:
@@ -229,8 +230,8 @@ impl DensityState {
                 qubits: vec![qubit + n],
                 matrix: k.conj(),
             };
-            kernel::apply_gate(&left, &mut term, nn);
-            kernel::apply_gate(&right, &mut term, nn);
+            kernel::apply_gate(&left, &mut term, nn, &KernelConfig::default());
+            kernel::apply_gate(&right, &mut term, nn, &KernelConfig::default());
             for (a, t) in acc.iter_mut().zip(term.iter()) {
                 *a += t;
             }
@@ -302,20 +303,11 @@ pub struct NoiseModel {
 
 /// Runs a circuit on a density matrix: gates evolve `ρ` unitarily
 /// (plus the noise model), measurements dephase non-selectively, resets
-/// re-initialize. Returns the final [`DensityState`].
+/// re-initialize. Returns the final [`DensityState`]. The per-op loop
+/// polls `control` at op boundaries, so a long density run stops
+/// cooperatively with [`QclabError::DeadlineExceeded`] /
+/// [`QclabError::Cancelled`].
 pub fn run_noisy(
-    circuit: &QCircuit,
-    initial: &DensityState,
-    noise: &NoiseModel,
-) -> Result<DensityState, QclabError> {
-    run_noisy_controlled(circuit, initial, noise, &ExecutionControl::none())
-}
-
-/// [`run_noisy`] under an [`ExecutionControl`]: the per-op loop polls
-/// the deadline/cancel token at op boundaries, so a long density run
-/// stops cooperatively with [`QclabError::DeadlineExceeded`] /
-/// [`QclabError::Cancelled`] instead of running to completion.
-pub fn run_noisy_controlled(
     circuit: &QCircuit,
     initial: &DensityState,
     noise: &NoiseModel,
@@ -327,7 +319,7 @@ pub fn run_noisy_controlled(
     let mut state = initial.clone();
     // lower unfused: the noise model attaches a channel to every gate,
     // so fusing gates would change the noise locations
-    let program = circuit.compile_with(&crate::program::PlanOptions::unfused());
+    let program = crate::program::compile(circuit, &PlanOptions::unfused());
     let mut ticker = control.ticker();
     for op in program.ops() {
         match op {
@@ -387,7 +379,7 @@ mod tests {
         let mut psi = CVec::basis_state(4, 0);
         let mut ds = DensityState::from_pure(&psi);
         for g in &gates {
-            kernel::apply_gate(g, &mut psi, 2);
+            kernel::apply_gate(g, &mut psi, 2, &KernelConfig::default());
             ds.apply_gate(g);
         }
         assert!((ds.fidelity_with_pure(&psi) - 1.0).abs() < 1e-12);
@@ -494,7 +486,13 @@ mod tests {
         circuit.push_back(Hadamard::new(0));
         circuit.push_back(CNOT::new(0, 1));
         let init = DensityState::from_pure(&CVec::basis_state(4, 0));
-        let out = run_noisy(&circuit, &init, &NoiseModel { after_gate: None }).unwrap();
+        let out = run_noisy(
+            &circuit,
+            &init,
+            &NoiseModel { after_gate: None },
+            &ExecutionControl::none(),
+        )
+        .unwrap();
         let bell = CVec(vec![cr(INV_SQRT2), cr(0.0), cr(0.0), cr(INV_SQRT2)]);
         assert!((out.fidelity_with_pure(&bell) - 1.0).abs() < 1e-12);
     }
@@ -511,7 +509,7 @@ mod tests {
             let noise = NoiseModel {
                 after_gate: Some(NoiseChannel::Depolarizing(p)),
             };
-            let out = run_noisy(&circuit, &init, &noise).unwrap();
+            let out = run_noisy(&circuit, &init, &noise, &ExecutionControl::none()).unwrap();
             let f = out.fidelity_with_pure(&bell);
             assert!(f < last, "fidelity did not degrade at p = {p}");
             last = f;

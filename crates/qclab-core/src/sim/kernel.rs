@@ -97,14 +97,9 @@ impl KernelConfig {
     }
 }
 
-/// Applies `gate` to `state` in place. `n` is the register size; the
-/// state must have length `2^n`.
-pub fn apply_gate(gate: &Gate, state: &mut CVec, n: usize) {
-    apply_gate_with(gate, state, n, &KernelConfig::default());
-}
-
-/// [`apply_gate`] with an explicit [`KernelConfig`].
-pub fn apply_gate_with(gate: &Gate, state: &mut CVec, n: usize, cfg: &KernelConfig) {
+/// Applies `gate` to `state` in place under the kernel switches of
+/// `cfg`. `n` is the register size; the state must have length `2^n`.
+pub fn apply_gate(gate: &Gate, state: &mut CVec, n: usize, cfg: &KernelConfig) {
     apply_prepared(&prepare_gate(gate, n), state, n, cfg);
 }
 
@@ -113,7 +108,7 @@ pub fn apply_gate_with(gate: &Gate, state: &mut CVec, n: usize, cfg: &KernelConf
 /// masks, the dense target matrix, extracted diagonals, and the k-qubit
 /// kernel's sorted shifts and scatter-offset table. This is the operand
 /// payload of one bytecode instruction ([`super::bytecode`]); the
-/// per-gate entry ([`apply_gate_with`]) builds it per call, so both
+/// per-gate entry ([`apply_gate`]) builds it per call, so both
 /// execute literally the same kernels on the same operands.
 #[derive(Clone)]
 pub(crate) struct PreparedOp {
@@ -869,7 +864,7 @@ unsafe fn kq_group(
 /// group, multiplies by the dense gate matrix, and scatters back. The
 /// scatter-index table and sorted shifts come precomputed in [`KqPre`]
 /// (once per *plan* in the bytecode, once per call through
-/// [`apply_gate_with`]);
+/// [`apply_gate`]);
 /// each group only pays one base-index construction plus an OR per
 /// amplitude.
 fn apply_kq(state: &mut [C64], kq: &KqPre, cm: CtrlMasks, parallel: bool, simd: bool) {
@@ -945,7 +940,7 @@ mod tests {
     fn apply_to_zero(gates: &[Gate], n: usize) -> CVec {
         let mut state = CVec::basis_state(1 << n, 0);
         for g in gates {
-            apply_gate(g, &mut state, n);
+            apply_gate(g, &mut state, n, &KernelConfig::default());
         }
         state
     }
@@ -970,7 +965,7 @@ mod tests {
     fn cnot_control_on_msb_qubit() {
         // |10> --CNOT(0,1)--> |11>
         let mut s = CVec::from_bitstring("10").unwrap();
-        apply_gate(&CNOT::new(0, 1), &mut s, 2);
+        apply_gate(&CNOT::new(0, 1), &mut s, 2, &KernelConfig::default());
         assert!((s[3].re - 1.0).abs() < 1e-15);
     }
 
@@ -978,28 +973,38 @@ mod tests {
     fn open_control_fires_on_zero() {
         // control state 0: |00> -> |01>
         let mut s = CVec::from_bitstring("00").unwrap();
-        apply_gate(&CNOT::with_control_state(0, 1, 0), &mut s, 2);
+        apply_gate(
+            &CNOT::with_control_state(0, 1, 0),
+            &mut s,
+            2,
+            &KernelConfig::default(),
+        );
         assert!((s[1].re - 1.0).abs() < 1e-15);
         // and leaves |10> alone
         let mut s = CVec::from_bitstring("10").unwrap();
-        apply_gate(&CNOT::with_control_state(0, 1, 0), &mut s, 2);
+        apply_gate(
+            &CNOT::with_control_state(0, 1, 0),
+            &mut s,
+            2,
+            &KernelConfig::default(),
+        );
         assert!((s[2].re - 1.0).abs() < 1e-15);
     }
 
     #[test]
     fn swap_kernel_permutes() {
         let mut s = CVec::from_bitstring("10").unwrap();
-        apply_gate(&SwapGate::new(0, 1), &mut s, 2);
+        apply_gate(&SwapGate::new(0, 1), &mut s, 2, &KernelConfig::default());
         assert!((s[1].re - 1.0).abs() < 1e-15);
         // swap twice restores
-        apply_gate(&SwapGate::new(0, 1), &mut s, 2);
+        apply_gate(&SwapGate::new(0, 1), &mut s, 2, &KernelConfig::default());
         assert!((s[2].re - 1.0).abs() < 1e-15);
     }
 
     #[test]
     fn swap_on_nonadjacent_qubits() {
         let mut s = CVec::from_bitstring("100").unwrap();
-        apply_gate(&SwapGate::new(0, 2), &mut s, 3);
+        apply_gate(&SwapGate::new(0, 2), &mut s, 3, &KernelConfig::default());
         assert_eq!(
             qclab_math::bits::index_to_bitstring(s.iter().position(|z| z.norm() > 0.5).unwrap(), 3),
             "001"
@@ -1011,12 +1016,12 @@ mod tests {
         // MCX([3,4], 2, [0,1]) on 5 qubits: flips q2 iff q3=0 and q4=1
         let g = MCX::new(&[3, 4], 2, &[0, 1]);
         let mut s = CVec::from_bitstring("00001").unwrap();
-        apply_gate(&g, &mut s, 5);
+        apply_gate(&g, &mut s, 5, &KernelConfig::default());
         let idx = s.iter().position(|z| z.norm() > 0.5).unwrap();
         assert_eq!(qclab_math::bits::index_to_bitstring(idx, 5), "00101");
         // non-matching ancilla pattern leaves the state untouched
         let mut s = CVec::from_bitstring("00011").unwrap();
-        apply_gate(&g, &mut s, 5);
+        apply_gate(&g, &mut s, 5, &KernelConfig::default());
         let idx = s.iter().position(|z| z.norm() > 0.5).unwrap();
         assert_eq!(qclab_math::bits::index_to_bitstring(idx, 5), "00011");
     }
@@ -1038,8 +1043,8 @@ mod tests {
         .unwrap();
         let mut s1 = CVec(vec![cr(0.5); 4]);
         let mut s2 = s1.clone();
-        apply_gate(&cz, &mut s1, 2);
-        apply_gate(&dense, &mut s2, 2);
+        apply_gate(&cz, &mut s1, 2, &KernelConfig::default());
+        apply_gate(&dense, &mut s2, 2, &KernelConfig::default());
         assert!(s1.approx_eq(&s2, 1e-14));
     }
 
@@ -1162,7 +1167,7 @@ mod tests {
         let m = g.target_matrix();
         for basis in 0..4 {
             let mut s = CVec::basis_state(4, basis);
-            apply_gate(&g, &mut s, 2);
+            apply_gate(&g, &mut s, 2, &KernelConfig::default());
             let expected = m.col(basis);
             for i in 0..4 {
                 assert!((s[i] - expected[i]).norm() < 1e-14);
@@ -1325,7 +1330,7 @@ mod tests {
                             ..KernelConfig::default()
                         };
                         let mut got = CVec(state.clone());
-                        apply_gate_with(&g, &mut got, n, &cfg);
+                        apply_gate(&g, &mut got, n, &cfg);
                         for (i, (a, b)) in got.iter().zip(&want).enumerate() {
                             assert!(
                                 a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
@@ -1440,9 +1445,24 @@ mod tests {
     fn parallel_diagonal_and_controlled_paths() {
         let n = PARALLEL_THRESHOLD_QUBITS;
         let mut state = CVec::basis_state(1 << n, 0);
-        apply_gate(&Hadamard::new(n - 1), &mut state, n);
-        apply_gate(&CPhase::new(n - 1, 0, std::f64::consts::PI), &mut state, n);
-        apply_gate(&CNOT::new(n - 1, 1), &mut state, n);
+        apply_gate(
+            &Hadamard::new(n - 1),
+            &mut state,
+            n,
+            &KernelConfig::default(),
+        );
+        apply_gate(
+            &CPhase::new(n - 1, 0, std::f64::consts::PI),
+            &mut state,
+            n,
+            &KernelConfig::default(),
+        );
+        apply_gate(
+            &CNOT::new(n - 1, 1),
+            &mut state,
+            n,
+            &KernelConfig::default(),
+        );
         assert!((state.norm() - 1.0).abs() < 1e-12);
     }
 }

@@ -14,7 +14,7 @@ use super::{walk_branches, BranchState, SimOptions, Simulation};
 use crate::circuit::QCircuit;
 use crate::error::QclabError;
 use crate::gates::Gate;
-use crate::program::PlanOptions;
+use crate::program::{self, PlanOptions};
 use qclab_math::bits;
 use qclab_math::scalar::{cr, C64};
 use qclab_math::{CVec, CsrMat};
@@ -73,10 +73,11 @@ pub fn simulate(
     opts: &SimOptions,
 ) -> Result<Simulation, QclabError> {
     let n = circuit.nb_qubits();
-    let plan = circuit.compile_with(&PlanOptions {
+    let options = PlanOptions {
         remap: false,
         ..PlanOptions::from(&opts.kernel)
-    });
+    };
+    let plan = program::compile(circuit, &options);
     let mut sim = circuit
         .start(initial, &opts.limits)?
         .map_states(|s| Ok(Oracle(s)))?;
@@ -127,6 +128,7 @@ impl BranchState for Oracle {
 mod tests {
     use super::*;
     use crate::gates::factories::*;
+    use crate::sim::kernel::{self, KernelConfig};
 
     const INV_SQRT2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
@@ -195,12 +197,12 @@ mod tests {
         ];
         // a non-trivial starting state
         let mut a = CVec::basis_state(1 << n, 0);
-        crate::sim::kernel::apply_gate(&Hadamard::new(0), &mut a, n);
-        crate::sim::kernel::apply_gate(&RotationY::new(2, 0.4), &mut a, n);
+        kernel::apply_gate(&Hadamard::new(0), &mut a, n, &KernelConfig::default());
+        kernel::apply_gate(&RotationY::new(2, 0.4), &mut a, n, &KernelConfig::default());
         let mut b = a.clone();
 
         for g in &gates {
-            crate::sim::kernel::apply_gate(g, &mut a, n);
+            kernel::apply_gate(g, &mut a, n, &KernelConfig::default());
             apply_gate(g, &mut b, n);
             assert!(a.approx_eq(&b, 1e-12), "backends diverge after {g}");
         }

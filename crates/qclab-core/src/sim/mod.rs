@@ -51,7 +51,7 @@ use crate::circuit::QCircuit;
 use crate::error::QclabError;
 use crate::gates::Gate;
 use crate::measurement::Measurement;
-use crate::program::{PlanOptions, ProgramOp};
+use crate::program::{self, PlanOptions, ProgramOp};
 use crate::reduced::contract_qubit;
 use control::ControlTicker;
 use guard::ResourceLimits;
@@ -190,18 +190,11 @@ impl<S> Simulation<S> {
     /// Samples `shots` repetitions of the experiment, returning
     /// `(result string, frequency)` pairs sorted by result string —
     /// QCLAB's `counts` function with MATLAB's `rng(seed)` replaced by a
-    /// seeded PRNG.
+    /// seeded PRNG. Draws go through [`sampler::CdfTable`] — the one
+    /// sampler every shot path uses — so sampling costs
+    /// `O(branches + shots · log branches)`.
     pub fn counts(&self, shots: u64, seed: u64) -> Vec<(String, u64)> {
         let mut rng = Rng::seed_from_u64(seed);
-        self.counts_with_rng(shots, &mut rng)
-    }
-
-    /// [`counts`](Self::counts) with a caller-supplied RNG.
-    ///
-    /// Draws go through [`sampler::CdfTable`] — the one sampler every
-    /// shot path uses — so sampling costs
-    /// `O(branches + shots · log branches)`.
-    pub fn counts_with_rng(&self, shots: u64, rng: &mut Rng) -> Vec<(String, u64)> {
         let mut tally: BTreeMap<String, u64> = BTreeMap::new();
         // make every possible outcome visible even at zero frequency
         for b in &self.branches {
@@ -213,7 +206,7 @@ impl<S> Simulation<S> {
         let sampler =
             sampler::CdfTable::new(weights).expect("branch probabilities are a distribution");
         for _ in 0..shots {
-            let chosen = sampler.sample(rng);
+            let chosen = sampler.sample(&mut rng);
             *tally
                 .entry(self.branches[chosen].result.clone())
                 .or_insert(0) += 1;
@@ -303,26 +296,15 @@ impl QCircuit {
     }
 
     /// Simulates from a basis state given as a bitstring
-    /// (`circuit.simulate('00')`).
+    /// (`circuit.simulate('00')`): the dense leg of
+    /// [`simulate_bitstring_routed`](Self::simulate_bitstring_routed),
+    /// with default options.
     pub fn simulate_bitstring(&self, bits: &str) -> Result<Simulation, QclabError> {
-        self.simulate_bitstring_with(bits, &SimOptions::default())
-    }
-
-    /// Simulates from a basis-state bitstring with explicit
-    /// [`SimOptions`].
-    pub fn simulate_bitstring_with(
-        &self,
-        bits: &str,
-        opts: &SimOptions,
-    ) -> Result<Simulation, QclabError> {
-        if bits.len() != self.nb_qubits() {
-            return Err(QclabError::InvalidBitstring(bits.to_string()));
-        }
-        // guard before `from_bitstring` allocates its 2^len buffer
-        opts.limits.check_register(bits.len())?;
-        let initial = CVec::from_bitstring(bits)
-            .ok_or_else(|| QclabError::InvalidBitstring(bits.to_string()))?;
-        self.simulate_with(&initial, opts)
+        self.simulate_bitstring_routed(bits, &SimOptions::default(), BackendRequest::Dense)?
+            .map_states(|s| match s {
+                RoutedState::Dense(s) => Ok(s),
+                RoutedState::Sparse(_) => unreachable!("a dense request runs dense"),
+            })
     }
 
     /// Simulates with explicit [`SimOptions`].
@@ -334,9 +316,7 @@ impl QCircuit {
         let mut sim = self.start(initial, &opts.limits)?;
         // lower through the shared compile/execute split — the plan
         // cache makes repeated simulation of one circuit lower once
-        let bc = self
-            .compile_with(&PlanOptions::from(&opts.kernel))
-            .bytecode();
+        let bc = program::compile(self, &PlanOptions::from(&opts.kernel)).bytecode();
         // op-boundary deadline/cancel checks; a no-op for the default
         // (disabled) control, so results are unaffected by its presence
         let mut ticker = opts.control.ticker();
@@ -444,7 +424,7 @@ impl BranchState for CVec {
     type Engine = kernel::KernelConfig;
 
     fn apply(&mut self, gate: &Gate, n: usize, cfg: &kernel::KernelConfig) {
-        kernel::apply_gate_with(gate, self, n, cfg);
+        kernel::apply_gate(gate, self, n, cfg);
     }
 
     fn permute(&mut self, perm: &[usize], n: usize, cfg: &kernel::KernelConfig) {

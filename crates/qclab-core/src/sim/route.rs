@@ -24,7 +24,7 @@
 
 use crate::circuit::QCircuit;
 use crate::error::QclabError;
-use crate::program::{CompiledProgram, PlanOptions, PlanStats};
+use crate::program::{self, CompiledProgram, PlanOptions, PlanStats};
 use crate::sim::guard::{self, ResourceLimits};
 use crate::sim::prep::retainable;
 use crate::sim::sampler::TILE;
@@ -113,7 +113,7 @@ pub fn resolve(
     }
     // every plan of the circuit reports the same bound; the unfused one
     // builds no dense fused blocks for a register dense may not admit
-    let unfused = circuit.compile_with(&PlanOptions::unfused());
+    let unfused = program::compile(circuit, &PlanOptions::unfused());
     let stats = unfused.stats();
     let admitted = sparse_admits(stats, n, limits);
     let est = stats.sparse_entries;
@@ -149,7 +149,10 @@ pub(crate) fn branch_tree(
         (BackendChoice::Sparse { .. }, Some(program)) => program,
         // on a dense choice only `Auto` holds the unfused plan
         (_, unfused) => {
-            let err = match circuit.simulate_bitstring_with(bits, opts) {
+            // `resolve` ran the dense register guard before this 2^n buffer
+            let initial = CVec::from_bitstring(bits)
+                .ok_or_else(|| QclabError::InvalidBitstring(bits.to_string()))?;
+            let err = match circuit.simulate_with(&initial, opts) {
                 Ok(sim) => return sim.map_states(|s| Ok(RoutedState::Dense(s))),
                 Err(err) => err,
             };
@@ -168,8 +171,7 @@ pub(crate) fn branch_tree(
     };
     let initial = SparseState::from_bitstring(bits)
         .ok_or_else(|| QclabError::InvalidBitstring(bits.to_string()))?;
-    sparse::execute_controlled(&program, initial, &opts.limits, &opts.control)?
-        .map_states(|s| Ok(RoutedState::Sparse(s)))
+    sparse::execute(&program, initial, opts)?.map_states(|s| Ok(RoutedState::Sparse(s)))
 }
 
 /// How a trajectory run executes, decided by [`route`] before anything
@@ -281,7 +283,8 @@ pub fn route(
     // made: the plan cache keeps a plan only when it is asked for again
     // after its last holder let go, so a second lookup would lower again.
     let held = OnceLock::new();
-    let unfused = || Arc::clone(held.get_or_init(|| circuit.compile_with(&PlanOptions::unfused())));
+    let unfused =
+        || Arc::clone(held.get_or_init(|| program::compile(circuit, &PlanOptions::unfused())));
     // Backend routing happens before the dense `|0…0⟩` guard, so
     // sparse-eligible wide registers are not refused on the dense byte
     // estimate.
@@ -314,9 +317,8 @@ pub fn route(
     // the one plan of this circuit, noisy or not; every state-vector
     // shot executes the same program
     let fused = OnceLock::new();
-    let compile = || {
-        Arc::clone(fused.get_or_init(|| circuit.compile_with(&PlanOptions::from(&config.kernel))))
-    };
+    let options = PlanOptions::from(&config.kernel);
+    let compile = || Arc::clone(fused.get_or_init(|| program::compile(circuit, &options)));
     // Pauli frames: admitted by the frame guard instead of the dense 2^n
     // estimate, so 100+ qubit Clifford workloads run. Chosen by the
     // Clifford check on the source gates, which the engine executes one

@@ -309,7 +309,7 @@ impl ShotState {
     fn inject(&mut self, pauli: Pauli, qubit: usize) {
         if let Some(g) = pauli_gate(pauli, self.physical(qubit)) {
             self.ground = false;
-            kernel::apply_gate_with(&g, &mut self.state, self.n, &self.kernel);
+            kernel::apply_gate(&g, &mut self.state, self.n, &self.kernel);
         }
     }
 
@@ -336,10 +336,10 @@ impl ShotState {
         for (pos, &s) in members.iter().enumerate() {
             if let ProgramOp::Gate(g) = &program.source()[s] {
                 match &self.map {
-                    None => kernel::apply_gate_with(g, &mut self.state, self.n, &self.kernel),
+                    None => kernel::apply_gate(g, &mut self.state, self.n, &self.kernel),
                     Some(map) => {
                         let g = g.relabeled(map);
-                        kernel::apply_gate_with(&g, &mut self.state, self.n, &self.kernel)
+                        kernel::apply_gate(&g, &mut self.state, self.n, &self.kernel)
                     }
                 }
             }
@@ -368,7 +368,7 @@ impl ShotState {
         let q = match instr {
             Instr::Measure(m) => {
                 if let Some((vdg, _)) = m.basis().change_gates(self.physical(m.qubit())) {
-                    kernel::apply_gate_with(&vdg, &mut self.state, self.n, &self.kernel);
+                    kernel::apply_gate(&vdg, &mut self.state, self.n, &self.kernel);
                 }
                 m.qubit()
             }
@@ -415,13 +415,13 @@ impl ShotState {
         match instr {
             Instr::Measure(m) => {
                 if let Some((_, v)) = m.basis().change_gates(self.physical(m.qubit())) {
-                    kernel::apply_gate_with(&v, &mut self.state, self.n, &self.kernel);
+                    kernel::apply_gate(&v, &mut self.state, self.n, &self.kernel);
                 }
                 record.push(if bit == 0 { '0' } else { '1' });
             }
             Instr::Reset(q) if bit == 1 => {
                 let flip = Gate::PauliX(self.physical(*q));
-                kernel::apply_gate_with(&flip, &mut self.state, self.n, &self.kernel);
+                kernel::apply_gate(&flip, &mut self.state, self.n, &self.kernel);
                 self.bump_watchdog(1);
             }
             _ => {}
@@ -473,7 +473,7 @@ impl ShotState {
         self.final_check();
         self.ground = false;
         for vdg in &block.rotations {
-            kernel::apply_gate_with(vdg, &mut self.state, self.n, &self.kernel);
+            kernel::apply_gate(vdg, &mut self.state, self.n, &self.kernel);
         }
     }
 
@@ -1501,7 +1501,7 @@ mod tests {
         // relabels the eight bit-reversal swaps and restores the identity
         // before the terminal block
         let n = 16;
-        let program = qft(n, true).compile_with(&PlanOptions::default());
+        let program = crate::program::compile(&qft(n, true), &PlanOptions::default());
         let prefix = program.shot_plan().prefix_ops;
         let (relabels, permutes): (Vec<_>, Vec<_>) = program.ops()[..prefix]
             .iter()
@@ -1533,11 +1533,14 @@ mod tests {
     fn a_run_from_an_explicit_initial_state_still_moves_its_amplitudes() {
         let n = 16;
         let c = qft(n, false);
-        let remapped = c.compile_with(&PlanOptions::default());
-        let plain = c.compile_with(&PlanOptions {
-            remap: false,
-            ..PlanOptions::default()
-        });
+        let remapped = crate::program::compile(&c, &PlanOptions::default());
+        let plain = crate::program::compile(
+            &c,
+            &PlanOptions {
+                remap: false,
+                ..PlanOptions::default()
+            },
+        );
         let mut rng = Rng::seed_from_u64(48);
         let initial = CVec(
             (0..1usize << n)
@@ -1607,7 +1610,7 @@ mod tests {
     /// that `config`'s run of `c` makes after its ground state, with its
     /// plan.
     fn moving_passes(c: &QCircuit, config: &TrajectoryConfig) -> (TrajectoryResult, usize) {
-        let program = c.compile_with(&PlanOptions::from(&config.kernel));
+        let program = crate::program::compile(c, &PlanOptions::from(&config.kernel));
         let swaps = program.ops()[..program.shot_plan().draw_ops()]
             .iter()
             .filter(|op| matches!(op, ProgramOp::Gate(Gate::Swap(..))))
@@ -1662,7 +1665,7 @@ mod tests {
             shots: 100,
             ..TrajectoryConfig::default()
         };
-        let program = c.compile_with(&PlanOptions::default());
+        let program = crate::program::compile(&c, &PlanOptions::default());
         assert_eq!(program.stats().remap_relabels, 3);
         assert_eq!(program.shot_plan().draw_in_place, None);
         let (r, passes) = moving_passes(&c, &config);

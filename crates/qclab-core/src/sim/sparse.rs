@@ -14,8 +14,9 @@
 //! The executor consumes the same [`CompiledProgram`] as every dense
 //! executor (gates, fences, permutes, mid-circuit measurements and
 //! resets all supported). A [`SparseState`] is one more state the branch
-//! tree carries: [`execute`] runs the shared op walk and measurement/reset
-//! split of [`super`] over it and returns a [`Simulation<SparseState>`],
+//! tree carries: [`execute`], the one entry, runs the shared op walk and
+//! measurement/reset split of [`super`] over it under a [`SimOptions`]'
+//! limits and control, and returns a [`Simulation<SparseState>`],
 //! with the same records, probabilities and `counts` as the dense engine
 //! — what the `sparse_equivalence` differential suite locks in. This
 //! module supplies only the arithmetic. Amplitudes whose magnitude drops
@@ -34,10 +35,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use super::control::ExecutionControl;
 use super::guard::ResourceLimits;
 use super::kernel::control_masks;
-use super::{check_initial, walk_branches, BranchState, Simulation};
+use super::{check_initial, walk_branches, BranchState, SimOptions, Simulation};
 use crate::error::QclabError;
 use crate::gates::{shape, Gate, Shape};
 use crate::program::CompiledProgram;
@@ -275,26 +275,17 @@ impl Simulation<SparseState> {
 /// split branches, resets Z-measure and flip without recording, fences
 /// are no-ops and layout permutes re-key the support. After every gate
 /// the total live-entry count is re-admitted against
-/// [`ResourceLimits::check_sparse_entries`], and each new branch of a
-/// split once its entries are known.
+/// [`ResourceLimits::check_sparse_entries`] of `opts.limits`, and each
+/// new branch of a split once its entries are known. The loop polls
+/// `opts.control` at op boundaries, so a long run stops cooperatively
+/// with [`QclabError::DeadlineExceeded`] / [`QclabError::Cancelled`];
+/// `opts.kernel` is the dense engine's and is not read.
 pub fn execute(
     program: &CompiledProgram,
     initial: SparseState,
-    limits: &ResourceLimits,
+    opts: &SimOptions,
 ) -> Result<Simulation<SparseState>, QclabError> {
-    execute_controlled(program, initial, limits, &ExecutionControl::none())
-}
-
-/// [`execute`] under an [`ExecutionControl`]: the per-op loop polls the
-/// deadline/cancel token at op boundaries (every
-/// `control.check_every` ops), so a long sparse run stops cooperatively
-/// with [`QclabError::DeadlineExceeded`] / [`QclabError::Cancelled`].
-pub fn execute_controlled(
-    program: &CompiledProgram,
-    initial: SparseState,
-    limits: &ResourceLimits,
-    control: &ExecutionControl,
-) -> Result<Simulation<SparseState>, QclabError> {
+    let limits = &opts.limits;
     let n = program.nb_qubits();
     limits.check_sparse_register(n)?;
     let width = initial.nb_qubits();
@@ -306,7 +297,7 @@ pub fn execute_controlled(
     };
     check_initial(1 << n, len, initial.norm())?;
     let mut sim = Simulation::start(n, initial);
-    let mut ticker = control.ticker();
+    let mut ticker = opts.control.ticker();
     let peak = walk_branches(
         &mut sim.branches,
         program.ops(),
@@ -330,7 +321,7 @@ mod tests {
     fn run_sparse(c: &QCircuit, bits_str: &str) -> Simulation<SparseState> {
         let program = program::compile(c, &PlanOptions::unfused());
         let initial = SparseState::from_bitstring(bits_str).unwrap();
-        execute(&program, initial, &ResourceLimits::default()).unwrap()
+        execute(&program, initial, &SimOptions::default()).unwrap()
     }
 
     #[test]
@@ -396,11 +387,14 @@ mod tests {
             c.push_back(Hadamard::new(q));
         }
         let program = program::compile(&c, &PlanOptions::unfused());
-        let limits = ResourceLimits {
-            max_qubits: None,
-            max_state_bytes: 1 << 20,
+        let opts = SimOptions {
+            limits: ResourceLimits {
+                max_qubits: None,
+                max_state_bytes: 1 << 20,
+            },
+            ..SimOptions::default()
         };
-        let err = execute(&program, SparseState::basis_state(n, 0), &limits).unwrap_err();
+        let err = execute(&program, SparseState::basis_state(n, 0), &opts).unwrap_err();
         assert!(matches!(err, QclabError::ResourceExhausted { .. }));
     }
 
@@ -413,9 +407,12 @@ mod tests {
         c.push_back(Measurement::x(0));
         c.push_back(Measurement::x(1));
         let program = program::compile(&c, &PlanOptions::unfused());
-        let at = |entries: u128| ResourceLimits {
-            max_qubits: None,
-            max_state_bytes: entries * super::super::guard::SPARSE_ENTRY_BYTES,
+        let at = |entries: u128| SimOptions {
+            limits: ResourceLimits {
+                max_qubits: None,
+                max_state_bytes: entries * super::super::guard::SPARSE_ENTRY_BYTES,
+            },
+            ..SimOptions::default()
         };
         let run = |entries| execute(&program, SparseState::basis_state(2, 0), &at(entries));
         let sim = run(16).unwrap();
@@ -433,9 +430,9 @@ mod tests {
         let mut c = QCircuit::new(2);
         c.push_back(Hadamard::new(0));
         let program = program::compile(&c, &PlanOptions::unfused());
-        let limits = ResourceLimits::default();
+        let opts = SimOptions::default();
         for (width, actual) in [(3, 8), (70, usize::MAX)] {
-            let err = execute(&program, SparseState::basis_state(width, 0), &limits).unwrap_err();
+            let err = execute(&program, SparseState::basis_state(width, 0), &opts).unwrap_err();
             assert_eq!(
                 err,
                 QclabError::DimensionMismatch {

@@ -20,8 +20,8 @@
 //! ([`PlanStats::is_clifford`](crate::program::PlanStats::is_clifford))
 //! and the Pauli-frame lowering ([`super::frame`], sign-free) all read
 //! it. `walk` is the one tableau pass over a compiled program:
-//! [`run_program`] and the frame sampler's reference run differ only in
-//! what they record of its sites.
+//! [`run_program`] (the one entry, under an [`ExecutionControl`]) and
+//! the frame sampler's reference run differ only in what they record.
 //!
 //! ```
 //! use qclab_core::StabilizerState;
@@ -595,18 +595,12 @@ pub struct StabilizerRun {
 /// Executes a lowered program on a fresh tableau: gates must be
 /// Clifford, measurements sample through `rng`, resets force `|0⟩`,
 /// fences are no-ops. This is the stabilizer backend's executor over the
-/// shared [`CompiledProgram`] IR.
-pub fn run_program(program: &CompiledProgram, rng: &mut Rng) -> Result<StabilizerRun, QclabError> {
-    run_program_controlled(program, rng, &ExecutionControl::none())
-}
-
-/// [`run_program`] under an [`ExecutionControl`]: polls the
-/// deadline/cancel token at op boundaries, so long tableau runs stop
-/// cooperatively. The checks never draw from `rng`, so a run that
-/// completes under a generous deadline is bit-identical to one without
-/// control. The run is the tableau `walk`, recording each measurement
-/// bit.
-pub fn run_program_controlled(
+/// shared [`CompiledProgram`] IR: the tableau `walk`, recording each
+/// measurement bit. It polls `control` at op boundaries, so long tableau
+/// runs stop cooperatively; the checks never draw from `rng`, so a run
+/// that completes under a generous deadline is bit-identical to one
+/// under [`ExecutionControl::none`].
+pub fn run_program(
     program: &CompiledProgram,
     rng: &mut Rng,
     control: &ExecutionControl,
@@ -627,8 +621,8 @@ pub fn run_stabilizer(
     circuit: &crate::circuit::QCircuit,
     rng: &mut Rng,
 ) -> Result<StabilizerRun, QclabError> {
-    let program = circuit.compile_with(&PlanOptions::unfused());
-    run_program(&program, rng)
+    let program = crate::program::compile(circuit, &PlanOptions::unfused());
+    run_program(&program, rng, &ExecutionControl::none())
 }
 
 #[cfg(test)]

@@ -648,7 +648,7 @@ pub fn run_single_trajectory(
     shot: u64,
 ) -> Result<Trajectory, QclabError> {
     validate(circuit, Some(initial), config)?;
-    let program = circuit.compile_with(&PlanOptions::from(&config.kernel));
+    let program = crate::program::compile(circuit, &PlanOptions::from(&config.kernel));
     let noise = NoisePlan::new(&program, &config.noise);
     let n = circuit.nb_qubits();
     let start = ShotState::new(initial.clone(), n, config.kernel, config.watchdog);

@@ -548,7 +548,7 @@ mod tests {
             remap: false,
             ..Default::default()
         };
-        let program = c.compile_with(&unfused);
+        let program = crate::program::compile(&c, &unfused);
         let plan = NoisePlan::new(&program, &NoiseSpec::default());
         assert_eq!(
             plan.before[Class::AfterGate as usize],
@@ -589,7 +589,7 @@ mod tests {
         c.push_back(Measurement::z(0));
         c.push_back(Measurement::z(2));
         // numbered on the source schedule, whichever plan is asked
-        let program = c.compile_with(&crate::program::PlanOptions::default());
+        let program = crate::program::compile(&c, &crate::program::PlanOptions::default());
         assert!(program.ops().len() < program.source().len());
         let noise = NoiseSpec {
             after_gate: Some(PauliChannel::Depolarizing(0.3)),
@@ -652,7 +652,7 @@ mod tests {
         c.push_back(RotationX::new(1, 1.1));
         c.push_back(RotationZ::new(0, 0.4));
         c.push_back(Measurement::z(1));
-        let program = c.compile_with(&crate::program::PlanOptions::default());
+        let program = crate::program::compile(&c, &crate::program::PlanOptions::default());
         assert_eq!(program.ops().len(), 3);
         let landings = Landings::of(&program);
         assert_eq!(landings.members(0), [0, 3, 5]);
@@ -683,7 +683,7 @@ mod tests {
         assert_eq!(land(5, 1), (1, 3));
         assert_eq!(land(6, 1), (2, 0));
         // on the unfused plan every op is its own block
-        let unfused = c.compile_with(&crate::program::PlanOptions::unfused());
+        let unfused = crate::program::compile(&c, &crate::program::PlanOptions::unfused());
         let landings = Landings::of(&unfused);
         let hit = InjectedPauli {
             op_index: 4,

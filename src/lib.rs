@@ -37,6 +37,11 @@ pub use qclab_draw as draw;
 pub use qclab_math as math;
 pub use qclab_qasm as qasm;
 
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// Convenience re-exports covering the whole public API surface.
 pub mod prelude {
     pub use qclab_core::prelude::*;

@@ -57,7 +57,7 @@ proptest! {
         let mut b = init;
         for item in c.items() {
             if let CircuitItem::Gate(g) = item {
-                kernel::apply_gate(g, &mut a, N);
+                kernel::apply_gate(g, &mut a, N, &KernelConfig::default());
                 kron::apply_gate(g, &mut b, N);
             }
         }
@@ -223,9 +223,9 @@ fn cached_plan_matches_fresh_lowering_bit_for_bit() {
     let popts = PlanOptions::from(&sim_opts.kernel);
 
     // two compiles of an unchanged circuit share one plan
-    let cached = c.compile_with(&popts);
+    let cached = program::compile(&c, &popts);
     assert!(
-        std::sync::Arc::ptr_eq(&cached, &c.compile_with(&popts)),
+        std::sync::Arc::ptr_eq(&cached, &program::compile(&c, &popts)),
         "recompiling an unchanged circuit must hit the plan cache"
     );
 
@@ -286,8 +286,8 @@ fn barrier_blocks_fusion_identically_in_all_backends() {
     // plan level: the fence survives lowering and splits the block the
     // barrier-free circuit fuses whole
     let popts = PlanOptions::default();
-    let plan = barred.compile_with(&popts);
-    let plan_unbarred = unbarred.compile_with(&popts);
+    let plan = program::compile(&barred, &popts);
+    let plan_unbarred = program::compile(&unbarred, &popts);
     assert_eq!(plan.stats().fences, 1, "the barrier must lower to a fence");
     assert_eq!(plan_unbarred.stats().fences, 0);
     assert!(

@@ -16,7 +16,7 @@
 //! same in every process (CI runs this binary in 20 fresh processes).
 
 use qclab::prelude::*;
-use qclab_core::program::PlanOptions;
+use qclab_core::program::{self, PlanOptions};
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::kron;
@@ -198,7 +198,7 @@ fn opts(fuse: bool) -> SimOptions {
 }
 
 fn sparse_run(c: &QCircuit, init: &CVec) -> Simulation {
-    let program = c.compile_with(&PlanOptions::unfused());
+    let program = program::compile(c, &PlanOptions::unfused());
     let sim = sparse::execute(
         &program,
         SparseState::from_dense(init, 0.0),
@@ -235,10 +235,13 @@ fn actual() -> Vec<(String, &'static str, u64)> {
         out.push((name.clone(), "sparse", digest(&sparse_run(c, init))));
     }
     let c = relabeled14();
-    let plan = c.compile_with(&PlanOptions {
-        fuse: false,
-        ..PlanOptions::default()
-    });
+    let plan = program::compile(
+        &c,
+        &PlanOptions {
+            fuse: false,
+            ..PlanOptions::default()
+        },
+    );
     assert!(
         plan.stats().remap_moves + plan.stats().remap_folds > 0,
         "the 14-qubit case must be relabeled"

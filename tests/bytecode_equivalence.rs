@@ -27,7 +27,7 @@ mod common;
 
 use common::{gate, measured_circuit, nested_circuit, reference_state};
 use qclab::prelude::*;
-use qclab_core::program::{PlanOptions, ProgramOp};
+use qclab_core::program::{self, PlanOptions, ProgramOp};
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::kron;
 use qclab_core::sim::trajectory::{
@@ -101,7 +101,7 @@ fn due_checks(plan: &qclab_core::program::CompiledProgram, check_every: usize) -
 fn run_both(c: &QCircuit, remap: bool, what: &str) {
     let u = unitary_skeleton(c);
     let init = CVec::basis_state(1 << u.nb_qubits(), 0);
-    let plan = u.compile_with(&PlanOptions::from(&kernel(remap)));
+    let plan = program::compile(&u, &PlanOptions::from(&kernel(remap)));
     let want = reference_state(&plan, &init);
     let sim = u.simulate_with(&init, &opts(remap)).unwrap();
     assert_state_identical(sim.states()[0], &want, &format!("{what}: simulate"));
@@ -175,7 +175,7 @@ fn assert_prefix_bit_identical(c: &QCircuit, seed: u64) -> ShotPath {
             let what = format!("remap {remap}, check_every {check_every}");
             path = fast.path();
             if let ShotPath::AliasSampled { .. } = path {
-                let plan = c.compile_with(&PlanOptions::from(&config.kernel));
+                let plan = program::compile(c, &PlanOptions::from(&config.kernel));
                 let due = due_checks(&plan, check_every) * config.shots;
                 assert_eq!(fast.norm_stats().checks, due, "checks @ {what}");
             }
@@ -284,7 +284,7 @@ fn windows_form_and_stay_bit_identical() {
     }
     c.push_back(Measurement::z(2));
 
-    let plan = c.compile_with(&PlanOptions::default());
+    let plan = program::compile(&c, &PlanOptions::default());
     let bc = plan.bytecode();
     assert!(
         bc.stream_len() < plan.ops().len(),
@@ -315,7 +315,7 @@ fn windowed_prefix_is_bit_identical_on_alias_and_fork_paths() {
         prefix.push_back(RotationX::new(rep % 2, 0.3 + rep as f64));
         prefix.push_back(CNOT::new(rep % 2, 5 + rep));
     }
-    let plan = prefix.compile_with(&PlanOptions::default());
+    let plan = program::compile(&prefix, &PlanOptions::default());
     assert!(
         plan.bytecode().stream_len() < plan.ops().len(),
         "the prefix must contain windows"

@@ -20,7 +20,7 @@ use common::with_threads;
 use qclab::prelude::*;
 use qclab_core::program::{compile, plan_cache_stats, PlanOptions};
 use qclab_core::sim::control::chaos::{self, Fault};
-use qclab_core::sim::control::StopCause;
+use qclab_core::sim::control::{ExecutionControl, StopCause};
 use qclab_core::sim::density::{run_noisy, DensityState, NoiseModel};
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::kernel::KernelConfig;
@@ -97,16 +97,15 @@ fn dense_executor_unwinds_cleanly_under_every_fault() {
     let _g = lock();
     let c = workload();
     let run = || {
-        c.simulate_bitstring_with("000", &SimOptions::default())
-            .map(|s| {
-                (
-                    s.results()
-                        .iter()
-                        .map(|r| r.to_string())
-                        .collect::<Vec<_>>(),
-                    s.probabilities(),
-                )
-            })
+        c.simulate_bitstring("000").map(|s| {
+            (
+                s.results()
+                    .iter()
+                    .map(|r| r.to_string())
+                    .collect::<Vec<_>>(),
+                s.probabilities(),
+            )
+        })
     };
     let baseline = run().unwrap();
     // the fused dense program pokes once per sweep window plus once per
@@ -120,13 +119,12 @@ fn dense_executor_unwinds_cleanly_under_every_fault() {
 fn sparse_executor_unwinds_cleanly_under_every_fault() {
     let _g = lock();
     let c = workload();
-    let program = c.compile_with(&PlanOptions::unfused());
+    let program = compile(&c, &PlanOptions::unfused());
     let run = || {
-        sparse::execute_controlled(
+        sparse::execute(
             &program,
             SparseState::from_bitstring("000").unwrap(),
-            &ResourceLimits::default(),
-            &qclab_core::sim::control::ExecutionControl::none(),
+            &SimOptions::default(),
         )
         .map(|s| {
             (
@@ -152,7 +150,7 @@ fn density_executor_unwinds_cleanly_under_every_fault() {
     let rho = DensityState::from_pure(&psi);
     let noise = NoiseModel { after_gate: None };
     let run = || {
-        run_noisy(&c, &rho, &noise).map(|s| {
+        run_noisy(&c, &rho, &noise, &ExecutionControl::none()).map(|s| {
             // purity/fidelity pin the final state closely enough for a
             // bit-identity check of the deterministic evolution
             (s.purity().to_bits(), s.fidelity_with_pure(&psi).to_bits())
@@ -168,11 +166,11 @@ fn density_executor_unwinds_cleanly_under_every_fault() {
 fn stabilizer_executor_unwinds_cleanly_under_every_fault() {
     let _g = lock();
     let c = workload();
-    let program = c.compile_with(&PlanOptions::unfused());
+    let program = compile(&c, &PlanOptions::unfused());
     let run = || {
         // fresh RNG per run: recovery must be deterministic in the seed
         let mut rng = qclab_math::rng::Rng::seed_from_u64(17);
-        run_program(&program, &mut rng).map(|r| r.record)
+        run_program(&program, &mut rng, &ExecutionControl::none()).map(|r| r.record)
     };
     let baseline = run().unwrap();
     for at in [0, 2] {
@@ -345,9 +343,7 @@ fn plan_cache_survives_forced_panics() {
     // same Arc and its stats must be consistent
     for _ in 0..3 {
         chaos::arm(Fault::Panic, 0);
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            c.simulate_bitstring_with("000", &SimOptions::default())
-        }));
+        let _ = catch_unwind(AssertUnwindSafe(|| c.simulate_bitstring("000")));
     }
     chaos::disarm();
 
@@ -360,12 +356,8 @@ fn plan_cache_survives_forced_panics() {
     assert!(stats.entries >= 1);
 
     // and a full differential run still matches a fresh computation
-    let a = c
-        .simulate_bitstring_with("000", &SimOptions::default())
-        .unwrap();
-    let b = c
-        .simulate_bitstring_with("000", &SimOptions::default())
-        .unwrap();
+    let a = c.simulate_bitstring("000").unwrap();
+    let b = c.simulate_bitstring("000").unwrap();
     assert_eq!(a.results(), b.results());
     assert_eq!(a.probabilities(), b.probabilities());
 }

@@ -158,12 +158,12 @@ pub fn nested_circuit<S: Strategy<Value = CircuitItem>>(
 /// entry — no bytecode, no windows, no prepared operands.
 pub fn reference_state(program: &qclab_core::program::CompiledProgram, initial: &CVec) -> CVec {
     use qclab_core::program::ProgramOp;
-    use qclab_core::sim::kernel::{apply_gate_with, permute_state, KernelConfig};
+    use qclab_core::sim::kernel::{apply_gate, permute_state, KernelConfig};
     let n = program.nb_qubits();
     let mut state = initial.clone();
     for op in program.ops() {
         match op {
-            ProgramOp::Gate(g) => apply_gate_with(g, &mut state, n, &KernelConfig::default()),
+            ProgramOp::Gate(g) => apply_gate(g, &mut state, n, &KernelConfig::default()),
             ProgramOp::Permute { perm, .. } => permute_state(&mut state, n, perm, false),
             ProgramOp::Fence(_) => {}
             ProgramOp::Measure(_) | ProgramOp::Reset(_) => {

@@ -9,13 +9,13 @@
 #![allow(clippy::disallowed_methods)] // a test may let a refused thread panic
 
 use qclab::prelude::*;
-use qclab_core::program::PlanOptions;
+use qclab_core::program::{self, PlanOptions};
 use qclab_core::sim::control::{ExecutionControl, StopCause};
-use qclab_core::sim::density::{run_noisy, run_noisy_controlled, DensityState, NoiseModel};
+use qclab_core::sim::density::{run_noisy, DensityState, NoiseModel};
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::route::BackendRequest;
 use qclab_core::sim::sparse::{self, SparseState};
-use qclab_core::sim::stabilizer::{run_program, run_program_controlled};
+use qclab_core::sim::stabilizer::run_program;
 use qclab_core::sim::trajectory::{
     run_trajectories, NoiseSpec, PauliChannel, Reference, TrajectoryConfig,
 };
@@ -66,7 +66,7 @@ fn dense_run_observes_cancellation() {
         control: cancelled_control(),
         ..SimOptions::default()
     };
-    match c.simulate_bitstring_with("000", &opts) {
+    match c.simulate_bitstring_routed("000", &opts, BackendRequest::Dense) {
         Err(QclabError::Cancelled(p)) => assert!(p.ops_done >= 1),
         other => panic!("expected Cancelled, got {other:?}"),
     }
@@ -80,7 +80,7 @@ fn dense_run_observes_deadline() {
         ..SimOptions::default()
     };
     assert!(matches!(
-        c.simulate_bitstring_with("000", &opts),
+        c.simulate_bitstring_routed("000", &opts, BackendRequest::Dense),
         Err(QclabError::DeadlineExceeded(_))
     ));
 }
@@ -88,24 +88,35 @@ fn dense_run_observes_deadline() {
 #[test]
 fn sparse_run_observes_cancellation_and_deadline() {
     let c = workload(3, 4);
-    let program = c.compile_with(&PlanOptions::unfused());
-    let run = |control: &ExecutionControl| {
-        sparse::execute_controlled(
-            &program,
-            SparseState::from_bitstring("000").unwrap(),
-            &ResourceLimits::default(),
+    let program = program::compile(&c, &PlanOptions::unfused());
+    let run = |control: ExecutionControl| {
+        let opts = SimOptions {
             control,
-        )
+            ..SimOptions::default()
+        };
+        sparse::execute(&program, SparseState::from_bitstring("000").unwrap(), &opts)
     };
     assert!(matches!(
-        run(&cancelled_control()),
+        run(cancelled_control()),
         Err(QclabError::Cancelled(_))
     ));
     assert!(matches!(
-        run(&expired_control()),
+        run(expired_control()),
         Err(QclabError::DeadlineExceeded(_))
     ));
-    assert!(run(&generous_control()).is_ok());
+    // a generous deadline reproduces the uncontrolled run exactly
+    let plain = run(ExecutionControl::none()).unwrap();
+    let timed = run(generous_control()).unwrap();
+    assert_eq!(plain.results(), timed.results());
+    assert_eq!(plain.probabilities(), timed.probabilities());
+    let amplitudes = |s: &SparseState| {
+        let mut amps: Vec<_> = s.iter().collect();
+        amps.sort_by_key(|&(idx, _)| idx);
+        amps
+    };
+    for (p, t) in plain.states().into_iter().zip(timed.states()) {
+        assert_eq!(amplitudes(p), amplitudes(t));
+    }
 }
 
 #[test]
@@ -115,16 +126,16 @@ fn density_run_observes_cancellation_and_deadline() {
     let rho = DensityState::from_pure(&psi);
     let noise = NoiseModel { after_gate: None };
     assert!(matches!(
-        run_noisy_controlled(&c, &rho, &noise, &cancelled_control()),
+        run_noisy(&c, &rho, &noise, &cancelled_control()),
         Err(QclabError::Cancelled(_))
     ));
     assert!(matches!(
-        run_noisy_controlled(&c, &rho, &noise, &expired_control()),
+        run_noisy(&c, &rho, &noise, &expired_control()),
         Err(QclabError::DeadlineExceeded(_))
     ));
     // a generous deadline reproduces the uncontrolled evolution exactly
-    let plain = run_noisy(&c, &rho, &noise).unwrap();
-    let timed = run_noisy_controlled(&c, &rho, &noise, &generous_control()).unwrap();
+    let plain = run_noisy(&c, &rho, &noise, &ExecutionControl::none()).unwrap();
+    let timed = run_noisy(&c, &rho, &noise, &generous_control()).unwrap();
     assert_eq!(plain.purity(), timed.purity());
     assert_eq!(
         plain.fidelity_with_pure(&psi),
@@ -136,22 +147,22 @@ fn density_run_observes_cancellation_and_deadline() {
 fn stabilizer_run_observes_cancellation_and_deadline() {
     // Clifford-only workload: H / CNOT layers + measurements
     let c = workload(3, 4);
-    let program = c.compile_with(&PlanOptions::unfused());
+    let program = program::compile(&c, &PlanOptions::unfused());
     let mut rng = qclab_math::rng::Rng::seed_from_u64(11);
     assert!(matches!(
-        run_program_controlled(&program, &mut rng, &cancelled_control()),
+        run_program(&program, &mut rng, &cancelled_control()),
         Err(QclabError::Cancelled(_))
     ));
     assert!(matches!(
-        run_program_controlled(&program, &mut rng, &expired_control()),
+        run_program(&program, &mut rng, &expired_control()),
         Err(QclabError::DeadlineExceeded(_))
     ));
     // control checks never draw from the RNG: a fresh seed under a
     // generous deadline matches the uncontrolled run bit for bit
     let mut a = qclab_math::rng::Rng::seed_from_u64(11);
     let mut b = qclab_math::rng::Rng::seed_from_u64(11);
-    let plain = run_program(&program, &mut a).unwrap();
-    let timed = run_program_controlled(&program, &mut b, &generous_control()).unwrap();
+    let plain = run_program(&program, &mut a, &ExecutionControl::none()).unwrap();
+    let timed = run_program(&program, &mut b, &generous_control()).unwrap();
     assert_eq!(plain.record, timed.record);
 }
 
@@ -278,12 +289,13 @@ fn generous_deadline_dense_simulation_is_bit_identical() {
     let c = workload(4, 3);
     let plain = c.simulate_bitstring("0000").unwrap();
     let timed = c
-        .simulate_bitstring_with(
+        .simulate_bitstring_routed(
             "0000",
             &SimOptions {
                 control: generous_control(),
                 ..SimOptions::default()
             },
+            BackendRequest::Dense,
         )
         .unwrap();
     assert_eq!(plain.results(), timed.results());
@@ -304,7 +316,7 @@ fn cancellation_respects_the_check_interval_bound() {
         },
         ..SimOptions::default()
     };
-    match c.simulate_bitstring_with("000", &opts) {
+    match c.simulate_bitstring_routed("000", &opts, BackendRequest::Dense) {
         Err(QclabError::Cancelled(p)) => {
             assert!(p.ops_done <= 8, "stopped after {} ops", p.ops_done)
         }
@@ -382,7 +394,7 @@ fn resource_limits_still_bind_under_control() {
         ..SimOptions::default()
     };
     assert!(matches!(
-        c.simulate_bitstring_with("000", &opts),
+        c.simulate_bitstring_routed("000", &opts, BackendRequest::Dense),
         Err(QclabError::ResourceExhausted { .. })
     ));
 }

@@ -6,6 +6,7 @@ mod common;
 
 use common::gate;
 use qclab::prelude::*;
+use qclab_core::sim::kernel::{self, KernelConfig};
 use qclab_core::sim::kron::extended_unitary;
 use qclab_math::scalar::cr;
 use qclab_testkit::prelude::*;
@@ -45,7 +46,7 @@ proptest! {
         prop_assume!(!controls.is_empty());
         let init = CVec::basis_state(1 << N, basis);
         let mut out = init.clone();
-        qclab_core::sim::kernel::apply_gate(&g, &mut out, N);
+        kernel::apply_gate(&g, &mut out, N, &KernelConfig::default());
 
         let satisfied = controls.iter().all(|&(q, s)| {
             qclab_math::bits::qubit_bit(basis, q, N) == s as usize
@@ -91,9 +92,9 @@ proptest! {
         );
         let mut gx = x.clone();
         let mut gy = y.clone();
-        qclab_core::sim::kernel::apply_gate(&g, &mut combo, N);
-        qclab_core::sim::kernel::apply_gate(&g, &mut gx, N);
-        qclab_core::sim::kernel::apply_gate(&g, &mut gy, N);
+        kernel::apply_gate(&g, &mut combo, N, &KernelConfig::default());
+        kernel::apply_gate(&g, &mut gx, N, &KernelConfig::default());
+        kernel::apply_gate(&g, &mut gy, N, &KernelConfig::default());
         for i in 0..combo.len() {
             let expected = gx[i] * cr(a) + gy[i] * cr(b);
             prop_assert!((combo[i] - expected).norm() < 1e-10);
@@ -107,7 +108,7 @@ fn toffoli_truth_table() {
     let g = Toffoli::new(0, 1, 2);
     for basis in 0..8usize {
         let mut s = CVec::basis_state(8, basis);
-        qclab_core::sim::kernel::apply_gate(&g, &mut s, 3);
+        kernel::apply_gate(&g, &mut s, 3, &KernelConfig::default());
         let out = s.iter().position(|z| z.norm() > 0.5).unwrap();
         let expected = if basis & 0b110 == 0b110 {
             basis ^ 1
@@ -124,7 +125,7 @@ fn mcx_open_control_truth_table() {
     let g = MCX::new(&[3, 4], 2, &[0, 1]);
     for basis in 0..32usize {
         let mut s = CVec::basis_state(32, basis);
-        qclab_core::sim::kernel::apply_gate(&g, &mut s, 5);
+        kernel::apply_gate(&g, &mut s, 5, &KernelConfig::default());
         let out = s.iter().position(|z| z.norm() > 0.5).unwrap();
         let q3 = qclab_math::bits::qubit_bit(basis, 3, 5);
         let q4 = qclab_math::bits::qubit_bit(basis, 4, 5);

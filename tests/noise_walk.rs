@@ -19,6 +19,7 @@ mod common;
 use common::{all_noise, with_threads};
 use qclab::algorithms::qec::{repetition_code_circuit, InjectedError};
 use qclab::prelude::*;
+use qclab_core::program;
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{
     run_trajectories, run_trajectories_from, NoiseSpec, PauliChannel, Reference, ShotPath,
@@ -203,11 +204,14 @@ fn both_engines_walk_the_same_hits() {
 #[test]
 fn certain_and_impossible_channels_are_exact_on_both_engines() {
     let c = repetition_code_circuit(5, InjectedError::None);
-    let sites = site_counts(&c.compile_with(&PlanOptions {
-        fuse: false,
-        remap: false,
-        ..PlanOptions::default()
-    }));
+    let sites = site_counts(&program::compile(
+        &c,
+        &PlanOptions {
+            fuse: false,
+            remap: false,
+            ..PlanOptions::default()
+        },
+    ));
     // 4 CNOTs on 5 qubits, 5 measurements
     assert_eq!((sites.after_gate, sites.idle, sites.readout), (8, 12, 5));
     let per_shot = sites.after_gate + sites.idle + sites.readout;

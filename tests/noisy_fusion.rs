@@ -25,8 +25,8 @@ mod common;
 
 use common::{circuit, measured_circuit, random_layers};
 use qclab::prelude::*;
-use qclab_core::program::{PlanOptions, ProgramOp};
-use qclab_core::sim::kernel::{apply_gate_with, KernelConfig};
+use qclab_core::program::{self, PlanOptions, ProgramOp};
+use qclab_core::sim::kernel::{apply_gate, KernelConfig};
 use qclab_core::sim::trajectory::{
     run_single_trajectory, run_trajectories, InjectedPauli, NoiseSpec, PauliChannel, Reference,
     Trajectory, TrajectoryConfig,
@@ -103,12 +103,12 @@ fn assert_shots_agree(
 /// entry, each Pauli right after the gate it followed, in list order.
 fn replay_from_the_list(c: &QCircuit, injected: &[InjectedPauli]) -> CVec {
     let n = c.nb_qubits();
-    let source = c.compile_with(&PlanOptions::unfused());
+    let source = program::compile(c, &PlanOptions::unfused());
     let cfg = KernelConfig::default();
     let mut state = CVec::basis_state(1 << n, 0);
     for (s, op) in source.ops().iter().enumerate() {
         match op {
-            ProgramOp::Gate(g) => apply_gate_with(g, &mut state, n, &cfg),
+            ProgramOp::Gate(g) => apply_gate(g, &mut state, n, &cfg),
             ProgramOp::Fence(_) => {}
             other => panic!("not a unitary circuit: {other}"),
         }
@@ -119,7 +119,7 @@ fn replay_from_the_list(c: &QCircuit, injected: &[InjectedPauli]) -> CVec {
                 Pauli::Z => PauliZ::new(hit.qubit),
                 Pauli::I => continue,
             };
-            apply_gate_with(&pauli, &mut state, n, &cfg);
+            apply_gate(&pauli, &mut state, n, &cfg);
         }
     }
     state
@@ -132,14 +132,14 @@ fn all_three_noise_classes_on_random_layers() {
     for q in 0..6 {
         c.push_back(Measurement::z(q));
     }
-    let plan = c.compile_with(&PlanOptions::default());
+    let plan = program::compile(&c, &PlanOptions::default());
     assert!(plan.stats().fused_blocks >= 5, "{:?}", plan.stats());
     let noise = noise(0.01, 0.002, 0.02);
     let shots = assert_shots_agree(&c, noise, KernelConfig::default(), 3, 100, "layers");
     // the mix this test is named for: struck blocks, idle hits, readout
     // hits, and lanes with none at all
     let hits = |class: fn(&InjectedPauli, &[ProgramOp]) -> bool| {
-        let source = c.compile_with(&PlanOptions::unfused());
+        let source = program::compile(&c, &PlanOptions::unfused());
         shots
             .iter()
             .flat_map(|t| &t.injected)
@@ -195,7 +195,7 @@ fn an_idle_hit_lands_in_a_block_before_an_earlier_hits_block() {
     c.push_back(TGate::new(0));
     c.push_back(RotationX::new(1, 1.1));
     c.push_back(RotationZ::new(0, 0.4));
-    let plan = c.compile_with(&PlanOptions::default());
+    let plan = program::compile(&c, &PlanOptions::default());
     assert_eq!(plan.ops().len(), 2, "{:?}", plan.ops());
     for (gate, idle) in [(1.0, 1.0), (0.3, 0.3)] {
         let noise = NoiseSpec {
@@ -230,7 +230,7 @@ fn a_gate_fused_back_across_a_measurement_and_a_reset_keeps_the_stream_order() {
     c.push_back(Measurement::z(0));
     c.push_back(Measurement::y(1));
     c.push_back(Measurement::z(2));
-    let plan = c.compile_with(&PlanOptions::default());
+    let plan = program::compile(&c, &PlanOptions::default());
     // H·T·RZ is op 0, ahead of the measurement
     assert!(matches!(&plan.ops()[0], ProgramOp::Gate(g) if g.qubits() == [0]));
     assert!(plan.shot_plan().prefix_ops >= 3, "{:?}", plan.ops());
@@ -305,7 +305,7 @@ fn far_target_sweeps() -> QCircuit {
 #[test]
 fn fourteen_qubits_with_remap_windows_and_a_single_transposition() {
     let mut c = far_target_sweeps();
-    let plan = c.compile_with(&PlanOptions::default());
+    let plan = program::compile(&c, &PlanOptions::default());
     let stats = plan.stats();
     assert!(
         stats.remap_windows >= 1 && stats.remap_folds >= 1,
@@ -357,7 +357,7 @@ fn fusion_caps_three_and_four() {
             max_fused_qubits,
             ..KernelConfig::default()
         };
-        let plan = unitary.compile_with(&PlanOptions::from(&kernel));
+        let plan = program::compile(&unitary, &PlanOptions::from(&kernel));
         let widest = plan.ops().iter().map(|op| op.qubits().len()).max();
         assert_eq!(widest, Some(max_fused_qubits), "{:?}", plan.stats());
         let what = format!("cap {max_fused_qubits}");
@@ -385,7 +385,7 @@ fn certain_channels_strike_every_block() {
     for q in 0..5 {
         c.push_back(Measurement::x(q));
     }
-    let sites = qclab_core::sim::walk::site_counts(&c.compile_with(&PlanOptions::default()));
+    let sites = qclab_core::sim::walk::site_counts(&program::compile(&c, &PlanOptions::default()));
     let certain = NoiseSpec {
         after_gate: Some(PauliChannel::Depolarizing(1.0)),
         idle: Some(PauliChannel::BitFlip(1.0)),

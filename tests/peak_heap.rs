@@ -193,7 +193,7 @@ fn a_one_off_run_pays_for_its_state_and_nothing_more() {
     // held: the route names the table, the run builds it and the plan
     // keeps it for the next run
     program::clear_plan_cache();
-    let held = qft.compile_with(&PlanOptions::default());
+    let held = program::compile(&qft, &PlanOptions::default());
     let kept = Some(TerminalDraw::Table {
         bytes: table as u128,
     });

@@ -95,6 +95,7 @@ fn both_backends_agree_on_synthesized_circuits() {
 
 #[test]
 fn noisy_density_and_pure_simulators_agree_at_zero_noise() {
+    use qclab::core::sim::control::ExecutionControl;
     use qclab::core::sim::density::{run_noisy, DensityState, NoiseModel};
     let h = Observable::heisenberg_xxz(3, 0.7, 0.4);
     let circuit = evolve(&h, 0.5, 2, TrotterOrder::First);
@@ -105,6 +106,7 @@ fn noisy_density_and_pure_simulators_agree_at_zero_noise() {
         &circuit,
         &DensityState::from_pure(&init),
         &NoiseModel { after_gate: None },
+        &ExecutionControl::none(),
     )
     .unwrap();
     let f = dm.fidelity_with_pure(pure.states()[0]);

@@ -31,7 +31,7 @@ fn a_noisy_and_a_noiseless_run_share_one_plan_and_one_table() {
         (stats.entries, stats.misses)
     };
     assert_eq!(cached(), (0, 0));
-    drop(c.compile_with(&PlanOptions::default()));
+    drop(program::compile(&c, &PlanOptions::default()));
     assert_eq!(cached(), (0, 1), "asked once: lowered, not kept");
     let base = TrajectoryConfig {
         shots: 64,
@@ -61,7 +61,7 @@ fn a_noisy_and_a_noiseless_run_share_one_plan_and_one_table() {
         "one circuit: one entry, lowered once more when kept"
     );
     // it is the plan `compile` reports
-    let plan = c.compile_with(&PlanOptions::default());
+    let plan = program::compile(&c, &PlanOptions::default());
     assert!(plan.stats().fused_blocks > 0);
     assert_eq!(cached(), (1, 2));
     // in the other order the noisy run is the one that hits

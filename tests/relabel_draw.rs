@@ -14,6 +14,7 @@ mod common;
 
 use common::{random_layers, with_threads};
 use qclab::prelude::*;
+use qclab_core::program;
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::route::{route, TerminalDraw};
 use qclab_core::sim::trajectory::{
@@ -117,7 +118,7 @@ fn every_terminal_route_reads_relabels_in_place_as_the_restored_state() {
         // every qubit measured, in three bases: the draw reads in place
         let bases: Vec<(usize, char)> = (0..n).map(|q| (q, ['x', 'y', 'z'][q % 3])).collect();
         let c = measured(swapped(n, seed), &bases);
-        let plan = c.compile_with(&PlanOptions::default());
+        let plan = program::compile(&c, &PlanOptions::default());
         assert_eq!(plan.stats().remap_relabels, 3 + n / 2, "{n} qubits");
         assert!(plan.shot_plan().draw_in_place.is_some(), "{n} qubits");
         drop(plan);
@@ -139,7 +140,7 @@ fn every_terminal_route_reads_relabels_in_place_as_the_restored_state() {
         }
 
         // a held plan keeps its table
-        let held = c.compile_with(&PlanOptions::default());
+        let held = program::compile(&c, &PlanOptions::default());
         let (_, draw) = assert_unremapped(&c, &config, &what("table"));
         assert!(
             matches!(draw, Some(TerminalDraw::Table { .. })),
@@ -185,7 +186,7 @@ fn a_partial_block_reads_in_place_only_when_the_unmeasured_qubits_keep_their_ord
     let ordered: Vec<(usize, char)> = (0..n).filter(|&q| q != 6).map(|q| (q, 'z')).collect();
     let ordered = measured(c, &ordered);
     for (c, in_place) in [(scattered, false), (ordered, true)] {
-        let plan = c.compile_with(&PlanOptions::default());
+        let plan = program::compile(&c, &PlanOptions::default());
         assert_eq!(plan.shot_plan().draw_in_place.is_some(), in_place);
         drop(plan);
         let config = TrajectoryConfig {

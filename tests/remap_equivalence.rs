@@ -17,7 +17,7 @@ mod common;
 
 use common::{gate, nested_circuit};
 use qclab::prelude::*;
-use qclab_core::program::PlanOptions;
+use qclab_core::program::{self, PlanOptions};
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::trajectory::{run_trajectories, Reference, ShotPath, TrajectoryConfig};
 use qclab_core::CircuitItem;
@@ -169,11 +169,14 @@ fn far_heavy_circuit(suffix: bool) -> QCircuit {
 
 #[test]
 fn pass_fires_on_far_heavy_circuit() {
-    let plan = far_heavy_circuit(false).compile_with(&PlanOptions {
-        fuse: false,
-        remap: true,
-        ..PlanOptions::default()
-    });
+    let plan = program::compile(
+        &far_heavy_circuit(false),
+        &PlanOptions {
+            fuse: false,
+            remap: true,
+            ..PlanOptions::default()
+        },
+    );
     let stats = plan.stats();
     assert!(
         stats.remap_windows >= 1,
@@ -209,7 +212,7 @@ fn fork_path_resumes_under_the_prefix_layout() {
 
     // the prefix (everything before the first measurement) must end in
     // a non-identity layout for this test to mean anything
-    let plan = c.compile_with(&PlanOptions::from(&kernel));
+    let plan = program::compile(&c, &PlanOptions::from(&kernel));
     let map = plan
         .prefix_map()
         .expect("prefix must end in a permuted layout");

@@ -245,7 +245,7 @@ impl Row<'_> {
 
     fn kernel_plan(&self) -> std::sync::Arc<program::CompiledProgram> {
         let options = PlanOptions::from(&self.config.kernel);
-        self.shape.circuit.compile_with(&options)
+        program::compile(&self.shape.circuit, &options)
     }
 
     /// Plans the rules read: the unfused plan when the request is not
@@ -282,7 +282,7 @@ fn every_route_is_the_table_s() {
     let shapes = shapes();
     // the facts each shape is listed with are its plans' own
     for shape in &shapes {
-        let plan = shape.circuit.compile_with(&PlanOptions::default());
+        let plan = program::compile(&shape.circuit, &PlanOptions::default());
         let facts = (
             plan.shot_plan().terminal_measurements,
             plan.stats().is_clifford,
@@ -379,7 +379,9 @@ fn every_route_is_the_table_s() {
             _ => PlanOptions::from(&row.config.kernel),
         };
         assert_eq!(routed.program.options(), &plan, "{label}: plan options");
-        let prefix_ops = row.shape.circuit.compile_with(&plan).shot_plan().prefix_ops;
+        let prefix_ops = program::compile(&row.shape.circuit, &plan)
+            .shot_plan()
+            .prefix_ops;
         let path = match then {
             Then::Sparse => ShotPath::SparseSampled { prefix_ops },
             Then::Frames => ShotPath::PauliFrame,

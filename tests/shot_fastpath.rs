@@ -16,6 +16,7 @@ mod common;
 
 use common::{assert_distribution, measured_circuit, Expected};
 use qclab::prelude::*;
+use qclab_core::program;
 use qclab_core::sim::trajectory::{
     run_trajectories, run_trajectories_from, NoiseSpec, PauliChannel, Reference, ShotPath,
     TrajectoryConfig,
@@ -138,7 +139,7 @@ proptest! {
     /// single measurements of distinct qubits (fences stay put).
     #[test]
     fn shot_plan_partitions_programs_in_place(c in measured_circuit(3, 12)) {
-        let program = c.compile_with(&PlanOptions::unfused());
+        let program = program::compile(&c, &PlanOptions::unfused());
         let plan = program.shot_plan();
         let ops = program.ops();
         prop_assert_eq!(plan.prefix_ops + plan.suffix_ops, ops.len());

@@ -9,6 +9,7 @@ mod common;
 
 use common::{gate, with_threads};
 use qclab::prelude::*;
+use qclab_core::program;
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::trajectory::{
     run_trajectories, NoiseSpec, PauliChannel, Reference, ShotPath, TrajectoryConfig,
@@ -66,7 +67,7 @@ fn mid_circuit(n: usize) -> impl Strategy<Value = QCircuit> {
 /// table) — add up to `2^18` amplitude-operations, one parallel kernel
 /// pass, the grain of the shot fan-out.
 fn team_shots(c: &QCircuit, class: u8) -> u64 {
-    let plan = c.compile_with(&PlanOptions::default());
+    let plan = program::compile(c, &PlanOptions::default());
     let from = if matches!(class, 1 | 2) {
         0
     } else {

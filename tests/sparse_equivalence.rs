@@ -13,7 +13,7 @@ mod common;
 
 use common::{assert_distribution, measured_circuit, random_layers, state, Expected};
 use qclab::prelude::*;
-use qclab_core::program::PlanOptions;
+use qclab_core::program::{self, PlanOptions};
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::route::{self, BackendChoice, BackendRequest};
 use qclab_core::sim::sparse::{self, SparseState};
@@ -50,9 +50,9 @@ fn rich_circuit() -> impl Strategy<Value = QCircuit> {
 /// Runs the sparse executor over the circuit's unfused plan from an
 /// arbitrary dense initial state.
 fn run_sparse(c: &QCircuit, init: &CVec) -> Simulation<SparseState> {
-    let program = c.compile_with(&PlanOptions::unfused());
+    let program = program::compile(c, &PlanOptions::unfused());
     let initial = SparseState::from_dense(init, 0.0);
-    sparse::execute(&program, initial, &ResourceLimits::default()).unwrap()
+    sparse::execute(&program, initial, &SimOptions::default()).unwrap()
 }
 
 /// Asserts the sparse run reproduces the dense run: identical branch
@@ -109,7 +109,7 @@ proptest! {
     #[test]
     fn routed_simulation_is_backend_transparent(c in rich_circuit()) {
         let zeros = "0".repeat(N);
-        let dense = c.simulate_bitstring_with(&zeros, &SimOptions::default()).unwrap();
+        let dense = c.simulate_bitstring(&zeros).unwrap();
         for request in [BackendRequest::Auto, BackendRequest::Dense, BackendRequest::Sparse] {
             let routed = c
                 .simulate_bitstring_routed(&zeros, &SimOptions::default(), request)
@@ -177,9 +177,9 @@ fn edge_circuit() -> impl Strategy<Value = QCircuit> {
 /// The sparse executor's peak and final live entries, summed over
 /// branches, from `|0…0⟩`, and the plan's support bound.
 fn support_and_bound(c: &QCircuit) -> (usize, usize, u128) {
-    let program = c.compile_with(&PlanOptions::unfused());
+    let program = program::compile(c, &PlanOptions::unfused());
     let initial = SparseState::basis_state(c.nb_qubits(), 0);
-    let sim = sparse::execute(&program, initial, &ResourceLimits::default()).unwrap();
+    let sim = sparse::execute(&program, initial, &SimOptions::default()).unwrap();
     let live = sim.branches().iter().map(|b| b.state().nnz()).sum();
     (sim.peak_entries(), live, program.stats().sparse_entries)
 }
@@ -234,10 +234,13 @@ fn hot_rounds(c: &mut QCircuit) {
 /// fusion — the locality pass stays on, so the plan relabels — and
 /// asserts it reproduces the dense engine.
 fn assert_sparse_matches_dense_on_relabeled_plan(c: &QCircuit, what: &str) {
-    let program = c.compile_with(&PlanOptions {
-        fuse: false,
-        ..PlanOptions::default()
-    });
+    let program = program::compile(
+        c,
+        &PlanOptions {
+            fuse: false,
+            ..PlanOptions::default()
+        },
+    );
     let stats = program.stats();
     assert!(
         stats.remap_moves + stats.remap_folds > 0,
@@ -245,7 +248,7 @@ fn assert_sparse_matches_dense_on_relabeled_plan(c: &QCircuit, what: &str) {
     );
     let zeros = "0".repeat(c.nb_qubits());
     let initial = SparseState::from_bitstring(&zeros).unwrap();
-    let sp = sparse::execute(&program, initial, &ResourceLimits::default()).unwrap();
+    let sp = sparse::execute(&program, initial, &SimOptions::default()).unwrap();
     let dense = c.simulate_bitstring(&zeros).unwrap();
     assert_sparse_matches_dense(&sp, &dense, what);
 }
@@ -387,7 +390,7 @@ fn thirty_qubit_circuit_dense_refuses_auto_completes() {
     let opts = SimOptions::default();
     // dense refuses the register outright …
     assert!(matches!(
-        c.simulate_bitstring_with(&zeros, &opts),
+        c.simulate_bitstring(&zeros),
         Err(QclabError::ResourceExhausted { .. })
     ));
     // … and so does an explicit dense request through the router

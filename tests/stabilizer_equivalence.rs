@@ -6,6 +6,7 @@
 mod common;
 
 use qclab::prelude::*;
+use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::{collapse, kernel};
 use qclab_core::StabilizerState;
 use qclab_math::rng::Rng;
@@ -43,7 +44,7 @@ fn tableau_agrees(ops: &[CliffordOp]) -> Result<(), TestCaseError> {
         match op {
             CliffordOp::Gate(g) => {
                 tableau.apply_gate(g).unwrap();
-                kernel::apply_gate(g, &mut psi, n);
+                kernel::apply_gate(g, &mut psi, n, &KernelConfig::default());
             }
             &CliffordOp::Measure(q) => {
                 let (p0, p1) = collapse::measure_probabilities(&psi, n, q, None);
@@ -138,7 +139,7 @@ fn every_table_gate_keeps_the_signs_on_pauli_eigenstates() {
             let mut psi = CVec::basis_state(1 << n, 0);
             for g in prepare(k0, 0).iter().chain(&prepare(k1, 1)).chain([gate]) {
                 tableau.apply_gate(g).unwrap();
-                kernel::apply_gate(g, &mut psi, n);
+                kernel::apply_gate(g, &mut psi, n, &KernelConfig::default());
             }
             for m in (0..n).flat_map(|q| [Measurement::z(q), Measurement::x(q), Measurement::y(q)])
             {
@@ -150,7 +151,7 @@ fn every_table_gate_keeps_the_signs_on_pauli_eigenstates() {
                     matrix: m.basis().change_matrix().dagger(),
                 };
                 let mut rotated = psi.clone();
-                kernel::apply_gate(&vdg, &mut rotated, n);
+                kernel::apply_gate(&vdg, &mut rotated, n, &KernelConfig::default());
                 let (p0, _) = collapse::measure_probabilities(&rotated, n, q, None);
 
                 let mut t = tableau.clone();

@@ -28,6 +28,8 @@ mod common;
 
 use common::{all_noise, assert_distribution, gate, random_layers, with_threads, Expected};
 use qclab::prelude::*;
+use qclab_core::program;
+use qclab_core::sim::control::ExecutionControl;
 use qclab_core::sim::density::{run_noisy, DensityState, NoiseModel};
 use qclab_core::sim::kernel::KernelConfig;
 use qclab_core::sim::route::{route, TerminalDraw};
@@ -203,7 +205,7 @@ fn noisy_terminal_draws_follow_the_density_matrix_exactly() {
         after_gate: Some(gate.to_density_channel()),
     };
     let zero = DensityState::from_pure(&CVec::basis_state(1 << n, 0));
-    let mut rho = run_noisy(&gates, &zero, &model).unwrap();
+    let mut rho = run_noisy(&gates, &zero, &model, &ExecutionControl::none()).unwrap();
     for m in &measurements {
         rho.apply_channel(m.qubit(), &readout.to_density_channel());
         if !matches!(m.basis(), Basis::Z) {
@@ -290,7 +292,9 @@ fn watchdog_totals_do_not_depend_on_how_many_lanes_diverged() {
     assert!(0 < some.injected_errors() && some.injected_errors() < all.injected_errors());
     // the plan every run executes, noisy or not: 22 gates fused into 8
     // gate ops, at a cadence of 4 two checks
-    let gates = c.compile_with(&PlanOptions::default()).stats().gates_out as u64;
+    let gates = program::compile(&c, &PlanOptions::default())
+        .stats()
+        .gates_out as u64;
     let checks = 96 * gates.div_ceil(4);
     for (r, what) in [(&none, "none"), (&some, "some"), (&all, "all")] {
         assert_eq!(r.norm_stats().checks, checks, "{what} diverged");
@@ -485,7 +489,7 @@ proptest! {
         drop(routed);
         let moved = run_trajectories_from(&c, &zero, &config).unwrap();
         // held (and resident, asked for again): the table is built and kept
-        let plan = c.compile_with(&PlanOptions::default());
+        let plan = program::compile(&c, &PlanOptions::default());
         prop_assert_eq!(route(&c, &config, None).unwrap().draw, Some(table));
         let kept = run_trajectories(&c, &config).unwrap();
         let again = run_trajectories(&c, &config).unwrap();

@@ -132,9 +132,7 @@ fn every_kernel_class_is_bit_identical_at_any_thread_count() {
             for (class, gate) in kernel_classes(n) {
                 let run = |threads| {
                     let mut state = initial.clone();
-                    with_threads(threads, || {
-                        kernel::apply_gate_with(&gate, &mut state, n, &cfg)
-                    });
+                    with_threads(threads, || kernel::apply_gate(&gate, &mut state, n, &cfg));
                     state
                 };
                 let one = run(1);

@@ -17,6 +17,7 @@
 
 use qclab::prelude::*;
 use qclab_algorithms::ghz_circuit;
+use qclab_core::sim::control::ExecutionControl;
 use qclab_core::sim::density::{DensityState, NoiseModel};
 use qclab_core::sim::guard::ResourceLimits;
 use qclab_core::sim::trajectory::{
@@ -96,6 +97,7 @@ fn noisy_trajectory_expectations_converge_to_density_evolution() {
         &NoiseModel {
             after_gate: Some(channel.to_density_channel()),
         },
+        &ExecutionControl::none(),
     )
     .unwrap();
 
